@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json staticcheck govulncheck race check chaos fuzz bench-plan bench-sched bench-smoke bench-stats bench-engine bench-fusion bench-kappa bench-trsv telemetry-smoke
+.PHONY: build test vet size lint lint-json staticcheck govulncheck race check chaos fuzz bench-plan bench-sched bench-smoke bench-stats bench-engine bench-fusion bench-kappa bench-trsv telemetry-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test: build
 
 vet:
 	$(GO) vet ./...
+
+# size prints the non-test, non-testdata Go line count of every package
+# directory, then the total — the numbers ROADMAP.md and the simplicity
+# issues quote, regenerable with one command.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # lint runs the repo's own analyzer suite (docs/LINTING.md): the six
 # per-package contracts (hot-path allocation discipline, nil-safe

@@ -270,7 +270,7 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 	road := load(b, "GAP-road-sim")
 	b.Run("BFSRoad", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := graph.BFS(road, 0, core.Auto); err != nil {
+			if _, err := graph.BFS(road, 0, core.Auto, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -62,16 +62,22 @@ func PlanBench(w io.Writer, o Options) error {
 			run  func(p int) (int64, error)
 		}{
 			{"RowWork (Eq. 2)", func(p int) (int64, error) {
-				v := tiling.RowWorkParallel(a, a, a, p)
+				v, err := tiling.RowWorkParallelE(nil, a, a, a, p)
+				if err != nil {
+					return 0, err
+				}
 				return v[len(v)-1], nil
 			}},
 			{"PrefixSum", func(p int) (int64, error) {
-				prefix := tiling.PrefixSum(work, p)
+				prefix, err := tiling.PrefixSumE(nil, work, p)
+				if err != nil {
+					return 0, err
+				}
 				return prefix[len(prefix)-1], nil
 			}},
 			{"BalancedTiles", func(p int) (int64, error) {
-				tiles := tiling.BalancedTilesParallel(work, 2048, p)
-				return int64(len(tiles)), nil
+				tiles, err := tiling.BalancedTilesParallelE(nil, work, 2048, p)
+				return int64(len(tiles)), err
 			}},
 			{"NewMultiplier (plan)", func(p int) (int64, error) {
 				cfg := o.planify(core.DefaultConfig())

@@ -30,12 +30,12 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 			if _, err := mu.Multiply(); err != nil {
 				t.Fatal(err)
 			}
+			k := kernel[float64, semiring.PlusTimes[float64]]{
+				sr: mu.p.sr, m: mu.p.m, a: mu.p.a, b: mu.p.b, iter: it, kappa: cfg.Kappa,
+			}
 			allocs := testing.AllocsPerRun(10, func() {
-				for tt := range mu.tiles {
-					out := &mu.ws.Outs[tt]
-					out.Cols = out.Cols[:0]
-					out.Vals = out.Vals[:0]
-					runTilePlanned(mu.sr, mu.ws.Accs[0], mu.m, mu.a, mu.b, mu.cfg, mu.tiles[tt], out, nil)
+				for tt, tile := range mu.plan.Tiles {
+					runTile(k, mu.ws.Accs[0], nil, tile, &mu.ws.Outs[tt], false, nil, nil)
 				}
 			})
 			if allocs != 0 {

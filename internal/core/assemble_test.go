@@ -40,7 +40,10 @@ func makeOuts(tiles []tiling.Tile, rowNNZ []int) []exec.TileBuf[float64] {
 func assembleCase(t *testing.T, rows, cols int, tiles []tiling.Tile, rowNNZ []int) {
 	t.Helper()
 	outs := makeOuts(tiles, rowNNZ)
-	want := assemble(rows, cols, tiles, outs, 1)
+	want, err := assembleE(nil, rows, cols, tiles, outs, 1)
+	if err != nil {
+		t.Fatalf("serial assemble: %v", err)
+	}
 	if err := want.Check(); err != nil {
 		t.Fatalf("serial assemble malformed: %v", err)
 	}
@@ -51,7 +54,10 @@ func assembleCase(t *testing.T, rows, cols int, tiles []tiling.Tile, rowNNZ []in
 	}
 	lowerPlanCutoff(t)
 	for _, p := range []int{2, 3, 8} {
-		got := assemble(rows, cols, tiles, outs, p)
+		got, err := assembleE(nil, rows, cols, tiles, outs, p)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
 		if !sparse.Equal(want, got) {
 			t.Fatalf("p=%d: parallel assemble differs from serial", p)
 		}
@@ -78,7 +84,10 @@ func TestAssembleSingleTile(t *testing.T) {
 
 func TestAssembleZeroRows(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		c := assemble[float64](0, 5, nil, nil, p)
+		c, err := assembleE[float64](nil, 0, 5, nil, nil, p)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
 		if c.Rows != 0 || c.Cols != 5 || c.NNZ() != 0 || len(c.RowPtr) != 1 {
 			t.Errorf("p=%d: zero-row assemble = %+v", p, c)
 		}

@@ -53,17 +53,58 @@ func typedChaosErr(err error) bool {
 		errors.Is(err, ErrStalled) || errors.Is(err, chaos.ErrInjected)
 }
 
+// chaosForms are the formulations of the masked family the fault matrix
+// drives: all run the one tile loop, so all must cross its seams. Each
+// renders its result as a CSR so runs compare bit for bit.
+var chaosForms = []struct {
+	name string
+	run  func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error)
+}{
+	{"masked", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		return MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg)
+	}},
+	{"select", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		return MaskedSpGEMMSelect[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg,
+			func(v float64) (float64, bool) { return 2 * v, v > 0.25 })
+	}},
+	{"stream", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		// Rows are delivered disjointly, so per-row slots need no lock.
+		type row struct {
+			cols []sparse.Index
+			vals []float64
+		}
+		rows := make([]row, m.Rows)
+		err := MaskedSpGEMMStream[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg,
+			func(i int, cols []sparse.Index, vals []float64) {
+				rows[i] = row{append([]sparse.Index(nil), cols...), append([]float64(nil), vals...)}
+			})
+		if err != nil {
+			return nil, err
+		}
+		c := sparse.NewCSR[float64](m.Rows, a.Cols, 0)
+		for i, r := range rows {
+			c.AppendRow(i, r.cols, r.vals)
+		}
+		return c, nil
+	}},
+	{"comp", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		return MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg)
+	}},
+}
+
 // TestChaosMatrix drives a seeded fault through every injection point
-// under every scheduling policy, all against one shared engine. The
-// contract per cell: the fault run either fails with a typed error or
-// succeeds bit-identically to the engineless reference; the engine's
-// pool invariants hold immediately afterwards (no dirty or leaked
-// workspace survived quarantine); and a clean rerun on the same engine
-// reproduces the reference exactly.
+// under every scheduling policy and every formulation of the masked
+// family, all against one shared engine. The contract per cell: the
+// fault run either fails with a typed error or succeeds bit-identically
+// to the engineless reference; the engine's pool invariants hold
+// immediately afterwards (no dirty or leaked workspace survived
+// quarantine); and a clean rerun on the same engine reproduces the
+// reference exactly. The row-kernel seam is crossed once per output row
+// by every formulation, so its cell must fire and quarantine the
+// workspace.
 func TestChaosMatrix(t *testing.T) {
 	swap := &swapInjector{}
 	eng := exec.New(exec.Config{Chaos: swap})
-	sr := semiring.PlusTimes[float64]{}
 	const seed = int64(0xC04F5)
 
 	cells := []struct {
@@ -79,60 +120,70 @@ func TestChaosMatrix(t *testing.T) {
 		{chaos.PlanStore, chaos.KindError, 1},
 		{chaos.RowKernel, chaos.KindPressure, 16},
 	}
-	for _, policy := range []sched.Policy{sched.Static, sched.Dynamic, sched.Guided} {
-		for _, cell := range cells {
-			t.Run(fmt.Sprintf("%v/%v/%v", policy, cell.p, cell.k), func(t *testing.T) {
-				// Fresh operands per cell so the fault run builds (and can
-				// fault in) its own plan instead of hitting the shared cache.
-				r := rand.New(rand.NewSource(seed ^ int64(cell.p)<<16 ^ int64(policy)<<8))
-				a := randMatrix(140, 140, 0.06, r)
-				m := randMatrix(140, 140, 0.10, r)
-				cfg := DefaultConfig()
-				cfg.Schedule = policy
-				cfg.Tiles = 16
-				cfg.Workers = 4
+	for _, form := range chaosForms {
+		for _, policy := range []sched.Policy{sched.Static, sched.Dynamic, sched.Guided} {
+			for _, cell := range cells {
+				t.Run(fmt.Sprintf("%s/%v/%v/%v", form.name, policy, cell.p, cell.k), func(t *testing.T) {
+					// Fresh operands per cell so the fault run builds (and can
+					// fault in) its own plan instead of hitting the shared cache.
+					r := rand.New(rand.NewSource(seed ^ int64(cell.p)<<16 ^ int64(policy)<<8))
+					a := randMatrix(140, 140, 0.06, r)
+					m := randMatrix(140, 140, 0.10, r)
+					cfg := DefaultConfig()
+					cfg.Schedule = policy
+					cfg.Tiles = 16
+					cfg.Workers = 4
 
-				refCfg := cfg
-				ref, err := MaskedSpGEMM[float64](sr, m, a, a, refCfg)
-				if err != nil {
-					t.Fatalf("reference run: %v", err)
-				}
-
-				sd := chaos.NewSeeded(seed)
-				sd.ArmSeeded(cell.p, cell.k, cell.maxNth, time.Millisecond)
-				swap.cur.Store(sd)
-				cfg.Engine = eng
-				cfg.Resilience = &Resilience{Chaos: swap}
-				got, ferr := runContained(func() (*sparse.CSR[float64], error) {
-					return MaskedSpGEMM[float64](sr, m, a, a, cfg)
-				})
-				swap.cur.Store(nil)
-				switch {
-				case ferr != nil:
-					if !typedChaosErr(ferr) {
-						t.Fatalf("fault run failed with untyped error: %v", ferr)
+					ref, err := form.run(m, a, cfg)
+					if err != nil {
+						t.Fatalf("reference run: %v", err)
 					}
-				case !sparse.Equal(ref, got):
-					t.Fatal("fault run succeeded but result differs from reference")
-				}
-				if err := eng.SelfCheck(); err != nil {
-					t.Fatalf("pool invariants violated after fault: %v", err)
-				}
 
-				// Clean rerun on the same engine: the pool must serve a
-				// pristine workspace and reproduce the reference exactly.
-				cfg.Resilience = nil
-				clean, err := MaskedSpGEMM[float64](sr, m, a, a, cfg)
-				if err != nil {
-					t.Fatalf("clean rerun: %v", err)
-				}
-				if !sparse.Equal(ref, clean) {
-					t.Fatal("clean rerun differs from reference")
-				}
-				if err := eng.SelfCheck(); err != nil {
-					t.Fatalf("pool invariants violated after clean rerun: %v", err)
-				}
-			})
+					sd := chaos.NewSeeded(seed)
+					sd.ArmSeeded(cell.p, cell.k, cell.maxNth, time.Millisecond)
+					swap.cur.Store(sd)
+					cfg.Engine = eng
+					cfg.Resilience = &Resilience{Chaos: swap}
+					quarantined := eng.Stats().Quarantines
+					got, ferr := runContained(func() (*sparse.CSR[float64], error) {
+						return form.run(m, a, cfg)
+					})
+					swap.cur.Store(nil)
+					switch {
+					case ferr != nil:
+						if !typedChaosErr(ferr) {
+							t.Fatalf("fault run failed with untyped error: %v", ferr)
+						}
+					case !sparse.Equal(ref, got):
+						t.Fatal("fault run succeeded but result differs from reference")
+					}
+					if cell.p == chaos.RowKernel {
+						if ferr == nil {
+							t.Fatal("row-kernel fault never fired: the formulation does not cross the seam")
+						}
+						if q := eng.Stats().Quarantines; q != quarantined+1 {
+							t.Fatalf("quarantines = %d after a mid-tile fault, want %d", q, quarantined+1)
+						}
+					}
+					if err := eng.SelfCheck(); err != nil {
+						t.Fatalf("pool invariants violated after fault: %v", err)
+					}
+
+					// Clean rerun on the same engine: the pool must serve a
+					// pristine workspace and reproduce the reference exactly.
+					cfg.Resilience = nil
+					clean, err := form.run(m, a, cfg)
+					if err != nil {
+						t.Fatalf("clean rerun: %v", err)
+					}
+					if !sparse.Equal(ref, clean) {
+						t.Fatal("clean rerun differs from reference")
+					}
+					if err := eng.SelfCheck(); err != nil {
+						t.Fatalf("pool invariants violated after clean rerun: %v", err)
+					}
+				})
+			}
 		}
 	}
 }

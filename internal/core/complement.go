@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/sched"
+	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
-	"maskedspgemm/internal/tiling"
 )
 
 // MaskedSpGEMMComp computes C = ¬M ⊙ (A × B): the product restricted to
@@ -22,121 +20,59 @@ import (
 // row's full product is formed and mask hits are discarded. The
 // accumulator here is a per-worker dense scratch with an explicit
 // touched list, sized by the column dimension, checked out of the
-// engine's pool (cfg.Engine) or constructed per call without one.
+// engine's pool (cfg.Engine) or constructed per call without one. The
+// run itself is the shared protocol's (run.go), so a complement run is
+// planned, guarded, spanned and counted like every other.
 func MaskedSpGEMMComp[T sparse.Number, S semiring.Semiring[T]](
 	sr S, m, a, b *sparse.CSR[T], cfg Config,
 ) (*sparse.CSR[T], error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if a.Cols != b.Rows || m.Rows != a.Rows || m.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: M %dx%d, A %dx%d, B %dx%d",
-			sparse.ErrShape, m.Rows, m.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if a.Rows == 0 {
-		return sparse.NewCSR[T](a.Rows, b.Cols, 0), nil
-	}
-
-	ctx := cfg.Context
-	pw := cfg.planWorkers()
-	scope := cfg.Recorder.StartRun()
-	defer scope.End()
-	poolPrior := cfg.Engine.Stats()
-	plan, err := planFor(ctx, cfg, pw, m, a, b, scope)
-	if err != nil {
-		return nil, wrapRunErr(err)
-	}
-	tiles := plan.Tiles
-	workers := sched.Workers(cfg.Workers)
-
-	ws := exec.Dense[T, S](cfg.Engine, sr, b.Cols, workers, len(tiles))
-	// Poison-on-error: a failed run can leave the dense scratch's
-	// state vector mid-reset, so quarantine unless fully successful.
-	clean := false
-	defer func() {
-		if !clean {
-			ws.Poison()
-		}
-		ws.Release()
-	}()
-	outs := ws.Outs[:len(tiles)]
-
-	if err := schedRun(ctx, cfg, workers, len(tiles), func(worker, t int) {
-		runTileComp(sr, &ws.Dense[worker], m, a, b, tiles[t], &outs[t])
-	}); err != nil {
-		return nil, wrapRunErr(err)
-	}
-
-	c, err := assembleE(ctx, a.Rows, b.Cols, tiles, outs, pw)
-	if err != nil {
-		return nil, wrapRunErr(err)
-	}
-	recordPoolDelta(cfg, poolPrior, scope)
-	clean = true
-	return c, nil
+	p := newProduct(sr, m, a, b, cfg)
+	p.comp = true
+	return p.run(cfg.Context)
 }
 
-// runTileComp computes one tile of the complement-masked product. The
-// per-worker scratch's state vector encodes 0 empty, 1 blocked by mask,
-// 2 written; the touched list drives the explicit reset, which restores
-// the all-zero state the (pooled) scratch must be returned in.
-func runTileComp[T sparse.Number, S semiring.Semiring[T]](
-	sr S, sc *exec.DenseScratch[T],
-	m, a, b *sparse.CSR[T], tile tiling.Tile, out *exec.TileBuf[T],
+// rowComp computes one row of the complement-masked product onto buf.
+// The per-worker scratch's state vector encodes 0 empty, 1 blocked by
+// mask, 2 written; the touched list records the written columns and,
+// with the mask row, drives the explicit reset, which restores the
+// all-zero state the (pooled) scratch must be returned in.
+//
+//spgemm:hotpath
+func rowComp[T sparse.Number, S semiring.Semiring[T]](
+	k *kernel[T, S], sc *exec.DenseScratch[T], aCols []sparse.Index, aVals []T,
+	maskCols []sparse.Index, buf *exec.TileBuf[T], wc *obs.WorkerCounters,
 ) {
-	if cap(out.RowNNZ) < tile.Rows() {
-		out.RowNNZ = make([]int32, tile.Rows())
+	// Block the masked positions, then accumulate the row product into
+	// everything else.
+	for _, j := range maskCols {
+		sc.State[j] = 1
 	}
-	out.RowNNZ = out.RowNNZ[:tile.Rows()]
-	out.Cols = out.Cols[:0]
-	out.Vals = out.Vals[:0]
-	for i := tile.Lo; i < tile.Hi; i++ {
-		// Block the masked positions, then accumulate the row product
-		// into everything else.
-		for _, j := range m.RowCols(i) {
-			sc.State[j] = 1
-			sc.Touched = append(sc.Touched, j)
+	for kk, ak := range aCols {
+		aik := aVals[kk]
+		bCols, bVals := k.b.Row(int(ak))
+		if wc != nil {
+			wc.Flops.Add(int64(len(bCols)))
 		}
-		aCols, aVals := a.Row(i)
-		for kk, k := range aCols {
-			aik := aVals[kk]
-			bCols, bVals := b.Row(int(k))
-			for jj, j := range bCols {
-				switch sc.State[j] {
-				case 2:
-					sc.Vals[j] = sr.Plus(sc.Vals[j], sr.Times(aik, bVals[jj]))
-				case 0:
-					sc.State[j] = 2
-					sc.Vals[j] = sr.Times(aik, bVals[jj])
-					sc.Touched = append(sc.Touched, j)
-				} // state 1: blocked by the mask, discard
-			}
+		for jj, j := range bCols {
+			switch sc.State[j] {
+			case 2:
+				sc.Vals[j] = k.sr.Plus(sc.Vals[j], k.sr.Times(aik, bVals[jj]))
+			case 0:
+				sc.State[j] = 2
+				sc.Vals[j] = k.sr.Times(aik, bVals[jj])
+				sc.Touched = append(sc.Touched, j)
+			} // state 1: blocked by the mask, discard
 		}
-		// Gather written entries in column order, then reset.
-		start := len(out.Cols)
-		for _, j := range sc.Touched {
-			if sc.State[j] == 2 {
-				out.Cols = append(out.Cols, j)
-				out.Vals = append(out.Vals, sc.Vals[j])
-			}
-			sc.State[j] = 0
-		}
-		sc.Touched = sc.Touched[:0]
-		row := rowView[T]{out.Cols[start:], out.Vals[start:]}
-		sort.Sort(&row)
-		out.RowNNZ[i-tile.Lo] = int32(len(out.Cols) - start)
 	}
-}
-
-// rowView sorts a freshly gathered row's (cols, vals) pair in place.
-type rowView[T sparse.Number] struct {
-	cols []sparse.Index
-	vals []T
-}
-
-func (r *rowView[T]) Len() int           { return len(r.cols) }
-func (r *rowView[T]) Less(a, b int) bool { return r.cols[a] < r.cols[b] }
-func (r *rowView[T]) Swap(a, b int) {
-	r.cols[a], r.cols[b] = r.cols[b], r.cols[a]
-	r.vals[a], r.vals[b] = r.vals[b], r.vals[a]
+	// Gather the written entries in column order, then reset.
+	slices.Sort(sc.Touched)
+	for _, j := range sc.Touched {
+		buf.Cols = append(buf.Cols, j)
+		buf.Vals = append(buf.Vals, sc.Vals[j])
+		sc.State[j] = 0
+	}
+	sc.Touched = sc.Touched[:0]
+	for _, j := range maskCols {
+		sc.State[j] = 0
+	}
 }

@@ -90,18 +90,7 @@ func MaskedSpGEMMDot[T sparse.Number, S semiring.Semiring[T]](
 	if err := schedRun(ctx, cfg, workers, len(tiles), func(_, t int) {
 		tile := tiles[t]
 		out := &outs[t]
-		maskVol := m.RowPtr[tile.Hi] - m.RowPtr[tile.Lo]
-		if cap(out.RowNNZ) < tile.Rows() {
-			out.RowNNZ = make([]int32, tile.Rows())
-		}
-		out.RowNNZ = out.RowNNZ[:tile.Rows()]
-		if int64(cap(out.Cols)) < maskVol || int64(cap(out.Vals)) < maskVol {
-			out.Cols = make([]sparse.Index, 0, maskVol)
-			out.Vals = make([]T, 0, maskVol)
-		} else {
-			out.Cols = out.Cols[:0]
-			out.Vals = out.Vals[:0]
-		}
+		stage(out, tile.Rows(), m.RowPtr[tile.Hi]-m.RowPtr[tile.Lo])
 		for i := tile.Lo; i < tile.Hi; i++ {
 			aCols, aVals := a.Row(i)
 			before := len(out.Cols)

@@ -243,23 +243,23 @@ func TestWarmFrontierAlgorithmsZeroWorkspaceAllocs(t *testing.T) {
 	a := randGraph(200, 3, 23)
 	eng := exec.New(exec.Config{})
 
-	if _, err := graph.BFSWithEngine(a, 0, core.Auto, eng); err != nil {
+	if _, err := graph.BFS(a, 0, core.Auto, eng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := graph.ConnectedComponentsLabelPropWithEngine(a, eng); err != nil {
+	if _, err := graph.ConnectedComponentsLabelProp(a, eng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := graph.SSSPWithEngine(a, 0, eng); err != nil {
+	if _, err := graph.SSSP(a, 0, eng); err != nil {
 		t.Fatal(err)
 	}
 	prior := eng.Stats()
-	if _, err := graph.BFSWithEngine(a, 1, core.Auto, eng); err != nil {
+	if _, err := graph.BFS(a, 1, core.Auto, eng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := graph.ConnectedComponentsLabelPropWithEngine(a, eng); err != nil {
+	if _, err := graph.ConnectedComponentsLabelProp(a, eng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := graph.SSSPWithEngine(a, 1, eng); err != nil {
+	if _, err := graph.SSSP(a, 1, eng); err != nil {
 		t.Fatal(err)
 	}
 	d := eng.Stats().Sub(prior)

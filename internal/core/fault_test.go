@@ -35,6 +35,17 @@ func (f *faultAccum) Gather(maskCols []sparse.Index, cols []sparse.Index, vals [
 	return f.inner.Gather(maskCols, cols, vals)
 }
 
+// runWrapped computes A ⊙ (A × A) through the shared run protocol with
+// every worker's accumulator decorated by wrap.
+func runWrapped(
+	sr semiring.PlusTimes[float64], a *sparse.CSR[float64], cfg Config,
+	wrap func(accum.Accumulator[float64]) accum.Accumulator[float64],
+) (*sparse.CSR[float64], error) {
+	p := newProduct(sr, a, a, a, cfg)
+	p.wrap = wrap
+	return p.run(cfg.Context)
+}
+
 // TestKernelPanicContained injects a panic into a worker mid-tile for
 // every scheduling policy and requires the kernel to return ErrPanic —
 // with the original panic value recoverable via errors.As — instead of
@@ -49,7 +60,7 @@ func TestKernelPanicContained(t *testing.T) {
 		cfg.Tiles = 16
 		cfg.Workers = 4
 		var rows atomic.Int32
-		_, err := maskedRun(sr, a, a, a, cfg, func(inner accum.Accumulator[float64]) accum.Accumulator[float64] {
+		_, err := runWrapped(sr, a, cfg, func(inner accum.Accumulator[float64]) accum.Accumulator[float64] {
 			return &faultAccum{inner: inner, onBeginRow: func() {
 				if rows.Add(1) == 7 {
 					panic("injected kernel fault")
@@ -84,7 +95,7 @@ func TestKernelCancelMidRun(t *testing.T) {
 		cfg.Workers = 4
 		cfg.Context = ctx
 		var rows atomic.Int32
-		_, err := maskedRun(sr, a, a, a, cfg, func(inner accum.Accumulator[float64]) accum.Accumulator[float64] {
+		_, err := runWrapped(sr, a, cfg, func(inner accum.Accumulator[float64]) accum.Accumulator[float64] {
 			return &faultAccum{inner: inner, onBeginRow: func() {
 				if rows.Add(1) == 5 {
 					cancel()

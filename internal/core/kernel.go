@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/chaos"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sched"
@@ -23,7 +23,8 @@ import (
 func MaskedSpGEMM[T sparse.Number, S semiring.Semiring[T]](
 	sr S, m, a, b *sparse.CSR[T], cfg Config,
 ) (*sparse.CSR[T], error) {
-	return maskedRun(sr, m, a, b, cfg, nil)
+	p := newProduct(sr, m, a, b, cfg)
+	return p.run(cfg.Context)
 }
 
 // MaskedSpGEMMInstrumented is MaskedSpGEMM with per-operation counting:
@@ -35,11 +36,13 @@ func MaskedSpGEMMInstrumented[T sparse.Number, S semiring.Semiring[T]](
 ) (*sparse.CSR[T], Counters, error) {
 	var totals atomicCounters
 	var decorators []*countingAccumulator[T]
-	c, err := maskedRun(sr, m, a, b, cfg, func(inner accum.Accumulator[T]) accum.Accumulator[T] {
+	p := newProduct(sr, m, a, b, cfg)
+	p.wrap = func(inner accum.Accumulator[T]) accum.Accumulator[T] {
 		d := &countingAccumulator[T]{inner: inner}
 		decorators = append(decorators, d)
 		return d
-	})
+	}
+	c, err := p.run(cfg.Context)
 	if err != nil {
 		return nil, Counters{}, err
 	}
@@ -47,86 +50,6 @@ func MaskedSpGEMMInstrumented[T sparse.Number, S semiring.Semiring[T]](
 		d.flushInto(&totals)
 	}
 	return c, totals.snapshot(), nil
-}
-
-// maskedRun is the shared kernel body; wrap, when non-nil, decorates
-// each worker's accumulator (used by the instrumented entry point).
-func maskedRun[T sparse.Number, S semiring.Semiring[T]](
-	sr S, m, a, b *sparse.CSR[T], cfg Config,
-	wrap func(accum.Accumulator[T]) accum.Accumulator[T],
-) (*sparse.CSR[T], error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if a.Cols != b.Rows || m.Rows != a.Rows || m.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: M %dx%d, A %dx%d, B %dx%d",
-			sparse.ErrShape, m.Rows, m.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if a.Rows == 0 {
-		return sparse.NewCSR[T](a.Rows, b.Cols, 0), nil
-	}
-
-	ctx := cfg.Context
-	pw := cfg.planWorkers()
-	scope := cfg.Recorder.StartRun()
-	defer scope.End()
-	poolPrior := cfg.Engine.Stats()
-	plan, err := planFor(ctx, cfg, pw, m, a, b, scope)
-	if err != nil {
-		return nil, wrapRunErr(err)
-	}
-	tiles := plan.Tiles
-	workers := sched.Workers(cfg.Workers)
-
-	// The workspace carries the per-worker accumulators (§III-C sizing:
-	// masked spaces hold at most max_i nnz(M[i,:]) entries per row; the
-	// vanilla bound is folded into plan.RowCap) and the per-tile output
-	// staging buffers — checked out of the engine's pool, or constructed
-	// fresh when cfg.Engine is nil.
-	ws := exec.Masked[T, S](cfg.Engine, sr, cfg.Accumulator, cfg.MarkerBits,
-		b.Cols, plan.RowCap, workers, len(tiles))
-	// Poison-on-error: a run that fails after checkout (panic, cancel,
-	// injected fault) may leave accumulators or staging buffers
-	// mid-mutation, so the workspace is quarantined instead of pooled.
-	// The flag flips only on the fully-successful exit, so error returns
-	// and panic unwinding take the same quarantine path.
-	clean := false
-	defer func() {
-		if !clean {
-			ws.Poison()
-		}
-		ws.Release()
-	}()
-	accs := ws.Accs[:workers]
-	if cfg.Resilience != nil {
-		defer armAccumChaos(cfg, accs)()
-	}
-	if wrap != nil {
-		// The decorators are per run by design (they are drained after the
-		// run); never let them leak into the pooled workspace.
-		wrapped := make([]accum.Accumulator[T], workers)
-		for w := range wrapped {
-			wrapped[w] = wrap(accs[w])
-		}
-		accs = wrapped
-	}
-	outs := ws.Outs[:len(tiles)]
-	prior := snapshotAccumStats(accs, scope)
-
-	if err := runKernelSpanned(ctx, cfg, scope, workers, len(tiles), func(worker, t int, wc *obs.WorkerCounters) {
-		runTile(sr, accs[worker], m, a, b, cfg, tiles[t], &outs[t], wc)
-	}); err != nil {
-		return nil, wrapRunErr(err)
-	}
-
-	c, err := assembleSpanned(ctx, cfg, scope, a.Rows, b.Cols, tiles, outs, pw)
-	if err != nil {
-		return nil, wrapRunErr(err)
-	}
-	recordAccumDeltas(accs, prior, scope)
-	recordPoolDelta(cfg, poolPrior, scope)
-	clean = true
-	return c, nil
 }
 
 // planSerialCutoff is the row count below which the plan-construction
@@ -177,29 +100,145 @@ func maxRowNNZ[T sparse.Number](ctx context.Context, m *sparse.CSR[T], p int) (i
 	return mx, nil
 }
 
-// runTile computes the output rows of one tile into out using the
-// worker-local accumulator, sizing the buffers by the tile's mask
-// volume (output ⊆ mask). Buffers large enough from an earlier run of
-// the (possibly pooled) workspace are truncated in place, not
-// reallocated. wc, when non-nil, receives the worker's exact operation
-// counts.
+// kernel is the loop-invariant half of the row-wise skeleton: the
+// operands of one product, the iteration space, and the chaos seam. One
+// value describes a whole run and is shared read-only by its workers;
+// it stays under the compiler's 128-byte by-value capture threshold so
+// the run's tile closure carries it without a second heap object.
+type kernel[T sparse.Number, S semiring.Semiring[T]] struct {
+	sr      S
+	m, a, b *sparse.CSR[T]
+	iter    IterationSpace
+	kappa   float64
+	// inj is the armed chaos injector, nil in production.
+	inj chaos.Injector
+	// comp selects the complemented mask: rows are computed by rowComp on
+	// the worker's dense scratch instead of rowStep on its accumulator.
+	comp bool
+	// live, when non-nil, marks the rows anyone will read: a row whose
+	// live row is empty is skipped outright (a chain's first stage skips
+	// rows the second stage's mask discards).
+	live *sparse.CSR[T]
+}
+
+// rowSink is what happens to a gathered row beyond staying appended in
+// the tile's staging buffer. It is chosen once per run; a nil sink is
+// the plain product.
+type rowSink[T sparse.Number] interface {
+	// row receives output row i, freshly gathered at buf.Cols[from:] /
+	// buf.Vals[from:]. It may consume the row, or rewrite and truncate it
+	// in place; whatever it leaves is the row's staged content.
+	row(i int, buf *exec.TileBuf[T], from int)
+	// account folds one finished tile into the worker's fused-counter
+	// block: gathered is what the row kernels produced, kept what the
+	// sink left staged.
+	account(fc *obs.FusedCounters, gathered, kept int64)
+}
+
+// stage readies a staging buffer for a tile of rows rows holding up to
+// vol entries. Buffers large enough from an earlier run of the (possibly
+// pooled) workspace are truncated in place, not reallocated.
+//
+//spgemm:hotpath
+func stage[T sparse.Number](buf *exec.TileBuf[T], rows int, vol int64) {
+	if cap(buf.RowNNZ) < rows {
+		buf.RowNNZ = make([]int32, rows) //lint:ignore hotpathalloc amortized: grows once per tile-height high-water mark
+	}
+	buf.RowNNZ = buf.RowNNZ[:rows]
+	if int64(cap(buf.Cols)) < vol || int64(cap(buf.Vals)) < vol {
+		//lint:ignore hotpathalloc amortized: first run at this mask volume sizes the staging buffers
+		buf.Cols = make([]sparse.Index, 0, vol)
+		buf.Vals = make([]T, 0, vol) //lint:ignore hotpathalloc amortized: sized with Cols above
+	} else {
+		buf.Cols = buf.Cols[:0]
+		buf.Vals = buf.Vals[:0]
+	}
+}
+
+// runTile is the tile loop of the masked family: it computes the output
+// rows of one tile with the worker-local accumulator (or, for the
+// complemented mask, dense scratch sc) and stages them in buf. Staged
+// whole, the tile's rows land back to back with their lengths in
+// buf.RowNNZ, the buffer sized by the tile's mask volume (output ⊆
+// mask); with perRow set buf holds one row at a time and the sink must
+// consume it. It returns the entries the row kernels gathered and the
+// entries the sink kept. wc, when non-nil, receives the worker's exact
+// operation counts.
 //
 //spgemm:hotpath
 func runTile[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T],
-	m, a, b *sparse.CSR[T], cfg Config, tile tiling.Tile, out *exec.TileBuf[T],
+	k kernel[T, S], acc accum.Accumulator[T], sc *exec.DenseScratch[T],
+	tile tiling.Tile, buf *exec.TileBuf[T], perRow bool, sink rowSink[T],
 	wc *obs.WorkerCounters,
-) {
-	maskVol := m.RowPtr[tile.Hi] - m.RowPtr[tile.Lo]
-	if int64(cap(out.Cols)) < maskVol || int64(cap(out.Vals)) < maskVol {
-		//lint:ignore hotpathalloc amortized: first run at this mask volume sizes the staging buffers
-		out.Cols = make([]sparse.Index, 0, maskVol)
-		out.Vals = make([]T, 0, maskVol) //lint:ignore hotpathalloc amortized: sized with Cols above
-	} else {
-		out.Cols = out.Cols[:0]
-		out.Vals = out.Vals[:0]
+) (gathered, kept int64) {
+	switch {
+	case perRow:
+		stage(buf, 0, 0)
+	case k.comp:
+		// ¬M does not bound the output; the buffer grows by append.
+		stage(buf, tile.Rows(), 0)
+	default:
+		stage(buf, tile.Rows(), k.m.RowPtr[tile.Hi]-k.m.RowPtr[tile.Lo])
 	}
-	runTilePlanned(sr, acc, m, a, b, cfg, tile, out, wc)
+	for i := tile.Lo; i < tile.Hi; i++ {
+		if k.inj != nil {
+			// RowKernel seam: panics here exercise mid-tile unwinding with
+			// the accumulator in an arbitrary intermediate state.
+			//lint:ignore hotpathalloc allocates only when a fault fires, and the run dies with it
+			chaos.StepHard(k.inj, chaos.RowKernel)
+		}
+		if perRow {
+			buf.Cols = buf.Cols[:0]
+			buf.Vals = buf.Vals[:0]
+		}
+		from := len(buf.Cols)
+		if k.live == nil || k.live.RowNNZ(i) > 0 {
+			aCols, aVals := k.a.Row(i)
+			if k.comp {
+				rowComp(&k, sc, aCols, aVals, k.m.RowCols(i), buf, wc)
+			} else {
+				rowStep(&k, acc, aCols, aVals, k.m.RowCols(i), buf, wc)
+			}
+		}
+		gathered += int64(len(buf.Cols) - from)
+		if sink != nil {
+			sink.row(i, buf, from)
+		}
+		n := len(buf.Cols) - from
+		kept += int64(n)
+		if !perRow {
+			buf.RowNNZ[i-tile.Lo] = int32(n)
+		}
+	}
+	return gathered, kept
+}
+
+// rowStep is one row of the skeleton: the sparse left row (aCols, aVals)
+// times k.b under mask row maskCols, traversed in the configured
+// iteration space and gathered onto buf. The left row is explicit so a
+// chain's second stage can feed it intermediate rows that never became
+// a CSR. A row with an empty mask has no output and is skipped, except
+// under Vanilla, which pays for the full product by definition.
+//
+//spgemm:hotpath
+func rowStep[T sparse.Number, S semiring.Semiring[T]](
+	k *kernel[T, S], acc accum.Accumulator[T], aCols []sparse.Index, aVals []T,
+	maskCols []sparse.Index, buf *exec.TileBuf[T], wc *obs.WorkerCounters,
+) {
+	if len(maskCols) == 0 && k.iter != Vanilla {
+		return
+	}
+	switch k.iter {
+	case Vanilla:
+		rowVanilla(k.sr, acc, aCols, aVals, k.b, wc)
+	case MaskLoad:
+		rowMaskLoad(k.sr, acc, aCols, aVals, k.b, maskCols, wc)
+	case CoIter:
+		rowCoIter(k.sr, acc, aCols, aVals, k.b, maskCols, wc)
+	case Hybrid:
+		rowHybrid(k.sr, acc, aCols, aVals, k.b, maskCols, k.kappa, wc)
+	}
+	buf.Cols, buf.Vals = acc.Gather(maskCols, buf.Cols, buf.Vals)
 }
 
 // rowVanilla is the Fig. 3 algorithm: accumulate the full product row,
@@ -208,19 +247,6 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 //
 //spgemm:hotpath
 func rowVanilla[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], a, b *sparse.CSR[T], i int,
-	wc *obs.WorkerCounters,
-) {
-	aCols, aVals := a.Row(i)
-	rowVanillaSlices(sr, acc, aCols, aVals, b, wc)
-}
-
-// rowVanillaSlices is rowVanilla over an explicit sparse left row —
-// the form the fused pipeline feeds with intermediate rows that never
-// became a CSR.
-//
-//spgemm:hotpath
-func rowVanillaSlices[T sparse.Number, S semiring.Semiring[T]](
 	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
 	wc *obs.WorkerCounters,
 ) {
@@ -243,17 +269,6 @@ func rowVanillaSlices[T sparse.Number, S semiring.Semiring[T]](
 //
 //spgemm:hotpath
 func rowMaskLoad[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], a, b *sparse.CSR[T], i int, maskCols []sparse.Index,
-	wc *obs.WorkerCounters,
-) {
-	aCols, aVals := a.Row(i)
-	rowMaskLoadSlices(sr, acc, aCols, aVals, b, maskCols, wc)
-}
-
-// rowMaskLoadSlices is rowMaskLoad over an explicit sparse left row.
-//
-//spgemm:hotpath
-func rowMaskLoadSlices[T sparse.Number, S semiring.Semiring[T]](
 	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
 	maskCols []sparse.Index, wc *obs.WorkerCounters,
 ) {
@@ -277,17 +292,6 @@ func rowMaskLoadSlices[T sparse.Number, S semiring.Semiring[T]](
 //
 //spgemm:hotpath
 func rowCoIter[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], a, b *sparse.CSR[T], i int, maskCols []sparse.Index,
-	wc *obs.WorkerCounters,
-) {
-	aCols, aVals := a.Row(i)
-	rowCoIterSlices(sr, acc, aCols, aVals, b, maskCols, wc)
-}
-
-// rowCoIterSlices is rowCoIter over an explicit sparse left row.
-//
-//spgemm:hotpath
-func rowCoIterSlices[T sparse.Number, S semiring.Semiring[T]](
 	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
 	maskCols []sparse.Index, wc *obs.WorkerCounters,
 ) {
@@ -349,17 +353,6 @@ func coIterate[T sparse.Number, S semiring.Semiring[T]](
 //
 //spgemm:hotpath
 func rowHybrid[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], a, b *sparse.CSR[T], i int,
-	maskCols []sparse.Index, kappa float64, wc *obs.WorkerCounters,
-) {
-	aCols, aVals := a.Row(i)
-	rowHybridSlices(sr, acc, aCols, aVals, b, maskCols, kappa, wc)
-}
-
-// rowHybridSlices is rowHybrid over an explicit sparse left row.
-//
-//spgemm:hotpath
-func rowHybridSlices[T sparse.Number, S semiring.Semiring[T]](
 	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
 	maskCols []sparse.Index, kappa float64, wc *obs.WorkerCounters,
 ) {
@@ -386,21 +379,6 @@ func rowHybridSlices[T sparse.Number, S semiring.Semiring[T]](
 			}
 		}
 	}
-}
-
-// assemble stitches the per-tile outputs into one CSR matrix on p
-// workers; it is assembleE without cancellation, kept for callers and
-// tests that cannot fail. See assembleE for the pass structure.
-func assemble[T sparse.Number](
-	rows, cols int, tiles []tiling.Tile, outs []exec.TileBuf[T], p int,
-) *sparse.CSR[T] {
-	c, err := assembleE(nil, rows, cols, tiles, outs, p)
-	if err != nil {
-		// With a nil context the only failure mode is a worker panic on
-		// malformed tile outputs — an internal invariant violation.
-		panic(err)
-	}
-	return c
 }
 
 // assembleE stitches the per-tile outputs into one CSR matrix on p

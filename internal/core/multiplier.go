@@ -6,14 +6,11 @@ import (
 	"math"
 	"sync/atomic"
 
-	"maskedspgemm/internal/accum"
-	"maskedspgemm/internal/chaos"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
-	"maskedspgemm/internal/tiling"
 )
 
 // Multiplier is a reusable masked-SpGEMM execution for repeated
@@ -36,21 +33,19 @@ import (
 // The operand matrices must not be mutated while the Multiplier is in
 // use.
 type Multiplier[T sparse.Number, S semiring.Semiring[T]] struct {
-	sr          S
-	m, a, b     *sparse.CSR[T]
-	cfg         Config
-	tiles       []tiling.Tile
-	rowCap      int64
-	workers     int
-	planWorkers int
+	// p describes the product to the shared run protocol, with the plan
+	// below pre-resolved; every run executes a private copy.
+	p    product[T, S]
+	plan exec.Plan
 	// ws is the owned workspace of the engineless path, guarded by
-	// inUse; both stay nil/idle when cfg.Engine is set.
+	// inUse; both stay nil/idle when the Config carries an Engine.
 	ws    *exec.Workspace[T, S]
 	inUse atomic.Bool
-	// kappaBits, when nonzero, overrides cfg.Kappa for subsequent runs
-	// (math.Float64bits encoding). The override is read once per Multiply
-	// into that run's private Config copy, so online recalibration can
-	// retune κ between runs without racing in-flight multiplies.
+	// kappaBits, when nonzero, overrides the Config's Kappa for
+	// subsequent runs (math.Float64bits encoding). The override is read
+	// once per Multiply into that run's private Config copy, so online
+	// recalibration can retune κ between runs without racing in-flight
+	// multiplies.
 	kappaBits atomic.Uint64
 	// lastRun holds the most recent completed run's scoped stats
 	// snapshot (nil until a run completes with a recorder configured).
@@ -61,12 +56,9 @@ type Multiplier[T sparse.Number, S semiring.Semiring[T]] struct {
 func NewMultiplier[T sparse.Number, S semiring.Semiring[T]](
 	sr S, m, a, b *sparse.CSR[T], cfg Config,
 ) (*Multiplier[T, S], error) {
-	if err := cfg.Validate(); err != nil {
+	mu := &Multiplier[T, S]{p: newProduct(sr, m, a, b, cfg)}
+	if err := mu.p.check(); err != nil {
 		return nil, err
-	}
-	if a.Cols != b.Rows || m.Rows != a.Rows || m.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: M %dx%d, A %dx%d, B %dx%d",
-			sparse.ErrShape, m.Rows, m.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	ctx := cfg.Context
 	// Small plans run serially below the parallel cutoffs, so check the
@@ -76,45 +68,48 @@ func NewMultiplier[T sparse.Number, S semiring.Semiring[T]](
 			return nil, wrapRunErr(err)
 		}
 	}
-	mu := &Multiplier[T, S]{sr: sr, m: m, a: a, b: b, cfg: cfg}
-	mu.workers = sched.Workers(cfg.Workers)
-	mu.planWorkers = cfg.planWorkers()
 	if a.Rows > 0 {
 		// Plan construction records its spans under a scope of its own,
 		// folded into the recorder's totals without counting as a run.
 		scope := cfg.Recorder.StartRun()
-		plan, err := planFor(ctx, cfg, mu.planWorkers, m, a, b, scope)
+		plan, err := planFor(ctx, cfg, cfg.planWorkers(), m, a, b, scope)
 		scope.End()
 		if err != nil {
 			return nil, wrapRunErr(err)
 		}
-		mu.tiles = plan.Tiles
-		mu.rowCap = plan.RowCap
+		mu.plan = plan
 	}
+	mu.p.plan, mu.p.lastRun = &mu.plan, &mu.lastRun
 	if cfg.Engine == nil {
 		// Engineless: construct the owned workspace once, up front, so
 		// Multiply is allocation-free in steady state.
-		mu.ws = exec.Masked[T, S](nil, sr, cfg.Accumulator, cfg.MarkerBits,
-			b.Cols, mu.rowCap, mu.workers, len(mu.tiles))
+		mu.ws = mu.newWorkspace()
 	}
 	return mu, nil
 }
 
+// newWorkspace builds the engineless path's owned workspace at the
+// configured width.
+func (mu *Multiplier[T, S]) newWorkspace() *exec.Workspace[T, S] {
+	cfg := mu.p.cfg
+	return exec.Masked[T, S](nil, mu.p.sr, cfg.Accumulator, cfg.MarkerBits,
+		mu.p.b.Cols, mu.plan.RowCap, sched.Workers(cfg.Workers), len(mu.plan.Tiles))
+}
+
 // Tiles returns the number of tiles in the plan.
-func (mu *Multiplier[T, S]) Tiles() int { return len(mu.tiles) }
+func (mu *Multiplier[T, S]) Tiles() int { return len(mu.plan.Tiles) }
 
 // Multiply executes the plan and returns a freshly assembled result,
 // under the Config's Context (nil = run to completion).
 func (mu *Multiplier[T, S]) Multiply() (*sparse.CSR[T], error) {
-	return mu.MultiplyCtx(mu.cfg.Context)
+	return mu.MultiplyCtx(mu.p.cfg.Context)
 }
 
 // MultiplyCtx is Multiply under an explicit context, overriding the
 // Config's. A cancelled or panicked run returns ErrCanceled/ErrPanic
-// and leaves the plan intact: tiling, accumulators and output buffers
-// all remain valid, so a later Multiply call reuses them as if the
-// failed run had never happened. nil falls back to the Config's
-// Context.
+// and leaves the plan intact: the tiling stays valid and the workspace
+// is replaced, so a later Multiply call runs as if the failed run had
+// never happened. nil falls back to the Config's Context.
 func (mu *Multiplier[T, S]) MultiplyCtx(ctx context.Context) (*sparse.CSR[T], error) {
 	return mu.MultiplyDegraded(ctx, DegradeNone)
 }
@@ -125,104 +120,47 @@ func (mu *Multiplier[T, S]) MultiplyCtx(ctx context.Context) (*sparse.CSR[T], er
 // execution strategy narrows. See Degradation for the rungs.
 func (mu *Multiplier[T, S]) MultiplyDegraded(ctx context.Context, d Degradation) (*sparse.CSR[T], error) {
 	if ctx == nil {
-		ctx = mu.cfg.Context
+		ctx = mu.p.cfg.Context
 	}
-	if mu.a.Rows == 0 {
-		return sparse.NewCSR[T](mu.a.Rows, mu.b.Cols, 0), nil
-	}
-	// The run owns a private Config copy so the κ override, the
-	// degradation rung, and any future per-run retuning never race a
-	// concurrent Multiply. Built in one assignment and never mutated
-	// after, so the tile closure below captures it by value (one heap
-	// object instead of a closure plus an escaping copy).
-	cfg, workers, pw := mu.runConfig(d)
-	scope := cfg.Recorder.StartRun()
-	defer func() {
-		if snap := scope.End(); snap.Runs > 0 {
-			mu.lastRun.Store(&snap)
-		}
-	}()
-	poolPrior := cfg.Engine.Stats()
-	// clean flips only on the fully-successful exit; the acquisition
-	// branches below hang their failure handling (quarantine, owned-
-	// workspace rebuild) off it so error returns and panic unwinding
-	// take the same path.
-	clean := false
-	var ws *exec.Workspace[T, S]
-	switch {
-	case cfg.Engine != nil:
-		ws = exec.Masked[T, S](cfg.Engine, mu.sr, cfg.Accumulator,
-			cfg.MarkerBits, mu.b.Cols, mu.rowCap, workers, len(mu.tiles))
-		defer func() {
-			if !clean {
-				ws.Poison()
-			}
-			ws.Release()
-		}()
-	case mu.ws != nil && d < DegradeUnpooled:
+	// The run owns a private copy of the description, so the κ override,
+	// the degradation rung, and any future per-run retuning never race a
+	// concurrent Multiply.
+	p := mu.p
+	p.cfg = mu.runConfig(d)
+	if mu.ws != nil && d < DegradeUnpooled {
 		if !mu.inUse.CompareAndSwap(false, true) {
 			return nil, fmt.Errorf("%w (give the Multiplier an exec.Engine for concurrent serving)",
 				ErrConcurrentMultiply)
 		}
 		defer mu.inUse.Store(false)
-		ws = mu.ws
-		// The owned workspace has no pool to quarantine into; a failed
-		// run rebuilds it fresh (at full width, for future undegraded
-		// runs) so the next Multiply starts from pristine state. Runs
-		// while inUse is still held, so no concurrent run sees the swap.
-		defer func() {
-			if !clean {
-				mu.ws = exec.Masked[T, S](nil, mu.sr, mu.cfg.Accumulator,
-					mu.cfg.MarkerBits, mu.b.Cols, mu.rowCap, mu.workers, len(mu.tiles))
-			}
-		}()
-	default:
-		// DegradeUnpooled with no engine of record: a fresh one-shot
-		// workspace, discarded after the run.
-		ws = exec.Masked[T, S](nil, mu.sr, cfg.Accumulator,
-			cfg.MarkerBits, mu.b.Cols, mu.rowCap, workers, len(mu.tiles))
+		// The owned workspace has no pool to quarantine into; a failed run
+		// leaves it poisoned and the next one rebuilds it fresh (at full
+		// width, for undegraded runs). Runs while inUse is held, so no
+		// concurrent run sees the swap.
+		if mu.ws.Poisoned() {
+			mu.ws = mu.newWorkspace()
+		}
+		p.owned = mu.ws
 	}
-	accs := ws.Accs[:workers]
-	if cfg.Resilience != nil {
-		defer armAccumChaos(cfg, accs)()
-	}
-	outs := ws.Outs[:len(mu.tiles)]
-	// The accumulators persist across runs, so deltas against a per-run
-	// snapshot keep each run's counts exact.
-	prior := snapshotAccumStats(accs, scope)
-	if err := runKernelSpanned(ctx, cfg, scope, workers, len(mu.tiles), func(worker, t int, wc *obs.WorkerCounters) {
-		runTile(mu.sr, accs[worker], mu.m, mu.a, mu.b, cfg, mu.tiles[t], &outs[t], wc)
-	}); err != nil {
-		return nil, wrapRunErr(err)
-	}
-	c, err := assembleSpanned(ctx, cfg, scope, mu.a.Rows, mu.b.Cols, mu.tiles, outs, pw)
-	if err != nil {
-		return nil, wrapRunErr(err)
-	}
-	recordAccumDeltas(accs, prior, scope)
-	recordPoolDelta(cfg, poolPrior, scope)
-	clean = true
-	return c, nil
+	// Otherwise the protocol checks a workspace out of the Engine — or,
+	// on the unpooled rung, builds a fresh one-shot workspace.
+	return p.run(ctx)
 }
 
-// runConfig assembles one run's private Config — the κ override and the
-// degradation rung applied — plus the effective worker counts. Kept
-// write-free at the call site so the run's tile closure can capture the
-// copy by value.
-func (mu *Multiplier[T, S]) runConfig(d Degradation) (cfg Config, workers, pw int) {
-	cfg = mu.cfg
+// runConfig assembles one run's private Config: the κ override and the
+// degradation rung applied.
+func (mu *Multiplier[T, S]) runConfig(d Degradation) Config {
+	cfg := mu.p.cfg
 	if bits := mu.kappaBits.Load(); bits != 0 {
 		cfg.Kappa = math.Float64frombits(bits)
 	}
-	workers, pw = mu.workers, mu.planWorkers
 	if d >= DegradeSerial {
 		cfg.Workers, cfg.PlanWorkers, cfg.Schedule = 1, 1, sched.Static
-		workers, pw = 1, 1
 	}
 	if d >= DegradeUnpooled {
 		cfg.Engine = nil
 	}
-	return cfg, workers, pw
+	return cfg
 }
 
 // SetKappa overrides the configured Eq. 3 threshold κ for subsequent
@@ -243,7 +181,7 @@ func (mu *Multiplier[T, S]) Kappa() float64 {
 	if bits := mu.kappaBits.Load(); bits != 0 {
 		return math.Float64frombits(bits)
 	}
-	return mu.cfg.Kappa
+	return mu.p.cfg.Kappa
 }
 
 // LastRunStats returns the scoped stats snapshot of the most recent
@@ -255,52 +193,4 @@ func (mu *Multiplier[T, S]) LastRunStats() (obs.Stats, bool) {
 		return *s, true
 	}
 	return obs.Stats{}, false
-}
-
-// runTilePlanned is the buffer-reusing tile body: out's staging slices
-// are truncated or grown in place, never discarded. wc, when non-nil,
-// accumulates the tile's rows, FLOPs, hybrid picks and gathered entries
-// into the worker's counter block.
-//
-//spgemm:hotpath
-func runTilePlanned[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T],
-	m, a, b *sparse.CSR[T], cfg Config, tile tiling.Tile, out *exec.TileBuf[T],
-	wc *obs.WorkerCounters,
-) {
-	if cap(out.RowNNZ) < tile.Rows() {
-		out.RowNNZ = make([]int32, tile.Rows()) //lint:ignore hotpathalloc amortized: grows once per tile-height high-water mark
-	}
-	out.RowNNZ = out.RowNNZ[:tile.Rows()]
-	inj := cfg.chaosInjector()
-	for i := tile.Lo; i < tile.Hi; i++ {
-		if inj != nil {
-			// RowKernel seam: panics here exercise mid-tile unwinding with
-			// the accumulator in an arbitrary intermediate state.
-			//lint:ignore hotpathalloc allocates only when a fault fires, and the run dies with it
-			chaos.StepHard(inj, chaos.RowKernel)
-		}
-		maskCols := m.RowCols(i)
-		before := len(out.Cols)
-		if len(maskCols) > 0 || cfg.Iteration == Vanilla {
-			switch cfg.Iteration {
-			case Vanilla:
-				rowVanilla(sr, acc, a, b, i, wc)
-			case MaskLoad:
-				rowMaskLoad(sr, acc, a, b, i, maskCols, wc)
-			case CoIter:
-				rowCoIter(sr, acc, a, b, i, maskCols, wc)
-			case Hybrid:
-				rowHybrid(sr, acc, a, b, i, maskCols, cfg.Kappa, wc)
-			}
-			out.Cols, out.Vals = acc.Gather(maskCols, out.Cols, out.Vals)
-		}
-		out.RowNNZ[i-tile.Lo] = int32(len(out.Cols) - before)
-	}
-	if wc != nil {
-		wc.Rows.Add(int64(tile.Rows()))
-		// out.Cols starts empty in both entry paths, so its final length
-		// is exactly this tile's emitted entry count.
-		wc.Gathered.Add(int64(len(out.Cols)))
-	}
 }

@@ -11,22 +11,16 @@ import (
 	"maskedspgemm/internal/tiling"
 )
 
-// schedRun dispatches tiles to workers under the configured policy,
-// threading through the resilience knobs (chaos seams, stall watchdog).
+// schedRun dispatches a flat bag of tiles to workers under the
+// configured policy — the single-wave plan of the wave executor.
 func schedRun(ctx context.Context, cfg Config, workers, tiles int, fn func(worker, t int)) error {
-	if cfg.Resilience == nil {
-		return sched.RunChunkedE(ctx, cfg.Schedule, workers, tiles, cfg.GuidedMinChunk, fn)
-	}
-	return sched.RunChunkedOpts(ctx, cfg.Schedule, workers, tiles, sched.RunOpts{
-		MinChunk:     cfg.GuidedMinChunk,
-		Chaos:        cfg.Resilience.Chaos,
-		StallTimeout: cfg.Resilience.StallTimeout,
-	}, fn)
+	return sched.RunWavesOpts(ctx, cfg.Schedule, workers, sched.SingleWave(tiles), runOpts(cfg, nil), fn)
 }
 
-// solveRunOpts assembles the wave executor's options from the config's
-// resilience knobs plus the run's wave-stats block.
-func solveRunOpts(cfg Config, wstats *sched.WaveStats) sched.RunOpts {
+// runOpts assembles the wave executor's options from the config: the
+// guided chunk floor, the resilience knobs (chaos seams, stall
+// watchdog), and the run's wave-stats block, nil for a flat run.
+func runOpts(cfg Config, wstats *sched.WaveStats) sched.RunOpts {
 	opt := sched.RunOpts{MinChunk: cfg.GuidedMinChunk, WaveStats: wstats}
 	if cfg.Resilience != nil {
 		opt.Chaos = cfg.Resilience.Chaos
@@ -43,35 +37,30 @@ func runSolveWavesSpanned(
 	plan sched.WavePlan, wstats *sched.WaveStats,
 	run func(worker, t int, wc *obs.WorkerCounters),
 ) error {
-	opt := solveRunOpts(cfg, wstats)
-	if !scope.Enabled() {
-		return sched.RunWavesOpts(ctx, cfg.Schedule, workers, plan, opt, func(worker, t int) {
-			run(worker, t, nil)
-		})
-	}
+	opt := runOpts(cfg, wstats)
 	slots := scope.WorkerSlots(workers)
-	defer scope.Span(obs.PhaseExecSolve)()
-	var err error
-	scope.Do(ctx, obs.PhaseExecSolve, func() {
-		err = sched.RunWavesOpts(ctx, cfg.Schedule, workers, plan, opt, func(worker, t int) {
-			wc := &slots[worker]
-			wc.Tiles.Add(1)
+	return spanned(ctx, scope, obs.PhaseExecSolve, func() error {
+		return sched.RunWavesOpts(ctx, cfg.Schedule, workers, plan, opt, func(worker, t int) {
+			var wc *obs.WorkerCounters
+			if slots != nil {
+				wc = &slots[worker]
+				wc.Tiles.Add(1)
+			}
 			run(worker, t, wc)
 		})
 	})
-	return err
 }
 
-// runSolveSerialSpanned runs the serial substitution loop under the
-// exec.solve span and label; without a scope it calls fn directly, so
-// the warm engine-backed path stays allocation-free.
-func runSolveSerialSpanned(ctx context.Context, scope *obs.RunScope, fn func() error) error {
+// spanned runs fn under phase's span and pprof label; without a scope
+// it calls fn directly, so the uninstrumented path stays
+// allocation-free.
+func spanned(ctx context.Context, scope *obs.RunScope, phase obs.Phase, fn func() error) error {
 	if !scope.Enabled() {
 		return fn()
 	}
-	defer scope.Span(obs.PhaseExecSolve)()
+	defer scope.Span(phase)()
 	var err error
-	scope.Do(ctx, obs.PhaseExecSolve, func() {
+	scope.Do(ctx, phase, func() {
 		err = fn()
 	})
 	return err
@@ -79,12 +68,12 @@ func runSolveSerialSpanned(ctx context.Context, scope *obs.RunScope, fn func() e
 
 // This file is the glue between the kernel pipeline and the obs
 // recorder: phase-spanned plan construction, per-run accumulator
-// counter deltas, and the spanned/labelled wrappers around the numeric
-// kernel and the assembly. Every helper takes the run's *obs.RunScope
-// (nil when observability is off, so the uninstrumented pipeline takes
-// the exact pre-observability paths); the scope isolates the run's
-// spans and counters under its multiply sequence id and folds them into
-// the recorder's cumulative totals exactly once at End.
+// counter deltas, and the spanned/labelled wrapper around the numeric
+// phases. Every helper takes the run's *obs.RunScope (nil when
+// observability is off, so the uninstrumented pipeline takes the exact
+// pre-observability paths); the scope isolates the run's spans and
+// counters under its multiply sequence id and folds them into the
+// recorder's cumulative totals exactly once at End.
 
 // planFor resolves the execution plan — tile partition plus accumulator
 // row-capacity bound — through the engine's fingerprint-keyed cache
@@ -239,59 +228,4 @@ func recordAccumDeltas[T sparse.Number](accs []accum.Accumulator[T], prior []acc
 		HashCollisions: delta.Collisions,
 	})
 	scope.MarkComplete()
-}
-
-// runKernelSpanned executes the tile scheduler under the exec.kernel
-// span and pprof label. run receives the worker's counter block (nil
-// when disabled) and is also bracketed by a runtime/trace region per
-// tile batch while tracing is active.
-func runKernelSpanned(
-	ctx context.Context, cfg Config, scope *obs.RunScope, workers, tiles int,
-	run func(worker, t int, wc *obs.WorkerCounters),
-) error {
-	if !scope.Enabled() {
-		return schedRun(ctx, cfg, workers, tiles, func(worker, t int) {
-			run(worker, t, nil)
-		})
-	}
-	slots := scope.WorkerSlots(workers)
-	// Tile-batch progress events for the flight recorder: every worker
-	// emits one event per stride tiles (~32 per run across workers), so
-	// a stall dump shows how far the tile loop got without flooding the
-	// ring on large runs.
-	stride := int64(tiles / 32)
-	if stride < 1 {
-		stride = 1
-	}
-	defer scope.Span(obs.PhaseExecKernel)()
-	var err error
-	scope.Do(ctx, obs.PhaseExecKernel, func() {
-		err = schedRun(ctx, cfg, workers, tiles, func(worker, t int) {
-			endRegion := scope.TileRegion(ctx)
-			wc := &slots[worker]
-			if n := wc.Tiles.Add(1); n%stride == 0 {
-				scope.Event(obs.EventTileBatch, obs.PhaseExecKernel, int64(t), n)
-			}
-			run(worker, t, wc)
-			endRegion()
-		})
-	})
-	return err
-}
-
-// assembleSpanned is assembleE under the exec.assemble span and label.
-func assembleSpanned[T sparse.Number](
-	ctx context.Context, cfg Config, scope *obs.RunScope, rows, cols int,
-	tiles []tiling.Tile, outs []exec.TileBuf[T], p int,
-) (*sparse.CSR[T], error) {
-	if !scope.Enabled() {
-		return assembleE(ctx, rows, cols, tiles, outs, p)
-	}
-	defer scope.Span(obs.PhaseExecAssemble)()
-	var c *sparse.CSR[T]
-	var err error
-	scope.Do(ctx, obs.PhaseExecAssemble, func() {
-		c, err = assembleE(ctx, rows, cols, tiles, outs, p)
-	})
-	return c, err
 }

@@ -232,6 +232,45 @@ func TestRecorderInstrumentedComposes(t *testing.T) {
 	}
 }
 
+// TestRecorderComplementRun checks a complement-mask run records like
+// every other run of the shared protocol: one counted run, a kernel
+// span, and exact row, tile and gathered-entry counters — the BC forward
+// sweep is made of these.
+func TestRecorderComplementRun(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	a := randMatrix(50, 50, 0.1, r)
+	b := randMatrix(50, 50, 0.1, r)
+	m := randMatrix(50, 50, 0.2, r)
+	cfg := DefaultConfig()
+	cfg.Tiles = 5
+	cfg.Workers = 2
+	cfg.Recorder = obs.NewRecorder()
+	c, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cfg.Recorder.Stats()
+	if st.Runs != 1 {
+		t.Errorf("runs = %d, want 1", st.Runs)
+	}
+	kernel := false
+	for _, p := range st.Phases {
+		kernel = kernel || p.Phase == obs.PhaseExecKernel.String()
+	}
+	if !kernel {
+		t.Errorf("no %v span among %+v", obs.PhaseExecKernel, st.Phases)
+	}
+	if st.Totals.Rows != int64(a.Rows) {
+		t.Errorf("rows = %d, want %d", st.Totals.Rows, a.Rows)
+	}
+	if want := int64(len(tiling.Make(cfg.Tiling, cfg.Tiles, a, b, m))); st.Totals.Tiles != want {
+		t.Errorf("tiles = %d, want %d", st.Totals.Tiles, want)
+	}
+	if st.Totals.Gathered != c.NNZ() {
+		t.Errorf("gathered = %d, want C nnz %d", st.Totals.Gathered, c.NNZ())
+	}
+}
+
 // benchOperands builds a fixed benchmark problem once.
 func benchOperands(b *testing.B) (m, a, bb *sparse.CSR[float64]) {
 	b.Helper()

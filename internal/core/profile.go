@@ -45,9 +45,8 @@ type Profile struct {
 // ProfileMasked symbolically executes C = M ⊙ (A × B) and returns the
 // cost-model quantities at co-iteration factor kappa.
 func ProfileMasked[T sparse.Number](m, a, b *sparse.CSR[T], kappa float64) (Profile, error) {
-	if a.Cols != b.Rows || m.Rows != a.Rows || m.Cols != b.Cols {
-		return Profile{}, fmt.Errorf("%w: M %dx%d, A %dx%d, B %dx%d",
-			sparse.ErrShape, m.Rows, m.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
+	if err := checkShapes(m, a, b); err != nil {
+		return Profile{}, err
 	}
 	p := Profile{Rows: a.Rows, MaskNNZ: m.NNZ(), Kappa: kappa}
 	for i := 0; i < a.Rows; i++ {

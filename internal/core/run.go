@@ -1,0 +1,331 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+
+	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/exec"
+	"maskedspgemm/internal/obs"
+	"maskedspgemm/internal/sched"
+	"maskedspgemm/internal/semiring"
+	"maskedspgemm/internal/sparse"
+	"maskedspgemm/internal/tiling"
+)
+
+// product describes one run of the masked family to the shared run
+// protocol: the operands and configuration, plus what distinguishes the
+// formulation — the mask's sense, a chained second product, and what
+// happens to each gathered row. Every entry point of the family
+// (MaskedSpGEMM, MaskedSpGEMMInstrumented, MaskedSpGEMMSelect,
+// MaskedSpGEMMStream, MaskedSpGEMMComp, FusedMaskedSpGEMM and
+// Multiplier.Multiply) is its argument checks plus one of these.
+type product[T sparse.Number, S semiring.Semiring[T]] struct {
+	sr      S
+	m, a, b *sparse.CSR[T]
+	cfg     Config
+
+	// comp complements the mask: C = ¬M ⊙ (A × B), on dense scratch.
+	comp bool
+	// m2 and c chain a second product onto the first:
+	// D = M2 ⊙ ((M ⊙ (A × B)) × C), the intermediate never assembled.
+	m2, c *sparse.CSR[T]
+	// sink, when non-nil, receives every gathered row (see rowSink).
+	sink rowSink[T]
+	// stream marks a sink that consumes its rows: workers stage one row
+	// at a time and nothing is assembled.
+	stream bool
+	// marker is the run's own entry in the stats/v1 fused block.
+	marker obs.FusedCounters
+	// wrap, when non-nil, decorates each worker's accumulator for this
+	// run only (the instrumented entry point's operation counters).
+	wrap func(accum.Accumulator[T]) accum.Accumulator[T]
+
+	// plan, when non-nil, is the pre-resolved execution plan of an
+	// already validated product; owned, when non-nil, is the caller's own
+	// workspace, used instead of a checkout; lastRun, when non-nil,
+	// receives the completed run's scoped stats. All three are the
+	// Multiplier's.
+	plan    *exec.Plan
+	owned   *exec.Workspace[T, S]
+	lastRun *atomic.Pointer[obs.Stats]
+}
+
+func newProduct[T sparse.Number, S semiring.Semiring[T]](
+	sr S, m, a, b *sparse.CSR[T], cfg Config,
+) product[T, S] {
+	return product[T, S]{sr: sr, m: m, a: a, b: b, cfg: cfg}
+}
+
+// checkShapes verifies the operand shapes of M ⊙ (A × B): A is m×k, B is
+// k×n, M is m×n.
+func checkShapes[T sparse.Number](m, a, b *sparse.CSR[T]) error {
+	if a.Cols != b.Rows || m.Rows != a.Rows || m.Cols != b.Cols {
+		return fmt.Errorf("%w: M %dx%d, A %dx%d, B %dx%d",
+			sparse.ErrShape, m.Rows, m.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	return nil
+}
+
+// check validates the configuration and the operand shapes.
+func (p *product[T, S]) check() error {
+	if err := p.cfg.Validate(); err != nil {
+		return err
+	}
+	if err := checkShapes(p.m, p.a, p.b); err != nil {
+		return err
+	}
+	if p.c != nil && (p.b.Cols != p.c.Rows || p.m2.Rows != p.a.Rows || p.m2.Cols != p.c.Cols) {
+		return fmt.Errorf("%w: chained onto M1 %dx%d: M2 %dx%d, C %dx%d",
+			sparse.ErrShape, p.m.Rows, p.m.Cols, p.m2.Rows, p.m2.Cols, p.c.Rows, p.c.Cols)
+	}
+	return nil
+}
+
+// resolve returns the run's plan — the pre-resolved one, or the plan
+// cache's under the run's scope — plus, for a chain, the second stage's
+// accumulator row bound.
+func (p *product[T, S]) resolve(
+	ctx context.Context, pw int, scope *obs.RunScope,
+) (plan exec.Plan, rowCap2 int64, err error) {
+	if p.plan != nil {
+		return *p.plan, 0, nil
+	}
+	plan, err = planFor(ctx, p.cfg, pw, p.m, p.a, p.b, scope)
+	if err == nil && p.c != nil {
+		rowCap2, err = chainRowCap(ctx, p.cfg, pw, p.m2, p.c, scope)
+	}
+	return plan, rowCap2, err
+}
+
+// run is the run protocol of the masked family, written once:
+//
+//  1. validate the configuration and shapes (skipped with a pre-resolved
+//     plan, whose owner validated at construction); an empty operand
+//     returns an empty result;
+//  2. open the run's stats scope;
+//  3. resolve the plan;
+//  4. check the workspace(s) out, under the one deferred release that
+//     quarantines them unless the run reaches its clean exit;
+//  5. arm the accumulator chaos seam and snapshot the accumulator stats;
+//  6. run the tile loop on the scheduler under the exec.kernel span;
+//  7. assemble the staged tiles under the exec.assemble span, unless the
+//     sink consumed the rows;
+//  8. record the accumulator, pool and fused deltas and mark the run
+//     clean.
+//
+// ctx cancels the run between tile claims and plan blocks; nil runs to
+// completion.
+func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
+	if p.plan == nil {
+		if err := p.check(); err != nil {
+			return nil, err
+		}
+	}
+	cfg := p.cfg
+	chain := p.c != nil
+	rows, cols := p.a.Rows, p.b.Cols
+	if chain {
+		cols = p.c.Cols
+	}
+	if rows == 0 {
+		return sparse.NewCSR[T](rows, cols, 0), nil
+	}
+
+	scope := cfg.Recorder.StartRun()
+	defer func() {
+		snap := scope.End()
+		if p.lastRun != nil && snap.Runs > 0 {
+			last := snap
+			p.lastRun.Store(&last)
+		}
+	}()
+	poolPrior := cfg.Engine.Stats()
+	pw := cfg.planWorkers()
+	workers := sched.Workers(cfg.Workers)
+	plan, rowCap2, err := p.resolve(ctx, pw, scope)
+	if err != nil {
+		return nil, wrapRunErr(err)
+	}
+	tiles := plan.Tiles
+
+	// The workspace carries the per-worker accumulators (§III-C sizing:
+	// masked spaces hold at most max_i nnz(M[i,:]) entries per row; the
+	// vanilla bound is folded into plan.RowCap) or dense scratch, and the
+	// staging buffers: one per tile when the rows are assembled, one per
+	// worker when a sink or a second stage consumes them. A chain's
+	// second stage has its own accumulators and the per-tile staging of
+	// the final output.
+	//
+	// Poison-on-error: a run that fails after checkout (panic, cancel,
+	// injected fault) may leave accumulators or staging mid-mutation, so
+	// the workspaces are quarantined instead of pooled. The flag flips
+	// only on the fully-successful exit, so error returns and panic
+	// unwinding take the same quarantine path. An owned workspace has no
+	// pool to quarantine into; its owner replaces it when it finds it
+	// poisoned.
+	var ws, ws2 *exec.Workspace[T, S]
+	clean := false
+	defer func() {
+		if !clean {
+			ws.Poison()
+			ws2.Poison()
+		}
+		ws2.Release()
+		ws.Release()
+	}()
+	staging := len(tiles)
+	if p.stream || chain {
+		staging = workers
+	}
+	var accs []accum.Accumulator[T]
+	switch {
+	case p.owned != nil:
+		ws = p.owned
+	case p.comp:
+		ws = exec.Dense[T, S](cfg.Engine, p.sr, p.b.Cols, workers, staging)
+	default:
+		ws = exec.Masked[T, S](cfg.Engine, p.sr, cfg.Accumulator, cfg.MarkerBits,
+			p.b.Cols, plan.RowCap, workers, staging)
+	}
+	if !p.comp {
+		accs = ws.Accs[:workers]
+	}
+	outs := ws.Outs
+	var chains []chainSink[T, S]
+	if chain {
+		ws2 = exec.Masked[T, S](cfg.Engine, p.sr, cfg.Accumulator, cfg.MarkerBits,
+			p.c.Cols, rowCap2, workers, len(tiles))
+		outs = ws2.Outs
+		chains = newChainSinks(p, ws2.Accs[:workers])
+		// One slice over both stages' accumulators, so the chaos seam and
+		// the stats deltas below cover the whole chain.
+		accs = append(accs[:workers:workers], ws2.Accs[:workers]...)
+	}
+	if cfg.Resilience != nil {
+		defer armAccumChaos(cfg, accs)()
+	}
+	if p.wrap != nil {
+		// The decorators are per run by design (they are drained after the
+		// run); never let them leak into the pooled workspace.
+		wrapped := make([]accum.Accumulator[T], len(accs))
+		for w := range wrapped {
+			wrapped[w] = p.wrap(accs[w])
+		}
+		accs = wrapped
+	}
+	// The accumulators persist across runs, so deltas against a per-run
+	// snapshot keep each run's counts exact.
+	prior := snapshotAccumStats(accs, scope)
+
+	fcs, err := p.runTiles(ctx, scope, workers, tiles, accs, ws, outs, chains)
+	if err != nil {
+		return nil, wrapRunErr(err)
+	}
+
+	var c *sparse.CSR[T]
+	if !p.stream {
+		err = spanned(ctx, scope, obs.PhaseExecAssemble, func() (err error) {
+			c, err = assembleE(ctx, rows, cols, tiles, outs[:len(tiles)], pw)
+			return err
+		})
+		if err != nil {
+			return nil, wrapRunErr(err)
+		}
+	}
+	recordAccumDeltas(accs, prior, scope)
+	recordPoolDelta(cfg, poolPrior, scope)
+	if fcs != nil {
+		total := p.marker
+		for i := range fcs {
+			total.Add(fcs[i])
+		}
+		scope.AddFused(total)
+	}
+	clean = true
+	return c, nil
+}
+
+// runTiles is the protocol's kernel step: the tile loop dispatched over
+// the scheduler under the exec.kernel span, with the per-tile
+// accounting around it. ws holds the first (or only) product's dense
+// scratch and per-worker staging; outs is the per-tile staging of the
+// final output (per-worker for a streaming sink). It returns the
+// per-worker fused-counter blocks, nil unless the scope records them.
+//
+// Everything the tile closure captures is a parameter or assigned once,
+// so the closure holds it by value and is the step's only allocation.
+func (p *product[T, S]) runTiles(
+	ctx context.Context, scope *obs.RunScope, workers int, tiles []tiling.Tile,
+	accs []accum.Accumulator[T], ws *exec.Workspace[T, S], outs []exec.TileBuf[T],
+	chains []chainSink[T, S],
+) ([]obs.FusedCounters, error) {
+	cfg := p.cfg
+	k := kernel[T, S]{
+		sr: p.sr, m: p.m, a: p.a, b: p.b,
+		iter: cfg.Iteration, kappa: cfg.Kappa, inj: cfg.chaosInjector(),
+		comp: p.comp, live: p.m2,
+	}
+	runSink, perRow, budget := p.sink, p.stream, cfg.fuseTileBudget()
+	// slots and fcs are nil with observability off: the tile closure then
+	// pays two nil checks and the run allocates neither.
+	slots := scope.WorkerSlots(workers)
+	fcs := fusedSlots(scope, workers, runSink != nil || chains != nil)
+	// Tile-batch progress events for the flight recorder: every worker
+	// emits one event per stride tiles (~32 per run across workers), so a
+	// stall dump shows how far the tile loop got without flooding the
+	// ring on large runs.
+	stride := max(int64(len(tiles)/32), 1)
+	err := spanned(ctx, scope, obs.PhaseExecKernel, func() error {
+		return schedRun(ctx, cfg, workers, len(tiles), func(worker, t int) {
+			var wc *obs.WorkerCounters
+			var endRegion func()
+			if slots != nil {
+				endRegion = scope.TileRegion(ctx)
+				wc = &slots[worker]
+				if n := wc.Tiles.Add(1); n%stride == 0 {
+					scope.Event(obs.EventTileBatch, obs.PhaseExecKernel, int64(t), n)
+				}
+			}
+			tile := tiles[t]
+			sink := runSink
+			var gathered, kept int64
+			switch {
+			case chains != nil:
+				cs := &chains[worker]
+				sink = cs
+				gathered, kept = runTileFused(k, cs, accs[worker], tile, &ws.Outs[worker], &outs[t], budget, wc)
+			case k.comp:
+				gathered, kept = runTile(k, nil, &ws.Dense[worker], tile, &outs[t], false, sink, wc)
+			default:
+				slot := t
+				if perRow {
+					slot = worker
+				}
+				gathered, kept = runTile(k, accs[worker], nil, tile, &outs[slot], perRow, sink, wc)
+			}
+			if wc != nil {
+				wc.Rows.Add(int64(tile.Rows()))
+				wc.Gathered.Add(kept)
+			}
+			if fcs != nil {
+				sink.account(&fcs[worker], gathered, kept)
+			}
+			if endRegion != nil {
+				endRegion()
+			}
+		})
+	})
+	return fcs, err
+}
+
+// fusedSlots returns per-worker fused-counter blocks for a run that has
+// a sink or a second stage to account for — nil otherwise, and nil when
+// the scope is disabled, so the uninstrumented path allocates nothing.
+func fusedSlots(scope *obs.RunScope, workers int, fused bool) []obs.FusedCounters {
+	if !fused || !scope.Enabled() {
+		return nil
+	}
+	return make([]obs.FusedCounters, workers)
+}

@@ -301,7 +301,7 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 			// free of closure allocations (the zero-alloc pin).
 			err = solveSerialOrder(ctx, op, dst, b, state, sp.Order)
 		} else {
-			err = runSolveSerialSpanned(ctx, scope, func() error {
+			err = spanned(ctx, scope, obs.PhaseExecSolve, func() error {
 				return solveSerialOrder(ctx, op, dst, b, state, sp.Order)
 			})
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"maskedspgemm/internal/exec"
@@ -36,9 +35,8 @@ func MaskedSpGEMM2D[T sparse.Number, S semiring.Semiring[T]](
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if a.Cols != b.Rows || m.Rows != a.Rows || m.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: M %dx%d, A %dx%d, B %dx%d",
-			sparse.ErrShape, m.Rows, m.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
+	if err := checkShapes(m, a, b); err != nil {
+		return nil, err
 	}
 	if a.Rows == 0 {
 		return sparse.NewCSR[T](a.Rows, b.Cols, 0), nil
@@ -169,17 +167,7 @@ func runTile2D[T sparse.Number, S semiring.Semiring[T]](
 
 	// Gather: mask order is already sorted output order. Consuming a
 	// written flag clears it, leaving the scratch clean.
-	if cap(out.RowNNZ) < rows {
-		out.RowNNZ = make([]int32, rows)
-	}
-	out.RowNNZ = out.RowNNZ[:rows]
-	if int64(cap(out.Cols)) < maskVol || int64(cap(out.Vals)) < maskVol {
-		out.Cols = make([]sparse.Index, 0, maskVol)
-		out.Vals = make([]T, 0, maskVol)
-	} else {
-		out.Cols = out.Cols[:0]
-		out.Vals = out.Vals[:0]
-	}
+	stage(out, rows, maskVol)
 	for r := 0; r < rows; r++ {
 		i := tile.Lo + r
 		maskCols := m.RowCols(i)

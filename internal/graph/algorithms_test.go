@@ -17,7 +17,7 @@ func TestConnectedComponentsLabelPropMatchesBFS(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := ConnectedComponentsLabelProp(a)
+		res, err := ConnectedComponentsLabelProp(a, nil)
 		if err != nil {
 			return false
 		}
@@ -46,7 +46,7 @@ func TestConnectedComponentsLabelIsMinimum(t *testing.T) {
 		coo.Add(sparse.Index(e[0]), sparse.Index(e[1]), 1)
 		coo.Add(sparse.Index(e[1]), sparse.Index(e[0]), 1)
 	}
-	res, err := ConnectedComponentsLabelProp(coo.ToCSR())
+	res, err := ConnectedComponentsLabelProp(coo.ToCSR(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		a := weightedGraph(40, 100, seed)
 		src := int(uint(seed) % 40)
-		got, err := SSSP(a, src)
+		got, err := SSSP(a, src, nil)
 		if err != nil {
 			return false
 		}
@@ -139,7 +139,7 @@ func TestSSSPPathGraph(t *testing.T) {
 	coo.Add(1, 0, 2)
 	coo.Add(1, 2, 3)
 	coo.Add(2, 1, 3)
-	dist, err := SSSP(coo.ToCSR(), 0)
+	dist, err := SSSP(coo.ToCSR(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +153,12 @@ func TestSSSPPathGraph(t *testing.T) {
 
 func TestSSSPErrors(t *testing.T) {
 	a := weightedGraph(10, 20, 1)
-	if _, err := SSSP(a, -1); err == nil {
+	if _, err := SSSP(a, -1, nil); err == nil {
 		t.Error("negative source accepted")
 	}
 	coo := sparse.NewCOO[float64](2, 2, 1)
 	coo.Add(0, 1, -1)
-	if _, err := SSSP(coo.ToCSR(), 0); err == nil {
+	if _, err := SSSP(coo.ToCSR(), 0, nil); err == nil {
 		t.Error("negative weight accepted")
 	}
 }

@@ -18,18 +18,14 @@ import (
 //
 // For exact BC pass all vertices as sources; any subset yields the
 // standard sampled approximation.
-func BetweennessCentrality(a *sparse.CSR[float64], sources []int) ([]float64, error) {
-	return BetweennessCentralityWithEngine(a, sources, nil)
-}
-
-// BetweennessCentralityWithEngine is BetweennessCentrality against
-// eng's workspace pool. The forward phase must retain every frontier
-// for the backward sweep, so frontiers cannot be double-buffered within
-// one source — instead the per-depth vectors live in an arena that is
-// reused across sources, and the push scratch is checked out once for
+//
+// The forward phase must retain every frontier for the backward sweep,
+// so frontiers cannot be double-buffered within one source — instead
+// the per-depth vectors live in an arena that is reused across sources,
+// and the push scratch is checked out of eng's workspace pool once for
 // the whole batch. After the first source, warm iterations allocate
 // nothing. A nil engine builds the scratch once per call.
-func BetweennessCentralityWithEngine(a *sparse.CSR[float64], sources []int, eng *exec.Engine) ([]float64, error) {
+func BetweennessCentrality(a *sparse.CSR[float64], sources []int, eng *exec.Engine) ([]float64, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)

@@ -24,16 +24,13 @@ type BFSResult struct {
 // the paper's reference [15]) from src over the graph with adjacency
 // matrix a, implemented as iterated masked sparse vector-matrix products
 // over the Boolean semiring. dir selects Push, Pull, or Auto per level.
-func BFS(a *sparse.CSR[float64], src int, dir core.Direction) (*BFSResult, error) {
-	return BFSWithEngine(a, src, dir, nil)
-}
-
-// BFSWithEngine is BFS drawing its dense traversal scratch from eng's
-// workspace pool, so repeated searches (ConnectedComponents, BC
-// sampling) recycle one scratch block instead of allocating per level.
-// The frontier vectors are double-buffered either way; a nil engine
-// builds the scratch once per call.
-func BFSWithEngine(a *sparse.CSR[float64], src int, dir core.Direction, eng *exec.Engine) (*BFSResult, error) {
+//
+// The dense traversal scratch is drawn from eng's workspace pool, so
+// repeated searches (ConnectedComponents, BC sampling) recycle one
+// scratch block instead of allocating per level. The frontier vectors
+// are double-buffered either way; a nil engine builds the scratch once
+// per call.
+func BFS(a *sparse.CSR[float64], src int, dir core.Direction, eng *exec.Engine) (*BFSResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)
@@ -109,7 +106,7 @@ func ConnectedComponents(a *sparse.CSR[float64]) (int, error) {
 			continue
 		}
 		comps++
-		res, err := BFSWithEngine(a, v, core.Push, eng)
+		res, err := BFS(a, v, core.Push, eng)
 		if err != nil {
 			return 0, err
 		}

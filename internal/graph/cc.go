@@ -27,16 +27,12 @@ type CCResult struct {
 // a masked sparse vector-matrix product over the (min, first) semiring.
 // Only vertices whose label changed stay in the frontier, so rounds
 // shrink as the labels converge (in O(diameter) rounds).
-func ConnectedComponentsLabelProp(a *sparse.CSR[float64]) (*CCResult, error) {
-	return ConnectedComponentsLabelPropWithEngine(a, nil)
-}
-
-// ConnectedComponentsLabelPropWithEngine is the label-propagation run
-// against eng's workspace pool: the push scratch is checked out once for
-// the whole run, and the frontier/candidate vectors are double-buffered,
-// so warm iterations allocate nothing. A nil engine builds the scratch
-// once per call.
-func ConnectedComponentsLabelPropWithEngine(a *sparse.CSR[float64], eng *exec.Engine) (*CCResult, error) {
+//
+// The push scratch is checked out of eng's workspace pool once for the
+// whole run, and the frontier/candidate vectors are double-buffered, so
+// warm iterations allocate nothing. A nil engine builds the scratch once
+// per call.
+func ConnectedComponentsLabelProp(a *sparse.CSR[float64], eng *exec.Engine) (*CCResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)

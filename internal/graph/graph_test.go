@@ -184,7 +184,7 @@ func TestBFSMatchesBruteForce(t *testing.T) {
 		f := func(seed uint64) bool {
 			a := graphgen.ErdosRenyi(50, 120, seed)
 			src := int(seed % 50)
-			got, err := BFS(a, src, dir)
+			got, err := BFS(a, src, dir, nil)
 			if err != nil {
 				return false
 			}
@@ -209,7 +209,7 @@ func TestBFSPathGraph(t *testing.T) {
 		coo.Add(sparse.Index(i), sparse.Index(i+1), 1)
 		coo.Add(sparse.Index(i+1), sparse.Index(i), 1)
 	}
-	res, err := BFS(coo.ToCSR(), 0, core.Auto)
+	res, err := BFS(coo.ToCSR(), 0, core.Auto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +225,10 @@ func TestBFSPathGraph(t *testing.T) {
 
 func TestBFSErrors(t *testing.T) {
 	a := smallGraph(3)
-	if _, err := BFS(a, -1, core.Push); err == nil {
+	if _, err := BFS(a, -1, core.Push, nil); err == nil {
 		t.Error("negative source accepted")
 	}
-	if _, err := BFS(a, a.Rows, core.Push); err == nil {
+	if _, err := BFS(a, a.Rows, core.Push, nil); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }
@@ -297,7 +297,7 @@ func TestBetweennessCentralityMatchesBrandes(t *testing.T) {
 	f := func(seed uint64) bool {
 		a := graphgen.ErdosRenyi(25, 60, seed)
 		sources := []int{0, 5, 11}
-		got, err := BetweennessCentrality(a, sources)
+		got, err := BetweennessCentrality(a, sources, nil)
 		if err != nil {
 			return false
 		}
@@ -342,7 +342,7 @@ func TestBetweennessCentralityBatchMatchesVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vector, err := BetweennessCentrality(a, sources)
+	vector, err := BetweennessCentrality(a, sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestBetweennessCentralityPath(t *testing.T) {
 	coo.Add(1, 2, 1)
 	coo.Add(2, 1, 1)
 	a := coo.ToCSR()
-	bc, err := BetweennessCentrality(a, []int{0, 1, 2})
+	bc, err := BetweennessCentrality(a, []int{0, 1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

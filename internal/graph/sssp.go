@@ -18,14 +18,10 @@ import (
 // delta-stepping-flavored frontier optimization.
 //
 // Returns +Inf for unreachable vertices. Negative weights are rejected.
-func SSSP(a *sparse.CSR[float64], src int) ([]float64, error) {
-	return SSSPWithEngine(a, src, nil)
-}
-
-// SSSPWithEngine is SSSP against eng's workspace pool, with the
-// frontier and candidate vectors double-buffered across rounds. A nil
-// engine builds the scratch once per call.
-func SSSPWithEngine(a *sparse.CSR[float64], src int, eng *exec.Engine) ([]float64, error) {
+// The push scratch comes from eng's workspace pool, with the frontier
+// and candidate vectors double-buffered across rounds; a nil engine
+// builds the scratch once per call.
+func SSSP(a *sparse.CSR[float64], src int, eng *exec.Engine) ([]float64, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)

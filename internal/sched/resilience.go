@@ -10,18 +10,18 @@ import (
 	"maskedspgemm/internal/chaos"
 )
 
-// This file holds the resilience extras of RunChunkedOpts: the options
+// This file holds the resilience extras of RunWavesOpts: the options
 // block, the injected-cancel plumbing, and the stall watchdog. The
 // design constraint throughout is that a disabled option costs nothing
 // on the hot path — a nil injector is one pointer comparison per tile,
 // and a zero stall timeout spawns no goroutine and skips the completed-
 // tile counter entirely.
 
-// RunOpts carries the optional knobs of RunChunkedOpts. The zero value
-// reproduces RunChunkedE with a chunk floor of 1.
+// RunOpts carries the optional knobs of RunWavesOpts. The zero value is
+// a plain contained run with a Guided chunk floor of 1.
 type RunOpts struct {
-	// MinChunk is the Guided policy's chunk floor (see RunChunked).
-	// Values below 1 are treated as 1.
+	// MinChunk is the Guided policy's chunk floor; Static and Dynamic
+	// ignore it. Values below 1 are treated as 1.
 	MinChunk int
 	// Chaos, when non-nil, is consulted at the TileClaim seam before
 	// every tile and at the WorkerSpawn seam once per worker. Error and

@@ -20,7 +20,7 @@ func TestInjectedClaimCancel(t *testing.T) {
 		sd := chaos.NewSeeded(401)
 		sd.Arm(chaos.TileClaim, chaos.KindCancel, 3, 0)
 		var ran atomic.Int64
-		err := RunChunkedOpts(context.Background(), policy, 2, 64, RunOpts{Chaos: sd},
+		err := RunWavesOpts(context.Background(), policy, 2, SingleWave(64), RunOpts{Chaos: sd},
 			func(worker, tile int) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled match", policy, err)
@@ -44,7 +44,7 @@ func TestInjectedSpawnPanic(t *testing.T) {
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
 		sd := chaos.NewSeeded(402)
 		sd.Arm(chaos.WorkerSpawn, chaos.KindPanic, 2, 0)
-		err := RunChunkedOpts(context.Background(), policy, 4, 32, RunOpts{Chaos: sd},
+		err := RunWavesOpts(context.Background(), policy, 4, SingleWave(32), RunOpts{Chaos: sd},
 			func(worker, tile int) {})
 		var pe *PanicError
 		if !errors.As(err, &pe) {
@@ -68,7 +68,7 @@ func TestStallWatchdogVerdict(t *testing.T) {
 		close(release)
 	}()
 	var entered atomic.Bool
-	err := RunChunkedOpts(context.Background(), Static, 1, 8,
+	err := RunWavesOpts(context.Background(), Static, 1, SingleWave(8),
 		RunOpts{StallTimeout: 20 * time.Millisecond},
 		func(worker, tile int) {
 			if entered.CompareAndSwap(false, true) {
@@ -96,7 +96,7 @@ func TestStallWatchdogVerdict(t *testing.T) {
 func TestStallWatchdogQuietOnProgress(t *testing.T) {
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
 		seen := make([]atomic.Int32, 96)
-		err := RunChunkedOpts(context.Background(), policy, 4, len(seen),
+		err := RunWavesOpts(context.Background(), policy, 4, SingleWave(len(seen)),
 			RunOpts{StallTimeout: time.Second},
 			func(worker, tile int) { seen[tile].Add(1) })
 		if err != nil {
@@ -111,11 +111,12 @@ func TestStallWatchdogQuietOnProgress(t *testing.T) {
 }
 
 // TestRunOptsZeroMatchesRunChunkedE checks that the zero options block
-// is behaviorally RunChunkedE: complete coverage, no error.
+// is a plain contained run (what RunWavesE runs): complete coverage, no
+// error.
 func TestRunOptsZeroMatchesRunChunkedE(t *testing.T) {
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
 		seen := make([]atomic.Int32, 40)
-		if err := RunChunkedOpts(context.Background(), policy, 3, len(seen), RunOpts{},
+		if err := RunWavesOpts(context.Background(), policy, 3, SingleWave(len(seen)), RunOpts{},
 			func(worker, tile int) { seen[tile].Add(1) }); err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}

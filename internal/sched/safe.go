@@ -8,12 +8,10 @@ import (
 	"sync/atomic"
 )
 
-// This file provides the error-returning variants of Run/RunChunked/
-// Blocks that the serving-oriented callers use: every worker recovers
-// panics, the first panic (value + stack) is captured into a PanicError,
-// and an optional context cancels the run between tile claims. The
-// legacy panic-propagating entry points above remain for callers that
-// have already validated their inputs and want zero extra machinery.
+// This file is the fault containment every entry point shares: each
+// worker recovers panics, the first panic (value + stack) is captured
+// into a PanicError, and an optional context cancels the run between
+// tile claims (or, for BlocksE, before a block starts).
 //
 // Cost on the uncancelled path: one relaxed atomic load per tile, one
 // deferred recover frame per worker goroutine (not per tile), and a
@@ -143,36 +141,15 @@ func (st *runState) guard(w int, loop func()) {
 	loop()
 }
 
-// RunE is Run with panic containment and cooperative cancellation: it
-// executes fn(worker, tile) for every tile in [0, tiles) unless ctx is
-// cancelled or a worker panics, in which case the remaining workers
-// drain (no new tiles are started) and the first failure is returned —
-// a *PanicError for panics, ctx.Err() for cancellation. ctx may be nil.
-func RunE(ctx context.Context, policy Policy, p, tiles int, fn func(worker, tile int)) error {
-	return RunChunkedE(ctx, policy, p, tiles, 1, fn)
-}
-
-// RunChunkedE is RunE with an explicit chunk floor for the Guided
-// policy (see RunChunked). Cancellation is observed between individual
-// tiles on every policy, so a cancel or deadline stops the run within
-// one tile's latency plus the watcher's wakeup.
-func RunChunkedE(ctx context.Context, policy Policy, p, tiles, minChunk int, fn func(worker, tile int)) error {
-	return RunChunkedOpts(ctx, policy, p, tiles, RunOpts{MinChunk: minChunk}, fn)
-}
-
-// RunChunkedOpts is RunChunkedE with the resilience extras: an optional
-// chaos injector armed at the tile-claim and worker-spawn seams, and an
-// optional stall watchdog (see RunOpts). The zero RunOpts reproduces
-// RunChunkedE exactly. A flat tile bag is the degenerate single-wave
-// plan, so this is a thin wrapper over the wave core (RunWavesOpts).
-func RunChunkedOpts(ctx context.Context, policy Policy, p, tiles int, opt RunOpts, fn func(worker, tile int)) error {
-	return RunWavesOpts(ctx, policy, p, SingleWave(tiles), opt, fn)
-}
-
-// BlocksE is Blocks with panic containment and cooperative
-// cancellation: each worker checks for cancellation before starting its
-// block, and a panic inside any block is returned as a *PanicError
-// instead of crashing the process. ctx may be nil.
+// BlocksE partitions [0, n) into at most p contiguous, near-equal blocks
+// and executes fn(worker, lo, hi) concurrently, one block per worker.
+// Block boundaries are deterministic (n*w/p), so repeated calls with the
+// same (p, n) see identical blocks — the two passes of a parallel prefix
+// sum rely on this. When p <= 1 the single block runs inline on the
+// caller's goroutine. Non-positive n runs nothing. Each worker checks
+// for cancellation before starting its block, and a panic inside any
+// block is returned as a *PanicError instead of crashing the process.
+// ctx may be nil.
 func BlocksE(ctx context.Context, p, n int, fn func(worker, lo, hi int)) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

@@ -14,7 +14,7 @@ func TestRunEExactlyOnce(t *testing.T) {
 		for _, p := range []int{1, 2, 4, 7} {
 			for _, tiles := range []int{0, 1, 5, 97} {
 				hits := make([]atomic.Int32, tiles)
-				err := RunE(nil, policy, p, tiles, func(_, t int) {
+				err := RunWavesE(nil, policy, p, SingleWave(tiles), func(_, t int) {
 					hits[t].Add(1)
 				})
 				if err != nil {
@@ -31,7 +31,7 @@ func TestRunEExactlyOnce(t *testing.T) {
 }
 
 func TestRunEUnknownPolicy(t *testing.T) {
-	err := RunE(nil, Policy(99), 2, 10, func(_, _ int) {})
+	err := RunWavesE(nil, Policy(99), 2, SingleWave(10), func(_, _ int) {})
 	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}
@@ -41,7 +41,7 @@ func TestRunEPanicContained(t *testing.T) {
 	type marker struct{ why string }
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
 		for _, p := range []int{1, 4} {
-			err := RunE(nil, policy, p, 64, func(_, tile int) {
+			err := RunWavesE(nil, policy, p, SingleWave(64), func(_, tile int) {
 				if tile == 17 {
 					panic(marker{"injected"})
 				}
@@ -69,7 +69,7 @@ func TestRunEPreCancelled(t *testing.T) {
 	cancel()
 	var ran atomic.Int32
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
-		err := RunE(ctx, policy, 4, 100, func(_, _ int) { ran.Add(1) })
+		err := RunWavesE(ctx, policy, 4, SingleWave(100), func(_, _ int) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled", policy, err)
 		}
@@ -84,7 +84,7 @@ func TestRunEMidRunCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
 		const tiles = 100000
-		err := RunE(ctx, policy, 4, tiles, func(_, _ int) {
+		err := RunWavesE(ctx, policy, 4, SingleWave(tiles), func(_, _ int) {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -105,7 +105,7 @@ func TestRunEMidRunCancel(t *testing.T) {
 func TestRunEPanicWinsOverCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := RunE(ctx, Dynamic, 2, 8, func(_, tile int) {
+	err := RunWavesE(ctx, Dynamic, 2, SingleWave(8), func(_, tile int) {
 		if tile == 0 {
 			cancel()
 			panic("boom")
@@ -165,13 +165,13 @@ func TestRunENoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		_ = RunE(ctx, Dynamic, 4, 64, func(_, tile int) {
+		_ = RunWavesE(ctx, Dynamic, 4, SingleWave(64), func(_, tile int) {
 			if tile == 5 {
 				cancel()
 			}
 		})
 		cancel()
-		_ = RunE(context.Background(), Guided, 4, 64, func(_, _ int) {})
+		_ = RunWavesE(context.Background(), Guided, 4, SingleWave(64), func(_, _ int) {})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

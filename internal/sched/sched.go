@@ -15,24 +15,20 @@
 //
 // Tiles may carry dependencies: a WavePlan orders the tile space into
 // waves (levels of mutually independent tiles) separated by completion
-// barriers, and RunWaves/RunWavesE/RunWavesOpts execute such plans on a
-// single persistent worker pool that claims tiles within each wave
-// under the same three policies and crosses wave boundaries without
-// respawning goroutines. The flat tile bag is the degenerate
-// single-wave plan, so every entry point here is a thin wrapper over
-// the wave core in wave.go.
+// barriers, and RunWavesOpts (wave.go) executes such plans on a single
+// persistent worker pool that claims tiles within each wave under the
+// same three policies and crosses wave boundaries without respawning
+// goroutines. The flat tile bag is the degenerate plan SingleWave(n),
+// so there is one tile executor; RunWavesE is it with the zero RunOpts.
 //
-// The package also provides Blocks, a one-shot parallel-for over
+// The package also provides BlocksE, a one-shot parallel-for over
 // contiguous index blocks, which the plan-construction phases (work
 // estimation, prefix sums, CSR assembly) use to spread their O(n)
-// passes over the same worker pool discipline.
+// passes over the same worker pool discipline. All three entry points
+// contain worker panics and observe an optional context.
 package sched
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // Policy selects how tiles are assigned to workers.
 type Policy int
@@ -74,38 +70,6 @@ func Workers(w int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run executes fn(worker, tile) for every tile index in [0, tiles),
-// using the given policy over p workers. fn must be safe for concurrent
-// invocation with distinct tile indices; the worker id lets callers keep
-// per-worker scratch (accumulators, output buffers) without locking.
-// When p == 1 the tiles run inline on the caller's goroutine, so
-// single-worker measurements carry no goroutine overhead. The Guided
-// policy runs with a chunk floor of 1; use RunChunked to raise it.
-// Non-positive tile counts run nothing; an unknown policy panics.
-func Run(policy Policy, p, tiles int, fn func(worker, tile int)) {
-	RunChunked(policy, p, tiles, 1, fn)
-}
-
-// RunChunked is Run with an explicit chunk floor for the Guided policy:
-// a worker never claims fewer than minChunk tiles per atomic operation
-// (except the final, possibly partial, chunk). minChunk <= 0 means 1.
-// Static and Dynamic ignore minChunk. A flat tile bag is the degenerate
-// single-wave plan, so this delegates to the wave core; a panic inside
-// fn is re-raised on the caller's goroutine with its original value.
-func RunChunked(policy Policy, p, tiles, minChunk int, fn func(worker, tile int)) {
-	mustPolicy(policy)
-	mustRun(RunWavesOpts(nil, policy, p, SingleWave(tiles), RunOpts{MinChunk: minChunk}, fn))
-}
-
-// claimGuided reserves the next guided chunk [lo, hi): remaining/p tiles,
-// at least minChunk, clamped to what is left. The CAS loop guarantees
-// each tile is claimed by exactly one worker.
-//
-//spgemm:hotpath
-func claimGuided(next *atomic.Int64, tiles, p, minChunk int) (lo, hi int) {
-	return claimGuidedRange(next, tiles, p, minChunk)
-}
-
 // GuidedChunk returns the chunk size a guided claim takes when rem tiles
 // remain on p workers with the given floor — exposed so tests can verify
 // the geometric decay without racing on the shared counter.
@@ -126,38 +90,6 @@ func GuidedChunk(rem, p, minChunk int) int {
 		c = rem
 	}
 	return c
-}
-
-// Blocks partitions [0, n) into at most p contiguous, near-equal blocks
-// and executes fn(worker, lo, hi) concurrently, one block per worker.
-// Block boundaries are deterministic (n*w/p), so repeated calls with the
-// same (p, n) see identical blocks — the two passes of a parallel prefix
-// sum rely on this. When p <= 1 the single block runs inline on the
-// caller's goroutine. Non-positive n runs nothing, matching
-// Run/RunChunked's treatment of non-positive tile counts.
-func Blocks(p, n int, fn func(worker, lo, hi int)) {
-	if n < 0 {
-		n = 0
-	}
-	p = Workers(p)
-	if p > n {
-		p = n
-	}
-	if p <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fn(w, n*w/p, n*(w+1)/p)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // StaticOwner returns the worker id that owns tile t under the Static

@@ -12,9 +12,9 @@ func TestRunExecutesEveryTileOnce(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 7} {
 			const tiles = 103
 			var counts [tiles]atomic.Int32
-			Run(policy, workers, tiles, func(_, tile int) {
+			check(t, RunWavesE(nil, policy, workers, SingleWave(tiles), func(_, tile int) {
 				counts[tile].Add(1)
-			})
+			}))
 			for i := range counts {
 				if got := counts[i].Load(); got != 1 {
 					t.Errorf("%v/p=%d: tile %d ran %d times", policy, workers, i, got)
@@ -28,11 +28,11 @@ func TestRunWorkerIDsInRange(t *testing.T) {
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
 		const workers, tiles = 4, 50
 		var bad atomic.Int32
-		Run(policy, workers, tiles, func(w, _ int) {
+		check(t, RunWavesE(nil, policy, workers, SingleWave(tiles), func(w, _ int) {
 			if w < 0 || w >= workers {
 				bad.Add(1)
 			}
-		})
+		}))
 		if bad.Load() != 0 {
 			t.Errorf("%v: worker id out of range", policy)
 		}
@@ -44,11 +44,11 @@ func TestStaticAssignmentIsDeterministic(t *testing.T) {
 	const workers, tiles = 3, 30
 	owner := make([]int, tiles)
 	var mu sync.Mutex
-	Run(Static, workers, tiles, func(w, tile int) {
+	check(t, RunWavesE(nil, Static, workers, SingleWave(tiles), func(w, tile int) {
 		mu.Lock()
 		owner[tile] = w
 		mu.Unlock()
-	})
+	}))
 	for tile, w := range owner {
 		if w != StaticOwner(tile, workers) {
 			t.Errorf("tile %d ran on worker %d, want %d", tile, w, StaticOwner(tile, workers))
@@ -61,9 +61,9 @@ func TestWorkerScratchIsolation(t *testing.T) {
 	// non-atomic counter per worker and verify the total.
 	const workers, tiles = 4, 1000
 	scratch := make([]int64, workers)
-	Run(Dynamic, workers, tiles, func(w, _ int) {
+	check(t, RunWavesE(nil, Dynamic, workers, SingleWave(tiles), func(w, _ int) {
 		scratch[w]++ // safe iff worker w is single-threaded
-	})
+	}))
 	var total int64
 	for _, s := range scratch {
 		total += s
@@ -79,12 +79,12 @@ func TestSingleWorkerRunsInline(t *testing.T) {
 	// synchronization.
 	last := -1
 	ok := true
-	Run(Dynamic, 1, 20, func(_, tile int) {
+	check(t, RunWavesE(nil, Dynamic, 1, SingleWave(20), func(_, tile int) {
 		if tile != last+1 {
 			ok = false
 		}
 		last = tile
-	})
+	}))
 	if !ok || last != 19 {
 		t.Error("single-worker execution not inline/in-order")
 	}
@@ -93,7 +93,7 @@ func TestSingleWorkerRunsInline(t *testing.T) {
 func TestRunZeroTiles(t *testing.T) {
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
 		ran := false
-		Run(policy, 4, 0, func(_, _ int) { ran = true })
+		check(t, RunWavesE(nil, policy, 4, SingleWave(0), func(_, _ int) { ran = true }))
 		if ran {
 			t.Errorf("%v: fn invoked with zero tiles", policy)
 		}
@@ -116,7 +116,7 @@ func TestRunPropertyAllPoliciesAllSizes(t *testing.T) {
 		policy := Policy(polRaw % 3)
 		minChunk := int(chunkRaw % 9) // 0 exercises the default floor
 		var n atomic.Int64
-		RunChunked(policy, p, tiles, minChunk, func(_, _ int) { n.Add(1) })
+		check(t, RunWavesOpts(nil, policy, p, SingleWave(tiles), RunOpts{MinChunk: minChunk}, func(_, _ int) { n.Add(1) }))
 		return n.Load() == int64(tiles)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -140,9 +140,9 @@ func TestGuidedEveryTileClaimedOnce(t *testing.T) {
 		for _, minChunk := range []int{0, 1, 4, 100, 100000} {
 			const tiles = 5000
 			hits := make([]int64, tiles)
-			RunChunked(Guided, workers, tiles, minChunk, func(_, tile int) {
+			check(t, RunWavesOpts(nil, Guided, workers, SingleWave(tiles), RunOpts{MinChunk: minChunk}, func(_, tile int) {
 				hits[tile]++
-			})
+			}))
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("p=%d chunk=%d: tile %d ran %d times", workers, minChunk, i, h)
@@ -157,9 +157,9 @@ func TestGuidedScratchIsolation(t *testing.T) {
 	// per-worker non-atomic counters must not lose updates.
 	const workers, tiles = 4, 4096
 	scratch := make([]int64, workers)
-	RunChunked(Guided, workers, tiles, 3, func(w, _ int) {
+	check(t, RunWavesOpts(nil, Guided, workers, SingleWave(tiles), RunOpts{MinChunk: 3}, func(w, _ int) {
 		scratch[w]++
-	})
+	}))
 	var total int64
 	for _, s := range scratch {
 		total += s
@@ -212,7 +212,7 @@ func TestBlocksPartition(t *testing.T) {
 			var mu sync.Mutex
 			seen := make([]int, n)
 			workers := map[int]bool{}
-			Blocks(p, n, func(w, lo, hi int) {
+			check(t, BlocksE(nil, p, n, func(w, lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
 				if workers[w] {
@@ -222,7 +222,7 @@ func TestBlocksPartition(t *testing.T) {
 				for i := lo; i < hi; i++ {
 					seen[i]++
 				}
-			})
+			}))
 			for i, s := range seen {
 				if s != 1 {
 					t.Fatalf("p=%d n=%d: index %d covered %d times", p, n, i, s)
@@ -235,13 +235,22 @@ func TestBlocksPartition(t *testing.T) {
 func TestBlocksSingleWorkerInline(t *testing.T) {
 	// p=1 must run the single block on the calling goroutine.
 	ran := false
-	Blocks(1, 10, func(w, lo, hi int) {
+	check(t, BlocksE(nil, 1, 10, func(w, lo, hi int) {
 		if w != 0 || lo != 0 || hi != 10 {
 			t.Errorf("inline block = (%d, %d, %d)", w, lo, hi)
 		}
 		ran = true // safe without sync iff inline
-	})
+	}))
 	if !ran {
 		t.Error("block did not run")
+	}
+}
+
+// check fails the test on a scheduler error; the callbacks of the tests
+// that use it cannot fail on their own.
+func check(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -20,9 +19,9 @@ import (
 // the current wave under the usual Static/Dynamic/Guided policies and
 // cross wave boundaries on a condition-variable barrier, never
 // respawning goroutines. The flat, embarrassingly parallel tile bag
-// every SpGEMM plan emits is the degenerate single-wave case, so
-// Run/RunChunked/RunE/RunChunkedOpts are all thin wrappers over
-// RunWavesOpts rather than parallel implementations.
+// every SpGEMM plan emits is the degenerate single-wave case
+// (SingleWave), run by the same RunWavesOpts rather than by a parallel
+// implementation.
 
 // Wave is one dependency level of a WavePlan: a half-open range
 // [Lo, Hi) of tile indices that are mutually independent and may run
@@ -181,20 +180,9 @@ func (b *waveBarrier) arrive(stop *atomic.Bool, p int, ws *WaveStats, release fu
 	}
 }
 
-// RunWaves executes fn(worker, tile) over every tile of plan, wave by
-// wave: within a wave, tiles are claimed under the given policy exactly
-// as in Run; between waves the persistent workers cross a barrier
-// without goroutine respawn. Panics inside fn propagate to the caller
-// (after containment, the original panic value is re-raised), matching
-// Run's legacy contract; use RunWavesE or RunWavesOpts for typed
-// errors, cancellation and resilience options.
-func RunWaves(policy Policy, p int, plan WavePlan, fn func(worker, tile int)) {
-	mustPolicy(policy)
-	mustRun(RunWavesOpts(nil, policy, p, plan, RunOpts{}, fn))
-}
-
-// RunWavesE is RunWaves with panic containment and cooperative
-// cancellation: the first failure is returned — a *PanicError for
+// RunWavesE is RunWavesOpts with the zero RunOpts: every tile of plan
+// runs wave by wave under panic containment and cooperative
+// cancellation, the first failure is returned — a *PanicError for
 // panics, ctx.Err() for cancellation — and the remaining workers drain,
 // including any parked at a wave barrier. ctx may be nil.
 func RunWavesE(ctx context.Context, policy Policy, p int, plan WavePlan, fn func(worker, tile int)) error {
@@ -204,9 +192,15 @@ func RunWavesE(ctx context.Context, policy Policy, p int, plan WavePlan, fn func
 // RunWavesOpts is the scheduler's core entry point: it executes
 // fn(worker, tile) for every tile of plan under the given policy with
 // panic containment, cooperative cancellation, and the RunOpts
-// resilience extras. Within a wave, workers claim tiles exactly as
-// RunChunkedOpts claims a flat bag (Static ownership keeps the global
-// t mod p == worker invariant across waves); at each wave boundary the
+// resilience extras. fn must be safe for concurrent invocation with
+// distinct tile indices; the worker id lets callers keep per-worker
+// scratch (accumulators, output buffers) without locking. With one
+// worker the tiles run inline on the caller's goroutine, so
+// single-worker measurements carry no goroutine overhead. Within a
+// wave, workers claim tiles under the policy (Static ownership keeps the
+// global t mod p == worker invariant across waves; a Guided worker
+// never claims fewer than opt.MinChunk tiles per atomic operation,
+// except the final, possibly partial, chunk); at each wave boundary the
 // persistent workers cross a condition-variable barrier, with the last
 // arriver resetting the shared claim counter for the next wave while
 // every other worker is parked. Single-wave plans never touch the
@@ -395,31 +389,6 @@ func claimGuidedRange(next *atomic.Int64, hi, p, minChunk int) (lo, hi2 int) {
 			return int(cur), int(cur + c)
 		}
 	}
-}
-
-// mustPolicy reproduces the legacy entry points' misuse contract: an
-// unknown policy is a programming error and panics.
-func mustPolicy(policy Policy) {
-	switch policy {
-	case Static, Dynamic, Guided:
-	default:
-		panic("sched: unknown policy")
-	}
-}
-
-// mustRun adapts the contained core to the legacy panic-propagating
-// contract: a worker panic re-raises its original value on the caller's
-// goroutine; any other failure (impossible without a context or
-// options) is raised as-is.
-func mustRun(err error) {
-	if err == nil {
-		return
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		panic(pe.Value)
-	}
-	panic(err)
 }
 
 // injectBarrier fires the WaveBarrier seam once per worker per barrier

@@ -94,14 +94,14 @@ func TestRunWavesOrdering(t *testing.T) {
 			counts := make([]atomic.Int32, pl.Tiles())
 			done := make([]atomic.Int64, pl.NumWaves())
 			var violations atomic.Int64
-			RunWaves(policy, workers, pl, func(_, tile int) {
+			check(t, RunWavesE(nil, policy, workers, pl, func(_, tile int) {
 				w := wv[tile]
 				if w > 0 && done[w-1].Load() != int64(pl.WaveAt(w-1).Tiles()) {
 					violations.Add(1)
 				}
 				counts[tile].Add(1)
 				done[w].Add(1)
-			})
+			}))
 			if v := violations.Load(); v != 0 {
 				t.Errorf("%v/p=%d: %d tiles started before their predecessor wave finished", policy, workers, v)
 			}
@@ -121,9 +121,9 @@ func TestRunWavesStaticOwnership(t *testing.T) {
 	const workers = 3
 	pl := stairPlan(t, []int{4, 1, 7, 5, 3})
 	owner := make([]atomic.Int32, pl.Tiles())
-	RunWaves(Static, workers, pl, func(w, tile int) {
+	check(t, RunWavesE(nil, Static, workers, pl, func(w, tile int) {
 		owner[tile].Store(int32(w + 1))
-	})
+	}))
 	for tile := range owner {
 		if got := int(owner[tile].Load()) - 1; got != tile%workers {
 			t.Errorf("tile %d ran on worker %d, want %d", tile, got, tile%workers)
@@ -131,25 +131,22 @@ func TestRunWavesStaticOwnership(t *testing.T) {
 	}
 }
 
-// TestRunWavesSingleWaveMatchesRun checks the degenerate plan against
-// the flat entry point: same tiles, same once-each coverage, and zero
-// barrier crossings — the flat bag pays nothing for the wave machinery.
-func TestRunWavesSingleWaveMatchesRun(t *testing.T) {
+// TestRunWavesSingleWaveIsFlat checks the degenerate plan every flat
+// tile bag runs as: once-each coverage and zero barrier crossings — the
+// flat bag pays nothing for the wave machinery.
+func TestRunWavesSingleWaveIsFlat(t *testing.T) {
 	const tiles, workers = 57, 4
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
-		var viaWaves, viaRun atomic.Int64
+		var sum atomic.Int64
 		var ws WaveStats
 		err := RunWavesOpts(nil, policy, workers, SingleWave(tiles), RunOpts{WaveStats: &ws}, func(_, tile int) {
-			viaWaves.Add(int64(tile) + 1)
+			sum.Add(int64(tile) + 1)
 		})
 		if err != nil {
 			t.Fatalf("%v: RunWavesOpts: %v", policy, err)
 		}
-		Run(policy, workers, tiles, func(_, tile int) {
-			viaRun.Add(int64(tile) + 1)
-		})
-		if viaWaves.Load() != viaRun.Load() {
-			t.Errorf("%v: single-wave sum %d != flat Run sum %d", policy, viaWaves.Load(), viaRun.Load())
+		if want := int64(tiles * (tiles + 1) / 2); sum.Load() != want {
+			t.Errorf("%v: single-wave tile sum %d, want %d (each tile once)", policy, sum.Load(), want)
 		}
 		if ws.Crossings.Load() != 0 {
 			t.Errorf("%v: single-wave run recorded %d barrier crossings, want 0", policy, ws.Crossings.Load())
@@ -171,12 +168,6 @@ func TestRunWavesUnknownPolicy(t *testing.T) {
 	if err := RunWavesOpts(nil, Policy(42), 2, SingleWave(4), RunOpts{}, func(_, _ int) {}); err == nil {
 		t.Fatal("RunWavesOpts accepted an unknown policy")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunWaves did not panic on an unknown policy")
-		}
-	}()
-	RunWaves(Policy(42), 2, SingleWave(4), func(_, _ int) {})
 }
 
 // TestRunWavesStats checks the observability counters: every effective
@@ -234,18 +225,6 @@ func TestRunWavesPanic(t *testing.T) {
 	if lastWaveRan.Load() {
 		t.Fatal("a tile of the wave after the panic still ran")
 	}
-
-	// The legacy entry point re-raises the original panic value.
-	defer func() {
-		if r := recover(); r != boom {
-			t.Fatalf("RunWaves re-raised %v, want %v", r, boom)
-		}
-	}()
-	RunWaves(Static, 2, stairPlan(t, []int{2, 2}), func(_, tile int) {
-		if tile == 2 {
-			panic(boom)
-		}
-	})
 }
 
 func TestRunWavesPreCancelled(t *testing.T) {

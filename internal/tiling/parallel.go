@@ -23,128 +23,40 @@ func SetParallelCutoffForTest(n int) (old int) {
 	return old
 }
 
-// RowWorkParallel is RowWork computed over contiguous row blocks on p
-// workers. Rows are independent, so the result is bit-identical to the
-// serial estimator; inputs below the crossover threshold (or p <= 1)
-// take the serial path unchanged.
-func RowWorkParallel[T sparse.Number](a, b, m *sparse.CSR[T], p int) []int64 {
-	if p == 1 || a.Rows < parallelCutoff {
-		return RowWork(a, b, m)
-	}
-	w := make([]int64, a.Rows)
-	sched.Blocks(p, a.Rows, func(_, lo, hi int) {
-		rowWorkInto(w, a, b, m, lo, hi)
-	})
-	return w
-}
-
-// FlopCountParallel is FlopCount computed over contiguous row blocks on
-// p workers: per-block totals and maxima reduce to the same values the
-// serial pass produces (int64 addition and max are associative).
-func FlopCountParallel[T sparse.Number](a, b *sparse.CSR[T], p int) (total int64, maxRow int64) {
-	if p == 1 || a.Rows < parallelCutoff {
-		return FlopCount(a, b)
-	}
-	p = sched.Workers(p)
-	totals := make([]int64, p)
-	maxes := make([]int64, p)
-	sched.Blocks(p, a.Rows, func(w, lo, hi int) {
-		totals[w], maxes[w] = flopCountRange(a, b, lo, hi)
-	})
-	for w := 0; w < p; w++ {
-		total += totals[w]
-		if maxes[w] > maxRow {
-			maxRow = maxes[w]
-		}
-	}
-	return total, maxRow
-}
-
-// PrefixSum returns the prefix sum of work on p workers:
-// out[i] = Σ work[:i], with out[len(work)] the total. The serial path is
-// kept for small inputs behind the crossover threshold.
-func PrefixSum(work []int64, p int) []int64 {
-	prefix := make([]int64, len(work)+1)
-	copy(prefix[1:], work)
-	InclusiveScan(prefix[1:], p)
-	return prefix
-}
-
-// InclusiveScan replaces x with its inclusive prefix sum in place. Large
-// inputs scan in two block-parallel passes (per-block local scans, then
-// a block-offset fixup after a serial scan of the p block totals); small
-// inputs, or p <= 1, scan serially. Both orders sum the same int64 terms
-// left to right within each block, so the result is bit-identical.
-func InclusiveScan(x []int64, p int) {
-	n := len(x)
-	if p == 1 || n < parallelCutoff {
-		var run int64
-		for i := range x {
-			run += x[i]
-			x[i] = run
-		}
-		return
-	}
-	p = sched.Workers(p)
-	if p > n {
-		p = n
-	}
-	sums := make([]int64, p)
-	sched.Blocks(p, n, func(w, lo, hi int) {
-		var run int64
-		for i := lo; i < hi; i++ {
-			run += x[i]
-			x[i] = run
-		}
-		sums[w] = run
-	})
-	var off int64
-	for w := 0; w < p; w++ {
-		s := sums[w]
-		sums[w] = off
-		off += s
-	}
-	sched.Blocks(p, n, func(w, lo, hi int) {
-		d := sums[w]
-		if d == 0 {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			x[i] += d
-		}
-	})
-}
-
-// BalancedTilesParallel is BalancedTiles with the O(rows) prefix sum
-// spread over p workers. Tile boundaries are bit-identical to the serial
-// partitioner for any p.
-func BalancedTilesParallel(work []int64, n, p int) []Tile {
-	return BalancedFromPrefix(PrefixSum(work, p), n)
-}
-
-// MakeParallel builds tiles for the given operands with the requested
-// strategy and tile count, running the work estimation and prefix sum on
-// p workers. Make is MakeParallel with p = 1.
-func MakeParallel[T sparse.Number](s Strategy, n, p int, a, b, m *sparse.CSR[T]) []Tile {
-	switch s {
-	case Uniform:
-		return UniformTiles(a.Rows, n)
-	case FlopBalanced:
-		return BalancedTilesParallel(RowWorkParallel(a, b, m, p), n, p)
-	default:
-		panic(fmt.Sprintf("tiling: unknown strategy %d", s))
-	}
-}
-
-// The E variants below are the fault-contained, cancellable versions of
-// the plan-construction passes: they run their block-parallel loops via
+// The passes below are the plan-construction loops, each written once in
+// its fault-contained, cancellable form: block-parallel loops run via
 // sched.BlocksE, so a panic inside a worker (a malformed operand, say)
 // comes back as a *sched.PanicError and a cancelled context aborts the
 // plan between blocks. Serial fallbacks below the crossover threshold
 // run on the caller's goroutine, where the caller's own recover applies.
+// ctx may be nil everywhere.
 
-// RowWorkParallelE is RowWorkParallel with panic containment and
-// cooperative cancellation. ctx may be nil.
+// must unwraps the result of an E pass run without a context, where the
+// only possible failures are a contained worker panic or an unknown
+// strategy — programming errors, re-raised.
+func must[V any](v V, err error) V {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// RowWorkParallel is RowWorkParallelE without a context, for callers
+// that cannot be cancelled.
+func RowWorkParallel[T sparse.Number](a, b, m *sparse.CSR[T], p int) []int64 {
+	return must(RowWorkParallelE(nil, a, b, m, p))
+}
+
+// PrefixSum is PrefixSumE without a context, for callers that cannot be
+// cancelled.
+func PrefixSum(work []int64, p int) []int64 {
+	return must(PrefixSumE(nil, work, p))
+}
+
+// RowWorkParallelE is RowWork computed over contiguous row blocks on p
+// workers. Rows are independent, so the result is bit-identical to the
+// serial estimator; inputs below the crossover threshold (or p <= 1)
+// take the serial path unchanged.
 func RowWorkParallelE[T sparse.Number](ctx context.Context, a, b, m *sparse.CSR[T], p int) ([]int64, error) {
 	if p == 1 || a.Rows < parallelCutoff {
 		return RowWork(a, b, m), nil
@@ -158,8 +70,9 @@ func RowWorkParallelE[T sparse.Number](ctx context.Context, a, b, m *sparse.CSR[
 	return w, nil
 }
 
-// FlopCountParallelE is FlopCountParallel with panic containment and
-// cooperative cancellation. ctx may be nil.
+// FlopCountParallelE is FlopCount computed over contiguous row blocks on
+// p workers: per-block totals and maxima reduce to the same values the
+// serial pass produces (int64 addition and max are associative).
 func FlopCountParallelE[T sparse.Number](ctx context.Context, a, b *sparse.CSR[T], p int) (total int64, maxRow int64, err error) {
 	if p == 1 || a.Rows < parallelCutoff {
 		total, maxRow = FlopCount(a, b)
@@ -182,9 +95,12 @@ func FlopCountParallelE[T sparse.Number](ctx context.Context, a, b *sparse.CSR[T
 	return total, maxRow, nil
 }
 
-// InclusiveScanE is InclusiveScan with panic containment and
-// cooperative cancellation between the two parallel passes. ctx may be
-// nil.
+// InclusiveScanE replaces x with its inclusive prefix sum in place.
+// Large inputs scan in two block-parallel passes (per-block local scans,
+// then a block-offset fixup after a serial scan of the p block totals),
+// cancellable between them; small inputs, or p <= 1, scan serially. Both
+// orders sum the same int64 terms left to right within each block, so
+// the result is bit-identical.
 func InclusiveScanE(ctx context.Context, x []int64, p int) error {
 	n := len(x)
 	if p == 1 || n < parallelCutoff {
@@ -227,7 +143,8 @@ func InclusiveScanE(ctx context.Context, x []int64, p int) error {
 	})
 }
 
-// PrefixSumE is PrefixSum with panic containment and cancellation.
+// PrefixSumE returns the prefix sum of work on p workers:
+// out[i] = Σ work[:i], with out[len(work)] the total.
 func PrefixSumE(ctx context.Context, work []int64, p int) ([]int64, error) {
 	prefix := make([]int64, len(work)+1)
 	copy(prefix[1:], work)
@@ -237,8 +154,9 @@ func PrefixSumE(ctx context.Context, work []int64, p int) ([]int64, error) {
 	return prefix, nil
 }
 
-// BalancedTilesParallelE is BalancedTilesParallel with panic
-// containment and cancellation.
+// BalancedTilesParallelE is BalancedTiles with the O(rows) prefix sum
+// spread over p workers. Tile boundaries are bit-identical to the serial
+// partitioner for any p.
 func BalancedTilesParallelE(ctx context.Context, work []int64, n, p int) ([]Tile, error) {
 	prefix, err := PrefixSumE(ctx, work, p)
 	if err != nil {
@@ -247,9 +165,9 @@ func BalancedTilesParallelE(ctx context.Context, work []int64, n, p int) ([]Tile
 	return BalancedFromPrefix(prefix, n), nil
 }
 
-// MakeParallelE is MakeParallel with panic containment, cooperative
-// cancellation, and an error (instead of a panic) for unknown
-// strategies. ctx may be nil.
+// MakeParallelE builds tiles for the given operands with the requested
+// strategy and tile count, running the work estimation and prefix sum on
+// p workers. An unknown strategy is an error.
 func MakeParallelE[T sparse.Number](ctx context.Context, s Strategy, n, p int, a, b, m *sparse.CSR[T]) ([]Tile, error) {
 	switch s {
 	case Uniform:

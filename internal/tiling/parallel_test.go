@@ -45,9 +45,12 @@ func TestFlopCountParallelMatchesSerial(t *testing.T) {
 		a := randomGraph(n, 0.2, int64(n)+100)
 		wantTotal, wantMax := FlopCount(a, a)
 		for _, p := range []int{2, 4, 7} {
-			total, maxRow := FlopCountParallel(a, a, p)
+			total, maxRow, err := FlopCountParallelE(nil, a, a, p)
+			if err != nil {
+				t.Fatalf("n=%d p=%d: %v", n, p, err)
+			}
 			if total != wantTotal || maxRow != wantMax {
-				t.Errorf("n=%d p=%d: FlopCountParallel = (%d,%d), want (%d,%d)",
+				t.Errorf("n=%d p=%d: FlopCountParallelE = (%d,%d), want (%d,%d)",
 					n, p, total, maxRow, wantTotal, wantMax)
 			}
 		}
@@ -70,7 +73,9 @@ func TestInclusiveScanMatchesSerial(t *testing.T) {
 		}
 		for _, p := range []int{1, 2, 5, 16} {
 			got := append([]int64(nil), x...)
-			InclusiveScan(got, p)
+			if err := InclusiveScanE(nil, got, p); err != nil {
+				t.Fatalf("n=%d p=%d: %v", n, p, err)
+			}
 			if !int64sEqual(got, want) {
 				t.Errorf("n=%d p=%d: parallel scan differs from serial", n, p)
 			}
@@ -105,7 +110,10 @@ func TestBalancedTilesParallelMatchesSerial(t *testing.T) {
 		n := r.Intn(300) + 1
 		want := BalancedTiles(work, n)
 		for _, p := range []int{2, 4, 9} {
-			got := BalancedTilesParallel(work, n, p)
+			got, err := BalancedTilesParallelE(nil, work, n, p)
+			if err != nil {
+				t.Fatalf("rows=%d n=%d p=%d: %v", rows, n, p, err)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("rows=%d n=%d p=%d: %d tiles, want %d", rows, n, p, len(got), len(want))
 			}
@@ -125,7 +133,10 @@ func TestMakeParallelMatchesMake(t *testing.T) {
 	for _, s := range []Strategy{Uniform, FlopBalanced} {
 		want := Make(s, 16, a, a, a)
 		for _, p := range []int{2, 4} {
-			got := MakeParallel(s, 16, p, a, a, a)
+			got, err := MakeParallelE(nil, s, 16, p, a, a, a)
+			if err != nil {
+				t.Fatalf("%v p=%d: %v", s, p, err)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("%v p=%d: %d tiles, want %d", s, p, len(got), len(want))
 			}

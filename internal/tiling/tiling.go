@@ -122,7 +122,7 @@ func BalancedTiles(work []int64, n int) []Tile {
 // sum of the work estimate (len(prefix) = rows+1). The boundary loop is
 // O(n log rows) and carries the previous boundary forward, so it stays
 // serial; the O(rows) prefix sum is where the construction time goes
-// and is what BalancedTilesParallel parallelizes. Exported so callers
+// and is what BalancedTilesParallelE parallelizes. Exported so callers
 // that time the plan phases separately (internal/core's instrumented
 // path) can run the boundary placement under its own span.
 func BalancedFromPrefix(prefix []int64, n int) []Tile {
@@ -158,10 +158,10 @@ func BalancedFromPrefix(prefix []int64, n int) []Tile {
 }
 
 // Make builds tiles for the given operands with the requested strategy
-// and tile count, serially; MakeParallel spreads the work estimation
-// over a worker pool.
+// and tile count, serially; MakeParallelE spreads the work estimation
+// over a worker pool. An unknown strategy panics.
 func Make[T sparse.Number](s Strategy, n int, a, b, m *sparse.CSR[T]) []Tile {
-	return MakeParallel(s, n, 1, a, b, m)
+	return must(MakeParallelE(nil, s, n, 1, a, b, m))
 }
 
 // CheckPartition verifies that tiles cover [0, rows) exactly once, in

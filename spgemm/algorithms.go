@@ -45,7 +45,7 @@ func KTruss(a *Matrix, k int, opts Options) (*Matrix, int, error) {
 // BFS runs a direction-optimizing breadth-first search from src and
 // returns per-vertex hop levels (-1 = unreachable).
 func BFS(a *Matrix, src int) ([]int32, error) {
-	res, err := graph.BFS(a.csr, src, core.Auto)
+	res, err := graph.BFS(a.csr, src, core.Auto, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func BFS(a *Matrix, src int) ([]int32, error) {
 // BetweennessCentrality returns the unnormalized betweenness
 // contributions from the given source vertices (all vertices = exact BC).
 func BetweennessCentrality(a *Matrix, sources []int) ([]float64, error) {
-	return graph.BetweennessCentrality(a.csr, sources)
+	return graph.BetweennessCentrality(a.csr, sources, nil)
 }
 
 // KCore returns each vertex's coreness (the largest k whose k-core
@@ -84,7 +84,7 @@ func BetweennessCentralityBatch(a *Matrix, sources []int, opts Options) ([]float
 // vertex id in each component) and the component count, computed by
 // algebraic label propagation over the (min, first) semiring.
 func ConnectedComponents(a *Matrix) ([]int32, int, error) {
-	res, err := graph.ConnectedComponentsLabelProp(a.csr)
+	res, err := graph.ConnectedComponentsLabelProp(a.csr, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -95,7 +95,7 @@ func ConnectedComponents(a *Matrix) ([]int32, int, error) {
 // stored edge weights (tropical-semiring Bellman-Ford); +Inf marks
 // unreachable vertices.
 func ShortestPaths(a *Matrix, src int) ([]float64, error) {
-	return graph.SSSP(a.csr, src)
+	return graph.SSSP(a.csr, src, nil)
 }
 
 // PageRank runs the damped power iteration until the L1 delta falls

@@ -2,7 +2,6 @@ package spgemm
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"maskedspgemm/internal/core"
@@ -41,7 +40,7 @@ func MxM(mask, a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	if opts.ValuedMask {
 		mask = wrap(sparse.PruneZeros(mask.csr))
 	}
-	c, err := retryLoop(opts, func(o Options) (*sparse.CSR[float64], error) {
+	c, err := opts.retry(func(o Options) (*sparse.CSR[float64], error) {
 		return mxmAttempt(mask, a, b, o)
 	})
 	if err != nil {
@@ -153,7 +152,7 @@ func MxMChain(m1, a, b, m2, c *Matrix, opts Options) (_ *Matrix, err error) {
 	// retries the fused pipeline serially, rung two drops Fuse — the
 	// fused→staged degradation — and reruns as two ordinary multiplies
 	// with fresh unpooled buffers.
-	d, err := retryLoop(opts, func(o Options) (*sparse.CSR[float64], error) {
+	d, err := opts.retry(func(o Options) (*sparse.CSR[float64], error) {
 		if o.Fuse {
 			return fusedChainAttempt(m1, a, b, m2, c, o)
 		}
@@ -352,15 +351,7 @@ func (mu *Multiplier) Multiply() (*Matrix, error) {
 // unpooled buffers — see Retry.
 func (mu *Multiplier) MultiplyContext(ctx context.Context) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
-	budget := mu.retry.MaxAttempts
-	if budget < 1 {
-		budget = 1
-	}
-	rec := mu.rec
-	record := mu.retry.MaxAttempts > 1
-	backoff := mu.retry.Backoff
-	var lastErr error
-	for try := 0; try < budget; try++ {
+	c, err := retryLoop(ctx, mu.retry, mu.rec, mu.tel, func(try int) (*sparse.CSR[float64], error) {
 		d := core.DegradeNone
 		if try > 0 && !mu.retry.NoDegrade {
 			d = core.DegradeSerial
@@ -368,34 +359,12 @@ func (mu *Multiplier) MultiplyContext(ctx context.Context) (_ *Matrix, err error
 				d = core.DegradeUnpooled
 			}
 		}
-		c, err := mu.multiplyAttempt(ctx, d)
-		if record {
-			rec.AddRetry(obs.RetryCounters{
-				Attempts:     1,
-				Retries:      b2i(try > 0),
-				Degradations: b2i(d != core.DegradeNone),
-				Stalls:       b2i(errors.Is(err, ErrStalled)),
-			})
-		}
-		if err == nil {
-			return wrap(c), nil
-		}
-		lastErr = err
-		if !retryable(err) || try == budget-1 {
-			break
-		}
-		if backoff > 0 {
-			if sleepCtx(ctx, backoff) != nil {
-				break
-			}
-			backoff *= 2
-		}
+		return mu.multiplyAttempt(ctx, d)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if record {
-		rec.AddRetry(obs.RetryCounters{Failures: 1})
-	}
-	dumpOnFailure(mu.tel, mu.retry, lastErr)
-	return nil, lastErr
+	return wrap(c), nil
 }
 
 // multiplyAttempt runs one attempt of the plan at degradation rung d,

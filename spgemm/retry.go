@@ -61,13 +61,15 @@ func retryable(err error) bool {
 	return false
 }
 
-// degradeOptions returns the options for retry attempt `try` (1-based
-// over retries): rung one forces the serial path, rung two and beyond
+// rung returns the options for attempt try (0 = the first, configured
+// try): rung one forces the serial path, rung two and beyond
 // additionally drop fusion and the engine. Adaptive κ is disabled on
 // every degraded rung — a degraded run measures a different execution
 // path and must not steer the estimator.
-func degradeOptions(opts Options, try int) Options {
-	o := opts
+func (o Options) rung(try int) Options {
+	if try == 0 || o.Retry.NoDegrade {
+		return o
+	}
 	o.Workers, o.PlanWorkers = 1, 1
 	o.Schedule = SchedStatic
 	o.AdaptiveKappa = false
@@ -78,31 +80,34 @@ func degradeOptions(opts Options, try int) Options {
 	return o
 }
 
-// retryLoop drives Options.Retry around attempt: the first try runs
-// with the configured options, each retry re-runs with the next rung's
-// degraded options, with a doubling context-aware backoff in between.
-// Retry counters are recorded only when a retry policy is configured,
-// so plain calls leave the stats/v1 retry block untouched.
-func retryLoop(opts Options, attempt func(Options) (*sparse.CSR[float64], error)) (*sparse.CSR[float64], error) {
-	budget := opts.Retry.MaxAttempts
-	if budget < 1 {
-		budget = 1
-	}
-	rec := opts.recorder()
-	record := opts.Retry.MaxAttempts > 1
-	backoff := opts.Retry.Backoff
+// retry runs attempt under the options' retry policy, handing each try
+// its rung's options.
+func (o Options) retry(attempt func(Options) (*sparse.CSR[float64], error)) (*sparse.CSR[float64], error) {
+	return retryLoop(o.Context, o.Retry, o.recorder(), o.Engine.telemetry(),
+		func(try int) (*sparse.CSR[float64], error) { return attempt(o.rung(try)) })
+}
+
+// retryLoop drives the retry policy r around attempt, the one loop
+// behind MxM, MxMChain and Multiplier.Multiply: attempt(0) is the
+// configured path, each further attempt(try) applies the next rung of
+// the caller's ladder, with a doubling backoff that observes ctx in
+// between. Retry counters are recorded only when a retry policy is
+// configured, so plain calls leave the stats/v1 retry block untouched.
+func retryLoop(
+	ctx context.Context, r Retry, rec *obs.Recorder, tel *Telemetry,
+	attempt func(try int) (*sparse.CSR[float64], error),
+) (*sparse.CSR[float64], error) {
+	budget := max(r.MaxAttempts, 1)
+	record := r.MaxAttempts > 1
+	backoff := r.Backoff
 	var lastErr error
 	for try := 0; try < budget; try++ {
-		o := opts
-		if try > 0 && !opts.Retry.NoDegrade {
-			o = degradeOptions(opts, try)
-		}
-		c, err := attempt(o)
+		c, err := attempt(try)
 		if record {
 			rec.AddRetry(obs.RetryCounters{
 				Attempts:     1,
 				Retries:      b2i(try > 0),
-				Degradations: b2i(try > 0 && !opts.Retry.NoDegrade),
+				Degradations: b2i(try > 0 && !r.NoDegrade),
 				Stalls:       b2i(errors.Is(err, ErrStalled)),
 			})
 		}
@@ -114,7 +119,7 @@ func retryLoop(opts Options, attempt func(Options) (*sparse.CSR[float64], error)
 			break
 		}
 		if backoff > 0 {
-			if sleepCtx(opts.Context, backoff) != nil {
+			if sleepCtx(ctx, backoff) != nil {
 				break
 			}
 			backoff *= 2
@@ -123,7 +128,7 @@ func retryLoop(opts Options, attempt func(Options) (*sparse.CSR[float64], error)
 	if record {
 		rec.AddRetry(obs.RetryCounters{Failures: 1})
 	}
-	dumpOnFailure(opts.Engine.telemetry(), opts.Retry, lastErr)
+	dumpOnFailure(tel, r, lastErr)
 	return nil, lastErr
 }
 
