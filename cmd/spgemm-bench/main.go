@@ -4,75 +4,70 @@
 //
 // Usage:
 //
-//	spgemm-bench -experiment table1|fig1|fig10|fig11|fig13|fig14|tune|ablation|predict|model|plan|sched|stats|engine|fusion|kappa-adapt|trsv|chaos|all [flags]
+//	spgemm-bench -experiment NAME [flags]
+//
+// Experiments (bench.Experiments, in table order; "all" runs the first
+// fifteen, the rest repeat earlier timings or inject faults and run
+// only when named):
+//
+//	table1        Table I: the corpus and its structural statistics
+//	fig1          Fig. 1: SuiteSparse-like vs GrB-like vs tuned runtimes
+//	fig10, fig11  Figs. 10-11: tile-count x tiling x schedule x accumulator sweep
+//	fig13         Fig. 13: accumulator marker widths 8/16/32/64
+//	fig14         Fig. 14: runtime vs co-iteration factor κ
+//	tune          Fig. 12: staged tuning flow per matrix
+//	ablation      reset strategy, semiring and vanilla-space ablations
+//	predict       execution-time configuration model vs the default
+//	model         Eq. 2/3 cost-model predictions vs measured speedup
+//	sortcost      sorted-B requirement: sort cost vs hybrid saving
+//	formulations  saxpy (load, hybrid) vs dot vs 2-D tiling
+//	scaling       worker-count sweep
+//	counters      instrumented work counts vs the Eq. 2/3 model
+//	plan          plan-construction phases, serial vs parallel
+//	sched         Static vs Dynamic vs Guided across the tile grid
+//	engine        iterative workloads (k-truss, batched BC): no engine vs
+//	              warm engine vs warm engine + fused pipeline; fails on
+//	              a warm pool hit rate under 95%, on fused allocs/op
+//	              above unfused, or on a checksum mismatch
+//	kappa-adapt   online κ recalibration vs an offline κ sweep
+//	trsv          triangular solve, serial vs dependency waves; fails
+//	              unless the two solutions are bit-identical
+//	chaos         seeded fault matrix against one shared engine, then
+//	              the nil-injector allocation pin; fails on any pool
+//	              violation, untyped error or result divergence
+//	stats         tuned configuration under a live recorder: phase
+//	              times, per-worker counters, accumulator statistics
 //
 // Flags:
 //
 //	-shift N         halve graph sizes N times (default 0 = benchmark scale)
 //	-workers N       kernel worker goroutines (default GOMAXPROCS)
 //	-plan-workers N  plan-construction/assembly goroutines (default = workers)
-//	-guided-chunk N  chunk floor for the Guided schedule (default 1)
 //	-reps N          max timed repetitions per configuration (default 3)
 //	-budget D        per-configuration time budget (default 2s)
 //	-graphs CSV      restrict to named graphs (default all)
-//	-stats           run the kernel observability experiment (human table)
-//	-stats-json      also write the stats report to BENCH_stats.json
-//	-json            write each run's measurements to results_<experiment>.json
+//	-json            write every timed row to results_<experiment>.json
+//	                 (maskedspgemm/bench-results/v1, self-validated)
 //	-engine          run every experiment against one shared execution engine
 //	-pool-cap N      idle-workspace cap for that engine (0 = default)
-//	-engine-json     with -experiment engine, write BENCH_engine.json
-//	-min-hit-rate F  with -experiment engine, fail below this warm hit rate
 //	-retention-mb N  size the shared -engine by an N-MiB retention budget
-//	-fusion          run the fused-pipeline experiment (= -experiment fusion)
-//	-fusion-json     with the fusion experiment, write BENCH_fusion.json
-//	-check-fused-allocs  fail if any fused workload allocates more than unfused
-//	-adaptive-kappa  run the online-κ experiment (= -experiment kappa-adapt)
-//	-kappa-json      with the κ experiment, write BENCH_kappa_adapt.json
-//	-kappa-slack F   fail if adapted κ is more than F worse than best/default
-//	-trsv            run the triangular-solve experiment (= -experiment trsv)
-//	-trsv-json       with the trsv experiment, write BENCH_trsv.json
-//	-min-trsv-speedup F  fail unless waves beat serial by F on some graph
-//	-chaos-seed N    run the seeded chaos drill (= -experiment chaos)
+//	-kappa-slack F   after kappa-adapt: fail if the adapted κ runs more
+//	                 than F over the best swept κ or the static default
+//	-min-trsv-speedup F  after trsv: fail unless waves beat serial by F
+//	                 on some graph
+//	-chaos-seed N    seed of the chaos drill's fault matrix (default 1)
 //	-listen ADDR     serve live telemetry (/metrics, /stats, /flight,
 //	                 expvar, pprof) on ADDR while the experiments run
 //	-telemetry-check self-scrape the telemetry endpoints after the run
 //	                 and fail unless they parse with every required
 //	                 series (implies -listen 127.0.0.1:0)
 //
-// The chaos drill (-chaos-seed N or -experiment chaos) replays the
-// seeded fault matrix of the chaos test suite against one shared
-// engine — every injection point under every scheduling policy — and
-// requires each cell to surface a typed error or reproduce the
-// fault-free result bit-identically, with the workspace pool's
-// invariants (Engine.SelfCheck) holding after every cell. It then pins
-// the nil-injector fast path: a warm serial multiply with chaos
-// disabled must not allocate more than the armed-but-quiet injector
-// path, nor exceed the pre-chaos steady-state budget. Any violation
-// exits nonzero; `make chaos` runs it alongside the -race chaos tests.
-//
-// The fusion experiment (-experiment fusion) times the fused
-// formulations of the iterative workloads — k-truss with the
-// select-fused support round, batched BC with the streamed backward
-// sweep — against their materializing twins, both warm through their
-// own engines; -check-fused-allocs turns it into the
-// `make bench-fusion` regression gate.
-//
-// The kappa-adapt experiment (-experiment kappa-adapt) sweeps κ
-// offline on the benchmark kernel, then lets the online recalibrator
-// adapt from the default over a bounded warm loop and times the κ it
-// settles on; -kappa-slack 0.05 asserts the paper-accepted bound.
-//
-// The engine experiment (-experiment engine) times the iterative graph
-// workloads (k-truss, batched betweenness centrality) with and without
-// a shared execution engine, reporting wall time, allocations per
-// operation, and the warm-loop workspace-pool hit rate; -min-hit-rate
-// turns it into the `make bench-engine` regression gate.
-//
-// The stats experiment times the tuned configuration on every corpus
-// graph with a live recorder: per-phase wall times, exact per-worker
-// tile/row/FLOP counters with load-imbalance summaries, hybrid Eq. 3
-// decision counts, and accumulator statistics. It can also be selected
-// directly with -experiment stats.
+// Invariants that do not depend on the clock are errors the experiments
+// return; the two timing gates (-kappa-slack, -min-trsv-speedup) judge
+// the logged rows after the run, because a timing bound only means
+// something on a host with real cores. `go run ./benchmark` (make
+// bench) is the end-to-end yardstick; this tool regenerates the paper's
+// figures.
 package main
 
 import (
@@ -97,28 +92,16 @@ func main() {
 	shift := flag.Int("shift", 0, "halve graph sizes this many times")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	planWorkers := flag.Int("plan-workers", 0, "plan-construction/assembly goroutines (0 = same as workers)")
-	guidedChunk := flag.Int("guided-chunk", 0, "chunk floor for the Guided schedule (0 = 1)")
 	reps := flag.Int("reps", 3, "max timed repetitions")
 	budget := flag.Duration("budget", 2*time.Second, "per-config time budget")
 	graphs := flag.String("graphs", "", "comma-separated graph names (default all)")
-	statsFlag := flag.Bool("stats", false, "run the kernel observability experiment (human table)")
-	statsJSON := flag.Bool("stats-json", false, "write the stats report to BENCH_stats.json (implies -stats)")
-	jsonOut := flag.Bool("json", false, "write measurements to results_<experiment>.json")
+	jsonOut := flag.Bool("json", false, "write every timed row to results_<experiment>.json")
 	useEngine := flag.Bool("engine", false, "run all experiments against one shared execution engine (pooled workspaces + plan cache)")
 	poolCap := flag.Int("pool-cap", 0, "idle-workspace cap for -engine (0 = default, negative disables retention)")
-	engineJSON := flag.Bool("engine-json", false, "with -experiment engine, write the report to BENCH_engine.json")
-	minHitRate := flag.Float64("min-hit-rate", 0, "with -experiment engine, fail if any warm-loop pool hit rate is below this fraction")
 	retentionMB := flag.Int64("retention-mb", 0, "size the shared -engine by this retention budget in MiB (0 = use -pool-cap; implies -engine)")
-	fusionFlag := flag.Bool("fusion", false, "run the fused-pipeline experiment (same as -experiment fusion)")
-	fusionJSON := flag.Bool("fusion-json", false, "with the fusion experiment, write the report to BENCH_fusion.json")
-	checkFusedAllocs := flag.Bool("check-fused-allocs", false, "with the fusion experiment, fail if any fused workload allocates more per op than its unfused twin")
-	adaptiveKappa := flag.Bool("adaptive-kappa", false, "run the online-κ recalibration experiment (same as -experiment kappa-adapt)")
-	kappaJSON := flag.Bool("kappa-json", false, "with the κ experiment, write the report to BENCH_kappa_adapt.json")
-	kappaSlack := flag.Float64("kappa-slack", 0, "with the κ experiment, fail if the adapted κ's warm time is more than this fraction over the best swept κ or the static default")
-	trsvFlag := flag.Bool("trsv", false, "run the triangular-solve experiment (same as -experiment trsv)")
-	trsvJSON := flag.Bool("trsv-json", false, "with the trsv experiment, write the report to BENCH_trsv.json")
-	minTrsvSpeedup := flag.Float64("min-trsv-speedup", 0, "with the trsv experiment, fail unless some graph's wave schedule beats serial by this factor (0 = bit-identity gate only)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "run the seeded chaos drill with this seed (0 = off; same as -experiment chaos with seed 1)")
+	kappaSlack := flag.Float64("kappa-slack", 0, "after the kappa-adapt experiment, fail if the adapted κ's warm time is more than this fraction over the best swept κ or the static default")
+	minTrsvSpeedup := flag.Float64("min-trsv-speedup", 0, "after the trsv experiment, fail unless some graph's wave schedule beats serial by this factor (0 = bit-identity gate only)")
+	chaosSeed := flag.Int64("chaos-seed", 0, "seed of the chaos experiment's fault matrix (0 = 1)")
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /stats, /flight, pprof) on this address while experiments run (e.g. :6060 or 127.0.0.1:0)")
 	telemetryCheck := flag.Bool("telemetry-check", false, "after the experiments, self-scrape the telemetry server and fail unless /metrics, /stats and /flight parse with all required series (implies -listen 127.0.0.1:0)")
 	flag.Parse()
@@ -133,7 +116,6 @@ func main() {
 	o.Shift = *shift
 	o.Workers = *workers
 	o.PlanWorkers = *planWorkers
-	o.GuidedMinChunk = *guidedChunk
 	o.Method = bench.Methodology{Warmups: 1, MaxReps: *reps, Budget: *budget, Context: ctx}
 	if *graphs != "" {
 		for _, g := range strings.Split(*graphs, ",") {
@@ -146,9 +128,8 @@ func main() {
 			o.Graphs = append(o.Graphs, name)
 		}
 	}
-	if *jsonOut {
-		o.Log = &bench.ResultLog{}
-	}
+	// The log is always on: -json writes it, the timing gates read it.
+	o.Log = &bench.ResultLog{}
 	switch {
 	case *retentionMB != 0:
 		if *retentionMB < 0 {
@@ -191,261 +172,78 @@ func main() {
 	}
 
 	w := os.Stdout
-	run := func(name string, f func() error) {
-		fmt.Fprintf(w, "=== %s ===\n", name)
-		start := time.Now()
-		if err := f(); err != nil {
-			if errors.Is(err, core.ErrCanceled) {
-				fmt.Fprintf(os.Stderr, "%s: interrupted: %v\n", name, err)
-			} else {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			}
-			os.Exit(1)
+	fail := func(what string, err error) {
+		if errors.Is(err, core.ErrCanceled) {
+			fmt.Fprintf(os.Stderr, "%s: interrupted: %v\n", what, err)
+		} else {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
 		}
-		fmt.Fprintf(w, "[%s took %s]\n\n", name, time.Since(start).Round(time.Millisecond))
+		os.Exit(1)
 	}
-
-	want := func(name string) bool { return *experiment == "all" || *experiment == name }
+	experiments := bench.Experiments(*chaosSeed)
 	ran := false
-	if want("table1") {
-		run("table1", func() error { return bench.Table1(w, o) })
+	for _, e := range experiments {
+		if !e.Selected(*experiment) {
+			continue
+		}
 		ran = true
-	}
-	if want("fig1") {
-		run("fig1", func() error { return bench.Fig1(w, o) })
-		ran = true
-	}
-	if want("fig10") || want("fig11") {
-		run("fig10+fig11", func() error {
-			rel, err := bench.TileSweep(w, o)
-			if err != nil {
-				return err
-			}
-			bench.Fig10(w, rel)
-			return nil
-		})
-		ran = true
-	}
-	if want("fig13") {
-		run("fig13", func() error { return bench.Fig13(w, o) })
-		ran = true
-	}
-	if want("fig14") {
-		run("fig14", func() error { return bench.Fig14(w, o) })
-		ran = true
-	}
-	if want("tune") {
-		run("tune", func() error { return bench.TuneReport(w, o) })
-		ran = true
-	}
-	if want("ablation") {
-		run("ablation", func() error { return bench.Ablations(w, o) })
-		ran = true
-	}
-	if want("predict") {
-		run("predict", func() error { return bench.PredictReport(w, o) })
-		ran = true
-	}
-	if want("model") {
-		run("model", func() error { return bench.ModelValidation(w, o) })
-		ran = true
-	}
-	if want("sortcost") {
-		run("sortcost", func() error { return bench.SortCost(w, o) })
-		ran = true
-	}
-	if want("formulations") {
-		run("formulations", func() error { return bench.Formulations(w, o) })
-		ran = true
-	}
-	if want("scaling") {
-		run("scaling", func() error { return bench.Scaling(w, o) })
-		ran = true
-	}
-	if want("counters") {
-		run("counters", func() error { return bench.CountersReport(w, o) })
-		ran = true
-	}
-	if want("plan") {
-		run("plan", func() error { return bench.PlanBench(w, o) })
-		ran = true
-	}
-	if want("sched") {
-		run("sched", func() error { return bench.SchedSweep(w, o) })
-		ran = true
-	}
-	// The engine experiment never runs under "all" implicitly — it
-	// repeats the iterative workloads with and without pooling — but
-	// -experiment engine selects it; -min-hit-rate turns it into the
-	// `make bench-engine` gate.
-	if *experiment == "engine" {
-		run("engine", func() error {
-			report, err := bench.EngineBench(w, o)
-			if err != nil {
-				return err
-			}
-			if *engineJSON {
-				if err := writeValidated("BENCH_engine.json",
-					func(f *os.File) error { return report.WriteJSON(f) },
-					bench.ValidateEngineReportJSON); err != nil {
-					return err
-				}
-			}
-			if *minHitRate > 0 {
-				if err := report.CheckWarmHitRate(*minHitRate); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "warm pool hit rate >= %.0f%% on every workload (min %.1f%%)\n",
-					*minHitRate*100, report.MinWarmHitRate()*100)
-			}
-			return nil
-		})
-		ran = true
-	}
-	// Like the engine experiment, fusion and kappa-adapt repeat the
-	// iterative workloads, so "all" skips them; the -fusion and
-	// -adaptive-kappa shorthands (or -experiment) select them.
-	if *experiment == "fusion" || *fusionFlag {
-		run("fusion", func() error {
-			report, err := bench.FusionBench(w, o)
-			if err != nil {
-				return err
-			}
-			if *fusionJSON {
-				if err := writeValidated("BENCH_fusion.json",
-					func(f *os.File) error { return report.WriteJSON(f) },
-					bench.ValidateFusionReportJSON); err != nil {
-					return err
-				}
-			}
-			if *checkFusedAllocs {
-				if err := report.CheckFusedAllocs(); err != nil {
-					return err
-				}
-				fmt.Fprintln(w, "fused allocs/op within unfused bounds on every workload")
-			}
-			return nil
-		})
-		ran = true
-	}
-	if *experiment == "kappa-adapt" || *adaptiveKappa {
-		run("kappa-adapt", func() error {
-			report, err := bench.KappaAdaptBench(w, o)
-			if err != nil {
-				return err
-			}
-			if *kappaJSON {
-				if err := writeValidated("BENCH_kappa_adapt.json",
-					func(f *os.File) error { return report.WriteJSON(f) },
-					bench.ValidateKappaAdaptReportJSON); err != nil {
-					return err
-				}
-			}
-			if *kappaSlack > 0 {
-				if err := report.CheckAdapted(*kappaSlack); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "adapted κ within %.0f%% of the best swept κ and the static default on every graph\n",
-					*kappaSlack*100)
-			}
-			return nil
-		})
-		ran = true
-	}
-	// The trsv experiment times the triangular-solve schedules; like the
-	// other timing comparisons "all" skips it, -trsv (or -experiment
-	// trsv) selects it. Bit-identity between the wave and serial
-	// solutions is asserted unconditionally inside the experiment;
-	// -min-trsv-speedup adds the timing bound for machines with real
-	// cores — the `make bench-trsv` gate.
-	if *experiment == "trsv" || *trsvFlag {
-		run("trsv", func() error {
-			report, err := bench.TrsvBench(w, o)
-			if err != nil {
-				return err
-			}
-			if *trsvJSON {
-				if err := writeValidated("BENCH_trsv.json",
-					func(f *os.File) error { return report.WriteJSON(f) },
-					bench.ValidateTrsvReportJSON); err != nil {
-					return err
-				}
-			}
-			if *minTrsvSpeedup > 0 {
-				if err := report.CheckWaveSpeedup(*minTrsvSpeedup); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wave schedule beats serial by >= %.2fx on at least one graph\n", *minTrsvSpeedup)
-			}
-			return nil
-		})
-		ran = true
-	}
-	// The chaos drill deliberately injects faults, so "all" skips it;
-	// -chaos-seed (or -experiment chaos) selects it. It exits nonzero on
-	// any pool-invariant violation, untyped failure, or result
-	// divergence, and on any allocation the nil-injector fast path adds
-	// to the warm tile loop — the `make chaos` gate.
-	if *experiment == "chaos" || *chaosSeed != 0 {
-		run("chaos", func() error {
-			seed := *chaosSeed
-			if seed == 0 {
-				seed = 1
-			}
-			return bench.ChaosDrill(w, o, seed)
-		})
-		ran = true
-	}
-	// The stats experiment never runs under "all" implicitly — it repeats
-	// the tuned timing — but either stats flag or -experiment stats
-	// selects it.
-	if *experiment == "stats" || *statsFlag || *statsJSON {
-		run("stats", func() error {
-			report, err := bench.CollectStats(o)
-			if err != nil {
-				return err
-			}
-			report.WriteTable(w)
-			if *statsJSON {
-				return writeValidated("BENCH_stats.json",
-					func(f *os.File) error { return report.WriteJSON(f) },
-					bench.ValidateStatsReportJSON)
-			}
-			return nil
-		})
-		ran = true
+		fmt.Fprintf(w, "=== %s ===\n", e.Name)
+		start := time.Now()
+		if err := e.Run(w, o); err != nil {
+			fail(e.Name, err)
+		}
+		fmt.Fprintf(w, "[%s took %s]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
+		var names []string
+		for _, e := range experiments {
+			names = append(names, e.Name)
+		}
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; available: all, %s\n", *experiment, strings.Join(names, ", "))
 		os.Exit(2)
 	}
-	if o.Log.Len() > 0 {
-		name := fmt.Sprintf("results_%s.json", *experiment)
-		if err := writeValidated(name,
-			func(f *os.File) error { return o.Log.WriteJSON(f, *experiment) },
-			bench.ValidateResultJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+	// The timing gates judge the rows the run just logged.
+	if *minTrsvSpeedup > 0 {
+		if err := bench.CheckWaveSpeedup(o.Log, *minTrsvSpeedup); err != nil {
+			fail("-min-trsv-speedup", err)
+		}
+		fmt.Fprintf(w, "wave schedule beats serial by >= %.2fx on at least one graph\n", *minTrsvSpeedup)
+	}
+	if *kappaSlack > 0 {
+		if err := bench.CheckAdapted(o.Log, *kappaSlack); err != nil {
+			fail("-kappa-slack", err)
+		}
+		fmt.Fprintf(w, "adapted κ within %.0f%% of the best swept κ and the static default on every graph\n",
+			*kappaSlack*100)
+	}
+	if *jsonOut {
+		if err := writeResults(o.Log, *experiment); err != nil {
+			fail("-json", err)
 		}
 	}
 	if *telemetryCheck {
 		if err := telemetry.SelfCheck(telSrv.URL()); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry-check: %v\n", err)
-			os.Exit(1)
+			fail("telemetry-check", err)
 		}
 		fmt.Fprintln(w, "telemetry self-check passed: /metrics, /stats and /flight all parse with every required series")
 	}
 }
 
-// writeValidated writes a JSON document to path, reads it back, and
-// checks it strictly round-trips through its declared schema — so a
-// file the tool emits is a file its consumers can parse.
-func writeValidated(path string, write func(*os.File) error, validate func([]byte) error) error {
+// writeResults writes the run's timed rows to results_<experiment>.json,
+// reads the file back, and checks it strictly round-trips through
+// bench-results/v1 — so a file the tool emits is a file its consumers
+// can parse.
+func writeResults(log *bench.ResultLog, experiment string) error {
+	if log.Len() == 0 {
+		fmt.Fprintf(os.Stderr, "-json: %s times nothing; no file written\n", experiment)
+		return nil
+	}
+	path := fmt.Sprintf("results_%s.json", experiment)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := log.WriteJSON(f, experiment); err != nil {
 		f.Close()
 		return err
 	}
@@ -456,7 +254,7 @@ func writeValidated(path string, write func(*os.File) error, validate func([]byt
 	if err != nil {
 		return err
 	}
-	if err := validate(data); err != nil {
+	if err := bench.ValidateResultJSON(data); err != nil {
 		return fmt.Errorf("self-validation of %s failed: %w", path, err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes, schema validated)\n", path, len(data))

@@ -32,31 +32,27 @@ func Ablations(w io.Writer, o Options) error {
 			Schedule: sched.Dynamic, Workers: o.Workers,
 		}
 
-		marker, err := TimeMasked(a, base, o.Method)
+		marker, err := o.timeMasked("ablation", g.Name, "marker", a, base)
 		if err != nil {
 			return err
 		}
 		expl := base
 		expl.Accumulator = accum.HashExplicitKind
-		explicit, err := TimeMasked(a, expl, o.Method)
+		explicit, err := o.timeMasked("ablation", g.Name, "explicit", a, expl)
 		if err != nil {
 			return err
 		}
 
-		pair, err := TimeFn(func() (int64, error) {
-			c, err := core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, a, a, a, base)
-			if err != nil {
-				return 0, err
-			}
-			return c.NNZ(), nil
-		}, o.Method)
+		pair, err := o.time("ablation", g.Name, "plus-pair", func() (int64, error) {
+			return nnz(core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, a, a, a, base))
+		})
 		if err != nil {
 			return err
 		}
 
 		van := base
 		van.Iteration = core.Vanilla
-		vanilla, err := TimeMasked(a, van, vanillaMethod(o.Method))
+		vanilla, err := o.singleShot().timeMasked("ablation", g.Name, "vanilla", a, van)
 		if err != nil {
 			return err
 		}
@@ -68,10 +64,11 @@ func Ablations(w io.Writer, o Options) error {
 	return nil
 }
 
-// vanillaMethod trims repetitions for the deliberately wasteful vanilla
-// space, which can be orders of magnitude slower (the circuit5M effect).
-func vanillaMethod(m Methodology) Methodology {
-	m.Warmups = 0
-	m.MaxReps = 1
-	return m
+// singleShot trims the methodology to one cold repetition for the
+// deliberately wasteful vanilla space, which can be orders of magnitude
+// slower (the circuit5M effect).
+func (o Options) singleShot() Options {
+	o.Method.Warmups = 0
+	o.Method.MaxReps = 1
+	return o
 }

@@ -151,159 +151,39 @@ func TestMeasureMethodology(t *testing.T) {
 	if m.Millis < 0 {
 		t.Error("negative time")
 	}
+
+	// A kernel whose checksum changes between repetitions is broken:
+	// the measurement must fail naming both values, not report the last.
+	calls = 0
+	drifting := func() (int64, error) {
+		calls++
+		return int64(40 + calls), nil
+	}
+	_, err = measure(drifting, Methodology{Warmups: 1, MaxReps: 3, Budget: time.Hour})
+	if err == nil || !strings.Contains(err.Error(), "41") || !strings.Contains(err.Error(), "42") {
+		t.Errorf("checksum drift 41 -> 42 not reported: %v", err)
+	}
+	if calls != 2 {
+		t.Errorf("measurement kept running after the drift: %d calls", calls)
+	}
 }
 
 func TestTimeMaskedChecksum(t *testing.T) {
 	g, _ := FindGraph("GAP-road-sim")
 	a := g.Build(testShift)
-	m1, err := TimeMasked(a, core.DefaultConfig(), QuickMethodology())
+	o := testOptions()
+	m1, err := o.timeMasked("test", g.Name, "hybrid", a, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Iteration = core.MaskLoad
-	m2, err := TimeMasked(a, cfg, QuickMethodology())
+	m2, err := o.timeMasked("test", g.Name, "maskload", a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1.OutputNNZ != m2.OutputNNZ {
 		t.Errorf("checksums differ: %d vs %d", m1.OutputNNZ, m2.OutputNNZ)
-	}
-}
-
-func TestExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke tests are not short")
-	}
-	o := testOptions()
-	o.Graphs = []string{"GAP-road-sim", "circuit5M-sim"}
-
-	var buf bytes.Buffer
-	if err := Table1(&buf, o); err != nil {
-		t.Fatalf("table1: %v", err)
-	}
-	if !strings.Contains(buf.String(), "GAP-road-sim") {
-		t.Error("table1 missing corpus row")
-	}
-
-	buf.Reset()
-	if err := Fig1(&buf, o); err != nil {
-		t.Fatalf("fig1: %v", err)
-	}
-	if !strings.Contains(buf.String(), "GrB~") {
-		t.Error("fig1 missing header")
-	}
-
-	buf.Reset()
-	rel, err := TileSweep(&buf, o)
-	if err != nil {
-		t.Fatalf("tile sweep: %v", err)
-	}
-	Fig10(&buf, rel)
-	out := buf.String()
-	if !strings.Contains(out, "Figure 10") || !strings.Contains(out, "Figure 11") {
-		t.Error("sweep output incomplete")
-	}
-	// 8 configs x 2 tile counts recorded per graph.
-	if got := len(rel.Configs()); got != 16 {
-		t.Errorf("sweep recorded %d configs, want 16", got)
-	}
-
-	buf.Reset()
-	if err := Fig13(&buf, o); err != nil {
-		t.Fatalf("fig13: %v", err)
-	}
-	if !strings.Contains(buf.String(), "32b") {
-		t.Error("fig13 missing widths")
-	}
-
-	buf.Reset()
-	o14 := o
-	o14.Graphs = []string{"circuit5M-sim"}
-	if err := Fig14(&buf, o14); err != nil {
-		t.Fatalf("fig14: %v", err)
-	}
-	if !strings.Contains(buf.String(), "no-coiter") {
-		t.Error("fig14 missing baseline column")
-	}
-
-	buf.Reset()
-	if err := Ablations(&buf, o); err != nil {
-		t.Fatalf("ablations: %v", err)
-	}
-
-	buf.Reset()
-	if err := PredictReport(&buf, o); err != nil {
-		t.Fatalf("predict: %v", err)
-	}
-	if !strings.Contains(buf.String(), "predicted-config") {
-		t.Error("predict report missing header")
-	}
-
-	buf.Reset()
-	if err := ModelValidation(&buf, o); err != nil {
-		t.Fatalf("model: %v", err)
-	}
-	if !strings.Contains(buf.String(), "predicted") {
-		t.Error("model validation missing columns")
-	}
-
-	buf.Reset()
-	if err := SortCost(&buf, o); err != nil {
-		t.Fatalf("sortcost: %v", err)
-	}
-	if !strings.Contains(buf.String(), "breakeven") {
-		t.Error("sortcost missing breakeven column")
-	}
-
-	buf.Reset()
-	if err := Formulations(&buf, o); err != nil {
-		t.Fatalf("formulations: %v", err)
-	}
-	if !strings.Contains(buf.String(), "dot") {
-		t.Error("formulations missing dot column")
-	}
-
-	buf.Reset()
-	if err := CountersReport(&buf, o); err != nil {
-		t.Fatalf("counters: %v", err)
-	}
-	if !strings.Contains(buf.String(), "rejected") {
-		t.Error("counters missing rejected column")
-	}
-
-	buf.Reset()
-	if err := Scaling(&buf, o); err != nil {
-		t.Fatalf("scaling: %v", err)
-	}
-	if !strings.Contains(buf.String(), "workers") {
-		t.Error("scaling missing header")
-	}
-
-	buf.Reset()
-	oPlan := o
-	oPlan.Graphs = []string{"GAP-road-sim"}
-	if err := PlanBench(&buf, oPlan); err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	out = buf.String()
-	for _, phase := range []string{"RowWork", "PrefixSum", "BalancedTiles", "NewMultiplier", "Multiply"} {
-		if !strings.Contains(out, phase) {
-			t.Errorf("plan bench missing %s row", phase)
-		}
-	}
-
-	buf.Reset()
-	oSched := o
-	oSched.GuidedMinChunk = 2
-	if err := SchedSweep(&buf, oSched); err != nil {
-		t.Fatalf("sched: %v", err)
-	}
-	out = buf.String()
-	for _, policy := range []string{"Static", "Dynamic", "Guided"} {
-		if !strings.Contains(out, policy) {
-			t.Errorf("sched sweep missing %s row", policy)
-		}
 	}
 }
 
@@ -360,13 +240,13 @@ func TestTuneSmoke(t *testing.T) {
 	}
 	// The tuned config must not be slower than the default by more than
 	// noise; check it at least runs.
-	if _, err := TimeMasked(a, cfg, QuickMethodology()); err != nil {
+	if _, err := o.timeMasked("test", g.Name, "tuned", a, cfg); err != nil {
 		t.Errorf("tuned config does not run: %v", err)
 	}
 }
 
 func TestVanillaMethodTrims(t *testing.T) {
-	m := vanillaMethod(DefaultMethodology())
+	m := DefaultOptions().singleShot().Method
 	if m.Warmups != 0 || m.MaxReps != 1 {
 		t.Error("vanilla methodology must be single-shot")
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -53,8 +52,9 @@ const chaosSteadyAllocBudget = 16
 // succeeds bit-identically to the engineless reference; the engine's
 // pool invariants hold immediately afterwards; and a clean rerun on the
 // same engine reproduces the reference exactly. Any violation is an
-// error — `spgemm-bench -chaos-seed N` is the deployable form of the
-// `make chaos` gate, reusable against arbitrary seeds.
+// error — `spgemm-bench -experiment chaos -chaos-seed N` is the
+// deployable form of the `make chaos` gate, reusable against arbitrary
+// seeds.
 func ChaosDrill(w io.Writer, o Options, seed int64) error {
 	swap := &chaosSwap{}
 	eng := exec.New(exec.Config{Chaos: swap})
@@ -242,50 +242,36 @@ func chaosOverheadPin(w io.Writer, o Options) error {
 	cfg.Tiles = 4
 	cfg.Workers = 1 // serial: no per-run goroutine spawns to count
 
-	measure := func(res *core.Resilience) (allocsPerOp, msPerOp float64, err error) {
+	// One warm-up run fills the plan's tile output buffers; 50 fixed
+	// repetitions keep the allocs/op comparison independent of -budget.
+	o.Method = Methodology{Warmups: 1, MaxReps: 50, Budget: time.Hour, Context: o.Method.Context}
+	pin := func(config string, res *core.Resilience) (Measurement, error) {
 		c := cfg
 		c.Resilience = res
 		mu, err := core.NewMultiplier[float64](sr, a, a, a, c)
 		if err != nil {
-			return 0, 0, err
+			return Measurement{}, err
 		}
-		// One run warms the plan's tile output buffers.
-		if _, err := mu.Multiply(); err != nil {
-			return 0, 0, err
-		}
-		const reps = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := mu.Multiply(); err != nil {
-				return 0, 0, err
-			}
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / reps,
-			float64(elapsed) / float64(time.Millisecond) / reps, nil
+		return o.time("chaos", "er-128", config, func() (int64, error) { return nnz(mu.Multiply()) })
 	}
-
-	offAllocs, offMs, err := measure(nil)
+	off, err := pin("nil-injector", nil)
 	if err != nil {
-		return fmt.Errorf("bench: chaos-off measurement: %w", err)
+		return err
 	}
-	quietAllocs, quietMs, err := measure(&core.Resilience{Chaos: quietInjector{}})
+	quiet, err := pin("quiet-injector", &core.Resilience{Chaos: quietInjector{}})
 	if err != nil {
-		return fmt.Errorf("bench: quiet-injector measurement: %w", err)
+		return err
 	}
 
 	fmt.Fprintf(w, "nil-injector fast path: %.0f allocs/op %.3f ms/op; quiet injector: %.0f allocs/op %.3f ms/op\n",
-		offAllocs, offMs, quietAllocs, quietMs)
-	if offAllocs > quietAllocs {
+		off.AllocsPerOp, off.MeanMillis, quiet.AllocsPerOp, quiet.MeanMillis)
+	if off.AllocsPerOp > quiet.AllocsPerOp {
 		return fmt.Errorf("bench: nil-injector path allocates more than the armed quiet path (%.0f > %.0f allocs/op)",
-			offAllocs, quietAllocs)
+			off.AllocsPerOp, quiet.AllocsPerOp)
 	}
-	if offAllocs > chaosSteadyAllocBudget {
+	if off.AllocsPerOp > chaosSteadyAllocBudget {
 		return fmt.Errorf("bench: nil-injector warm Multiply allocates %.0f/op, over the pre-chaos steady budget %d",
-			offAllocs, chaosSteadyAllocBudget)
+			off.AllocsPerOp, chaosSteadyAllocBudget)
 	}
 	fmt.Fprintf(w, "nil-injector fast path within the %d-alloc steady budget; no allocation added by the chaos layer\n",
 		chaosSteadyAllocBudget)

@@ -51,3 +51,39 @@ func CountersReport(w io.Writer, o Options) error {
 	}
 	return nil
 }
+
+// StatsReport times the tuned configuration on every corpus graph with
+// a live recorder and prints the kernel observability tables: per-phase
+// wall times, exact per-worker counters with load-imbalance summaries,
+// hybrid Eq. 3 decision counts and accumulator statistics. Each graph
+// gets a fresh recorder, so its table covers exactly that graph's runs
+// (warm-ups included — they exercise the same kernel; the reps column
+// says how many runs were timed). The -json row carries the totals and
+// phase times as values.
+func StatsReport(w io.Writer, o Options) error {
+	fmt.Fprintln(w, "Kernel observability: tuned configuration, per graph")
+	for _, g := range o.corpus() {
+		a := g.Build(o.Shift)
+		cfg := o.planify(tunedConfig(o.Workers))
+		cfg.Recorder = o.newRecorder()
+		m, err := o.timeMasked("stats", g.Name, cfg.String(), a, cfg)
+		if err != nil {
+			return err
+		}
+		st := cfg.Recorder.Stats()
+		values := map[string]float64{
+			"runs": float64(st.Runs), "tiles": float64(st.Totals.Tiles),
+			"rows": float64(st.Totals.Rows), "flops": float64(st.Totals.Flops),
+			"gathered": float64(st.Totals.Gathered), "flop_imbalance": st.FlopDist.Imbalance,
+		}
+		for _, p := range st.Phases {
+			values[p.Phase+"_ms"] = p.Millis
+		}
+		o.Log.Annotate("stats", g.Name, cfg.String(), values)
+		fmt.Fprintf(w, "\n%s (%s)\n", g.Name, cfg)
+		fmt.Fprintf(w, "  min/mean/p50 ms: %.2f/%.2f/%.2f (stddev %.2f, %d reps, nnz %d)\n",
+			m.Millis, m.MeanMillis, m.P50Millis, m.StddevMillis, m.Reps, m.OutputNNZ)
+		st.WriteTable(w)
+	}
+	return nil
+}

@@ -3,167 +3,93 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graph"
+	"maskedspgemm/internal/model"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sparse"
 )
 
-// EngineMeasurement extends a timing with the allocator traffic of one
-// repetition — the quantity the execution engine exists to eliminate.
-type EngineMeasurement struct {
-	Measurement
-	// AllocsPerOp is the heap allocation count of one repetition.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// BytesPerOp is the heap bytes allocated by one repetition.
-	BytesPerOp float64 `json:"bytes_per_op"`
-}
+// minWarmHitRate is the execution engine's steady-state contract: a
+// warm loop serves at least this share of its workspace checkouts from
+// the pool.
+const minWarmHitRate = 0.95
 
-// EngineEntry compares one iterative workload on one graph with and
-// without a shared execution engine, both measured warm.
-type EngineEntry struct {
-	Workload string            `json:"workload"`
-	Graph    string            `json:"graph"`
-	Off      EngineMeasurement `json:"engine_off"`
-	On       EngineMeasurement `json:"engine_on"`
-	// WarmHitRate is hits/(hits+misses) of the engine's workspace pool
-	// over the timed (warm) repetitions only — the `make check` gate.
-	WarmHitRate float64 `json:"warm_hit_rate"`
-	// Pool is the pool-counter delta of the timed repetitions.
-	Pool exec.PoolStats `json:"pool"`
-}
-
-// EngineReport is the engine experiment's document.
-type EngineReport struct {
-	Schema  string        `json:"schema"`
-	Entries []EngineEntry `json:"entries"`
-}
-
-// EngineReportSchema identifies the JSON layout of an EngineReport.
-const EngineReportSchema = "maskedspgemm/bench-engine/v1"
-
-// MinWarmHitRate returns the smallest warm-loop pool hit rate across
-// all entries (1 for an empty report).
-func (r *EngineReport) MinWarmHitRate() float64 {
-	min := 1.0
-	for _, e := range r.Entries {
-		if e.WarmHitRate < min {
-			min = e.WarmHitRate
-		}
-	}
-	return min
-}
-
-// CheckWarmHitRate fails when any entry's warm-loop hit rate is below
-// the threshold — the engine's steady-state contract, enforced by
-// `make bench-engine` (and through it `make check`).
-func (r *EngineReport) CheckWarmHitRate(min float64) error {
-	for _, e := range r.Entries {
-		if e.WarmHitRate < min {
-			return fmt.Errorf("bench: %s/%s warm pool hit rate %.3f below required %.3f (%+v)",
-				e.Workload, e.Graph, e.WarmHitRate, min, e.Pool)
-		}
+// checkWarmHitRate fails when the pool delta of a warm loop falls short
+// of the contract.
+func checkWarmHitRate(what string, pool exec.PoolStats) error {
+	if rate := pool.HitRate(); rate < minWarmHitRate {
+		return fmt.Errorf("bench: %s warm pool hit rate %.3f below required %.3f (%+v)",
+			what, rate, minWarmHitRate, pool)
 	}
 	return nil
 }
 
-// timeAllocs measures run like measure does, additionally reading the
-// allocator's malloc/byte counters around the timed repetitions. The
-// numbers include everything a repetition does — for these workloads
-// the per-round result matrices are rebuilt by design, so the engine's
-// win shows as the delta between the off and on columns, not as zero.
-func timeAllocs(run func() (int64, error), m Methodology) (EngineMeasurement, error) {
-	var out EngineMeasurement
-	for w := 0; w < m.Warmups; w++ {
-		if err := methodErr(m); err != nil {
-			return out, err
-		}
-		nnz, err := run()
-		if err != nil {
-			return out, err
-		}
-		out.OutputNNZ = nnz
-	}
-	deadline := time.Now().Add(m.Budget)
-	samples := make([]float64, 0, m.MaxReps)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for rep := 0; rep < m.MaxReps; rep++ {
-		if rep > 0 && !time.Now().Before(deadline) {
-			break
-		}
-		if err := methodErr(m); err != nil {
-			return out, err
-		}
-		start := time.Now()
-		nnz, err := run()
-		elapsed := time.Since(start)
-		if err != nil {
-			return out, err
-		}
-		out.OutputNNZ = nnz
-		out.Reps++
-		samples = append(samples, float64(elapsed)/float64(time.Millisecond))
-	}
-	runtime.ReadMemStats(&after)
-	out.fillFrom(samples)
-	if out.Reps > 0 {
-		out.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(out.Reps)
-		out.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(out.Reps)
-	}
-	return out, nil
+// iterativeWorkload is one iterative graph algorithm — a loop of masked
+// SpGEMMs over a fixed graph — in its materializing and its fused
+// formulation; both return the same checksum when the fusion is correct.
+type iterativeWorkload struct {
+	name string
+	run  func(cfg core.Config, fused bool) func() (int64, error)
 }
 
-// engineWorkloads are the iterative algorithms the engine experiment
-// drives: each closure runs the full algorithm once and returns a
-// checksum.
-func engineWorkloads(a *sparse.CSR[float64], cfg core.Config) []struct {
-	name string
-	run  func() (int64, error)
-} {
+func iterativeWorkloads(a *sparse.CSR[float64]) []iterativeWorkload {
 	sources := []int{}
 	for v := 0; v < a.Rows && len(sources) < 4; v += max(a.Rows/4, 1) {
 		sources = append(sources, v)
 	}
-	return []struct {
-		name string
-		run  func() (int64, error)
-	}{
-		{"ktruss", func() (int64, error) {
-			res, err := graph.KTruss(a, 4, cfg)
-			if err != nil {
-				return 0, err
+	return []iterativeWorkload{
+		{"ktruss", func(cfg core.Config, fused bool) func() (int64, error) {
+			ktruss := graph.KTruss
+			if fused {
+				ktruss = graph.KTrussFused
 			}
-			return res.Edges, nil
+			return func() (int64, error) {
+				res, err := ktruss(a, 4, cfg)
+				if err != nil {
+					return 0, err
+				}
+				return res.Edges, nil
+			}
 		}},
-		{"bcbatch", func() (int64, error) {
-			bc, err := graph.BetweennessCentralityBatch(a, sources, cfg)
-			if err != nil {
-				return 0, err
+		{"bcbatch", func(cfg core.Config, fused bool) func() (int64, error) {
+			bc := graph.BetweennessCentralityBatch
+			if fused {
+				bc = graph.BetweennessCentralityBatchFused
 			}
-			var sum float64
-			for _, v := range bc {
-				sum += v
+			return func() (int64, error) {
+				deps, err := bc(a, sources, cfg)
+				if err != nil {
+					return 0, err
+				}
+				var sum float64
+				for _, v := range deps {
+					sum += v
+				}
+				return int64(sum), nil
 			}
-			return int64(sum), nil
 		}},
 	}
 }
 
 // EngineBench runs the engine experiment: the iterative graph workloads
-// (k-truss support-and-prune, batched Brandes BC — both loops of masked
-// SpGEMMs over a fixed graph) timed without an engine and then warm
-// against a freshly populated one, reporting time, allocator traffic
-// and the warm-loop pool hit rate.
-func EngineBench(w io.Writer, o Options) (*EngineReport, error) {
-	report := &EngineReport{Schema: EngineReportSchema}
-	fmt.Fprintln(w, "Engine: warm iterative workloads, pooled workspaces vs per-call allocation")
-	fmt.Fprintf(w, "%-10s %-22s %12s %12s %14s %14s %9s\n",
-		"workload", "graph", "off ms", "on ms", "off allocs/op", "on allocs/op", "hit-rate")
+// (k-truss support-and-prune, batched Brandes BC) timed three ways —
+// engineless, warm through a freshly populated execution engine, and
+// warm through an engine with the fused formulation (k-truss as one
+// select multiply per round, BC with a streamed backward sweep). The
+// two engine columns differ only in the fusion, so the first step
+// isolates workspace pooling and the second the fused pipeline. Three
+// invariants are errors: the columns agree on the checksum, both warm
+// loops meet the pool hit-rate contract, and the fused formulation
+// allocates no more per operation than the materializing one.
+func EngineBench(w io.Writer, o Options) error {
+	fmt.Fprintln(w, "Engine: warm iterative workloads — per-call allocation vs pooled workspaces vs pooled + fused pipeline")
+	fmt.Fprintf(w, "%-10s %-22s %10s %10s %10s %14s %14s %14s %9s %8s %10s\n",
+		"workload", "graph", "off ms", "on ms", "fused ms",
+		"off allocs/op", "on allocs/op", "fus allocs/op", "hit-rate", "f-runs", "sel-kept")
+	minRate := 1.0
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
 		base := o.planify(tunedConfig(o.Workers))
@@ -171,66 +97,87 @@ func EngineBench(w io.Writer, o Options) (*EngineReport, error) {
 		// This experiment owns its engines: the off column must run
 		// engineless even when the -engine flag set a global one.
 		base.Engine = nil
-		for wi, wl := range engineWorkloads(a, base) {
-			off, err := timeAllocs(wl.run, o.Method)
+		for _, wl := range iterativeWorkloads(a) {
+			off, err := o.time("engine", g.Name, wl.name+"/no-engine", wl.run(base, false))
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s engine-off: %w", wl.name, g.Name, err)
+				return err
 			}
-
-			eng := exec.New(exec.Config{})
-			cfgOn := base
-			cfgOn.Engine = eng
-			wlOn := engineWorkloads(a, cfgOn)[wi]
-			// One untimed cold run populates the pool; the timed
-			// repetitions then measure the steady state the engine
-			// promises, with the pool delta isolating their hit rate.
-			if _, err := wlOn.run(); err != nil {
-				return nil, fmt.Errorf("%s/%s engine warm-up: %w", wl.name, g.Name, err)
+			var warm [2]Measurement // engine, engine + fused
+			var fusion obs.FusedCounters
+			rate := 1.0
+			for i, config := range []string{wl.name + "/engine", wl.name + "/engine+fused"} {
+				fused := i == 1
+				cfg := base
+				cfg.Engine = exec.New(exec.Config{})
+				// One untimed cold run populates the pool; its recorder
+				// reads the fused pipeline's tile decisions and is gone
+				// before the timed repetitions, whose pool delta isolates
+				// the steady state the engine promises.
+				cold := cfg
+				cold.Recorder = o.newRecorder()
+				if _, err := wl.run(cold, fused)(); err != nil {
+					return fmt.Errorf("engine/%s %s cold run: %w", g.Name, config, err)
+				}
+				prior := cfg.Engine.Stats()
+				if warm[i], err = o.warm().time("engine", g.Name, config, wl.run(cfg, fused)); err != nil {
+					return err
+				}
+				pool := cfg.Engine.Stats().Sub(prior)
+				if err := checkWarmHitRate(g.Name+" "+config, pool); err != nil {
+					return err
+				}
+				rate = min(rate, pool.HitRate())
+				values := counterValues(pool)
+				values["warm_hit_rate"] = pool.HitRate()
+				if fused {
+					fusion = cold.Recorder.Stats().Fused
+					for k, v := range counterValues(fusion) {
+						values[k] = v
+					}
+				}
+				o.Log.Annotate("engine", g.Name, config, values)
 			}
-			prior := eng.Stats()
-			warmMethod := o.Method
-			warmMethod.Warmups = 0
-			on, err := timeAllocs(wlOn.run, warmMethod)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s engine-on: %w", wl.name, g.Name, err)
+			minRate = min(minRate, rate)
+			on, fu := warm[0], warm[1]
+			if off.OutputNNZ != on.OutputNNZ || on.OutputNNZ != fu.OutputNNZ {
+				return fmt.Errorf("engine/%s %s: columns disagree on the result checksum (%d / %d / %d)",
+					g.Name, wl.name, off.OutputNNZ, on.OutputNNZ, fu.OutputNNZ)
 			}
-			delta := eng.Stats().Sub(prior)
-			if off.OutputNNZ != on.OutputNNZ {
-				return nil, fmt.Errorf("%s/%s: engine changed the result checksum (%d vs %d)",
-					wl.name, g.Name, off.OutputNNZ, on.OutputNNZ)
+			// Fusion's whole point is removing intermediate
+			// materialization, so more allocator traffic is a regression.
+			if fu.AllocsPerOp > on.AllocsPerOp {
+				return fmt.Errorf("engine/%s %s: fused allocs/op %.0f exceeds unfused %.0f",
+					g.Name, wl.name, fu.AllocsPerOp, on.AllocsPerOp)
 			}
-
-			entry := EngineEntry{
-				Workload: wl.name, Graph: g.Name,
-				Off: off, On: on,
-				WarmHitRate: delta.HitRate(), Pool: delta,
-			}
-			report.Entries = append(report.Entries, entry)
-			o.Log.Add("engine", g.Name, wl.name+"/engine-off", off.Measurement)
-			o.Log.Add("engine", g.Name, wl.name+"/engine-on", on.Measurement)
-			fmt.Fprintf(w, "%-10s %-22s %12.2f %12.2f %14.0f %14.0f %8.1f%%\n",
-				wl.name, g.Name, off.Millis, on.Millis,
-				off.AllocsPerOp, on.AllocsPerOp, entry.WarmHitRate*100)
+			fmt.Fprintf(w, "%-10s %-22s %10.2f %10.2f %10.2f %14.0f %14.0f %14.0f %8.1f%% %8d %10d\n",
+				wl.name, g.Name, off.Millis, on.Millis, fu.Millis,
+				off.AllocsPerOp, on.AllocsPerOp, fu.AllocsPerOp, rate*100,
+				fusion.ChainRuns+fusion.SelectRuns+fusion.StreamRuns, fusion.SelectKept)
 		}
 	}
-	return report, nil
-}
-
-// WriteJSON emits the report as a schema-tagged JSON document.
-func (r *EngineReport) WriteJSON(w io.Writer) error {
-	return obs.WriteJSON(w, r)
-}
-
-// ValidateEngineReportJSON checks that data is a schema-conforming
-// EngineReport document (strict round-trip plus schema tag) — the check
-// behind `make bench-engine`.
-func ValidateEngineReportJSON(data []byte) error {
-	var r EngineReport
-	if err := obs.RoundTrip(data, &r); err != nil {
-		return err
-	}
-	if r.Schema != EngineReportSchema {
-		return fmt.Errorf("bench: schema %q, want %q", r.Schema, EngineReportSchema)
-	}
+	fmt.Fprintf(w, "warm pool hit rate >= %.0f%% on every workload (min %.1f%%); fused allocs/op within unfused bounds\n",
+		minWarmHitRate*100, minRate*100)
 	return nil
+}
+
+// EngineWithBudget builds a shared benchmark engine sized by a
+// retention budget in bytes (the -retention-mb flag): the first corpus
+// graph's structural features feed the engine-config model, which
+// translates the budget into an idle-workspace cap for the accumulator
+// family the tuned configuration selects. budget 0 selects the model's
+// default (256 MiB); negative budgets are rejected.
+func EngineWithBudget(o Options, budget int64) (*exec.Engine, error) {
+	if budget < 0 {
+		return nil, fmt.Errorf("bench: retention budget must be >= 0, got %d", budget)
+	}
+	corpus := o.corpus()
+	if len(corpus) == 0 {
+		return nil, fmt.Errorf("bench: no corpus graphs selected")
+	}
+	a := corpus[0].Build(o.Shift)
+	f, err := model.Extract(a, a, a)
+	if err != nil {
+		return nil, err
+	}
+	return exec.New(model.PredictEngineBudget(f, tunedConfig(o.Workers), o.Workers, budget)), nil
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"maskedspgemm/internal/accum"
@@ -25,8 +26,6 @@ type Options struct {
 	// PlanWorkers is the plan-construction/assembly worker count
 	// (0 = same as Workers).
 	PlanWorkers int
-	// GuidedMinChunk is the chunk floor for the Guided schedule (0 = 1).
-	GuidedMinChunk int
 	// Method is the timing methodology.
 	Method Methodology
 	// TileCounts is the Fig. 10/11 sweep grid.
@@ -35,9 +34,9 @@ type Options struct {
 	Kappas []float64
 	// Graphs restricts the corpus (nil = all).
 	Graphs []string
-	// Log, when non-nil, collects every individual measurement an
-	// experiment takes, so the text table gains a machine-readable JSON
-	// twin (the -json flag). nil discards.
+	// Log, when non-nil, collects every measurement Options.time takes,
+	// so each text table has a machine-readable twin (the -json flag)
+	// and the timing gates have rows to judge. nil discards.
 	Log *ResultLog
 	// Engine, when non-nil, is attached to every kernel configuration
 	// the experiments build (the -engine flag), so repeated timed runs
@@ -59,11 +58,10 @@ func (o Options) newRecorder() *obs.Recorder {
 	return r
 }
 
-// planify applies the plan-parallelism and guided-chunk knobs to a
+// planify applies the plan-parallelism knob and the shared engine to a
 // kernel configuration, so every experiment path honors the CLI flags.
 func (o Options) planify(cfg core.Config) core.Config {
 	cfg.PlanWorkers = o.PlanWorkers
-	cfg.GuidedMinChunk = o.GuidedMinChunk
 	cfg.Engine = o.Engine
 	return cfg
 }
@@ -90,6 +88,62 @@ func (o Options) corpus() []GraphSpec {
 		}
 	}
 	return out
+}
+
+// Experiment is one named section of spgemm-bench's output.
+type Experiment struct {
+	// Name is what -experiment selects and what the experiment's rows
+	// are logged under; a "+"-joined name answers to each of its parts
+	// (fig10 and fig11 are one sweep).
+	Name string
+	// InAll marks the experiments -experiment all runs. The rest repeat
+	// work an earlier section already timed, or inject faults, and run
+	// only when named.
+	InAll bool
+	// Run prints the experiment's table to w. Deterministic invariants
+	// (checksum agreement, bit-identity, pool hit rate, allocation
+	// bounds) are errors it returns.
+	Run func(w io.Writer, o Options) error
+}
+
+// Selected reports whether the -experiment value selects e.
+func (e Experiment) Selected(selection string) bool {
+	if selection == "all" {
+		return e.InAll
+	}
+	return selection == e.Name || slices.Contains(strings.Split(e.Name, "+"), selection)
+}
+
+// Experiments is the harness's one table: every section spgemm-bench
+// can print, in the order -experiment all prints them. chaosSeed seeds
+// the chaos drill's fault matrix (0 = 1) — the only experiment input
+// that is neither the corpus nor the methodology.
+func Experiments(chaosSeed int64) []Experiment {
+	if chaosSeed == 0 {
+		chaosSeed = 1
+	}
+	return []Experiment{
+		{"table1", true, Table1},
+		{"fig1", true, Fig1},
+		{"fig10+fig11", true, TileSweep},
+		{"fig13", true, Fig13},
+		{"fig14", true, Fig14},
+		{"tune", true, TuneReport},
+		{"ablation", true, Ablations},
+		{"predict", true, PredictReport},
+		{"model", true, ModelValidation},
+		{"sortcost", true, SortCost},
+		{"formulations", true, Formulations},
+		{"scaling", true, Scaling},
+		{"counters", true, CountersReport},
+		{"plan", true, PlanBench},
+		{"sched", true, SchedSweep},
+		{"engine", false, EngineBench},
+		{"kappa-adapt", false, KappaAdaptBench},
+		{"trsv", false, TrsvBench},
+		{"chaos", false, func(w io.Writer, o Options) error { return ChaosDrill(w, o, chaosSeed) }},
+		{"stats", false, StatsReport},
+	}
 }
 
 // Table1 regenerates the paper's Table I: the corpus with its structural
@@ -126,26 +180,21 @@ func Fig1(w io.Writer, o Options) error {
 
 		ssCfg := baseline.SuiteSparseConfig(a, a, a, o.Workers)
 		ssCfg.Accumulator = accum.HashKind // Fig. 1 pins the accumulator family
-		ss, err := TimeMasked(a, ssCfg, o.Method)
+		ss, err := o.timeMasked("fig1", g.Name, "suitesparse-like", a, ssCfg)
 		if err != nil {
-			return fmt.Errorf("%s suitesparse-like: %w", g.Name, err)
+			return err
 		}
-
-		grb, err := TimeMasked(a, baseline.GrBConfig(accum.HashKind, o.Workers), o.Method)
+		grb, err := o.timeMasked("fig1", g.Name, "grb-like", a, baseline.GrBConfig(accum.HashKind, o.Workers))
 		if err != nil {
-			return fmt.Errorf("%s grb-like: %w", g.Name, err)
+			return err
 		}
-
-		ours, err := TimeMasked(a, o.planify(tunedConfig(o.Workers)), o.Method)
+		ours, err := o.timeMasked("fig1", g.Name, "tuned", a, o.planify(tunedConfig(o.Workers)))
 		if err != nil {
-			return fmt.Errorf("%s tuned: %w", g.Name, err)
+			return err
 		}
 		if ss.OutputNNZ != grb.OutputNNZ || ss.OutputNNZ != ours.OutputNNZ {
 			return fmt.Errorf("%s: implementations disagree on output nnz", g.Name)
 		}
-		o.Log.Add("fig1", g.Name, "suitesparse-like", ss)
-		o.Log.Add("fig1", g.Name, "grb-like", grb)
-		o.Log.Add("fig1", g.Name, "tuned", ours)
 		fmt.Fprintf(w, "%-22s %14.2f %14.2f %14.2f\n", g.Name, ss.Millis, grb.Millis, ours.Millis)
 	}
 	return nil
@@ -160,9 +209,10 @@ func sweepLabel(ts tiling.Strategy, sp sched.Policy, ak accum.Kind) string {
 // TileSweep runs the Figs. 10–11 grid over the corpus: tile counts ×
 // {FlopBalanced,Uniform} × {Static,Dynamic} × {Dense,Hash}, iteration
 // space fixed to MaskLoad (the paper's §IV-C excludes co-iteration from
-// this sweep). It returns the per-(config,tiles) table keyed as
-// "label@tiles" plus a per-graph series writer.
-func TileSweep(w io.Writer, o Options) (*RelativeTable, error) {
+// this sweep). It prints the per-graph series (Fig. 11), then the
+// per-(config,tiles) table keyed as "label@tiles" aggregated into
+// Fig. 10.
+func TileSweep(w io.Writer, o Options) error {
 	rel := NewRelativeTable()
 	fmt.Fprintln(w, "Figure 11: runtime (ms) vs tile count, per graph; MaskLoad iteration, 32-bit markers")
 	for _, g := range o.corpus() {
@@ -185,12 +235,12 @@ func TileSweep(w io.Writer, o Options) (*RelativeTable, error) {
 							Accumulator: ak, MarkerBits: 32,
 							Tiles: tc, Tiling: ts, Schedule: sp, Workers: o.Workers,
 						})
-						meas, err := TimeMasked(a, cfg, o.Method)
+						config := fmt.Sprintf("%s@%d", label, tc)
+						meas, err := o.timeMasked("fig10+fig11", g.Name, config, a, cfg)
 						if err != nil {
-							return nil, fmt.Errorf("%s %s tiles=%d: %w", g.Name, label, tc, err)
+							return err
 						}
-						rel.Add(fmt.Sprintf("%s@%d", label, tc), g.Name, meas.Millis)
-						o.Log.Add("tiles", g.Name, fmt.Sprintf("%s@%d", label, tc), meas)
+						rel.Add(config, g.Name, meas.Millis)
 						series = append(series, meas.Millis)
 						fmt.Fprintf(w, "%10.2f", meas.Millis)
 					}
@@ -199,7 +249,8 @@ func TileSweep(w io.Writer, o Options) (*RelativeTable, error) {
 			}
 		}
 	}
-	return rel, nil
+	Fig10(w, rel)
+	return nil
 }
 
 // Fig10 aggregates a TileSweep table into the paper's Figure 10:
@@ -249,12 +300,12 @@ func Fig13(w io.Writer, o Options) error {
 					Tiles: 2048, Tiling: tiling.FlopBalanced,
 					Schedule: sched.Dynamic, Workers: o.Workers,
 				})
-				meas, err := TimeMasked(a, cfg, o.Method)
+				config := fmt.Sprintf("%v@%d", ak, bits)
+				meas, err := o.timeMasked("fig13", g.Name, config, a, cfg)
 				if err != nil {
-					return fmt.Errorf("%s %v/%d: %w", g.Name, ak, bits, err)
+					return err
 				}
-				rel.Add(fmt.Sprintf("%v@%d", ak, bits), g.Name, meas.Millis)
-				o.Log.Add("markers", g.Name, fmt.Sprintf("%v@%d", ak, bits), meas)
+				rel.Add(config, g.Name, meas.Millis)
 			}
 		}
 	}
@@ -307,11 +358,10 @@ func Fig14(w io.Writer, o Options) error {
 					Tiles: 2048, Tiling: tiling.FlopBalanced,
 					Schedule: sched.Dynamic, Workers: o.Workers,
 				})
-				meas, err := TimeMasked(a, cfg, o.Method)
+				meas, err := o.timeMasked("fig14", g.Name, fmt.Sprintf("%v@%g", ak, k), a, cfg)
 				if err != nil {
-					return fmt.Errorf("%s κ=%g: %w", g.Name, k, err)
+					return err
 				}
-				o.Log.Add("kappa", g.Name, fmt.Sprintf("%v@%g", ak, k), meas)
 				series = append(series, meas.Millis)
 				fmt.Fprintf(w, "%10.2f", meas.Millis)
 			}
@@ -322,11 +372,10 @@ func Fig14(w io.Writer, o Options) error {
 				Tiles: 2048, Tiling: tiling.FlopBalanced,
 				Schedule: sched.Dynamic, Workers: o.Workers,
 			}
-			meas, err := TimeMasked(a, base, o.Method)
+			meas, err := o.timeMasked("fig14", g.Name, fmt.Sprintf("%v@no-coiter", ak), a, base)
 			if err != nil {
-				return fmt.Errorf("%s no-coiter: %w", g.Name, err)
+				return err
 			}
-			o.Log.Add("kappa", g.Name, fmt.Sprintf("%v@no-coiter", ak), meas)
 			fmt.Fprintf(w, "%12.2f  %s\n", meas.Millis, sparkline(series))
 		}
 	}

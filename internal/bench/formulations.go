@@ -32,32 +32,24 @@ func Formulations(w io.Writer, o Options) error {
 
 		loadCfg := tunedConfig(o.Workers)
 		loadCfg.Iteration = core.MaskLoad
-		load, err := TimeMasked(a, loadCfg, o.Method)
+		load, err := o.timeMasked("formulations", g.Name, "saxpy-load", a, loadCfg)
 		if err != nil {
 			return err
 		}
-		hyb, err := TimeMasked(a, tunedConfig(o.Workers), o.Method)
+		hyb, err := o.timeMasked("formulations", g.Name, "saxpy-hyb", a, tunedConfig(o.Workers))
 		if err != nil {
 			return err
 		}
 		dotCfg := tunedConfig(o.Workers)
-		dot, err := TimeFn(func() (int64, error) {
-			c, err := core.MaskedSpGEMMDot[float64](sr, a, a, bT, dotCfg)
-			if err != nil {
-				return 0, err
-			}
-			return c.NNZ(), nil
-		}, o.Method)
+		dot, err := o.time("formulations", g.Name, "dot", func() (int64, error) {
+			return nnz(core.MaskedSpGEMMDot[float64](sr, a, a, bT, dotCfg))
+		})
 		if err != nil {
 			return err
 		}
-		twoD, err := TimeFn(func() (int64, error) {
-			c, err := core.MaskedSpGEMM2D[float64](sr, a, a, a, dotCfg, 8)
-			if err != nil {
-				return 0, err
-			}
-			return c.NNZ(), nil
-		}, o.Method)
+		twoD, err := o.time("formulations", g.Name, "2D(8 panels)", func() (int64, error) {
+			return nnz(core.MaskedSpGEMM2D[float64](sr, a, a, a, dotCfg, 8))
+		})
 		if err != nil {
 			return err
 		}

@@ -94,10 +94,10 @@ func PlanBench(w io.Writer, o Options) error {
 		for _, ph := range phases[:len(phases)-1] {
 			fmt.Fprintf(w, "%-28s", ph.name)
 			for _, c := range counts {
-				c := c
-				meas, err := TimeFn(func() (int64, error) { return ph.run(c) }, o.Method)
+				meas, err := o.time("plan", g.Name, fmt.Sprintf("%s@%d", ph.name, c),
+					func() (int64, error) { return ph.run(c) })
 				if err != nil {
-					return fmt.Errorf("%s %s p=%d: %w", g.Name, ph.name, c, err)
+					return err
 				}
 				fmt.Fprintf(w, "%10.3f", meas.Millis)
 			}
@@ -116,15 +116,10 @@ func PlanBench(w io.Writer, o Options) error {
 			if err != nil {
 				return fmt.Errorf("%s multiply p=%d: %w", g.Name, c, err)
 			}
-			meas, err := TimeFn(func() (int64, error) {
-				c, err := mu.Multiply()
-				if err != nil {
-					return 0, err
-				}
-				return c.NNZ(), nil
-			}, o.Method)
+			meas, err := o.time("plan", g.Name, fmt.Sprintf("%s@%d", phases[len(phases)-1].name, c),
+				func() (int64, error) { return nnz(mu.Multiply()) })
 			if err != nil {
-				return fmt.Errorf("%s multiply p=%d: %w", g.Name, c, err)
+				return err
 			}
 			fmt.Fprintf(w, "%10.3f", meas.Millis)
 		}
@@ -139,8 +134,7 @@ func PlanBench(w io.Writer, o Options) error {
 // Guided targets the top of the grid: at 32768 tiles Dynamic pays one
 // atomic operation per tile while Guided claims shrinking chunks.
 func SchedSweep(w io.Writer, o Options) error {
-	fmt.Fprintf(w, "Scheduler sweep: runtime (ms) vs tile count; MaskLoad, hash, FLOP-balanced tiles, guided chunk floor %d\n",
-		maxInt(o.GuidedMinChunk, 1))
+	fmt.Fprintln(w, "Scheduler sweep: runtime (ms) vs tile count; MaskLoad, hash, FLOP-balanced tiles")
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
 		fmt.Fprintf(w, "\n%s (n=%d, nnz=%d)\n", g.Name, a.Rows, a.NNZ())
@@ -159,11 +153,10 @@ func SchedSweep(w io.Writer, o Options) error {
 					Tiles: tc, Tiling: tiling.FlopBalanced,
 					Schedule: sp, Workers: o.Workers,
 				})
-				meas, err := TimeMasked(a, cfg, o.Method)
+				meas, err := o.timeMasked("sched", g.Name, fmt.Sprintf("%v@%d", sp, tc), a, cfg)
 				if err != nil {
-					return fmt.Errorf("%s %v tiles=%d: %w", g.Name, sp, tc, err)
+					return err
 				}
-				o.Log.Add("sched", g.Name, fmt.Sprintf("%v@%d", sp, tc), meas)
 				series = append(series, meas.Millis)
 				fmt.Fprintf(w, "%10.2f", meas.Millis)
 			}
@@ -171,11 +164,4 @@ func SchedSweep(w io.Writer, o Options) error {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

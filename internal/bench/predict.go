@@ -6,6 +6,7 @@ import (
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/model"
+	"maskedspgemm/internal/sparse"
 )
 
 // PredictReport evaluates the execution-time configuration model (the
@@ -24,13 +25,13 @@ func PredictReport(w io.Writer, o Options) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.Name, err)
 		}
-		def, err := TimeMasked(a, tunedConfig(o.Workers), o.Method)
+		def, err := o.timeMasked("predict", g.Name, "default", a, tunedConfig(o.Workers))
 		if err != nil {
-			return fmt.Errorf("%s default: %w", g.Name, err)
+			return err
 		}
-		pred, err := TimeMasked(a, cfg, o.Method)
+		pred, err := o.timeMasked("predict", g.Name, "predicted", a, cfg)
 		if err != nil {
-			return fmt.Errorf("%s predicted: %w", g.Name, err)
+			return err
 		}
 		if def.OutputNNZ != pred.OutputNNZ {
 			return fmt.Errorf("%s: predicted config changed the result", g.Name)
@@ -41,6 +42,19 @@ func PredictReport(w io.Writer, o Options) error {
 			short, def.Millis, pred.Millis)
 	}
 	return nil
+}
+
+// timeLoadVsHybrid times the tuned configuration without and with
+// co-iteration — the pair both the cost-model validation and the
+// sorted-B ablation compare.
+func (o Options) timeLoadVsHybrid(experiment, graph string, a *sparse.CSR[float64]) (lin, hyb Measurement, err error) {
+	linCfg := tunedConfig(o.Workers)
+	linCfg.Iteration = core.MaskLoad
+	if lin, err = o.timeMasked(experiment, graph, "maskload", a, linCfg); err != nil {
+		return
+	}
+	hyb, err = o.timeMasked(experiment, graph, "hybrid", a, tunedConfig(o.Workers))
+	return
 }
 
 // ModelValidation prints the Eq. 2 / Eq. 3 cost-model quantities per
@@ -59,14 +73,7 @@ func ModelValidation(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		linCfg := tunedConfig(o.Workers)
-		linCfg.Iteration = core.MaskLoad
-		lin, err := TimeMasked(a, linCfg, o.Method)
-		if err != nil {
-			return err
-		}
-		hybCfg := tunedConfig(o.Workers)
-		hyb, err := TimeMasked(a, hybCfg, o.Method)
+		lin, hyb, err := o.timeLoadVsHybrid("model", g.Name, a)
 		if err != nil {
 			return err
 		}

@@ -28,19 +28,12 @@ func Scaling(w io.Writer, o Options) error {
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
 		fmt.Fprintf(w, "%-22s", g.Name)
-		var base float64
-		for i, c := range counts {
-			cfg := o.planify(tunedConfig(c))
-			meas, err := TimeMasked(a, cfg, o.Method)
+		for _, c := range counts {
+			meas, err := o.timeMasked("scaling", g.Name, fmt.Sprintf("workers=%d", c), a, o.planify(tunedConfig(c)))
 			if err != nil {
-				return fmt.Errorf("%s w=%d: %w", g.Name, c, err)
+				return err
 			}
-			if i == 0 {
-				base = meas.Millis
-			}
-			o.Log.Add("scaling", g.Name, fmt.Sprintf("workers=%d", c), meas)
 			fmt.Fprintf(w, "%10.2f", meas.Millis)
-			_ = base
 		}
 		fmt.Fprintln(w)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -30,13 +29,7 @@ func SortCost(w io.Writer, o Options) error {
 			return fmt.Errorf("%s: sort produced malformed matrix: %w", g.Name, err)
 		}
 
-		linCfg := tunedConfig(o.Workers)
-		linCfg.Iteration = core.MaskLoad
-		lin, err := TimeMasked(a, linCfg, o.Method)
-		if err != nil {
-			return err
-		}
-		hyb, err := TimeMasked(a, tunedConfig(o.Workers), o.Method)
+		lin, hyb, err := o.timeLoadVsHybrid("sortcost", g.Name, a)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -43,7 +44,8 @@ func QuickMethodology() Methodology {
 // Measurement is one timed kernel execution summary. Millis (the
 // minimum) remains the headline number the paper's methodology reports;
 // the mean, median and standard deviation expose run-to-run variance
-// for the machine-readable outputs.
+// for the machine-readable output, and the allocator columns carry the
+// traffic the execution engine and the fused pipeline exist to remove.
 type Measurement struct {
 	// Millis is the minimum observed wall time in milliseconds.
 	Millis float64 `json:"min_millis"`
@@ -58,44 +60,83 @@ type Measurement struct {
 	Reps int `json:"reps"`
 	// OutputNNZ is the result size, kept as a cross-run checksum.
 	OutputNNZ int64 `json:"output_nnz"`
+	// AllocsPerOp and BytesPerOp are the heap allocation count and
+	// volume of one timed repetition. They include everything a
+	// repetition does, freshly assembled result matrices too.
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
-// TimeMasked measures C = A ⊙ (A×A) — the paper's benchmark kernel
+// time is the harness's one timing helper: it measures run under the
+// options' methodology and logs the measurement under (experiment,
+// graph, config), so every number a text table prints has a -json row.
+func (o Options) time(experiment, graph, config string, run func() (int64, error)) (Measurement, error) {
+	m, err := measure(run, o.Method)
+	if err != nil {
+		return m, fmt.Errorf("%s/%s %s: %w", experiment, graph, config, err)
+	}
+	o.Log.Add(experiment, graph, config, m)
+	return m, nil
+}
+
+// timeMasked times C = A ⊙ (A×A) — the paper's benchmark kernel
 // (§IV-A: M and B are identical to A) — under the given configuration.
-func TimeMasked(a *sparse.CSR[float64], cfg core.Config, m Methodology) (Measurement, error) {
+func (o Options) timeMasked(experiment, graph, config string, a *sparse.CSR[float64], cfg core.Config) (Measurement, error) {
+	if cfg.Context == nil {
+		cfg.Context = o.Method.Context
+	}
 	sr := semiring.PlusTimes[float64]{}
-	if m.Context != nil && cfg.Context == nil {
-		cfg.Context = m.Context
-	}
-	run := func() (int64, error) {
-		c, err := core.MaskedSpGEMM[float64](sr, a, a, a, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return c.NNZ(), nil
-	}
-	return measure(run, m)
+	return o.time(experiment, graph, config, func() (int64, error) {
+		return nnz(core.MaskedSpGEMM[float64](sr, a, a, a, cfg))
+	})
 }
 
-// TimeFn measures an arbitrary kernel closure returning a checksum.
-func TimeFn(run func() (int64, error), m Methodology) (Measurement, error) {
-	return measure(run, m)
+// nnz adapts a kernel's (result, error) pair to the checksum the
+// timing loop compares across repetitions.
+func nnz(c *sparse.CSR[float64], err error) (int64, error) {
+	if err != nil {
+		return 0, err
+	}
+	return c.NNZ(), nil
 }
 
+// warm drops the methodology's warm-up, for loops an experiment has
+// already run once untimed (to populate an engine or read a recorder).
+func (o Options) warm() Options {
+	o.Method.Warmups = 0
+	return o
+}
+
+// measure runs the methodology: warm-ups, then repetitions until the
+// cap or the budget, with the allocator's counters read around the
+// timed repetitions. A checksum that changes between runs of the same
+// kernel is a broken kernel, not a measurement.
 func measure(run func() (int64, error), m Methodology) (Measurement, error) {
 	var out Measurement
+	first := true
+	once := func() error {
+		sum, err := run()
+		if err != nil {
+			return err
+		}
+		if !first && sum != out.OutputNNZ {
+			return fmt.Errorf("bench: checksum drifted between repetitions: %d, then %d", out.OutputNNZ, sum)
+		}
+		first, out.OutputNNZ = false, sum
+		return nil
+	}
 	for w := 0; w < m.Warmups; w++ {
 		if err := methodErr(m); err != nil {
 			return out, err
 		}
-		nnz, err := run()
-		if err != nil {
+		if err := once(); err != nil {
 			return out, err
 		}
-		out.OutputNNZ = nnz
 	}
 	deadline := time.Now().Add(m.Budget)
 	samples := make([]float64, 0, m.MaxReps)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for rep := 0; rep < m.MaxReps; rep++ {
 		// The budget gates *starting* a repetition, not just finishing
 		// one: once a rep has consumed the budget, the next would overrun
@@ -108,16 +149,20 @@ func measure(run func() (int64, error), m Methodology) (Measurement, error) {
 			return out, err
 		}
 		start := time.Now()
-		nnz, err := run()
+		err := once()
 		elapsed := time.Since(start)
 		if err != nil {
 			return out, err
 		}
-		out.OutputNNZ = nnz
-		out.Reps++
 		samples = append(samples, float64(elapsed)/float64(time.Millisecond))
 	}
+	runtime.ReadMemStats(&after)
+	out.Reps = len(samples)
 	out.fillFrom(samples)
+	if out.Reps > 0 {
+		out.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(out.Reps)
+		out.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(out.Reps)
+	}
 	return out, nil
 }
 

@@ -7,76 +7,29 @@ import (
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
-// TrsvEntry is one graph's triangular-solve comparison: the serial
-// substitution loop against the dependency-wave schedule, both solving
-// L·x = 1 with L the graph's lower triangle plus a dominant diagonal.
-type TrsvEntry struct {
-	Graph string `json:"graph"`
-	Rows  int    `json:"rows"`
-	NNZ   int64  `json:"nnz"`
-	// Levels/Waves/SerialWaves/Barriers are the wave run's schedule
-	// shape, from one recorded (untimed) solve.
-	Levels      int64 `json:"levels"`
-	Waves       int64 `json:"waves"`
-	SerialWaves int64 `json:"serial_waves"`
-	Barriers    int64 `json:"barriers"`
-	// Serial and Wave are the timed measurements; OutputNNZ carries the
-	// solution checksum, which the experiment asserts equal (the wave
-	// schedule is bit-identical by construction).
-	Serial Measurement `json:"serial"`
-	Wave   Measurement `json:"wave"`
-	// Speedup is Serial.Millis / Wave.Millis.
-	Speedup float64 `json:"speedup"`
-}
-
-// TrsvReport is the triangular-solve experiment's document.
-type TrsvReport struct {
-	Schema  string      `json:"schema"`
-	Workers int         `json:"workers"`
-	Entries []TrsvEntry `json:"entries"`
-}
-
-// TrsvReportSchema identifies the JSON layout of a TrsvReport.
-const TrsvReportSchema = "maskedspgemm/bench-trsv/v1"
-
-// CheckWaveSpeedup fails unless some entry's wave schedule beats serial
-// by at least min (e.g. 1.0 = parity). Timing-based and meaningless
-// without real cores, so the `make bench-trsv` gate leaves it off by
-// default (TRSV_SPEEDUP=0) and the bit-identity gate inside the
-// experiment stays unconditional.
-func (r *TrsvReport) CheckWaveSpeedup(min float64) error {
-	best, graph := 0.0, ""
-	for _, e := range r.Entries {
-		if e.Speedup > best {
-			best, graph = e.Speedup, e.Graph
+// CheckWaveSpeedup is the -min-trsv-speedup timing gate over a run's
+// trsv rows: it fails unless some graph's wave schedule beats serial by
+// at least min (e.g. 1.0 = parity). Timing-based and meaningless
+// without real cores, so `make bench-trsv` leaves it off by default
+// (TRSV_SPEEDUP=0); the bit-identity gate inside the experiment is
+// unconditional.
+func CheckWaveSpeedup(l *ResultLog, min float64) error {
+	best, graph := -1.0, ""
+	for _, e := range l.Entries("trsv") {
+		if s := e.Values["speedup"]; e.Config == "wave" && s > best {
+			best, graph = s, e.Graph
 		}
+	}
+	if graph == "" {
+		return fmt.Errorf("bench: -min-trsv-speedup needs the trsv experiment; this run logged no wave solve")
 	}
 	if best < min {
 		return fmt.Errorf("bench: best wave-solve speedup %.2fx (%s) below required %.2fx",
 			best, graph, min)
-	}
-	return nil
-}
-
-// WriteJSON emits the report as a schema-tagged JSON document.
-func (r *TrsvReport) WriteJSON(w io.Writer) error {
-	return obs.WriteJSON(w, r)
-}
-
-// ValidateTrsvReportJSON checks that data is a schema-conforming
-// TrsvReport document (strict round-trip plus schema tag).
-func ValidateTrsvReportJSON(data []byte) error {
-	var r TrsvReport
-	if err := obs.RoundTrip(data, &r); err != nil {
-		return err
-	}
-	if r.Schema != TrsvReportSchema {
-		return fmt.Errorf("bench: schema %q, want %q", r.Schema, TrsvReportSchema)
 	}
 	return nil
 }
@@ -121,16 +74,14 @@ func vecChecksum(x []float64) int64 {
 // by the dependency-wave schedule (level sets coarsened by Eq. 2 row
 // work), with the solutions compared bit-for-bit — a hard gate — and
 // the wave run's schedule shape reported from the recorder.
-func TrsvBench(w io.Writer, o Options) (*TrsvReport, error) {
+func TrsvBench(w io.Writer, o Options) error {
 	workers := workersOr(o.Workers, 4)
-	report := &TrsvReport{Schema: TrsvReportSchema, Workers: workers}
 	sr := semiring.PlusTimes[float64]{}
 	fmt.Fprintf(w, "Triangular solve: serial substitution vs dependency waves (p=%d), L = tril(A)+D, b = 1\n", workers)
 	fmt.Fprintf(w, "%-22s %10s %12s %8s %8s %8s %12s %12s %8s\n",
 		"graph", "n", "nnz(L)", "levels", "waves", "serial-w", "serial ms", "wave ms", "speedup")
 	for _, g := range o.corpus() {
-		a := g.Build(o.Shift)
-		l := lowerFromGraph(a)
+		l := lowerFromGraph(g.Build(o.Shift))
 		n := l.Rows
 		b := make([]float64, n)
 		for i := range b {
@@ -139,27 +90,14 @@ func TrsvBench(w io.Writer, o Options) (*TrsvReport, error) {
 		dstS := make([]float64, n)
 		dstW := make([]float64, n)
 
-		serialOpts := core.SolveOpts{Tri: core.Lower}
-		runSerial := func() (int64, error) {
-			if err := core.SolveTriSerial(dstS, l, b, serialOpts); err != nil {
-				return 0, err
-			}
-			return vecChecksum(dstS), nil
-		}
-
-		eng := o.Engine
-		if eng == nil {
-			eng = exec.New(exec.Config{})
-		}
 		cfg := o.planify(core.DefaultConfig())
 		cfg.Workers = workers
-		cfg.Engine = eng
+		if cfg.Engine == nil {
+			cfg.Engine = exec.New(exec.Config{})
+		}
 		waveOpts := core.SolveOpts{Tri: core.Lower, Mode: core.SolveWaves}
-		runWave := func() (int64, error) {
-			if err := core.SolveTriInto[float64, semiring.PlusTimes[float64]](sr, dstW, l, b, cfg, waveOpts); err != nil {
-				return 0, err
-			}
-			return vecChecksum(dstW), nil
+		solveWaves := func(cfg core.Config) error {
+			return core.SolveTriInto[float64, semiring.PlusTimes[float64]](sr, dstW, l, b, cfg, waveOpts)
 		}
 
 		// One recorded, untimed wave solve captures the schedule shape
@@ -167,48 +105,56 @@ func TrsvBench(w io.Writer, o Options) (*TrsvReport, error) {
 		rec := o.newRecorder()
 		cfgRec := cfg
 		cfgRec.Recorder = rec
-		if err := core.SolveTriInto[float64, semiring.PlusTimes[float64]](sr, dstW, l, b, cfgRec, waveOpts); err != nil {
-			return nil, fmt.Errorf("trsv/%s wave warm-up: %w", g.Name, err)
+		if err := solveWaves(cfgRec); err != nil {
+			return fmt.Errorf("trsv/%s wave warm-up: %w", g.Name, err)
 		}
 		sc := rec.Stats().Sched
 
-		sm, err := TimeFn(runSerial, o.Method)
+		sm, err := o.time("trsv", g.Name, "serial", func() (int64, error) {
+			if err := core.SolveTriSerial(dstS, l, b, core.SolveOpts{Tri: core.Lower}); err != nil {
+				return 0, err
+			}
+			return vecChecksum(dstS), nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("trsv/%s serial: %w", g.Name, err)
+			return err
 		}
-		wm, err := TimeFn(runWave, o.Method)
+		wm, err := o.time("trsv", g.Name, "wave", func() (int64, error) {
+			if err := solveWaves(cfg); err != nil {
+				return 0, err
+			}
+			return vecChecksum(dstW), nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("trsv/%s wave: %w", g.Name, err)
+			return err
 		}
 
 		// Bit-identity is the experiment's hard gate: checksum and the
 		// full vectors must agree exactly.
 		if sm.OutputNNZ != wm.OutputNNZ {
-			return nil, fmt.Errorf("trsv/%s: wave checksum %d differs from serial %d",
+			return fmt.Errorf("trsv/%s: wave checksum %d differs from serial %d",
 				g.Name, wm.OutputNNZ, sm.OutputNNZ)
 		}
 		for i := range dstS {
 			if dstS[i] != dstW[i] {
-				return nil, fmt.Errorf("trsv/%s: wave x[%d] = %v, serial %v — not bit-identical",
+				return fmt.Errorf("trsv/%s: wave x[%d] = %v, serial %v — not bit-identical",
 					g.Name, i, dstW[i], dstS[i])
 			}
 		}
 
-		entry := TrsvEntry{
-			Graph: g.Name, Rows: n, NNZ: l.NNZ(),
-			Levels: sc.Levels, Waves: sc.Waves,
-			SerialWaves: sc.SerialWaves, Barriers: sc.Barriers,
-			Serial: sm, Wave: wm,
-		}
+		speedup := 0.0
 		if wm.Millis > 0 {
-			entry.Speedup = sm.Millis / wm.Millis
+			speedup = sm.Millis / wm.Millis
 		}
-		report.Entries = append(report.Entries, entry)
-		o.Log.Add("trsv", g.Name, "serial", sm)
-		o.Log.Add("trsv", g.Name, "wave", wm)
+		o.Log.Annotate("trsv", g.Name, "wave", map[string]float64{
+			"workers": float64(workers), "rows": float64(n), "nnz": float64(l.NNZ()),
+			"levels": float64(sc.Levels), "waves": float64(sc.Waves),
+			"serial_waves": float64(sc.SerialWaves), "barriers": float64(sc.Barriers),
+			"speedup": speedup,
+		})
 		fmt.Fprintf(w, "%-22s %10d %12d %8d %8d %8d %12.3f %12.3f %7.2fx\n",
 			g.Name, n, l.NNZ(), sc.Levels, sc.Waves, sc.SerialWaves,
-			sm.Millis, wm.Millis, entry.Speedup)
+			sm.Millis, wm.Millis, speedup)
 	}
-	return report, nil
+	return nil
 }

@@ -19,7 +19,14 @@ import (
 //
 // It returns the tuned configuration and the per-stage decisions.
 func Tune(a *sparse.CSR[float64], o Options, log io.Writer) (core.Config, error) {
-	m := o.Method
+	return tune("", a, o, log)
+}
+
+// tune is Tune with the graph name its timings are logged under.
+func tune(graph string, a *sparse.CSR[float64], o Options, log io.Writer) (core.Config, error) {
+	timeCfg := func(cfg core.Config) (Measurement, error) {
+		return o.timeMasked("tune", graph, cfg.String(), a, cfg)
+	}
 
 	// Stage 1: tiling and scheduling, MaskLoad, both accumulators.
 	best := core.Config{}
@@ -33,7 +40,7 @@ func Tune(a *sparse.CSR[float64], o Options, log io.Writer) (core.Config, error)
 						Accumulator: ak, MarkerBits: 32,
 						Tiles: tc, Tiling: ts, Schedule: sp, Workers: o.Workers,
 					})
-					meas, err := TimeMasked(a, cfg, m)
+					meas, err := timeCfg(cfg)
 					if err != nil {
 						return core.Config{}, err
 					}
@@ -53,7 +60,7 @@ func Tune(a *sparse.CSR[float64], o Options, log io.Writer) (core.Config, error)
 	for _, k := range o.Kappas {
 		cfg := best
 		cfg.Kappa = k
-		meas, err := TimeMasked(a, cfg, m)
+		meas, err := timeCfg(cfg)
 		if err != nil {
 			return core.Config{}, err
 		}
@@ -75,7 +82,7 @@ func Tune(a *sparse.CSR[float64], o Options, log io.Writer) (core.Config, error)
 	for _, bits := range []int{8, 16, 32, 64} {
 		cfg := best
 		cfg.MarkerBits = bits
-		meas, err := TimeMasked(a, cfg, m)
+		meas, err := timeCfg(cfg)
 		if err != nil {
 			return core.Config{}, err
 		}
@@ -95,9 +102,9 @@ func TuneReport(w io.Writer, o Options) error {
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
 		fmt.Fprintf(w, "\n%s:\n", g.Name)
-		cfg, err := Tune(a, o, w)
+		cfg, err := tune(g.Name, a, o, w)
 		if err != nil {
-			return fmt.Errorf("%s: %w", g.Name, err)
+			return err
 		}
 		fmt.Fprintf(w, "tuned: %v\n", cfg)
 	}

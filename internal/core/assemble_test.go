@@ -132,7 +132,6 @@ func TestMaskedSpGEMMPlanWorkersBitIdentical(t *testing.T) {
 			cfg := base
 			cfg.PlanWorkers = pw
 			cfg.Schedule = pol
-			cfg.GuidedMinChunk = 2
 			got, err := MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, a, a, a, cfg)
 			if err != nil {
 				t.Fatal(err)

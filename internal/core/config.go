@@ -97,10 +97,6 @@ type Config struct {
 	// estimation, prefix-sum tile balancing, CSR stitching). 0 means use
 	// the kernel worker count.
 	PlanWorkers int
-	// GuidedMinChunk is the chunk floor for the Guided schedule: the
-	// smallest number of tiles a worker claims per atomic operation.
-	// 0 means 1. Ignored by Static and Dynamic.
-	GuidedMinChunk int
 	// FuseTileBudget is the fused-pipeline cache budget in bytes: a
 	// chained multiply stages a tile's intermediate product whole when
 	// its Eq. 2-estimated footprint (first-stage mask volume × entry
@@ -202,9 +198,6 @@ func (c Config) Validate() error {
 	if c.PlanWorkers < 0 {
 		return errConfig("plan workers must be >= 0, got %d", c.PlanWorkers)
 	}
-	if c.GuidedMinChunk < 0 {
-		return errConfig("guided chunk floor must be >= 0, got %d", c.GuidedMinChunk)
-	}
 	if c.FuseTileBudget < 0 {
 		return errConfig("fuse tile budget must be >= 0, got %d", c.FuseTileBudget)
 	}
@@ -245,9 +238,6 @@ func (c Config) String() string {
 	}
 	if c.PlanWorkers > 0 {
 		s += fmt.Sprintf(" pw=%d", c.PlanWorkers)
-	}
-	if c.Schedule == sched.Guided && c.GuidedMinChunk > 0 {
-		s += fmt.Sprintf(" chunk=%d", c.GuidedMinChunk)
 	}
 	return s
 }

@@ -208,7 +208,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"hybrid kappa negative", mutate(func(c *Config) { c.Kappa = -1 })},
 		{"workers negative", mutate(func(c *Config) { c.Workers = -1 })},
 		{"plan workers negative", mutate(func(c *Config) { c.PlanWorkers = -3 })},
-		{"guided chunk negative", mutate(func(c *Config) { c.GuidedMinChunk = -1 })},
 	}
 	r := rand.New(rand.NewSource(205))
 	a := randMatrix(10, 10, 0.3, r)

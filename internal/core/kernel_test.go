@@ -56,13 +56,10 @@ func allConfigs() []Config {
 			Tiles: 5, Tiling: tiling.Uniform, Schedule: sched.Dynamic, Workers: 2,
 		})
 	}
-	for _, chunk := range []int{0, 1, 3, 100} {
-		out = append(out, Config{
-			Iteration: Hybrid, Kappa: 1, Accumulator: accum.HashKind, MarkerBits: 32,
-			Tiles: 9, Tiling: tiling.FlopBalanced, Schedule: sched.Guided, Workers: 3,
-			GuidedMinChunk: chunk,
-		})
-	}
+	out = append(out, Config{
+		Iteration: Hybrid, Kappa: 1, Accumulator: accum.HashKind, MarkerBits: 32,
+		Tiles: 9, Tiling: tiling.FlopBalanced, Schedule: sched.Guided, Workers: 3,
+	})
 	for _, pw := range []int{1, 2, 4} {
 		out = append(out, Config{
 			Iteration: MaskLoad, Kappa: 1, Accumulator: accum.HashKind, MarkerBits: 32,
@@ -138,16 +135,15 @@ func TestMaskedSpGEMMPropertyRandomShapes(t *testing.T) {
 		b := randMatrix(inner, cols, 0.25, r)
 		m := randMatrix(rows, cols, 0.3, r)
 		cfg := Config{
-			Iteration:      IterationSpace(itRaw % 4),
-			Kappa:          1,
-			Accumulator:    accum.Kind(akRaw % 5),
-			MarkerBits:     32,
-			Tiles:          r.Intn(8) + 1,
-			Tiling:         tiling.Strategy(r.Intn(2)),
-			Schedule:       sched.Policy(r.Intn(3)),
-			Workers:        r.Intn(3) + 1,
-			PlanWorkers:    r.Intn(3),
-			GuidedMinChunk: r.Intn(4),
+			Iteration:   IterationSpace(itRaw % 4),
+			Kappa:       1,
+			Accumulator: accum.Kind(akRaw % 5),
+			MarkerBits:  32,
+			Tiles:       r.Intn(8) + 1,
+			Tiling:      tiling.Strategy(r.Intn(2)),
+			Schedule:    sched.Policy(r.Intn(3)),
+			Workers:     r.Intn(3) + 1,
+			PlanWorkers: r.Intn(3),
 		}
 		got, err := MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
 		if err != nil {
@@ -365,11 +361,6 @@ func TestMaskedSpGEMMEdgeCases(t *testing.T) {
 		bad.PlanWorkers = -1
 		if _, err := MaskedSpGEMM[float64](sr, a, a, a, bad); err == nil {
 			t.Error("negative plan workers not rejected")
-		}
-		bad = cfg
-		bad.GuidedMinChunk = -1
-		if _, err := MaskedSpGEMM[float64](sr, a, a, a, bad); err == nil {
-			t.Error("negative guided chunk not rejected")
 		}
 	})
 

@@ -18,10 +18,10 @@ func schedRun(ctx context.Context, cfg Config, workers, tiles int, fn func(worke
 }
 
 // runOpts assembles the wave executor's options from the config: the
-// guided chunk floor, the resilience knobs (chaos seams, stall
-// watchdog), and the run's wave-stats block, nil for a flat run.
+// resilience knobs (chaos seams, stall watchdog) and the run's
+// wave-stats block, nil for a flat run.
 func runOpts(cfg Config, wstats *sched.WaveStats) sched.RunOpts {
-	opt := sched.RunOpts{MinChunk: cfg.GuidedMinChunk, WaveStats: wstats}
+	opt := sched.RunOpts{WaveStats: wstats}
 	if cfg.Resilience != nil {
 		opt.Chaos = cfg.Resilience.Chaos
 		opt.StallTimeout = cfg.Resilience.StallTimeout

@@ -30,7 +30,7 @@ func MarshalJSONBytes(v any) ([]byte, error) {
 // RoundTrip verifies that data strictly decodes into out (a pointer to
 // the document's Go type, rejecting unknown fields) and that re-encoding
 // the decoded value reproduces data byte for byte — the schema check
-// behind `make bench-smoke`. A mismatch means the producer and the
+// behind every document the tools write. A mismatch means the producer and the
 // declared schema have drifted apart.
 func RoundTrip(data []byte, out any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))

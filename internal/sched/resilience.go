@@ -18,11 +18,8 @@ import (
 // tile counter entirely.
 
 // RunOpts carries the optional knobs of RunWavesOpts. The zero value is
-// a plain contained run with a Guided chunk floor of 1.
+// a plain contained run.
 type RunOpts struct {
-	// MinChunk is the Guided policy's chunk floor; Static and Dynamic
-	// ignore it. Values below 1 are treated as 1.
-	MinChunk int
 	// Chaos, when non-nil, is consulted at the TileClaim seam before
 	// every tile and at the WorkerSpawn seam once per worker. Error and
 	// Cancel faults become a recorded spurious cancel; Panic faults

@@ -71,25 +71,16 @@ func Workers(w int) int {
 }
 
 // GuidedChunk returns the chunk size a guided claim takes when rem tiles
-// remain on p workers with the given floor — exposed so tests can verify
-// the geometric decay without racing on the shared counter.
+// remain on p workers: rem/p, at least 1, clamped to what is left —
+// OpenMP's schedule(guided). Exposed so tests can verify the geometric
+// decay without racing on the shared counter.
 //
 //spgemm:hotpath
-func GuidedChunk(rem, p, minChunk int) int {
+func GuidedChunk(rem, p int) int {
 	if rem <= 0 {
 		return 0
 	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	c := rem / p
-	if c < minChunk {
-		c = minChunk
-	}
-	if c > rem {
-		c = rem
-	}
-	return c
+	return max(rem/p, 1)
 }
 
 // StaticOwner returns the worker id that owns tile t under the Static

@@ -110,13 +110,12 @@ func TestWorkersDefault(t *testing.T) {
 }
 
 func TestRunPropertyAllPoliciesAllSizes(t *testing.T) {
-	f := func(pRaw, tRaw, polRaw, chunkRaw uint8) bool {
+	f := func(pRaw, tRaw, polRaw uint8) bool {
 		p := int(pRaw%8) + 1
 		tiles := int(tRaw % 64)
 		policy := Policy(polRaw % 3)
-		minChunk := int(chunkRaw % 9) // 0 exercises the default floor
 		var n atomic.Int64
-		check(t, RunWavesOpts(nil, policy, p, SingleWave(tiles), RunOpts{MinChunk: minChunk}, func(_, _ int) { n.Add(1) }))
+		check(t, RunWavesOpts(nil, policy, p, SingleWave(tiles), RunOpts{}, func(_, _ int) { n.Add(1) }))
 		return n.Load() == int64(tiles)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -137,16 +136,14 @@ func TestGuidedEveryTileClaimedOnce(t *testing.T) {
 	// Non-atomic per-tile writes: a double claim is a data race the race
 	// detector flags, and a missed tile leaves a zero we assert on.
 	for _, workers := range []int{2, 4, 8} {
-		for _, minChunk := range []int{0, 1, 4, 100, 100000} {
-			const tiles = 5000
-			hits := make([]int64, tiles)
-			check(t, RunWavesOpts(nil, Guided, workers, SingleWave(tiles), RunOpts{MinChunk: minChunk}, func(_, tile int) {
-				hits[tile]++
-			}))
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("p=%d chunk=%d: tile %d ran %d times", workers, minChunk, i, h)
-				}
+		const tiles = 5000
+		hits := make([]int64, tiles)
+		check(t, RunWavesOpts(nil, Guided, workers, SingleWave(tiles), RunOpts{}, func(_, tile int) {
+			hits[tile]++
+		}))
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("p=%d: tile %d ran %d times", workers, i, h)
 			}
 		}
 	}
@@ -157,7 +154,7 @@ func TestGuidedScratchIsolation(t *testing.T) {
 	// per-worker non-atomic counters must not lose updates.
 	const workers, tiles = 4, 4096
 	scratch := make([]int64, workers)
-	check(t, RunWavesOpts(nil, Guided, workers, SingleWave(tiles), RunOpts{MinChunk: 3}, func(w, _ int) {
+	check(t, RunWavesOpts(nil, Guided, workers, SingleWave(tiles), RunOpts{}, func(w, _ int) {
 		scratch[w]++
 	}))
 	var total int64
@@ -170,31 +167,25 @@ func TestGuidedScratchIsolation(t *testing.T) {
 }
 
 func TestGuidedChunkDecay(t *testing.T) {
-	// The claim size must be remaining/p, floored, clamped — geometric
-	// decay toward the floor.
-	if got := GuidedChunk(1000, 4, 1); got != 250 {
-		t.Errorf("GuidedChunk(1000,4,1) = %d, want 250", got)
+	// The claim size must be remaining/p, at least one tile — geometric
+	// decay toward single-tile claims.
+	if got := GuidedChunk(1000, 4); got != 250 {
+		t.Errorf("GuidedChunk(1000,4) = %d, want 250", got)
 	}
-	if got := GuidedChunk(7, 4, 1); got != 1 {
-		t.Errorf("GuidedChunk(7,4,1) = %d, want 1 (integer division floor)", got)
+	if got := GuidedChunk(7, 4); got != 1 {
+		t.Errorf("GuidedChunk(7,4) = %d, want 1 (integer division floor)", got)
 	}
-	if got := GuidedChunk(7, 4, 5); got != 5 {
-		t.Errorf("GuidedChunk(7,4,5) = %d, want 5 (chunk floor)", got)
+	if got := GuidedChunk(3, 4); got != 1 {
+		t.Errorf("GuidedChunk(3,4) = %d, want 1 (never an empty claim)", got)
 	}
-	if got := GuidedChunk(3, 4, 5); got != 3 {
-		t.Errorf("GuidedChunk(3,4,5) = %d, want 3 (clamped to remaining)", got)
-	}
-	if got := GuidedChunk(0, 4, 1); got != 0 {
-		t.Errorf("GuidedChunk(0,4,1) = %d, want 0", got)
-	}
-	if got := GuidedChunk(10, 2, 0); got != 5 {
-		t.Errorf("GuidedChunk(10,2,0) = %d, want 5 (floor defaults to 1)", got)
+	if got := GuidedChunk(0, 4); got != 0 {
+		t.Errorf("GuidedChunk(0,4) = %d, want 0", got)
 	}
 	// Simulated drain: total tiles claimed must equal the supply, and
 	// chunk sizes must never grow as the supply shrinks.
 	rem, prev := 32768, 1<<62
 	for rem > 0 {
-		c := GuidedChunk(rem, 8, 4)
+		c := GuidedChunk(rem, 8)
 		if c > prev {
 			t.Fatalf("chunk grew: %d after %d", c, prev)
 		}

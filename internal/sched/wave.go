@@ -199,8 +199,8 @@ func RunWavesE(ctx context.Context, policy Policy, p int, plan WavePlan, fn func
 // single-worker measurements carry no goroutine overhead. Within a
 // wave, workers claim tiles under the policy (Static ownership keeps the
 // global t mod p == worker invariant across waves; a Guided worker
-// never claims fewer than opt.MinChunk tiles per atomic operation,
-// except the final, possibly partial, chunk); at each wave boundary the
+// claims max(remaining/p, 1) tiles per atomic operation); at each wave
+// boundary the
 // persistent workers cross a condition-variable barrier, with the last
 // arriver resetting the shared claim counter for the next wave while
 // every other worker is parked. Single-wave plans never touch the
@@ -219,10 +219,6 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 	p = Workers(p)
 	if p > plan.Widest() {
 		p = plan.Widest()
-	}
-	minChunk := opt.MinChunk
-	if minChunk < 1 {
-		minChunk = 1
 	}
 	nw := plan.NumWaves()
 	inj := opt.Chaos
@@ -308,7 +304,7 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 				if st.stop.Load() {
 					return
 				}
-				lo, hi := claimGuidedRange(&next, wave.Hi, p, minChunk)
+				lo, hi := claimGuidedRange(&next, wave.Hi, p)
 				if lo >= hi {
 					return
 				}
@@ -365,26 +361,19 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 }
 
 // claimGuidedRange reserves the next guided chunk [lo, hi2) of the
-// range ending at hi: remaining/p tiles, at least minChunk, clamped to
-// what is left. The CAS loop guarantees each tile is claimed by exactly
-// one worker. The wave executor resets the shared counter to each
-// wave's Lo at the barrier, so the geometric decay restarts per wave.
+// range ending at hi: GuidedChunk(remaining, p) tiles. The CAS loop
+// guarantees each tile is claimed by exactly one worker. The wave
+// executor resets the shared counter to each wave's Lo at the barrier,
+// so the geometric decay restarts per wave.
 //
 //spgemm:hotpath
-func claimGuidedRange(next *atomic.Int64, hi, p, minChunk int) (lo, hi2 int) {
+func claimGuidedRange(next *atomic.Int64, hi, p int) (lo, hi2 int) {
 	for {
 		cur := next.Load()
 		if cur >= int64(hi) {
 			return hi, hi
 		}
-		rem := int64(hi) - cur
-		c := rem / int64(p)
-		if c < int64(minChunk) {
-			c = int64(minChunk)
-		}
-		if c > rem {
-			c = rem
-		}
+		c := int64(GuidedChunk(hi-int(cur), p))
 		if next.CompareAndSwap(cur, cur+c) {
 			return int(cur), int(cur + c)
 		}

@@ -4,11 +4,14 @@ import (
 	"io"
 	"time"
 
+	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/bench"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/graph"
 	"maskedspgemm/internal/graphgen"
 	"maskedspgemm/internal/model"
+	"maskedspgemm/internal/sched"
+	"maskedspgemm/internal/tiling"
 )
 
 // TriangleCount counts triangles in the undirected simple graph a using
@@ -153,16 +156,17 @@ func fromConfig(cfg core.Config) Options {
 	default:
 		out.Iteration = IterHybrid
 	}
-	if cfg.Accumulator.String() == "Dense" || cfg.Accumulator.String() == "DenseExplicit" {
+	if cfg.Accumulator == accum.DenseKind || cfg.Accumulator == accum.DenseExplicitKind {
 		out.Accumulator = AccDense
-	} else {
-		out.Accumulator = AccHash
 	}
-	if cfg.Tiling.String() == "Uniform" {
+	if cfg.Tiling == tiling.Uniform {
 		out.Tiling = TileUniform
 	}
-	if cfg.Schedule.String() == "Static" {
+	switch cfg.Schedule {
+	case sched.Static:
 		out.Schedule = SchedStatic
+	case sched.Guided:
+		out.Schedule = SchedGuided
 	}
 	return out
 }

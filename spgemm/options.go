@@ -57,8 +57,8 @@ const (
 	// SchedStatic pre-assigns tiles round-robin.
 	SchedStatic
 	// SchedGuided lets workers claim geometrically shrinking chunks of
-	// tiles (remaining/P per claim, bounded below by GuidedMinChunk) —
-	// OpenMP's schedule(guided). At high tile counts it keeps dynamic
+	// tiles (remaining/P per claim, at least one) — OpenMP's
+	// schedule(guided). At high tile counts it keeps dynamic
 	// balance while paying far fewer atomic operations than SchedDynamic.
 	SchedGuided
 )
@@ -103,9 +103,6 @@ type Options struct {
 	// result assembly (work estimation, tile balancing, CSR stitching);
 	// 0 = same as Workers.
 	PlanWorkers int
-	// GuidedMinChunk is the smallest tile batch a worker claims under
-	// SchedGuided; 0 = 1. Ignored by the other schedules.
-	GuidedMinChunk int
 	// Semiring is the multiplication algebra. Default SRPlusTimes.
 	Semiring Semiring
 	// Fuse enables the tile-granular fused pipeline for chained
@@ -227,7 +224,6 @@ func (o Options) config() core.Config {
 		Tiles:          o.Tiles,
 		Workers:        o.Workers,
 		PlanWorkers:    o.PlanWorkers,
-		GuidedMinChunk: o.GuidedMinChunk,
 		FuseTileBudget: o.FuseTileBudget,
 		Context:        o.Context,
 		Engine:         o.Engine.internal(),

@@ -37,7 +37,6 @@ func TestOptionsConfigMapping(t *testing.T) {
 		{func(o *Options) { o.Schedule = SchedStatic }, func(c core.Config) bool { return c.Schedule == sched.Static }, "static"},
 		{func(o *Options) { o.Schedule = SchedGuided }, func(c core.Config) bool { return c.Schedule == sched.Guided }, "guided"},
 		{func(o *Options) { o.PlanWorkers = 5 }, func(c core.Config) bool { return c.PlanWorkers == 5 }, "planworkers"},
-		{func(o *Options) { o.GuidedMinChunk = 9 }, func(c core.Config) bool { return c.GuidedMinChunk == 9 }, "guidedchunk"},
 		{func(o *Options) { o.Workers = 3 }, func(c core.Config) bool { return c.Workers == 3 }, "workers"},
 		{func(o *Options) { o.Kappa = 0.25 }, func(c core.Config) bool { return c.Kappa == 0.25 }, "kappa"},
 		{func(o *Options) { o.MarkerBits = 8 }, func(c core.Config) bool { return c.MarkerBits == 8 }, "marker"},
@@ -48,6 +47,15 @@ func TestOptionsConfigMapping(t *testing.T) {
 		c.mutate(&o)
 		if !c.check(o.config()) {
 			t.Errorf("%s: option did not map", c.name)
+		}
+		// fromConfig inverts config on the subset it exports (what Tune
+		// and PredictOptions hand back to callers).
+		back := fromConfig(o.config())
+		if back.Iteration != o.Iteration || back.Accumulator != o.Accumulator ||
+			back.Tiling != o.Tiling || back.Schedule != o.Schedule ||
+			back.Kappa != o.Kappa || back.MarkerBits != o.MarkerBits ||
+			back.Tiles != o.Tiles || back.Workers != o.Workers {
+			t.Errorf("%s: fromConfig(config()) = %+v, want %+v", c.name, back, o)
 		}
 	}
 }
