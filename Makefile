@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet size lint lint-json staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-kappa bench-trsv telemetry-smoke
+.PHONY: build test vet size lint lint-json staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-kappa bench-trsv bench-micro telemetry-smoke
 
 build:
 	$(GO) build ./...
@@ -63,8 +63,10 @@ race:
 # gates are the spgemm-bench runs that fail when an invariant breaks:
 # warm pool hit rate and fused allocations (bench-engine), solve
 # bit-identity (bench-trsv), the fault matrix (chaos) and the live
-# endpoints (telemetry-smoke). CI's gates job runs exactly this.
-gates: bench-engine bench-trsv chaos telemetry-smoke
+# endpoints (telemetry-smoke) — plus one iteration of the two
+# micro-benchmarks the row-kernel numbers are regenerated from
+# (bench-micro), so they cannot rot. CI's gates job runs exactly this.
+gates: bench-engine bench-trsv chaos telemetry-smoke bench-micro
 
 check: vet lint staticcheck govulncheck race test gates
 
@@ -145,6 +147,15 @@ bench-trsv:
 	$(GO) run ./cmd/spgemm-bench -experiment trsv -shift 6 \
 		-graphs GAP-road-sim,hollywood-2009-sim -reps 2 -budget 1s \
 		-min-trsv-speedup $(TRSV_SPEEDUP)
+
+# bench-micro runs the two micro-benchmarks behind the row-kernel
+# numbers once each: per-entry vs batched accumulator updates (ns/update
+# per kind) and the four iteration spaces on the circuit graph
+# (ns/flop). One iteration is a smoke test; for numbers drop
+# `-benchtime 1x` and add `-count`.
+bench-micro:
+	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum
+	$(GO) test -run '^$$' -bench '^BenchmarkIterationSpaces$$' -benchtime 1x .
 
 # bench-kappa exercises the online κ recalibrator against an offline
 # sweep. Timing-sensitive, so it is informational rather than part of

@@ -163,13 +163,23 @@ func BenchmarkFig14Kappa(b *testing.B) {
 
 // BenchmarkIterationSpaces is the §III-B ablation: all four iteration
 // spaces on the circuit matrix whose vanilla/mask-load costs diverge
-// most (the circuit5M timeout of the paper).
+// most (the circuit5M timeout of the paper). ns/flop is wall time over
+// the Eq. 2 volume Σ nnz(B[k,:]) — the unit of core.kernel_ns_per_flop —
+// so the cost of one accumulator update is comparable across spaces and
+// across commits without running the whole benchmark.
 func BenchmarkIterationSpaces(b *testing.B) {
 	a := load(b, "circuit5M-sim")
+	prof, err := core.ProfileMasked(a, a, a, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, it := range []core.IterationSpace{core.Vanilla, core.MaskLoad, core.CoIter, core.Hybrid} {
 		cfg := core.DefaultConfig()
 		cfg.Iteration = it
-		b.Run(it.String(), func(b *testing.B) { runMasked(b, a, cfg) })
+		b.Run(it.String(), func(b *testing.B) {
+			runMasked(b, a, cfg)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prof.Flops), "ns/flop")
+		})
 	}
 }
 

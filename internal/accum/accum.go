@@ -16,6 +16,27 @@
 //
 // Explicit-reset variants (GrB's strategy: walk the mask columns after
 // each row and clear them) are provided for the reset-strategy ablation.
+//
+// # The batched contract
+//
+// The row kernels hold an accumulator behind the Accumulator interface,
+// and a semiring behind a generic dictionary (every zero-size semiring
+// shares one GC shape), so neither call inlines. A per-entry contract
+// would therefore pay an interface call plus two dictionary calls for
+// every Eq. 2 FLOP. The linear traversals instead hand over one whole B
+// row at a time: Scatter(aik, cols, vals) and ScatterMasked(aik, cols,
+// vals) stand for the loop
+//
+//	for p, j := range cols { Update(j, Times(aik, vals[p])) }        // Scatter
+//	for p, j := range cols { UpdateMasked(j, Times(aik, vals[p])) }  // ScatterMasked
+//
+// and must leave the accumulator — values, table layout, Stats — exactly
+// as that loop would. Inside, the marker families hoist their arrays
+// into locals, probe without a call, and evaluate Times (and Plus) only
+// for entries the mask admits; semirings are stateless, so skipping
+// Times on a miss cannot change a result. Update and UpdateMasked stay
+// as the per-entry reference semantics, and serve co-iteration, which
+// has one candidate per binary-search match, not one per B entry.
 package accum
 
 import (
@@ -35,7 +56,8 @@ type Marker interface {
 //
 //	BeginRow()
 //	LoadMask(maskCols)            // mask-load and hybrid spaces only
-//	Update / UpdateMasked ...     // one call per candidate product term
+//	Scatter / ScatterMasked ...   // one call per B row (linear traversals)
+//	Update ...                    // one call per match (co-iteration)
 //	cols, vals = Gather(maskCols, cols, vals)
 //
 // Gather iterates the mask columns, so output rows come out sorted
@@ -52,6 +74,13 @@ type Accumulator[T sparse.Number] interface {
 	// UpdateMasked accumulates x into column j only if LoadMask allowed
 	// it, reporting whether it did. Used by the mask-load space.
 	UpdateMasked(j sparse.Index, x T) bool
+	// Scatter is Update(cols[p], aik ⊗ vals[p]) for every p in order: one
+	// A entry times one B row. len(vals) must be at least len(cols).
+	Scatter(aik T, cols []sparse.Index, vals []T)
+	// ScatterMasked is UpdateMasked(cols[p], aik ⊗ vals[p]) for every p in
+	// order, returning how many updates the mask admitted. ⊗ need not be
+	// evaluated for the rest.
+	ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int)
 	// Gather appends the accumulated entries whose column appears in
 	// maskCols (in that order) to cols/vals and returns the extended
 	// slices.

@@ -67,16 +67,12 @@ func (d *Dense[T, S, M]) LoadMask(cols []sparse.Index) {
 //spgemm:hotpath
 func (d *Dense[T, S, M]) Update(j sparse.Index, x T) {
 	entry := d.mask + 1
-	switch d.state[j] {
-	case entry:
+	if d.state[j] == entry {
 		d.vals[j] = d.sr.Plus(d.vals[j], x)
-	case d.mask:
-		d.state[j] = entry
-		d.vals[j] = x
-	default:
-		d.state[j] = entry
-		d.vals[j] = x
+		return
 	}
+	d.state[j] = entry
+	d.vals[j] = x
 }
 
 // UpdateMasked accumulates x into column j only if LoadMask allowed it.
@@ -95,6 +91,52 @@ func (d *Dense[T, S, M]) UpdateMasked(j sparse.Index, x T) bool {
 	default:
 		return false
 	}
+}
+
+// Scatter is the batched Update: one A entry times one B row, with the
+// arrays and the marker pair held in locals for the whole row.
+//
+//spgemm:hotpath
+func (d *Dense[T, S, M]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	vals = vals[:len(cols)]
+	state := d.state
+	dv := d.vals[:len(state)]
+	entry := d.mask + 1
+	for p, j := range cols {
+		x := d.sr.Times(aik, vals[p])
+		if state[j] == entry {
+			x = d.sr.Plus(dv[j], x)
+		}
+		state[j] = entry
+		dv[j] = x
+	}
+}
+
+// ScatterMasked is the batched UpdateMasked. A column outside the mask
+// costs one state load and no call; the semiring is consulted only for
+// columns the mask admits.
+//
+//spgemm:hotpath
+func (d *Dense[T, S, M]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	vals = vals[:len(cols)]
+	state := d.state
+	dv := d.vals[:len(state)]
+	mask := d.mask
+	entry := mask + 1
+	for p, j := range cols {
+		st := state[j]
+		if st != mask && st != entry {
+			continue
+		}
+		x := d.sr.Times(aik, vals[p])
+		if st == entry {
+			x = d.sr.Plus(dv[j], x)
+		}
+		state[j] = entry
+		dv[j] = x
+		hits++
+	}
+	return hits
 }
 
 // Gather appends the written entries among maskCols, in mask order.
@@ -199,6 +241,27 @@ func (d *DenseExplicit[T, S]) UpdateMasked(j sparse.Index, x T) bool {
 	default:
 		return false
 	}
+}
+
+// Scatter is Update per B entry.
+//
+//spgemm:hotpath
+func (d *DenseExplicit[T, S]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	for p, j := range cols {
+		d.Update(j, d.sr.Times(aik, vals[p]))
+	}
+}
+
+// ScatterMasked is UpdateMasked per B entry.
+//
+//spgemm:hotpath
+func (d *DenseExplicit[T, S]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	for p, j := range cols {
+		if d.UpdateMasked(j, d.sr.Times(aik, vals[p])) {
+			hits++
+		}
+	}
+	return hits
 }
 
 // Gather appends the written entries among maskCols, in mask order.

@@ -228,6 +228,98 @@ func (h *Hash[T, S, M]) UpdateMasked(j sparse.Index, x T) bool {
 	return true
 }
 
+// Scatter is the batched Update: one A entry times one B row, inserting
+// absent columns. The table's arrays and marker pair live in locals for
+// the whole row and the probe sequence is open-coded, so a FLOP costs no
+// call beyond the semiring's; a grow mid-row re-loads them.
+//
+//spgemm:hotpath
+func (h *Hash[T, S, M]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	vals = vals[:len(cols)]
+	state, keys, hv := h.state, h.keys, h.vals
+	mask, shift, capMask := h.mask, h.shift, len(h.keys)-1
+	entry := mask + 1
+	var collisions int64
+	for p, j := range cols {
+		slot := int((uint64(uint32(j)) * fibHash) >> shift)
+		for {
+			st := state[slot]
+			if st != mask && st != entry {
+				keys[slot] = j
+				state[slot] = entry
+				hv[slot] = h.sr.Times(aik, vals[p])
+				h.used++
+				if 2*h.used > len(keys) {
+					//lint:ignore hotpathalloc amortized: doubling keeps per-insert cost O(1), and growth means the row blew its mask bound
+					h.maybeGrow()
+					state, keys, hv = h.state, h.keys, h.vals
+					mask, shift, capMask = h.mask, h.shift, len(h.keys)-1
+					entry = mask + 1
+				}
+				break
+			}
+			if keys[slot] == j {
+				x := h.sr.Times(aik, vals[p])
+				if st == entry {
+					x = h.sr.Plus(hv[slot], x)
+				}
+				state[slot] = entry
+				hv[slot] = x
+				break
+			}
+			slot = (slot + 1) & capMask
+			collisions++
+		}
+	}
+	if h.stats != nil {
+		h.stats.Probes += int64(len(cols))
+		h.stats.Collisions += collisions
+	}
+}
+
+// ScatterMasked is the batched UpdateMasked — the inner loop of the
+// mask-load and hybrid spaces, where most probes miss. The miss path
+// reads the state array alone and makes no call; the semiring is
+// consulted only once a column is known to be in the mask.
+//
+//spgemm:hotpath
+func (h *Hash[T, S, M]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	vals = vals[:len(cols)]
+	state := h.state
+	// The three arrays are one length; saying so drops the keys and vals
+	// bounds checks once state[slot] has passed its own.
+	keys, hv := h.keys[:len(state)], h.vals[:len(state)]
+	mask, shift, capMask := h.mask, h.shift&63, len(state)-1
+	entry := mask + 1
+	var collisions int64
+	for p, j := range cols {
+		slot := int((uint64(uint32(j)) * fibHash) >> shift)
+		for {
+			st := state[slot]
+			if st != mask && st != entry {
+				break
+			}
+			if keys[slot] == j {
+				x := h.sr.Times(aik, vals[p])
+				if st == entry {
+					x = h.sr.Plus(hv[slot], x)
+				}
+				state[slot] = entry
+				hv[slot] = x
+				hits++
+				break
+			}
+			slot = (slot + 1) & capMask
+			collisions++
+		}
+	}
+	if h.stats != nil {
+		h.stats.Probes += int64(len(cols))
+		h.stats.Collisions += collisions
+	}
+	return hits
+}
+
 // Gather appends the written entries among maskCols, in mask order.
 //
 //spgemm:hotpath
@@ -332,6 +424,23 @@ func (h *HashExplicit[T, S]) growAndRelocate() {
 //spgemm:hotpath
 func (h *HashExplicit[T, S]) UpdateMasked(j sparse.Index, x T) bool {
 	return h.inner.UpdateMasked(j, x)
+}
+
+// Scatter is Update per B entry: inserts must be tracked in the live
+// list, which only this wrapper's Update does.
+//
+//spgemm:hotpath
+func (h *HashExplicit[T, S]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	for p, j := range cols {
+		h.Update(j, h.inner.sr.Times(aik, vals[p]))
+	}
+}
+
+// ScatterMasked never inserts, so the inner table's batched loop serves.
+//
+//spgemm:hotpath
+func (h *HashExplicit[T, S]) ScatterMasked(aik T, cols []sparse.Index, vals []T) int {
+	return h.inner.ScatterMasked(aik, cols, vals)
 }
 
 // Gather appends the written entries among maskCols, in mask order.

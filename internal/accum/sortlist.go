@@ -83,6 +83,27 @@ func (s *SortList[T, S]) UpdateMasked(j sparse.Index, x T) bool {
 	return true
 }
 
+// Scatter appends one B row's products to the log.
+//
+//spgemm:hotpath
+func (s *SortList[T, S]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	for p, j := range cols {
+		s.Update(j, s.sr.Times(aik, vals[p]))
+	}
+}
+
+// ScatterMasked is UpdateMasked per B entry.
+//
+//spgemm:hotpath
+func (s *SortList[T, S]) ScatterMasked(aik T, cols []sparse.Index, vals []T) (hits int) {
+	for p, j := range cols {
+		if s.UpdateMasked(j, s.sr.Times(aik, vals[p])) {
+			hits++
+		}
+	}
+	return hits
+}
+
 // Gather sorts the log, merges duplicate columns with Plus, intersects
 // with maskCols, and appends the result.
 func (s *SortList[T, S]) Gather(

@@ -4,7 +4,8 @@ package accum
 // Grows are always counted (they are rare, per-row-at-worst events);
 // Probes and Collisions touch the hash accumulator's innermost loop and
 // are only counted after EnableStats, so the un-instrumented hot path
-// pays a single predictable nil-check per probe.
+// pays a single predictable nil-check per probe — per batch in Scatter
+// and ScatterMasked, which count in locals and flush once per call.
 type Stats struct {
 	// Clears counts full state resets forced by marker overflow — the
 	// Fig. 13 bit-width trade-off.
@@ -12,7 +13,8 @@ type Stats struct {
 	// Grows counts hash-table doublings (a row exceeded the sizing bound).
 	Grows int64
 	// Probes counts probe sequences (one per LoadMask/Update/Gather
-	// lookup). Zero unless EnableStats was called.
+	// lookup and per Scatter/ScatterMasked entry). Zero unless
+	// EnableStats was called.
 	Probes int64
 	// Collisions counts probe steps past the home slot. Zero unless
 	// EnableStats was called.

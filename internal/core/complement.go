@@ -47,12 +47,11 @@ func rowComp[T sparse.Number, S semiring.Semiring[T]](
 	for _, j := range maskCols {
 		sc.State[j] = 1
 	}
+	var flops int64
 	for kk, ak := range aCols {
 		aik := aVals[kk]
 		bCols, bVals := k.b.Row(int(ak))
-		if wc != nil {
-			wc.Flops.Add(int64(len(bCols)))
-		}
+		flops += int64(len(bCols))
 		for jj, j := range bCols {
 			switch sc.State[j] {
 			case 2:
@@ -63,6 +62,9 @@ func rowComp[T sparse.Number, S semiring.Semiring[T]](
 				sc.Touched = append(sc.Touched, j)
 			} // state 1: blocked by the mask, discard
 		}
+	}
+	if wc != nil {
+		wc.Flops.Add(flops)
 	}
 	// Gather the written entries in column order, then reset.
 	slices.Sort(sc.Touched)

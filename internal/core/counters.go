@@ -15,10 +15,11 @@ type Counters struct {
 	Rows int64
 	// MaskLoads is the number of mask entries inserted into accumulators.
 	MaskLoads int64
-	// Updates is the number of accumulator updates attempted
-	// (Update + UpdateMasked calls).
+	// Updates is the number of accumulator updates attempted: Update and
+	// UpdateMasked calls plus the entries of every Scatter and
+	// ScatterMasked batch.
 	Updates int64
-	// Rejected is the number of UpdateMasked calls the mask filtered out.
+	// Rejected is the number of masked updates the mask filtered out.
 	Rejected int64
 	// Gathered is the number of output entries emitted.
 	Gathered int64
@@ -58,6 +59,20 @@ func (c *countingAccumulator[T]) UpdateMasked(j sparse.Index, x T) bool {
 		c.local.Rejected++
 	}
 	return ok
+}
+
+//spgemm:hotpath
+func (c *countingAccumulator[T]) Scatter(aik T, cols []sparse.Index, vals []T) {
+	c.local.Updates += int64(len(cols))
+	c.inner.Scatter(aik, cols, vals)
+}
+
+//spgemm:hotpath
+func (c *countingAccumulator[T]) ScatterMasked(aik T, cols []sparse.Index, vals []T) int {
+	c.local.Updates += int64(len(cols))
+	hits := c.inner.ScatterMasked(aik, cols, vals)
+	c.local.Rejected += int64(len(cols) - hits)
+	return hits
 }
 
 //spgemm:hotpath

@@ -73,10 +73,9 @@ func TestInstrumentedCountsMatchProfile(t *testing.T) {
 	}
 }
 
-func TestInstrumentedHybridDoesLessWork(t *testing.T) {
-	// On a circuit-like structure the hybrid space must attempt far
-	// fewer accumulator updates than the pure linear scan — the counter
-	// view of the Fig. 14 rescue.
+// railMatrix is a circuit-like structure: a band plus one dense rail,
+// so Eq. 3 co-iterates the rail row and scans the band rows.
+func railMatrix() *sparse.CSR[float64] {
 	coo := sparse.NewCOO[float64](400, 400, 0)
 	// Band.
 	for i := 0; i < 399; i++ {
@@ -88,7 +87,14 @@ func TestInstrumentedHybridDoesLessWork(t *testing.T) {
 		coo.Add(0, sparse.Index(j), 1)
 		coo.Add(sparse.Index(j), 0, 1)
 	}
-	a := coo.ToCSR()
+	return coo.ToCSR()
+}
+
+func TestInstrumentedHybridDoesLessWork(t *testing.T) {
+	// On a circuit-like structure the hybrid space must attempt far
+	// fewer accumulator updates than the pure linear scan — the counter
+	// view of the Fig. 14 rescue.
+	a := railMatrix()
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 

@@ -31,6 +31,12 @@ func (f *faultAccum) Update(j sparse.Index, x float64) { f.inner.Update(j, x) }
 func (f *faultAccum) UpdateMasked(j sparse.Index, x float64) bool {
 	return f.inner.UpdateMasked(j, x)
 }
+func (f *faultAccum) Scatter(aik float64, cols []sparse.Index, vals []float64) {
+	f.inner.Scatter(aik, cols, vals)
+}
+func (f *faultAccum) ScatterMasked(aik float64, cols []sparse.Index, vals []float64) int {
+	return f.inner.ScatterMasked(aik, cols, vals)
+}
 func (f *faultAccum) Gather(maskCols []sparse.Index, cols []sparse.Index, vals []float64) ([]sparse.Index, []float64) {
 	return f.inner.Gather(maskCols, cols, vals)
 }

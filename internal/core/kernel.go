@@ -230,9 +230,9 @@ func rowStep[T sparse.Number, S semiring.Semiring[T]](
 	}
 	switch k.iter {
 	case Vanilla:
-		rowVanilla(k.sr, acc, aCols, aVals, k.b, wc)
+		rowVanilla(acc, aCols, aVals, k.b, wc)
 	case MaskLoad:
-		rowMaskLoad(k.sr, acc, aCols, aVals, k.b, maskCols, wc)
+		rowMaskLoad(acc, aCols, aVals, k.b, maskCols, wc)
 	case CoIter:
 		rowCoIter(k.sr, acc, aCols, aVals, k.b, maskCols, wc)
 	case Hybrid:
@@ -245,21 +245,26 @@ func rowStep[T sparse.Number, S semiring.Semiring[T]](
 // mask only at gather time. The wasted updates outside the mask are the
 // point — this is the cost the better iteration spaces avoid.
 //
+// Like every linear traversal here it hands the accumulator one whole B
+// row per call (accum's batched contract): the accumulator sits behind
+// an interface and the semiring behind a generic dictionary, so a
+// per-entry call would be paid once per Eq. 2 FLOP. Recorder counts
+// collect in locals and reach wc once per output row.
+//
 //spgemm:hotpath
-func rowVanilla[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
+func rowVanilla[T sparse.Number](
+	acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
 	wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
+	var flops int64
 	for kk, k := range aCols {
-		aik := aVals[kk]
 		bCols, bVals := b.Row(int(k))
-		if wc != nil {
-			wc.Flops.Add(int64(len(bCols)))
-		}
-		for jj, j := range bCols {
-			acc.Update(j, sr.Times(aik, bVals[jj]))
-		}
+		flops += int64(len(bCols))
+		acc.Scatter(aVals[kk], bCols, bVals)
+	}
+	if wc != nil {
+		wc.Flops.Add(flops)
 	}
 }
 
@@ -268,21 +273,20 @@ func rowVanilla[T sparse.Number, S semiring.Semiring[T]](
 // miss the mask.
 //
 //spgemm:hotpath
-func rowMaskLoad[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
+func rowMaskLoad[T sparse.Number](
+	acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
 	maskCols []sparse.Index, wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
 	acc.LoadMask(maskCols)
+	var flops int64
 	for kk, k := range aCols {
-		aik := aVals[kk]
 		bCols, bVals := b.Row(int(k))
-		if wc != nil {
-			wc.Flops.Add(int64(len(bCols)))
-		}
-		for jj, j := range bCols {
-			acc.UpdateMasked(j, sr.Times(aik, bVals[jj]))
-		}
+		flops += int64(len(bCols))
+		acc.ScatterMasked(aVals[kk], bCols, bVals)
+	}
+	if wc != nil {
+		wc.Flops.Add(flops)
 	}
 }
 
@@ -296,16 +300,17 @@ func rowCoIter[T sparse.Number, S semiring.Semiring[T]](
 	maskCols []sparse.Index, wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
+	// Flops stays the Eq. 2 volume Σ nnz(B[k,:]) even though CoIter
+	// touches fewer entries, so the counter is comparable across
+	// iteration spaces and matches the planner's estimate exactly.
+	var flops int64
 	for kk, k := range aCols {
-		aik := aVals[kk]
 		bCols, bVals := b.Row(int(k))
-		// Flops stays the Eq. 2 volume Σ nnz(B[k,:]) even though CoIter
-		// touches fewer entries, so the counter is comparable across
-		// iteration spaces and matches the planner's estimate exactly.
-		if wc != nil {
-			wc.Flops.Add(int64(len(bCols)))
-		}
-		coIterate(sr, acc, aik, maskCols, bCols, bVals)
+		flops += int64(len(bCols))
+		coIterate(sr, acc, aVals[kk], maskCols, bCols, bVals)
+	}
+	if wc != nil {
+		wc.Flops.Add(flops)
 	}
 }
 
@@ -359,25 +364,21 @@ func rowHybrid[T sparse.Number, S semiring.Semiring[T]](
 	acc.BeginRow()
 	acc.LoadMask(maskCols)
 	nnzM := len(maskCols)
+	var flops, coIter int64
 	for kk, k := range aCols {
-		aik := aVals[kk]
 		bCols, bVals := b.Row(int(k))
-		if wc != nil {
-			wc.Flops.Add(int64(len(bCols)))
-		}
+		flops += int64(len(bCols))
 		if coIterCheaper(nnzM, len(bCols), kappa) {
-			if wc != nil {
-				wc.CoIterPicks.Add(1)
-			}
-			coIterate(sr, acc, aik, maskCols, bCols, bVals)
+			coIter++
+			coIterate(sr, acc, aVals[kk], maskCols, bCols, bVals)
 		} else {
-			if wc != nil {
-				wc.LinearPicks.Add(1)
-			}
-			for jj, j := range bCols {
-				acc.UpdateMasked(j, sr.Times(aik, bVals[jj]))
-			}
+			acc.ScatterMasked(aVals[kk], bCols, bVals)
 		}
+	}
+	if wc != nil {
+		wc.Flops.Add(flops)
+		wc.CoIterPicks.Add(coIter)
+		wc.LinearPicks.Add(int64(len(aCols)) - coIter)
 	}
 }
 

@@ -1,10 +1,20 @@
 // Package semiring defines the algebraic structures the GraphBLAS-style
 // kernels compute over. GraphBLAS permits any semiring in place of
-// (+, ×) (paper §II-A); the kernels in internal/core are generic over a
-// Semiring type parameter instantiated with one of the zero-size structs
-// below, so each (semiring, value-type) pair compiles to a specialized,
-// fully inlined kernel with no function-pointer indirection — the Go
-// equivalent of the C++ template instantiation GrB relies on.
+// (+, ×) (paper §II-A); the kernels in internal/core and the
+// accumulators in internal/accum are generic over a Semiring type
+// parameter instantiated with one of the structs below.
+//
+// That is not the C++ template instantiation GrB relies on. The Go
+// compiler stencils generic code per GC shape, and every zero-size
+// semiring here has the same shape (struct{}), so they all share one
+// compiled kernel and reach Plus and Times through its type dictionary:
+// an indirect call that is never inlined (go tool objdump shows it as
+// CALL through a register). The kernels are built around that cost
+// rather than pretending it away: the accumulator contract is one call
+// per B row, not per entry (accum.Accumulator's Scatter and
+// ScatterMasked), and inside it Times is evaluated lazily — only for
+// entries the mask admits — so a rejected Eq. 2 FLOP makes no semiring
+// call at all. Laziness is sound because semirings are stateless.
 package semiring
 
 import "maskedspgemm/internal/sparse"
