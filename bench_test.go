@@ -13,7 +13,10 @@ import (
 	"maskedspgemm/internal/baseline"
 	"maskedspgemm/internal/bench"
 	"maskedspgemm/internal/core"
+	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graph"
+	"maskedspgemm/internal/graphgen"
+	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
@@ -257,7 +260,9 @@ func BenchmarkFormulations(b *testing.B) {
 
 // BenchmarkGraphAlgorithms measures the end-to-end workloads the kernel
 // serves: triangle counting (all three formulations), one k-truss round,
-// and BFS.
+// BFS, and batched BC on the benchmark's 57 × 100 road lattice — a few
+// hundred multiplies of a few hundred FLOPs each, reported per multiply
+// because what it measures is the fixed cost of one call.
 func BenchmarkGraphAlgorithms(b *testing.B) {
 	a := sparse.Symmetrize(load(b, "com-LiveJournal-sim"))
 	cfg := core.DefaultConfig()
@@ -284,5 +289,29 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("BCBatch", func(b *testing.B) {
+		b.Run("road-57x100", func(b *testing.B) {
+			lattice := graphgen.RoadNetwork(57, 100, 0.95, 0x6A9)
+			n := lattice.Rows
+			sources := []int{n / 8, 3 * n / 8, 5 * n / 8, 7 * n / 8}
+			bcCfg := cfg
+			bcCfg.Engine = exec.New(exec.Config{})
+			// One untimed op under a recorder counts the op's multiplies
+			// (and warms the engine's pool).
+			counted := bcCfg
+			counted.Recorder = obs.NewRecorder()
+			if _, err := graph.BetweennessCentralityBatch(lattice, sources, counted); err != nil {
+				b.Fatal(err)
+			}
+			multiplies := counted.Recorder.Stats().Runs
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.BetweennessCentralityBatch(lattice, sources, bcCfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*multiplies), "us/multiply")
+		})
 	})
 }

@@ -37,6 +37,10 @@
 //	              violation, untyped error or result divergence
 //	stats         tuned configuration under a live recorder: phase
 //	              times, per-worker counters, accumulator statistics
+//	crossover     the tile crossover, regenerated: one-tile vs forced-
+//	              tiled time per multiply on products growing through
+//	              core's constant, with the ledger model's break-even
+//	              work per shape (ignores -shift, -graphs and -engine)
 //
 // Flags:
 //

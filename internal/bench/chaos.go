@@ -82,9 +82,13 @@ func ChaosDrill(w io.Writer, o Options, seed int64) error {
 		for _, cell := range cells {
 			// Fresh operands per cell so the fault run builds (and can
 			// fault in) its own plan instead of hitting the shared cache.
+			// Sized (untiled work ≈ 4 × 10⁵) to sit above the tile crossover,
+			// so every cell runs the tiled path and crosses its plan-store,
+			// worker-spawn and tile-claim seams; the one-tile side of the
+			// matrix is core's TestChaosMatrixOneTile.
 			cellSeed := uint64(seed) ^ uint64(cell.p)<<16 ^ uint64(policy)<<8
-			a := graphgen.ErdosRenyi(140, 140*8, cellSeed)
-			m := graphgen.ErdosRenyi(140, 140*14, cellSeed+1)
+			a := graphgen.ErdosRenyi(1400, 1400*8, cellSeed)
+			m := graphgen.ErdosRenyi(1400, 1400*14, cellSeed+1)
 			cfg := core.DefaultConfig()
 			cfg.Schedule = policy
 			cfg.Tiles = 16

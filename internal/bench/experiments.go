@@ -143,6 +143,7 @@ func Experiments(chaosSeed int64) []Experiment {
 		{"trsv", false, TrsvBench},
 		{"chaos", false, func(w io.Writer, o Options) error { return ChaosDrill(w, o, chaosSeed) }},
 		{"stats", false, StatsReport},
+		{"crossover", false, CrossoverBench},
 	}
 }
 

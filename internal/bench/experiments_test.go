@@ -109,6 +109,33 @@ func TestExperimentsRegistry(t *testing.T) {
 				}
 			},
 		},
+		"crossover": {
+			prints: []string{"Tile crossover", "model W*", "road-64x16", "er-64", "measured winner agrees"},
+			rows:   2 * (len(crossoverHeights) + len(crossoverVertices)),
+			check: func(t *testing.T, rows []ResultEntry) {
+				below, above := false, false
+				for i := 0; i < len(rows); i += 2 {
+					one, tiled := rows[i], rows[i+1]
+					if one.Config != "one-tile" || tiled.Config != "tiled" || one.Graph != tiled.Graph {
+						t.Fatalf("rows %d,%d are not a one-tile/tiled pair: %s/%s, %s/%s",
+							i, i+1, one.Graph, one.Config, tiled.Graph, tiled.Config)
+					}
+					if one.OutputNNZ != tiled.OutputNNZ {
+						t.Errorf("%s: checksums differ across the crossover: %d vs %d", one.Graph, one.OutputNNZ, tiled.OutputNNZ)
+					}
+					w, constant := value(t, one, "untiled_work"), value(t, one, "constant")
+					if w != value(t, tiled, "untiled_work") || w <= 0 || value(t, one, "model_crossover") <= 0 ||
+						value(t, one, "us_per_multiply") <= 0 || value(t, tiled, "us_per_multiply") <= 0 {
+						t.Errorf("%s: incomplete values: %v / %v", one.Graph, one.Values, tiled.Values)
+					}
+					below = below || w < constant
+					above = above || w >= constant
+				}
+				if !below || !above {
+					t.Errorf("the sweep does not straddle the constant (below %v, above %v)", below, above)
+				}
+			},
+		},
 	}
 	if len(Experiments(1)) != len(want) {
 		t.Errorf("table has %d experiments, expectations cover %d", len(Experiments(1)), len(want))

@@ -92,26 +92,99 @@ var chaosForms = []struct {
 	}},
 }
 
+// chaosCell is one cell of the fault matrix: a fault kind armed to fire
+// within the first maxNth crossings of an injection point.
+type chaosCell struct {
+	p      chaos.Point
+	k      chaos.Kind
+	maxNth int64
+}
+
+// chaosSeed seeds the fault matrix's operands and triggers.
+const chaosSeed = int64(0xC04F5)
+
+// runChaosCell drives one (formulation, policy, cell) of the fault
+// matrix against the shared engine. The contract: the fault run either
+// fails with a typed error or succeeds bit-identically to the
+// engineless reference; the engine's pool invariants hold immediately
+// afterwards (no dirty or leaked workspace survived quarantine); and a
+// clean rerun on the same engine reproduces the reference exactly. With
+// mustFire set the fault has to fire and quarantine exactly one
+// workspace.
+func runChaosCell(
+	t *testing.T, eng *exec.Engine, swap *swapInjector,
+	run func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error),
+	policy sched.Policy, cell chaosCell, mustFire bool,
+) {
+	// Fresh operands per cell so the fault run builds (and can
+	// fault in) its own plan instead of hitting the shared cache.
+	r := rand.New(rand.NewSource(chaosSeed ^ int64(cell.p)<<16 ^ int64(policy)<<8))
+	a := randMatrix(140, 140, 0.06, r)
+	m := randMatrix(140, 140, 0.10, r)
+	cfg := DefaultConfig()
+	cfg.Schedule = policy
+	cfg.Tiles = 16
+	cfg.Workers = 4
+
+	ref, err := run(m, a, cfg)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	sd := chaos.NewSeeded(chaosSeed)
+	sd.ArmSeeded(cell.p, cell.k, cell.maxNth, time.Millisecond)
+	swap.cur.Store(sd)
+	cfg.Engine = eng
+	cfg.Resilience = &Resilience{Chaos: swap}
+	quarantined := eng.Stats().Quarantines
+	got, ferr := runContained(func() (*sparse.CSR[float64], error) {
+		return run(m, a, cfg)
+	})
+	swap.cur.Store(nil)
+	switch {
+	case ferr != nil:
+		if !typedChaosErr(ferr) {
+			t.Fatalf("fault run failed with untyped error: %v", ferr)
+		}
+	case !sparse.Equal(ref, got):
+		t.Fatal("fault run succeeded but result differs from reference")
+	}
+	if mustFire {
+		if ferr == nil {
+			t.Fatalf("%v fault never fired: the formulation does not cross the seam", cell.p)
+		}
+		if q := eng.Stats().Quarantines; q != quarantined+1 {
+			t.Fatalf("quarantines = %d after a mid-run fault, want %d", q, quarantined+1)
+		}
+	}
+	if err := eng.SelfCheck(); err != nil {
+		t.Fatalf("pool invariants violated after fault: %v", err)
+	}
+
+	// Clean rerun on the same engine: the pool must serve a
+	// pristine workspace and reproduce the reference exactly.
+	cfg.Resilience = nil
+	clean, err := run(m, a, cfg)
+	if err != nil {
+		t.Fatalf("clean rerun: %v", err)
+	}
+	if !sparse.Equal(ref, clean) {
+		t.Fatal("clean rerun differs from reference")
+	}
+	if err := eng.SelfCheck(); err != nil {
+		t.Fatalf("pool invariants violated after clean rerun: %v", err)
+	}
+}
+
 // TestChaosMatrix drives a seeded fault through every injection point
 // under every scheduling policy and every formulation of the masked
-// family, all against one shared engine. The contract per cell: the
-// fault run either fails with a typed error or succeeds bit-identically
-// to the engineless reference; the engine's pool invariants hold
-// immediately afterwards (no dirty or leaked workspace survived
-// quarantine); and a clean rerun on the same engine reproduces the
-// reference exactly. The row-kernel seam is crossed once per output row
-// by every formulation, so its cell must fire and quarantine the
-// workspace.
+// family, all against one shared engine, under runChaosCell's contract.
+// The row-kernel seam is crossed once per output row by every
+// formulation, so its cell must fire and quarantine the workspace.
 func TestChaosMatrix(t *testing.T) {
 	swap := &swapInjector{}
 	eng := exec.New(exec.Config{Chaos: swap})
-	const seed = int64(0xC04F5)
-
-	cells := []struct {
-		p      chaos.Point
-		k      chaos.Kind
-		maxNth int64
-	}{
+	cells := []chaosCell{
 		{chaos.WorkspaceCheckout, chaos.KindPanic, 1},
 		{chaos.WorkspaceRelease, chaos.KindPanic, 1},
 		{chaos.TileClaim, chaos.KindCancel, 8},
@@ -124,67 +197,39 @@ func TestChaosMatrix(t *testing.T) {
 		for _, policy := range []sched.Policy{sched.Static, sched.Dynamic, sched.Guided} {
 			for _, cell := range cells {
 				t.Run(fmt.Sprintf("%s/%v/%v/%v", form.name, policy, cell.p, cell.k), func(t *testing.T) {
-					// Fresh operands per cell so the fault run builds (and can
-					// fault in) its own plan instead of hitting the shared cache.
-					r := rand.New(rand.NewSource(seed ^ int64(cell.p)<<16 ^ int64(policy)<<8))
-					a := randMatrix(140, 140, 0.06, r)
-					m := randMatrix(140, 140, 0.10, r)
-					cfg := DefaultConfig()
-					cfg.Schedule = policy
-					cfg.Tiles = 16
-					cfg.Workers = 4
-
-					ref, err := form.run(m, a, cfg)
-					if err != nil {
-						t.Fatalf("reference run: %v", err)
-					}
-
-					sd := chaos.NewSeeded(seed)
-					sd.ArmSeeded(cell.p, cell.k, cell.maxNth, time.Millisecond)
-					swap.cur.Store(sd)
-					cfg.Engine = eng
-					cfg.Resilience = &Resilience{Chaos: swap}
-					quarantined := eng.Stats().Quarantines
-					got, ferr := runContained(func() (*sparse.CSR[float64], error) {
-						return form.run(m, a, cfg)
-					})
-					swap.cur.Store(nil)
-					switch {
-					case ferr != nil:
-						if !typedChaosErr(ferr) {
-							t.Fatalf("fault run failed with untyped error: %v", ferr)
-						}
-					case !sparse.Equal(ref, got):
-						t.Fatal("fault run succeeded but result differs from reference")
-					}
-					if cell.p == chaos.RowKernel {
-						if ferr == nil {
-							t.Fatal("row-kernel fault never fired: the formulation does not cross the seam")
-						}
-						if q := eng.Stats().Quarantines; q != quarantined+1 {
-							t.Fatalf("quarantines = %d after a mid-tile fault, want %d", q, quarantined+1)
-						}
-					}
-					if err := eng.SelfCheck(); err != nil {
-						t.Fatalf("pool invariants violated after fault: %v", err)
-					}
-
-					// Clean rerun on the same engine: the pool must serve a
-					// pristine workspace and reproduce the reference exactly.
-					cfg.Resilience = nil
-					clean, err := form.run(m, a, cfg)
-					if err != nil {
-						t.Fatalf("clean rerun: %v", err)
-					}
-					if !sparse.Equal(ref, clean) {
-						t.Fatal("clean rerun differs from reference")
-					}
-					if err := eng.SelfCheck(); err != nil {
-						t.Fatalf("pool invariants violated after clean rerun: %v", err)
-					}
+					runChaosCell(t, eng, swap, form.run, policy, cell, cell.p == chaos.RowKernel)
 				})
 			}
 		}
+	}
+}
+
+// TestChaosMatrixOneTile is the fault matrix's slice on the one-tile
+// side of the crossover, where the same operands run as a single tile
+// inline on the caller's goroutine: a row-kernel fault mid-tile and a
+// cancel at the run's only tile claim must each fail typed and
+// quarantine exactly one workspace, an accumulator-grow panic must be
+// contained, and the clean rerun must reproduce the reference — the
+// poison-unless-clean release and every seam sit where they sit for a
+// tiled run.
+func TestChaosMatrixOneTile(t *testing.T) {
+	atProductionCrossover(t)
+	swap := &swapInjector{}
+	eng := exec.New(exec.Config{Chaos: swap})
+	cells := []chaosCell{
+		{chaos.RowKernel, chaos.KindPressure, 16},
+		{chaos.AccumGrow, chaos.KindPanic, 1},
+		{chaos.TileClaim, chaos.KindCancel, 1},
+	}
+	for _, form := range chaosForms {
+		for _, cell := range cells {
+			t.Run(fmt.Sprintf("%s/%v/%v", form.name, cell.p, cell.k), func(t *testing.T) {
+				runChaosCell(t, eng, swap, form.run, sched.Dynamic, cell, cell.p != chaos.AccumGrow)
+			})
+		}
+	}
+	if st := eng.Stats(); st.PlanHits+st.PlanMisses != 0 {
+		t.Errorf("one-tile runs touched the plan cache: %+v", st)
 	}
 }
 

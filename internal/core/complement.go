@@ -35,13 +35,19 @@ func MaskedSpGEMMComp[T sparse.Number, S semiring.Semiring[T]](
 // The per-worker scratch's state vector encodes 0 empty, 1 blocked by
 // mask, 2 written; the touched list records the written columns and,
 // with the mask row, drives the explicit reset, which restores the
-// all-zero state the (pooled) scratch must be returned in.
+// all-zero state the (pooled) scratch must be returned in. A row whose
+// mask row is full has no ¬M position to write and is skipped — the
+// mirror image of rowStep's empty-mask rule — so its Eq. 2 FLOPs are
+// neither performed nor recorded.
 //
 //spgemm:hotpath
 func rowComp[T sparse.Number, S semiring.Semiring[T]](
 	k *kernel[T, S], sc *exec.DenseScratch[T], aCols []sparse.Index, aVals []T,
 	maskCols []sparse.Index, buf *exec.TileBuf[T], wc *obs.WorkerCounters,
 ) {
+	if len(maskCols) == k.b.Cols {
+		return
+	}
 	// Block the masked positions, then accumulate the row product into
 	// everything else.
 	for _, j := range maskCols {

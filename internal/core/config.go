@@ -83,14 +83,17 @@ type Config struct {
 	// 8, 16, 32 or 64 (Fig. 13).
 	MarkerBits int
 	// Tiles is the requested number of row tiles (Fig. 11 sweeps 64 to
-	// 32768). Clamped to the number of rows.
+	// 32768): clamped to the number of rows and, for a product below the
+	// work crossover (see UntiledWork), to one.
 	Tiles int
 	// Tiling selects uniform vs FLOP-balanced tile boundaries (§III-A).
 	Tiling tiling.Strategy
 	// Schedule selects static, dynamic or guided tile-to-worker
 	// assignment.
 	Schedule sched.Policy
-	// Workers is the worker-pool size; 0 means GOMAXPROCS.
+	// Workers is the requested worker-pool size; 0 means GOMAXPROCS. A
+	// run uses no more workers than its plan has tiles, so a product
+	// below the work crossover runs on the caller's goroutine alone.
 	Workers int
 	// PlanWorkers is the worker count for plan construction and result
 	// assembly — the O(nnz) passes around the numeric kernel (Eq. 2 work
@@ -227,6 +230,16 @@ func (c Config) planWorkers() int {
 		return c.PlanWorkers
 	}
 	return sched.Workers(c.Workers)
+}
+
+// runWorkers resolves the worker count of a run over a plan of the
+// given tile count: the configured width clamped to the tiles, since a
+// worker beyond them has nothing to claim. The one-tile plan of a
+// product below the work crossover therefore runs on one worker — the
+// scheduler's inline path on the caller's goroutine — with one
+// accumulator and one staging buffer.
+func (c Config) runWorkers(tiles int) int {
+	return max(1, min(sched.Workers(c.Workers), tiles))
 }
 
 // String renders the configuration compactly for experiment logs.

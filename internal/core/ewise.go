@@ -21,6 +21,12 @@ func EWiseAdd[T sparse.Number, S semiring.Semiring[T]](
 // EWiseAddWS is EWiseAdd staging rows in ws's scratch slices instead of
 // per-call locals, so iterative callers (BC's dependency accumulation)
 // stop paying the row-staging allocation each round. ws may be nil.
+//
+// A maximal run of rows in which one operand is empty is the other
+// operand's rows unchanged, so it is appended in one copy with its row
+// pointers rebased instead of being merged row by row — the common case
+// when a hypersparse frontier is folded into a visited set. The output
+// is the same entry for entry.
 func EWiseAddWS[T sparse.Number, S semiring.Semiring[T]](
 	sr S, a, b *sparse.CSR[T], ws *exec.Workspace[T, S],
 ) (*sparse.CSR[T], error) {
@@ -30,7 +36,17 @@ func EWiseAddWS[T sparse.Number, S semiring.Semiring[T]](
 	}
 	out := sparse.NewCSR[T](a.Rows, a.Cols, a.NNZ()+b.NNZ())
 	cols, vals := stagingFor(ws)
-	for i := 0; i < a.Rows; i++ {
+	for i := 0; i < a.Rows; {
+		if j := emptyRunEnd(a, i); j > i {
+			appendRows(out, b, i, j)
+			i = j
+			continue
+		}
+		if j := emptyRunEnd(b, i); j > i {
+			appendRows(out, a, i, j)
+			i = j
+			continue
+		}
 		aCols, aVals := a.Row(i)
 		bCols, bVals := b.Row(i)
 		cols = cols[:0]
@@ -62,9 +78,32 @@ func EWiseAddWS[T sparse.Number, S semiring.Semiring[T]](
 			vals = append(vals, bVals[q])
 		}
 		out.AppendRow(i, cols, vals)
+		i++
 	}
 	stagingStore(ws, cols, vals)
 	return out, nil
+}
+
+// emptyRunEnd returns the end of the maximal run of empty rows of m
+// starting at row i: i itself when row i has entries.
+func emptyRunEnd[T sparse.Number](m *sparse.CSR[T], i int) int {
+	j := i
+	for j < m.Rows && m.RowPtr[j+1] == m.RowPtr[i] {
+		j++
+	}
+	return j
+}
+
+// appendRows appends rows [lo, hi) of src to out, which is being built
+// top to bottom and has reached row lo: one copy of the rows' entries,
+// with their row pointers rebased onto out's.
+func appendRows[T sparse.Number](out, src *sparse.CSR[T], lo, hi int) {
+	shift := int64(len(out.ColIdx)) - src.RowPtr[lo]
+	out.ColIdx = append(out.ColIdx, src.ColIdx[src.RowPtr[lo]:src.RowPtr[hi]]...)
+	out.Val = append(out.Val, src.Val[src.RowPtr[lo]:src.RowPtr[hi]]...)
+	for r := lo; r < hi; r++ {
+		out.RowPtr[r+1] = src.RowPtr[r+1] + shift
+	}
 }
 
 // EWiseMult computes the element-wise "intersection" combination:

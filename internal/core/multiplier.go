@@ -72,7 +72,7 @@ func NewMultiplier[T sparse.Number, S semiring.Semiring[T]](
 		// Plan construction records its spans under a scope of its own,
 		// folded into the recorder's totals without counting as a run.
 		scope := cfg.Recorder.StartRun()
-		plan, err := planFor(ctx, cfg, cfg.planWorkers(), m, a, b, scope)
+		plan, err := planFor(ctx, cfg, cfg.planWorkers(), m, a, b, nil, nil, scope)
 		scope.End()
 		if err != nil {
 			return nil, wrapRunErr(err)
@@ -93,7 +93,7 @@ func NewMultiplier[T sparse.Number, S semiring.Semiring[T]](
 func (mu *Multiplier[T, S]) newWorkspace() *exec.Workspace[T, S] {
 	cfg := mu.p.cfg
 	return exec.Masked[T, S](nil, mu.p.sr, cfg.Accumulator, cfg.MarkerBits,
-		mu.p.b.Cols, mu.plan.RowCap, sched.Workers(cfg.Workers), len(mu.plan.Tiles))
+		mu.p.b.Cols, mu.plan.RowCap, cfg.runWorkers(len(mu.plan.Tiles)), len(mu.plan.Tiles))
 }
 
 // Tiles returns the number of tiles in the plan.

@@ -76,13 +76,27 @@ func spanned(ctx context.Context, scope *obs.RunScope, phase obs.Phase, fn func(
 // recorder's cumulative totals exactly once at End.
 
 // planFor resolves the execution plan — tile partition plus accumulator
-// row-capacity bound — through the engine's fingerprint-keyed cache
-// when cfg.Engine is set, building (under the scope's plan spans) on a
-// miss. Without an engine every call builds; a cached hit records no
-// plan spans because no plan work happened.
+// row-capacity bound. It first asks the paper's title question of the
+// call itself: a product whose untiled serial pass would touch fewer
+// than tileCrossover units (see belowTileCrossover; m2 and c are a
+// chain's second product, nil otherwise) gets the one-tile plan
+// {[0, rows)}, built without Eq. 2 arrays and neither looked up in nor
+// stored to the plan cache — an iterative caller's key could only miss,
+// and the stored entry would pin three operands nobody multiplies
+// again. Every other product goes through the engine's
+// fingerprint-keyed cache when cfg.Engine is set, building (under the
+// scope's plan spans) on a miss. Without an engine every call builds; a
+// cached hit records no plan spans because no plan work happened.
 func planFor[T sparse.Number](
-	ctx context.Context, cfg Config, pw int, m, a, b *sparse.CSR[T], scope *obs.RunScope,
+	ctx context.Context, cfg Config, pw int, m, a, b, m2, c *sparse.CSR[T], scope *obs.RunScope,
 ) (exec.Plan, error) {
+	if belowTileCrossover(m, a, b, m2, c) {
+		rowCap, err := rowCapacity(ctx, cfg, pw, a, b, m, scope)
+		if err != nil {
+			return exec.Plan{}, err
+		}
+		return exec.Plan{Tiles: []tiling.Tile{{Lo: 0, Hi: a.Rows}}, RowCap: rowCap}, nil
+	}
 	build := func() (exec.Plan, error) {
 		tiles, err := makeTiles(ctx, cfg, pw, a, b, m, scope)
 		if err != nil {

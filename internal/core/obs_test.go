@@ -234,13 +234,28 @@ func TestRecorderInstrumentedComposes(t *testing.T) {
 
 // TestRecorderComplementRun checks a complement-mask run records like
 // every other run of the shared protocol: one counted run, a kernel
-// span, and exact row, tile and gathered-entry counters — the BC forward
-// sweep is made of these.
+// span, and exact row, tile, FLOP and gathered-entry counters — the BC
+// forward sweep is made of these. Two mask rows are full: they have no
+// ¬M output, are skipped by the dead-row rule, and contribute no FLOPs.
 func TestRecorderComplementRun(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	a := randMatrix(50, 50, 0.1, r)
 	b := randMatrix(50, 50, 0.1, r)
-	m := randMatrix(50, 50, 0.2, r)
+	sparseMask := randMatrix(50, 50, 0.2, r)
+	full := make([]sparse.Index, 50)
+	ones := make([]float64, 50)
+	for j := range full {
+		full[j], ones[j] = sparse.Index(j), 1
+	}
+	m := sparse.NewCSR[float64](50, 50, 0)
+	for i := 0; i < 50; i++ {
+		if i == 7 || i == 31 {
+			m.AppendRow(i, full, ones)
+		} else {
+			cols, vals := sparseMask.Row(i)
+			m.AppendRow(i, cols, vals)
+		}
+	}
 	cfg := DefaultConfig()
 	cfg.Tiles = 5
 	cfg.Workers = 2
@@ -265,6 +280,27 @@ func TestRecorderComplementRun(t *testing.T) {
 	}
 	if want := int64(len(tiling.Make(cfg.Tiling, cfg.Tiles, a, b, m))); st.Totals.Tiles != want {
 		t.Errorf("tiles = %d, want %d", st.Totals.Tiles, want)
+	}
+	var flops, skipped int64
+	for i := 0; i < a.Rows; i++ {
+		var row int64
+		for _, k := range a.RowCols(i) {
+			row += b.RowNNZ(int(k))
+		}
+		if m.RowNNZ(i) == int64(b.Cols) {
+			skipped += row
+			if c.RowNNZ(i) != 0 {
+				t.Errorf("row %d has a full mask row but %d outputs", i, c.RowNNZ(i))
+			}
+			continue
+		}
+		flops += row
+	}
+	if skipped == 0 {
+		t.Fatal("fixture: the full mask rows carry no FLOPs to skip")
+	}
+	if st.Totals.Flops != flops {
+		t.Errorf("flops = %d, want %d (Eq. 2 minus the %d of full-mask rows)", st.Totals.Flops, flops, skipped)
 	}
 	if st.Totals.Gathered != c.NNZ() {
 		t.Errorf("gathered = %d, want C nnz %d", st.Totals.Gathered, c.NNZ())

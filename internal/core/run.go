@@ -8,7 +8,6 @@ import (
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/obs"
-	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 	"maskedspgemm/internal/tiling"
@@ -92,7 +91,7 @@ func (p *product[T, S]) resolve(
 	if p.plan != nil {
 		return *p.plan, 0, nil
 	}
-	plan, err = planFor(ctx, p.cfg, pw, p.m, p.a, p.b, scope)
+	plan, err = planFor(ctx, p.cfg, pw, p.m, p.a, p.b, p.m2, p.c, scope)
 	if err == nil && p.c != nil {
 		rowCap2, err = chainRowCap(ctx, p.cfg, pw, p.m2, p.c, scope)
 	}
@@ -105,7 +104,8 @@ func (p *product[T, S]) resolve(
 //     plan, whose owner validated at construction); an empty operand
 //     returns an empty result;
 //  2. open the run's stats scope;
-//  3. resolve the plan;
+//  3. resolve the plan — the planner may answer "one tile" (planFor) —
+//     and clamp the workers to its tiles;
 //  4. check the workspace(s) out, under the one deferred release that
 //     quarantines them unless the run reaches its clean exit;
 //  5. arm the accumulator chaos seam and snapshot the accumulator stats;
@@ -143,12 +143,12 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	}()
 	poolPrior := cfg.Engine.Stats()
 	pw := cfg.planWorkers()
-	workers := sched.Workers(cfg.Workers)
 	plan, rowCap2, err := p.resolve(ctx, pw, scope)
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}
 	tiles := plan.Tiles
+	workers := cfg.runWorkers(len(tiles))
 
 	// The workspace carries the per-worker accumulators (§III-C sizing:
 	// masked spaces hold at most max_i nnz(M[i,:]) entries per row; the

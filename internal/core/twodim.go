@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 	"maskedspgemm/internal/tiling"
@@ -53,12 +52,12 @@ func MaskedSpGEMM2D[T sparse.Number, S semiring.Semiring[T]](
 	scope := cfg.Recorder.StartRun()
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()
-	plan, err := planFor(ctx, cfg, pw, m, a, b, scope)
+	plan, err := planFor(ctx, cfg, pw, m, a, b, nil, nil, scope)
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}
 	tiles := plan.Tiles
-	workers := sched.Workers(cfg.Workers)
+	workers := cfg.runWorkers(len(tiles))
 
 	ws := exec.Dense[T, S](cfg.Engine, sr, b.Cols, workers, len(tiles))
 	// Poison-on-error: a failed run can leave the dense scratch's

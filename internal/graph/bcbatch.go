@@ -80,8 +80,9 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 				sigma[i*s+int(b)] += vals[p]
 			}
 		}
-		patt := next.Pattern()
-		visited, err = core.EWiseAdd[float64](sr, visited, patt)
+		// The mask is structural, so the union needs no Pattern() copy of
+		// the new front: its values ride along unread.
+		visited, err = core.EWiseAdd[float64](sr, visited, next)
 		if err != nil {
 			return nil, err
 		}
@@ -91,9 +92,18 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 
 	// Backward sweep: dependency accumulation, deepest front first.
 	delta := make([]float64, n*s)
+	// W_d is the front-d pattern carrying (1+delta)/sigma. The fronts are
+	// immutable from here on, so W_d borrows front d's own row pointers
+	// and column indices; only the values are new, in one buffer sized by
+	// the widest front and reused down the levels.
+	var widest int64
+	for _, fr := range fronts[1:] {
+		widest = max(widest, fr.NNZ())
+	}
+	wVals := make([]float64, widest)
 	for d := len(fronts) - 1; d >= 1; d-- {
-		// W_d: the front-d pattern carrying (1+delta)/sigma.
-		w := fronts[d].Clone()
+		fr := fronts[d]
+		w := &sparse.CSR[float64]{Rows: n, Cols: s, RowPtr: fr.RowPtr, ColIdx: fr.ColIdx, Val: wVals[:fr.NNZ()]}
 		for i := 0; i < n; i++ {
 			lo, hi := w.RowPtr[i], w.RowPtr[i+1]
 			for p := lo; p < hi; p++ {

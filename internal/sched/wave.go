@@ -134,7 +134,12 @@ type waveBarrier struct {
 	phase   int64
 }
 
-func newWaveBarrier() *waveBarrier {
+// barrierFor returns the barrier of a run of nw waves on p workers: nil
+// when there is no boundary to cross or no second worker to wait for.
+func barrierFor(p, nw int) *waveBarrier {
+	if p <= 1 || nw <= 1 {
+		return nil
+	}
 	b := &waveBarrier{}
 	b.cond.L = &b.mu
 	return b
@@ -228,9 +233,10 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 	wd := opt.StallTimeout > 0
 
 	var st runState
-	var bar *waveBarrier
-	if p > 1 && nw > 1 {
-		bar = newWaveBarrier()
+	// Assigned once, so the worker closures hold bar by value and a run
+	// that needs no barrier allocates no cell for it.
+	bar := barrierFor(p, nw)
+	if bar != nil {
 		st.wake = bar.wake
 	}
 	defer st.watch(ctx)()

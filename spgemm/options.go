@@ -86,7 +86,9 @@ type Options struct {
 	Accumulator Accumulator
 	// MarkerBits is the accumulator reset-marker width: 8/16/32/64.
 	MarkerBits int
-	// Tiles is the number of row tiles. Default 2048.
+	// Tiles is the requested number of row tiles. Default 2048. Clamped
+	// to the number of rows and, for a product too small for tiling to
+	// pay (docs/TUNING.md, "Not to tile"), to one.
 	Tiles int
 	// Tiling strategy (§III-A). Default TileFlopBalanced.
 	Tiling TilingStrategy
@@ -97,7 +99,9 @@ type Options struct {
 	// structure, LevelWaves forces the coarsened wave schedule,
 	// LevelSerial forces the substitution loop. Ignored by MxM.
 	LevelSchedule LevelSchedule
-	// Workers is the goroutine pool size; 0 = GOMAXPROCS.
+	// Workers is the requested goroutine pool size; 0 = GOMAXPROCS. A
+	// multiply uses no more workers than it has tiles; a one-tile product
+	// runs on the calling goroutine.
 	Workers int
 	// PlanWorkers is the goroutine count for plan construction and
 	// result assembly (work estimation, tile balancing, CSR stitching);
