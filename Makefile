@@ -63,7 +63,7 @@ race:
 # gates are the spgemm-bench runs that fail when an invariant breaks:
 # warm pool hit rate and fused allocations (bench-engine), solve
 # bit-identity (bench-trsv), the fault matrix (chaos) and the live
-# endpoints (telemetry-smoke) — plus one iteration of the three
+# endpoints (telemetry-smoke) — plus one iteration of the
 # micro-benchmarks the per-unit numbers are regenerated from
 # (bench-micro), so they cannot rot. CI's gates job runs exactly this.
 gates: bench-engine bench-trsv chaos telemetry-smoke bench-micro
@@ -153,12 +153,15 @@ bench-trsv:
 # per kind), the four iteration spaces on the circuit graph (ns/flop),
 # and batched BC on the 57 x 100 road lattice (us/multiply: the fixed
 # cost of one small product, the number the tile crossover exists to
-# cut). One iteration is a smoke test; for numbers drop `-benchtime 1x`
-# and add `-count`.
+# cut), and one product repeated through a Multiplier, a Multiplier on
+# a shared engine and MxM on an engine (allocs/op and B/op must agree
+# across the three). One iteration is a smoke test; for numbers drop
+# `-benchtime 1x` and add `-count`.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum
 	$(GO) test -run '^$$' -bench '^BenchmarkIterationSpaces$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^BCBatch$$/^road-57x100$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkRepeatedMultiply$$' -benchtime 1x .
 
 # bench-kappa exercises the online κ recalibrator against an offline
 # sweep. Timing-sensitive, so it is informational rather than part of

@@ -21,6 +21,7 @@ import (
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 	"maskedspgemm/internal/tiling"
+	"maskedspgemm/spgemm"
 )
 
 const benchShift = 3
@@ -314,4 +315,59 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*multiplies), "us/multiply")
 		})
 	})
+}
+
+// BenchmarkRepeatedMultiply times one product repeated three ways
+// through the public facade — a Multiplier on its own engine, a
+// Multiplier on a shared engine, and plain MxM on an engine — on a
+// product below the tile crossover (er-256), a flat one above it
+// (road-20k) and a skewed one (rmat-2^13). The three columns are the
+// same code path, so they must agree on allocs/op and B/op exactly and
+// on time within noise: the evidence that the Multiplier needs no plan,
+// workspace, retry ladder or κ loop of its own.
+func BenchmarkRepeatedMultiply(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		a    *spgemm.Matrix
+	}{
+		{"er-256", spgemm.RandomGraph("er", 256, 1)},
+		{"road-20k", spgemm.RandomGraph("road", 20000, 2)},
+		{"rmat-2^13", spgemm.RandomGraph("rmat", 1<<13, 3)},
+	} {
+		a := g.a
+		engine := spgemm.Defaults()
+		engine.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
+		columns := []struct {
+			name string
+			opts spgemm.Options
+			mxm  bool
+		}{
+			{"multiplier", spgemm.Defaults(), false},
+			{"multiplier+engine", engine, false},
+			{"mxm+engine", engine, true},
+		}
+		for _, col := range columns {
+			b.Run(g.name+"/"+col.name, func(b *testing.B) {
+				multiply := func() (*spgemm.Matrix, error) { return spgemm.MxM(a, a, a, col.opts) }
+				if !col.mxm {
+					mu, err := spgemm.NewMultiplier(a, a, a, col.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					multiply = mu.Multiply
+				}
+				// One untimed run warms the plan cache and the pool.
+				if _, err := multiply(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := multiply(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

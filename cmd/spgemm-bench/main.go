@@ -46,7 +46,6 @@
 //
 //	-shift N         halve graph sizes N times (default 0 = benchmark scale)
 //	-workers N       kernel worker goroutines (default GOMAXPROCS)
-//	-plan-workers N  plan-construction/assembly goroutines (default = workers)
 //	-reps N          max timed repetitions per configuration (default 3)
 //	-budget D        per-configuration time budget (default 2s)
 //	-graphs CSV      restrict to named graphs (default all)
@@ -95,7 +94,6 @@ func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run")
 	shift := flag.Int("shift", 0, "halve graph sizes this many times")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	planWorkers := flag.Int("plan-workers", 0, "plan-construction/assembly goroutines (0 = same as workers)")
 	reps := flag.Int("reps", 3, "max timed repetitions")
 	budget := flag.Duration("budget", 2*time.Second, "per-config time budget")
 	graphs := flag.String("graphs", "", "comma-separated graph names (default all)")
@@ -119,7 +117,6 @@ func main() {
 	o := bench.DefaultOptions()
 	o.Shift = *shift
 	o.Workers = *workers
-	o.PlanWorkers = *planWorkers
 	o.Method = bench.Methodology{Warmups: 1, MaxReps: *reps, Budget: *budget, Context: ctx}
 	if *graphs != "" {
 		for _, g := range strings.Split(*graphs, ",") {

@@ -36,8 +36,8 @@ type quietInjector struct{}
 
 func (quietInjector) Decide(chaos.Point) chaos.Fault { return chaos.Fault{} }
 
-// chaosSteadyAllocBudget bounds the warm, engineless, serial core
-// Multiply's allocations per operation: the freshly assembled result
+// chaosSteadyAllocBudget bounds the warm, engine-backed, serial core
+// multiply's allocations per operation: the freshly assembled result
 // (the measurement loop frees the output each rep, so it is rebuilt by
 // design) plus a handful of fixed closure cells — the same fixed cost
 // the facade pins in its steady-state alloc test. The budget predates
@@ -234,7 +234,7 @@ func solutionsEqual(a, b []float64) bool {
 	return true
 }
 
-// chaosOverheadPin measures the warm, engineless, serial Multiply with
+// chaosOverheadPin measures the warm, engine-backed, serial multiply with
 // the injector disabled (the nil fast path) against the same loop with
 // an armed-but-quiet injector, and fails if the fast path allocates
 // more than the quiet path or exceeds the steady-state budget the
@@ -246,17 +246,16 @@ func chaosOverheadPin(w io.Writer, o Options) error {
 	cfg.Tiles = 4
 	cfg.Workers = 1 // serial: no per-run goroutine spawns to count
 
-	// One warm-up run fills the plan's tile output buffers; 50 fixed
+	// One warm-up run caches the plan and pools the workspace; 50 fixed
 	// repetitions keep the allocs/op comparison independent of -budget.
 	o.Method = Methodology{Warmups: 1, MaxReps: 50, Budget: time.Hour, Context: o.Method.Context}
 	pin := func(config string, res *core.Resilience) (Measurement, error) {
 		c := cfg
 		c.Resilience = res
-		mu, err := core.NewMultiplier[float64](sr, a, a, a, c)
-		if err != nil {
-			return Measurement{}, err
-		}
-		return o.time("chaos", "er-128", config, func() (int64, error) { return nnz(mu.Multiply()) })
+		c.Engine = exec.New(exec.Config{})
+		return o.time("chaos", "er-128", config, func() (int64, error) {
+			return nnz(core.MaskedSpGEMM[float64](sr, a, a, a, c))
+		})
 	}
 	off, err := pin("nil-injector", nil)
 	if err != nil {
@@ -274,7 +273,7 @@ func chaosOverheadPin(w io.Writer, o Options) error {
 			off.AllocsPerOp, quiet.AllocsPerOp)
 	}
 	if off.AllocsPerOp > chaosSteadyAllocBudget {
-		return fmt.Errorf("bench: nil-injector warm Multiply allocates %.0f/op, over the pre-chaos steady budget %d",
+		return fmt.Errorf("bench: nil-injector warm multiply allocates %.0f/op, over the pre-chaos steady budget %d",
 			off.AllocsPerOp, chaosSteadyAllocBudget)
 	}
 	fmt.Fprintf(w, "nil-injector fast path within the %d-alloc steady budget; no allocation added by the chaos layer\n",

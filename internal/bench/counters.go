@@ -64,7 +64,8 @@ func StatsReport(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "Kernel observability: tuned configuration, per graph")
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
-		cfg := o.planify(tunedConfig(o.Workers))
+		cfg := tunedConfig(o.Workers)
+		cfg.Engine = o.Engine
 		cfg.Recorder = o.newRecorder()
 		m, err := o.timeMasked("stats", g.Name, cfg.String(), a, cfg)
 		if err != nil {

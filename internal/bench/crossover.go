@@ -98,7 +98,6 @@ func CrossoverBench(w io.Writer, o Options) error {
 	constant := core.TileCrossover()
 	workers := sched.Workers(o.Workers)
 	cfg := tunedConfig(o.Workers)
-	cfg.PlanWorkers = o.PlanWorkers
 	cfg.Context = o.Method.Context
 	cfg.Engine = exec.New(exec.Config{})
 	sr := semiring.PlusTimes[float64]{}

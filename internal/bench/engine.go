@@ -92,11 +92,10 @@ func EngineBench(w io.Writer, o Options) error {
 	minRate := 1.0
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
-		base := o.planify(tunedConfig(o.Workers))
+		base := tunedConfig(o.Workers)
 		base.Context = o.Method.Context
-		// This experiment owns its engines: the off column must run
-		// engineless even when the -engine flag set a global one.
-		base.Engine = nil
+		// This experiment owns its engines: base stays engineless for
+		// the off column even when the -engine flag set a global one.
 		for _, wl := range iterativeWorkloads(a) {
 			off, err := o.time("engine", g.Name, wl.name+"/no-engine", wl.run(base, false))
 			if err != nil {

@@ -23,9 +23,6 @@ type Options struct {
 	Shift int
 	// Workers is the kernel worker count (0 = GOMAXPROCS).
 	Workers int
-	// PlanWorkers is the plan-construction/assembly worker count
-	// (0 = same as Workers).
-	PlanWorkers int
 	// Method is the timing methodology.
 	Method Methodology
 	// TileCounts is the Fig. 10/11 sweep grid.
@@ -56,14 +53,6 @@ func (o Options) newRecorder() *obs.Recorder {
 	r := obs.NewRecorder()
 	o.Telemetry.AttachRecorder(r)
 	return r
-}
-
-// planify applies the plan-parallelism knob and the shared engine to a
-// kernel configuration, so every experiment path honors the CLI flags.
-func (o Options) planify(cfg core.Config) core.Config {
-	cfg.PlanWorkers = o.PlanWorkers
-	cfg.Engine = o.Engine
-	return cfg
 }
 
 // DefaultOptions mirrors the paper's sweep grids at laptop scale.
@@ -189,7 +178,9 @@ func Fig1(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		ours, err := o.timeMasked("fig1", g.Name, "tuned", a, o.planify(tunedConfig(o.Workers)))
+		cfg := tunedConfig(o.Workers)
+		cfg.Engine = o.Engine
+		ours, err := o.timeMasked("fig1", g.Name, "tuned", a, cfg)
 		if err != nil {
 			return err
 		}
@@ -231,11 +222,11 @@ func TileSweep(w io.Writer, o Options) error {
 					fmt.Fprintf(w, "%-34s", label)
 					series := make([]float64, 0, len(o.TileCounts))
 					for _, tc := range o.TileCounts {
-						cfg := o.planify(core.Config{
+						cfg := core.Config{
 							Iteration: core.MaskLoad, Kappa: 1,
 							Accumulator: ak, MarkerBits: 32,
-							Tiles: tc, Tiling: ts, Schedule: sp, Workers: o.Workers,
-						})
+							Tiles: tc, Tiling: ts, Schedule: sp, Workers: o.Workers, Engine: o.Engine,
+						}
 						config := fmt.Sprintf("%s@%d", label, tc)
 						meas, err := o.timeMasked("fig10+fig11", g.Name, config, a, cfg)
 						if err != nil {
@@ -295,12 +286,12 @@ func Fig13(w io.Writer, o Options) error {
 		a := g.Build(o.Shift)
 		for _, ak := range []accum.Kind{accum.DenseKind, accum.HashKind} {
 			for _, bits := range []int{8, 16, 32, 64} {
-				cfg := o.planify(core.Config{
+				cfg := core.Config{
 					Iteration: core.Hybrid, Kappa: 1,
 					Accumulator: ak, MarkerBits: bits,
 					Tiles: 2048, Tiling: tiling.FlopBalanced,
-					Schedule: sched.Dynamic, Workers: o.Workers,
-				})
+					Schedule: sched.Dynamic, Workers: o.Workers, Engine: o.Engine,
+				}
 				config := fmt.Sprintf("%v@%d", ak, bits)
 				meas, err := o.timeMasked("fig13", g.Name, config, a, cfg)
 				if err != nil {
@@ -353,12 +344,12 @@ func Fig14(w io.Writer, o Options) error {
 			fmt.Fprintf(w, "%-8v", ak)
 			series := make([]float64, 0, len(o.Kappas))
 			for _, k := range o.Kappas {
-				cfg := o.planify(core.Config{
+				cfg := core.Config{
 					Iteration: core.Hybrid, Kappa: k,
 					Accumulator: ak, MarkerBits: 32,
 					Tiles: 2048, Tiling: tiling.FlopBalanced,
-					Schedule: sched.Dynamic, Workers: o.Workers,
-				})
+					Schedule: sched.Dynamic, Workers: o.Workers, Engine: o.Engine,
+				}
 				meas, err := o.timeMasked("fig14", g.Name, fmt.Sprintf("%v@%g", ak, k), a, cfg)
 				if err != nil {
 					return err

@@ -60,7 +60,7 @@ func KappaAdaptBench(w io.Writer, o Options) error {
 		"graph", "default-κ", "default ms", "best-κ", "best ms", "adapt-κ", "adapt ms", "runs", "conv")
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
-		base := o.planify(tunedConfig(o.Workers))
+		base := tunedConfig(o.Workers)
 		base.Context = o.Method.Context
 		base.Recorder = nil
 		base.Engine = exec.New(exec.Config{})

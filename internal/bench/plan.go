@@ -8,7 +8,6 @@ import (
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/sched"
-	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/tiling"
 )
 
@@ -29,10 +28,10 @@ func planWorkerCounts() []int {
 
 // PlanBench measures the plan-construction phases serial vs parallel:
 // the Eq. 2 work estimation (RowWork), the prefix sum behind
-// FLOP-balanced tiling, the full plan build (NewMultiplier), and a
-// planned Multiply whose kernel worker count is pinned so that run-to-
-// run differences isolate the parallel CSR assembly. One row per phase,
-// one column per plan-worker count.
+// FLOP-balanced tiling, the tile boundaries, and the full plan build
+// (core.Prepare, engineless so every repetition builds; a graph shrunk
+// below core's tile crossover has no plan to build ahead and times
+// only the checks). One row per phase, one column per worker count.
 func PlanBench(w io.Writer, o Options) error {
 	graphs := o.Graphs
 	if len(graphs) == 0 {
@@ -41,16 +40,15 @@ func PlanBench(w io.Writer, o Options) error {
 		graphs = []string{"com-LiveJournal-sim"}
 	}
 	counts := planWorkerCounts()
-	sr := semiring.PlusTimes[float64]{}
 	for _, name := range graphs {
 		g, ok := FindGraph(name)
 		if !ok {
 			return fmt.Errorf("unknown graph %q", name)
 		}
 		a := g.Build(o.Shift)
-		fmt.Fprintf(w, "%s (n=%d, nnz=%d): plan-phase runtime (ms) vs plan workers\n",
+		fmt.Fprintf(w, "%s (n=%d, nnz=%d): plan-phase runtime (ms) vs workers\n",
 			g.Name, a.Rows, a.NNZ())
-		fmt.Fprintf(w, "%-28s", "phase \\ plan workers")
+		fmt.Fprintf(w, "%-28s", "phase \\ workers")
 		for _, c := range counts {
 			fmt.Fprintf(w, "%10d", c)
 		}
@@ -79,19 +77,14 @@ func PlanBench(w io.Writer, o Options) error {
 				tiles, err := tiling.BalancedTilesParallelE(nil, work, 2048, p)
 				return int64(len(tiles)), err
 			}},
-			{"NewMultiplier (plan)", func(p int) (int64, error) {
-				cfg := o.planify(core.DefaultConfig())
-				cfg.Workers = o.Workers
-				cfg.PlanWorkers = p
-				mu, err := core.NewMultiplier[float64](sr, a, a, a, cfg)
-				if err != nil {
-					return 0, err
-				}
-				return int64(mu.Tiles()), nil
+			{"Prepare (full plan)", func(p int) (int64, error) {
+				cfg := core.DefaultConfig()
+				cfg.Workers = p
+				tiles, err := core.Prepare(a, a, a, cfg)
+				return int64(tiles), err
 			}},
-			{"Multiply (kernel+asm)", nil}, // handled below: needs a reused plan
 		}
-		for _, ph := range phases[:len(phases)-1] {
+		for _, ph := range phases {
 			fmt.Fprintf(w, "%-28s", ph.name)
 			for _, c := range counts {
 				meas, err := o.time("plan", g.Name, fmt.Sprintf("%s@%d", ph.name, c),
@@ -103,27 +96,6 @@ func PlanBench(w io.Writer, o Options) error {
 			}
 			fmt.Fprintln(w)
 		}
-
-		// Multiply with the kernel worker count pinned: the only knob that
-		// varies across columns is PlanWorkers, so the column-to-column
-		// delta is the assembly (and plan reuse) phases.
-		fmt.Fprintf(w, "%-28s", phases[len(phases)-1].name)
-		for _, c := range counts {
-			cfg := o.planify(core.DefaultConfig())
-			cfg.Workers = o.Workers
-			cfg.PlanWorkers = c
-			mu, err := core.NewMultiplier[float64](sr, a, a, a, cfg)
-			if err != nil {
-				return fmt.Errorf("%s multiply p=%d: %w", g.Name, c, err)
-			}
-			meas, err := o.time("plan", g.Name, fmt.Sprintf("%s@%d", phases[len(phases)-1].name, c),
-				func() (int64, error) { return nnz(mu.Multiply()) })
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%10.3f", meas.Millis)
-		}
-		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -147,12 +119,12 @@ func SchedSweep(w io.Writer, o Options) error {
 			fmt.Fprintf(w, "%-10v", sp)
 			series := make([]float64, 0, len(o.TileCounts))
 			for _, tc := range o.TileCounts {
-				cfg := o.planify(core.Config{
+				cfg := core.Config{
 					Iteration: core.MaskLoad, Kappa: 1,
 					Accumulator: accum.HashKind, MarkerBits: 32,
 					Tiles: tc, Tiling: tiling.FlopBalanced,
-					Schedule: sp, Workers: o.Workers,
-				})
+					Schedule: sp, Workers: o.Workers, Engine: o.Engine,
+				}
 				meas, err := o.timeMasked("sched", g.Name, fmt.Sprintf("%v@%d", sp, tc), a, cfg)
 				if err != nil {
 					return err

@@ -29,7 +29,9 @@ func Scaling(w io.Writer, o Options) error {
 		a := g.Build(o.Shift)
 		fmt.Fprintf(w, "%-22s", g.Name)
 		for _, c := range counts {
-			meas, err := o.timeMasked("scaling", g.Name, fmt.Sprintf("workers=%d", c), a, o.planify(tunedConfig(c)))
+			cfg := tunedConfig(c)
+			cfg.Engine = o.Engine
+			meas, err := o.timeMasked("scaling", g.Name, fmt.Sprintf("workers=%d", c), a, cfg)
 			if err != nil {
 				return err
 			}

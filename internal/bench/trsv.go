@@ -90,8 +90,9 @@ func TrsvBench(w io.Writer, o Options) error {
 		dstS := make([]float64, n)
 		dstW := make([]float64, n)
 
-		cfg := o.planify(core.DefaultConfig())
+		cfg := core.DefaultConfig()
 		cfg.Workers = workers
+		cfg.Engine = o.Engine
 		if cfg.Engine == nil {
 			cfg.Engine = exec.New(exec.Config{})
 		}

@@ -35,11 +35,11 @@ func tune(graph string, a *sparse.CSR[float64], o Options, log io.Writer) (core.
 		for _, sp := range []sched.Policy{sched.Dynamic, sched.Static} {
 			for _, ak := range []accum.Kind{accum.DenseKind, accum.HashKind} {
 				for _, tc := range o.TileCounts {
-					cfg := o.planify(core.Config{
+					cfg := core.Config{
 						Iteration: core.MaskLoad, Kappa: 1,
 						Accumulator: ak, MarkerBits: 32,
-						Tiles: tc, Tiling: ts, Schedule: sp, Workers: o.Workers,
-					})
+						Tiles: tc, Tiling: ts, Schedule: sp, Workers: o.Workers, Engine: o.Engine,
+					}
 					meas, err := timeCfg(cfg)
 					if err != nil {
 						return core.Config{}, err

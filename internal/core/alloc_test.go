@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/semiring"
 )
 
 // TestKernelSteadyStateAllocs pins dynamically what hotpathalloc checks
-// statically: once a Multiplier is warm, one full pass of the per-tile
+// statically: once a workspace is warm, one full pass of the per-tile
 // kernel loop — row kernels, accumulator probes and inserts, gather
 // into the reused tile buffers — performs zero allocations.
 func TestKernelSteadyStateAllocs(t *testing.T) {
@@ -22,22 +23,23 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 			cfg.Accumulator = ak
 			cfg.Tiles = 4
 			cfg.Workers = 1
-			mu, err := NewMultiplier[float64](semiring.PlusTimes[float64]{}, a, a, a, cfg)
+			plan, err := planFor(nil, cfg, 1, a, a, a, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One run warms the tile output buffers (and any hash growth).
-			if _, err := mu.Multiply(); err != nil {
-				t.Fatal(err)
-			}
+			sr := semiring.PlusTimes[float64]{}
+			ws := exec.Masked[float64](nil, sr, ak, cfg.MarkerBits, a.Cols, plan.RowCap, 1, len(plan.Tiles))
 			k := kernel[float64, semiring.PlusTimes[float64]]{
-				sr: mu.p.sr, m: mu.p.m, a: mu.p.a, b: mu.p.b, iter: it, kappa: cfg.Kappa,
+				sr: sr, m: a, a: a, b: a, iter: it, kappa: cfg.Kappa,
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				for tt, tile := range mu.plan.Tiles {
-					runTile(k, mu.ws.Accs[0], nil, tile, &mu.ws.Outs[tt], false, nil, nil)
+			pass := func() {
+				for tt, tile := range plan.Tiles {
+					runTile(k, ws.Accs[0], nil, tile, &ws.Outs[tt], false, nil, nil)
 				}
-			})
+			}
+			// One pass warms the tile output buffers (and any hash growth).
+			pass()
+			allocs := testing.AllocsPerRun(10, pass)
 			if allocs != 0 {
 				t.Errorf("%v/%v: kernel loop allocates %.1f times per pass, want 0", it, ak, allocs)
 			}

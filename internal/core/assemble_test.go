@@ -110,9 +110,10 @@ func TestAssembleParallelRandomized(t *testing.T) {
 	}
 }
 
-func TestMaskedSpGEMMPlanWorkersBitIdentical(t *testing.T) {
+func TestMaskedSpGEMMParallelPlanBitIdentical(t *testing.T) {
 	// The full kernel with parallel plan construction and assembly must
-	// be bit-identical to the serial plan, across schedules.
+	// be bit-identical to the one-worker run, whose plan and assembly
+	// are serial, across schedules.
 	lowerPlanCutoff(t)
 	oldTiling := tiling.SetParallelCutoffForTest(1)
 	t.Cleanup(func() { tiling.SetParallelCutoffForTest(oldTiling) })
@@ -120,24 +121,23 @@ func TestMaskedSpGEMMPlanWorkersBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	a := randMatrix(120, 120, 0.06, r)
 	base := DefaultConfig()
-	base.Workers = 2
+	base.Workers = 1
 	base.Tiles = 16
-	base.PlanWorkers = 1
 	want, err := MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, a, a, a, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pw := range []int{2, 4} {
+	for _, w := range []int{2, 4} {
 		for _, pol := range []sched.Policy{sched.Static, sched.Dynamic, sched.Guided} {
 			cfg := base
-			cfg.PlanWorkers = pw
+			cfg.Workers = w
 			cfg.Schedule = pol
 			got, err := MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, a, a, a, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sparse.Equal(want, got) {
-				t.Errorf("pw=%d %v: result differs from serial-plan run", pw, pol)
+				t.Errorf("w=%d %v: result differs from serial-plan run", w, pol)
 			}
 		}
 	}

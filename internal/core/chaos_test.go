@@ -264,11 +264,11 @@ func TestChaosStallWatchdog(t *testing.T) {
 	}
 }
 
-// TestChaosMultiplierReuseAfterFault injects a panic into a shared-
-// engine Multiplier's row kernel, then requires subsequent multiplies —
-// same Multiplier, same engine — to recover bit-identical results, with
-// the poisoned workspace quarantined rather than reused.
-func TestChaosMultiplierReuseAfterFault(t *testing.T) {
+// TestChaosPreparedReuseAfterFault injects a panic into a prepared
+// product's row kernel, then requires subsequent multiplies — same
+// operands, same engine — to recover bit-identical results, with the
+// poisoned workspace quarantined rather than reused.
+func TestChaosPreparedReuseAfterFault(t *testing.T) {
 	r := rand.New(rand.NewSource(303))
 	a := randMatrix(120, 120, 0.08, r)
 	sr := semiring.PlusTimes[float64]{}
@@ -285,7 +285,7 @@ func TestChaosMultiplierReuseAfterFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu, err := NewMultiplier[float64](sr, a, a, a, cfg)
+	multiply, _, err := prepared(a, a, a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestChaosMultiplierReuseAfterFault(t *testing.T) {
 	sd := chaos.NewSeeded(304)
 	sd.Arm(chaos.RowKernel, chaos.KindPanic, 5, 0)
 	swap.cur.Store(sd)
-	if _, err := mu.Multiply(); !errors.Is(err, ErrPanic) || !errors.Is(err, chaos.ErrInjected) {
+	if _, err := multiply(); !errors.Is(err, ErrPanic) || !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("faulted multiply: %v, want ErrPanic matching chaos.ErrInjected", err)
 	}
 	swap.cur.Store(nil)
@@ -304,7 +304,7 @@ func TestChaosMultiplierReuseAfterFault(t *testing.T) {
 		t.Fatalf("pool invariants violated after quarantine: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := mu.Multiply()
+		got, err := multiply()
 		if err != nil {
 			t.Fatalf("reuse %d after fault: %v", i, err)
 		}
@@ -314,49 +314,5 @@ func TestChaosMultiplierReuseAfterFault(t *testing.T) {
 	}
 	if err := eng.SelfCheck(); err != nil {
 		t.Fatalf("pool invariants violated after reuse: %v", err)
-	}
-}
-
-// TestChaosDegradedLadderRecovers proves MultiplyDegraded's rungs
-// escape a persistently faulting engine path: the unpooled rung uses no
-// pooled workspace, so an injector that always panics on checkout
-// cannot touch it.
-func TestChaosDegradedLadderRecovers(t *testing.T) {
-	r := rand.New(rand.NewSource(305))
-	a := randMatrix(90, 90, 0.1, r)
-	sr := semiring.PlusTimes[float64]{}
-	always := chaos.Func(func(p chaos.Point) chaos.Fault {
-		if p == chaos.WorkspaceCheckout {
-			return chaos.Fault{Kind: chaos.KindPanic}
-		}
-		return chaos.Fault{}
-	})
-	eng := exec.New(exec.Config{Chaos: always})
-
-	cfg := DefaultConfig()
-	cfg.Tiles = 8
-	cfg.Workers = 2
-	cfg.Engine = eng
-
-	ref, err := MaskedSpGEMM[float64](sr, a, a, a, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu, err := NewMultiplier[float64](sr, a, a, a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine path panics at every checkout: containment converts it,
-	// but no amount of plain retrying helps.
-	if _, err := runContained(func() (*sparse.CSR[float64], error) { return mu.Multiply() }); err == nil {
-		t.Fatal("engine-path multiply unexpectedly survived a checkout fault")
-	}
-	// The unpooled rung sidesteps the engine entirely.
-	got, err := mu.MultiplyDegraded(nil, DegradeUnpooled)
-	if err != nil {
-		t.Fatalf("degraded multiply: %v", err)
-	}
-	if !sparse.Equal(ref, got) {
-		t.Fatal("degraded multiply differs from reference")
 	}
 }

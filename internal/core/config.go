@@ -95,19 +95,6 @@ type Config struct {
 	// run uses no more workers than its plan has tiles, so a product
 	// below the work crossover runs on the caller's goroutine alone.
 	Workers int
-	// PlanWorkers is the worker count for plan construction and result
-	// assembly — the O(nnz) passes around the numeric kernel (Eq. 2 work
-	// estimation, prefix-sum tile balancing, CSR stitching). 0 means use
-	// the kernel worker count.
-	PlanWorkers int
-	// FuseTileBudget is the fused-pipeline cache budget in bytes: a
-	// chained multiply stages a tile's intermediate product whole when
-	// its Eq. 2-estimated footprint (first-stage mask volume × entry
-	// size) fits the budget, and degrades to row-at-a-time streaming —
-	// one intermediate row live at a time — when it does not. 0 selects
-	// DefaultFuseTileBudget; negative is invalid. Only the fused entry
-	// points (FusedMaskedSpGEMM and friends) consult it.
-	FuseTileBudget int64
 	// Context, when non-nil, cancels or deadline-bounds the
 	// multiplication: the scheduler observes it between tile claims and
 	// between plan blocks, and a cancelled run returns ErrCanceled
@@ -198,38 +185,10 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return errConfig("workers must be >= 0, got %d", c.Workers)
 	}
-	if c.PlanWorkers < 0 {
-		return errConfig("plan workers must be >= 0, got %d", c.PlanWorkers)
-	}
-	if c.FuseTileBudget < 0 {
-		return errConfig("fuse tile budget must be >= 0, got %d", c.FuseTileBudget)
-	}
 	if c.Resilience != nil && c.Resilience.StallTimeout < 0 {
 		return errConfig("stall timeout must be >= 0, got %v", c.Resilience.StallTimeout)
 	}
 	return nil
-}
-
-// DefaultFuseTileBudget is the fused-pipeline staging budget used when
-// Config.FuseTileBudget is 0: 1 MiB, sized to keep a staged
-// intermediate tile inside a typical per-core L2.
-const DefaultFuseTileBudget = 1 << 20
-
-// fuseTileBudget resolves the effective staging budget.
-func (c Config) fuseTileBudget() int64 {
-	if c.FuseTileBudget > 0 {
-		return c.FuseTileBudget
-	}
-	return DefaultFuseTileBudget
-}
-
-// planWorkers resolves the worker count for the plan-construction and
-// assembly phases: PlanWorkers when set, else the kernel worker count.
-func (c Config) planWorkers() int {
-	if c.PlanWorkers > 0 {
-		return c.PlanWorkers
-	}
-	return sched.Workers(c.Workers)
 }
 
 // runWorkers resolves the worker count of a run over a plan of the
@@ -248,9 +207,6 @@ func (c Config) String() string {
 		c.Iteration, c.Accumulator, c.MarkerBits, c.Tiles, c.Tiling, c.Schedule, c.Workers)
 	if c.Iteration == Hybrid {
 		s += fmt.Sprintf(" κ=%g", c.Kappa)
-	}
-	if c.PlanWorkers > 0 {
-		s += fmt.Sprintf(" pw=%d", c.PlanWorkers)
 	}
 	return s
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // crossoverForms are the formulations the small ≡ tiled law covers: the
-// fault matrix's four plus the fused chain and the Multiplier, on a
-// square problem so one (m, a) pair serves all of them.
+// fault matrix's four plus the fused chain and the prepared product, on
+// a square problem so one (m, a) pair serves all of them.
 var crossoverForms = append(chaosForms[:len(chaosForms):len(chaosForms)], []struct {
 	name string
 	run  func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error)
@@ -22,12 +22,12 @@ var crossoverForms = append(chaosForms[:len(chaosForms):len(chaosForms)], []stru
 	{"chain", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
 		return FusedMaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, a, m, a, cfg)
 	}},
-	{"multiplier", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		mu, err := NewMultiplier[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg)
+	{"prepared", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		multiply, _, err := prepared(m, a, a, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return mu.Multiply()
+		return multiply()
 	}},
 }...)
 
@@ -135,7 +135,6 @@ func TestTileCrossoverBoundary(t *testing.T) {
 	a := randMatrix(60, 50, 0.1, r)
 	b := randMatrix(50, 40, 0.1, r)
 	m := randMatrix(60, 40, 0.2, r)
-	sr := semiring.PlusTimes[float64]{}
 
 	w := UntiledWork(m, a, b, math.MaxInt64)
 	var flops int64
@@ -151,11 +150,11 @@ func TestTileCrossoverBoundary(t *testing.T) {
 	cfg.Workers = 2
 	tilesAt := func(crossover int64) int {
 		setCrossover(t, crossover)
-		mu, err := NewMultiplier[float64](sr, m, a, b, cfg)
+		tiles, err := Prepare(m, a, b, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mu.Tiles()
+		return tiles
 	}
 	if got := tilesAt(w + 1); got != 1 {
 		t.Errorf("W = crossover − 1: %d tiles, want 1", got)

@@ -44,7 +44,7 @@ func MaskedSpGEMMDot[T sparse.Number, S semiring.Semiring[T]](
 	// cost of each surviving dot product:
 	//   W[i] = Σ_{M[i,j]≠0} (nnz(A[i,:]) + nnz(B[:,j])).
 	ctx := cfg.Context
-	pw := cfg.planWorkers()
+	pw := sched.Workers(cfg.Workers)
 	scope := cfg.Recorder.StartRun()
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()

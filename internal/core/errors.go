@@ -38,14 +38,6 @@ var (
 	// completed/total tile counts and an all-goroutine stack snapshot.
 	ErrStalled = errors.New("core: multiplication stalled")
 
-	// ErrConcurrentMultiply marks overlapping Multiply calls on a
-	// Multiplier that has no Engine: the engineless path owns a single
-	// workspace, so a second concurrent call would race on it. The
-	// misuse is detected atomically and rejected instead of corrupting
-	// state. Give the Multiplier an Engine (per-call workspace checkout)
-	// to serve concurrent callers.
-	ErrConcurrentMultiply = errors.New("core: concurrent Multiply on a Multiplier without an Engine")
-
 	// ErrSingular marks a triangular solve whose operand cannot be
 	// inverted on the solved rows: a structurally missing diagonal entry
 	// (detected at plan time) or a stored-but-zero diagonal value

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
@@ -141,15 +142,16 @@ func TestKernelPreCancelled(t *testing.T) {
 	if _, err := MaskedSpGEMMDot[float64](sr, a, a, a, cfg); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("MaskedSpGEMMDot: %v, want ErrCanceled", err)
 	}
-	if _, err := NewMultiplier[float64](sr, a, a, a, cfg); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("NewMultiplier: %v, want ErrCanceled", err)
+	if _, err := Prepare(a, a, a, cfg); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Prepare: %v, want ErrCanceled", err)
 	}
 }
 
-// TestMultiplierReusableAfterCancel requires that a cancelled Multiply
-// leaves the plan fully intact: the next uncancelled call must produce
-// a result bit-identical to a never-cancelled reference.
-func TestMultiplierReusableAfterCancel(t *testing.T) {
+// TestPreparedReusableAfterCancel requires that a cancelled run leaves
+// the engine's cached plan and pool fully intact: the next uncancelled
+// call must produce a result bit-identical to a never-cancelled
+// reference.
+func TestPreparedReusableAfterCancel(t *testing.T) {
 	r := rand.New(rand.NewSource(204))
 	a := randMatrix(100, 100, 0.1, r)
 	sr := semiring.PlusTimes[float64]{}
@@ -161,19 +163,25 @@ func TestMultiplierReusableAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu, err := NewMultiplier[float64](sr, a, a, a, cfg)
+	cfg.Engine = exec.New(exec.Config{})
+	multiply, _, err := prepared(a, a, a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	canceled := cfg
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	canceled.Context = ctx
 	for i := 0; i < 3; i++ {
-		if _, err := mu.MultiplyCtx(ctx); !errors.Is(err, ErrCanceled) {
+		if _, err := MaskedSpGEMM[float64](sr, a, a, a, canceled); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("cancelled multiply %d: %v, want ErrCanceled", i, err)
 		}
 	}
+	if err := cfg.Engine.SelfCheck(); err != nil {
+		t.Fatalf("pool invariants violated after cancelled runs: %v", err)
+	}
 	for i := 0; i < 3; i++ {
-		got, err := mu.Multiply()
+		got, err := multiply()
 		if err != nil {
 			t.Fatalf("reuse after cancel %d: %v", i, err)
 		}
@@ -213,7 +221,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"hybrid kappa 0", mutate(func(c *Config) { c.Kappa = 0 })},
 		{"hybrid kappa negative", mutate(func(c *Config) { c.Kappa = -1 })},
 		{"workers negative", mutate(func(c *Config) { c.Workers = -1 })},
-		{"plan workers negative", mutate(func(c *Config) { c.PlanWorkers = -3 })},
 	}
 	r := rand.New(rand.NewSource(205))
 	a := randMatrix(10, 10, 0.3, r)

@@ -29,11 +29,26 @@ import (
 // The chain's per-tile mode decision is the Eq. 2 fusion cost model: a
 // tile whose estimated intermediate footprint (first-stage mask volume
 // × entry size — the same nnz(M) bound that sizes the accumulators) fits
-// Config.FuseTileBudget is staged whole, keeping the stage-1 B rows hot
+// fuseTileBudget is staged whole, keeping the stage-1 B rows hot
 // across the tile; a tile that exceeds the budget streams row at a
 // time, bounding the live intermediate to a single row. Both modes
 // perform identical per-row arithmetic, so the output is bit-identical
 // to materialize-then-multiply.
+
+// fuseTileBudget is the bytes a chain may stage per tile for its
+// intermediate product: 1 MiB, sized to keep a staged tile inside a
+// typical per-core L2. A variable so tests can force the streamed
+// branch; not a knob.
+var fuseTileBudget int64 = 1 << 20
+
+// SetFuseTileBudgetForTest overrides the fused staging budget and
+// returns the previous value: 1 streams every non-empty tile row at a
+// time. Not for production use.
+func SetFuseTileBudgetForTest(bytes int64) (old int64) {
+	old = fuseTileBudget
+	fuseTileBudget = bytes
+	return old
+}
 
 // fusedEntrySize is the staging cost of one intermediate entry: a
 // column index plus a value.

@@ -43,29 +43,42 @@ func materializedChain(t *testing.T, m1, a, b, m2, c *sparse.CSR[float64], cfg C
 	return want
 }
 
+// setFuseBudget pins the fused staging budget for the rest of the test.
+func setFuseBudget(t testing.TB, bytes int64) {
+	t.Helper()
+	old := SetFuseTileBudgetForTest(bytes)
+	t.Cleanup(func() { SetFuseTileBudgetForTest(old) })
+}
+
 // TestFusedChainMatchesMaterialized pins bit-identical fused output
 // across all three schedules × both tilings × engine/engineless × both
-// fusion modes (staged via the default budget, streamed via a 1-byte
-// budget that every tile exceeds).
+// fusion modes (staged via the production budget, streamed via a 1-byte
+// budget that every tile exceeds). The fused counters prove each pass
+// ran in the mode it names.
 func TestFusedChainMatchesMaterialized(t *testing.T) {
 	m1, a, b, m2, c := chainOperands(7)
 	sr := semiring.PlusTimes[float64]{}
 	eng := exec.New(exec.Config{})
+	rec := obs.NewRecorder()
+	production := fuseTileBudget
+	setFuseBudget(t, production)
 	for _, schedule := range []sched.Policy{sched.Static, sched.Dynamic, sched.Guided} {
 		for _, tl := range []tiling.Strategy{tiling.Uniform, tiling.FlopBalanced} {
 			for _, withEngine := range []bool{false, true} {
-				for _, budget := range []int64{0, 1} {
+				for mode, budget := range []int64{production, 1} {
+					SetFuseTileBudgetForTest(budget)
 					cfg := DefaultConfig()
 					cfg.Schedule = schedule
 					cfg.Tiling = tl
 					cfg.Tiles = 7
 					cfg.Workers = 3
-					cfg.FuseTileBudget = budget
+					cfg.Recorder = rec
 					if withEngine {
 						cfg.Engine = eng
 					}
 					name := fmt.Sprintf("%v/%v/engine=%v/budget=%d", schedule, tl, withEngine, budget)
 					want := materializedChain(t, m1, a, b, m2, c, cfg)
+					rec.Reset()
 					got, err := FusedMaskedSpGEMM[float64](sr, m1, a, b, m2, c, cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -75,6 +88,11 @@ func TestFusedChainMatchesMaterialized(t *testing.T) {
 					}
 					if !sparse.Equal(want, got) {
 						t.Fatalf("%s: fused chain differs from materialize-then-multiply", name)
+					}
+					f := rec.Stats().Fused
+					if staged := mode == 0; (f.StagedTiles > 0) != staged || (f.StreamedTiles > 0) == staged {
+						t.Fatalf("%s: staged/streamed tiles = %d/%d, want all %s", name,
+							f.StagedTiles, f.StreamedTiles, map[bool]string{true: "staged", false: "streamed"}[staged])
 					}
 				}
 			}
@@ -247,7 +265,7 @@ func TestFusedCounters(t *testing.T) {
 	lastSeq := st.Seq
 
 	rec.Reset()
-	cfg.FuseTileBudget = 1
+	setFuseBudget(t, 1)
 	if _, err := FusedMaskedSpGEMM[float64](sr, m1, a, b, m2, c, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +277,6 @@ func TestFusedCounters(t *testing.T) {
 	_ = lastSeq
 
 	rec.Reset()
-	cfg.FuseTileBudget = 0
 	selCfg := cfg
 	if _, err := MaskedSpGEMMSelect[float64](semiring.PlusPair[float64]{}, m1, a, b, selCfg,
 		func(v float64) (float64, bool) { return v, v >= 2 }); err != nil {

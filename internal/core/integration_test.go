@@ -86,17 +86,17 @@ func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 				t.Fatal("column-wise kernel differs")
 			}
 
-			mu, err := NewMultiplier[float64](sr, a, a, a, DefaultConfig())
+			multiply, _, err := prepared(a, a, a, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rep := 0; rep < 2; rep++ {
-				got, err := mu.Multiply()
+				got, err := multiply()
 				if err != nil {
-					t.Fatalf("multiplier rep %d: %v", rep, err)
+					t.Fatalf("prepared rep %d: %v", rep, err)
 				}
 				if !sparse.Equal(ref, got) {
-					t.Fatalf("multiplier rep %d differs", rep)
+					t.Fatalf("prepared rep %d differs", rep)
 				}
 			}
 

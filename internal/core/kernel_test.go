@@ -60,11 +60,10 @@ func allConfigs() []Config {
 		Iteration: Hybrid, Kappa: 1, Accumulator: accum.HashKind, MarkerBits: 32,
 		Tiles: 9, Tiling: tiling.FlopBalanced, Schedule: sched.Guided, Workers: 3,
 	})
-	for _, pw := range []int{1, 2, 4} {
+	for _, w := range []int{1, 2, 4} {
 		out = append(out, Config{
 			Iteration: MaskLoad, Kappa: 1, Accumulator: accum.HashKind, MarkerBits: 32,
-			Tiles: 6, Tiling: tiling.FlopBalanced, Schedule: sched.Guided, Workers: 2,
-			PlanWorkers: pw,
+			Tiles: 6, Tiling: tiling.FlopBalanced, Schedule: sched.Guided, Workers: w,
 		})
 	}
 	return out
@@ -143,7 +142,6 @@ func TestMaskedSpGEMMPropertyRandomShapes(t *testing.T) {
 			Tiling:      tiling.Strategy(r.Intn(2)),
 			Schedule:    sched.Policy(r.Intn(3)),
 			Workers:     r.Intn(3) + 1,
-			PlanWorkers: r.Intn(3),
 		}
 		got, err := MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
 		if err != nil {
@@ -358,9 +356,9 @@ func TestMaskedSpGEMMEdgeCases(t *testing.T) {
 			t.Error("unknown schedule not rejected")
 		}
 		bad = cfg
-		bad.PlanWorkers = -1
+		bad.Workers = -1
 		if _, err := MaskedSpGEMM[float64](sr, a, a, a, bad); err == nil {
-			t.Error("negative plan workers not rejected")
+			t.Error("negative workers not rejected")
 		}
 	})
 

@@ -208,7 +208,7 @@ func rowCapacity[T sparse.Number](
 
 // snapshotAccumStats enables the gated accumulator counters and returns
 // their current values, so the post-run delta isolates this run even
-// when the accumulators are reused (Multiplier). Nil scope → nil.
+// when the accumulators are reused (a pooled workspace). Nil scope → nil.
 func snapshotAccumStats[T sparse.Number](accs []accum.Accumulator[T], scope *obs.RunScope) []accum.Stats {
 	if !scope.Enabled() {
 		return nil

@@ -128,10 +128,10 @@ func TestRecorderParityUniformTiling(t *testing.T) {
 	checkParity(t, cfg.Recorder.Stats(), c, m, a, b, cfg, nTiles, 1)
 }
 
-// TestRecorderMultiplierAccumulation runs a Multiplier several times
-// under one recorder and checks the counters scale exactly with the run
-// count — the reused accumulators must not leak cross-run state.
-func TestRecorderMultiplierAccumulation(t *testing.T) {
+// TestRecorderPreparedAccumulation runs a prepared product several
+// times under one recorder and checks the counters scale exactly with
+// the run count — the reused accumulators must not leak cross-run state.
+func TestRecorderPreparedAccumulation(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	a := randMatrix(50, 45, 0.15, r)
 	b := randMatrix(45, 40, 0.15, r)
@@ -143,21 +143,21 @@ func TestRecorderMultiplierAccumulation(t *testing.T) {
 		Schedule: sched.Guided, Workers: 3,
 		Recorder: obs.NewRecorder(),
 	}
-	mu, err := NewMultiplier[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
+	multiply, tiles, err := prepared(m, a, b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const runs = 3
 	var c *sparse.CSR[float64]
 	for i := 0; i < runs; i++ {
-		if c, err = mu.Multiply(); err != nil {
+		if c, err = multiply(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := cfg.Recorder.Stats()
-	checkParity(t, st, c, m, a, b, cfg, int64(mu.Tiles()), runs)
-	// The plan phases must have been spanned exactly once (construction),
-	// the exec phases once per run.
+	checkParity(t, st, c, m, a, b, cfg, int64(tiles), runs)
+	// The plan phases must have been spanned exactly once (Prepare), the
+	// exec phases once per run.
 	for _, ph := range st.Phases {
 		switch ph.Phase {
 		case "exec.kernel", "exec.assemble":
@@ -325,14 +325,14 @@ func BenchmarkMaskedStatsOff(b *testing.B) {
 	m, a, bb := benchOperands(b)
 	cfg := DefaultConfig()
 	cfg.Tiles = 64
-	mu, err := NewMultiplier[float64](semiring.PlusTimes[float64]{}, m, a, bb, cfg)
+	multiply, _, err := prepared(m, a, bb, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mu.Multiply(); err != nil {
+		if _, err := multiply(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,14 +344,14 @@ func BenchmarkMaskedStatsOn(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Tiles = 64
 	cfg.Recorder = obs.NewRecorder()
-	mu, err := NewMultiplier[float64](semiring.PlusTimes[float64]{}, m, a, bb, cfg)
+	multiply, _, err := prepared(m, a, bb, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mu.Multiply(); err != nil {
+		if _, err := multiply(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,40 +46,6 @@ func (c Config) stallTimeout() time.Duration {
 	return c.Resilience.StallTimeout
 }
 
-// Degradation is the retry ladder's execution-narrowing rung: after a
-// transient failure (ErrPanic, ErrStalled, an injected cancel), the
-// retry layer re-executes the same plan on a progressively safer — and
-// slower — path. Each rung includes everything the previous one gave
-// up, so the ladder is monotone: a failure mode escaped by rung n stays
-// escaped on rung n+1.
-type Degradation int
-
-const (
-	// DegradeNone is the configured execution, unchanged.
-	DegradeNone Degradation = iota
-	// DegradeSerial forces one worker under the Static policy: no
-	// concurrent claims, no cross-worker interference, one accumulator.
-	DegradeSerial
-	// DegradeUnpooled additionally abandons the engine's pooled
-	// workspaces (and their chaos-armed checkout/release seams) for a
-	// fresh one-shot workspace — the configuration with the least
-	// shared state a run can have.
-	DegradeUnpooled
-)
-
-func (d Degradation) String() string {
-	switch d {
-	case DegradeNone:
-		return "none"
-	case DegradeSerial:
-		return "serial"
-	case DegradeUnpooled:
-		return "serial+unpooled"
-	default:
-		return "unknown"
-	}
-}
-
 // armAccumChaos arms the AccumGrow seam on every grow-hookable
 // accumulator and returns the disarm function, which MUST run before
 // the workspace is released — a hook holds the run's injector and must

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/obs"
+	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 	"maskedspgemm/internal/tiling"
@@ -18,8 +18,8 @@ import (
 // formulation — the mask's sense, a chained second product, and what
 // happens to each gathered row. Every entry point of the family
 // (MaskedSpGEMM, MaskedSpGEMMInstrumented, MaskedSpGEMMSelect,
-// MaskedSpGEMMStream, MaskedSpGEMMComp, FusedMaskedSpGEMM and
-// Multiplier.Multiply) is its argument checks plus one of these.
+// MaskedSpGEMMStream, MaskedSpGEMMComp and FusedMaskedSpGEMM) is its
+// argument checks plus one of these.
 type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	sr      S
 	m, a, b *sparse.CSR[T]
@@ -40,15 +40,6 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	// wrap, when non-nil, decorates each worker's accumulator for this
 	// run only (the instrumented entry point's operation counters).
 	wrap func(accum.Accumulator[T]) accum.Accumulator[T]
-
-	// plan, when non-nil, is the pre-resolved execution plan of an
-	// already validated product; owned, when non-nil, is the caller's own
-	// workspace, used instead of a checkout; lastRun, when non-nil,
-	// receives the completed run's scoped stats. All three are the
-	// Multiplier's.
-	plan    *exec.Plan
-	owned   *exec.Workspace[T, S]
-	lastRun *atomic.Pointer[obs.Stats]
 }
 
 func newProduct[T sparse.Number, S semiring.Semiring[T]](
@@ -82,30 +73,54 @@ func (p *product[T, S]) check() error {
 	return nil
 }
 
-// resolve returns the run's plan — the pre-resolved one, or the plan
-// cache's under the run's scope — plus, for a chain, the second stage's
-// accumulator row bound.
-func (p *product[T, S]) resolve(
-	ctx context.Context, pw int, scope *obs.RunScope,
-) (plan exec.Plan, rowCap2 int64, err error) {
-	if p.plan != nil {
-		return *p.plan, 0, nil
+// Prepare is the eager half of a product that will be repeated: it
+// validates the configuration and the shapes of C = M ⊙ (A × B),
+// observes cfg.Context, and resolves the plan into cfg.Engine's cache,
+// so a caller learns of ErrConfig, ErrShape and ErrCanceled before its
+// first run and that run starts from a plan-cache hit. A product below
+// the tile crossover is checked and nothing more: its one-tile plan is
+// never cached (planFor), so each run rebuilds it and there is nothing
+// to build ahead. The plan spans land in a scope of their own: folded
+// into the recorder's totals, not counted as a run. It returns the
+// plan's tile count (0 for an empty product).
+func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, err error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
 	}
-	plan, err = planFor(ctx, p.cfg, pw, p.m, p.a, p.b, p.m2, p.c, scope)
-	if err == nil && p.c != nil {
-		rowCap2, err = chainRowCap(ctx, p.cfg, pw, p.m2, p.c, scope)
+	if err := checkShapes(m, a, b); err != nil {
+		return 0, err
 	}
-	return plan, rowCap2, err
+	ctx := cfg.Context
+	// A small plan builds serially and never reaches the scheduler's
+	// cancellation check.
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, wrapRunErr(err)
+		}
+	}
+	if a.Rows == 0 {
+		return 0, nil
+	}
+	if belowTileCrossover(m, a, b, nil, nil) {
+		return 1, nil
+	}
+	scope := cfg.Recorder.StartRun()
+	defer scope.End()
+	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, nil, nil, scope)
+	if err != nil {
+		return 0, wrapRunErr(err)
+	}
+	return len(plan.Tiles), nil
 }
 
 // run is the run protocol of the masked family, written once:
 //
-//  1. validate the configuration and shapes (skipped with a pre-resolved
-//     plan, whose owner validated at construction); an empty operand
-//     returns an empty result;
+//  1. validate the configuration and shapes; an empty operand returns an
+//     empty result;
 //  2. open the run's stats scope;
 //  3. resolve the plan — the planner may answer "one tile" (planFor) —
-//     and clamp the workers to its tiles;
+//     plus, for a chain, the second stage's accumulator row bound, and
+//     clamp the workers to the plan's tiles;
 //  4. check the workspace(s) out, under the one deferred release that
 //     quarantines them unless the run reaches its clean exit;
 //  5. arm the accumulator chaos seam and snapshot the accumulator stats;
@@ -118,10 +133,8 @@ func (p *product[T, S]) resolve(
 // ctx cancels the run between tile claims and plan blocks; nil runs to
 // completion.
 func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
-	if p.plan == nil {
-		if err := p.check(); err != nil {
-			return nil, err
-		}
+	if err := p.check(); err != nil {
+		return nil, err
 	}
 	cfg := p.cfg
 	chain := p.c != nil
@@ -134,16 +147,14 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	}
 
 	scope := cfg.Recorder.StartRun()
-	defer func() {
-		snap := scope.End()
-		if p.lastRun != nil && snap.Runs > 0 {
-			last := snap
-			p.lastRun.Store(&last)
-		}
-	}()
+	defer scope.End()
 	poolPrior := cfg.Engine.Stats()
-	pw := cfg.planWorkers()
-	plan, rowCap2, err := p.resolve(ctx, pw, scope)
+	pw := sched.Workers(cfg.Workers)
+	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, p.m2, p.c, scope)
+	var rowCap2 int64
+	if err == nil && chain {
+		rowCap2, err = chainRowCap(ctx, cfg, pw, p.m2, p.c, scope)
+	}
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}
@@ -162,9 +173,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	// injected fault) may leave accumulators or staging mid-mutation, so
 	// the workspaces are quarantined instead of pooled. The flag flips
 	// only on the fully-successful exit, so error returns and panic
-	// unwinding take the same quarantine path. An owned workspace has no
-	// pool to quarantine into; its owner replaces it when it finds it
-	// poisoned.
+	// unwinding take the same quarantine path.
 	var ws, ws2 *exec.Workspace[T, S]
 	clean := false
 	defer func() {
@@ -180,16 +189,11 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 		staging = workers
 	}
 	var accs []accum.Accumulator[T]
-	switch {
-	case p.owned != nil:
-		ws = p.owned
-	case p.comp:
+	if p.comp {
 		ws = exec.Dense[T, S](cfg.Engine, p.sr, p.b.Cols, workers, staging)
-	default:
+	} else {
 		ws = exec.Masked[T, S](cfg.Engine, p.sr, cfg.Accumulator, cfg.MarkerBits,
 			p.b.Cols, plan.RowCap, workers, staging)
-	}
-	if !p.comp {
 		accs = ws.Accs[:workers]
 	}
 	outs := ws.Outs
@@ -267,7 +271,7 @@ func (p *product[T, S]) runTiles(
 		iter: cfg.Iteration, kappa: cfg.Kappa, inj: cfg.chaosInjector(),
 		comp: p.comp, live: p.m2,
 	}
-	runSink, perRow, budget := p.sink, p.stream, cfg.fuseTileBudget()
+	runSink, perRow, budget := p.sink, p.stream, fuseTileBudget
 	// slots and fcs are nil with observability off: the tile closure then
 	// pays two nil checks and the run allocates neither.
 	slots := scope.WorkerSlots(workers)

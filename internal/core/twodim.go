@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"maskedspgemm/internal/exec"
+	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 	"maskedspgemm/internal/tiling"
@@ -48,7 +49,7 @@ func MaskedSpGEMM2D[T sparse.Number, S semiring.Semiring[T]](
 	}
 
 	ctx := cfg.Context
-	pw := cfg.planWorkers()
+	pw := sched.Workers(cfg.Workers)
 	scope := cfg.Recorder.StartRun()
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"maskedspgemm/internal/sparse"
 )
@@ -40,45 +38,13 @@ func TuneKeyOf[T sparse.Number](m, a, b *sparse.CSR[T]) TuneKey {
 	return k
 }
 
-// Tuning is one adaptive-tuning cell cached by the engine: an
-// atomically published κ override plus opaque recalibration state owned
-// by the model layer (stored as `any` to keep exec free of a model
-// dependency — model imports exec, not the reverse). The κ override is
-// the hot-path read: kernels load it with one atomic op per run and
-// never take the state lock.
+// Tuning is one adaptive-tuning cell cached by the engine: opaque
+// recalibration state owned by the model layer (stored as `any` to keep
+// exec free of a model dependency — model imports exec, not the
+// reverse).
 type Tuning struct {
-	// kappaBits holds math.Float64bits of the override; 0 means unset.
-	// (κ = 0 is not a valid override — Hybrid requires κ > 0 — so the
-	// zero bit pattern is free to mean "no override".)
-	kappaBits atomic.Uint64
-
 	mu    sync.Mutex
 	state any
-}
-
-// Kappa returns the published κ override, ok=false when unset (or on a
-// nil cell).
-func (t *Tuning) Kappa() (float64, bool) {
-	if t == nil {
-		return 0, false
-	}
-	bits := t.kappaBits.Load()
-	if bits == 0 {
-		return 0, false
-	}
-	return math.Float64frombits(bits), true
-}
-
-// SetKappa publishes a κ override; kappa <= 0 clears it. No-op on nil.
-func (t *Tuning) SetKappa(kappa float64) {
-	if t == nil {
-		return
-	}
-	if kappa <= 0 {
-		t.kappaBits.Store(0)
-		return
-	}
-	t.kappaBits.Store(math.Float64bits(kappa))
 }
 
 // Update runs f on the cell's opaque state under the cell's lock and

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"maskedspgemm/internal/chaos"
+	"maskedspgemm/internal/exec"
 )
 
 // equalResult compares two result matrices bit-for-bit.
@@ -194,6 +195,51 @@ func TestMultiplierRetryWithSharedEngine(t *testing.T) {
 	}
 	if err := eng.SelfCheck(); err != nil {
 		t.Fatalf("SelfCheck after recovered faults: %v", err)
+	}
+}
+
+// TestMultiplierLadderEscapesFaultingEngine drives a Multiplier down
+// the whole ladder: its engine panics at every workspace checkout, so
+// the configured attempt and the serial rung both fail, and the third
+// rung — unpooled, no engine — returns the reference result. The
+// stats/v1 retry block records the descent.
+func TestMultiplierLadderEscapesFaultingEngine(t *testing.T) {
+	a := RandomGraph("er", 96, 17)
+	opts := Defaults()
+	ref, err := MxM(a, a, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	always := chaos.Func(func(p chaos.Point) chaos.Fault {
+		if p == chaos.WorkspaceCheckout {
+			return chaos.Fault{Kind: chaos.KindPanic}
+		}
+		return chaos.Fault{}
+	})
+	opts.Engine = &Engine{eng: exec.New(exec.Config{Chaos: always})}
+	opts.Stats = NewStatsRecorder()
+	mu, err := NewMultiplier(a, a, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No budget: containment types the fault, nothing escapes it.
+	if _, err := mu.Multiply(); !errors.Is(err, ErrPanic) || !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("unretried checkout fault: %v, want ErrPanic matching chaos.ErrInjected", err)
+	}
+
+	opts.Retry = Retry{MaxAttempts: 3}
+	if mu, err = NewMultiplier(a, a, a, opts); err != nil {
+		t.Fatal(err)
+	}
+	got, err := mu.Multiply()
+	if err != nil {
+		t.Fatalf("laddered Multiply: %v", err)
+	}
+	equalResult(t, ref, got, "unpooled rung")
+	r := opts.Stats.Stats().Retry
+	if r.Attempts != 3 || r.Retries != 2 || r.Degradations != 2 || r.Failures != 0 {
+		t.Fatalf("retry counters = %+v, want 3 attempts / 2 retries / 2 degradations / 0 failures", r)
 	}
 }
 

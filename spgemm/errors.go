@@ -32,11 +32,6 @@ var (
 	// converted to an error. The chain carries a *PanicError with the
 	// original panic value and stack.
 	ErrPanic = core.ErrPanic
-	// ErrConcurrentMultiply marks overlapping Multiply calls on a
-	// Multiplier built without an Engine: the engineless plan owns a
-	// single workspace, so a second concurrent call is rejected instead
-	// of racing. Set Options.Engine to serve concurrent multiplies.
-	ErrConcurrentMultiply = core.ErrConcurrentMultiply
 	// ErrStalled marks a run stopped by the Options.StallTimeout
 	// watchdog: no tile completed for a full timeout window. The chain
 	// carries a *StallError with the progress count and the stacks of
@@ -75,10 +70,15 @@ func recoverAsError(err *error) {
 	}
 }
 
-// validateInputs runs the full CSR invariant check over each named
-// operand, parallelized across the plan workers. Any violation is
-// reported as ErrInvalidMatrix naming the offending operand.
-func validateInputs(p int, operands ...namedOperand) error {
+// validate runs, under Options.ValidateInputs, the full CSR invariant
+// check over each named operand, parallelized across the workers. Any
+// violation is reported as ErrInvalidMatrix naming the offending
+// operand.
+func (o Options) validate(operands ...namedOperand) error {
+	if !o.ValidateInputs {
+		return nil
+	}
+	p := sched.Workers(o.Workers)
 	for _, op := range operands {
 		if op.m == nil || op.m.csr == nil {
 			return fmt.Errorf("%w: %s is nil", ErrInvalidMatrix, op.name)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"maskedspgemm/internal/core"
 	"maskedspgemm/spgemm"
 )
 
@@ -40,6 +41,8 @@ func chainOps(t *testing.T, seed int64) (m1, a, b, m2, c *spgemm.Matrix) {
 }
 
 func TestMxMChainFusedMatchesUnfused(t *testing.T) {
+	production := core.SetFuseTileBudgetForTest(1)
+	t.Cleanup(func() { core.SetFuseTileBudgetForTest(production) })
 	for _, seed := range []int64{1, 7} {
 		m1, a, b, m2, c := chainOps(t, seed)
 		opts := spgemm.Defaults()
@@ -50,8 +53,8 @@ func TestMxMChainFusedMatchesUnfused(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Fuse = true
-		for _, budget := range []int64{0, 1} { // staged and fully streamed
-			opts.FuseTileBudget = budget
+		for _, budget := range []int64{production, 1} { // staged and fully streamed
+			core.SetFuseTileBudgetForTest(budget)
 			got, err := spgemm.MxMChain(m1, a, b, m2, c, opts)
 			if err != nil {
 				t.Fatal(err)

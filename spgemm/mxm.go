@@ -7,22 +7,78 @@ import (
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/model"
 	"maskedspgemm/internal/obs"
-	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
-// planP resolves the worker count used for input validation, matching
-// the kernel's plan-phase parallelism.
-func (o Options) planP() int {
-	if o.PlanWorkers > 0 {
-		return sched.Workers(o.PlanWorkers)
+// kernels is one semiring's instantiation of every core entry point
+// the facade dispatches on Options.Semiring: a new entry point is one
+// field here and one line in kernelsFor, a new semiring one row of
+// semiringKernels.
+type kernels struct {
+	masked, comp                  func(m, a, b *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error)
+	fused                         func(m1, a, b, m2, c *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error)
+	unmasked, ewiseAdd, ewiseMult func(a, b *sparse.CSR[float64]) (*sparse.CSR[float64], error)
+}
+
+func kernelsFor[S semiring.Semiring[float64]](sr S) kernels {
+	return kernels{
+		masked: func(m, a, b *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error) {
+			return core.MaskedSpGEMM[float64](sr, m, a, b, cfg)
+		},
+		comp: func(m, a, b *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error) {
+			return core.MaskedSpGEMMComp[float64](sr, m, a, b, cfg)
+		},
+		fused: func(m1, a, b, m2, c *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error) {
+			return core.FusedMaskedSpGEMM[float64](sr, m1, a, b, m2, c, cfg)
+		},
+		unmasked: func(a, b *sparse.CSR[float64]) (*sparse.CSR[float64], error) {
+			return core.SpGEMM[float64](sr, a, b)
+		},
+		ewiseAdd: func(a, b *sparse.CSR[float64]) (*sparse.CSR[float64], error) {
+			return core.EWiseAdd[float64](sr, a, b)
+		},
+		ewiseMult: func(a, b *sparse.CSR[float64]) (*sparse.CSR[float64], error) {
+			return core.EWiseMult[float64](sr, a, b)
+		},
 	}
-	return sched.Workers(o.Workers)
+}
+
+// semiringKernels is indexed by Semiring. The element-wise operations
+// have no structural variant: under SRPlusPair they combine values as
+// SRPlusTimes does.
+var semiringKernels = func() [3]kernels {
+	plusTimes := kernelsFor(semiring.PlusTimes[float64]{})
+	plusPair := kernelsFor(semiring.PlusPair[float64]{})
+	plusPair.ewiseAdd, plusPair.ewiseMult = plusTimes.ewiseAdd, plusTimes.ewiseMult
+	return [3]kernels{
+		SRPlusTimes: plusTimes,
+		SRPlusPair:  plusPair,
+		SROrAnd:     kernelsFor(semiring.OrAnd[float64]{}),
+	}
+}()
+
+// kernels resolves the options' semiring; a value outside the enum
+// selects SRPlusTimes.
+func (o Options) kernels() *kernels {
+	if o.Semiring < 0 || int(o.Semiring) >= len(semiringKernels) {
+		return &semiringKernels[SRPlusTimes]
+	}
+	return &semiringKernels[o.Semiring]
+}
+
+// mask returns the mask the kernels run under: m itself for a
+// structural mask, m without its stored zeros under Options.ValuedMask.
+func (o Options) mask(m *Matrix) *Matrix {
+	if !o.ValuedMask {
+		return m
+	}
+	return wrap(sparse.PruneZeros(m.csr))
 }
 
 // MxM computes C = mask ⊙ (a × b): the masked sparse matrix-matrix
-// product over the semiring selected in opts. The mask is structural.
+// product over the semiring selected in opts. The mask is structural
+// unless Options.ValuedMask is set.
 //
 // Shape requirements: a is m×k, b is k×n, mask is m×n.
 //
@@ -31,15 +87,10 @@ func (o Options) planP() int {
 // paths — see Retry.
 func MxM(mask, a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
-	if opts.ValidateInputs {
-		if err := validateInputs(opts.planP(),
-			namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
-			return nil, err
-		}
+	if err := opts.validate(namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
+		return nil, err
 	}
-	if opts.ValuedMask {
-		mask = wrap(sparse.PruneZeros(mask.csr))
-	}
+	mask = opts.mask(mask)
 	c, err := opts.retry(func(o Options) (*sparse.CSR[float64], error) {
 		return mxmAttempt(mask, a, b, o)
 	})
@@ -70,15 +121,7 @@ func mxmAttempt(mask, a, b *Matrix, opts Options) (_ *sparse.CSR[float64], err e
 		cfg.Kappa = rc.Propose()
 	}
 	start := time.Now()
-	var c *sparse.CSR[float64]
-	switch opts.Semiring {
-	case SRPlusPair:
-		c, err = core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	case SROrAnd:
-		c, err = core.MaskedSpGEMM[float64](semiring.OrAnd[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	default:
-		c, err = core.MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	}
+	c, err := opts.kernels().masked(mask.csr, a.csr, b.csr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -118,26 +161,20 @@ func observeRecal(rc *model.Recalibrator, rec *obs.Recorder, start time.Time) {
 // — two dependent masked multiplies in one call. With Options.Fuse set
 // the intermediate product m1 ⊙ (a×b) is never materialized: each
 // FLOP-balanced output tile of the first multiply is staged in
-// workspace buffers (bounded by Options.FuseTileBudget, degrading to
-// row streaming beyond it) and consumed by the second multiply while
-// hot. Without Fuse the chain runs as two ordinary MxM calls. Both
-// paths return bit-identical results.
+// workspace buffers (up to 1 MiB per tile, degrading to row streaming
+// beyond it) and consumed by the second multiply while hot. Without
+// Fuse the chain runs as two ordinary MxM calls. Both paths return
+// bit-identical results.
 //
 // Shape requirements: a is m×k, b is k×n, m1 is m×n, c is n×q, m2 is
 // m×q.
 func MxMChain(m1, a, b, m2, c *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
-	if opts.ValidateInputs {
-		if err := validateInputs(opts.planP(),
-			namedOperand{"m1", m1}, namedOperand{"a", a}, namedOperand{"b", b},
-			namedOperand{"m2", m2}, namedOperand{"c", c}); err != nil {
-			return nil, err
-		}
+	if err := opts.validate(namedOperand{"m1", m1}, namedOperand{"a", a}, namedOperand{"b", b},
+		namedOperand{"m2", m2}, namedOperand{"c", c}); err != nil {
+		return nil, err
 	}
-	if opts.ValuedMask {
-		m1 = wrap(sparse.PruneZeros(m1.csr))
-		m2 = wrap(sparse.PruneZeros(m2.csr))
-	}
+	m1, m2 = opts.mask(m1), opts.mask(m2)
 	if !opts.Fuse {
 		inner := opts
 		inner.ValidateInputs = false
@@ -180,20 +217,7 @@ func MxMChain(m1, a, b, m2, c *Matrix, opts Options) (_ *Matrix, err error) {
 // containing panics so the retry ladder can classify them.
 func fusedChainAttempt(m1, a, b, m2, c *Matrix, opts Options) (_ *sparse.CSR[float64], err error) {
 	defer recoverAsError(&err)
-	cfg := opts.config()
-	var d *sparse.CSR[float64]
-	switch opts.Semiring {
-	case SRPlusPair:
-		d, err = core.FusedMaskedSpGEMM[float64](semiring.PlusPair[float64]{},
-			m1.csr, a.csr, b.csr, m2.csr, c.csr, cfg)
-	case SROrAnd:
-		d, err = core.FusedMaskedSpGEMM[float64](semiring.OrAnd[float64]{},
-			m1.csr, a.csr, b.csr, m2.csr, c.csr, cfg)
-	default:
-		d, err = core.FusedMaskedSpGEMM[float64](semiring.PlusTimes[float64]{},
-			m1.csr, a.csr, b.csr, m2.csr, c.csr, cfg)
-	}
-	return d, err
+	return opts.kernels().fused(m1.csr, a.csr, b.csr, m2.csr, c.csr, opts.config())
 }
 
 // MxMContext is MxM under an explicit context: the multiplication is
@@ -205,27 +229,16 @@ func MxMContext(ctx context.Context, mask, a, b *Matrix, opts Options) (*Matrix,
 }
 
 // MxMComplement computes C = ¬mask ⊙ (a × b): the product restricted to
-// positions the mask does NOT store — GraphBLAS's complemented
-// structural mask. Note the output is bounded by the product structure,
-// not by the mask, so this kernel always pays the full multiplication.
+// positions the mask does NOT allow — GraphBLAS's complemented mask,
+// structural unless Options.ValuedMask is set. Note the output is
+// bounded by the product structure, not by the mask, so this kernel
+// always pays the full multiplication.
 func MxMComplement(mask, a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
-	if opts.ValidateInputs {
-		if err := validateInputs(opts.planP(),
-			namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
-			return nil, err
-		}
+	if err := opts.validate(namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
+		return nil, err
 	}
-	cfg := opts.config()
-	var c *sparse.CSR[float64]
-	switch opts.Semiring {
-	case SRPlusPair:
-		c, err = core.MaskedSpGEMMComp[float64](semiring.PlusPair[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	case SROrAnd:
-		c, err = core.MaskedSpGEMMComp[float64](semiring.OrAnd[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	default:
-		c, err = core.MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	}
+	c, err := opts.kernels().comp(opts.mask(mask).csr, a.csr, b.csr, opts.config())
 	if err != nil {
 		return nil, err
 	}
@@ -237,180 +250,99 @@ func MxMComplement(mask, a, b *Matrix, opts Options) (_ *Matrix, err error) {
 // problems; the masked kernel is the optimized path.
 func MxMUnmasked(a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
-	if opts.ValidateInputs {
-		if err := validateInputs(opts.planP(),
-			namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
-			return nil, err
-		}
+	if err := opts.validate(namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
+		return nil, err
 	}
-	var c *sparse.CSR[float64]
-	switch opts.Semiring {
-	case SRPlusPair:
-		c, err = core.SpGEMM[float64](semiring.PlusPair[float64]{}, a.csr, b.csr)
-	case SROrAnd:
-		c, err = core.SpGEMM[float64](semiring.OrAnd[float64]{}, a.csr, b.csr)
-	default:
-		c, err = core.SpGEMM[float64](semiring.PlusTimes[float64]{}, a.csr, b.csr)
-	}
+	c, err := opts.kernels().unmasked(a.csr, b.csr)
 	if err != nil {
 		return nil, err
 	}
 	return wrap(c), nil
 }
 
-// Multiplier is a reusable execution plan for repeating the same
-// masked product: tiling and accumulators are built once and reused by
-// every Multiply call. Iterative algorithms over a fixed graph and
-// benchmark loops should prefer it over repeated MxM calls.
+// Multiplier holds one masked product — operands and Options — for
+// repeating: Multiply is MxM(mask, a, b, opts) on the Options' Engine,
+// or on a private Engine the Multiplier creates when the Options carry
+// none. The Engine is where the reuse lives: the plan is cached at
+// construction (a product below the tile crossover has a one-tile
+// plan, rebuilt per call and never cached) and every Multiply checks a
+// pooled workspace out, so a warm loop allocates only its result.
+// Iterative algorithms over a fixed graph and benchmark loops should
+// prefer it over repeated engineless MxM calls.
 //
-// Concurrency follows the Options the plan was built with: with an
-// Engine, concurrent Multiply calls are safe (each run checks a
-// private workspace out of the shared pool); without one, the plan
-// owns a single workspace and overlapping calls are rejected with
-// ErrConcurrentMultiply instead of racing.
-//
-// A Multiply call that fails (ErrCanceled, ErrPanic) leaves the plan
-// intact: the same Multiplier can run again once the cause is resolved.
+// Concurrent Multiply calls on one Multiplier are safe: each checks
+// out a private workspace. A Multiply call that fails (ErrCanceled,
+// ErrPanic) leaves the Multiplier intact: it can run again once the
+// cause is resolved. The operands must not be mutated while the
+// Multiplier is in use.
 type Multiplier struct {
-	mu coreMultiplier
-	// rec is the resolved observability recorder (the StatsRecorder's,
-	// or the engine telemetry's fallback; nil disables collection).
-	rec   *obs.Recorder
-	tel   *Telemetry
-	recal *model.Recalibrator
-	retry Retry
+	mask, a, b *Matrix
+	opts       Options
 }
 
-// coreMultiplier is the non-generic surface of core.Multiplier[T, S]
-// the facade drives, so one wrapper serves every semiring
-// instantiation.
-type coreMultiplier interface {
-	MultiplyCtx(ctx context.Context) (*sparse.CSR[float64], error)
-	MultiplyDegraded(ctx context.Context, d core.Degradation) (*sparse.CSR[float64], error)
-	SetKappa(kappa float64)
-	Kappa() float64
-	LastRunStats() (obs.Stats, bool)
-}
-
-// NewMultiplier builds a reusable plan for C = mask ⊙ (a × b). Plan
-// construction itself observes opts.Context.
+// NewMultiplier prepares C = mask ⊙ (a × b) for repeating: the operands
+// are validated (under Options.ValidateInputs), a valued mask is pruned
+// and the plan is resolved into the engine's cache, once, so shape,
+// configuration and cancellation errors surface here and not at the
+// first Multiply. A product below the tile crossover is only checked:
+// its one-tile plan is never cached, each Multiply rebuilds it. Plan
+// construction observes opts.Context.
 func NewMultiplier(mask, a, b *Matrix, opts Options) (_ *Multiplier, err error) {
 	defer recoverAsError(&err)
-	if opts.ValidateInputs {
-		if err := validateInputs(opts.planP(),
-			namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
-			return nil, err
-		}
-	}
-	cfg := opts.config()
-	var cm coreMultiplier
-	switch opts.Semiring {
-	case SRPlusPair:
-		cm, err = core.NewMultiplier[float64](semiring.PlusPair[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	case SROrAnd:
-		cm, err = core.NewMultiplier[float64](semiring.OrAnd[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	default:
-		cm, err = core.NewMultiplier[float64](semiring.PlusTimes[float64]{}, mask.csr, a.csr, b.csr, cfg)
-	}
-	if err != nil {
+	if err := opts.validate(namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
 		return nil, err
 	}
-	return &Multiplier{
-		mu:    cm,
-		rec:   opts.recorder(),
-		tel:   opts.Engine.telemetry(),
-		recal: opts.recalibrator(mask, a, b),
-		retry: opts.Retry,
-	}, nil
+	// Pruned here and held, so every Multiply presents the plan cache
+	// with the same mask.
+	mask = opts.mask(mask)
+	opts.ValidateInputs, opts.ValuedMask = false, false
+	if opts.Engine == nil {
+		opts.Engine = NewEngine(EngineConfig{})
+	}
+	if _, err := core.Prepare(mask.csr, a.csr, b.csr, opts.config()); err != nil {
+		return nil, err
+	}
+	return &Multiplier{mask: mask, a: a, b: b, opts: opts}, nil
 }
 
 // NewMultiplierContext is NewMultiplier under an explicit context,
 // which also becomes the default context of every Multiply call on the
-// returned plan. A non-nil opts.Context is overridden by ctx.
+// returned Multiplier. A non-nil opts.Context is overridden by ctx.
 func NewMultiplierContext(ctx context.Context, mask, a, b *Matrix, opts Options) (*Multiplier, error) {
 	opts.Context = ctx
 	return NewMultiplier(mask, a, b, opts)
 }
 
-// Multiply executes the plan and returns a fresh result matrix, under
-// the context the plan was built with (nil = run to completion).
+// Multiply runs the product and returns a fresh result matrix, under
+// the context the Multiplier was built with (nil = run to completion).
 func (mu *Multiplier) Multiply() (*Matrix, error) {
 	return mu.MultiplyContext(nil)
 }
 
-// MultiplyContext executes the plan under ctx, overriding the plan's
-// own context. A cancelled or panicked run returns ErrCanceled/ErrPanic
-// and leaves the plan reusable. nil falls back to the plan's context.
-//
-// Under Options.AdaptiveKappa the call first applies the estimator's
-// proposed κ, then feeds the measured run back — so a warm Multiply
-// loop is exactly the feedback loop the online recalibration adapts in.
-//
-// With Options.Retry set on the plan, transient failures re-attempt on
-// the degradation ladder: first serially, then additionally on fresh
-// unpooled buffers — see Retry.
-func (mu *Multiplier) MultiplyContext(ctx context.Context) (_ *Matrix, err error) {
-	defer recoverAsError(&err)
-	c, err := retryLoop(ctx, mu.retry, mu.rec, mu.tel, func(try int) (*sparse.CSR[float64], error) {
-		d := core.DegradeNone
-		if try > 0 && !mu.retry.NoDegrade {
-			d = core.DegradeSerial
-			if try >= 2 {
-				d = core.DegradeUnpooled
-			}
-		}
-		return mu.multiplyAttempt(ctx, d)
-	})
-	if err != nil {
-		return nil, err
+// MultiplyContext is Multiply under ctx, overriding the Multiplier's
+// own context; nil falls back to it. Everything MxM does under the
+// Multiplier's Options applies: Options.AdaptiveKappa proposes a κ and
+// feeds the measured run back — a warm Multiply loop is exactly the
+// feedback loop the online recalibration adapts in — and Options.Retry
+// re-attempts transient failures down the degradation ladder.
+func (mu *Multiplier) MultiplyContext(ctx context.Context) (*Matrix, error) {
+	opts := mu.opts
+	if ctx != nil {
+		opts.Context = ctx
 	}
-	return wrap(c), nil
-}
-
-// multiplyAttempt runs one attempt of the plan at degradation rung d,
-// containing panics so the retry ladder can classify them. κ adaptation
-// applies only on the undegraded rung; failed attempts discard their
-// armed proposal instead of feeding the estimator.
-func (mu *Multiplier) multiplyAttempt(ctx context.Context, d core.Degradation) (_ *sparse.CSR[float64], err error) {
-	adapt := mu.recal != nil && d == core.DegradeNone
-	if mu.recal != nil {
-		// Registered before the recover guard so it runs after it
-		// (LIFO), covering contained panics as well as plain error
-		// returns. Skipped entirely without an estimator, keeping the
-		// warm path's allocation budget untouched.
-		defer func() {
-			if err != nil {
-				mu.recal.ObserveFailure()
-			}
-		}()
-	}
-	defer recoverAsError(&err)
-	if adapt {
-		mu.mu.SetKappa(mu.recal.Propose())
-	}
-	start := time.Now()
-	c, err := mu.mu.MultiplyDegraded(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	if adapt {
-		var st obs.Stats
-		if snap, ok := mu.mu.LastRunStats(); ok {
-			st = snap
-		}
-		mu.rec.AddRecal(mu.recal.Observe(time.Since(start).Seconds(), st))
-	}
-	return c, nil
+	return MxM(mu.mask, mu.a, mu.b, opts)
 }
 
 // LastStats returns the observability snapshot of the most recent
-// successful Multiply call alone — the run's own scoped spans and
-// counters, isolated by its multiply sequence id rather than by
-// subtracting recorder totals (which double-counts when runs overlap).
-// ok is false when the plan was built without a StatsRecorder or
-// nothing has run yet.
+// successful run recorded by the Multiplier's recorder — the run's own
+// scoped spans and counters, isolated by its multiply sequence id
+// rather than by subtracting recorder totals (which double-counts when
+// runs overlap). ok is false when the Multiplier was built without a
+// StatsRecorder or the recorder has seen no run yet. The snapshot
+// belongs to the recorder: Multipliers (and MxM calls) sharing one
+// StatsRecorder share its last run.
 func (mu *Multiplier) LastStats() (_ KernelStats, ok bool) {
-	return mu.mu.LastRunStats()
+	return mu.opts.recorder().LastRun()
 }
 
 // EWiseAdd returns the element-wise union a ⊕ b: coinciding entries
@@ -418,13 +350,7 @@ func (mu *Multiplier) LastStats() (_ KernelStats, ok bool) {
 // only one operand carry over unchanged.
 func EWiseAdd(a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
-	var c *sparse.CSR[float64]
-	switch opts.Semiring {
-	case SROrAnd:
-		c, err = core.EWiseAdd[float64](semiring.OrAnd[float64]{}, a.csr, b.csr)
-	default:
-		c, err = core.EWiseAdd[float64](semiring.PlusTimes[float64]{}, a.csr, b.csr)
-	}
+	c, err := opts.kernels().ewiseAdd(a.csr, b.csr)
 	if err != nil {
 		return nil, err
 	}
@@ -436,13 +362,7 @@ func EWiseAdd(a, b *Matrix, opts Options) (_ *Matrix, err error) {
 // multiplicative operation (Hadamard product under SRPlusTimes).
 func EWiseMult(a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
-	var c *sparse.CSR[float64]
-	switch opts.Semiring {
-	case SROrAnd:
-		c, err = core.EWiseMult[float64](semiring.OrAnd[float64]{}, a.csr, b.csr)
-	default:
-		c, err = core.EWiseMult[float64](semiring.PlusTimes[float64]{}, a.csr, b.csr)
-	}
+	c, err := opts.kernels().ewiseMult(a.csr, b.csr)
 	if err != nil {
 		return nil, err
 	}

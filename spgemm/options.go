@@ -103,10 +103,6 @@ type Options struct {
 	// multiply uses no more workers than it has tiles; a one-tile product
 	// runs on the calling goroutine.
 	Workers int
-	// PlanWorkers is the goroutine count for plan construction and
-	// result assembly (work estimation, tile balancing, CSR stitching);
-	// 0 = same as Workers.
-	PlanWorkers int
 	// Semiring is the multiplication algebra. Default SRPlusTimes.
 	Semiring Semiring
 	// Fuse enables the tile-granular fused pipeline for chained
@@ -117,11 +113,6 @@ type Options struct {
 	// sweep) use them. Results are bit-identical to the unfused paths;
 	// only intermediate allocations and locality change.
 	Fuse bool
-	// FuseTileBudget caps the bytes a fused chain may stage per tile for
-	// the intermediate product; tiles whose Eq. 2-estimated footprint
-	// exceeds it degrade to row-at-a-time streaming. 0 = 1 MiB;
-	// negative is invalid. Only consulted when Fuse is set.
-	FuseTileBudget int64
 	// AdaptiveKappa turns on online recalibration of the co-iteration
 	// factor κ: every hybrid-iteration run through an Engine feeds its
 	// measured cost back into a per-operand-family estimator (cached on
@@ -129,7 +120,8 @@ type Options struct {
 	// neighbors, and periodically audits itself against the static
 	// Kappa — snapping back if adaptation ever loses to it. Requires a
 	// non-nil Engine (the estimator must persist between calls) and
-	// IterHybrid; otherwise it is ignored.
+	// IterHybrid; otherwise it is ignored. A Multiplier always has an
+	// Engine, its own when the Options carry none.
 	AdaptiveKappa bool
 	// ValuedMask switches the mask from structural semantics (any stored
 	// entry allows the position — GraphBLAS GrB_STRUCTURE, the paper's
@@ -145,8 +137,8 @@ type Options struct {
 	// Engine, when non-nil, pools workspaces and caches structural plans
 	// across every call that shares it, making warm iterative loops
 	// allocation-free and concurrent multiplies safe — see Engine and
-	// DefaultEngine. nil builds and discards buffers per call (and per
-	// Multiplier), the one-shot behavior.
+	// DefaultEngine. nil builds and discards buffers per call, the
+	// one-shot behavior; a Multiplier built without one creates its own.
 	Engine *Engine
 	// Stats, when non-nil, records observability data for every run
 	// under these options: phase wall times, exact per-worker counters
@@ -157,7 +149,7 @@ type Options struct {
 	// ValidateInputs runs the full CSR invariant check (sorted
 	// duplicate-free rows, in-range indices, monotone row pointers) on
 	// every operand before multiplying, returning ErrInvalidMatrix on
-	// violation. The check is O(nnz) and parallelized over PlanWorkers;
+	// violation. The check is O(nnz) and parallelized over Workers;
 	// enable it at trust boundaries (user-supplied files), skip it in
 	// inner loops over matrices this package built itself.
 	ValidateInputs bool
@@ -223,15 +215,13 @@ func (o Options) config() core.Config {
 		tel.AttachRecorder(o.Stats)
 	}
 	cfg := core.Config{
-		Kappa:          o.Kappa,
-		MarkerBits:     o.MarkerBits,
-		Tiles:          o.Tiles,
-		Workers:        o.Workers,
-		PlanWorkers:    o.PlanWorkers,
-		FuseTileBudget: o.FuseTileBudget,
-		Context:        o.Context,
-		Engine:         o.Engine.internal(),
-		Recorder:       o.recorder(),
+		Kappa:      o.Kappa,
+		MarkerBits: o.MarkerBits,
+		Tiles:      o.Tiles,
+		Workers:    o.Workers,
+		Context:    o.Context,
+		Engine:     o.Engine.internal(),
+		Recorder:   o.recorder(),
 	}
 	if o.chaos != nil || o.StallTimeout != 0 {
 		// The telemetry tap records every armed chaos decision as an

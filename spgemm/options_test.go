@@ -1,6 +1,10 @@
 package spgemm
 
 import (
+	"os"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"maskedspgemm/internal/accum"
@@ -36,7 +40,6 @@ func TestOptionsConfigMapping(t *testing.T) {
 		{func(o *Options) { o.Tiling = TileUniform }, func(c core.Config) bool { return c.Tiling == tiling.Uniform }, "uniform"},
 		{func(o *Options) { o.Schedule = SchedStatic }, func(c core.Config) bool { return c.Schedule == sched.Static }, "static"},
 		{func(o *Options) { o.Schedule = SchedGuided }, func(c core.Config) bool { return c.Schedule == sched.Guided }, "guided"},
-		{func(o *Options) { o.PlanWorkers = 5 }, func(c core.Config) bool { return c.PlanWorkers == 5 }, "planworkers"},
 		{func(o *Options) { o.Workers = 3 }, func(c core.Config) bool { return c.Workers == 3 }, "workers"},
 		{func(o *Options) { o.Kappa = 0.25 }, func(c core.Config) bool { return c.Kappa == 0.25 }, "kappa"},
 		{func(o *Options) { o.MarkerBits = 8 }, func(c core.Config) bool { return c.MarkerBits == 8 }, "marker"},
@@ -57,5 +60,47 @@ func TestOptionsConfigMapping(t *testing.T) {
 			back.Tiles != o.Tiles || back.Workers != o.Workers {
 			t.Errorf("%s: fromConfig(config()) = %+v, want %+v", c.name, back, o)
 		}
+	}
+}
+
+// optionsFields is the size of the option surface: every exported field
+// is one more dimension of the configuration lattice the tests and the
+// benchmark must cover, so adding one is a decision, recorded here and
+// in docs/TUNING.md, not a side effect.
+const optionsFields = 19
+
+// TestOptionsDocumented fails when an exported Options field is missing
+// from the knob table of docs/TUNING.md, or when the field count moves.
+func TestOptionsDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../docs/TUNING.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tldr, ok := strings.Cut(string(doc), "\n## TL;DR\n")
+	if !ok {
+		t.Fatal("docs/TUNING.md has no TL;DR section")
+	}
+	tldr, _, _ = strings.Cut(tldr, "\n## ")
+	var table strings.Builder
+	for _, line := range strings.Split(tldr, "\n") {
+		if strings.HasPrefix(line, "|") {
+			table.WriteString(line + "\n")
+		}
+	}
+	exported := 0
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		exported++
+		if !regexp.MustCompile("`" + f.Name + `\b`).MatchString(table.String()) {
+			t.Errorf("Options.%s is not in the knob table of docs/TUNING.md", f.Name)
+		}
+	}
+	if exported != optionsFields {
+		t.Errorf("Options has %d exported fields, want %d: update optionsFields and docs/TUNING.md deliberately",
+			exported, optionsFields)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // tripped the previous attempt:
 //
 //	attempt 1   the configured path, as tuned
-//	attempt 2   serial: one worker, one plan worker, static schedule
+//	attempt 2   serial: one worker, static schedule
 //	attempt 3+  additionally unfused (chains run staged) and unpooled
 //	            (no Engine — fresh buffers, no shared workspace state)
 //
@@ -70,7 +70,7 @@ func (o Options) rung(try int) Options {
 	if try == 0 || o.Retry.NoDegrade {
 		return o
 	}
-	o.Workers, o.PlanWorkers = 1, 1
+	o.Workers = 1
 	o.Schedule = SchedStatic
 	o.AdaptiveKappa = false
 	if try >= 2 {
@@ -80,29 +80,20 @@ func (o Options) rung(try int) Options {
 	return o
 }
 
-// retry runs attempt under the options' retry policy, handing each try
-// its rung's options.
+// retry runs attempt under the options' retry policy, the one loop
+// behind MxM, MxMChain and Multiplier.Multiply: the first try gets the
+// options as configured, each further try its rung's, with a doubling
+// backoff that observes the context in between. Retry counters are
+// recorded only when a retry policy is configured, so plain calls leave
+// the stats/v1 retry block untouched.
 func (o Options) retry(attempt func(Options) (*sparse.CSR[float64], error)) (*sparse.CSR[float64], error) {
-	return retryLoop(o.Context, o.Retry, o.recorder(), o.Engine.telemetry(),
-		func(try int) (*sparse.CSR[float64], error) { return attempt(o.rung(try)) })
-}
-
-// retryLoop drives the retry policy r around attempt, the one loop
-// behind MxM, MxMChain and Multiplier.Multiply: attempt(0) is the
-// configured path, each further attempt(try) applies the next rung of
-// the caller's ladder, with a doubling backoff that observes ctx in
-// between. Retry counters are recorded only when a retry policy is
-// configured, so plain calls leave the stats/v1 retry block untouched.
-func retryLoop(
-	ctx context.Context, r Retry, rec *obs.Recorder, tel *Telemetry,
-	attempt func(try int) (*sparse.CSR[float64], error),
-) (*sparse.CSR[float64], error) {
+	r, rec := o.Retry, o.recorder()
 	budget := max(r.MaxAttempts, 1)
 	record := r.MaxAttempts > 1
 	backoff := r.Backoff
 	var lastErr error
 	for try := 0; try < budget; try++ {
-		c, err := attempt(try)
+		c, err := attempt(o.rung(try))
 		if record {
 			rec.AddRetry(obs.RetryCounters{
 				Attempts:     1,
@@ -119,7 +110,7 @@ func retryLoop(
 			break
 		}
 		if backoff > 0 {
-			if sleepCtx(ctx, backoff) != nil {
+			if sleepCtx(o.Context, backoff) != nil {
 				break
 			}
 			backoff *= 2
@@ -128,7 +119,7 @@ func retryLoop(
 	if record {
 		rec.AddRetry(obs.RetryCounters{Failures: 1})
 	}
-	dumpOnFailure(tel, r, lastErr)
+	dumpOnFailure(o.Engine.telemetry(), r, lastErr)
 	return nil, lastErr
 }
 

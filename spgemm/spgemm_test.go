@@ -139,15 +139,7 @@ func TestGraphAlgorithmsOnFacade(t *testing.T) {
 }
 
 func TestValuedMask(t *testing.T) {
-	// A mask with an explicit zero: structural semantics allow the
-	// position, valued semantics exclude it.
-	a, _ := spgemm.FromTriples(2, 2, []spgemm.Triple{
-		{0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1},
-	})
-	mask, _ := spgemm.FromTriples(2, 2, []spgemm.Triple{
-		{0, 0, 0}, // explicit zero
-		{0, 1, 1},
-	})
+	mask, a := valuedMaskFixture()
 	structural, err := spgemm.MxM(mask, a, a, spgemm.Defaults())
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +155,67 @@ func TestValuedMask(t *testing.T) {
 	}
 	if valued.NNZ() != 1 || !valued.Has(0, 1) {
 		t.Errorf("valued mask kept %d entries, want only (0,1)", valued.NNZ())
+	}
+}
+
+// valuedMaskFixture is a mask with one explicit zero over an all-ones
+// 2×2 operand: structural semantics allow (0,0), valued semantics do not.
+func valuedMaskFixture() (mask, a *spgemm.Matrix) {
+	a, _ = spgemm.FromTriples(2, 2, []spgemm.Triple{
+		{0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1},
+	})
+	mask, _ = spgemm.FromTriples(2, 2, []spgemm.Triple{
+		{0, 0, 0}, // explicit zero
+		{0, 1, 1},
+	})
+	return mask, a
+}
+
+// TestValuedMaskMultiplier requires a Multiplier to honor ValuedMask
+// exactly as MxM does, and to prune once: every Multiply presents the
+// same pruned mask, so the plan built at construction is the only miss.
+func TestValuedMaskMultiplier(t *testing.T) {
+	mask, a := valuedMaskFixture()
+	opts := spgemm.Defaults()
+	opts.ValuedMask = true
+	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
+	mu, err := spgemm.NewMultiplier(mask, a, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 3; rep++ {
+		valued, err := mu.Multiply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if valued.NNZ() != 1 || !valued.Has(0, 1) {
+			t.Fatalf("rep %d: valued mask kept %d entries, want only (0,1)", rep, valued.NNZ())
+		}
+	}
+	if st := opts.Engine.Stats(); st.PlanMisses != 1 || st.PlanHits != 3 {
+		t.Errorf("plan cache %d misses / %d hits over 3 multiplies, want 1 / 3", st.PlanMisses, st.PlanHits)
+	}
+}
+
+// TestValuedMaskComplement requires the complemented mask to follow
+// ValuedMask too: a stored zero does not exclude its position.
+func TestValuedMaskComplement(t *testing.T) {
+	mask, a := valuedMaskFixture()
+	structural, err := spgemm.MxMComplement(mask, a, a, spgemm.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if structural.NNZ() != 2 || structural.Has(0, 0) {
+		t.Errorf("structural complement kept %d entries, want row 1 only", structural.NNZ())
+	}
+	opts := spgemm.Defaults()
+	opts.ValuedMask = true
+	valued, err := spgemm.MxMComplement(mask, a, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if valued.NNZ() != 3 || !valued.Has(0, 0) || valued.Has(0, 1) {
+		t.Errorf("valued complement kept %d entries, want everything but (0,1)", valued.NNZ())
 	}
 }
 

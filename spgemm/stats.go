@@ -47,7 +47,7 @@ const StatsSchema = obs.StatsSchema
 // Options disables everything at zero cost.
 //
 // A StatsRecorder must not be shared by concurrent multiplications —
-// like Multiplier, it assumes one run at a time. Snapshots taken with
+// it assumes one run at a time. Snapshots taken with
 // Stats() are independent values; subtract two (Stats.Sub) to isolate
 // the activity between them.
 //

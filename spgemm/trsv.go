@@ -59,10 +59,8 @@ func TRSV(l *Matrix, b []float64, tri Triangle, opts Options) ([]float64, error)
 // A nil (or empty) mask solves every row.
 func TRSVMasked(l *Matrix, b []float64, tri Triangle, mask []int32, opts Options) (_ []float64, err error) {
 	defer recoverAsError(&err)
-	if opts.ValidateInputs {
-		if err := validateInputs(opts.planP(), namedOperand{"l", l}); err != nil {
-			return nil, err
-		}
+	if err := opts.validate(namedOperand{"l", l}); err != nil {
+		return nil, err
 	}
 	cfg := opts.config()
 	so, err := opts.solveOpts(l.csr, tri, mask)
