@@ -371,3 +371,84 @@ func BenchmarkRepeatedMultiply(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTRSVWarm times one warm triangular solve on the trsv-iter
+// operand, tril(A)+(1+deg)·I, of two corpus graphs at benchmark scale,
+// three ways on one engine: the facade under the default LevelAuto,
+// core.SolveTriInto with zero SolveOpts, and core with the serial mode
+// forced. facade-auto and core-auto resolve to the same cached plan and
+// run the same path, so they differ by the facade's result vector (one
+// allocation of 8n bytes) and its fixed per-call overhead; anything more
+// is per-call work the facade does that the plan should hold.
+func BenchmarkTRSVWarm(b *testing.B) {
+	sr := semiring.PlusTimes[float64]{}
+	for _, name := range []string{"arabic-2005-sim", "com-Orkut-sim"} {
+		spec, ok := bench.FindGraph(name)
+		if !ok {
+			b.Fatalf("unknown graph %s", name)
+		}
+		a := sparse.Symmetrize(spec.Build(0))
+		n := a.Rows
+		var triples []spgemm.Triple
+		for i := 0; i < n; i++ {
+			deg := 0
+			for _, j := range a.RowCols(i) {
+				if int(j) < i {
+					triples = append(triples, spgemm.Triple{Row: i, Col: int(j), Val: 1})
+					deg++
+				}
+			}
+			triples = append(triples, spgemm.Triple{Row: i, Col: i, Val: float64(1 + deg)})
+		}
+		l, err := spgemm.FromTriples(n, n, triples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		coo := sparse.NewCOO[float64](n, n, int64(len(triples)))
+		for _, t := range triples {
+			coo.Add(sparse.Index(t.Row), sparse.Index(t.Col), t.Val)
+		}
+		csr := coo.ToCSR()
+		rhs := make([]float64, n)
+		for i := range rhs {
+			rhs[i] = 1
+		}
+		dst := make([]float64, n)
+
+		opts := spgemm.Defaults()
+		opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
+		cfg := core.DefaultConfig()
+		cfg.Workers = opts.Workers
+		cfg.Engine = exec.New(exec.Config{})
+		coreSolve := func(so core.SolveOpts) func() error {
+			return func() error {
+				return core.SolveTriInto[float64, semiring.PlusTimes[float64]](sr, dst, csr, rhs, cfg, so)
+			}
+		}
+		for _, col := range []struct {
+			name  string
+			solve func() error
+		}{
+			{"facade-auto", func() error {
+				_, err := spgemm.TRSV(l, rhs, spgemm.TriLower, opts)
+				return err
+			}},
+			{"core-auto", coreSolve(core.SolveOpts{})},
+			{"core-serial", coreSolve(core.SolveOpts{Mode: core.SolveSerial})},
+		} {
+			b.Run(name+"/"+col.name, func(b *testing.B) {
+				// One untimed solve builds and caches the level-set plan.
+				if err := col.solve(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := col.solve(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -133,7 +133,7 @@ func main() {
 		if cfg.Recorder == nil {
 			cfg.Recorder = obs.NewRecorder()
 		}
-		rc = model.TuneFor(eng, a, a, a, model.RecalConfig{DefaultKappa: *kappa})
+		rc = model.TuneFor(eng, a, a, a, *kappa)
 	}
 
 	start := time.Now()

@@ -94,7 +94,7 @@ func KappaAdaptBench(w io.Writer, o Options) error {
 		// starts cold, like a fresh process would.
 		cfgA := base
 		cfgA.Engine = exec.New(exec.Config{})
-		rc := model.TuneFor(cfgA.Engine, a, a, a, model.RecalConfig{DefaultKappa: defaultK})
+		rc := model.TuneFor(cfgA.Engine, a, a, a, defaultK)
 		rec := o.newRecorder()
 		cfgA.Recorder = rec
 		runs := 0

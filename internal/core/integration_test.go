@@ -26,7 +26,7 @@ var families = map[string]func() *sparse.CSR[float64]{
 // TestAllFormulationsAgreeOnAllFamilies is the repository's central
 // integration test: on every graph family, every kernel formulation —
 // all iteration spaces, all accumulators, 1-D and 2-D tiling, the dot
-// formulation, the CSC column-wise kernel, and the reusable Multiplier —
+// formulation, the transposed problem, and the reusable Multiplier —
 // must produce the same CSR bits for C = A ⊙ (A×A).
 func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
@@ -69,7 +69,8 @@ func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 				}
 			}
 
-			gotDot, err := MaskedSpGEMMDot[float64](sr, a, a, sparse.Transpose(a), DefaultConfig())
+			at := sparse.Transpose(a)
+			gotDot, err := MaskedSpGEMMDot[float64](sr, a, a, at, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,13 +78,15 @@ func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 				t.Fatal("dot formulation differs")
 			}
 
-			gotCSC, err := MaskedSpGEMMCSC[float64](sr,
-				sparse.CSRToCSC(a), sparse.CSRToCSC(a), sparse.CSRToCSC(a), DefaultConfig())
+			// The transpose law (M ⊙ (A×B))ᵀ = Mᵀ ⊙ (Bᵀ×Aᵀ): the paper's
+			// §II-A column-wise formulation is the row-wise kernel on
+			// transposed operands, bit for bit.
+			gotT, err := MaskedSpGEMM[float64](sr, at, at, at, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sparse.Equal(ref, sparse.CSCToCSR(gotCSC)) {
-				t.Fatal("column-wise kernel differs")
+			if !sparse.Equal(ref, sparse.Transpose(gotT)) {
+				t.Fatal("transpose law violated")
 			}
 
 			multiply, _, err := prepared(a, a, a, DefaultConfig())

@@ -58,8 +58,9 @@ func (t Tri) String() string {
 type SolveMode int
 
 const (
-	// SolveAuto picks waves or serial from the plan's total row work
-	// against SolveOpts.SerialBelow — the model-layer crossover.
+	// SolveAuto picks waves or serial from the plan: serial when the
+	// solve's total row work is under the crossover the planner derived
+	// (see the solve policy block above buildSolvePlan).
 	SolveAuto SolveMode = iota
 	// SolveWaves forces the wave-scheduled path.
 	SolveWaves
@@ -67,25 +68,9 @@ const (
 	SolveSerial
 )
 
-// Defaults for the wave-coarsening knobs; see SolveOpts.
-const (
-	// DefaultWaveGrain is the Eq. 2 row-work target per tile when a wide
-	// level is split: small enough to load-balance skewed levels, large
-	// enough that a tile amortizes its claim.
-	DefaultWaveGrain = 4096
-	// DefaultMergeBelow is the level width under which consecutive
-	// levels are merged into one serial wave: a level narrower than the
-	// worker count pays a barrier without buying parallelism.
-	DefaultMergeBelow = 8
-	// DefaultSerialBelow is the total-row-work crossover under which
-	// SolveAuto runs the whole solve serially: goroutine fan-out and
-	// barriers cost more than a short substitution loop.
-	DefaultSerialBelow = 1 << 14
-)
-
 // SolveOpts configures one triangular solve. The zero value solves the
-// lower triangle, unmasked, with automatic mode and default coarsening
-// knobs.
+// lower triangle, unmasked, with automatic mode and the coarsening the
+// planner derives from the operand.
 type SolveOpts struct {
 	// Tri selects the stored triangle of the operand.
 	Tri Tri
@@ -96,31 +81,26 @@ type SolveOpts struct {
 	// Mask lists the solved rows, sorted ascending without duplicates.
 	// Nil (or empty) solves every row. The solve runs on the principal
 	// submatrix L[Mask, Mask]; rows outside pass b through unchanged.
+	// Read during the call only, never retained.
 	Mask []sparse.Index
 	// Mode selects waves, serial, or the automatic crossover.
 	Mode SolveMode
-	// WaveGrain is the Eq. 2 row-work target per tile when a wide level
-	// is split (DefaultWaveGrain when <= 0).
+	// WaveGrain overrides the Eq. 2 row-work target per tile when a wide
+	// level is split; <= 0 means the grain the planner derives from the
+	// average row work.
 	WaveGrain int64
-	// MergeBelow is the level width under which consecutive levels merge
-	// into one serial wave (DefaultMergeBelow when <= 0).
+	// MergeBelow overrides the level width under which consecutive levels
+	// merge into one serial wave; <= 0 means the width derived from the
+	// worker count.
 	MergeBelow int
-	// SerialBelow is the total-work crossover for SolveAuto
-	// (DefaultSerialBelow when <= 0).
-	SerialBelow int64
 }
 
-// withDefaults resolves the zero-value knobs and normalizes an empty
-// mask to the unmasked solve.
-func (so SolveOpts) withDefaults() SolveOpts {
-	if so.WaveGrain <= 0 {
-		so.WaveGrain = DefaultWaveGrain
-	}
+// resolve normalizes an empty mask to the unmasked solve and, unless
+// overridden, sets the merge width for a run on workers workers — O(1),
+// before the plan lookup, because the width is part of the plan key.
+func (so SolveOpts) resolve(workers int) SolveOpts {
 	if so.MergeBelow <= 0 {
-		so.MergeBelow = DefaultMergeBelow
-	}
-	if so.SerialBelow <= 0 {
-		so.SerialBelow = DefaultSerialBelow
+		so.MergeBelow = max(2*workers, solveMinMerge)
 	}
 	if len(so.Mask) == 0 {
 		so.Mask = nil
@@ -232,7 +212,8 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	so = so.withDefaults()
+	workers := sched.Workers(cfg.Workers)
+	so = so.resolve(workers)
 	n := l.Rows
 	if l.Cols != n {
 		return fmt.Errorf("%w: triangular operand must be square, got %dx%d", sparse.ErrShape, l.Rows, l.Cols)
@@ -290,9 +271,8 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 		}
 	}
 
-	workers := sched.Workers(cfg.Workers)
 	serial := so.Mode == SolveSerial || workers <= 1 ||
-		(so.Mode == SolveAuto && sp.Flops < so.SerialBelow)
+		(so.Mode == SolveAuto && sp.Flops < sp.SerialCrossover)
 
 	var wstats *sched.WaveStats
 	if serial {
@@ -353,7 +333,9 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 func SolveTriSerial[T sparse.Number](
 	dst []T, l *sparse.CSR[T], b []T, so SolveOpts,
 ) (err error) {
-	so = so.withDefaults()
+	if len(so.Mask) == 0 {
+		so.Mask = nil
+	}
 	n := l.Rows
 	if l.Cols != n {
 		return fmt.Errorf("%w: triangular operand must be square, got %dx%d", sparse.ErrShape, l.Rows, l.Cols)
@@ -523,13 +505,67 @@ func recoverSingular(r any, prev error) error {
 	panic(r)
 }
 
+// The solve policy — serial or waves, and how levels are coarsened — is
+// decided here and nowhere else: once per operand structure, from
+// quantities the plan pass already walks, and cached with the plan
+// (exec.SolvePlan.SerialCrossover, .WaveGrain). The same shape
+// tileCrossover has on the product side; constants, not knobs.
+const (
+	// solveSerialCrossover is the total Eq. 2 row work under which
+	// SolveAuto runs the planned order on one worker: goroutine fan-out
+	// and barriers cost more than a short substitution loop.
+	solveSerialCrossover = 1 << 14
+	// A solve with at least solveBandedFrac of its off-diagonal entries
+	// within max(1, n/solveBandDiv) of the diagonal is chain-dominated:
+	// deep, narrow level sets, so waves would be mostly single-tile levels
+	// separated by barriers. Its crossover is solveBandedFactor× higher.
+	solveBandedFrac   = 0.75
+	solveBandDiv      = 64
+	solveBandedFactor = 4
+	// A wide level is split at (average row work × solveGrainRows) row
+	// work per tile, clamped to [solveMinGrain, solveMaxGrain]: tiles
+	// sized to amortize a claim without starving the widest levels.
+	solveGrainRows = 256
+	solveMinGrain  = 512
+	solveMaxGrain  = 1 << 16
+	// solveMinMerge floors the merge width max(2·workers, ·): a level
+	// that cannot feed every worker pays its barrier without buying
+	// parallelism, so runs of such levels merge into one serial wave.
+	solveMinMerge = 8
+)
+
+// forEachSolved calls fn on every solved row in substitution order —
+// the mask's rows, or all n without one; ascending for an effective
+// lower triangle, descending for upper — stopping at fn's first error.
+func forEachSolved(mask []sparse.Index, n int, lower bool, fn func(i int) error) error {
+	m := n
+	if mask != nil {
+		m = len(mask)
+	}
+	for k := 0; k < m; k++ {
+		i := k
+		if !lower {
+			i = m - 1 - k
+		}
+		if mask != nil {
+			i = int(mask[i])
+		}
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // buildSolvePlan runs the level-set analysis and wave coarsening for
 // one solve flavor: O(nnz) like every plan pass. Levels are computed in
 // substitution order (ascending rows for an effective lower triangle,
 // descending for upper), a stable counting sort by level produces the
 // slot order, and the coarsener merges runs of levels narrower than
 // MergeBelow into single-tile serial waves while splitting wide levels
-// at ~WaveGrain row work per tile.
+// at ~grain row work per tile. The same pass gathers what the solve
+// policy decides on — total row work and the banded share of the
+// off-diagonal entries — and the plan records the verdicts.
 func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.SolvePlan, error) {
 	op := l
 	var trans any
@@ -554,8 +590,11 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 	level := make([]int32, n)
 	rowWork := make([]int64, n)
 	maxLv := int32(-1)
-	var totalFlops int64
-	visit := func(i int) error {
+	band := max(1, n/solveBandDiv)
+	var totalFlops, offDiag, banded int64
+	// Substitution order guarantees every dependency's level is final
+	// before it is read.
+	err := forEachSolved(so.Mask, n, lower, func(i int) error {
 		lv := int32(0)
 		var w int64
 		diag := false
@@ -564,16 +603,19 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 			if inMask != nil && inMask[jj] == 0 {
 				continue
 			}
+			w++
 			if jj == i {
 				diag = true
-				w++
 				continue
 			}
 			if dep := jj < i; dep != lower {
 				return fmt.Errorf("%w: entry (%d,%d) lies outside the %s triangle on the solved rows",
 					ErrNotTriangular, i, jj, effTriName(lower))
 			}
-			w++
+			offDiag++
+			if max(i-jj, jj-i) <= band {
+				banded++
+			}
 			if next := level[jj] + 1; next > lv {
 				lv = next
 			}
@@ -588,41 +630,24 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 			maxLv = lv
 		}
 		return nil
-	}
-	// Substitution order guarantees every dependency's level is final
-	// before it is read: forward solves scan rows ascending, backward
-	// solves descending, and masked solves visit only the masked rows.
-	if so.Mask != nil {
-		if lower {
-			for _, r := range so.Mask {
-				if err := visit(int(r)); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for k := len(so.Mask) - 1; k >= 0; k-- {
-				if err := visit(int(so.Mask[k])); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else if lower {
-		for i := 0; i < n; i++ {
-			if err := visit(i); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i := n - 1; i >= 0; i-- {
-			if err := visit(i); err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	numLv := int(maxLv) + 1
 	if m == 0 || numLv == 0 {
 		return &exec.SolvePlan{Trans: trans}, nil
+	}
+
+	crossover := int64(solveSerialCrossover)
+	if offDiag > 0 && float64(banded) >= solveBandedFrac*float64(offDiag) {
+		crossover *= solveBandedFactor
+	}
+	grain := so.WaveGrain
+	if grain <= 0 {
+		avgRowWork := float64(totalFlops) / float64(m)
+		grain = min(max(int64(avgRowWork*solveGrainRows), solveMinGrain), solveMaxGrain)
 	}
 
 	// Stable counting sort of the substitution order by level: slots
@@ -631,52 +656,26 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 	// dependencies by running its single tile front to back.
 	lvStart := make([]int, numLv+1)
 	lvFlops := make([]int64, numLv)
-	countLevels := func(i int) {
+	_ = forEachSolved(so.Mask, n, lower, func(i int) error {
 		lvStart[level[i]+1]++
 		lvFlops[level[i]] += rowWork[i]
-	}
-	order := make([]sparse.Index, m)
-	if so.Mask != nil {
-		for _, r := range so.Mask {
-			countLevels(int(r))
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			countLevels(i)
-		}
-	}
+		return nil
+	})
 	for k := 0; k < numLv; k++ {
 		lvStart[k+1] += lvStart[k]
 	}
+	order := make([]sparse.Index, m)
 	fill := make([]int, numLv)
 	copy(fill, lvStart[:numLv])
-	place := func(i int) {
+	_ = forEachSolved(so.Mask, n, lower, func(i int) error {
 		order[fill[level[i]]] = sparse.Index(i)
 		fill[level[i]]++
-	}
-	if so.Mask != nil {
-		if lower {
-			for _, r := range so.Mask {
-				place(int(r))
-			}
-		} else {
-			for k := len(so.Mask) - 1; k >= 0; k-- {
-				place(int(so.Mask[k]))
-			}
-		}
-	} else if lower {
-		for i := 0; i < n; i++ {
-			place(i)
-		}
-	} else {
-		for i := n - 1; i >= 0; i-- {
-			place(i)
-		}
-	}
+		return nil
+	})
 
 	// Coarsening: narrow-level runs collapse into one serial single-tile
 	// wave (one barrier instead of one per level, no claim contention);
-	// wide levels split greedily at ~WaveGrain row work per tile so a
+	// wide levels split greedily at ~grain row work per tile so a
 	// skewed level cannot serialize its wave behind one heavy tile.
 	var tiles []tiling.Tile
 	var waves []sched.Wave
@@ -699,7 +698,7 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 			var acc int64
 			for s := slotLo; s < slotHi; s++ {
 				acc += rowWork[order[s]]
-				if acc >= so.WaveGrain && s+1 < slotHi {
+				if acc >= grain && s+1 < slotHi {
 					tiles = append(tiles, tiling.Tile{Lo: lo, Hi: s + 1})
 					lo, acc = s+1, 0
 				}
@@ -717,14 +716,16 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 		}
 	}
 	return &exec.SolvePlan{
-		Order:       order,
-		Tiles:       tiles,
-		Waves:       waves,
-		Levels:      numLv,
-		SerialWaves: serialWaves,
-		Flops:       totalFlops,
-		WaveFlops:   waveFlops,
-		Trans:       trans,
+		Order:           order,
+		Tiles:           tiles,
+		Waves:           waves,
+		Levels:          numLv,
+		SerialWaves:     serialWaves,
+		Flops:           totalFlops,
+		WaveFlops:       waveFlops,
+		SerialCrossover: crossover,
+		WaveGrain:       grain,
+		Trans:           trans,
 	}, nil
 }
 

@@ -111,36 +111,6 @@ func TestMaskedSpGEMM2DEdgeCases(t *testing.T) {
 	}
 }
 
-func TestColumnWiseMatchesRowWise(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, inner, cols := r.Intn(20)+1, r.Intn(20)+1, r.Intn(20)+1
-		a := randMatrix(rows, inner, 0.25, r)
-		b := randMatrix(inner, cols, 0.25, r)
-		m := randMatrix(rows, cols, 0.3, r)
-		cfg := DefaultConfig()
-		cfg.Tiles = 4
-		cfg.Workers = 2
-
-		want, err := MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
-		if err != nil {
-			return false
-		}
-		gotCSC, err := MaskedSpGEMMCSC[float64](semiring.PlusTimes[float64]{},
-			sparse.CSRToCSC(m), sparse.CSRToCSC(a), sparse.CSRToCSC(b), cfg)
-		if err != nil {
-			return false
-		}
-		if gotCSC.Check() != nil {
-			return false
-		}
-		return sparse.Equal(want, sparse.CSCToCSR(gotCSC))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestProfileMasked(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	a := randMatrix(30, 30, 0.2, r)
@@ -194,23 +164,5 @@ func TestProfileMasked(t *testing.T) {
 	bad := randMatrix(5, 7, 0.5, r)
 	if _, err := ProfileMasked(a, a, bad, 1); err == nil {
 		t.Error("shape mismatch accepted")
-	}
-}
-
-func TestCSCConversions(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := randMatrix(r.Intn(25)+1, r.Intn(25)+1, 0.3, r)
-		csc := sparse.CSRToCSC(m)
-		if csc.Check() != nil {
-			return false
-		}
-		if csc.NNZ() != m.NNZ() {
-			return false
-		}
-		return sparse.Equal(m, sparse.CSCToCSR(csc))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }

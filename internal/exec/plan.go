@@ -52,6 +52,11 @@ type SolvePlan struct {
 	// histograms without a rescan.
 	Flops     int64
 	WaveFlops []int64
+	// SerialCrossover and WaveGrain are the solve policy's verdicts for
+	// this structure (internal/core, above buildSolvePlan): an automatic
+	// solve with Flops under SerialCrossover runs Order on one worker,
+	// and WaveGrain is the row work per tile wide levels were split at.
+	SerialCrossover, WaveGrain int64
 	// Trans holds the plan-time transposed operand for transpose solves
 	// (a *sparse.CSR[T]; typed any because Plan is not generic). Nil for
 	// non-transpose solves.

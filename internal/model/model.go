@@ -74,41 +74,29 @@ func Extract[T sparse.Number](m, a, b *sparse.CSR[T]) (Features, error) {
 	return f, nil
 }
 
-// Thresholds are the decision boundaries of the predictor; the defaults
-// encode the paper's findings and can be re-fit from sweep data.
-type Thresholds struct {
-	// CoIterGain is the minimum predicted speedup before the hybrid
-	// space is worth its per-pair decision overhead.
-	CoIterGain float64
-	// DenseCols is the largest column dimension for which the dense
+// The predictor's decision boundaries, encoding §V: balanced+dynamic
+// with ~2048 tiles works for 80–90% of matrices; co-iteration helps when
+// the model predicts ≥ 15% gain; dense accumulators win on small
+// dimensions (≤ 2¹⁶) and dense masks; 32-bit markers are the sweet spot.
+const (
+	// coIterGain is the minimum predicted speedup before the hybrid space
+	// is worth its per-pair decision overhead.
+	coIterGain = 1.15
+	// denseCols is the largest column dimension for which the dense
 	// accumulator's state vector is considered cache-friendly.
-	DenseCols int
-	// DenseMaskRowFrac: above this mask-row density (MaxMaskRow/Cols)
-	// the dense accumulator wins regardless of dimension.
-	DenseMaskRowFrac float64
-	// RowsPerTile is the target granularity: tiles ≈ rows/RowsPerTile,
-	// clamped to [MinTiles, MaxTiles].
-	RowsPerTile        int
-	MinTiles, MaxTiles int
-}
-
-// DefaultThresholds encodes §V: balanced+dynamic with ~2048 tiles works
-// for 80–90% of matrices; co-iteration helps when the model predicts
-// ≥ 15% gain; dense accumulators win on small dimensions (≤ 2¹⁶) and
-// dense masks; 32-bit markers are the sweet spot.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		CoIterGain:       1.15,
-		DenseCols:        1 << 16,
-		DenseMaskRowFrac: 1.0 / 64,
-		RowsPerTile:      16,
-		MinTiles:         64,
-		MaxTiles:         2048,
-	}
-}
+	denseCols = 1 << 16
+	// denseMaskRowFrac: above this mask-row density (MaxMaskRow/Cols) the
+	// dense accumulator wins regardless of dimension.
+	denseMaskRowFrac = 1.0 / 64
+	// rowsPerTile is the target granularity: tiles ≈ rows/rowsPerTile,
+	// clamped to [minTiles, maxTiles].
+	rowsPerTile = 16
+	minTiles    = 64
+	maxTiles    = 2048
+)
 
 // Predict maps features to a kernel configuration.
-func Predict(f Features, th Thresholds, workers int) core.Config {
+func Predict(f Features, workers int) core.Config {
 	cfg := core.Config{
 		Kappa:      1,
 		MarkerBits: 32, // Fig. 13 sweet spot
@@ -120,16 +108,16 @@ func Predict(f Features, th Thresholds, workers int) core.Config {
 	// Iteration space: hybrid only if the Eq. 3 model predicts real
 	// savings; otherwise the plain mask-load scan avoids per-pair
 	// decision overhead.
-	if f.CoIterSpeedup >= th.CoIterGain {
+	if f.CoIterSpeedup >= coIterGain {
 		cfg.Iteration = core.Hybrid
 	} else {
 		cfg.Iteration = core.MaskLoad
 	}
 
 	// Accumulator: §III-C guidance, quantified.
-	dense := f.Cols <= th.DenseCols
+	dense := f.Cols <= denseCols
 	if !dense && f.Cols > 0 &&
-		float64(f.MaxMaskRow) >= th.DenseMaskRowFrac*float64(f.Cols) {
+		float64(f.MaxMaskRow) >= denseMaskRowFrac*float64(f.Cols) {
 		dense = true
 	}
 	if dense {
@@ -140,14 +128,7 @@ func Predict(f Features, th Thresholds, workers int) core.Config {
 
 	// Tile count: enough tiles for dynamic balancing, not so many that
 	// per-tile overhead dominates (Fig. 11's high-tile-count collapse).
-	t := f.Rows / max(th.RowsPerTile, 1)
-	if t < th.MinTiles {
-		t = th.MinTiles
-	}
-	if t > th.MaxTiles {
-		t = th.MaxTiles
-	}
-	cfg.Tiles = t
+	cfg.Tiles = min(max(f.Rows/rowsPerTile, minTiles), maxTiles)
 	return cfg
 }
 
@@ -210,7 +191,7 @@ func PredictConfig[T sparse.Number](m, a, b *sparse.CSR[T], workers int) (core.C
 	if err != nil {
 		return core.Config{}, Features{}, err
 	}
-	cfg := Predict(f, DefaultThresholds(), workers)
+	cfg := Predict(f, workers)
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, Features{}, fmt.Errorf("model: predicted invalid config: %w", err)
 	}

@@ -116,24 +116,18 @@ func TestPredictedConfigsRun(t *testing.T) {
 
 func TestThresholdKnobs(t *testing.T) {
 	f := Features{Rows: 100000, Cols: 1 << 20, MaxMaskRow: 5, CoIterSpeedup: 1.0}
-	th := DefaultThresholds()
-	cfg := Predict(f, th, 0)
+	cfg := Predict(f, 0)
 	if cfg.Iteration != core.MaskLoad || cfg.Accumulator != accum.HashKind {
 		t.Errorf("baseline prediction wrong: %v", cfg)
 	}
-	// Lowering the gain threshold flips to hybrid.
-	th.CoIterGain = 0.5
-	if Predict(f, th, 0).Iteration != core.Hybrid {
-		t.Error("gain threshold not honored")
-	}
 	// A dense mask row flips to dense accumulator despite the dimension.
 	f.MaxMaskRow = 1 << 19
-	if Predict(f, DefaultThresholds(), 0).Accumulator != accum.DenseKind {
+	if Predict(f, 0).Accumulator != accum.DenseKind {
 		t.Error("dense mask-row rule not honored")
 	}
 	// Tile clamping.
 	tiny := Features{Rows: 10, Cols: 10, CoIterSpeedup: 1}
-	if got := Predict(tiny, DefaultThresholds(), 0).Tiles; got != 64 {
+	if got := Predict(tiny, 0).Tiles; got != 64 {
 		t.Errorf("tiny graph tiles = %d, want MinTiles 64", got)
 	}
 }

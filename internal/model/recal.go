@@ -9,74 +9,37 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// RecalConfig tunes the online κ recalibrator. The zero value selects
-// the defaults below; every field is individually optional.
-type RecalConfig struct {
-	// DefaultKappa is the static κ the estimator starts from and snaps
-	// back to when the periodic reference run beats the adapted center.
-	// 0 means 1 (the paper's recommended default).
-	DefaultKappa float64
-	// Gamma is the initial multiplicative exploration step: the arms
-	// bracket the center at κc/γ and κc·γ. 0 means 2.
-	Gamma float64
-	// MinGamma is the convergence floor the step shrinks toward once the
-	// center keeps winning. 0 means 1.05.
-	MinGamma float64
-	// Alpha is the EWMA weight of the newest observation. 0 means 0.3.
-	Alpha float64
-	// RefPeriod re-proposes DefaultKappa as a reference arm every
-	// RefPeriod observations, so the adapted κ is continuously audited
-	// against the static default. 0 means 8.
-	RefPeriod int
-	// SnapbackMargin is the factor by which the reference arm's cost
-	// must undercut the center's before the estimator snaps back
-	// (refCost < SnapbackMargin·centerCost). 0 means 0.95.
-	SnapbackMargin float64
-	// ShrinkAfter is the number of consecutive center wins before γ
-	// shrinks toward MinGamma. 0 means 2.
-	ShrinkAfter int
-	// KappaMin and KappaMax clamp the adapted center. 0 means 1/64 and
-	// 64 respectively.
-	KappaMin, KappaMax float64
-	// DenseCollisionRate is the hash collision-per-probe EWMA above
+// The online κ recalibrator's search parameters. Constants: the only
+// value a caller ever chose is the static default κ the search starts
+// from, which NewRecalibrator and TuneFor take directly.
+const (
+	// staticKappa is the default κ when the caller gives none (<= 0): the
+	// paper's recommended default.
+	staticKappa = 1.0
+	// recalGamma is the initial multiplicative exploration step: the arms
+	// bracket the center at κc/γ and κc·γ. recalMinGamma is the
+	// convergence floor the step shrinks toward once the center keeps
+	// winning, recalShrinkAfter consecutive center wins at a time.
+	recalGamma       = 2.0
+	recalMinGamma    = 1.05
+	recalShrinkAfter = 2
+	// recalAlpha is the EWMA weight of the newest observation.
+	recalAlpha = 0.3
+	// Every recalRefPeriod observations the default κ is re-proposed as a
+	// reference arm, so the adapted κ is continuously audited against the
+	// static default; the estimator snaps back when the reference's cost
+	// undercuts the center's by recalSnapbackMargin
+	// (refCost < margin·centerCost).
+	recalRefPeriod      = 8
+	recalSnapbackMargin = 0.95
+	// recalKappaMin and recalKappaMax clamp the adapted center.
+	recalKappaMin = 1.0 / 64
+	recalKappaMax = 64.0
+	// recalDenseCollisionRate is the hash collision-per-probe EWMA above
 	// which the estimator recommends the dense accumulator (the hash
-	// table is thrashing). 0 means 0.5.
-	DenseCollisionRate float64
-}
-
-func (c RecalConfig) withDefaults() RecalConfig {
-	if c.DefaultKappa <= 0 {
-		c.DefaultKappa = 1
-	}
-	if c.Gamma <= 1 {
-		c.Gamma = 2
-	}
-	if c.MinGamma <= 1 {
-		c.MinGamma = 1.05
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.RefPeriod <= 0 {
-		c.RefPeriod = 8
-	}
-	if c.SnapbackMargin <= 0 || c.SnapbackMargin >= 1 {
-		c.SnapbackMargin = 0.95
-	}
-	if c.ShrinkAfter <= 0 {
-		c.ShrinkAfter = 2
-	}
-	if c.KappaMin <= 0 {
-		c.KappaMin = 1.0 / 64
-	}
-	if c.KappaMax <= c.KappaMin {
-		c.KappaMax = 64
-	}
-	if c.DenseCollisionRate <= 0 {
-		c.DenseCollisionRate = 0.5
-	}
-	return c
-}
+	// table is thrashing).
+	recalDenseCollisionRate = 0.5
+)
 
 // Recalibrator arms: below-center, center, above-center, plus the
 // periodic static-default reference.
@@ -110,8 +73,10 @@ const (
 // All methods are safe for concurrent use; a nil *Recalibrator
 // disables everything (Propose returns the static default).
 type Recalibrator struct {
-	mu  sync.Mutex
-	cfg RecalConfig
+	mu sync.Mutex
+	// defaultKappa is the static κ the estimator starts from and snaps
+	// back to when the periodic reference run beats the adapted center.
+	defaultKappa float64
 
 	center float64
 	gamma  float64
@@ -140,15 +105,17 @@ type Recalibrator struct {
 	probesSeen    bool
 }
 
-// NewRecalibrator returns a recalibrator centered on the config's
-// static default κ.
-func NewRecalibrator(cfg RecalConfig) *Recalibrator {
-	cfg = cfg.withDefaults()
+// NewRecalibrator returns a recalibrator centered on the static default
+// κ (<= 0 means 1).
+func NewRecalibrator(defaultKappa float64) *Recalibrator {
+	if defaultKappa <= 0 {
+		defaultKappa = staticKappa
+	}
 	return &Recalibrator{
-		cfg:     cfg,
-		center:  cfg.DefaultKappa,
-		gamma:   cfg.Gamma,
-		pending: -1,
+		defaultKappa: defaultKappa,
+		center:       defaultKappa,
+		gamma:        recalGamma,
+		pending:      -1,
 	}
 }
 
@@ -156,7 +123,7 @@ func NewRecalibrator(cfg RecalConfig) *Recalibrator {
 // nil recalibrator).
 func (rc *Recalibrator) Kappa() float64 {
 	if rc == nil {
-		return RecalConfig{}.withDefaults().DefaultKappa
+		return staticKappa
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -174,7 +141,7 @@ func (rc *Recalibrator) Converged() bool {
 }
 
 // PreferDense reports the accumulator hint: prefer is true when the
-// observed hash collision rate exceeds the configured threshold; ok is
+// observed hash collision rate exceeds recalDenseCollisionRate; ok is
 // false until a run with hash probe traffic has been observed.
 func (rc *Recalibrator) PreferDense() (prefer, ok bool) {
 	if rc == nil {
@@ -182,24 +149,24 @@ func (rc *Recalibrator) PreferDense() (prefer, ok bool) {
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.collisionRate > rc.cfg.DenseCollisionRate, rc.probesSeen
+	return rc.collisionRate > recalDenseCollisionRate, rc.probesSeen
 }
 
 // Propose returns the κ to run next and records which arm it belongs
 // to, so the following Observe attributes the measurement correctly.
 // Arms rotate low/mid/high (skipping behaviorally inert directions),
-// with the static-default reference injected every RefPeriod
+// with the static-default reference injected every recalRefPeriod
 // observations. A nil recalibrator proposes the static default.
 func (rc *Recalibrator) Propose() float64 {
 	if rc == nil {
-		return RecalConfig{}.withDefaults().DefaultKappa
+		return staticKappa
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rc.updates > 0 && rc.updates%rc.cfg.RefPeriod == 0 && rc.pending != armRef &&
+	if rc.updates > 0 && rc.updates%recalRefPeriod == 0 && rc.pending != armRef &&
 		rc.seen[armMid] > 0 {
 		rc.pending = armRef
-		return rc.cfg.DefaultKappa
+		return rc.defaultKappa
 	}
 	if rc.converged {
 		rc.pending = armMid
@@ -227,9 +194,9 @@ func (rc *Recalibrator) armKappa(arm int) float64 {
 	case armHigh:
 		k = rc.center * rc.gamma
 	case armRef:
-		return rc.cfg.DefaultKappa
+		return rc.defaultKappa
 	}
-	return math.Min(rc.cfg.KappaMax, math.Max(rc.cfg.KappaMin, k))
+	return math.Min(recalKappaMax, math.Max(recalKappaMin, k))
 }
 
 // ObserveFailure discards the outstanding proposal: a run that failed
@@ -267,7 +234,7 @@ func (rc *Recalibrator) Observe(seconds float64, st obs.Stats) obs.RecalCounters
 		flops = 1
 	}
 	c := seconds / float64(flops)
-	a := rc.cfg.Alpha
+	a := recalAlpha
 	if rc.seen[arm] == 0 {
 		rc.cost[arm] = c
 	} else {
@@ -301,8 +268,8 @@ func (rc *Recalibrator) Observe(seconds float64, st obs.Stats) obs.RecalCounters
 
 	switch arm {
 	case armRef:
-		if rc.seen[armMid] > 0 && rc.cost[armRef] < rc.cfg.SnapbackMargin*rc.cost[armMid] &&
-			rc.center != rc.cfg.DefaultKappa {
+		if rc.seen[armMid] > 0 && rc.cost[armRef] < recalSnapbackMargin*rc.cost[armMid] &&
+			rc.center != rc.defaultKappa {
 			rc.snapbackLocked()
 			delta.Snapbacks = 1
 		}
@@ -334,7 +301,8 @@ func (rc *Recalibrator) bracketReadyLocked() bool {
 
 // recenterLocked compares the bracket and either moves the center onto
 // the cheaper arm (returns true) or counts a center win and shrinks γ
-// once the center has defended its position ShrinkAfter times in a row.
+// once the center has defended its position recalShrinkAfter times in a
+// row.
 // Caller holds rc.mu.
 func (rc *Recalibrator) recenterLocked() bool {
 	best, bestCost := armMid, rc.cost[armMid]
@@ -346,10 +314,10 @@ func (rc *Recalibrator) recenterLocked() bool {
 	}
 	if best == armMid {
 		rc.centerWins++
-		if rc.centerWins >= rc.cfg.ShrinkAfter && !rc.converged {
+		if rc.centerWins >= recalShrinkAfter && !rc.converged {
 			rc.gamma = 1 + (rc.gamma-1)/2
-			if rc.gamma <= rc.cfg.MinGamma {
-				rc.gamma = rc.cfg.MinGamma
+			if rc.gamma <= recalMinGamma {
+				rc.gamma = recalMinGamma
 				rc.converged = true
 			}
 			rc.centerWins = 0
@@ -381,8 +349,8 @@ func (rc *Recalibrator) resetBracketLocked(midCost float64, midSeen int) {
 // snapbackLocked resets the estimator onto the static default and
 // re-widens the search. Caller holds rc.mu.
 func (rc *Recalibrator) snapbackLocked() {
-	rc.center = rc.cfg.DefaultKappa
-	rc.gamma = rc.cfg.Gamma
+	rc.center = rc.defaultKappa
+	rc.gamma = recalGamma
 	rc.converged = false
 	rc.centerWins = 0
 	rc.skipLow, rc.skipHigh = false, false
@@ -396,7 +364,7 @@ func (rc *Recalibrator) snapbackLocked() {
 // reuse an iterative algorithm's rounds exhibit. Returns nil when the
 // engine is nil or its cache is disabled: adaptation needs somewhere to
 // persist between calls.
-func TuneFor[T sparse.Number](engine *exec.Engine, m, a, b *sparse.CSR[T], cfg RecalConfig) *Recalibrator {
+func TuneFor[T sparse.Number](engine *exec.Engine, m, a, b *sparse.CSR[T], defaultKappa float64) *Recalibrator {
 	tun := engine.Tuning(exec.TuneKeyOf(m, a, b))
 	if tun == nil {
 		return nil
@@ -407,7 +375,7 @@ func TuneFor[T sparse.Number](engine *exec.Engine, m, a, b *sparse.CSR[T], cfg R
 			rc = existing
 			return state
 		}
-		rc = NewRecalibrator(cfg)
+		rc = NewRecalibrator(defaultKappa)
 		return rc
 	})
 	return rc

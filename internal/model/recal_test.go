@@ -48,7 +48,7 @@ func TestRecalConvergesNearOptimum(t *testing.T) {
 		d := math.Log(k) - math.Log(optimum)
 		return 1 + d*d
 	}
-	rc := NewRecalibrator(RecalConfig{})
+	rc := NewRecalibrator(0)
 	total := driveRecal(rc, costOf, 64)
 
 	if !rc.Converged() {
@@ -80,7 +80,7 @@ func TestRecalStaysAtDefaultWhenBest(t *testing.T) {
 		d := math.Log(k)
 		return 1 + d*d
 	}
-	rc := NewRecalibrator(RecalConfig{})
+	rc := NewRecalibrator(0)
 	driveRecal(rc, costOf, 64)
 	if k := rc.Kappa(); costOf(k) > 1.05*costOf(1) {
 		t.Fatalf("adapted κ=%v costs %v, worse than staying at the default (%v)",
@@ -98,7 +98,7 @@ func TestRecalStaysAtDefaultWhenBest(t *testing.T) {
 func TestRecalSnapsBackWhenDefaultWins(t *testing.T) {
 	// Phase 1 rewards high κ and lets the search climb away from 1.
 	up := func(k float64) float64 { return 2 - math.Min(1, math.Log1p(k)/4) }
-	rc := NewRecalibrator(RecalConfig{})
+	rc := NewRecalibrator(0)
 	driveRecal(rc, up, 24)
 	if rc.Kappa() <= 1 {
 		t.Fatalf("setup failed: center %v did not climb above the default", rc.Kappa())
@@ -123,7 +123,7 @@ func TestRecalSnapsBackWhenDefaultWins(t *testing.T) {
 // row pair co-iterated proves raising κ cannot change any decision, so
 // the high arm must stop being proposed.
 func TestRecalPickCountersBoundSearch(t *testing.T) {
-	rc := NewRecalibrator(RecalConfig{})
+	rc := NewRecalibrator(0)
 	st := synthStats()
 	st.Totals.LinearPicks = 0 // everything already co-iterates
 	// Let the rotation reach the center arm once so the skip is learned.
@@ -142,7 +142,7 @@ func TestRecalPickCountersBoundSearch(t *testing.T) {
 // TestRecalPreferDense: a sustained hash collision rate above the
 // threshold must surface as the dense-accumulator hint.
 func TestRecalPreferDense(t *testing.T) {
-	rc := NewRecalibrator(RecalConfig{})
+	rc := NewRecalibrator(0)
 	if _, ok := rc.PreferDense(); ok {
 		t.Fatal("hint available before any probe traffic")
 	}
@@ -179,18 +179,18 @@ func TestTuneForSharesCell(t *testing.T) {
 	a := graphgen.ErdosRenyi(300, 1200, 5)
 	b := graphgen.ErdosRenyi(310, 1250, 6) // same ceil-log2 classes
 	eng := exec.New(exec.Config{})
-	rc1 := TuneFor(eng, a, a, a, RecalConfig{})
+	rc1 := TuneFor(eng, a, a, a, 0)
 	if rc1 == nil {
 		t.Fatal("TuneFor returned nil with a live engine")
 	}
-	if rc2 := TuneFor(eng, b, b, b, RecalConfig{}); rc2 != rc1 {
+	if rc2 := TuneFor(eng, b, b, b, 0); rc2 != rc1 {
 		t.Fatal("same size classes did not share the tuning cell")
 	}
 	small := graphgen.ErdosRenyi(20, 60, 7)
-	if rc3 := TuneFor(eng, small, small, small, RecalConfig{}); rc3 == rc1 {
+	if rc3 := TuneFor(eng, small, small, small, 0); rc3 == rc1 {
 		t.Fatal("different size classes shared a tuning cell")
 	}
-	if rc := TuneFor(nil, a, a, a, RecalConfig{}); rc != nil {
+	if rc := TuneFor(nil, a, a, a, 0); rc != nil {
 		t.Fatal("nil engine must disable adaptation")
 	}
 }

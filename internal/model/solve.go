@@ -1,20 +1,17 @@
 package model
 
-import (
-	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/sched"
-	"maskedspgemm/internal/sparse"
-)
+import "maskedspgemm/internal/sparse"
 
-// Execution-time tuning for the masked triangular solve: the same
-// philosophy as Predict — cheap structural features, decision rules
-// with explicit thresholds — applied to the level-schedule knobs the
-// wave coarsener exposes (core.SolveOpts.WaveGrain / MergeBelow) and
-// the serial-fallback crossover.
+// The structural features the triangular-solve policy decides on. The
+// policy lives in internal/core next to buildSolvePlan, which gathers
+// the same quantities in its own pass; this independent pass is the
+// reference a differential test holds the planner to
+// (internal/core/solve_policy_test.go) and what the benchmark ledger
+// times as model.extract_solve_us.
 
-// SolveFeatures are the structural quantities the solve predictor
-// decides on, computable in one O(n + nnz-restricted) pass over the
-// operand structure (no level-set construction needed).
+// SolveFeatures are the structural quantities the solve policy decides
+// on, computable in one O(n + nnz-restricted) pass over the operand
+// structure (no level-set construction needed).
 type SolveFeatures struct {
 	// Rows is the number of solved rows (the mask size, or n unmasked).
 	Rows int
@@ -96,70 +93,4 @@ func ExtractSolve[T sparse.Number](l *sparse.CSR[T], mask []sparse.Index) SolveF
 		f.BandFrac = float64(banded) / float64(offDiag)
 	}
 	return f
-}
-
-// SolveThresholds are the decision boundaries of the solve predictor.
-type SolveThresholds struct {
-	// SerialBelow is the total row work under which the whole solve runs
-	// serially — barriers and goroutine fan-out cost more than a short
-	// substitution loop.
-	SerialBelow int64
-	// BandedFrac: above this banded fraction the system is treated as
-	// chain-dominated and the serial crossover is raised (waves would be
-	// mostly single-tile levels separated by barriers).
-	BandedFrac float64
-	// BandedSerialBelow replaces SerialBelow for chain-dominated systems.
-	BandedSerialBelow int64
-	// GrainRows is the target number of rows per tile used to derive
-	// WaveGrain from the average row work: grain ≈ AvgRowWork·GrainRows.
-	GrainRows int
-	// MinGrain and MaxGrain clamp the derived grain.
-	MinGrain, MaxGrain int64
-}
-
-// DefaultSolveThresholds mirrors the SpGEMM defaults' spirit: serial
-// below ~16k units of work (the plan-pass crossover the rest of the
-// pipeline uses), a 4× higher bar for banded systems, and tiles sized
-// to amortize a claim without starving the widest levels.
-func DefaultSolveThresholds() SolveThresholds {
-	return SolveThresholds{
-		SerialBelow:       core.DefaultSerialBelow,
-		BandedFrac:        0.75,
-		BandedSerialBelow: 4 * core.DefaultSerialBelow,
-		GrainRows:         256,
-		MinGrain:          512,
-		MaxGrain:          1 << 16,
-	}
-}
-
-// PredictSolve maps solve features to execution options and a worker
-// configuration: the wave/serial crossover plus coarsening knobs
-// derived from the row-work distribution. The returned SolveOpts keeps
-// Tri/Transpose/Mask zeroed — callers overlay their own flavor.
-func PredictSolve(f SolveFeatures, th SolveThresholds, workers int) (core.SolveOpts, core.Config) {
-	cfg := core.DefaultConfig()
-	cfg.Schedule = sched.Dynamic
-	cfg.Workers = workers
-
-	so := core.SolveOpts{Mode: core.SolveAuto}
-	serialBelow := th.SerialBelow
-	if f.BandFrac >= th.BandedFrac {
-		serialBelow = th.BandedSerialBelow
-	}
-	so.SerialBelow = serialBelow
-
-	grain := int64(f.AvgRowWork * float64(max(th.GrainRows, 1)))
-	if grain < th.MinGrain {
-		grain = th.MinGrain
-	}
-	if grain > th.MaxGrain {
-		grain = th.MaxGrain
-	}
-	so.WaveGrain = grain
-
-	// Merge levels narrower than the worker fan-out: a level that cannot
-	// feed every worker pays its barrier without buying parallelism.
-	p := sched.Workers(workers)
-	so.MergeBelow = max(2*p, core.DefaultMergeBelow)
-	return so, cfg
 }

@@ -3,8 +3,6 @@ package model
 import (
 	"testing"
 
-	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -55,39 +53,5 @@ func TestExtractSolveFeatures(t *testing.T) {
 	fm := ExtractSolve(tridiag(n), mask)
 	if fm.Rows != 4 || fm.Work != 7 {
 		t.Fatalf("masked features = %+v, want Rows=4 Work=7", fm)
-	}
-}
-
-func TestPredictSolveCrossover(t *testing.T) {
-	th := DefaultSolveThresholds()
-	// Chain-dominated systems get the raised serial bar.
-	banded := ExtractSolve(tridiag(4096), nil)
-	soBanded, cfg := PredictSolve(banded, th, 4)
-	if soBanded.SerialBelow != th.BandedSerialBelow {
-		t.Fatalf("banded SerialBelow = %d, want %d", soBanded.SerialBelow, th.BandedSerialBelow)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("predicted config invalid: %v", err)
-	}
-	// Scattered systems keep the standard crossover.
-	flat := ExtractSolve(scattered(4096), nil)
-	soFlat, _ := PredictSolve(flat, th, 4)
-	if soFlat.SerialBelow != th.SerialBelow {
-		t.Fatalf("scattered SerialBelow = %d, want %d", soFlat.SerialBelow, th.SerialBelow)
-	}
-	if soFlat.WaveGrain < th.MinGrain || soFlat.WaveGrain > th.MaxGrain {
-		t.Fatalf("WaveGrain = %d outside [%d, %d]", soFlat.WaveGrain, th.MinGrain, th.MaxGrain)
-	}
-	if soFlat.MergeBelow < core.DefaultMergeBelow {
-		t.Fatalf("MergeBelow = %d below the default floor", soFlat.MergeBelow)
-	}
-	// The predicted options must be accepted by the solver end to end.
-	b := make([]float64, 4096)
-	for i := range b {
-		b[i] = float64(i%13) + 1
-	}
-	dst := make([]float64, len(b))
-	if err := core.SolveTriInto[float64, semiring.PlusTimes[float64]](semiring.PlusTimes[float64]{}, dst, scattered(4096), b, cfg, soFlat); err != nil {
-		t.Fatalf("predicted options rejected: %v", err)
 	}
 }

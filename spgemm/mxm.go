@@ -136,8 +136,7 @@ func (o Options) recalibrator(mask, a, b *Matrix) *model.Recalibrator {
 	if !o.AdaptiveKappa || o.Iteration != IterHybrid {
 		return nil
 	}
-	return model.TuneFor(o.Engine.internal(), mask.csr, a.csr, b.csr,
-		model.RecalConfig{DefaultKappa: o.Kappa})
+	return model.TuneFor(o.Engine.internal(), mask.csr, a.csr, b.csr, o.Kappa)
 }
 
 // observeRecal feeds one timed run back into the estimator, preferring

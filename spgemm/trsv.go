@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/model"
 	"maskedspgemm/internal/semiring"
-	"maskedspgemm/internal/sparse"
 )
 
 // Triangle selects which triangle of the operand a triangular solve
@@ -25,9 +23,10 @@ const (
 type LevelSchedule int
 
 const (
-	// LevelAuto extracts cheap structural features (row work, banded
-	// fraction) and picks waves or serial per call — the execution-time
-	// tuning the paper's conclusion calls for, applied to SpTRSV.
+	// LevelAuto picks waves or serial from cheap structural features (row
+	// work, banded fraction) gathered when the level-set plan is built
+	// and cached with it — the execution-time tuning the paper's
+	// conclusion calls for, applied to SpTRSV.
 	LevelAuto LevelSchedule = iota
 	// LevelWaves forces the dependency-wave schedule: level sets
 	// coarsened into FLOP-balanced tile waves, executed by the
@@ -63,7 +62,7 @@ func TRSVMasked(l *Matrix, b []float64, tri Triangle, mask []int32, opts Options
 		return nil, err
 	}
 	cfg := opts.config()
-	so, err := opts.solveOpts(l.csr, tri, mask)
+	so, err := opts.solveOpts(tri, mask)
 	if err != nil {
 		return nil, err
 	}
@@ -76,12 +75,10 @@ func TRSVMasked(l *Matrix, b []float64, tri Triangle, mask []int32, opts Options
 }
 
 // solveOpts translates the facade surface to core.SolveOpts: the
-// triangle, the mask (rewrapped to the internal index type), and —
-// under LevelAuto — the model layer's execution-time knob prediction
-// (wave grain from the row-work distribution, serial crossover raised
-// for chain-dominated banded systems).
-func (o Options) solveOpts(l *sparse.CSR[float64], tri Triangle, mask []int32) (core.SolveOpts, error) {
-	so := core.SolveOpts{}
+// triangle, the mask and the mode. Coarsening and the serial crossover
+// are the planner's (internal/core), decided when the plan is built.
+func (o Options) solveOpts(tri Triangle, mask []int32) (core.SolveOpts, error) {
+	so := core.SolveOpts{Mask: mask}
 	switch tri {
 	case TriLower:
 		so.Tri = core.Lower
@@ -90,13 +87,6 @@ func (o Options) solveOpts(l *sparse.CSR[float64], tri Triangle, mask []int32) (
 	default:
 		return so, fmt.Errorf("%w: unknown triangle %d", ErrConfig, tri)
 	}
-	if len(mask) > 0 {
-		idx := make([]sparse.Index, len(mask))
-		for i, r := range mask {
-			idx[i] = sparse.Index(r)
-		}
-		so.Mask = idx
-	}
 	switch o.LevelSchedule {
 	case LevelWaves:
 		so.Mode = core.SolveWaves
@@ -104,11 +94,6 @@ func (o Options) solveOpts(l *sparse.CSR[float64], tri Triangle, mask []int32) (
 		so.Mode = core.SolveSerial
 	case LevelAuto:
 		so.Mode = core.SolveAuto
-		f := model.ExtractSolve(l, so.Mask)
-		pred, _ := model.PredictSolve(f, model.DefaultSolveThresholds(), o.Workers)
-		so.WaveGrain = pred.WaveGrain
-		so.MergeBelow = pred.MergeBelow
-		so.SerialBelow = pred.SerialBelow
 	default:
 		return so, fmt.Errorf("%w: unknown level schedule %d", ErrConfig, o.LevelSchedule)
 	}

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"maskedspgemm/internal/chaos"
+	"maskedspgemm/internal/core"
+	"maskedspgemm/internal/obs"
+	"maskedspgemm/internal/semiring"
 )
 
 // triMatrix builds a random strictly triangular system with a dense
@@ -103,8 +106,8 @@ func TestTRSVWavesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestTRSVAutoSchedule runs the default LevelAuto path (model-predicted
-// knobs) end to end and checks it agrees with serial.
+// TestTRSVAutoSchedule runs the default LevelAuto path (planner-derived
+// coarsening) end to end and checks it agrees with serial.
 func TestTRSVAutoSchedule(t *testing.T) {
 	l := triMatrix(t, 257, true, 9)
 	b := rhs(257)
@@ -130,6 +133,66 @@ func TestTRSVAutoSchedule(t *testing.T) {
 		if i != 3 && i != 4 && i != 10 && v != b[i] {
 			t.Fatalf("out-of-mask row %d rewritten: %v != %v", i, v, b[i])
 		}
+	}
+}
+
+// TestTRSVAutoIsCoreAuto: the facade adds nothing to the solve policy.
+// TRSV under the default LevelAuto and core.SolveTriInto with zero
+// SolveOpts on the same operand and engine resolve to one cached plan —
+// the second call hits what the first stored — and record the same
+// schedule shape.
+func TestTRSVAutoIsCoreAuto(t *testing.T) {
+	// Three uniformly random dependencies per row: a shallow DAG whose
+	// levels run from a few rows wide (merged) to hundreds (split).
+	const n = 6000
+	r := rand.New(rand.NewSource(13))
+	tr := make([]Triple, 0, 4*n)
+	for i := 0; i < n; i++ {
+		tr = append(tr, Triple{Row: i, Col: i, Val: 4})
+		for d := 0; d < 3 && i > 0; d++ {
+			tr = append(tr, Triple{Row: i, Col: r.Intn(i), Val: 1})
+		}
+	}
+	l, err := FromTriples(n, n, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := rhs(n)
+	eng := NewEngine(EngineConfig{})
+
+	stats := NewStatsRecorder()
+	opts := Defaults()
+	opts.Workers = 8
+	opts.Engine = eng
+	opts.Stats = stats
+	if _, err := TRSV(l, b, TriLower, opts); err != nil {
+		t.Fatal(err)
+	}
+	facade := stats.Stats().Sched
+
+	rec := obs.NewRecorder()
+	cfg := opts.config()
+	cfg.Recorder = rec
+	prior := eng.Stats()
+	dst := make([]float64, n)
+	if err := core.SolveTriInto[float64, semiring.PlusTimes[float64]](
+		semiring.PlusTimes[float64]{}, dst, l.csr, b, cfg, core.SolveOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	direct := rec.Stats().Sched
+
+	if d := eng.Stats().Sub(prior); d.PlanHits != 1 || d.PlanMisses != 0 {
+		t.Errorf("core solve after the facade's: %d plan hits, %d misses, want 1 and 0", d.PlanHits, d.PlanMisses)
+	}
+	if facade.Levels != direct.Levels || facade.Waves != direct.Waves ||
+		facade.SerialWaves != direct.SerialWaves || facade.Barriers != direct.Barriers {
+		t.Errorf("facade levels/waves/serial-waves/barriers %d/%d/%d/%d, core %d/%d/%d/%d",
+			facade.Levels, facade.Waves, facade.SerialWaves, facade.Barriers,
+			direct.Levels, direct.Waves, direct.SerialWaves, direct.Barriers)
+	}
+	if facade.Waves < 2 || facade.Waves == facade.Levels || facade.Barriers == 0 {
+		t.Errorf("fixture does not exercise coarsened waves: %d levels, %d waves, %d barriers",
+			facade.Levels, facade.Waves, facade.Barriers)
 	}
 }
 
@@ -172,9 +235,15 @@ func TestTRSVErrors(t *testing.T) {
 	if _, err := TRSV(l, b, TriLower, bad); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad level schedule: %v, want ErrConfig", err)
 	}
-	// Malformed mask.
-	if _, err := TRSVMasked(l, b, TriLower, []int32{5, 2}, opts); !errors.Is(err, ErrInvalidMatrix) {
-		t.Fatalf("descending mask: %v, want ErrInvalidMatrix", err)
+	// Malformed masks are rejected the same way under every schedule.
+	for _, ls := range []LevelSchedule{LevelAuto, LevelWaves, LevelSerial} {
+		mo := Defaults()
+		mo.LevelSchedule = ls
+		for _, mask := range [][]int32{{5, 2}, {-1, 2}, {2, 32}, {2, 2}} {
+			if _, err := TRSVMasked(l, b, TriLower, mask, mo); !errors.Is(err, ErrInvalidMatrix) {
+				t.Fatalf("schedule %d, mask %v: %v, want ErrInvalidMatrix", ls, mask, err)
+			}
+		}
 	}
 	// Validated nil operand.
 	vo := Defaults()
