@@ -155,9 +155,12 @@ bench-trsv:
 # cost of one small product, the number the tile crossover exists to
 # cut), and one product repeated through a Multiplier, a Multiplier on
 # a shared engine and MxM on an engine (allocs/op and B/op must agree
-# across the three), and one warm triangular solve through the facade,
-# through core and through core's serial mode (facade-auto and core-auto
-# must differ by the result vector only). One iteration is a smoke test;
+# across the three), one warm triangular solve through the facade,
+# through core's automatic mode (facade-auto and core-auto must differ by
+# the result vector only), and core's serial and wave modes (ns/nnz),
+# and the solve verdict's unit costs: one serial substitution walked in
+# substitution order and in level-set order (ns/nnz), and a wave run's
+# spawn and staggered barrier crossing. One iteration is a smoke test;
 # for numbers drop `-benchtime 1x` and add `-count`.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum
@@ -165,6 +168,8 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^BCBatch$$/^road-57x100$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkRepeatedMultiply$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkTRSVWarm$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkSolveOrder$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkWaveCrossing$$' -benchtime 1x ./internal/sched
 
 # bench-kappa exercises the online κ recalibrator against an offline
 # sweep. Timing-sensitive, so it is informational rather than part of

@@ -7,6 +7,7 @@ package maskedspgemm
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"maskedspgemm/internal/accum"
@@ -374,23 +375,36 @@ func BenchmarkRepeatedMultiply(b *testing.B) {
 
 // BenchmarkTRSVWarm times one warm triangular solve on the trsv-iter
 // operand, tril(A)+(1+deg)·I, of two corpus graphs at benchmark scale,
-// three ways on one engine: the facade under the default LevelAuto,
-// core.SolveTriInto with zero SolveOpts, and core with the serial mode
-// forced. facade-auto and core-auto resolve to the same cached plan and
-// run the same path, so they differ by the facade's result vector (one
-// allocation of 8n bytes) and its fixed per-call overhead; anything more
-// is per-call work the facade does that the plan should hold.
+// and on the wide two-level system waves win on (n = 2¹⁷: the first half
+// diagonal-only, each row of the second half with eight dependencies
+// into the first), four ways on one engine each:
+//
+//   - facade-auto: the facade under the default LevelAuto;
+//   - core-auto: core.SolveTriInto with zero SolveOpts, the same cached
+//     plan and path, so it differs from facade-auto by the facade's
+//     result vector (one allocation of 8n bytes) and its fixed per-call
+//     overhead — anything more is per-call work the plan should hold;
+//   - core-serial: the serial mode, rows in substitution order;
+//   - core-waves: the wave mode.
+//
+// ns/nnz is time per stored entry of L; the auto columns run whichever
+// of core-serial and core-waves the plan's verdict picked. The verdict's
+// per-entry costs come from internal/core's BenchmarkSolveOrder.
 func BenchmarkTRSVWarm(b *testing.B) {
 	sr := semiring.PlusTimes[float64]{}
-	for _, name := range []string{"arabic-2005-sim", "com-Orkut-sim"} {
+	type operand struct {
+		name    string
+		triples []spgemm.Triple
+		n       int
+	}
+	fromGraph := func(name string) operand {
 		spec, ok := bench.FindGraph(name)
 		if !ok {
 			b.Fatalf("unknown graph %s", name)
 		}
 		a := sparse.Symmetrize(spec.Build(0))
-		n := a.Rows
 		var triples []spgemm.Triple
-		for i := 0; i < n; i++ {
+		for i := 0; i < a.Rows; i++ {
 			deg := 0
 			for _, j := range a.RowCols(i) {
 				if int(j) < i {
@@ -400,15 +414,38 @@ func BenchmarkTRSVWarm(b *testing.B) {
 			}
 			triples = append(triples, spgemm.Triple{Row: i, Col: i, Val: float64(1 + deg)})
 		}
-		l, err := spgemm.FromTriples(n, n, triples)
+		return operand{name, triples, a.Rows}
+	}
+	wide := func(n int) operand {
+		half := n / 2
+		triples := make([]spgemm.Triple, 0, 5*n)
+		for i := 0; i < n; i++ {
+			if i >= half {
+				for k := 0; k < 8; k++ {
+					triples = append(triples, spgemm.Triple{Row: i, Col: (i*7919 + k*half/8) % half, Val: 1})
+				}
+			}
+			triples = append(triples, spgemm.Triple{Row: i, Col: i, Val: 9})
+		}
+		return operand{fmt.Sprintf("wide-2^%d", bits.Len(uint(n))-1), triples, n}
+	}
+	for _, op := range []func() operand{
+		func() operand { return fromGraph("arabic-2005-sim") },
+		func() operand { return fromGraph("com-Orkut-sim") },
+		func() operand { return wide(1 << 17) },
+	} {
+		op := op()
+		n := op.n
+		l, err := spgemm.FromTriples(n, n, op.triples)
 		if err != nil {
 			b.Fatal(err)
 		}
-		coo := sparse.NewCOO[float64](n, n, int64(len(triples)))
-		for _, t := range triples {
+		coo := sparse.NewCOO[float64](n, n, int64(len(op.triples)))
+		for _, t := range op.triples {
 			coo.Add(sparse.Index(t.Row), sparse.Index(t.Col), t.Val)
 		}
 		csr := coo.ToCSR()
+		nnz := float64(csr.NNZ())
 		rhs := make([]float64, n)
 		for i := range rhs {
 			rhs[i] = 1
@@ -435,8 +472,9 @@ func BenchmarkTRSVWarm(b *testing.B) {
 			}},
 			{"core-auto", coreSolve(core.SolveOpts{})},
 			{"core-serial", coreSolve(core.SolveOpts{Mode: core.SolveSerial})},
+			{"core-waves", coreSolve(core.SolveOpts{Mode: core.SolveWaves})},
 		} {
-			b.Run(name+"/"+col.name, func(b *testing.B) {
+			b.Run(op.name+"/"+col.name, func(b *testing.B) {
 				// One untimed solve builds and caches the level-set plan.
 				if err := col.solve(); err != nil {
 					b.Fatal(err)
@@ -448,6 +486,7 @@ func BenchmarkTRSVWarm(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nnz, "ns/nnz")
 			})
 		}
 	}

@@ -85,14 +85,24 @@ func TestExperimentsRegistry(t *testing.T) {
 			},
 		},
 		"trsv": {
-			prints: []string{"serial-w", "speedup"},
-			rows:   2,
+			prints: []string{"serial-w", "speedup", "pred ser"},
+			rows:   3,
 			check: func(t *testing.T, rows []ResultEntry) {
-				if rows[0].OutputNNZ != rows[1].OutputNNZ {
-					t.Errorf("serial and wave checksums differ: %d vs %d", rows[0].OutputNNZ, rows[1].OutputNNZ)
+				for _, e := range rows[1:] {
+					if e.OutputNNZ != rows[0].OutputNNZ {
+						t.Errorf("serial and %s checksums differ: %d vs %d", e.Config, rows[0].OutputNNZ, e.OutputNNZ)
+					}
 				}
 				if wave := rows[1]; value(t, wave, "levels") < 1 || value(t, wave, "waves") < 1 {
 					t.Errorf("wave row has no schedule shape: %v", wave.Values)
+				}
+				auto := rows[2]
+				if ran := value(t, auto, "waves_ran"); ran != 0 && ran != 1 {
+					t.Errorf("auto row waves_ran = %v", ran)
+				}
+				if value(t, auto, "pred_serial_ms") <= 0 || value(t, auto, "pred_wave_ms") <= 0 ||
+					value(t, auto, "measured_serial_ms") <= 0 || value(t, auto, "measured_wave_ms") <= 0 {
+					t.Errorf("auto row incomplete: %v", auto.Values)
 				}
 			},
 		},

@@ -1,18 +1,12 @@
 package core
 
-import (
-	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/sparse"
-)
+import "maskedspgemm/internal/sparse"
 
-// BuildSolvePlan runs the solve planner as SolveTriInto would for a run
-// on workers workers. Exported to the external test package only: the
-// differential test in solve_policy_test.go imports internal/model,
-// which imports this package.
-func BuildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int) (*exec.SolvePlan, error) {
-	so = so.resolve(workers)
-	if err := so.validate(l.Rows); err != nil {
-		return nil, err
-	}
-	return buildSolvePlan(l, so)
+// SolveSerialInOrder runs solveSerial, the loop every serial solve runs,
+// over an unmasked operand: rows in the given order front to back, or
+// all rows ascending when rows is nil. Exported to the external test
+// package only, for BenchmarkSolveOrder, which needs the corpus graphs
+// of internal/bench (which imports this package).
+func SolveSerialInOrder[T sparse.Number](dst []T, l *sparse.CSR[T], b []T, rows []sparse.Index) error {
+	return solveSerial(nil, l, dst, b, nil, rows, true)
 }

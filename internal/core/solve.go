@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/obs"
@@ -24,8 +25,11 @@ import (
 // inherently ordered, so the plan is a level-set DAG schedule: rows
 // whose in-mask dependencies all sit in strictly earlier levels form a
 // wave, waves run under sched.RunWavesOpts on the persistent worker
-// pool, and the coarsener merges narrow levels into single-tile serial
-// waves and splits wide levels into FLOP-balanced tiles.
+// pool, and the coarsener splits wide levels into FLOP-balanced tiles
+// and merges every run of single-tile levels into one serial wave.
+// Whether the waves pay at all is the plan's verdict: a cost model in
+// measured units sets their predicted time against one worker
+// substituting in plain row order.
 //
 // Arithmetic is the native one of T (plus, times, subtract, divide) —
 // substitution needs an inverse, which a general semiring does not
@@ -58,13 +62,14 @@ func (t Tri) String() string {
 type SolveMode int
 
 const (
-	// SolveAuto picks waves or serial from the plan: serial when the
-	// solve's total row work is under the crossover the planner derived
-	// (see the solve policy block above buildSolvePlan).
+	// SolveAuto takes the plan's verdict: waves only when the planner
+	// predicts they beat one worker in substitution order (see the solve
+	// policy block above buildSolvePlan).
 	SolveAuto SolveMode = iota
-	// SolveWaves forces the wave-scheduled path.
+	// SolveWaves forces the wave-scheduled path (on one worker the solve
+	// still runs serially).
 	SolveWaves
-	// SolveSerial forces the single-worker substitution loop.
+	// SolveSerial forces the single-worker loop in substitution order.
 	SolveSerial
 )
 
@@ -83,15 +88,15 @@ type SolveOpts struct {
 	// submatrix L[Mask, Mask]; rows outside pass b through unchanged.
 	// Read during the call only, never retained.
 	Mask []sparse.Index
-	// Mode selects waves, serial, or the automatic crossover.
+	// Mode selects waves, serial, or the plan's verdict.
 	Mode SolveMode
 	// WaveGrain overrides the Eq. 2 row-work target per tile when a wide
 	// level is split; <= 0 means the grain the planner derives from the
 	// average row work.
 	WaveGrain int64
-	// MergeBelow overrides the level width under which consecutive levels
-	// merge into one serial wave; <= 0 means the width derived from the
-	// worker count.
+	// MergeBelow overrides the level width under which a level is never
+	// split, so it merges with its single-tile neighbors into one serial
+	// wave; <= 0 means the width derived from the worker count.
 	MergeBelow int
 }
 
@@ -156,31 +161,56 @@ func (so SolveOpts) solveKind() uint8 {
 	return k
 }
 
-// solveHash fingerprints what the wave order depends on: the operand's
-// row structure, the mask contents and the coarsening knobs, folded
-// word-wise FNV-1a style. Column indices are deliberately excluded —
-// hashing them would double the per-call memory traffic — so the cache
-// relies on the documented contract that an operand is not mutated
-// while cached plans for it may be reused; RowPtr plus the OperandID
-// (pointer, shape, nnz) already catches reallocation and any structural
-// edit that moves a row boundary.
-func solveHash[T sparse.Number](l *sparse.CSR[T], so SolveOpts) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	h = (h ^ uint64(l.Rows)) * prime
-	for _, p := range l.RowPtr {
-		h = (h ^ uint64(p)) * prime
+// solveHash fingerprints what a solve plan depends on: the operand's
+// row structure, the mask contents, the coarsening knobs and the worker
+// count the serial-or-waves verdict is reached for. Column indices are
+// deliberately excluded — hashing them would double the per-call memory
+// traffic — so the cache relies on the documented contract that an
+// operand is not mutated while cached plans for it may be reused;
+// RowPtr plus the OperandID (pointer, shape, nnz) already catches
+// reallocation and any structural edit that moves a row boundary.
+//
+// The words are folded FNV-1a style into four independent lanes, which
+// fold into one at the end: one serial chain of multiplies would bound
+// the hash by multiply latency, four lanes overlap them. Each step is a
+// bijection of its lane for a fixed word and of the word for a fixed
+// lane, so changing any single word always changes the hash.
+//
+//spgemm:hotpath
+func solveHash[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int) uint64 {
+	h := [4]uint64{fnvOffset, fnvOffset, fnvOffset, fnvOffset}
+	hashLanes(&h, l.RowPtr)
+	hashLanes(&h, so.Mask)
+	shape := [...]int64{int64(l.Rows), int64(len(so.Mask)), so.WaveGrain, int64(so.MergeBelow), int64(workers)}
+	hashLanes(&h, shape[:])
+	out := uint64(fnvOffset)
+	for _, lane := range h {
+		out = (out ^ lane) * fnvPrime
 	}
-	h = (h ^ uint64(len(so.Mask))) * prime
-	for _, r := range so.Mask {
-		h = (h ^ uint64(uint32(r))) * prime
+	return out
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashLanes folds ws into the four lanes of h, word k into lane k mod 4.
+//
+//spgemm:hotpath
+func hashLanes[W ~int32 | ~int64](h *[4]uint64, ws []W) {
+	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
+	for len(ws) >= 4 {
+		h0 = (h0 ^ uint64(ws[0])) * fnvPrime
+		h1 = (h1 ^ uint64(ws[1])) * fnvPrime
+		h2 = (h2 ^ uint64(ws[2])) * fnvPrime
+		h3 = (h3 ^ uint64(ws[3])) * fnvPrime
+		ws = ws[4:]
 	}
-	h = (h ^ uint64(so.WaveGrain)) * prime
-	h = (h ^ uint64(so.MergeBelow)) * prime
-	return h
+	h[0], h[1], h[2], h[3] = h0, h1, h2, h3
+	for k, w := range ws {
+		h[k] = (h[k] ^ uint64(w)) * fnvPrime
+	}
 }
 
 // SolveTri solves op(L)·x = b into a fresh vector. See SolveTriInto.
@@ -234,7 +264,7 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()
 
-	plan, err := solvePlanFor(ctx, cfg, l, so, scope)
+	plan, err := solvePlanFor(ctx, cfg, l, so, workers, scope)
 	if err != nil {
 		return err
 	}
@@ -272,17 +302,26 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 	}
 
 	serial := so.Mode == SolveSerial || workers <= 1 ||
-		(so.Mode == SolveAuto && sp.Flops < sp.SerialCrossover)
+		(so.Mode == SolveAuto && sp.Serial)
 
 	var wstats *sched.WaveStats
 	if serial {
+		rows, forward := so.Mask, so.effectiveLower()
 		if !scope.Enabled() {
 			// Direct call, no spans: keeps the warm engine-backed path
 			// free of closure allocations (the zero-alloc pin).
-			err = solveSerialOrder(ctx, op, dst, b, state, sp.Order)
+			err = solveSerial(ctx, op, dst, b, state, rows, forward)
 		} else {
 			err = spanned(ctx, scope, obs.PhaseExecSolve, func() error {
-				return solveSerialOrder(ctx, op, dst, b, state, sp.Order)
+				if err := solveSerial(ctx, op, dst, b, state, rows, forward); err != nil {
+					return err
+				}
+				// One worker did the whole solve, as one tile.
+				wc := &scope.WorkerSlots(1)[0]
+				wc.Tiles.Add(1)
+				wc.Rows.Add(int64(len(sp.Order)))
+				wc.Flops.Add(sp.Flops)
+				return nil
 			})
 		}
 	} else {
@@ -470,24 +509,39 @@ func solveRow[T sparse.Number](op *sparse.CSR[T], dst, b []T, state []uint8, i i
 	dst[i] = (b[i] - acc) / diag
 }
 
-// solveSerialOrder is the engine-backed serial execution: the planned
-// substitution order run by one worker, polling cancellation every
-// stride rows. Zero-alloc on the warm path; the ErrSingular panic from
-// solveRow is recovered into the typed return.
-func solveSerialOrder[T sparse.Number](
-	ctx context.Context, op *sparse.CSR[T], dst, b []T, state []uint8, order []sparse.Index,
+// solveSerial is the engine-backed serial execution: one worker
+// substitutes rows (nil = all n) front to back when forward is set,
+// back to front otherwise — with the mask's rows or none, and
+// forward = effectively lower, that is substitution order — polling
+// cancellation every stride rows. The loop is written out rather than
+// run through forEachSolved's callback, so the warm path stays
+// allocation-free and pays no indirect call per row; the ErrSingular
+// panic from solveRow is recovered into the typed return.
+func solveSerial[T sparse.Number](
+	ctx context.Context, op *sparse.CSR[T], dst, b []T, state []uint8, rows []sparse.Index, forward bool,
 ) (err error) {
 	defer func() {
 		err = recoverSingular(recover(), err)
 	}()
 	const pollStride = 1024
-	for s, r := range order {
-		if ctx != nil && s%pollStride == 0 {
+	m := op.Rows
+	if rows != nil {
+		m = len(rows)
+	}
+	for k := 0; k < m; k++ {
+		if ctx != nil && k%pollStride == 0 {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 		}
-		solveRow(op, dst, b, state, int(r))
+		i := k
+		if !forward {
+			i = m - 1 - k
+		}
+		if rows != nil {
+			i = int(rows[i])
+		}
+		solveRow(op, dst, b, state, i)
 	}
 	return nil
 }
@@ -505,23 +559,12 @@ func recoverSingular(r any, prev error) error {
 	panic(r)
 }
 
-// The solve policy — serial or waves, and how levels are coarsened — is
-// decided here and nowhere else: once per operand structure, from
-// quantities the plan pass already walks, and cached with the plan
-// (exec.SolvePlan.SerialCrossover, .WaveGrain). The same shape
+// The solve policy — how levels are coarsened, and whether the waves pay
+// at all — is decided here and nowhere else: once per operand structure
+// and worker count, from the plan's own wave structure, and cached with
+// the plan (exec.SolvePlan.Serial, .WaveGrain). The same shape
 // tileCrossover has on the product side; constants, not knobs.
 const (
-	// solveSerialCrossover is the total Eq. 2 row work under which
-	// SolveAuto runs the planned order on one worker: goroutine fan-out
-	// and barriers cost more than a short substitution loop.
-	solveSerialCrossover = 1 << 14
-	// A solve with at least solveBandedFrac of its off-diagonal entries
-	// within max(1, n/solveBandDiv) of the diagonal is chain-dominated:
-	// deep, narrow level sets, so waves would be mostly single-tile levels
-	// separated by barriers. Its crossover is solveBandedFactor× higher.
-	solveBandedFrac   = 0.75
-	solveBandDiv      = 64
-	solveBandedFactor = 4
 	// A wide level is split at (average row work × solveGrainRows) row
 	// work per tile, clamped to [solveMinGrain, solveMaxGrain]: tiles
 	// sized to amortize a claim without starving the widest levels.
@@ -529,10 +572,53 @@ const (
 	solveMinGrain  = 512
 	solveMaxGrain  = 1 << 16
 	// solveMinMerge floors the merge width max(2·workers, ·): a level
-	// that cannot feed every worker pays its barrier without buying
-	// parallelism, so runs of such levels merge into one serial wave.
+	// that cannot feed every worker is never split, so it merges with its
+	// single-tile neighbors instead of paying a barrier of its own.
 	solveMinMerge = 8
 )
+
+// The verdict's unit costs, in nanoseconds, measured on a 2-vCPU host
+// (go1.24, GOMAXPROCS 2), each the median of repeated -count runs,
+// rounded. Regenerate them with the two benchmarks named below, the
+// commands of `make bench-micro` without its -benchtime 1x.
+const (
+	// solveSubstNsPerNnz and solveLevelNsPerNnz are one row's
+	// substitution per stored entry, walking rows in substitution order
+	// (one worker) and in level-set order (a wave's tiles): level order
+	// scatters the reads of earlier solution entries, so it costs more.
+	// They are BenchmarkSolveOrder's substitution and level-order ns/nnz
+	// (internal/core) on arabic-2005-sim, the corpus graph with the most
+	// multi-tile waves, so the one whose verdict the gap decides.
+	solveSubstNsPerNnz = 1.96
+	solveLevelNsPerNnz = 3.08
+	// solveCrossingNs is one wave barrier crossed by workers that arrive
+	// apart, so all but the last have parked and must be woken —
+	// internal/sched's BenchmarkWaveCrossing staggered row (ns/crossing).
+	// A parked worker whose waker keeps working waits ~30 µs there,
+	// against ~2.5 µs when the waker parks too and ~0.3 µs for the
+	// ledger's back-to-back sched.barrier_ns. solveSpawnNs launches and
+	// joins a wave run's workers: the same benchmark's spawn row.
+	solveCrossingNs = 28600
+	solveSpawnNs    = 1600
+)
+
+// solvePredict prices a plan's two ways to run on workers workers: one
+// worker substitutes the total work in substitution order; the waves
+// pay, per wave, the longer of its heaviest tile and its work spread
+// evenly over the workers, ⌈work/p⌉, walked in level-set order, plus a
+// crossing per barrier and one spawn. waveWork and heaviest hold one
+// entry per wave.
+func solvePredict(total int64, waveWork, heaviest []int64, workers int) (serialNs, wavesNs float64) {
+	p := int64(max(workers, 1))
+	var critical int64
+	for w, work := range waveWork {
+		critical += max(heaviest[w], (work+p-1)/p)
+	}
+	serialNs = solveSubstNsPerNnz * float64(total)
+	wavesNs = solveLevelNsPerNnz*float64(critical) +
+		solveCrossingNs*float64(len(waveWork)-1) + solveSpawnNs
+	return serialNs, wavesNs
+}
 
 // forEachSolved calls fn on every solved row in substitution order —
 // the mask's rows, or all n without one; ascending for an effective
@@ -557,16 +643,39 @@ func forEachSolved(mask []sparse.Index, n int, lower bool, fn func(i int) error)
 	return nil
 }
 
-// buildSolvePlan runs the level-set analysis and wave coarsening for
-// one solve flavor: O(nnz) like every plan pass. Levels are computed in
-// substitution order (ascending rows for an effective lower triangle,
-// descending for upper), a stable counting sort by level produces the
-// slot order, and the coarsener merges runs of levels narrower than
-// MergeBelow into single-tile serial waves while splitting wide levels
-// at ~grain row work per tile. The same pass gathers what the solve
-// policy decides on — total row work and the banded share of the
-// off-diagonal entries — and the plan records the verdicts.
-func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.SolvePlan, error) {
+// SolvePlanOf returns the plan SolveTriInto runs op(L) on under cfg and
+// so: the one cached in cfg.Engine, built and cached there on a miss,
+// and built uncached without an engine. For tools that report a plan's
+// shape and verdict next to measured times.
+func SolvePlanOf[T sparse.Number](l *sparse.CSR[T], cfg Config, so SolveOpts) (*exec.SolvePlan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if l.Cols != l.Rows {
+		return nil, fmt.Errorf("%w: triangular operand must be square, got %dx%d", sparse.ErrShape, l.Rows, l.Cols)
+	}
+	workers := sched.Workers(cfg.Workers)
+	so = so.resolve(workers)
+	if err := so.validate(l.Rows); err != nil {
+		return nil, err
+	}
+	plan, err := solvePlanFor(cfg.Context, cfg, l, so, workers, nil)
+	return plan.Solve, err
+}
+
+// buildSolvePlan runs the level-set analysis, the wave coarsening and
+// the serial-or-waves verdict for one solve flavor on workers workers:
+// O(nnz) like every plan pass. Levels are computed in substitution
+// order (ascending rows for an effective lower triangle, descending for
+// upper) and a stable counting sort groups the slots by level. A level
+// of at least MergeBelow rows splits greedily at ~grain row work per
+// tile; every run of consecutive levels left with one tile merges into
+// one wave of one tile, whose slots a second counting sort puts back
+// into substitution order — which honors every dependency inside the
+// tile, and is the order one worker substitutes fastest in. A plan whose
+// widest wave is one tile is therefore a single serial wave. The
+// verdict compares the two predictions of solvePredict.
+func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int) (*exec.SolvePlan, error) {
 	op := l
 	var trans any
 	if so.Transpose {
@@ -590,8 +699,7 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 	level := make([]int32, n)
 	rowWork := make([]int64, n)
 	maxLv := int32(-1)
-	band := max(1, n/solveBandDiv)
-	var totalFlops, offDiag, banded int64
+	var totalFlops int64
 	// Substitution order guarantees every dependency's level is final
 	// before it is read.
 	err := forEachSolved(so.Mask, n, lower, func(i int) error {
@@ -611,10 +719,6 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 			if dep := jj < i; dep != lower {
 				return fmt.Errorf("%w: entry (%d,%d) lies outside the %s triangle on the solved rows",
 					ErrNotTriangular, i, jj, effTriName(lower))
-			}
-			offDiag++
-			if max(i-jj, jj-i) <= band {
-				banded++
 			}
 			if next := level[jj] + 1; next > lv {
 				lv = next
@@ -637,13 +741,9 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 
 	numLv := int(maxLv) + 1
 	if m == 0 || numLv == 0 {
-		return &exec.SolvePlan{Trans: trans}, nil
+		return &exec.SolvePlan{Serial: true, Trans: trans}, nil
 	}
 
-	crossover := int64(solveSerialCrossover)
-	if offDiag > 0 && float64(banded) >= solveBandedFrac*float64(offDiag) {
-		crossover *= solveBandedFactor
-	}
 	grain := so.WaveGrain
 	if grain <= 0 {
 		avgRowWork := float64(totalFlops) / float64(m)
@@ -651,9 +751,7 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 	}
 
 	// Stable counting sort of the substitution order by level: slots
-	// grouped by level, substitution order preserved within each level —
-	// which is what lets a merged serial wave honor its intra-wave
-	// dependencies by running its single tile front to back.
+	// grouped by level, substitution order preserved within each level.
 	lvStart := make([]int, numLv+1)
 	lvFlops := make([]int64, numLv)
 	_ = forEachSolved(so.Mask, n, lower, func(i int) error {
@@ -673,59 +771,88 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 		return nil
 	})
 
-	// Coarsening: narrow-level runs collapse into one serial single-tile
-	// wave (one barrier instead of one per level, no claim contention);
-	// wide levels split greedily at ~grain row work per tile so a
-	// skewed level cannot serialize its wave behind one heavy tile.
+	// Coarsening: a wide level splits greedily at ~grain row work per
+	// tile, so a skewed level cannot serialize its wave behind one heavy
+	// tile, and becomes a wave of its own; every other level is one tile,
+	// and a run of those is one serial wave — one barrier for the run,
+	// not one per level, and no claim contention.
 	var tiles []tiling.Tile
 	var waves []sched.Wave
-	var waveFlops []int64
-	for k := 0; k < numLv; {
-		width := lvStart[k+1] - lvStart[k]
-		tileLo := len(tiles)
-		if width < so.MergeBelow {
-			slotLo := lvStart[k]
-			var f int64
-			for k < numLv && lvStart[k+1]-lvStart[k] < so.MergeBelow {
-				f += lvFlops[k]
-				k++
-			}
-			tiles = append(tiles, tiling.Tile{Lo: slotLo, Hi: lvStart[k]})
-			waveFlops = append(waveFlops, f)
-		} else {
-			slotLo, slotHi := lvStart[k], lvStart[k+1]
-			lo := slotLo
-			var acc int64
+	var waveFlops, heaviest []int64
+	waveOf := make([]int32, numLv)
+	merged := false
+	for k := 0; k < numLv; k++ {
+		slotLo, slotHi := lvStart[k], lvStart[k+1]
+		if slotHi-slotLo >= so.MergeBelow {
+			tileLo, lo := len(tiles), slotLo
+			var acc, top int64
 			for s := slotLo; s < slotHi; s++ {
 				acc += rowWork[order[s]]
 				if acc >= grain && s+1 < slotHi {
 					tiles = append(tiles, tiling.Tile{Lo: lo, Hi: s + 1})
+					top = max(top, acc)
 					lo, acc = s+1, 0
 				}
 			}
-			tiles = append(tiles, tiling.Tile{Lo: lo, Hi: slotHi})
-			waveFlops = append(waveFlops, lvFlops[k])
-			k++
+			if len(tiles) > tileLo {
+				tiles = append(tiles, tiling.Tile{Lo: lo, Hi: slotHi})
+				waves = append(waves, sched.Wave{Lo: tileLo, Hi: len(tiles)})
+				waveFlops = append(waveFlops, lvFlops[k])
+				heaviest = append(heaviest, max(top, acc))
+				waveOf[k] = int32(len(waves) - 1)
+				continue
+			}
 		}
-		waves = append(waves, sched.Wave{Lo: tileLo, Hi: len(tiles)})
+		if w := len(waves) - 1; w >= 0 && waves[w].Tiles() == 1 {
+			tiles[len(tiles)-1].Hi = slotHi
+			waveFlops[w] += lvFlops[k]
+			heaviest[w] = waveFlops[w]
+			merged = true
+		} else {
+			tiles = append(tiles, tiling.Tile{Lo: slotLo, Hi: slotHi})
+			waves = append(waves, sched.Wave{Lo: len(tiles) - 1, Hi: len(tiles)})
+			waveFlops = append(waveFlops, lvFlops[k])
+			heaviest = append(heaviest, lvFlops[k])
+		}
+		waveOf[k] = int32(len(waves) - 1)
 	}
-	serialWaves := 0
+	if merged {
+		// Stable counting sort of the substitution order by wave. A split
+		// wave is one level, already in substitution order, so its tile
+		// boundaries stay valid; a merged wave's slots interleave again.
+		fill = fill[:len(waves)]
+		for w, wv := range waves {
+			fill[w] = tiles[wv.Lo].Lo
+		}
+		_ = forEachSolved(so.Mask, n, lower, func(i int) error {
+			w := waveOf[level[i]]
+			order[fill[w]] = sparse.Index(i)
+			fill[w]++
+			return nil
+		})
+	}
+
+	serialWaves, widest := 0, 0
 	for _, w := range waves {
 		if w.Tiles() == 1 {
 			serialWaves++
 		}
+		widest = max(widest, w.Tiles())
 	}
+	serialNs, wavesNs := solvePredict(totalFlops, waveFlops, heaviest, workers)
 	return &exec.SolvePlan{
-		Order:           order,
-		Tiles:           tiles,
-		Waves:           waves,
-		Levels:          numLv,
-		SerialWaves:     serialWaves,
-		Flops:           totalFlops,
-		WaveFlops:       waveFlops,
-		SerialCrossover: crossover,
-		WaveGrain:       grain,
-		Trans:           trans,
+		Order:       order,
+		Tiles:       tiles,
+		Waves:       waves,
+		Levels:      numLv,
+		SerialWaves: serialWaves,
+		Flops:       totalFlops,
+		WaveFlops:   waveFlops,
+		WaveGrain:   grain,
+		Serial:      workers <= 1 || widest <= 1 || !(wavesNs < serialNs),
+		SerialNs:    serialNs,
+		WavesNs:     wavesNs,
+		Trans:       trans,
 	}, nil
 }
 
@@ -733,17 +860,21 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts) (*exec.Solv
 // cache. Unlike SpGEMM plans, a stale solve plan is a correctness bug
 // (the wave order encodes dependencies), so the key content-hashes the
 // structure and mask on top of the operand fingerprint; the hash is
-// O(rows + mask) per call, paid on hits too.
+// O(rows + mask) per call, paid on hits too. The verdict is priced for
+// the run's workers capped at GOMAXPROCS — workers beyond the
+// processors that can run them add no parallel speedup — and the key
+// holds that same capped count.
 func solvePlanFor[T sparse.Number](
-	ctx context.Context, cfg Config, l *sparse.CSR[T], so SolveOpts, scope *obs.RunScope,
+	ctx context.Context, cfg Config, l *sparse.CSR[T], so SolveOpts, workers int, scope *obs.RunScope,
 ) (exec.Plan, error) {
+	workers = min(workers, runtime.GOMAXPROCS(0))
 	if cfg.Engine == nil {
-		return buildSolvePlanSpanned(ctx, l, so, scope)
+		return buildSolvePlanSpanned(ctx, l, so, workers, scope)
 	}
 	key := exec.PlanKey{
 		A:         exec.IDOf(l),
 		Solve:     so.solveKind(),
-		SolveHash: solveHash(l, so),
+		SolveHash: solveHash(l, so, workers),
 	}
 	// Lookup-before-Plan keeps the warm path allocation-free: the build
 	// closure is only constructed on a miss.
@@ -751,23 +882,23 @@ func solvePlanFor[T sparse.Number](
 		return p, nil
 	}
 	return cfg.Engine.Plan(key, func() (exec.Plan, error) {
-		return buildSolvePlanSpanned(ctx, l, so, scope)
+		return buildSolvePlanSpanned(ctx, l, so, workers, scope)
 	})
 }
 
 // buildSolvePlanSpanned is buildSolvePlan under the plan.levels span
 // and pprof label, wrapped into an exec.Plan.
 func buildSolvePlanSpanned[T sparse.Number](
-	ctx context.Context, l *sparse.CSR[T], so SolveOpts, scope *obs.RunScope,
+	ctx context.Context, l *sparse.CSR[T], so SolveOpts, workers int, scope *obs.RunScope,
 ) (exec.Plan, error) {
 	var sp *exec.SolvePlan
 	var err error
 	if !scope.Enabled() {
-		sp, err = buildSolvePlan(l, so)
+		sp, err = buildSolvePlan(l, so, workers)
 	} else {
 		end := scope.Span(obs.PhasePlanLevels)
 		scope.Do(ctx, obs.PhasePlanLevels, func() {
-			sp, err = buildSolvePlan(l, so)
+			sp, err = buildSolvePlan(l, so, workers)
 		})
 		end()
 	}
@@ -777,24 +908,25 @@ func buildSolvePlanSpanned[T sparse.Number](
 	return exec.Plan{Tiles: sp.Tiles, Solve: sp}, nil
 }
 
-// recordSolveStats folds the plan shape and barrier traffic into the
-// run scope's sched block. wstats is nil on serial runs (no barriers).
+// recordSolveStats folds the solve into the run scope's sched block:
+// the plan's level count always, and — only when waves ran, which is
+// exactly when wstats is non-nil — the executed wave shape, its
+// histograms and the barrier traffic.
 func recordSolveStats(scope *obs.RunScope, sp *exec.SolvePlan, wstats *sched.WaveStats) {
 	if !scope.Enabled() {
 		return
 	}
-	var c obs.SchedCounters
-	c.WaveRuns = 1
-	c.Levels = int64(sp.Levels)
-	c.Waves = int64(len(sp.Waves))
-	c.SerialWaves = int64(sp.SerialWaves)
+	c := obs.SchedCounters{Levels: int64(sp.Levels)}
 	if wstats != nil {
+		c.WaveRuns = 1
+		c.Waves = int64(len(sp.Waves))
+		c.SerialWaves = int64(sp.SerialWaves)
 		c.Barriers = wstats.Crossings.Load()
 		c.BarrierWaitNs = wstats.BarrierWaitNs.Load()
-	}
-	for w := range sp.Waves {
-		c.WaveTiles[obs.WaveBucket(int64(sp.Waves[w].Tiles()))]++
-		c.WaveFlops[obs.WaveBucket(sp.WaveFlops[w])]++
+		for w := range sp.Waves {
+			c.WaveTiles[obs.WaveBucket(int64(sp.Waves[w].Tiles()))]++
+			c.WaveFlops[obs.WaveBucket(sp.WaveFlops[w])]++
+		}
 	}
 	scope.AddSched(c)
 }

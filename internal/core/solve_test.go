@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -70,61 +71,62 @@ func solveCfg(policy sched.Policy, workers int) Config {
 	return cfg
 }
 
-// TestSolveTriMatchesSerialBitIdentical verifies the wave-scheduled
-// solve is bit-identical to the independent serial reference across
-// both triangles, plain and transposed, masked and unmasked, and all
-// three claim policies — the paper's determinism contract: each row is
-// summed in CSR order by exactly one worker, so the schedule cannot
-// perturb the floating-point result.
+// TestSolveTriMatchesSerialBitIdentical verifies every execution path
+// is bit-identical to the independent serial reference across both
+// triangles, plain and transposed, masked and unmasked, one, two and
+// eight workers, the three modes, the derived coarsening and a tiny
+// grain and merge width (multi-tile waves and merged serial waves even
+// on this small system), with the claim policy rotating — the paper's
+// determinism contract: each row is summed in CSR order by exactly one
+// worker, so neither the schedule nor the row order can perturb the
+// floating-point result. The random fixture's level-set order differs
+// from its substitution order.
 func TestSolveTriMatchesSerialBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	eng := exec.New(exec.Config{})
+	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided}
+	modes := []SolveMode{SolveAuto, SolveSerial, SolveWaves}
+	knobs := []SolveOpts{{}, {WaveGrain: 16, MergeBelow: 3}}
 	for _, tri := range []Tri{Lower, Upper} {
 		for _, transpose := range []bool{false, true} {
 			for _, masked := range []bool{false, true} {
-				for _, policy := range []sched.Policy{sched.Static, sched.Dynamic, sched.Guided} {
-					name := fmt.Sprintf("%v/transpose=%v/masked=%v/policy=%d", tri, transpose, masked, policy)
-					t.Run(name, func(t *testing.T) {
-						n := 300
-						l := randTriangular(n, tri == Lower, 0.25, 4, r)
-						b := randVec(n, r)
-						so := SolveOpts{
-							Tri: tri, Transpose: transpose,
-							Mode: SolveWaves, // force the wave path regardless of work
-							// Tiny grain and merge floor so even this small
-							// system produces multi-tile waves and merged
-							// serial waves.
-							WaveGrain: 16, MergeBelow: 3,
+				n := 300
+				l := randTriangular(n, tri == Lower, 0.25, 4, r)
+				b := randVec(n, r)
+				var mask []sparse.Index
+				if masked {
+					mask = randMask(n, 0.6, r)
+				}
+				want := make([]float64, n)
+				if err := SolveTriSerial(want, l, b, SolveOpts{Tri: tri, Transpose: transpose, Mask: mask}); err != nil {
+					t.Fatalf("serial reference: %v", err)
+				}
+				for _, workers := range []int{1, 2, 8} {
+					for mi, mode := range modes {
+						for ki, k := range knobs {
+							policy := policies[(workers+mi+ki)%len(policies)]
+							name := fmt.Sprintf("%v/transpose=%v/masked=%v/p=%d/mode=%d/grain=%d/policy=%d",
+								tri, transpose, masked, workers, mode, k.WaveGrain, policy)
+							t.Run(name, func(t *testing.T) {
+								so := k
+								so.Tri, so.Transpose, so.Mask, so.Mode = tri, transpose, mask, mode
+								cfg := solveCfg(policy, workers)
+								cfg.Engine = eng
+								// The second run hits the plan cache; both must match.
+								for run := 0; run < 2; run++ {
+									got := make([]float64, n)
+									if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, l, b, cfg, so); err != nil {
+										t.Fatalf("run %d: %v", run, err)
+									}
+									for i := range want {
+										if got[i] != want[i] {
+											t.Fatalf("run %d, row %d: %v != serial %v (bit-identity violated)", run, i, got[i], want[i])
+										}
+									}
+								}
+							})
 						}
-						if masked {
-							so.Mask = randMask(n, 0.6, r)
-						}
-						want := make([]float64, n)
-						if err := SolveTriSerial(want, l, b, so); err != nil {
-							t.Fatalf("serial reference: %v", err)
-						}
-						cfg := solveCfg(policy, 4)
-						cfg.Engine = eng
-						got := make([]float64, n)
-						if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, l, b, cfg, so); err != nil {
-							t.Fatalf("wave solve: %v", err)
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("row %d: wave %v != serial %v (bit-identity violated)", i, got[i], want[i])
-							}
-						}
-						// Second run hits the plan cache; must stay identical.
-						again := make([]float64, n)
-						if err := SolveTriInto[float64, plusTimes](plusTimes{}, again, l, b, cfg, so); err != nil {
-							t.Fatalf("cached wave solve: %v", err)
-						}
-						for i := range want {
-							if again[i] != want[i] {
-								t.Fatalf("row %d: cached run diverged", i)
-							}
-						}
-					})
+					}
 				}
 			}
 		}
@@ -134,7 +136,147 @@ func TestSolveTriMatchesSerialBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSolveTriAutoAndSerialModes checks the crossover paths produce the
+// TestSolvePlanOrder pins the slot order on a system whose level-set
+// order and substitution order differ — rows 0, 1 and 3 have no
+// dependencies, row 2 depends on 0, row 4 on 2:
+//
+//   - with the derived knobs every level is one narrow tile, so the
+//     whole solve is one merged wave in substitution order;
+//   - with grain and merge width 1, level 0 splits into one tile per
+//     row and is a wave of its own in level order, and levels 1 and 2
+//     (one row each) merge into one serial wave.
+//
+// Both plans must solve bit-identically to the reference, on both
+// triangles.
+func TestSolvePlanOrder(t *testing.T) {
+	deps := map[int][]int{2: {0}, 4: {2}}
+	n := 5
+	coo := sparse.NewCOO[float64](n, n, 0)
+	for i := 0; i < n; i++ {
+		for _, j := range deps[i] {
+			coo.Add(sparse.Index(i), sparse.Index(j), 1)
+		}
+		coo.Add(sparse.Index(i), sparse.Index(i), float64(i+2))
+	}
+	l := coo.ToCSR()
+	b := []float64{3, 5, 7, 11, 13}
+	for _, tc := range []struct {
+		so    SolveOpts
+		order []sparse.Index
+		waves []sched.Wave
+	}{
+		{SolveOpts{}, []sparse.Index{0, 1, 2, 3, 4}, []sched.Wave{{Lo: 0, Hi: 1}}},
+		{SolveOpts{WaveGrain: 1, MergeBelow: 1}, []sparse.Index{0, 1, 3, 2, 4},
+			[]sched.Wave{{Lo: 0, Hi: 3}, {Lo: 3, Hi: 4}}},
+		// Its transpose as an upper triangle substitutes backward.
+		{SolveOpts{Tri: Upper}, []sparse.Index{4, 3, 2, 1, 0}, []sched.Wave{{Lo: 0, Hi: 1}}},
+	} {
+		stored := l
+		if tc.so.Tri == Upper {
+			stored = sparse.Transpose(l)
+		}
+		sp, err := SolvePlanOf(stored, solveCfg(sched.Dynamic, 2), tc.so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(sp.Order) != fmt.Sprint(tc.order) || fmt.Sprint(sp.Waves) != fmt.Sprint(tc.waves) {
+			t.Errorf("%+v: order %v waves %v, want %v %v", tc.so, sp.Order, sp.Waves, tc.order, tc.waves)
+		}
+		want := make([]float64, n)
+		if err := SolveTriSerial(want, stored, b, tc.so); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []SolveMode{SolveWaves, SolveSerial} {
+			so := tc.so
+			so.Mode = mode
+			got := make([]float64, n)
+			if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, stored, b, solveCfg(sched.Dynamic, 2), so); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%+v mode %d: %v, want %v", tc.so, mode, got, want)
+			}
+		}
+	}
+}
+
+// TestSolveHashSeesEveryWord is the plan key's property test: changing
+// any single RowPtr word, any mask entry, the grain, the merge width or
+// the worker count changes the hash, whatever lane the word lands in.
+func TestSolveHashSeesEveryWord(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	l := randTriangular(13, true, 0.3, 0, r)
+	so := SolveOpts{Mask: []sparse.Index{0, 2, 3, 5, 7, 8, 11}, WaveGrain: 64, MergeBelow: 8}
+	base := solveHash(l, so, 2)
+	for k := range l.RowPtr {
+		for _, delta := range []int64{1, -1, 1 << 40} {
+			m := *l
+			m.RowPtr = append([]int64(nil), l.RowPtr...)
+			m.RowPtr[k] += delta
+			if solveHash(&m, so, 2) == base {
+				t.Errorf("RowPtr[%d] %+d: hash unchanged", k, delta)
+			}
+		}
+	}
+	for k := range so.Mask {
+		edit := so
+		edit.Mask = append([]sparse.Index(nil), so.Mask...)
+		edit.Mask[k]++
+		if solveHash(l, edit, 2) == base {
+			t.Errorf("Mask[%d]: hash unchanged", k)
+		}
+	}
+	for name, edit := range map[string]SolveOpts{
+		"grain": {Mask: so.Mask, WaveGrain: 65, MergeBelow: 8},
+		"merge": {Mask: so.Mask, WaveGrain: 64, MergeBelow: 9},
+	} {
+		if solveHash(l, edit, 2) == base {
+			t.Errorf("%s: hash unchanged", name)
+		}
+	}
+	if solveHash(l, so, 3) == base {
+		t.Error("workers: hash unchanged")
+	}
+}
+
+// TestSolvePredict pins the verdict's arithmetic: serial is the total
+// work at the substitution-order cost; a wave costs the longer of its
+// heaviest tile and its share per worker at the level-order cost, every
+// wave after the first a crossing, the run one spawn; more workers
+// shorten only the waves whose work they can split.
+func TestSolvePredict(t *testing.T) {
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	// Wave 0: 900 work, heaviest tile 300 → ⌈900/2⌉ = 450 on two workers.
+	// Wave 1: 100 work in one tile → 100.
+	work, heaviest := []int64{900, 100}, []int64{300, 100}
+	if serialNs, _ := solvePredict(1000, work, heaviest, 2); !near(serialNs, solveSubstNsPerNnz*1000.0) {
+		t.Errorf("serial = %v, want %v", serialNs, solveSubstNsPerNnz*1000.0)
+	}
+	for _, tc := range []struct {
+		name            string
+		total           int64
+		work, heaviest  []int64
+		workers         int
+		critical, fixed float64
+	}{
+		{"p=2", 1000, work, heaviest, 2, 550, solveCrossingNs + solveSpawnNs},
+		// Four workers: wave 0 is bounded by its heaviest tile, 300 > 225.
+		{"p=4", 1000, work, heaviest, 4, 400, solveCrossingNs + solveSpawnNs},
+		// One wave of one tile pays the spawn and no crossing.
+		{"one-wave", 10, []int64{10}, []int64{10}, 2, 10, solveSpawnNs},
+	} {
+		_, got := solvePredict(tc.total, tc.work, tc.heaviest, tc.workers)
+		if want := solveLevelNsPerNnz*tc.critical + tc.fixed; !near(got, want) {
+			t.Errorf("%s: waves = %v, want %v", tc.name, got, want)
+		}
+	}
+	// One worker walks every wave whole: never cheaper than serial.
+	if s, w := solvePredict(1000, work, heaviest, 1); w <= s {
+		t.Errorf("one worker: waves %v beat serial %v", w, s)
+	}
+}
+
+// TestSolveTriAutoAndSerialModes checks the three modes produce the
 // same bits as the forced wave path.
 func TestSolveTriAutoAndSerialModes(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -443,6 +585,44 @@ func TestSolveTriSchedStats(t *testing.T) {
 	}
 }
 
+// TestSolveTriSerialRunRecordsNoWaves: a solve that ran serially — by
+// the plan's verdict, by the forced mode or on one worker — records its
+// levels and its work, and nothing about waves it never ran.
+func TestSolveTriSerialRunRecordsNoWaves(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	n := 512
+	l := randTriangular(n, true, 0.05, 2, r)
+	b := randVec(n, r)
+	for _, tc := range []struct {
+		workers int
+		mode    SolveMode
+	}{{4, SolveAuto}, {4, SolveSerial}, {1, SolveWaves}} {
+		rec := obs.NewRecorder()
+		cfg := solveCfg(sched.Dynamic, tc.workers)
+		cfg.Recorder = rec
+		so := SolveOpts{Mode: tc.mode, WaveGrain: 16, MergeBelow: 4}
+		sp, err := SolvePlanOf(l, cfg, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.mode == SolveAuto && !sp.Serial {
+			t.Fatalf("fixture's verdict is waves (predicted serial %.0f ns, waves %.0f ns)", sp.SerialNs, sp.WavesNs)
+		}
+		dst := make([]float64, n)
+		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, so); err != nil {
+			t.Fatal(err)
+		}
+		st := rec.Stats()
+		if want := (obs.SchedCounters{Levels: int64(sp.Levels)}); st.Sched != want {
+			t.Errorf("p=%d mode=%d: sched block %+v, want levels %d only", tc.workers, tc.mode, st.Sched, sp.Levels)
+		}
+		// The work itself is recorded: one worker, one tile, every row.
+		if tot := st.Totals; tot.Tiles != 1 || tot.Rows != int64(n) || tot.Flops != sp.Flops {
+			t.Errorf("p=%d mode=%d: totals %+v, want 1 tile, %d rows, %d flops", tc.workers, tc.mode, tot, n, sp.Flops)
+		}
+	}
+}
+
 // TestSolveTriSerialTransposeUpper pins the transpose/Tri interaction:
 // solving Lᵀ with Tri=Lower equals solving U=transpose(L) with
 // Tri=Upper.
@@ -468,30 +648,51 @@ func TestSolveTriSerialTransposeUpper(t *testing.T) {
 }
 
 // TestSolveSteadyStateAllocs pins the zero-alloc contract of warm
-// engine-backed solves: once the plan is cached and the dense scratch
-// is pooled, a masked serial solve — hash, plan lookup, workspace
-// checkout, substitution, mask clear, release — allocates nothing.
+// engine-backed solves on both serial paths: once the plan is cached and
+// the dense scratch is pooled, a solve — hash, plan lookup, workspace
+// checkout, substitution, mask clear, release — allocates nothing,
+// whether one worker runs it, the serial mode is forced, or the plan's
+// verdict on two workers is serial.
 func TestSolveSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	n := 256
 	l := randTriangular(n, true, 0.1, 2, r)
 	b := randVec(n, r)
 	mask := randMask(n, 0.5, r)
-	eng := exec.New(exec.Config{})
-	cfg := solveCfg(sched.Dynamic, 1)
-	cfg.Engine = eng
-	dst := make([]float64, n)
-	so := SolveOpts{Mask: mask}
-	// Warm: build and cache the plan, populate the workspace pool.
-	if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, so); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, so); err != nil {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		so      SolveOpts
+	}{
+		{"one-worker-masked", 1, SolveOpts{Mask: mask}},
+		{"forced-serial-masked-transposed", 4, SolveOpts{Mask: mask, Mode: SolveSerial, Tri: Upper, Transpose: true}},
+		{"serial-verdict", 2, SolveOpts{}},
+	} {
+		eng := exec.New(exec.Config{})
+		cfg := solveCfg(sched.Dynamic, tc.workers)
+		cfg.Engine = eng
+		dst := make([]float64, n)
+		stored := l
+		if tc.so.Tri == Upper {
+			stored = sparse.Transpose(l)
+		}
+		// Warm: build and cache the plan, populate the workspace pool.
+		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, stored, b, cfg, tc.so); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm masked solve allocates %.1f times per run, want 0", allocs)
+		if tc.so.Mode == SolveAuto && tc.workers > 1 {
+			sp, err := SolvePlanOf(stored, cfg, tc.so)
+			if err != nil || !sp.Serial {
+				t.Fatalf("%s: fixture's verdict is not serial (%v)", tc.name, err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, stored, b, cfg, tc.so); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm solve allocates %.1f times per run, want 0", tc.name, allocs)
+		}
 	}
 }

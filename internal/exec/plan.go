@@ -30,33 +30,38 @@ type Plan struct {
 }
 
 // SolvePlan is the dependency-wave half of a masked triangular-solve
-// plan: the substitution order of the in-mask rows, the FLOP-balanced
-// tile partition of that order, and the wave coarsening over those
-// tiles. Shared read-only across runs like every cached plan.
+// plan: the wave order of the in-mask rows, the FLOP-balanced tile
+// partition of that order, the wave coarsening over those tiles, and
+// the verdict whether waves pay at all. Shared read-only across runs
+// like every cached plan.
 type SolvePlan struct {
-	// Order maps execution slot to row index: the in-mask rows sorted by
-	// (dependency level, substitution order). Tiles partition slots, not
-	// raw row indices.
+	// Order maps execution slot to row index: the in-mask rows grouped by
+	// wave, in substitution order within each wave. Tiles partition
+	// slots, not raw row indices.
 	Order []sparse.Index
 	// Tiles partitions [0, len(Order)) into row-work-balanced tiles
-	// aligned to level boundaries.
+	// aligned to wave boundaries.
 	Tiles []tiling.Tile
 	// Waves groups consecutive tiles into dependency waves: every slot
-	// in a wave depends only on slots in strictly earlier waves.
+	// in a wave depends only on slots in strictly earlier waves or on
+	// earlier slots of its own tile.
 	Waves []sched.Wave
 	// Levels is the raw level-set depth before coarsening; SerialWaves
-	// counts waves the coarsener collapsed to a single tile.
+	// counts single-tile waves.
 	Levels, SerialWaves int
 	// Flops is the Eq. 2 total row work of the solve; WaveFlops is the
 	// per-wave breakdown (len(Waves) entries), feeding the observability
 	// histograms without a rescan.
 	Flops     int64
 	WaveFlops []int64
-	// SerialCrossover and WaveGrain are the solve policy's verdicts for
-	// this structure (internal/core, above buildSolvePlan): an automatic
-	// solve with Flops under SerialCrossover runs Order on one worker,
-	// and WaveGrain is the row work per tile wide levels were split at.
-	SerialCrossover, WaveGrain int64
+	// WaveGrain is the row work per tile wide levels were split at.
+	WaveGrain int64
+	// Serial is the solve policy's verdict for this structure and worker
+	// count (internal/core, above buildSolvePlan): an automatic solve
+	// runs in substitution order on one worker when it is set. SerialNs
+	// and WavesNs are the predicted times it was decided from.
+	Serial            bool
+	SerialNs, WavesNs float64
 	// Trans holds the plan-time transposed operand for transpose solves
 	// (a *sparse.CSR[T]; typed any because Plan is not generic). Nil for
 	// non-transpose solves.
@@ -86,7 +91,7 @@ func IDOf[T sparse.Number](m *sparse.CSR[T]) OperandID {
 // PlanKey fingerprints everything a plan's content depends on: the
 // three operands and the plan-shaping knobs. Worker counts and
 // schedule policy deliberately do not appear — the plan pipeline is
-// bit-identical across them.
+// bit-identical across them — except in a solve plan's SolveHash.
 type PlanKey struct {
 	M, A, B OperandID
 	Tiles   int
@@ -100,7 +105,8 @@ type PlanKey struct {
 	Solve uint8
 	// SolveHash fingerprints what a solve plan's correctness depends on:
 	// the operand's structure and the mask contents, plus the coarsening
-	// knobs. A solve plan's wave order encodes dependencies, so — unlike
+	// knobs and the worker count its serial-or-waves verdict was reached
+	// for. A solve plan's wave order encodes dependencies, so — unlike
 	// SpGEMM — a stale hit would be a correctness bug, not a balance
 	// wobble; content-hashing closes the recycled-address hole. Zero for
 	// SpGEMM plans.

@@ -20,27 +20,15 @@ type SolveFeatures struct {
 	Work int64
 	// AvgRowWork is Work / Rows.
 	AvgRowWork float64
-	// BandFrac estimates dependency depth: the fraction of off-diagonal
-	// entries within a narrow band of the diagonal. Banded systems
-	// produce long dependency chains (deep, narrow level sets) where
-	// waves buy little; scattered systems produce shallow wide level
-	// sets where waves shine.
-	BandFrac float64
 }
 
 // ExtractSolve computes the solve features of op(L)·x = b under an
-// optional row mask (nil or empty = all rows). The band window is
-// max(1, n/64) — narrow relative to the matrix, wide enough to catch
-// tridiagonal-like chains.
+// optional row mask (nil or empty = all rows).
 func ExtractSolve[T sparse.Number](l *sparse.CSR[T], mask []sparse.Index) SolveFeatures {
 	n := l.Rows
 	var f SolveFeatures
 	if n == 0 {
 		return f
-	}
-	band := int64(n / 64)
-	if band < 1 {
-		band = 1
 	}
 	var inMask []uint8
 	if len(mask) > 0 {
@@ -54,24 +42,10 @@ func ExtractSolve[T sparse.Number](l *sparse.CSR[T], mask []sparse.Index) SolveF
 	} else {
 		f.Rows = n
 	}
-	var offDiag, banded int64
 	visit := func(i int) {
 		for _, j := range l.RowCols(i) {
-			jj := int(j)
-			if inMask != nil && inMask[jj] == 0 {
-				continue
-			}
-			f.Work++
-			if jj == i {
-				continue
-			}
-			offDiag++
-			d := int64(i - jj)
-			if d < 0 {
-				d = -d
-			}
-			if d <= band {
-				banded++
+			if inMask == nil || inMask[j] != 0 {
+				f.Work++
 			}
 		}
 	}
@@ -88,9 +62,6 @@ func ExtractSolve[T sparse.Number](l *sparse.CSR[T], mask []sparse.Index) SolveF
 	}
 	if f.Rows > 0 {
 		f.AvgRowWork = float64(f.Work) / float64(f.Rows)
-	}
-	if offDiag > 0 {
-		f.BandFrac = float64(banded) / float64(offDiag)
 	}
 	return f
 }

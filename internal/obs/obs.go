@@ -485,17 +485,19 @@ func WaveBucket(v int64) int {
 // happened, how their level sets coarsened into waves, and what the
 // wave barriers cost. Flat single-wave SpGEMM runs record nothing here,
 // so the block stays zero — and is omitted from tables — on pure
-// multiply workloads.
+// multiply workloads. A solve that ran serially records its Levels
+// only: every other counter describes waves that were executed.
 type SchedCounters struct {
 	// WaveRuns counts wave-scheduled runs.
 	WaveRuns int64 `json:"wave_runs"`
 	// Levels counts raw dependency levels before coarsening, summed
-	// across runs.
+	// across solves, serial ones included.
 	Levels int64 `json:"levels"`
 	// Waves counts executed waves after coarsening, summed across runs.
 	Waves int64 `json:"waves"`
-	// SerialWaves counts waves the coarsener collapsed to a single tile
-	// (narrow level runs executed serially between barriers).
+	// SerialWaves counts executed single-tile waves (runs of narrow
+	// levels merged into one tile, executed in substitution order
+	// between barriers).
 	SerialWaves int64 `json:"serial_waves"`
 	// Barriers counts barrier arrivals: one per worker per crossed wave
 	// boundary.

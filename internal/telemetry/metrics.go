@@ -130,9 +130,9 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	counter("spgemm_recal_recenters_total", "Recalibrator recenters.", stats.Recal.Recenters)
 	counter("spgemm_recal_snapbacks_total", "Recalibrator snapbacks to the static default.", stats.Recal.Snapbacks)
 	counter("spgemm_wave_runs_total", "Wave-scheduled (level-set) runs.", stats.Sched.WaveRuns)
-	counter("spgemm_wave_levels_total", "Raw dependency levels before wave coarsening.", stats.Sched.Levels)
+	counter("spgemm_wave_levels_total", "Raw dependency levels of triangular solves, serial ones included.", stats.Sched.Levels)
 	counter("spgemm_waves_total", "Coarsened waves executed.", stats.Sched.Waves)
-	counter("spgemm_serial_waves_total", "Waves the coarsener collapsed to a single tile.", stats.Sched.SerialWaves)
+	counter("spgemm_serial_waves_total", "Executed single-tile (serial) waves.", stats.Sched.SerialWaves)
 	counter("spgemm_wave_barriers_total", "Barrier arrivals (one per worker per crossed wave boundary).", stats.Sched.Barriers)
 
 	m.header("spgemm_wave_barrier_wait_seconds_total",

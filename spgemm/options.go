@@ -95,9 +95,10 @@ type Options struct {
 	// Schedule policy. Default SchedDynamic.
 	Schedule Schedule
 	// LevelSchedule selects how TRSV executes its dependency levels:
-	// LevelAuto (default) takes waves vs. serial from the operand
-	// structure, decided when the level-set plan is built and cached with
-	// it; LevelWaves forces the coarsened wave schedule,
+	// LevelAuto (default) takes waves vs. serial from the plan's
+	// predicted times for the operand structure and worker count, decided
+	// when the level-set plan is built and cached with it; LevelWaves
+	// forces the coarsened wave schedule,
 	// LevelSerial forces the substitution loop. Ignored by MxM.
 	LevelSchedule LevelSchedule
 	// Workers is the requested goroutine pool size; 0 = GOMAXPROCS. A

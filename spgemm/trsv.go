@@ -23,16 +23,21 @@ const (
 type LevelSchedule int
 
 const (
-	// LevelAuto picks waves or serial from cheap structural features (row
-	// work, banded fraction) gathered when the level-set plan is built
+	// LevelAuto runs the dependency waves only when the level-set plan
+	// predicts they beat one worker substituting in row order: the
+	// waves' critical path, barrier crossings and spawn against the
+	// serial sweep, in measured unit costs, for the operand's structure
+	// and the worker count. The verdict is reached when the plan is built
 	// and cached with it — the execution-time tuning the paper's
-	// conclusion calls for, applied to SpTRSV.
+	// conclusion calls for, applied to SpTRSV. One worker, or a plan
+	// with no wave wider than one tile, is always serial.
 	LevelAuto LevelSchedule = iota
 	// LevelWaves forces the dependency-wave schedule: level sets
 	// coarsened into FLOP-balanced tile waves, executed by the
 	// persistent worker pool with barriers between waves.
 	LevelWaves
-	// LevelSerial forces the single-worker substitution loop.
+	// LevelSerial forces the single-worker substitution loop, rows in
+	// substitution order.
 	LevelSerial
 )
 
@@ -75,8 +80,9 @@ func TRSVMasked(l *Matrix, b []float64, tri Triangle, mask []int32, opts Options
 }
 
 // solveOpts translates the facade surface to core.SolveOpts: the
-// triangle, the mask and the mode. Coarsening and the serial crossover
-// are the planner's (internal/core), decided when the plan is built.
+// triangle, the mask and the mode. Coarsening and the serial-or-waves
+// verdict are the planner's (internal/core), decided when the plan is
+// built.
 func (o Options) solveOpts(tri Triangle, mask []int32) (core.SolveOpts, error) {
 	so := core.SolveOpts{Mask: mask}
 	switch tri {
