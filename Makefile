@@ -160,7 +160,9 @@ bench-trsv:
 # the result vector only), and core's serial and wave modes (ns/nnz),
 # and the solve verdict's unit costs: one serial substitution walked in
 # substitution order and in level-set order (ns/nnz), and a wave run's
-# spawn and staggered barrier crossing. One iteration is a smoke test;
+# spawn and staggered barrier crossing, and one hypersparse product at
+# the production crossover, masked and complemented (ns/multiply: a
+# one-tile run's cost in its live rows). One iteration is a smoke test;
 # for numbers drop `-benchtime 1x` and add `-count`.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum
@@ -170,6 +172,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkTRSVWarm$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkSolveOrder$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWaveCrossing$$' -benchtime 1x ./internal/sched
+	$(GO) test -run '^$$' -bench '^BenchmarkHypersparseProduct$$' -benchtime 1x ./internal/core
 
 # bench-kappa exercises the online κ recalibrator against an offline
 # sweep. Timing-sensitive, so it is informational rather than part of

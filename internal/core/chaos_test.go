@@ -53,44 +53,65 @@ func typedChaosErr(err error) bool {
 		errors.Is(err, ErrStalled) || errors.Is(err, chaos.ErrInjected)
 }
 
-// chaosForms are the formulations of the masked family the fault matrix
-// drives: all run the one tile loop, so all must cross its seams. Each
-// renders its result as a CSR so runs compare bit for bit.
-var chaosForms = []struct {
+// productForm is one formulation of the masked family run as
+// M ⊙ (A × B), its result rendered as a CSR so runs compare bit for bit.
+type productForm struct {
 	name string
-	run  func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error)
-}{
-	{"masked", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		return MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg)
+	run  func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error)
+}
+
+// productForms are the formulations of the masked family the fault
+// matrix and the small ≡ tiled law drive: all run the one tile loop, so
+// all must cross its seams.
+var productForms = []productForm{
+	{"masked", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		return MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
 	}},
-	{"select", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		return MaskedSpGEMMSelect[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg,
+	{"select", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		return MaskedSpGEMMSelect[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg,
 			func(v float64) (float64, bool) { return 2 * v, v > 0.25 })
 	}},
-	{"stream", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+	{"stream", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
 		// Rows are delivered disjointly, so per-row slots need no lock.
 		type row struct {
 			cols []sparse.Index
 			vals []float64
 		}
 		rows := make([]row, m.Rows)
-		err := MaskedSpGEMMStream[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg,
+		err := MaskedSpGEMMStream[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg,
 			func(i int, cols []sparse.Index, vals []float64) {
 				rows[i] = row{append([]sparse.Index(nil), cols...), append([]float64(nil), vals...)}
 			})
 		if err != nil {
 			return nil, err
 		}
-		c := sparse.NewCSR[float64](m.Rows, a.Cols, 0)
+		c := sparse.NewCSR[float64](m.Rows, b.Cols, 0)
 		for i, r := range rows {
 			c.AppendRow(i, r.cols, r.vals)
 		}
 		return c, nil
 	}},
-	{"comp", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		return MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, m, a, a, cfg)
+	{"comp", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		return MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
 	}},
 }
+
+// squareForm is a formulation on the square product M ⊙ (A × A).
+type squareForm struct {
+	name string
+	run  func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error)
+}
+
+// chaosForms are productForms on the fault matrix's square operands.
+var chaosForms = func() []squareForm {
+	out := make([]squareForm, len(productForms))
+	for i, f := range productForms {
+		out[i] = squareForm{f.name, func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+			return f.run(m, a, a, cfg)
+		}}
+	}
+	return out
+}()
 
 // chaosCell is one cell of the fault matrix: a fault kind armed to fire
 // within the first maxNth crossings of an injection point.

@@ -42,6 +42,7 @@ func SetTileCrossoverForTest(w int64) (old int64) {
 // is exact below limit and merely ≥ limit otherwise: deciding against a
 // threshold costs O(1) when the first three terms already reach it and
 // fewer than limit B-row lookups in any case, and allocates nothing.
+// The planner asks the O(1) workBound first (belowTileCrossover).
 //
 //spgemm:hotpath
 func UntiledWork[T sparse.Number](m, a, b *sparse.CSR[T], limit int64) int64 {
@@ -58,15 +59,36 @@ func UntiledWork[T sparse.Number](m, a, b *sparse.CSR[T], limit int64) int64 {
 	return w
 }
 
-// belowTileCrossover is the planner's decision: whether the product's
-// untiled work stays under the crossover. A chain adds its second
-// product; the intermediate is never materialised, but it lies inside
-// M's pattern, so M stands in for it as the left operand — an upper
-// bound on what the second stage can touch.
-func belowTileCrossover[T sparse.Number](m, a, b, m2, c *sparse.CSR[T]) bool {
-	w := UntiledWork(m, a, b, tileCrossover)
-	if c != nil && w < tileCrossover {
-		w += UntiledWork(m2, m, c, tileCrossover-w)
+// workBound is the O(1) upper bound W ≤ rows(A) + nnz(M) +
+// nnz(A)·(1 + B.Cols) (an A entry selects a B row of at most B.Cols
+// entries), or limit when the bound reaches it.
+func workBound[T sparse.Number](m, a, b *sparse.CSR[T], limit int64) int64 {
+	w, n := int64(a.Rows)+m.NNZ()+a.NNZ(), a.NNZ()
+	// The second test is n·B.Cols > limit − w, without forming the product.
+	if w >= limit || n > 0 && int64(b.Cols) > (limit-w)/n {
+		return limit
 	}
-	return w < tileCrossover
+	return w + n*int64(b.Cols)
+}
+
+// belowTileCrossover is the planner's decision: whether the product's
+// untiled work stays under the crossover. When workBound already answers
+// "below" (a tall-and-skinny B: a BC or BFS frontier), no B row is looked
+// up; the verdict is the exact scan's either way.
+func belowTileCrossover[T sparse.Number](m, a, b, m2, c *sparse.CSR[T]) bool {
+	return chainWork(workBound[T], m, a, b, m2, c) < tileCrossover ||
+		chainWork(UntiledWork[T], m, a, b, m2, c) < tileCrossover
+}
+
+// chainWork is measure's work for the product plus a chain's second
+// product, in which M stands in for the never-materialised intermediate
+// (it lies inside M's pattern: an upper bound on what stage 2 touches).
+func chainWork[T sparse.Number](
+	measure func(m, a, b *sparse.CSR[T], limit int64) int64, m, a, b, m2, c *sparse.CSR[T],
+) int64 {
+	w := measure(m, a, b, tileCrossover)
+	if c != nil && w < tileCrossover {
+		w += measure(m2, m, c, tileCrossover-w)
+	}
+	return w
 }

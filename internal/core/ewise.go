@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -12,76 +12,77 @@ import (
 // positions present in both matrices combine with the semiring's Plus;
 // positions present in exactly one keep their value (GraphBLAS
 // eWiseAdd semantics — the additive identity is implicit, not applied).
+//
+// Rows merge straight into the output. A maximal run of rows in which
+// one operand is empty is the other operand's rows unchanged, appended
+// in one copy with its row pointers rebased — the common case when a
+// hypersparse frontier is folded into a visited set.
 func EWiseAdd[T sparse.Number, S semiring.Semiring[T]](
 	sr S, a, b *sparse.CSR[T],
 ) (*sparse.CSR[T], error) {
-	return EWiseAddWS(sr, a, b, nil)
+	return EWiseAddInto(sr, nil, a, b)
 }
 
-// EWiseAddWS is EWiseAdd staging rows in ws's scratch slices instead of
-// per-call locals, so iterative callers (BC's dependency accumulation)
-// stop paying the row-staging allocation each round. ws may be nil.
-//
-// A maximal run of rows in which one operand is empty is the other
-// operand's rows unchanged, so it is appended in one copy with its row
-// pointers rebased instead of being merged row by row — the common case
-// when a hypersparse frontier is folded into a visited set. The output
-// is the same entry for entry.
-func EWiseAddWS[T sparse.Number, S semiring.Semiring[T]](
-	sr S, a, b *sparse.CSR[T], ws *exec.Workspace[T, S],
+// EWiseAddInto is EWiseAdd writing the union into dst's storage, which
+// it overwrites, grows as needed and returns; a nil dst allocates. dst
+// must not share storage with a or b. A caller that double-buffers (BC's
+// visited set) stops allocating a matrix per level.
+func EWiseAddInto[T sparse.Number, S semiring.Semiring[T]](
+	sr S, dst, a, b *sparse.CSR[T],
 ) (*sparse.CSR[T], error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return nil, fmt.Errorf("%w: A %dx%d, B %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	out := sparse.NewCSR[T](a.Rows, a.Cols, a.NNZ()+b.NNZ())
-	cols, vals := stagingFor(ws)
+	if dst == nil {
+		dst = new(sparse.CSR[T])
+	}
+	// RowPtr[0] is 0 in a CSR's storage and in fresh storage alike.
+	nnz := int(a.NNZ() + b.NNZ())
+	*dst = sparse.CSR[T]{
+		Rows: a.Rows, Cols: a.Cols,
+		RowPtr: slices.Grow(dst.RowPtr[:0], a.Rows+1)[:a.Rows+1],
+		ColIdx: slices.Grow(dst.ColIdx[:0], nnz),
+		Val:    slices.Grow(dst.Val[:0], nnz),
+	}
 	for i := 0; i < a.Rows; {
 		if j := emptyRunEnd(a, i); j > i {
-			appendRows(out, b, i, j)
+			appendRows(dst, b, i, j)
 			i = j
 			continue
 		}
 		if j := emptyRunEnd(b, i); j > i {
-			appendRows(out, a, i, j)
+			appendRows(dst, a, i, j)
 			i = j
 			continue
 		}
 		aCols, aVals := a.Row(i)
 		bCols, bVals := b.Row(i)
-		cols = cols[:0]
-		vals = vals[:0]
 		p, q := 0, 0
 		for p < len(aCols) && q < len(bCols) {
 			switch {
 			case aCols[p] < bCols[q]:
-				cols = append(cols, aCols[p])
-				vals = append(vals, aVals[p])
+				dst.ColIdx = append(dst.ColIdx, aCols[p])
+				dst.Val = append(dst.Val, aVals[p])
 				p++
 			case aCols[p] > bCols[q]:
-				cols = append(cols, bCols[q])
-				vals = append(vals, bVals[q])
+				dst.ColIdx = append(dst.ColIdx, bCols[q])
+				dst.Val = append(dst.Val, bVals[q])
 				q++
 			default:
-				cols = append(cols, aCols[p])
-				vals = append(vals, sr.Plus(aVals[p], bVals[q]))
+				dst.ColIdx = append(dst.ColIdx, aCols[p])
+				dst.Val = append(dst.Val, sr.Plus(aVals[p], bVals[q]))
 				p++
 				q++
 			}
 		}
-		for ; p < len(aCols); p++ {
-			cols = append(cols, aCols[p])
-			vals = append(vals, aVals[p])
-		}
-		for ; q < len(bCols); q++ {
-			cols = append(cols, bCols[q])
-			vals = append(vals, bVals[q])
-		}
-		out.AppendRow(i, cols, vals)
+		// At most one operand has entries left; they close the row.
+		dst.ColIdx = append(append(dst.ColIdx, aCols[p:]...), bCols[q:]...)
+		dst.Val = append(append(dst.Val, aVals[p:]...), bVals[q:]...)
+		dst.RowPtr[i+1] = int64(len(dst.ColIdx))
 		i++
 	}
-	stagingStore(ws, cols, vals)
-	return out, nil
+	return dst, nil
 }
 
 // emptyRunEnd returns the end of the maximal run of empty rows of m
@@ -110,33 +111,18 @@ func appendRows[T sparse.Number](out, src *sparse.CSR[T], lo, hi int) {
 // positions present in both matrices combine with the semiring's Times;
 // all other positions vanish (GraphBLAS eWiseMult semantics). With
 // PlusTimes this is the Hadamard product; with a pattern operand it is
-// structural masking with values.
+// structural masking with values. Rows merge straight into the output.
 func EWiseMult[T sparse.Number, S semiring.Semiring[T]](
 	sr S, a, b *sparse.CSR[T],
-) (*sparse.CSR[T], error) {
-	return EWiseMultWS(sr, a, b, nil)
-}
-
-// EWiseMultWS is EWiseMult staging rows in ws's scratch slices; ws may
-// be nil. See EWiseAddWS.
-func EWiseMultWS[T sparse.Number, S semiring.Semiring[T]](
-	sr S, a, b *sparse.CSR[T], ws *exec.Workspace[T, S],
 ) (*sparse.CSR[T], error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return nil, fmt.Errorf("%w: A %dx%d, B %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	nnzCap := a.NNZ()
-	if b.NNZ() < nnzCap {
-		nnzCap = b.NNZ()
-	}
-	out := sparse.NewCSR[T](a.Rows, a.Cols, nnzCap)
-	cols, vals := stagingFor(ws)
+	out := sparse.NewCSR[T](a.Rows, a.Cols, min(a.NNZ(), b.NNZ()))
 	for i := 0; i < a.Rows; i++ {
 		aCols, aVals := a.Row(i)
 		bCols, bVals := b.Row(i)
-		cols = cols[:0]
-		vals = vals[:0]
 		p, q := 0, 0
 		for p < len(aCols) && q < len(bCols) {
 			switch {
@@ -145,39 +131,15 @@ func EWiseMultWS[T sparse.Number, S semiring.Semiring[T]](
 			case aCols[p] > bCols[q]:
 				q++
 			default:
-				cols = append(cols, aCols[p])
-				vals = append(vals, sr.Times(aVals[p], bVals[q]))
+				out.ColIdx = append(out.ColIdx, aCols[p])
+				out.Val = append(out.Val, sr.Times(aVals[p], bVals[q]))
 				p++
 				q++
 			}
 		}
-		out.AppendRow(i, cols, vals)
+		out.RowPtr[i+1] = int64(len(out.ColIdx))
 	}
-	stagingStore(ws, cols, vals)
 	return out, nil
-}
-
-// stagingFor hands out the workspace's append-staging slices (empty,
-// capacity preserved), or nil slices when ws is nil.
-func stagingFor[T sparse.Number, S semiring.Semiring[T]](
-	ws *exec.Workspace[T, S],
-) ([]sparse.Index, []T) {
-	if ws == nil {
-		return nil, nil
-	}
-	return ws.ScratchCols[:0], ws.ScratchVals[:0]
-}
-
-// stagingStore returns grown staging slices to the workspace so the
-// capacity carries to the next call.
-func stagingStore[T sparse.Number, S semiring.Semiring[T]](
-	ws *exec.Workspace[T, S], cols []sparse.Index, vals []T,
-) {
-	if ws == nil {
-		return
-	}
-	ws.ScratchCols = cols[:0]
-	ws.ScratchVals = vals[:0]
 }
 
 // ReduceRows folds each row with the semiring's Plus, returning a

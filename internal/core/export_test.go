@@ -2,6 +2,11 @@ package core
 
 import "maskedspgemm/internal/sparse"
 
+// ProductionCrossover is the tile crossover the package ships with,
+// which TestMain overrides for the in-package suite; exported to the
+// external test package for BenchmarkHypersparseProduct.
+var ProductionCrossover = productionCrossover
+
 // SolveSerialInOrder runs solveSerial, the loop every serial solve runs,
 // over an unmasked operand: rows in the given order front to back, or
 // all rows ascending when rows is nil. Exported to the external test

@@ -152,9 +152,7 @@ func (s *chainSink[T, S]) row(i int, mid *exec.TileBuf[T], from int) {
 //spgemm:hotpath
 func (s *chainSink[T, S]) feed(i int, iCols []sparse.Index, iVals []T) {
 	before := len(s.out.Cols)
-	if len(iCols) > 0 {
-		rowStep(&s.k, s.acc, iCols, iVals, s.k.m.RowCols(i), s.out, s.wc)
-	}
+	rowStep(&s.k, s.acc, iCols, iVals, s.k.m.RowCols(i), s.out, s.wc)
 	s.out.RowNNZ[i-s.lo] = int32(len(s.out.Cols) - before)
 }
 

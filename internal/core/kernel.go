@@ -119,6 +119,7 @@ type kernel[T sparse.Number, S semiring.Semiring[T]] struct {
 	// live row is empty is skipped outright (a chain's first stage skips
 	// rows the second stage's mask discards).
 	live *sparse.CSR[T]
+	rows []sparse.Index // a one-tile run's live rows (liveRows), or nil
 }
 
 // rowSink is what happens to a gathered row beyond staying appended in
@@ -165,6 +166,11 @@ func stage[T sparse.Number](buf *exec.TileBuf[T], rows int, vol int64) {
 // entries the sink kept. wc, when non-nil, receives the worker's exact
 // operation counts.
 //
+// When k.rows is set the loop walks that list of live rows instead of
+// the range, and every row left out, one whose kernel would return
+// without a flop, stages RowNNZ 0: results, counters and accumulator
+// traffic are the full walk's, at a cost in live rows, not height.
+//
 //spgemm:hotpath
 func runTile[T sparse.Number, S semiring.Semiring[T]](
 	k kernel[T, S], acc accum.Accumulator[T], sc *exec.DenseScratch[T],
@@ -180,7 +186,16 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 	default:
 		stage(buf, tile.Rows(), k.m.RowPtr[tile.Hi]-k.m.RowPtr[tile.Lo])
 	}
-	for i := tile.Lo; i < tile.Hi; i++ {
+	n := tile.Rows()
+	if k.rows != nil {
+		n = len(k.rows)
+		clear(buf.RowNNZ)
+	}
+	for r := 0; r < n; r++ {
+		i := tile.Lo + r
+		if k.rows != nil {
+			i = int(k.rows[r])
+		}
 		if k.inj != nil {
 			// RowKernel seam: panics here exercise mid-tile unwinding with
 			// the accumulator in an arbitrary intermediate state.
@@ -213,19 +228,55 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 	return gathered, kept
 }
 
+// liveRows lists, ascending and in dst's storage (never nil), the rows of
+// tile whose kernel can produce output: under ¬M, a mask row that is not
+// full and an A row that reaches a non-empty B row; otherwise a non-empty
+// A row and, unless the space is Vanilla, a non-empty mask row.
+//
+//spgemm:hotpath
+func (p *product[T, S]) liveRows(tile tiling.Tile, dst []sparse.Index) []sparse.Index {
+	if dst == nil {
+		//lint:ignore hotpathalloc amortized: once per workspace; the appends below grow it to the live-row high-water mark
+		dst = make([]sparse.Index, 0, 64)
+	}
+	dst = dst[:0]
+	// Locals, so the loop reloads nothing through p across its appends.
+	ap, ac, mp, bp := p.a.RowPtr, p.a.ColIdx, p.m.RowPtr, p.b.RowPtr
+	comp, vanilla, full := p.comp, p.cfg.Iteration == Vanilla, int64(p.b.Cols)
+	for i := tile.Lo; i < tile.Hi; i++ {
+		lo, hi := ap[i], ap[i+1]
+		switch {
+		case lo == hi:
+		case !comp:
+			if vanilla || mp[i+1] != mp[i] {
+				dst = append(dst, sparse.Index(i))
+			}
+		case mp[i+1]-mp[i] < full:
+			for _, k := range ac[lo:hi] {
+				if bp[k+1] != bp[k] {
+					dst = append(dst, sparse.Index(i))
+					break
+				}
+			}
+		}
+	}
+	return dst
+}
+
 // rowStep is one row of the skeleton: the sparse left row (aCols, aVals)
 // times k.b under mask row maskCols, traversed in the configured
 // iteration space and gathered onto buf. The left row is explicit so a
 // chain's second stage can feed it intermediate rows that never became
-// a CSR. A row with an empty mask has no output and is skipped, except
-// under Vanilla, which pays for the full product by definition.
+// a CSR. A row with an empty left row has no output and is skipped, and
+// so is a row with an empty mask, except under Vanilla, which pays for
+// the full product by definition.
 //
 //spgemm:hotpath
 func rowStep[T sparse.Number, S semiring.Semiring[T]](
 	k *kernel[T, S], acc accum.Accumulator[T], aCols []sparse.Index, aVals []T,
 	maskCols []sparse.Index, buf *exec.TileBuf[T], wc *obs.WorkerCounters,
 ) {
-	if len(maskCols) == 0 && k.iter != Vanilla {
+	if len(aCols) == 0 || len(maskCols) == 0 && k.iter != Vanilla {
 		return
 	}
 	switch k.iter {

@@ -266,10 +266,16 @@ func (p *product[T, S]) runTiles(
 	chains []chainSink[T, S],
 ) ([]obs.FusedCounters, error) {
 	cfg := p.cfg
+	// A one-tile run walks its live rows; a chain keeps its M2 filter.
+	var rows []sparse.Index
+	if len(tiles) == 1 && chains == nil {
+		ws.ScratchCols = p.liveRows(tiles[0], ws.ScratchCols)
+		rows = ws.ScratchCols
+	}
 	k := kernel[T, S]{
 		sr: p.sr, m: p.m, a: p.a, b: p.b,
 		iter: cfg.Iteration, kappa: cfg.Kappa, inj: cfg.chaosInjector(),
-		comp: p.comp, live: p.m2,
+		comp: p.comp, live: p.m2, rows: rows,
 	}
 	runSink, perRow, budget := p.sink, p.stream, fuseTileBudget
 	// slots and fcs are nil with observability off: the tile closure then

@@ -54,11 +54,9 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	// (complement, 2D and vector kernels).
 	Dense []DenseScratch[T]
 
-	// ScratchCols/ScratchVals are general append-staging slices for
-	// single-threaded callers (ewise, reductions). Callers append onto
-	// scratch[:0] and store the grown slice back.
+	// ScratchCols is index scratch for the run holding the workspace (a
+	// one-tile run's live rows, the 2D kernel's panel bounds).
 	ScratchCols []sparse.Index
-	ScratchVals []T
 }
 
 // TileBuf stages one tile's slice of the result before assembly.

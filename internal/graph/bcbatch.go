@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sort"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/semiring"
@@ -64,8 +65,10 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 		sigma[src*s+b] = 1
 	}
 
-	// Forward sweep: store each front for the backward phase.
+	// Forward sweep: store each front for the backward phase. Each
+	// level's visited set is written into the storage of the one before.
 	fronts := []*sparse.CSR[float64]{f}
+	var spare *sparse.CSR[float64]
 	for f.NNZ() > 0 {
 		next, err := core.MaskedSpGEMMComp[float64](sr, visited, a, f, cfg)
 		if err != nil {
@@ -74,7 +77,7 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 		if next.NNZ() == 0 {
 			break
 		}
-		for i := 0; i < n; i++ {
+		for i := nextRow(next, 0); i < n; i = nextRow(next, i+1) {
 			cols, vals := next.Row(i)
 			for p, b := range cols {
 				sigma[i*s+int(b)] += vals[p]
@@ -82,10 +85,11 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 		}
 		// The mask is structural, so the union needs no Pattern() copy of
 		// the new front: its values ride along unread.
-		visited, err = core.EWiseAdd[float64](sr, visited, next)
+		union, err := core.EWiseAddInto[float64](sr, spare, visited, next)
 		if err != nil {
 			return nil, err
 		}
+		visited, spare = union, visited
 		fronts = append(fronts, next)
 		f = next
 	}
@@ -104,9 +108,8 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 	for d := len(fronts) - 1; d >= 1; d-- {
 		fr := fronts[d]
 		w := &sparse.CSR[float64]{Rows: n, Cols: s, RowPtr: fr.RowPtr, ColIdx: fr.ColIdx, Val: wVals[:fr.NNZ()]}
-		for i := 0; i < n; i++ {
-			lo, hi := w.RowPtr[i], w.RowPtr[i+1]
-			for p := lo; p < hi; p++ {
+		for i := nextRow(w, 0); i < n; i = nextRow(w, i+1) {
+			for p := w.RowPtr[i]; p < w.RowPtr[i+1]; p++ {
 				b := int(w.ColIdx[p])
 				w.Val[p] = (1 + delta[i*s+b]) / sigma[i*s+b]
 			}
@@ -130,7 +133,7 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < n; i++ {
+		for i := nextRow(tm, 0); i < n; i = nextRow(tm, i+1) {
 			cols, vals := tm.Row(i)
 			for p, b := range cols {
 				delta[i*s+int(b)] += vals[p] * sigma[i*s+int(b)]
@@ -146,4 +149,12 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 		}
 	}
 	return bc, nil
+}
+
+// nextRow returns the first row at or after i ≤ m.Rows that holds an
+// entry, or m.Rows: the row holding entry RowPtr[i], found by binary
+// search, so a level's loop skips each run of empty rows in O(log n).
+func nextRow(m *sparse.CSR[float64], i int) int {
+	p := m.RowPtr[i]
+	return i + sort.Search(m.Rows-i, func(d int) bool { return m.RowPtr[i+d+1] > p })
 }
