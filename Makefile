@@ -162,10 +162,13 @@ bench-trsv:
 # substitution order and in level-set order (ns/nnz), and a wave run's
 # spawn and staggered barrier crossing, and one hypersparse product at
 # the production crossover, masked and complemented (ns/multiply: a
-# one-tile run's cost in its live rows). One iteration is a smoke test;
+# one-tile run's cost in its live rows), and both accumulator families
+# swept over cols/RowCap (ns/flop: the medians internal/model derives the
+# planner's dense-state factor from). One iteration is a smoke test;
 # for numbers drop `-benchtime 1x` and add `-count`.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum
+	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorChoice$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkIterationSpaces$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^BCBatch$$/^road-57x100$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkRepeatedMultiply$$' -benchtime 1x .

@@ -8,6 +8,7 @@ package maskedspgemm
 import (
 	"fmt"
 	"math/bits"
+	"math/rand/v2"
 	"testing"
 
 	"maskedspgemm/internal/accum"
@@ -81,13 +82,15 @@ func BenchmarkFig1MaskedSpGEMM(b *testing.B) {
 		a := load(b, spec.Name)
 		ssCfg := baseline.SuiteSparseConfig(a, a, a, 0)
 		ssCfg.Accumulator = accum.HashKind
+		tuned := core.DefaultConfig()
+		tuned.Accumulator = accum.HashKind
 		impls := []struct {
 			name string
 			cfg  core.Config
 		}{
 			{"SuiteSparseLike", ssCfg},
 			{"GrBLike", baseline.GrBConfig(accum.HashKind, 0)},
-			{"Tuned", core.DefaultConfig()},
+			{"Tuned", tuned},
 		}
 		for _, impl := range impls {
 			b.Run(spec.Name+"/"+impl.name, func(b *testing.B) {
@@ -201,6 +204,63 @@ func BenchmarkResetStrategies(b *testing.B) {
 		cfg.Iteration = core.MaskLoad
 		cfg.Accumulator = k
 		b.Run(k.String(), func(b *testing.B) { runMasked(b, a, cfg) })
+	}
+}
+
+// BenchmarkAccumulatorChoice times the two accumulator families on one
+// masked product shape swept over cols/RowCap ∈ {2, 4, 8, 16, 64}: 256
+// rows whose mask rows hold RowCap = 1024 entries, one in every block of
+// cols/RowCap columns, so the hash table is exactly 2·RowCap slots
+// wide; 16 A entries per row, each selecting a B row of 256 random
+// columns. One worker, one tile, warm engine. ns/flop is wall time over
+// the Eq. 2 volume, the unit internal/model.ReferenceAccumCosts is kept
+// in: those medians derive the state factor the planner picks the
+// accumulator kind with (core.DenseStateFactor).
+func BenchmarkAccumulatorChoice(b *testing.B) {
+	const rowCap, rows, inner, aRow, bRow = 1024, 256, 4096, 16, 256
+	rng := rand.New(rand.NewPCG(0xACC, 0xC401CE))
+	randomRows := func(rows, cols, perRow int) *sparse.CSR[float64] {
+		coo := sparse.NewCOO[float64](rows, cols, int64(rows*perRow))
+		for i := range rows {
+			for range perRow {
+				coo.Add(sparse.Index(i), sparse.Index(rng.IntN(cols)), 1)
+			}
+		}
+		return coo.ToCSR()
+	}
+	a := randomRows(rows, inner, aRow)
+	sr := semiring.PlusTimes[float64]{}
+	for _, ratio := range []int{2, 4, 8, 16, 64} {
+		cols := ratio * rowCap
+		m := sparse.NewCOO[float64](rows, cols, rows*rowCap)
+		for i := range rows {
+			for k := range rowCap {
+				m.Add(sparse.Index(i), sparse.Index(k*ratio+rng.IntN(ratio)), 1)
+			}
+		}
+		mask, bm := m.ToCSR(), randomRows(inner, cols, bRow)
+		prof, err := core.ProfileMasked(mask, a, bm, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range []accum.Kind{accum.HashKind, accum.DenseKind} {
+			cfg := core.DefaultConfig()
+			cfg.Iteration, cfg.Accumulator = core.MaskLoad, kind
+			cfg.Tiles, cfg.Workers = 1, 1
+			cfg.Engine = exec.New(exec.Config{})
+			b.Run(fmt.Sprintf("%v/ratio=%d", kind, ratio), func(b *testing.B) {
+				if _, err := core.MaskedSpGEMM[float64](sr, mask, a, bm, cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.MaskedSpGEMM[float64](sr, mask, a, bm, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prof.Flops), "ns/flop")
+			})
+		}
 	}
 }
 

@@ -40,6 +40,8 @@
 package accum
 
 import (
+	"unsafe"
+
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -103,6 +105,11 @@ const (
 	// SortListKind is the sort-based log accumulator (no per-column
 	// state; dedup at gather time).
 	SortListKind
+	// AutoKind leaves the choice between DenseKind and HashKind to the
+	// planner, which derives it per product from the column dimension
+	// and the row capacity (internal/core, DeriveAccumulator). New never
+	// sees it.
+	AutoKind
 )
 
 func (k Kind) String() string {
@@ -117,9 +124,24 @@ func (k Kind) String() string {
 		return "HashExplicit"
 	case SortListKind:
 		return "SortList"
+	case AutoKind:
+		return "Auto"
 	default:
 		return "Unknown"
 	}
+}
+
+// StateBytes is the state one marker-based accumulator of kind
+// DenseKind or HashKind holds for output rows of cols columns and at
+// most rowCap entries: a value and a marker per column for dense, an
+// index, a value and a marker per slot of the HashCapacity(rowCap)-slot
+// table for hash.
+func StateBytes(kind Kind, cols int, rowCap int64, valueBytes, markerBits int) int64 {
+	entry := int64(valueBytes + markerBits/8)
+	if kind == DenseKind {
+		return int64(cols) * entry
+	}
+	return HashCapacity(rowCap) * (entry + int64(unsafe.Sizeof(sparse.Index(0))))
 }
 
 // New builds an accumulator of the given kind for output rows with

@@ -45,10 +45,7 @@ type Hash[T sparse.Number, S semiring.Semiring[T], M Marker] struct {
 // NewHash returns a hash accumulator able to hold rowCap entries per row
 // before growing.
 func NewHash[T sparse.Number, S semiring.Semiring[T], M Marker](sr S, rowCap int64) *Hash[T, S, M] {
-	capacity := 8
-	for int64(capacity) < 2*rowCap {
-		capacity <<= 1
-	}
+	capacity := int(HashCapacity(rowCap))
 	h := &Hash[T, S, M]{
 		sr:    sr,
 		keys:  make([]sparse.Index, capacity),
@@ -58,6 +55,17 @@ func NewHash[T sparse.Number, S semiring.Semiring[T], M Marker](sr S, rowCap int
 	}
 	h.mask = 1
 	return h
+}
+
+// HashCapacity is the slot count of the table NewHash builds for rowCap
+// entries per row: the smallest power of two holding them at a load
+// factor of at most 1/2, and at least 8.
+func HashCapacity(rowCap int64) int64 {
+	capacity := int64(8)
+	for capacity < 2*rowCap {
+		capacity <<= 1
+	}
+	return capacity
 }
 
 //spgemm:hotpath

@@ -228,7 +228,7 @@ func TestTuneSmoke(t *testing.T) {
 	a := g.Build(testShift)
 	o := testOptions()
 	var buf bytes.Buffer
-	cfg, err := Tune(a, o, &buf)
+	cfg, err := tune(g.Name, a, o, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

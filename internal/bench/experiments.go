@@ -151,8 +151,8 @@ func Table1(w io.Writer, o Options) error {
 	return nil
 }
 
-// tunedConfig is the paper's recommended configuration with the hash
-// accumulator (Fig. 1 runs all three implementations with hash).
+// tunedConfig is the paper's recommended configuration, the accumulator
+// family derived per product as under core.DefaultConfig.
 func tunedConfig(workers int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Workers = workers
@@ -179,6 +179,7 @@ func Fig1(w io.Writer, o Options) error {
 			return err
 		}
 		cfg := tunedConfig(o.Workers)
+		cfg.Accumulator = accum.HashKind
 		cfg.Engine = o.Engine
 		ours, err := o.timeMasked("fig1", g.Name, "tuned", a, cfg)
 		if err != nil {

@@ -11,18 +11,14 @@ import (
 	"maskedspgemm/internal/tiling"
 )
 
-// Tune implements the paper's Figure 12 tuning flow on one matrix:
+// tune implements the paper's Figure 12 tuning flow on one matrix,
+// logging its timings under the graph's name:
 //
 //  1. sweep tiling and scheduling without co-iteration,
 //  2. tune the co-iteration factor κ on the winner,
 //  3. tune the accumulator's internal state (marker width).
 //
-// It returns the tuned configuration and the per-stage decisions.
-func Tune(a *sparse.CSR[float64], o Options, log io.Writer) (core.Config, error) {
-	return tune("", a, o, log)
-}
-
-// tune is Tune with the graph name its timings are logged under.
+// It returns the tuned configuration and logs the per-stage decisions.
 func tune(graph string, a *sparse.CSR[float64], o Options, log io.Writer) (core.Config, error) {
 	timeCfg := func(cfg core.Config) (Measurement, error) {
 		return o.timeMasked("tune", graph, cfg.String(), a, cfg)

@@ -17,7 +17,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	a := randMatrix(64, 64, 0.15, r)
 	for _, it := range []IterationSpace{MaskLoad, CoIter, Hybrid} {
-		for _, ak := range []accum.Kind{accum.DenseKind, accum.HashKind} {
+		for _, ak := range []accum.Kind{accum.DenseKind, accum.HashKind, accum.AutoKind} {
 			cfg := DefaultConfig()
 			cfg.Iteration = it
 			cfg.Accumulator = ak
@@ -28,7 +28,8 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			sr := semiring.PlusTimes[float64]{}
-			ws := exec.Masked[float64](nil, sr, ak, cfg.MarkerBits, a.Cols, plan.RowCap, 1, len(plan.Tiles))
+			kind := accumulatorFor[float64](cfg, a.Cols, plan.RowCap)
+			ws := exec.Masked[float64](nil, sr, kind, cfg.MarkerBits, a.Cols, plan.RowCap, 1, len(plan.Tiles))
 			k := kernel[float64, semiring.PlusTimes[float64]]{
 				sr: sr, m: a, a: a, b: a, iter: it, kappa: cfg.Kappa,
 			}

@@ -10,8 +10,9 @@
 //     co-iteration factor κ);
 //   - tiling: uniform vs FLOP-balanced, any tile count;
 //   - scheduling: static vs dynamic over a goroutine worker pool;
-//   - accumulator: dense or hash, marker widths 8/16/32/64 bits, or
-//     explicit-reset variants.
+//   - accumulator: dense or hash (by default derived per product from
+//     the column count and the row capacity), marker widths
+//     8/16/32/64 bits, or explicit-reset variants.
 //
 // The kernel is generic over the value type and semiring, so the same
 // code serves arithmetic, Boolean, tropical and structural (pair)
@@ -77,7 +78,9 @@ type Config struct {
 	// Kappa is the co-iteration factor κ of Fig. 9: co-iterate when
 	// nnz(M[i,:])·log2(nnz(B[k,:])) < κ·nnz(B[k,:]). Only used by Hybrid.
 	Kappa float64
-	// Accumulator selects the accumulator family (§III-C).
+	// Accumulator selects the accumulator family (§III-C). AutoKind
+	// leaves dense-or-hash to the planner, per product and per stage of a
+	// chain (DeriveAccumulator).
 	Accumulator accum.Kind
 	// MarkerBits is the marker word width for marker-based accumulators:
 	// 8, 16, 32 or 64 (Fig. 13).
@@ -129,12 +132,13 @@ type Config struct {
 
 // DefaultConfig is the paper's recommended configuration (§V): 2048
 // FLOP-balanced tiles, dynamic scheduling, hybrid iteration with κ = 1,
-// hash accumulator with a 32-bit marker.
+// 32-bit markers, and the accumulator family the planner derives per
+// product.
 func DefaultConfig() Config {
 	return Config{
 		Iteration:   Hybrid,
 		Kappa:       1,
-		Accumulator: accum.HashKind,
+		Accumulator: accum.AutoKind,
 		MarkerBits:  32,
 		Tiles:       2048,
 		Tiling:      tiling.FlopBalanced,
@@ -156,7 +160,7 @@ func (c Config) Validate() error {
 		return errConfig("unknown iteration space %d", c.Iteration)
 	}
 	switch c.Accumulator {
-	case accum.DenseKind, accum.HashKind:
+	case accum.DenseKind, accum.HashKind, accum.AutoKind:
 		switch c.MarkerBits {
 		case 8, 16, 32, 64:
 		default:

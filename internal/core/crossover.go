@@ -1,6 +1,11 @@
 package core
 
-import "maskedspgemm/internal/sparse"
+import (
+	"unsafe"
+
+	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/sparse"
+)
 
 // tileCrossover is the untiled-work measure (see UntiledWork) below
 // which planFor answers the paper's title question with "not to tile":
@@ -29,6 +34,45 @@ func SetTileCrossoverForTest(w int64) (old int64) {
 	old = tileCrossover
 	tileCrossover = w
 	return old
+}
+
+// denseStateFactor is how many times the bytes of the hash table it
+// replaces the dense accumulator's state may take when the planner
+// derives the accumulator kind (DeriveAccumulator). Dense is faster
+// than hash at every column-to-row-capacity ratio measured (0.14–0.54 ×
+// its time per FLOP); what limits it is the state it holds per worker,
+// and the planner spends memory on it at about the slowest measured
+// exchange rate. The value is internal/model.DerivedDenseStateFactor
+// evaluated on the reference host's accumulator costs (a test there
+// fails when the two drift); docs/TUNING.md has the regime.
+const denseStateFactor = 2
+
+// DenseStateFactor returns the state factor the planner derives the
+// accumulator kind with.
+func DenseStateFactor() int64 { return denseStateFactor }
+
+// DeriveAccumulator is the planner's accumulator choice for output rows
+// of cols columns holding at most rowCap entries, with valueBytes-byte
+// values and markerBits-bit markers: DenseKind when the dense state is
+// at most denseStateFactor times the hash table's (accum.StateBytes),
+// HashKind otherwise. O(1).
+func DeriveAccumulator(cols int, rowCap int64, valueBytes, markerBits int) accum.Kind {
+	dense := accum.StateBytes(accum.DenseKind, cols, rowCap, valueBytes, markerBits)
+	if dense <= denseStateFactor*accum.StateBytes(accum.HashKind, cols, rowCap, valueBytes, markerBits) {
+		return accum.DenseKind
+	}
+	return accum.HashKind
+}
+
+// accumulatorFor resolves the run's accumulator kind for a product stage
+// with cols output columns and row capacity rowCap: the configured kind,
+// or the planner's derivation when the configuration leaves it to it.
+func accumulatorFor[T sparse.Number](cfg Config, cols int, rowCap int64) accum.Kind {
+	if cfg.Accumulator != accum.AutoKind {
+		return cfg.Accumulator
+	}
+	var zero T
+	return DeriveAccumulator(cols, rowCap, int(unsafe.Sizeof(zero)), cfg.MarkerBits)
 }
 
 // UntiledWork measures what one untiled serial pass of M ⊙ (A × B)

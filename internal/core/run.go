@@ -192,15 +192,15 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	if p.comp {
 		ws = exec.Dense[T, S](cfg.Engine, p.sr, p.b.Cols, workers, staging)
 	} else {
-		ws = exec.Masked[T, S](cfg.Engine, p.sr, cfg.Accumulator, cfg.MarkerBits,
-			p.b.Cols, plan.RowCap, workers, staging)
+		ws = exec.Masked[T, S](cfg.Engine, p.sr, accumulatorFor[T](cfg, p.b.Cols, plan.RowCap),
+			cfg.MarkerBits, p.b.Cols, plan.RowCap, workers, staging)
 		accs = ws.Accs[:workers]
 	}
 	outs := ws.Outs
 	var chains []chainSink[T, S]
 	if chain {
-		ws2 = exec.Masked[T, S](cfg.Engine, p.sr, cfg.Accumulator, cfg.MarkerBits,
-			p.c.Cols, rowCap2, workers, len(tiles))
+		ws2 = exec.Masked[T, S](cfg.Engine, p.sr, accumulatorFor[T](cfg, p.c.Cols, rowCap2),
+			cfg.MarkerBits, p.c.Cols, rowCap2, workers, len(tiles))
 		outs = ws2.Outs
 		chains = newChainSinks(p, ws2.Accs[:workers])
 		// One slice over both stages' accumulators, so the chaos seam and

@@ -16,7 +16,8 @@
 //     class). The pool is tiered: a bounded hot tier retains the most
 //     recently used workspaces under an LRU cap with exact hit/miss/
 //     steal/evict accounting, and evictions overflow into a sync.Pool
-//     tier the garbage collector drains under memory pressure.
+//     tier the garbage collector drains under memory pressure. Their
+//     tile staging is pooled apart, per value type (staging.go).
 //   - Plans are cached under a structural fingerprint (operand identity
 //     plus dimensions, nnz and the plan-shaping knobs), so repeated products
 //     over unchanged structure skip planning entirely. A stale hit can
@@ -75,6 +76,11 @@ type Engine struct {
 	idle    int
 	clock   uint64
 
+	// stagings pools tile staging sets per value type, apart from the
+	// workspaces (staging.go); stagingIdle is their hot-tier gauge.
+	stagings    map[reflect.Type]*bucket
+	stagingIdle int
+
 	plans     map[PlanKey]*planEntry
 	planClock uint64
 
@@ -96,9 +102,10 @@ type Engine struct {
 // New returns an Engine with the given retention configuration.
 func New(cfg Config) *Engine {
 	return &Engine{
-		cfg:     cfg,
-		buckets: make(map[wsKey]*bucket),
-		plans:   make(map[PlanKey]*planEntry),
+		cfg:      cfg,
+		buckets:  make(map[wsKey]*bucket),
+		stagings: make(map[reflect.Type]*bucket),
+		plans:    make(map[PlanKey]*planEntry),
 	}
 }
 
@@ -322,23 +329,33 @@ func (e *Engine) put(key wsKey, ws any) {
 // evictOldestLocked demotes the globally oldest hot-tier workspace to
 // its bucket's overflow tier. Caller holds e.mu; e.idle > 0.
 func (e *Engine) evictOldestLocked() {
+	if !demoteOldest(e.buckets) {
+		e.idle = 0
+		return
+	}
+	e.idle--
+	e.evictions.Add(1)
+}
+
+// demoteOldest moves the oldest hot-tier entry across buckets to its
+// bucket's overflow tier, reporting whether there was one. Caller holds
+// e.mu.
+func demoteOldest[K comparable](buckets map[K]*bucket) bool {
 	var victim *bucket
 	best := ^uint64(0)
-	for _, b := range e.buckets {
+	for _, b := range buckets {
 		if len(b.hot) > 0 && b.hot[0].stamp < best {
 			best = b.hot[0].stamp
 			victim = b
 		}
 	}
 	if victim == nil {
-		e.idle = 0
-		return
+		return false
 	}
-	ws := victim.hot[0].ws
+	old := victim.hot[0].ws
 	n := copy(victim.hot, victim.hot[1:])
 	victim.hot[n] = idleWS{}
 	victim.hot = victim.hot[:n]
-	e.idle--
-	e.evictions.Add(1)
-	victim.overflow.Put(ws)
+	victim.overflow.Put(old)
+	return true
 }

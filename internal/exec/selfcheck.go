@@ -14,11 +14,11 @@ type poolChecker interface {
 	poolCheck() error
 }
 
-// SelfCheck validates the engine's pool invariants: the idle gauge
-// matches the hot-tier population, and every pooled workspace is
-// released (unbound from any engine), unpoisoned, and clean — dense
-// scratch fully reset, explicit-reset accumulators with every live slot
-// accounted for. It is the chaos suite's gate: after a seeded fault
+// SelfCheck validates the engine's pool invariants: each idle gauge
+// matches its hot-tier population, every pooled workspace is released
+// (unbound from any engine), unpoisoned, and clean — dense scratch
+// fully reset, explicit-reset accumulators with every live slot
+// accounted for — and every pooled staging set is unbound. It is the chaos suite's gate: after a seeded fault
 // matrix, a non-nil result means a dirty or leaked workspace survived
 // quarantine. O(pooled state), intended for tests and admin probes,
 // not hot paths. Nil engines trivially pass.
@@ -47,6 +47,22 @@ func (e *Engine) SelfCheck() error {
 	}
 	if population != e.idle {
 		return fmt.Errorf("exec: idle gauge %d != hot-tier population %d", e.idle, population)
+	}
+	population = 0
+	for typ, b := range e.stagings {
+		for i := range b.hot {
+			population++
+			pc, ok := b.hot[i].ws.(poolChecker)
+			if !ok {
+				return fmt.Errorf("exec: pooled object %T is not self-checkable", b.hot[i].ws)
+			}
+			if err := pc.poolCheck(); err != nil {
+				return fmt.Errorf("exec: staging pool %v slot %d: %w", typ, i, err)
+			}
+		}
+	}
+	if population != e.stagingIdle {
+		return fmt.Errorf("exec: staging idle gauge %d != hot-tier population %d", e.stagingIdle, population)
 	}
 	return nil
 }

@@ -134,3 +134,48 @@ func TestCheckoutReleaseChaosSeams(t *testing.T) {
 		Masked[float64, sr](e, sr{}, accum.HashKind, 32, 64, 8, 1, 1).Release()
 	})
 }
+
+// TestStagingPooledApart checks the staging pool's contract: a staging
+// set outlives the workspace it was checked out with and serves the
+// next checkout of any kind or size class, a poisoned workspace's set is
+// quarantined with it, and SelfCheck names a set left bound in the pool.
+func TestStagingPooledApart(t *testing.T) {
+	e := New(Config{})
+	dense := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 1<<12, 8, 2, 6)
+	outs := &dense.Outs[0]
+	dense.Release()
+	if e.Idle() != 1 || e.IdleStaging() != 1 {
+		t.Fatalf("after release: %d idle workspaces, %d idle staging sets, want 1 and 1", e.Idle(), e.IdleStaging())
+	}
+	hash := Masked[float64, sr](e, sr{}, accum.HashKind, 32, 1<<20, 60, 2, 4)
+	if &hash.Outs[0] != outs {
+		t.Fatal("a hash checkout did not reuse the dense workspace's staging set")
+	}
+	if len(hash.Outs) < 4 {
+		t.Fatalf("reused staging set holds %d buffers, want >= 4", len(hash.Outs))
+	}
+	hash.Release()
+	if e.Idle() != 2 || e.IdleStaging() != 1 {
+		t.Fatalf("after both kinds: %d idle workspaces, %d idle staging sets, want 2 and 1", e.Idle(), e.IdleStaging())
+	}
+	if err := e.SelfCheck(); err != nil {
+		t.Fatalf("SelfCheck: %v", err)
+	}
+
+	poisoned := Dense[float64, sr](e, sr{}, 64, 1, 2)
+	poisoned.Poison()
+	poisoned.Release()
+	if e.IdleStaging() != 0 {
+		t.Fatalf("idle staging sets = %d after a poisoned release, want 0 (quarantined with the workspace)", e.IdleStaging())
+	}
+	if q := e.Stats().Quarantines; q != 1 {
+		t.Fatalf("quarantines = %d, want 1 (one per workspace)", q)
+	}
+
+	leaked := Masked[float64, sr](e, sr{}, accum.HashKind, 32, 64, 8, 1, 1)
+	e.putStaging(stagingType[float64](), leaked.stage) // still bound: an escaped corruption
+	err := e.SelfCheck()
+	if err == nil || !strings.Contains(err.Error(), "staging") {
+		t.Fatalf("SelfCheck accepted a bound staging set in the pool: %v", err)
+	}
+}

@@ -48,8 +48,10 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	// w for the duration of a run.
 	Accs []accum.Accumulator[T]
 	// Outs holds the per-tile output staging buffers; slice it to the
-	// run's tile count.
-	Outs []TileBuf[T]
+	// run's tile count. They belong to the staging set bound at checkout
+	// and pooled apart from the workspace (staging.go).
+	Outs  []TileBuf[T]
+	stage *stagingSet[T]
 	// Dense holds one dense column-dimension scratch block per worker
 	// (complement, 2D and vector kernels).
 	Dense []DenseScratch[T]
@@ -173,8 +175,8 @@ func checkout[T sparse.Number, S semiring.Semiring[T]](e *Engine, key wsKey) *Wo
 
 // Masked checks out a workspace for a masked-SpGEMM run: one
 // accumulator per worker (kind/markerBits, sized for cols columns and
-// rowCap row entries) and one output staging buffer per tile. A nil
-// engine constructs an unpooled workspace.
+// rowCap row entries) and a staging set of one output buffer per tile.
+// A nil engine constructs an unpooled workspace.
 //
 //spgemm:hotpath
 func Masked[T sparse.Number, S semiring.Semiring[T]](
@@ -202,13 +204,13 @@ func Masked[T sparse.Number, S semiring.Semiring[T]](
 	ws.engine = e
 	ws.sr = sr
 	ws.ensureAccs(workers, !fresh)
-	ws.ensureOuts(tiles, !fresh)
+	ws.checkoutStaging(tiles)
 	return ws
 }
 
 // Dense checks out a workspace carrying one DenseScratch block per
-// worker (value + state vectors over cols columns) and one output
-// staging buffer per tile — the shape the complement, 2D and sparse-
+// worker (value + state vectors over cols columns) and a staging set of
+// one output buffer per tile — the shape the complement, 2D and sparse-
 // vector kernels need. A nil engine constructs an unpooled workspace.
 //
 //spgemm:hotpath
@@ -229,7 +231,7 @@ func Dense[T sparse.Number, S semiring.Semiring[T]](
 	ws.engine = e
 	ws.sr = sr
 	ws.ensureDense(workers, !fresh)
-	ws.ensureOuts(tiles, !fresh)
+	ws.checkoutStaging(tiles)
 	return ws
 }
 
@@ -251,12 +253,12 @@ func (ws *Workspace[T, S]) Poisoned() bool {
 	return ws != nil && ws.poisoned
 }
 
-// Release returns the workspace to its engine's pool — unless it has
-// been poisoned, in which case it is quarantined: dropped for the
-// garbage collector and counted in PoolStats.Quarantines, so a dirty
-// workspace can never serve a later checkout. Safe on nil workspaces;
-// a no-op for unpooled (nil-engine) checkouts. The caller must not use
-// the workspace after Release.
+// Release returns the workspace and its staging set to its engine's
+// pools — unless it has been poisoned, in which case both are
+// quarantined: dropped for the garbage collector and counted (once) in
+// PoolStats.Quarantines, so dirty state can never serve a later
+// checkout. Safe on nil workspaces; a no-op for unpooled (nil-engine)
+// checkouts. The caller must not use the workspace after Release.
 //
 //spgemm:hotpath
 func (ws *Workspace[T, S]) Release() {
@@ -265,12 +267,14 @@ func (ws *Workspace[T, S]) Release() {
 	}
 	e := ws.engine
 	if ws.poisoned {
+		ws.releaseStaging(e)
 		ws.engine = nil
 		e.quarantines.Add(1)
 		return
 	}
 	//lint:ignore hotpathalloc allocates only when a fault fires, and the release dies with it
 	chaos.StepHard(e.cfg.Chaos, chaos.WorkspaceRelease)
+	ws.releaseStaging(e)
 	ws.engine = nil
 	e.put(ws.key, ws)
 }
@@ -292,23 +296,6 @@ func (ws *Workspace[T, S]) ensureAccs(workers int, count bool) {
 		accs[w] = accum.New[T](ws.kind, ws.sr, ws.cols, ws.rowCap, ws.markerBits)
 	}
 	ws.Accs = accs
-}
-
-// ensureOuts grows the tile staging set to tiles entries; callers slice
-// ws.Outs[:tiles] for the run.
-//
-//spgemm:hotpath
-func (ws *Workspace[T, S]) ensureOuts(tiles int, count bool) {
-	if tiles <= len(ws.Outs) {
-		return
-	}
-	if count && ws.engine != nil {
-		ws.engine.resizes.Add(1)
-	}
-	//lint:ignore hotpathalloc amortized: grows once per tile-count high-water mark
-	outs := make([]TileBuf[T], tiles)
-	copy(outs, ws.Outs)
-	ws.Outs = outs
 }
 
 // ensureDense grows the per-worker dense scratch set to workers blocks,

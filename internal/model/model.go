@@ -10,6 +10,7 @@ package model
 
 import (
 	"fmt"
+	"unsafe"
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/core"
@@ -24,6 +25,8 @@ import (
 type Features struct {
 	// Rows and Cols are the output dimensions.
 	Rows, Cols int
+	// ValueBytes is the size of one matrix value.
+	ValueBytes int
 	// MaskNNZ, Flops, MaxMaskRow, MaxRowFlops come from the symbolic
 	// profile (Eqs. 2–3 quantities).
 	MaskNNZ, Flops          int64
@@ -48,8 +51,9 @@ func Extract[T sparse.Number](m, a, b *sparse.CSR[T]) (Features, error) {
 	if err != nil {
 		return Features{}, err
 	}
+	var zero T
 	f := Features{
-		Rows: m.Rows, Cols: m.Cols,
+		Rows: m.Rows, Cols: m.Cols, ValueBytes: int(unsafe.Sizeof(zero)),
 		MaskNNZ: p.MaskNNZ, Flops: p.Flops,
 		MaxMaskRow: p.MaxMaskRow, MaxRowFlops: p.MaxRowFlops,
 		CoIterSpeedup: p.PredictedCoIterSpeedup(),
@@ -76,18 +80,12 @@ func Extract[T sparse.Number](m, a, b *sparse.CSR[T]) (Features, error) {
 
 // The predictor's decision boundaries, encoding §V: balanced+dynamic
 // with ~2048 tiles works for 80–90% of matrices; co-iteration helps when
-// the model predicts ≥ 15% gain; dense accumulators win on small
-// dimensions (≤ 2¹⁶) and dense masks; 32-bit markers are the sweet spot.
+// the model predicts ≥ 15% gain; 32-bit markers are the sweet spot. The
+// accumulator family is the planner's own derivation (core.DeriveAccumulator).
 const (
 	// coIterGain is the minimum predicted speedup before the hybrid space
 	// is worth its per-pair decision overhead.
 	coIterGain = 1.15
-	// denseCols is the largest column dimension for which the dense
-	// accumulator's state vector is considered cache-friendly.
-	denseCols = 1 << 16
-	// denseMaskRowFrac: above this mask-row density (MaxMaskRow/Cols) the
-	// dense accumulator wins regardless of dimension.
-	denseMaskRowFrac = 1.0 / 64
 	// rowsPerTile is the target granularity: tiles ≈ rows/rowsPerTile,
 	// clamped to [minTiles, maxTiles].
 	rowsPerTile = 16
@@ -114,22 +112,21 @@ func Predict(f Features, workers int) core.Config {
 		cfg.Iteration = core.MaskLoad
 	}
 
-	// Accumulator: §III-C guidance, quantified.
-	dense := f.Cols <= denseCols
-	if !dense && f.Cols > 0 &&
-		float64(f.MaxMaskRow) >= denseMaskRowFrac*float64(f.Cols) {
-		dense = true
-	}
-	if dense {
-		cfg.Accumulator = accum.DenseKind
-	} else {
-		cfg.Accumulator = accum.HashKind
-	}
+	// Accumulator: the planner's derivation for the row capacity its plan
+	// sizes, the mask-row maximum (neither predicted space is Vanilla).
+	cfg.Accumulator = derivedAccumulator(f, cfg.MarkerBits)
 
 	// Tile count: enough tiles for dynamic balancing, not so many that
 	// per-tile overhead dominates (Fig. 11's high-tile-count collapse).
 	cfg.Tiles = min(max(f.Rows/rowsPerTile, minTiles), maxTiles)
 	return cfg
+}
+
+// derivedAccumulator is the kind the planner derives for a masked
+// product with features f: core.DeriveAccumulator on the output columns
+// and the mask-row maximum, the row capacity a non-vanilla plan sizes.
+func derivedAccumulator(f Features, markerBits int) accum.Kind {
+	return core.DeriveAccumulator(f.Cols, f.MaxMaskRow, f.ValueBytes, markerBits)
 }
 
 // DefaultRetentionBudget bounds the memory the engine may pin in idle
@@ -146,10 +143,12 @@ func PredictEngine(f Features, cfg core.Config, workers int) exec.Config {
 
 // PredictEngineBudget sizes an exec.Engine's retention bounds from the
 // problem's features and an explicit retention budget in bytes
-// (budget <= 0 selects DefaultRetentionBudget). The dominant
-// per-workspace cost is the dense state: a dense accumulator (or
-// complement/2D scratch) holds O(cols) values and markers per worker, a
-// hash accumulator O(MaxMaskRow) slots. The idle cap is the retention
+// (budget <= 0 selects DefaultRetentionBudget), for the accumulator
+// kind that will run: cfg's, or the planner's derivation when cfg
+// leaves it to the planner. The dominant per-workspace cost is the
+// dense state: a dense accumulator (or complement/2D scratch) holds
+// O(cols) values and markers per worker, a hash accumulator
+// O(MaxMaskRow) slots. The idle cap is the retention
 // budget divided by that footprint, so small problems keep the default
 // (deep) pool while problems with huge columns retain only a few idle
 // workspaces. The plan cache is footprint-light (tile boundaries only)
@@ -161,8 +160,12 @@ func PredictEngineBudget(f Features, cfg core.Config, workers int, budget int64)
 	if budget <= 0 {
 		budget = DefaultRetentionBudget
 	}
+	kind := cfg.Accumulator
+	if kind == accum.AutoKind {
+		kind = derivedAccumulator(f, cfg.MarkerBits)
+	}
 	var perWorker int64
-	switch cfg.Accumulator {
+	switch kind {
 	case accum.DenseKind, accum.DenseExplicitKind:
 		perWorker = int64(f.Cols) * 16 // value + marker word per column
 	default:

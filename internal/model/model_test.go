@@ -7,6 +7,7 @@ import (
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graphgen"
+	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -67,10 +68,66 @@ func TestPredictOnCorpusFamilies(t *testing.T) {
 		t.Errorf("road: %d tiles exceeds the recommended cap", cfg.Tiles)
 	}
 
-	// Small dimension: dense accumulator.
-	if cfg.Accumulator != accum.DenseKind {
-		t.Errorf("small-dimension graph: predicted %v, want Dense", cfg.Accumulator)
+	// Flat degrees: the hash table is a sliver of the dimension.
+	if cfg.Accumulator != accum.HashKind {
+		t.Errorf("road: predicted %v, want Hash", cfg.Accumulator)
 	}
+
+	// Social hubs: mask rows reach a good share of the dimension, so the
+	// dense state is no bigger than the hash table.
+	social := testFamilies["social"]()
+	if cfg, _, err = PredictConfig(social, social, social, 2); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Accumulator != accum.DenseKind {
+		t.Errorf("social: predicted %v, want Dense", cfg.Accumulator)
+	}
+}
+
+// TestPredictedAccumulatorIsThePlanners is the differential test of the
+// accumulator choice: on every test family, and on a hypersparse
+// operand, the kind PredictConfig reports is the kind a run under the
+// default (derived) configuration checks out — a hash run probes its
+// table, a dense run never does.
+func TestPredictedAccumulatorIsThePlanners(t *testing.T) {
+	families := map[string]func() *sparse.CSR[float64]{"hypersparse": hypersparse}
+	for name, build := range testFamilies {
+		families[name] = build
+	}
+	kinds := map[accum.Kind]int{}
+	for name, build := range families {
+		a := build()
+		cfg, _, err := PredictConfig(a, a, a, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		run := core.DefaultConfig()
+		run.Recorder = obs.NewRecorder()
+		if _, err := core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, a, a, a, run); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ran := accum.DenseKind
+		if run.Recorder.Stats().Accum.HashProbes > 0 {
+			ran = accum.HashKind
+		}
+		if ran != cfg.Accumulator {
+			t.Errorf("%s: PredictConfig says %v, the derived run used %v", name, cfg.Accumulator, ran)
+		}
+		kinds[ran]++
+	}
+	if kinds[accum.DenseKind] == 0 || kinds[accum.HashKind] == 0 {
+		t.Errorf("families exercise only one side of the rule: %v", kinds)
+	}
+}
+
+// hypersparse is a 2²⁴-column operand of four entries.
+func hypersparse() *sparse.CSR[float64] {
+	coo := sparse.NewCOO[float64](1<<24, 1<<24, 4)
+	coo.Add(0, 1, 1)
+	coo.Add(1, 0, 1)
+	coo.Add(70000, 90000, 1)
+	coo.Add(90000, 70000, 1)
+	return coo.ToCSR()
 }
 
 func TestPredictLargeSparse(t *testing.T) {
@@ -115,15 +172,16 @@ func TestPredictedConfigsRun(t *testing.T) {
 }
 
 func TestThresholdKnobs(t *testing.T) {
-	f := Features{Rows: 100000, Cols: 1 << 20, MaxMaskRow: 5, CoIterSpeedup: 1.0}
+	f := Features{Rows: 100000, Cols: 1 << 20, ValueBytes: 8, MaxMaskRow: 5, CoIterSpeedup: 1.0}
 	cfg := Predict(f, 0)
 	if cfg.Iteration != core.MaskLoad || cfg.Accumulator != accum.HashKind {
 		t.Errorf("baseline prediction wrong: %v", cfg)
 	}
-	// A dense mask row flips to dense accumulator despite the dimension.
+	// A mask row near the dimension flips to dense: the hash table it
+	// would need is as big as the dense state.
 	f.MaxMaskRow = 1 << 19
 	if Predict(f, 0).Accumulator != accum.DenseKind {
-		t.Error("dense mask-row rule not honored")
+		t.Error("dense-state rule not honored")
 	}
 	// Tile clamping.
 	tiny := Features{Rows: 10, Cols: 10, CoIterSpeedup: 1}

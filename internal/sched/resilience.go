@@ -91,18 +91,27 @@ func (st *runState) injectCancel(p chaos.Point) {
 // drain. Panic and delay faults execute inside chaos.Step (the panic is
 // caught by the worker's guard frame).
 //
+// Workers cross an armed seam one at a time and re-read the stop flag
+// inside it, so every crossing after an injected cancel comes after its
+// halt and drains: only the tiles claimed before the fault run, under
+// any policy and worker count. Without the lock, a worker preempted
+// between the fault and its halt let the others run on, up to every
+// tile. Only armed runs (tests, the chaos drill) take the lock.
+//
 //spgemm:hotpath
 func (st *runState) injectClaim(inj chaos.Injector) bool {
 	if inj == nil {
 		return false
 	}
+	st.seam.Lock()
+	defer st.seam.Unlock()
 	switch chaos.Step(inj, chaos.TileClaim) {
 	case chaos.KindError, chaos.KindCancel:
 		//lint:ignore hotpathalloc allocates only when a fault fires, and the run stops with it
 		st.injectCancel(chaos.TileClaim)
 		return true
 	}
-	return false
+	return st.stop.Load()
 }
 
 // injectSpawn fires the WorkerSpawn seam; true means the worker must

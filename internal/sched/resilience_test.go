@@ -14,11 +14,12 @@ import (
 // every policy: the run must fail with an error matching both
 // context.Canceled (so existing dispatch treats it as a cancel) and
 // chaos.ErrInjected (so the retry classifier can tell it from a
-// caller's cancel), without running every tile.
+// caller's cancel), and run exactly the tiles claimed before the fault.
 func TestInjectedClaimCancel(t *testing.T) {
+	const nth = 3
 	for _, policy := range []Policy{Static, Dynamic, Guided} {
 		sd := chaos.NewSeeded(401)
-		sd.Arm(chaos.TileClaim, chaos.KindCancel, 3, 0)
+		sd.Arm(chaos.TileClaim, chaos.KindCancel, nth, 0)
 		var ran atomic.Int64
 		err := RunWavesOpts(context.Background(), policy, 2, SingleWave(64), RunOpts{Chaos: sd},
 			func(worker, tile int) { ran.Add(1) })
@@ -31,8 +32,8 @@ func TestInjectedClaimCancel(t *testing.T) {
 		if sd.Fired(chaos.TileClaim) != 1 {
 			t.Fatalf("%v: trigger fired %d times, want 1", policy, sd.Fired(chaos.TileClaim))
 		}
-		if n := ran.Load(); n >= 64 {
-			t.Fatalf("%v: all %d tiles ran despite injected cancel", policy, n)
+		if n := ran.Load(); n != nth-1 {
+			t.Fatalf("%v: %d tiles ran around an injected cancel at claim %d, want %d", policy, n, nth, nth-1)
 		}
 	}
 }

@@ -57,6 +57,9 @@ type runState struct {
 	done atomic.Int64
 	mu   sync.Mutex
 	pe   *PanicError
+	// seam serializes the crossings of an armed TileClaim seam
+	// (injectClaim).
+	seam sync.Mutex
 	// se records a stall-watchdog verdict; cause records an injected
 	// spurious cancel. Both must carry an error — a stop flag with no
 	// recorded cause would silently truncate the result.

@@ -1,11 +1,7 @@
 package spgemm
 
 import (
-	"io"
-	"time"
-
 	"maskedspgemm/internal/accum"
-	"maskedspgemm/internal/bench"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/graph"
 	"maskedspgemm/internal/graphgen"
@@ -111,25 +107,11 @@ func PageRank(a *Matrix, damping, tol float64, maxIter int) ([]float64, error) {
 	return res.Rank, nil
 }
 
-// Tune runs the paper's Figure 12 staged tuning flow (tiling/schedule →
-// κ → marker width) on the matrix and returns the winning options.
-// Progress is logged to log (pass io.Discard to silence).
-func Tune(a *Matrix, log io.Writer) (Options, error) {
-	o := bench.DefaultOptions()
-	o.Method = bench.Methodology{Warmups: 0, MaxReps: 2, Budget: 30 * time.Second}
-	o.TileCounts = []int{256, 1024, 2048, 8192}
-	cfg, err := bench.Tune(a.csr, o, log)
-	if err != nil {
-		return Options{}, err
-	}
-	return fromConfig(cfg), nil
-}
-
 // PredictOptions runs the execution-time configuration model (the
 // paper's future-work direction): one structural pass over the operands
 // extracts features (degree skew, mask density, the Eq. 3 co-iteration
 // gain) and decision rules distilled from the paper's findings map them
-// to kernel options — no timed trials, unlike Tune.
+// to kernel options — no timed trials (examples/autotune times them).
 func PredictOptions(mask, a, b *Matrix) (Options, error) {
 	cfg, _, err := model.PredictConfig(mask.csr, a.csr, b.csr, 0)
 	if err != nil {
@@ -156,8 +138,12 @@ func fromConfig(cfg core.Config) Options {
 	default:
 		out.Iteration = IterHybrid
 	}
-	if cfg.Accumulator == accum.DenseKind || cfg.Accumulator == accum.DenseExplicitKind {
+	switch cfg.Accumulator {
+	case accum.AutoKind:
+	case accum.DenseKind, accum.DenseExplicitKind:
 		out.Accumulator = AccDense
+	default:
+		out.Accumulator = AccHash
 	}
 	if cfg.Tiling == tiling.Uniform {
 		out.Tiling = TileUniform

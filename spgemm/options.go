@@ -32,9 +32,15 @@ const (
 type Accumulator int
 
 const (
-	// AccHash is the open-addressing hash accumulator (space ∝ mask row).
-	AccHash Accumulator = iota
-	// AccDense is the size-n marker-vector accumulator.
+	// AccAuto, the zero value, leaves the family to the planner: per
+	// product (and per stage of a chain) it picks dense when the dense
+	// state is at most twice the hash table it would replace, hash
+	// otherwise — docs/TUNING.md, "Dense or hash".
+	AccAuto Accumulator = iota
+	// AccHash forces the open-addressing hash accumulator (space ∝ mask
+	// row).
+	AccHash
+	// AccDense forces the size-n marker-vector accumulator.
 	AccDense
 )
 
@@ -82,7 +88,7 @@ type Options struct {
 	Iteration Iteration
 	// Kappa is the co-iteration factor κ for IterHybrid. Default 1.
 	Kappa float64
-	// Accumulator family (§III-C). Default AccHash.
+	// Accumulator family (§III-C). Default AccAuto: derived per product.
 	Accumulator Accumulator
 	// MarkerBits is the accumulator reset-marker width: 8/16/32/64.
 	MarkerBits int
@@ -181,17 +187,16 @@ type Options struct {
 }
 
 // Defaults returns the paper's recommended configuration (§V): hybrid
-// iteration with κ=1, hash accumulator with 32-bit markers, 2048
-// FLOP-balanced tiles, dynamic scheduling.
+// iteration with κ=1, 32-bit markers, 2048 FLOP-balanced tiles, dynamic
+// scheduling, and the accumulator family derived per product (AccAuto).
 func Defaults() Options {
 	return Options{
-		Iteration:   IterHybrid,
-		Kappa:       1,
-		Accumulator: AccHash,
-		MarkerBits:  32,
-		Tiles:       2048,
-		Tiling:      TileFlopBalanced,
-		Schedule:    SchedDynamic,
+		Iteration:  IterHybrid,
+		Kappa:      1,
+		MarkerBits: 32,
+		Tiles:      2048,
+		Tiling:     TileFlopBalanced,
+		Schedule:   SchedDynamic,
 	}
 }
 
@@ -246,8 +251,10 @@ func (o Options) config() core.Config {
 	switch o.Accumulator {
 	case AccDense:
 		cfg.Accumulator = accum.DenseKind
-	default:
+	case AccHash:
 		cfg.Accumulator = accum.HashKind
+	default:
+		cfg.Accumulator = accum.AutoKind
 	}
 	switch o.Tiling {
 	case TileUniform:

@@ -19,7 +19,7 @@ import (
 func TestOptionsConfigMapping(t *testing.T) {
 	o := Defaults()
 	cfg := o.config()
-	if cfg.Iteration != core.Hybrid || cfg.Accumulator != accum.HashKind ||
+	if cfg.Iteration != core.Hybrid || cfg.Accumulator != accum.AutoKind ||
 		cfg.Tiling != tiling.FlopBalanced || cfg.Schedule != sched.Dynamic ||
 		cfg.Tiles != 2048 || cfg.MarkerBits != 32 || cfg.Kappa != 1 {
 		t.Errorf("defaults mapped wrong: %+v", cfg)
@@ -37,6 +37,7 @@ func TestOptionsConfigMapping(t *testing.T) {
 		{func(o *Options) { o.Iteration = IterMaskLoad }, func(c core.Config) bool { return c.Iteration == core.MaskLoad }, "maskload"},
 		{func(o *Options) { o.Iteration = IterCoIter }, func(c core.Config) bool { return c.Iteration == core.CoIter }, "coiter"},
 		{func(o *Options) { o.Accumulator = AccDense }, func(c core.Config) bool { return c.Accumulator == accum.DenseKind }, "dense"},
+		{func(o *Options) { o.Accumulator = AccHash }, func(c core.Config) bool { return c.Accumulator == accum.HashKind }, "hash"},
 		{func(o *Options) { o.Tiling = TileUniform }, func(c core.Config) bool { return c.Tiling == tiling.Uniform }, "uniform"},
 		{func(o *Options) { o.Schedule = SchedStatic }, func(c core.Config) bool { return c.Schedule == sched.Static }, "static"},
 		{func(o *Options) { o.Schedule = SchedGuided }, func(c core.Config) bool { return c.Schedule == sched.Guided }, "guided"},
@@ -51,8 +52,8 @@ func TestOptionsConfigMapping(t *testing.T) {
 		if !c.check(o.config()) {
 			t.Errorf("%s: option did not map", c.name)
 		}
-		// fromConfig inverts config on the subset it exports (what Tune
-		// and PredictOptions hand back to callers).
+		// fromConfig inverts config on the subset it exports (what
+		// PredictOptions hands back to callers).
 		back := fromConfig(o.config())
 		if back.Iteration != o.Iteration || back.Accumulator != o.Accumulator ||
 			back.Tiling != o.Tiling || back.Schedule != o.Schedule ||

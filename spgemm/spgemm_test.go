@@ -2,7 +2,6 @@ package spgemm_test
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
@@ -391,29 +390,6 @@ func TestRandomGraphKinds(t *testing.T) {
 		if g.Rows() < 300 {
 			t.Errorf("%s: %d vertices, want >= 300", kind, g.Rows())
 		}
-	}
-}
-
-func TestTuneRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tuning is not short")
-	}
-	a := spgemm.RandomGraph("er", 400, 17)
-	opts, err := spgemm.Tune(a, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The tuned options must run and agree with defaults.
-	n1, err := spgemm.TriangleCount(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := spgemm.TriangleCount(a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n2 {
-		t.Errorf("tuned options changed the answer: %d vs %d", n1, n2)
 	}
 }
 
