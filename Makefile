@@ -1,12 +1,22 @@
 GO ?= go
 
-.PHONY: build test vet size lint lint-json staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-kappa bench-trsv bench-micro telemetry-smoke
+.PHONY: build test examples vet size lint lint-json staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-kappa bench-trsv bench-micro telemetry-smoke
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# examples runs every program under examples/. Each exits non-zero on
+# error, so a demo left broken by a change to the public facade fails
+# here rather than only when a reader runs it (go build proves only
+# that it compiles).
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -68,7 +78,7 @@ race:
 # (bench-micro), so they cannot rot. CI's gates job runs exactly this.
 gates: bench-engine bench-trsv chaos telemetry-smoke bench-micro
 
-check: vet lint staticcheck govulncheck race test gates
+check: vet lint staticcheck govulncheck race test examples gates
 
 # bench is the end-to-end yardstick (BENCHMARK.json, benchmark/README.md):
 # five workloads through the public facade, eight end-to-end metrics.

@@ -47,18 +47,17 @@ func main() {
 	}
 	fmt.Printf("triangles: %d\n", tri)
 
-	// The same result with every iteration space — the kernel's answer
-	// is configuration-independent; only the runtime changes.
-	for _, it := range []spgemm.Iteration{
-		spgemm.IterVanilla, spgemm.IterMaskLoad, spgemm.IterCoIter, spgemm.IterHybrid,
-	} {
+	// The same result across the co-iteration factor κ: a tiny κ never
+	// co-iterates (mask-load), a huge one always does. The kernel's
+	// answer is configuration-independent; only the runtime changes.
+	for _, kappa := range []float64{1e-9, 1, 1e9} {
 		o := spgemm.Defaults()
-		o.Iteration = it
+		o.Kappa = kappa
 		n, err := spgemm.TriangleCount(a, o)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  iteration space %d -> %d triangles\n", it, n)
+		fmt.Printf("  κ=%g -> %d triangles\n", kappa, n)
 	}
 
 	// Production hardening (docs/ERRORS.md): a context makes the multiply
@@ -67,8 +66,9 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	hard := spgemm.Defaults()
+	hard.Context = ctx
 	hard.ValidateInputs = true
-	if _, err := spgemm.MxMContext(ctx, a, a, a, hard); err != nil {
+	if _, err := spgemm.MxM(a, a, a, hard); err != nil {
 		switch {
 		case errors.Is(err, spgemm.ErrCanceled):
 			log.Fatal("timed out:", err)

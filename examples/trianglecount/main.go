@@ -1,7 +1,7 @@
 // Triangle counting at benchmark scale: generates an R-MAT social
 // network (the com-Orkut-style workload of the paper), counts triangles
-// under several kernel configurations, and prints the timing spread —
-// a miniature of the paper's Figure 1 on one graph.
+// across the co-iteration factor κ and the tile count, and prints the
+// timing spread — a miniature of the paper's Figure 1 on one graph.
 package main
 
 import (
@@ -21,30 +21,16 @@ func main() {
 		name string
 		opts spgemm.Options
 	}
+	with := func(kappa float64, tiles int) spgemm.Options {
+		o := spgemm.Defaults()
+		o.Kappa, o.Tiles = kappa, tiles
+		return o
+	}
 	variants := []variant{
-		{"hybrid κ=1, hash, balanced+dynamic (paper's pick)", spgemm.Defaults()},
-		{"mask-load, hash", func() spgemm.Options {
-			o := spgemm.Defaults()
-			o.Iteration = spgemm.IterMaskLoad
-			return o
-		}()},
-		{"mask-load, dense", func() spgemm.Options {
-			o := spgemm.Defaults()
-			o.Iteration = spgemm.IterMaskLoad
-			o.Accumulator = spgemm.AccDense
-			return o
-		}()},
-		{"co-iterate always", func() spgemm.Options {
-			o := spgemm.Defaults()
-			o.Iteration = spgemm.IterCoIter
-			return o
-		}()},
-		{"uniform tiles, static schedule", func() spgemm.Options {
-			o := spgemm.Defaults()
-			o.Tiling = spgemm.TileUniform
-			o.Schedule = spgemm.SchedStatic
-			return o
-		}()},
+		{"hybrid κ=1, 2048 tiles (paper's pick)", spgemm.Defaults()},
+		{"κ=1e-9: never co-iterate (mask-load)", with(1e-9, 2048)},
+		{"κ=1e9: always co-iterate", with(1e9, 2048)},
+		{"hybrid κ=1, 64 tiles", with(1, 64)},
 	}
 
 	var want int64 = -1

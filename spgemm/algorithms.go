@@ -1,13 +1,9 @@
 package spgemm
 
 import (
-	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/graph"
 	"maskedspgemm/internal/graphgen"
-	"maskedspgemm/internal/model"
-	"maskedspgemm/internal/sched"
-	"maskedspgemm/internal/tiling"
 )
 
 // TriangleCount counts triangles in the undirected simple graph a using
@@ -105,56 +101,6 @@ func PageRank(a *Matrix, damping, tol float64, maxIter int) ([]float64, error) {
 		return nil, err
 	}
 	return res.Rank, nil
-}
-
-// PredictOptions runs the execution-time configuration model (the
-// paper's future-work direction): one structural pass over the operands
-// extracts features (degree skew, mask density, the Eq. 3 co-iteration
-// gain) and decision rules distilled from the paper's findings map them
-// to kernel options — no timed trials (examples/autotune times them).
-func PredictOptions(mask, a, b *Matrix) (Options, error) {
-	cfg, _, err := model.PredictConfig(mask.csr, a.csr, b.csr, 0)
-	if err != nil {
-		return Options{}, err
-	}
-	return fromConfig(cfg), nil
-}
-
-// fromConfig translates an internal configuration back to public
-// Options (inverse of Options.config for the exported subset).
-func fromConfig(cfg core.Config) Options {
-	out := Defaults()
-	out.Kappa = cfg.Kappa
-	out.MarkerBits = cfg.MarkerBits
-	out.Tiles = cfg.Tiles
-	out.Workers = cfg.Workers
-	switch cfg.Iteration {
-	case core.Vanilla:
-		out.Iteration = IterVanilla
-	case core.MaskLoad:
-		out.Iteration = IterMaskLoad
-	case core.CoIter:
-		out.Iteration = IterCoIter
-	default:
-		out.Iteration = IterHybrid
-	}
-	switch cfg.Accumulator {
-	case accum.AutoKind:
-	case accum.DenseKind, accum.DenseExplicitKind:
-		out.Accumulator = AccDense
-	default:
-		out.Accumulator = AccHash
-	}
-	if cfg.Tiling == tiling.Uniform {
-		out.Tiling = TileUniform
-	}
-	switch cfg.Schedule {
-	case sched.Static:
-		out.Schedule = SchedStatic
-	case sched.Guided:
-		out.Schedule = SchedGuided
-	}
-	return out
 }
 
 // RandomGraph generates one of the built-in synthetic graph families;

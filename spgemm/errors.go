@@ -18,7 +18,7 @@ var (
 	// mask is m×n).
 	ErrShape = sparse.ErrShape
 	// ErrConfig marks invalid Options: unknown enum values, negative
-	// worker counts, non-positive tile counts, bad marker widths.
+	// worker counts, non-positive tile counts, a non-positive κ.
 	ErrConfig = core.ErrConfig
 	// ErrInvalidMatrix marks operands that violate the CSR invariants
 	// (detected when Options.ValidateInputs is set, or by Matrix input
@@ -70,11 +70,14 @@ func recoverAsError(err *error) {
 	}
 }
 
-// validate runs, under Options.ValidateInputs, the full CSR invariant
-// check over each named operand, parallelized across the workers. Any
-// violation is reported as ErrInvalidMatrix naming the offending
-// operand.
+// validate rejects a Semiring outside the enum as ErrConfig, then runs,
+// under Options.ValidateInputs, the full CSR invariant check over each
+// named operand, parallelized across the workers. Any violation is
+// reported as ErrInvalidMatrix naming the offending operand.
 func (o Options) validate(operands ...namedOperand) error {
+	if o.Semiring < 0 || int(o.Semiring) >= len(semiringKernels) {
+		return fmt.Errorf("%w: unknown semiring %d", ErrConfig, o.Semiring)
+	}
 	if !o.ValidateInputs {
 		return nil
 	}

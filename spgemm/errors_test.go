@@ -11,46 +11,63 @@ import (
 )
 
 // hostileMatrix builds a CSR that passes the shape checks but violates
-// the index invariant: every row stores a column far beyond Cols, which
-// drives the dense accumulator out of bounds if executed unvalidated.
+// the index invariant: every row stores its diagonal and a column far
+// beyond Cols, which drives the dense accumulator out of bounds if
+// executed unvalidated. Two entries a row keep the hybrid cost model on
+// the linear scan at a small κ; a one-entry row always co-iterates.
 func hostileMatrix(n int) *Matrix {
 	m := &sparse.CSR[float64]{Rows: n, Cols: n, RowPtr: make([]int64, n+1)}
 	for i := 0; i < n; i++ {
-		m.ColIdx = append(m.ColIdx, 1<<20)
-		m.Val = append(m.Val, 1)
-		m.RowPtr[i+1] = int64(i + 1)
+		m.ColIdx = append(m.ColIdx, sparse.Index(i), 1<<20)
+		m.Val = append(m.Val, 1, 1)
+		m.RowPtr[i+1] = int64(2 * (i + 1))
 	}
 	return wrap(m)
 }
 
+// completeGraph is the n-vertex complete graph: as a mask its rows are
+// as long as its column count, so the planner derives the dense
+// accumulator for it.
+func completeGraph(t *testing.T, n int) *Matrix {
+	t.Helper()
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	m, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestHostilePanicBecomesErrPanic feeds a corrupt operand into MxM
 // without validation and requires the resulting out-of-range panic to
-// come back as ErrPanic — never as a process crash — for every
-// schedule, with the panic detail recoverable via errors.As.
+// come back as ErrPanic — never as a process crash — with the panic
+// detail recoverable via errors.As. The complete-graph mask derives the
+// dense accumulator and a tiny κ scans every B entry against it, so the
+// out-of-range column is touched deterministically. The schedule
+// policies are looped by the same containment tests in internal/core
+// and internal/sched.
 func TestHostilePanicBecomesErrPanic(t *testing.T) {
-	good := RandomGraph("er", 64, 7)
-	bad := hostileMatrix(64)
-	for _, schedule := range []Schedule{SchedStatic, SchedDynamic, SchedGuided} {
-		opts := Defaults()
-		opts.Schedule = schedule
-		opts.Accumulator = AccDense
-		// MaskLoad scans every B entry against the dense accumulator, so
-		// the out-of-range column is touched deterministically.
-		opts.Iteration = IterMaskLoad
-		_, err := MxM(good, good, bad, opts)
-		if err == nil {
-			t.Fatalf("schedule %v: corrupt operand accepted", schedule)
-		}
-		if !errors.Is(err, ErrPanic) {
-			t.Fatalf("schedule %v: err = %v, want ErrPanic", schedule, err)
-		}
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("schedule %v: chain lacks *PanicError: %v", schedule, err)
-		}
-		if len(pe.Stack) == 0 {
-			t.Fatalf("schedule %v: panic stack not captured", schedule)
-		}
+	good := completeGraph(t, 64)
+	opts := Defaults()
+	opts.Kappa = 1e-9
+	_, err := MxM(good, good, hostileMatrix(64), opts)
+	if err == nil {
+		t.Fatal("corrupt operand accepted")
+	}
+	if !errors.Is(err, ErrPanic) {
+		t.Fatalf("err = %v, want ErrPanic", err)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("chain lacks *PanicError: %v", err)
+	}
+	if len(pe.Stack) == 0 {
+		t.Fatal("panic stack not captured")
 	}
 }
 
@@ -96,14 +113,16 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// TestMxMContextPreCancelled requires an already-cancelled context to
+// TestMxMPreCancelledContext requires an already-cancelled context to
 // stop the multiply before any work, matching both ErrCanceled and the
 // context package's sentinel.
-func TestMxMContextPreCancelled(t *testing.T) {
+func TestMxMPreCancelledContext(t *testing.T) {
 	a := RandomGraph("er", 50, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MxMContext(ctx, a, a, a, Defaults())
+	opts := Defaults()
+	opts.Context = ctx
+	_, err := MxM(a, a, a, opts)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -112,16 +131,18 @@ func TestMxMContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestMxMContextMidFlightCancel cancels a deadline mid-multiply on a
+// TestMxMMidFlightCancel cancels a deadline mid-multiply on a
 // graph large enough that the kernel cannot finish first, and checks
 // both the typed error and that no worker goroutines are left behind.
-func TestMxMContextMidFlightCancel(t *testing.T) {
+func TestMxMMidFlightCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	cancelled := false
 	for n := 1 << 13; n <= 1<<16 && !cancelled; n *= 2 {
 		a := RandomGraph("er", n, 13)
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
-		_, err := MxMContext(ctx, a, a, a, Defaults())
+		opts := Defaults()
+		opts.Context = ctx
+		_, err := MxM(a, a, a, opts)
 		cancel()
 		switch {
 		case err == nil:
@@ -156,7 +177,9 @@ func TestMultiplierContextLifecycle(t *testing.T) {
 
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewMultiplierContext(done, a, a, a, Defaults()); !errors.Is(err, ErrCanceled) {
+	cancelled := Defaults()
+	cancelled.Context = done
+	if _, err := NewMultiplier(a, a, a, cancelled); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("cancelled plan construction: err = %v, want ErrCanceled", err)
 	}
 
@@ -199,5 +222,38 @@ func TestErrorTaxonomyDistinct(t *testing.T) {
 	bad.Tiles = -1
 	if _, err := MxM(x, x, x, bad); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad config err = %v, want ErrConfig", err)
+	}
+}
+
+// TestUnknownSemiringIsErrConfig requires every entry point that
+// dispatches on Options.Semiring to reject a value outside the enum as
+// ErrConfig instead of running some other algebra.
+func TestUnknownSemiringIsErrConfig(t *testing.T) {
+	a := RandomGraph("er", 40, 3)
+	entries := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"MxM", func(o Options) error { _, err := MxM(a, a, a, o); return err }},
+		{"MxMChain", func(o Options) error { _, err := MxMChain(a, a, a, a, a, o); return err }},
+		{"MxMChain/fused", func(o Options) error {
+			o.Fuse = true
+			_, err := MxMChain(a, a, a, a, a, o)
+			return err
+		}},
+		{"MxMComplement", func(o Options) error { _, err := MxMComplement(a, a, a, o); return err }},
+		{"MxMUnmasked", func(o Options) error { _, err := MxMUnmasked(a, a, o); return err }},
+		{"NewMultiplier", func(o Options) error { _, err := NewMultiplier(a, a, a, o); return err }},
+		{"EWiseAdd", func(o Options) error { _, err := EWiseAdd(a, a, o); return err }},
+		{"EWiseMult", func(o Options) error { _, err := EWiseMult(a, a, o); return err }},
+	}
+	for _, sr := range []Semiring{-1, SROrAnd + 1} {
+		for _, e := range entries {
+			o := Defaults()
+			o.Semiring = sr
+			if err := e.run(o); !errors.Is(err, ErrConfig) {
+				t.Errorf("%s, semiring %d: err = %v, want ErrConfig", e.name, sr, err)
+			}
+		}
 	}
 }

@@ -3,11 +3,12 @@
 //
 //	C = M ⊙ (A × B)
 //
-// with the full tuning surface studied in "To tile or not to tile, that
-// is the question" (IPDPSW 2024) — iteration spaces, tiling and
-// scheduling strategies, and sparse accumulator designs — plus the graph
-// algorithms built on the kernel: triangle counting, k-truss, BFS, and
-// betweenness centrality.
+// running the configuration recommended by "To tile or not to tile, that
+// is the question" (IPDPSW 2024) — hybrid iteration, FLOP-balanced tiles
+// claimed dynamically, and the sparse accumulator derived per product —
+// plus the graph algorithms built on the kernel: triangle counting,
+// k-truss, BFS, and betweenness centrality. The study's full tuning
+// surface is internal/core.Config, swept by cmd/spgemm-bench.
 //
 // Quick start:
 //

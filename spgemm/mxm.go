@@ -58,12 +58,8 @@ var semiringKernels = func() [3]kernels {
 	}
 }()
 
-// kernels resolves the options' semiring; a value outside the enum
-// selects SRPlusTimes.
+// kernels resolves the options' semiring, which validate has checked.
 func (o Options) kernels() *kernels {
-	if o.Semiring < 0 || int(o.Semiring) >= len(semiringKernels) {
-		return &semiringKernels[SRPlusTimes]
-	}
 	return &semiringKernels[o.Semiring]
 }
 
@@ -130,10 +126,10 @@ func mxmAttempt(mask, a, b *Matrix, opts Options) (_ *sparse.CSR[float64], err e
 }
 
 // recalibrator resolves the online-κ estimator for this call's operand
-// family, or nil when adaptation is off (no AdaptiveKappa, no Engine to
-// persist state on, or a non-hybrid iteration space where κ is unused).
+// family, or nil when adaptation is off (no AdaptiveKappa, or no Engine
+// to persist state on).
 func (o Options) recalibrator(mask, a, b *Matrix) *model.Recalibrator {
-	if !o.AdaptiveKappa || o.Iteration != IterHybrid {
+	if !o.AdaptiveKappa {
 		return nil
 	}
 	return model.TuneFor(o.Engine.internal(), mask.csr, a.csr, b.csr, o.Kappa)
@@ -219,14 +215,6 @@ func fusedChainAttempt(m1, a, b, m2, c *Matrix, opts Options) (_ *sparse.CSR[flo
 	return opts.kernels().fused(m1.csr, a.csr, b.csr, m2.csr, c.csr, opts.config())
 }
 
-// MxMContext is MxM under an explicit context: the multiplication is
-// cooperatively cancelled when ctx is done, returning an error matching
-// ErrCanceled. A non-nil opts.Context is overridden by ctx.
-func MxMContext(ctx context.Context, mask, a, b *Matrix, opts Options) (*Matrix, error) {
-	opts.Context = ctx
-	return MxM(mask, a, b, opts)
-}
-
 // MxMComplement computes C = ¬mask ⊙ (a × b): the product restricted to
 // positions the mask does NOT allow — GraphBLAS's complemented mask,
 // structural unless Options.ValuedMask is set. Note the output is
@@ -285,7 +273,8 @@ type Multiplier struct {
 // configuration and cancellation errors surface here and not at the
 // first Multiply. A product below the tile crossover is only checked:
 // its one-tile plan is never cached, each Multiply rebuilds it. Plan
-// construction observes opts.Context.
+// construction observes opts.Context, which is also the context every
+// Multiply runs under.
 func NewMultiplier(mask, a, b *Matrix, opts Options) (_ *Multiplier, err error) {
 	defer recoverAsError(&err)
 	if err := opts.validate(namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
@@ -304,16 +293,9 @@ func NewMultiplier(mask, a, b *Matrix, opts Options) (_ *Multiplier, err error) 
 	return &Multiplier{mask: mask, a: a, b: b, opts: opts}, nil
 }
 
-// NewMultiplierContext is NewMultiplier under an explicit context,
-// which also becomes the default context of every Multiply call on the
-// returned Multiplier. A non-nil opts.Context is overridden by ctx.
-func NewMultiplierContext(ctx context.Context, mask, a, b *Matrix, opts Options) (*Multiplier, error) {
-	opts.Context = ctx
-	return NewMultiplier(mask, a, b, opts)
-}
-
 // Multiply runs the product and returns a fresh result matrix, under
-// the context the Multiplier was built with (nil = run to completion).
+// the Options' Context the Multiplier was built with (nil = run to
+// completion).
 func (mu *Multiplier) Multiply() (*Matrix, error) {
 	return mu.MultiplyContext(nil)
 }
@@ -349,6 +331,9 @@ func (mu *Multiplier) LastStats() (_ KernelStats, ok bool) {
 // only one operand carry over unchanged.
 func EWiseAdd(a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
+	if err := opts.validate(namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
+		return nil, err
+	}
 	c, err := opts.kernels().ewiseAdd(a.csr, b.csr)
 	if err != nil {
 		return nil, err
@@ -361,6 +346,9 @@ func EWiseAdd(a, b *Matrix, opts Options) (_ *Matrix, err error) {
 // multiplicative operation (Hadamard product under SRPlusTimes).
 func EWiseMult(a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
+	if err := opts.validate(namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
+		return nil, err
+	}
 	c, err := opts.kernels().ewiseMult(a.csr, b.csr)
 	if err != nil {
 		return nil, err

@@ -4,69 +4,9 @@ import (
 	"context"
 	"time"
 
-	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/chaos"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/obs"
-	"maskedspgemm/internal/sched"
-	"maskedspgemm/internal/tiling"
-)
-
-// Iteration selects how the multiplication and mask are traversed
-// together — the paper's §III-B dimension.
-type Iteration int
-
-const (
-	// IterVanilla accumulates the full product, masking afterwards.
-	IterVanilla Iteration = iota
-	// IterMaskLoad loads the mask first and filters updates against it.
-	IterMaskLoad
-	// IterCoIter binary-searches B rows for the mask's columns.
-	IterCoIter
-	// IterHybrid switches per row-pair using the κ cost model — the
-	// paper's recommended push-pull strategy.
-	IterHybrid
-)
-
-// Accumulator selects the per-row accumulator family — §III-C.
-type Accumulator int
-
-const (
-	// AccAuto, the zero value, leaves the family to the planner: per
-	// product (and per stage of a chain) it picks dense when the dense
-	// state is at most twice the hash table it would replace, hash
-	// otherwise — docs/TUNING.md, "Dense or hash".
-	AccAuto Accumulator = iota
-	// AccHash forces the open-addressing hash accumulator (space ∝ mask
-	// row).
-	AccHash
-	// AccDense forces the size-n marker-vector accumulator.
-	AccDense
-)
-
-// TilingStrategy selects how output rows are split into tiles — §III-A.
-type TilingStrategy int
-
-const (
-	// TileFlopBalanced balances the Eq. 2 work estimate across tiles.
-	TileFlopBalanced TilingStrategy = iota
-	// TileUniform gives every tile the same number of rows.
-	TileUniform
-)
-
-// Schedule selects how tiles are assigned to workers.
-type Schedule int
-
-const (
-	// SchedDynamic lets workers claim tiles from a shared queue.
-	SchedDynamic Schedule = iota
-	// SchedStatic pre-assigns tiles round-robin.
-	SchedStatic
-	// SchedGuided lets workers claim geometrically shrinking chunks of
-	// tiles (remaining/P per claim, at least one) — OpenMP's
-	// schedule(guided). At high tile counts it keeps dynamic
-	// balance while paying far fewer atomic operations than SchedDynamic.
-	SchedGuided
 )
 
 // Semiring selects the algebra of the multiplication.
@@ -81,25 +21,23 @@ const (
 	SROrAnd
 )
 
-// Options is the kernel tuning surface. The zero value is NOT valid;
-// start from Defaults.
+// Options is the kernel tuning surface: what the planner cannot derive
+// from the operands. Every product runs the paper's recommended
+// configuration (§V) — hybrid iteration, FLOP-balanced tiles claimed
+// dynamically, 32-bit markers — with its accumulator family derived
+// per product; the study's alternatives to those are reached through
+// spgemm-bench (docs/TUNING.md). The zero value is NOT valid; start
+// from Defaults.
 type Options struct {
-	// Iteration space (§III-B). Default IterHybrid.
-	Iteration Iteration
-	// Kappa is the co-iteration factor κ for IterHybrid. Default 1.
+	// Kappa is the co-iteration factor κ of the hybrid iteration space:
+	// a row pair co-iterates when nnz(M[i,:])·log2(nnz(B[k,:])) <
+	// κ·nnz(B[k,:]). Default 1. A tiny κ never co-iterates (mask-load);
+	// a huge one always does.
 	Kappa float64
-	// Accumulator family (§III-C). Default AccAuto: derived per product.
-	Accumulator Accumulator
-	// MarkerBits is the accumulator reset-marker width: 8/16/32/64.
-	MarkerBits int
 	// Tiles is the requested number of row tiles. Default 2048. Clamped
 	// to the number of rows and, for a product too small for tiling to
 	// pay (docs/TUNING.md, "Not to tile"), to one.
 	Tiles int
-	// Tiling strategy (§III-A). Default TileFlopBalanced.
-	Tiling TilingStrategy
-	// Schedule policy. Default SchedDynamic.
-	Schedule Schedule
 	// LevelSchedule selects how TRSV executes its dependency levels:
 	// LevelAuto (default) takes waves vs. serial from the plan's
 	// predicted times for the operand structure and worker count, decided
@@ -111,7 +49,9 @@ type Options struct {
 	// multiply uses no more workers than it has tiles; a one-tile product
 	// runs on the calling goroutine.
 	Workers int
-	// Semiring is the multiplication algebra. Default SRPlusTimes.
+	// Semiring is the multiplication algebra of the products and the
+	// element-wise operations. Default SRPlusTimes; a value outside the
+	// enum is ErrConfig. The algorithm wrappers and TRSV fix their own.
 	Semiring Semiring
 	// Fuse enables the tile-granular fused pipeline for chained
 	// products: MxMChain streams each tile of its first product into the
@@ -122,14 +62,14 @@ type Options struct {
 	// only intermediate allocations and locality change.
 	Fuse bool
 	// AdaptiveKappa turns on online recalibration of the co-iteration
-	// factor κ: every hybrid-iteration run through an Engine feeds its
+	// factor κ: every run through an Engine feeds its
 	// measured cost back into a per-operand-family estimator (cached on
 	// the Engine) that brackets the current κ, recenters on cheaper
 	// neighbors, and periodically audits itself against the static
 	// Kappa — snapping back if adaptation ever loses to it. Requires a
-	// non-nil Engine (the estimator must persist between calls) and
-	// IterHybrid; otherwise it is ignored. A Multiplier always has an
-	// Engine, its own when the Options carry none.
+	// non-nil Engine (the estimator must persist between calls);
+	// otherwise it is ignored. A Multiplier always has an Engine, its
+	// own when the Options carry none.
 	AdaptiveKappa bool
 	// ValuedMask switches the mask from structural semantics (any stored
 	// entry allows the position — GraphBLAS GrB_STRUCTURE, the paper's
@@ -186,18 +126,11 @@ type Options struct {
 	chaos chaos.Injector
 }
 
-// Defaults returns the paper's recommended configuration (§V): hybrid
-// iteration with κ=1, 32-bit markers, 2048 FLOP-balanced tiles, dynamic
-// scheduling, and the accumulator family derived per product (AccAuto).
+// Defaults returns the paper's recommended configuration (§V), as
+// core.DefaultConfig states it: κ = 1 and 2048 row tiles.
 func Defaults() Options {
-	return Options{
-		Iteration:  IterHybrid,
-		Kappa:      1,
-		MarkerBits: 32,
-		Tiles:      2048,
-		Tiling:     TileFlopBalanced,
-		Schedule:   SchedDynamic,
-	}
+	d := core.DefaultConfig()
+	return Options{Kappa: d.Kappa, Tiles: d.Tiles}
 }
 
 // recorder resolves the obs recorder every run under these options
@@ -213,7 +146,9 @@ func (o Options) recorder() *obs.Recorder {
 	return o.Engine.telemetry().recorder()
 }
 
-// config translates Options to the internal kernel configuration.
+// config translates Options to the internal kernel configuration: the
+// recommended one, core.DefaultConfig, with the caller's κ, tile count,
+// workers, context, engine, recorder and resilience extras.
 func (o Options) config() core.Config {
 	tel := o.Engine.telemetry()
 	// A user recorder under a telemetry-carrying engine feeds the live
@@ -221,15 +156,13 @@ func (o Options) config() core.Config {
 	if tel != nil && o.Stats != nil {
 		tel.AttachRecorder(o.Stats)
 	}
-	cfg := core.Config{
-		Kappa:      o.Kappa,
-		MarkerBits: o.MarkerBits,
-		Tiles:      o.Tiles,
-		Workers:    o.Workers,
-		Context:    o.Context,
-		Engine:     o.Engine.internal(),
-		Recorder:   o.recorder(),
-	}
+	cfg := core.DefaultConfig()
+	cfg.Kappa = o.Kappa
+	cfg.Tiles = o.Tiles
+	cfg.Workers = o.Workers
+	cfg.Context = o.Context
+	cfg.Engine = o.Engine.internal()
+	cfg.Recorder = o.recorder()
 	if o.chaos != nil || o.StallTimeout != 0 {
 		// The telemetry tap records every armed chaos decision as an
 		// EventChaos in the flight recorder before the fault executes.
@@ -237,38 +170,6 @@ func (o Options) config() core.Config {
 			Chaos:        tel.internal().WrapInjector(o.chaos),
 			StallTimeout: o.StallTimeout,
 		}
-	}
-	switch o.Iteration {
-	case IterVanilla:
-		cfg.Iteration = core.Vanilla
-	case IterMaskLoad:
-		cfg.Iteration = core.MaskLoad
-	case IterCoIter:
-		cfg.Iteration = core.CoIter
-	default:
-		cfg.Iteration = core.Hybrid
-	}
-	switch o.Accumulator {
-	case AccDense:
-		cfg.Accumulator = accum.DenseKind
-	case AccHash:
-		cfg.Accumulator = accum.HashKind
-	default:
-		cfg.Accumulator = accum.AutoKind
-	}
-	switch o.Tiling {
-	case TileUniform:
-		cfg.Tiling = tiling.Uniform
-	default:
-		cfg.Tiling = tiling.FlopBalanced
-	}
-	switch o.Schedule {
-	case SchedStatic:
-		cfg.Schedule = sched.Static
-	case SchedGuided:
-		cfg.Schedule = sched.Guided
-	default:
-		cfg.Schedule = sched.Dynamic
 	}
 	return cfg
 }

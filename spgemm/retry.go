@@ -22,7 +22,7 @@ import (
 // tripped the previous attempt:
 //
 //	attempt 1   the configured path, as tuned
-//	attempt 2   serial: one worker, static schedule
+//	attempt 2   serial: one worker
 //	attempt 3+  additionally unfused (chains run staged) and unpooled
 //	            (no Engine — fresh buffers, no shared workspace state)
 //
@@ -71,7 +71,6 @@ func (o Options) rung(try int) Options {
 		return o
 	}
 	o.Workers = 1
-	o.Schedule = SchedStatic
 	o.AdaptiveKappa = false
 	if try >= 2 {
 		o.Fuse = false

@@ -128,13 +128,6 @@ func TestGraphAlgorithmsOnFacade(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("pagerank sum %v", sum)
 	}
-	opts, err := spgemm.PredictOptions(a, a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := spgemm.MxM(a, a, a, opts); err != nil {
-		t.Errorf("predicted options do not run: %v", err)
-	}
 }
 
 func TestValuedMask(t *testing.T) {
@@ -400,7 +393,7 @@ func TestMxMShapeErrors(t *testing.T) {
 		t.Error("shape mismatch accepted")
 	}
 	bad := spgemm.Defaults()
-	bad.MarkerBits = 5
+	bad.Kappa = -1
 	if _, err := spgemm.MxM(a, a, a, bad); err == nil {
 		t.Error("invalid options accepted")
 	}

@@ -47,7 +47,7 @@ const (
 // the wrong side of the diagonal returns ErrNotTriangular). The
 // dependency-wave schedule is bit-identical to serial substitution —
 // each row is summed in CSR order by exactly one worker — so results do
-// not vary with Workers or Schedule.
+// not vary with Workers or LevelSchedule.
 //
 // The level-set plan is cached on opts.Engine keyed by the operand's
 // structure, so iterative solves against a fixed matrix plan once; warm

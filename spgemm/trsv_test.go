@@ -60,8 +60,9 @@ func equalVec(t *testing.T, want, got []float64, label string) {
 }
 
 // TestTRSVWavesMatchSerial requires the wave schedule to be
-// bit-identical to the serial substitution loop across triangles,
-// schedules, and masking, through the public facade.
+// bit-identical to the serial substitution loop across triangles and
+// masking, through the public facade. The schedule policies are looped
+// by internal/core's solve tests.
 func TestTRSVWavesMatchSerial(t *testing.T) {
 	const n = 300
 	b := rhs(n)
@@ -82,26 +83,23 @@ func TestTRSVWavesMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sched := range []Schedule{SchedDynamic, SchedStatic, SchedGuided} {
-				opts := Defaults()
-				opts.LevelSchedule = LevelWaves
-				opts.Schedule = sched
-				opts.Workers = 4
-				opts.Engine = NewEngine(EngineConfig{})
-				got, err := TRSVMasked(l, b, tri, m, opts)
-				if err != nil {
-					t.Fatalf("tri=%v sched=%d masked=%v: %v", tri, sched, m != nil, err)
-				}
-				equalVec(t, want, got, "wave solve")
-				// Warm run off the cached plan must agree too.
-				got2, err := TRSVMasked(l, b, tri, m, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalVec(t, want, got2, "cached wave solve")
-				if err := opts.Engine.SelfCheck(); err != nil {
-					t.Fatalf("engine self-check: %v", err)
-				}
+			opts := Defaults()
+			opts.LevelSchedule = LevelWaves
+			opts.Workers = 4
+			opts.Engine = NewEngine(EngineConfig{})
+			got, err := TRSVMasked(l, b, tri, m, opts)
+			if err != nil {
+				t.Fatalf("tri=%v masked=%v: %v", tri, m != nil, err)
+			}
+			equalVec(t, want, got, "wave solve")
+			// Warm run off the cached plan must agree too.
+			got2, err := TRSVMasked(l, b, tri, m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalVec(t, want, got2, "cached wave solve")
+			if err := opts.Engine.SelfCheck(); err != nil {
+				t.Fatalf("engine self-check: %v", err)
 			}
 		}
 	}
