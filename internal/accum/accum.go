@@ -102,9 +102,6 @@ const (
 	DenseExplicitKind
 	// HashExplicitKind is the hash accumulator with explicit reset.
 	HashExplicitKind
-	// SortListKind is the sort-based log accumulator (no per-column
-	// state; dedup at gather time).
-	SortListKind
 	// AutoKind leaves the choice between DenseKind and HashKind to the
 	// planner, which derives it per product from the column dimension
 	// and the row capacity (internal/core, DeriveAccumulator). New never
@@ -122,8 +119,6 @@ func (k Kind) String() string {
 		return "DenseExplicit"
 	case HashExplicitKind:
 		return "HashExplicit"
-	case SortListKind:
-		return "SortList"
 	case AutoKind:
 		return "Auto"
 	default:
@@ -179,8 +174,6 @@ func New[T sparse.Number, S semiring.Semiring[T]](
 		return NewDenseExplicit[T, S](sr, n)
 	case HashExplicitKind:
 		return NewHashExplicit[T, S](sr, rowCap)
-	case SortListKind:
-		return NewSortList[T, S](sr, rowCap)
 	}
 	panic("accum: unsupported kind/markerBits combination")
 }

@@ -41,11 +41,6 @@ func allKinds() []struct {
 		bits int
 		name string
 	}{HashExplicitKind, 64, "HashExplicit"})
-	out = append(out, struct {
-		kind Kind
-		bits int
-		name string
-	}{SortListKind, 64, "SortList"})
 	return out
 }
 
@@ -199,14 +194,6 @@ func TestHashGrowthPreservesMaskSlots(t *testing.T) {
 func TestAccumulatorMatchesMap(t *testing.T) {
 	for _, cfg := range allKinds() {
 		cfg := cfg
-		if cfg.kind == SortListKind {
-			// SortList keeps no per-column state, so an unconditional
-			// Update does not make a later out-of-mask UpdateMasked
-			// succeed; the mixed-mode model below does not apply (the
-			// kernels never mix modes in one row). Covered by
-			// TestAccumulatorMaskedOnlyProperty instead.
-			continue
-		}
 		t.Run(cfg.name, func(t *testing.T) {
 			f := func(seed int64, nRows uint8) bool {
 				r := rand.New(rand.NewSource(seed))
@@ -277,8 +264,8 @@ func TestAccumulatorMatchesMap(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMaskedOnlyProperty drives every accumulator kind —
-// including SortList — through the exact protocol the MaskLoad kernel
+// TestAccumulatorMaskedOnlyProperty drives every accumulator kind
+// through the exact protocol the MaskLoad kernel
 // uses (mask load, then only UpdateMasked) and compares with a map.
 func TestAccumulatorMaskedOnlyProperty(t *testing.T) {
 	for _, cfg := range allKinds() {
@@ -356,4 +343,20 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	newAcc(DenseKind, 12, 8, 4)
+}
+
+// TestNewPanicsOnUnbuildableKind pins that New builds only the four
+// concrete kinds: AutoKind must be resolved by the planner first, and
+// the value past it names no accumulator.
+func TestNewPanicsOnUnbuildableKind(t *testing.T) {
+	for _, kind := range []Kind{AutoKind, AutoKind + 1} {
+		t.Run(kind.String(), func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%v) did not panic", kind)
+				}
+			}()
+			newAcc(kind, 32, 8, 4)
+		})
+	}
 }

@@ -96,10 +96,6 @@ func (d *DenseExplicit[T, S]) CheckClean() error {
 	return nil
 }
 
-// CheckClean on the log accumulator always passes: BeginRow truncates
-// the log, so there is no state a dirty run could leak into a later row.
-func (s *SortList[T, S]) CheckClean() error { return nil }
-
 type ptSR = semiring.PlusTimes[float64]
 
 var (
@@ -107,7 +103,6 @@ var (
 	_ Checkable  = (*HashExplicit[float64, ptSR])(nil)
 	_ Checkable  = (*Dense[float64, ptSR, uint32])(nil)
 	_ Checkable  = (*DenseExplicit[float64, ptSR])(nil)
-	_ Checkable  = (*SortList[float64, ptSR])(nil)
 	_ GrowHooked = (*Hash[float64, ptSR, uint32])(nil)
 	_ GrowHooked = (*HashExplicit[float64, ptSR])(nil)
 )

@@ -23,9 +23,9 @@ func TestHashProbeCounting(t *testing.T) {
 
 	h.EnableStats()
 	h.BeginRow()
-	h.LoadMask(mask)            // 3 probes
-	h.UpdateMasked(3, 2.0)      // 1 probe
-	h.UpdateMasked(2, 2.0)      // 1 probe (miss)
+	h.LoadMask(mask)       // 3 probes
+	h.UpdateMasked(3, 2.0) // 1 probe
+	h.UpdateMasked(2, 2.0) // 1 probe (miss)
 	var cols []sparse.Index
 	var vals []float64
 	cols, _ = h.Gather(mask, cols, vals) // 3 probes
@@ -61,7 +61,7 @@ func TestStatsSubAdd(t *testing.T) {
 // implements Instrumented, so the kernel's type assertion never misses.
 func TestInstrumentedCoverage(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
-	for _, kind := range []Kind{DenseKind, HashKind, DenseExplicitKind, HashExplicitKind, SortListKind} {
+	for _, kind := range []Kind{DenseKind, HashKind, DenseExplicitKind, HashExplicitKind} {
 		ac := New[float64](kind, sr, 64, 8, 32)
 		in, ok := ac.(Instrumented)
 		if !ok {

@@ -101,7 +101,7 @@ func TestDeriveAccumulatorRule(t *testing.T) {
 		t.Errorf("%d columns, 4-byte values, 8-bit markers: %v, want Dense", limit+1, got)
 	}
 	// An explicit kind is never overridden.
-	for _, k := range []accum.Kind{accum.DenseKind, accum.HashKind, accum.SortListKind} {
+	for _, k := range []accum.Kind{accum.DenseKind, accum.HashKind} {
 		cfg := DefaultConfig()
 		cfg.Accumulator = k
 		if got := accumulatorFor[float64](cfg, 1<<24, 1); got != k {

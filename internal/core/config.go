@@ -166,7 +166,7 @@ func (c Config) Validate() error {
 		default:
 			return errConfig("marker bits must be 8/16/32/64, got %d", c.MarkerBits)
 		}
-	case accum.DenseExplicitKind, accum.HashExplicitKind, accum.SortListKind:
+	case accum.DenseExplicitKind, accum.HashExplicitKind:
 	default:
 		return errConfig("unknown accumulator kind %d", c.Accumulator)
 	}

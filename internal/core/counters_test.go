@@ -119,7 +119,7 @@ func TestInstrumentedHybridDoesLessWork(t *testing.T) {
 func TestInstrumentedAllAccumulators(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	a := randMatrix(30, 30, 0.2, r)
-	for _, ak := range []accum.Kind{accum.DenseKind, accum.HashKind, accum.SortListKind} {
+	for _, ak := range []accum.Kind{accum.DenseKind, accum.HashKind} {
 		cfg := DefaultConfig()
 		cfg.Accumulator = ak
 		cfg.Workers = 2

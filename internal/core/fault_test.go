@@ -209,6 +209,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"iteration 99", mutate(func(c *Config) { c.Iteration = IterationSpace(99) })},
 		{"accumulator -1", mutate(func(c *Config) { c.Accumulator = accum.Kind(-1) })},
 		{"accumulator 99", mutate(func(c *Config) { c.Accumulator = accum.Kind(99) })},
+		{"accumulator past Auto", mutate(func(c *Config) { c.Accumulator = accum.AutoKind + 1 })},
 		{"marker bits 0", mutate(func(c *Config) { c.MarkerBits = 0 })},
 		{"marker bits 7", mutate(func(c *Config) { c.MarkerBits = 7 })},
 		{"marker bits 128", mutate(func(c *Config) { c.MarkerBits = 128 })},
@@ -248,7 +249,7 @@ func TestConfigValidateRejects(t *testing.T) {
 // TestExplicitResetKindsValidate confirms the explicit-reset accumulator
 // kinds remain accepted with any marker width (they do not use markers).
 func TestExplicitResetKindsValidate(t *testing.T) {
-	for _, k := range []accum.Kind{accum.DenseExplicitKind, accum.HashExplicitKind, accum.SortListKind} {
+	for _, k := range []accum.Kind{accum.DenseExplicitKind, accum.HashExplicitKind} {
 		cfg := DefaultConfig()
 		cfg.Accumulator = k
 		cfg.MarkerBits = 0

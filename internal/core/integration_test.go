@@ -42,7 +42,7 @@ func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 			for _, it := range []IterationSpace{Vanilla, MaskLoad, CoIter, Hybrid} {
 				for _, ak := range []accum.Kind{
 					accum.DenseKind, accum.HashKind,
-					accum.DenseExplicitKind, accum.HashExplicitKind, accum.SortListKind,
+					accum.DenseExplicitKind, accum.HashExplicitKind,
 				} {
 					cfg := Config{
 						Iteration: it, Kappa: 1, Accumulator: ak, MarkerBits: 16,

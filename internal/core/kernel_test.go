@@ -33,7 +33,7 @@ func randMatrix(rows, cols int, density float64, r *rand.Rand) *sparse.CSR[float
 func allConfigs() []Config {
 	var out []Config
 	for _, it := range []IterationSpace{Vanilla, MaskLoad, CoIter, Hybrid} {
-		for _, ak := range []accum.Kind{accum.AutoKind, accum.DenseKind, accum.HashKind, accum.DenseExplicitKind, accum.HashExplicitKind, accum.SortListKind} {
+		for _, ak := range []accum.Kind{accum.AutoKind, accum.DenseKind, accum.HashKind, accum.DenseExplicitKind, accum.HashExplicitKind} {
 			out = append(out, Config{
 				Iteration: it, Kappa: 1, Accumulator: ak, MarkerBits: 32,
 				Tiles: 4, Tiling: tiling.FlopBalanced, Schedule: sched.Dynamic, Workers: 2,

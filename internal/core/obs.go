@@ -129,17 +129,7 @@ func recordPoolDelta(cfg Config, prior exec.PoolStats, scope *obs.RunScope) {
 	if !scope.Enabled() || cfg.Engine == nil {
 		return
 	}
-	d := cfg.Engine.Stats().Sub(prior)
-	scope.AddPool(obs.PoolCounters{
-		Hits:        d.Hits,
-		Misses:      d.Misses,
-		Steals:      d.Steals,
-		Resizes:     d.Resizes,
-		Evictions:   d.Evictions,
-		Quarantined: d.Quarantines,
-		PlanHits:    d.PlanHits,
-		PlanMisses:  d.PlanMisses,
-	})
+	scope.AddPool(cfg.Engine.Stats().Sub(prior).Counters())
 }
 
 // makeTiles builds the tile partition. Without a scope it defers to

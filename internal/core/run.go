@@ -241,11 +241,10 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	recordAccumDeltas(accs, prior, scope)
 	recordPoolDelta(cfg, poolPrior, scope)
 	if fcs != nil {
-		total := p.marker
+		scope.AddFused(p.marker)
 		for i := range fcs {
-			total.Add(fcs[i])
+			scope.AddFused(fcs[i])
 		}
-		scope.AddFused(total)
 	}
 	clean = true
 	return c, nil

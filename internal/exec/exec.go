@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 
 	"maskedspgemm/internal/chaos"
+	"maskedspgemm/internal/obs"
 )
 
 // DefaultMaxIdle is the default cap on idle workspaces retained in the
@@ -183,6 +184,21 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 		PlanHits:    s.PlanHits - o.PlanHits,
 		PlanMisses:  s.PlanMisses - o.PlanMisses,
 		Quarantines: s.Quarantines - o.Quarantines,
+	}
+}
+
+// Counters maps the snapshot onto the stats/v1 pool block — the one
+// place the engine's field names meet the recorder's.
+func (s PoolStats) Counters() obs.PoolCounters {
+	return obs.PoolCounters{
+		Hits:        s.Hits,
+		Misses:      s.Misses,
+		Steals:      s.Steals,
+		Resizes:     s.Resizes,
+		Evictions:   s.Evictions,
+		Quarantined: s.Quarantines,
+		PlanHits:    s.PlanHits,
+		PlanMisses:  s.PlanMisses,
 	}
 }
 

@@ -147,7 +147,7 @@ func maskedKey[T sparse.Number, S semiring.Semiring[T]](
 		rc, mb = 0, 0 // ... and explicit reset also ignores marker width
 	case accum.HashKind:
 		cc = 0 // hash accumulators ignore the column dimension
-	case accum.HashExplicitKind, accum.SortListKind:
+	case accum.HashExplicitKind:
 		cc, mb = 0, 0
 	}
 	return wsKey{

@@ -146,12 +146,13 @@ func PredictEngine(f Features, cfg core.Config, workers int) exec.Config {
 // (budget <= 0 selects DefaultRetentionBudget), for the accumulator
 // kind that will run: cfg's, or the planner's derivation when cfg
 // leaves it to the planner. The dominant per-workspace cost is the
-// dense state: a dense accumulator (or complement/2D scratch) holds
-// O(cols) values and markers per worker, a hash accumulator
-// O(MaxMaskRow) slots. The idle cap is the retention
-// budget divided by that footprint, so small problems keep the default
-// (deep) pool while problems with huge columns retain only a few idle
-// workspaces. The plan cache is footprint-light (tile boundaries only)
+// accumulator state, priced by the planner's own rule
+// (accum.StateBytes at f.ValueBytes and cfg.MarkerBits): a dense
+// accumulator holds a value and a marker per column per worker, a hash
+// accumulator the HashCapacity(MaxMaskRow)-slot table. The idle cap is
+// the retention budget divided by that footprint, so small problems
+// keep the default (deep) pool while problems with huge columns retain
+// only a few idle workspaces. The plan cache is footprint-light (tile boundaries only)
 // and stays at its default depth.
 func PredictEngineBudget(f Features, cfg core.Config, workers int, budget int64) exec.Config {
 	if workers <= 0 {
@@ -164,13 +165,10 @@ func PredictEngineBudget(f Features, cfg core.Config, workers int, budget int64)
 	if kind == accum.AutoKind {
 		kind = derivedAccumulator(f, cfg.MarkerBits)
 	}
-	var perWorker int64
-	switch kind {
-	case accum.DenseKind, accum.DenseExplicitKind:
-		perWorker = int64(f.Cols) * 16 // value + marker word per column
-	default:
-		perWorker = f.MaxMaskRow * 24 // hash slot: key + value + marker
+	if kind == accum.DenseExplicitKind {
+		kind = accum.DenseKind // per-column state, priced as dense
 	}
+	perWorker := accum.StateBytes(kind, f.Cols, f.MaxMaskRow, f.ValueBytes, cfg.MarkerBits)
 	// Tile staging holds at most the mask volume across all tiles.
 	footprint := perWorker*int64(workers) + f.MaskNNZ*12
 	if footprint <= 0 {

@@ -193,8 +193,8 @@ func TestThresholdKnobs(t *testing.T) {
 func TestPredictEngine(t *testing.T) {
 	// A small dense-accumulator problem fits the retention budget many
 	// times over: the pool keeps its default depth.
-	small := Features{Rows: 1 << 10, Cols: 1 << 10, MaskNNZ: 1 << 13, MaxMaskRow: 64}
-	cfg := core.Config{Accumulator: accum.DenseKind}
+	small := Features{Rows: 1 << 10, Cols: 1 << 10, ValueBytes: 8, MaskNNZ: 1 << 13, MaxMaskRow: 64}
+	cfg := core.Config{Accumulator: accum.DenseKind, MarkerBits: 32}
 	ec := PredictEngine(small, cfg, 4)
 	if ec.MaxIdle != exec.DefaultMaxIdle {
 		t.Errorf("small problem MaxIdle = %d, want default %d", ec.MaxIdle, exec.DefaultMaxIdle)
@@ -205,7 +205,7 @@ func TestPredictEngine(t *testing.T) {
 
 	// A huge dense column dimension blows the budget per workspace: the
 	// cap shrinks, but never below the warm-loop pair.
-	huge := Features{Rows: 1 << 24, Cols: 1 << 24, MaskNNZ: 1 << 26, MaxMaskRow: 1 << 12}
+	huge := Features{Rows: 1 << 24, Cols: 1 << 24, ValueBytes: 8, MaskNNZ: 1 << 26, MaxMaskRow: 1 << 12}
 	ec = PredictEngine(huge, cfg, 8)
 	if ec.MaxIdle >= exec.DefaultMaxIdle {
 		t.Errorf("huge problem MaxIdle = %d, want < default", ec.MaxIdle)
@@ -216,9 +216,25 @@ func TestPredictEngine(t *testing.T) {
 
 	// Hash accumulators key on the mask row, not the dimension: the same
 	// huge dimension with a short mask row keeps a deep pool.
-	hashCfg := core.Config{Accumulator: accum.HashKind}
+	hashCfg := core.Config{Accumulator: accum.HashKind, MarkerBits: 32}
 	if ec := PredictEngine(huge, hashCfg, 8); ec.MaxIdle < PredictEngine(huge, cfg, 8).MaxIdle {
 		t.Errorf("hash pool shallower than dense for the same features: %d", ec.MaxIdle)
+	}
+
+	// Exact pins: state is priced by accum.StateBytes, as the planner
+	// prices it, at 8-byte values and 32-bit markers. Dense: 12 B per
+	// column, so 4 workers × 2^18 columns × 12 B + 2^18 staged mask
+	// entries × 12 B = 15 728 640 B, and 256 MiB / that = 17.
+	mid := Features{Rows: 1 << 18, Cols: 1 << 18, ValueBytes: 8, MaskNNZ: 1 << 18, MaxMaskRow: 64}
+	if got := PredictEngine(mid, cfg, 4).MaxIdle; got != 17 {
+		t.Errorf("dense MaxIdle = %d, want 17", got)
+	}
+	// Hash: 16 B per slot of the HashCapacity(4096) = 8192-slot table,
+	// so 32 workers × 131 072 B + 2^19 staged entries × 12 B
+	// = 10 485 760 B, and 256 MiB / that = 25.
+	wide := Features{Rows: 1 << 20, Cols: 1 << 24, ValueBytes: 8, MaskNNZ: 1 << 19, MaxMaskRow: 1 << 12}
+	if got := PredictEngine(wide, hashCfg, 32).MaxIdle; got != 25 {
+		t.Errorf("hash MaxIdle = %d, want 25", got)
 	}
 
 	// The predicted configuration actually drives an engine: checkouts

@@ -35,10 +35,6 @@ const (
 	// recalKappaMin and recalKappaMax clamp the adapted center.
 	recalKappaMin = 1.0 / 64
 	recalKappaMax = 64.0
-	// recalDenseCollisionRate is the hash collision-per-probe EWMA above
-	// which the estimator recommends the dense accumulator (the hash
-	// table is thrashing).
-	recalDenseCollisionRate = 0.5
 )
 
 // Recalibrator arms: below-center, center, above-center, plus the
@@ -67,8 +63,7 @@ const (
 // The hybrid pick counters bound the search behaviorally: a center run
 // in which every (i,k) pair already co-iterated (zero linear picks)
 // proves raising κ cannot change a single decision, so the high arm is
-// skipped — and symmetrically for the low arm. Hash accumulator
-// probe/collision rates feed a separate EWMA exposed as PreferDense.
+// skipped — and symmetrically for the low arm.
 //
 // All methods are safe for concurrent use; a nil *Recalibrator
 // disables everything (Propose returns the static default).
@@ -100,9 +95,6 @@ type Recalibrator struct {
 
 	centerWins int
 	converged  bool
-
-	collisionRate float64
-	probesSeen    bool
 }
 
 // NewRecalibrator returns a recalibrator centered on the static default
@@ -138,18 +130,6 @@ func (rc *Recalibrator) Converged() bool {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.converged
-}
-
-// PreferDense reports the accumulator hint: prefer is true when the
-// observed hash collision rate exceeds recalDenseCollisionRate; ok is
-// false until a run with hash probe traffic has been observed.
-func (rc *Recalibrator) PreferDense() (prefer, ok bool) {
-	if rc == nil {
-		return false, false
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.collisionRate > recalDenseCollisionRate, rc.probesSeen
 }
 
 // Propose returns the κ to run next and records which arm it belongs
@@ -254,15 +234,6 @@ func (rc *Recalibrator) Observe(seconds float64, st obs.Stats) obs.RecalCounters
 		if picks := st.Totals.CoIterPicks + st.Totals.LinearPicks; picks > 0 {
 			rc.skipHigh = st.Totals.LinearPicks == 0
 			rc.skipLow = st.Totals.CoIterPicks == 0
-		}
-	}
-	if probes := st.Accum.HashProbes; probes > 0 {
-		r := float64(st.Accum.HashCollisions) / float64(probes)
-		if !rc.probesSeen {
-			rc.collisionRate = r
-			rc.probesSeen = true
-		} else {
-			rc.collisionRate = (1-a)*rc.collisionRate + a*r
 		}
 	}
 

@@ -139,24 +139,6 @@ func TestRecalPickCountersBoundSearch(t *testing.T) {
 	}
 }
 
-// TestRecalPreferDense: a sustained hash collision rate above the
-// threshold must surface as the dense-accumulator hint.
-func TestRecalPreferDense(t *testing.T) {
-	rc := NewRecalibrator(0)
-	if _, ok := rc.PreferDense(); ok {
-		t.Fatal("hint available before any probe traffic")
-	}
-	st := synthStats()
-	st.Accum.HashProbes = 100
-	st.Accum.HashCollisions = 80
-	rc.Propose()
-	rc.Observe(1, st)
-	prefer, ok := rc.PreferDense()
-	if !ok || !prefer {
-		t.Fatalf("prefer=%v ok=%v after 80%% collision rate, want true/true", prefer, ok)
-	}
-}
-
 // TestRecalNilSafety: nil recalibrators propose the default and observe
 // into the void, so uninstrumented call sites need no branches.
 func TestRecalNilSafety(t *testing.T) {

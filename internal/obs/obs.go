@@ -17,8 +17,11 @@
 // internal/core asserts they equal values computed independently from
 // the inputs.
 //
-// A Recorder accumulates across runs until Reset; Stats snapshots can be
-// subtracted (Stats.Sub) to isolate a single run.
+// Runs record through a RunScope (Recorder.StartRun), which collects one
+// run's spans and counters privately and folds them into the Recorder's
+// cumulative totals once, at End. A Recorder accumulates across runs
+// until Reset; Stats snapshots can be subtracted (Stats.Sub) to isolate
+// a window, and Recorder.LastRun serves the last ended run on its own.
 package obs
 
 import (
@@ -112,38 +115,31 @@ type WorkerCounters struct {
 	_        [128 - 6*8]byte // pad to 2 cache lines
 }
 
-// reset zeroes the block field by field; the atomic fields carry a
-// noCopy sentinel, so `*c = WorkerCounters{}` is not an option.
-func (c *WorkerCounters) reset() {
-	c.Tiles.Store(0)
-	c.Rows.Store(0)
-	c.Flops.Store(0)
-	c.CoIterPicks.Store(0)
-	c.LinearPicks.Store(0)
-	c.Gathered.Store(0)
+// load reads the block's current values as a plain CounterSet.
+func (c *WorkerCounters) load() CounterSet {
+	return CounterSet{
+		Tiles:       c.Tiles.Load(),
+		Rows:        c.Rows.Load(),
+		Flops:       c.Flops.Load(),
+		CoIterPicks: c.CoIterPicks.Load(),
+		LinearPicks: c.LinearPicks.Load(),
+		Gathered:    c.Gathered.Load(),
+	}
 }
 
-// copyFrom transfers o's values into c, again without copying the
-// noCopy-guarded struct wholesale.
-func (c *WorkerCounters) copyFrom(o *WorkerCounters) {
-	c.Tiles.Store(o.Tiles.Load())
-	c.Rows.Store(o.Rows.Load())
-	c.Flops.Store(o.Flops.Load())
-	c.CoIterPicks.Store(o.CoIterPicks.Load())
-	c.LinearPicks.Store(o.LinearPicks.Load())
-	c.Gathered.Store(o.Gathered.Load())
+// store overwrites the block with v field by field; the atomic fields
+// carry a noCopy sentinel, so the block cannot be assigned wholesale.
+func (c *WorkerCounters) store(v CounterSet) {
+	c.Tiles.Store(v.Tiles)
+	c.Rows.Store(v.Rows)
+	c.Flops.Store(v.Flops)
+	c.CoIterPicks.Store(v.CoIterPicks)
+	c.LinearPicks.Store(v.LinearPicks)
+	c.Gathered.Store(v.Gathered)
 }
 
-// addFrom accumulates o's values into c (used when a run scope folds
-// its per-run worker blocks into the cumulative totals).
-func (c *WorkerCounters) addFrom(o *WorkerCounters) {
-	c.Tiles.Add(o.Tiles.Load())
-	c.Rows.Add(o.Rows.Load())
-	c.Flops.Add(o.Flops.Load())
-	c.CoIterPicks.Add(o.CoIterPicks.Load())
-	c.LinearPicks.Add(o.LinearPicks.Load())
-	c.Gathered.Add(o.Gathered.Load())
-}
+// reset zeroes the block.
+func (c *WorkerCounters) reset() { c.store(CounterSet{}) }
 
 // AccumCounters are the accumulator-side statistics, aggregated over
 // all worker accumulators (see internal/accum.Stats).
@@ -158,6 +154,16 @@ type AccumCounters struct {
 	HashProbes int64 `json:"hash_probes"`
 	// HashCollisions counts extra probe steps past the home slot.
 	HashCollisions int64 `json:"hash_collisions"`
+}
+
+// add folds k × o into c: k = 1 accumulates, k = −1 subtracts. Every
+// counter family has exactly one such add, shared by run scopes, the
+// recorder's fold, Stats.Add and Stats.Sub.
+func (c *AccumCounters) add(o AccumCounters, k int64) {
+	c.MarkerClears += k * o.MarkerClears
+	c.TableGrows += k * o.TableGrows
+	c.HashProbes += k * o.HashProbes
+	c.HashCollisions += k * o.HashCollisions
 }
 
 // PoolCounters are the execution-engine pool statistics: workspace
@@ -188,6 +194,18 @@ type PoolCounters struct {
 	PlanMisses int64 `json:"plan_misses"`
 }
 
+// add folds k × o into c.
+func (c *PoolCounters) add(o PoolCounters, k int64) {
+	c.Hits += k * o.Hits
+	c.Misses += k * o.Misses
+	c.Steals += k * o.Steals
+	c.Resizes += k * o.Resizes
+	c.Evictions += k * o.Evictions
+	c.Quarantined += k * o.Quarantined
+	c.PlanHits += k * o.PlanHits
+	c.PlanMisses += k * o.PlanMisses
+}
+
 // FusedCounters are the fused-pipeline statistics: how chained
 // multiplies were executed and how much intermediate data stayed in
 // tile staging buffers instead of a fully assembled CSR (see
@@ -216,28 +234,17 @@ type FusedCounters struct {
 	SelectDropped int64 `json:"select_dropped"`
 }
 
-func (f *FusedCounters) Add(o FusedCounters) {
-	f.ChainRuns += o.ChainRuns
-	f.SelectRuns += o.SelectRuns
-	f.StreamRuns += o.StreamRuns
-	f.StagedTiles += o.StagedTiles
-	f.StreamedTiles += o.StreamedTiles
-	f.MidEntries += o.MidEntries
-	f.MidBytes += o.MidBytes
-	f.SelectKept += o.SelectKept
-	f.SelectDropped += o.SelectDropped
-}
-
-func (f *FusedCounters) sub(o FusedCounters) {
-	f.ChainRuns -= o.ChainRuns
-	f.SelectRuns -= o.SelectRuns
-	f.StreamRuns -= o.StreamRuns
-	f.StagedTiles -= o.StagedTiles
-	f.StreamedTiles -= o.StreamedTiles
-	f.MidEntries -= o.MidEntries
-	f.MidBytes -= o.MidBytes
-	f.SelectKept -= o.SelectKept
-	f.SelectDropped -= o.SelectDropped
+// add folds k × o into f.
+func (f *FusedCounters) add(o FusedCounters, k int64) {
+	f.ChainRuns += k * o.ChainRuns
+	f.SelectRuns += k * o.SelectRuns
+	f.StreamRuns += k * o.StreamRuns
+	f.StagedTiles += k * o.StagedTiles
+	f.StreamedTiles += k * o.StreamedTiles
+	f.MidEntries += k * o.MidEntries
+	f.MidBytes += k * o.MidBytes
+	f.SelectKept += k * o.SelectKept
+	f.SelectDropped += k * o.SelectDropped
 }
 
 // RecalCounters are the online cost-model recalibration statistics (see
@@ -253,29 +260,35 @@ type RecalCounters struct {
 	KappaLast    float64 `json:"kappa_last"`
 }
 
+// add folds k × o into c. KappaLast is a gauge, not a counter: a
+// nonzero value folded in (k > 0) replaces it, and a subtraction
+// leaves it as it is.
+func (c *RecalCounters) add(o RecalCounters, k int64) {
+	c.Updates += k * o.Updates
+	c.Explorations += k * o.Explorations
+	c.Recenters += k * o.Recenters
+	c.Snapbacks += k * o.Snapbacks
+	if k > 0 && o.KappaLast != 0 {
+		c.KappaLast = o.KappaLast
+	}
+}
+
 // Recorder collects phase spans, per-worker counters and accumulator
 // statistics for one kernel (or a sequence of runs of the same kernel).
 // A nil *Recorder disables all collection: every method is nil-safe and
 // the nil paths allocate nothing.
 //
-// The cumulative totals aggregate across runs; per-run attribution goes
-// through StartRun/RunScope, which scopes spans and counters by a
-// multiply sequence id so overlapping runs (fused chains, concurrent
-// Multiply calls sharing a recorder) never bleed into each other's
-// per-run snapshots.
+// Runs record through StartRun/RunScope, which scopes spans and
+// counters by a multiply sequence id so overlapping runs (fused chains,
+// concurrent Multiply calls sharing a recorder) never bleed into each
+// other's per-run snapshots; the cumulative totals change only when a
+// scope ends (and through Span, AddRetry and AddRecal, which record
+// outside any run).
 type Recorder struct {
-	mu      sync.Mutex
-	seq     int64
-	spans   [numPhases]time.Duration
-	counts  [numPhases]int64
-	workers []WorkerCounters
-	accum   AccumCounters
-	pool    PoolCounters
-	fused   FusedCounters
-	recal   RecalCounters
-	retry   RetryCounters
-	sched   SchedCounters
-	runs    int64
+	mu  sync.Mutex
+	seq int64
+	// t is the cumulative counter state, folded under mu.
+	t tally
 	// sink is the optional live-telemetry tap (see Sink); stored behind
 	// an atomic pointer so recording paths read it without the mutex.
 	sink atomic.Pointer[Sink]
@@ -299,18 +312,10 @@ func (r *Recorder) Reset() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spans = [numPhases]time.Duration{}
-	r.counts = [numPhases]int64{}
-	for i := range r.workers {
-		r.workers[i].reset()
-	}
-	r.accum = AccumCounters{}
-	r.pool = PoolCounters{}
-	r.fused = FusedCounters{}
-	r.recal = RecalCounters{}
-	r.retry = RetryCounters{}
-	r.sched = SchedCounters{}
-	r.runs = 0
+	// The worker entries survive zeroed, so a reused recorder reports
+	// the same worker ids.
+	clear(r.t.workers)
+	r.t = tally{workers: r.t.workers}
 	r.lastRun = Stats{}
 	r.hasLast = false
 }
@@ -331,8 +336,8 @@ func (r *Recorder) Span(p Phase) func() {
 	return func() {
 		d := time.Since(start)
 		r.mu.Lock()
-		r.spans[p] += d
-		r.counts[p]++
+		r.t.spans[p] += d
+		r.t.counts[p]++
 		r.mu.Unlock()
 		r.emitPhase(0, p, d)
 	}
@@ -368,58 +373,6 @@ func (r *Recorder) TileRegion(ctx context.Context) func() {
 	return trace.StartRegion(ctx, "spgemm.tile_batch").End
 }
 
-// WorkerSlots returns n per-worker counter blocks, growing the backing
-// array if needed. Worker w increments slot[w] freely during the run;
-// the scheduler's completion barrier publishes the writes before Stats
-// reads them. Returns nil on a nil recorder.
-func (r *Recorder) WorkerSlots(n int) []WorkerCounters {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.workers) < n {
-		grown := make([]WorkerCounters, n)
-		for i := range r.workers {
-			grown[i].copyFrom(&r.workers[i])
-		}
-		r.workers = grown
-	}
-	return r.workers[:n]
-}
-
-// AddAccum folds accumulator statistics (typically a per-run delta)
-// into the totals.
-func (r *Recorder) AddAccum(a AccumCounters) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.accum.MarkerClears += a.MarkerClears
-	r.accum.TableGrows += a.TableGrows
-	r.accum.HashProbes += a.HashProbes
-	r.accum.HashCollisions += a.HashCollisions
-	r.mu.Unlock()
-}
-
-// AddPool folds execution-engine pool statistics (typically a per-run
-// delta of the engine's monotonic counters) into the totals.
-func (r *Recorder) AddPool(p PoolCounters) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.pool.Hits += p.Hits
-	r.pool.Misses += p.Misses
-	r.pool.Steals += p.Steals
-	r.pool.Resizes += p.Resizes
-	r.pool.Evictions += p.Evictions
-	r.pool.Quarantined += p.Quarantined
-	r.pool.PlanHits += p.PlanHits
-	r.pool.PlanMisses += p.PlanMisses
-	r.mu.Unlock()
-}
-
 // RetryCounters are the retry-and-degradation statistics of the facade's
 // resilience layer: per-attempt and per-outcome counts of the retry
 // ladder around Multiply/MxM (see spgemm.Options.Retry).
@@ -439,17 +392,22 @@ type RetryCounters struct {
 	Stalls int64 `json:"stalls"`
 }
 
+// add folds k × o into c.
+func (c *RetryCounters) add(o RetryCounters, k int64) {
+	c.Attempts += k * o.Attempts
+	c.Retries += k * o.Retries
+	c.Degradations += k * o.Degradations
+	c.Failures += k * o.Failures
+	c.Stalls += k * o.Stalls
+}
+
 // AddRetry folds retry-ladder statistics into the totals.
 func (r *Recorder) AddRetry(c RetryCounters) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.retry.Attempts += c.Attempts
-	r.retry.Retries += c.Retries
-	r.retry.Degradations += c.Degradations
-	r.retry.Failures += c.Failures
-	r.retry.Stalls += c.Stalls
+	r.t.retry.add(c, 1)
 	r.mu.Unlock()
 	if c.Attempts > 0 {
 		r.Event(EventRetry, PhaseNone, c.Retries, c.Degradations)
@@ -511,59 +469,18 @@ type SchedCounters struct {
 	WaveFlops [WaveHistBuckets]int64 `json:"wave_flops"`
 }
 
-// add folds d into c, elementwise on the histograms.
-func (c *SchedCounters) add(d SchedCounters) {
-	c.WaveRuns += d.WaveRuns
-	c.Levels += d.Levels
-	c.Waves += d.Waves
-	c.SerialWaves += d.SerialWaves
-	c.Barriers += d.Barriers
-	c.BarrierWaitNs += d.BarrierWaitNs
+// add folds k × o into c, elementwise on the histograms.
+func (c *SchedCounters) add(o SchedCounters, k int64) {
+	c.WaveRuns += k * o.WaveRuns
+	c.Levels += k * o.Levels
+	c.Waves += k * o.Waves
+	c.SerialWaves += k * o.SerialWaves
+	c.Barriers += k * o.Barriers
+	c.BarrierWaitNs += k * o.BarrierWaitNs
 	for i := range c.WaveTiles {
-		c.WaveTiles[i] += d.WaveTiles[i]
+		c.WaveTiles[i] += k * o.WaveTiles[i]
+		c.WaveFlops[i] += k * o.WaveFlops[i]
 	}
-	for i := range c.WaveFlops {
-		c.WaveFlops[i] += d.WaveFlops[i]
-	}
-}
-
-// sub returns c - d, elementwise on the histograms.
-func (c SchedCounters) sub(d SchedCounters) SchedCounters {
-	out := SchedCounters{
-		WaveRuns:      c.WaveRuns - d.WaveRuns,
-		Levels:        c.Levels - d.Levels,
-		Waves:         c.Waves - d.Waves,
-		SerialWaves:   c.SerialWaves - d.SerialWaves,
-		Barriers:      c.Barriers - d.Barriers,
-		BarrierWaitNs: c.BarrierWaitNs - d.BarrierWaitNs,
-	}
-	for i := range out.WaveTiles {
-		out.WaveTiles[i] = c.WaveTiles[i] - d.WaveTiles[i]
-	}
-	for i := range out.WaveFlops {
-		out.WaveFlops[i] = c.WaveFlops[i] - d.WaveFlops[i]
-	}
-	return out
-}
-
-// AddSched folds wave-executor statistics into the totals.
-func (r *Recorder) AddSched(c SchedCounters) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sched.add(c)
-	r.mu.Unlock()
-}
-
-// AddFused folds fused-pipeline statistics into the totals.
-func (r *Recorder) AddFused(f FusedCounters) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.fused.Add(f)
-	r.mu.Unlock()
 }
 
 // AddRecal folds recalibration statistics into the totals. KappaLast,
@@ -573,25 +490,9 @@ func (r *Recorder) AddRecal(c RecalCounters) {
 		return
 	}
 	r.mu.Lock()
-	r.recal.Updates += c.Updates
-	r.recal.Explorations += c.Explorations
-	r.recal.Recenters += c.Recenters
-	r.recal.Snapbacks += c.Snapbacks
-	if c.KappaLast != 0 {
-		r.recal.KappaLast = c.KappaLast
-	}
+	r.t.recal.add(c, 1)
 	r.mu.Unlock()
 	if c.Snapbacks > 0 {
 		r.Event(EventSnapback, PhaseNone, c.Snapbacks, int64(math.Float64bits(c.KappaLast)))
 	}
-}
-
-// AddRun marks the completion of one kernel run.
-func (r *Recorder) AddRun() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.runs++
-	r.mu.Unlock()
 }

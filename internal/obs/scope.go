@@ -6,15 +6,13 @@ import (
 )
 
 // RunScope scopes one multiply's observability data under a unique
-// sequence id. Before scopes, every span and counter went straight into
-// the Recorder's shared totals, so two multiplies in flight on one
-// Recorder — a fused chain interleaving its two products, or concurrent
-// Multiply calls sharing a recorder — bled into each other and
-// Stats.Sub double-counted the overlap. A scope collects one run's
-// spans, worker counters and accumulator/pool/fused deltas privately;
-// End folds them into the recorder's cumulative totals exactly once and
-// publishes the per-run snapshot (Recorder.LastRun), so per-multiply
-// attribution no longer depends on subtracting racing global snapshots.
+// sequence id; it is the only way a run records. A scope collects one
+// run's spans, worker counters and accumulator/pool/fused/sched deltas
+// privately, so two multiplies in flight on one Recorder — a fused
+// chain interleaving its two products, or concurrent Multiply calls
+// sharing a recorder — never bleed into each other. End folds the
+// scope into the recorder's cumulative totals exactly once and
+// publishes the per-run snapshot (Recorder.LastRun).
 //
 // A nil *RunScope (from a nil Recorder) disables everything: every
 // method nil-checks and the disabled paths allocate nothing. A scope is
@@ -28,20 +26,16 @@ type RunScope struct {
 	// telemetry sink (Recorder.emitRun) when a completed scope ends.
 	start time.Time
 
-	spans  [numPhases]time.Duration
-	counts [numPhases]int64
-	// workers is checked out of the recorder's scope pool and returned
-	// by End, so warm loops do not allocate a counter block per run.
-	workers []WorkerCounters
-	accum   AccumCounters
-	pool    PoolCounters
-	fused   FusedCounters
-	sched   SchedCounters
-	// completed marks the run as having finished its kernel; End counts
-	// only completed runs toward Runs and LastRun, so a run that errors
-	// out mid-pipeline still folds its partial spans into the cumulative
-	// totals without inflating the run count.
-	completed bool
+	// t is the run's private counter state. t.runs becomes 1 when the
+	// run is marked complete: End counts only completed runs toward Runs
+	// and LastRun, so a run that errors out mid-pipeline still folds its
+	// partial spans into the cumulative totals without inflating the
+	// run count. t.workers is filled from slots at End.
+	t tally
+	// slots are the padded blocks the run's workers write; they are
+	// checked out of the recorder's scope pool and returned by End, so
+	// warm loops do not allocate a counter block per run.
+	slots []WorkerCounters
 }
 
 // StartRun opens a new run scope with a fresh sequence id. Nil
@@ -53,15 +47,15 @@ func (r *Recorder) StartRun() *RunScope {
 	r.mu.Lock()
 	r.seq++
 	seq := r.seq
-	var workers []WorkerCounters
+	var slots []WorkerCounters
 	if n := len(r.scopePool); n > 0 {
-		workers = r.scopePool[n-1]
+		slots = r.scopePool[n-1]
 		r.scopePool[n-1] = nil
 		r.scopePool = r.scopePool[:n-1]
 	}
 	r.mu.Unlock()
 	r.EventSeq(seq, EventRunStart, PhaseNone, 0, 0)
-	return &RunScope{r: r, seq: seq, start: time.Now(), workers: workers}
+	return &RunScope{r: r, seq: seq, start: time.Now(), slots: slots}
 }
 
 // Seq returns the scope's multiply sequence id (0 for nil scopes).
@@ -85,8 +79,8 @@ func (s *RunScope) Span(p Phase) func() {
 	start := time.Now()
 	return func() {
 		d := time.Since(start)
-		s.spans[p] += d
-		s.counts[p]++
+		s.t.spans[p] += d
+		s.t.counts[p]++
 		s.r.emitPhase(s.seq, p, d)
 	}
 }
@@ -128,14 +122,14 @@ func (s *RunScope) WorkerSlots(n int) []WorkerCounters {
 	if s == nil {
 		return nil
 	}
-	if len(s.workers) < n {
+	if len(s.slots) < n {
 		grown := make([]WorkerCounters, n)
-		for i := range s.workers {
-			grown[i].copyFrom(&s.workers[i])
+		for i := range s.slots {
+			grown[i].store(s.slots[i].load())
 		}
-		s.workers = grown
+		s.slots = grown
 	}
-	return s.workers[:n]
+	return s.slots[:n]
 }
 
 // AddAccum folds accumulator statistics (a per-run delta) into the scope.
@@ -143,10 +137,7 @@ func (s *RunScope) AddAccum(a AccumCounters) {
 	if s == nil {
 		return
 	}
-	s.accum.MarkerClears += a.MarkerClears
-	s.accum.TableGrows += a.TableGrows
-	s.accum.HashProbes += a.HashProbes
-	s.accum.HashCollisions += a.HashCollisions
+	s.t.accum.add(a, 1)
 }
 
 // AddPool folds execution-engine pool statistics into the scope.
@@ -154,14 +145,7 @@ func (s *RunScope) AddPool(p PoolCounters) {
 	if s == nil {
 		return
 	}
-	s.pool.Hits += p.Hits
-	s.pool.Misses += p.Misses
-	s.pool.Steals += p.Steals
-	s.pool.Resizes += p.Resizes
-	s.pool.Evictions += p.Evictions
-	s.pool.Quarantined += p.Quarantined
-	s.pool.PlanHits += p.PlanHits
-	s.pool.PlanMisses += p.PlanMisses
+	s.t.pool.add(p, 1)
 }
 
 // AddFused folds fused-pipeline statistics into the scope.
@@ -169,7 +153,7 @@ func (s *RunScope) AddFused(f FusedCounters) {
 	if s == nil {
 		return
 	}
-	s.fused.Add(f)
+	s.t.fused.add(f, 1)
 }
 
 // AddSched folds wave-executor statistics into the scope.
@@ -177,7 +161,7 @@ func (s *RunScope) AddSched(c SchedCounters) {
 	if s == nil {
 		return
 	}
-	s.sched.add(c)
+	s.t.sched.add(c, 1)
 }
 
 // MarkComplete flags the run as having finished successfully, so End
@@ -186,46 +170,7 @@ func (s *RunScope) MarkComplete() {
 	if s == nil {
 		return
 	}
-	s.completed = true
-}
-
-// stats renders the scope's private data as a per-run Stats snapshot.
-// Runs is 1 only once the run is marked complete.
-func (s *RunScope) stats() Stats {
-	out := Stats{Schema: StatsSchema, Seq: s.seq}
-	if s.completed {
-		out.Runs = 1
-	}
-	for p := Phase(0); p < numPhases; p++ {
-		if s.counts[p] == 0 {
-			continue
-		}
-		out.Phases = append(out.Phases, PhaseStats{
-			Phase:  Phase(p).String(),
-			Millis: float64(s.spans[p]) / float64(time.Millisecond),
-			Count:  s.counts[p],
-		})
-	}
-	for w := range s.workers {
-		c := &s.workers[w]
-		out.Workers = append(out.Workers, WorkerStats{
-			Worker: w,
-			CounterSet: CounterSet{
-				Tiles:       c.Tiles.Load(),
-				Rows:        c.Rows.Load(),
-				Flops:       c.Flops.Load(),
-				CoIterPicks: c.CoIterPicks.Load(),
-				LinearPicks: c.LinearPicks.Load(),
-				Gathered:    c.Gathered.Load(),
-			},
-		})
-	}
-	out.Accum = s.accum
-	out.Pool = s.pool
-	out.Fused = s.fused
-	out.Sched = s.sched
-	out.finalize()
-	return out
+	s.t.runs = 1
 }
 
 // End folds the scope into the recorder's cumulative totals exactly
@@ -236,59 +181,35 @@ func (s *RunScope) End() Stats {
 	if s == nil {
 		return Stats{Schema: StatsSchema}
 	}
-	snap := s.stats()
-	if s.completed {
+	s.t.workers = make([]CounterSet, len(s.slots))
+	for w := range s.slots {
+		s.t.workers[w] = s.slots[w].load()
+		s.slots[w].reset()
+	}
+	snap := s.t.stats(s.seq)
+	if s.t.runs > 0 {
 		s.r.emitRun(time.Since(s.start))
 		s.r.EventSeq(s.seq, EventRunEnd, PhaseNone, snap.Totals.Tiles, snap.Totals.Gathered)
 	}
 	s.r.foldScope(s, snap)
 	s.r = nil
-	s.workers = nil
+	s.slots = nil
 	return snap
 }
 
-// foldScope merges one ended scope into the cumulative totals, counts
-// completed runs, publishes the snapshot as LastRun, and returns the
-// scope's worker blocks to the pool. Called exactly once per scope, by
-// End, which guarantees a non-nil receiver.
+// foldScope merges one ended scope into the cumulative totals,
+// publishes its snapshot as LastRun when the run completed, and returns
+// its worker blocks to the pool. Called exactly once per scope, by End,
+// which guarantees a non-nil receiver.
 func (r *Recorder) foldScope(s *RunScope, snap Stats) {
 	r.mu.Lock()
-	for p := Phase(0); p < numPhases; p++ {
-		r.spans[p] += s.spans[p]
-		r.counts[p] += s.counts[p]
-	}
-	if len(r.workers) < len(s.workers) {
-		grown := make([]WorkerCounters, len(s.workers))
-		for i := range r.workers {
-			grown[i].copyFrom(&r.workers[i])
-		}
-		r.workers = grown
-	}
-	for w := range s.workers {
-		r.workers[w].addFrom(&s.workers[w])
-		s.workers[w].reset()
-	}
-	r.accum.MarkerClears += s.accum.MarkerClears
-	r.accum.TableGrows += s.accum.TableGrows
-	r.accum.HashProbes += s.accum.HashProbes
-	r.accum.HashCollisions += s.accum.HashCollisions
-	r.pool.Hits += s.pool.Hits
-	r.pool.Misses += s.pool.Misses
-	r.pool.Steals += s.pool.Steals
-	r.pool.Resizes += s.pool.Resizes
-	r.pool.Evictions += s.pool.Evictions
-	r.pool.Quarantined += s.pool.Quarantined
-	r.pool.PlanHits += s.pool.PlanHits
-	r.pool.PlanMisses += s.pool.PlanMisses
-	r.fused.Add(s.fused)
-	r.sched.add(s.sched)
-	if s.completed {
-		r.runs++
+	r.t.add(&s.t)
+	if s.t.runs > 0 {
 		r.lastRun = snap
 		r.hasLast = true
 	}
-	if s.workers != nil {
-		r.scopePool = append(r.scopePool, s.workers)
+	if s.slots != nil {
+		r.scopePool = append(r.scopePool, s.slots)
 	}
 	r.mu.Unlock()
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -31,22 +33,14 @@ type CounterSet struct {
 	Gathered    int64 `json:"gathered"`
 }
 
-func (c *CounterSet) add(o CounterSet) {
-	c.Tiles += o.Tiles
-	c.Rows += o.Rows
-	c.Flops += o.Flops
-	c.CoIterPicks += o.CoIterPicks
-	c.LinearPicks += o.LinearPicks
-	c.Gathered += o.Gathered
-}
-
-func (c *CounterSet) sub(o CounterSet) {
-	c.Tiles -= o.Tiles
-	c.Rows -= o.Rows
-	c.Flops -= o.Flops
-	c.CoIterPicks -= o.CoIterPicks
-	c.LinearPicks -= o.LinearPicks
-	c.Gathered -= o.Gathered
+// add folds k × o into c.
+func (c *CounterSet) add(o CounterSet, k int64) {
+	c.Tiles += k * o.Tiles
+	c.Rows += k * o.Rows
+	c.Flops += k * o.Flops
+	c.CoIterPicks += k * o.CoIterPicks
+	c.LinearPicks += k * o.LinearPicks
+	c.Gathered += k * o.Gathered
 }
 
 // WorkerStats is one worker's counters in a Stats snapshot.
@@ -89,9 +83,10 @@ func distOf(values []int64) Dist {
 	return d
 }
 
-// Stats is an immutable snapshot of a Recorder — the machine-readable
-// observability report. Phases appear in pipeline order (only phases
-// that recorded at least one span); workers appear in id order.
+// Stats is a snapshot of a Recorder, a value that shares no memory
+// with it — the machine-readable observability report. Phases appear
+// in pipeline order (only phases that recorded at least one span);
+// workers appear in id order.
 type Stats struct {
 	// Schema is always StatsSchema.
 	Schema string `json:"schema"`
@@ -128,50 +123,82 @@ type Stats struct {
 	Sched SchedCounters `json:"sched"`
 }
 
-// Stats snapshots the recorder. Nil recorders return a zero snapshot
-// (Schema still set, everything else empty).
-func (r *Recorder) Stats() Stats {
-	if r == nil {
-		s := Stats{Schema: StatsSchema}
-		s.finalize()
-		return s
+// tally is the counter state behind every snapshot: a Recorder's
+// cumulative totals and one run scope's private data have this one
+// shape, so ending a scope is one fold (add) and both snapshots are one
+// render (stats).
+type tally struct {
+	runs    int64
+	spans   [numPhases]time.Duration
+	counts  [numPhases]int64
+	workers []CounterSet
+	accum   AccumCounters
+	pool    PoolCounters
+	fused   FusedCounters
+	recal   RecalCounters
+	retry   RetryCounters
+	sched   SchedCounters
+}
+
+// add folds o into t, growing t's worker list to cover o's.
+func (t *tally) add(o *tally) {
+	t.runs += o.runs
+	for p := range t.spans {
+		t.spans[p] += o.spans[p]
+		t.counts[p] += o.counts[p]
 	}
-	s := Stats{Schema: StatsSchema}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.Runs = r.runs
+	if n := len(o.workers) - len(t.workers); n > 0 {
+		t.workers = append(t.workers, make([]CounterSet, n)...)
+	}
+	for w := range o.workers {
+		t.workers[w].add(o.workers[w], 1)
+	}
+	t.accum.add(o.accum, 1)
+	t.pool.add(o.pool, 1)
+	t.fused.add(o.fused, 1)
+	t.recal.add(o.recal, 1)
+	t.retry.add(o.retry, 1)
+	t.sched.add(o.sched, 1)
+}
+
+// stats renders t as a snapshot under sequence id seq (0 for the
+// cumulative totals). The snapshot shares no memory with t.
+func (t *tally) stats(seq int64) Stats {
+	s := Stats{
+		Schema: StatsSchema, Seq: seq, Runs: t.runs,
+		Accum: t.accum, Pool: t.pool, Fused: t.fused,
+		Recal: t.recal, Retry: t.retry, Sched: t.sched,
+	}
 	for p := Phase(0); p < numPhases; p++ {
-		if r.counts[p] == 0 {
+		if t.counts[p] == 0 {
 			continue
 		}
 		s.Phases = append(s.Phases, PhaseStats{
 			Phase:  p.String(),
-			Millis: float64(r.spans[p]) / float64(time.Millisecond),
-			Count:  r.counts[p],
+			Millis: float64(t.spans[p]) / float64(time.Millisecond),
+			Count:  t.counts[p],
 		})
 	}
-	for w := range r.workers {
-		c := &r.workers[w]
-		s.Workers = append(s.Workers, WorkerStats{
-			Worker: w,
-			CounterSet: CounterSet{
-				Tiles:       c.Tiles.Load(),
-				Rows:        c.Rows.Load(),
-				Flops:       c.Flops.Load(),
-				CoIterPicks: c.CoIterPicks.Load(),
-				LinearPicks: c.LinearPicks.Load(),
-				Gathered:    c.Gathered.Load(),
-			},
-		})
+	if len(t.workers) > 0 {
+		s.Workers = make([]WorkerStats, len(t.workers))
+		for w, c := range t.workers {
+			s.Workers[w] = WorkerStats{Worker: w, CounterSet: c}
+		}
 	}
-	s.Accum = r.accum
-	s.Pool = r.pool
-	s.Fused = r.fused
-	s.Recal = r.recal
-	s.Retry = r.retry
-	s.Sched = r.sched
 	s.finalize()
 	return s
+}
+
+// Stats snapshots the recorder's cumulative totals. Nil recorders
+// return a zero snapshot (Schema still set, everything else empty).
+func (r *Recorder) Stats() Stats {
+	if r == nil {
+		var t tally
+		return t.stats(0)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.t.stats(0)
 }
 
 // finalize recomputes the derived fields (Totals and the distributions)
@@ -181,7 +208,7 @@ func (s *Stats) finalize() {
 	tiles := make([]int64, 0, len(s.Workers))
 	flops := make([]int64, 0, len(s.Workers))
 	for _, w := range s.Workers {
-		s.Totals.add(w.CounterSet)
+		s.Totals.add(w.CounterSet, 1)
 		tiles = append(tiles, w.Tiles)
 		flops = append(flops, w.Flops)
 	}
@@ -192,68 +219,71 @@ func (s *Stats) finalize() {
 // Sub returns the difference s − prev: the activity recorded between
 // the two snapshots of the same recorder (e.g. one Multiply call).
 // Phases are matched by name, workers by id; entries absent from prev
-// carry over unchanged.
+// carry over unchanged. KappaLast, a gauge, keeps s's value.
 func (s Stats) Sub(prev Stats) Stats {
-	out := Stats{Schema: s.Schema, Runs: s.Runs - prev.Runs}
-	prevPhase := make(map[string]PhaseStats, len(prev.Phases))
-	for _, p := range prev.Phases {
-		prevPhase[p.Phase] = p
-	}
-	for _, p := range s.Phases {
-		if q, ok := prevPhase[p.Phase]; ok {
-			p.Millis -= q.Millis
-			p.Count -= q.Count
-		}
-		if p.Count > 0 {
-			out.Phases = append(out.Phases, p)
-		}
-	}
-	prevWorker := make(map[int]CounterSet, len(prev.Workers))
-	for _, w := range prev.Workers {
-		prevWorker[w.Worker] = w.CounterSet
-	}
-	for _, w := range s.Workers {
-		if q, ok := prevWorker[w.Worker]; ok {
-			w.CounterSet.sub(q)
-		}
-		out.Workers = append(out.Workers, w)
-	}
-	out.Accum = AccumCounters{
-		MarkerClears:   s.Accum.MarkerClears - prev.Accum.MarkerClears,
-		TableGrows:     s.Accum.TableGrows - prev.Accum.TableGrows,
-		HashProbes:     s.Accum.HashProbes - prev.Accum.HashProbes,
-		HashCollisions: s.Accum.HashCollisions - prev.Accum.HashCollisions,
-	}
-	out.Pool = PoolCounters{
-		Hits:        s.Pool.Hits - prev.Pool.Hits,
-		Misses:      s.Pool.Misses - prev.Pool.Misses,
-		Steals:      s.Pool.Steals - prev.Pool.Steals,
-		Resizes:     s.Pool.Resizes - prev.Pool.Resizes,
-		Evictions:   s.Pool.Evictions - prev.Pool.Evictions,
-		Quarantined: s.Pool.Quarantined - prev.Pool.Quarantined,
-		PlanHits:    s.Pool.PlanHits - prev.Pool.PlanHits,
-		PlanMisses:  s.Pool.PlanMisses - prev.Pool.PlanMisses,
-	}
-	out.Fused = s.Fused
-	out.Fused.sub(prev.Fused)
-	// Recal counters subtract; KappaLast is a gauge and carries over.
-	out.Recal = RecalCounters{
-		Updates:      s.Recal.Updates - prev.Recal.Updates,
-		Explorations: s.Recal.Explorations - prev.Recal.Explorations,
-		Recenters:    s.Recal.Recenters - prev.Recal.Recenters,
-		Snapbacks:    s.Recal.Snapbacks - prev.Recal.Snapbacks,
-		KappaLast:    s.Recal.KappaLast,
-	}
-	out.Retry = RetryCounters{
-		Attempts:     s.Retry.Attempts - prev.Retry.Attempts,
-		Retries:      s.Retry.Retries - prev.Retry.Retries,
-		Degradations: s.Retry.Degradations - prev.Retry.Degradations,
-		Failures:     s.Retry.Failures - prev.Retry.Failures,
-		Stalls:       s.Retry.Stalls - prev.Retry.Stalls,
-	}
-	out.Sched = s.Sched.sub(prev.Sched)
-	out.finalize()
+	out := s
+	out.Seq = 0
+	out.Phases = slices.Clone(s.Phases)
+	out.Workers = slices.Clone(s.Workers)
+	out.fold(prev, -1)
 	return out
+}
+
+// Add folds o into s: the sum of two snapshots, such as those of two
+// recorders. Phases are matched by name and workers by id, entries
+// absent from s are added, and Totals and the distributions are
+// recomputed. KappaLast, a gauge, takes o's value when it is nonzero.
+func (s *Stats) Add(o Stats) { s.fold(o, 1) }
+
+// fold adds k × o into s (k = 1 for Add, −1 for Sub) through each
+// counter family's add. A subtraction ignores entries s lacks, and
+// phases left with no spans are dropped.
+func (s *Stats) fold(o Stats, k int64) {
+	s.Runs += k * o.Runs
+	for _, p := range o.Phases {
+		i := slices.IndexFunc(s.Phases, func(q PhaseStats) bool { return q.Phase == p.Phase })
+		if i < 0 {
+			if k < 0 {
+				continue
+			}
+			i = len(s.Phases)
+			s.Phases = append(s.Phases, PhaseStats{Phase: p.Phase})
+		}
+		s.Phases[i].Millis += float64(k) * p.Millis
+		s.Phases[i].Count += k * p.Count
+	}
+	s.Phases = slices.DeleteFunc(s.Phases, func(p PhaseStats) bool { return p.Count <= 0 })
+	slices.SortStableFunc(s.Phases, func(a, b PhaseStats) int {
+		return cmp.Compare(phaseRank(a.Phase), phaseRank(b.Phase))
+	})
+	for _, w := range o.Workers {
+		i := slices.IndexFunc(s.Workers, func(v WorkerStats) bool { return v.Worker == w.Worker })
+		if i < 0 {
+			if k < 0 {
+				continue
+			}
+			i = len(s.Workers)
+			s.Workers = append(s.Workers, WorkerStats{Worker: w.Worker})
+		}
+		s.Workers[i].add(w.CounterSet, k)
+	}
+	slices.SortStableFunc(s.Workers, func(a, b WorkerStats) int { return cmp.Compare(a.Worker, b.Worker) })
+	s.Accum.add(o.Accum, k)
+	s.Pool.add(o.Pool, k)
+	s.Fused.add(o.Fused, k)
+	s.Recal.add(o.Recal, k)
+	s.Retry.add(o.Retry, k)
+	s.Sched.add(o.Sched, k)
+	s.finalize()
+}
+
+// phaseRank is a phase name's pipeline position; unknown names sort
+// last.
+func phaseRank(name string) int {
+	if i := slices.Index(phaseNames[:], name); i >= 0 {
+		return i
+	}
+	return len(phaseNames)
 }
 
 // WriteTable renders the snapshot as an indented human-readable block.

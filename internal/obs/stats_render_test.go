@@ -11,6 +11,14 @@ import (
 // silent when absent, and subtract per-block under Stats.Sub (with the
 // κ gauge carrying over rather than subtracting).
 
+// recordPool records a pool delta through a run scope that does not
+// complete, so it adds no run.
+func recordPool(r *Recorder, p PoolCounters) {
+	s := r.StartRun()
+	s.AddPool(p)
+	s.End()
+}
+
 func renderedTable(s Stats) string {
 	var sb strings.Builder
 	s.WriteTable(&sb)
@@ -21,7 +29,7 @@ func TestWriteTableRendersResilienceBlocks(t *testing.T) {
 	r := NewRecorder()
 	r.AddRetry(RetryCounters{Attempts: 3, Retries: 2, Degradations: 1, Failures: 1, Stalls: 1})
 	r.AddRecal(RecalCounters{Updates: 4, Explorations: 2, Recenters: 1, Snapbacks: 1, KappaLast: 2.25})
-	r.AddPool(PoolCounters{Hits: 5, Misses: 1, Quarantined: 2, PlanHits: 3, PlanMisses: 1})
+	recordPool(r, PoolCounters{Hits: 5, Misses: 1, Quarantined: 2, PlanHits: 3, PlanMisses: 1})
 	table := renderedTable(r.Stats())
 
 	for _, want := range []string{
@@ -38,7 +46,7 @@ func TestWriteTableRendersResilienceBlocks(t *testing.T) {
 
 func TestWriteTableOmitsQuietBlocks(t *testing.T) {
 	r := NewRecorder()
-	r.AddRun()
+	recordRun(r, func(*RunScope) {})
 	table := renderedTable(r.Stats())
 	for _, absent := range []string{"retry:", "recal:", "pool:"} {
 		if strings.Contains(table, absent) {
@@ -52,7 +60,7 @@ func TestWriteTableOmitsQuietBlocks(t *testing.T) {
 // engine) must still render.
 func TestWriteTableQuarantineOnlyPool(t *testing.T) {
 	r := NewRecorder()
-	r.AddPool(PoolCounters{Quarantined: 1})
+	recordPool(r, PoolCounters{Quarantined: 1})
 	if table := renderedTable(r.Stats()); !strings.Contains(table, "quarantined=1") {
 		t.Fatalf("quarantine-only pool not rendered:\n%s", table)
 	}
@@ -62,12 +70,12 @@ func TestStatsSubResilienceBlocks(t *testing.T) {
 	r := NewRecorder()
 	r.AddRetry(RetryCounters{Attempts: 2, Retries: 1, Stalls: 1})
 	r.AddRecal(RecalCounters{Updates: 3, KappaLast: 1.5})
-	r.AddPool(PoolCounters{Hits: 4, Quarantined: 1})
+	recordPool(r, PoolCounters{Hits: 4, Quarantined: 1})
 	before := r.Stats()
 
 	r.AddRetry(RetryCounters{Attempts: 3, Degradations: 2, Failures: 1})
 	r.AddRecal(RecalCounters{Updates: 2, Snapbacks: 1, KappaLast: 2.5})
-	r.AddPool(PoolCounters{Hits: 6, Quarantined: 2})
+	recordPool(r, PoolCounters{Hits: 6, Quarantined: 2})
 
 	delta := r.Stats().Sub(before)
 	if delta.Retry != (RetryCounters{Attempts: 3, Degradations: 2, Failures: 1}) {

@@ -21,21 +21,51 @@ import (
 // quantiles reported for every latency summary.
 var summaryQuantiles = []float64{0.5, 0.9, 0.99}
 
-// RequiredSeries are the metric families every healthy telemetry
-// endpoint must expose — the smoke gate fails the build if a scrape is
-// missing any of them.
+// RequiredSeries is every metric family WriteMetrics emits, in emission
+// order. The smoke gate fails the build if a scrape is missing any of
+// them, and TestWriteMetricsParses pins that the emitted set is exactly
+// this list, so a family cannot be added or dropped silently.
 var RequiredSeries = []string{
 	"spgemm_run_latency_seconds",
 	"spgemm_phase_latency_seconds",
 	"spgemm_runs_total",
 	"spgemm_tiles_total",
-	"spgemm_pool_hit_rate",
-	"spgemm_pool_hits_total",
-	"spgemm_plan_cache_hits_total",
+	"spgemm_rows_total",
+	"spgemm_flops_total",
+	"spgemm_gathered_total",
+	"spgemm_accum_marker_clears_total",
+	"spgemm_accum_table_grows_total",
+	"spgemm_accum_hash_probes_total",
+	"spgemm_accum_hash_collisions_total",
 	"spgemm_retry_attempts_total",
+	"spgemm_retry_retries_total",
+	"spgemm_retry_degradations_total",
+	"spgemm_retry_failures_total",
+	"spgemm_retry_stalls_total",
+	"spgemm_recal_updates_total",
+	"spgemm_recal_explorations_total",
+	"spgemm_recal_recenters_total",
+	"spgemm_recal_snapbacks_total",
+	"spgemm_wave_runs_total",
+	"spgemm_wave_levels_total",
 	"spgemm_waves_total",
+	"spgemm_serial_waves_total",
 	"spgemm_wave_barriers_total",
+	"spgemm_wave_barrier_wait_seconds_total",
+	"spgemm_kappa_last",
+	"spgemm_pool_hits_total",
+	"spgemm_pool_misses_total",
+	"spgemm_pool_steals_total",
+	"spgemm_pool_resizes_total",
+	"spgemm_pool_evictions_total",
+	"spgemm_pool_quarantined_total",
+	"spgemm_plan_cache_hits_total",
+	"spgemm_plan_cache_misses_total",
+	"spgemm_pool_hit_rate",
+	"spgemm_pool_idle",
 	"spgemm_flightrec_events_total",
+	"spgemm_flightrec_dropped_total",
+	"spgemm_flightrec_dumps_total",
 }
 
 // metricsWriter accumulates exposition lines, tracking the first write
@@ -148,12 +178,13 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	counter("spgemm_pool_steals_total", "Checkouts served by a larger size-class bucket.", pool.Steals)
 	counter("spgemm_pool_resizes_total", "In-place workspace growths.", pool.Resizes)
 	counter("spgemm_pool_evictions_total", "Hot-tier to overflow-tier demotions.", pool.Evictions)
-	counter("spgemm_pool_quarantined_total", "Workspaces quarantined after a poisoned run.", pool.Quarantines)
+	counter("spgemm_pool_quarantined_total", "Workspaces quarantined after a poisoned run.", pool.Quarantined)
 	counter("spgemm_plan_cache_hits_total", "Plan-cache hits.", pool.PlanHits)
 	counter("spgemm_plan_cache_misses_total", "Plan-cache misses.", pool.PlanMisses)
 
+	hitRate := exec.PoolStats{Hits: pool.Hits, Misses: pool.Misses, Steals: pool.Steals}.HitRate()
 	m.header("spgemm_pool_hit_rate", "Fraction of workspace checkouts served without construction.", "gauge")
-	m.printf("spgemm_pool_hit_rate %s\n", strconv.FormatFloat(pool.HitRate(), 'g', -1, 64))
+	m.printf("spgemm_pool_hit_rate %s\n", strconv.FormatFloat(hitRate, 'g', -1, 64))
 	m.header("spgemm_pool_idle", "Workspaces currently idle in the hot tier.", "gauge")
 	m.printf("spgemm_pool_idle %d\n", idle)
 
@@ -167,32 +198,18 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 // gatherPool chooses the pool-counter source: live engine counters
 // (summed over attached engines) when any engine is attached, else the
 // recorder's folded per-run deltas.
-func (t *Telemetry) gatherPool(stats obs.Stats) (exec.PoolStats, int) {
+func (t *Telemetry) gatherPool(stats obs.Stats) (obs.PoolCounters, int) {
 	engines := t.attachedEngines()
 	if len(engines) == 0 {
-		p := stats.Pool
-		return exec.PoolStats{
-			Hits: p.Hits, Misses: p.Misses, Steals: p.Steals,
-			Resizes: p.Resizes, Evictions: p.Evictions,
-			PlanHits: p.PlanHits, PlanMisses: p.PlanMisses,
-			Quarantines: p.Quarantined,
-		}, 0
+		return stats.Pool, 0
 	}
-	var sum exec.PoolStats
+	var live obs.Stats
 	var idle int
 	for _, e := range engines {
-		s := e.Stats()
-		sum.Hits += s.Hits
-		sum.Misses += s.Misses
-		sum.Steals += s.Steals
-		sum.Resizes += s.Resizes
-		sum.Evictions += s.Evictions
-		sum.PlanHits += s.PlanHits
-		sum.PlanMisses += s.PlanMisses
-		sum.Quarantines += s.Quarantines
+		live.Add(obs.Stats{Pool: e.Stats().Counters()})
 		idle += e.Idle()
 	}
-	return sum, idle
+	return live.Pool, idle
 }
 
 // Sample is one parsed exposition sample.

@@ -10,14 +10,15 @@ import (
 )
 
 // TestWriteMetricsParses renders a populated registry and requires its
-// own parser to accept the output with every required series present —
-// the exposition writer and the smoke-gate scraper must stay in sync.
+// own parser to accept the output, with the emitted families (one
+// "# TYPE" line each) exactly RequiredSeries in order — the exposition
+// writer and the smoke-gate scraper must stay in sync.
 func TestWriteMetricsParses(t *testing.T) {
 	clk := &testClock{t: 1}
 	tel := testTelemetry(t, clk)
 	rec := obs.NewRecorder()
+	completeRuns(rec, 1)
 	tel.AttachRecorder(rec)
-	rec.AddRun()
 	rec.AddRetry(obs.RetryCounters{Attempts: 1})
 	tel.RecordPhase(obs.PhaseExecKernel, 3*time.Millisecond)
 	tel.RecordRun(5 * time.Millisecond)
@@ -32,6 +33,15 @@ func TestWriteMetricsParses(t *testing.T) {
 	}
 	if missing := MissingSeries(samples, RequiredSeries); len(missing) > 0 {
 		t.Fatalf("missing required series %v in:\n%s", missing, sb.String())
+	}
+	var families []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families = append(families, f[2])
+		}
+	}
+	if got, want := strings.Join(families, " "), strings.Join(RequiredSeries, " "); got != want {
+		t.Fatalf("emitted families:\n%s\nwant RequiredSeries:\n%s", got, want)
 	}
 
 	runs, ok := FindSample(samples, "spgemm_runs_total")
@@ -74,7 +84,7 @@ func TestMetricsPoolFromEngine(t *testing.T) {
 	tel := testTelemetry(t, clk)
 	rec := obs.NewRecorder()
 	tel.AttachRecorder(rec)
-	rec.AddPool(obs.PoolCounters{Hits: 7, Misses: 3})
+	recordPool(rec, obs.PoolCounters{Hits: 7, Misses: 3})
 	samples := scrapeString(t, tel)
 	hits, _ := FindSample(samples, "spgemm_pool_hits_total")
 	rate, _ := FindSample(samples, "spgemm_pool_hit_rate")
@@ -87,7 +97,7 @@ func TestMetricsPoolFromEngine(t *testing.T) {
 	tel2 := testTelemetry(t, clk)
 	rec2 := obs.NewRecorder()
 	tel2.AttachRecorder(rec2)
-	rec2.AddPool(obs.PoolCounters{Hits: 7, Misses: 3})
+	recordPool(rec2, obs.PoolCounters{Hits: 7, Misses: 3})
 	tel2.AttachEngine(exec.New(exec.Config{}))
 	samples = scrapeString(t, tel2)
 	hits, _ = FindSample(samples, "spgemm_pool_hits_total")

@@ -175,48 +175,7 @@ func (t *Telemetry) attachedRecorders() []*obs.Recorder {
 func (t *Telemetry) aggregateStats() obs.Stats {
 	sum := obs.Stats{Schema: obs.StatsSchema}
 	for _, r := range t.attachedRecorders() {
-		s := r.Stats()
-		sum.Runs += s.Runs
-		sum.Totals.Tiles += s.Totals.Tiles
-		sum.Totals.Rows += s.Totals.Rows
-		sum.Totals.Flops += s.Totals.Flops
-		sum.Totals.CoIterPicks += s.Totals.CoIterPicks
-		sum.Totals.LinearPicks += s.Totals.LinearPicks
-		sum.Totals.Gathered += s.Totals.Gathered
-		sum.Accum.MarkerClears += s.Accum.MarkerClears
-		sum.Accum.TableGrows += s.Accum.TableGrows
-		sum.Accum.HashProbes += s.Accum.HashProbes
-		sum.Accum.HashCollisions += s.Accum.HashCollisions
-		sum.Pool.Hits += s.Pool.Hits
-		sum.Pool.Misses += s.Pool.Misses
-		sum.Pool.Steals += s.Pool.Steals
-		sum.Pool.Resizes += s.Pool.Resizes
-		sum.Pool.Evictions += s.Pool.Evictions
-		sum.Pool.Quarantined += s.Pool.Quarantined
-		sum.Pool.PlanHits += s.Pool.PlanHits
-		sum.Pool.PlanMisses += s.Pool.PlanMisses
-		sum.Retry.Attempts += s.Retry.Attempts
-		sum.Retry.Retries += s.Retry.Retries
-		sum.Retry.Degradations += s.Retry.Degradations
-		sum.Retry.Failures += s.Retry.Failures
-		sum.Retry.Stalls += s.Retry.Stalls
-		sum.Recal.Updates += s.Recal.Updates
-		sum.Recal.Explorations += s.Recal.Explorations
-		sum.Recal.Recenters += s.Recal.Recenters
-		sum.Recal.Snapbacks += s.Recal.Snapbacks
-		if s.Recal.KappaLast != 0 {
-			sum.Recal.KappaLast = s.Recal.KappaLast
-		}
-		sum.Sched.WaveRuns += s.Sched.WaveRuns
-		sum.Sched.Levels += s.Sched.Levels
-		sum.Sched.Waves += s.Sched.Waves
-		sum.Sched.SerialWaves += s.Sched.SerialWaves
-		sum.Sched.Barriers += s.Sched.Barriers
-		sum.Sched.BarrierWaitNs += s.Sched.BarrierWaitNs
-		for i := range sum.Sched.WaveTiles {
-			sum.Sched.WaveTiles[i] += s.Sched.WaveTiles[i]
-			sum.Sched.WaveFlops[i] += s.Sched.WaveFlops[i]
-		}
+		sum.Add(r.Stats())
 	}
 	return sum
 }

@@ -14,6 +14,25 @@ import (
 	"maskedspgemm/internal/sched"
 )
 
+// completeRuns records n completed runs into rec through run scopes.
+// Tests call it before attaching rec, so the runs reach the counters
+// but not the sink's latency series.
+func completeRuns(rec *obs.Recorder, n int) {
+	for range n {
+		s := rec.StartRun()
+		s.MarkComplete()
+		s.End()
+	}
+}
+
+// recordPool records a pool delta into rec through a run scope that
+// does not complete, so no run is counted.
+func recordPool(rec *obs.Recorder, p obs.PoolCounters) {
+	s := rec.StartRun()
+	s.AddPool(p)
+	s.End()
+}
+
 func testTelemetry(t *testing.T, clk *testClock) *Telemetry {
 	t.Helper()
 	return New(Config{
@@ -118,11 +137,10 @@ func TestAggregateStats(t *testing.T) {
 	clk := &testClock{t: 1}
 	tel := testTelemetry(t, clk)
 	r1, r2 := obs.NewRecorder(), obs.NewRecorder()
+	completeRuns(r1, 2)
+	completeRuns(r2, 1)
 	tel.AttachRecorder(r1)
 	tel.AttachRecorder(r2)
-	r1.AddRun()
-	r1.AddRun()
-	r2.AddRun()
 	r1.AddRetry(obs.RetryCounters{Attempts: 2, Retries: 1})
 	r2.AddRetry(obs.RetryCounters{Attempts: 3})
 	r1.AddRecal(obs.RecalCounters{Updates: 1, KappaLast: 1.5})

@@ -17,8 +17,8 @@ func TestServerEndpoints(t *testing.T) {
 	clk := &testClock{t: 1}
 	tel := testTelemetry(t, clk)
 	rec := obs.NewRecorder()
+	completeRuns(rec, 1)
 	tel.AttachRecorder(rec)
-	rec.AddRun()
 	tel.RecordRun(2 * time.Millisecond)
 	tel.Event(1, obs.EventRunStart, obs.PhaseNone, 0, 0)
 

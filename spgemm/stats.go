@@ -46,10 +46,12 @@ const StatsSchema = obs.StatsSchema
 // adds a few percent at most to small runs; a nil *StatsRecorder in
 // Options disables everything at zero cost.
 //
-// A StatsRecorder must not be shared by concurrent multiplications —
-// it assumes one run at a time. Snapshots taken with
-// Stats() are independent values; subtract two (Stats.Sub) to isolate
-// the activity between them.
+// A StatsRecorder may be shared by concurrent multiplications. Each run
+// records through its own scope and folds into the totals once, when it
+// ends, so the totals stay exact. The last run (Multiplier.LastStats)
+// is the last run to end. Snapshots taken with Stats() are independent
+// values; subtract two (Stats.Sub) to isolate the activity between
+// them, which includes every run that ended in that window.
 //
 // Recording also labels each pipeline phase for runtime/pprof (label
 // key "spgemm_phase") and opens a runtime/trace region per tile batch

@@ -3,6 +3,7 @@ package spgemm_test
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"maskedspgemm/spgemm"
@@ -96,6 +97,69 @@ func TestMultiplierLastStats(t *testing.T) {
 	opts.Stats.Reset()
 	if st := opts.Stats.Stats(); st.Runs != 0 || st.Totals.Gathered != 0 {
 		t.Fatalf("reset left data behind: %+v", st)
+	}
+}
+
+// TestStatsRecorderConcurrentRuns shares one StatsRecorder between two
+// goroutines that each run the same engineless product n times. Every
+// run records through its own scope, so the totals must be exact: 2n
+// runs and 2n times one run's counter set, and LastRun must be a single
+// run. Hash probe counts are not compared: they depend on which rows
+// share an accumulator.
+func TestStatsRecorderConcurrentRuns(t *testing.T) {
+	const n = 8
+	a := spgemm.RandomGraph("rmat", 256, 5)
+	opts := spgemm.Defaults()
+	opts.Tiles = 16
+	opts.Stats = spgemm.NewStatsRecorder()
+	if _, err := spgemm.MxM(a, a, a, opts); err != nil {
+		t.Fatal(err)
+	}
+	one := opts.Stats.Stats().Totals
+	if one.Tiles == 0 || one.Gathered == 0 {
+		t.Fatalf("one run recorded nothing: %+v", one)
+	}
+	opts.Stats.Reset()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*n)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range n {
+				if _, err := spgemm.MxM(a, a, a, opts); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	st := opts.Stats.Stats()
+	if st.Runs != 2*n {
+		t.Fatalf("runs = %d, want %d", st.Runs, 2*n)
+	}
+	want := spgemm.CounterSet{
+		Tiles: 2 * n * one.Tiles, Rows: 2 * n * one.Rows, Flops: 2 * n * one.Flops,
+		CoIterPicks: 2 * n * one.CoIterPicks, LinearPicks: 2 * n * one.LinearPicks,
+		Gathered: 2 * n * one.Gathered,
+	}
+	if st.Totals != want {
+		t.Fatalf("totals = %+v, want %d × one run = %+v", st.Totals, 2*n, want)
+	}
+	// A Multiplier's LastStats is its recorder's last run to end.
+	mu, err := spgemm.NewMultiplier(a, a, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, ok := mu.LastStats()
+	if !ok || last.Runs != 1 || last.Totals != one {
+		t.Fatalf("LastRun = %+v (ok=%v), want one run's totals %+v", last.Totals, ok, one)
 	}
 }
 
