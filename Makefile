@@ -172,9 +172,11 @@ bench-trsv:
 # substitution order and in level-set order (ns/nnz), and a wave run's
 # spawn and staggered barrier crossing, and one hypersparse product at
 # the production crossover, masked and complemented (ns/multiply: a
-# one-tile run's cost in its live rows), and both accumulator families
+# one-tile run's cost in its live rows), both accumulator families
 # swept over cols/RowCap (ns/flop: the medians internal/model derives the
-# planner's dense-state factor from). One iteration is a smoke test;
+# planner's dense-state factor from) and the dense state swept over its
+# bytes (ns/work: the medians internal/model derives the window floor
+# from). One iteration is a smoke test;
 # for numbers drop `-benchtime 1x` and add `-count`.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum

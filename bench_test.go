@@ -18,6 +18,7 @@ import (
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graph"
 	"maskedspgemm/internal/graphgen"
+	"maskedspgemm/internal/model"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
@@ -216,6 +217,16 @@ func BenchmarkResetStrategies(b *testing.B) {
 // the Eq. 2 volume, the unit internal/model.ReferenceAccumCosts is kept
 // in: those medians derive the state factor the planner picks the
 // accumulator kind with (core.DenseStateFactor).
+//
+// The Window/bytes=B rows sweep the dense state itself: 16 rows over
+// B/12 columns (float64 values, 32-bit markers) whose mask holds every
+// eighth column, 256 A entries per row, each selecting a B row of 256
+// random columns, so one FLOP in eight hits and hits and misses alike
+// land at random slots of the whole state. A full-width accumulator of
+// n columns is a window of n, so these are the window's costs by width,
+// in ns per unit of Eq. 2 work (mask entries count: they are loaded and
+// gathered): internal/model.ReferenceWindowCosts keeps their medians and
+// derives the per-worker window floor from them (core.WindowFloor).
 func BenchmarkAccumulatorChoice(b *testing.B) {
 	const rowCap, rows, inner, aRow, bRow = 1024, 256, 4096, 16, 256
 	rng := rand.New(rand.NewPCG(0xACC, 0xC401CE))
@@ -228,8 +239,27 @@ func BenchmarkAccumulatorChoice(b *testing.B) {
 		}
 		return coo.ToCSR()
 	}
-	a := randomRows(rows, inner, aRow)
 	sr := semiring.PlusTimes[float64]{}
+	// run times the warm product under kind, per unit of work.
+	run := func(name string, kind accum.Kind, mask, a, bm *sparse.CSR[float64], work int64, unit string) {
+		cfg := core.DefaultConfig()
+		cfg.Iteration, cfg.Accumulator = core.MaskLoad, kind
+		cfg.Tiles, cfg.Workers = 1, 1
+		cfg.Engine = exec.New(exec.Config{})
+		b.Run(name, func(b *testing.B) {
+			if _, err := core.MaskedSpGEMM[float64](sr, mask, a, bm, cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.MaskedSpGEMM[float64](sr, mask, a, bm, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(work), unit)
+		})
+	}
+	a := randomRows(rows, inner, aRow)
 	for _, ratio := range []int{2, 4, 8, 16, 64} {
 		cols := ratio * rowCap
 		m := sparse.NewCOO[float64](rows, cols, rows*rowCap)
@@ -244,23 +274,25 @@ func BenchmarkAccumulatorChoice(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, kind := range []accum.Kind{accum.HashKind, accum.DenseKind} {
-			cfg := core.DefaultConfig()
-			cfg.Iteration, cfg.Accumulator = core.MaskLoad, kind
-			cfg.Tiles, cfg.Workers = 1, 1
-			cfg.Engine = exec.New(exec.Config{})
-			b.Run(fmt.Sprintf("%v/ratio=%d", kind, ratio), func(b *testing.B) {
-				if _, err := core.MaskedSpGEMM[float64](sr, mask, a, bm, cfg); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.MaskedSpGEMM[float64](sr, mask, a, bm, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prof.Flops), "ns/flop")
-			})
+			run(fmt.Sprintf("%v/ratio=%d", kind, ratio), kind, mask, a, bm, prof.Flops, "ns/flop")
 		}
+	}
+	const wRows, wA, wB = 16, 256, 256
+	wa := randomRows(wRows, inner, wA)
+	for _, bytes := range model.ReferenceWindowCosts.Bytes {
+		cols := bytes / 12
+		m := sparse.NewCOO[float64](wRows, cols, int64(wRows*cols/8))
+		for i := range wRows {
+			for j := 0; j < cols; j += 8 {
+				m.Add(sparse.Index(i), sparse.Index(j), 1)
+			}
+		}
+		mask, bm := m.ToCSR(), randomRows(inner, cols, wB)
+		prof, err := core.ProfileMasked(mask, wa, bm, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(fmt.Sprintf("Window/bytes=%d", bytes), accum.DenseKind, mask, wa, bm, prof.Eq2Work, "ns/work")
 	}
 }
 

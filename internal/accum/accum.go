@@ -9,7 +9,10 @@
 //     marker word. Advancing the marker between rows resets the state
 //     implicitly (SuiteSparse:GraphBLAS's trick); the marker width is
 //     tunable (8/16/32/64 bits, Fig. 13) and overflow triggers a full
-//     clear (the paper's relaxation of the 64-bit marker).
+//     clear (the paper's relaxation of the 64-bit marker). The vector
+//     may also be a window narrower than n that follows each row's
+//     first mask column, with the rows wider than it spilled to a hash
+//     table (NewWindow).
 //   - Hash: an open-addressing table sized by max_i nnz(M[i,:]) — the
 //     paper's improvement over sizing by the flop upper bound — with the
 //     same marker-based reset.
@@ -40,6 +43,7 @@
 package accum
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"maskedspgemm/internal/semiring"
@@ -139,6 +143,40 @@ func StateBytes(kind Kind, cols int, rowCap int64, valueBytes, markerBits int) i
 	return HashCapacity(rowCap) * (entry + int64(unsafe.Sizeof(sparse.Index(0))))
 }
 
+// Spans profiles a mask's rows by column span (last − first mask
+// column + 1, the window a dense accumulator needs for the row): the
+// widest, and the mask entries by ceil-log2 span class.
+type Spans struct {
+	Max int64
+	NNZ [32]int64
+}
+
+// Add records a non-empty mask row of nnz entries spanning span columns.
+func (s *Spans) Add(span, nnz int64) {
+	s.Max = max(s.Max, span)
+	s.NNZ[bits.Len64(uint64(span-1))] += nnz
+}
+
+// Merge folds o into s.
+func (s *Spans) Merge(o Spans) {
+	s.Max = max(s.Max, o.Max)
+	for c, n := range o.NNZ {
+		s.NNZ[c] += n
+	}
+}
+
+// Within returns the mask entries of rows whose span fits window slots
+// (exact for a power of two, a lower bound otherwise), and of all rows.
+func (s Spans) Within(window int64) (covered, total int64) {
+	for c, n := range s.NNZ {
+		if int64(1)<<c <= window {
+			covered += n
+		}
+		total += n
+	}
+	return covered, total
+}
+
 // New builds an accumulator of the given kind for output rows with
 // column dimension n and at most rowCap entries per row (the paper sizes
 // this by max_i nnz(M[i,:]); vanilla iteration must pass the flop upper
@@ -149,16 +187,7 @@ func New[T sparse.Number, S semiring.Semiring[T]](
 ) Accumulator[T] {
 	switch kind {
 	case DenseKind:
-		switch markerBits {
-		case 8:
-			return NewDense[T, S, uint8](sr, n)
-		case 16:
-			return NewDense[T, S, uint16](sr, n)
-		case 32:
-			return NewDense[T, S, uint32](sr, n)
-		case 64:
-			return NewDense[T, S, uint64](sr, n)
-		}
+		return newDense[T](sr, n, 0, true, markerBits)
 	case HashKind:
 		switch markerBits {
 		case 8:
@@ -174,6 +203,31 @@ func New[T sparse.Number, S semiring.Semiring[T]](
 		return NewDenseExplicit[T, S](sr, n)
 	case HashExplicitKind:
 		return NewHashExplicit[T, S](sr, rowCap)
+	}
+	panic("accum: unsupported kind/markerBits combination")
+}
+
+// NewWindow builds a dense accumulator over a window of window columns
+// with markerBits-bit markers and a spill table for spillCap entries per
+// row when spillCap > 0 (NewDenseWindow).
+func NewWindow[T sparse.Number, S semiring.Semiring[T]](
+	sr S, window int, spillCap int64, markerBits int,
+) Accumulator[T] {
+	return newDense[T](sr, window, spillCap, false, markerBits)
+}
+
+func newDense[T sparse.Number, S semiring.Semiring[T]](
+	sr S, width int, spillCap int64, full bool, markerBits int,
+) Accumulator[T] {
+	switch markerBits {
+	case 8:
+		return newDenseM[T, S, uint8](sr, width, spillCap, full)
+	case 16:
+		return newDenseM[T, S, uint16](sr, width, spillCap, full)
+	case 32:
+		return newDenseM[T, S, uint32](sr, width, spillCap, full)
+	case 64:
+		return newDenseM[T, S, uint64](sr, width, spillCap, full)
 	}
 	panic("accum: unsupported kind/markerBits combination")
 }

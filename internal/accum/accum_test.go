@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
@@ -358,5 +359,116 @@ func TestNewPanicsOnUnbuildableKind(t *testing.T) {
 			}()
 			newAcc(kind, 32, 8, 4)
 		})
+	}
+}
+
+// TestWindowGatherUpdate walks a dense window of 8 over 64 columns
+// through the three routes a row can take: one that ends inside the
+// window at column 0, one the window moves to (columns just below lo and
+// at lo+8 are outside it), and one wider than the window, which spills.
+// Each row takes masked and co-iteration updates; nothing leaks between
+// them, whatever lo was before.
+func TestWindowGatherUpdate(t *testing.T) {
+	for _, bits := range []int{8, 16, 32, 64} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			acc := NewWindow[float64](semiring.PlusTimes[float64]{}, 8, 0, bits)
+			rows := []struct {
+				mask            []sparse.Index
+				outside         []sparse.Index
+				spilled         bool
+				wantCols        []sparse.Index
+				wantVals        []float64
+				updates, coiter []sparse.Index
+			}{
+				{mask: []sparse.Index{40, 42, 47}, outside: []sparse.Index{39, 48, 41, 0},
+					updates: []sparse.Index{42, 47}, coiter: []sparse.Index{42},
+					wantCols: []sparse.Index{42, 47}, wantVals: []float64{2, 1}},
+				{mask: []sparse.Index{1, 30}, outside: []sparse.Index{2, 29, 42, 47}, spilled: true,
+					updates: []sparse.Index{30}, coiter: []sparse.Index{1, 30},
+					wantCols: []sparse.Index{1, 30}, wantVals: []float64{1, 2}},
+				{mask: []sparse.Index{3, 5}, outside: []sparse.Index{1, 2, 40, 42},
+					updates: []sparse.Index{5}, coiter: []sparse.Index{3},
+					wantCols: []sparse.Index{3, 5}, wantVals: []float64{1, 1}},
+				{mask: []sparse.Index{42, 47}, outside: []sparse.Index{40, 41, 30, 55},
+					coiter:   []sparse.Index{47},
+					wantCols: []sparse.Index{47}, wantVals: []float64{1}},
+			}
+			var spills int64
+			for round := 0; round < 100; round++ { // wraps the 8-bit marker
+				for i, row := range rows {
+					acc.BeginRow()
+					acc.LoadMask(row.mask)
+					for _, j := range row.outside {
+						if acc.UpdateMasked(j, 100) {
+							t.Fatalf("round %d row %d: column %d outside the mask accepted", round, i, j)
+						}
+					}
+					for _, j := range row.updates {
+						if !acc.UpdateMasked(j, 1) {
+							t.Fatalf("round %d row %d: mask column %d rejected", round, i, j)
+						}
+					}
+					for _, j := range row.coiter {
+						acc.Update(j, 1)
+					}
+					cols, vals := acc.Gather(row.mask, nil, nil)
+					if fmt.Sprint(cols, vals) != fmt.Sprint(row.wantCols, row.wantVals) {
+						t.Fatalf("round %d row %d: gathered %v %v, want %v %v",
+							round, i, cols, vals, row.wantCols, row.wantVals)
+					}
+					if row.spilled {
+						spills++
+					}
+				}
+			}
+			st := acc.(Instrumented).AccumStats()
+			if st.Spills != spills {
+				t.Errorf("Spills = %d, want %d (one per wide row)", st.Spills, spills)
+			}
+			if bits == 8 && st.Clears == 0 {
+				t.Error("8-bit marker never wrapped while the window moved")
+			}
+			if err := acc.(Checkable).CheckClean(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestHeadersFillCacheLines pins the per-worker headers to whole cache
+// lines: a workspace allocates its workers' accumulators back to back,
+// and each is written on every row, so a header that ended mid-line
+// would share that line with the next worker's. Every kind at every
+// marker width and both value types; the semirings that carry an
+// identity value (MinPlus, MinFirst) add its size on top.
+func TestHeadersFillCacheLines(t *testing.T) {
+	type f64 = semiring.PlusTimes[float64]
+	type i64 = semiring.PlusTimes[int64]
+	sizes := map[string]uintptr{
+		"Dense8/float64":        unsafe.Sizeof(Dense[float64, f64, uint8]{}),
+		"Dense16/float64":       unsafe.Sizeof(Dense[float64, f64, uint16]{}),
+		"Dense32/float64":       unsafe.Sizeof(Dense[float64, f64, uint32]{}),
+		"Dense64/float64":       unsafe.Sizeof(Dense[float64, f64, uint64]{}),
+		"Dense8/int64":          unsafe.Sizeof(Dense[int64, i64, uint8]{}),
+		"Dense16/int64":         unsafe.Sizeof(Dense[int64, i64, uint16]{}),
+		"Dense32/int64":         unsafe.Sizeof(Dense[int64, i64, uint32]{}),
+		"Dense64/int64":         unsafe.Sizeof(Dense[int64, i64, uint64]{}),
+		"Hash8/float64":         unsafe.Sizeof(Hash[float64, f64, uint8]{}),
+		"Hash16/float64":        unsafe.Sizeof(Hash[float64, f64, uint16]{}),
+		"Hash32/float64":        unsafe.Sizeof(Hash[float64, f64, uint32]{}),
+		"Hash64/float64":        unsafe.Sizeof(Hash[float64, f64, uint64]{}),
+		"Hash8/int64":           unsafe.Sizeof(Hash[int64, i64, uint8]{}),
+		"Hash16/int64":          unsafe.Sizeof(Hash[int64, i64, uint16]{}),
+		"Hash32/int64":          unsafe.Sizeof(Hash[int64, i64, uint32]{}),
+		"Hash64/int64":          unsafe.Sizeof(Hash[int64, i64, uint64]{}),
+		"DenseExplicit/float64": unsafe.Sizeof(DenseExplicit[float64, f64]{}),
+		"DenseExplicit/int64":   unsafe.Sizeof(DenseExplicit[int64, i64]{}),
+		"HashExplicit/float64":  unsafe.Sizeof(HashExplicit[float64, f64]{}),
+		"HashExplicit/int64":    unsafe.Sizeof(HashExplicit[int64, i64]{}),
+	}
+	for name, size := range sizes {
+		if size%64 != 0 {
+			t.Errorf("%s header is %d bytes, not a whole number of 64-byte cache lines", name, size)
+		}
 	}
 }

@@ -72,12 +72,27 @@ func (h *HashExplicit[T, S]) CheckClean() error {
 func (h *HashExplicit[T, S]) SetGrowHook(f func()) { h.inner.SetGrowHook(f) }
 
 // CheckClean on the marker-based dense accumulator validates array
-// structure only: the marker makes stale state invisible.
+// structure only — the window's and the spill table's: the marker makes
+// stale state invisible.
 func (d *Dense[T, S, M]) CheckClean() error {
 	if len(d.state) != len(d.vals) {
 		return fmt.Errorf("dense arrays disagree: state %d, vals %d", len(d.state), len(d.vals))
 	}
+	if d.spill != nil {
+		if err := d.spill.CheckClean(); err != nil {
+			return fmt.Errorf("dense spill table: %w", err)
+		}
+	}
 	return nil
+}
+
+// SetGrowHook arms (or disarms) the spill table's grow seam, and the
+// one a spill table built later inherits; the window never grows.
+func (d *Dense[T, S, M]) SetGrowHook(f func()) {
+	d.growHook = f
+	if d.spill != nil {
+		d.spill.SetGrowHook(f)
+	}
 }
 
 // CheckClean on the explicit-reset dense accumulator verifies that
@@ -105,4 +120,5 @@ var (
 	_ Checkable  = (*DenseExplicit[float64, ptSR])(nil)
 	_ GrowHooked = (*Hash[float64, ptSR, uint32])(nil)
 	_ GrowHooked = (*HashExplicit[float64, ptSR])(nil)
+	_ GrowHooked = (*Dense[float64, ptSR, uint32])(nil)
 )

@@ -352,6 +352,7 @@ var _ Accumulator[float64] = (*Hash[float64, semiring.PlusTimes[float64], uint32
 type HashExplicit[T sparse.Number, S semiring.Semiring[T]] struct {
 	inner *Hash[T, S, uint64]
 	live  []int
+	_     [32]byte // pad to a cache line: live is written every row
 }
 
 // NewHashExplicit returns an explicit-reset hash accumulator able to

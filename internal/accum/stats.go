@@ -1,7 +1,7 @@
 package accum
 
-// Stats are the accumulator-side observability counters. Clears and
-// Grows are always counted (they are rare, per-row-at-worst events);
+// Stats are the accumulator-side observability counters. Clears, Grows
+// and Spills are always counted (they are rare, per-row-at-worst events);
 // Probes and Collisions touch the hash accumulator's innermost loop and
 // are only counted after EnableStats, so the un-instrumented hot path
 // pays a single predictable nil-check per probe — per batch in Scatter
@@ -12,6 +12,9 @@ type Stats struct {
 	Clears int64
 	// Grows counts hash-table doublings (a row exceeded the sizing bound).
 	Grows int64
+	// Spills counts rows a windowed dense accumulator routed to its
+	// spill table (the row's mask spanned more columns than the window).
+	Spills int64
 	// Probes counts probe sequences (one per LoadMask/Update/Gather
 	// lookup and per Scatter/ScatterMasked entry). Zero unless
 	// EnableStats was called.
@@ -27,6 +30,7 @@ func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
 		Clears:     s.Clears - prev.Clears,
 		Grows:      s.Grows - prev.Grows,
+		Spills:     s.Spills - prev.Spills,
 		Probes:     s.Probes - prev.Probes,
 		Collisions: s.Collisions - prev.Collisions,
 	}
@@ -36,6 +40,7 @@ func (s Stats) Sub(prev Stats) Stats {
 func (s *Stats) Add(o Stats) {
 	s.Clears += o.Clears
 	s.Grows += o.Grows
+	s.Spills += o.Spills
 	s.Probes += o.Probes
 	s.Collisions += o.Collisions
 }

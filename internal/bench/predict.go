@@ -13,17 +13,27 @@ import (
 // paper's conclusion future-work item, implemented in internal/model)
 // against the default configuration and the per-(i,k) cost model's own
 // predictions: for each corpus graph it prints the extracted features,
-// the predicted configuration, and measured runtimes of default vs
-// predicted.
+// the predicted configuration, the accumulator the default run derives
+// next to the one the model predicts from the features, and measured
+// runtimes of default vs predicted. The two accumulators must agree.
 func PredictReport(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "Model-based tuning: features -> predicted config vs paper default")
-	fmt.Fprintf(w, "%-22s %10s %8s %10s | %-26s %12s %12s\n",
-		"Graph", "flops/pos", "skew", "coit-pred", "predicted-config", "default-ms", "predicted-ms")
+	fmt.Fprintf(w, "%-22s %10s %8s %10s | %-18s %-20s %-20s %12s %12s\n",
+		"Graph", "flops/pos", "skew", "coit-pred", "predicted-config", "default-acc", "predicted-acc",
+		"default-ms", "predicted-ms")
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
 		cfg, f, err := model.PredictConfig(a, a, a, o.Workers)
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.Name, err)
+		}
+		defAcc, err := core.AccumulatorOf(a, a, a, tunedConfig(o.Workers))
+		if err != nil {
+			return fmt.Errorf("%s: %w", g.Name, err)
+		}
+		predAcc := model.PredictAccumulator(f, cfg.MarkerBits)
+		if defAcc != predAcc {
+			return fmt.Errorf("%s: the default run derives %v, the model predicts %v", g.Name, defAcc, predAcc)
 		}
 		def, err := o.timeMasked("predict", g.Name, "default", a, tunedConfig(o.Workers))
 		if err != nil {
@@ -36,10 +46,10 @@ func PredictReport(w io.Writer, o Options) error {
 		if def.OutputNNZ != pred.OutputNNZ {
 			return fmt.Errorf("%s: predicted config changed the result", g.Name)
 		}
-		short := fmt.Sprintf("%v/%v t=%d", cfg.Iteration, cfg.Accumulator, cfg.Tiles)
-		fmt.Fprintf(w, "%-22s %10.1f %8.1f %9.2fx | %-26s %12.2f %12.2f\n",
+		short := fmt.Sprintf("%v t=%d", cfg.Iteration, cfg.Tiles)
+		fmt.Fprintf(w, "%-22s %10.1f %8.1f %9.2fx | %-18s %-20v %-20v %12.2f %12.2f\n",
 			g.Name, f.AvgFlopsPerUpdatePos, f.DegreeSkew, f.CoIterSpeedup,
-			short, def.Millis, pred.Millis)
+			short, defAcc, predAcc, def.Millis, pred.Millis)
 	}
 	return nil
 }

@@ -27,10 +27,12 @@ type Counters struct {
 
 // countingAccumulator decorates any accumulator with operation counts.
 // Counts are accumulated locally and flushed atomically so one decorator
-// can serve each worker without contention in the hot loop.
+// can serve each worker without contention in the hot loop; the header
+// fills a cache line, since every worker's is written on every row.
 type countingAccumulator[T sparse.Number] struct {
 	inner accum.Accumulator[T]
 	local Counters
+	_     [8]byte // pad to a cache line (TestCountingAccumulatorFillsCacheLine)
 }
 
 //spgemm:hotpath

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/semiring"
@@ -129,6 +130,20 @@ func TestInstrumentedAllAccumulators(t *testing.T) {
 		}
 		if counters.Updates == 0 {
 			t.Errorf("%v: no updates counted", ak)
+		}
+	}
+}
+
+// TestCountingAccumulatorFillsCacheLine extends accum's
+// TestHeadersFillCacheLines to the instrumented entry point's decorator:
+// one per worker, allocated back to back, written on every row.
+func TestCountingAccumulatorFillsCacheLine(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"float64": unsafe.Sizeof(countingAccumulator[float64]{}),
+		"int64":   unsafe.Sizeof(countingAccumulator[int64]{}),
+	} {
+		if size%64 != 0 {
+			t.Errorf("countingAccumulator[%s] is %d bytes, not a whole number of cache lines", name, size)
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/exec"
+	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -38,41 +42,134 @@ func SetTileCrossoverForTest(w int64) (old int64) {
 
 // denseStateFactor is how many times the bytes of the hash table it
 // replaces the dense accumulator's state may take when the planner
-// derives the accumulator kind (DeriveAccumulator). Dense is faster
-// than hash at every column-to-row-capacity ratio measured (0.14–0.54 ×
-// its time per FLOP); what limits it is the state it holds per worker,
-// and the planner spends memory on it at about the slowest measured
+// derives the accumulator (DeriveAccumulator). Dense is faster than
+// hash at every column-to-row-capacity ratio measured (0.14–0.54 × its
+// time per FLOP); what limits it is the state it holds per worker, and
+// the planner spends memory on it at about the slowest measured
 // exchange rate. The value is internal/model.DerivedDenseStateFactor
 // evaluated on the reference host's accumulator costs (a test there
 // fails when the two drift); docs/TUNING.md has the regime.
 const denseStateFactor = 2
 
+// windowFloor is the dense state, in bytes, every worker may hold
+// whatever the hash table it replaces would take — a window that small
+// costs no measurable time — so a product whose hash table is tiny (a
+// road graph's) still gets a window as wide as its rows span. The value
+// is internal/model.DerivedWindowFloor on the reference host's window
+// sweep (a test there fails when the two drift).
+const windowFloor = 96 << 10
+
 // DenseStateFactor returns the state factor the planner derives the
-// accumulator kind with.
+// accumulator with.
 func DenseStateFactor() int64 { return denseStateFactor }
 
-// DeriveAccumulator is the planner's accumulator choice for output rows
-// of cols columns holding at most rowCap entries, with valueBytes-byte
-// values and markerBits-bit markers: DenseKind when the dense state is
-// at most denseStateFactor times the hash table's (accum.StateBytes),
-// HashKind otherwise. O(1).
-func DeriveAccumulator(cols int, rowCap int64, valueBytes, markerBits int) accum.Kind {
-	dense := accum.StateBytes(accum.DenseKind, cols, rowCap, valueBytes, markerBits)
-	if dense <= denseStateFactor*accum.StateBytes(accum.HashKind, cols, rowCap, valueBytes, markerBits) {
-		return accum.DenseKind
-	}
-	return accum.HashKind
+// WindowFloor returns the per-worker dense state, in bytes, the planner
+// allows a window whatever the hash table's size.
+func WindowFloor() int64 { return windowFloor }
+
+// AccumLayout is the planner's accumulator for one product stage: the
+// kind; a dense window's width (0 at full width and for other kinds);
+// the row bound of the hash table it holds — a hash accumulator's own,
+// or the one a window's wider rows spill to (0: none).
+type AccumLayout struct {
+	Kind   accum.Kind
+	Window int
+	RowCap int64
 }
 
-// accumulatorFor resolves the run's accumulator kind for a product stage
-// with cols output columns and row capacity rowCap: the configured kind,
-// or the planner's derivation when the configuration leaves it to it.
-func accumulatorFor[T sparse.Number](cfg Config, cols int, rowCap int64) accum.Kind {
+// String names the layout the way docs/TUNING.md tabulates it.
+func (l AccumLayout) String() string {
+	switch {
+	case l.Kind != accum.DenseKind || l.Window == 0:
+		return l.Kind.String()
+	case l.RowCap > 0:
+		return fmt.Sprintf("Window%d+spill", l.Window)
+	default:
+		return fmt.Sprintf("Window%d", l.Window)
+	}
+}
+
+// StateBytes is the state one accumulator of the layout holds for
+// output rows of cols columns, priced by accum.StateBytes.
+func (l AccumLayout) StateBytes(cols, valueBytes, markerBits int) int64 {
+	if l.Kind != accum.DenseKind {
+		return accum.StateBytes(accum.HashKind, cols, l.RowCap, valueBytes, markerBits)
+	}
+	if l.Window > 0 {
+		cols = l.Window
+	}
+	b := accum.StateBytes(accum.DenseKind, cols, 0, valueBytes, markerBits)
+	if l.RowCap > 0 {
+		b += accum.StateBytes(accum.HashKind, cols, l.RowCap, valueBytes, markerBits)
+	}
+	return b
+}
+
+// DeriveAccumulator is the planner's accumulator for output rows of cols
+// columns holding at most rowCap entries, whose mask rows span spans,
+// with valueBytes-byte values and markerBits-bit markers, in O(1)
+// (docs/TUNING.md "Dense or hash"): the window W is the widest span's
+// power of two, cut to one inside a dense budget of max(denseStateFactor
+// × the hash table's bytes, windowFloor); W ≥ cols is full width; a
+// narrower W spills (to a table sized like the hash accumulator's) only
+// when some row is wider; and it is hash when the rows W covers hold
+// under 1/denseStateFactor of the mask entries.
+func DeriveAccumulator(cols int, rowCap int64, spans accum.Spans, valueBytes, markerBits int) AccumLayout {
+	hashBytes := accum.StateBytes(accum.HashKind, cols, rowCap, valueBytes, markerBits)
+	slot := accum.StateBytes(accum.DenseKind, 1, rowCap, valueBytes, markerBits)
+	budget := max(denseStateFactor*hashBytes, windowFloor) / slot
+	need := int64(1) << bits.Len64(uint64(max(spans.Max, 1)-1))
+	w := min(budget, need)
+	if int64(cols) <= w {
+		return AccumLayout{Kind: accum.DenseKind}
+	}
+	w = int64(1) << (bits.Len64(uint64(w)) - 1)
+	if covered, total := spans.Within(w); covered*denseStateFactor < total {
+		return AccumLayout{Kind: accum.HashKind, RowCap: rowCap}
+	}
+	l := AccumLayout{Kind: accum.DenseKind, Window: int(w)}
+	if spans.Max > w {
+		l.RowCap = rowCap
+	}
+	return l
+}
+
+// accumulatorFor resolves the run's accumulator for a product stage with
+// cols output columns under plan: the configured kind at full width, or
+// the planner's derivation. Spaces that load no mask (Vanilla, CoIter)
+// index from column 0, so they derive as if every row spanned all cols:
+// full width or hash, never a window.
+func accumulatorFor[T sparse.Number](cfg Config, cols int, plan exec.Plan) AccumLayout {
 	if cfg.Accumulator != accum.AutoKind {
-		return cfg.Accumulator
+		l := AccumLayout{Kind: cfg.Accumulator, RowCap: plan.RowCap}
+		if l.Kind == accum.DenseKind {
+			l.RowCap = 0
+		}
+		return l
+	}
+	spans := plan.Spans
+	if cfg.Iteration == Vanilla || cfg.Iteration == CoIter {
+		spans = accum.Spans{}
+		spans.Add(int64(max(cols, 1)), 1)
 	}
 	var zero T
-	return DeriveAccumulator(cols, rowCap, int(unsafe.Sizeof(zero)), cfg.MarkerBits)
+	return DeriveAccumulator(cols, plan.RowCap, spans, int(unsafe.Sizeof(zero)), cfg.MarkerBits)
+}
+
+// AccumulatorOf is the accumulator a run of C = M ⊙ (A × B) under cfg
+// checks out, derived from plan facts computed afresh.
+func AccumulatorOf[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (AccumLayout, error) {
+	if err := cfg.Validate(); err != nil {
+		return AccumLayout{}, err
+	}
+	if err := checkShapes(m, a, b); err != nil {
+		return AccumLayout{}, err
+	}
+	plan, err := rowCapacity(cfg.Context, cfg, sched.Workers(cfg.Workers), a, b, m, nil)
+	if err != nil {
+		return AccumLayout{}, wrapRunErr(err)
+	}
+	return accumulatorFor[T](cfg, b.Cols, plan), nil
 }
 
 // UntiledWork measures what one untiled serial pass of M ⊙ (A × B)

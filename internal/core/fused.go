@@ -60,33 +60,30 @@ func fusedEntrySize[T sparse.Number]() int64 {
 
 // chainRowCap resolves a chain's second-stage accumulator row bound (max
 // nnz of an M2 row; the stage-2 output column count under Vanilla, since
-// the flop bound of a never-materialized left operand is unknown) —
-// through the engine's plan cache when available, under a rowcap-only
-// pseudo key (zero B operand, so it can never collide with a real
-// multiply's key).
+// the flop bound of a never-materialized left operand is unknown) and
+// M2's row spans, as a plan without tiles — through the engine's plan
+// cache when available, under a rowcap-only pseudo key (zero B operand,
+// so it can never collide with a real multiply's key).
 func chainRowCap[T sparse.Number](
 	ctx context.Context, cfg Config, pw int, m2, c *sparse.CSR[T], scope *obs.RunScope,
-) (int64, error) {
+) (exec.Plan, error) {
 	build := func() (exec.Plan, error) {
 		defer scope.Span(obs.PhasePlanRowCap)()
 		if cfg.Iteration == Vanilla {
 			return exec.Plan{RowCap: int64(c.Cols)}, nil
 		}
-		rc, err := maxRowNNZ(ctx, m2, pw)
-		return exec.Plan{RowCap: rc}, err
+		return maskRows(ctx, m2, pw)
 	}
 	if cfg.Engine == nil {
-		p2, err := build()
-		return p2.RowCap, err
+		return build()
 	}
-	p2, err := cfg.Engine.Plan(exec.PlanKey{
+	return cfg.Engine.Plan(exec.PlanKey{
 		M:       exec.IDOf(m2),
 		A:       exec.IDOf(c),
 		Tiles:   cfg.Tiles,
 		Tiling:  cfg.Tiling,
 		Vanilla: cfg.Iteration == Vanilla,
 	}, build)
-	return p2.RowCap, err
 }
 
 // FusedMaskedSpGEMM computes the chained masked product

@@ -67,37 +67,41 @@ func blockWorkers(p, n int) int {
 	return p
 }
 
-func maxRowNNZ[T sparse.Number](ctx context.Context, m *sparse.CSR[T], p int) (int64, error) {
+// maskRows is the plan's one pass over the mask rows, as a plan without
+// tiles: the largest row (the accumulator's row bound, §III-C sizing)
+// and the rows' column spans (the dense window's, accum.Spans).
+func maskRows[T sparse.Number](ctx context.Context, m *sparse.CSR[T], p int) (exec.Plan, error) {
 	p = blockWorkers(p, m.Rows)
 	if p <= 1 {
-		var mx int64
-		for i := 0; i < m.Rows; i++ {
-			if n := m.RowNNZ(i); n > mx {
-				mx = n
-			}
-		}
-		return mx, nil
+		return maskRowRange(m, 0, m.Rows), nil
 	}
 	p = sched.Workers(p)
-	maxes := make([]int64, p)
+	parts := make([]exec.Plan, p)
 	if err := sched.BlocksE(ctx, p, m.Rows, func(w, lo, hi int) {
-		var mx int64
-		for i := lo; i < hi; i++ {
-			if n := m.RowNNZ(i); n > mx {
-				mx = n
-			}
-		}
-		maxes[w] = mx
+		parts[w] = maskRowRange(m, lo, hi)
 	}); err != nil {
-		return 0, err
+		return exec.Plan{}, err
 	}
-	var mx int64
-	for _, v := range maxes {
-		if v > mx {
-			mx = v
+	var plan exec.Plan
+	for _, part := range parts {
+		plan.RowCap = max(plan.RowCap, part.RowCap)
+		plan.Spans.Merge(part.Spans)
+	}
+	return plan, nil
+}
+
+// maskRowRange is maskRows over rows [lo, hi).
+func maskRowRange[T sparse.Number](m *sparse.CSR[T], lo, hi int) (plan exec.Plan) {
+	ptr, idx := m.RowPtr, m.ColIdx
+	for i := lo; i < hi; i++ {
+		a, b := ptr[i], ptr[i+1]
+		if a == b {
+			continue
 		}
+		plan.RowCap = max(plan.RowCap, b-a)
+		plan.Spans.Add(int64(idx[b-1]-idx[a])+1, b-a)
 	}
-	return mx, nil
+	return plan
 }
 
 // kernel is the loop-invariant half of the row-wise skeleton: the

@@ -83,30 +83,32 @@ func spanned(ctx context.Context, scope *obs.RunScope, phase obs.Phase, fn func(
 // {[0, rows)}, built without Eq. 2 arrays and neither looked up in nor
 // stored to the plan cache — an iterative caller's key could only miss,
 // and the stored entry would pin three operands nobody multiplies
-// again. Every other product goes through the engine's
+// again; and without the row-bound pass when the run sizes no
+// accumulator from it (accs false: ¬M and the 2-D kernel run on dense
+// scratch). Every other product goes through the engine's
 // fingerprint-keyed cache when cfg.Engine is set, building (under the
 // scope's plan spans) on a miss. Without an engine every call builds; a
 // cached hit records no plan spans because no plan work happened.
 func planFor[T sparse.Number](
-	ctx context.Context, cfg Config, pw int, m, a, b, m2, c *sparse.CSR[T], scope *obs.RunScope,
+	ctx context.Context, cfg Config, pw int, m, a, b, m2, c *sparse.CSR[T], accs bool, scope *obs.RunScope,
 ) (exec.Plan, error) {
 	if belowTileCrossover(m, a, b, m2, c) {
-		rowCap, err := rowCapacity(ctx, cfg, pw, a, b, m, scope)
-		if err != nil {
-			return exec.Plan{}, err
+		var plan exec.Plan
+		var err error
+		if accs {
+			plan, err = rowCapacity(ctx, cfg, pw, a, b, m, scope)
 		}
-		return exec.Plan{Tiles: []tiling.Tile{{Lo: 0, Hi: a.Rows}}, RowCap: rowCap}, nil
+		plan.Tiles = []tiling.Tile{{Lo: 0, Hi: a.Rows}}
+		return plan, err
 	}
 	build := func() (exec.Plan, error) {
 		tiles, err := makeTiles(ctx, cfg, pw, a, b, m, scope)
 		if err != nil {
 			return exec.Plan{}, err
 		}
-		rowCap, err := rowCapacity(ctx, cfg, pw, a, b, m, scope)
-		if err != nil {
-			return exec.Plan{}, err
-		}
-		return exec.Plan{Tiles: tiles, RowCap: rowCap}, nil
+		plan, err := rowCapacity(ctx, cfg, pw, a, b, m, scope)
+		plan.Tiles = tiles
+		return plan, err
 	}
 	if cfg.Engine == nil {
 		return build()
@@ -173,27 +175,20 @@ func makeTiles[T sparse.Number](
 }
 
 // rowCapacity computes the accumulator row-entry bound (§III-C sizing)
-// under the plan.row_cap span: max nnz of a mask row, or the flop upper
-// bound for the vanilla space.
+// and the mask rows' column spans under the plan.row_cap span, as a plan
+// without tiles: max nnz of a mask row, or the flop upper bound for the
+// vanilla space.
 func rowCapacity[T sparse.Number](
 	ctx context.Context, cfg Config, pw int, a, b, m *sparse.CSR[T], scope *obs.RunScope,
-) (int64, error) {
+) (exec.Plan, error) {
 	defer scope.Span(obs.PhasePlanRowCap)()
-	rowCap, err := maxRowNNZ(ctx, m, pw)
-	if err != nil {
-		return 0, err
+	plan, err := maskRows(ctx, m, pw)
+	if err != nil || cfg.Iteration != Vanilla {
+		return plan, err
 	}
-	if cfg.Iteration == Vanilla {
-		_, maxFlops, err := tiling.FlopCountParallelE(ctx, a, b, pw)
-		if err != nil {
-			return 0, err
-		}
-		rowCap = maxFlops
-		if rowCap > int64(b.Cols) {
-			rowCap = int64(b.Cols)
-		}
-	}
-	return rowCap, nil
+	_, maxFlops, err := tiling.FlopCountParallelE(ctx, a, b, pw)
+	plan.RowCap = min(maxFlops, int64(b.Cols))
+	return plan, err
 }
 
 // snapshotAccumStats enables the gated accumulator counters and returns
@@ -230,6 +225,7 @@ func recordAccumDeltas[T sparse.Number](accs []accum.Accumulator[T], prior []acc
 		TableGrows:     delta.Grows,
 		HashProbes:     delta.Probes,
 		HashCollisions: delta.Collisions,
+		SpilledRows:    delta.Spills,
 	})
 	scope.MarkComplete()
 }

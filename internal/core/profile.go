@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -18,6 +19,9 @@ type Profile struct {
 	MaskNNZ int64
 	// MaxMaskRow is max_i nnz(M[i,:]) — the accumulator sizing bound.
 	MaxMaskRow int64
+	// MaskSpans profiles the mask rows' column spans — the dense window's
+	// sizing quantity (DeriveAccumulator).
+	MaskSpans accum.Spans
 	// Flops is Σ_{A[i,k]≠0} nnz(B[k,:]) — the updates the vanilla and
 	// mask-load spaces perform.
 	Flops int64
@@ -53,6 +57,9 @@ func ProfileMasked[T sparse.Number](m, a, b *sparse.CSR[T], kappa float64) (Prof
 		nnzM := int(m.RowNNZ(i))
 		if int64(nnzM) > p.MaxMaskRow {
 			p.MaxMaskRow = int64(nnzM)
+		}
+		if cols := m.RowCols(i); nnzM > 0 {
+			p.MaskSpans.Add(int64(cols[nnzM-1]-cols[0])+1, int64(nnzM))
 		}
 		var rowFlops int64
 		for _, k := range a.RowCols(i) {

@@ -106,7 +106,7 @@ func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, er
 	}
 	scope := cfg.Recorder.StartRun()
 	defer scope.End()
-	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, nil, nil, scope)
+	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, nil, nil, true, scope)
 	if err != nil {
 		return 0, wrapRunErr(err)
 	}
@@ -150,10 +150,10 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()
 	pw := sched.Workers(cfg.Workers)
-	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, p.m2, p.c, scope)
-	var rowCap2 int64
+	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, p.m2, p.c, !p.comp, scope)
+	var plan2 exec.Plan
 	if err == nil && chain {
-		rowCap2, err = chainRowCap(ctx, cfg, pw, p.m2, p.c, scope)
+		plan2, err = chainRowCap(ctx, cfg, pw, p.m2, p.c, scope)
 	}
 	if err != nil {
 		return nil, wrapRunErr(err)
@@ -192,15 +192,21 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	if p.comp {
 		ws = exec.Dense[T, S](cfg.Engine, p.sr, p.b.Cols, workers, staging)
 	} else {
-		ws = exec.Masked[T, S](cfg.Engine, p.sr, accumulatorFor[T](cfg, p.b.Cols, plan.RowCap),
-			cfg.MarkerBits, p.b.Cols, plan.RowCap, workers, staging)
+		if l := accumulatorFor[T](cfg, p.b.Cols, plan); l.Window > 0 {
+			ws = exec.MaskedWindow[T, S](cfg.Engine, p.sr, cfg.MarkerBits, l.Window, l.RowCap, workers, staging)
+		} else {
+			ws = exec.Masked[T, S](cfg.Engine, p.sr, l.Kind, cfg.MarkerBits, p.b.Cols, l.RowCap, workers, staging)
+		}
 		accs = ws.Accs[:workers]
 	}
 	outs := ws.Outs
 	var chains []chainSink[T, S]
 	if chain {
-		ws2 = exec.Masked[T, S](cfg.Engine, p.sr, accumulatorFor[T](cfg, p.c.Cols, rowCap2),
-			cfg.MarkerBits, p.c.Cols, rowCap2, workers, len(tiles))
+		if l := accumulatorFor[T](cfg, p.c.Cols, plan2); l.Window > 0 {
+			ws2 = exec.MaskedWindow[T, S](cfg.Engine, p.sr, cfg.MarkerBits, l.Window, l.RowCap, workers, len(tiles))
+		} else {
+			ws2 = exec.Masked[T, S](cfg.Engine, p.sr, l.Kind, cfg.MarkerBits, p.c.Cols, l.RowCap, workers, len(tiles))
+		}
 		outs = ws2.Outs
 		chains = newChainSinks(p, ws2.Accs[:workers])
 		// One slice over both stages' accumulators, so the chaos seam and

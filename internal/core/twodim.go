@@ -53,7 +53,7 @@ func MaskedSpGEMM2D[T sparse.Number, S semiring.Semiring[T]](
 	scope := cfg.Recorder.StartRun()
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()
-	plan, err := planFor(ctx, cfg, pw, m, a, b, nil, nil, scope)
+	plan, err := planFor(ctx, cfg, pw, m, a, b, nil, nil, false, scope)
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/semiring"
+	"maskedspgemm/internal/sparse"
 	"maskedspgemm/internal/tiling"
 )
 
@@ -323,5 +324,40 @@ func TestCheckoutSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm plan lookup allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestWindowKeys pins MaskedWindow's buckets: a window workspace holds
+// window accumulators of the requested width; a window request never
+// takes a full-width workspace (whose accumulators treat a column past
+// their width as out of range) nor a window that cannot spill, while a
+// full-width request may take a window at least as wide.
+func TestWindowKeys(t *testing.T) {
+	e := New(Config{})
+	full := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 4096, 8, 1, 1)
+	full.Release()
+	win := MaskedWindow[float64, sr](e, sr{}, 32, 1024, 0, 1, 1)
+	if win == full {
+		t.Fatal("a window request took the idle full-width workspace")
+	}
+	acc := win.Accs[0]
+	acc.BeginRow()
+	acc.LoadMask([]sparse.Index{3000, 4023}) // spans 1024: fits
+	if acc.UpdateMasked(5000, 1) || !acc.UpdateMasked(4023, 1) {
+		t.Fatal("window accumulator misplaced its window")
+	}
+	acc.BeginRow()
+	acc.LoadMask([]sparse.Index{0, 1024}) // spans 1025: spills
+	if st := acc.(accum.Instrumented).AccumStats(); st.Spills != 1 {
+		t.Fatalf("a 1025-column row in a 1024-slot window: %d spills, want 1", st.Spills)
+	}
+	win.Release()
+	spill := MaskedWindow[float64, sr](e, sr{}, 32, 1024, 40, 1, 1)
+	if spill == win {
+		t.Fatal("a spilling window request took a window without a spill table")
+	}
+	spill.Release()
+	if got := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 1000, 8, 1, 1); got != win && got != spill {
+		t.Fatal("a full-width request did not take an idle window at least as wide")
 	}
 }

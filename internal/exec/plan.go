@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/chaos"
 	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/sparse"
@@ -8,7 +9,8 @@ import (
 )
 
 // Plan is the operand-structure-dependent half of an execution: the
-// tile partition and the accumulator row-capacity bound. Building one
+// tile partition, the accumulator row-capacity bound and the mask rows'
+// column spans the dense window is sized from. Building one
 // costs O(nnz) (Eq. 2 row-work estimation plus a prefix sum for
 // FLOP-balanced tiles); the engine caches plans so iterative callers
 // pay that once per operand structure.
@@ -16,14 +18,15 @@ import (
 // Cached plans are shared read-only across concurrent runs — nothing in
 // the kernel mutates a Tile — and survive operand mutation harmlessly:
 // the plan key pins rows, so a stale hit still partitions exactly
-// [0, rows); at worst the FLOP balance is off and accumulators grow on
-// demand. For SpGEMM, correctness never depends on plan freshness;
+// [0, rows); at worst the FLOP balance is off, accumulators grow on
+// demand and a dense window spills a row it was not sized for. For SpGEMM, correctness never depends on plan freshness;
 // triangular-solve plans are the exception — their wave order encodes
 // dependencies, so their keys content-hash the structure (see
 // PlanKey.SolveHash) instead of relying on identity alone.
 type Plan struct {
 	Tiles  []tiling.Tile
 	RowCap int64
+	Spans  accum.Spans
 	// Solve is the level-schedule payload of a triangular-solve plan;
 	// nil for SpGEMM plans.
 	Solve *SolvePlan

@@ -41,8 +41,8 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	sr         S
 	kind       accum.Kind
 	markerBits int
-	cols       int   // size-class capacity of the column dimension
-	rowCap     int64 // size-class bound on accumulator row entries
+	cols       int   // size-class capacity of the column dimension (window: its width)
+	rowCap     int64 // size-class bound on accumulator row entries (window: the spill table's, 0 = none)
 
 	// Accs holds one accumulator per worker; Accs[w] is owned by worker
 	// w for the duration of a run.
@@ -183,7 +183,34 @@ func Masked[T sparse.Number, S semiring.Semiring[T]](
 	e *Engine, sr S, kind accum.Kind, markerBits, cols int, rowCap int64,
 	workers, tiles int,
 ) *Workspace[T, S] {
-	key := maskedKey[T, S](kind, markerBits, cols, rowCap)
+	return masked(e, sr, maskedKey[T, S](kind, markerBits, cols, rowCap), kind, markerBits, workers, tiles)
+}
+
+// MaskedWindow is Masked for dense accumulators over a window of window
+// columns, each with a spill table for spillCap entries per row when
+// spillCap > 0 (accum.NewWindow). Its key is the dense one of the window
+// class with capClass 1, or 2 + the spill table's class: full-width
+// workspaces (capClass 0) may take an idle window at least as wide, but
+// a window never takes a full-width one, nor one that cannot spill.
+//
+//spgemm:hotpath
+func MaskedWindow[T sparse.Number, S semiring.Semiring[T]](
+	e *Engine, sr S, markerBits, window int, spillCap int64, workers, tiles int,
+) *Workspace[T, S] {
+	key := maskedKey[T, S](accum.DenseKind, markerBits, window, 0)
+	key.capClass = 1
+	if spillCap > 0 {
+		key.capClass = 2 + sizeClass64(spillCap)
+	}
+	return masked(e, sr, key, accum.DenseKind, markerBits, workers, tiles)
+}
+
+// masked is the checkout behind Masked and MaskedWindow.
+//
+//spgemm:hotpath
+func masked[T sparse.Number, S semiring.Semiring[T]](
+	e *Engine, sr S, key wsKey, kind accum.Kind, markerBits, workers, tiles int,
+) *Workspace[T, S] {
 	if e != nil {
 		//lint:ignore hotpathalloc allocates only when a fault fires, and the checkout dies with it
 		chaos.StepHard(e.cfg.Chaos, chaos.WorkspaceCheckout)
@@ -199,6 +226,9 @@ func Masked[T sparse.Number, S semiring.Semiring[T]](
 			markerBits: markerBits,
 			cols:       1 << key.colsClass,
 			rowCap:     int64(1) << key.capClass,
+		}
+		if kind == accum.DenseKind && key.capClass > 0 { // a window
+			ws.rowCap = int64(1) << key.capClass >> 2 // 0 without a spill table
 		}
 	}
 	ws.engine = e
@@ -293,7 +323,11 @@ func (ws *Workspace[T, S]) ensureAccs(workers int, count bool) {
 	accs := make([]accum.Accumulator[T], workers)
 	copy(accs, ws.Accs)
 	for w := len(ws.Accs); w < workers; w++ {
-		accs[w] = accum.New[T](ws.kind, ws.sr, ws.cols, ws.rowCap, ws.markerBits)
+		if ws.kind == accum.DenseKind && ws.key.capClass > 0 {
+			accs[w] = accum.NewWindow[T](ws.sr, ws.cols, ws.rowCap, ws.markerBits)
+		} else {
+			accs[w] = accum.New[T](ws.kind, ws.sr, ws.cols, ws.rowCap, ws.markerBits)
+		}
 	}
 	ws.Accs = accs
 }

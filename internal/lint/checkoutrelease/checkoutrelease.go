@@ -1,5 +1,5 @@
 // Package checkoutrelease verifies that every pooled-workspace checkout
-// (exec.Masked / exec.Dense) in a function is paired with a Release
+// (exec.Masked / exec.MaskedWindow / exec.Dense) in a function is paired with a Release
 // that runs on every exit of that function. A plain end-of-body
 // ws.Release() does not count: an early error return or a panic
 // unwinding past it leaks the workspace out of the engine's pool (and,
@@ -37,7 +37,7 @@ import (
 // Analyzer flags workspace checkouts without a deferred Release.
 var Analyzer = &lint.Analyzer{
 	Name: "checkoutrelease",
-	Doc: "flags exec.Masked/exec.Dense checkouts whose Release is not " +
+	Doc: "flags exec.Masked/exec.MaskedWindow/exec.Dense checkouts whose Release is not " +
 		"deferred: releases must survive error returns and panic unwinding",
 	Run: run,
 }
@@ -179,7 +179,7 @@ func checkoutCall(pass *lint.Pass, e ast.Expr) (string, *ast.CallExpr) {
 		fun = idx.X
 	}
 	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Masked" && sel.Sel.Name != "Dense") {
+	if !ok || (sel.Sel.Name != "Masked" && sel.Sel.Name != "MaskedWindow" && sel.Sel.Name != "Dense") {
 		return "", nil
 	}
 	qual, ok := sel.X.(*ast.Ident)

@@ -1,6 +1,9 @@
 package model
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // The dense-state factor, derived. core.DeriveAccumulator picks the
 // dense accumulator for a product when its state is at most
@@ -55,3 +58,49 @@ func DerivedDenseStateFactor() int64 {
 	}
 	return 1 << int(math.Round(math.Log2(s)))
 }
+
+// The window floor, derived: core.DeriveAccumulator lets every worker
+// hold core.WindowFloor bytes of dense window whatever the hash table it
+// replaces would take, and the test beside this fails when the two
+// drift.
+
+// WindowCosts are the dense accumulator's times per unit of Eq. 2 work
+// (ns/work) swept over the bytes of its state, ascending: the medians of
+// the root package's BenchmarkAccumulatorChoice Window/bytes=B rows.
+type WindowCosts struct {
+	Bytes          []int
+	DenseNsPerWork []float64
+}
+
+// ReferenceWindowCosts are the medians of fifteen runs of the Window
+// rows of BenchmarkAccumulatorChoice on the 2-vCPU reference host.
+var ReferenceWindowCosts = WindowCosts{
+	Bytes:          []int{3 << 10, 6 << 10, 12 << 10, 24 << 10, 48 << 10, 96 << 10, 192 << 10, 384 << 10, 768 << 10, 1536 << 10},
+	DenseNsPerWork: []float64{4.71, 5.47, 5.49, 5.89, 5.87, 5.87, 6.07, 6.59, 7.36, 11.10},
+}
+
+// windowSlack is how much slower than the plateau a state may run and
+// still count as free: about the run-to-run spread of one size's
+// readings.
+const windowSlack = 0.10
+
+// Floor is the largest swept state that runs within windowSlack of the
+// plateau — the median time of the sweep's smaller half of sizes, all
+// cache-resident, so one noisy size cannot move it: up to the floor a
+// window costs no measurable time, past it only the relative rule
+// (core.DenseStateFactor × the hash table) may justify the bytes.
+func (c WindowCosts) Floor() int64 {
+	lower := slices.Clone(c.DenseNsPerWork[:(len(c.DenseNsPerWork)+1)/2])
+	slices.Sort(lower)
+	plateau := (lower[(len(lower)-1)/2] + lower[len(lower)/2]) / 2
+	var floor int64
+	for i, t := range c.DenseNsPerWork {
+		if t <= plateau*(1+windowSlack) {
+			floor = int64(c.Bytes[i])
+		}
+	}
+	return floor
+}
+
+// DerivedWindowFloor is the value core's window floor must hold.
+func DerivedWindowFloor() int64 { return ReferenceWindowCosts.Floor() }

@@ -44,3 +44,37 @@ func TestDenseStateFactorDerivation(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowFloorMatchesDerivation is the window floor's drift gate:
+// the per-worker bytes core.DeriveAccumulator grants any window must be
+// this package's derivation from the reference window sweep.
+func TestWindowFloorMatchesDerivation(t *testing.T) {
+	if got, want := core.WindowFloor(), DerivedWindowFloor(); got != want {
+		t.Errorf("core's window floor is %d bytes, the derivation from ReferenceWindowCosts gives %d: "+
+			"update one to match the other (and docs/TUNING.md)", got, want)
+	}
+}
+
+// TestWindowFloorDerivation pins the derivation's arithmetic: the
+// plateau is the median of the smaller half of sizes, the largest size
+// within windowSlack of it wins, and a size past a slow one still
+// counts.
+func TestWindowFloorDerivation(t *testing.T) {
+	if r := ReferenceWindowCosts; len(r.DenseNsPerWork) != len(r.Bytes) {
+		t.Fatalf("reference sweep has %d sizes and %d times", len(r.Bytes), len(r.DenseNsPerWork))
+	}
+	for _, tc := range []struct {
+		times []float64
+		want  int64
+	}{
+		{[]float64{5, 5, 5.4, 6}, 3 << 10},       // plateau 5: 5.4 is 8 % over, still free
+		{[]float64{5, 5, 5.6, 6}, 2 << 10},       // 12 % over: not
+		{[]float64{5, 9, 5.2, 9, 9}, 3 << 10},    // plateau 5.2 (median of 5, 9, 5.2)
+		{[]float64{4, 5, 5, 5.4, 9, 9}, 4 << 10}, // a fast smallest size does not set it
+	} {
+		c := WindowCosts{Bytes: []int{1 << 10, 2 << 10, 3 << 10, 4 << 10, 5 << 10, 6 << 10}[:len(tc.times)], DenseNsPerWork: tc.times}
+		if got := c.Floor(); got != tc.want {
+			t.Errorf("times %v: floor %d, want %d", tc.times, got, tc.want)
+		}
+	}
+}

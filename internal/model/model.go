@@ -31,6 +31,9 @@ type Features struct {
 	// profile (Eqs. 2–3 quantities).
 	MaskNNZ, Flops          int64
 	MaxMaskRow, MaxRowFlops int64
+	// MaskSpans profiles the mask rows' column spans, which size the
+	// dense window (core.DeriveAccumulator).
+	MaskSpans accum.Spans
 	// DegreeSkew is max row nnz of A over the average — near 1 for road
 	// networks, large for social/web hubs.
 	DegreeSkew float64
@@ -55,7 +58,7 @@ func Extract[T sparse.Number](m, a, b *sparse.CSR[T]) (Features, error) {
 	f := Features{
 		Rows: m.Rows, Cols: m.Cols, ValueBytes: int(unsafe.Sizeof(zero)),
 		MaskNNZ: p.MaskNNZ, Flops: p.Flops,
-		MaxMaskRow: p.MaxMaskRow, MaxRowFlops: p.MaxRowFlops,
+		MaxMaskRow: p.MaxMaskRow, MaxRowFlops: p.MaxRowFlops, MaskSpans: p.MaskSpans,
 		CoIterSpeedup: p.PredictedCoIterSpeedup(),
 	}
 	var maxA int64
@@ -81,7 +84,8 @@ func Extract[T sparse.Number](m, a, b *sparse.CSR[T]) (Features, error) {
 // The predictor's decision boundaries, encoding §V: balanced+dynamic
 // with ~2048 tiles works for 80–90% of matrices; co-iteration helps when
 // the model predicts ≥ 15% gain; 32-bit markers are the sweet spot. The
-// accumulator family is the planner's own derivation (core.DeriveAccumulator).
+// accumulator is left to the planner, whose derivation
+// (core.DeriveAccumulator) PredictAccumulator reproduces from the features.
 const (
 	// coIterGain is the minimum predicted speedup before the hybrid space
 	// is worth its per-pair decision overhead.
@@ -112,9 +116,10 @@ func Predict(f Features, workers int) core.Config {
 		cfg.Iteration = core.MaskLoad
 	}
 
-	// Accumulator: the planner's derivation for the row capacity its plan
-	// sizes, the mask-row maximum (neither predicted space is Vanilla).
-	cfg.Accumulator = derivedAccumulator(f, cfg.MarkerBits)
+	// Accumulator: the planner derives it per product, window included
+	// (PredictAccumulator is its verdict on f); forcing a kind would
+	// forgo the window.
+	cfg.Accumulator = accum.AutoKind
 
 	// Tile count: enough tiles for dynamic balancing, not so many that
 	// per-tile overhead dominates (Fig. 11's high-tile-count collapse).
@@ -122,11 +127,12 @@ func Predict(f Features, workers int) core.Config {
 	return cfg
 }
 
-// derivedAccumulator is the kind the planner derives for a masked
-// product with features f: core.DeriveAccumulator on the output columns
-// and the mask-row maximum, the row capacity a non-vanilla plan sizes.
-func derivedAccumulator(f Features, markerBits int) accum.Kind {
-	return core.DeriveAccumulator(f.Cols, f.MaxMaskRow, f.ValueBytes, markerBits)
+// PredictAccumulator is the accumulator the planner derives for a
+// masked product with features f in a space that loads the mask:
+// core.DeriveAccumulator on the output columns, the mask-row maximum
+// (the row capacity a non-vanilla plan sizes) and the mask spans.
+func PredictAccumulator(f Features, markerBits int) core.AccumLayout {
+	return core.DeriveAccumulator(f.Cols, f.MaxMaskRow, f.MaskSpans, f.ValueBytes, markerBits)
 }
 
 // DefaultRetentionBudget bounds the memory the engine may pin in idle
@@ -144,12 +150,14 @@ func PredictEngine(f Features, cfg core.Config, workers int) exec.Config {
 // PredictEngineBudget sizes an exec.Engine's retention bounds from the
 // problem's features and an explicit retention budget in bytes
 // (budget <= 0 selects DefaultRetentionBudget), for the accumulator
-// kind that will run: cfg's, or the planner's derivation when cfg
+// that will run: cfg's kind, or the planner's derivation when cfg
 // leaves it to the planner. The dominant per-workspace cost is the
 // accumulator state, priced by the planner's own rule
-// (accum.StateBytes at f.ValueBytes and cfg.MarkerBits): a dense
-// accumulator holds a value and a marker per column per worker, a hash
-// accumulator the HashCapacity(MaxMaskRow)-slot table. The idle cap is
+// (core.AccumLayout.StateBytes, accum.StateBytes at f.ValueBytes and
+// cfg.MarkerBits): a dense accumulator holds a value and a marker per
+// column of its window (every column at full width) and its spill
+// table, a hash accumulator the HashCapacity(MaxMaskRow)-slot table,
+// per worker. The idle cap is
 // the retention budget divided by that footprint, so small problems
 // keep the default (deep) pool while problems with huge columns retain
 // only a few idle workspaces. The plan cache is footprint-light (tile boundaries only)
@@ -161,14 +169,14 @@ func PredictEngineBudget(f Features, cfg core.Config, workers int, budget int64)
 	if budget <= 0 {
 		budget = DefaultRetentionBudget
 	}
-	kind := cfg.Accumulator
-	if kind == accum.AutoKind {
-		kind = derivedAccumulator(f, cfg.MarkerBits)
+	l := core.AccumLayout{Kind: cfg.Accumulator, RowCap: f.MaxMaskRow}
+	switch cfg.Accumulator {
+	case accum.AutoKind:
+		l = PredictAccumulator(f, cfg.MarkerBits)
+	case accum.DenseKind, accum.DenseExplicitKind:
+		l = core.AccumLayout{Kind: accum.DenseKind} // per-column state, priced as dense
 	}
-	if kind == accum.DenseExplicitKind {
-		kind = accum.DenseKind // per-column state, priced as dense
-	}
-	perWorker := accum.StateBytes(kind, f.Cols, f.MaxMaskRow, f.ValueBytes, cfg.MarkerBits)
+	perWorker := l.StateBytes(f.Cols, f.ValueBytes, cfg.MarkerBits)
 	// Tile staging holds at most the mask volume across all tiles.
 	footprint := perWorker*int64(workers) + f.MaskNNZ*12
 	if footprint <= 0 {

@@ -60,7 +60,7 @@ func TestPredictOnCorpusFamilies(t *testing.T) {
 	// space is acceptable but the config must be valid and the tile
 	// count modest for the small row count.
 	road := testFamilies["road"]()
-	cfg, _, err = PredictConfig(road, road, road, 2)
+	cfg, f, err = PredictConfig(road, road, road, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,56 +68,86 @@ func TestPredictOnCorpusFamilies(t *testing.T) {
 		t.Errorf("road: %d tiles exceeds the recommended cap", cfg.Tiles)
 	}
 
-	// Flat degrees: the hash table is a sliver of the dimension.
-	if cfg.Accumulator != accum.HashKind {
-		t.Errorf("road: predicted %v, want Hash", cfg.Accumulator)
+	// The accumulator is the planner's to derive, window included.
+	if cfg.Accumulator != accum.AutoKind {
+		t.Errorf("road: predicted %v, want Auto", cfg.Accumulator)
+	}
+	// Flat degrees: every row spans a sliver of the dimension, so a
+	// window that wide holds them all.
+	if l := PredictAccumulator(f, 32); l.String() != "Window128" {
+		t.Errorf("road: predicted accumulator %v, want Window128", l)
 	}
 
-	// Social hubs: mask rows reach a good share of the dimension, so the
-	// dense state is no bigger than the hash table.
+	// Social hubs: mask rows reach across the dimension, so the dense
+	// state is no bigger than the hash table.
 	social := testFamilies["social"]()
-	if cfg, _, err = PredictConfig(social, social, social, 2); err != nil {
+	if _, f, err = PredictConfig(social, social, social, 2); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Accumulator != accum.DenseKind {
-		t.Errorf("social: predicted %v, want Dense", cfg.Accumulator)
+	if l := PredictAccumulator(f, 32); l.String() != "Dense" {
+		t.Errorf("social: predicted accumulator %v, want Dense", l)
 	}
 }
 
 // TestPredictedAccumulatorIsThePlanners is the differential test of the
-// accumulator choice: on every test family, and on a hypersparse
-// operand, the kind PredictConfig reports is the kind a run under the
-// default (derived) configuration checks out — a hash run probes its
-// table, a dense run never does.
+// accumulator choice: on every test family, a hypersparse operand and a
+// random wide one, the layout PredictAccumulator derives from the
+// features is the one the planner derives from its plan
+// (core.AccumulatorOf), and a run under the default configuration
+// behaves as that layout does — a hash run probes its table, a window
+// that spills counts spilled rows, a dense run does neither.
 func TestPredictedAccumulatorIsThePlanners(t *testing.T) {
-	families := map[string]func() *sparse.CSR[float64]{"hypersparse": hypersparse}
+	families := map[string]func() *sparse.CSR[float64]{"hypersparse": hypersparse, "wide": wideRandom}
 	for name, build := range testFamilies {
 		families[name] = build
 	}
-	kinds := map[accum.Kind]int{}
+	seen := map[accum.Kind]int{}
 	for name, build := range families {
 		a := build()
-		cfg, _, err := PredictConfig(a, a, a, 2)
+		m, b := a, a
+		if name == "wide" {
+			// M ⊙ (A × B) with M and B 80 × 40 000 and A 80 × 80.
+			a = graphgen.ErdosRenyi(80, 400, 11)
+		}
+		_, f, err := PredictConfig(m, a, b, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		want := PredictAccumulator(f, 32)
+		if got, err := core.AccumulatorOf(m, a, b, core.DefaultConfig()); err != nil || got != want {
+			t.Errorf("%s: PredictAccumulator says %v, the planner derives %v (%v)", name, want, got, err)
+		}
 		run := core.DefaultConfig()
 		run.Recorder = obs.NewRecorder()
-		if _, err := core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, a, a, a, run); err != nil {
+		if _, err := core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, m, a, b, run); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ran := accum.DenseKind
-		if run.Recorder.Stats().Accum.HashProbes > 0 {
-			ran = accum.HashKind
+		st := run.Recorder.Stats().Accum
+		spilled, probed := st.SpilledRows > 0, st.HashProbes > 0
+		if spilled != (want.Kind == accum.DenseKind && want.RowCap > 0) || probed != (want.Kind == accum.HashKind || spilled) {
+			t.Errorf("%s: predicted %v, the run spilled %d rows and probed %d times", name, want, st.SpilledRows, st.HashProbes)
 		}
-		if ran != cfg.Accumulator {
-			t.Errorf("%s: PredictConfig says %v, the derived run used %v", name, cfg.Accumulator, ran)
+		kind := want.Kind
+		if want.Window > 0 {
+			kind = accum.AutoKind // stands for "a window" in the tally
 		}
-		kinds[ran]++
+		seen[kind]++
 	}
-	if kinds[accum.DenseKind] == 0 || kinds[accum.HashKind] == 0 {
-		t.Errorf("families exercise only one side of the rule: %v", kinds)
+	if seen[accum.DenseKind] == 0 || seen[accum.HashKind] == 0 || seen[accum.AutoKind] == 0 {
+		t.Errorf("families exercise only part of the rule (full width, window, hash): %v", seen)
 	}
+}
+
+// wideRandom is 80 rows of ~6 random entries over 40 000 columns: rows
+// far wider than any window the budget allows, so it derives hash.
+func wideRandom() *sparse.CSR[float64] {
+	coo := sparse.NewCOO[float64](80, 40000, 480)
+	for i := range 80 {
+		for k := range 6 {
+			coo.Add(sparse.Index(i), sparse.Index((i*7919+k*6007)%40000), 1)
+		}
+	}
+	return coo.ToCSR()
 }
 
 // hypersparse is a 2²⁴-column operand of four entries.
@@ -131,19 +161,20 @@ func hypersparse() *sparse.CSR[float64] {
 }
 
 func TestPredictLargeSparse(t *testing.T) {
-	// Large dimension with thin mask rows: hash accumulator.
+	// Large dimension with thin mask rows, each spanning one column: a
+	// one-slot window, not a dimension-wide dense vector.
 	coo := sparse.NewCOO[float64](1<<17, 1<<17, 8)
 	coo.Add(0, 1, 1)
 	coo.Add(1, 0, 1)
 	coo.Add(70000, 90000, 1)
 	coo.Add(90000, 70000, 1)
 	a := coo.ToCSR()
-	cfg, _, err := PredictConfig(a, a, a, 2)
+	_, f, err := PredictConfig(a, a, a, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Accumulator != accum.HashKind {
-		t.Errorf("large sparse: predicted %v, want Hash", cfg.Accumulator)
+	if l := PredictAccumulator(f, 32); l.String() != "Window1" {
+		t.Errorf("large sparse: predicted %v, want Window1", l)
 	}
 }
 
@@ -173,15 +204,16 @@ func TestPredictedConfigsRun(t *testing.T) {
 
 func TestThresholdKnobs(t *testing.T) {
 	f := Features{Rows: 100000, Cols: 1 << 20, ValueBytes: 8, MaxMaskRow: 5, CoIterSpeedup: 1.0}
+	f.MaskSpans.Add(1<<20, 5) // rows spanning the whole dimension
 	cfg := Predict(f, 0)
-	if cfg.Iteration != core.MaskLoad || cfg.Accumulator != accum.HashKind {
-		t.Errorf("baseline prediction wrong: %v", cfg)
+	if cfg.Iteration != core.MaskLoad || cfg.Accumulator != accum.AutoKind || PredictAccumulator(f, 32).Kind != accum.HashKind {
+		t.Errorf("baseline prediction wrong: %v, %v", cfg, PredictAccumulator(f, 32))
 	}
 	// A mask row near the dimension flips to dense: the hash table it
 	// would need is as big as the dense state.
 	f.MaxMaskRow = 1 << 19
-	if Predict(f, 0).Accumulator != accum.DenseKind {
-		t.Error("dense-state rule not honored")
+	if l := PredictAccumulator(f, 32); l != (core.AccumLayout{Kind: accum.DenseKind}) {
+		t.Errorf("dense-state rule not honored: %v", l)
 	}
 	// Tile clamping.
 	tiny := Features{Rows: 10, Cols: 10, CoIterSpeedup: 1}
@@ -235,6 +267,22 @@ func TestPredictEngine(t *testing.T) {
 	wide := Features{Rows: 1 << 20, Cols: 1 << 24, ValueBytes: 8, MaskNNZ: 1 << 19, MaxMaskRow: 1 << 12}
 	if got := PredictEngine(wide, hashCfg, 32).MaxIdle; got != 25 {
 		t.Errorf("hash MaxIdle = %d, want 25", got)
+	}
+	// Derived window: rows spanning 3 000 columns of 2^24 with 64-entry
+	// mask rows take an 8192-slot window (the floor's 96 KiB) that spills
+	// the 1 % of entries in rows spanning 2^20 to a HashCapacity(64) =
+	// 128-slot table: 8192 × 12 + 128 × 16 = 100 352 B per worker, so 32
+	// workers × 100 352 B + 2^19 staged entries × 12 B = 9 502 720 B, and
+	// 256 MiB / that = 28.
+	win := Features{Rows: 1 << 20, Cols: 1 << 24, ValueBytes: 8, MaskNNZ: 1 << 19, MaxMaskRow: 64}
+	win.MaskSpans.Add(3000, 99)
+	win.MaskSpans.Add(1<<20, 1)
+	if l := PredictAccumulator(win, 32); l != (core.AccumLayout{Kind: accum.DenseKind, Window: 8192, RowCap: 64}) {
+		t.Fatalf("window features derive %v, want Window8192+spill", l)
+	}
+	auto := core.Config{Accumulator: accum.AutoKind, MarkerBits: 32}
+	if got := PredictEngine(win, auto, 32).MaxIdle; got != 28 {
+		t.Errorf("window MaxIdle = %d, want 28", got)
 	}
 
 	// The predicted configuration actually drives an engine: checkouts

@@ -154,6 +154,9 @@ type AccumCounters struct {
 	HashProbes int64 `json:"hash_probes"`
 	// HashCollisions counts extra probe steps past the home slot.
 	HashCollisions int64 `json:"hash_collisions"`
+	// SpilledRows counts rows a dense window routed to its spill table
+	// (their mask spanned more columns than the window).
+	SpilledRows int64 `json:"spilled_rows"`
 }
 
 // add folds k × o into c: k = 1 accumulates, k = −1 subtracts. Every
@@ -164,6 +167,7 @@ func (c *AccumCounters) add(o AccumCounters, k int64) {
 	c.TableGrows += k * o.TableGrows
 	c.HashProbes += k * o.HashProbes
 	c.HashCollisions += k * o.HashCollisions
+	c.SpilledRows += k * o.SpilledRows
 }
 
 // PoolCounters are the execution-engine pool statistics: workspace

@@ -310,8 +310,8 @@ func (s Stats) WriteTable(w io.Writer) {
 			s.FlopDist.Min, s.FlopDist.Mean, s.FlopDist.Max, s.FlopDist.Imbalance)
 	}
 	a := s.Accum
-	fmt.Fprintf(w, "  accum: marker-clears=%d table-grows=%d hash-probes=%d hash-collisions=%d\n",
-		a.MarkerClears, a.TableGrows, a.HashProbes, a.HashCollisions)
+	fmt.Fprintf(w, "  accum: marker-clears=%d table-grows=%d hash-probes=%d hash-collisions=%d spilled-rows=%d\n",
+		a.MarkerClears, a.TableGrows, a.HashProbes, a.HashCollisions, a.SpilledRows)
 	if f := s.Fused; f.ChainRuns+f.SelectRuns+f.StreamRuns > 0 {
 		fmt.Fprintf(w, "  fused: chains=%d selects=%d streams=%d tiles staged/streamed=%d/%d mid entries=%d (%d bytes) select kept/dropped=%d/%d\n",
 			f.ChainRuns, f.SelectRuns, f.StreamRuns,

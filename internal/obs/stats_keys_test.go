@@ -21,7 +21,7 @@ func TestStatsJSONKeySet(t *testing.T) {
 		Runs:    1,
 		Phases:  []PhaseStats{{Phase: PhaseExecKernel.String(), Millis: 1.5, Count: 1}},
 		Workers: []WorkerStats{{Worker: 0, CounterSet: CounterSet{1, 2, 3, 4, 5, 6}}},
-		Accum:   AccumCounters{1, 2, 3, 4},
+		Accum:   AccumCounters{1, 2, 3, 4, 5},
 		Pool:    PoolCounters{1, 2, 3, 4, 5, 6, 7, 8},
 		Fused:   FusedCounters{1, 2, 3, 4, 5, 6, 7, 8, 9},
 		Recal:   RecalCounters{1, 2, 3, 4, 1.5},

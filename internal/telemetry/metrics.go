@@ -37,6 +37,7 @@ var RequiredSeries = []string{
 	"spgemm_accum_table_grows_total",
 	"spgemm_accum_hash_probes_total",
 	"spgemm_accum_hash_collisions_total",
+	"spgemm_accum_spilled_rows_total",
 	"spgemm_retry_attempts_total",
 	"spgemm_retry_retries_total",
 	"spgemm_retry_degradations_total",
@@ -150,6 +151,7 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	counter("spgemm_accum_table_grows_total", "Accumulator hash-table growths.", stats.Accum.TableGrows)
 	counter("spgemm_accum_hash_probes_total", "Accumulator hash probes.", stats.Accum.HashProbes)
 	counter("spgemm_accum_hash_collisions_total", "Accumulator hash collisions.", stats.Accum.HashCollisions)
+	counter("spgemm_accum_spilled_rows_total", "Rows a dense window spilled to its hash table.", stats.Accum.SpilledRows)
 	counter("spgemm_retry_attempts_total", "Retry-ladder execution attempts.", stats.Retry.Attempts)
 	counter("spgemm_retry_retries_total", "Attempts after the first.", stats.Retry.Retries)
 	counter("spgemm_retry_degradations_total", "Attempts on a narrowed execution path.", stats.Retry.Degradations)
