@@ -319,29 +319,14 @@ func BenchmarkTriangleSemirings(b *testing.B) {
 }
 
 // BenchmarkFormulations compares the saxpy kernel against the
-// inner-product (dot) formulation and the 2-D tiled extension on the
-// two structural extremes: the railed circuit and a social graph.
+// complement product on the two structural extremes: the railed circuit
+// and a social graph.
 func BenchmarkFormulations(b *testing.B) {
 	sr := semiring.PlusTimes[float64]{}
 	for _, name := range []string{"circuit5M-sim", "hollywood-2009-sim"} {
 		a := load(b, name)
-		bT := sparse.Transpose(a)
 		cfg := core.DefaultConfig()
 		b.Run(name+"/saxpy-hybrid", func(b *testing.B) { runMasked(b, a, cfg) })
-		b.Run(name+"/dot", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMMDot[float64](sr, a, a, bT, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/2d-8panels", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMM2D[float64](sr, a, a, a, cfg, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(name+"/complement", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.MaskedSpGEMMComp[float64](sr, a, a, a, cfg); err != nil {

@@ -7,7 +7,7 @@
 //	spgemm-bench -experiment NAME [flags]
 //
 // Experiments (bench.Experiments, in table order; "all" runs the first
-// fifteen, the rest repeat earlier timings or inject faults and run
+// fourteen, the rest repeat earlier timings or inject faults and run
 // only when named):
 //
 //	table1        Table I: the corpus and its structural statistics
@@ -20,7 +20,6 @@
 //	predict       execution-time configuration model vs the default
 //	model         Eq. 2/3 cost-model predictions vs measured speedup
 //	sortcost      sorted-B requirement: sort cost vs hybrid saving
-//	formulations  saxpy (load, hybrid) vs dot vs 2-D tiling
 //	scaling       worker-count sweep
 //	counters      instrumented work counts vs the Eq. 2/3 model
 //	plan          plan-construction phases, serial vs parallel

@@ -122,7 +122,6 @@ func Experiments(chaosSeed int64) []Experiment {
 		{"predict", true, PredictReport},
 		{"model", true, ModelValidation},
 		{"sortcost", true, SortCost},
-		{"formulations", true, Formulations},
 		{"scaling", true, Scaling},
 		{"counters", true, CountersReport},
 		{"plan", true, PlanBench},

@@ -38,19 +38,18 @@ func TestExperimentsRegistry(t *testing.T) {
 		rows   int      // logged measurements (0 = times nothing)
 		check  func(*testing.T, []ResultEntry)
 	}{
-		"table1":       {prints: []string{"paper-nnz", "GAP-road-sim"}},
-		"fig1":         {prints: []string{"GrB~"}, rows: 3},
-		"fig10+fig11":  {prints: []string{"Figure 10", "Figure 11"}, rows: 8 * len(o.TileCounts)},
-		"fig13":        {prints: []string{"32b"}, rows: 2 * 4},
-		"fig14":        {prints: []string{"no-coiter"}, rows: 2 * (len(o.Kappas) + 1)},
-		"tune":         {prints: []string{"stage 1", "stage 2", "stage 3", "tuned:"}, rows: 8*len(o.TileCounts) + len(o.Kappas) + 4},
-		"ablation":     {prints: []string{"explicit", "PlusPair", "vanilla"}, rows: 4},
-		"predict":      {prints: []string{"predicted-config"}, rows: 2},
-		"model":        {prints: []string{"predicted", "maskload-ms"}, rows: 2},
-		"sortcost":     {prints: []string{"breakeven"}, rows: 2},
-		"formulations": {prints: []string{"saxpy-load", "dot", "2D(8 panels)"}, rows: 4},
-		"scaling":      {prints: []string{"workers"}, rows: scalingCounts},
-		"counters":     {prints: []string{"rejected"}},
+		"table1":      {prints: []string{"paper-nnz", "GAP-road-sim"}},
+		"fig1":        {prints: []string{"GrB~"}, rows: 3},
+		"fig10+fig11": {prints: []string{"Figure 10", "Figure 11"}, rows: 8 * len(o.TileCounts)},
+		"fig13":       {prints: []string{"32b"}, rows: 2 * 4},
+		"fig14":       {prints: []string{"no-coiter"}, rows: 2 * (len(o.Kappas) + 1)},
+		"tune":        {prints: []string{"stage 1", "stage 2", "stage 3", "tuned:"}, rows: 8*len(o.TileCounts) + len(o.Kappas) + 4},
+		"ablation":    {prints: []string{"explicit", "PlusPair", "vanilla"}, rows: 4},
+		"predict":     {prints: []string{"predicted-config"}, rows: 2},
+		"model":       {prints: []string{"predicted", "maskload-ms"}, rows: 2},
+		"sortcost":    {prints: []string{"breakeven"}, rows: 2},
+		"scaling":     {prints: []string{"workers"}, rows: scalingCounts},
+		"counters":    {prints: []string{"rejected"}},
 		"plan": {
 			prints: []string{"RowWork", "PrefixSum", "BalancedTiles", "Prepare"},
 			rows:   4 * len(planWorkerCounts()),
@@ -210,7 +209,7 @@ func TestExperimentSelection(t *testing.T) {
 			t.Errorf("%s selected by a bogus name", e.Name)
 		}
 	}
-	wantAll := "table1 fig1 fig10+fig11 fig13 fig14 tune ablation predict model sortcost formulations scaling counters plan sched"
+	wantAll := "table1 fig1 fig10+fig11 fig13 fig14 tune ablation predict model sortcost scaling counters plan sched"
 	if got := strings.Join(all, " "); got != wantAll {
 		t.Errorf("-experiment all runs\n  %s\nwant\n  %s", got, wantAll)
 	}

@@ -136,12 +136,6 @@ func TestKernelPreCancelled(t *testing.T) {
 	if _, err := MaskedSpGEMMComp[float64](sr, a, a, a, cfg); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("MaskedSpGEMMComp: %v, want ErrCanceled", err)
 	}
-	if _, err := MaskedSpGEMM2D[float64](sr, a, a, a, cfg, 4); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("MaskedSpGEMM2D: %v, want ErrCanceled", err)
-	}
-	if _, err := MaskedSpGEMMDot[float64](sr, a, a, a, cfg); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("MaskedSpGEMMDot: %v, want ErrCanceled", err)
-	}
 	if _, err := Prepare(a, a, a, cfg); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Prepare: %v, want ErrCanceled", err)
 	}

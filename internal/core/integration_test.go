@@ -25,9 +25,11 @@ var families = map[string]func() *sparse.CSR[float64]{
 
 // TestAllFormulationsAgreeOnAllFamilies is the repository's central
 // integration test: on every graph family, every kernel formulation —
-// all iteration spaces, all accumulators, 1-D and 2-D tiling, the dot
-// formulation, the transposed problem, and the reusable Multiplier —
-// must produce the same CSR bits for C = A ⊙ (A×A).
+// all iteration spaces, all accumulators, the transposed problem, the
+// prepared and instrumented runs — must produce the same CSR bits for
+// C = A ⊙ (A×A) as the default product, and that product must equal the
+// two references that share no code with the tile loop: the two-step
+// ApplyMask(A, SpGEMM(A, A)) bit for bit, and the dense oracle.
 func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	for name, build := range families {
@@ -59,25 +61,23 @@ func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 				}
 			}
 
-			for _, panels := range []int{1, 4, 13} {
-				got, err := MaskedSpGEMM2D[float64](sr, a, a, a, DefaultConfig(), panels)
-				if err != nil {
-					t.Fatalf("2D/%d: %v", panels, err)
-				}
-				if !sparse.Equal(ref, got) {
-					t.Fatalf("2D/%d differs", panels)
-				}
-			}
-
-			at := sparse.Transpose(a)
-			gotDot, err := MaskedSpGEMMDot[float64](sr, a, a, at, DefaultConfig())
+			// The references that share no code with the tile loop: the
+			// two-step product (unmasked SpGEMM, then ApplyMask) bit for
+			// bit, and the dense oracle by value.
+			full, err := SpGEMM[float64](sr, a, a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sparse.Equal(ref, gotDot) {
-				t.Fatal("dot formulation differs")
+			twoStep, err := ApplyMask(a, full)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !sparse.Equal(ref, twoStep) {
+				t.Fatal("differs from ApplyMask(A, SpGEMM(A, A))")
+			}
+			checkAgainstOracle(t, a, a, a, DefaultConfig())
 
+			at := sparse.Transpose(a)
 			// The transpose law (M ⊙ (A×B))ᵀ = Mᵀ ⊙ (Bᵀ×Aᵀ): the paper's
 			// §II-A column-wise formulation is the row-wise kernel on
 			// transposed operands, bit for bit.
@@ -116,10 +116,6 @@ func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 
 			// Masked + complement partition the unmasked product.
 			comp, err := MaskedSpGEMMComp[float64](sr, a, a, a, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := SpGEMM[float64](sr, a, a)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -215,6 +215,75 @@ func TestMaskedSpGEMMMatchesTwoStep(t *testing.T) {
 	}
 }
 
+func TestMaskedSpGEMMMatchesTwoStepRandomShapes(t *testing.T) {
+	// On rectangular operands and any tile count, the masked product must
+	// equal ApplyMask(M, SpGEMM(A, B)) bit for bit.
+	sr := semiring.PlusTimes[float64]{}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rows, inner, cols := r.Intn(25)+1, r.Intn(25)+1, r.Intn(25)+1
+		a := randMatrix(rows, inner, 0.25, r)
+		b := randMatrix(inner, cols, 0.25, r)
+		m := randMatrix(rows, cols, 0.3, r)
+		cfg := DefaultConfig()
+		cfg.Tiles = r.Intn(rows+5) + 1
+		cfg.Workers = 2
+		got, err := MaskedSpGEMM[float64](sr, m, a, b, cfg)
+		if err != nil || got.Check() != nil {
+			return false
+		}
+		full, err := SpGEMM[float64](sr, a, b)
+		if err != nil {
+			return false
+		}
+		want, err := ApplyMask(m, full)
+		if err != nil {
+			return false
+		}
+		return sparse.Equal(want, got)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestMaskedSpGEMMSymmetricOperands(t *testing.T) {
+	// On a symmetric A, C = A ⊙ (A×A) is symmetric: C[i,j] and C[j,i] sum
+	// the same products in the same order of k.
+	r := rand.New(rand.NewSource(91))
+	a := sparse.Symmetrize(randMatrix(40, 40, 0.1, r))
+	cfg := DefaultConfig()
+	cfg.Tiles = 6
+	cfg.Workers = 2
+	got, err := MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, a, a, a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NNZ() == 0 {
+		t.Fatal("empty product: the test exercises nothing")
+	}
+	if !sparse.Equal(got, sparse.Transpose(got)) {
+		t.Error("A ⊙ (A×A) is not symmetric on symmetric A")
+	}
+}
+
+func TestMaskedSpGEMMTileCountsVsOracle(t *testing.T) {
+	// From one tile to more tiles than rows (35), every tile count must
+	// give the oracle's product.
+	r := rand.New(rand.NewSource(71))
+	m := randMatrix(35, 35, 0.2, r)
+	a := randMatrix(35, 35, 0.15, r)
+	b := randMatrix(35, 35, 0.15, r)
+	for _, tiles := range []int{1, 2, 4, 16, 35, 100} {
+		cfg := DefaultConfig()
+		cfg.Tiles = tiles
+		cfg.Workers = 2
+		t.Run(fmt.Sprintf("tiles=%d", tiles), func(t *testing.T) {
+			checkAgainstOracle(t, m, a, b, cfg)
+		})
+	}
+}
+
 func TestMaskedSpGEMMSemirings(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	a := randMatrix(30, 30, 0.15, r)

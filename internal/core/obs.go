@@ -11,12 +11,6 @@ import (
 	"maskedspgemm/internal/tiling"
 )
 
-// schedRun dispatches a flat bag of tiles to workers under the
-// configured policy — the single-wave plan of the wave executor.
-func schedRun(ctx context.Context, cfg Config, workers, tiles int, fn func(worker, t int)) error {
-	return sched.RunWavesOpts(ctx, cfg.Schedule, workers, sched.SingleWave(tiles), runOpts(cfg, nil), fn)
-}
-
 // runOpts assembles the wave executor's options from the config: the
 // resilience knobs (chaos seams, stall watchdog) and the run's
 // wave-stats block, nil for a flat run.
@@ -84,11 +78,11 @@ func spanned(ctx context.Context, scope *obs.RunScope, phase obs.Phase, fn func(
 // stored to the plan cache — an iterative caller's key could only miss,
 // and the stored entry would pin three operands nobody multiplies
 // again; and without the row-bound pass when the run sizes no
-// accumulator from it (accs false: ¬M and the 2-D kernel run on dense
-// scratch). Every other product goes through the engine's
-// fingerprint-keyed cache when cfg.Engine is set, building (under the
-// scope's plan spans) on a miss. Without an engine every call builds; a
-// cached hit records no plan spans because no plan work happened.
+// accumulator from it (accs false: ¬M runs on dense scratch). Every
+// other product goes through the engine's fingerprint-keyed cache when
+// cfg.Engine is set, building (under the scope's plan spans) on a miss.
+// Without an engine every call builds; a cached hit records no plan
+// spans because no plan work happened.
 func planFor[T sparse.Number](
 	ctx context.Context, cfg Config, pw int, m, a, b, m2, c *sparse.CSR[T], accs bool, scope *obs.RunScope,
 ) (exec.Plan, error) {

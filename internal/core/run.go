@@ -293,7 +293,8 @@ func (p *product[T, S]) runTiles(
 	// ring on large runs.
 	stride := max(int64(len(tiles)/32), 1)
 	err := spanned(ctx, scope, obs.PhaseExecKernel, func() error {
-		return schedRun(ctx, cfg, workers, len(tiles), func(worker, t int) {
+		// A flat bag of tiles is the single-wave plan of the wave executor.
+		return sched.RunWavesOpts(ctx, cfg.Schedule, workers, sched.SingleWave(len(tiles)), runOpts(cfg, nil), func(worker, t int) {
 			var wc *obs.WorkerCounters
 			var endRegion func()
 			if slots != nil {

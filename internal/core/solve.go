@@ -295,7 +295,7 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 			}
 			ws.Release()
 		}()
-		_, state = ws.Dense[0].EnsureSize(n)
+		state = ws.Dense[0].State[:n]
 		for _, r := range so.Mask {
 			state[r] = 1
 		}

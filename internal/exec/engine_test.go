@@ -143,6 +143,45 @@ func TestPoolEvictionLRUAndOverflow(t *testing.T) {
 	}
 }
 
+// TestDenseScratchCoversRequestedColumns pins the sizing the dense
+// scratch's users index by column without a bounds re-check: every
+// worker's Vals and State hold at least the requested column count on a
+// fresh checkout, on a pooled one made for a smaller request of the same
+// class, and on one grown to more workers.
+func TestDenseScratchCoversRequestedColumns(t *testing.T) {
+	e := New(Config{})
+	check := func(what string, ws *Workspace[float64, sr], cols, workers int) {
+		t.Helper()
+		if len(ws.Dense) < workers {
+			t.Fatalf("%s: %d scratch blocks, want ≥ %d", what, len(ws.Dense), workers)
+		}
+		for w, d := range ws.Dense[:workers] {
+			if len(d.Vals) < cols || len(d.State) < cols {
+				t.Fatalf("%s: worker %d holds %d vals, %d states, want ≥ %d",
+					what, w, len(d.Vals), len(d.State), cols)
+			}
+		}
+	}
+	fresh := Dense[float64, sr](e, sr{}, 65, 1, 1)
+	check("fresh", fresh, 65, 1)
+	fresh.Release()
+
+	pooled := Dense[float64, sr](e, sr{}, 128, 1, 1)
+	if pooled != fresh {
+		t.Fatal("a request of the same class missed the pool")
+	}
+	check("pooled", pooled, 128, 1)
+	pooled.Release()
+
+	grown := Dense[float64, sr](e, sr{}, 100, 3, 1)
+	if grown != fresh || e.Stats().Resizes != 1 {
+		t.Fatalf("grown checkout: same workspace %v, resizes %d, want true, 1",
+			grown == fresh, e.Stats().Resizes)
+	}
+	check("grown", grown, 100, 3)
+	grown.Release()
+}
+
 func TestPoolDisabledRetention(t *testing.T) {
 	e := New(Config{MaxIdle: -1})
 	ws := Dense[float64, sr](e, sr{}, 64, 1, 1)

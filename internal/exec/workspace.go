@@ -53,11 +53,11 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	Outs  []TileBuf[T]
 	stage *stagingSet[T]
 	// Dense holds one dense column-dimension scratch block per worker
-	// (complement, 2D and vector kernels).
+	// (complement, vector and masked-solve kernels).
 	Dense []DenseScratch[T]
 
 	// ScratchCols is index scratch for the run holding the workspace (a
-	// one-tile run's live rows, the 2D kernel's panel bounds).
+	// one-tile run's live rows).
 	ScratchCols []sparse.Index
 }
 
@@ -69,44 +69,15 @@ type TileBuf[T sparse.Number] struct {
 }
 
 // DenseScratch is one worker's dense column-dimension scratch: a value
-// vector and a state byte per column, a touched list for sparse reset,
-// and a cursor array for the 2D kernel's per-row write positions.
-// Users must leave Vals/State clean (reset every slot recorded in
-// Touched) before the owning workspace is released.
+// vector and a state byte per column, and a touched list for sparse
+// reset. Vals and State hold at least as many entries as the column
+// count the workspace was checked out for (its class size). Users must
+// leave Vals/State clean (reset every slot recorded in Touched) before
+// the owning workspace is released.
 type DenseScratch[T sparse.Number] struct {
 	Vals    []T
 	State   []uint8
 	Touched []sparse.Index
-	Cursor  []int64
-}
-
-// EnsureSize returns d's value and state vectors with length ≥ n,
-// growing both (to fresh, zeroed arrays) when the current ones are too
-// short — the 2D kernel sizes them by a tile's mask volume, which can
-// exceed the column dimension. Growth discards old contents; callers
-// rely only on the clean-state invariant, which fresh zeroed arrays
-// satisfy by construction.
-//
-//spgemm:hotpath
-func (d *DenseScratch[T]) EnsureSize(n int) ([]T, []uint8) {
-	if len(d.Vals) < n {
-		//lint:ignore hotpathalloc amortized: grows once per scratch high-water mark
-		d.Vals = make([]T, n)
-		d.State = make([]uint8, n) //lint:ignore hotpathalloc amortized: grows with Vals above
-	}
-	return d.Vals[:n], d.State[:n]
-}
-
-// EnsureCursor returns d.Cursor grown to length ≥ n.
-//
-//spgemm:hotpath
-func (d *DenseScratch[T]) EnsureCursor(n int) []int64 {
-	if cap(d.Cursor) < n {
-		//lint:ignore hotpathalloc amortized: grows once per cursor high-water mark
-		d.Cursor = make([]int64, n)
-	}
-	d.Cursor = d.Cursor[:n]
-	return d.Cursor
 }
 
 // sizeClass is the ceil-log2 bucket of n: the smallest c with 1<<c ≥ n.
@@ -240,8 +211,8 @@ func masked[T sparse.Number, S semiring.Semiring[T]](
 
 // Dense checks out a workspace carrying one DenseScratch block per
 // worker (value + state vectors over cols columns) and a staging set of
-// one output buffer per tile — the shape the complement, 2D and sparse-
-// vector kernels need. A nil engine constructs an unpooled workspace.
+// one output buffer per tile — the shape the complement, sparse-vector
+// and masked-solve kernels need. A nil engine constructs an unpooled workspace.
 //
 //spgemm:hotpath
 func Dense[T sparse.Number, S semiring.Semiring[T]](

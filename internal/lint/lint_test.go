@@ -81,7 +81,7 @@ func hot() {}
 // spgemm:hotpath mentioned in prose is not a directive.
 func cold() {}
 
-// sparseDot is the inner kernel.
+// docThenDirective has prose before its directive.
 //
 //spgemm:hotpath
 func docThenDirective() {}
