@@ -163,7 +163,8 @@ bench-trsv:
 # per kind), the four iteration spaces on the circuit graph (ns/flop),
 # and batched BC on the 57 x 100 road lattice (us/multiply: the fixed
 # cost of one small product, the number the tile crossover exists to
-# cut), and one product repeated through a Multiplier, a Multiplier on
+# cut), k-truss(4) staged and fused on an engine (B/round: what a round
+# allocates once its result storage is recycled), and one product repeated through a Multiplier, a Multiplier on
 # a shared engine and MxM on an engine (allocs/op and B/op must agree
 # across the three), one warm triangular solve through the facade,
 # through core's automatic mode (facade-auto and core-auto must differ by
@@ -183,6 +184,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorChoice$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkIterationSpaces$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^BCBatch$$/^road-57x100$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^KTruss$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkRepeatedMultiply$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkTRSVWarm$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkSolveOrder$$' -benchtime 1x ./internal/core

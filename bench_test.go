@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"maskedspgemm/internal/accum"
@@ -338,8 +339,9 @@ func BenchmarkFormulations(b *testing.B) {
 }
 
 // BenchmarkGraphAlgorithms measures the end-to-end workloads the kernel
-// serves: triangle counting (all three formulations), one k-truss round,
-// BFS, and batched BC on the benchmark's 57 × 100 road lattice — a few
+// serves: triangle counting (all three formulations), one k-truss round
+// (TriangleSupport), the whole k-truss staged and fused, BFS, and
+// batched BC on the benchmark's 57 × 100 road lattice — a few
 // hundred multiplies of a few hundred FLOPs each, reported per multiply
 // because what it measures is the fixed cost of one call.
 func BenchmarkGraphAlgorithms(b *testing.B) {
@@ -359,6 +361,36 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 			if _, err := graph.TriangleSupport(a, cfg); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	// k-truss(4), warm on an engine: B/round is the bytes one round
+	// allocates, its result storage recycled from the third round on.
+	b.Run("KTruss", func(b *testing.B) {
+		for _, v := range []struct {
+			name string
+			run  func(*sparse.CSR[float64], int, core.Config) (*graph.KTrussResult, error)
+		}{{"staged", graph.KTruss}, {"fused", graph.KTrussFused}} {
+			b.Run(v.name, func(b *testing.B) {
+				kCfg := cfg
+				kCfg.Engine = exec.New(exec.Config{})
+				// One untimed run warms the engine's pool and counts the rounds.
+				res, err := v.run(a, 4, kCfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := v.run(a, 4, kCfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*res.Rounds), "B/round")
+			})
 		}
 	})
 	road := load(b, "GAP-road-sim")

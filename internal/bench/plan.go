@@ -26,9 +26,11 @@ func planWorkerCounts() []int {
 	return counts
 }
 
-// PlanBench measures the plan-construction phases serial vs parallel:
-// the Eq. 2 work estimation (RowWork), the prefix sum behind
-// FLOP-balanced tiling, the tile boundaries, and the full plan build
+// PlanBench measures the plan-construction phases serial vs parallel,
+// each row adding one pass of the planner's pipeline: the Eq. 2 work
+// estimation (RowWork), then its in-place prefix sum
+// (tiling.WorkPrefixE), then the tile boundaries
+// (tiling.MakeParallelE), and the full plan build
 // (core.Prepare, engineless so every repetition builds; a graph shrunk
 // below core's tile crossover has no plan to build ahead and times
 // only the checks). One row per phase, one column per worker count.
@@ -54,27 +56,26 @@ func PlanBench(w io.Writer, o Options) error {
 		}
 		fmt.Fprintln(w)
 
-		work := tiling.RowWork(a, a, a)
 		phases := []struct {
 			name string
 			run  func(p int) (int64, error)
 		}{
 			{"RowWork (Eq. 2)", func(p int) (int64, error) {
-				v, err := tiling.RowWorkParallelE(nil, a, a, a, p)
+				prefix := make([]int64, a.Rows+1)
+				if err := tiling.RowWorkParallelE(nil, prefix[1:], a, a, a, p); err != nil {
+					return 0, err
+				}
+				return prefix[a.Rows], nil
+			}},
+			{"RowWork+PrefixSum", func(p int) (int64, error) {
+				prefix, err := tiling.WorkPrefixE(nil, a, a, a, p, nil)
 				if err != nil {
 					return 0, err
 				}
-				return v[len(v)-1], nil
+				return prefix[a.Rows], nil
 			}},
-			{"PrefixSum", func(p int) (int64, error) {
-				prefix, err := tiling.PrefixSumE(nil, work, p)
-				if err != nil {
-					return 0, err
-				}
-				return prefix[len(prefix)-1], nil
-			}},
-			{"BalancedTiles", func(p int) (int64, error) {
-				tiles, err := tiling.BalancedTilesParallelE(nil, work, 2048, p)
+			{"BalancedTiles (all three)", func(p int) (int64, error) {
+				tiles, err := tiling.MakeParallelE(nil, tiling.FlopBalanced, 2048, p, a, a, a)
 				return int64(len(tiles)), err
 			}},
 			{"Prepare (full plan)", func(p int) (int64, error) {

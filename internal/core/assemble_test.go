@@ -40,7 +40,7 @@ func makeOuts(tiles []tiling.Tile, rowNNZ []int) []exec.TileBuf[float64] {
 func assembleCase(t *testing.T, rows, cols int, tiles []tiling.Tile, rowNNZ []int) {
 	t.Helper()
 	outs := makeOuts(tiles, rowNNZ)
-	want, err := assembleE(nil, rows, cols, tiles, outs, 1)
+	want, err := assembleE(nil, nil, rows, cols, tiles, outs, 1)
 	if err != nil {
 		t.Fatalf("serial assemble: %v", err)
 	}
@@ -53,13 +53,31 @@ func assembleCase(t *testing.T, rows, cols int, tiles []tiling.Tile, rowNNZ []in
 		}
 	}
 	lowerPlanCutoff(t)
-	for _, p := range []int{2, 3, 8} {
-		got, err := assembleE(nil, rows, cols, tiles, outs, p)
+	for _, p := range []int{1, 2, 3, 8} {
+		got, err := assembleE(nil, nil, rows, cols, tiles, outs, p)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		if !sparse.Equal(want, got) {
 			t.Fatalf("p=%d: parallel assemble differs from serial", p)
+		}
+		// Lent storage left dirty by a larger matrix: every array is
+		// reused, and the result must not show what it held.
+		dirty := sparse.NewCSR[float64](rows+3, cols+1, want.NNZ()+5)
+		for i := range dirty.RowPtr {
+			dirty.RowPtr[i] = int64(7 * i)
+		}
+		dirty.ColIdx = append(dirty.ColIdx, make([]sparse.Index, want.NNZ()+5)...)
+		dirty.Val = append(dirty.Val, make([]float64, want.NNZ()+5)...)
+		for q := range dirty.Val {
+			dirty.ColIdx[q], dirty.Val[q] = 99, -1
+		}
+		got, err = assembleE(nil, dirty, rows, cols, tiles, outs, p)
+		if err != nil {
+			t.Fatalf("p=%d lent: %v", p, err)
+		}
+		if got != dirty || !sparse.Equal(want, got) {
+			t.Fatalf("p=%d: assembling into lent storage differs from a fresh result", p)
 		}
 	}
 }
@@ -84,7 +102,7 @@ func TestAssembleSingleTile(t *testing.T) {
 
 func TestAssembleZeroRows(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		c, err := assembleE[float64](nil, 0, 5, nil, nil, p)
+		c, err := assembleE[float64](nil, nil, 0, 5, nil, nil, p)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}

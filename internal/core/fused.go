@@ -213,10 +213,21 @@ func runTileFused[T sparse.Number, S semiring.Semiring[T]](
 func MaskedSpGEMMSelect[T sparse.Number, S semiring.Semiring[T]](
 	sr S, m, a, b *sparse.CSR[T], cfg Config, sel func(T) (T, bool),
 ) (*sparse.CSR[T], error) {
+	return MaskedSpGEMMSelectInto(sr, nil, m, a, b, cfg, sel)
+}
+
+// MaskedSpGEMMSelectInto is MaskedSpGEMMSelect assembling the surviving
+// entries into dst's storage, on MaskedSpGEMMInto's terms: overwritten,
+// grown only when too small, returned; nil allocates; storage shared
+// with m, a or b is ErrConfig.
+func MaskedSpGEMMSelectInto[T sparse.Number, S semiring.Semiring[T]](
+	sr S, dst, m, a, b *sparse.CSR[T], cfg Config, sel func(T) (T, bool),
+) (*sparse.CSR[T], error) {
 	if sel == nil {
 		return nil, errConfig("select fusion needs a non-nil selector")
 	}
 	p := newProduct(sr, m, a, b, cfg)
+	p.dst = dst
 	p.sink = selectSink[T](sel)
 	p.marker = obs.FusedCounters{SelectRuns: 1}
 	return p.run(cfg.Context)

@@ -23,7 +23,20 @@ import (
 func MaskedSpGEMM[T sparse.Number, S semiring.Semiring[T]](
 	sr S, m, a, b *sparse.CSR[T], cfg Config,
 ) (*sparse.CSR[T], error) {
+	return MaskedSpGEMMInto(sr, nil, m, a, b, cfg)
+}
+
+// MaskedSpGEMMInto is MaskedSpGEMM assembling the result into dst's
+// storage, which it overwrites, grows only when too small, and returns;
+// a nil dst allocates. dst must not share storage with m, a or b
+// (ErrConfig). After an error dst's contents are unspecified. A caller
+// that iterates (k-truss rounds, BC's backward sweep) keeps its result
+// storage across calls instead of allocating a matrix per call.
+func MaskedSpGEMMInto[T sparse.Number, S semiring.Semiring[T]](
+	sr S, dst, m, a, b *sparse.CSR[T], cfg Config,
+) (*sparse.CSR[T], error) {
 	p := newProduct(sr, m, a, b, cfg)
+	p.dst = dst
 	return p.run(cfg.Context)
 }
 
@@ -438,16 +451,30 @@ func rowHybrid[T sparse.Number, S semiring.Semiring[T]](
 }
 
 // assembleE stitches the per-tile outputs into one CSR matrix on p
-// workers. The three passes — row-count scatter, row-pointer prefix
-// sum, and per-tile payload copy — each write disjoint regions (tiles
-// partition the rows, so their RowPtr slots and payload ranges never
-// overlap), making the parallel result bit-identical to the serial one.
-// Small results, or p <= 1, take the serial path unchanged. ctx cancels
-// between passes and blocks; worker panics surface as errors.
+// workers, in dst's storage (a new matrix when dst is nil): each array
+// is reused when large enough and allocated otherwise, and a reused
+// RowPtr is cleared first (fresh storage is zero already). The three
+// passes — row-count scatter, row-pointer prefix sum, and per-tile
+// payload copy — each write disjoint regions (tiles partition the rows,
+// so their RowPtr slots and payload ranges never overlap), making the
+// parallel result bit-identical to the serial one. Small results, or
+// p <= 1, take the serial path unchanged. ctx cancels between passes and
+// blocks; worker panics surface as errors.
 func assembleE[T sparse.Number](
-	ctx context.Context, rows, cols int, tiles []tiling.Tile, outs []exec.TileBuf[T], p int,
+	ctx context.Context, dst *sparse.CSR[T], rows, cols int, tiles []tiling.Tile, outs []exec.TileBuf[T], p int,
 ) (*sparse.CSR[T], error) {
-	c := &sparse.CSR[T]{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
+	c := dst
+	if c == nil {
+		c = new(sparse.CSR[T])
+	}
+	rowPtr := c.RowPtr
+	if cap(rowPtr) > rows {
+		rowPtr = rowPtr[:rows+1]
+		clear(rowPtr)
+	} else {
+		rowPtr = make([]int64, rows+1)
+	}
+	*c = sparse.CSR[T]{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: c.ColIdx, Val: c.Val}
 	if p = blockWorkers(p, rows); p <= 1 {
 		var nnz int64
 		for t := range outs {
@@ -459,8 +486,8 @@ func assembleE[T sparse.Number](
 		for i := 0; i < rows; i++ {
 			c.RowPtr[i+1] += c.RowPtr[i]
 		}
-		c.ColIdx = make([]sparse.Index, nnz)
-		c.Val = make([]T, nnz)
+		c.ColIdx = resize(c.ColIdx, nnz)
+		c.Val = resize(c.Val, nnz)
 		for t := range outs {
 			lo := c.RowPtr[tiles[t].Lo]
 			copy(c.ColIdx[lo:], outs[t].Cols)
@@ -482,8 +509,8 @@ func assembleE[T sparse.Number](
 		return nil, err
 	}
 	nnz := c.RowPtr[rows]
-	c.ColIdx = make([]sparse.Index, nnz)
-	c.Val = make([]T, nnz)
+	c.ColIdx = resize(c.ColIdx, nnz)
+	c.Val = resize(c.Val, nnz)
 	if err := sched.BlocksE(ctx, p, len(tiles), func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			off := c.RowPtr[tiles[t].Lo]
@@ -494,4 +521,13 @@ func assembleE[T sparse.Number](
 		return nil, err
 	}
 	return c, nil
+}
+
+// resize returns s[:n] when s can hold n elements, else fresh storage.
+// The assembly overwrites all n, so reused contents need no clearing.
+func resize[E any](s []E, n int64) []E {
+	if int64(cap(s)) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }

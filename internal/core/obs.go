@@ -129,9 +129,10 @@ func recordPoolDelta(cfg Config, prior exec.PoolStats, scope *obs.RunScope) {
 }
 
 // makeTiles builds the tile partition. Without a scope it defers to
-// tiling.MakeParallelE unchanged; with one, the FLOP-balanced pipeline
-// is unrolled so each plan phase — Eq. 2 row-work estimation, prefix
-// sum, boundary placement — runs under its own span and pprof label.
+// tiling.MakeParallelE unchanged; with one, each FLOP-balanced plan
+// phase — Eq. 2 row-work estimation and prefix sum (the two passes of
+// tiling.WorkPrefixE), boundary placement — runs under its own span and
+// pprof label.
 func makeTiles[T sparse.Number](
 	ctx context.Context, cfg Config, pw int, a, b, m *sparse.CSR[T], scope *obs.RunScope,
 ) ([]tiling.Tile, error) {
@@ -143,21 +144,9 @@ func makeTiles[T sparse.Number](
 		defer scope.Span(obs.PhasePlanTileBuild)()
 		return tiling.UniformTiles(a.Rows, cfg.Tiles), nil
 	case tiling.FlopBalanced:
-		var work, prefix []int64
-		var err error
-		end := scope.Span(obs.PhasePlanRowWork)
-		scope.Do(ctx, obs.PhasePlanRowWork, func() {
-			work, err = tiling.RowWorkParallelE(ctx, a, b, m, pw)
+		prefix, err := tiling.WorkPrefixE(ctx, a, b, m, pw, func(step int, run func() error) error {
+			return spanned(ctx, scope, planSteps[step], run)
 		})
-		end()
-		if err != nil {
-			return nil, err
-		}
-		end = scope.Span(obs.PhasePlanPrefixSum)
-		scope.Do(ctx, obs.PhasePlanPrefixSum, func() {
-			prefix, err = tiling.PrefixSumE(ctx, work, pw)
-		})
-		end()
 		if err != nil {
 			return nil, err
 		}
@@ -167,6 +156,9 @@ func makeTiles[T sparse.Number](
 		return tiling.MakeParallelE(ctx, cfg.Tiling, cfg.Tiles, pw, a, b, m)
 	}
 }
+
+// planSteps names tiling.WorkPrefixE's two passes as plan phases.
+var planSteps = [2]obs.Phase{obs.PhasePlanRowWork, obs.PhasePlanPrefixSum}
 
 // rowCapacity computes the accumulator row-entry bound (§III-C sizing)
 // and the mask rows' column spans under the plan.row_cap span, as a plan

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/exec"
@@ -32,6 +33,9 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	m2, c *sparse.CSR[T]
 	// sink, when non-nil, receives every gathered row (see rowSink).
 	sink rowSink[T]
+	// dst, when non-nil, lends the assembled result its storage (the
+	// …Into entry points).
+	dst *sparse.CSR[T]
 	// stream marks a sink that consumes its rows: workers stage one row
 	// at a time and nothing is assembled.
 	stream bool
@@ -46,6 +50,25 @@ func newProduct[T sparse.Number, S semiring.Semiring[T]](
 	sr S, m, a, b *sparse.CSR[T], cfg Config,
 ) product[T, S] {
 	return product[T, S]{sr: sr, m: m, a: a, b: b, cfg: cfg}
+}
+
+// sharesStorage reports whether dst and m share a header or any array.
+func sharesStorage[T sparse.Number](dst, m *sparse.CSR[T]) bool {
+	return dst == m || overlaps(dst.RowPtr, m.RowPtr) ||
+		overlaps(dst.ColIdx, m.ColIdx) || overlaps(dst.Val, m.Val)
+}
+
+// overlaps reports whether the storage of x and y, up to their
+// capacities, has any element in common.
+func overlaps[E any](x, y []E) bool {
+	if cap(x) == 0 || cap(y) == 0 {
+		return false
+	}
+	var e E
+	size := unsafe.Sizeof(e)
+	x0 := uintptr(unsafe.Pointer(unsafe.SliceData(x)))
+	y0 := uintptr(unsafe.Pointer(unsafe.SliceData(y)))
+	return x0 < y0+uintptr(cap(y))*size && y0 < x0+uintptr(cap(x))*size
 }
 
 // checkShapes verifies the operand shapes of M ⊙ (A × B): A is m×k, B is
@@ -65,6 +88,9 @@ func (p *product[T, S]) check() error {
 	}
 	if err := checkShapes(p.m, p.a, p.b); err != nil {
 		return err
+	}
+	if p.dst != nil && (sharesStorage(p.dst, p.m) || sharesStorage(p.dst, p.a) || sharesStorage(p.dst, p.b)) {
+		return errConfig("the result's storage is shared with an operand")
 	}
 	if p.c != nil && (p.b.Cols != p.c.Rows || p.m2.Rows != p.a.Rows || p.m2.Cols != p.c.Cols) {
 		return fmt.Errorf("%w: chained onto M1 %dx%d: M2 %dx%d, C %dx%d",
@@ -125,8 +151,9 @@ func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, er
 //     quarantines them unless the run reaches its clean exit;
 //  5. arm the accumulator chaos seam and snapshot the accumulator stats;
 //  6. run the tile loop on the scheduler under the exec.kernel span;
-//  7. assemble the staged tiles under the exec.assemble span, unless the
-//     sink consumed the rows;
+//  7. assemble the staged tiles under the exec.assemble span, into the
+//     caller's lent storage when there is one, unless the sink consumed
+//     the rows;
 //  8. record the accumulator, pool and fused deltas and mark the run
 //     clean.
 //
@@ -143,7 +170,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 		cols = p.c.Cols
 	}
 	if rows == 0 {
-		return sparse.NewCSR[T](rows, cols, 0), nil
+		return assembleE[T](ctx, p.dst, rows, cols, nil, nil, 1)
 	}
 
 	scope := cfg.Recorder.StartRun()
@@ -237,7 +264,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	var c *sparse.CSR[T]
 	if !p.stream {
 		err = spanned(ctx, scope, obs.PhaseExecAssemble, func() (err error) {
-			c, err = assembleE(ctx, rows, cols, tiles, outs[:len(tiles)], pw)
+			c, err = assembleE(ctx, p.dst, rows, cols, tiles, outs[:len(tiles)], pw)
 			return err
 		})
 		if err != nil {

@@ -167,7 +167,7 @@ func (so SolveOpts) solveKind() uint8 {
 // deliberately excluded — hashing them would double the per-call memory
 // traffic — so the cache relies on the documented contract that an
 // operand is not mutated while cached plans for it may be reused;
-// RowPtr plus the OperandID (pointer, shape, nnz) already catches
+// RowPtr plus the OperandID (header, shape, nnz) already catches
 // reallocation and any structural edit that moves a row boundary.
 //
 // The words are folded FNV-1a style into four independent lanes, which

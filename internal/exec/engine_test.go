@@ -2,8 +2,10 @@ package exec
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/semiring"
@@ -335,6 +337,48 @@ func TestConcurrentPlan(t *testing.T) {
 	wg.Wait()
 	if got := e.Stats(); got.PlanHits+got.PlanMisses != 800 {
 		t.Fatalf("plan lookups = %d, want 800", got.PlanHits+got.PlanMisses)
+	}
+}
+
+// TestPlanCacheDoesNotPinOperands pins that a cached plan keeps no
+// operand reachable: keys hold a weak pointer, so a live operand's key
+// hits exactly as a strong one would, and once its caller drops it the
+// operand is collectable while its plan stays cached, the hit and miss
+// counts untouched.
+func TestPlanCacheDoesNotPinOperands(t *testing.T) {
+	e := New(Config{})
+	m := sparse.NewCSR[float64](64, 64, 0)
+	build := func() (Plan, error) { return Plan{Tiles: []tiling.Tile{{Lo: 0, Hi: 64}}}, nil }
+	if _, err := e.Plan(PlanKey{M: IDOf(m), A: IDOf(m), B: IDOf(m), Tiles: 4}, build); err != nil {
+		t.Fatal(err)
+	}
+	key := PlanKey{M: IDOf(m), A: IDOf(m), B: IDOf(m), Tiles: 4}
+	if _, ok := e.PlanLookup(key); !ok {
+		t.Fatal("a live operand's key missed the plan cache")
+	}
+	if other := sparse.NewCSR[float64](64, 64, 0); IDOf(other) == IDOf(m) {
+		t.Fatal("two live headers of one shape share a key")
+	}
+	want := e.Stats()
+	gone := weak.Make(m)
+	m = nil
+	for i := 0; i < 5 && gone.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if gone.Value() != nil {
+		t.Fatal("the plan cache keeps a retired operand reachable")
+	}
+	e.mu.Lock()
+	plans := len(e.plans)
+	e.mu.Unlock()
+	if plans != 1 {
+		t.Fatalf("plan cache holds %d plans, want 1", plans)
+	}
+	if got := e.Stats(); got.PlanHits != want.PlanHits || got.PlanMisses != want.PlanMisses {
+		t.Fatalf("plan counts moved from %d/%d to %d/%d", want.PlanHits, want.PlanMisses, got.PlanHits, got.PlanMisses)
+	}
+	if want.PlanHits != 1 || want.PlanMisses != 1 {
+		t.Fatalf("plan counts %d/%d, want 1 hit and 1 miss", want.PlanHits, want.PlanMisses)
 	}
 }
 

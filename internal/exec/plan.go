@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"weak"
+
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/chaos"
 	"maskedspgemm/internal/sched"
@@ -17,9 +19,10 @@ import (
 //
 // Cached plans are shared read-only across concurrent runs — nothing in
 // the kernel mutates a Tile — and survive operand mutation harmlessly:
-// the plan key pins rows, so a stale hit still partitions exactly
+// the plan key fixes rows, so a stale hit still partitions exactly
 // [0, rows); at worst the FLOP balance is off, accumulators grow on
-// demand and a dense window spills a row it was not sized for. For SpGEMM, correctness never depends on plan freshness;
+// demand and a dense window spills a row it was not sized for. For
+// SpGEMM, correctness never depends on plan freshness;
 // triangular-solve plans are the exception — their wave order encodes
 // dependencies, so their keys content-hash the structure (see
 // PlanKey.SolveHash) instead of relying on identity alone.
@@ -71,12 +74,23 @@ type SolvePlan struct {
 	Trans any
 }
 
-// OperandID fingerprints one operand: pointer identity plus the
-// structural dimensions a plan depends on. Two different matrices at a
-// recycled address collide only if rows, cols and nnz all match, in
-// which case the stale plan is still a valid (if unbalanced) partition.
+// OperandID fingerprints one operand: a weak pointer to its header plus
+// the structural dimensions a plan depends on. The weak pointer keeps
+// identity without keeping the operand reachable, so a cached plan never
+// pins a matrix its caller has retired. It points at the header's Rows
+// field (the header's address), so the key has one concrete type and
+// costs no allocation once the header has a weak handle.
+//
+// The same key names two matrices only when one header is refilled in
+// place with equal rows, cols and nnz, as a header reused by …Into calls
+// routinely is; a new header at a collected one's address gets a new
+// weak pointer. A stale SpGEMM plan is still correct: its tiles
+// partition exactly [0, rows), an accumulator's hash table grows on
+// demand, and a dense window spills a row it was not sized for
+// (accum.NewDenseWindow). Only the balance suffers. Solve plans add
+// PlanKey.SolveHash.
 type OperandID struct {
-	ID         any
+	ID         weak.Pointer[int]
 	Rows, Cols int
 	NNZ        int64
 }
@@ -88,7 +102,7 @@ func IDOf[T sparse.Number](m *sparse.CSR[T]) OperandID {
 	if m == nil {
 		return OperandID{}
 	}
-	return OperandID{ID: m, Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}
+	return OperandID{ID: weak.Make(&m.Rows), Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}
 }
 
 // PlanKey fingerprints everything a plan's content depends on: the

@@ -105,6 +105,20 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 		widest = max(widest, fr.NNZ())
 	}
 	wVals := make([]float64, widest)
+	// The staged T of each level is assembled into one buffer, reused
+	// down the levels; the fronts it is masked by stay allocated.
+	var tm *sparse.CSR[float64]
+	// The fused T streams its rows straight into delta. The sink reads
+	// only state fixed for the sweep, so one closure serves every level.
+	var sink func(i int, cols []sparse.Index, vals []float64)
+	if fused {
+		sink = func(i int, cols []sparse.Index, vals []float64) {
+			base := i * s
+			for p, b := range cols {
+				delta[base+int(b)] += vals[p] * sigma[base+int(b)]
+			}
+		}
+	}
 	for d := len(fronts) - 1; d >= 1; d-- {
 		fr := fronts[d]
 		w := &sparse.CSR[float64]{Rows: n, Cols: s, RowPtr: fr.RowPtr, ColIdx: fr.ColIdx, Val: wVals[:fr.NNZ()]}
@@ -117,19 +131,13 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 		// T = F_{d-1} ⊙ (A × W_d): for u in front d-1, the sum over
 		// neighbors v in front d of (1+delta_v)/sigma_v.
 		if fused {
-			err := core.MaskedSpGEMMStream[float64](sr, fronts[d-1], a, w, cfg,
-				func(i int, cols []sparse.Index, vals []float64) {
-					base := i * s
-					for p, b := range cols {
-						delta[base+int(b)] += vals[p] * sigma[base+int(b)]
-					}
-				})
-			if err != nil {
+			if err := core.MaskedSpGEMMStream[float64](sr, fronts[d-1], a, w, cfg, sink); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		tm, err := core.MaskedSpGEMM[float64](sr, fronts[d-1], a, w, cfg)
+		var err error
+		tm, err = core.MaskedSpGEMMInto[float64](sr, tm, fronts[d-1], a, w, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -41,33 +41,33 @@ func must[V any](v V, err error) V {
 	return v
 }
 
-// RowWorkParallel is RowWorkParallelE without a context, for callers
-// that cannot be cancelled.
+// RowWorkParallel is RowWorkParallelE into a fresh slice, without a
+// context, for callers that cannot be cancelled.
 func RowWorkParallel[T sparse.Number](a, b, m *sparse.CSR[T], p int) []int64 {
-	return must(RowWorkParallelE(nil, a, b, m, p))
-}
-
-// PrefixSum is PrefixSumE without a context, for callers that cannot be
-// cancelled.
-func PrefixSum(work []int64, p int) []int64 {
-	return must(PrefixSumE(nil, work, p))
-}
-
-// RowWorkParallelE is RowWork computed over contiguous row blocks on p
-// workers. Rows are independent, so the result is bit-identical to the
-// serial estimator; inputs below the crossover threshold (or p <= 1)
-// take the serial path unchanged.
-func RowWorkParallelE[T sparse.Number](ctx context.Context, a, b, m *sparse.CSR[T], p int) ([]int64, error) {
-	if p == 1 || a.Rows < parallelCutoff {
-		return RowWork(a, b, m), nil
-	}
 	w := make([]int64, a.Rows)
-	if err := sched.BlocksE(ctx, p, a.Rows, func(_, lo, hi int) {
-		rowWorkInto(w, a, b, m, lo, hi)
-	}); err != nil {
-		return nil, err
+	return must(w, RowWorkParallelE(nil, w, a, b, m, p))
+}
+
+// PrefixSum returns the prefix sum of work on p workers:
+// out[i] = Σ work[:i], with out[len(work)] the total.
+func PrefixSum(work []int64, p int) []int64 {
+	prefix := make([]int64, len(work)+1)
+	copy(prefix[1:], work)
+	return must(prefix, InclusiveScanE(nil, prefix[1:], p))
+}
+
+// RowWorkParallelE fills w[:a.Rows] with RowWork computed over
+// contiguous row blocks on p workers. Rows are independent, so the
+// result is bit-identical to the serial estimator; inputs below the
+// crossover threshold (or p <= 1) take the serial path unchanged.
+func RowWorkParallelE[T sparse.Number](ctx context.Context, w []int64, a, b, m *sparse.CSR[T], p int) error {
+	if p == 1 || a.Rows < parallelCutoff {
+		rowWorkInto(w, a, b, m, 0, a.Rows)
+		return nil
 	}
-	return w, nil
+	return sched.BlocksE(ctx, p, a.Rows, func(_, lo, hi int) {
+		rowWorkInto(w, a, b, m, lo, hi)
+	})
 }
 
 // FlopCountParallelE is FlopCount computed over contiguous row blocks on
@@ -143,26 +143,35 @@ func InclusiveScanE(ctx context.Context, x []int64, p int) error {
 	})
 }
 
-// PrefixSumE returns the prefix sum of work on p workers:
-// out[i] = Σ work[:i], with out[len(work)] the total.
-func PrefixSumE(ctx context.Context, work []int64, p int) ([]int64, error) {
-	prefix := make([]int64, len(work)+1)
-	copy(prefix[1:], work)
-	if err := InclusiveScanE(ctx, prefix[1:], p); err != nil {
-		return nil, err
+// WorkPrefixE returns the prefix sum of the Eq. 2 row work of
+// C = M ⊙ (A × B) on p workers: prefix[i] = Σ RowWork[:i], with
+// prefix[a.Rows] the total. It is the FLOP-balanced plan's one scratch
+// array: the row work lands in prefix[1:] and is scanned there in
+// place. stage, when not nil, runs each pass (step 0 the row work,
+// step 1 the scan), so a caller can time and label them apart; a nil
+// stage runs them directly and allocates nothing but the array.
+func WorkPrefixE[T sparse.Number](ctx context.Context, a, b, m *sparse.CSR[T], p int, stage func(step int, run func() error) error) ([]int64, error) {
+	prefix := make([]int64, a.Rows+1)
+	for step := range 2 {
+		var err error
+		if stage == nil {
+			err = workPrefixStep(ctx, step, prefix[1:], a, b, m, p)
+		} else {
+			err = stage(step, func() error { return workPrefixStep(ctx, step, prefix[1:], a, b, m, p) })
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return prefix, nil
 }
 
-// BalancedTilesParallelE is BalancedTiles with the O(rows) prefix sum
-// spread over p workers. Tile boundaries are bit-identical to the serial
-// partitioner for any p.
-func BalancedTilesParallelE(ctx context.Context, work []int64, n, p int) ([]Tile, error) {
-	prefix, err := PrefixSumE(ctx, work, p)
-	if err != nil {
-		return nil, err
+// workPrefixStep runs pass step of WorkPrefixE over w = prefix[1:].
+func workPrefixStep[T sparse.Number](ctx context.Context, step int, w []int64, a, b, m *sparse.CSR[T], p int) error {
+	if step == 0 {
+		return RowWorkParallelE(ctx, w, a, b, m, p)
 	}
-	return BalancedFromPrefix(prefix, n), nil
+	return InclusiveScanE(ctx, w, p)
 }
 
 // MakeParallelE builds tiles for the given operands with the requested
@@ -173,11 +182,11 @@ func MakeParallelE[T sparse.Number](ctx context.Context, s Strategy, n, p int, a
 	case Uniform:
 		return UniformTiles(a.Rows, n), nil
 	case FlopBalanced:
-		work, err := RowWorkParallelE(ctx, a, b, m, p)
+		prefix, err := WorkPrefixE(ctx, a, b, m, p, nil)
 		if err != nil {
 			return nil, err
 		}
-		return BalancedTilesParallelE(ctx, work, n, p)
+		return BalancedFromPrefix(prefix, n), nil
 	default:
 		return nil, fmt.Errorf("tiling: unknown strategy %d", s)
 	}

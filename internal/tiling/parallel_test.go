@@ -110,10 +110,13 @@ func TestBalancedTilesParallelMatchesSerial(t *testing.T) {
 		n := r.Intn(300) + 1
 		want := BalancedTiles(work, n)
 		for _, p := range []int{2, 4, 9} {
-			got, err := BalancedTilesParallelE(nil, work, n, p)
-			if err != nil {
+			// The planner's layout: work in prefix[1:], scanned in place.
+			prefix := make([]int64, rows+1)
+			copy(prefix[1:], work)
+			if err := InclusiveScanE(nil, prefix[1:], p); err != nil {
 				t.Fatalf("rows=%d n=%d p=%d: %v", rows, n, p, err)
 			}
+			got := BalancedFromPrefix(prefix, n)
 			if len(got) != len(want) {
 				t.Fatalf("rows=%d n=%d p=%d: %d tiles, want %d", rows, n, p, len(got), len(want))
 			}
@@ -131,8 +134,13 @@ func TestMakeParallelMatchesMake(t *testing.T) {
 	lowerCutoff(t)
 	a := randomGraph(200, 0.1, 42)
 	for _, s := range []Strategy{Uniform, FlopBalanced} {
-		want := Make(s, 16, a, a, a)
-		for _, p := range []int{2, 4} {
+		// The references build the row work and its prefix sum in two
+		// arrays; MakeParallelE builds them in one.
+		want := UniformTiles(a.Rows, 16)
+		if s == FlopBalanced {
+			want = BalancedTiles(RowWork(a, a, a), 16)
+		}
+		for _, p := range []int{1, 2, 4} {
 			got, err := MakeParallelE(nil, s, 16, p, a, a, a)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", s, p, err)
@@ -146,5 +154,35 @@ func TestMakeParallelMatchesMake(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestWorkPrefixStages(t *testing.T) {
+	lowerCutoff(t)
+	a := randomGraph(300, 0.1, 7)
+	want := PrefixSum(RowWork(a, a, a), 1)
+	for _, p := range []int{1, 2, 4} {
+		var steps []int
+		staged, err := WorkPrefixE(nil, a, a, a, p, func(step int, run func() error) error {
+			steps = append(steps, step)
+			return run()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := WorkPrefixE(nil, a, a, a, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !int64sEqual(staged, want) || !int64sEqual(direct, want) {
+			t.Errorf("p=%d: WorkPrefixE differs from PrefixSum(RowWork)", p)
+		}
+		if len(steps) != 2 || steps[0] != 0 || steps[1] != 1 {
+			t.Errorf("p=%d: stage saw steps %v, want row work then prefix sum", p, steps)
+		}
+	}
+	// Serial passes: without a stage the array is the only allocation.
+	if n := testing.AllocsPerRun(20, func() { WorkPrefixE(nil, a, a, a, 1, nil) }); n != 1 {
+		t.Errorf("WorkPrefixE with a nil stage: %v allocs, want 1", n)
 	}
 }

@@ -122,9 +122,9 @@ func BalancedTiles(work []int64, n int) []Tile {
 // sum of the work estimate (len(prefix) = rows+1). The boundary loop is
 // O(n log rows) and carries the previous boundary forward, so it stays
 // serial; the O(rows) prefix sum is where the construction time goes
-// and is what BalancedTilesParallelE parallelizes. Exported so callers
-// that time the plan phases separately (internal/core's instrumented
-// path) can run the boundary placement under its own span.
+// and is what WorkPrefixE parallelizes. Exported so callers that time
+// the plan phases separately (internal/core's instrumented path) can
+// run the boundary placement under its own span.
 func BalancedFromPrefix(prefix []int64, n int) []Tile {
 	rows := len(prefix) - 1
 	if n > rows {
