@@ -401,28 +401,40 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 			}
 		}
 	})
+	// Batched BC, staged and fused, warm on an engine: us/multiply is the
+	// fixed cost of one call, rows/multiply the rows one call's product
+	// iterates — the level's front, not the lattice's 5 700 rows.
 	b.Run("BCBatch", func(b *testing.B) {
+		lattice := graphgen.RoadNetwork(57, 100, 0.95, 0x6A9)
+		n := lattice.Rows
+		sources := []int{n / 8, 3 * n / 8, 5 * n / 8, 7 * n / 8}
 		b.Run("road-57x100", func(b *testing.B) {
-			lattice := graphgen.RoadNetwork(57, 100, 0.95, 0x6A9)
-			n := lattice.Rows
-			sources := []int{n / 8, 3 * n / 8, 5 * n / 8, 7 * n / 8}
-			bcCfg := cfg
-			bcCfg.Engine = exec.New(exec.Config{})
-			// One untimed op under a recorder counts the op's multiplies
-			// (and warms the engine's pool).
-			counted := bcCfg
-			counted.Recorder = obs.NewRecorder()
-			if _, err := graph.BetweennessCentralityBatch(lattice, sources, counted); err != nil {
-				b.Fatal(err)
+			for _, v := range []struct {
+				name string
+				run  func(*sparse.CSR[float64], []int, core.Config) ([]float64, error)
+			}{{"staged", graph.BetweennessCentralityBatch}, {"fused", graph.BetweennessCentralityBatchFused}} {
+				b.Run(v.name, func(b *testing.B) {
+					bcCfg := cfg
+					bcCfg.Engine = exec.New(exec.Config{})
+					// One untimed op under a recorder counts the op's multiplies
+					// and their rows (and warms the engine's pool).
+					counted := bcCfg
+					counted.Recorder = obs.NewRecorder()
+					if _, err := v.run(lattice, sources, counted); err != nil {
+						b.Fatal(err)
+					}
+					st := counted.Recorder.Stats()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := v.run(lattice, sources, bcCfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*st.Runs), "us/multiply")
+					b.ReportMetric(float64(st.Totals.Rows)/float64(st.Runs), "rows/multiply")
+				})
 			}
-			multiplies := counted.Recorder.Stats().Runs
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.BetweennessCentralityBatch(lattice, sources, bcCfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*multiplies), "us/multiply")
 		})
 	})
 }

@@ -65,9 +65,12 @@ func KCore(a *Matrix) ([]int32, int32, error) {
 
 // BetweennessCentralityBatch is BetweennessCentrality computed for all
 // sources simultaneously as rectangular masked matrix products — the
-// batched-Brandes formulation. With Options.Fuse set, the backward
-// sweep streams each dependency row straight into the delta vector
-// instead of assembling a per-level CSR; the result is identical.
+// batched-Brandes formulation, directed graphs included (paths follow
+// entry (i, j) from i to j). Each level multiplies only its frontier's
+// submatrix, so it costs the front, not the whole graph. With
+// Options.Fuse set, the backward sweep streams each dependency row
+// straight into the delta vector instead of assembling a per-level CSR;
+// the result is identical.
 func BetweennessCentralityBatch(a *Matrix, sources []int, opts Options) ([]float64, error) {
 	if opts.Fuse {
 		return graph.BetweennessCentralityBatchFused(a.csr, sources, opts.config())
