@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test examples vet size lint lint-json staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-kappa bench-trsv bench-micro telemetry-smoke
+.PHONY: build test examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-kappa bench-trsv bench-micro telemetry-smoke
 
 build:
 	$(GO) build ./...
@@ -29,19 +29,14 @@ size:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# lint runs the repo's own analyzer suite (docs/LINTING.md): the six
-# per-package contracts (hot-path allocation discipline, nil-safe
-# recorder, padded atomic counters, error taxonomy, cooperative
-# cancellation, checkout/release pairing) plus the three whole-program
-# concurrency contracts built on the call graph and lockset layer
-# (lockorder, atomicmix, goroutineleak). Built from this module, so it
-# needs nothing beyond the Go toolchain. lint-json emits the same
-# findings as a self-validating maskedspgemm/lint/v1 document.
+# lint runs the repo's own analyzer suite (docs/LINTING.md), three
+# analyzers that each catch a defect no test catches: hotpathalloc
+# (allocation-free //spgemm:hotpath functions), errtaxonomy (error
+# chains wrapped with %w) and goroutineleak (every go statement has an
+# observable exit, checked over the call graph). Built from this module,
+# so it needs nothing beyond the Go toolchain.
 lint:
 	$(GO) run ./cmd/spgemm-lint ./...
-
-lint-json:
-	$(GO) run ./cmd/spgemm-lint -json ./...
 
 # staticcheck is optional tooling: run it when installed, skip silently
 # when the host doesn't have it (no network installs in CI containers).

@@ -4,19 +4,20 @@
 //
 // Usage:
 //
-//	spgemm-lint [-json] [packages]
+//	spgemm-lint [packages]
 //
 // Findings print as file:line:col: [analyzer] message, one per line.
-// With -json, findings are emitted on stdout as a self-validating
-// maskedspgemm/lint/v1 document instead (schema tag plus a findings
-// array, empty on a clean run); the exit code contract is unchanged.
 // Suppress an individual finding with a //lint:ignore directive; see
 // docs/LINTING.md.
+//
+// Exit status: 0 when the packages are clean, 1 when there are
+// findings, 2 when the packages cannot be loaded or an analyzer fails.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"maskedspgemm/internal/lint"
@@ -24,41 +25,36 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a maskedspgemm/lint/v1 JSON document")
 	flag.Parse()
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	dir, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spgemm-lint:", err)
 		os.Exit(2)
 	}
+	os.Exit(run(dir, flag.Args(), os.Stdout, os.Stderr))
+}
+
+// run lints patterns, resolved from dir, and returns the exit status.
+func run(dir string, patterns []string, stdout, stderr io.Writer) int {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
 	prog, err := lint.Load(dir, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spgemm-lint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "spgemm-lint:", err)
+		return 2
 	}
 	diags, err := lint.Run(prog, analyzers.All())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spgemm-lint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "spgemm-lint:", err)
+		return 2
 	}
-	if *jsonOut {
-		data, err := lint.MarshalReport(lint.BuildReport(prog.Fset, diags))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spgemm-lint:", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(data)
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s: [%s] %s\n", prog.Fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s: [%s] %s\n", prog.Fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "spgemm-lint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "spgemm-lint: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }

@@ -117,9 +117,8 @@ func (c *countingAccumulator[T]) flushInto(t *atomicCounters) {
 // atomicCounters is the shared flush target: every worker's decorator
 // flushes into it once per tile, so unlike the per-worker obs blocks it
 // is genuinely contended and must both stay atomic and avoid sharing
-// its cache lines with neighboring allocations.
-//
-//spgemm:padded
+// its cache lines with neighboring allocations (TestCounterBlockLayout
+// pins the size).
 type atomicCounters struct {
 	rows, maskLoads, updates, rejected, gathered atomic.Int64
 	_                                            [128 - 5*8]byte // pad to 2 cache lines

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"maskedspgemm/internal/accum"
+	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -144,6 +145,21 @@ func TestCountingAccumulatorFillsCacheLine(t *testing.T) {
 	} {
 		if size%64 != 0 {
 			t.Errorf("countingAccumulator[%s] is %d bytes, not a whole number of cache lines", name, size)
+		}
+	}
+}
+
+// TestCounterBlockLayout pins the two concurrently written counter
+// blocks at two cache lines (the adjacent-line prefetcher pulls pairs):
+// a field added without re-balancing the pad array, or a pad shrunk,
+// lets neighboring blocks false-share.
+func TestCounterBlockLayout(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"obs.WorkerCounters":  unsafe.Sizeof(obs.WorkerCounters{}),
+		"core.atomicCounters": unsafe.Sizeof(atomicCounters{}),
+	} {
+		if size != 128 {
+			t.Errorf("%s is %d bytes, want 128 (two cache lines)", name, size)
 		}
 	}
 }

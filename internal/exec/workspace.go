@@ -318,7 +318,6 @@ func (ws *Workspace[T, S]) ensureDense(workers int, count bool) {
 	dense := make([]DenseScratch[T], workers)
 	copy(dense, ws.Dense)
 	for w := len(ws.Dense); w < workers; w++ {
-		//lint:ignore hotpathalloc amortized: dense scratch built once per new worker slot
 		dense[w] = DenseScratch[T]{
 			Vals:    make([]T, ws.cols),          //lint:ignore hotpathalloc amortized: once per new worker slot
 			State:   make([]uint8, ws.cols),      //lint:ignore hotpathalloc amortized: once per new worker slot

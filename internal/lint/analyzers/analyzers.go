@@ -5,31 +5,18 @@ package analyzers
 
 import (
 	"maskedspgemm/internal/lint"
-	"maskedspgemm/internal/lint/atomicmix"
-	"maskedspgemm/internal/lint/atomicpad"
-	"maskedspgemm/internal/lint/checkoutrelease"
-	"maskedspgemm/internal/lint/ctxcancel"
 	"maskedspgemm/internal/lint/errtaxonomy"
 	"maskedspgemm/internal/lint/goroutineleak"
 	"maskedspgemm/internal/lint/hotpathalloc"
-	"maskedspgemm/internal/lint/lockorder"
-	"maskedspgemm/internal/lint/nilsaferecorder"
 )
 
-// All returns the full analyzer suite in deterministic order: the six
-// per-package contracts, then the three whole-program concurrency
-// contracts (lockorder, atomicmix, goroutineleak) built on the call
-// graph and lockset layer.
+// All returns the full analyzer suite in deterministic order. Each
+// analyzer guards a defect class no test catches (docs/LINTING.md,
+// "What each analyzer catches").
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		atomicmix.Analyzer,
-		atomicpad.Analyzer,
-		checkoutrelease.Analyzer,
-		ctxcancel.Analyzer,
 		errtaxonomy.Analyzer,
 		goroutineleak.Analyzer,
 		hotpathalloc.Analyzer,
-		lockorder.Analyzer,
-		nilsaferecorder.Analyzer,
 	}
 }

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file is the whole-program half of the framework: a cross-package
@@ -31,30 +29,17 @@ type CallGraph struct {
 }
 
 // Node is one function in the call graph. Module-declared functions
-// carry their declaration and defining package; functions known only
-// from export data (stdlib, external deps, bodiless interface methods)
-// have Decl == nil and no outgoing edges.
+// carry their declaration; functions known only from export data
+// (stdlib, external deps, bodiless interface methods) have Decl == nil
+// and no outgoing edges.
 type Node struct {
 	// Func is the function's type-checker object (one identity
 	// program-wide).
 	Func *types.Func
 	// Decl is the declaration, nil for functions outside the module.
 	Decl *ast.FuncDecl
-	// Pkg is the module package declaring the function, nil outside.
-	Pkg *Package
-	// Out holds this function's resolved call sites in source order.
-	Out []*Edge
-	// In holds every resolved call site targeting this function.
-	In []*Edge
-}
-
-// Edge is one resolved call site.
-type Edge struct {
-	Caller, Callee *Node
-	// Pos is the call expression's position.
-	Pos token.Pos
-	// Go reports a `go` statement call; Defer a deferred call.
-	Go, Defer bool
+	// Out holds the callee of each resolved call site, in source order.
+	Out []*Node
 }
 
 // Lookup returns the node for fn, or nil if fn was never seen.
@@ -63,21 +48,6 @@ func (g *CallGraph) Lookup(fn *types.Func) *Node {
 		return nil
 	}
 	return g.nodes[canonicalFunc(fn)]
-}
-
-// Nodes returns every node in deterministic (package, position) order.
-func (g *CallGraph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Func.Pos() != out[j].Func.Pos() {
-			return out[i].Func.Pos() < out[j].Func.Pos()
-		}
-		return out[i].Func.FullName() < out[j].Func.FullName()
-	})
-	return out
 }
 
 // canonicalFunc maps a method instantiation or wrapper back to the
@@ -114,17 +84,16 @@ func BuildCallGraph(prog *Program) *CallGraph {
 				if !ok {
 					continue
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					node(fn).Decl = fd
 				}
-				n := node(fn)
-				n.Decl = fd
-				n.Pkg = pkg
 			}
 		}
 	}
 
+	// Record every resolved call as an outgoing edge of its declaration;
+	// calls inside function literals (goroutine bodies, deferred
+	// closures) belong to the enclosing declaration.
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -137,42 +106,18 @@ func BuildCallGraph(prog *Program) *CallGraph {
 					continue
 				}
 				caller := node(fn)
-				addCallEdges(pkg.Info, caller, fd.Body, node)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if callee := CalleeFunc(pkg.Info, call); callee != nil {
+							caller.Out = append(caller.Out, node(callee))
+						}
+					}
+					return true
+				})
 			}
 		}
 	}
 	return g
-}
-
-// addCallEdges records every resolved call inside body as an outgoing
-// edge of caller. Calls inside function literals belong to the
-// enclosing declaration.
-func addCallEdges(info *types.Info, caller *Node, body ast.Node, node func(*types.Func) *Node) {
-	inGo := map[ast.Node]bool{}
-	inDefer := map[ast.Node]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.GoStmt:
-			inGo[s.Call] = true
-		case *ast.DeferStmt:
-			inDefer[s.Call] = true
-		case *ast.CallExpr:
-			callee := CalleeFunc(info, s)
-			if callee == nil {
-				return true
-			}
-			e := &Edge{
-				Caller: caller,
-				Callee: node(callee),
-				Pos:    s.Pos(),
-				Go:     inGo[s],
-				Defer:  inDefer[s],
-			}
-			caller.Out = append(caller.Out, e)
-			e.Callee.In = append(e.Callee.In, e)
-		}
-		return true
-	})
 }
 
 // CalleeFunc resolves a call expression to its static callee, or nil

@@ -1,86 +1,63 @@
 package lint_test
 
 import (
+	"go/types"
 	"testing"
 
 	"maskedspgemm/internal/lint"
 	"maskedspgemm/internal/lint/linttest"
 )
 
-// findNode returns the unique graph node whose function has the given
-// name.
-func findNode(t *testing.T, g *lint.CallGraph, name string) *lint.Node {
-	t.Helper()
-	var found *lint.Node
-	for _, n := range g.Nodes() {
-		if n.Func.Name() == name {
-			if found != nil {
-				t.Fatalf("multiple nodes named %s", name)
-			}
-			found = n
-		}
+// calleeNames lists the function names of n's outgoing edges.
+func calleeNames(n *lint.Node) []string {
+	out := make([]string, len(n.Out))
+	for i, c := range n.Out {
+		out[i] = c.Func.Name()
 	}
-	if found == nil {
-		t.Fatalf("no node named %s", name)
-	}
-	return found
+	return out
 }
 
 func TestBuildCallGraph(t *testing.T) {
 	prog := linttest.Load(t, linttest.TestdataDir(t), "cgdep", "cgmain")
 	g := lint.BuildCallGraph(prog)
 
-	top := findNode(t, g, "Top")
-	if top.Decl == nil || top.Pkg == nil || top.Pkg.ImportPath != "cgmain" {
-		t.Fatalf("Top node not attributed to cgmain: %+v", top)
+	var topFn *types.Func
+	for _, pkg := range prog.Packages {
+		if pkg.ImportPath == "cgmain" {
+			topFn, _ = pkg.Types.Scope().Lookup("Top").(*types.Func)
+		}
+	}
+	top := g.Lookup(topFn)
+	if top == nil || top.Decl == nil {
+		t.Fatalf("Top is not a module node: %+v", top)
 	}
 
 	// Out edges in source order: t.M(), go cgdep.Leaf(), defer helper(),
 	// helper() inside the function literal. f() is a function value and
 	// does not resolve.
-	if len(top.Out) != 4 {
-		t.Fatalf("Top.Out = %d edges, want 4", len(top.Out))
+	want := []string{"M", "Leaf", "helper", "helper"}
+	got := calleeNames(top)
+	if len(got) != len(want) {
+		t.Fatalf("Top calls %v, want %v", got, want)
 	}
-	wantCallees := []string{"M", "Leaf", "helper", "helper"}
-	for i, e := range top.Out {
-		if e.Callee.Func.Name() != wantCallees[i] {
-			t.Errorf("Top.Out[%d] = %s, want %s", i, e.Callee.Func.Name(), wantCallees[i])
-		}
-		if e.Caller != top {
-			t.Errorf("Top.Out[%d].Caller is not Top", i)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Top calls %v, want %v", got, want)
 		}
 	}
-	if !top.Out[1].Go || top.Out[1].Defer {
-		t.Errorf("go cgdep.Leaf() edge flags = go:%v defer:%v, want go only", top.Out[1].Go, top.Out[1].Defer)
+
+	// Leaf lives in the other module package; the call from M and the
+	// go statement in Top reach the same node.
+	m, leaf := top.Out[0], top.Out[1]
+	if leaf.Decl == nil {
+		t.Fatal("cgdep.Leaf is not a module node")
 	}
-	if !top.Out[2].Defer || top.Out[2].Go {
-		t.Errorf("defer helper() edge flags = go:%v defer:%v, want defer only", top.Out[2].Go, top.Out[2].Defer)
-	}
-	if top.Out[3].Go || top.Out[3].Defer {
-		t.Errorf("literal-body helper() edge must be a plain call, got go:%v defer:%v", top.Out[3].Go, top.Out[3].Defer)
+	if got := calleeNames(m); len(got) != 2 || m.Out[0] != leaf || got[1] != "ToUpper" {
+		t.Fatalf("M calls %v, want [Leaf ToUpper] with Leaf the node Top calls", got)
 	}
 
-	// Leaf lives in the other module package and is called from M and
-	// from Top's go statement.
-	leaf := findNode(t, g, "Leaf")
-	if leaf.Decl == nil || leaf.Pkg == nil || leaf.Pkg.ImportPath != "cgdep" {
-		t.Fatalf("Leaf node not attributed to cgdep: %+v", leaf)
-	}
-	if len(leaf.In) != 2 {
-		t.Fatalf("Leaf.In = %d edges, want 2 (from M and Top)", len(leaf.In))
-	}
-
-	// A stdlib callee appears as an external node: no Decl, no Pkg.
-	upper := findNode(t, g, "ToUpper")
-	if upper.Decl != nil || upper.Pkg != nil {
-		t.Fatalf("strings.ToUpper should be external (Decl/Pkg nil), got %+v", upper)
-	}
-	if len(upper.Out) != 0 {
-		t.Fatalf("external node must have no outgoing edges, got %d", len(upper.Out))
-	}
-
-	// Lookup resolves through the same object identity the graph used.
-	if g.Lookup(top.Func) != top {
-		t.Fatal("Lookup(Top.Func) did not return the Top node")
+	// A stdlib callee is an external node: no Decl, no outgoing edges.
+	if upper := m.Out[1]; upper.Decl != nil || len(upper.Out) != 0 {
+		t.Fatalf("strings.ToUpper should be external, got %+v", upper)
 	}
 }

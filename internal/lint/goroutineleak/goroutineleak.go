@@ -99,8 +99,8 @@ func runProgram(pass *lint.ProgramPass) error {
 		}
 		node := pass.Graph.Lookup(fn)
 		if node != nil {
-			for _, e := range node.Out {
-				if e.Callee.Decl != nil && trans(e.Callee.Func) {
+			for _, callee := range node.Out {
+				if callee.Decl != nil && trans(callee.Func) {
 					memo[fn] = true
 					return true
 				}

@@ -7,7 +7,8 @@
 //
 // Flagged inside a hot-path function:
 //   - make, new, map/slice composite literals, &composite literals
-//   - append to a slice declared locally without an explicit capacity
+//   - append to a fresh slice (append([]T(nil), x)) or to a slice
+//     declared locally without an explicit capacity
 //     (append to parameters and struct fields is trusted: the buffer
 //     contract there is the caller's, guarded by AllocsPerRun tests)
 //   - closure literals and go statements
@@ -289,17 +290,26 @@ func checkCall(pass *lint.Pass, fd *ast.FuncDecl, call *ast.CallExpr, report fun
 	}
 }
 
-// checkAppend flags appends whose destination is a local slice that was
-// never preallocated with an explicit capacity. Appends to parameters
-// and struct fields follow the caller-owns-the-buffer contract and are
-// trusted.
+// checkAppend flags appends whose destination is a fresh slice (a
+// conversion such as []T(nil); a slice literal is already reported
+// where it stands) or a local slice that was never preallocated with an
+// explicit capacity. Appends to parameters and struct fields follow the
+// caller-owns-the-buffer contract and are trusted.
 func checkAppend(pass *lint.Pass, fd *ast.FuncDecl, call *ast.CallExpr, report func(token.Pos, string)) {
 	if len(call.Args) == 0 {
 		return
 	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return // field or indexed destination: caller-owned buffer
+	var id *ast.Ident
+	switch dst := ast.Unparen(call.Args[0]).(type) {
+	case *ast.Ident:
+		id = dst
+	case *ast.CallExpr:
+		if tv, ok := pass.TypesInfo.Types[dst.Fun]; ok && tv.IsType() {
+			report(call.Pos(), "append to a fresh slice allocates")
+		}
+		return
+	default:
+		return // field or indexed destination: caller-owned buffer; a slice literal is reported as one
 	}
 	obj := pass.TypesInfo.Uses[id]
 	if obj == nil {

@@ -39,17 +39,17 @@ func pure(x int) int { return x + 1 }
 
 //spgemm:hotpath
 func hotAllocs(s string, xs []int, ss sink, v val) {
-	_ = make([]int, 4) // want `make allocates`
-	_ = new(item)      // want `new allocates`
-	_ = []int{1}       // want `slice literal allocates`
-	_ = map[int]int{}  // want `map literal allocates`
-	_ = &item{}        // want `&composite literal escapes to the heap`
+	_ = make([]int, 4)           // want `make allocates`
+	_ = new(item)                // want `new allocates`
+	_ = []int{1}                 // want `slice literal allocates`
+	_ = map[int]int{}            // want `map literal allocates`
+	_ = &item{}                  // want `&composite literal escapes to the heap`
 	f := func() int { return 1 } // want `closure literal allocates`
 	_ = f
-	go plainHelper()   // want `go statement spawns a goroutine`
-	_ = s + "!"        // want `string concatenation allocates`
-	_ = []byte(s)      // want `conversion between string and \[\]byte`
-	ss = v             // want `val boxed into interface sink`
+	go plainHelper() // want `go statement spawns a goroutine`
+	_ = s + "!"      // want `string concatenation allocates`
+	_ = []byte(s)    // want `conversion between string and \[\]byte`
+	ss = v           // want `val boxed into interface sink`
 	_ = ss
 	sort.Ints(xs)      // want `package sort is allocation-prone`
 	_ = fmt.Sprintln() // want `package fmt is allocation-prone`
@@ -62,11 +62,15 @@ func hotAppend(dst []int, x int) []int {
 	buf := make([]int, 0, 8) // want `make allocates`
 	buf = append(buf, x)     // append to a capacity-preallocated local is fine
 	var bad []int
-	bad = append(bad, x)   // want `append to bad, declared without capacity`
-	grow := make([]int, 0) // want `make allocates`
-	grow = append(grow, x) // want `append may grow un-preallocated slice grow`
+	bad = append(bad, x)           // want `append to bad, declared without capacity`
+	grow := make([]int, 0)         // want `make allocates`
+	grow = append(grow, x)         // want `append may grow un-preallocated slice grow`
+	fresh := append([]int(nil), x) // want `append to a fresh slice allocates`
+	lit := append([]int{}, x)      // want `slice literal allocates`
 	_ = buf
 	_ = grow
+	_ = fresh
+	_ = lit
 	return append(dst, x) // parameter buffer is the caller's contract
 }
 

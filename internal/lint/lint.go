@@ -25,7 +25,7 @@ import (
 // visible when its importers are analyzed. RunProgram, when set, is
 // invoked once after every per-package pass, with the whole program,
 // the cross-package call graph and every exported fact in scope — the
-// whole-program layer the concurrency-contract analyzers build on.
+// whole-program layer goroutineleak builds on.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //lint:ignore
 	// directives. Lower-case, no spaces.
@@ -51,12 +51,11 @@ type Diagnostic struct {
 // Pass carries one package's parsed and type-checked state to an
 // analyzer, mirroring analysis.Pass.
 type Pass struct {
-	Analyzer   *Analyzer
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	TypesInfo  *types.Info
-	TypesSizes types.Sizes
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
 
 	diags *[]Diagnostic
 	facts *factStore
@@ -114,12 +113,6 @@ func (p *ProgramPass) ObjectFact(obj types.Object) any {
 	return p.facts.get(p.Analyzer.Name, obj)
 }
 
-// AllObjectFacts returns every (object, fact) pair the analyzer's
-// per-package passes exported, in unspecified order.
-func (p *ProgramPass) AllObjectFacts() map[types.Object]any {
-	return p.facts.all(p.Analyzer.Name)
-}
-
 // factStore holds cross-package facts for all analyzers of one run.
 type factStore struct {
 	m map[factKey]any
@@ -140,20 +133,11 @@ func (s *factStore) get(analyzer string, obj types.Object) any {
 	return s.m[factKey{analyzer, obj}]
 }
 
-func (s *factStore) all(analyzer string) map[types.Object]any {
-	out := map[types.Object]any{}
-	for k, v := range s.m {
-		if k.analyzer == analyzer {
-			out[k.obj] = v
-		}
-	}
-	return out
-}
-
 // Run executes the analyzers over every package of prog in dependency
 // order and returns the surviving diagnostics sorted by position.
 // Findings carrying a valid //lint:ignore directive are dropped; an
-// ignore directive without a reason is itself reported.
+// ignore directive without a reason, or one that silenced nothing, is
+// itself reported.
 func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	facts := newFactStore()
@@ -163,14 +147,13 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		for _, pkg := range prog.Packages {
 			pass := &Pass{
-				Analyzer:   a,
-				Fset:       prog.Fset,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				TypesInfo:  pkg.Info,
-				TypesSizes: prog.Sizes,
-				diags:      &diags,
-				facts:      facts,
+				Analyzer:  a,
+				Fset:      prog.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				diags:     &diags,
+				facts:     facts,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
@@ -232,14 +215,17 @@ type ignoreDirective struct {
 //	//lint:ignore <check>[,<check>...] <reason>
 //
 // and the reason is mandatory: a reasonless directive never suppresses
-// and is reported as a finding of its own.
+// and is reported as a finding of its own. So is a directive that
+// silenced nothing — stale, or naming a check that no longer exists —
+// so a suppression cannot outlive the finding it was written for.
 func Suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
 	type lineKey struct {
 		file string
 		line int
 	}
 	directives := map[lineKey]*ignoreDirective{}
-	var malformed []Diagnostic
+	var order []*ignoreDirective
+	var bad []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -257,7 +243,7 @@ func Suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diag
 					d.reason = strings.Join(fields[1:], " ")
 				}
 				if len(d.analyzers) == 0 || d.reason == "" {
-					malformed = append(malformed, Diagnostic{
+					bad = append(bad, Diagnostic{
 						Pos:      c.Pos(),
 						Message:  "malformed //lint:ignore: want \"//lint:ignore <check>[,<check>] <reason>\" (the reason is required)",
 						Analyzer: "lintdirective",
@@ -265,6 +251,7 @@ func Suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diag
 					continue
 				}
 				directives[lineKey{pos.Filename, pos.Line}] = d
+				order = append(order, d)
 			}
 		}
 	}
@@ -281,7 +268,16 @@ func Suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diag
 		}
 		kept = append(kept, d)
 	}
-	return append(kept, malformed...)
+	for _, d := range order {
+		if !d.used {
+			bad = append(bad, Diagnostic{
+				Pos:      d.pos,
+				Message:  "//lint:ignore " + strings.Join(d.analyzers, ",") + " silenced nothing: delete it",
+				Analyzer: "lintdirective",
+			})
+		}
+	}
+	return append(kept, bad...)
 }
 
 func (d *ignoreDirective) matches(analyzer string) bool {

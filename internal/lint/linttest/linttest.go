@@ -55,7 +55,7 @@ func Run(t *testing.T, testdataDir string, a *lint.Analyzer, fixtures ...string)
 
 // Load parses and type-checks the named fixture packages (dependencies
 // first) and returns the Program, for tests that drive the framework's
-// whole-program machinery (call graph, lockset) directly instead of
+// whole-program machinery (the call graph) directly instead of
 // through // want comparisons.
 func Load(t *testing.T, testdataDir string, fixtures ...string) *lint.Program {
 	t.Helper()
@@ -72,6 +72,30 @@ func TestdataDir(t *testing.T) string {
 	dir, err := filepath.Abs("testdata/src")
 	if err != nil {
 		t.Fatal(err)
+	}
+	return dir
+}
+
+// WriteModule lays out a module in a fresh temporary directory and
+// returns the directory: files maps slash-separated paths relative to
+// the module root to their contents, and go.mod is written for module
+// path "example.com/m" unless files holds one. It is for tests of the
+// loader and the spgemm-lint command, which read a real module through
+// the go command.
+func WriteModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if _, ok := files["go.mod"]; !ok {
+		files["go.mod"] = "module example.com/m\n\ngo 1.21\n"
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dir
 }

@@ -1,5 +1,5 @@
 // Package cgmain exercises every call-site shape the graph resolves:
-// method calls, cross-package calls, go/defer flags, calls inside
+// method calls, cross-package calls, go/defer statements, calls inside
 // function literals (attributed to the enclosing declaration), calls
 // into export-data-only functions, and unresolvable function values.
 package cgmain
@@ -18,7 +18,7 @@ func (t T) M() string {
 	return strings.ToUpper("m")
 }
 
-// Top's body covers the edge-flag matrix.
+// Top's body covers every call-site shape.
 func Top() {
 	var t T
 	t.M()

@@ -86,12 +86,9 @@ func (p Phase) String() string {
 // WorkerCounters is one worker's counter block. Each worker owns one
 // block for the duration of a run; blocks are padded to two cache lines
 // so neighboring workers never false-share (the adjacent-line
-// prefetcher pulls pairs). The fields are atomic so that a slot can be
-// read (by Stats) while a run is still incrementing it, and so the
-// atomicpad analyzer can mechanically reject any plain load or store
-// that would reintroduce a data race.
-//
-//spgemm:padded
+// prefetcher pulls pairs; TestCounterBlockLayout pins the size). The
+// fields are atomic so that a slot can be read (by Stats) while a run
+// is still incrementing it.
 type WorkerCounters struct {
 	// Tiles is the number of tiles this worker claimed and executed.
 	Tiles atomic.Int64

@@ -79,25 +79,30 @@ func TestRunEPreCancelled(t *testing.T) {
 	}
 }
 
+// TestRunEMidRunCancel cancels a run after its tenth tile: every claim
+// loop, the one-worker loop included, must poll the stop flag and end
+// the run early.
 func TestRunEMidRunCancel(t *testing.T) {
-	for _, policy := range []Policy{Static, Dynamic, Guided} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int32
-		const tiles = 100000
-		err := RunWavesE(ctx, policy, 4, SingleWave(tiles), func(_, _ int) {
-			if ran.Add(1) == 10 {
-				cancel()
+	for _, workers := range []int{1, 4} {
+		for _, policy := range []Policy{Static, Dynamic, Guided} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var ran atomic.Int32
+			const tiles = 100000
+			err := RunWavesE(ctx, policy, workers, SingleWave(tiles), func(_, _ int) {
+				if ran.Add(1) == 10 {
+					cancel()
+				}
+				// Give the watcher time to flip the stop flag so the run
+				// demonstrably ends early.
+				time.Sleep(10 * time.Microsecond)
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%d workers, %v: err = %v, want context.Canceled", workers, policy, err)
 			}
-			// Give the watcher time to flip the stop flag so the run
-			// demonstrably ends early.
-			time.Sleep(10 * time.Microsecond)
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err = %v, want context.Canceled", policy, err)
-		}
-		if n := ran.Load(); int(n) >= tiles {
-			t.Fatalf("%v: cancellation did not stop the run (%d tiles)", policy, n)
+			if n := ran.Load(); int(n) >= tiles {
+				t.Fatalf("%d workers, %v: cancellation did not stop the run (%d tiles)", workers, policy, n)
+			}
 		}
 	}
 }
@@ -160,9 +165,13 @@ func TestBlocksEPanicAndCancel(t *testing.T) {
 
 // TestRunENoGoroutineLeak drives many cancelled and completed runs and
 // checks the goroutine count settles back to the baseline: neither
-// workers nor context watchers may outlive their run.
+// workers nor context watchers may outlive their run. The live context
+// stays uncancelled until after the check, so a watcher must exit
+// because its run completed, not because its context ended.
 func TestRunENoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		_ = RunWavesE(ctx, Dynamic, 4, SingleWave(64), func(_, tile int) {
@@ -172,6 +181,7 @@ func TestRunENoGoroutineLeak(t *testing.T) {
 		})
 		cancel()
 		_ = RunWavesE(context.Background(), Guided, 4, SingleWave(64), func(_, _ int) {})
+		_ = RunWavesE(live, Guided, 4, SingleWave(64), func(_, _ int) {})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
