@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-kappa bench-trsv bench-micro telemetry-smoke
+.PHONY: build test examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-trsv bench-micro telemetry-smoke
 
 build:
 	$(GO) build ./...
@@ -60,7 +60,7 @@ govulncheck:
 # packages: run them under the race detector with the Guided policy,
 # panic containment, cancellation and parallel plan paths exercised by
 # their tests. The model, graph and chaos packages ride along: their
-# recalibrator, fused-algorithm and seeded-injector tests drive the same
+# cost-model, fused-algorithm and seeded-injector tests drive the same
 # kernels concurrently.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/exec/... ./internal/tiling/... ./internal/obs/... ./internal/telemetry/... ./internal/model/... ./internal/graph/... ./internal/chaos/... ./spgemm/...
@@ -86,8 +86,8 @@ bench:
 # experiment with an ephemeral debug listener attached, then have the
 # tool self-check its own server before exiting — /metrics must parse
 # as Prometheus text exposition with every required series present and
-# a nonzero run count, /stats must pass stats/v1 validation, /flight
-# must pass flightrec/v1 validation, /healthz must answer. Part of
+# a nonzero run count, /stats must pass stats/v2 validation, /flight
+# must pass flightrec/v2 validation, /healthz must answer. Part of
 # `make gates`; see docs/OBSERVABILITY.md, "Live telemetry".
 telemetry-smoke:
 	$(GO) run ./cmd/spgemm-bench -experiment stats -shift 6 \
@@ -185,11 +185,3 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkSolveOrder$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWaveCrossing$$' -benchtime 1x ./internal/sched
 	$(GO) test -run '^$$' -bench '^BenchmarkHypersparseProduct$$' -benchtime 1x ./internal/core
-
-# bench-kappa exercises the online κ recalibrator against an offline
-# sweep. Timing-sensitive, so it is informational rather than part of
-# `make check`; add -kappa-slack via KAPPA_SLACK to assert the bound.
-KAPPA_SLACK ?= 0
-bench-kappa:
-	$(GO) run ./cmd/spgemm-bench -experiment kappa-adapt -shift 3 \
-		-reps 3 -budget 2s -kappa-slack $(KAPPA_SLACK)

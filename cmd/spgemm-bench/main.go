@@ -28,7 +28,6 @@
 //	              warm engine vs warm engine + fused pipeline; fails on
 //	              a warm pool hit rate under 95%, on fused allocs/op
 //	              above unfused, or on a checksum mismatch
-//	kappa-adapt   online κ recalibration vs an offline κ sweep
 //	trsv          triangular solve, serial vs dependency waves; fails
 //	              unless the two solutions are bit-identical
 //	chaos         seeded fault matrix against one shared engine, then
@@ -53,8 +52,6 @@
 //	-engine          run every experiment against one shared execution engine
 //	-pool-cap N      idle-workspace cap for that engine (0 = default)
 //	-retention-mb N  size the shared -engine by an N-MiB retention budget
-//	-kappa-slack F   after kappa-adapt: fail if the adapted κ runs more
-//	                 than F over the best swept κ or the static default
 //	-min-trsv-speedup F  after trsv: fail unless waves beat serial by F
 //	                 on some graph
 //	-chaos-seed N    seed of the chaos drill's fault matrix (default 1)
@@ -65,11 +62,10 @@
 //	                 series (implies -listen 127.0.0.1:0)
 //
 // Invariants that do not depend on the clock are errors the experiments
-// return; the two timing gates (-kappa-slack, -min-trsv-speedup) judge
-// the logged rows after the run, because a timing bound only means
-// something on a host with real cores. `go run ./benchmark` (make
-// bench) is the end-to-end yardstick; this tool regenerates the paper's
-// figures.
+// return; the one timing gate (-min-trsv-speedup) judges the logged
+// rows after the run, because a timing bound only means something on a
+// host with real cores. `go run ./benchmark` (make bench) is the
+// end-to-end yardstick; this tool regenerates the paper's figures.
 package main
 
 import (
@@ -100,7 +96,6 @@ func main() {
 	useEngine := flag.Bool("engine", false, "run all experiments against one shared execution engine (pooled workspaces + plan cache)")
 	poolCap := flag.Int("pool-cap", 0, "idle-workspace cap for -engine (0 = default, negative disables retention)")
 	retentionMB := flag.Int64("retention-mb", 0, "size the shared -engine by this retention budget in MiB (0 = use -pool-cap; implies -engine)")
-	kappaSlack := flag.Float64("kappa-slack", 0, "after the kappa-adapt experiment, fail if the adapted κ's warm time is more than this fraction over the best swept κ or the static default")
 	minTrsvSpeedup := flag.Float64("min-trsv-speedup", 0, "after the trsv experiment, fail unless some graph's wave schedule beats serial by this factor (0 = bit-identity gate only)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed of the chaos experiment's fault matrix (0 = 1)")
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /stats, /flight, pprof) on this address while experiments run (e.g. :6060 or 127.0.0.1:0)")
@@ -202,19 +197,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; available: all, %s\n", *experiment, strings.Join(names, ", "))
 		os.Exit(2)
 	}
-	// The timing gates judge the rows the run just logged.
+	// The timing gate judges the rows the run just logged.
 	if *minTrsvSpeedup > 0 {
 		if err := bench.CheckWaveSpeedup(o.Log, *minTrsvSpeedup); err != nil {
 			fail("-min-trsv-speedup", err)
 		}
 		fmt.Fprintf(w, "wave schedule beats serial by >= %.2fx on at least one graph\n", *minTrsvSpeedup)
-	}
-	if *kappaSlack > 0 {
-		if err := bench.CheckAdapted(o.Log, *kappaSlack); err != nil {
-			fail("-kappa-slack", err)
-		}
-		fmt.Fprintf(w, "adapted κ within %.0f%% of the best swept κ and the static default on every graph\n",
-			*kappaSlack*100)
 	}
 	if *jsonOut {
 		if err := writeResults(o.Log, *experiment); err != nil {

@@ -23,7 +23,6 @@ import (
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graph"
-	"maskedspgemm/internal/model"
 	"maskedspgemm/internal/mtx"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sparse"
@@ -42,7 +41,6 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "write kernel observability stats to this JSON file")
 	useEngine := flag.Bool("engine", false, "pool workspaces and plans in an execution engine across -repeat runs")
 	repeat := flag.Int("repeat", 1, "count this many times (with -engine, later runs recycle pooled workspaces)")
-	adaptKappa := flag.Bool("adaptive-kappa", false, "recalibrate κ online across -repeat runs, starting from -kappa (requires -engine)")
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /stats, /flight, pprof) on this address while counting (e.g. :6060)")
 	flag.Parse()
 
@@ -123,38 +121,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry listening on %s (metrics: %s/metrics)\n",
 			srv.Addr(), srv.URL())
 	}
-	// Online κ recalibration: each repeat proposes a κ, runs, and feeds
-	// the measured cost back into the estimator cached on the engine.
-	var rc *model.Recalibrator
-	if *adaptKappa {
-		if eng == nil {
-			fatal(errors.New("-adaptive-kappa requires -engine (the estimator persists on it)"))
-		}
-		if cfg.Recorder == nil {
-			cfg.Recorder = obs.NewRecorder()
-		}
-		rc = model.TuneFor(eng, a, a, a, *kappa)
-	}
-
 	start := time.Now()
 	var count int64
 	var err error
 	runs := max(*repeat, 1)
 	for r := 0; r < runs; r++ {
-		if rc != nil {
-			cfg.Kappa = rc.Propose()
-		}
-		runStart := time.Now()
 		count, err = graph.TriangleCount(a, m, cfg)
 		if err != nil {
 			if errors.Is(err, core.ErrCanceled) {
 				fatal(fmt.Errorf("interrupted: %w", err))
 			}
 			fatal(err)
-		}
-		if rc != nil {
-			st, _ := cfg.Recorder.LastRun()
-			cfg.Recorder.AddRecal(rc.Observe(time.Since(runStart).Seconds(), st))
 		}
 	}
 	elapsed := time.Since(start) / time.Duration(runs)
@@ -164,10 +141,6 @@ func main() {
 		st := eng.Stats()
 		fmt.Printf("engine pool: %d hits, %d steals, %d misses over %d runs (hit rate %.1f%%)\n",
 			st.Hits, st.Steals, st.Misses, runs, st.HitRate()*100)
-	}
-	if rc != nil {
-		fmt.Printf("adaptive κ: settled at %.4g after %d runs (converged: %v)\n",
-			rc.Kappa(), runs, rc.Converged())
 	}
 
 	if cfg.Recorder != nil {

@@ -127,7 +127,6 @@ func Experiments(chaosSeed int64) []Experiment {
 		{"plan", true, PlanBench},
 		{"sched", true, SchedSweep},
 		{"engine", false, EngineBench},
-		{"kappa-adapt", false, KappaAdaptBench},
 		{"trsv", false, TrsvBench},
 		{"chaos", false, func(w io.Writer, o Options) error { return ChaosDrill(w, o, chaosSeed) }},
 		{"stats", false, StatsReport},

@@ -72,17 +72,6 @@ func TestExperimentsRegistry(t *testing.T) {
 				}
 			},
 		},
-		"kappa-adapt": {
-			prints: []string{"adapt-κ"},
-			rows:   len(o.Kappas) + 1, // the grid holds the default κ = 1
-			check: func(t *testing.T, rows []ResultEntry) {
-				adapted := rows[len(rows)-1]
-				if value(t, adapted, "adapted_kappa") <= 0 || value(t, adapted, "warm_runs") < 1 ||
-					value(t, adapted, "best_millis") <= 0 || value(t, adapted, "default_millis") <= 0 {
-					t.Errorf("adapted row incomplete: %v", adapted.Values)
-				}
-			},
-		},
 		"trsv": {
 			prints: []string{"serial-w", "speedup", "pred ser"},
 			rows:   3,

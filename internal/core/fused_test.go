@@ -235,7 +235,7 @@ func TestFusedStreamMatchesRows(t *testing.T) {
 	}
 }
 
-// TestFusedCounters checks the stats/v1 fused block: chain, select and
+// TestFusedCounters checks the stats/v2 fused block: chain, select and
 // stream runs each stamp their counters, and the chain's staged vs
 // streamed tile split follows the budget.
 func TestFusedCounters(t *testing.T) {

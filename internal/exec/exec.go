@@ -85,9 +85,6 @@ type Engine struct {
 	plans     map[PlanKey]*planEntry
 	planClock uint64
 
-	tunings   map[TuneKey]*tuneEntry
-	tuneClock uint64
-
 	hits      atomic.Int64
 	misses    atomic.Int64
 	steals    atomic.Int64
@@ -187,7 +184,7 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 	}
 }
 
-// Counters maps the snapshot onto the stats/v1 pool block — the one
+// Counters maps the snapshot onto the stats/v2 pool block — the one
 // place the engine's field names meet the recorder's.
 func (s PoolStats) Counters() obs.PoolCounters {
 	return obs.PoolCounters{

@@ -8,8 +8,7 @@ import (
 // TestFamilyAddCoversEveryField fills every field of each counter
 // family with a distinct nonzero value and checks that the family's one
 // add folds all of them: adding twice doubles each counter, subtracting
-// twice returns it to zero, and a float gauge takes the folded value
-// instead of summing. A field added to a family but missed in its add
+// twice returns it to zero. A field added to a family but missed in its add
 // fails here, before every snapshot, Stats.Sub and /metrics total
 // silently drops it.
 func TestFamilyAddCoversEveryField(t *testing.T) {
@@ -18,7 +17,6 @@ func TestFamilyAddCoversEveryField(t *testing.T) {
 	t.Run("PoolCounters", func(t *testing.T) { checkFamilyAdd(t, (*PoolCounters).add) })
 	t.Run("FusedCounters", func(t *testing.T) { checkFamilyAdd(t, (*FusedCounters).add) })
 	t.Run("SchedCounters", func(t *testing.T) { checkFamilyAdd(t, (*SchedCounters).add) })
-	t.Run("RecalCounters", func(t *testing.T) { checkFamilyAdd(t, (*RecalCounters).add) })
 	t.Run("RetryCounters", func(t *testing.T) { checkFamilyAdd(t, (*RetryCounters).add) })
 }
 
@@ -39,8 +37,7 @@ func checkFamilyAdd[C any](t *testing.T, add func(*C, C, int64)) {
 	compareFolded(t, "o+o-o-o", reflect.ValueOf(sum), reflect.ValueOf(o), 0)
 }
 
-// fillDistinct sets every int64 (including array elements) and float64
-// leaf of v to the next value of a running counter.
+// fillDistinct sets every int64 leaf (including array elements) of v to the next value of a running counter.
 func fillDistinct(t *testing.T, v reflect.Value, next *int64) {
 	t.Helper()
 	switch v.Kind() {
@@ -55,16 +52,12 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int64) {
 	case reflect.Int64:
 		*next++
 		v.SetInt(*next)
-	case reflect.Float64:
-		*next++
-		v.SetFloat(float64(*next) + 0.5)
 	default:
 		t.Fatalf("counter field of kind %v: extend this test", v.Kind())
 	}
 }
 
-// compareFolded requires every int64 leaf of got to be k times o's and
-// every float64 leaf — a gauge — to hold o's value.
+// compareFolded requires every int64 leaf of got to be k times o's.
 func compareFolded(t *testing.T, what string, got, o reflect.Value, k int64) {
 	t.Helper()
 	switch got.Kind() {
@@ -79,10 +72,6 @@ func compareFolded(t *testing.T, what string, got, o reflect.Value, k int64) {
 	case reflect.Int64:
 		if got.Int() != k*o.Int() {
 			t.Errorf("%s = %d, want %d", what, got.Int(), k*o.Int())
-		}
-	case reflect.Float64:
-		if got.Float() != o.Float() {
-			t.Errorf("gauge %s = %v, want %v", what, got.Float(), o.Float())
 		}
 	}
 }

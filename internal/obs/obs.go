@@ -26,7 +26,6 @@ package obs
 
 import (
 	"context"
-	"math"
 	"math/bits"
 	"runtime/pprof"
 	"runtime/trace"
@@ -64,7 +63,7 @@ const (
 
 // phaseNames are the stable identifiers used in the JSON schema and in
 // pprof labels; changing one is a schema break (appending is additive
-// and keeps stats/v1).
+// and keeps stats/v2).
 var phaseNames = [numPhases]string{
 	"plan.row_work",
 	"plan.prefix_sum",
@@ -248,32 +247,6 @@ func (f *FusedCounters) add(o FusedCounters, k int64) {
 	f.SelectDropped += k * o.SelectDropped
 }
 
-// RecalCounters are the online cost-model recalibration statistics (see
-// internal/model's recalibrator): how often the κ estimator observed a
-// run, explored a neighboring κ, recentered on a better one, or snapped
-// back to the static default. KappaLast is a gauge — the most recently
-// applied κ — not a counter.
-type RecalCounters struct {
-	Updates      int64   `json:"updates"`
-	Explorations int64   `json:"explorations"`
-	Recenters    int64   `json:"recenters"`
-	Snapbacks    int64   `json:"snapbacks"`
-	KappaLast    float64 `json:"kappa_last"`
-}
-
-// add folds k × o into c. KappaLast is a gauge, not a counter: a
-// nonzero value folded in (k > 0) replaces it, and a subtraction
-// leaves it as it is.
-func (c *RecalCounters) add(o RecalCounters, k int64) {
-	c.Updates += k * o.Updates
-	c.Explorations += k * o.Explorations
-	c.Recenters += k * o.Recenters
-	c.Snapbacks += k * o.Snapbacks
-	if k > 0 && o.KappaLast != 0 {
-		c.KappaLast = o.KappaLast
-	}
-}
-
 // Recorder collects phase spans, per-worker counters and accumulator
 // statistics for one kernel (or a sequence of runs of the same kernel).
 // A nil *Recorder disables all collection: every method is nil-safe and
@@ -283,8 +256,8 @@ func (c *RecalCounters) add(o RecalCounters, k int64) {
 // counters by a multiply sequence id so overlapping runs (fused chains,
 // concurrent Multiply calls sharing a recorder) never bleed into each
 // other's per-run snapshots; the cumulative totals change only when a
-// scope ends (and through Span, AddRetry and AddRecal, which record
-// outside any run).
+// scope ends (and through Span and AddRetry, which record outside
+// any run).
 type Recorder struct {
 	mu  sync.Mutex
 	seq int64
@@ -481,19 +454,5 @@ func (c *SchedCounters) add(o SchedCounters, k int64) {
 	for i := range c.WaveTiles {
 		c.WaveTiles[i] += k * o.WaveTiles[i]
 		c.WaveFlops[i] += k * o.WaveFlops[i]
-	}
-}
-
-// AddRecal folds recalibration statistics into the totals. KappaLast,
-// being a gauge, replaces the stored value when nonzero.
-func (r *Recorder) AddRecal(c RecalCounters) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.t.recal.add(c, 1)
-	r.mu.Unlock()
-	if c.Snapbacks > 0 {
-		r.Event(EventSnapback, PhaseNone, c.Snapbacks, int64(math.Float64bits(c.KappaLast)))
 	}
 }

@@ -24,7 +24,6 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 		r.Do(ctx, PhaseExecKernel, func() {})
 		r.TileRegion(ctx)()
 		r.AddRetry(RetryCounters{Attempts: 1})
-		r.AddRecal(RecalCounters{Updates: 1})
 		s := r.StartRun()
 		if s.Enabled() {
 			t.Fatal("nil recorder started an enabled scope")
@@ -220,6 +219,37 @@ func TestValidateStatsJSONRejects(t *testing.T) {
 	}
 }
 
+// TestValidateStatsJSONRejectsV1 pins the stats/v2 break: a document
+// under the v1 tag, or one carrying v1's recal block, is rejected
+// rather than silently read as v2.
+func TestValidateStatsJSONRejectsV1(t *testing.T) {
+	r := NewRecorder()
+	recordRun(r, func(s *RunScope) { s.Span(PhaseExecKernel)() })
+	data, err := MarshalJSONBytes(r.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateStatsJSON(data); err != nil {
+		t.Fatalf("v2 document rejected: %v", err)
+	}
+	cases := map[string]struct{ from, to, wantErr string }{
+		"v1 tag":      {StatsSchema, "maskedspgemm/stats/v1", "schema"},
+		"recal block": {`"schema"`, `"recal": {"updates": 1, "kappa_last": 1.5}, "schema"`, "recal"},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			bad := strings.Replace(string(data), c.from, c.to, 1)
+			if bad == string(data) {
+				t.Fatalf("%q not found in document", c.from)
+			}
+			err := ValidateStatsJSON([]byte(bad))
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("err = %v, want a mention of %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
 func TestPhaseNames(t *testing.T) {
 	seen := map[string]bool{}
 	for p := Phase(0); p < numPhases; p++ {
@@ -239,7 +269,7 @@ func TestPhaseNames(t *testing.T) {
 
 // TestStatsAdd pins the sum of two recorders' snapshots: runs, phases
 // by name in pipeline order, workers by id, and every counter block,
-// with Sub undoing Add and KappaLast carried as a gauge.
+// with Sub undoing Add.
 func TestStatsAdd(t *testing.T) {
 	r1, r2 := NewRecorder(), NewRecorder()
 	recordRun(r1, func(s *RunScope) {
@@ -247,7 +277,7 @@ func TestStatsAdd(t *testing.T) {
 		s.Span(PhaseExecKernel)()
 		s.AddAccum(AccumCounters{HashProbes: 4})
 	})
-	r1.AddRecal(RecalCounters{Updates: 1, KappaLast: 1.5})
+	r1.AddRetry(RetryCounters{Attempts: 1})
 	recordRun(r2, func(s *RunScope) {
 		w := s.WorkerSlots(2)
 		w[0].Flops.Store(1)
@@ -256,7 +286,7 @@ func TestStatsAdd(t *testing.T) {
 		s.Span(PhaseExecKernel)()
 		s.AddSched(SchedCounters{Waves: 3, WaveTiles: [WaveHistBuckets]int64{1: 3}})
 	})
-	r2.AddRecal(RecalCounters{Updates: 2, KappaLast: 2.5})
+	r2.AddRetry(RetryCounters{Attempts: 2, Retries: 1})
 	a, b := r1.Stats(), r2.Stats()
 
 	sum := Stats{Schema: StatsSchema}
@@ -271,11 +301,11 @@ func TestStatsAdd(t *testing.T) {
 	if sum.Accum.HashProbes != 4 || sum.Sched.Waves != 3 || sum.Sched.WaveTiles[1] != 3 {
 		t.Fatalf("sum blocks accum=%+v sched=%+v", sum.Accum, sum.Sched)
 	}
-	if sum.Recal.Updates != 3 || sum.Recal.KappaLast != 2.5 {
-		t.Fatalf("sum recal = %+v, want updates=3 and the last nonzero kappa", sum.Recal)
+	if sum.Retry.Attempts != 3 || sum.Retry.Retries != 1 {
+		t.Fatalf("sum retry = %+v, want attempts=3 retries=1", sum.Retry)
 	}
 	back := sum.Sub(b)
-	if back.Runs != a.Runs || back.Totals != a.Totals || back.Accum != a.Accum || back.Sched != a.Sched {
+	if back.Runs != a.Runs || back.Totals != a.Totals || back.Accum != a.Accum || back.Retry != a.Retry || back.Sched != a.Sched {
 		t.Fatalf("(a+b)-b = %+v, want %+v", back, a)
 	}
 	// Millis are float sums, so (a+b)-b may differ from a in the last bit.

@@ -16,7 +16,7 @@ import "time"
 // span-close and event paths and are pinned by AllocsPerRun tests).
 
 // EventKind classifies one flight-recorder event. The names are stable
-// identifiers used in the flightrec/v1 JSON schema; changing one is a
+// identifiers used in the flightrec/v2 JSON schema; changing one is a
 // schema break.
 type EventKind uint8
 
@@ -39,10 +39,6 @@ const (
 	EventRetry
 	// EventFailure marks an operation whose final attempt failed.
 	EventFailure
-	// EventSnapback marks the online-κ estimator snapping back to the
-	// static default; A is the snapback count, B the new κ as
-	// math.Float64bits.
-	EventSnapback
 	// EventChaos marks an injected fault firing; A is the chaos.Point,
 	// B the chaos.Kind.
 	EventChaos
@@ -55,7 +51,7 @@ const (
 
 var eventNames = [NumEventKinds]string{
 	"none", "run_start", "run_end", "phase", "tile_batch",
-	"retry", "failure", "snapback", "chaos", "stall",
+	"retry", "failure", "chaos", "stall",
 }
 
 func (k EventKind) String() string {
@@ -67,7 +63,7 @@ func (k EventKind) String() string {
 
 // EventKindByName resolves a stable event-kind identifier back to its
 // enum value (false for unknown names) — the decode half of the
-// flightrec/v1 schema round-trip.
+// flightrec/v2 schema round-trip.
 func EventKindByName(name string) (EventKind, bool) {
 	for k, n := range eventNames {
 		if n == name {

@@ -101,19 +101,17 @@ func TestSinkIncompleteRunEmitsNoLatency(t *testing.T) {
 	}
 }
 
-// TestSinkCounterFoldEvents pins the event emissions from AddRetry and
-// AddRecal: retries, stalls, failures and snapbacks become live events.
+// TestSinkCounterFoldEvents pins the event emissions from AddRetry:
+// retries, stalls and failures become live events.
 func TestSinkCounterFoldEvents(t *testing.T) {
 	r := NewRecorder()
 	sink := newCaptureSink()
 	r.SetSink(sink)
 	r.AddRetry(RetryCounters{Attempts: 2, Retries: 1, Stalls: 1})
 	r.AddRetry(RetryCounters{Failures: 1})
-	r.AddRecal(RecalCounters{Snapbacks: 1, KappaLast: 3})
-	r.AddRecal(RecalCounters{Updates: 1}) // no snapback: no event
 	kinds := sink.kinds()
-	if kinds[EventRetry] != 1 || kinds[EventStall] != 1 || kinds[EventFailure] != 1 || kinds[EventSnapback] != 1 {
-		t.Fatalf("counter-fold events = %v, want one each of retry/stall/failure/snapback", kinds)
+	if kinds[EventRetry] != 1 || kinds[EventStall] != 1 || kinds[EventFailure] != 1 {
+		t.Fatalf("counter-fold events = %v, want one each of retry/stall/failure", kinds)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // StatsSchema identifies the JSON layout of a Stats document. Bump the
-// version only on breaking changes; additive fields keep v1.
-const StatsSchema = "maskedspgemm/stats/v1"
+// version only on breaking changes; additive fields keep the tag.
+const StatsSchema = "maskedspgemm/stats/v2"
 
 // PhaseStats is one pipeline phase's accumulated wall time.
 type PhaseStats struct {
@@ -112,9 +112,6 @@ type Stats struct {
 	// Fused is the fused-pipeline statistics (zero when no fused
 	// multiplies ran).
 	Fused FusedCounters `json:"fused"`
-	// Recal is the online cost-model recalibration statistics (zero
-	// when adaptive tuning is off).
-	Recal RecalCounters `json:"recal"`
 	// Retry is the retry-ladder statistics of the facade's resilience
 	// layer (zero when no retry policy is configured).
 	Retry RetryCounters `json:"retry"`
@@ -135,7 +132,6 @@ type tally struct {
 	accum   AccumCounters
 	pool    PoolCounters
 	fused   FusedCounters
-	recal   RecalCounters
 	retry   RetryCounters
 	sched   SchedCounters
 }
@@ -156,7 +152,6 @@ func (t *tally) add(o *tally) {
 	t.accum.add(o.accum, 1)
 	t.pool.add(o.pool, 1)
 	t.fused.add(o.fused, 1)
-	t.recal.add(o.recal, 1)
 	t.retry.add(o.retry, 1)
 	t.sched.add(o.sched, 1)
 }
@@ -167,7 +162,7 @@ func (t *tally) stats(seq int64) Stats {
 	s := Stats{
 		Schema: StatsSchema, Seq: seq, Runs: t.runs,
 		Accum: t.accum, Pool: t.pool, Fused: t.fused,
-		Recal: t.recal, Retry: t.retry, Sched: t.sched,
+		Retry: t.retry, Sched: t.sched,
 	}
 	for p := Phase(0); p < numPhases; p++ {
 		if t.counts[p] == 0 {
@@ -271,7 +266,6 @@ func (s *Stats) fold(o Stats, k int64) {
 	s.Accum.add(o.Accum, k)
 	s.Pool.add(o.Pool, k)
 	s.Fused.add(o.Fused, k)
-	s.Recal.add(o.Recal, k)
 	s.Retry.add(o.Retry, k)
 	s.Sched.add(o.Sched, k)
 	s.finalize()
@@ -317,10 +311,6 @@ func (s Stats) WriteTable(w io.Writer) {
 			f.ChainRuns, f.SelectRuns, f.StreamRuns,
 			f.StagedTiles, f.StreamedTiles, f.MidEntries, f.MidBytes,
 			f.SelectKept, f.SelectDropped)
-	}
-	if c := s.Recal; c.Updates > 0 {
-		fmt.Fprintf(w, "  recal: updates=%d explorations=%d recenters=%d snapbacks=%d κ=%g\n",
-			c.Updates, c.Explorations, c.Recenters, c.Snapbacks, c.KappaLast)
 	}
 	if p := s.Pool; p.Hits+p.Misses+p.Steals+p.Quarantined+p.PlanHits+p.PlanMisses > 0 {
 		lookups := p.Hits + p.Steals + p.Misses

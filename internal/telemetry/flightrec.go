@@ -8,8 +8,8 @@ import (
 )
 
 // FlightSchema identifies the JSON layout of a flight-recorder dump.
-// Bump only on breaking changes; additive fields keep v1.
-const FlightSchema = "maskedspgemm/flightrec/v1"
+// Bump only on breaking changes; additive fields keep the tag.
+const FlightSchema = "maskedspgemm/flightrec/v2"
 
 // flightEvent is one ring slot: a fixed-size value struct so Append
 // never allocates. Field meanings mirror obs.Sink.Event.
@@ -24,10 +24,10 @@ type flightEvent struct {
 
 // FlightRecorder is a fixed-capacity ring buffer of structured events —
 // the black box. The kernel appends phase transitions, tile-batch
-// progress, retry-ladder steps, chaos injections and κ snapbacks as
-// they happen; when a stall, panic or retry exhaustion fires, the ring
-// holds the last capacity events leading up to it, and Dump serializes
-// them with the failure's stacks into a self-validating JSON document.
+// progress, retry-ladder steps and chaos injections as they happen;
+// when a stall, panic or retry exhaustion fires, the ring holds the
+// last capacity events leading up to it, and Dump serializes them with
+// the failure's stacks into a self-validating JSON document.
 //
 // Append is allocation-free: a short mutex hold and value stores into
 // preallocated slots. A mutex (not atomics) keeps slot writes and the
@@ -140,7 +140,7 @@ type FlightStall struct {
 	Stacks string `json:"stacks"`
 }
 
-// FlightDump is the flightrec/v1 document: the failure that triggered
+// FlightDump is the flightrec/v2 document: the failure that triggered
 // the dump plus the event window leading up to it.
 type FlightDump struct {
 	// Schema is always FlightSchema.
@@ -195,7 +195,7 @@ func (f *FlightRecorder) BuildDump(reason string, errText string, stall *FlightS
 }
 
 // ValidateFlightJSON checks that data is a schema-conforming
-// flightrec/v1 document: strict round-trip, the schema tag, known event
+// flightrec/v2 document: strict round-trip, the schema tag, known event
 // kinds, and strictly increasing event sequence numbers.
 func ValidateFlightJSON(data []byte) error {
 	var d FlightDump

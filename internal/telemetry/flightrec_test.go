@@ -78,6 +78,8 @@ func TestFlightDumpValidates(t *testing.T) {
 		}
 	}
 	corrupt("schema", FlightSchema, "maskedspgemm/flightrec/v9", "schema")
+	corrupt("v1 schema", FlightSchema, "maskedspgemm/flightrec/v1", "schema")
+	corrupt("v1 snapback kind", `"kind": "run_start"`, `"kind": "snapback"`, "kind")
 	corrupt("reason", `"reason": "stall"`, `"reason": "vibes"`, "reason")
 	corrupt("kind", `"kind": "run_start"`, `"kind": "warpcore"`, "kind")
 	corrupt("seq", `"seq": 2`, `"seq": 1`, "not increasing")

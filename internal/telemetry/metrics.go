@@ -43,17 +43,12 @@ var RequiredSeries = []string{
 	"spgemm_retry_degradations_total",
 	"spgemm_retry_failures_total",
 	"spgemm_retry_stalls_total",
-	"spgemm_recal_updates_total",
-	"spgemm_recal_explorations_total",
-	"spgemm_recal_recenters_total",
-	"spgemm_recal_snapbacks_total",
 	"spgemm_wave_runs_total",
 	"spgemm_wave_levels_total",
 	"spgemm_waves_total",
 	"spgemm_serial_waves_total",
 	"spgemm_wave_barriers_total",
 	"spgemm_wave_barrier_wait_seconds_total",
-	"spgemm_kappa_last",
 	"spgemm_pool_hits_total",
 	"spgemm_pool_misses_total",
 	"spgemm_pool_steals_total",
@@ -157,10 +152,6 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	counter("spgemm_retry_degradations_total", "Attempts on a narrowed execution path.", stats.Retry.Degradations)
 	counter("spgemm_retry_failures_total", "Operations whose final attempt failed.", stats.Retry.Failures)
 	counter("spgemm_retry_stalls_total", "Attempts failed by the stall watchdog.", stats.Retry.Stalls)
-	counter("spgemm_recal_updates_total", "Online-kappa recalibrator updates.", stats.Recal.Updates)
-	counter("spgemm_recal_explorations_total", "Recalibrator exploration steps.", stats.Recal.Explorations)
-	counter("spgemm_recal_recenters_total", "Recalibrator recenters.", stats.Recal.Recenters)
-	counter("spgemm_recal_snapbacks_total", "Recalibrator snapbacks to the static default.", stats.Recal.Snapbacks)
 	counter("spgemm_wave_runs_total", "Wave-scheduled (level-set) runs.", stats.Sched.WaveRuns)
 	counter("spgemm_wave_levels_total", "Raw dependency levels of triangular solves, serial ones included.", stats.Sched.Levels)
 	counter("spgemm_waves_total", "Coarsened waves executed.", stats.Sched.Waves)
@@ -170,9 +161,6 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	m.header("spgemm_wave_barrier_wait_seconds_total",
 		"Cumulative time workers spent parked at wave barriers.", "counter")
 	m.printf("spgemm_wave_barrier_wait_seconds_total %s\n", formatSeconds(stats.Sched.BarrierWaitNs))
-
-	m.header("spgemm_kappa_last", "Most recently applied kappa (0 when adaptive tuning is off).", "gauge")
-	m.printf("spgemm_kappa_last %s\n", strconv.FormatFloat(stats.Recal.KappaLast, 'g', -1, 64))
 
 	pool, idle := t.gatherPool(stats)
 	counter("spgemm_pool_hits_total", "Workspace checkouts served from the pool.", pool.Hits)

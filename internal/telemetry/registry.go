@@ -335,7 +335,7 @@ func classifyFailure(err error) string {
 }
 
 // DumpFailure writes a failure dump to the configured FlightPath,
-// validating the document against the flightrec/v1 schema before it
+// validating the document against the flightrec/v2 schema before it
 // lands (a dump that cannot be parsed back is worse than no dump).
 // Returns the path written. Never called from the hot path — only when
 // a multiply has already failed terminally.

@@ -106,9 +106,9 @@ func TestSinkAbandonedRunNotRecorded(t *testing.T) {
 	}
 }
 
-// TestRetryAndRecalEvents pins the counter-fold event emissions: retry
-// and snapback activity lands in the flight recorder as it happens.
-func TestRetryAndRecalEvents(t *testing.T) {
+// TestRetryEvents pins the counter-fold event emissions: retry-ladder
+// activity lands in the flight recorder as it happens.
+func TestRetryEvents(t *testing.T) {
 	clk := &testClock{t: 1}
 	tel := testTelemetry(t, clk)
 	rec := obs.NewRecorder()
@@ -116,14 +116,13 @@ func TestRetryAndRecalEvents(t *testing.T) {
 
 	rec.AddRetry(obs.RetryCounters{Attempts: 1, Retries: 1, Degradations: 1, Stalls: 1})
 	rec.AddRetry(obs.RetryCounters{Failures: 1})
-	rec.AddRecal(obs.RecalCounters{Updates: 1, Snapbacks: 1, KappaLast: 2.5})
 
 	d := tel.Flight().BuildDump("forced", "", nil, "")
 	got := map[string]int{}
 	for _, e := range d.Events {
 		got[e.Kind]++
 	}
-	for _, want := range []string{"retry", "stall", "failure", "snapback"} {
+	for _, want := range []string{"retry", "stall", "failure"} {
 		if got[want] == 0 {
 			t.Fatalf("no %q event in flight recorder (have %v)", want, got)
 		}
@@ -143,8 +142,6 @@ func TestAggregateStats(t *testing.T) {
 	tel.AttachRecorder(r2)
 	r1.AddRetry(obs.RetryCounters{Attempts: 2, Retries: 1})
 	r2.AddRetry(obs.RetryCounters{Attempts: 3})
-	r1.AddRecal(obs.RecalCounters{Updates: 1, KappaLast: 1.5})
-	r2.AddRecal(obs.RecalCounters{Updates: 2, KappaLast: 2.5})
 
 	s := tel.aggregateStats()
 	if s.Runs != 3 {
@@ -152,9 +149,6 @@ func TestAggregateStats(t *testing.T) {
 	}
 	if s.Retry.Attempts != 5 || s.Retry.Retries != 1 {
 		t.Fatalf("aggregate retry %+v, want attempts=5 retries=1", s.Retry)
-	}
-	if s.Recal.Updates != 3 || s.Recal.KappaLast != 2.5 {
-		t.Fatalf("aggregate recal %+v, want updates=3 kappa=2.5 (last wins)", s.Recal)
 	}
 	// Re-attaching is idempotent: no double counting.
 	tel.AttachRecorder(r1)
@@ -185,7 +179,7 @@ func TestClassifyFailure(t *testing.T) {
 
 // TestDumpFailureStall writes a stall dump to disk and checks the
 // document carries the watchdog's stacks and the preceding event window,
-// and validates against the flightrec/v1 schema.
+// and validates against the flightrec/v2 schema.
 func TestDumpFailureStall(t *testing.T) {
 	clk := &testClock{t: 1}
 	tel := testTelemetry(t, clk)

@@ -202,7 +202,7 @@ func TestMultiplierRetryWithSharedEngine(t *testing.T) {
 // the whole ladder: its engine panics at every workspace checkout, so
 // the configured attempt and the serial rung both fail, and the third
 // rung — unpooled, no engine — returns the reference result. The
-// stats/v1 retry block records the descent.
+// stats/v2 retry block records the descent.
 func TestMultiplierLadderEscapesFaultingEngine(t *testing.T) {
 	a := RandomGraph("er", 96, 17)
 	opts := Defaults()

@@ -148,71 +148,6 @@ func TestBCBatchFuseOptionMatches(t *testing.T) {
 	}
 }
 
-func TestAdaptiveKappaObservesRuns(t *testing.T) {
-	a := spgemm.RandomGraph("er", 80, 17).Symmetrize()
-	opts := spgemm.Defaults()
-	opts.Tiles = 8
-	opts.Workers = 2
-	opts.Semiring = spgemm.SRPlusPair
-	want, err := spgemm.MxM(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.AdaptiveKappa = true
-	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	opts.Stats = spgemm.NewStatsRecorder()
-	for i := 0; i < 6; i++ {
-		got, err := spgemm.MxM(a, a, a, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("pass %d: adaptive κ changed the result", i)
-		}
-	}
-	st := opts.Stats.Stats()
-	if st.Recal.Updates != 6 {
-		t.Fatalf("Recal.Updates = %d, want 6", st.Recal.Updates)
-	}
-	if st.Recal.KappaLast <= 0 {
-		t.Fatalf("KappaLast = %v, want > 0", st.Recal.KappaLast)
-	}
-}
-
-func TestAdaptiveKappaMultiplier(t *testing.T) {
-	a := spgemm.RandomGraph("er", 80, 19).Symmetrize()
-	opts := spgemm.Defaults()
-	opts.Tiles = 8
-	opts.Workers = 2
-	opts.Semiring = spgemm.SRPlusPair
-	want, err := spgemm.MxM(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.AdaptiveKappa = true
-	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	opts.Stats = spgemm.NewStatsRecorder()
-	mu, err := spgemm.NewMultiplier(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		got, err := mu.Multiply()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("pass %d: adaptive multiplier changed the result", i)
-		}
-	}
-	if st, ok := mu.LastStats(); !ok || st.Runs != 1 {
-		t.Fatalf("LastStats: ok=%v runs=%d, want per-run snapshot", ok, st.Runs)
-	}
-	if st := opts.Stats.Stats(); st.Recal.Updates != 5 {
-		t.Fatalf("Recal.Updates = %d, want 5", st.Recal.Updates)
-	}
-}
-
 func TestNewEngineFor(t *testing.T) {
 	a := spgemm.RandomGraph("er", 60, 23).Symmetrize()
 	opts := spgemm.Defaults()

@@ -2,11 +2,8 @@ package spgemm
 
 import (
 	"context"
-	"time"
 
 	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/model"
-	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -98,55 +95,10 @@ func MxM(mask, a, b *Matrix, opts Options) (_ *Matrix, err error) {
 
 // mxmAttempt runs one execution attempt of the masked product under the
 // (possibly degraded) options, containing panics on the caller's own
-// goroutine so the retry ladder can classify them. Failed attempts
-// never feed the κ estimator.
+// goroutine so the retry ladder can classify them.
 func mxmAttempt(mask, a, b *Matrix, opts Options) (_ *sparse.CSR[float64], err error) {
-	var rc *model.Recalibrator
-	// Registered before the recover guard so it runs after it (LIFO):
-	// by then a contained panic has been converted into err, and the
-	// armed κ proposal is discarded instead of pairing with a later run.
-	defer func() {
-		if err != nil {
-			rc.ObserveFailure()
-		}
-	}()
 	defer recoverAsError(&err)
-	cfg := opts.config()
-	rc = opts.recalibrator(mask, a, b)
-	if rc != nil {
-		cfg.Kappa = rc.Propose()
-	}
-	start := time.Now()
-	c, err := opts.kernels().masked(mask.csr, a.csr, b.csr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	observeRecal(rc, opts.recorder(), start)
-	return c, nil
-}
-
-// recalibrator resolves the online-κ estimator for this call's operand
-// family, or nil when adaptation is off (no AdaptiveKappa, or no Engine
-// to persist state on).
-func (o Options) recalibrator(mask, a, b *Matrix) *model.Recalibrator {
-	if !o.AdaptiveKappa {
-		return nil
-	}
-	return model.TuneFor(o.Engine.internal(), mask.csr, a.csr, b.csr, o.Kappa)
-}
-
-// observeRecal feeds one timed run back into the estimator, preferring
-// the run-scoped per-run stats (FLOP-normalized cost) when a recorder
-// is attached. The counter delta lands in the recorder's recal block.
-func observeRecal(rc *model.Recalibrator, rec *obs.Recorder, start time.Time) {
-	if rc == nil {
-		return
-	}
-	var st obs.Stats
-	if snap, ok := rec.LastRun(); ok {
-		st = snap
-	}
-	rec.AddRecal(rc.Observe(time.Since(start).Seconds(), st))
+	return opts.kernels().masked(mask.csr, a.csr, b.csr, opts.config())
 }
 
 // MxMChain computes the chained masked product
@@ -302,10 +254,8 @@ func (mu *Multiplier) Multiply() (*Matrix, error) {
 
 // MultiplyContext is Multiply under ctx, overriding the Multiplier's
 // own context; nil falls back to it. Everything MxM does under the
-// Multiplier's Options applies: Options.AdaptiveKappa proposes a κ and
-// feeds the measured run back — a warm Multiply loop is exactly the
-// feedback loop the online recalibration adapts in — and Options.Retry
-// re-attempts transient failures down the degradation ladder.
+// Multiplier's Options applies: Options.Retry re-attempts transient
+// failures down the degradation ladder.
 func (mu *Multiplier) MultiplyContext(ctx context.Context) (*Matrix, error) {
 	opts := mu.opts
 	if ctx != nil {

@@ -61,16 +61,6 @@ type Options struct {
 	// sweep) use them. Results are bit-identical to the unfused paths;
 	// only intermediate allocations and locality change.
 	Fuse bool
-	// AdaptiveKappa turns on online recalibration of the co-iteration
-	// factor κ: every run through an Engine feeds its
-	// measured cost back into a per-operand-family estimator (cached on
-	// the Engine) that brackets the current κ, recenters on cheaper
-	// neighbors, and periodically audits itself against the static
-	// Kappa — snapping back if adaptation ever loses to it. Requires a
-	// non-nil Engine (the estimator must persist between calls);
-	// otherwise it is ignored. A Multiplier always has an Engine, its
-	// own when the Options carry none.
-	AdaptiveKappa bool
 	// ValuedMask switches the mask from structural semantics (any stored
 	// entry allows the position — GraphBLAS GrB_STRUCTURE, the paper's
 	// setting) to valued semantics (the stored value must be nonzero).

@@ -1,6 +1,7 @@
 package spgemm
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"regexp"
@@ -47,7 +48,7 @@ func TestOptionsConfigMapping(t *testing.T) {
 // is one more dimension of the configuration lattice the tests and the
 // benchmark must cover, so adding one is a decision, recorded here and
 // in docs/TUNING.md, not a side effect.
-const optionsFields = 14
+const optionsFields = 13
 
 // TestOptionsDocumented fails when an exported Options field is missing
 // from the knob table of docs/TUNING.md, or when the field count moves.
@@ -82,5 +83,41 @@ func TestOptionsDocumented(t *testing.T) {
 	if exported != optionsFields {
 		t.Errorf("Options has %d exported fields, want %d: update optionsFields and docs/TUNING.md deliberately",
 			exported, optionsFields)
+	}
+}
+
+// TestRungKeepsKappa pins what the retry ladder may change: a degraded
+// rung narrows the execution path (workers, then fusion and the engine)
+// but keeps the algebra and the static κ, so every rung computes the
+// same product under the same Eq. 3 decisions.
+func TestRungKeepsKappa(t *testing.T) {
+	o := Defaults()
+	o.Kappa = 0.3
+	o.Workers = 4
+	o.Fuse = true
+	o.Semiring = SRPlusPair
+	o.Engine = NewEngine(EngineConfig{})
+	for try := 0; try <= 2; try++ {
+		t.Run(fmt.Sprintf("rung%d", try), func(t *testing.T) {
+			r := o.rung(try)
+			if r.Kappa != o.Kappa || r.Semiring != o.Semiring || r.Tiles != o.Tiles {
+				t.Fatalf("rung %d changed κ/semiring/tiles: %v/%v/%d", try, r.Kappa, r.Semiring, r.Tiles)
+			}
+			wantWorkers := 1
+			if try == 0 {
+				wantWorkers = 4
+			}
+			if r.Workers != wantWorkers {
+				t.Errorf("workers = %d, want %d", r.Workers, wantWorkers)
+			}
+			if r.Fuse != (try < 2) || (r.Engine != nil) != (try < 2) {
+				t.Errorf("fuse=%v engine=%v at rung %d", r.Fuse, r.Engine != nil, try)
+			}
+			noDegrade := o
+			noDegrade.Retry.NoDegrade = true
+			if nd := noDegrade.rung(try); nd.Workers != 4 || !nd.Fuse || nd.Engine == nil {
+				t.Errorf("NoDegrade rung %d narrowed the path: %+v", try, nd)
+			}
+		})
 	}
 }

@@ -29,7 +29,7 @@ import (
 // The final rung shares nothing mutable with other runs, so a fault
 // rooted in concurrency, fusion staging or pooled-workspace state
 // cannot recur there. Results on every rung are bit-identical to the
-// configured path. Attempt outcomes are recorded in the stats/v1 retry
+// configured path. Attempt outcomes are recorded in the stats/v2 retry
 // block when a StatsRecorder is attached.
 type Retry struct {
 	// MaxAttempts is the total execution budget, first try included.
@@ -63,15 +63,12 @@ func retryable(err error) bool {
 
 // rung returns the options for attempt try (0 = the first, configured
 // try): rung one forces the serial path, rung two and beyond
-// additionally drop fusion and the engine. Adaptive κ is disabled on
-// every degraded rung — a degraded run measures a different execution
-// path and must not steer the estimator.
+// additionally drop fusion and the engine.
 func (o Options) rung(try int) Options {
 	if try == 0 || o.Retry.NoDegrade {
 		return o
 	}
 	o.Workers = 1
-	o.AdaptiveKappa = false
 	if try >= 2 {
 		o.Fuse = false
 		o.Engine = nil
@@ -84,7 +81,7 @@ func (o Options) rung(try int) Options {
 // options as configured, each further try its rung's, with a doubling
 // backoff that observes the context in between. Retry counters are
 // recorded only when a retry policy is configured, so plain calls leave
-// the stats/v1 retry block untouched.
+// the stats/v2 retry block untouched.
 func (o Options) retry(attempt func(Options) (*sparse.CSR[float64], error)) (*sparse.CSR[float64], error) {
 	r, rec := o.Retry, o.recorder()
 	budget := max(r.MaxAttempts, 1)

@@ -25,9 +25,9 @@ import (
 // The record path is allocation-free and lock-free (atomic histogram
 // buckets), so telemetry can stay on in production. On a stall, panic
 // or retry exhaustion the flight recorder's event window — phase
-// transitions, tile-batch progress, retry steps, chaos injections, κ
-// snapbacks, plus the StallError goroutine stacks — is dumped to a
-// schema-validated flightrec/v1 JSON file for postmortem analysis.
+// transitions, tile-batch progress, retry steps, chaos injections,
+// plus the StallError goroutine stacks — is dumped to a
+// schema-validated flightrec/v2 JSON file for postmortem analysis.
 //
 // A nil *Telemetry disables everything, matching the package's nil
 // conventions. A Telemetry may back any number of engines.
@@ -66,7 +66,7 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 type TelemetryServer = telemetry.Server
 
 // Handler returns the debug mux — /metrics (Prometheus text
-// exposition), /stats (stats/v1 JSON), /flight (forced flightrec/v1
+// exposition), /stats (stats/v2 JSON), /flight (forced flightrec/v2
 // dump), /healthz (engine pool invariants), /debug/vars and
 // /debug/pprof — for callers that mount it on their own server. Nil
 // receivers return an empty mux.
@@ -102,7 +102,7 @@ func (t *Telemetry) AttachRecorder(s *StatsRecorder) {
 }
 
 // DumpFlight writes the flight recorder's current event window as a
-// flightrec/v1 dump file, classified by err (nil = "forced"), and
+// flightrec/v2 dump file, classified by err (nil = "forced"), and
 // returns the path written. Dumps also happen automatically on stall,
 // panic and retry exhaustion; this is the manual hook. Nil-safe.
 func (t *Telemetry) DumpFlight(err error) (string, error) {
@@ -115,7 +115,7 @@ func (t *Telemetry) LastFlightDump() string {
 	return t.internal().LastDumpPath()
 }
 
-// ValidateFlightJSON strictly round-trips a flightrec/v1 dump (unknown
+// ValidateFlightJSON strictly round-trips a flightrec/v2 dump (unknown
 // fields rejected, re-encode must be byte-identical) and checks its
 // schema tag, reason enum, event kinds and sequence monotonicity —
 // the flight-dump twin of ValidateStatsJSON.
