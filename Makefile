@@ -1,12 +1,32 @@
 GO ?= go
 
-.PHONY: build test examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-trsv bench-micro telemetry-smoke
+.PHONY: build test passes examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-trsv bench-micro telemetry-smoke
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# passes runs the whole suite once and prints how many tests and
+# subtests passed and failed, then the name of each failed test and of
+# each package that failed outside its tests (a build failure) — the
+# pass count CHANGES.md and the issues quote, from one command. It exits
+# non-zero when anything failed.
+passes:
+	@$(GO) test -json -count=1 ./... 2>&1 | awk ' \
+		function field(k,   v) { v = $$0; if (!sub(".*\"" k "\":\"", "", v)) return ""; sub(/".*/, "", v); return v } \
+		/"Action":"(pass|fail)"/ { \
+			a = field("Action"); t = field("Test"); p = field("Package"); \
+			if (t == "") { if (a == "fail") broken[p] = 1 } \
+			else if (a == "pass") pass++; \
+			else { fail++; failed[p] = 1; names = names "FAIL " p " " t "\n" } \
+		} \
+		END { \
+			printf "passes: %d  failures: %d\n%s", pass, fail, names; \
+			for (p in broken) if (!(p in failed)) { print "FAIL " p " (failed outside any test: build or TestMain)"; fail++ } \
+			exit (fail > 0) \
+		}'
 
 # examples runs every program under examples/. Each exits non-zero on
 # error, so a demo left broken by a change to the public facade fails
@@ -86,7 +106,7 @@ bench:
 # experiment with an ephemeral debug listener attached, then have the
 # tool self-check its own server before exiting — /metrics must parse
 # as Prometheus text exposition with every required series present and
-# a nonzero run count, /stats must pass stats/v2 validation, /flight
+# a nonzero run count, /stats must pass stats/v3 validation, /flight
 # must pass flightrec/v2 validation, /healthz must answer. Part of
 # `make gates`; see docs/OBSERVABILITY.md, "Live telemetry".
 telemetry-smoke:

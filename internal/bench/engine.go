@@ -109,7 +109,7 @@ func EngineBench(w io.Writer, o Options) error {
 				cfg := base
 				cfg.Engine = exec.New(exec.Config{})
 				// One untimed cold run populates the pool; its recorder
-				// reads the fused pipeline's tile decisions and is gone
+				// reads the fused counters and is gone
 				// before the timed repetitions, whose pool delta isolates
 				// the steady state the engine promises.
 				cold := cfg
@@ -151,7 +151,7 @@ func EngineBench(w io.Writer, o Options) error {
 			fmt.Fprintf(w, "%-10s %-22s %10.2f %10.2f %10.2f %14.0f %14.0f %14.0f %8.1f%% %8d %10d\n",
 				wl.name, g.Name, off.Millis, on.Millis, fu.Millis,
 				off.AllocsPerOp, on.AllocsPerOp, fu.AllocsPerOp, rate*100,
-				fusion.ChainRuns+fusion.SelectRuns+fusion.StreamRuns, fusion.SelectKept)
+				fusion.SelectRuns+fusion.StreamRuns, fusion.SelectKept)
 		}
 	}
 	fmt.Fprintf(w, "warm pool hit rate >= %.0f%% on every workload (min %.1f%%); fused allocs/op within unfused bounds\n",

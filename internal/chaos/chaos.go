@@ -211,9 +211,3 @@ func StepHard(inj Injector, p Point) {
 		execute(p, f)
 	}
 }
-
-// InjectedError wraps an *Injected as a seam-level error (for seams
-// that translate KindError into their error channel).
-func InjectedError(p Point, k Kind) error {
-	return &Injected{Point: p, Kind: k}
-}

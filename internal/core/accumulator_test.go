@@ -99,7 +99,7 @@ func TestDeriveAccumulatorVerdicts(t *testing.T) {
 		// A product above the production crossover is tiled on both sides.
 		crossovers := []int64{productionCrossover, 0}
 		setCrossover(t, productionCrossover)
-		if !belowTileCrossover(a, a, a, nil, nil) {
+		if !belowTileCrossover(a, a, a) {
 			crossovers = crossovers[:1]
 		}
 		for _, crossover := range crossovers {
@@ -218,26 +218,20 @@ func stretchedBand(r, n, half, perRow, rails int, rng *rand.Rand) *sparse.CSR[fl
 // windowOperands are 300 rows over 9 000 columns, past the floor's
 // 8 192-slot window: M ⊙ (A × B) with A a 300 × 300 band and M, B bands
 // stretched across the columns (each row spans ~21 of them), and with
-// three rails in M and B for the railed variant; C is a 9 000-column
-// band to chain a second product onto the first.
-func windowOperands(rng *rand.Rand) (a, band, railed, c *sparse.CSR[float64]) {
+// three rails in M and B for the railed variant.
+func windowOperands(rng *rand.Rand) (a, band, railed *sparse.CSR[float64]) {
 	return stretchedBand(300, 300, 3, 2, 0, rng), stretchedBand(300, 9000, 10, 2, 0, rng),
-		stretchedBand(300, 9000, 10, 2, 3, rng), stretchedBand(9000, 9000, 2, 1, 0, rng)
+		stretchedBand(300, 9000, 10, 2, 3, rng)
 }
 
-// operands is one masked product, M ⊙ (A × B), or a chain onto it when
-// m2 and c are set.
+// operands is one masked product, M ⊙ (A × B).
 type operands struct {
 	name    string
 	m, a, b *sparse.CSR[float64]
-	m2, c   *sparse.CSR[float64]
-	want    string // the derived layout of the (first) product
+	want    string // the derived layout of the product
 }
 
 func runOperands[S semiring.Semiring[float64]](sr S, op operands, cfg Config) (*sparse.CSR[float64], error) {
-	if op.c != nil {
-		return FusedMaskedSpGEMM[float64](sr, op.m, op.a, op.b, op.m2, op.c, cfg)
-	}
 	return MaskedSpGEMM[float64](sr, op.m, op.a, op.b, cfg)
 }
 
@@ -245,22 +239,19 @@ func runOperands[S semiring.Semiring[float64]](sr S, op operands, cfg Config) (*
 // decision: over allConfigs and all six semirings, every configuration
 // returns bit for bit what the same configuration returns on forced
 // hash accumulators — on both sides of the tile crossover, with and
-// without a shared engine, for single products and chains, on operands
-// that derive full-width dense, a window, a window that spills, and
-// hash.
+// without a shared engine, on operands that derive full-width dense, a
+// window, a window that spills, and hash.
 func TestDerivedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	square := randMatrix(80, 80, 0.1, r)
 	// 80 rows over 40 000 columns, ~6 entries a row: derives hash.
 	wide := randMatrix(80, 40000, 0.00015, r)
-	a, band, railed, c := windowOperands(r)
+	a, band, railed := windowOperands(r)
 	products := []operands{
 		{name: "square", m: square, a: square, b: square, want: "Dense"},
 		{name: "wide", m: wide, a: square, b: wide, want: "Hash"},
 		{name: "band", m: band, a: a, b: band, want: "Window32"},
 		{name: "railed", m: railed, a: a, b: railed, want: "Window8192+spill"},
-		{name: "chain/window-then-spill", m: band, a: a, b: band, m2: railed, c: c, want: "Window32"},
-		{name: "chain/spill-then-window", m: railed, a: a, b: railed, m2: band, c: c, want: "Window8192+spill"},
 	}
 	semirings := []struct {
 		name string
@@ -317,18 +308,14 @@ func TestDerivedBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		// A recorder sums both stages of a chain, so the run's signal is
-		// read off the single products only.
-		if p.c == nil {
-			cfg := DefaultConfig()
-			cfg.Recorder = obs.NewRecorder()
-			if _, err := runOperands(semiring.PlusTimes[float64]{}, p, cfg); err != nil {
-				t.Fatal(err)
-			}
-			l, _ := AccumulatorOf(p.m, p.a, p.b, cfg)
-			if got, want := ranLayout(cfg.Recorder), runSignal(l); got != want {
-				t.Errorf("%s: derived %v, the run shows %s", p.name, l, got)
-			}
+		cfg := DefaultConfig()
+		cfg.Recorder = obs.NewRecorder()
+		if _, err := runOperands(semiring.PlusTimes[float64]{}, p, cfg); err != nil {
+			t.Fatal(err)
+		}
+		l, _ := AccumulatorOf(p.m, p.a, p.b, cfg)
+		if got, want := ranLayout(cfg.Recorder), runSignal(l); got != want {
+			t.Errorf("%s: derived %v, the run shows %s", p.name, l, got)
 		}
 	}
 	if err := eng.SelfCheck(); err != nil {

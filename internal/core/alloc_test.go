@@ -17,7 +17,7 @@ import (
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	sq := randMatrix(64, 64, 0.15, r)
-	left, _, railed, _ := windowOperands(r)
+	left, _, railed := windowOperands(r)
 	// Full-width dense, and a window that spills.
 	for _, op := range [][3]*sparse.CSR[float64]{{sq, sq, sq}, {railed, left, railed}} {
 		m, a, b := op[0], op[1], op[2]
@@ -28,7 +28,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 				cfg.Accumulator = ak
 				cfg.Tiles = 4
 				cfg.Workers = 1
-				plan, err := planFor(nil, cfg, 1, m, a, b, nil, nil, true, nil)
+				plan, err := planFor(nil, cfg, 1, m, a, b, true, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

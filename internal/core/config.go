@@ -79,8 +79,8 @@ type Config struct {
 	// nnz(M[i,:])·log2(nnz(B[k,:])) < κ·nnz(B[k,:]). Only used by Hybrid.
 	Kappa float64
 	// Accumulator selects the accumulator family (§III-C). AutoKind
-	// leaves dense-or-hash to the planner, per product and per stage of a
-	// chain (DeriveAccumulator).
+	// leaves dense-or-hash to the planner, per product
+	// (DeriveAccumulator).
 	Accumulator accum.Kind
 	// MarkerBits is the marker word width for marker-based accumulators:
 	// 8, 16, 32 or 64 (Fig. 13).

@@ -67,7 +67,7 @@ func DenseStateFactor() int64 { return denseStateFactor }
 // allows a window whatever the hash table's size.
 func WindowFloor() int64 { return windowFloor }
 
-// AccumLayout is the planner's accumulator for one product stage: the
+// AccumLayout is the planner's accumulator for one product: the
 // kind; a dense window's width (0 at full width and for other kinds);
 // the row bound of the hash table it holds — a hash accumulator's own,
 // or the one a window's wider rows spill to (0: none).
@@ -134,7 +134,7 @@ func DeriveAccumulator(cols int, rowCap int64, spans accum.Spans, valueBytes, ma
 	return l
 }
 
-// accumulatorFor resolves the run's accumulator for a product stage with
+// accumulatorFor resolves the run's accumulator for a product with
 // cols output columns under plan: the configured kind at full width, or
 // the planner's derivation. Spaces that load no mask (Vanilla, CoIter)
 // index from column 0, so they derive as if every row spanned all cols:
@@ -216,20 +216,7 @@ func workBound[T sparse.Number](m, a, b *sparse.CSR[T], limit int64) int64 {
 // untiled work stays under the crossover. When workBound already answers
 // "below" (a tall-and-skinny B: a BC or BFS frontier), no B row is looked
 // up; the verdict is the exact scan's either way.
-func belowTileCrossover[T sparse.Number](m, a, b, m2, c *sparse.CSR[T]) bool {
-	return chainWork(workBound[T], m, a, b, m2, c) < tileCrossover ||
-		chainWork(UntiledWork[T], m, a, b, m2, c) < tileCrossover
-}
-
-// chainWork is measure's work for the product plus a chain's second
-// product, in which M stands in for the never-materialised intermediate
-// (it lies inside M's pattern: an upper bound on what stage 2 touches).
-func chainWork[T sparse.Number](
-	measure func(m, a, b *sparse.CSR[T], limit int64) int64, m, a, b, m2, c *sparse.CSR[T],
-) int64 {
-	w := measure(m, a, b, tileCrossover)
-	if c != nil && w < tileCrossover {
-		w += measure(m2, m, c, tileCrossover-w)
-	}
-	return w
+func belowTileCrossover[T sparse.Number](m, a, b *sparse.CSR[T]) bool {
+	return workBound(m, a, b, tileCrossover) < tileCrossover ||
+		UntiledWork(m, a, b, tileCrossover) < tileCrossover
 }

@@ -16,12 +16,9 @@ import (
 )
 
 // crossoverForms are the formulations the small ≡ tiled law covers: the
-// fault matrix's four plus the fused chain and the prepared product, on
-// a square problem so one (m, a) pair serves all of them.
+// fault matrix's four plus the prepared product, on a square problem so
+// one (m, a) pair serves all of them.
 var crossoverForms = append(chaosForms[:len(chaosForms):len(chaosForms)], []squareForm{
-	{"chain", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		return FusedMaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, a, m, a, cfg)
-	}},
 	{"prepared", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
 		multiply, _, err := prepared(m, a, a, cfg)
 		if err != nil {
@@ -106,7 +103,7 @@ func hypersparseFixtures() []hyperFixture {
 
 // smallEqualsTiled is the law that makes the crossover a pure cost
 // decision: on either side of it run returns the same matrix bit for
-// bit and records the same stats/v2 rows, FLOPs, picks and gathered
+// bit and records the same stats/v3 rows, FLOPs, picks and gathered
 // entries, for every configuration of the grid, with and without an
 // Engine, at one and three requested workers. The tile counter is the
 // one reading that differs, and it is what proves each run took the
@@ -313,10 +310,9 @@ func TestOneTileWalksLiveRows(t *testing.T) {
 
 // TestBoundedVerdictIsExact holds the planner's O(1) bound to the full
 // scan: on random shapes — square, wide, and tall-and-skinny B of one to
-// four columns, with and without a chained second product — and at
-// crossovers on both sides of each product's work, belowTileCrossover
-// answers what the exact UntiledWork comparison answers, and workBound
-// never undercuts the exact work. The bound must settle some cases on
+// four columns — and at crossovers on both sides of each product's work,
+// belowTileCrossover answers what the exact UntiledWork comparison
+// answers, and workBound never undercuts the exact work. The bound must settle some cases on
 // its own, or the test would not be exercising it.
 func TestBoundedVerdictIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(131))
@@ -330,25 +326,17 @@ func TestBoundedVerdictIsExact(t *testing.T) {
 		a := randMatrix(rows, inner, r.Float64()*0.2, r)
 		b := randMatrix(inner, cols, r.Float64()*0.5, r)
 		m := randMatrix(rows, cols, r.Float64()*0.5, r)
-		var m2, c *sparse.CSR[float64]
-		if trial%4 == 0 {
-			q := 1 + r.Intn(6)
-			m2, c = randMatrix(rows, q, 0.3, r), randMatrix(cols, q, 0.3, r)
-		}
 		w := UntiledWork(m, a, b, math.MaxInt64)
 		if bound := workBound(m, a, b, math.MaxInt64); bound < w {
 			t.Fatalf("trial %d: workBound %d < UntiledWork %d", trial, bound, w)
 		}
-		if c != nil {
-			w += UntiledWork(m2, m, c, math.MaxInt64)
-		}
 		for _, crossover := range []int64{0, 1, w / 2, w, w + 1, 2 * w, w + int64(r.Intn(5000)), math.MaxInt64} {
 			setCrossover(t, crossover)
-			if got, want := belowTileCrossover(m, a, b, m2, c), w < crossover; got != want {
-				t.Fatalf("trial %d (%dx%d × %dx%d, chain %v) at crossover %d: below = %v, exact scan says %v",
-					trial, rows, inner, inner, cols, c != nil, crossover, got, want)
+			if got, want := belowTileCrossover(m, a, b), w < crossover; got != want {
+				t.Fatalf("trial %d (%dx%d × %dx%d) at crossover %d: below = %v, exact scan says %v",
+					trial, rows, inner, inner, cols, crossover, got, want)
 			}
-			if chainWork(workBound[float64], m, a, b, m2, c) < crossover {
+			if workBound(m, a, b, crossover) < crossover {
 				settled++
 			}
 		}
@@ -391,34 +379,6 @@ func TestTileCrossoverBoundary(t *testing.T) {
 	}
 	if got := tilesAt(w); got != 8 {
 		t.Errorf("W = crossover: %d tiles, want 8", got)
-	}
-}
-
-// TestTileCrossoverChainBound checks the chain's share of the decision:
-// a chain whose first product alone is under the crossover is still
-// tiled when M standing in for the intermediate puts the second product
-// over it.
-func TestTileCrossoverChainBound(t *testing.T) {
-	m1, a, b, m2, c := chainOperands(29)
-	w1 := UntiledWork(m1, a, b, math.MaxInt64)
-	w2 := UntiledWork(m2, m1, c, math.MaxInt64)
-	for _, tc := range []struct {
-		crossover int64
-		want      bool
-	}{
-		{w1 + w2 + 1, true},
-		{w1 + w2, false},
-		{w1 + 1, false},
-	} {
-		setCrossover(t, tc.crossover)
-		if got := belowTileCrossover(m1, a, b, m2, c); got != tc.want {
-			t.Errorf("crossover %d (stage works %d + %d): below = %v, want %v",
-				tc.crossover, w1, w2, got, tc.want)
-		}
-	}
-	setCrossover(t, w1+1)
-	if !belowTileCrossover(m1, a, b, nil, nil) {
-		t.Errorf("the first product alone (W = %d) must sit under crossover %d", w1, w1+1)
 	}
 }
 

@@ -203,39 +203,6 @@ func TestWarmFusedKTrussZeroWorkspaceAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmFusedChainZeroWorkspaceAllocs is the same pin for the fused
-// two-multiply chain, whose staged intermediate tiles ride per-worker
-// workspace buffers rather than a materialized CSR.
-func TestWarmFusedChainZeroWorkspaceAllocs(t *testing.T) {
-	a := randGraph(100, 5, 29)
-	sr := semiring.PlusTimes[float64]{}
-	eng := exec.New(exec.Config{})
-	cfg := core.DefaultConfig()
-	cfg.Engine = eng
-	cfg.Tiles = 8
-	cfg.Workers = 2
-
-	cold, err := core.FusedMaskedSpGEMM[float64](sr, a, a, a, a, a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := eng.Stats()
-	warm, err := core.FusedMaskedSpGEMM[float64](sr, a, a, a, a, a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sparse.Equal(cold, warm) {
-		t.Fatal("warm fused chain result differs from cold")
-	}
-	d := eng.Stats().Sub(prior)
-	if d.Misses != 0 {
-		t.Errorf("warm fused chain constructed %d workspaces, want 0 (%+v)", d.Misses, d)
-	}
-	if d.Resizes != 0 {
-		t.Errorf("warm fused chain grew workspaces %d times, want 0 (%+v)", d.Resizes, d)
-	}
-}
-
 // TestWarmFrontierAlgorithmsZeroWorkspaceAllocs covers the vector
 // kernels: warm BFS / label-prop CC / SSSP runs against a shared engine
 // must serve their dense traversal scratch entirely from the pool.

@@ -1,158 +1,24 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/obs"
-	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
-	"maskedspgemm/internal/tiling"
 )
 
-// chainOperands builds a random fused-chain problem
-// D = M2 ⊙ ((M1 ⊙ (A×B)) × C) with non-square shapes so row/column
-// mixups cannot cancel out.
-func chainOperands(seed int64) (m1, a, b, m2, c *sparse.CSR[float64]) {
+// productOperands builds a random masked product M ⊙ (A×B) with
+// non-square shapes so row/column mixups cannot cancel out.
+func productOperands(seed int64) (m, a, b *sparse.CSR[float64]) {
 	r := rand.New(rand.NewSource(seed))
-	const m, k, n, q = 61, 47, 53, 43
-	a = randMatrix(m, k, 0.12, r)
-	b = randMatrix(k, n, 0.12, r)
-	m1 = randMatrix(m, n, 0.2, r)
-	c = randMatrix(n, q, 0.12, r)
-	m2 = randMatrix(m, q, 0.2, r)
-	return
-}
-
-// materializedChain is the reference two-call sequence the fused chain
-// must match bit for bit.
-func materializedChain(t *testing.T, m1, a, b, m2, c *sparse.CSR[float64], cfg Config) *sparse.CSR[float64] {
-	t.Helper()
-	sr := semiring.PlusTimes[float64]{}
-	mid, err := MaskedSpGEMM[float64](sr, m1, a, b, cfg)
-	if err != nil {
-		t.Fatalf("materialized stage 1: %v", err)
-	}
-	want, err := MaskedSpGEMM[float64](sr, m2, mid, c, cfg)
-	if err != nil {
-		t.Fatalf("materialized stage 2: %v", err)
-	}
-	return want
-}
-
-// setFuseBudget pins the fused staging budget for the rest of the test.
-func setFuseBudget(t testing.TB, bytes int64) {
-	t.Helper()
-	old := SetFuseTileBudgetForTest(bytes)
-	t.Cleanup(func() { SetFuseTileBudgetForTest(old) })
-}
-
-// TestFusedChainMatchesMaterialized pins bit-identical fused output
-// across all three schedules × both tilings × engine/engineless × both
-// fusion modes (staged via the production budget, streamed via a 1-byte
-// budget that every tile exceeds). The fused counters prove each pass
-// ran in the mode it names.
-func TestFusedChainMatchesMaterialized(t *testing.T) {
-	m1, a, b, m2, c := chainOperands(7)
-	sr := semiring.PlusTimes[float64]{}
-	eng := exec.New(exec.Config{})
-	rec := obs.NewRecorder()
-	production := fuseTileBudget
-	setFuseBudget(t, production)
-	for _, schedule := range []sched.Policy{sched.Static, sched.Dynamic, sched.Guided} {
-		for _, tl := range []tiling.Strategy{tiling.Uniform, tiling.FlopBalanced} {
-			for _, withEngine := range []bool{false, true} {
-				for mode, budget := range []int64{production, 1} {
-					SetFuseTileBudgetForTest(budget)
-					cfg := DefaultConfig()
-					cfg.Schedule = schedule
-					cfg.Tiling = tl
-					cfg.Tiles = 7
-					cfg.Workers = 3
-					cfg.Recorder = rec
-					if withEngine {
-						cfg.Engine = eng
-					}
-					name := fmt.Sprintf("%v/%v/engine=%v/budget=%d", schedule, tl, withEngine, budget)
-					want := materializedChain(t, m1, a, b, m2, c, cfg)
-					rec.Reset()
-					got, err := FusedMaskedSpGEMM[float64](sr, m1, a, b, m2, c, cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if err := got.Check(); err != nil {
-						t.Fatalf("%s: malformed result: %v", name, err)
-					}
-					if !sparse.Equal(want, got) {
-						t.Fatalf("%s: fused chain differs from materialize-then-multiply", name)
-					}
-					f := rec.Stats().Fused
-					if staged := mode == 0; (f.StagedTiles > 0) != staged || (f.StreamedTiles > 0) == staged {
-						t.Fatalf("%s: staged/streamed tiles = %d/%d, want all %s", name,
-							f.StagedTiles, f.StreamedTiles, map[bool]string{true: "staged", false: "streamed"}[staged])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFusedChainAllIterationSpaces covers every iteration space and
-// accumulator kind from the shared config grid.
-func TestFusedChainAllIterationSpaces(t *testing.T) {
-	m1, a, b, m2, c := chainOperands(11)
-	sr := semiring.PlusTimes[float64]{}
-	for _, cfg := range allConfigs() {
-		want := materializedChain(t, m1, a, b, m2, c, cfg)
-		got, err := FusedMaskedSpGEMM[float64](sr, m1, a, b, m2, c, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", cfg, err)
-		}
-		if !sparse.Equal(want, got) {
-			t.Fatalf("%v: fused chain differs from materialize-then-multiply", cfg)
-		}
-	}
-}
-
-// TestFusedChainEmptyMaskRows exercises the dead-row skip: rows whose
-// M2 row is empty must not disturb neighbors, and an all-empty M2
-// yields an empty result.
-func TestFusedChainEmptyMaskRows(t *testing.T) {
-	m1, a, b, m2, c := chainOperands(13)
-	sr := semiring.PlusTimes[float64]{}
-	cfg := DefaultConfig()
-	cfg.Tiles = 5
-	cfg.Workers = 2
-
-	// Blank out half of M2's rows.
-	coo := sparse.NewCOO[float64](m2.Rows, m2.Cols, 0)
-	for i := 0; i < m2.Rows; i += 2 {
-		cols, vals := m2.Row(i)
-		for p, j := range cols {
-			coo.Add(sparse.Index(i), j, vals[p])
-		}
-	}
-	sparseM2 := coo.ToCSR()
-	want := materializedChain(t, m1, a, b, sparseM2, c, cfg)
-	got, err := FusedMaskedSpGEMM[float64](sr, m1, a, b, sparseM2, c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sparse.Equal(want, got) {
-		t.Fatal("fused chain with empty M2 rows differs from reference")
-	}
-
-	empty := sparse.NewCSR[float64](m2.Rows, m2.Cols, 0)
-	got, err = FusedMaskedSpGEMM[float64](sr, m1, a, b, empty, c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NNZ() != 0 {
-		t.Fatalf("empty M2 produced %d entries, want 0", got.NNZ())
-	}
+	const rows, inner, cols = 61, 47, 53
+	a = randMatrix(rows, inner, 0.12, r)
+	b = randMatrix(inner, cols, 0.12, r)
+	m = randMatrix(rows, cols, 0.2, r)
+	return m, a, b
 }
 
 // TestFusedSelectMatchesFilter pins multiply+select against the
@@ -202,7 +68,7 @@ func TestFusedSelectMatchesFilter(t *testing.T) {
 // the sink (concurrently, row-disjoint) must reassemble into exactly
 // the materialized product.
 func TestFusedStreamMatchesRows(t *testing.T) {
-	m1, a, b, _, _ := chainOperands(17)
+	m1, a, b := productOperands(17)
 	sr := semiring.PlusTimes[float64]{}
 	cfg := DefaultConfig()
 	cfg.Tiles = 6
@@ -235,11 +101,11 @@ func TestFusedStreamMatchesRows(t *testing.T) {
 	}
 }
 
-// TestFusedCounters checks the stats/v2 fused block: chain, select and
-// stream runs each stamp their counters, and the chain's staged vs
-// streamed tile split follows the budget.
+// TestFusedCounters checks the stats/v3 fused block: select and stream
+// runs each stamp their counters, and a stream's intermediate entries
+// are priced at a column index plus a value.
 func TestFusedCounters(t *testing.T) {
-	m1, a, b, m2, c := chainOperands(23)
+	m1, a, b := productOperands(23)
 	sr := semiring.PlusTimes[float64]{}
 	rec := obs.NewRecorder()
 	cfg := DefaultConfig()
@@ -247,42 +113,11 @@ func TestFusedCounters(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Recorder = rec
 
-	if _, err := FusedMaskedSpGEMM[float64](sr, m1, a, b, m2, c, cfg); err != nil {
-		t.Fatal(err)
-	}
-	st := rec.Stats()
-	if st.Fused.ChainRuns != 1 {
-		t.Fatalf("ChainRuns = %d, want 1", st.Fused.ChainRuns)
-	}
-	if st.Fused.StagedTiles == 0 || st.Fused.StreamedTiles != 0 {
-		t.Fatalf("default budget: staged/streamed = %d/%d, want all staged",
-			st.Fused.StagedTiles, st.Fused.StreamedTiles)
-	}
-	if st.Fused.MidEntries == 0 || st.Fused.MidBytes != st.Fused.MidEntries*12 {
-		t.Fatalf("MidEntries/MidBytes = %d/%d, want nonzero with 12-byte entries",
-			st.Fused.MidEntries, st.Fused.MidBytes)
-	}
-	lastSeq := st.Seq
-
-	rec.Reset()
-	setFuseBudget(t, 1)
-	if _, err := FusedMaskedSpGEMM[float64](sr, m1, a, b, m2, c, cfg); err != nil {
-		t.Fatal(err)
-	}
-	st = rec.Stats()
-	if st.Fused.StreamedTiles == 0 || st.Fused.StagedTiles != 0 {
-		t.Fatalf("1-byte budget: staged/streamed = %d/%d, want all streamed",
-			st.Fused.StagedTiles, st.Fused.StreamedTiles)
-	}
-	_ = lastSeq
-
-	rec.Reset()
-	selCfg := cfg
-	if _, err := MaskedSpGEMMSelect[float64](semiring.PlusPair[float64]{}, m1, a, b, selCfg,
+	if _, err := MaskedSpGEMMSelect[float64](semiring.PlusPair[float64]{}, m1, a, b, cfg,
 		func(v float64) (float64, bool) { return v, v >= 2 }); err != nil {
 		t.Fatal(err)
 	}
-	st = rec.Stats()
+	st := rec.Stats()
 	if st.Fused.SelectRuns != 1 || st.Fused.SelectKept+st.Fused.SelectDropped == 0 {
 		t.Fatalf("select counters = %+v, want SelectRuns=1 and kept+dropped > 0", st.Fused)
 	}
@@ -295,6 +130,10 @@ func TestFusedCounters(t *testing.T) {
 	st = rec.Stats()
 	if st.Fused.StreamRuns != 1 || st.Fused.MidEntries == 0 {
 		t.Fatalf("stream counters = %+v, want StreamRuns=1 and MidEntries > 0", st.Fused)
+	}
+	if st.Fused.MidBytes != st.Fused.MidEntries*12 {
+		t.Fatalf("MidEntries/MidBytes = %d/%d, want 12-byte entries",
+			st.Fused.MidEntries, st.Fused.MidBytes)
 	}
 	if ls, ok := rec.LastRun(); !ok || ls.Fused.StreamRuns != 1 {
 		t.Fatalf("LastRun fused block = %+v ok=%v, want the stream run", ls.Fused, ok)

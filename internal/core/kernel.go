@@ -132,10 +132,6 @@ type kernel[T sparse.Number, S semiring.Semiring[T]] struct {
 	// comp selects the complemented mask: rows are computed by rowComp on
 	// the worker's dense scratch instead of rowStep on its accumulator.
 	comp bool
-	// live, when non-nil, marks the rows anyone will read: a row whose
-	// live row is empty is skipped outright (a chain's first stage skips
-	// rows the second stage's mask discards).
-	live *sparse.CSR[T]
 	rows []sparse.Index // a one-tile run's live rows (liveRows), or nil
 }
 
@@ -224,13 +220,11 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 			buf.Vals = buf.Vals[:0]
 		}
 		from := len(buf.Cols)
-		if k.live == nil || k.live.RowNNZ(i) > 0 {
-			aCols, aVals := k.a.Row(i)
-			if k.comp {
-				rowComp(&k, sc, aCols, aVals, k.m.RowCols(i), buf, wc)
-			} else {
-				rowStep(&k, acc, aCols, aVals, k.m.RowCols(i), buf, wc)
-			}
+		aCols, aVals := k.a.Row(i)
+		if k.comp {
+			rowComp(&k, sc, aCols, aVals, k.m.RowCols(i), buf, wc)
+		} else {
+			rowStep(&k, acc, aCols, aVals, k.m.RowCols(i), buf, wc)
 		}
 		gathered += int64(len(buf.Cols) - from)
 		if sink != nil {
@@ -282,11 +276,9 @@ func (p *product[T, S]) liveRows(tile tiling.Tile, dst []sparse.Index) []sparse.
 
 // rowStep is one row of the skeleton: the sparse left row (aCols, aVals)
 // times k.b under mask row maskCols, traversed in the configured
-// iteration space and gathered onto buf. The left row is explicit so a
-// chain's second stage can feed it intermediate rows that never became
-// a CSR. A row with an empty left row has no output and is skipped, and
-// so is a row with an empty mask, except under Vanilla, which pays for
-// the full product by definition.
+// iteration space and gathered onto buf. A row with an empty left row
+// has no output and is skipped, and so is a row with an empty mask,
+// except under Vanilla, which pays for the full product by definition.
 //
 //spgemm:hotpath
 func rowStep[T sparse.Number, S semiring.Semiring[T]](

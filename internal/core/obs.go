@@ -72,8 +72,7 @@ func spanned(ctx context.Context, scope *obs.RunScope, phase obs.Phase, fn func(
 // planFor resolves the execution plan — tile partition plus accumulator
 // row-capacity bound. It first asks the paper's title question of the
 // call itself: a product whose untiled serial pass would touch fewer
-// than tileCrossover units (see belowTileCrossover; m2 and c are a
-// chain's second product, nil otherwise) gets the one-tile plan
+// than tileCrossover units (see belowTileCrossover) gets the one-tile plan
 // {[0, rows)}, built without Eq. 2 arrays and neither looked up in nor
 // stored to the plan cache — an iterative caller's key could only miss,
 // and the stored entry would pin three operands nobody multiplies
@@ -84,9 +83,9 @@ func spanned(ctx context.Context, scope *obs.RunScope, phase obs.Phase, fn func(
 // Without an engine every call builds; a cached hit records no plan
 // spans because no plan work happened.
 func planFor[T sparse.Number](
-	ctx context.Context, cfg Config, pw int, m, a, b, m2, c *sparse.CSR[T], accs bool, scope *obs.RunScope,
+	ctx context.Context, cfg Config, pw int, m, a, b *sparse.CSR[T], accs bool, scope *obs.RunScope,
 ) (exec.Plan, error) {
-	if belowTileCrossover(m, a, b, m2, c) {
+	if belowTileCrossover(m, a, b) {
 		var plan exec.Plan
 		var err error
 		if accs {

@@ -38,14 +38,6 @@ func (c Config) chaosInjector() chaos.Injector {
 	return c.Resilience.Chaos
 }
 
-// stallTimeout resolves the watchdog window, 0 when disarmed.
-func (c Config) stallTimeout() time.Duration {
-	if c.Resilience == nil {
-		return 0
-	}
-	return c.Resilience.StallTimeout
-}
-
 // armAccumChaos arms the AccumGrow seam on every grow-hookable
 // accumulator and returns the disarm function, which MUST run before
 // the workspace is released — a hook holds the run's injector and must

@@ -16,10 +16,9 @@ import (
 
 // product describes one run of the masked family to the shared run
 // protocol: the operands and configuration, plus what distinguishes the
-// formulation — the mask's sense, a chained second product, and what
-// happens to each gathered row. Every entry point of the family
-// (MaskedSpGEMM, MaskedSpGEMMInstrumented, MaskedSpGEMMSelect,
-// MaskedSpGEMMStream, MaskedSpGEMMComp and FusedMaskedSpGEMM) is its
+// formulation — the mask's sense and what happens to each gathered row.
+// Every entry point of the family (MaskedSpGEMM, MaskedSpGEMMInstrumented,
+// MaskedSpGEMMSelect, MaskedSpGEMMStream and MaskedSpGEMMComp) is its
 // argument checks plus one of these.
 type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	sr      S
@@ -28,9 +27,6 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 
 	// comp complements the mask: C = ¬M ⊙ (A × B), on dense scratch.
 	comp bool
-	// m2 and c chain a second product onto the first:
-	// D = M2 ⊙ ((M ⊙ (A × B)) × C), the intermediate never assembled.
-	m2, c *sparse.CSR[T]
 	// sink, when non-nil, receives every gathered row (see rowSink).
 	sink rowSink[T]
 	// dst, when non-nil, lends the assembled result its storage (the
@@ -39,7 +35,7 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	// stream marks a sink that consumes its rows: workers stage one row
 	// at a time and nothing is assembled.
 	stream bool
-	// marker is the run's own entry in the stats/v2 fused block.
+	// marker is the run's own entry in the stats/v3 fused block.
 	marker obs.FusedCounters
 	// wrap, when non-nil, decorates each worker's accumulator for this
 	// run only (the instrumented entry point's operation counters).
@@ -92,10 +88,6 @@ func (p *product[T, S]) check() error {
 	if p.dst != nil && (sharesStorage(p.dst, p.m) || sharesStorage(p.dst, p.a) || sharesStorage(p.dst, p.b)) {
 		return errConfig("the result's storage is shared with an operand")
 	}
-	if p.c != nil && (p.b.Cols != p.c.Rows || p.m2.Rows != p.a.Rows || p.m2.Cols != p.c.Cols) {
-		return fmt.Errorf("%w: chained onto M1 %dx%d: M2 %dx%d, C %dx%d",
-			sparse.ErrShape, p.m.Rows, p.m.Cols, p.m2.Rows, p.m2.Cols, p.c.Rows, p.c.Cols)
-	}
 	return nil
 }
 
@@ -127,12 +119,12 @@ func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, er
 	if a.Rows == 0 {
 		return 0, nil
 	}
-	if belowTileCrossover(m, a, b, nil, nil) {
+	if belowTileCrossover(m, a, b) {
 		return 1, nil
 	}
 	scope := cfg.Recorder.StartRun()
 	defer scope.End()
-	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, nil, nil, true, scope)
+	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, true, scope)
 	if err != nil {
 		return 0, wrapRunErr(err)
 	}
@@ -145,10 +137,9 @@ func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, er
 //     empty result;
 //  2. open the run's stats scope;
 //  3. resolve the plan — the planner may answer "one tile" (planFor) —
-//     plus, for a chain, the second stage's accumulator row bound, and
-//     clamp the workers to the plan's tiles;
-//  4. check the workspace(s) out, under the one deferred release that
-//     quarantines them unless the run reaches its clean exit;
+//     and clamp the workers to the plan's tiles;
+//  4. check the workspace out, under the one deferred release that
+//     quarantines it unless the run reaches its clean exit;
 //  5. arm the accumulator chaos seam and snapshot the accumulator stats;
 //  6. run the tile loop on the scheduler under the exec.kernel span;
 //  7. assemble the staged tiles under the exec.assemble span, into the
@@ -164,11 +155,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 		return nil, err
 	}
 	cfg := p.cfg
-	chain := p.c != nil
 	rows, cols := p.a.Rows, p.b.Cols
-	if chain {
-		cols = p.c.Cols
-	}
 	if rows == 0 {
 		return assembleE[T](ctx, p.dst, rows, cols, nil, nil, 1)
 	}
@@ -177,11 +164,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()
 	pw := sched.Workers(cfg.Workers)
-	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, p.m2, p.c, !p.comp, scope)
-	var plan2 exec.Plan
-	if err == nil && chain {
-		plan2, err = chainRowCap(ctx, cfg, pw, p.m2, p.c, scope)
-	}
+	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, !p.comp, scope)
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}
@@ -192,27 +175,23 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	// masked spaces hold at most max_i nnz(M[i,:]) entries per row; the
 	// vanilla bound is folded into plan.RowCap) or dense scratch, and the
 	// staging buffers: one per tile when the rows are assembled, one per
-	// worker when a sink or a second stage consumes them. A chain's
-	// second stage has its own accumulators and the per-tile staging of
-	// the final output.
+	// worker when a streaming sink consumes them.
 	//
 	// Poison-on-error: a run that fails after checkout (panic, cancel,
 	// injected fault) may leave accumulators or staging mid-mutation, so
-	// the workspaces are quarantined instead of pooled. The flag flips
+	// the workspace is quarantined instead of pooled. The flag flips
 	// only on the fully-successful exit, so error returns and panic
 	// unwinding take the same quarantine path.
-	var ws, ws2 *exec.Workspace[T, S]
+	var ws *exec.Workspace[T, S]
 	clean := false
 	defer func() {
 		if !clean {
 			ws.Poison()
-			ws2.Poison()
 		}
-		ws2.Release()
 		ws.Release()
 	}()
 	staging := len(tiles)
-	if p.stream || chain {
+	if p.stream {
 		staging = workers
 	}
 	var accs []accum.Accumulator[T]
@@ -225,20 +204,6 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 			ws = exec.Masked[T, S](cfg.Engine, p.sr, l.Kind, cfg.MarkerBits, p.b.Cols, l.RowCap, workers, staging)
 		}
 		accs = ws.Accs[:workers]
-	}
-	outs := ws.Outs
-	var chains []chainSink[T, S]
-	if chain {
-		if l := accumulatorFor[T](cfg, p.c.Cols, plan2); l.Window > 0 {
-			ws2 = exec.MaskedWindow[T, S](cfg.Engine, p.sr, cfg.MarkerBits, l.Window, l.RowCap, workers, len(tiles))
-		} else {
-			ws2 = exec.Masked[T, S](cfg.Engine, p.sr, l.Kind, cfg.MarkerBits, p.c.Cols, l.RowCap, workers, len(tiles))
-		}
-		outs = ws2.Outs
-		chains = newChainSinks(p, ws2.Accs[:workers])
-		// One slice over both stages' accumulators, so the chaos seam and
-		// the stats deltas below cover the whole chain.
-		accs = append(accs[:workers:workers], ws2.Accs[:workers]...)
 	}
 	if cfg.Resilience != nil {
 		defer armAccumChaos(cfg, accs)()
@@ -256,7 +221,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	// snapshot keep each run's counts exact.
 	prior := snapshotAccumStats(accs, scope)
 
-	fcs, err := p.runTiles(ctx, scope, workers, tiles, accs, ws, outs, chains)
+	fcs, err := p.runTiles(ctx, scope, workers, tiles, accs, ws)
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}
@@ -264,7 +229,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	var c *sparse.CSR[T]
 	if !p.stream {
 		err = spanned(ctx, scope, obs.PhaseExecAssemble, func() (err error) {
-			c, err = assembleE(ctx, p.dst, rows, cols, tiles, outs[:len(tiles)], pw)
+			c, err = assembleE(ctx, p.dst, rows, cols, tiles, ws.Outs[:len(tiles)], pw)
 			return err
 		})
 		if err != nil {
@@ -285,35 +250,33 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 
 // runTiles is the protocol's kernel step: the tile loop dispatched over
 // the scheduler under the exec.kernel span, with the per-tile
-// accounting around it. ws holds the first (or only) product's dense
-// scratch and per-worker staging; outs is the per-tile staging of the
-// final output (per-worker for a streaming sink). It returns the
-// per-worker fused-counter blocks, nil unless the scope records them.
+// accounting around it. ws holds the dense scratch and the staging: per
+// tile, or per worker for a streaming sink. It returns the per-worker
+// fused-counter blocks, nil unless the scope records them.
 //
 // Everything the tile closure captures is a parameter or assigned once,
 // so the closure holds it by value and is the step's only allocation.
 func (p *product[T, S]) runTiles(
 	ctx context.Context, scope *obs.RunScope, workers int, tiles []tiling.Tile,
-	accs []accum.Accumulator[T], ws *exec.Workspace[T, S], outs []exec.TileBuf[T],
-	chains []chainSink[T, S],
+	accs []accum.Accumulator[T], ws *exec.Workspace[T, S],
 ) ([]obs.FusedCounters, error) {
 	cfg := p.cfg
-	// A one-tile run walks its live rows; a chain keeps its M2 filter.
+	// A one-tile run walks its live rows.
 	var rows []sparse.Index
-	if len(tiles) == 1 && chains == nil {
+	if len(tiles) == 1 {
 		ws.ScratchCols = p.liveRows(tiles[0], ws.ScratchCols)
 		rows = ws.ScratchCols
 	}
 	k := kernel[T, S]{
 		sr: p.sr, m: p.m, a: p.a, b: p.b,
 		iter: cfg.Iteration, kappa: cfg.Kappa, inj: cfg.chaosInjector(),
-		comp: p.comp, live: p.m2, rows: rows,
+		comp: p.comp, rows: rows,
 	}
-	runSink, perRow, budget := p.sink, p.stream, fuseTileBudget
+	sink, perRow := p.sink, p.stream
 	// slots and fcs are nil with observability off: the tile closure then
 	// pays two nil checks and the run allocates neither.
 	slots := scope.WorkerSlots(workers)
-	fcs := fusedSlots(scope, workers, runSink != nil || chains != nil)
+	fcs := fusedSlots(scope, workers, sink != nil)
 	// Tile-batch progress events for the flight recorder: every worker
 	// emits one event per stride tiles (~32 per run across workers), so a
 	// stall dump shows how far the tile loop got without flooding the
@@ -332,21 +295,15 @@ func (p *product[T, S]) runTiles(
 				}
 			}
 			tile := tiles[t]
-			sink := runSink
 			var gathered, kept int64
-			switch {
-			case chains != nil:
-				cs := &chains[worker]
-				sink = cs
-				gathered, kept = runTileFused(k, cs, accs[worker], tile, &ws.Outs[worker], &outs[t], budget, wc)
-			case k.comp:
-				gathered, kept = runTile(k, nil, &ws.Dense[worker], tile, &outs[t], false, sink, wc)
-			default:
+			if k.comp {
+				gathered, kept = runTile(k, nil, &ws.Dense[worker], tile, &ws.Outs[t], false, sink, wc)
+			} else {
 				slot := t
 				if perRow {
 					slot = worker
 				}
-				gathered, kept = runTile(k, accs[worker], nil, tile, &outs[slot], perRow, sink, wc)
+				gathered, kept = runTile(k, accs[worker], nil, tile, &ws.Outs[slot], perRow, sink, wc)
 			}
 			if wc != nil {
 				wc.Rows.Add(int64(tile.Rows()))
@@ -364,8 +321,8 @@ func (p *product[T, S]) runTiles(
 }
 
 // fusedSlots returns per-worker fused-counter blocks for a run that has
-// a sink or a second stage to account for — nil otherwise, and nil when
-// the scope is disabled, so the uninstrumented path allocates nothing.
+// a sink to account for — nil otherwise, and nil when the scope is
+// disabled, so the uninstrumented path allocates nothing.
 func fusedSlots(scope *obs.RunScope, workers int, fused bool) []obs.FusedCounters {
 	if !fused || !scope.Enabled() {
 		return nil

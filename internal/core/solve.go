@@ -16,7 +16,7 @@ import (
 
 // Masked sparse triangular solve on the dependency-wave scheduler.
 //
-// SolveTri computes x from op(L)·x = b restricted to a structural row
+// SolveTriInto computes x from op(L)·x = b restricted to a structural row
 // mask: the solve runs on the principal submatrix op(L)[mask, mask],
 // exactly the level-scheduled SpTRSV of arXiv 2503.05408 with the
 // paper's Eq. 2 row-work estimate (row nnz, restricted to the mask)
@@ -211,17 +211,6 @@ func hashLanes[W ~int32 | ~int64](h *[4]uint64, ws []W) {
 	for k, w := range ws {
 		h[k] = (h[k] ^ uint64(w)) * fnvPrime
 	}
-}
-
-// SolveTri solves op(L)·x = b into a fresh vector. See SolveTriInto.
-func SolveTri[T sparse.Number, S semiring.Semiring[T]](
-	sr S, l *sparse.CSR[T], b []T, cfg Config, so SolveOpts,
-) ([]T, error) {
-	dst := make([]T, len(b))
-	if err := SolveTriInto(sr, dst, l, b, cfg, so); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // SolveTriInto solves op(L)·x = b into dst under the wave scheduler.

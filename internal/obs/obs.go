@@ -63,7 +63,7 @@ const (
 
 // phaseNames are the stable identifiers used in the JSON schema and in
 // pprof labels; changing one is a schema break (appending is additive
-// and keeps stats/v2).
+// and keeps stats/v3).
 var phaseNames = [numPhases]string{
 	"plan.row_work",
 	"plan.prefix_sum",
@@ -206,23 +206,16 @@ func (c *PoolCounters) add(o PoolCounters, k int64) {
 	c.PlanMisses += k * o.PlanMisses
 }
 
-// FusedCounters are the fused-pipeline statistics: how chained
-// multiplies were executed and how much intermediate data stayed in
+// FusedCounters are the fused-product statistics: how many products ran
+// with a select or stream sink and how much intermediate data stayed in
 // tile staging buffers instead of a fully assembled CSR (see
-// internal/core's fused pipeline).
+// internal/core's MaskedSpGEMMSelect and MaskedSpGEMMStream).
 type FusedCounters struct {
-	// ChainRuns counts fused two-multiply chains; SelectRuns counts
-	// multiply+select fusions (k-truss prune); StreamRuns counts
-	// multiply+consume fusions that skipped assembly entirely.
-	ChainRuns  int64 `json:"chain_runs"`
+	// SelectRuns counts multiply+select fusions (k-truss prune);
+	// StreamRuns counts multiply+consume fusions that skipped assembly
+	// entirely.
 	SelectRuns int64 `json:"select_runs"`
 	StreamRuns int64 `json:"stream_runs"`
-	// StagedTiles counts intermediate tiles staged whole (the Eq. 2
-	// fusion model predicted the tile fits the cache budget);
-	// StreamedTiles counts tiles processed row-at-a-time because their
-	// estimated intermediate footprint exceeded it.
-	StagedTiles   int64 `json:"staged_tiles"`
-	StreamedTiles int64 `json:"streamed_tiles"`
 	// MidEntries is the number of intermediate entries that lived only
 	// in tile staging buffers; MidBytes is their payload volume — the
 	// DRAM traffic a materialized intermediate CSR would have cost.
@@ -236,11 +229,8 @@ type FusedCounters struct {
 
 // add folds k × o into f.
 func (f *FusedCounters) add(o FusedCounters, k int64) {
-	f.ChainRuns += k * o.ChainRuns
 	f.SelectRuns += k * o.SelectRuns
 	f.StreamRuns += k * o.StreamRuns
-	f.StagedTiles += k * o.StagedTiles
-	f.StreamedTiles += k * o.StreamedTiles
 	f.MidEntries += k * o.MidEntries
 	f.MidBytes += k * o.MidBytes
 	f.SelectKept += k * o.SelectKept

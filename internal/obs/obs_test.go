@@ -34,7 +34,7 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 		_ = s.WorkerSlots(8)
 		s.AddAccum(AccumCounters{MarkerClears: 1})
 		s.AddPool(PoolCounters{Hits: 1})
-		s.AddFused(FusedCounters{ChainRuns: 1})
+		s.AddFused(FusedCounters{SelectRuns: 1})
 		s.AddSched(SchedCounters{Waves: 1})
 		s.MarkComplete()
 		s.End()
@@ -219,9 +219,9 @@ func TestValidateStatsJSONRejects(t *testing.T) {
 	}
 }
 
-// TestValidateStatsJSONRejectsV1 pins the stats/v2 break: a document
-// under the v1 tag, or one carrying v1's recal block, is rejected
-// rather than silently read as v2.
+// TestValidateStatsJSONRejectsV1 pins the stats/v2 and stats/v3 breaks:
+// a document under the v1 or v2 tag, or one carrying v1's recal block or
+// v2's chain counters, is rejected rather than silently read as v3.
 func TestValidateStatsJSONRejectsV1(t *testing.T) {
 	r := NewRecorder()
 	recordRun(r, func(s *RunScope) { s.Span(PhaseExecKernel)() })
@@ -230,11 +230,13 @@ func TestValidateStatsJSONRejectsV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := ValidateStatsJSON(data); err != nil {
-		t.Fatalf("v2 document rejected: %v", err)
+		t.Fatalf("v3 document rejected: %v", err)
 	}
 	cases := map[string]struct{ from, to, wantErr string }{
-		"v1 tag":      {StatsSchema, "maskedspgemm/stats/v1", "schema"},
-		"recal block": {`"schema"`, `"recal": {"updates": 1, "kappa_last": 1.5}, "schema"`, "recal"},
+		"v1 tag":       {StatsSchema, "maskedspgemm/stats/v1", "schema"},
+		"recal block":  {`"schema"`, `"recal": {"updates": 1, "kappa_last": 1.5}, "schema"`, "recal"},
+		"v2 tag":       {StatsSchema, "maskedspgemm/stats/v2", "schema"},
+		"chain counts": {`"select_runs"`, `"chain_runs": 1, "staged_tiles": 1, "select_runs"`, "chain_runs"},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {

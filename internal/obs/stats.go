@@ -10,7 +10,7 @@ import (
 
 // StatsSchema identifies the JSON layout of a Stats document. Bump the
 // version only on breaking changes; additive fields keep the tag.
-const StatsSchema = "maskedspgemm/stats/v2"
+const StatsSchema = "maskedspgemm/stats/v3"
 
 // PhaseStats is one pipeline phase's accumulated wall time.
 type PhaseStats struct {
@@ -214,7 +214,7 @@ func (s *Stats) finalize() {
 // Sub returns the difference s − prev: the activity recorded between
 // the two snapshots of the same recorder (e.g. one Multiply call).
 // Phases are matched by name, workers by id; entries absent from prev
-// carry over unchanged. KappaLast, a gauge, keeps s's value.
+// carry over unchanged.
 func (s Stats) Sub(prev Stats) Stats {
 	out := s
 	out.Seq = 0
@@ -227,7 +227,7 @@ func (s Stats) Sub(prev Stats) Stats {
 // Add folds o into s: the sum of two snapshots, such as those of two
 // recorders. Phases are matched by name and workers by id, entries
 // absent from s are added, and Totals and the distributions are
-// recomputed. KappaLast, a gauge, takes o's value when it is nonzero.
+// recomputed.
 func (s *Stats) Add(o Stats) { s.fold(o, 1) }
 
 // fold adds k × o into s (k = 1 for Add, −1 for Sub) through each
@@ -306,10 +306,9 @@ func (s Stats) WriteTable(w io.Writer) {
 	a := s.Accum
 	fmt.Fprintf(w, "  accum: marker-clears=%d table-grows=%d hash-probes=%d hash-collisions=%d spilled-rows=%d\n",
 		a.MarkerClears, a.TableGrows, a.HashProbes, a.HashCollisions, a.SpilledRows)
-	if f := s.Fused; f.ChainRuns+f.SelectRuns+f.StreamRuns > 0 {
-		fmt.Fprintf(w, "  fused: chains=%d selects=%d streams=%d tiles staged/streamed=%d/%d mid entries=%d (%d bytes) select kept/dropped=%d/%d\n",
-			f.ChainRuns, f.SelectRuns, f.StreamRuns,
-			f.StagedTiles, f.StreamedTiles, f.MidEntries, f.MidBytes,
+	if f := s.Fused; f.SelectRuns+f.StreamRuns > 0 {
+		fmt.Fprintf(w, "  fused: selects=%d streams=%d mid entries=%d (%d bytes) select kept/dropped=%d/%d\n",
+			f.SelectRuns, f.StreamRuns, f.MidEntries, f.MidBytes,
 			f.SelectKept, f.SelectDropped)
 	}
 	if p := s.Pool; p.Hits+p.Misses+p.Steals+p.Quarantined+p.PlanHits+p.PlanMisses > 0 {

@@ -8,7 +8,7 @@
 // Dynamic: workers pull the next unclaimed tile from a shared atomic
 // counter; balance is recovered at the cost of one atomic op per tile.
 // Guided: workers claim geometrically shrinking chunks of tiles —
-// remaining/P per claim, never below a floor — so the early claims are
+// remaining/P per claim, at least one tile — so the early claims are
 // large and cheap while the tail stays fine-grained; at the paper's
 // 32768-tile end this cuts the per-tile atomic traffic that Dynamic
 // pays without giving up runtime balance.
@@ -39,7 +39,7 @@ const (
 	// Dynamic lets workers claim tiles from a shared queue at runtime.
 	Dynamic
 	// Guided lets workers claim geometrically shrinking chunks of tiles
-	// (remaining/P each, bounded below by a chunk floor) from the shared
+	// (remaining/P each, at least one) from the shared
 	// counter — OpenMP's schedule(guided).
 	Guided
 )

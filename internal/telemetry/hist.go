@@ -1,7 +1,7 @@
 // Package telemetry is the live-observability layer: lock-free
 // log-bucketed latency histograms, windowed time-series views, a
 // fixed-capacity flight recorder for postmortems, and an opt-in HTTP
-// debug server exposing all of it (Prometheus text exposition, stats/v2
+// debug server exposing all of it (Prometheus text exposition, stats/v3
 // JSON, expvar, pprof).
 //
 // Everything in internal/obs is post-hoc — a Stats snapshot read after

@@ -171,7 +171,7 @@ func (t *Telemetry) attachedRecorders() []*obs.Recorder {
 // the source for the /metrics counter families. Each run records into
 // exactly one recorder, so the sum attributes every run once even when
 // a caller attaches fresh recorders over time (the bench tool uses one
-// per graph). KappaLast is a gauge: the last nonzero value wins.
+// per graph).
 func (t *Telemetry) aggregateStats() obs.Stats {
 	sum := obs.Stats{Schema: obs.StatsSchema}
 	for _, r := range t.attachedRecorders() {

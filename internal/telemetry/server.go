@@ -17,7 +17,7 @@ import (
 // Handler returns the debug mux:
 //
 //	/metrics      Prometheus text exposition (format 0.0.4)
-//	/stats        stats/v2 JSON snapshot of the attached recorder
+//	/stats        stats/v3 JSON snapshot of the attached recorder
 //	/flight       forced flight-recorder dump (flightrec/v2 JSON)
 //	/healthz      200 when every attached engine passes SelfCheck
 //	/debug/vars   expvar
@@ -145,7 +145,7 @@ func (t *Telemetry) Start(addr string) (*Server, error) {
 // SelfCheck scrapes a running debug server and verifies the acceptance
 // contract end to end: /metrics parses as exposition format and carries
 // every required series with at least one completed run, /stats is a
-// schema-valid stats/v2 document, /flight is a schema-valid flightrec/v2
+// schema-valid stats/v3 document, /flight is a schema-valid flightrec/v2
 // document, and /healthz reports healthy. Used by the CLI smoke gate
 // (`spgemm-bench -telemetry-check`).
 func SelfCheck(baseURL string) error {

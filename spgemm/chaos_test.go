@@ -3,7 +3,7 @@ package spgemm
 import (
 	"context"
 	"errors"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,7 +202,7 @@ func TestMultiplierRetryWithSharedEngine(t *testing.T) {
 // the whole ladder: its engine panics at every workspace checkout, so
 // the configured attempt and the serial rung both fail, and the third
 // rung — unpooled, no engine — returns the reference result. The
-// stats/v2 retry block records the descent.
+// stats/v3 retry block records the descent.
 func TestMultiplierLadderEscapesFaultingEngine(t *testing.T) {
 	a := RandomGraph("er", 96, 17)
 	opts := Defaults()
@@ -243,47 +243,86 @@ func TestMultiplierLadderEscapesFaultingEngine(t *testing.T) {
 	}
 }
 
-// TestChainRetryFusedToStaged arms a persistent fault inside the fused
-// pipeline's second product and requires MxMChain's ladder to fall back
-// to the staged formulation, still bit-identical to the unfused
-// reference.
-func TestChainRetryFusedToStaged(t *testing.T) {
-	a := RandomGraph("er", 80, 16)
-	opts := Defaults()
-	ref, err := MxMChain(a, a, a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var fired atomic.Int64
-	opts.chaos = chaos.Func(func(p chaos.Point) chaos.Fault {
-		// Fire on every row-kernel crossing; count to prove injection
-		// happened.
-		if p == chaos.RowKernel {
-			fired.Add(1)
-			return chaos.Fault{Kind: chaos.KindPanic}
+// kernelFaults returns an injector that panics at every row-kernel
+// crossing and calls onFire there, and a function that returns when
+// each fault fired.
+func kernelFaults(onFire func()) (chaos.Injector, func() []time.Time) {
+	var mu sync.Mutex
+	var at []time.Time
+	inj := chaos.Func(func(p chaos.Point) chaos.Fault {
+		if p != chaos.RowKernel {
+			return chaos.Fault{}
 		}
-		return chaos.Fault{}
+		mu.Lock()
+		at = append(at, time.Now())
+		mu.Unlock()
+		onFire()
+		return chaos.Fault{Kind: chaos.KindPanic}
 	})
-	opts.Fuse = true
-	opts.Retry = Retry{MaxAttempts: 3}
-	_, err = MxMChain(a, a, a, a, a, opts)
-	// Every rung still crosses RowKernel, so a fault that never clears
-	// exhausts the budget with a typed error...
-	if !errors.Is(err, ErrPanic) || !errors.Is(err, chaos.ErrInjected) {
-		t.Fatalf("persistent chain fault: %v, want ErrPanic matching chaos.ErrInjected", err)
+	return inj, func() []time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return at
 	}
-	if fired.Load() == 0 {
-		t.Fatal("fault never fired")
-	}
+}
 
-	// ...while a one-shot fused fault is absorbed by the ladder.
-	sd := chaos.NewSeeded(425)
-	sd.Arm(chaos.RowKernel, chaos.KindPanic, 2, 0)
-	opts.chaos = sd
-	got, err := MxMChain(a, a, a, a, a, opts)
-	if err != nil {
-		t.Fatalf("retried chain: %v", err)
+// TestRetryBackoffDoubles times a ladder whose fault never clears: the
+// second attempt starts at least Backoff after the first, the third at
+// least 2·Backoff after the second. Only lower bounds are asserted, so
+// a slow host cannot fail it.
+func TestRetryBackoffDoubles(t *testing.T) {
+	const backoff = 20 * time.Millisecond
+	a := RandomGraph("er", 64, 21)
+	opts := Defaults()
+	opts.Workers = 1
+	opts.Stats = NewStatsRecorder()
+	opts.Retry = Retry{MaxAttempts: 3, Backoff: backoff}
+	var firings func() []time.Time
+	opts.chaos, firings = kernelFaults(func() {})
+	if _, err := MxM(a, a, a, opts); !errors.Is(err, ErrPanic) || !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("persistent fault: %v, want ErrPanic matching chaos.ErrInjected", err)
 	}
-	equalResult(t, ref, got, "chain result")
+	fired := firings()
+	if len(fired) != 3 {
+		t.Fatalf("fault fired %d times, want once per attempt (3)", len(fired))
+	}
+	for i, want := range []time.Duration{backoff, 2 * backoff} {
+		if gap := fired[i+1].Sub(fired[i]); gap < want {
+			t.Errorf("attempt %d started %v after attempt %d, want at least %v", i+2, gap, i+1, want)
+		}
+	}
+	if r := opts.Stats.Stats().Retry; r.Attempts != 3 || r.Failures != 1 {
+		t.Fatalf("retry counters = %+v, want 3 attempts / 1 failure", r)
+	}
+}
+
+// TestRetryBackoffObservesContext cancels Options.Context while the
+// ladder waits out a long backoff: the call returns an error well before
+// the backoff ends, and no further attempt runs.
+func TestRetryBackoffObservesContext(t *testing.T) {
+	const backoff = 10 * time.Second
+	a := RandomGraph("er", 64, 23)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := Defaults()
+	opts.Workers = 1
+	opts.Context = ctx
+	opts.Stats = NewStatsRecorder()
+	opts.Retry = Retry{MaxAttempts: 3, Backoff: backoff}
+	var firings func() []time.Time
+	opts.chaos, firings = kernelFaults(func() { time.AfterFunc(20*time.Millisecond, cancel) })
+	start := time.Now()
+	_, err := MxM(a, a, a, opts)
+	if elapsed := time.Since(start); elapsed >= backoff {
+		t.Fatalf("the ladder returned after %v, at or past the %v backoff", elapsed, backoff)
+	}
+	if !errors.Is(err, ErrPanic) && !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want the first attempt's ErrPanic or ErrCanceled", err)
+	}
+	if r := opts.Stats.Stats().Retry; r.Attempts != 1 || r.Failures != 1 {
+		t.Fatalf("retry counters = %+v, want 1 attempt / 1 failure", r)
+	}
+	if n := len(firings()); n != 1 {
+		t.Fatalf("fault fired %d times, want 1", n)
+	}
 }

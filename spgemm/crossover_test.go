@@ -8,13 +8,13 @@ import (
 )
 
 // facadeOutcome is what one pass over the facade's multiply-built entry
-// points returns, plus the stats/v2 totals it recorded.
+// points returns, plus the stats/v3 totals it recorded.
 type facadeOutcome struct {
-	mxm, comp, chain, reused *Matrix
-	truss                    *Matrix
-	triangles                int64
-	bc, bcFused              []float64
-	totals                   CounterSet
+	mxm, comp, reused *Matrix
+	truss             *Matrix
+	triangles         int64
+	bc, bcFused       []float64
+	totals            CounterSet
 }
 
 func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
@@ -32,8 +32,6 @@ func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
 	o.mxm, err = MxM(a, a, a, opts)
 	check(err)
 	o.comp, err = MxMComplement(a, a, a, opts)
-	check(err)
-	o.chain, err = MxMChain(a, a, a, a, a, opts)
 	check(err)
 	mu, err := NewMultiplier(a, a, a, opts)
 	check(err)
@@ -56,7 +54,7 @@ func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
 // TestFacadeSmallEqualsTiled is the small ≡ tiled law at the public
 // surface: every multiply-built entry point returns the same result on
 // either side of the tile crossover, with and without an Engine, at one
-// and three requested workers, and the stats/v2 totals agree on
+// and three requested workers, and the stats/v3 totals agree on
 // everything but the tile count. The one-tile side never touches the
 // plan cache; the tiled side does.
 func TestFacadeSmallEqualsTiled(t *testing.T) {
@@ -82,7 +80,6 @@ func TestFacadeSmallEqualsTiled(t *testing.T) {
 			}{
 				{"MxM", small.mxm, tiled.mxm},
 				{"MxMComplement", small.comp, tiled.comp},
-				{"MxMChain", small.chain, tiled.chain},
 				{"Multiplier", small.reused, tiled.reused},
 				{"KTruss", small.truss, tiled.truss},
 			} {

@@ -2,6 +2,9 @@ package spgemm_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -145,6 +148,60 @@ func TestDefaultEngineShared(t *testing.T) {
 	opts.Engine = spgemm.DefaultEngine()
 	if _, err := spgemm.MxM(a, a, a, opts); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineIdle checks the idle gauge: a fresh engine holds no
+// workspace, a pooled multiply leaves the one it released idle, and a
+// nil engine reports none.
+func TestEngineIdle(t *testing.T) {
+	eng := spgemm.NewEngine(spgemm.EngineConfig{})
+	if n := eng.Idle(); n != 0 {
+		t.Fatalf("fresh engine: Idle = %d, want 0", n)
+	}
+	a := spgemm.RandomGraph("er", 64, 3)
+	opts := spgemm.Defaults()
+	opts.Engine = eng
+	if _, err := spgemm.MxM(a, a, a, opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Idle(); n < 1 {
+		t.Fatalf("after a pooled multiply: Idle = %d, want >= 1", n)
+	}
+	var none *spgemm.Engine
+	if n := none.Idle(); n != 0 {
+		t.Fatalf("nil engine: Idle = %d, want 0", n)
+	}
+}
+
+// TestValidateFlightJSONOnDump runs the public validator on a dump the
+// public hook wrote, and on a copy whose reason is outside the enum.
+func TestValidateFlightJSONOnDump(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.json")
+	tel := spgemm.NewTelemetry(spgemm.TelemetryConfig{FlightPath: path})
+	opts := spgemm.Defaults()
+	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{Telemetry: tel})
+	a := spgemm.RandomGraph("er", 64, 8)
+	if _, err := spgemm.MxM(a, a, a, opts); err != nil {
+		t.Fatal(err)
+	}
+	written, err := tel.DumpFlight(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spgemm.ValidateFlightJSON(data); err != nil {
+		t.Fatalf("dump rejected: %v", err)
+	}
+	bad := strings.Replace(string(data), `"reason": "forced"`, `"reason": "bogus"`, 1)
+	if bad == string(data) {
+		t.Fatal(`"reason": "forced" not found in the dump`)
+	}
+	if err := spgemm.ValidateFlightJSON([]byte(bad)); err == nil {
+		t.Fatal("a dump with an unknown reason passed validation")
 	}
 }
 

@@ -235,12 +235,6 @@ func TestUnknownSemiringIsErrConfig(t *testing.T) {
 		run  func(Options) error
 	}{
 		{"MxM", func(o Options) error { _, err := MxM(a, a, a, o); return err }},
-		{"MxMChain", func(o Options) error { _, err := MxMChain(a, a, a, a, a, o); return err }},
-		{"MxMChain/fused", func(o Options) error {
-			o.Fuse = true
-			_, err := MxMChain(a, a, a, a, a, o)
-			return err
-		}},
 		{"MxMComplement", func(o Options) error { _, err := MxMComplement(a, a, a, o); return err }},
 		{"MxMUnmasked", func(o Options) error { _, err := MxMUnmasked(a, a, o); return err }},
 		{"NewMultiplier", func(o Options) error { _, err := NewMultiplier(a, a, a, o); return err }},

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"maskedspgemm/internal/core"
 	"maskedspgemm/spgemm"
 )
 
@@ -27,83 +26,6 @@ func randMatrixT(t *testing.T, rows, cols int, density float64, seed int64) *spg
 		t.Fatal(err)
 	}
 	return m
-}
-
-func chainOps(t *testing.T, seed int64) (m1, a, b, m2, c *spgemm.Matrix) {
-	t.Helper()
-	m, k, n, q := 37, 29, 31, 23
-	a = randMatrixT(t, m, k, 0.15, seed)
-	b = randMatrixT(t, k, n, 0.2, seed+1)
-	m1 = randMatrixT(t, m, n, 0.25, seed+2)
-	c = randMatrixT(t, n, q, 0.2, seed+3)
-	m2 = randMatrixT(t, m, q, 0.25, seed+4)
-	return
-}
-
-func TestMxMChainFusedMatchesUnfused(t *testing.T) {
-	production := core.SetFuseTileBudgetForTest(1)
-	t.Cleanup(func() { core.SetFuseTileBudgetForTest(production) })
-	for _, seed := range []int64{1, 7} {
-		m1, a, b, m2, c := chainOps(t, seed)
-		opts := spgemm.Defaults()
-		opts.Tiles = 6
-		opts.Workers = 2
-		want, err := spgemm.MxMChain(m1, a, b, m2, c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Fuse = true
-		for _, budget := range []int64{production, 1} { // staged and fully streamed
-			core.SetFuseTileBudgetForTest(budget)
-			got, err := spgemm.MxMChain(m1, a, b, m2, c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("seed %d budget %d: fused chain differs", seed, budget)
-			}
-		}
-	}
-}
-
-func TestMxMChainWithEngineAndStats(t *testing.T) {
-	m1, a, b, m2, c := chainOps(t, 3)
-	opts := spgemm.Defaults()
-	opts.Tiles = 4
-	opts.Workers = 2
-	opts.Fuse = true
-	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	opts.Stats = spgemm.NewStatsRecorder()
-	want, err := spgemm.MxMChain(m1, a, b, m2, c, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := spgemm.MxMChain(m1, a, b, m2, c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("pass %d: fused chain differs under engine", i)
-		}
-	}
-	st := opts.Stats.Stats()
-	if st.Fused.ChainRuns != 3 {
-		t.Fatalf("ChainRuns = %d, want 3", st.Fused.ChainRuns)
-	}
-	if st.Fused.StagedTiles+st.Fused.StreamedTiles == 0 {
-		t.Fatal("no tiles recorded by the fused pipeline")
-	}
-}
-
-func TestMxMChainRejectsBadShapes(t *testing.T) {
-	m1, a, b, m2, _ := chainOps(t, 5)
-	bad := randMatrixT(t, 3, 3, 0.5, 9) // wrong inner dimension for C
-	opts := spgemm.Defaults()
-	opts.Fuse = true
-	if _, err := spgemm.MxMChain(m1, a, b, m2, bad, opts); !errors.Is(err, spgemm.ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
 }
 
 func TestKTrussFuseOptionMatches(t *testing.T) {

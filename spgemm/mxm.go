@@ -14,7 +14,6 @@ import (
 // semiringKernels.
 type kernels struct {
 	masked, comp                  func(m, a, b *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error)
-	fused                         func(m1, a, b, m2, c *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error)
 	unmasked, ewiseAdd, ewiseMult func(a, b *sparse.CSR[float64]) (*sparse.CSR[float64], error)
 }
 
@@ -25,9 +24,6 @@ func kernelsFor[S semiring.Semiring[float64]](sr S) kernels {
 		},
 		comp: func(m, a, b *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error) {
 			return core.MaskedSpGEMMComp[float64](sr, m, a, b, cfg)
-		},
-		fused: func(m1, a, b, m2, c *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error) {
-			return core.FusedMaskedSpGEMM[float64](sr, m1, a, b, m2, c, cfg)
 		},
 		unmasked: func(a, b *sparse.CSR[float64]) (*sparse.CSR[float64], error) {
 			return core.SpGEMM[float64](sr, a, b)
@@ -99,72 +95,6 @@ func MxM(mask, a, b *Matrix, opts Options) (_ *Matrix, err error) {
 func mxmAttempt(mask, a, b *Matrix, opts Options) (_ *sparse.CSR[float64], err error) {
 	defer recoverAsError(&err)
 	return opts.kernels().masked(mask.csr, a.csr, b.csr, opts.config())
-}
-
-// MxMChain computes the chained masked product
-//
-//	D = m2 ⊙ ((m1 ⊙ (a × b)) × c)
-//
-// — two dependent masked multiplies in one call. With Options.Fuse set
-// the intermediate product m1 ⊙ (a×b) is never materialized: each
-// FLOP-balanced output tile of the first multiply is staged in
-// workspace buffers (up to 1 MiB per tile, degrading to row streaming
-// beyond it) and consumed by the second multiply while hot. Without
-// Fuse the chain runs as two ordinary MxM calls. Both paths return
-// bit-identical results.
-//
-// Shape requirements: a is m×k, b is k×n, m1 is m×n, c is n×q, m2 is
-// m×q.
-func MxMChain(m1, a, b, m2, c *Matrix, opts Options) (_ *Matrix, err error) {
-	defer recoverAsError(&err)
-	if err := opts.validate(namedOperand{"m1", m1}, namedOperand{"a", a}, namedOperand{"b", b},
-		namedOperand{"m2", m2}, namedOperand{"c", c}); err != nil {
-		return nil, err
-	}
-	m1, m2 = opts.mask(m1), opts.mask(m2)
-	if !opts.Fuse {
-		inner := opts
-		inner.ValidateInputs = false
-		inner.ValuedMask = false
-		mid, err := MxM(m1, a, b, inner)
-		if err != nil {
-			return nil, err
-		}
-		return MxM(m2, mid, c, inner)
-	}
-	// The fused path rides the same retry ladder as MxM: rung one
-	// retries the fused pipeline serially, rung two drops Fuse — the
-	// fused→staged degradation — and reruns as two ordinary multiplies
-	// with fresh unpooled buffers.
-	d, err := opts.retry(func(o Options) (*sparse.CSR[float64], error) {
-		if o.Fuse {
-			return fusedChainAttempt(m1, a, b, m2, c, o)
-		}
-		inner := o
-		inner.ValidateInputs = false
-		inner.ValuedMask = false
-		inner.Retry = Retry{} // the outer loop owns the attempt budget
-		mid, err := MxM(m1, a, b, inner)
-		if err != nil {
-			return nil, err
-		}
-		out, err := MxM(m2, mid, c, inner)
-		if err != nil {
-			return nil, err
-		}
-		return out.csr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wrap(d), nil
-}
-
-// fusedChainAttempt runs one attempt of the fused chained product,
-// containing panics so the retry ladder can classify them.
-func fusedChainAttempt(m1, a, b, m2, c *Matrix, opts Options) (_ *sparse.CSR[float64], err error) {
-	defer recoverAsError(&err)
-	return opts.kernels().fused(m1.csr, a.csr, b.csr, m2.csr, c.csr, opts.config())
 }
 
 // MxMComplement computes C = ¬mask ⊙ (a × b): the product restricted to

@@ -53,13 +53,12 @@ type Options struct {
 	// element-wise operations. Default SRPlusTimes; a value outside the
 	// enum is ErrConfig. The algorithm wrappers and TRSV fix their own.
 	Semiring Semiring
-	// Fuse enables the tile-granular fused pipeline for chained
-	// products: MxMChain streams each tile of its first product into the
-	// second while hot instead of materializing the intermediate matrix,
-	// and the algorithm wrappers with fused formulations (KTruss's
-	// support-and-prune round, BetweennessCentralityBatch's backward
-	// sweep) use them. Results are bit-identical to the unfused paths;
-	// only intermediate allocations and locality change.
+	// Fuse runs the algorithm wrappers with fused formulations in them:
+	// KTruss's support-and-prune round as one select multiply, and
+	// BetweennessCentralityBatch's backward sweep streaming each row into
+	// its dependency vector, instead of materializing the intermediate
+	// matrix. Results are bit-identical to the unfused paths; only
+	// intermediate allocations and locality change.
 	Fuse bool
 	// ValuedMask switches the mask from structural semantics (any stored
 	// entry allows the position — GraphBLAS GrB_STRUCTURE, the paper's
@@ -94,9 +93,9 @@ type Options struct {
 	// Retry re-executes a multiplication after transient failures —
 	// contained panics (ErrPanic), stall-watchdog verdicts (ErrStalled)
 	// and injected faults — descending a degradation ladder so the
-	// retried attempt cannot trip over the same concurrency, fusion or
-	// pooled state: parallel → serial, fused → staged, pooled →
-	// unpooled. The zero value disables retrying. See docs/RESILIENCE.md
+	// retried attempt cannot trip over the same concurrency or pooled
+	// state: parallel → serial, pooled → unpooled. The zero value
+	// disables retrying. See docs/RESILIENCE.md
 	// for the full taxonomy and ladder.
 	Retry Retry
 	// StallTimeout, when positive, arms a watchdog on every scheduled

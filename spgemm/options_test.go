@@ -87,9 +87,10 @@ func TestOptionsDocumented(t *testing.T) {
 }
 
 // TestRungKeepsKappa pins what the retry ladder may change: a degraded
-// rung narrows the execution path (workers, then fusion and the engine)
-// but keeps the algebra and the static κ, so every rung computes the
-// same product under the same Eq. 3 decisions.
+// rung narrows the execution path (workers, then the engine) but keeps
+// the algebra, the static κ and Fuse, which no retried entry point
+// reads, so every rung computes the same product under the same Eq. 3
+// decisions.
 func TestRungKeepsKappa(t *testing.T) {
 	o := Defaults()
 	o.Kappa = 0.3
@@ -110,7 +111,7 @@ func TestRungKeepsKappa(t *testing.T) {
 			if r.Workers != wantWorkers {
 				t.Errorf("workers = %d, want %d", r.Workers, wantWorkers)
 			}
-			if r.Fuse != (try < 2) || (r.Engine != nil) != (try < 2) {
+			if !r.Fuse || (r.Engine != nil) != (try < 2) {
 				t.Errorf("fuse=%v engine=%v at rung %d", r.Fuse, r.Engine != nil, try)
 			}
 			noDegrade := o

@@ -10,8 +10,8 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// Retry is the automatic re-execution policy applied by MxM, MxMChain
-// and Multiplier.Multiply when Options.Retry is set. Only transient
+// Retry is the automatic re-execution policy applied by MxM and
+// Multiplier.Multiply when Options.Retry is set. Only transient
 // failures are retried — contained kernel panics (ErrPanic),
 // stall-watchdog verdicts (ErrStalled) and injected faults; real
 // cancellation, shape, configuration and input-validation errors return
@@ -23,14 +23,14 @@ import (
 //
 //	attempt 1   the configured path, as tuned
 //	attempt 2   serial: one worker
-//	attempt 3+  additionally unfused (chains run staged) and unpooled
-//	            (no Engine — fresh buffers, no shared workspace state)
+//	attempt 3+  additionally unpooled (no Engine — fresh buffers, no
+//	            shared workspace state)
 //
 // The final rung shares nothing mutable with other runs, so a fault
-// rooted in concurrency, fusion staging or pooled-workspace state
-// cannot recur there. Results on every rung are bit-identical to the
-// configured path. Attempt outcomes are recorded in the stats/v2 retry
-// block when a StatsRecorder is attached.
+// rooted in concurrency or pooled-workspace state cannot recur there.
+// Results on every rung are bit-identical to the configured path.
+// Attempt outcomes are recorded in the stats/v3 retry block when a
+// StatsRecorder is attached.
 type Retry struct {
 	// MaxAttempts is the total execution budget, first try included.
 	// 0 or 1 disables retrying.
@@ -63,25 +63,24 @@ func retryable(err error) bool {
 
 // rung returns the options for attempt try (0 = the first, configured
 // try): rung one forces the serial path, rung two and beyond
-// additionally drop fusion and the engine.
+// additionally drop the engine.
 func (o Options) rung(try int) Options {
 	if try == 0 || o.Retry.NoDegrade {
 		return o
 	}
 	o.Workers = 1
 	if try >= 2 {
-		o.Fuse = false
 		o.Engine = nil
 	}
 	return o
 }
 
 // retry runs attempt under the options' retry policy, the one loop
-// behind MxM, MxMChain and Multiplier.Multiply: the first try gets the
+// behind MxM and Multiplier.Multiply: the first try gets the
 // options as configured, each further try its rung's, with a doubling
 // backoff that observes the context in between. Retry counters are
 // recorded only when a retry policy is configured, so plain calls leave
-// the stats/v2 retry block untouched.
+// the stats/v3 retry block untouched.
 func (o Options) retry(attempt func(Options) (*sparse.CSR[float64], error)) (*sparse.CSR[float64], error) {
 	r, rec := o.Retry, o.recorder()
 	budget := max(r.MaxAttempts, 1)

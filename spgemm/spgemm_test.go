@@ -398,3 +398,102 @@ func TestMxMShapeErrors(t *testing.T) {
 		t.Error("invalid options accepted")
 	}
 }
+
+// bruteCore is the k-core decomposition by definition: v's coreness is
+// the largest k for which v survives repeatedly deleting every vertex
+// with fewer than k live neighbours.
+func bruteCore(g *spgemm.Matrix) []int32 {
+	n := g.Rows()
+	core := make([]int32, n)
+	for k := int32(1); ; k++ {
+		alive := make([]bool, n)
+		for v := range alive {
+			alive[v] = true
+		}
+		for changed := true; changed; {
+			changed = false
+			for v := range n {
+				if !alive[v] {
+					continue
+				}
+				cols, _ := g.Row(v)
+				deg := int32(0)
+				for _, u := range cols {
+					if alive[u] {
+						deg++
+					}
+				}
+				if deg < k {
+					alive[v], changed = false, true
+				}
+			}
+		}
+		survivors := 0
+		for v, ok := range alive {
+			if ok {
+				core[v] = k
+				survivors++
+			}
+		}
+		if survivors == 0 {
+			return core
+		}
+	}
+}
+
+// TestKCoreMatchesBrutePeel holds the facade's bucketed KCore to the
+// definition on the simple undirected graphs of three families: ER, road
+// and R-MAT.
+func TestKCoreMatchesBrutePeel(t *testing.T) {
+	for _, kind := range []string{"er", "road", "rmat"} {
+		src := spgemm.RandomGraph(kind, 120, 9)
+		var edges [][2]int
+		for i := range src.Rows() {
+			cols, _ := src.Row(i)
+			for _, j := range cols {
+				edges = append(edges, [2]int{i, int(j)})
+			}
+		}
+		g, err := spgemm.FromEdges(src.Rows(), edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core, maxCore, err := spgemm.KCore(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteCore(g)
+		wantMax := int32(0)
+		for v, c := range want {
+			wantMax = max(wantMax, c)
+			if core[v] != c {
+				t.Fatalf("%s: vertex %d has coreness %d, brute peel says %d", kind, v, core[v], c)
+			}
+		}
+		if maxCore != wantMax || wantMax < 2 {
+			t.Fatalf("%s: degeneracy %d, brute peel says %d (want at least 2 for a useful fixture)",
+				kind, maxCore, wantMax)
+		}
+	}
+}
+
+// TestMatrixSum checks Sum against the stored values, duplicates summed
+// at construction, and the empty matrix's zero.
+func TestMatrixSum(t *testing.T) {
+	m, err := spgemm.FromTriples(3, 4, []spgemm.Triple{
+		{Row: 0, Col: 1, Val: 1.5}, {Row: 2, Col: 3, Val: -4}, {Row: 0, Col: 1, Val: 2}, {Row: 1, Col: 0, Val: 0.25},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Sum(); got != -0.25 {
+		t.Errorf("Sum = %v, want -0.25", got)
+	}
+	empty, err := spgemm.FromTriples(2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := empty.Sum(); got != 0 {
+		t.Errorf("empty Sum = %v, want 0", got)
+	}
+}

@@ -66,7 +66,7 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 type TelemetryServer = telemetry.Server
 
 // Handler returns the debug mux — /metrics (Prometheus text
-// exposition), /stats (stats/v2 JSON), /flight (forced flightrec/v2
+// exposition), /stats (stats/v3 JSON), /flight (forced flightrec/v2
 // dump), /healthz (engine pool invariants), /debug/vars and
 // /debug/pprof — for callers that mount it on their own server. Nil
 // receivers return an empty mux.

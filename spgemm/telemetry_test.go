@@ -28,7 +28,7 @@ func scrapeMetrics(t *testing.T, tel *Telemetry) []telemetry.Sample {
 
 // TestTelemetryMetricsMatchStats is the live-vs-post-hoc parity
 // acceptance test: on a warm engine, the /metrics exposition and the
-// StatsRecorder's stats/v2 snapshot must agree — run counts and phase
+// StatsRecorder's stats/v3 snapshot must agree — run counts and phase
 // span counts exactly, phase wall time and the pool hit rate within
 // float tolerance — because both views observe the same spans through
 // the same recorder.
@@ -54,7 +54,7 @@ func TestTelemetryMetricsMatchStats(t *testing.T) {
 
 	runs, ok := telemetry.FindSample(samples, "spgemm_runs_total")
 	if !ok || runs.Value != float64(st.Runs) {
-		t.Fatalf("spgemm_runs_total = %v, stats/v2 runs = %d", runs.Value, st.Runs)
+		t.Fatalf("spgemm_runs_total = %v, stats/v3 runs = %d", runs.Value, st.Runs)
 	}
 	runCount, _ := telemetry.FindSample(samples, "spgemm_run_latency_seconds_count")
 	if runCount.Value != float64(st.Runs) {
@@ -62,7 +62,7 @@ func TestTelemetryMetricsMatchStats(t *testing.T) {
 	}
 
 	if len(st.Phases) == 0 {
-		t.Fatal("stats/v2 snapshot has no phases")
+		t.Fatal("stats/v3 snapshot has no phases")
 	}
 	for _, ph := range st.Phases {
 		label := `phase="` + ph.Phase + `"`
@@ -71,7 +71,7 @@ func TestTelemetryMetricsMatchStats(t *testing.T) {
 			t.Fatalf("no _count sample for %s", label)
 		}
 		if count.Value != float64(ph.Count) {
-			t.Fatalf("%s: /metrics count %v, stats/v2 spans %d", ph.Phase, count.Value, ph.Count)
+			t.Fatalf("%s: /metrics count %v, stats/v3 spans %d", ph.Phase, count.Value, ph.Count)
 		}
 		sum, ok := telemetry.FindSample(samples, "spgemm_phase_latency_seconds_sum", label)
 		if !ok {
@@ -79,7 +79,7 @@ func TestTelemetryMetricsMatchStats(t *testing.T) {
 		}
 		wantSec := ph.Millis / 1e3
 		if math.Abs(sum.Value-wantSec) > wantSec*1e-6+1e-12 {
-			t.Fatalf("%s: /metrics sum %vs, stats/v2 %vs — same spans, must agree", ph.Phase, sum.Value, wantSec)
+			t.Fatalf("%s: /metrics sum %vs, stats/v3 %vs — same spans, must agree", ph.Phase, sum.Value, wantSec)
 		}
 		p99, ok := telemetry.FindSample(samples, "spgemm_phase_latency_seconds", label, `quantile="0.99"`)
 		if !ok {
@@ -96,7 +96,7 @@ func TestTelemetryMetricsMatchStats(t *testing.T) {
 	es := eng.Stats()
 	hits, _ := telemetry.FindSample(samples, "spgemm_pool_hits_total")
 	if hits.Value != float64(es.Hits) || es.Hits != st.Pool.Hits {
-		t.Fatalf("pool hits: /metrics %v, engine %d, stats/v2 %d — must agree", hits.Value, es.Hits, st.Pool.Hits)
+		t.Fatalf("pool hits: /metrics %v, engine %d, stats/v3 %d — must agree", hits.Value, es.Hits, st.Pool.Hits)
 	}
 	rate, _ := telemetry.FindSample(samples, "spgemm_pool_hit_rate")
 	if math.Abs(rate.Value-es.HitRate()) > 1e-9 {
@@ -302,18 +302,18 @@ func TestTelemetryWaveCounters(t *testing.T) {
 	samples := scrapeMetrics(t, tel)
 	st := stats.Stats()
 	if st.Sched.WaveRuns != 1 {
-		t.Fatalf("stats/v2 wave runs = %d, want 1", st.Sched.WaveRuns)
+		t.Fatalf("stats/v3 wave runs = %d, want 1", st.Sched.WaveRuns)
 	}
 	runs, _ := telemetry.FindSample(samples, "spgemm_wave_runs_total")
 	if runs.Value != float64(st.Sched.WaveRuns) {
-		t.Fatalf("spgemm_wave_runs_total = %v, stats/v2 = %d", runs.Value, st.Sched.WaveRuns)
+		t.Fatalf("spgemm_wave_runs_total = %v, stats/v3 = %d", runs.Value, st.Sched.WaveRuns)
 	}
 	waves, _ := telemetry.FindSample(samples, "spgemm_waves_total")
 	if waves.Value != float64(st.Sched.Waves) || waves.Value < 1 {
-		t.Fatalf("spgemm_waves_total = %v, stats/v2 = %d", waves.Value, st.Sched.Waves)
+		t.Fatalf("spgemm_waves_total = %v, stats/v3 = %d", waves.Value, st.Sched.Waves)
 	}
 	barriers, _ := telemetry.FindSample(samples, "spgemm_wave_barriers_total")
 	if barriers.Value != float64(st.Sched.Barriers) {
-		t.Fatalf("spgemm_wave_barriers_total = %v, stats/v2 = %d", barriers.Value, st.Sched.Barriers)
+		t.Fatalf("spgemm_wave_barriers_total = %v, stats/v3 = %d", barriers.Value, st.Sched.Barriers)
 	}
 }
