@@ -161,16 +161,18 @@ bench-engine:
 		-graphs GAP-road-sim -reps 2 -budget 1s
 
 # bench-trsv is the triangular-solve regression gate: solve L·x = 1 on
-# a small graph with the serial substitution loop and the
-# dependency-wave schedule. Bit-identity between the two solutions is
-# asserted unconditionally inside the experiment; the speedup bound is
-# opt-in via TRSV_SPEEDUP (e.g. TRSV_SPEEDUP=1.0) because the wave win
-# needs real cores — timing on a single-core runner proves nothing.
-# Part of `make gates`.
+# small graphs with the serial substitution loop and the
+# dependency-wave schedule. Bit-identity of both solutions with the
+# per-entry reference is asserted unconditionally inside the
+# experiment, on a road graph, a social graph and
+# arabic-2005-sim, the skewed graph the verdict's unit costs come from.
+# The speedup bound is opt-in via TRSV_SPEEDUP (e.g. TRSV_SPEEDUP=1.0)
+# because the wave win needs real cores — timing on a single-core
+# runner proves nothing. Part of `make gates`.
 TRSV_SPEEDUP ?= 0
 bench-trsv:
 	$(GO) run ./cmd/spgemm-bench -experiment trsv -shift 6 \
-		-graphs GAP-road-sim,hollywood-2009-sim -reps 2 -budget 1s \
+		-graphs GAP-road-sim,hollywood-2009-sim,arabic-2005-sim -reps 2 -budget 1s \
 		-min-trsv-speedup $(TRSV_SPEEDUP)
 
 # bench-micro runs the micro-benchmarks behind the quoted per-unit

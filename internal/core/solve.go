@@ -263,9 +263,10 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 	if so.Transpose {
 		op = sp.Trans.(*sparse.CSR[T])
 	}
-	// dst starts as b: out-of-mask rows keep it, solved rows overwrite it
-	// in dependency order. An in-place solve (dst is b) skips the copy.
-	if &dst[0] != &b[0] {
+	// Under a mask dst starts as b: out-of-mask rows keep it, solved rows
+	// overwrite it in dependency order. An unmasked solve writes every row,
+	// and an in-place one (dst is b) has b there already: no copy.
+	if so.Mask != nil && &dst[0] != &b[0] {
 		copy(dst, b)
 	}
 
@@ -294,15 +295,16 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 		(so.Mode == SolveAuto && sp.Serial)
 
 	var wstats *sched.WaveStats
+	lower := so.effectiveLower()
 	if serial {
-		rows, forward := so.Mask, so.effectiveLower()
+		rows := so.Mask
 		if !scope.Enabled() {
 			// Direct call, no spans: keeps the warm engine-backed path
 			// free of closure allocations (the zero-alloc pin).
-			err = solveSerial(ctx, op, dst, b, state, rows, forward)
+			err = solveSerial(ctx, op, dst, b, state, rows, lower)
 		} else {
 			err = spanned(ctx, scope, obs.PhaseExecSolve, func() error {
-				if err := solveSerial(ctx, op, dst, b, state, rows, forward); err != nil {
+				if err := solveSerial(ctx, op, dst, b, state, rows, lower); err != nil {
 					return err
 				}
 				// One worker did the whole solve, as one tile.
@@ -322,13 +324,18 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 			}
 			err = runSolveWavesSpanned(ctx, cfg, scope, workers, wp, wstats, func(worker, t int, wc *obs.WorkerCounters) {
 				tile := sp.Tiles[t]
-				var flops int64
-				for s := tile.Lo; s < tile.Hi; s++ {
-					i := int(sp.Order[s])
-					flops += op.RowNNZ(i)
-					solveRow(op, dst, b, state, i)
+				if state == nil {
+					substRows(op, dst, b, sp.Order, tile.Lo, tile.Hi, lower)
+				} else {
+					for s := tile.Lo; s < tile.Hi; s++ {
+						solveRow(op, dst, b, state, int(sp.Order[s]))
+					}
 				}
 				if wc != nil {
+					var flops int64
+					for _, i := range sp.Order[tile.Lo:tile.Hi] {
+						flops += op.RowNNZ(int(i))
+					}
 					wc.Rows.Add(int64(tile.Rows()))
 					wc.Flops.Add(flops)
 				}
@@ -352,12 +359,16 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 }
 
 // SolveTriSerial is the reference substitution: a single loop in
-// substitution order with its own validation, sharing only the per-row
-// arithmetic with the wave path so the two are bit-identical by
-// construction (each row is summed in CSR storage order by exactly one
-// worker in both). It allocates its own scratch and, for transpose
-// solves, its own transpose — the baseline the wave path is verified
-// and benchmarked against, not a fast path.
+// substitution order with its own validation, running solveRow, which
+// tests every entry, on every row. SolveTriInto runs solveRow only under
+// a mask and substRows, which trusts the plan's validation, otherwise;
+// both sum each row in CSR storage order on exactly one worker, and that
+// the two agree bit for bit is held by test, not by construction:
+// TestSolveTriLatticeBitIdentical and TestSolveTriMatchesSerialBitIdentical
+// in this package, and the trsv experiment's gate (`make bench-trsv`)
+// on corpus graphs. It allocates its own scratch and, for transpose
+// solves, its own transpose — the baseline the solve is verified and
+// benchmarked against, not a fast path.
 func SolveTriSerial[T sparse.Number](
 	dst []T, l *sparse.CSR[T], b []T, so SolveOpts,
 ) (err error) {
@@ -498,39 +509,101 @@ func solveRow[T sparse.Number](op *sparse.CSR[T], dst, b []T, state []uint8, i i
 	dst[i] = (b[i] - acc) / diag
 }
 
+// substRows is the substitution kernel of every unmasked solve: it
+// solves the rows order[lo:hi] front to back or, with order nil, the
+// rows lo..hi-1 in substitution order (ascending when lower, descending
+// otherwise). It trusts what buildSolvePlan proved of every row of an
+// unmasked solve — a stored diagonal, no entry on the wrong side — so
+// on sorted rows the diagonal is the row's last stored entry (lower) or
+// its first (upper), and the row's sum runs over the contiguous rest
+// with no per-entry test. It adds in CSR storage order, as solveRow
+// does, so the two are bit-identical. Each row still checks that its end
+// entry is a non-zero diagonal: an operand edited behind a cached plan
+// panics with an ErrSingular-wrapped error, as solveRow does, and never
+// yields a wrong x.
+//
+//spgemm:hotpath
+func substRows[T sparse.Number](op *sparse.CSR[T], dst, b []T, order []sparse.Index, lo, hi int, lower bool) {
+	rowPtr, colIdx, val := op.RowPtr, op.ColIdx, op.Val
+	var zero T
+	for s := lo; s < hi; s++ {
+		i := s
+		if order != nil {
+			i = int(order[s])
+		} else if !lower {
+			i = lo + hi - 1 - s
+		}
+		first, end := rowPtr[i], rowPtr[i+1]
+		d := end - 1
+		if !lower {
+			d = first
+			first++
+		} else {
+			end = d
+		}
+		if first > end || int(colIdx[d]) != i || val[d] == zero {
+			//lint:ignore hotpathalloc failure path: the solve is over
+			panic(fmt.Errorf("%w: row %d does not end in a non-zero diagonal", ErrSingular, i))
+		}
+		cols, vals := colIdx[first:end], val[first:end]
+		vals = vals[:len(cols)]
+		var acc T
+		for k, j := range cols {
+			acc += vals[k] * dst[j]
+		}
+		dst[i] = (b[i] - acc) / val[d]
+	}
+}
+
 // solveSerial is the engine-backed serial execution: one worker
-// substitutes rows (nil = all n) front to back when forward is set,
-// back to front otherwise — with the mask's rows or none, and
-// forward = effectively lower, that is substitution order — polling
-// cancellation every stride rows. The loop is written out rather than
-// run through forEachSolved's callback, so the warm path stays
-// allocation-free and pays no indirect call per row; the ErrSingular
-// panic from solveRow is recovered into the typed return.
+// substitutes in substitution order (forward when lower, backward
+// otherwise), polling cancellation every pollStride rows. Unmasked
+// (state nil), it sweeps all rows with substRows, one block of
+// pollStride rows per call; masked, it walks rows, the mask, through
+// solveRow, which tests each entry against the mask. Both loops are
+// written out rather than run through forEachSolved's callback, so the
+// warm path stays allocation-free and pays no indirect call per row;
+// the kernels' ErrSingular panic is recovered into the typed return.
 func solveSerial[T sparse.Number](
-	ctx context.Context, op *sparse.CSR[T], dst, b []T, state []uint8, rows []sparse.Index, forward bool,
+	ctx context.Context, op *sparse.CSR[T], dst, b []T, state []uint8, rows []sparse.Index, lower bool,
 ) (err error) {
 	defer func() {
 		err = recoverSingular(recover(), err)
 	}()
 	const pollStride = 1024
-	m := op.Rows
-	if rows != nil {
-		m = len(rows)
+	poll := func() error {
+		if ctx == nil {
+			return nil
+		}
+		return ctx.Err()
 	}
+	if state == nil {
+		n := op.Rows
+		for lo := 0; lo < n; lo += pollStride {
+			if cerr := poll(); cerr != nil {
+				return cerr
+			}
+			hi := min(lo+pollStride, n)
+			if lower {
+				substRows(op, dst, b, nil, lo, hi, true)
+			} else {
+				substRows(op, dst, b, nil, n-hi, n-lo, false)
+			}
+		}
+		return nil
+	}
+	m := len(rows)
 	for k := 0; k < m; k++ {
-		if ctx != nil && k%pollStride == 0 {
-			if cerr := ctx.Err(); cerr != nil {
+		if k%pollStride == 0 {
+			if cerr := poll(); cerr != nil {
 				return cerr
 			}
 		}
 		i := k
-		if !forward {
+		if !lower {
 			i = m - 1 - k
 		}
-		if rows != nil {
-			i = int(rows[i])
-		}
-		solveRow(op, dst, b, state, i)
+		solveRow(op, dst, b, state, int(rows[i]))
 	}
 	return nil
 }
@@ -577,9 +650,11 @@ const (
 	// scatters the reads of earlier solution entries, so it costs more.
 	// They are BenchmarkSolveOrder's substitution and level-order ns/nnz
 	// (internal/core) on arabic-2005-sim, the corpus graph with the most
-	// multi-tile waves, so the one whose verdict the gap decides.
-	solveSubstNsPerNnz = 1.96
-	solveLevelNsPerNnz = 3.08
+	// multi-tile waves, so the one whose verdict the gap decides: the
+	// medians of one 16-run session (1.41–2.19 and 2.57–3.60), both on
+	// substRows, the kernel every unmasked solve runs.
+	solveSubstNsPerNnz = 1.78
+	solveLevelNsPerNnz = 3.23
 	// solveCrossingNs is one wave barrier crossed by workers that arrive
 	// apart, so all but the last have parked and must be woken —
 	// internal/sched's BenchmarkWaveCrossing staggered row (ns/crossing).

@@ -647,6 +647,154 @@ func TestSolveTriSerialTransposeUpper(t *testing.T) {
 	}
 }
 
+// edgeLower is a lower-triangular fixture with the rows the unmasked
+// kernel finds its diagonal in by position alone: diagonal-only rows
+// (every third), a last row whose only off-diagonal entry is column 0,
+// and random dependencies elsewhere.
+func edgeLower(n int, r *rand.Rand) *sparse.CSR[float64] {
+	coo := sparse.NewCOO[float64](n, n, 0)
+	for i := 0; i < n; i++ {
+		coo.Add(sparse.Index(i), sparse.Index(i), float64(r.Intn(7)+2))
+		switch {
+		case i == n-1 && i > 0:
+			coo.Add(sparse.Index(i), 0, 3)
+		case i%3 != 0:
+			for j := 0; j < i; j++ {
+				if r.Float64() < 0.2 {
+					coo.Add(sparse.Index(i), sparse.Index(j), float64(r.Intn(9)+1))
+				}
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// TestSolveTriLatticeBitIdentical holds SolveTriInto to the per-entry
+// reference SolveTriSerial with == on every configuration of the lattice
+// {serial, waves} × {Lower, Upper} × {plain, Transpose} × {in-place,
+// separate dst} × {no mask, mask}, on fixtures of 1, 2 and 97 rows with
+// diagonal-only rows and a row whose only off-diagonal entry is column
+// 0. A separate dst starts as NaN, so a row the solve forgets to write
+// shows. Each configuration runs twice on one engine, cold and on the
+// cached plan.
+func TestSolveTriLatticeBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	eng := exec.New(exec.Config{})
+	for _, n := range []int{1, 2, 97} {
+		lower := edgeLower(n, r)
+		b := randVec(n, r)
+		mask := randMask(n, 0.6, r)
+		for _, tri := range []Tri{Lower, Upper} {
+			stored := lower
+			if tri == Upper {
+				stored = sparse.Transpose(lower)
+			}
+			for _, transpose := range []bool{false, true} {
+				for _, m := range [][]sparse.Index{nil, mask} {
+					ref := SolveOpts{Tri: tri, Transpose: transpose, Mask: m}
+					want := make([]float64, n)
+					if err := SolveTriSerial(want, stored, b, ref); err != nil {
+						t.Fatalf("n=%d %v transpose=%v: reference: %v", n, tri, transpose, err)
+					}
+					for _, mode := range []SolveMode{SolveSerial, SolveWaves} {
+						for _, inPlace := range []bool{false, true} {
+							name := fmt.Sprintf("n=%d/%v/transpose=%v/masked=%v/mode=%d/in-place=%v",
+								n, tri, transpose, m != nil, mode, inPlace)
+							so := ref
+							so.Mode, so.WaveGrain, so.MergeBelow = mode, 4, 2
+							cfg := solveCfg(sched.Dynamic, 2)
+							cfg.Engine = eng
+							for run := 0; run < 2; run++ {
+								got := make([]float64, n)
+								src := b
+								if inPlace {
+									copy(got, b)
+									src = got
+								} else {
+									for i := range got {
+										got[i] = math.NaN()
+									}
+								}
+								if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, stored, src, cfg, so); err != nil {
+									t.Fatalf("%s run %d: %v", name, run, err)
+								}
+								for i := range want {
+									if got[i] != want[i] {
+										t.Fatalf("%s run %d, row %d: %v != reference %v", name, run, i, got[i], want[i])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if err := eng.SelfCheck(); err != nil {
+		t.Fatalf("engine self-check after solves: %v", err)
+	}
+}
+
+// TestSolveTriEditedOperandBehindCachedPlan: the plan cache keys a solve
+// plan on the operand's row structure, not its columns or values, so an
+// operand edited in place still hits the plan built before the edit.
+// The unmasked kernel trusts that plan's proof of the triangle but still
+// checks each row's end entry, so both edits below end in ErrSingular —
+// never a silently wrong x — on the serial path and on the wave path,
+// for both triangles:
+//
+//   - zero-diag: a diagonal value set to 0;
+//   - moved-diag: the diagonal's column moved one step to the wrong
+//     side (rows stay sorted, RowPtr is untouched), so the row's end
+//     entry is no longer its diagonal.
+func TestSolveTriEditedOperandBehindCachedPlan(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	n := 200
+	lower := randTriangular(n, true, 0.1, 2, r)
+	b := randVec(n, r)
+	row := n / 2
+	for _, tri := range []Tri{Lower, Upper} {
+		for _, mode := range []SolveMode{SolveSerial, SolveWaves} {
+			for _, edit := range []string{"zero-diag", "moved-diag"} {
+				name := fmt.Sprintf("%v/mode=%d/%s", tri, mode, edit)
+				stored := lower.Clone()
+				if tri == Upper {
+					stored = sparse.Transpose(lower)
+				}
+				eng := exec.New(exec.Config{})
+				cfg := solveCfg(sched.Dynamic, 2)
+				cfg.Engine = eng
+				so := SolveOpts{Tri: tri, Mode: mode, WaveGrain: 16, MergeBelow: 3}
+				dst := make([]float64, n)
+				if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, stored, b, cfg, so); err != nil {
+					t.Fatalf("%s: solve before the edit: %v", name, err)
+				}
+				d := stored.RowPtr[row+1] - 1 // the diagonal's slot
+				side := sparse.Index(1)       // its wrong side
+				if tri == Upper {
+					d, side = stored.RowPtr[row], -1
+				}
+				if stored.ColIdx[d] != sparse.Index(row) {
+					t.Fatalf("%s: fixture row %d does not end in its diagonal", name, row)
+				}
+				if edit == "zero-diag" {
+					stored.Val[d] = 0
+				} else {
+					stored.ColIdx[d] += side
+				}
+				hits := eng.Stats().PlanHits
+				err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, stored, b, cfg, so)
+				if !errors.Is(err, ErrSingular) {
+					t.Fatalf("%s: got %v, want ErrSingular", name, err)
+				}
+				if eng.Stats().PlanHits != hits+1 {
+					t.Fatalf("%s: the edited solve did not run on the cached plan", name)
+				}
+			}
+		}
+	}
+}
+
 // TestSolveSteadyStateAllocs pins the zero-alloc contract of warm
 // engine-backed solves on both serial paths: once the plan is cached and
 // the dense scratch is pooled, a solve — hash, plan lookup, workspace
@@ -666,6 +814,7 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	}{
 		{"one-worker-masked", 1, SolveOpts{Mask: mask}},
 		{"forced-serial-masked-transposed", 4, SolveOpts{Mask: mask, Mode: SolveSerial, Tri: Upper, Transpose: true}},
+		{"forced-serial-upper", 4, SolveOpts{Mode: SolveSerial, Tri: Upper}},
 		{"serial-verdict", 2, SolveOpts{}},
 	} {
 		eng := exec.New(exec.Config{})

@@ -326,3 +326,25 @@ func TestRetryBackoffObservesContext(t *testing.T) {
 		t.Fatalf("fault fired %d times, want 1", n)
 	}
 }
+
+// TestRetryBackoffCancelIsErrCanceled: a call whose context is cancelled
+// during a retry backoff ends as cancelled, as Options.Context promises —
+// the error matches ErrCanceled and the context's own error — and still
+// carries the failed attempt's ErrPanic.
+func TestRetryBackoffCancelIsErrCanceled(t *testing.T) {
+	a := RandomGraph("er", 64, 29)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := Defaults()
+	opts.Workers = 1
+	opts.Context = ctx
+	opts.Retry = Retry{MaxAttempts: 3, Backoff: 10 * time.Second}
+	opts.chaos, _ = kernelFaults(func() { time.AfterFunc(20*time.Millisecond, cancel) })
+	_, err := MxM(a, a, a, opts)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled matching context.Canceled", err)
+	}
+	if !errors.Is(err, ErrPanic) {
+		t.Fatalf("err = %v, want the failed attempt's ErrPanic still in the chain", err)
+	}
+}

@@ -3,6 +3,7 @@ package spgemm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"maskedspgemm/internal/chaos"
@@ -105,7 +106,10 @@ func (o Options) retry(attempt func(Options) (*sparse.CSR[float64], error)) (*sp
 			break
 		}
 		if backoff > 0 {
-			if sleepCtx(o.Context, backoff) != nil {
+			if cerr := sleepCtx(o.Context, backoff); cerr != nil {
+				// Cancelled while waiting: the call ends as cancelled, with
+				// the attempt that failed last still in the chain.
+				lastErr = fmt.Errorf("%w: %w during the retry backoff after: %w", ErrCanceled, cerr, lastErr)
 				break
 			}
 			backoff *= 2
