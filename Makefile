@@ -181,9 +181,9 @@ bench-trsv:
 # and batched BC on the 57 x 100 road lattice (us/multiply: the fixed
 # cost of one small product, the number the tile crossover exists to
 # cut), k-truss(4) staged and fused on an engine (B/round: what a round
-# allocates once its result storage is recycled), and one product repeated through a Multiplier, a Multiplier on
-# a shared engine and MxM on an engine (allocs/op and B/op must agree
-# across the three), one warm triangular solve through the facade,
+# allocates once its result storage is recycled), one product repeated
+# with MxM on a shared engine (the facade's warm repeat path: allocs/op,
+# B/op), one warm triangular solve through the facade,
 # through core's automatic mode (facade-auto and core-auto must differ by
 # the result vector only), and core's serial and wave modes (ns/nnz),
 # and the solve verdict's unit costs: one serial substitution walked in

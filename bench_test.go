@@ -439,14 +439,11 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 	})
 }
 
-// BenchmarkRepeatedMultiply times one product repeated three ways
-// through the public facade — a Multiplier on its own engine, a
-// Multiplier on a shared engine, and plain MxM on an engine — on a
+// BenchmarkRepeatedMultiply times one product repeated through the
+// public facade's warm repeat path — MxM on a shared engine, whose plan
+// cache and workspace pool are what a repeated product reuses — on a
 // product below the tile crossover (er-256), a flat one above it
-// (road-20k) and a skewed one (rmat-2^13). The three columns are the
-// same code path, so they must agree on allocs/op and B/op exactly and
-// on time within noise: the evidence that the Multiplier needs no plan,
-// workspace, retry ladder or κ loop of its own.
+// (road-20k) and a skewed one (rmat-2^13).
 func BenchmarkRepeatedMultiply(b *testing.B) {
 	for _, g := range []struct {
 		name string
@@ -457,40 +454,21 @@ func BenchmarkRepeatedMultiply(b *testing.B) {
 		{"rmat-2^13", spgemm.RandomGraph("rmat", 1<<13, 3)},
 	} {
 		a := g.a
-		engine := spgemm.Defaults()
-		engine.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-		columns := []struct {
-			name string
-			opts spgemm.Options
-			mxm  bool
-		}{
-			{"multiplier", spgemm.Defaults(), false},
-			{"multiplier+engine", engine, false},
-			{"mxm+engine", engine, true},
-		}
-		for _, col := range columns {
-			b.Run(g.name+"/"+col.name, func(b *testing.B) {
-				multiply := func() (*spgemm.Matrix, error) { return spgemm.MxM(a, a, a, col.opts) }
-				if !col.mxm {
-					mu, err := spgemm.NewMultiplier(a, a, a, col.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					multiply = mu.Multiply
-				}
-				// One untimed run warms the plan cache and the pool.
-				if _, err := multiply(); err != nil {
+		opts := spgemm.Defaults()
+		opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
+		b.Run(g.name+"/mxm+engine", func(b *testing.B) {
+			// One untimed run warms the plan cache and the pool.
+			if _, err := spgemm.MxM(a, a, a, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := spgemm.MxM(a, a, a, opts); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := multiply(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -512,7 +490,6 @@ func BenchmarkRepeatedMultiply(b *testing.B) {
 // of core-serial and core-waves the plan's verdict picked. The verdict's
 // per-entry costs come from internal/core's BenchmarkSolveOrder.
 func BenchmarkTRSVWarm(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
 	type operand struct {
 		name    string
 		triples []spgemm.Triple
@@ -580,7 +557,7 @@ func BenchmarkTRSVWarm(b *testing.B) {
 		cfg.Engine = exec.New(exec.Config{})
 		coreSolve := func(so core.SolveOpts) func() error {
 			return func() error {
-				return core.SolveTriInto[float64, semiring.PlusTimes[float64]](sr, dst, csr, rhs, cfg, so)
+				return core.SolveTriInto(dst, csr, rhs, cfg, so)
 			}
 		}
 		for _, col := range []struct {

@@ -148,7 +148,7 @@ func ChaosDrill(w io.Writer, o Options, seed int64) error {
 		}
 	}
 	// Wave-barrier cells: the dependency-wave executor's barrier seam,
-	// driven through the masked triangular solve — the kernel whose
+	// driven through the triangular solve — the kernel whose
 	// schedule actually crosses barriers. Same contract as above: typed
 	// error or bit-identical solution, pool invariants after every cell.
 	for _, policy := range []sched.Policy{sched.Static, sched.Dynamic, sched.Guided} {
@@ -175,7 +175,7 @@ func ChaosDrill(w io.Writer, o Options, seed int64) error {
 			swap.cur.Store(sd)
 			cfg.Resilience = &core.Resilience{Chaos: swap}
 			got := make([]float64, l.Rows)
-			ferr := core.SolveTriInto[float64, semiring.PlusTimes[float64]](sr, got, l, b, cfg, so)
+			ferr := core.SolveTriInto(got, l, b, cfg, so)
 			swap.cur.Store(nil)
 
 			outcome := "absorbed (bit-identical)"
@@ -200,7 +200,7 @@ func ChaosDrill(w io.Writer, o Options, seed int64) error {
 			// Clean rerun on the same engine must reproduce serial exactly.
 			cfg.Resilience = nil
 			clean := make([]float64, l.Rows)
-			if err := core.SolveTriInto[float64, semiring.PlusTimes[float64]](sr, clean, l, b, cfg, so); err != nil {
+			if err := core.SolveTriInto(clean, l, b, cfg, so); err != nil {
 				return fmt.Errorf("bench: clean solve rerun after %v/%v/%v: %w",
 					policy, chaos.WaveBarrier, kind, err)
 			}

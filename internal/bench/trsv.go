@@ -8,7 +8,6 @@ import (
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/obs"
-	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -82,7 +81,6 @@ func vecChecksum(x []float64) int64 {
 // ones.
 func TrsvBench(w io.Writer, o Options) error {
 	workers := workersOr(o.Workers, 4)
-	sr := semiring.PlusTimes[float64]{}
 	fmt.Fprintf(w, "Triangular solve: serial substitution vs dependency waves vs the plan's verdict (p=%d), L = tril(A)+D, b = 1\n", workers)
 	fmt.Fprintf(w, "%-22s %10s %12s %8s %8s %8s %10s %10s %10s %8s %7s %10s %10s\n",
 		"graph", "n", "nnz(L)", "levels", "waves", "serial-w", "serial ms", "wave ms", "auto ms", "speedup",
@@ -106,7 +104,7 @@ func TrsvBench(w io.Writer, o Options) error {
 		// sched block of one untimed run, which also warms the plan cache.
 		solve := func(mode core.SolveMode, dst []float64, cfg core.Config) error {
 			so := core.SolveOpts{Tri: core.Lower, Mode: mode}
-			return core.SolveTriInto[float64, semiring.PlusTimes[float64]](sr, dst, l, b, cfg, so)
+			return core.SolveTriInto(dst, l, b, cfg, so)
 		}
 		recorded := func(mode core.SolveMode, dst []float64) (obs.SchedCounters, error) {
 			rec := o.newRecorder()

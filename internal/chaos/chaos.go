@@ -48,7 +48,7 @@ const (
 	RowKernel
 	// WaveBarrier fires in the wave scheduler once per worker per
 	// barrier crossing, before the worker arrives at the barrier — the
-	// seam where a dependency-carrying run (masked triangular solve) is
+	// seam where a dependency-carrying run (the triangular solve) is
 	// most exposed: a fault here must drain every parked worker without
 	// deadlocking the barrier protocol.
 	WaveBarrier

@@ -204,8 +204,8 @@ func TestWarmFusedKTrussZeroWorkspaceAllocs(t *testing.T) {
 }
 
 // TestWarmFrontierAlgorithmsZeroWorkspaceAllocs covers the vector
-// kernels: warm BFS / label-prop CC / SSSP runs against a shared engine
-// must serve their dense traversal scratch entirely from the pool.
+// kernels: warm BFS and vector BC runs against a shared engine must
+// serve their dense traversal scratch entirely from the pool.
 func TestWarmFrontierAlgorithmsZeroWorkspaceAllocs(t *testing.T) {
 	a := randGraph(200, 3, 23)
 	eng := exec.New(exec.Config{})
@@ -213,24 +213,21 @@ func TestWarmFrontierAlgorithmsZeroWorkspaceAllocs(t *testing.T) {
 	if _, err := graph.BFS(a, 0, core.Auto, eng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := graph.ConnectedComponentsLabelProp(a, eng); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := graph.SSSP(a, 0, eng); err != nil {
+	if _, err := graph.BetweennessCentrality(a, []int{0, 5}, eng); err != nil {
 		t.Fatal(err)
 	}
 	prior := eng.Stats()
 	if _, err := graph.BFS(a, 1, core.Auto, eng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := graph.ConnectedComponentsLabelProp(a, eng); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := graph.SSSP(a, 1, eng); err != nil {
+	if _, err := graph.BetweennessCentrality(a, []int{1, 6}, eng); err != nil {
 		t.Fatal(err)
 	}
 	d := eng.Stats().Sub(prior)
 	if d.Misses != 0 {
 		t.Errorf("warm frontier runs constructed %d workspaces, want 0 (%+v)", d.Misses, d)
+	}
+	if d.Hits == 0 {
+		t.Errorf("warm frontier runs recycled nothing: %+v", d)
 	}
 }

@@ -39,15 +39,14 @@ var (
 	ErrStalled = errors.New("core: multiplication stalled")
 
 	// ErrSingular marks a triangular solve whose operand cannot be
-	// inverted on the solved rows: a structurally missing diagonal entry
+	// inverted: a structurally missing diagonal entry
 	// (detected at plan time) or a stored-but-zero diagonal value
 	// (detected during substitution).
 	ErrSingular = errors.New("core: singular triangular operand")
 
 	// ErrNotTriangular marks a triangular-solve operand that stores an
-	// entry on the wrong side of the diagonal among the solved rows —
-	// the level-set plan would silently drop it, so it is rejected at
-	// plan time instead.
+	// entry on the wrong side of the diagonal — the level-set plan would
+	// silently drop it, so it is rejected at plan time instead.
 	ErrNotTriangular = errors.New("core: operand is not triangular")
 )
 

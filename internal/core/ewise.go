@@ -106,70 +106,3 @@ func appendRows[T sparse.Number](out, src *sparse.CSR[T], lo, hi int) {
 		out.RowPtr[r+1] = src.RowPtr[r+1] + shift
 	}
 }
-
-// EWiseMult computes the element-wise "intersection" combination:
-// positions present in both matrices combine with the semiring's Times;
-// all other positions vanish (GraphBLAS eWiseMult semantics). With
-// PlusTimes this is the Hadamard product; with a pattern operand it is
-// structural masking with values. Rows merge straight into the output.
-func EWiseMult[T sparse.Number, S semiring.Semiring[T]](
-	sr S, a, b *sparse.CSR[T],
-) (*sparse.CSR[T], error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: A %dx%d, B %dx%d",
-			sparse.ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := sparse.NewCSR[T](a.Rows, a.Cols, min(a.NNZ(), b.NNZ()))
-	for i := 0; i < a.Rows; i++ {
-		aCols, aVals := a.Row(i)
-		bCols, bVals := b.Row(i)
-		p, q := 0, 0
-		for p < len(aCols) && q < len(bCols) {
-			switch {
-			case aCols[p] < bCols[q]:
-				p++
-			case aCols[p] > bCols[q]:
-				q++
-			default:
-				out.ColIdx = append(out.ColIdx, aCols[p])
-				out.Val = append(out.Val, sr.Times(aVals[p], bVals[q]))
-				p++
-				q++
-			}
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out, nil
-}
-
-// ReduceRows folds each row with the semiring's Plus, returning a
-// sparse vector with one entry per non-empty row — GraphBLAS's
-// GrB_Matrix_reduce to a vector. Triangle-per-vertex counts and k-truss
-// support summaries are built from it.
-func ReduceRows[T sparse.Number, S semiring.Semiring[T]](sr S, m *sparse.CSR[T]) *SpVec[T] {
-	return ReduceRowsInto(sr, m, nil)
-}
-
-// ReduceRowsInto is ReduceRows writing into out (reusing its entry
-// storage) when non-nil; the iterative hook for k-truss support loops.
-func ReduceRowsInto[T sparse.Number, S semiring.Semiring[T]](
-	sr S, m *sparse.CSR[T], out *SpVec[T],
-) *SpVec[T] {
-	if out == nil {
-		out = &SpVec[T]{}
-	}
-	out.Reset(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		_, vals := m.Row(i)
-		if len(vals) == 0 {
-			continue
-		}
-		acc := vals[0]
-		for _, v := range vals[1:] {
-			acc = sr.Plus(acc, v)
-		}
-		out.Idx = append(out.Idx, sparse.Index(i))
-		out.Val = append(out.Val, acc)
-	}
-	return out
-}

@@ -133,108 +133,11 @@ func TestEWiseAddEmptyRowRuns(t *testing.T) {
 	}
 }
 
-func TestEWiseMultOracle(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := r.Intn(20)+1, r.Intn(20)+1
-		a := randMatrix(rows, cols, 0.35, r)
-		b := randMatrix(rows, cols, 0.35, r)
-		got, err := EWiseMult[float64](semiring.PlusTimes[float64]{}, a, b)
-		if err != nil || got.Check() != nil {
-			return false
-		}
-		// Intersection structure with products.
-		for i := 0; i < rows; i++ {
-			for _, j := range got.RowCols(i) {
-				if !a.Has(i, j) || !b.Has(i, j) {
-					return false
-				}
-				if got.At(i, j) != a.At(i, j)*b.At(i, j) {
-					return false
-				}
-			}
-			for _, j := range a.RowCols(i) {
-				if b.Has(i, j) && !got.Has(i, j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEWiseShapeErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	a := randMatrix(4, 5, 0.5, r)
 	b := randMatrix(5, 4, 0.5, r)
 	if _, err := EWiseAdd[float64](semiring.PlusTimes[float64]{}, a, b); err == nil {
 		t.Error("EWiseAdd shape mismatch accepted")
-	}
-	if _, err := EWiseMult[float64](semiring.PlusTimes[float64]{}, a, b); err == nil {
-		t.Error("EWiseMult shape mismatch accepted")
-	}
-}
-
-func TestEWiseMultEqualsApplyMaskOnPattern(t *testing.T) {
-	// eWiseMult with a pattern (all-ones) operand is structural masking.
-	r := rand.New(rand.NewSource(7))
-	c := randMatrix(25, 25, 0.3, r)
-	m := randMatrix(25, 25, 0.3, r)
-	viaEWise, err := EWiseMult[float64](semiring.PlusTimes[float64]{}, c, m.Pattern())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMask, err := ApplyMask(m, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sparse.Equal(viaEWise, viaMask) {
-		t.Error("eWiseMult(pattern) != ApplyMask")
-	}
-}
-
-func TestReduceRows(t *testing.T) {
-	coo := sparse.NewCOO[float64](4, 5, 5)
-	coo.Add(0, 1, 2)
-	coo.Add(0, 4, 3)
-	coo.Add(2, 0, 7)
-	// row 1 and 3 empty
-	m := coo.ToCSR()
-	v := ReduceRows[float64](semiring.PlusTimes[float64]{}, m)
-	if v.NNZ() != 2 {
-		t.Fatalf("reduced nnz = %d, want 2", v.NNZ())
-	}
-	if v.Idx[0] != 0 || v.Val[0] != 5 || v.Idx[1] != 2 || v.Val[1] != 7 {
-		t.Errorf("reduce = %v %v", v.Idx, v.Val)
-	}
-	// Min-reduce picks the per-row minimum.
-	mn := ReduceRows[float64](semiring.MinPlus[float64]{Inf: 1e18}, m)
-	if mn.Val[0] != 2 {
-		t.Errorf("min reduce = %v, want 2", mn.Val[0])
-	}
-}
-
-func TestReduceRowsTrianglesPerVertex(t *testing.T) {
-	// Row-reducing the support matrix S = A ⊙ (A×A) gives 2× triangles
-	// per vertex (each incident triangle contributes to two of the
-	// vertex's edges... counted once per neighbor pair = 2 per triangle).
-	coo := sparse.NewCOO[float64](3, 3, 6)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}} {
-		coo.Add(sparse.Index(e[0]), sparse.Index(e[1]), 1)
-		coo.Add(sparse.Index(e[1]), sparse.Index(e[0]), 1)
-	}
-	a := coo.ToCSR()
-	s, err := MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, a, a, a, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := ReduceRows[float64](semiring.PlusTimes[float64]{}, s)
-	for p := range v.Idx {
-		if v.Val[p] != 2 {
-			t.Errorf("vertex %d wedge count %v, want 2", v.Idx[p], v.Val[p])
-		}
 	}
 }

@@ -7,15 +7,15 @@ import "maskedspgemm/internal/sparse"
 // external test package for BenchmarkHypersparseProduct.
 var ProductionCrossover = productionCrossover
 
-// SolveSerialInOrder runs the kernel every unmasked solve runs over an
-// unmasked lower-triangular operand: all rows through solveSerial when
+// SolveSerialInOrder runs the kernel every solve runs over a
+// lower-triangular operand: all rows through solveSerial when
 // rows is nil, as a serial solve does, or the given rows front to back
 // through substRows, as a wave's tiles walk them. Exported to the
 // external test package only, for BenchmarkSolveOrder, which needs the
 // corpus graphs of internal/bench (which imports this package).
 func SolveSerialInOrder[T sparse.Number](dst []T, l *sparse.CSR[T], b []T, rows []sparse.Index) (err error) {
 	if rows == nil {
-		return solveSerial(nil, l, dst, b, nil, nil, true)
+		return solveSerial(nil, l, dst, b, true)
 	}
 	defer func() {
 		err = recoverSingular(recover(), err)

@@ -10,9 +10,9 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// prepared is a repeated product the way the facade's Multiplier holds
-// one: Prepare on cfg's engine (a fresh one when cfg carries none), then
-// the returned closure runs MaskedSpGEMM against that engine.
+// prepared is a repeated product planned ahead: Prepare on cfg's engine
+// (a fresh one when cfg carries none), then the returned closure runs
+// MaskedSpGEMM against that engine.
 func prepared(
 	m, a, b *sparse.CSR[float64], cfg Config,
 ) (run func() (*sparse.CSR[float64], error), tiles int, err error) {

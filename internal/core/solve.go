@@ -9,32 +9,27 @@ import (
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sched"
-	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 	"maskedspgemm/internal/tiling"
 )
 
-// Masked sparse triangular solve on the dependency-wave scheduler.
+// Sparse triangular solve on the dependency-wave scheduler.
 //
-// SolveTriInto computes x from op(L)·x = b restricted to a structural row
-// mask: the solve runs on the principal submatrix op(L)[mask, mask],
-// exactly the level-scheduled SpTRSV of arXiv 2503.05408 with the
-// paper's Eq. 2 row-work estimate (row nnz, restricted to the mask)
-// reused as the wave-coarsening cost model. Rows outside the mask pass
-// through unchanged (x[i] = b[i]). Unlike SpGEMM, substitution is
-// inherently ordered, so the plan is a level-set DAG schedule: rows
-// whose in-mask dependencies all sit in strictly earlier levels form a
-// wave, waves run under sched.RunWavesOpts on the persistent worker
-// pool, and the coarsener splits wide levels into FLOP-balanced tiles
-// and merges every run of single-tile levels into one serial wave.
-// Whether the waves pay at all is the plan's verdict: a cost model in
-// measured units sets their predicted time against one worker
-// substituting in plain row order.
+// SolveTriInto computes x from L·x = b: the level-scheduled SpTRSV of
+// arXiv 2503.05408 with the paper's Eq. 2 row-work estimate (row nnz)
+// reused as the wave-coarsening cost model. Unlike SpGEMM, substitution
+// is inherently ordered, so the plan is a level-set DAG schedule: rows
+// whose dependencies all sit in strictly earlier levels form a wave,
+// waves run under sched.RunWavesOpts on the persistent worker pool, and
+// the coarsener splits wide levels into FLOP-balanced tiles and merges
+// every run of single-tile levels into one serial wave. Whether the
+// waves pay at all is the plan's verdict: a cost model in measured units
+// sets their predicted time against one worker substituting in plain
+// row order.
 //
 // Arithmetic is the native one of T (plus, times, subtract, divide) —
 // substitution needs an inverse, which a general semiring does not
-// supply. The semiring parameter types the pooled workspace only, so a
-// solve and a multiply over the same semiring share the engine's pool.
+// supply — and a solve checks out no workspace.
 
 // Tri selects which triangle of the operand a solve reads.
 type Tri int
@@ -74,20 +69,11 @@ const (
 )
 
 // SolveOpts configures one triangular solve. The zero value solves the
-// lower triangle, unmasked, with automatic mode and the coarsening the
-// planner derives from the operand.
+// lower triangle with automatic mode and the coarsening the planner
+// derives from the operand.
 type SolveOpts struct {
 	// Tri selects the stored triangle of the operand.
 	Tri Tri
-	// Transpose solves op(L) = Lᵀ: the transpose is materialized once at
-	// plan time and cached with the plan, so iterative transpose solves
-	// pay it once.
-	Transpose bool
-	// Mask lists the solved rows, sorted ascending without duplicates.
-	// Nil (or empty) solves every row. The solve runs on the principal
-	// submatrix L[Mask, Mask]; rows outside pass b through unchanged.
-	// Read during the call only, never retained.
-	Mask []sparse.Index
 	// Mode selects waves, serial, or the plan's verdict.
 	Mode SolveMode
 	// WaveGrain overrides the Eq. 2 row-work target per tile when a wide
@@ -100,23 +86,18 @@ type SolveOpts struct {
 	MergeBelow int
 }
 
-// resolve normalizes an empty mask to the unmasked solve and, unless
-// overridden, sets the merge width for a run on workers workers — O(1),
-// before the plan lookup, because the width is part of the plan key.
+// resolve sets, unless overridden, the merge width for a run on workers
+// workers — O(1), before the plan lookup, because the width is part of
+// the plan key.
 func (so SolveOpts) resolve(workers int) SolveOpts {
 	if so.MergeBelow <= 0 {
 		so.MergeBelow = max(2*workers, solveMinMerge)
 	}
-	if len(so.Mask) == 0 {
-		so.Mask = nil
-	}
 	return so
 }
 
-// validate rejects unknown enums and malformed masks for an n-row
-// operand. Mask violations are structural (ErrInvalidMatrix), enum
-// violations are configuration (ErrConfig), mirroring Validate.
-func (so SolveOpts) validate(n int) error {
+// validate rejects unknown enums with ErrConfig, mirroring Validate.
+func (so SolveOpts) validate() error {
 	switch so.Tri {
 	case Lower, Upper:
 	default:
@@ -127,43 +108,21 @@ func (so SolveOpts) validate(n int) error {
 	default:
 		return errConfig("unknown solve mode %d", so.Mode)
 	}
-	prev := sparse.Index(-1)
-	for k, r := range so.Mask {
-		if r < 0 || int(r) >= n {
-			return fmt.Errorf("%w: mask row %d out of range [0,%d)", ErrInvalidMatrix, r, n)
-		}
-		if r <= prev {
-			return fmt.Errorf("%w: mask rows must be strictly ascending (entry %d: %d after %d)",
-				ErrInvalidMatrix, k, r, prev)
-		}
-		prev = r
-	}
 	return nil
 }
 
-// effectiveLower reports whether the solve substitutes forward:
-// transposing flips the stored triangle.
-func (so SolveOpts) effectiveLower() bool {
-	return (so.Tri == Lower) != so.Transpose
-}
-
 // solveKind encodes the solve flavor into PlanKey.Solve: non-zero to
-// discriminate from SpGEMM plans, then one bit each for triangle and
-// transpose.
+// discriminate from SpGEMM plans, then one bit for the triangle.
 func (so SolveOpts) solveKind() uint8 {
-	k := uint8(1)
 	if so.Tri == Upper {
-		k |= 2
+		return 3
 	}
-	if so.Transpose {
-		k |= 4
-	}
-	return k
+	return 1
 }
 
 // solveHash fingerprints what a solve plan depends on: the operand's
-// row structure, the mask contents, the coarsening knobs and the worker
-// count the serial-or-waves verdict is reached for. Column indices are
+// row structure, the coarsening knobs and the worker count the
+// serial-or-waves verdict is reached for. Column indices are
 // deliberately excluded — hashing them would double the per-call memory
 // traffic — so the cache relies on the documented contract that an
 // operand is not mutated while cached plans for it may be reused;
@@ -180,8 +139,7 @@ func (so SolveOpts) solveKind() uint8 {
 func solveHash[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int) uint64 {
 	h := [4]uint64{fnvOffset, fnvOffset, fnvOffset, fnvOffset}
 	hashLanes(&h, l.RowPtr)
-	hashLanes(&h, so.Mask)
-	shape := [...]int64{int64(l.Rows), int64(len(so.Mask)), so.WaveGrain, int64(so.MergeBelow), int64(workers)}
+	shape := [...]int64{int64(l.Rows), so.WaveGrain, int64(so.MergeBelow), int64(workers)}
 	hashLanes(&h, shape[:])
 	out := uint64(fnvOffset)
 	for _, lane := range h {
@@ -198,7 +156,7 @@ const (
 // hashLanes folds ws into the four lanes of h, word k into lane k mod 4.
 //
 //spgemm:hotpath
-func hashLanes[W ~int32 | ~int64](h *[4]uint64, ws []W) {
+func hashLanes(h *[4]uint64, ws []int64) {
 	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
 	for len(ws) >= 4 {
 		h0 = (h0 ^ uint64(ws[0])) * fnvPrime
@@ -213,21 +171,18 @@ func hashLanes[W ~int32 | ~int64](h *[4]uint64, ws []W) {
 	}
 }
 
-// SolveTriInto solves op(L)·x = b into dst under the wave scheduler.
+// SolveTriInto solves L·x = b into dst under the wave scheduler.
 // L must be square with sorted rows; dst and b must have length L.Rows
 // and must either be the same slice (in-place solve) or not overlap.
-// Rows outside the mask receive b unchanged. The level-set plan is
-// cached in cfg.Engine keyed by operand fingerprint plus a structure
-// hash (see solveHash); warm engine-backed solves are allocation-free
-// on the substitution path.
+// The level-set plan is cached in cfg.Engine keyed by operand
+// fingerprint plus a structure hash (see solveHash); warm engine-backed
+// solves are allocation-free on the substitution path.
 //
 // Failure taxonomy: ErrSingular for a structurally missing or
-// numerically zero diagonal on a solved row, ErrNotTriangular for an
-// in-mask entry on the wrong side of the diagonal, ErrCanceled /
-// ErrPanic / ErrStalled exactly as MaskedSpGEMM.
-func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
-	sr S, dst []T, l *sparse.CSR[T], b []T, cfg Config, so SolveOpts,
-) error {
+// numerically zero diagonal, ErrNotTriangular for an entry on the wrong
+// side of the diagonal, ErrCanceled / ErrPanic / ErrStalled exactly as
+// MaskedSpGEMM.
+func SolveTriInto[T sparse.Number](dst []T, l *sparse.CSR[T], b []T, cfg Config, so SolveOpts) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -241,7 +196,7 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 		return fmt.Errorf("%w: operand is %dx%d but len(dst)=%d, len(b)=%d",
 			sparse.ErrShape, n, n, len(dst), len(b))
 	}
-	if err := so.validate(n); err != nil {
+	if err := so.validate(); err != nil {
 		return err
 	}
 	if n == 0 {
@@ -259,52 +214,19 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 	}
 	sp := plan.Solve
 
-	op := l
-	if so.Transpose {
-		op = sp.Trans.(*sparse.CSR[T])
-	}
-	// Under a mask dst starts as b: out-of-mask rows keep it, solved rows
-	// overwrite it in dependency order. An unmasked solve writes every row,
-	// and an in-place one (dst is b) has b there already: no copy.
-	if so.Mask != nil && &dst[0] != &b[0] {
-		copy(dst, b)
-	}
-
-	// Mask membership for the substitution kernel, staged in the pooled
-	// dense scratch's state bytes: set before the run, cleared after, so
-	// the workspace goes back to the pool clean. A failed run poisons the
-	// checkout instead (same quarantine discipline as the SpGEMM path).
-	var ws *exec.Workspace[T, S]
-	var state []uint8
-	clean := so.Mask == nil
-	if so.Mask != nil {
-		ws = exec.Dense[T, S](cfg.Engine, sr, n, 1, 0)
-		defer func() {
-			if !clean {
-				ws.Poison()
-			}
-			ws.Release()
-		}()
-		state = ws.Dense[0].State[:n]
-		for _, r := range so.Mask {
-			state[r] = 1
-		}
-	}
-
 	serial := so.Mode == SolveSerial || workers <= 1 ||
 		(so.Mode == SolveAuto && sp.Serial)
 
 	var wstats *sched.WaveStats
-	lower := so.effectiveLower()
+	lower := so.Tri == Lower
 	if serial {
-		rows := so.Mask
 		if !scope.Enabled() {
 			// Direct call, no spans: keeps the warm engine-backed path
 			// free of closure allocations (the zero-alloc pin).
-			err = solveSerial(ctx, op, dst, b, state, rows, lower)
+			err = solveSerial(ctx, l, dst, b, lower)
 		} else {
 			err = spanned(ctx, scope, obs.PhaseExecSolve, func() error {
-				if err := solveSerial(ctx, op, dst, b, state, rows, lower); err != nil {
+				if err := solveSerial(ctx, l, dst, b, lower); err != nil {
 					return err
 				}
 				// One worker did the whole solve, as one tile.
@@ -324,17 +246,11 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 			}
 			err = runSolveWavesSpanned(ctx, cfg, scope, workers, wp, wstats, func(worker, t int, wc *obs.WorkerCounters) {
 				tile := sp.Tiles[t]
-				if state == nil {
-					substRows(op, dst, b, sp.Order, tile.Lo, tile.Hi, lower)
-				} else {
-					for s := tile.Lo; s < tile.Hi; s++ {
-						solveRow(op, dst, b, state, int(sp.Order[s]))
-					}
-				}
+				substRows(l, dst, b, sp.Order, tile.Lo, tile.Hi, lower)
 				if wc != nil {
 					var flops int64
 					for _, i := range sp.Order[tile.Lo:tile.Hi] {
-						flops += op.RowNNZ(int(i))
+						flops += l.RowNNZ(int(i))
 					}
 					wc.Rows.Add(int64(tile.Rows()))
 					wc.Flops.Add(flops)
@@ -346,35 +262,25 @@ func SolveTriInto[T sparse.Number, S semiring.Semiring[T]](
 		return wrapSolveErr(err)
 	}
 
-	if so.Mask != nil {
-		for _, r := range so.Mask {
-			state[r] = 0
-		}
-	}
 	recordSolveStats(scope, sp, wstats)
 	recordPoolDelta(cfg, poolPrior, scope)
 	scope.MarkComplete()
-	clean = true
 	return nil
 }
 
 // SolveTriSerial is the reference substitution: a single loop in
 // substitution order with its own validation, running solveRow, which
-// tests every entry, on every row. SolveTriInto runs solveRow only under
-// a mask and substRows, which trusts the plan's validation, otherwise;
-// both sum each row in CSR storage order on exactly one worker, and that
-// the two agree bit for bit is held by test, not by construction:
+// finds each row's diagonal by testing every entry. SolveTriInto runs
+// substRows, which trusts the plan's validation; both sum each row in
+// CSR storage order on exactly one worker, and that the two agree bit
+// for bit is held by test, not by construction:
 // TestSolveTriLatticeBitIdentical and TestSolveTriMatchesSerialBitIdentical
 // in this package, and the trsv experiment's gate (`make bench-trsv`)
-// on corpus graphs. It allocates its own scratch and, for transpose
-// solves, its own transpose — the baseline the solve is verified and
+// on corpus graphs. It is the baseline the solve is verified and
 // benchmarked against, not a fast path.
 func SolveTriSerial[T sparse.Number](
 	dst []T, l *sparse.CSR[T], b []T, so SolveOpts,
 ) (err error) {
-	if len(so.Mask) == 0 {
-		so.Mask = nil
-	}
 	n := l.Rows
 	if l.Cols != n {
 		return fmt.Errorf("%w: triangular operand must be square, got %dx%d", sparse.ErrShape, l.Rows, l.Cols)
@@ -383,113 +289,57 @@ func SolveTriSerial[T sparse.Number](
 		return fmt.Errorf("%w: operand is %dx%d but len(dst)=%d, len(b)=%d",
 			sparse.ErrShape, n, n, len(dst), len(b))
 	}
-	if err := so.validate(n); err != nil {
+	if err := so.validate(); err != nil {
 		return err
 	}
 	if n == 0 {
 		return nil
 	}
-	op := l
-	if so.Transpose {
-		op = sparse.Transpose(l)
-	}
-	lower := so.effectiveLower()
-	var state []uint8
-	if so.Mask != nil {
-		state = make([]uint8, n)
-		for _, r := range so.Mask {
-			state[r] = 1
-		}
-	}
+	lower := so.Tri == Lower
 	// Structural validation up front, so the substitution loop below can
-	// share solveRow's unchecked arithmetic with the wave kernel.
-	walk := func(i int) error {
+	// run solveRow's unchecked arithmetic.
+	for i := 0; i < n; i++ {
 		diag := false
-		for _, j := range op.RowCols(i) {
+		for _, j := range l.RowCols(i) {
 			jj := int(j)
-			if state != nil && state[jj] == 0 {
-				continue
-			}
 			if jj == i {
 				diag = true
 				continue
 			}
 			if dep := jj < i; dep != lower {
-				return fmt.Errorf("%w: entry (%d,%d) lies outside the %s triangle on the solved rows",
-					ErrNotTriangular, i, jj, effTriName(lower))
+				return fmt.Errorf("%w: entry (%d,%d) lies outside the %s triangle",
+					ErrNotTriangular, i, jj, so.Tri)
 			}
 		}
 		if !diag {
 			return fmt.Errorf("%w: row %d has no stored diagonal", ErrSingular, i)
 		}
-		return nil
-	}
-	if so.Mask != nil {
-		for _, r := range so.Mask {
-			if err := walk(int(r)); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if err := walk(i); err != nil {
-				return err
-			}
-		}
-	}
-	if &dst[0] != &b[0] {
-		copy(dst, b)
 	}
 	defer func() {
 		err = recoverSingular(recover(), err)
 	}()
-	if so.Mask != nil {
-		if lower {
-			for _, r := range so.Mask {
-				solveRow(op, dst, b, state, int(r))
-			}
-		} else {
-			for k := len(so.Mask) - 1; k >= 0; k-- {
-				solveRow(op, dst, b, state, int(so.Mask[k]))
-			}
-		}
-		return nil
-	}
 	if lower {
 		for i := 0; i < n; i++ {
-			solveRow(op, dst, b, nil, i)
+			solveRow(l, dst, b, i)
 		}
 	} else {
 		for i := n - 1; i >= 0; i-- {
-			solveRow(op, dst, b, nil, i)
+			solveRow(l, dst, b, i)
 		}
 	}
 	return nil
 }
 
-// effTriName names the effective triangle for error messages (the
-// stored one for plain solves, the flipped one under transpose, in the
-// transposed operand's coordinates).
-func effTriName(lower bool) string {
-	if lower {
-		return "lower"
-	}
-	return "upper"
-}
-
-// solveRow substitutes one row: acc = Σ op[i,j]·x[j] over the in-mask
+// solveRow substitutes one row: acc = Σ l[i,j]·x[j] over the
 // off-diagonal entries in CSR storage order, then
-// x[i] = (b[i] − acc) / diag. The summation order is what makes serial
-// and wave execution bit-identical — each row is computed by exactly
-// one worker, in exactly this order, in both. A zero (or structurally
-// missing, hence zero) diagonal panics with an ErrSingular-wrapped
-// error; the containment frame turns that into the typed return (see
-// wrapSolveErr). state is the mask-membership byte vector, nil when
-// every row is solved.
-//
-//spgemm:hotpath
-func solveRow[T sparse.Number](op *sparse.CSR[T], dst, b []T, state []uint8, i int) {
-	cols, vals := op.Row(i)
+// x[i] = (b[i] − acc) / diag. The summation order is what makes the
+// reference and substRows bit-identical — each row is computed by
+// exactly one worker, in exactly this order, in both. A zero (or
+// structurally missing, hence zero) diagonal panics with an
+// ErrSingular-wrapped error, which recoverSingular turns into the typed
+// return.
+func solveRow[T sparse.Number](l *sparse.CSR[T], dst, b []T, i int) {
+	cols, vals := l.Row(i)
 	ii := sparse.Index(i)
 	var acc, diag, zero T
 	for k, j := range cols {
@@ -497,34 +347,30 @@ func solveRow[T sparse.Number](op *sparse.CSR[T], dst, b []T, state []uint8, i i
 			diag = vals[k]
 			continue
 		}
-		if state != nil && state[j] == 0 {
-			continue
-		}
 		acc += vals[k] * dst[j]
 	}
 	if diag == zero {
-		//lint:ignore hotpathalloc failure path: the solve is over
 		panic(fmt.Errorf("%w: zero diagonal at row %d", ErrSingular, i))
 	}
 	dst[i] = (b[i] - acc) / diag
 }
 
-// substRows is the substitution kernel of every unmasked solve: it
-// solves the rows order[lo:hi] front to back or, with order nil, the
-// rows lo..hi-1 in substitution order (ascending when lower, descending
-// otherwise). It trusts what buildSolvePlan proved of every row of an
-// unmasked solve — a stored diagonal, no entry on the wrong side — so
-// on sorted rows the diagonal is the row's last stored entry (lower) or
-// its first (upper), and the row's sum runs over the contiguous rest
-// with no per-entry test. It adds in CSR storage order, as solveRow
-// does, so the two are bit-identical. Each row still checks that its end
-// entry is a non-zero diagonal: an operand edited behind a cached plan
-// panics with an ErrSingular-wrapped error, as solveRow does, and never
-// yields a wrong x.
+// substRows is the substitution kernel of SolveTriInto: it solves the
+// rows order[lo:hi] front to back or, with order nil, the rows
+// lo..hi-1 in substitution order (ascending when lower, descending
+// otherwise). It trusts what buildSolvePlan proved of every row — a
+// stored diagonal, no entry on the wrong side — so on sorted rows the
+// diagonal is the row's last stored entry (lower) or its first (upper),
+// and the row's sum runs over the contiguous rest with no per-entry
+// test. It adds in CSR storage order, as solveRow does, so the two are
+// bit-identical. Each row still checks that its end entry is a non-zero
+// diagonal: an operand edited behind a cached plan panics with an
+// ErrSingular-wrapped error, as solveRow does, and never yields a wrong
+// x.
 //
 //spgemm:hotpath
-func substRows[T sparse.Number](op *sparse.CSR[T], dst, b []T, order []sparse.Index, lo, hi int, lower bool) {
-	rowPtr, colIdx, val := op.RowPtr, op.ColIdx, op.Val
+func substRows[T sparse.Number](l *sparse.CSR[T], dst, b []T, order []sparse.Index, lo, hi int, lower bool) {
+	rowPtr, colIdx, val := l.RowPtr, l.ColIdx, l.Val
 	var zero T
 	for s := lo; s < hi; s++ {
 		i := s
@@ -555,55 +401,33 @@ func substRows[T sparse.Number](op *sparse.CSR[T], dst, b []T, order []sparse.In
 	}
 }
 
-// solveSerial is the engine-backed serial execution: one worker
-// substitutes in substitution order (forward when lower, backward
-// otherwise), polling cancellation every pollStride rows. Unmasked
-// (state nil), it sweeps all rows with substRows, one block of
-// pollStride rows per call; masked, it walks rows, the mask, through
-// solveRow, which tests each entry against the mask. Both loops are
-// written out rather than run through forEachSolved's callback, so the
-// warm path stays allocation-free and pays no indirect call per row;
-// the kernels' ErrSingular panic is recovered into the typed return.
+// solveSerial is the engine-backed serial execution: one worker sweeps
+// the rows with substRows in substitution order (forward when lower,
+// backward otherwise), one block of pollStride rows per call, polling
+// cancellation between blocks. The loop is written out rather than run
+// through forEachSolved's callback, so the warm path stays
+// allocation-free and pays no indirect call per row; the kernel's
+// ErrSingular panic is recovered into the typed return.
 func solveSerial[T sparse.Number](
-	ctx context.Context, op *sparse.CSR[T], dst, b []T, state []uint8, rows []sparse.Index, lower bool,
+	ctx context.Context, l *sparse.CSR[T], dst, b []T, lower bool,
 ) (err error) {
 	defer func() {
 		err = recoverSingular(recover(), err)
 	}()
 	const pollStride = 1024
-	poll := func() error {
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Err()
-	}
-	if state == nil {
-		n := op.Rows
-		for lo := 0; lo < n; lo += pollStride {
-			if cerr := poll(); cerr != nil {
-				return cerr
-			}
-			hi := min(lo+pollStride, n)
-			if lower {
-				substRows(op, dst, b, nil, lo, hi, true)
-			} else {
-				substRows(op, dst, b, nil, n-hi, n-lo, false)
-			}
-		}
-		return nil
-	}
-	m := len(rows)
-	for k := 0; k < m; k++ {
-		if k%pollStride == 0 {
-			if cerr := poll(); cerr != nil {
+	n := l.Rows
+	for lo := 0; lo < n; lo += pollStride {
+		if ctx != nil {
+			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 		}
-		i := k
-		if !lower {
-			i = m - 1 - k
+		hi := min(lo+pollStride, n)
+		if lower {
+			substRows(l, dst, b, nil, lo, hi, true)
+		} else {
+			substRows(l, dst, b, nil, n-hi, n-lo, false)
 		}
-		solveRow(op, dst, b, state, int(rows[i]))
 	}
 	return nil
 }
@@ -652,7 +476,7 @@ const (
 	// (internal/core) on arabic-2005-sim, the corpus graph with the most
 	// multi-tile waves, so the one whose verdict the gap decides: the
 	// medians of one 16-run session (1.41–2.19 and 2.57–3.60), both on
-	// substRows, the kernel every unmasked solve runs.
+	// substRows, the kernel every solve runs.
 	solveSubstNsPerNnz = 1.78
 	solveLevelNsPerNnz = 3.23
 	// solveCrossingNs is one wave barrier crossed by workers that arrive
@@ -684,21 +508,14 @@ func solvePredict(total int64, waveWork, heaviest []int64, workers int) (serialN
 	return serialNs, wavesNs
 }
 
-// forEachSolved calls fn on every solved row in substitution order —
-// the mask's rows, or all n without one; ascending for an effective
-// lower triangle, descending for upper — stopping at fn's first error.
-func forEachSolved(mask []sparse.Index, n int, lower bool, fn func(i int) error) error {
-	m := n
-	if mask != nil {
-		m = len(mask)
-	}
-	for k := 0; k < m; k++ {
+// forEachSolved calls fn on each of the n rows in substitution order —
+// ascending for a lower triangle, descending for upper — stopping at
+// fn's first error.
+func forEachSolved(n int, lower bool, fn func(i int) error) error {
+	for k := 0; k < n; k++ {
 		i := k
 		if !lower {
-			i = m - 1 - k
-		}
-		if mask != nil {
-			i = int(mask[i])
+			i = n - 1 - k
 		}
 		if err := fn(i); err != nil {
 			return err
@@ -707,7 +524,7 @@ func forEachSolved(mask []sparse.Index, n int, lower bool, fn func(i int) error)
 	return nil
 }
 
-// SolvePlanOf returns the plan SolveTriInto runs op(L) on under cfg and
+// SolvePlanOf returns the plan SolveTriInto runs L on under cfg and
 // so: the one cached in cfg.Engine, built and cached there on a miss,
 // and built uncached without an engine. For tools that report a plan's
 // shape and verdict next to measured times.
@@ -720,7 +537,7 @@ func SolvePlanOf[T sparse.Number](l *sparse.CSR[T], cfg Config, so SolveOpts) (*
 	}
 	workers := sched.Workers(cfg.Workers)
 	so = so.resolve(workers)
-	if err := so.validate(l.Rows); err != nil {
+	if err := so.validate(); err != nil {
 		return nil, err
 	}
 	plan, err := solvePlanFor(cfg.Context, cfg, l, so, workers, nil)
@@ -730,8 +547,7 @@ func SolvePlanOf[T sparse.Number](l *sparse.CSR[T], cfg Config, so SolveOpts) (*
 // buildSolvePlan runs the level-set analysis, the wave coarsening and
 // the serial-or-waves verdict for one solve flavor on workers workers:
 // O(nnz) like every plan pass. Levels are computed in substitution
-// order (ascending rows for an effective lower triangle, descending for
-// upper) and a stable counting sort groups the slots by level. A level
+// order (ascending rows for a lower triangle, descending for upper) and a stable counting sort groups the slots by level. A level
 // of at least MergeBelow rows splits greedily at ~grain row work per
 // tile; every run of consecutive levels left with one tile merges into
 // one wave of one tile, whose slots a second counting sort puts back
@@ -740,25 +556,8 @@ func SolvePlanOf[T sparse.Number](l *sparse.CSR[T], cfg Config, so SolveOpts) (*
 // widest wave is one tile is therefore a single serial wave. The
 // verdict compares the two predictions of solvePredict.
 func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int) (*exec.SolvePlan, error) {
-	op := l
-	var trans any
-	if so.Transpose {
-		t := sparse.Transpose(l)
-		trans = t
-		op = t
-	}
-	lower := so.effectiveLower()
-	n := op.Rows
-
-	var inMask []uint8
-	m := n
-	if so.Mask != nil {
-		inMask = make([]uint8, n)
-		for _, r := range so.Mask {
-			inMask[r] = 1
-		}
-		m = len(so.Mask)
-	}
+	lower := so.Tri == Lower
+	n := l.Rows
 
 	level := make([]int32, n)
 	rowWork := make([]int64, n)
@@ -766,23 +565,20 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int
 	var totalFlops int64
 	// Substitution order guarantees every dependency's level is final
 	// before it is read.
-	err := forEachSolved(so.Mask, n, lower, func(i int) error {
+	err := forEachSolved(n, lower, func(i int) error {
 		lv := int32(0)
 		var w int64
 		diag := false
-		for _, j := range op.RowCols(i) {
+		for _, j := range l.RowCols(i) {
 			jj := int(j)
-			if inMask != nil && inMask[jj] == 0 {
-				continue
-			}
 			w++
 			if jj == i {
 				diag = true
 				continue
 			}
 			if dep := jj < i; dep != lower {
-				return fmt.Errorf("%w: entry (%d,%d) lies outside the %s triangle on the solved rows",
-					ErrNotTriangular, i, jj, effTriName(lower))
+				return fmt.Errorf("%w: entry (%d,%d) lies outside the %s triangle",
+					ErrNotTriangular, i, jj, so.Tri)
 			}
 			if next := level[jj] + 1; next > lv {
 				lv = next
@@ -804,13 +600,13 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int
 	}
 
 	numLv := int(maxLv) + 1
-	if m == 0 || numLv == 0 {
-		return &exec.SolvePlan{Serial: true, Trans: trans}, nil
+	if numLv == 0 {
+		return &exec.SolvePlan{Serial: true}, nil
 	}
 
 	grain := so.WaveGrain
 	if grain <= 0 {
-		avgRowWork := float64(totalFlops) / float64(m)
+		avgRowWork := float64(totalFlops) / float64(n)
 		grain = min(max(int64(avgRowWork*solveGrainRows), solveMinGrain), solveMaxGrain)
 	}
 
@@ -818,7 +614,7 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int
 	// grouped by level, substitution order preserved within each level.
 	lvStart := make([]int, numLv+1)
 	lvFlops := make([]int64, numLv)
-	_ = forEachSolved(so.Mask, n, lower, func(i int) error {
+	_ = forEachSolved(n, lower, func(i int) error {
 		lvStart[level[i]+1]++
 		lvFlops[level[i]] += rowWork[i]
 		return nil
@@ -826,10 +622,10 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int
 	for k := 0; k < numLv; k++ {
 		lvStart[k+1] += lvStart[k]
 	}
-	order := make([]sparse.Index, m)
+	order := make([]sparse.Index, n)
 	fill := make([]int, numLv)
 	copy(fill, lvStart[:numLv])
-	_ = forEachSolved(so.Mask, n, lower, func(i int) error {
+	_ = forEachSolved(n, lower, func(i int) error {
 		order[fill[level[i]]] = sparse.Index(i)
 		fill[level[i]]++
 		return nil
@@ -888,7 +684,7 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int
 		for w, wv := range waves {
 			fill[w] = tiles[wv.Lo].Lo
 		}
-		_ = forEachSolved(so.Mask, n, lower, func(i int) error {
+		_ = forEachSolved(n, lower, func(i int) error {
 			w := waveOf[level[i]]
 			order[fill[w]] = sparse.Index(i)
 			fill[w]++
@@ -916,15 +712,14 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int
 		Serial:      workers <= 1 || widest <= 1 || !(wavesNs < serialNs),
 		SerialNs:    serialNs,
 		WavesNs:     wavesNs,
-		Trans:       trans,
 	}, nil
 }
 
 // solvePlanFor resolves the level-schedule plan through the engine's
 // cache. Unlike SpGEMM plans, a stale solve plan is a correctness bug
 // (the wave order encodes dependencies), so the key content-hashes the
-// structure and mask on top of the operand fingerprint; the hash is
-// O(rows + mask) per call, paid on hits too. The verdict is priced for
+// structure on top of the operand fingerprint; the hash is O(rows) per
+// call, paid on hits too. The verdict is priced for
 // the run's workers capped at GOMAXPROCS — workers beyond the
 // processors that can run them add no parallel speedup — and the key
 // holds that same capped count.

@@ -102,29 +102,18 @@ func road() *sparse.CSR[float64] {
 }
 
 // TestSolvePlanMatchesExtractSolve holds the planner's own pass to the
-// independent feature pass in internal/model: on every solve flavor the
+// independent feature pass in internal/model: on both triangles the
 // plan's row work is ExtractSolve's Work, and its grain is the clamped
 // multiple of ExtractSolve's average row work.
 func TestSolvePlanMatchesExtractSolve(t *testing.T) {
-	everyThird := func(n int) []sparse.Index {
-		var m []sparse.Index
-		for i := 0; i < n; i += 3 {
-			m = append(m, sparse.Index(i))
-		}
-		return m
-	}
 	fixtures := []struct {
 		name string
 		l    *sparse.CSR[float64]
-		mask []sparse.Index
 	}{
-		{"tridiag", tridiag(1024), nil},
-		{"scattered", scattered(1024), nil},
-		{"tridiag-masked", tridiag(1024), everyThird(1024)},
-		{"scattered-masked", scattered(1024), everyThird(1024)},
-		{"road", road(), nil},
-		{"social", social(), nil},
-		{"social-masked", social(), everyThird(256)},
+		{"tridiag", tridiag(1024)},
+		{"scattered", scattered(1024)},
+		{"road", road()},
+		{"social", social()},
 	}
 	for _, fx := range fixtures {
 		for _, tri := range []core.Tri{core.Lower, core.Upper} {
@@ -132,18 +121,15 @@ func TestSolvePlanMatchesExtractSolve(t *testing.T) {
 			if tri == core.Upper {
 				stored = sparse.Transpose(fx.l)
 			}
-			for _, transpose := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%v/transpose=%v", fx.name, tri, transpose)
-				so := core.SolveOpts{Tri: tri, Transpose: transpose, Mask: fx.mask}
-				sp := planOf(t, stored, so, 4)
-				f := model.ExtractSolve(stored, fx.mask)
-				if sp.Flops != f.Work {
-					t.Errorf("%s: plan row work %d, ExtractSolve %d", name, sp.Flops, f.Work)
-				}
-				grain := min(max(int64(f.AvgRowWork*256), minGrain), maxGrain)
-				if sp.WaveGrain != grain {
-					t.Errorf("%s: grain %d, want %d (avg row work %.3f)", name, sp.WaveGrain, grain, f.AvgRowWork)
-				}
+			name := fmt.Sprintf("%s/%v", fx.name, tri)
+			sp := planOf(t, stored, core.SolveOpts{Tri: tri}, 4)
+			f := model.ExtractSolve(stored, nil)
+			if sp.Flops != f.Work {
+				t.Errorf("%s: plan row work %d, ExtractSolve %d", name, sp.Flops, f.Work)
+			}
+			grain := min(max(int64(f.AvgRowWork*256), minGrain), maxGrain)
+			if sp.WaveGrain != grain {
+				t.Errorf("%s: grain %d, want %d (avg row work %.3f)", name, sp.WaveGrain, grain, f.AvgRowWork)
 			}
 		}
 	}

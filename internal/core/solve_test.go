@@ -42,20 +42,6 @@ func randTriangular(n int, lower bool, density, skew float64, r *rand.Rand) *spa
 	return coo.ToCSR()
 }
 
-// randMask picks a sorted subset of [0, n) with the given keep rate.
-func randMask(n int, keep float64, r *rand.Rand) []sparse.Index {
-	var mask []sparse.Index
-	for i := 0; i < n; i++ {
-		if r.Float64() < keep {
-			mask = append(mask, sparse.Index(i))
-		}
-	}
-	if len(mask) == 0 {
-		mask = append(mask, sparse.Index(r.Intn(n)))
-	}
-	return mask
-}
-
 func randVec(n int, r *rand.Rand) []float64 {
 	b := make([]float64, n)
 	for i := range b {
@@ -73,59 +59,69 @@ func solveCfg(policy sched.Policy, workers int) Config {
 
 // TestSolveTriMatchesSerialBitIdentical verifies every execution path
 // is bit-identical to the independent serial reference across both
-// triangles, plain and transposed, masked and unmasked, one, two and
-// eight workers, the three modes, the derived coarsening and a tiny
-// grain and merge width (multi-tile waves and merged serial waves even
-// on this small system), with the claim policy rotating — the paper's
-// determinism contract: each row is summed in CSR order by exactly one
-// worker, so neither the schedule nor the row order can perturb the
-// floating-point result. The random fixture's level-set order differs
-// from its substitution order.
+// triangles, four operand shapes, one, two and eight workers, the three
+// modes, the derived coarsening and a tiny grain and merge width
+// (multi-tile waves and merged serial waves even on this small system),
+// with the claim policy rotating — the paper's determinism contract:
+// each row is summed in CSR order by exactly one worker, so neither the
+// schedule nor the row order can perturb the floating-point result. The
+// shapes differ in what the coarsener meets: deep (dependencies near
+// the diagonal: many narrow levels to merge), dense (a near-chain),
+// sparse (few wide levels to split) and edge (diagonal-only rows and a
+// last row whose only dependency is column 0, the rows the unmasked
+// kernel finds its diagonal in by position alone). The random
+// fixtures' level-set order differs from their substitution order.
 func TestSolveTriMatchesSerialBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	eng := exec.New(exec.Config{})
 	policies := []sched.Policy{sched.Static, sched.Dynamic, sched.Guided}
 	modes := []SolveMode{SolveAuto, SolveSerial, SolveWaves}
 	knobs := []SolveOpts{{}, {WaveGrain: 16, MergeBelow: 3}}
+	const n = 300
+	shapes := []struct {
+		name  string
+		build func() *sparse.CSR[float64]
+	}{
+		{"deep", func() *sparse.CSR[float64] { return randTriangular(n, true, 0.25, 4, r) }},
+		{"dense", func() *sparse.CSR[float64] { return randTriangular(n, true, 0.25, 0, r) }},
+		{"sparse", func() *sparse.CSR[float64] { return randTriangular(n, true, 0.01, 0, r) }},
+		{"edge", func() *sparse.CSR[float64] { return edgeLower(n, r) }},
+	}
 	for _, tri := range []Tri{Lower, Upper} {
-		for _, transpose := range []bool{false, true} {
-			for _, masked := range []bool{false, true} {
-				n := 300
-				l := randTriangular(n, tri == Lower, 0.25, 4, r)
-				b := randVec(n, r)
-				var mask []sparse.Index
-				if masked {
-					mask = randMask(n, 0.6, r)
-				}
-				want := make([]float64, n)
-				if err := SolveTriSerial(want, l, b, SolveOpts{Tri: tri, Transpose: transpose, Mask: mask}); err != nil {
-					t.Fatalf("serial reference: %v", err)
-				}
-				for _, workers := range []int{1, 2, 8} {
-					for mi, mode := range modes {
-						for ki, k := range knobs {
-							policy := policies[(workers+mi+ki)%len(policies)]
-							name := fmt.Sprintf("%v/transpose=%v/masked=%v/p=%d/mode=%d/grain=%d/policy=%d",
-								tri, transpose, masked, workers, mode, k.WaveGrain, policy)
-							t.Run(name, func(t *testing.T) {
-								so := k
-								so.Tri, so.Transpose, so.Mask, so.Mode = tri, transpose, mask, mode
-								cfg := solveCfg(policy, workers)
-								cfg.Engine = eng
-								// The second run hits the plan cache; both must match.
-								for run := 0; run < 2; run++ {
-									got := make([]float64, n)
-									if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, l, b, cfg, so); err != nil {
-										t.Fatalf("run %d: %v", run, err)
-									}
-									for i := range want {
-										if got[i] != want[i] {
-											t.Fatalf("run %d, row %d: %v != serial %v (bit-identity violated)", run, i, got[i], want[i])
-										}
+		for _, shape := range shapes {
+			l := shape.build()
+			if tri == Upper {
+				l = sparse.Transpose(l)
+			}
+			b := randVec(n, r)
+			want := make([]float64, n)
+			if err := SolveTriSerial(want, l, b, SolveOpts{Tri: tri}); err != nil {
+				t.Fatalf("serial reference: %v", err)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				for mi, mode := range modes {
+					for ki, k := range knobs {
+						policy := policies[(workers+mi+ki)%len(policies)]
+						name := fmt.Sprintf("%v/shape=%s/p=%d/mode=%d/grain=%d/policy=%d",
+							tri, shape.name, workers, mode, k.WaveGrain, policy)
+						t.Run(name, func(t *testing.T) {
+							so := k
+							so.Tri, so.Mode = tri, mode
+							cfg := solveCfg(policy, workers)
+							cfg.Engine = eng
+							// The second run hits the plan cache; both must match.
+							for run := 0; run < 2; run++ {
+								got := make([]float64, n)
+								if err := SolveTriInto(got, l, b, cfg, so); err != nil {
+									t.Fatalf("run %d: %v", run, err)
+								}
+								for i := range want {
+									if got[i] != want[i] {
+										t.Fatalf("run %d, row %d: %v != serial %v (bit-identity violated)", run, i, got[i], want[i])
 									}
 								}
-							})
-						}
+							}
+						})
 					}
 				}
 			}
@@ -190,7 +186,7 @@ func TestSolvePlanOrder(t *testing.T) {
 			so := tc.so
 			so.Mode = mode
 			got := make([]float64, n)
-			if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, stored, b, solveCfg(sched.Dynamic, 2), so); err != nil {
+			if err := SolveTriInto(got, stored, b, solveCfg(sched.Dynamic, 2), so); err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -201,12 +197,12 @@ func TestSolvePlanOrder(t *testing.T) {
 }
 
 // TestSolveHashSeesEveryWord is the plan key's property test: changing
-// any single RowPtr word, any mask entry, the grain, the merge width or
-// the worker count changes the hash, whatever lane the word lands in.
+// any single RowPtr word, the grain, the merge width or the worker count
+// changes the hash, whatever lane the word lands in.
 func TestSolveHashSeesEveryWord(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	l := randTriangular(13, true, 0.3, 0, r)
-	so := SolveOpts{Mask: []sparse.Index{0, 2, 3, 5, 7, 8, 11}, WaveGrain: 64, MergeBelow: 8}
+	so := SolveOpts{WaveGrain: 64, MergeBelow: 8}
 	base := solveHash(l, so, 2)
 	for k := range l.RowPtr {
 		for _, delta := range []int64{1, -1, 1 << 40} {
@@ -218,17 +214,9 @@ func TestSolveHashSeesEveryWord(t *testing.T) {
 			}
 		}
 	}
-	for k := range so.Mask {
-		edit := so
-		edit.Mask = append([]sparse.Index(nil), so.Mask...)
-		edit.Mask[k]++
-		if solveHash(l, edit, 2) == base {
-			t.Errorf("Mask[%d]: hash unchanged", k)
-		}
-	}
 	for name, edit := range map[string]SolveOpts{
-		"grain": {Mask: so.Mask, WaveGrain: 65, MergeBelow: 8},
-		"merge": {Mask: so.Mask, WaveGrain: 64, MergeBelow: 9},
+		"grain": {WaveGrain: 65, MergeBelow: 8},
+		"merge": {WaveGrain: 64, MergeBelow: 9},
 	} {
 		if solveHash(l, edit, 2) == base {
 			t.Errorf("%s: hash unchanged", name)
@@ -290,7 +278,7 @@ func TestSolveTriAutoAndSerialModes(t *testing.T) {
 	for _, mode := range []SolveMode{SolveAuto, SolveWaves, SolveSerial} {
 		got := make([]float64, n)
 		cfg := solveCfg(sched.Dynamic, 4)
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, l, b, cfg, SolveOpts{Mode: mode}); err != nil {
+		if err := SolveTriInto(got, l, b, cfg, SolveOpts{Mode: mode}); err != nil {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
 		for i := range want {
@@ -312,7 +300,7 @@ func TestSolveTriInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := append([]float64(nil), b...)
-	if err := SolveTriInto[float64, plusTimes](plusTimes{}, x, l, x, solveCfg(sched.Guided, 3), SolveOpts{Mode: SolveWaves}); err != nil {
+	if err := SolveTriInto(x, l, x, solveCfg(sched.Guided, 3), SolveOpts{Mode: SolveWaves}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -322,54 +310,9 @@ func TestSolveTriInPlace(t *testing.T) {
 	}
 }
 
-// TestSolveTriMaskPassthrough verifies rows outside the mask receive b
-// unchanged and solved rows see only in-mask dependencies.
-func TestSolveTriMaskPassthrough(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	n := 120
-	l := randTriangular(n, true, 0.3, 0, r)
-	b := randVec(n, r)
-	mask := randMask(n, 0.4, r)
-	inMask := make(map[sparse.Index]bool, len(mask))
-	for _, m := range mask {
-		inMask[m] = true
-	}
-	got := make([]float64, n)
-	so := SolveOpts{Mask: mask, Mode: SolveWaves, WaveGrain: 8, MergeBelow: 2}
-	if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, l, b, solveCfg(sched.Dynamic, 4), so); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if !inMask[sparse.Index(i)] && got[i] != b[i] {
-			t.Fatalf("out-of-mask row %d: got %v, want b=%v", i, got[i], b[i])
-		}
-	}
-	// The masked solve equals the unmasked solve of the principal
-	// submatrix: check a dense reconstruction row by row.
-	for _, mi := range mask {
-		i := int(mi)
-		cols, vals := l.Row(i)
-		acc := 0.0
-		var diag float64
-		for k, j := range cols {
-			if int(j) == i {
-				diag = vals[k]
-				continue
-			}
-			if inMask[j] {
-				acc += vals[k] * got[j]
-			}
-		}
-		want := (b[i] - acc) / diag
-		if got[i] != want {
-			t.Fatalf("masked row %d: got %v, want %v", i, got[i], want)
-		}
-	}
-}
-
 // TestSolveTriErrors covers the failure taxonomy: singular operands
-// (structural and numeric), non-triangular structure, malformed masks,
-// shape mismatches and bad options.
+// (structural and numeric), non-triangular structure, shape mismatches
+// and bad options.
 func TestSolveTriErrors(t *testing.T) {
 	cfg := solveCfg(sched.Dynamic, 2)
 	mk := func(rows [][]int, vals [][]float64) *sparse.CSR[float64] {
@@ -387,7 +330,7 @@ func TestSolveTriErrors(t *testing.T) {
 	t.Run("missing diagonal", func(t *testing.T) {
 		l := mk([][]int{{0}, {0}, {0, 2}}, [][]float64{{1}, {1}, {1, 1}}) // row 1 has no diag
 		dst := make([]float64, 3)
-		err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, SolveOpts{})
+		err := SolveTriInto(dst, l, b, cfg, SolveOpts{})
 		if !errors.Is(err, ErrSingular) {
 			t.Fatalf("got %v, want ErrSingular", err)
 		}
@@ -400,7 +343,7 @@ func TestSolveTriErrors(t *testing.T) {
 		l := mk([][]int{{0}, {1}, {2}}, [][]float64{{1}, {0}, {1}}) // stored zero at (1,1)
 		dst := make([]float64, 3)
 		for _, mode := range []SolveMode{SolveSerial, SolveWaves} {
-			err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, SolveOpts{Mode: mode})
+			err := SolveTriInto(dst, l, b, cfg, SolveOpts{Mode: mode})
 			if !errors.Is(err, ErrSingular) {
 				t.Fatalf("mode %d: got %v, want ErrSingular", mode, err)
 			}
@@ -416,7 +359,7 @@ func TestSolveTriErrors(t *testing.T) {
 	t.Run("not triangular", func(t *testing.T) {
 		l := mk([][]int{{0, 2}, {1}, {2}}, [][]float64{{1, 5}, {1}, {1}}) // (0,2) above diag
 		dst := make([]float64, 3)
-		err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, SolveOpts{})
+		err := SolveTriInto(dst, l, b, cfg, SolveOpts{})
 		if !errors.Is(err, ErrNotTriangular) {
 			t.Fatalf("got %v, want ErrNotTriangular", err)
 		}
@@ -424,35 +367,19 @@ func TestSolveTriErrors(t *testing.T) {
 			t.Fatalf("serial: got %v, want ErrNotTriangular", err)
 		}
 		// The same entry is fine for an upper solve.
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, SolveOpts{Tri: Upper}); err != nil {
+		if err := SolveTriInto(dst, l, b, cfg, SolveOpts{Tri: Upper}); err != nil {
 			t.Fatalf("upper solve: %v", err)
-		}
-		// And fine for a masked lower solve whose mask excludes column 2.
-		so := SolveOpts{Mask: []sparse.Index{0, 1}}
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, so); err != nil {
-			t.Fatalf("masked solve excluding the offender: %v", err)
-		}
-	})
-
-	t.Run("bad mask", func(t *testing.T) {
-		l := mk([][]int{{0}, {1}, {2}}, [][]float64{{1}, {1}, {1}})
-		dst := make([]float64, 3)
-		for _, mask := range [][]sparse.Index{{1, 0}, {0, 0}, {-1}, {3}} {
-			err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, SolveOpts{Mask: mask})
-			if !errors.Is(err, ErrInvalidMatrix) {
-				t.Fatalf("mask %v: got %v, want ErrInvalidMatrix", mask, err)
-			}
 		}
 	})
 
 	t.Run("shape", func(t *testing.T) {
 		l := mk([][]int{{0}, {1}, {2}}, [][]float64{{1}, {1}, {1}})
 		dst := make([]float64, 3)
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b[:2], cfg, SolveOpts{}); !errors.Is(err, sparse.ErrShape) {
+		if err := SolveTriInto(dst, l, b[:2], cfg, SolveOpts{}); !errors.Is(err, sparse.ErrShape) {
 			t.Fatalf("short b: got %v, want ErrShape", err)
 		}
 		rect := sparse.NewCSR[float64](3, 4, 0)
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, rect, b, cfg, SolveOpts{}); !errors.Is(err, sparse.ErrShape) {
+		if err := SolveTriInto(dst, rect, b, cfg, SolveOpts{}); !errors.Is(err, sparse.ErrShape) {
 			t.Fatalf("rectangular: got %v, want ErrShape", err)
 		}
 	})
@@ -460,10 +387,10 @@ func TestSolveTriErrors(t *testing.T) {
 	t.Run("bad options", func(t *testing.T) {
 		l := mk([][]int{{0}, {1}, {2}}, [][]float64{{1}, {1}, {1}})
 		dst := make([]float64, 3)
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, SolveOpts{Tri: Tri(9)}); !errors.Is(err, ErrConfig) {
+		if err := SolveTriInto(dst, l, b, cfg, SolveOpts{Tri: Tri(9)}); !errors.Is(err, ErrConfig) {
 			t.Fatalf("bad tri: got %v, want ErrConfig", err)
 		}
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, SolveOpts{Mode: SolveMode(9)}); !errors.Is(err, ErrConfig) {
+		if err := SolveTriInto(dst, l, b, cfg, SolveOpts{Mode: SolveMode(9)}); !errors.Is(err, ErrConfig) {
 			t.Fatalf("bad mode: got %v, want ErrConfig", err)
 		}
 	})
@@ -482,7 +409,7 @@ func TestSolveTriCancellation(t *testing.T) {
 		cfg := solveCfg(sched.Dynamic, 4)
 		cfg.Context = ctx
 		dst := make([]float64, n)
-		err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, SolveOpts{Mode: mode})
+		err := SolveTriInto(dst, l, b, cfg, SolveOpts{Mode: mode})
 		if !errors.Is(err, ErrCanceled) && !errors.Is(err, context.Canceled) {
 			t.Fatalf("mode %d: got %v, want cancellation", mode, err)
 		}
@@ -502,7 +429,7 @@ func TestSolveTriPlanCache(t *testing.T) {
 	dst := make([]float64, n)
 	run := func(so SolveOpts) {
 		t.Helper()
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, so); err != nil {
+		if err := SolveTriInto(dst, l, b, cfg, so); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -519,12 +446,23 @@ func TestSolveTriPlanCache(t *testing.T) {
 	if s1.PlanMisses != s0.PlanMisses {
 		t.Fatalf("second identical solve rebuilt the plan (misses %d -> %d)", s0.PlanMisses, s1.PlanMisses)
 	}
-	// A different flavor of the same operand is a different plan.
-	run(SolveOpts{Transpose: true})
-	s2 := eng.Stats()
-	if s2.PlanMisses <= s1.PlanMisses {
-		t.Fatal("transpose flavor should build its own plan")
+	// A different flavor of the same operand is a different plan: a
+	// diagonal operand is both triangles.
+	coo := sparse.NewCOO[float64](n, n, int64(n))
+	for i := 0; i < n; i++ {
+		coo.Add(sparse.Index(i), sparse.Index(i), 2)
 	}
+	diag := coo.ToCSR()
+	for _, tri := range []Tri{Lower, Upper} {
+		misses := eng.Stats().PlanMisses
+		if err := SolveTriInto(dst, diag, b, cfg, SolveOpts{Tri: tri}); err != nil {
+			t.Fatal(err)
+		}
+		if eng.Stats().PlanMisses <= misses {
+			t.Fatalf("%v flavor of the diagonal operand should build its own plan", tri)
+		}
+	}
+	s2 := eng.Stats()
 	// Different coarsening knobs change the hash.
 	run(SolveOpts{WaveGrain: 32, MergeBelow: 2})
 	s3 := eng.Stats()
@@ -545,7 +483,7 @@ func TestSolveTriSchedStats(t *testing.T) {
 	cfg.Recorder = rec
 	dst := make([]float64, n)
 	so := SolveOpts{Mode: SolveWaves, WaveGrain: 16, MergeBelow: 4}
-	if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, so); err != nil {
+	if err := SolveTriInto(dst, l, b, cfg, so); err != nil {
 		t.Fatal(err)
 	}
 	st := rec.Stats()
@@ -609,7 +547,7 @@ func TestSolveTriSerialRunRecordsNoWaves(t *testing.T) {
 			t.Fatalf("fixture's verdict is waves (predicted serial %.0f ns, waves %.0f ns)", sp.SerialNs, sp.WavesNs)
 		}
 		dst := make([]float64, n)
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, l, b, cfg, so); err != nil {
+		if err := SolveTriInto(dst, l, b, cfg, so); err != nil {
 			t.Fatal(err)
 		}
 		st := rec.Stats()
@@ -619,30 +557,6 @@ func TestSolveTriSerialRunRecordsNoWaves(t *testing.T) {
 		// The work itself is recorded: one worker, one tile, every row.
 		if tot := st.Totals; tot.Tiles != 1 || tot.Rows != int64(n) || tot.Flops != sp.Flops {
 			t.Errorf("p=%d mode=%d: totals %+v, want 1 tile, %d rows, %d flops", tc.workers, tc.mode, tot, n, sp.Flops)
-		}
-	}
-}
-
-// TestSolveTriSerialTransposeUpper pins the transpose/Tri interaction:
-// solving Lᵀ with Tri=Lower equals solving U=transpose(L) with
-// Tri=Upper.
-func TestSolveTriSerialTransposeUpper(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	n := 200
-	l := randTriangular(n, true, 0.2, 0, r)
-	u := sparse.Transpose(l)
-	b := randVec(n, r)
-	viaTranspose := make([]float64, n)
-	if err := SolveTriSerial(viaTranspose, l, b, SolveOpts{Tri: Lower, Transpose: true}); err != nil {
-		t.Fatal(err)
-	}
-	direct := make([]float64, n)
-	if err := SolveTriSerial(direct, u, b, SolveOpts{Tri: Upper}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range direct {
-		if direct[i] != viaTranspose[i] {
-			t.Fatalf("row %d: transpose solve %v != direct upper %v", i, viaTranspose[i], direct[i])
 		}
 	}
 }
@@ -671,58 +585,51 @@ func edgeLower(n int, r *rand.Rand) *sparse.CSR[float64] {
 
 // TestSolveTriLatticeBitIdentical holds SolveTriInto to the per-entry
 // reference SolveTriSerial with == on every configuration of the lattice
-// {serial, waves} × {Lower, Upper} × {plain, Transpose} × {in-place,
-// separate dst} × {no mask, mask}, on fixtures of 1, 2 and 97 rows with
-// diagonal-only rows and a row whose only off-diagonal entry is column
-// 0. A separate dst starts as NaN, so a row the solve forgets to write
-// shows. Each configuration runs twice on one engine, cold and on the
-// cached plan.
+// {serial, waves} × {Lower, Upper} × {in-place, separate dst}, on
+// fixtures of 1, 2 and 97 rows with diagonal-only rows and a row whose
+// only off-diagonal entry is column 0. A separate dst starts as NaN, so
+// a row the solve forgets to write shows. Each configuration runs twice
+// on one engine, cold and on the cached plan.
 func TestSolveTriLatticeBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	eng := exec.New(exec.Config{})
 	for _, n := range []int{1, 2, 97} {
 		lower := edgeLower(n, r)
 		b := randVec(n, r)
-		mask := randMask(n, 0.6, r)
 		for _, tri := range []Tri{Lower, Upper} {
 			stored := lower
 			if tri == Upper {
 				stored = sparse.Transpose(lower)
 			}
-			for _, transpose := range []bool{false, true} {
-				for _, m := range [][]sparse.Index{nil, mask} {
-					ref := SolveOpts{Tri: tri, Transpose: transpose, Mask: m}
-					want := make([]float64, n)
-					if err := SolveTriSerial(want, stored, b, ref); err != nil {
-						t.Fatalf("n=%d %v transpose=%v: reference: %v", n, tri, transpose, err)
-					}
-					for _, mode := range []SolveMode{SolveSerial, SolveWaves} {
-						for _, inPlace := range []bool{false, true} {
-							name := fmt.Sprintf("n=%d/%v/transpose=%v/masked=%v/mode=%d/in-place=%v",
-								n, tri, transpose, m != nil, mode, inPlace)
-							so := ref
-							so.Mode, so.WaveGrain, so.MergeBelow = mode, 4, 2
-							cfg := solveCfg(sched.Dynamic, 2)
-							cfg.Engine = eng
-							for run := 0; run < 2; run++ {
-								got := make([]float64, n)
-								src := b
-								if inPlace {
-									copy(got, b)
-									src = got
-								} else {
-									for i := range got {
-										got[i] = math.NaN()
-									}
-								}
-								if err := SolveTriInto[float64, plusTimes](plusTimes{}, got, stored, src, cfg, so); err != nil {
-									t.Fatalf("%s run %d: %v", name, run, err)
-								}
-								for i := range want {
-									if got[i] != want[i] {
-										t.Fatalf("%s run %d, row %d: %v != reference %v", name, run, i, got[i], want[i])
-									}
-								}
+			ref := SolveOpts{Tri: tri}
+			want := make([]float64, n)
+			if err := SolveTriSerial(want, stored, b, ref); err != nil {
+				t.Fatalf("n=%d %v: reference: %v", n, tri, err)
+			}
+			for _, mode := range []SolveMode{SolveSerial, SolveWaves} {
+				for _, inPlace := range []bool{false, true} {
+					name := fmt.Sprintf("n=%d/%v/mode=%d/in-place=%v", n, tri, mode, inPlace)
+					so := ref
+					so.Mode, so.WaveGrain, so.MergeBelow = mode, 4, 2
+					cfg := solveCfg(sched.Dynamic, 2)
+					cfg.Engine = eng
+					for run := 0; run < 2; run++ {
+						got := make([]float64, n)
+						src := b
+						if inPlace {
+							copy(got, b)
+							src = got
+						} else {
+							for i := range got {
+								got[i] = math.NaN()
+							}
+						}
+						if err := SolveTriInto(got, stored, src, cfg, so); err != nil {
+							t.Fatalf("%s run %d: %v", name, run, err)
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s run %d, row %d: %v != reference %v", name, run, i, got[i], want[i])
 							}
 						}
 					}
@@ -766,7 +673,7 @@ func TestSolveTriEditedOperandBehindCachedPlan(t *testing.T) {
 				cfg.Engine = eng
 				so := SolveOpts{Tri: tri, Mode: mode, WaveGrain: 16, MergeBelow: 3}
 				dst := make([]float64, n)
-				if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, stored, b, cfg, so); err != nil {
+				if err := SolveTriInto(dst, stored, b, cfg, so); err != nil {
 					t.Fatalf("%s: solve before the edit: %v", name, err)
 				}
 				d := stored.RowPtr[row+1] - 1 // the diagonal's slot
@@ -783,7 +690,7 @@ func TestSolveTriEditedOperandBehindCachedPlan(t *testing.T) {
 					stored.ColIdx[d] += side
 				}
 				hits := eng.Stats().PlanHits
-				err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, stored, b, cfg, so)
+				err := SolveTriInto(dst, stored, b, cfg, so)
 				if !errors.Is(err, ErrSingular) {
 					t.Fatalf("%s: got %v, want ErrSingular", name, err)
 				}
@@ -796,24 +703,21 @@ func TestSolveTriEditedOperandBehindCachedPlan(t *testing.T) {
 }
 
 // TestSolveSteadyStateAllocs pins the zero-alloc contract of warm
-// engine-backed solves on both serial paths: once the plan is cached and
-// the dense scratch is pooled, a solve — hash, plan lookup, workspace
-// checkout, substitution, mask clear, release — allocates nothing,
-// whether one worker runs it, the serial mode is forced, or the plan's
-// verdict on two workers is serial.
+// engine-backed solves on both serial paths: once the plan is cached, a
+// solve — hash, plan lookup, substitution — allocates nothing, whether
+// one worker runs it, the serial mode is forced, or the plan's verdict
+// on two workers is serial.
 func TestSolveSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	n := 256
 	l := randTriangular(n, true, 0.1, 2, r)
 	b := randVec(n, r)
-	mask := randMask(n, 0.5, r)
 	for _, tc := range []struct {
 		name    string
 		workers int
 		so      SolveOpts
 	}{
-		{"one-worker-masked", 1, SolveOpts{Mask: mask}},
-		{"forced-serial-masked-transposed", 4, SolveOpts{Mask: mask, Mode: SolveSerial, Tri: Upper, Transpose: true}},
+		{"one-worker", 1, SolveOpts{}},
 		{"forced-serial-upper", 4, SolveOpts{Mode: SolveSerial, Tri: Upper}},
 		{"serial-verdict", 2, SolveOpts{}},
 	} {
@@ -825,8 +729,8 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 		if tc.so.Tri == Upper {
 			stored = sparse.Transpose(l)
 		}
-		// Warm: build and cache the plan, populate the workspace pool.
-		if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, stored, b, cfg, tc.so); err != nil {
+		// Warm: build and cache the plan.
+		if err := SolveTriInto(dst, stored, b, cfg, tc.so); err != nil {
 			t.Fatal(err)
 		}
 		if tc.so.Mode == SolveAuto && tc.workers > 1 {
@@ -836,7 +740,7 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := SolveTriInto[float64, plusTimes](plusTimes{}, dst, stored, b, cfg, tc.so); err != nil {
+			if err := SolveTriInto(dst, stored, b, cfg, tc.so); err != nil {
 				t.Fatal(err)
 			}
 		})

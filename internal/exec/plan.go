@@ -35,15 +35,15 @@ type Plan struct {
 	Solve *SolvePlan
 }
 
-// SolvePlan is the dependency-wave half of a masked triangular-solve
-// plan: the wave order of the in-mask rows, the FLOP-balanced tile
-// partition of that order, the wave coarsening over those tiles, and
-// the verdict whether waves pay at all. Shared read-only across runs
-// like every cached plan.
+// SolvePlan is the dependency-wave half of a triangular-solve plan: the
+// wave order of the rows, the FLOP-balanced tile partition of that
+// order, the wave coarsening over those tiles, and the verdict whether
+// waves pay at all. Shared read-only across runs like every cached
+// plan.
 type SolvePlan struct {
-	// Order maps execution slot to row index: the in-mask rows grouped by
-	// wave, in substitution order within each wave. Tiles partition
-	// slots, not raw row indices.
+	// Order maps execution slot to row index: the rows grouped by wave,
+	// in substitution order within each wave. Tiles partition slots, not
+	// raw row indices.
 	Order []sparse.Index
 	// Tiles partitions [0, len(Order)) into row-work-balanced tiles
 	// aligned to wave boundaries.
@@ -68,10 +68,6 @@ type SolvePlan struct {
 	// and WavesNs are the predicted times it was decided from.
 	Serial            bool
 	SerialNs, WavesNs float64
-	// Trans holds the plan-time transposed operand for transpose solves
-	// (a *sparse.CSR[T]; typed any because Plan is not generic). Nil for
-	// non-transpose solves.
-	Trans any
 }
 
 // OperandID fingerprints one operand: a weak pointer to its header plus
@@ -118,12 +114,11 @@ type PlanKey struct {
 	Vanilla bool
 	// Solve discriminates triangular-solve plans from SpGEMM plans in
 	// the shared cache: 0 for SpGEMM, otherwise an encoding of the solve
-	// kind (lower/upper, transpose) plus one.
+	// kind (lower/upper) plus one.
 	Solve uint8
 	// SolveHash fingerprints what a solve plan's correctness depends on:
-	// the operand's structure and the mask contents, plus the coarsening
-	// knobs and the worker count its serial-or-waves verdict was reached
-	// for. A solve plan's wave order encodes dependencies, so — unlike
+	// the operand's structure, plus the coarsening knobs and the worker
+	// count its serial-or-waves verdict was reached for. A solve plan's wave order encodes dependencies, so — unlike
 	// SpGEMM — a stale hit would be a correctness bug, not a balance
 	// wobble; content-hashing closes the recycled-address hole. Zero for
 	// SpGEMM plans.

@@ -52,7 +52,7 @@ func BetweennessCentrality(a *sparse.CSR[float64], sources []int, eng *exec.Engi
 
 	for _, src := range sources {
 		if src < 0 || src >= n {
-			return nil, fmt.Errorf("graph: source %d out of range [0,%d)", src, n)
+			return nil, fmt.Errorf("%w: source %d out of range [0,%d)", sparse.ErrShape, src, n)
 		}
 		for i := range sigma {
 			sigma[i] = 0

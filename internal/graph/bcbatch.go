@@ -169,7 +169,7 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 	// The initial front: entry (src_b, b) = 1, a row per distinct source.
 	for _, src := range sources {
 		if src < 0 || src >= n {
-			return nil, fmt.Errorf("graph: source %d out of range [0,%d)", src, n)
+			return nil, fmt.Errorf("%w: source %d out of range [0,%d)", sparse.ErrShape, src, n)
 		}
 		sw.cand = append(sw.cand, sparse.Index(src))
 	}

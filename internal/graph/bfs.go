@@ -26,22 +26,21 @@ type BFSResult struct {
 // over the Boolean semiring. dir selects Push, Pull, or Auto per level.
 //
 // The dense traversal scratch is drawn from eng's workspace pool, so
-// repeated searches (ConnectedComponents, BC sampling) recycle one
-// scratch block instead of allocating per level. The frontier vectors
-// are double-buffered either way; a nil engine builds the scratch once
-// per call.
+// repeated searches (BC sampling) recycle one scratch block instead of
+// allocating per level. The frontier vectors are double-buffered either
+// way; a nil engine builds the scratch once per call.
 func BFS(a *sparse.CSR[float64], src int, dir core.Direction, eng *exec.Engine) (*BFSResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)
 	}
 	if src < 0 || src >= a.Rows {
-		return nil, fmt.Errorf("graph: source %d out of range [0,%d)", src, a.Rows)
+		return nil, fmt.Errorf("%w: source %d out of range [0,%d)", sparse.ErrShape, src, a.Rows)
 	}
 	switch dir {
 	case core.Push, core.Pull, core.Auto:
 	default:
-		return nil, fmt.Errorf("graph: unknown direction %d", dir)
+		return nil, fmt.Errorf("%w: unknown direction %d", core.ErrConfig, dir)
 	}
 	res := &BFSResult{Level: make([]int32, a.Rows)}
 	for i := range res.Level {
@@ -91,30 +90,4 @@ func chooseBFSDirection(f *core.SpVec[float64], a *sparse.CSR[float64], visited 
 		return core.Pull
 	}
 	return core.Push
-}
-
-// ConnectedComponents counts connected components by repeated BFS — a
-// substrate-level utility the examples and tests use to sanity-check
-// generated graphs. The per-source searches share one pooled scratch
-// through an ephemeral engine.
-func ConnectedComponents(a *sparse.CSR[float64]) (int, error) {
-	eng := exec.New(exec.Config{})
-	seen := make([]bool, a.Rows)
-	comps := 0
-	for v := 0; v < a.Rows; v++ {
-		if seen[v] {
-			continue
-		}
-		comps++
-		res, err := BFS(a, v, core.Push, eng)
-		if err != nil {
-			return 0, err
-		}
-		for u, lvl := range res.Level {
-			if lvl >= 0 {
-				seen[u] = true
-			}
-		}
-	}
-	return comps, nil
 }

@@ -233,22 +233,6 @@ func TestBFSErrors(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	// Two disjoint triangles: 2 components.
-	coo := sparse.NewCOO[float64](6, 6, 12)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}} {
-		coo.Add(sparse.Index(e[0]), sparse.Index(e[1]), 1)
-		coo.Add(sparse.Index(e[1]), sparse.Index(e[0]), 1)
-	}
-	n, err := ConnectedComponents(coo.ToCSR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("components = %d, want 2", n)
-	}
-}
-
 // bruteBC is Brandes' algorithm implemented directly for the oracle.
 func bruteBC(a *sparse.CSR[float64], sources []int) []float64 {
 	n := a.Rows

@@ -55,7 +55,7 @@ func KTrussFused(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult,
 // a plan keyed on the caller's matrix.
 func peel(a *sparse.CSR[float64], k int, fused bool, cfg core.Config) (*KTrussResult, error) {
 	if k < 3 {
-		return nil, fmt.Errorf("graph: k-truss needs k >= 3, got %d", k)
+		return nil, fmt.Errorf("%w: k-truss needs k >= 3, got %d", core.ErrConfig, k)
 	}
 	sr := semiring.PlusPair[float64]{}
 	need := float64(k - 2)

@@ -63,7 +63,7 @@ func TriangleCount(
 		c, err = core.MaskedSpGEMM[float64](sr, a, l, u, cfg)
 		div = 2
 	default:
-		return 0, fmt.Errorf("graph: unknown triangle method %d", method)
+		return 0, fmt.Errorf("%w: unknown triangle method %d", core.ErrConfig, method)
 	}
 	if err != nil {
 		return 0, err
@@ -71,7 +71,7 @@ func TriangleCount(
 	total := sparse.SumValues(c)
 	count := total / div
 	if count != float64(int64(count)) {
-		return 0, fmt.Errorf("graph: non-integral triangle count %v/%v (is the graph symmetric and simple?)", total, div)
+		return 0, fmt.Errorf("%w: non-integral triangle count %v/%v (is the graph symmetric and simple?)", core.ErrInvalidMatrix, total, div)
 	}
 	return int64(count), nil
 }

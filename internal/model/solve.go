@@ -22,8 +22,9 @@ type SolveFeatures struct {
 	AvgRowWork float64
 }
 
-// ExtractSolve computes the solve features of op(L)·x = b under an
-// optional row mask (nil or empty = all rows).
+// ExtractSolve computes the solve features of L·x = b under an optional
+// row mask (nil or empty = all rows). The solve itself has no mask:
+// internal/core's planner matches the nil-mask features.
 func ExtractSolve[T sparse.Number](l *sparse.CSR[T], mask []sparse.Index) SolveFeatures {
 	n := l.Rows
 	var f SolveFeatures

@@ -55,8 +55,7 @@ const (
 	// wave coarsening: dependency depths, substitution order, and the
 	// merge/split of levels into FLOP-balanced waves.
 	PhasePlanLevels
-	// PhaseExecSolve is the wave-scheduled substitution kernel of the
-	// masked triangular solve.
+	// PhaseExecSolve is the substitution kernel of the triangular solve.
 	PhaseExecSolve
 	numPhases
 )
@@ -403,7 +402,7 @@ func WaveBucket(v int64) int {
 }
 
 // SchedCounters are the wave-executor statistics of level-scheduled
-// runs (masked triangular solve): how many dependency-carrying runs
+// runs (the triangular solve): how many dependency-carrying runs
 // happened, how their level sets coarsened into waves, and what the
 // wave barriers cost. Flat single-wave SpGEMM runs record nothing here,
 // so the block stays zero — and is omitted from tables — on pure

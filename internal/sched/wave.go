@@ -13,7 +13,7 @@ import (
 // This file is the scheduler's dependency-wave core. A WavePlan orders
 // the tile index space into waves — levels of mutually independent
 // tiles — with a completion barrier between consecutive waves, the
-// substrate level-scheduled kernels (masked triangular solve, and later
+// substrate level-scheduled kernels (the triangular solve, and later
 // cross-shard panel dependencies) need. The executor keeps one
 // persistent worker pool for the whole plan: workers claim tiles within
 // the current wave under the usual Static/Dynamic/Guided policies and

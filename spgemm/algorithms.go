@@ -53,16 +53,6 @@ func BetweennessCentrality(a *Matrix, sources []int) ([]float64, error) {
 	return graph.BetweennessCentrality(a.csr, sources, nil)
 }
 
-// KCore returns each vertex's coreness (the largest k whose k-core
-// contains it) and the graph's degeneracy.
-func KCore(a *Matrix) ([]int32, int32, error) {
-	res, err := graph.KCore(a.csr)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Core, res.MaxCore, nil
-}
-
 // BetweennessCentralityBatch is BetweennessCentrality computed for all
 // sources simultaneously as rectangular masked matrix products — the
 // batched-Brandes formulation, directed graphs included (paths follow
@@ -76,34 +66,6 @@ func BetweennessCentralityBatch(a *Matrix, sources []int, opts Options) ([]float
 		return graph.BetweennessCentralityBatchFused(a.csr, sources, opts.config())
 	}
 	return graph.BetweennessCentralityBatch(a.csr, sources, opts.config())
-}
-
-// ConnectedComponents returns per-vertex component labels (the smallest
-// vertex id in each component) and the component count, computed by
-// algebraic label propagation over the (min, first) semiring.
-func ConnectedComponents(a *Matrix) ([]int32, int, error) {
-	res, err := graph.ConnectedComponentsLabelProp(a.csr, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Label, res.Components, nil
-}
-
-// ShortestPaths returns single-source shortest-path distances over the
-// stored edge weights (tropical-semiring Bellman-Ford); +Inf marks
-// unreachable vertices.
-func ShortestPaths(a *Matrix, src int) ([]float64, error) {
-	return graph.SSSP(a.csr, src, nil)
-}
-
-// PageRank runs the damped power iteration until the L1 delta falls
-// below tol (or maxIter rounds) and returns the stationary ranks.
-func PageRank(a *Matrix, damping, tol float64, maxIter int) ([]float64, error) {
-	res, err := graph.PageRank(a.csr, damping, tol, maxIter)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rank, nil
 }
 
 // RandomGraph generates one of the built-in synthetic graph families;

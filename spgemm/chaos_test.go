@@ -158,11 +158,11 @@ func TestStallWatchdogFacade(t *testing.T) {
 	equalResult(t, ref, got, "post-stall result")
 }
 
-// TestMultiplierRetryWithSharedEngine drives the Multiplier's retry
-// ladder against a shared engine: a one-shot fault is absorbed, the
-// poisoned workspace is quarantined (visible in stats and SelfCheck
+// TestMxMRetryWithSharedEngine drives MxM's retry ladder on a shared
+// engine through a warm repeated product: a one-shot fault is absorbed,
+// the poisoned workspace is quarantined (visible in stats and SelfCheck
 // still passes), and warm reuse keeps producing bit-identical results.
-func TestMultiplierRetryWithSharedEngine(t *testing.T) {
+func TestMxMRetryWithSharedEngine(t *testing.T) {
 	a := RandomGraph("er", 96, 15)
 	eng := NewEngine(EngineConfig{})
 	opts := Defaults()
@@ -176,16 +176,12 @@ func TestMultiplierRetryWithSharedEngine(t *testing.T) {
 	opts.Engine = eng
 	opts.chaos = sd
 	opts.Retry = Retry{MaxAttempts: 3}
-	mu, err := NewMultiplier(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 4; i++ {
-		got, err := mu.Multiply()
+		got, err := MxM(a, a, a, opts)
 		if err != nil {
 			t.Fatalf("multiply %d: %v", i, err)
 		}
-		equalResult(t, ref, got, "multiplier result")
+		equalResult(t, ref, got, "repeated result")
 	}
 	if sd.Fired(chaos.RowKernel) != 1 {
 		t.Fatalf("trigger fired %d times, want 1", sd.Fired(chaos.RowKernel))
@@ -198,12 +194,12 @@ func TestMultiplierRetryWithSharedEngine(t *testing.T) {
 	}
 }
 
-// TestMultiplierLadderEscapesFaultingEngine drives a Multiplier down
-// the whole ladder: its engine panics at every workspace checkout, so
+// TestMxMRetryLadderEscapesFaultingEngine drives MxM down the whole
+// retry ladder: its engine panics at every workspace checkout, so
 // the configured attempt and the serial rung both fail, and the third
 // rung — unpooled, no engine — returns the reference result. The
 // stats/v3 retry block records the descent.
-func TestMultiplierLadderEscapesFaultingEngine(t *testing.T) {
+func TestMxMRetryLadderEscapesFaultingEngine(t *testing.T) {
 	a := RandomGraph("er", 96, 17)
 	opts := Defaults()
 	ref, err := MxM(a, a, a, opts)
@@ -219,22 +215,15 @@ func TestMultiplierLadderEscapesFaultingEngine(t *testing.T) {
 	})
 	opts.Engine = &Engine{eng: exec.New(exec.Config{Chaos: always})}
 	opts.Stats = NewStatsRecorder()
-	mu, err := NewMultiplier(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// No budget: containment types the fault, nothing escapes it.
-	if _, err := mu.Multiply(); !errors.Is(err, ErrPanic) || !errors.Is(err, chaos.ErrInjected) {
+	if _, err := MxM(a, a, a, opts); !errors.Is(err, ErrPanic) || !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("unretried checkout fault: %v, want ErrPanic matching chaos.ErrInjected", err)
 	}
 
 	opts.Retry = Retry{MaxAttempts: 3}
-	if mu, err = NewMultiplier(a, a, a, opts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := mu.Multiply()
+	got, err := MxM(a, a, a, opts)
 	if err != nil {
-		t.Fatalf("laddered Multiply: %v", err)
+		t.Fatalf("laddered MxM: %v", err)
 	}
 	equalResult(t, ref, got, "unpooled rung")
 	r := opts.Stats.Stats().Retry

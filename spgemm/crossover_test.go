@@ -10,11 +10,10 @@ import (
 // facadeOutcome is what one pass over the facade's multiply-built entry
 // points returns, plus the stats/v3 totals it recorded.
 type facadeOutcome struct {
-	mxm, comp, reused *Matrix
-	truss             *Matrix
-	triangles         int64
-	bc, bcFused       []float64
-	totals            CounterSet
+	mxm, truss  *Matrix
+	triangles   int64
+	bc, bcFused []float64
+	totals      CounterSet
 }
 
 func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
@@ -30,12 +29,6 @@ func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
 		}
 	}
 	o.mxm, err = MxM(a, a, a, opts)
-	check(err)
-	o.comp, err = MxMComplement(a, a, a, opts)
-	check(err)
-	mu, err := NewMultiplier(a, a, a, opts)
-	check(err)
-	o.reused, err = mu.Multiply()
 	check(err)
 	o.truss, _, err = KTruss(a, 3, opts)
 	check(err)
@@ -79,8 +72,6 @@ func TestFacadeSmallEqualsTiled(t *testing.T) {
 				small, tile *Matrix
 			}{
 				{"MxM", small.mxm, tiled.mxm},
-				{"MxMComplement", small.comp, tiled.comp},
-				{"Multiplier", small.reused, tiled.reused},
 				{"KTruss", small.truss, tiled.truss},
 			} {
 				if !pair.small.Equal(pair.tile) {
@@ -132,7 +123,6 @@ func TestOneTileMxMWarmAllocs(t *testing.T) {
 		run  func() (*Matrix, error)
 	}{
 		{"MxM", func() (*Matrix, error) { return MxM(a, a, a, opts) }},
-		{"MxMComplement", func() (*Matrix, error) { return MxMComplement(a, a, a, opts) }},
 	} {
 		// Warm the pool's size class.
 		if _, err := call.run(); err != nil {

@@ -17,8 +17,8 @@ import (
 //     rounds, BC pivots, benchmark repetitions) checks the same buffers
 //     out of the pool instead of reallocating them, and
 //   - safe to run concurrently: each call holds a private workspace, so
-//     independent multiplies — including overlapping Multiply calls on
-//     one Multiplier — can proceed in parallel goroutines.
+//     independent multiplies — including overlapping MxM calls on the
+//     same operands — can proceed in parallel goroutines.
 //
 // An Engine is safe for concurrent use and is intended to be shared
 // process-wide (see DefaultEngine) or per serving pool. The zero

@@ -11,16 +11,12 @@ import (
 	"maskedspgemm/spgemm"
 )
 
-// TestEngineEquivalence checks that every engine-backed entry point
-// produces results bit-identical to the engineless path, warm and cold.
+// TestEngineEquivalence checks that engine-backed MxM produces results
+// bit-identical to the engineless path, warm and cold.
 func TestEngineEquivalence(t *testing.T) {
 	a := spgemm.RandomGraph("er", 80, 5)
 	opts := spgemm.Defaults()
 	want, err := spgemm.MxM(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantComp, err := spgemm.MxMComplement(a, a, a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +32,6 @@ func TestEngineEquivalence(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("round %d: engine-backed MxM differs from engineless", round)
 		}
-		gotComp, err := spgemm.MxMComplement(a, a, a, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gotComp.Equal(wantComp) {
-			t.Fatalf("round %d: engine-backed MxMComplement differs", round)
-		}
 	}
 	st := opts.Engine.Stats()
 	if st.Hits == 0 {
@@ -53,10 +42,10 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestConcurrentMultiplierServing drives one engine-backed Multiplier
-// from many goroutines at once (run with -race) and checks every result
-// is bit-identical to the serial product.
-func TestConcurrentMultiplierServing(t *testing.T) {
+// TestConcurrentMxMServing repeats one product with MxM on a shared
+// engine from many goroutines at once (run with -race) and checks every
+// result is bit-identical to the serial product.
+func TestConcurrentMxMServing(t *testing.T) {
 	a := spgemm.RandomGraph("er", 120, 6)
 	opts := spgemm.Defaults()
 	opts.Tiles = 16
@@ -66,10 +55,6 @@ func TestConcurrentMultiplierServing(t *testing.T) {
 	}
 
 	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	mu, err := spgemm.NewMultiplier(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const goroutines = 8
 	const rounds = 5
 	var wg sync.WaitGroup
@@ -79,7 +64,7 @@ func TestConcurrentMultiplierServing(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				c, err := mu.Multiply()
+				c, err := spgemm.MxM(a, a, a, opts)
 				if err != nil {
 					errs[g] = err
 					return
@@ -99,19 +84,14 @@ func TestConcurrentMultiplierServing(t *testing.T) {
 	}
 }
 
-// TestEnginelessConcurrentMultiplySafe pins that a Multiplier built
-// without an Engine serves overlapping Multiply calls too: it runs on
-// an engine of its own, so each call checks out a private workspace and
-// every result is bit-identical to the serial product (run under -race
-// by `make race`).
+// TestEnginelessConcurrentMultiplySafe pins that overlapping engineless
+// MxM calls on the same operands are safe: each builds and discards its
+// own buffers, and every result is bit-identical to the serial product
+// (run under -race by `make race`).
 func TestEnginelessConcurrentMultiplySafe(t *testing.T) {
 	a := spgemm.RandomGraph("er", 200, 8)
 	opts := spgemm.Defaults()
 	want, err := spgemm.MxM(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu, err := spgemm.NewMultiplier(a, a, a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +102,9 @@ func TestEnginelessConcurrentMultiplySafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 20; r++ {
-				c, err := mu.Multiply()
+				c, err := spgemm.MxM(a, a, a, opts)
 				if err != nil {
-					t.Errorf("concurrent engineless Multiply: %v", err)
+					t.Errorf("concurrent engineless MxM: %v", err)
 					return
 				}
 				if !c.Equal(want) {
@@ -223,38 +203,5 @@ func TestEngineStatsInRecorder(t *testing.T) {
 	}
 	if st.Pool.Hits == 0 {
 		t.Errorf("warm runs should report pool hits: %+v", st.Pool)
-	}
-}
-
-// TestEngineWarmMultiplyAllocs pins that the engine path stays within
-// the same steady-state allocation budget as the owned-workspace path:
-// pooling must not reintroduce per-run allocations beyond the checkout
-// bookkeeping.
-func TestEngineWarmMultiplyAllocs(t *testing.T) {
-	a := spgemm.RandomGraph("er", 64, 5)
-	opts := spgemm.Defaults()
-	opts.Workers = 1
-	opts.Tiles = 4
-	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	mu, err := spgemm.NewMultiplier(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mu.Multiply(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := mu.Multiply(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The engine path pays a constant few extra allocations per run for
-	// the checkout (interface boxing of the pooled workspace pointer).
-	if allocs > steadyAllocBudget+4 {
-		t.Errorf("warm engine-backed Multiply allocates %.1f times per run, budget %d",
-			allocs, steadyAllocBudget+4)
-	}
-	if st := opts.Engine.Stats(); st.HitRate() < 0.9 {
-		t.Errorf("warm loop hit rate %.2f, want >= 0.9 (%+v)", st.HitRate(), st)
 	}
 }

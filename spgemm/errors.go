@@ -15,14 +15,16 @@ import (
 // contract.
 var (
 	// ErrShape marks operand dimension mismatches (a is m×k, b is k×n,
-	// mask is m×n).
+	// mask is m×n), and a BFS or BC source outside [0, n).
 	ErrShape = sparse.ErrShape
-	// ErrConfig marks invalid Options: unknown enum values, negative
-	// worker counts, non-positive tile counts, a non-positive κ.
+	// ErrConfig marks invalid Options — unknown enum values, negative
+	// worker counts, non-positive tile counts, a non-positive κ — and a
+	// k-truss k below 3.
 	ErrConfig = core.ErrConfig
 	// ErrInvalidMatrix marks operands that violate the CSR invariants
 	// (detected when Options.ValidateInputs is set, or by Matrix input
-	// readers on malformed files).
+	// readers on malformed files), and an asymmetric adjacency whose
+	// triangle count comes out non-integral.
 	ErrInvalidMatrix = core.ErrInvalidMatrix
 	// ErrCanceled marks a multiplication stopped by its context. The
 	// chain also matches the context's own error (context.Canceled or
@@ -38,12 +40,11 @@ var (
 	// every goroutine at verdict time.
 	ErrStalled = core.ErrStalled
 	// ErrSingular marks a triangular solve whose operand has a
-	// structurally missing or numerically zero diagonal entry on a
-	// solved row; the message names the row.
+	// structurally missing or numerically zero diagonal entry; the
+	// message names the row.
 	ErrSingular = core.ErrSingular
 	// ErrNotTriangular marks a triangular solve whose operand has an
-	// in-mask entry on the wrong side of the diagonal for the selected
-	// triangle.
+	// entry on the wrong side of the diagonal for the selected triangle.
 	ErrNotTriangular = core.ErrNotTriangular
 )
 

@@ -166,39 +166,39 @@ func TestMxMMidFlightCancel(t *testing.T) {
 	t.Fatalf("goroutine leak after cancel: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
-// TestMultiplierContextLifecycle exercises the context-aware plan API:
-// cancelled construction, cancelled execution, and reuse after failure.
-func TestMultiplierContextLifecycle(t *testing.T) {
+// TestMxMCancelLeavesEngineReusable: a product cancelled on a shared
+// engine returns ErrCanceled, and the engine goes on serving the same
+// product, bit-identical to a one-shot MxM.
+func TestMxMCancelLeavesEngineReusable(t *testing.T) {
 	a := RandomGraph("er", 120, 17)
 	ref, err := MxM(a, a, a, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
-	cancelled := Defaults()
-	cancelled.Context = done
-	if _, err := NewMultiplier(a, a, a, cancelled); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("cancelled plan construction: err = %v, want ErrCanceled", err)
-	}
-
-	mu, err := NewMultiplier(a, a, a, Defaults())
-	if err != nil {
+	opts := Defaults()
+	opts.Engine = NewEngine(EngineConfig{})
+	// Warm: the plan is cached and a workspace pooled before the cancel.
+	if _, err := MxM(a, a, a, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mu.MultiplyContext(done); !errors.Is(err, ErrCanceled) {
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := opts
+	cancelled.Context = done
+	if _, err := MxM(a, a, a, cancelled); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("cancelled multiply: err = %v, want ErrCanceled", err)
 	}
-	// The failed run must leave the plan reusable and bit-identical.
 	for i := 0; i < 2; i++ {
-		got, err := mu.Multiply()
+		got, err := MxM(a, a, a, opts)
 		if err != nil {
 			t.Fatalf("reuse %d: %v", i, err)
 		}
 		if !got.Equal(ref) {
 			t.Fatalf("reuse %d: result differs from one-shot MxM", i)
 		}
+	}
+	if err := opts.Engine.SelfCheck(); err != nil {
+		t.Fatalf("SelfCheck after the cancelled run: %v", err)
 	}
 }
 
@@ -225,29 +225,79 @@ func TestErrorTaxonomyDistinct(t *testing.T) {
 	}
 }
 
-// TestUnknownSemiringIsErrConfig requires every entry point that
-// dispatches on Options.Semiring to reject a value outside the enum as
+// TestUnknownSemiringIsErrConfig requires MxM, the entry point that
+// dispatches on Options.Semiring, to reject a value outside the enum as
 // ErrConfig instead of running some other algebra.
 func TestUnknownSemiringIsErrConfig(t *testing.T) {
 	a := RandomGraph("er", 40, 3)
-	entries := []struct {
-		name string
-		run  func(Options) error
-	}{
-		{"MxM", func(o Options) error { _, err := MxM(a, a, a, o); return err }},
-		{"MxMComplement", func(o Options) error { _, err := MxMComplement(a, a, a, o); return err }},
-		{"MxMUnmasked", func(o Options) error { _, err := MxMUnmasked(a, a, o); return err }},
-		{"NewMultiplier", func(o Options) error { _, err := NewMultiplier(a, a, a, o); return err }},
-		{"EWiseAdd", func(o Options) error { _, err := EWiseAdd(a, a, o); return err }},
-		{"EWiseMult", func(o Options) error { _, err := EWiseMult(a, a, o); return err }},
-	}
 	for _, sr := range []Semiring{-1, SROrAnd + 1} {
-		for _, e := range entries {
-			o := Defaults()
-			o.Semiring = sr
-			if err := e.run(o); !errors.Is(err, ErrConfig) {
-				t.Errorf("%s, semiring %d: err = %v, want ErrConfig", e.name, sr, err)
-			}
+		o := Defaults()
+		o.Semiring = sr
+		if _, err := MxM(a, a, a, o); !errors.Is(err, ErrConfig) {
+			t.Errorf("semiring %d: err = %v, want ErrConfig", sr, err)
 		}
+	}
+}
+
+// TestGraphArgumentErrorsWrapSentinels holds the graph entry points to
+// the taxonomy docs/ERRORS.md promises: a bad argument returns an error
+// wrapping its sentinel — ErrConfig for a k below 3, ErrShape for a
+// source outside [0, n), ErrInvalidMatrix for a triangle count that an
+// asymmetric operand makes non-integral — and no other sentinel.
+func TestGraphArgumentErrorsWrapSentinels(t *testing.T) {
+	a := RandomGraph("er", 40, 9)
+	// Directed 0→1→2 plus 0→2: one wedge closes, 1/6 of a triangle.
+	directed, err := FromTriples(3, 3, []Triple{{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 2, Val: 1}, {Row: 0, Col: 2, Val: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentinels := []error{ErrShape, ErrConfig, ErrInvalidMatrix, ErrCanceled, ErrPanic, ErrStalled, ErrSingular, ErrNotTriangular}
+	for _, tc := range []struct {
+		name string
+		want error
+		run  func() error
+	}{
+		{"KTruss/k=2", ErrConfig, func() error { _, _, err := KTruss(a, 2, Defaults()); return err }},
+		{"KTruss/k=-1", ErrConfig, func() error { _, _, err := KTruss(a, -1, Defaults()); return err }},
+		{"KTruss/fused/k=2", ErrConfig, func() error {
+			o := Defaults()
+			o.Fuse = true
+			_, _, err := KTruss(a, 2, o)
+			return err
+		}},
+		{"BFS/src=999", ErrShape, func() error { _, err := BFS(a, 999); return err }},
+		{"BFS/src=-1", ErrShape, func() error { _, err := BFS(a, -1); return err }},
+		{"BetweennessCentrality/src=999", ErrShape, func() error {
+			_, err := BetweennessCentrality(a, []int{999})
+			return err
+		}},
+		{"BetweennessCentrality/src=-1", ErrShape, func() error {
+			_, err := BetweennessCentrality(a, []int{0, -1})
+			return err
+		}},
+		{"BetweennessCentralityBatch/src=-1", ErrShape, func() error {
+			_, err := BetweennessCentralityBatch(a, []int{-1}, Defaults())
+			return err
+		}},
+		{"BetweennessCentralityBatch/src=999", ErrShape, func() error {
+			_, err := BetweennessCentralityBatch(a, []int{3, 999}, Defaults())
+			return err
+		}},
+		{"BetweennessCentralityBatch/fused/src=-1", ErrShape, func() error {
+			o := Defaults()
+			o.Fuse = true
+			_, err := BetweennessCentralityBatch(a, []int{-1}, o)
+			return err
+		}},
+		{"TriangleCount/asymmetric", ErrInvalidMatrix, func() error { _, err := TriangleCount(directed, Defaults()); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			for _, s := range sentinels {
+				if errors.Is(err, s) != (s == tc.want) {
+					t.Fatalf("err = %v: errors.Is(%v) = %v, want only %v", err, s, errors.Is(err, s), tc.want)
+				}
+			}
+		})
 	}
 }

@@ -75,7 +75,7 @@ type Options struct {
 	// across every call that shares it, making warm iterative loops
 	// allocation-free and concurrent multiplies safe — see Engine and
 	// DefaultEngine. nil builds and discards buffers per call, the
-	// one-shot behavior; a Multiplier built without one creates its own.
+	// one-shot behavior.
 	Engine *Engine
 	// Stats, when non-nil, records observability data for every run
 	// under these options: phase wall times, exact per-worker counters

@@ -11,12 +11,11 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// Retry is the automatic re-execution policy applied by MxM and
-// Multiplier.Multiply when Options.Retry is set. Only transient
-// failures are retried — contained kernel panics (ErrPanic),
-// stall-watchdog verdicts (ErrStalled) and injected faults; real
-// cancellation, shape, configuration and input-validation errors return
-// immediately.
+// Retry is the automatic re-execution policy applied by MxM when
+// Options.Retry is set. Only transient failures are retried — contained
+// kernel panics (ErrPanic), stall-watchdog verdicts (ErrStalled) and
+// injected faults; real cancellation, shape, configuration and
+// input-validation errors return immediately.
 //
 // Unless NoDegrade is set, each retry descends one rung of the
 // degradation ladder, trading throughput for isolation from whatever
@@ -76,8 +75,8 @@ func (o Options) rung(try int) Options {
 	return o
 }
 
-// retry runs attempt under the options' retry policy, the one loop
-// behind MxM and Multiplier.Multiply: the first try gets the
+// retry runs attempt under the options' retry policy, the loop
+// behind MxM: the first try gets the
 // options as configured, each further try its rung's, with a doubling
 // backoff that observes the context in between. Retry counters are
 // recorded only when a retry policy is configured, so plain calls leave

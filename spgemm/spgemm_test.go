@@ -62,71 +62,38 @@ func TestFromTriples(t *testing.T) {
 	}
 }
 
+// TestMxMAgainstTwoStep holds the masked product to its two-step
+// definition, computed here from the operands' rows: the full product
+// a × a, then only the positions the mask stores.
 func TestMxMAgainstTwoStep(t *testing.T) {
 	a := spgemm.RandomGraph("er", 80, 3)
 	fused, err := spgemm.MxM(a, a, a, spgemm.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := spgemm.MxMUnmasked(a, a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
+	n := a.Rows()
+	var entries []spgemm.Triple
+	for i := range n {
+		full := make([]float64, n)
+		cols, vals := a.Row(i)
+		for p, k := range cols {
+			kCols, kVals := a.Row(int(k))
+			for q, j := range kCols {
+				full[j] += vals[p] * kVals[q]
+			}
+		}
+		for _, j := range cols {
+			if full[j] != 0 {
+				entries = append(entries, spgemm.Triple{Row: i, Col: int(j), Val: full[j]})
+			}
+		}
 	}
-	twoStep, err := spgemm.ApplyMask(a, full)
+	twoStep, err := spgemm.FromTriples(n, n, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fused.Equal(twoStep) {
 		t.Error("fused masked product differs from two-step")
-	}
-}
-
-func TestMxMComplement(t *testing.T) {
-	a := spgemm.RandomGraph("er", 60, 11)
-	masked, err := spgemm.MxM(a, a, a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := spgemm.MxMComplement(a, a, a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := spgemm.MxMUnmasked(a, a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if masked.NNZ()+comp.NNZ() != full.NNZ() {
-		t.Errorf("masked (%d) + complement (%d) != full (%d)",
-			masked.NNZ(), comp.NNZ(), full.NNZ())
-	}
-}
-
-func TestGraphAlgorithmsOnFacade(t *testing.T) {
-	a := spgemm.RandomGraph("er", 50, 13)
-	labels, comps, err := spgemm.ConnectedComponents(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(labels) != a.Rows() || comps < 1 {
-		t.Errorf("CC: %d labels, %d components", len(labels), comps)
-	}
-	dist, err := spgemm.ShortestPaths(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist[0] != 0 {
-		t.Errorf("dist[src] = %v", dist[0])
-	}
-	ranks, err := spgemm.PageRank(a, 0.85, 1e-8, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, r := range ranks {
-		sum += r
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("pagerank sum %v", sum)
 	}
 }
 
@@ -150,6 +117,25 @@ func TestValuedMask(t *testing.T) {
 	}
 }
 
+// TestValuedMaskOnEngine repeats a valued-mask product with MxM on a
+// shared engine: every repeat honors ValuedMask exactly as the one-shot
+// call does, whether the plan comes from the cache or not.
+func TestValuedMaskOnEngine(t *testing.T) {
+	mask, a := valuedMaskFixture()
+	opts := spgemm.Defaults()
+	opts.ValuedMask = true
+	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
+	for rep := 0; rep < 3; rep++ {
+		valued, err := spgemm.MxM(mask, a, a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if valued.NNZ() != 1 || !valued.Has(0, 1) {
+			t.Fatalf("rep %d: valued mask kept %d entries, want only (0,1)", rep, valued.NNZ())
+		}
+	}
+}
+
 // valuedMaskFixture is a mask with one explicit zero over an all-ones
 // 2×2 operand: structural semantics allow (0,0), valued semantics do not.
 func valuedMaskFixture() (mask, a *spgemm.Matrix) {
@@ -161,102 +147,6 @@ func valuedMaskFixture() (mask, a *spgemm.Matrix) {
 		{0, 1, 1},
 	})
 	return mask, a
-}
-
-// TestValuedMaskMultiplier requires a Multiplier to honor ValuedMask
-// exactly as MxM does, and to prune once: every Multiply presents the
-// same pruned mask, so the plan built at construction is the only miss.
-func TestValuedMaskMultiplier(t *testing.T) {
-	mask, a := valuedMaskFixture()
-	opts := spgemm.Defaults()
-	opts.ValuedMask = true
-	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	mu, err := spgemm.NewMultiplier(mask, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		valued, err := mu.Multiply()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if valued.NNZ() != 1 || !valued.Has(0, 1) {
-			t.Fatalf("rep %d: valued mask kept %d entries, want only (0,1)", rep, valued.NNZ())
-		}
-	}
-	if st := opts.Engine.Stats(); st.PlanMisses != 1 || st.PlanHits != 3 {
-		t.Errorf("plan cache %d misses / %d hits over 3 multiplies, want 1 / 3", st.PlanMisses, st.PlanHits)
-	}
-}
-
-// TestValuedMaskComplement requires the complemented mask to follow
-// ValuedMask too: a stored zero does not exclude its position.
-func TestValuedMaskComplement(t *testing.T) {
-	mask, a := valuedMaskFixture()
-	structural, err := spgemm.MxMComplement(mask, a, a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if structural.NNZ() != 2 || structural.Has(0, 0) {
-		t.Errorf("structural complement kept %d entries, want row 1 only", structural.NNZ())
-	}
-	opts := spgemm.Defaults()
-	opts.ValuedMask = true
-	valued, err := spgemm.MxMComplement(mask, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if valued.NNZ() != 3 || !valued.Has(0, 0) || valued.Has(0, 1) {
-		t.Errorf("valued complement kept %d entries, want everything but (0,1)", valued.NNZ())
-	}
-}
-
-func TestMultiplierFacade(t *testing.T) {
-	a := spgemm.RandomGraph("er", 70, 21)
-	want, err := spgemm.MxM(a, a, a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu, err := spgemm.NewMultiplier(a, a, a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		got, err := mu.Multiply()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("rep %d differs from MxM", rep)
-		}
-	}
-	b := spgemm.RandomGraph("er", 30, 22)
-	if _, err := spgemm.NewMultiplier(a, a, b, spgemm.Defaults()); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-}
-
-func TestEWiseOps(t *testing.T) {
-	a, _ := spgemm.FromTriples(2, 2, []spgemm.Triple{{0, 0, 1}, {0, 1, 2}})
-	b, _ := spgemm.FromTriples(2, 2, []spgemm.Triple{{0, 1, 3}, {1, 1, 4}})
-	sum, err := spgemm.EWiseAdd(a, b, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.NNZ() != 3 || sum.At(0, 1) != 5 || sum.At(0, 0) != 1 || sum.At(1, 1) != 4 {
-		t.Errorf("EWiseAdd wrong: nnz=%d", sum.NNZ())
-	}
-	prod, err := spgemm.EWiseMult(a, b, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prod.NNZ() != 1 || prod.At(0, 1) != 6 {
-		t.Errorf("EWiseMult wrong: nnz=%d", prod.NNZ())
-	}
-	idx, vals := spgemm.ReduceRows(a)
-	if len(idx) != 1 || idx[0] != 0 || vals[0] != 3 {
-		t.Errorf("ReduceRows = %v %v", idx, vals)
-	}
 }
 
 func TestMxMSemirings(t *testing.T) {
@@ -396,84 +286,6 @@ func TestMxMShapeErrors(t *testing.T) {
 	bad.Kappa = -1
 	if _, err := spgemm.MxM(a, a, a, bad); err == nil {
 		t.Error("invalid options accepted")
-	}
-}
-
-// bruteCore is the k-core decomposition by definition: v's coreness is
-// the largest k for which v survives repeatedly deleting every vertex
-// with fewer than k live neighbours.
-func bruteCore(g *spgemm.Matrix) []int32 {
-	n := g.Rows()
-	core := make([]int32, n)
-	for k := int32(1); ; k++ {
-		alive := make([]bool, n)
-		for v := range alive {
-			alive[v] = true
-		}
-		for changed := true; changed; {
-			changed = false
-			for v := range n {
-				if !alive[v] {
-					continue
-				}
-				cols, _ := g.Row(v)
-				deg := int32(0)
-				for _, u := range cols {
-					if alive[u] {
-						deg++
-					}
-				}
-				if deg < k {
-					alive[v], changed = false, true
-				}
-			}
-		}
-		survivors := 0
-		for v, ok := range alive {
-			if ok {
-				core[v] = k
-				survivors++
-			}
-		}
-		if survivors == 0 {
-			return core
-		}
-	}
-}
-
-// TestKCoreMatchesBrutePeel holds the facade's bucketed KCore to the
-// definition on the simple undirected graphs of three families: ER, road
-// and R-MAT.
-func TestKCoreMatchesBrutePeel(t *testing.T) {
-	for _, kind := range []string{"er", "road", "rmat"} {
-		src := spgemm.RandomGraph(kind, 120, 9)
-		var edges [][2]int
-		for i := range src.Rows() {
-			cols, _ := src.Row(i)
-			for _, j := range cols {
-				edges = append(edges, [2]int{i, int(j)})
-			}
-		}
-		g, err := spgemm.FromEdges(src.Rows(), edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		core, maxCore, err := spgemm.KCore(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteCore(g)
-		wantMax := int32(0)
-		for v, c := range want {
-			wantMax = max(wantMax, c)
-			if core[v] != c {
-				t.Fatalf("%s: vertex %d has coreness %d, brute peel says %d", kind, v, core[v], c)
-			}
-		}
-		if maxCore != wantMax || wantMax < 2 {
-			t.Fatalf("%s: degeneracy %d, brute peel says %d (want at least 2 for a useful fixture)",
-				kind, maxCore, wantMax)
-		}
 	}
 }
 

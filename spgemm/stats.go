@@ -40,18 +40,17 @@ type AccumCounters = obs.AccumCounters
 const StatsSchema = obs.StatsSchema
 
 // StatsRecorder collects kernel observability data. Attach one via
-// Options.Stats and every MxM / Multiplier run under those options
-// records into it; Stats() snapshots the accumulated totals at any
-// point. Collection is exact (counters are counted, not sampled) and
-// adds a few percent at most to small runs; a nil *StatsRecorder in
-// Options disables everything at zero cost.
+// Options.Stats and every MxM run under those options records into it;
+// Stats() snapshots the accumulated totals at any point. Collection is
+// exact (counters are counted, not sampled) and adds a few percent at
+// most to small runs; a nil *StatsRecorder in Options disables
+// everything at zero cost.
 //
 // A StatsRecorder may be shared by concurrent multiplications. Each run
 // records through its own scope and folds into the totals once, when it
-// ends, so the totals stay exact. The last run (Multiplier.LastStats)
-// is the last run to end. Snapshots taken with Stats() are independent
-// values; subtract two (Stats.Sub) to isolate the activity between
-// them, which includes every run that ended in that window.
+// ends, so the totals stay exact. Snapshots taken with Stats() are
+// independent values; subtract two (Stats.Sub) to isolate the activity
+// between them, which includes every run that ended in that window.
 //
 // Recording also labels each pipeline phase for runtime/pprof (label
 // key "spgemm_phase") and opens a runtime/trace region per tile batch

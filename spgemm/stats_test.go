@@ -95,10 +95,10 @@ func TestKappaSteersHybridPicks(t *testing.T) {
 	}
 }
 
-// TestMultiplierKappaIsStatic pins that nothing adapts κ between runs:
-// every Multiply of a warm Multiplier takes the same Eq. 3 decisions as
-// a one-shot MxM at the configured κ.
-func TestMultiplierKappaIsStatic(t *testing.T) {
+// TestMxMKappaIsStatic pins that nothing adapts κ between runs: every
+// warm MxM on a shared engine takes the same Eq. 3 decisions as a
+// one-shot MxM at the configured κ.
+func TestMxMKappaIsStatic(t *testing.T) {
 	a := spgemm.RandomGraph("rmat", 256, 11)
 	opts := spgemm.Defaults()
 	opts.Kappa = 0.5
@@ -108,74 +108,22 @@ func TestMultiplierKappaIsStatic(t *testing.T) {
 	}
 	want := opts.Stats.Stats().Totals
 	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	opts.Stats = spgemm.NewStatsRecorder()
-	mu, err := spgemm.NewMultiplier(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 5; i++ {
-		if _, err := mu.Multiply(); err != nil {
+		before := opts.Stats.Stats()
+		if _, err := spgemm.MxM(a, a, a, opts); err != nil {
 			t.Fatal(err)
 		}
-		st, ok := mu.LastStats()
-		if !ok {
-			t.Fatal("no LastStats after a run")
-		}
-		if got := st.Totals; got.CoIterPicks != want.CoIterPicks || got.LinearPicks != want.LinearPicks {
+		if got := opts.Stats.Stats().Sub(before).Totals; got.CoIterPicks != want.CoIterPicks || got.LinearPicks != want.LinearPicks {
 			t.Fatalf("run %d picks co=%d linear=%d, want %d/%d as at κ=%g",
 				i, got.CoIterPicks, got.LinearPicks, want.CoIterPicks, want.LinearPicks, opts.Kappa)
 		}
 	}
 }
 
-// TestMultiplierLastStats checks the per-call isolation of LastStats
-// while the recorder keeps running totals.
-func TestMultiplierLastStats(t *testing.T) {
-	a := spgemm.RandomGraph("er", 200, 3)
-	opts := spgemm.Defaults()
-	opts.Tiles = 8
-	opts.Stats = spgemm.NewStatsRecorder()
-	mu, err := spgemm.NewMultiplier(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mu.LastStats(); ok {
-		t.Fatal("LastStats reported ok before any run")
-	}
-	var c *spgemm.Matrix
-	for i := 0; i < 3; i++ {
-		if c, err = mu.Multiply(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	last, ok := mu.LastStats()
-	if !ok {
-		t.Fatal("LastStats not available after runs")
-	}
-	if last.Runs != 1 {
-		t.Fatalf("last snapshot covers %d runs, want 1", last.Runs)
-	}
-	if last.Totals.Gathered != c.NNZ() {
-		t.Fatalf("last gathered = %d, want %d", last.Totals.Gathered, c.NNZ())
-	}
-	total := opts.Stats.Stats()
-	if total.Runs != 3 {
-		t.Fatalf("recorder totals cover %d runs, want 3", total.Runs)
-	}
-	if total.Totals.Gathered != 3*c.NNZ() {
-		t.Fatalf("recorder gathered = %d, want %d", total.Totals.Gathered, 3*c.NNZ())
-	}
-	opts.Stats.Reset()
-	if st := opts.Stats.Stats(); st.Runs != 0 || st.Totals.Gathered != 0 {
-		t.Fatalf("reset left data behind: %+v", st)
-	}
-}
-
 // TestStatsRecorderConcurrentRuns shares one StatsRecorder between two
 // goroutines that each run the same engineless product n times. Every
 // run records through its own scope, so the totals must be exact: 2n
-// runs and 2n times one run's counter set, and LastRun must be a single
-// run. Hash probe counts are not compared: they depend on which rows
+// runs and 2n times one run's counter set. Hash probe counts are not compared: they depend on which rows
 // share an accumulator.
 func TestStatsRecorderConcurrentRuns(t *testing.T) {
 	const n = 8
@@ -222,15 +170,6 @@ func TestStatsRecorderConcurrentRuns(t *testing.T) {
 	}
 	if st.Totals != want {
 		t.Fatalf("totals = %+v, want %d × one run = %+v", st.Totals, 2*n, want)
-	}
-	// A Multiplier's LastStats is its recorder's last run to end.
-	mu, err := spgemm.NewMultiplier(a, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last, ok := mu.LastStats()
-	if !ok || last.Runs != 1 || last.Totals != one {
-		t.Fatalf("LastRun = %+v (ok=%v), want one run's totals %+v", last.Totals, ok, one)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/semiring"
 )
 
 // Triangle selects which triangle of the operand a triangular solve
@@ -41,7 +40,7 @@ const (
 	LevelSerial
 )
 
-// TRSV solves op(L)·x = b by sparse triangular solve and returns x.
+// TRSV solves L·x = b by sparse triangular solve and returns x.
 // l must be square with the selected triangle populated (a structurally
 // missing or numerically zero diagonal returns ErrSingular; an entry on
 // the wrong side of the diagonal returns ErrNotTriangular). The
@@ -52,39 +51,28 @@ const (
 // The level-set plan is cached on opts.Engine keyed by the operand's
 // structure, so iterative solves against a fixed matrix plan once; warm
 // engine-backed solves allocate nothing on the substitution path.
-func TRSV(l *Matrix, b []float64, tri Triangle, opts Options) ([]float64, error) {
-	return TRSVMasked(l, b, tri, nil, opts)
-}
-
-// TRSVMasked is TRSV restricted to a structural row mask (sorted,
-// duplicate-free row indices): the solve runs on the principal
-// submatrix l[mask, mask] — the masked SpTRSV analogue of the package's
-// masked products — and rows outside the mask pass b through unchanged.
-// A nil (or empty) mask solves every row.
-func TRSVMasked(l *Matrix, b []float64, tri Triangle, mask []int32, opts Options) (_ []float64, err error) {
+func TRSV(l *Matrix, b []float64, tri Triangle, opts Options) (_ []float64, err error) {
 	defer recoverAsError(&err)
 	if err := opts.validate(namedOperand{"l", l}); err != nil {
 		return nil, err
 	}
-	cfg := opts.config()
-	so, err := opts.solveOpts(tri, mask)
+	so, err := opts.solveOpts(tri)
 	if err != nil {
 		return nil, err
 	}
 	x := make([]float64, len(b))
-	if err := core.SolveTriInto[float64, semiring.PlusTimes[float64]](
-		semiring.PlusTimes[float64]{}, x, l.csr, b, cfg, so); err != nil {
+	if err := core.SolveTriInto(x, l.csr, b, opts.config(), so); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
 // solveOpts translates the facade surface to core.SolveOpts: the
-// triangle, the mask and the mode. Coarsening and the serial-or-waves
+// triangle and the mode. Coarsening and the serial-or-waves
 // verdict are the planner's (internal/core), decided when the plan is
 // built.
-func (o Options) solveOpts(tri Triangle, mask []int32) (core.SolveOpts, error) {
-	so := core.SolveOpts{Mask: mask}
+func (o Options) solveOpts(tri Triangle) (core.SolveOpts, error) {
+	var so core.SolveOpts
 	switch tri {
 	case TriLower:
 		so.Tri = core.Lower

@@ -10,7 +10,6 @@ import (
 	"maskedspgemm/internal/chaos"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/obs"
-	"maskedspgemm/internal/semiring"
 )
 
 // triMatrix builds a random strictly triangular system with a dense
@@ -60,16 +59,12 @@ func equalVec(t *testing.T, want, got []float64, label string) {
 }
 
 // TestTRSVWavesMatchSerial requires the wave schedule to be
-// bit-identical to the serial substitution loop across triangles and
-// masking, through the public facade. The schedule policies are looped
-// by internal/core's solve tests.
+// bit-identical to the serial substitution loop on both triangles,
+// through the public facade. The schedule policies are looped by
+// internal/core's solve tests.
 func TestTRSVWavesMatchSerial(t *testing.T) {
 	const n = 300
 	b := rhs(n)
-	mask := make([]int32, 0, n/2)
-	for i := int32(1); int(i) < n; i += 2 {
-		mask = append(mask, i)
-	}
 	for _, lower := range []bool{true, false} {
 		tri := TriLower
 		if !lower {
@@ -78,29 +73,27 @@ func TestTRSVWavesMatchSerial(t *testing.T) {
 		l := triMatrix(t, n, lower, 7)
 		serial := Defaults()
 		serial.LevelSchedule = LevelSerial
-		for _, m := range [][]int32{nil, mask} {
-			want, err := TRSVMasked(l, b, tri, m, serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := Defaults()
-			opts.LevelSchedule = LevelWaves
-			opts.Workers = 4
-			opts.Engine = NewEngine(EngineConfig{})
-			got, err := TRSVMasked(l, b, tri, m, opts)
-			if err != nil {
-				t.Fatalf("tri=%v masked=%v: %v", tri, m != nil, err)
-			}
-			equalVec(t, want, got, "wave solve")
-			// Warm run off the cached plan must agree too.
-			got2, err := TRSVMasked(l, b, tri, m, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalVec(t, want, got2, "cached wave solve")
-			if err := opts.Engine.SelfCheck(); err != nil {
-				t.Fatalf("engine self-check: %v", err)
-			}
+		want, err := TRSV(l, b, tri, serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Defaults()
+		opts.LevelSchedule = LevelWaves
+		opts.Workers = 4
+		opts.Engine = NewEngine(EngineConfig{})
+		got, err := TRSV(l, b, tri, opts)
+		if err != nil {
+			t.Fatalf("tri=%v: %v", tri, err)
+		}
+		equalVec(t, want, got, "wave solve")
+		// Warm run off the cached plan must agree too.
+		got2, err := TRSV(l, b, tri, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalVec(t, want, got2, "cached wave solve")
+		if err := opts.Engine.SelfCheck(); err != nil {
+			t.Fatalf("engine self-check: %v", err)
 		}
 	}
 }
@@ -123,16 +116,6 @@ func TestTRSVAutoSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalVec(t, want, got, "auto solve")
-	// Out-of-mask rows pass b through unchanged.
-	masked, err := TRSVMasked(l, b, TriLower, []int32{3, 4, 10}, auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range masked {
-		if i != 3 && i != 4 && i != 10 && v != b[i] {
-			t.Fatalf("out-of-mask row %d rewritten: %v != %v", i, v, b[i])
-		}
-	}
 }
 
 // TestTRSVAutoIsCoreAuto: the facade adds nothing to the solve policy.
@@ -186,8 +169,8 @@ func TestTRSVAutoIsCoreAuto(t *testing.T) {
 	cfg.Recorder = rec
 	prior := eng.Stats()
 	dst := make([]float64, n)
-	if err := core.SolveTriInto[float64, semiring.PlusTimes[float64]](
-		semiring.PlusTimes[float64]{}, dst, l.csr, b, cfg, core.SolveOpts{}); err != nil {
+	if err := core.SolveTriInto(
+		dst, l.csr, b, cfg, core.SolveOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	direct := rec.Stats().Sched
@@ -245,16 +228,6 @@ func TestTRSVErrors(t *testing.T) {
 	bad.LevelSchedule = LevelSchedule(9)
 	if _, err := TRSV(l, b, TriLower, bad); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad level schedule: %v, want ErrConfig", err)
-	}
-	// Malformed masks are rejected the same way under every schedule.
-	for _, ls := range []LevelSchedule{LevelAuto, LevelWaves, LevelSerial} {
-		mo := Defaults()
-		mo.LevelSchedule = ls
-		for _, mask := range [][]int32{{5, 2}, {-1, 2}, {2, 32}, {2, 2}} {
-			if _, err := TRSVMasked(l, b, TriLower, mask, mo); !errors.Is(err, ErrInvalidMatrix) {
-				t.Fatalf("schedule %d, mask %v: %v, want ErrInvalidMatrix", ls, mask, err)
-			}
-		}
 	}
 	// Validated nil operand.
 	vo := Defaults()
