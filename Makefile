@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test passes examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-trsv bench-micro telemetry-smoke
+.PHONY: build test passes examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-trsv bench-micro
 
 build:
 	$(GO) build ./...
@@ -79,7 +79,9 @@ govulncheck:
 # The scheduler, kernel and public facade are the concurrency-bearing
 # packages: run them under the race detector with the Guided policy,
 # panic containment, cancellation and parallel plan paths exercised by
-# their tests. The model, graph and chaos packages ride along: their
+# their tests. The obs recorder (shared by concurrent runs) and the
+# telemetry histogram (lock-free records) are written from many
+# goroutines too. The model, graph and chaos packages ride along: their
 # cost-model, fused-algorithm and seeded-injector tests drive the same
 # kernels concurrently.
 race:
@@ -87,11 +89,11 @@ race:
 
 # gates are the spgemm-bench runs that fail when an invariant breaks:
 # warm pool hit rate and fused allocations (bench-engine), solve
-# bit-identity (bench-trsv), the fault matrix (chaos) and the live
-# endpoints (telemetry-smoke) — plus one iteration of the
-# micro-benchmarks the per-unit numbers are regenerated from
-# (bench-micro), so they cannot rot. CI's gates job runs exactly this.
-gates: bench-engine bench-trsv chaos telemetry-smoke bench-micro
+# bit-identity (bench-trsv) and the fault matrix (chaos) — plus one
+# iteration of the micro-benchmarks the per-unit numbers are regenerated
+# from (bench-micro), so they cannot rot. CI's gates job runs exactly
+# this.
+gates: bench-engine bench-trsv chaos bench-micro
 
 check: vet lint staticcheck govulncheck race test examples gates
 
@@ -101,17 +103,6 @@ check: vet lint staticcheck govulncheck race test examples gates
 # judged by.
 bench:
 	$(GO) run ./benchmark
-
-# telemetry-smoke is the live-observability gate: run a small stats
-# experiment with an ephemeral debug listener attached, then have the
-# tool self-check its own server before exiting — /metrics must parse
-# as Prometheus text exposition with every required series present and
-# a nonzero run count, /stats must pass stats/v3 validation, /flight
-# must pass flightrec/v2 validation, /healthz must answer. Part of
-# `make gates`; see docs/OBSERVABILITY.md, "Live telemetry".
-telemetry-smoke:
-	$(GO) run ./cmd/spgemm-bench -experiment stats -shift 6 \
-		-graphs GAP-road-sim -reps 2 -budget 1s -telemetry-check
 
 # chaos is the fault-injection gate: the seeded chaos suite runs under
 # the race detector (fault matrix, quarantine, retry ladder, stall

@@ -55,11 +55,6 @@
 //	-min-trsv-speedup F  after trsv: fail unless waves beat serial by F
 //	                 on some graph
 //	-chaos-seed N    seed of the chaos drill's fault matrix (default 1)
-//	-listen ADDR     serve live telemetry (/metrics, /stats, /flight,
-//	                 expvar, pprof) on ADDR while the experiments run
-//	-telemetry-check self-scrape the telemetry endpoints after the run
-//	                 and fail unless they parse with every required
-//	                 series (implies -listen 127.0.0.1:0)
 //
 // Invariants that do not depend on the clock are errors the experiments
 // return; the one timing gate (-min-trsv-speedup) judges the logged
@@ -82,7 +77,6 @@ import (
 	"maskedspgemm/internal/bench"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/telemetry"
 )
 
 func main() {
@@ -98,8 +92,6 @@ func main() {
 	retentionMB := flag.Int64("retention-mb", 0, "size the shared -engine by this retention budget in MiB (0 = use -pool-cap; implies -engine)")
 	minTrsvSpeedup := flag.Float64("min-trsv-speedup", 0, "after the trsv experiment, fail unless some graph's wave schedule beats serial by this factor (0 = bit-identity gate only)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed of the chaos experiment's fault matrix (0 = 1)")
-	listen := flag.String("listen", "", "serve live telemetry (/metrics, /stats, /flight, pprof) on this address while experiments run (e.g. :6060 or 127.0.0.1:0)")
-	telemetryCheck := flag.Bool("telemetry-check", false, "after the experiments, self-scrape the telemetry server and fail unless /metrics, /stats and /flight parse with all required series (implies -listen 127.0.0.1:0)")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the measurement loop between repetitions
@@ -139,31 +131,6 @@ func main() {
 		o.Engine = eng
 	case *useEngine:
 		o.Engine = exec.New(exec.Config{MaxIdle: *poolCap})
-	}
-
-	// -listen serves the live registry while the experiments run;
-	// -telemetry-check additionally self-scrapes it afterwards (binding
-	// an ephemeral loopback port when no -listen was given) — the
-	// `make telemetry-smoke` gate.
-	var telSrv *telemetry.Server
-	tel := (*telemetry.Telemetry)(nil)
-	addr := *listen
-	if addr == "" && *telemetryCheck {
-		addr = "127.0.0.1:0"
-	}
-	if addr != "" {
-		tel = telemetry.New(telemetry.Config{})
-		tel.AttachEngine(o.Engine)
-		o.Telemetry = tel
-		srv, err := tel.Start(addr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-listen %s: %v\n", addr, err)
-			os.Exit(2)
-		}
-		telSrv = srv
-		defer telSrv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry listening on %s (metrics: %s/metrics)\n",
-			telSrv.Addr(), telSrv.URL())
 	}
 
 	w := os.Stdout
@@ -208,12 +175,6 @@ func main() {
 		if err := writeResults(o.Log, *experiment); err != nil {
 			fail("-json", err)
 		}
-	}
-	if *telemetryCheck {
-		if err := telemetry.SelfCheck(telSrv.URL()); err != nil {
-			fail("telemetry-check", err)
-		}
-		fmt.Fprintln(w, "telemetry self-check passed: /metrics, /stats and /flight all parse with every required series")
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"maskedspgemm/internal/mtx"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sparse"
-	"maskedspgemm/internal/telemetry"
 )
 
 func main() {
@@ -41,7 +40,6 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "write kernel observability stats to this JSON file")
 	useEngine := flag.Bool("engine", false, "pool workspaces and plans in an execution engine across -repeat runs")
 	repeat := flag.Int("repeat", 1, "count this many times (with -engine, later runs recycle pooled workspaces)")
-	listen := flag.String("listen", "", "serve live telemetry (/metrics, /stats, /flight, pprof) on this address while counting (e.g. :6060)")
 	flag.Parse()
 
 	var a *sparse.CSR[float64]
@@ -98,28 +96,13 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Kappa = *kappa
 	cfg.Context = ctx
-	if *statsFlag || *statsJSON != "" || *listen != "" {
+	if *statsFlag || *statsJSON != "" {
 		cfg.Recorder = obs.NewRecorder()
 	}
 	var eng *exec.Engine
 	if *useEngine {
 		eng = exec.New(exec.Config{})
 		cfg.Engine = eng
-	}
-	// -listen serves the live registry for the duration of the count:
-	// latency histograms fed by the run's recorder, pool gauges from the
-	// engine when -engine is set, pprof and expvar for deeper digging.
-	if *listen != "" {
-		tel := telemetry.New(telemetry.Config{})
-		tel.AttachRecorder(cfg.Recorder)
-		tel.AttachEngine(eng)
-		srv, err := tel.Start(*listen)
-		if err != nil {
-			fatal(fmt.Errorf("-listen %s: %w", *listen, err))
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry listening on %s (metrics: %s/metrics)\n",
-			srv.Addr(), srv.URL())
 	}
 	start := time.Now()
 	var count int64

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"maskedspgemm/internal/core"
+	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/semiring"
 )
 
@@ -66,7 +67,7 @@ func StatsReport(w io.Writer, o Options) error {
 		a := g.Build(o.Shift)
 		cfg := tunedConfig(o.Workers)
 		cfg.Engine = o.Engine
-		cfg.Recorder = o.newRecorder()
+		cfg.Recorder = obs.NewRecorder()
 		m, err := o.timeMasked("stats", g.Name, cfg.String(), a, cfg)
 		if err != nil {
 			return err

@@ -113,7 +113,7 @@ func EngineBench(w io.Writer, o Options) error {
 				// before the timed repetitions, whose pool delta isolates
 				// the steady state the engine promises.
 				cold := cfg
-				cold.Recorder = o.newRecorder()
+				cold.Recorder = obs.NewRecorder()
 				if _, err := wl.run(cold, fused)(); err != nil {
 					return fmt.Errorf("engine/%s %s cold run: %w", g.Name, config, err)
 				}

@@ -10,10 +10,8 @@ import (
 	"maskedspgemm/internal/baseline"
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/sparse"
-	"maskedspgemm/internal/telemetry"
 	"maskedspgemm/internal/tiling"
 )
 
@@ -40,19 +38,6 @@ type Options struct {
 	// recycle pooled workspaces and cached plans instead of allocating
 	// per call.
 	Engine *exec.Engine
-	// Telemetry, when non-nil, receives every recorder the experiments
-	// create (the -listen flag), so a live /metrics endpoint aggregates
-	// latency histograms and counters across graphs while a run is in
-	// flight.
-	Telemetry *telemetry.Telemetry
-}
-
-// newRecorder builds a per-graph recorder, registered with the live
-// telemetry registry when one is attached (AttachRecorder is nil-safe).
-func (o Options) newRecorder() *obs.Recorder {
-	r := obs.NewRecorder()
-	o.Telemetry.AttachRecorder(r)
-	return r
 }
 
 // DefaultOptions mirrors the paper's sweep grids at laptop scale.

@@ -107,7 +107,7 @@ func TrsvBench(w io.Writer, o Options) error {
 			return core.SolveTriInto(dst, l, b, cfg, so)
 		}
 		recorded := func(mode core.SolveMode, dst []float64) (obs.SchedCounters, error) {
-			rec := o.newRecorder()
+			rec := obs.NewRecorder()
 			cfgRec := cfg
 			cfgRec.Recorder = rec
 			err := solve(mode, dst, cfgRec)

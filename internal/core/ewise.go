@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
@@ -20,30 +19,16 @@ import (
 func EWiseAdd[T sparse.Number, S semiring.Semiring[T]](
 	sr S, a, b *sparse.CSR[T],
 ) (*sparse.CSR[T], error) {
-	return EWiseAddInto(sr, nil, a, b)
-}
-
-// EWiseAddInto is EWiseAdd writing the union into dst's storage, which
-// it overwrites, grows as needed and returns; a nil dst allocates. dst
-// must not share storage with a or b. A caller that double-buffers (BC's
-// visited set) stops allocating a matrix per level.
-func EWiseAddInto[T sparse.Number, S semiring.Semiring[T]](
-	sr S, dst, a, b *sparse.CSR[T],
-) (*sparse.CSR[T], error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return nil, fmt.Errorf("%w: A %dx%d, B %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	if dst == nil {
-		dst = new(sparse.CSR[T])
-	}
-	// RowPtr[0] is 0 in a CSR's storage and in fresh storage alike.
 	nnz := int(a.NNZ() + b.NNZ())
-	*dst = sparse.CSR[T]{
+	dst := &sparse.CSR[T]{
 		Rows: a.Rows, Cols: a.Cols,
-		RowPtr: slices.Grow(dst.RowPtr[:0], a.Rows+1)[:a.Rows+1],
-		ColIdx: slices.Grow(dst.ColIdx[:0], nnz),
-		Val:    slices.Grow(dst.Val[:0], nnz),
+		RowPtr: make([]int64, a.Rows+1),
+		ColIdx: make([]sparse.Index, 0, nnz),
+		Val:    make([]T, 0, nnz),
 	}
 	for i := 0; i < a.Rows; {
 		if j := emptyRunEnd(a, i); j > i {

@@ -46,8 +46,7 @@ func TestEWiseAddOracle(t *testing.T) {
 // TestEWiseAddEmptyRowRuns drives the whole-run copy: operands whose
 // empty rows come in runs — leading, trailing, interleaved, overlapping
 // and covering the whole matrix — must produce exactly what merging row
-// by row produces, row pointers included, in fresh storage and in the
-// reused storage of an earlier union (EWiseAddInto).
+// by row produces, row pointers included.
 func TestEWiseAddEmptyRowRuns(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	// blank returns m with the rows of every [lo, hi) range emptied.
@@ -116,18 +115,6 @@ func TestEWiseAddEmptyRowRuns(t *testing.T) {
 			}
 			if !sparse.Equal(got, want) {
 				t.Errorf("%s (swapped %v): result differs from the row-by-row merge", tc.name, swap)
-			}
-			// Into the storage of an earlier union, of a different size.
-			dst, err := EWiseAdd[float64](sr, fullA, fullB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			into, err := EWiseAddInto[float64](sr, dst, a, b)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if into != dst || into.Check() != nil || !sparse.Equal(into, want) {
-				t.Errorf("%s (swapped %v): union into reused storage differs from the row-by-row merge", tc.name, swap)
 			}
 		}
 	}

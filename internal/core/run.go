@@ -277,11 +277,6 @@ func (p *product[T, S]) runTiles(
 	// pays two nil checks and the run allocates neither.
 	slots := scope.WorkerSlots(workers)
 	fcs := fusedSlots(scope, workers, sink != nil)
-	// Tile-batch progress events for the flight recorder: every worker
-	// emits one event per stride tiles (~32 per run across workers), so a
-	// stall dump shows how far the tile loop got without flooding the
-	// ring on large runs.
-	stride := max(int64(len(tiles)/32), 1)
 	err := spanned(ctx, scope, obs.PhaseExecKernel, func() error {
 		// A flat bag of tiles is the single-wave plan of the wave executor.
 		return sched.RunWavesOpts(ctx, cfg.Schedule, workers, sched.SingleWave(len(tiles)), runOpts(cfg, nil), func(worker, t int) {
@@ -290,9 +285,7 @@ func (p *product[T, S]) runTiles(
 			if slots != nil {
 				endRegion = scope.TileRegion(ctx)
 				wc = &slots[worker]
-				if n := wc.Tiles.Add(1); n%stride == 0 {
-					scope.Event(obs.EventTileBatch, obs.PhaseExecKernel, int64(t), n)
-				}
+				wc.Tiles.Add(1)
 			}
 			tile := tiles[t]
 			var gathered, kept int64

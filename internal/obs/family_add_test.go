@@ -9,8 +9,7 @@ import (
 // family with a distinct nonzero value and checks that the family's one
 // add folds all of them: adding twice doubles each counter, subtracting
 // twice returns it to zero. A field added to a family but missed in its add
-// fails here, before every snapshot, Stats.Sub and /metrics total
-// silently drops it.
+// fails here, before every snapshot and Stats.Sub silently drops it.
 func TestFamilyAddCoversEveryField(t *testing.T) {
 	t.Run("CounterSet", func(t *testing.T) { checkFamilyAdd(t, (*CounterSet).add) })
 	t.Run("AccumCounters", func(t *testing.T) { checkFamilyAdd(t, (*AccumCounters).add) })

@@ -252,9 +252,6 @@ type Recorder struct {
 	seq int64
 	// t is the cumulative counter state, folded under mu.
 	t tally
-	// sink is the optional live-telemetry tap (see Sink); stored behind
-	// an atomic pointer so recording paths read it without the mutex.
-	sink atomic.Pointer[Sink]
 	// lastRun is the snapshot of the most recently ended run scope.
 	lastRun Stats
 	hasLast bool
@@ -302,7 +299,6 @@ func (r *Recorder) Span(p Phase) func() {
 		r.t.spans[p] += d
 		r.t.counts[p]++
 		r.mu.Unlock()
-		r.emitPhase(0, p, d)
 	}
 }
 
@@ -372,15 +368,6 @@ func (r *Recorder) AddRetry(c RetryCounters) {
 	r.mu.Lock()
 	r.t.retry.add(c, 1)
 	r.mu.Unlock()
-	if c.Attempts > 0 {
-		r.Event(EventRetry, PhaseNone, c.Retries, c.Degradations)
-	}
-	if c.Stalls > 0 {
-		r.Event(EventStall, PhaseNone, c.Stalls, 0)
-	}
-	if c.Failures > 0 {
-		r.Event(EventFailure, PhaseNone, c.Failures, 0)
-	}
 }
 
 // WaveHistBuckets is the bucket count of the wave-shape histograms:

@@ -22,9 +22,6 @@ import (
 type RunScope struct {
 	r   *Recorder
 	seq int64
-	// start anchors the run's wall-clock latency, pushed to the live
-	// telemetry sink (Recorder.emitRun) when a completed scope ends.
-	start time.Time
 
 	// t is the run's private counter state. t.runs becomes 1 when the
 	// run is marked complete: End counts only completed runs toward Runs
@@ -54,8 +51,7 @@ func (r *Recorder) StartRun() *RunScope {
 		r.scopePool = r.scopePool[:n-1]
 	}
 	r.mu.Unlock()
-	r.EventSeq(seq, EventRunStart, PhaseNone, 0, 0)
-	return &RunScope{r: r, seq: seq, start: time.Now(), slots: slots}
+	return &RunScope{r: r, seq: seq, slots: slots}
 }
 
 // Seq returns the scope's multiply sequence id (0 for nil scopes).
@@ -81,20 +77,7 @@ func (s *RunScope) Span(p Phase) func() {
 		d := time.Since(start)
 		s.t.spans[p] += d
 		s.t.counts[p]++
-		s.r.emitPhase(s.seq, p, d)
 	}
-}
-
-// Event forwards a structured flight-recorder event scoped to this
-// run's sequence id. Nil-safe; with no sink attached the cost is one
-// nil check and one atomic load.
-//
-//spgemm:hotpath
-func (s *RunScope) Event(k EventKind, p Phase, a, b int64) {
-	if s == nil {
-		return
-	}
-	s.r.EventSeq(s.seq, k, p, a, b)
 }
 
 // Do runs f under the recorder's pprof phase label (see Recorder.Do).
@@ -187,10 +170,6 @@ func (s *RunScope) End() Stats {
 		s.slots[w].reset()
 	}
 	snap := s.t.stats(s.seq)
-	if s.t.runs > 0 {
-		s.r.emitRun(time.Since(s.start))
-		s.r.EventSeq(s.seq, EventRunEnd, PhaseNone, snap.Totals.Tiles, snap.Totals.Gathered)
-	}
 	s.r.foldScope(s, snap)
 	s.r = nil
 	s.slots = nil

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -135,5 +136,44 @@ func TestRunScopeRecyclesWorkerBlocks(t *testing.T) {
 	// dominate (4 cache-line-padded workers ≫ a few slice headers).
 	if allocs > 8 {
 		t.Fatalf("warm scope cycle allocates %.0f times per run, want the pooled steady state", allocs)
+	}
+}
+
+// TestStatsReadDuringRuns reads the totals while runs on the same
+// recorder end on other goroutines, the way a caller polls a shared
+// StatsRecorder. Under the race detector (make race) a snapshot or fold
+// that skips the recorder's mutex fails here; the final totals must
+// count every run exactly once.
+func TestStatsReadDuringRuns(t *testing.T) {
+	const writers, runs = 2, 200
+	r := NewRecorder()
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				recordRun(r, func(s *RunScope) {
+					s.WorkerSlots(1)[0].Tiles.Add(1)
+					s.Span(PhaseExecKernel)()
+				})
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if st := r.Stats(); st.Totals.Tiles != st.Runs {
+			t.Fatalf("snapshot mid-run: %d tiles over %d runs, want one per run", st.Totals.Tiles, st.Runs)
+		}
+		r.LastRun()
+	}
+	if st := r.Stats(); st.Runs != writers*runs || st.Totals.Tiles != writers*runs {
+		t.Fatalf("totals: %d runs, %d tiles, want %d each", st.Runs, st.Totals.Tiles, writers*runs)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -214,70 +213,32 @@ func (s *Stats) finalize() {
 // Sub returns the difference s − prev: the activity recorded between
 // the two snapshots of the same recorder (e.g. one Multiply call).
 // Phases are matched by name, workers by id; entries absent from prev
-// carry over unchanged.
+// carry over unchanged, and phases left with no spans are dropped.
 func (s Stats) Sub(prev Stats) Stats {
 	out := s
 	out.Seq = 0
 	out.Phases = slices.Clone(s.Phases)
 	out.Workers = slices.Clone(s.Workers)
-	out.fold(prev, -1)
+	out.Runs -= prev.Runs
+	for _, p := range prev.Phases {
+		if i := slices.IndexFunc(out.Phases, func(q PhaseStats) bool { return q.Phase == p.Phase }); i >= 0 {
+			out.Phases[i].Millis -= p.Millis
+			out.Phases[i].Count -= p.Count
+		}
+	}
+	out.Phases = slices.DeleteFunc(out.Phases, func(p PhaseStats) bool { return p.Count <= 0 })
+	for _, w := range prev.Workers {
+		if i := slices.IndexFunc(out.Workers, func(v WorkerStats) bool { return v.Worker == w.Worker }); i >= 0 {
+			out.Workers[i].add(w.CounterSet, -1)
+		}
+	}
+	out.Accum.add(prev.Accum, -1)
+	out.Pool.add(prev.Pool, -1)
+	out.Fused.add(prev.Fused, -1)
+	out.Retry.add(prev.Retry, -1)
+	out.Sched.add(prev.Sched, -1)
+	out.finalize()
 	return out
-}
-
-// Add folds o into s: the sum of two snapshots, such as those of two
-// recorders. Phases are matched by name and workers by id, entries
-// absent from s are added, and Totals and the distributions are
-// recomputed.
-func (s *Stats) Add(o Stats) { s.fold(o, 1) }
-
-// fold adds k × o into s (k = 1 for Add, −1 for Sub) through each
-// counter family's add. A subtraction ignores entries s lacks, and
-// phases left with no spans are dropped.
-func (s *Stats) fold(o Stats, k int64) {
-	s.Runs += k * o.Runs
-	for _, p := range o.Phases {
-		i := slices.IndexFunc(s.Phases, func(q PhaseStats) bool { return q.Phase == p.Phase })
-		if i < 0 {
-			if k < 0 {
-				continue
-			}
-			i = len(s.Phases)
-			s.Phases = append(s.Phases, PhaseStats{Phase: p.Phase})
-		}
-		s.Phases[i].Millis += float64(k) * p.Millis
-		s.Phases[i].Count += k * p.Count
-	}
-	s.Phases = slices.DeleteFunc(s.Phases, func(p PhaseStats) bool { return p.Count <= 0 })
-	slices.SortStableFunc(s.Phases, func(a, b PhaseStats) int {
-		return cmp.Compare(phaseRank(a.Phase), phaseRank(b.Phase))
-	})
-	for _, w := range o.Workers {
-		i := slices.IndexFunc(s.Workers, func(v WorkerStats) bool { return v.Worker == w.Worker })
-		if i < 0 {
-			if k < 0 {
-				continue
-			}
-			i = len(s.Workers)
-			s.Workers = append(s.Workers, WorkerStats{Worker: w.Worker})
-		}
-		s.Workers[i].add(w.CounterSet, k)
-	}
-	slices.SortStableFunc(s.Workers, func(a, b WorkerStats) int { return cmp.Compare(a.Worker, b.Worker) })
-	s.Accum.add(o.Accum, k)
-	s.Pool.add(o.Pool, k)
-	s.Fused.add(o.Fused, k)
-	s.Retry.add(o.Retry, k)
-	s.Sched.add(o.Sched, k)
-	s.finalize()
-}
-
-// phaseRank is a phase name's pipeline position; unknown names sort
-// last.
-func phaseRank(name string) int {
-	if i := slices.Index(phaseNames[:], name); i >= 0 {
-		return i
-	}
-	return len(phaseNames)
 }
 
 // WriteTable renders the snapshot as an indented human-readable block.

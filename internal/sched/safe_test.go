@@ -165,9 +165,11 @@ func TestBlocksEPanicAndCancel(t *testing.T) {
 
 // TestRunENoGoroutineLeak drives many cancelled and completed runs and
 // checks the goroutine count settles back to the baseline: neither
-// workers nor context watchers may outlive their run. The live context
-// stays uncancelled until after the check, so a watcher must exit
-// because its run completed, not because its context ended.
+// workers, context watchers nor stall watchdogs may outlive their run.
+// The live context stays uncancelled until after the check, so a
+// watcher must exit because its run completed, not because its context
+// ended; the watchdog's hour-long window means it must exit because its
+// run released it, not because a tick found the run done.
 func TestRunENoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	live, cancelLive := context.WithCancel(context.Background())
@@ -182,6 +184,7 @@ func TestRunENoGoroutineLeak(t *testing.T) {
 		cancel()
 		_ = RunWavesE(context.Background(), Guided, 4, SingleWave(64), func(_, _ int) {})
 		_ = RunWavesE(live, Guided, 4, SingleWave(64), func(_, _ int) {})
+		_ = RunWavesOpts(nil, Dynamic, 4, SingleWave(64), RunOpts{StallTimeout: time.Hour}, func(_, _ int) {})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

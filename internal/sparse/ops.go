@@ -69,34 +69,6 @@ func filterCSR[T Number](m *CSR[T], keep func(i int, j Index) bool) *CSR[T] {
 	return out
 }
 
-// PruneZeros returns m without its explicitly stored zeros. GraphBLAS
-// distinguishes structural masks (any stored entry allows the position)
-// from valued masks (the stored value must be truthy); pruning zeros
-// converts a valued mask into the structural mask with the same
-// meaning, so the structural kernels serve both semantics.
-func PruneZeros[T Number](m *CSR[T]) *CSR[T] {
-	return filterValues(m, func(v T) bool { return v != 0 })
-}
-
-func filterValues[T Number](m *CSR[T], keep func(T) bool) *CSR[T] {
-	out := &CSR[T]{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: make([]int64, m.Rows+1),
-	}
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k, j := range cols {
-			if keep(vals[k]) {
-				out.ColIdx = append(out.ColIdx, j)
-				out.Val = append(out.Val, vals[k])
-			}
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out
-}
-
 // Symmetrize returns m ∨ m^T structurally: the value at (i,j) is the sum
 // of the values stored at (i,j) and (j,i). Used to turn directed
 // generator output into undirected adjacency matrices.

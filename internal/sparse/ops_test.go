@@ -135,25 +135,6 @@ func TestMaskedMatMulDenseOracle(t *testing.T) {
 	}
 }
 
-func TestPruneZeros(t *testing.T) {
-	coo := NewCOO[float64](3, 3, 4)
-	coo.Add(0, 0, 0) // explicit zero
-	coo.Add(0, 1, 5)
-	coo.Add(1, 1, 3)
-	coo.Add(1, 1, -3) // sums to an explicit zero
-	m := coo.ToCSR()
-	if m.NNZ() != 3 {
-		t.Fatalf("setup: nnz = %d, want 3 (with explicit zeros)", m.NNZ())
-	}
-	p := PruneZeros(m)
-	if err := p.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if p.NNZ() != 1 || p.At(0, 1) != 5 {
-		t.Errorf("pruned nnz = %d, want only (0,1)=5", p.NNZ())
-	}
-}
-
 func TestSumValues(t *testing.T) {
 	m := tinyCSRForSum()
 	if got := SumValues(m); got != 21 {

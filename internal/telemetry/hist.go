@@ -1,22 +1,7 @@
-// Package telemetry is the live-observability layer: lock-free
-// log-bucketed latency histograms, windowed time-series views, a
-// fixed-capacity flight recorder for postmortems, and an opt-in HTTP
-// debug server exposing all of it (Prometheus text exposition, stats/v3
-// JSON, expvar, pprof).
-//
-// Everything in internal/obs is post-hoc — a Stats snapshot read after
-// the multiply returns. This package inverts the flow: it implements
-// obs.Sink, so every phase span, run latency and structured event the
-// recorder sees is also pushed here as it happens, and an operator can
-// watch p50/p99 per kernel phase, pool hit rates and retry activity on
-// a live process — or autopsy a stall from the flight-recorder dump —
-// without rebuilding or re-running anything.
-//
-// The contract the kernel depends on: the record path (Hist.Record,
-// Windowed.Record, Telemetry's Sink methods, FlightRecorder.Append)
-// never allocates and never blocks on anything slower than a short
-// mutex hold. The AllocsPerRun regression tests pin the zero-alloc
-// property; the hotpathalloc analyzer rejects reintroductions.
+// Package telemetry holds a lock-free, log-bucketed latency histogram.
+// Its record path is wait-free and allocation-free (pinned by
+// TestRecordPathZeroAlloc and the hotpathalloc analyzer); the
+// benchmark's telemetry.hist_record_ns layer probe times it.
 package telemetry
 
 import (

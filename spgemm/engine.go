@@ -26,7 +26,6 @@ import (
 // builds and discards its own buffers.
 type Engine struct {
 	eng *exec.Engine
-	tel *Telemetry
 }
 
 // EngineConfig bounds the Engine's retention. The zero value selects
@@ -46,22 +45,11 @@ type EngineConfig struct {
 	// Ignored when MaxIdle is set explicitly, and by plain NewEngine,
 	// which has no problem to size against.
 	RetentionBudget int64
-	// Telemetry, when non-nil, attaches the live-observability registry:
-	// every multiplication through this engine feeds its rolling latency
-	// histograms and flight recorder, and the engine's pool counters are
-	// reported live on /metrics. nil disables live telemetry at zero
-	// cost. See Telemetry.
-	Telemetry *Telemetry
 }
 
 // NewEngine builds an Engine with the given retention bounds.
 func NewEngine(cfg EngineConfig) *Engine {
-	e := &Engine{
-		eng: exec.New(exec.Config{MaxIdle: cfg.MaxIdle, MaxPlans: cfg.MaxPlans}),
-		tel: cfg.Telemetry,
-	}
-	cfg.Telemetry.internal().AttachEngine(e.eng)
-	return e
+	return &Engine{eng: exec.New(exec.Config{MaxIdle: cfg.MaxIdle, MaxPlans: cfg.MaxPlans})}
 }
 
 // NewEngineFor builds an Engine whose workspace retention is sized for
@@ -88,11 +76,7 @@ func NewEngineFor(mask, a, b *Matrix, opts Options, cfg EngineConfig) (*Engine, 
 	if cfg.MaxPlans != 0 {
 		ec.MaxPlans = cfg.MaxPlans
 	}
-	return NewEngine(EngineConfig{
-		MaxIdle:   ec.MaxIdle,
-		MaxPlans:  ec.MaxPlans,
-		Telemetry: cfg.Telemetry,
-	}), nil
+	return NewEngine(EngineConfig{MaxIdle: ec.MaxIdle, MaxPlans: ec.MaxPlans}), nil
 }
 
 // PoolStats is a snapshot of an Engine's pool counters. Hits, Misses
@@ -143,15 +127,6 @@ func (e *Engine) internal() *exec.Engine {
 		return nil
 	}
 	return e.eng
-}
-
-// telemetry returns the engine's live-observability registry (nil-safe;
-// nil when none was configured).
-func (e *Engine) telemetry() *Telemetry {
-	if e == nil {
-		return nil
-	}
-	return e.tel
 }
 
 var (

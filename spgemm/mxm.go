@@ -23,18 +23,10 @@ var semiringKernels = [...]maskedKernel{
 	SROrAnd:     maskedFor(semiring.OrAnd[float64]{}),
 }
 
-// mask returns the mask the kernels run under: m itself for a
-// structural mask, m without its stored zeros under Options.ValuedMask.
-func (o Options) mask(m *Matrix) *Matrix {
-	if !o.ValuedMask {
-		return m
-	}
-	return wrap(sparse.PruneZeros(m.csr))
-}
-
 // MxM computes C = mask ⊙ (a × b): the masked sparse matrix-matrix
-// product over the semiring selected in opts. The mask is structural
-// unless Options.ValuedMask is set.
+// product over the semiring selected in opts. The mask is structural:
+// any stored entry, zero included, allows its position (GraphBLAS
+// GrB_STRUCTURE, the paper's setting).
 //
 // Shape requirements: a is m×k, b is k×n, mask is m×n.
 //
@@ -46,7 +38,6 @@ func MxM(mask, a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	if err := opts.validate(namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
 		return nil, err
 	}
-	mask = opts.mask(mask)
 	c, err := opts.retry(func(o Options) (*sparse.CSR[float64], error) {
 		return mxmAttempt(mask, a, b, o)
 	})

@@ -6,7 +6,6 @@ import (
 
 	"maskedspgemm/internal/chaos"
 	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/obs"
 )
 
 // Semiring selects the algebra of the multiplication.
@@ -60,10 +59,6 @@ type Options struct {
 	// matrix. Results are bit-identical to the unfused paths; only
 	// intermediate allocations and locality change.
 	Fuse bool
-	// ValuedMask switches the mask from structural semantics (any stored
-	// entry allows the position — GraphBLAS GrB_STRUCTURE, the paper's
-	// setting) to valued semantics (the stored value must be nonzero).
-	ValuedMask bool
 	// Context, when non-nil, makes the multiplication cooperatively
 	// cancellable: workers observe cancellation between tile claims and
 	// the call returns an error matching ErrCanceled (and the context's
@@ -122,43 +117,19 @@ func Defaults() Options {
 	return Options{Kappa: d.Kappa, Tiles: d.Tiles}
 }
 
-// recorder resolves the obs recorder every run under these options
-// records into: the attached StatsRecorder's, or — when the engine
-// carries live telemetry but no StatsRecorder is attached — the
-// telemetry registry's own fallback recorder, so /metrics works with
-// zero configuration beyond EngineConfig.Telemetry. nil (no recorder,
-// no telemetry) disables collection as before.
-func (o Options) recorder() *obs.Recorder {
-	if r := o.Stats.recorder(); r != nil {
-		return r
-	}
-	return o.Engine.telemetry().recorder()
-}
-
 // config translates Options to the internal kernel configuration: the
 // recommended one, core.DefaultConfig, with the caller's κ, tile count,
 // workers, context, engine, recorder and resilience extras.
 func (o Options) config() core.Config {
-	tel := o.Engine.telemetry()
-	// A user recorder under a telemetry-carrying engine feeds the live
-	// registry too (AttachRecorder installs the sink; idempotent).
-	if tel != nil && o.Stats != nil {
-		tel.AttachRecorder(o.Stats)
-	}
 	cfg := core.DefaultConfig()
 	cfg.Kappa = o.Kappa
 	cfg.Tiles = o.Tiles
 	cfg.Workers = o.Workers
 	cfg.Context = o.Context
 	cfg.Engine = o.Engine.internal()
-	cfg.Recorder = o.recorder()
+	cfg.Recorder = o.Stats.recorder()
 	if o.chaos != nil || o.StallTimeout != 0 {
-		// The telemetry tap records every armed chaos decision as an
-		// EventChaos in the flight recorder before the fault executes.
-		cfg.Resilience = &core.Resilience{
-			Chaos:        tel.internal().WrapInjector(o.chaos),
-			StallTimeout: o.StallTimeout,
-		}
+		cfg.Resilience = &core.Resilience{Chaos: o.chaos, StallTimeout: o.StallTimeout}
 	}
 	return cfg
 }

@@ -44,45 +44,66 @@ func TestOptionsConfigMapping(t *testing.T) {
 	}
 }
 
-// optionsFields is the size of the option surface: every exported field
-// is one more dimension of the configuration lattice the tests and the
-// benchmark must cover, so adding one is a decision, recorded here and
-// in docs/TUNING.md, not a side effect.
-const optionsFields = 13
+// optionsFields and engineConfigFields are the size of the option
+// surface: every exported field is one more dimension of the
+// configuration lattice the tests and the benchmark must cover, so
+// adding one is a decision, recorded here and in the docs, not a side
+// effect.
+const (
+	optionsFields      = 12
+	engineConfigFields = 3
+)
 
 // TestOptionsDocumented fails when an exported Options field is missing
-// from the knob table of docs/TUNING.md, or when the field count moves.
+// from the knob tables of docs/TUNING.md, or when the field count moves.
 func TestOptionsDocumented(t *testing.T) {
-	doc, err := os.ReadFile("../docs/TUNING.md")
+	checkFieldsDocumented(t, reflect.TypeOf(Options{}), optionsFields,
+		"../docs/TUNING.md", "\n## TL;DR\n", "`")
+}
+
+// TestEngineConfigDocumented is the same pin for EngineConfig against
+// the knob table of docs/ARCHITECTURE.md's engine section, where a
+// field is named inside the `EngineConfig{...}` of its row.
+func TestEngineConfigDocumented(t *testing.T) {
+	checkFieldsDocumented(t, reflect.TypeOf(EngineConfig{}), engineConfigFields,
+		"../docs/ARCHITECTURE.md", "\n### Knobs\n", "`[^`|]*")
+}
+
+// checkFieldsDocumented requires every exported field of typ to appear
+// in the tables of the doc section that starts at heading (up to the
+// next heading), written as prefix followed by the field name, and the
+// exported field count to equal want.
+func checkFieldsDocumented(t *testing.T, typ reflect.Type, want int, path, heading, prefix string) {
+	t.Helper()
+	doc, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tldr, ok := strings.Cut(string(doc), "\n## TL;DR\n")
+	_, section, ok := strings.Cut(string(doc), heading)
 	if !ok {
-		t.Fatal("docs/TUNING.md has no TL;DR section")
+		t.Fatalf("%s has no %q section", path, strings.TrimSpace(heading))
 	}
-	tldr, _, _ = strings.Cut(tldr, "\n## ")
+	section, _, _ = strings.Cut(section, "\n#")
 	var table strings.Builder
-	for _, line := range strings.Split(tldr, "\n") {
+	for _, line := range strings.Split(section, "\n") {
 		if strings.HasPrefix(line, "|") {
 			table.WriteString(line + "\n")
 		}
 	}
 	exported := 0
-	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if !f.IsExported() {
 			continue
 		}
 		exported++
-		if !regexp.MustCompile("`" + f.Name + `\b`).MatchString(table.String()) {
-			t.Errorf("Options.%s is not in the knob table of docs/TUNING.md", f.Name)
+		if !regexp.MustCompile(prefix + `\b` + f.Name + `\b`).MatchString(table.String()) {
+			t.Errorf("%s.%s is not in the knob table of %s", typ.Name(), f.Name, path)
 		}
 	}
-	if exported != optionsFields {
-		t.Errorf("Options has %d exported fields, want %d: update optionsFields and docs/TUNING.md deliberately",
-			exported, optionsFields)
+	if exported != want {
+		t.Errorf("%s has %d exported fields, want %d: update the count and %s deliberately",
+			typ.Name(), exported, want, path)
 	}
 }
 

@@ -82,7 +82,7 @@ func (o Options) rung(try int) Options {
 // recorded only when a retry policy is configured, so plain calls leave
 // the stats/v3 retry block untouched.
 func (o Options) retry(attempt func(Options) (*sparse.CSR[float64], error)) (*sparse.CSR[float64], error) {
-	r, rec := o.Retry, o.recorder()
+	r, rec := o.Retry, o.Stats.recorder()
 	budget := max(r.MaxAttempts, 1)
 	record := r.MaxAttempts > 1
 	backoff := r.Backoff
@@ -117,27 +117,7 @@ func (o Options) retry(attempt func(Options) (*sparse.CSR[float64], error)) (*sp
 	if record {
 		rec.AddRetry(obs.RetryCounters{Failures: 1})
 	}
-	dumpOnFailure(o.Engine.telemetry(), r, lastErr)
 	return nil, lastErr
-}
-
-// dumpOnFailure writes the flight recorder's event window to disk when
-// a multiplication fails terminally: always on a stall or contained
-// panic, and on any retryable failure once a configured retry ladder
-// has exhausted its budget. Dump-write errors are swallowed — the
-// multiply's own error must surface undisturbed, and a broken dump
-// path has no other channel here. No-op without telemetry.
-func dumpOnFailure(tel *Telemetry, r Retry, err error) {
-	if tel == nil || err == nil {
-		return
-	}
-	switch {
-	case errors.Is(err, ErrStalled), errors.Is(err, ErrPanic):
-	case r.MaxAttempts > 1 && retryable(err):
-	default:
-		return
-	}
-	_, _ = tel.internal().DumpFailure("", err)
 }
 
 // sleepCtx waits d, returning early with the context's error if ctx is

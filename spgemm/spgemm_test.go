@@ -97,56 +97,24 @@ func TestMxMAgainstTwoStep(t *testing.T) {
 	}
 }
 
-func TestValuedMask(t *testing.T) {
-	mask, a := valuedMaskFixture()
-	structural, err := spgemm.MxM(mask, a, a, spgemm.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if structural.NNZ() != 2 {
-		t.Errorf("structural mask kept %d entries, want 2", structural.NNZ())
-	}
-	opts := spgemm.Defaults()
-	opts.ValuedMask = true
-	valued, err := spgemm.MxM(mask, a, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if valued.NNZ() != 1 || !valued.Has(0, 1) {
-		t.Errorf("valued mask kept %d entries, want only (0,1)", valued.NNZ())
-	}
-}
-
-// TestValuedMaskOnEngine repeats a valued-mask product with MxM on a
-// shared engine: every repeat honors ValuedMask exactly as the one-shot
-// call does, whether the plan comes from the cache or not.
-func TestValuedMaskOnEngine(t *testing.T) {
-	mask, a := valuedMaskFixture()
-	opts := spgemm.Defaults()
-	opts.ValuedMask = true
-	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	for rep := 0; rep < 3; rep++ {
-		valued, err := spgemm.MxM(mask, a, a, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if valued.NNZ() != 1 || !valued.Has(0, 1) {
-			t.Fatalf("rep %d: valued mask kept %d entries, want only (0,1)", rep, valued.NNZ())
-		}
-	}
-}
-
-// valuedMaskFixture is a mask with one explicit zero over an all-ones
-// 2×2 operand: structural semantics allow (0,0), valued semantics do not.
-func valuedMaskFixture() (mask, a *spgemm.Matrix) {
-	a, _ = spgemm.FromTriples(2, 2, []spgemm.Triple{
+// TestMaskIsStructural pins the mask semantics: a stored zero in the
+// mask allows its position like any other stored entry (GraphBLAS
+// GrB_STRUCTURE).
+func TestMaskIsStructural(t *testing.T) {
+	a, _ := spgemm.FromTriples(2, 2, []spgemm.Triple{
 		{0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1},
 	})
-	mask, _ = spgemm.FromTriples(2, 2, []spgemm.Triple{
+	mask, _ := spgemm.FromTriples(2, 2, []spgemm.Triple{
 		{0, 0, 0}, // explicit zero
 		{0, 1, 1},
 	})
-	return mask, a
+	c, err := spgemm.MxM(mask, a, a, spgemm.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NNZ() != 2 || !c.Has(0, 0) || !c.Has(0, 1) {
+		t.Errorf("structural mask kept %d entries, want (0,0) and (0,1)", c.NNZ())
+	}
 }
 
 func TestMxMSemirings(t *testing.T) {
