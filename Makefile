@@ -185,7 +185,9 @@ bench-trsv:
 # swept over cols/RowCap (ns/flop: the medians internal/model derives the
 # planner's dense-state factor from) and the dense state swept over its
 # bytes (ns/work: the medians internal/model derives the window floor
-# from). One iteration is a smoke test;
+# from), and matrix construction on RMAT 2^16 and a 300^2 road lattice:
+# ToCSR on shuffled triples, Symmetrize and Transpose (ns/nnz; Symmetrize
+# should stay within 4x Transpose). One iteration is a smoke test;
 # for numbers drop `-benchtime 1x` and add `-count`.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum
@@ -198,3 +200,4 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkSolveOrder$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWaveCrossing$$' -benchtime 1x ./internal/sched
 	$(GO) test -run '^$$' -bench '^BenchmarkHypersparseProduct$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkBuild$$' -benchtime 1x ./internal/sparse

@@ -69,7 +69,9 @@ func trunc(s string) string {
 
 // Read parses a MatrixMarket coordinate stream into CSR. Symmetric
 // inputs are expanded (both triangles stored); pattern inputs get unit
-// values. Duplicate entries sum, matching common collection tooling.
+// values. Duplicate entries sum, matching common collection tooling,
+// and they sum in file order (a symmetric entry's mirror counts where
+// its line is), so a file reads to the same bits every time.
 //
 // Read is safe on hostile input: every structural violation — bad
 // banner, malformed or implausible size line (non-positive or >2³¹-1

@@ -26,8 +26,8 @@ type RunOpts struct {
 	// surface as *PanicError through the normal containment path.
 	Chaos chaos.Injector
 	// StallTimeout, when positive, arms a watchdog that fails the run
-	// with a *StallError if no tile completes for a full timeout while
-	// tiles remain. It detects, not preempts: a worker stuck inside fn
+	// with a *StallError if no tile completes for a full timeout before
+	// the run returns. It detects, not preempts: a worker stuck inside fn
 	// still holds the run until it returns, but the error is typed and
 	// carries the stacks of every goroutine for diagnosis.
 	StallTimeout time.Duration
@@ -39,9 +39,10 @@ type RunOpts struct {
 }
 
 // StallError reports a run whose workers stopped completing tiles for a
-// full StallTimeout while work remained. Stacks holds a snapshot of all
-// goroutine stacks taken at detection time, so the stuck worker's
-// position is preserved even if it later unblocks.
+// full StallTimeout before the run returned (Done == Tiles if every tile
+// was done). Stacks holds a snapshot of all goroutine stacks taken at
+// detection time, so the stuck worker's position is preserved even if
+// it later unblocks.
 type StallError struct {
 	// Timeout is the configured stall window that elapsed.
 	Timeout time.Duration
@@ -130,10 +131,11 @@ func (st *runState) injectSpawn(inj chaos.Injector) bool {
 
 // watchStall arms the stall watchdog: a side goroutine that samples the
 // completed-tile counter every timeout and fails the run if a full
-// window passes with no progress while tiles remain. The verdict
-// records the wave in progress at detection time (waves is the plan's
-// wave count). The returned function must be called to release the
-// watcher. A non-positive timeout arms nothing.
+// window passes with no progress before the run returns, even with
+// every tile done (Done == Tiles). The verdict records the wave in
+// progress at detection time (waves is the plan's wave count). The
+// watcher ends only on stop or when the returned function, which must
+// be called, releases it. A non-positive timeout arms nothing.
 func (st *runState) watchStall(timeout time.Duration, tiles, waves int64) (finish func()) {
 	if timeout <= 0 || tiles <= 0 {
 		return func() {}
@@ -148,10 +150,10 @@ func (st *runState) watchStall(timeout time.Duration, tiles, waves int64) (finis
 			case <-quit:
 				return
 			case <-ticker.C:
-				done := st.done.Load()
-				if done >= tiles || st.stop.Load() {
+				if st.stop.Load() {
 					return
 				}
+				done := st.done.Load()
 				if done != last {
 					last = done
 					continue

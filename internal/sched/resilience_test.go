@@ -111,6 +111,35 @@ func TestStallWatchdogQuietOnProgress(t *testing.T) {
 	}
 }
 
+// TestStallWatchdogAfterLastTile arms the watchdog on a run whose every
+// tile is done but whose workers never return (its finish is never
+// called), as when a claim loop spins past the wave's end. The first
+// tick sees progress from zero, the second none: the verdict must come
+// at two windows with Done == Tiles and the stop flag raised. The
+// deadline adds scheduling slack to the two windows.
+func TestStallWatchdogAfterLastTile(t *testing.T) {
+	const tiles, window = 8, 20 * time.Millisecond
+	var st runState
+	st.done.Store(tiles)
+	st.watchStall(window, tiles, 1)
+	deadline := time.Now().Add(2*window + time.Second)
+	for !st.stop.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("no stall verdict on a run that finished its tiles but never returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st.mu.Lock()
+	se := st.se
+	st.mu.Unlock()
+	if se == nil {
+		t.Fatal("stop raised with no verdict recorded")
+	}
+	if se.Done != tiles || se.Tiles != tiles {
+		t.Fatalf("verdict progress %d/%d, want %d/%d", se.Done, se.Tiles, tiles, tiles)
+	}
+}
+
 // TestRunOptsZeroMatchesRunChunkedE checks that the zero options block
 // is a plain contained run (what RunWavesE runs): complete coverage, no
 // error.

@@ -1,11 +1,12 @@
 package sparse
 
-import "sort"
+import "slices"
 
 // COO is a sparse matrix in coordinate (triplet) format. It is the
 // staging format for matrix construction: generators and the
-// MatrixMarket reader emit triples in arbitrary order, COO sorts and
-// merges them, and ToCSR produces the kernel-ready representation.
+// MatrixMarket reader emit triples in arbitrary order, and ToCSR turns
+// them into the kernel-ready representation, summing the duplicates of
+// each position in the order they were added.
 type COO[T Number] struct {
 	Rows, Cols int
 	I, J       []Index
@@ -23,9 +24,8 @@ func NewCOO[T Number](rows, cols int, nnzCap int64) *COO[T] {
 	}
 }
 
-// Add appends one triple. No deduplication happens here; call Dedup (or
-// rely on ToCSR, which dedups by summation) before handing the matrix to
-// a kernel.
+// Add appends one triple. No deduplication happens here; ToCSR sums
+// duplicates.
 func (c *COO[T]) Add(i, j Index, v T) {
 	c.I = append(c.I, i)
 	c.J = append(c.J, j)
@@ -35,68 +35,50 @@ func (c *COO[T]) Add(i, j Index, v T) {
 // NNZ returns the number of stored triples (including duplicates).
 func (c *COO[T]) NNZ() int64 { return int64(len(c.I)) }
 
-// Sort orders the triples row-major (by row, then column) in place.
-func (c *COO[T]) Sort() {
-	sort.Sort(cooSorter[T]{c})
-}
-
-type cooSorter[T Number] struct{ c *COO[T] }
-
-func (s cooSorter[T]) Len() int { return len(s.c.I) }
-func (s cooSorter[T]) Less(a, b int) bool {
-	if s.c.I[a] != s.c.I[b] {
-		return s.c.I[a] < s.c.I[b]
-	}
-	return s.c.J[a] < s.c.J[b]
-}
-func (s cooSorter[T]) Swap(a, b int) {
-	s.c.I[a], s.c.I[b] = s.c.I[b], s.c.I[a]
-	s.c.J[a], s.c.J[b] = s.c.J[b], s.c.J[a]
-	s.c.V[a], s.c.V[b] = s.c.V[b], s.c.V[a]
-}
-
-// Dedup sorts the triples and merges duplicates by summing their values.
-// Entries that sum to zero are kept (GraphBLAS semantics: an explicit
-// zero is still a stored entry).
-func (c *COO[T]) Dedup() {
-	if len(c.I) == 0 {
-		return
-	}
-	c.Sort()
-	w := 0
-	for r := 1; r < len(c.I); r++ {
-		if c.I[r] == c.I[w] && c.J[r] == c.J[w] {
-			c.V[w] += c.V[r]
-			continue
-		}
-		w++
-		c.I[w], c.J[w], c.V[w] = c.I[r], c.J[r], c.V[r]
-	}
-	c.I = c.I[:w+1]
-	c.J = c.J[:w+1]
-	c.V = c.V[:w+1]
-}
-
-// ToCSR converts to CSR. The triples are deduplicated (duplicates sum)
-// and rows come out sorted, so the result satisfies CSR.Check.
+// ToCSR converts to CSR, leaving c as it was. Duplicate positions sum
+// in the order they were added, and a sum of zero stays a stored entry
+// (GraphBLAS semantics). Rows come out sorted, so the result satisfies
+// CSR.Check, and ColIdx and Val hold exactly nnz entries. Every index
+// must lie inside the shape.
+//
+// Two stable counting passes order the triples, with no comparison: the
+// first buckets them by column, in input order, as the rows of a
+// Cols×Rows matrix, and the second is that matrix's Transpose. Each row
+// then holds its entries in column order, with the duplicates of a
+// position adjacent and in input order, and one pass per row sums them.
 func (c *COO[T]) ToCSR() *CSR[T] {
-	c.Dedup()
-	m := &CSR[T]{
-		Rows:   c.Rows,
-		Cols:   c.Cols,
-		RowPtr: make([]int64, c.Rows+1),
-		ColIdx: make([]Index, len(c.J)),
-		Val:    make([]T, len(c.V)),
+	nnz := len(c.I)
+	t := &CSR[T]{Rows: c.Cols, Cols: c.Rows, RowPtr: make([]int64, c.Cols+1),
+		ColIdx: make([]Index, nnz), Val: make([]T, nnz)}
+	for _, j := range c.J {
+		t.RowPtr[j+1]++
 	}
-	for _, i := range c.I {
-		m.RowPtr[i+1]++
+	for j := 0; j < c.Cols; j++ {
+		t.RowPtr[j+1] += t.RowPtr[j]
 	}
-	for i := 0; i < c.Rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+	next := slices.Clone(t.RowPtr[:c.Cols])
+	for k, j := range c.J {
+		t.ColIdx[next[j]], t.Val[next[j]] = c.I[k], c.V[k]
+		next[j]++
 	}
-	// After Dedup the triples are already row-major sorted, so a single
-	// sequential copy lands every row in sorted order.
-	copy(m.ColIdx, c.J)
-	copy(m.Val, c.V)
+	m := Transpose(t)
+	var w int64
+	for i := 0; i < m.Rows; i++ {
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		m.RowPtr[i] = w
+		for k := lo; k < hi; k++ {
+			if w > m.RowPtr[i] && m.ColIdx[w-1] == m.ColIdx[k] {
+				m.Val[w-1] += m.Val[k]
+				continue
+			}
+			m.ColIdx[w], m.Val[w] = m.ColIdx[k], m.Val[k]
+			w++
+		}
+	}
+	m.RowPtr[m.Rows] = w
+	if w < int64(nnz) {
+		m.ColIdx = append(make([]Index, 0, w), m.ColIdx[:w]...)
+		m.Val = append(make([]T, 0, w), m.Val[:w]...)
+	}
 	return m
 }

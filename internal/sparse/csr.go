@@ -102,7 +102,7 @@ func (m *CSR[T]) Pattern() *CSR[T] {
 }
 
 // SortRows sorts each row by column index in place. Duplicates are not
-// merged; use COO dedup when duplicates are possible.
+// merged; build through COO.ToCSR when duplicates are possible.
 func (m *CSR[T]) SortRows() {
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]

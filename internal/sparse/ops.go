@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // Transpose returns the transpose of m using a counting sort on column
 // indices: O(nnz + rows + cols) time, one pass to count and one to
 // scatter. Rows of the result come out sorted because the input rows are
@@ -70,20 +72,69 @@ func filterCSR[T Number](m *CSR[T], keep func(i int, j Index) bool) *CSR[T] {
 }
 
 // Symmetrize returns m ∨ m^T structurally: the value at (i,j) is the sum
-// of the values stored at (i,j) and (j,i). Used to turn directed
-// generator output into undirected adjacency matrices.
+// of the values stored at (i,j) and (j,i), and a diagonal entry is taken
+// once. Used to turn directed generator output into undirected adjacency
+// matrices. m must be square and satisfy Check. Row i of the result
+// merges row i of m with row i of Transpose(m), once to count and once
+// to fill, with no sort.
 func Symmetrize[T Number](m *CSR[T]) *CSR[T] {
-	coo := NewCOO[T](m.Rows, m.Cols, 2*m.NNZ())
+	if m.Rows != m.Cols {
+		panic("sparse: Symmetrize of a non-square matrix")
+	}
+	t := Transpose(m)
+	out := &CSR[T]{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1)}
 	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k, j := range cols {
-			coo.Add(Index(i), j, vals[k])
-			if int(j) != i {
-				coo.Add(j, Index(i), vals[k])
+		out.RowPtr[i+1] = out.RowPtr[i] + int64(mergeRows(i, m, t, nil, nil))
+	}
+	out.ColIdx, out.Val = make([]Index, out.NNZ()), make([]T, out.NNZ())
+	for i := 0; i < m.Rows; i++ {
+		lo, hi := out.RowPtr[i], out.RowPtr[i+1]
+		mergeRows(i, m, t, out.ColIdx[lo:hi], out.Val[lo:hi])
+	}
+	return out
+}
+
+// mergeRows merges row i of m and of t into (cols, vals), or only counts
+// when cols is nil, and returns the merged length. A column in both rows
+// sums its two values, except the diagonal, which is taken once.
+func mergeRows[T Number](i int, m, t *CSR[T], cols []Index, vals []T) int {
+	a, av := m.Row(i)
+	b, bv := t.Row(i)
+	if slices.Equal(a, b) { // row i and column i hold the same positions
+		for k := 0; cols != nil && k < len(a); k++ {
+			cols[k], vals[k] = a[k], av[k]
+			if int(a[k]) != i {
+				vals[k] += bv[k]
 			}
 		}
+		return len(a)
 	}
-	return coo.ToCSR()
+	k, p, q := 0, 0, 0
+	for ; p < len(a) && q < len(b); k++ {
+		j, v := a[p], av[p]
+		switch {
+		case a[p] > b[q]:
+			j, v = b[q], bv[q]
+			q++
+		case a[p] == b[q]:
+			if int(j) != i {
+				v += bv[q]
+			}
+			p, q = p+1, q+1
+		default:
+			p++
+		}
+		if cols != nil {
+			cols[k], vals[k] = j, v
+		}
+	}
+	if cols != nil { // at most one of the rows has a tail left
+		copy(cols[k:], a[p:])
+		copy(vals[k:], av[p:])
+		copy(cols[k:], b[q:])
+		copy(vals[k:], bv[q:])
+	}
+	return k + len(a) - p + len(b) - q
 }
 
 // Equal reports whether a and b have identical shape, structure, and

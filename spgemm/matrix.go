@@ -129,7 +129,8 @@ func (m *Matrix) Triu() *Matrix { return wrap(sparse.Triu(m.csr)) }
 // Pattern returns a copy with all stored values set to 1.
 func (m *Matrix) Pattern() *Matrix { return wrap(m.csr.Pattern()) }
 
-// Symmetrize returns m ∨ mᵀ with summed values.
+// Symmetrize returns m ∨ mᵀ with summed values, the diagonal taken once.
+// m must be square; Symmetrize panics otherwise.
 func (m *Matrix) Symmetrize() *Matrix { return wrap(sparse.Symmetrize(m.csr)) }
 
 // Equal reports whether two matrices are identical in shape, structure
