@@ -83,16 +83,17 @@ govulncheck:
 # telemetry histogram (lock-free records) are written from many
 # goroutines too. The model, graph and chaos packages ride along: their
 # cost-model, fused-algorithm and seeded-injector tests drive the same
-# kernels concurrently.
+# kernels concurrently. The chaos suite's fault matrix runs here too;
+# `make chaos` reruns just it.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/exec/... ./internal/tiling/... ./internal/obs/... ./internal/telemetry/... ./internal/model/... ./internal/graph/... ./internal/chaos/... ./spgemm/...
 
-# gates are the spgemm-bench runs that fail when an invariant breaks:
-# warm pool hit rate and fused allocations (bench-engine), solve
-# bit-identity (bench-trsv) and the fault matrix (chaos) — plus one
-# iteration of the micro-benchmarks the per-unit numbers are regenerated
-# from (bench-micro), so they cannot rot. CI's gates job runs exactly
-# this.
+# gates are the runs that fail when an invariant breaks: the
+# spgemm-bench warm pool hit rate and fused allocations (bench-engine)
+# and solve bit-identity (bench-trsv), the seeded fault matrix under the
+# race detector (chaos) — plus one iteration of the micro-benchmarks the
+# per-unit numbers are regenerated from (bench-micro), so they cannot
+# rot. CI's gates job runs exactly this.
 gates: bench-engine bench-trsv chaos bench-micro
 
 check: vet lint staticcheck govulncheck race test examples gates
@@ -105,16 +106,13 @@ bench:
 	$(GO) run ./benchmark
 
 # chaos is the fault-injection gate: the seeded chaos suite runs under
-# the race detector (fault matrix, quarantine, retry ladder, stall
-# watchdog), then the bench drill replays the matrix against a shared
-# engine and pins the nil-injector fast path's allocations. Both fail
-# on any pool-invariant violation (Engine.SelfCheck), untyped error, or
-# result divergence. Part of `make gates`; see docs/RESILIENCE.md.
-CHAOS_SEED ?= 1
+# the race detector (fault matrix, quarantine, the facade's faulted
+# calls, stall watchdog) and fails on any pool-invariant violation
+# (Engine.SelfCheck), untyped error, or result divergence. Part of
+# `make gates`; see docs/RESILIENCE.md.
 chaos:
-	$(GO) test -race -run 'Chaos|Retry|Stall|Injected|Quarantine|SelfCheck|PanicErrorUnwrap|Seeded|NilInjector|StepExecutes' \
+	$(GO) test -race -run 'Chaos|Fault|Stall|Injected|Quarantine|SelfCheck|PanicErrorUnwrap|Seeded|NilInjector|StepExecutes' \
 		./internal/chaos/... ./internal/sched/... ./internal/exec/... ./internal/core/... ./spgemm/...
-	$(GO) run ./cmd/spgemm-bench -experiment chaos -chaos-seed $(CHAOS_SEED)
 
 # Short fuzz passes over the hostile-input surface: the MatrixMarket
 # text parser and the binary CSR container.

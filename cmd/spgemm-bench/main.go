@@ -7,8 +7,7 @@
 //	spgemm-bench -experiment NAME [flags]
 //
 // Experiments (bench.Experiments, in table order; "all" runs the first
-// fourteen, the rest repeat earlier timings or inject faults and run
-// only when named):
+// fourteen, the rest repeat earlier timings and run only when named):
 //
 //	table1        Table I: the corpus and its structural statistics
 //	fig1          Fig. 1: SuiteSparse-like vs GrB-like vs tuned runtimes
@@ -30,9 +29,6 @@
 //	              above unfused, or on a checksum mismatch
 //	trsv          triangular solve, serial vs dependency waves; fails
 //	              unless the two solutions are bit-identical
-//	chaos         seeded fault matrix against one shared engine, then
-//	              the nil-injector allocation pin; fails on any pool
-//	              violation, untyped error or result divergence
 //	stats         tuned configuration under a live recorder: phase
 //	              times, per-worker counters, accumulator statistics
 //	crossover     the tile crossover, regenerated: one-tile vs forced-
@@ -54,7 +50,6 @@
 //	-retention-mb N  size the shared -engine by an N-MiB retention budget
 //	-min-trsv-speedup F  after trsv: fail unless waves beat serial by F
 //	                 on some graph
-//	-chaos-seed N    seed of the chaos drill's fault matrix (default 1)
 //
 // Invariants that do not depend on the clock are errors the experiments
 // return; the one timing gate (-min-trsv-speedup) judges the logged
@@ -91,7 +86,6 @@ func main() {
 	poolCap := flag.Int("pool-cap", 0, "idle-workspace cap for -engine (0 = default, negative disables retention)")
 	retentionMB := flag.Int64("retention-mb", 0, "size the shared -engine by this retention budget in MiB (0 = use -pool-cap; implies -engine)")
 	minTrsvSpeedup := flag.Float64("min-trsv-speedup", 0, "after the trsv experiment, fail unless some graph's wave schedule beats serial by this factor (0 = bit-identity gate only)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "seed of the chaos experiment's fault matrix (0 = 1)")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the measurement loop between repetitions
@@ -142,7 +136,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	experiments := bench.Experiments(*chaosSeed)
+	experiments := bench.Experiments()
 	ran := false
 	for _, e := range experiments {
 		if !e.Selected(*experiment) {

@@ -89,13 +89,8 @@ func (e Experiment) Selected(selection string) bool {
 }
 
 // Experiments is the harness's one table: every section spgemm-bench
-// can print, in the order -experiment all prints them. chaosSeed seeds
-// the chaos drill's fault matrix (0 = 1) — the only experiment input
-// that is neither the corpus nor the methodology.
-func Experiments(chaosSeed int64) []Experiment {
-	if chaosSeed == 0 {
-		chaosSeed = 1
-	}
+// can print, in the order -experiment all prints them.
+func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", true, Table1},
 		{"fig1", true, Fig1},
@@ -113,7 +108,6 @@ func Experiments(chaosSeed int64) []Experiment {
 		{"sched", true, SchedSweep},
 		{"engine", false, EngineBench},
 		{"trsv", false, TrsvBench},
-		{"chaos", false, func(w io.Writer, o Options) error { return ChaosDrill(w, o, chaosSeed) }},
 		{"stats", false, StatsReport},
 		{"crossover", false, CrossoverBench},
 	}

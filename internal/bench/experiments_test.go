@@ -94,7 +94,6 @@ func TestExperimentsRegistry(t *testing.T) {
 				}
 			},
 		},
-		"chaos": {prints: []string{"Chaos drill", "pool invariants held throughout", "steady budget"}, rows: 2},
 		"stats": {
 			prints: []string{"Kernel observability", "exec.kernel"},
 			rows:   1,
@@ -135,10 +134,10 @@ func TestExperimentsRegistry(t *testing.T) {
 			},
 		},
 	}
-	if len(Experiments(1)) != len(want) {
-		t.Errorf("table has %d experiments, expectations cover %d", len(Experiments(1)), len(want))
+	if len(Experiments()) != len(want) {
+		t.Errorf("table has %d experiments, expectations cover %d", len(Experiments()), len(want))
 	}
-	for _, e := range Experiments(1) {
+	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
 			exp, ok := want[e.Name]
 			if !ok {
@@ -184,7 +183,7 @@ func TestExperimentsRegistry(t *testing.T) {
 // TestExperimentSelection pins how -experiment picks table entries.
 func TestExperimentSelection(t *testing.T) {
 	var all, named []string
-	for _, e := range Experiments(1) {
+	for _, e := range Experiments() {
 		if e.Selected("all") {
 			all = append(all, e.Name)
 		}

@@ -207,3 +207,11 @@ func TrsvBench(w io.Writer, o Options) error {
 	}
 	return nil
 }
+
+// workersOr returns n unless it is zero, then def.
+func workersOr(n, def int) int {
+	if n != 0 {
+		return n
+	}
+	return def
+}

@@ -3,7 +3,7 @@
 // (workspace checkout/release, tile claim, worker spawn, accumulator
 // grow, plan-cache store, row-kernel entry) that an Injector can arm
 // with deterministic faults — panic, error, delay, spurious cancel,
-// allocation-pressure simulation. The quarantine, retry and watchdog
+// allocation-pressure simulation. The quarantine and watchdog
 // machinery in exec/sched/spgemm is proven against these faults by the
 // seeded chaos matrix (make chaos).
 //
@@ -126,8 +126,8 @@ type Func func(Point) Fault
 func (f Func) Decide(p Point) Fault { return f(p) }
 
 // ErrInjected marks every error and panic value originating from an
-// injected fault, so tests and the retry classifier can tell deliberate
-// chaos from organic failures with errors.Is.
+// injected fault, so tests can tell deliberate chaos from organic
+// failures with errors.Is.
 var ErrInjected = errors.New("chaos: injected fault")
 
 // Injected is the typed payload of an injected fault: the panic value

@@ -106,15 +106,6 @@ func TestSeededOneShotAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestSeededDisarm(t *testing.T) {
-	s := NewSeeded(1)
-	s.Arm(AccumGrow, KindPanic, 1, 0)
-	s.Disarm(AccumGrow)
-	if f := s.Decide(AccumGrow); f.Kind != KindNone {
-		t.Fatalf("disarmed trigger fired: %v", f)
-	}
-}
-
 func TestNames(t *testing.T) {
 	for p := Point(0); p < NumPoints; p++ {
 		if p.String() == "" {

@@ -35,9 +35,6 @@ func NewSeeded(seed int64) *Seeded {
 	return &Seeded{seed: uint64(seed)}
 }
 
-// Seed returns the injector's seed.
-func (s *Seeded) Seed() int64 { return int64(s.seed) }
-
 // Arm schedules fault k at point p to fire on exactly the nth crossing
 // (1-based; nth < 1 is treated as 1). delay applies to KindDelay.
 func (s *Seeded) Arm(p Point, k Kind, nth int64, delay time.Duration) {
@@ -59,9 +56,6 @@ func (s *Seeded) ArmSeeded(p Point, k Kind, maxNth int64, delay time.Duration) {
 	h := splitmix64(s.seed ^ uint64(p)<<32 ^ uint64(k)<<8)
 	s.Arm(p, k, 1+int64(h%uint64(maxNth)), delay)
 }
-
-// Disarm clears point p's trigger.
-func (s *Seeded) Disarm(p Point) { s.arms[p].nth.Store(0) }
 
 // Crossings reports how many times point p has been consulted.
 func (s *Seeded) Crossings(p Point) int64 { return s.crossings[p].Load() }

@@ -62,7 +62,7 @@ func errConfig(format string, args ...any) error {
 // ErrCanceled (still errors.Is-able to the underlying context error),
 // anything else passes through unchanged. An injected spurious cancel
 // reaches ErrCanceled too, but additionally matches chaos.ErrInjected,
-// which is how the retry layer tells it apart from a caller's cancel.
+// which is how a test tells it apart from a caller's cancel.
 func wrapRunErr(err error) error {
 	if err == nil {
 		return nil

@@ -101,7 +101,7 @@ func TestFusedStreamMatchesRows(t *testing.T) {
 	}
 }
 
-// TestFusedCounters checks the stats/v3 fused block: select and stream
+// TestFusedCounters checks the stats/v4 fused block: select and stream
 // runs each stamp their counters, and a stream's intermediate entries
 // are priced at a column index plus a value.
 func TestFusedCounters(t *testing.T) {

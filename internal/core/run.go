@@ -35,7 +35,7 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	// stream marks a sink that consumes its rows: workers stage one row
 	// at a time and nothing is assembled.
 	stream bool
-	// marker is the run's own entry in the stats/v3 fused block.
+	// marker is the run's own entry in the stats/v4 fused block.
 	marker obs.FusedCounters
 	// wrap, when non-nil, decorates each worker's accumulator for this
 	// run only (the instrumented entry point's operation counters).

@@ -184,7 +184,7 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 	}
 }
 
-// Counters maps the snapshot onto the stats/v3 pool block — the one
+// Counters maps the snapshot onto the stats/v4 pool block — the one
 // place the engine's field names meet the recorder's.
 func (s PoolStats) Counters() obs.PoolCounters {
 	return obs.PoolCounters{

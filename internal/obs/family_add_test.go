@@ -16,7 +16,6 @@ func TestFamilyAddCoversEveryField(t *testing.T) {
 	t.Run("PoolCounters", func(t *testing.T) { checkFamilyAdd(t, (*PoolCounters).add) })
 	t.Run("FusedCounters", func(t *testing.T) { checkFamilyAdd(t, (*FusedCounters).add) })
 	t.Run("SchedCounters", func(t *testing.T) { checkFamilyAdd(t, (*SchedCounters).add) })
-	t.Run("RetryCounters", func(t *testing.T) { checkFamilyAdd(t, (*RetryCounters).add) })
 }
 
 // checkFamilyAdd runs the add/sub round trip on one family.

@@ -62,7 +62,7 @@ const (
 
 // phaseNames are the stable identifiers used in the JSON schema and in
 // pprof labels; changing one is a schema break (appending is additive
-// and keeps stats/v3).
+// and keeps stats/v4).
 var phaseNames = [numPhases]string{
 	"plan.row_work",
 	"plan.prefix_sum",
@@ -245,8 +245,7 @@ func (f *FusedCounters) add(o FusedCounters, k int64) {
 // counters by a multiply sequence id so overlapping runs (fused chains,
 // concurrent Multiply calls sharing a recorder) never bleed into each
 // other's per-run snapshots; the cumulative totals change only when a
-// scope ends (and through Span and AddRetry, which record outside
-// any run).
+// scope ends (and through Span, which records outside any run).
 type Recorder struct {
 	mu  sync.Mutex
 	seq int64
@@ -330,44 +329,6 @@ func (r *Recorder) TileRegion(ctx context.Context) func() {
 		ctx = context.Background()
 	}
 	return trace.StartRegion(ctx, "spgemm.tile_batch").End
-}
-
-// RetryCounters are the retry-and-degradation statistics of the facade's
-// resilience layer: per-attempt and per-outcome counts of the retry
-// ladder around Multiply/MxM (see spgemm.Options.Retry).
-type RetryCounters struct {
-	// Attempts counts every execution attempt, including first tries.
-	Attempts int64 `json:"attempts"`
-	// Retries counts attempts after the first (Attempts - calls that
-	// needed no retry is not derivable from this pair alone, so both are
-	// kept).
-	Retries int64 `json:"retries"`
-	// Degradations counts attempts that ran on a narrowed execution path
-	// (serial, unpooled) rather than the configured one.
-	Degradations int64 `json:"degradations"`
-	// Failures counts operations whose final attempt still failed.
-	Failures int64 `json:"failures"`
-	// Stalls counts attempts that failed with ErrStalled specifically.
-	Stalls int64 `json:"stalls"`
-}
-
-// add folds k × o into c.
-func (c *RetryCounters) add(o RetryCounters, k int64) {
-	c.Attempts += k * o.Attempts
-	c.Retries += k * o.Retries
-	c.Degradations += k * o.Degradations
-	c.Failures += k * o.Failures
-	c.Stalls += k * o.Stalls
-}
-
-// AddRetry folds retry-ladder statistics into the totals.
-func (r *Recorder) AddRetry(c RetryCounters) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.t.retry.add(c, 1)
-	r.mu.Unlock()
 }
 
 // WaveHistBuckets is the bucket count of the wave-shape histograms:

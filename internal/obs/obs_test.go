@@ -23,7 +23,6 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 		end()
 		r.Do(ctx, PhaseExecKernel, func() {})
 		r.TileRegion(ctx)()
-		r.AddRetry(RetryCounters{Attempts: 1})
 		s := r.StartRun()
 		if s.Enabled() {
 			t.Fatal("nil recorder started an enabled scope")
@@ -135,7 +134,6 @@ func TestStatsSub(t *testing.T) {
 		s.Span(PhaseExecKernel)()
 		s.AddAccum(AccumCounters{HashProbes: 100})
 	})
-	r.AddRetry(RetryCounters{Attempts: 1})
 	before := r.Stats()
 
 	recordRun(r, func(s *RunScope) {
@@ -146,7 +144,6 @@ func TestStatsSub(t *testing.T) {
 		s.AddAccum(AccumCounters{HashProbes: 50, MarkerClears: 1})
 		s.AddSched(SchedCounters{Waves: 3, WaveTiles: [WaveHistBuckets]int64{1: 3}})
 	})
-	r.AddRetry(RetryCounters{Attempts: 2, Retries: 1})
 
 	delta := r.Stats().Sub(before)
 	if delta.Runs != 1 {
@@ -158,8 +155,8 @@ func TestStatsSub(t *testing.T) {
 	if delta.Accum.HashProbes != 50 || delta.Accum.MarkerClears != 1 {
 		t.Fatalf("delta accum = %+v", delta.Accum)
 	}
-	if delta.Retry.Attempts != 2 || delta.Retry.Retries != 1 || delta.Sched.Waves != 3 || delta.Sched.WaveTiles[1] != 3 {
-		t.Fatalf("delta retry = %+v sched = %+v", delta.Retry, delta.Sched)
+	if delta.Sched.Waves != 3 || delta.Sched.WaveTiles[1] != 3 {
+		t.Fatalf("delta sched = %+v", delta.Sched)
 	}
 	// plan.row_work ran only before the window, so its zero-span entry
 	// is dropped.
@@ -228,9 +225,10 @@ func TestValidateStatsJSONRejects(t *testing.T) {
 	}
 }
 
-// TestValidateStatsJSONRejectsV1 pins the stats/v2 and stats/v3 breaks:
-// a document under the v1 or v2 tag, or one carrying v1's recal block or
-// v2's chain counters, is rejected rather than silently read as v3.
+// TestValidateStatsJSONRejectsV1 pins the stats/v2, v3 and v4 breaks: a
+// document under the v1, v2 or v3 tag, or one carrying v1's recal block,
+// v2's chain counters or v3's retry block, is rejected rather than
+// silently read as v4.
 func TestValidateStatsJSONRejectsV1(t *testing.T) {
 	r := NewRecorder()
 	recordRun(r, func(s *RunScope) { s.Span(PhaseExecKernel)() })
@@ -239,13 +237,15 @@ func TestValidateStatsJSONRejectsV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := ValidateStatsJSON(data); err != nil {
-		t.Fatalf("v3 document rejected: %v", err)
+		t.Fatalf("v4 document rejected: %v", err)
 	}
 	cases := map[string]struct{ from, to, wantErr string }{
 		"v1 tag":       {StatsSchema, "maskedspgemm/stats/v1", "schema"},
 		"recal block":  {`"schema"`, `"recal": {"updates": 1, "kappa_last": 1.5}, "schema"`, "recal"},
 		"v2 tag":       {StatsSchema, "maskedspgemm/stats/v2", "schema"},
 		"chain counts": {`"select_runs"`, `"chain_runs": 1, "staged_tiles": 1, "select_runs"`, "chain_runs"},
+		"v3 tag":       {StatsSchema, "maskedspgemm/stats/v3", "schema"},
+		"retry block":  {`"schema"`, `"retry": {"attempts": 2, "retries": 1}, "schema"`, "retry"},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {

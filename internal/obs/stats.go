@@ -9,7 +9,7 @@ import (
 
 // StatsSchema identifies the JSON layout of a Stats document. Bump the
 // version only on breaking changes; additive fields keep the tag.
-const StatsSchema = "maskedspgemm/stats/v3"
+const StatsSchema = "maskedspgemm/stats/v4"
 
 // PhaseStats is one pipeline phase's accumulated wall time.
 type PhaseStats struct {
@@ -111,9 +111,6 @@ type Stats struct {
 	// Fused is the fused-pipeline statistics (zero when no fused
 	// multiplies ran).
 	Fused FusedCounters `json:"fused"`
-	// Retry is the retry-ladder statistics of the facade's resilience
-	// layer (zero when no retry policy is configured).
-	Retry RetryCounters `json:"retry"`
 	// Sched is the wave-executor statistics of level-scheduled runs
 	// (zero when only flat single-wave kernels ran).
 	Sched SchedCounters `json:"sched"`
@@ -131,7 +128,6 @@ type tally struct {
 	accum   AccumCounters
 	pool    PoolCounters
 	fused   FusedCounters
-	retry   RetryCounters
 	sched   SchedCounters
 }
 
@@ -151,7 +147,6 @@ func (t *tally) add(o *tally) {
 	t.accum.add(o.accum, 1)
 	t.pool.add(o.pool, 1)
 	t.fused.add(o.fused, 1)
-	t.retry.add(o.retry, 1)
 	t.sched.add(o.sched, 1)
 }
 
@@ -160,8 +155,7 @@ func (t *tally) add(o *tally) {
 func (t *tally) stats(seq int64) Stats {
 	s := Stats{
 		Schema: StatsSchema, Seq: seq, Runs: t.runs,
-		Accum: t.accum, Pool: t.pool, Fused: t.fused,
-		Retry: t.retry, Sched: t.sched,
+		Accum: t.accum, Pool: t.pool, Fused: t.fused, Sched: t.sched,
 	}
 	for p := Phase(0); p < numPhases; p++ {
 		if t.counts[p] == 0 {
@@ -235,7 +229,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	out.Accum.add(prev.Accum, -1)
 	out.Pool.add(prev.Pool, -1)
 	out.Fused.add(prev.Fused, -1)
-	out.Retry.add(prev.Retry, -1)
 	out.Sched.add(prev.Sched, -1)
 	out.finalize()
 	return out
@@ -278,10 +271,6 @@ func (s Stats) WriteTable(w io.Writer) {
 			p.Hits, p.Misses, p.Steals,
 			100*float64(p.Hits+p.Steals)/float64(max(lookups, 1)),
 			p.Resizes, p.Evictions, p.Quarantined, p.PlanHits, p.PlanMisses)
-	}
-	if c := s.Retry; c.Attempts > 0 {
-		fmt.Fprintf(w, "  retry: attempts=%d retries=%d degradations=%d failures=%d stalls=%d\n",
-			c.Attempts, c.Retries, c.Degradations, c.Failures, c.Stalls)
 	}
 	if c := s.Sched; c.WaveRuns > 0 {
 		fmt.Fprintf(w, "  sched: wave-runs=%d levels=%d waves=%d (serial=%d) barriers=%d barrier-wait=%.3fms\n",

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// These regression tests pin the resilience blocks of the human table
-// and of snapshot subtraction: retry-ladder counters and workspace
-// quarantines must render when present, stay silent when absent, and
-// subtract per-block under Stats.Sub.
+// These regression tests pin the resilience block of the human table
+// and of snapshot subtraction: workspace quarantines must render when
+// present, stay silent when absent, and subtract under Stats.Sub.
 
 // recordPool records a pool delta through a run scope that does not
 // complete, so it adds no run.
@@ -26,12 +25,10 @@ func renderedTable(s Stats) string {
 
 func TestWriteTableRendersResilienceBlocks(t *testing.T) {
 	r := NewRecorder()
-	r.AddRetry(RetryCounters{Attempts: 3, Retries: 2, Degradations: 1, Failures: 1, Stalls: 1})
 	recordPool(r, PoolCounters{Hits: 5, Misses: 1, Quarantined: 2, PlanHits: 3, PlanMisses: 1})
 	table := renderedTable(r.Stats())
 
 	for _, want := range []string{
-		"retry: attempts=3 retries=2 degradations=1 failures=1 stalls=1",
 		"quarantined=2",
 		"plan hits/misses=3/1",
 	} {
@@ -45,7 +42,7 @@ func TestWriteTableOmitsQuietBlocks(t *testing.T) {
 	r := NewRecorder()
 	recordRun(r, func(*RunScope) {})
 	table := renderedTable(r.Stats())
-	for _, absent := range []string{"retry:", "pool:"} {
+	for _, absent := range []string{"pool:", "sched:"} {
 		if strings.Contains(table, absent) {
 			t.Errorf("quiet recorder renders %q:\n%s", absent, table)
 		}
@@ -84,23 +81,18 @@ func TestWriteTableRendersFusedBlock(t *testing.T) {
 
 func TestStatsSubResilienceBlocks(t *testing.T) {
 	r := NewRecorder()
-	r.AddRetry(RetryCounters{Attempts: 2, Retries: 1, Stalls: 1})
 	recordPool(r, PoolCounters{Hits: 4, Quarantined: 1})
 	before := r.Stats()
 
-	r.AddRetry(RetryCounters{Attempts: 3, Degradations: 2, Failures: 1})
 	recordPool(r, PoolCounters{Hits: 6, Quarantined: 2})
 
 	delta := r.Stats().Sub(before)
-	if delta.Retry != (RetryCounters{Attempts: 3, Degradations: 2, Failures: 1}) {
-		t.Fatalf("retry delta = %+v", delta.Retry)
-	}
 	if delta.Pool.Hits != 6 || delta.Pool.Quarantined != 2 {
 		t.Fatalf("pool delta = %+v", delta.Pool)
 	}
 	// A delta renders like any snapshot.
 	table := renderedTable(delta)
-	if !strings.Contains(table, "retry: attempts=3") || !strings.Contains(table, "quarantined=2") {
+	if !strings.Contains(table, "quarantined=2") {
 		t.Fatalf("delta table:\n%s", table)
 	}
 }

@@ -97,7 +97,7 @@ func (st *runState) injectCancel(p chaos.Point) {
 // halt and drains: only the tiles claimed before the fault run, under
 // any policy and worker count. Without the lock, a worker preempted
 // between the fault and its halt let the others run on, up to every
-// tile. Only armed runs (tests, the chaos drill) take the lock.
+// tile. Only armed runs (the chaos tests) take the lock.
 //
 //spgemm:hotpath
 func (st *runState) injectClaim(inj chaos.Injector) bool {

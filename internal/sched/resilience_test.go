@@ -13,8 +13,8 @@ import (
 // TestInjectedClaimCancel arms a spurious cancel on a tile claim under
 // every policy: the run must fail with an error matching both
 // context.Canceled (so existing dispatch treats it as a cancel) and
-// chaos.ErrInjected (so the retry classifier can tell it from a
-// caller's cancel), and run exactly the tiles claimed before the fault.
+// chaos.ErrInjected (so a test can tell it from a caller's cancel),
+// and run exactly the tiles claimed before the fault.
 func TestInjectedClaimCancel(t *testing.T) {
 	const nth = 3
 	for _, policy := range []Policy{Static, Dynamic, Guided} {

@@ -20,6 +20,7 @@ package spgemm
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"maskedspgemm/internal/mtx"
 	"maskedspgemm/internal/sparse"
@@ -65,11 +66,21 @@ type Triple struct {
 	Val      float64
 }
 
+// checkShape rejects, as ErrShape, a dimension that is negative or
+// past the int32 range of the matrix's indices, before anything sized
+// by it is allocated.
+func checkShape(rows, cols int) error {
+	if rows < 0 || cols < 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return fmt.Errorf("%w: shape %dx%d outside 0..%d", ErrShape, rows, cols, math.MaxInt32)
+	}
+	return nil
+}
+
 // FromTriples builds a rows×cols matrix from entries in any order;
 // duplicate positions sum.
 func FromTriples(rows, cols int, entries []Triple) (*Matrix, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("%w: negative shape %dx%d", ErrShape, rows, cols)
+	if err := checkShape(rows, cols); err != nil {
+		return nil, err
 	}
 	coo := sparse.NewCOO[float64](rows, cols, int64(len(entries)))
 	for _, e := range entries {
@@ -85,6 +96,9 @@ func FromTriples(rows, cols int, entries []Triple) (*Matrix, error) {
 // n vertices: both orientations of every edge are stored with value 1,
 // self-loops are dropped, duplicates collapse.
 func FromEdges(n int, edges [][2]int) (*Matrix, error) {
+	if err := checkShape(n, n); err != nil {
+		return nil, err
+	}
 	coo := sparse.NewCOO[float64](n, n, int64(2*len(edges)))
 	for _, e := range edges {
 		u, v := e[0], e[1]

@@ -29,28 +29,14 @@ var semiringKernels = [...]maskedKernel{
 // GrB_STRUCTURE, the paper's setting).
 //
 // Shape requirements: a is m×k, b is k×n, mask is m×n.
-//
-// With Options.Retry set, transient failures (ErrPanic, ErrStalled,
-// injected faults) are re-attempted on progressively degraded execution
-// paths — see Retry.
 func MxM(mask, a, b *Matrix, opts Options) (_ *Matrix, err error) {
 	defer recoverAsError(&err)
 	if err := opts.validate(namedOperand{"mask", mask}, namedOperand{"a", a}, namedOperand{"b", b}); err != nil {
 		return nil, err
 	}
-	c, err := opts.retry(func(o Options) (*sparse.CSR[float64], error) {
-		return mxmAttempt(mask, a, b, o)
-	})
+	c, err := semiringKernels[opts.Semiring](mask.csr, a.csr, b.csr, opts.config())
 	if err != nil {
 		return nil, err
 	}
 	return wrap(c), nil
-}
-
-// mxmAttempt runs one execution attempt of the masked product under the
-// (possibly degraded) options, containing panics on the caller's own
-// goroutine so the retry ladder can classify them.
-func mxmAttempt(mask, a, b *Matrix, opts Options) (_ *sparse.CSR[float64], err error) {
-	defer recoverAsError(&err)
-	return semiringKernels[opts.Semiring](mask.csr, a.csr, b.csr, opts.config())
 }

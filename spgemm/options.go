@@ -85,28 +85,19 @@ type Options struct {
 	// enable it at trust boundaries (user-supplied files), skip it in
 	// inner loops over matrices this package built itself.
 	ValidateInputs bool
-	// Retry re-executes a multiplication after transient failures —
-	// contained panics (ErrPanic), stall-watchdog verdicts (ErrStalled)
-	// and injected faults — descending a degradation ladder so the
-	// retried attempt cannot trip over the same concurrency or pooled
-	// state: parallel → serial, pooled → unpooled. The zero value
-	// disables retrying. See docs/RESILIENCE.md
-	// for the full taxonomy and ladder.
-	Retry Retry
 	// StallTimeout, when positive, arms a watchdog on every scheduled
 	// phase: if no tile completes for a full window, the run is stopped
 	// and reported as ErrStalled with the stacks of all goroutines at
 	// verdict time. The watchdog detects rather than preempts — a worker
 	// hung in non-cooperative code still holds its goroutine — but the
-	// typed error lets callers (and Options.Retry) respond instead of
-	// blocking forever on a lost workspace. 0 disables the watchdog.
+	// typed error lets callers respond instead of blocking forever on a
+	// lost workspace. 0 disables the watchdog.
 	StallTimeout time.Duration
 
 	// chaos, when non-nil, arms the deterministic fault-injection seams
 	// throughout the execution layers. Set only by this package's tests
-	// and the chaos harness (the injector type is internal); production
-	// callers leave it nil, which compiles every seam down to one
-	// pointer comparison.
+	// (the injector type is internal); production callers leave it nil,
+	// which compiles every seam down to one pointer comparison.
 	chaos chaos.Injector
 }
 

@@ -1,7 +1,6 @@
 package spgemm
 
 import (
-	"fmt"
 	"os"
 	"reflect"
 	"regexp"
@@ -50,7 +49,7 @@ func TestOptionsConfigMapping(t *testing.T) {
 // adding one is a decision, recorded here and in the docs, not a side
 // effect.
 const (
-	optionsFields      = 12
+	optionsFields      = 11
 	engineConfigFields = 3
 )
 
@@ -104,42 +103,5 @@ func checkFieldsDocumented(t *testing.T, typ reflect.Type, want int, path, headi
 	if exported != want {
 		t.Errorf("%s has %d exported fields, want %d: update the count and %s deliberately",
 			typ.Name(), exported, want, path)
-	}
-}
-
-// TestRungKeepsKappa pins what the retry ladder may change: a degraded
-// rung narrows the execution path (workers, then the engine) but keeps
-// the algebra, the static κ and Fuse, which no retried entry point
-// reads, so every rung computes the same product under the same Eq. 3
-// decisions.
-func TestRungKeepsKappa(t *testing.T) {
-	o := Defaults()
-	o.Kappa = 0.3
-	o.Workers = 4
-	o.Fuse = true
-	o.Semiring = SRPlusPair
-	o.Engine = NewEngine(EngineConfig{})
-	for try := 0; try <= 2; try++ {
-		t.Run(fmt.Sprintf("rung%d", try), func(t *testing.T) {
-			r := o.rung(try)
-			if r.Kappa != o.Kappa || r.Semiring != o.Semiring || r.Tiles != o.Tiles {
-				t.Fatalf("rung %d changed κ/semiring/tiles: %v/%v/%d", try, r.Kappa, r.Semiring, r.Tiles)
-			}
-			wantWorkers := 1
-			if try == 0 {
-				wantWorkers = 4
-			}
-			if r.Workers != wantWorkers {
-				t.Errorf("workers = %d, want %d", r.Workers, wantWorkers)
-			}
-			if !r.Fuse || (r.Engine != nil) != (try < 2) {
-				t.Errorf("fuse=%v engine=%v at rung %d", r.Fuse, r.Engine != nil, try)
-			}
-			noDegrade := o
-			noDegrade.Retry.NoDegrade = true
-			if nd := noDegrade.rung(try); nd.Workers != 4 || !nd.Fuse || nd.Engine == nil {
-				t.Errorf("NoDegrade rung %d narrowed the path: %+v", try, nd)
-			}
-		})
 	}
 }

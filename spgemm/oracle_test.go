@@ -101,10 +101,7 @@ func TestMxMOptionsAgreeWithOracle(t *testing.T) {
 		{"stats", func(o *spgemm.Options) { o.Stats = spgemm.NewStatsRecorder() }},
 		{"context", func(o *spgemm.Options) { o.Context = context.Background() }},
 		{"validate-inputs", func(o *spgemm.Options) { o.ValidateInputs = true }},
-		{"retry-and-watchdog", func(o *spgemm.Options) {
-			o.Retry = spgemm.Retry{MaxAttempts: 2}
-			o.StallTimeout = time.Minute
-		}},
+		{"watchdog", func(o *spgemm.Options) { o.StallTimeout = time.Minute }},
 	}
 	for _, sr := range []spgemm.Semiring{spgemm.SRPlusTimes, spgemm.SRPlusPair, spgemm.SROrAnd} {
 		want := maskedOracle(t, sr, mask, a, b)

@@ -2,6 +2,8 @@ package spgemm_test
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -57,8 +59,36 @@ func TestFromTriples(t *testing.T) {
 	if _, err := spgemm.FromTriples(2, 2, []spgemm.Triple{{5, 0, 1}}); err == nil {
 		t.Error("out-of-range triple accepted")
 	}
-	if _, err := spgemm.FromTriples(-1, 2, nil); err == nil {
-		t.Error("negative shape accepted")
+}
+
+// TestConstructorsRejectBadShape requires both constructors to refuse a
+// negative dimension, or one past the int32 index range, with ErrShape
+// and before allocating anything sized by it; an empty shape is valid.
+func TestConstructorsRejectBadShape(t *testing.T) {
+	const over = math.MaxInt32 + 1
+	for _, c := range []struct {
+		name  string
+		build func() (*spgemm.Matrix, error)
+		ok    bool
+	}{
+		{"triples/empty", func() (*spgemm.Matrix, error) { return spgemm.FromTriples(0, 0, nil) }, true},
+		{"triples/negative-rows", func() (*spgemm.Matrix, error) { return spgemm.FromTriples(-1, 2, nil) }, false},
+		{"triples/negative-cols", func() (*spgemm.Matrix, error) { return spgemm.FromTriples(2, -1, nil) }, false},
+		{"triples/rows-past-int32", func() (*spgemm.Matrix, error) { return spgemm.FromTriples(over, 2, nil) }, false},
+		{"triples/cols-past-int32", func() (*spgemm.Matrix, error) { return spgemm.FromTriples(2, over, nil) }, false},
+		{"edges/empty", func() (*spgemm.Matrix, error) { return spgemm.FromEdges(0, nil) }, true},
+		{"edges/negative", func() (*spgemm.Matrix, error) { return spgemm.FromEdges(-1, nil) }, false},
+		{"edges/past-int32", func() (*spgemm.Matrix, error) { return spgemm.FromEdges(over, nil) }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := c.build()
+			if c.ok && err != nil {
+				t.Fatalf("err = %v, want a matrix", err)
+			}
+			if !c.ok && !errors.Is(err, spgemm.ErrShape) {
+				t.Fatalf("err = %v, want ErrShape", err)
+			}
+		})
 	}
 }
 
