@@ -1,6 +1,7 @@
 package spgemm
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -14,6 +15,71 @@ func equalResult(t *testing.T, want, got *Matrix, label string) {
 	t.Helper()
 	if !want.Equal(got) {
 		t.Fatalf("%s: result differs from reference", label)
+	}
+}
+
+// TestMxMInjectedPanic arms a one-shot kernel panic on the default
+// (unshared) engine: the call returns a typed ErrPanic that matches the
+// injected fault, and the next fault-free call is bit-identical to the
+// reference.
+func TestMxMInjectedPanic(t *testing.T) {
+	a := RandomGraph("er", 96, 11)
+	opts := Defaults()
+	ref, err := MxM(a, a, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sd := chaos.NewSeeded(421)
+	sd.Arm(chaos.RowKernel, chaos.KindPanic, 3, 0)
+	opts.chaos = sd
+	if _, err := MxM(a, a, a, opts); !errors.Is(err, ErrPanic) || !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("injected panic: %v, want ErrPanic matching chaos.ErrInjected", err)
+	}
+	if sd.Fired(chaos.RowKernel) != 1 {
+		t.Fatalf("trigger fired %d times, want 1", sd.Fired(chaos.RowKernel))
+	}
+	opts.chaos = nil
+	got, err := MxM(a, a, a, opts)
+	if err != nil {
+		t.Fatalf("multiply after the fault: %v", err)
+	}
+	equalResult(t, ref, got, "result after the fault")
+}
+
+// TestMxMInjectedCancel tells the two cancels apart at the facade: an
+// injected claim cancel is ErrCanceled matching chaos.ErrInjected, and
+// a real caller cancel is ErrCanceled that does not.
+func TestMxMInjectedCancel(t *testing.T) {
+	a := RandomGraph("er", 96, 12)
+	opts := Defaults()
+	ref, err := MxM(a, a, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sd := chaos.NewSeeded(422)
+	sd.Arm(chaos.TileClaim, chaos.KindCancel, 2, 0)
+	opts.chaos = sd
+	_, err = MxM(a, a, a, opts)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, chaos.ErrInjected) || errors.Is(err, ErrPanic) {
+		t.Fatalf("injected cancel: %v, want ErrCanceled matching chaos.ErrInjected", err)
+	}
+	if sd.Fired(chaos.TileClaim) != 1 {
+		t.Fatalf("trigger fired %d times, want 1", sd.Fired(chaos.TileClaim))
+	}
+	opts.chaos = nil
+	got, err := MxM(a, a, a, opts)
+	if err != nil {
+		t.Fatalf("multiply after the injected cancel: %v", err)
+	}
+	equalResult(t, ref, got, "result after the injected cancel")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts.Context = ctx
+	if _, err := MxM(a, a, a, opts); !errors.Is(err, ErrCanceled) || errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("real cancel: %v, want plain ErrCanceled", err)
 	}
 }
 
