@@ -330,7 +330,7 @@ func BenchmarkFormulations(b *testing.B) {
 		b.Run(name+"/saxpy-hybrid", func(b *testing.B) { runMasked(b, a, cfg) })
 		b.Run(name+"/complement", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMMComp[float64](sr, a, a, a, cfg); err != nil {
+				if _, err := core.MaskedSpGEMMComp[float64](sr, nil, a, a, a, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -92,7 +92,7 @@ var productForms = []productForm{
 		return c, nil
 	}},
 	{"comp", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		return MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
+		return MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, nil, m, a, b, cfg)
 	}},
 }
 

@@ -23,11 +23,17 @@ import (
 // engine's pool (cfg.Engine) or constructed per call without one. The
 // run itself is the shared protocol's (run.go), so a complement run is
 // planned, guarded, spanned and counted like every other.
+//
+// dst lends the result its storage exactly as in MaskedSpGEMMInto: it
+// is overwritten, grown only when too small, and returned; nil
+// allocates. A caller that knows a bound on its results (batched BC's
+// forward fronts) assembles each one straight into a free tail of its
+// own storage.
 func MaskedSpGEMMComp[T sparse.Number, S semiring.Semiring[T]](
-	sr S, m, a, b *sparse.CSR[T], cfg Config,
+	sr S, dst, m, a, b *sparse.CSR[T], cfg Config,
 ) (*sparse.CSR[T], error) {
 	p := newProduct(sr, m, a, b, cfg)
-	p.comp = true
+	p.comp, p.dst = true, dst
 	return p.run(cfg.Context)
 }
 

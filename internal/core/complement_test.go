@@ -32,7 +32,7 @@ func TestMaskedSpGEMMCompVsOracle(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Tiles = r.Intn(5) + 1
 		cfg.Workers = 2
-		got, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
+		got, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, nil, m, a, b, cfg)
 		if err != nil {
 			return false
 		}
@@ -75,7 +75,7 @@ func TestMaskedSpGEMMCompComplementary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := MaskedSpGEMMComp[float64](sr, a, a, a, cfg)
+	comp, err := MaskedSpGEMMComp[float64](sr, nil, a, a, a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestMaskedSpGEMMCompEmptyMask(t *testing.T) {
 	empty := sparse.NewCOO[float64](20, 20, 0).ToCSR()
 	cfg := DefaultConfig()
 	sr := semiring.PlusTimes[float64]{}
-	got, err := MaskedSpGEMMComp[float64](sr, empty, a, a, cfg)
+	got, err := MaskedSpGEMMComp[float64](sr, nil, empty, a, a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestMaskedSpGEMMCompErrors(t *testing.T) {
 	a := randMatrix(5, 6, 0.5, r)
 	b := randMatrix(7, 5, 0.5, r)
 	m := randMatrix(5, 5, 0.5, r)
-	if _, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, m, a, b, DefaultConfig()); err == nil {
+	if _, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, nil, m, a, b, DefaultConfig()); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 	z := sparse.NewCSR[float64](0, 0, 0)
-	if got, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, z, z, z, DefaultConfig()); err != nil || got.Rows != 0 {
+	if got, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, nil, z, z, z, DefaultConfig()); err != nil || got.Rows != 0 {
 		t.Errorf("zero rows: %v %v", got, err)
 	}
 }

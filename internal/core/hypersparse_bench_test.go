@@ -35,7 +35,7 @@ func BenchmarkHypersparseProduct(b *testing.B) {
 	sr := semiring.PlusTimes[float64]{}
 	cfg := core.DefaultConfig()
 	cfg.Engine = exec.New(exec.Config{})
-	next, err := core.MaskedSpGEMMComp[float64](sr, f, lattice, f, cfg)
+	next, err := core.MaskedSpGEMMComp[float64](sr, nil, f, lattice, f, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func BenchmarkHypersparseProduct(b *testing.B) {
 			return core.MaskedSpGEMM[float64](sr, next, lattice, f, cfg)
 		}},
 		{"complement", func() (*sparse.CSR[float64], error) {
-			return core.MaskedSpGEMMComp[float64](sr, f, lattice, f, cfg)
+			return core.MaskedSpGEMMComp[float64](sr, nil, f, lattice, f, cfg)
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

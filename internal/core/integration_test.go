@@ -115,7 +115,7 @@ func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 			}
 
 			// Masked + complement partition the unmasked product.
-			comp, err := MaskedSpGEMMComp[float64](sr, a, a, a, DefaultConfig())
+			comp, err := MaskedSpGEMMComp[float64](sr, nil, a, a, a, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

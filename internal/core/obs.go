@@ -72,11 +72,12 @@ func spanned(ctx context.Context, scope *obs.RunScope, phase obs.Phase, fn func(
 // planFor resolves the execution plan — tile partition plus accumulator
 // row-capacity bound. It first asks the paper's title question of the
 // call itself: a product whose untiled serial pass would touch fewer
-// than tileCrossover units (see belowTileCrossover) gets the one-tile plan
-// {[0, rows)}, built without Eq. 2 arrays and neither looked up in nor
-// stored to the plan cache — an iterative caller's key could only miss,
-// and the stored entry would pin three operands nobody multiplies
-// again; and without the row-bound pass when the run sizes no
+// than tileCrossover units (see belowTileCrossover) gets the one-tile
+// plan {[0, rows)} — nil Tiles, so the run keeps its one tile in the
+// workspace rather than a new slice — built without Eq. 2 arrays and
+// neither looked up in nor stored to the plan cache (an iterative
+// caller's key could only miss, and the stored entry would pin three
+// operands nobody multiplies again); and without the row-bound pass when the run sizes no
 // accumulator from it (accs false: ¬M runs on dense scratch). Every
 // other product goes through the engine's fingerprint-keyed cache when
 // cfg.Engine is set, building (under the scope's plan spans) on a miss.
@@ -91,7 +92,6 @@ func planFor[T sparse.Number](
 		if accs {
 			plan, err = rowCapacity(ctx, cfg, pw, a, b, m, scope)
 		}
-		plan.Tiles = []tiling.Tile{{Lo: 0, Hi: a.Rows}}
 		return plan, err
 	}
 	build := func() (exec.Plan, error) {

@@ -260,7 +260,7 @@ func TestRecorderComplementRun(t *testing.T) {
 	cfg.Tiles = 5
 	cfg.Workers = 2
 	cfg.Recorder = obs.NewRecorder()
-	c, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
+	c, err := MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, nil, m, a, b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,8 +168,8 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	if err != nil {
 		return nil, wrapRunErr(err)
 	}
-	tiles := plan.Tiles
-	workers := cfg.runWorkers(len(tiles))
+	ntiles := max(len(plan.Tiles), 1) // nil Tiles: the one-tile plan
+	workers := cfg.runWorkers(ntiles)
 
 	// The workspace carries the per-worker accumulators (§III-C sizing:
 	// masked spaces hold at most max_i nnz(M[i,:]) entries per row; the
@@ -190,7 +190,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 		}
 		ws.Release()
 	}()
-	staging := len(tiles)
+	staging := ntiles
 	if p.stream {
 		staging = workers
 	}
@@ -204,6 +204,11 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 			ws = exec.Masked[T, S](cfg.Engine, p.sr, l.Kind, cfg.MarkerBits, p.b.Cols, l.RowCap, workers, staging)
 		}
 		accs = ws.Accs[:workers]
+	}
+	tiles := plan.Tiles
+	if tiles == nil {
+		ws.OneTile[0] = tiling.Tile{Lo: 0, Hi: rows}
+		tiles = ws.OneTile[:]
 	}
 	if cfg.Resilience != nil {
 		defer armAccumChaos(cfg, accs)()

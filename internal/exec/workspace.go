@@ -8,6 +8,7 @@ import (
 	"maskedspgemm/internal/chaos"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
+	"maskedspgemm/internal/tiling"
 )
 
 // Workspace is the operand-independent half of a masked-SpGEMM
@@ -59,6 +60,9 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	// ScratchCols is index scratch for the run holding the workspace (a
 	// one-tile run's live rows).
 	ScratchCols []sparse.Index
+	// OneTile holds the tile list of a one-tile run, which its plan
+	// leaves nil.
+	OneTile [1]tiling.Tile
 }
 
 // TileBuf stages one tile's slice of the result before assembly.

@@ -37,19 +37,31 @@ func BetweennessCentralityBatchFused(a *sparse.CSR[float64], sources []int, cfg 
 }
 
 // bcFront is one level's compact front: its vertices, ascending, are
-// rows[lo:hi] of the sweep's arena; m holds their entries, a row each.
+// rows[lo:hi] of the sweep; m holds their entries, a row each, as a
+// view into the sweep's arenas with its capacity clipped, so the next
+// product's lent tail never overlaps it.
 type bcFront struct {
 	lo, hi int
-	m      *sparse.CSR[float64]
+	m      sparse.CSR[float64]
 }
 
-// bcSweep is the per-call state of a batched BC: the row arena, the
-// visited set, and the buffers each level's products reuse.
+// bcSweep is the per-call state of a batched BC: the vertex and front
+// arenas, the visited set, and the buffers each level's products reuse.
 type bcSweep struct {
-	a, at  *sparse.CSR[float64]
-	s      int
-	rows   []sparse.Index
-	fronts []bcFront
+	a, at *sparse.CSR[float64]
+	s     int
+	rows  []sparse.Index
+	// The arenas every forward front is assembled into, sized once per
+	// call: a pair (v, b) enters one front, so the fronts' entries and
+	// rows, and the rows so far plus a level's candidates (each has an
+	// unreached pair), stay within n·s; each of the at most n fronts and
+	// the product in flight (next) add one leading row pointer.
+	rp     []int64
+	cols   []sparse.Index
+	vals   []float64
+	cur    bcFront
+	levels int
+	next   sparse.CSR[float64]
 	// seen holds bit v*s+b once source b reached v: the visited set V.
 	// reached[v] counts v's bits.
 	seen    []uint64
@@ -64,7 +76,7 @@ type bcSweep struct {
 
 // index numbers f's vertices (column k of A or Aᵀ is in f when
 // stamp[k] == tag) and empties sub, f wide, and mask.
-func (sw *bcSweep) index(f bcFront) {
+func (sw *bcSweep) index(f *bcFront) {
 	sw.tag++
 	for i, v := range sw.rows[f.lo:f.hi] {
 		sw.stamp[v], sw.pos[v] = sw.tag, int32(i)
@@ -90,7 +102,7 @@ func (sw *bcSweep) extractRow(src *sparse.CSR[float64], v sparse.Index) {
 // candidates fills sub with Aᵀ(R,f) and mask with V(R,:), and returns
 // R: the ascending out-neighbours of f some source has not reached (the
 // complement product would skip a fully reached row).
-func (sw *bcSweep) candidates(f bcFront) []sparse.Index {
+func (sw *bcSweep) candidates(f *bcFront) []sparse.Index {
 	sw.tag++
 	sw.cand = sw.cand[:0]
 	for _, u := range sw.rows[f.lo:f.hi] {
@@ -117,9 +129,17 @@ func (sw *bcSweep) candidates(f bcFront) []sparse.Index {
 	return sw.cand
 }
 
-// push compacts next, a product over the rows r, in place to its
-// nonempty rows and keeps them as the next front, recording their path
-// counts in sigma and entries in seen. It reports whether any held one.
+// tail points the lent header at the arenas' free tails, where push
+// commits what is assembled into it.
+func (sw *bcSweep) tail() *sparse.CSR[float64] {
+	sw.next = sparse.CSR[float64]{Cols: sw.s, RowPtr: sw.rp[len(sw.rp):], ColIdx: sw.cols[len(sw.cols):], Val: sw.vals[len(sw.vals):]}
+	return &sw.next
+}
+
+// push compacts the row pointers of next, a product over the rows r
+// assembled into the arenas' tails, to its nonempty rows, and commits
+// them as the next front, recording their path counts in sigma and
+// entries in seen. It reports whether any row held one.
 func (sw *bcSweep) push(next *sparse.CSR[float64], r []sparse.Index, sigma []float64) bool {
 	lo, k := len(sw.rows), 0
 	for i, v := range r {
@@ -140,9 +160,26 @@ func (sw *bcSweep) push(next *sparse.CSR[float64], r []sparse.Index, sigma []flo
 	if k == 0 {
 		return false
 	}
-	next.Rows, next.RowPtr = k, next.RowPtr[:k+1]
-	sw.fronts = append(sw.fronts, bcFront{lo: lo, hi: len(sw.rows), m: next})
+	rp, nz := len(sw.rp), len(sw.cols)
+	end := nz + int(next.RowPtr[k])
+	sw.rp, sw.cols, sw.vals = sw.rp[:rp+k+1], sw.cols[:end], sw.vals[:end]
+	sw.cur = sw.front(lo, rp, nz)
+	sw.levels++
 	return true
+}
+
+// front views the committed front whose vertices start at rows[lo],
+// row pointers at rp[p] and entries at cols[nz]. Its row pointers
+// start at 0 and rise (its rows are nonempty), so the next zero, or the
+// arena's end, ends them.
+func (sw *bcSweep) front(lo, p, nz int) bcFront {
+	end := p + 1
+	for end < len(sw.rp) && sw.rp[end] != 0 {
+		end++
+	}
+	rows, hi := end-p-1, nz+int(sw.rp[end-1])
+	return bcFront{lo: lo, hi: lo + rows, m: sparse.CSR[float64]{Rows: rows, Cols: sw.s,
+		RowPtr: sw.rp[p:end:end], ColIdx: sw.cols[nz:hi:hi], Val: sw.vals[nz:hi:hi]}}
 }
 
 func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool) ([]float64, error) {
@@ -160,7 +197,8 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 	sw := &bcSweep{
 		a: a, at: sparse.Transpose(a), s: s, seen: make([]uint64, (n*s+63)/64),
 		pos: idx[:n], stamp: idx[n : 2*n], reached: idx[2*n:],
-		rows: make([]sparse.Index, 0, n), cand: make([]sparse.Index, 0, n),
+		rows: make([]sparse.Index, 0, n*s), cand: make([]sparse.Index, 0, n),
+		rp: make([]int64, 0, n*(s+1)+1), cols: make([]sparse.Index, 0, n*s), vals: make([]float64, 0, n*s),
 		sub: *sparse.NewCSR[float64](n, 0, int64(n)), mask: *sparse.NewCSR[float64](n, 0, int64(n)),
 	}
 	// sigma[v*s+b] accumulates shortest-path counts.
@@ -175,7 +213,8 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 	}
 	slices.Sort(sw.cand)
 	sw.cand = slices.Compact(sw.cand)
-	f0 := sparse.NewCSR[float64](len(sw.cand), s, int64(s))
+	f0 := sw.tail()
+	f0.RowPtr = f0.RowPtr[:len(sw.cand)+1]
 	for i, v := range sw.cand {
 		for b, src := range sources {
 			if src == int(v) {
@@ -186,29 +225,39 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 	}
 	sw.push(f0, sw.cand, sigma)
 
-	// Forward sweep: every front is kept for the backward phase.
+	// Forward sweep: every front stays in the arenas for the backward
+	// phase.
 	for grew := true; grew; {
-		f := sw.fronts[len(sw.fronts)-1]
-		r := sw.candidates(f)
-		next, err := core.MaskedSpGEMMComp[float64](sr, &sw.mask, &sw.sub, f.m, cfg)
+		r := sw.candidates(&sw.cur)
+		next, err := core.MaskedSpGEMMComp[float64](sr, sw.tail(), &sw.mask, &sw.sub, &sw.cur.m, cfg)
 		if err != nil {
 			return nil, err
 		}
 		grew = sw.push(next, r, sigma)
+	}
+	// The fronts' views, cut from the arenas once.
+	fronts := make([]bcFront, sw.levels)
+	for d, lo, p, nz := 0, 0, 0, 0; d < len(fronts); d++ {
+		fronts[d] = sw.front(lo, p, nz)
+		lo, p, nz = fronts[d].hi, p+fronts[d].m.Rows+1, nz+len(fronts[d].m.ColIdx)
 	}
 
 	// Backward sweep: dependency accumulation, deepest front first.
 	delta := make([]float64, n*s)
 	// W_d, front d's pattern carrying (1+delta)/sigma, borrows its row
 	// pointers and columns under one header, with values in one buffer
-	// sized by the widest front; every level's staged T shares one buffer.
-	var widest int64
-	for _, fr := range sw.fronts[1:] {
-		widest = max(widest, fr.m.NNZ())
+	// sized by the widest front. Every level's staged T, which F_{d-1}
+	// bounds, shares one result sized up front by the fronts.
+	var widest, tallest int64
+	for _, fr := range fronts {
+		widest, tallest = max(widest, fr.m.NNZ()), max(tallest, int64(fr.m.Rows))
 	}
 	w := &sparse.CSR[float64]{Cols: s}
 	wVals := make([]float64, widest)
 	var tm *sparse.CSR[float64]
+	if !fused {
+		tm = sparse.NewCSR[float64](int(tallest), s, widest)
+	}
 	// fold adds row i of T (vertex prev[i] of F_{d-1}) into delta; the
 	// fused T streams its rows into it. One closure serves every level.
 	var prev []sparse.Index
@@ -218,8 +267,8 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 			delta[base+int(b)] += vals[p] * sigma[base+int(b)]
 		}
 	}
-	for d := len(sw.fronts) - 1; d >= 1; d-- {
-		f, fp := sw.fronts[d], sw.fronts[d-1]
+	for d := len(fronts) - 1; d >= 1; d-- {
+		f, fp := &fronts[d], &fronts[d-1]
 		w.Rows, w.RowPtr, w.ColIdx, w.Val = f.m.Rows, f.m.RowPtr, f.m.ColIdx, wVals[:f.m.NNZ()]
 		for i, v := range sw.rows[f.lo:f.hi] {
 			base := int(v) * s
@@ -236,13 +285,13 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 			sw.extractRow(a, u)
 		}
 		if fused {
-			if err := core.MaskedSpGEMMStream[float64](sr, fp.m, &sw.sub, w, cfg, fold); err != nil {
+			if err := core.MaskedSpGEMMStream[float64](sr, &fp.m, &sw.sub, w, cfg, fold); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		var err error
-		tm, err = core.MaskedSpGEMMInto[float64](sr, tm, fp.m, &sw.sub, w, cfg)
+		tm, err = core.MaskedSpGEMMInto[float64](sr, tm, &fp.m, &sw.sub, w, cfg)
 		if err != nil {
 			return nil, err
 		}

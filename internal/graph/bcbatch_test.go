@@ -35,7 +35,7 @@ func bcBatchWhole(a *sparse.CSR[float64], sources []int, cfg core.Config, fused 
 	visited := f.Clone()
 	fronts := []*sparse.CSR[float64]{f}
 	for f.NNZ() > 0 {
-		next, err := core.MaskedSpGEMMComp[float64](sr, visited, a, f, cfg)
+		next, err := core.MaskedSpGEMMComp[float64](sr, nil, visited, a, f, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -198,6 +198,53 @@ func TestBCBatchDirected(t *testing.T) {
 					t.Fatalf("graph %d fused=%v: bc[%d] = %v, the vector BC says %v", gi, fused, v, got[v], vector[v])
 				}
 			}
+		}
+	}
+}
+
+// TestBCBatchAllocsPerLevel pins what a level of batched BC allocates
+// on a warm shared engine at the production crossover, where every
+// product is one tile: the tile closure and nothing else. The fronts
+// live in per-call arenas, each forward product assembles into their
+// free tail, the staged T is sized once, and a one-tile product
+// allocates no plan or scheduler state, so a deeper lattice may cost at
+// most one allocation per extra product. A call makes one forward
+// product per front (the last comes back empty) and one backward
+// product per front but the first.
+func TestBCBatchAllocsPerLevel(t *testing.T) {
+	old := core.SetTileCrossoverForTest(productionCrossover)
+	defer core.SetTileCrossoverForTest(old)
+	sources := []int{0, 4, 9, 13}
+	products := func(a *sparse.CSR[float64]) int {
+		var depth int32
+		for _, src := range sources {
+			depth = max(depth, slices.Max(bruteBFS(a, src)))
+		}
+		fronts := int(depth) + 1
+		return 2*fronts - 1
+	}
+	shallow, deep := graphgen.RoadNetwork(10, 12, 1, 5), graphgen.RoadNetwork(10, 36, 1, 5)
+	extra := products(deep) - products(shallow)
+	if extra <= 0 {
+		t.Fatalf("the deep lattice makes %d more products than the shallow one", extra)
+	}
+	for _, fused := range []bool{false, true} {
+		cfg := core.DefaultConfig()
+		cfg.Engine = exec.New(exec.Config{})
+		allocs := func(a *sparse.CSR[float64]) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := bcBatch(a, sources, cfg, fused); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Warm the engine's pool for both lattices before counting.
+		allocs(shallow)
+		allocs(deep)
+		lo, hi := allocs(shallow), allocs(deep)
+		if hi-lo > float64(extra) {
+			t.Errorf("fused=%v: %.0f allocations on the shallow lattice, %.0f on the deep one: %.0f more for %d more products",
+				fused, lo, hi, hi-lo, extra)
 		}
 	}
 }

@@ -75,29 +75,48 @@ func (st *runState) stall(se *StallError) {
 	st.halt()
 }
 
-// injectCancel records an injected spurious cancel and sets stop. The
-// cause matches both chaos.ErrInjected and context.Canceled under
-// errors.Is, so callers can distinguish it from a genuine cancel.
-func (st *runState) injectCancel(p chaos.Point) {
-	st.mu.Lock()
-	if st.cause == nil {
-		st.cause = fmt.Errorf("sched: injected spurious cancel at %v: %w",
-			p, errors.Join(chaos.ErrInjected, context.Canceled))
+// seamFault steps inj at seam pt and returns the injected spurious
+// cancel an Error or Cancel fault becomes; nil for any other outcome
+// (panic and delay faults execute inside chaos.Step). The cancel
+// matches both chaos.ErrInjected and context.Canceled under errors.Is,
+// so callers can tell it from a genuine cancel.
+func seamFault(inj chaos.Injector, pt chaos.Point) error {
+	switch chaos.Step(inj, pt) {
+	case chaos.KindError, chaos.KindCancel:
+		return fmt.Errorf("sched: injected spurious cancel at %v: %w",
+			pt, errors.Join(chaos.ErrInjected, context.Canceled))
 	}
-	st.mu.Unlock()
-	st.halt()
+	return nil
 }
 
-// injectClaim fires the TileClaim seam; true means the worker must
-// drain. Panic and delay faults execute inside chaos.Step (the panic is
-// caught by the worker's guard frame).
-//
-// Workers cross an armed seam one at a time and re-read the stop flag
-// inside it, so every crossing after an injected cancel comes after its
-// halt and drains: only the tiles claimed before the fault run, under
-// any policy and worker count. Without the lock, a worker preempted
-// between the fault and its halt let the others run on, up to every
-// tile. Only armed runs (the chaos tests) take the lock.
+// inject fires seam pt; true means the worker must drain: an Error or
+// Cancel fault became the run's cause (the first one recorded wins)
+// and stopped it, or the run is stopping anyway. Panic and delay
+// faults execute inside chaos.Step (the panic is caught by the
+// worker's guard frame).
+func (st *runState) inject(inj chaos.Injector, pt chaos.Point) bool {
+	if inj == nil {
+		return false
+	}
+	if err := seamFault(inj, pt); err != nil {
+		st.mu.Lock()
+		if st.cause == nil {
+			st.cause = err
+		}
+		st.mu.Unlock()
+		st.halt()
+		return true
+	}
+	return st.stop.Load()
+}
+
+// injectClaim fires the TileClaim seam (inject). Workers cross an
+// armed seam one at a time and re-read the stop flag inside it, so
+// every crossing after an injected cancel comes after its halt and
+// drains: only the tiles claimed before the fault run, under any policy
+// and worker count. Without the lock, a worker preempted between the
+// fault and its halt let the others run on, up to every tile. Only
+// armed runs (the chaos tests) take the lock.
 //
 //spgemm:hotpath
 func (st *runState) injectClaim(inj chaos.Injector) bool {
@@ -106,27 +125,7 @@ func (st *runState) injectClaim(inj chaos.Injector) bool {
 	}
 	st.seam.Lock()
 	defer st.seam.Unlock()
-	switch chaos.Step(inj, chaos.TileClaim) {
-	case chaos.KindError, chaos.KindCancel:
-		//lint:ignore hotpathalloc allocates only when a fault fires, and the run stops with it
-		st.injectCancel(chaos.TileClaim)
-		return true
-	}
-	return st.stop.Load()
-}
-
-// injectSpawn fires the WorkerSpawn seam; true means the worker must
-// drain without running its loop.
-func (st *runState) injectSpawn(inj chaos.Injector) bool {
-	if inj == nil {
-		return false
-	}
-	switch chaos.Step(inj, chaos.WorkerSpawn) {
-	case chaos.KindError, chaos.KindCancel:
-		st.injectCancel(chaos.WorkerSpawn)
-		return true
-	}
-	return st.stop.Load()
+	return st.inject(inj, chaos.TileClaim)
 }
 
 // watchStall arms the stall watchdog: a side goroutine that samples the

@@ -84,11 +84,17 @@ func (st *runState) halt() {
 	}
 }
 
+// panicError wraps the value worker w panicked with, and the stack of
+// the panicking goroutine; call it from the recovering frame.
+func panicError(w int, v any) *PanicError {
+	return &PanicError{Value: v, Stack: debug.Stack(), Worker: w}
+}
+
 // capture records the first panic and tells every worker to drain.
-func (st *runState) capture(w int, v any, stack []byte) {
+func (st *runState) capture(pe *PanicError) {
 	st.mu.Lock()
 	if st.pe == nil {
-		st.pe = &PanicError{Value: v, Stack: stack, Worker: w}
+		st.pe = pe
 	}
 	st.mu.Unlock()
 	st.halt()
@@ -112,14 +118,19 @@ func (st *runState) watch(ctx context.Context) (finish func()) {
 	return func() { close(quit) }
 }
 
-// err resolves the run's outcome: a worker panic wins over everything;
-// a genuinely cancelled context is reported even if it raced with
-// completion (matching the context package's own convention); then a
-// stall verdict; then an injected spurious cancel.
+// err resolves the run's outcome from what its workers recorded.
 func (st *runState) err(ctx context.Context) error {
 	st.mu.Lock()
 	pe, se, cause := st.pe, st.se, st.cause
 	st.mu.Unlock()
+	return outcome(ctx, pe, se, cause)
+}
+
+// outcome is the error precedence of every run: a worker panic wins
+// over everything; a genuinely cancelled context is reported even if it
+// raced with completion (matching the context package's own
+// convention); then a stall verdict; then an injected spurious cancel.
+func outcome(ctx context.Context, pe *PanicError, se *StallError, cause error) error {
 	if pe != nil {
 		return pe
 	}
@@ -138,7 +149,7 @@ func (st *runState) err(ctx context.Context) error {
 func (st *runState) guard(w int, loop func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			st.capture(w, r, debug.Stack())
+			st.capture(panicError(w, r))
 		}
 	}()
 	loop()

@@ -134,10 +134,11 @@ type waveBarrier struct {
 	phase   int64
 }
 
-// barrierFor returns the barrier of a run of nw waves on p workers: nil
-// when there is no boundary to cross or no second worker to wait for.
-func barrierFor(p, nw int) *waveBarrier {
-	if p <= 1 || nw <= 1 {
+// barrierFor returns the barrier of a run of nw waves: nil when there
+// is no boundary to cross. A lone worker (a watchdog-armed run on one
+// worker) arrives last at every barrier and never parks.
+func barrierFor(nw int) *waveBarrier {
+	if nw <= 1 {
 		return nil
 	}
 	b := &waveBarrier{}
@@ -200,15 +201,16 @@ func RunWavesE(ctx context.Context, policy Policy, p int, plan WavePlan, fn func
 // resilience extras. fn must be safe for concurrent invocation with
 // distinct tile indices; the worker id lets callers keep per-worker
 // scratch (accumulators, output buffers) without locking. With one
-// worker the tiles run inline on the caller's goroutine, so
-// single-worker measurements carry no goroutine overhead. Within a
-// wave, workers claim tiles under the policy (Static ownership keeps the
+// worker and no stall watchdog the tiles run inline on the caller's
+// goroutine with the run's state on its stack (runInline), so a
+// single-worker run carries no goroutine and allocates nothing of its
+// own; it reports the same errors as the worker path. Within a wave,
+// workers claim tiles under the policy (Static ownership keeps the
 // global t mod p == worker invariant across waves; a Guided worker
 // claims max(remaining/p, 1) tiles per atomic operation); at each wave
-// boundary the
-// persistent workers cross a condition-variable barrier, with the last
-// arriver resetting the shared claim counter for the next wave while
-// every other worker is parked. Single-wave plans never touch the
+// boundary the persistent workers cross a condition-variable barrier,
+// with the last arriver resetting the shared claim counter for the next
+// wave while every other worker is parked. Single-wave plans never touch the
 // barrier machinery, so the flat case pays nothing for the generality.
 func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt RunOpts, fn func(worker, tile int)) error {
 	switch policy {
@@ -225,6 +227,9 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 	if p > plan.Widest() {
 		p = plan.Widest()
 	}
+	if p <= 1 && opt.StallTimeout <= 0 {
+		return runInline(ctx, plan, opt.Chaos, fn)
+	}
 	nw := plan.NumWaves()
 	inj := opt.Chaos
 	ws := opt.WaveStats
@@ -235,34 +240,12 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 	var st runState
 	// Assigned once, so the worker closures hold bar by value and a run
 	// that needs no barrier allocates no cell for it.
-	bar := barrierFor(p, nw)
+	bar := barrierFor(nw)
 	if bar != nil {
 		st.wake = bar.wake
 	}
 	defer st.watch(ctx)()
 	defer st.watchStall(opt.StallTimeout, int64(plan.Tiles()), int64(nw))()
-
-	if p <= 1 {
-		st.guard(0, func() {
-			if st.injectSpawn(inj) {
-				return
-			}
-			for wv := 0; wv < nw; wv++ {
-				wave := plan.WaveAt(wv)
-				st.wave.Store(int64(wv))
-				for t := wave.Lo; t < wave.Hi; t++ {
-					if st.stop.Load() || st.injectClaim(inj) {
-						return
-					}
-					fn(0, t)
-					if wd {
-						st.done.Add(1)
-					}
-				}
-			}
-		})
-		return st.err(ctx)
-	}
 
 	// next is the shared claim counter of the current wave (Dynamic and
 	// Guided). It is reset at each barrier opening by the last arriver;
@@ -334,7 +317,7 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 		go func() {
 			defer wg.Done()
 			st.guard(w, func() {
-				if st.injectSpawn(inj) {
+				if st.inject(inj, chaos.WorkerSpawn) {
 					// Draining implies the stop flag is raised, so no
 					// other worker can reach a barrier and wait on us.
 					return
@@ -344,7 +327,10 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 					if wv+1 >= nw || st.stop.Load() {
 						return
 					}
-					if st.injectBarrier(inj) {
+					// Draining here is safe mid-protocol: an injected
+					// cancel halts the run, which wakes the parked workers
+					// to drain with this one.
+					if st.inject(inj, chaos.WaveBarrier) {
 						return
 					}
 					if ws != nil {
@@ -386,20 +372,55 @@ func claimGuidedRange(next *atomic.Int64, hi, p int) (lo, hi2 int) {
 	}
 }
 
-// injectBarrier fires the WaveBarrier seam once per worker per barrier
-// crossing, before the worker arrives; true means the worker must drain.
-// Draining is safe mid-protocol: the injected cancel raises the stop
-// flag and broadcasts, so workers already parked at the barrier wake,
-// observe stop, and drain with it — the barrier is never left waiting
-// on a worker that will not come.
-func (st *runState) injectBarrier(inj chaos.Injector) bool {
-	if inj == nil {
-		return false
+// runInline is RunWavesOpts on one worker without a stall watchdog:
+// the tiles run in order on the caller's goroutine, and everything the
+// run tracks lives on this frame — no control block, no watcher
+// goroutine — so the run allocates nothing of its own. Its error is the
+// worker path's (outcome): a panic as *PanicError from worker 0, then
+// ctx's error, then an injected cancel. Cancellation is observed
+// between tiles by polling ctx.Done, which a cancel closes before it
+// returns, so a tile that cancels its own run is the last to start.
+func runInline(ctx context.Context, plan WavePlan, inj chaos.Injector, fn func(worker, tile int)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError(0, r)
+		}
+	}()
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	switch chaos.Step(inj, chaos.WaveBarrier) {
-	case chaos.KindError, chaos.KindCancel:
-		st.injectCancel(chaos.WaveBarrier)
-		return true
+	return outcome(ctx, nil, nil, inlineTiles(done, plan, inj, fn))
+}
+
+// inlineTiles is runInline's tile loop. It stops before the next tile
+// once done is closed, and at a seam fault, whose injected cancel it
+// returns.
+//
+//spgemm:hotpath
+func inlineTiles(done <-chan struct{}, plan WavePlan, inj chaos.Injector, fn func(worker, tile int)) error {
+	if inj != nil {
+		//lint:ignore hotpathalloc allocates only when a fault fires, and the run stops with it
+		if err := seamFault(inj, chaos.WorkerSpawn); err != nil {
+			return err
+		}
 	}
-	return false
+	for wv := range plan.NumWaves() {
+		wave := plan.WaveAt(wv)
+		for t := wave.Lo; t < wave.Hi; t++ {
+			select {
+			case <-done:
+				return nil
+			default:
+			}
+			if inj != nil {
+				//lint:ignore hotpathalloc allocates only when a fault fires, and the run stops with it
+				if err := seamFault(inj, chaos.TileClaim); err != nil {
+					return err
+				}
+			}
+			fn(0, t)
+		}
+	}
+	return nil
 }

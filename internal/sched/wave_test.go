@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -337,4 +338,97 @@ func TestRunWavesBarrierChaos(t *testing.T) {
 			t.Errorf("barrier seam fired %d times, want 1", sd.Fired(chaos.WaveBarrier))
 		}
 	})
+}
+
+// TestOneWorkerErrorClasses runs each fault on the inline one-worker
+// path and on two workers: both must report the same error class. On
+// one worker the order is also exact: no tile starts after the tile
+// that panicked or cancelled its own run.
+func TestOneWorkerErrorClasses(t *testing.T) {
+	const tiles, k = 16, 5
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("p=%d/panic", p), func(t *testing.T) {
+			var after atomic.Bool
+			err := RunWavesE(nil, Dynamic, p, SingleWave(tiles), func(_, tile int) {
+				if tile == k {
+					panic("boom")
+				}
+				if tile > k && p == 1 {
+					after.Store(true)
+				}
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value != "boom" {
+				t.Fatalf("err = %v, want *PanicError carrying the panic value", err)
+			}
+			if p == 1 && pe.Worker != 0 {
+				t.Errorf("PanicError.Worker = %d, want 0", pe.Worker)
+			}
+			if after.Load() {
+				t.Error("a tile after the panicking one ran")
+			}
+		})
+		t.Run(fmt.Sprintf("p=%d/cancel-in-tile", p), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var last atomic.Int64
+			err := RunWavesE(ctx, Dynamic, p, SingleWave(tiles), func(_, tile int) {
+				last.Store(int64(tile))
+				if tile == k {
+					cancel()
+				}
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if p == 1 && last.Load() != k {
+				t.Errorf("tile %d ran after tile %d cancelled the run", last.Load(), k)
+			}
+		})
+		for _, pt := range []chaos.Point{chaos.TileClaim, chaos.WorkerSpawn} {
+			t.Run(fmt.Sprintf("p=%d/injected-%v", p, pt), func(t *testing.T) {
+				sd := chaos.NewSeeded(403)
+				sd.Arm(pt, chaos.KindCancel, 1, 0)
+				err := RunWavesOpts(nil, Guided, p, SingleWave(tiles), RunOpts{Chaos: sd}, func(_, _ int) {})
+				if !errors.Is(err, chaos.ErrInjected) || !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want chaos.ErrInjected and context.Canceled in the chain", err)
+				}
+				if sd.Fired(pt) != 1 {
+					t.Errorf("seam fired %d times, want 1", sd.Fired(pt))
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("p=%d/stall", p), func(t *testing.T) {
+			unblock := make(chan struct{})
+			go func() {
+				time.Sleep(150 * time.Millisecond)
+				close(unblock)
+			}()
+			err := RunWavesOpts(nil, Static, p, SingleWave(tiles), RunOpts{StallTimeout: 20 * time.Millisecond},
+				func(_, tile int) {
+					if tile == k {
+						<-unblock
+					}
+				})
+			var se *StallError
+			if !errors.As(err, &se) {
+				t.Fatalf("err = %v, want *StallError", err)
+			}
+		})
+	}
+}
+
+// TestOneWorkerRunAllocs pins the inline path's state to the caller's
+// stack: a one-worker run without a context or watchdog, of a function
+// that captures nothing, allocates nothing.
+func TestOneWorkerRunAllocs(t *testing.T) {
+	plan := SingleWave(8)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := RunWavesOpts(nil, Dynamic, 1, plan, RunOpts{}, func(_, _ int) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one-worker run allocates %.1f times, want 0", allocs)
+	}
 }
