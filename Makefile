@@ -172,7 +172,10 @@ bench-trsv:
 # and batched BC on the 57 x 100 road lattice (us/multiply: the fixed
 # cost of one small product, the number the tile crossover exists to
 # cut), k-truss(4) staged and fused on an engine (B/round: what a round
-# allocates once its result storage is recycled), one product repeated
+# allocates once its result storage is recycled) and its round rule's
+# unit costs on a corpus-scale web graph (rounds/full and rounds/delta:
+# ns and probes per visit; rounds/symmetry: ns/nnz — the medians
+# internal/model derives the rule's weights from), one product repeated
 # with MxM on a shared engine (the facade's warm repeat path: allocs/op,
 # B/op), one warm triangular solve through the facade,
 # through core's automatic mode (facade-auto and core-auto must differ by

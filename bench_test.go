@@ -11,6 +11,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"testing"
+	"time"
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/baseline"
@@ -364,7 +365,8 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 		}
 	})
 	// k-truss(4), warm on an engine: B/round is the bytes one round
-	// allocates, its result storage recycled from the third round on.
+	// allocates, its result storage recycled from the third round on
+	// and a delta round's updated in place.
 	b.Run("KTruss", func(b *testing.B) {
 		for _, v := range []struct {
 			name string
@@ -392,6 +394,55 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*res.Rounds), "B/round")
 			})
 		}
+		// The unit costs of the round rule (graph.peel), the medians
+		// internal/model.ReferenceRoundCosts derives its weights from:
+		// k-truss(4) of a corpus-scale web graph with every round after
+		// the first forced full, then forced delta, in ns and
+		// co-iteration probes per visit over those rounds, and the
+		// symmetry check in ns per entry. A web graph at corpus scale
+		// is what the rule decides on: small rounds co-iterating hubs,
+		// and caches that miss.
+		spec, _ := bench.FindGraph("arabic-2005-sim")
+		web := sparse.Symmetrize(spec.Build(0))
+		for _, force := range []graph.RoundKind{graph.FullRounds, graph.DeltaRounds} {
+			name := map[graph.RoundKind]string{graph.FullRounds: "full", graph.DeltaRounds: "delta"}[force]
+			b.Run("rounds/"+name, func(b *testing.B) {
+				kCfg := cfg
+				kCfg.Engine = exec.New(exec.Config{})
+				var ns, visits, probes float64
+				var last time.Time
+				var pending int64 // the probes of the full round to come
+				defer graph.SetRoundHookForTest(&graph.RoundHook{Force: force, Observe: func(st graph.RoundStat) {
+					if st.Round > 1 {
+						ns += float64(time.Since(last).Nanoseconds())
+						visits += float64(st.Visits)
+						probes += float64(st.Probes + pending)
+					}
+					if force == graph.FullRounds {
+						// Counted outside the timing: the rule skips it.
+						p, _ := core.ProfileMasked(st.Support, st.Support, st.Support, kCfg.Kappa)
+						pending = p.CoIterProbeCost
+					}
+					last = time.Now()
+				}})()
+				for i := 0; i < b.N; i++ {
+					last = time.Now()
+					if _, err := graph.KTruss(web, 4, kCfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(ns/visits, "ns/visit")
+				b.ReportMetric(probes/visits, "probes/visit")
+			})
+		}
+		b.Run("rounds/symmetry", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !sparse.IsSymmetric(web) {
+					b.Fatal("a symmetrized graph reads as non-symmetric")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*web.NNZ()), "ns/nnz")
+		})
 	})
 	road := load(b, "GAP-road-sim")
 	b.Run("BFSRoad", func(b *testing.B) {

@@ -323,3 +323,189 @@ func TestKTrussMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// fullRecompute is the k-truss with a full product every round, the
+// formulation delta rounds must reproduce: each round's kept edges
+// carrying their support, in order.
+func fullRecompute(t *testing.T, a *sparse.CSR[float64], k int) []*sparse.CSR[float64] {
+	t.Helper()
+	var rounds []*sparse.CSR[float64]
+	for g := a; ; {
+		s, err := core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, g, g, g, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		coo := sparse.NewCOO[float64](s.Rows, s.Cols, s.NNZ())
+		for i := 0; i < s.Rows; i++ {
+			cols, vals := s.Row(i)
+			for q, j := range cols {
+				if vals[q] >= float64(k-2) {
+					coo.Add(sparse.Index(i), j, vals[q])
+				}
+			}
+		}
+		kept := coo.ToCSR()
+		rounds = append(rounds, kept)
+		if kept.NNZ() == g.NNZ() || kept.NNZ() == 0 {
+			return rounds
+		}
+		g = kept
+	}
+}
+
+// fromEdges is the n-vertex graph of the given directed edges, valued 1.
+func fromEdges(n int, edges [][2]int) *sparse.CSR[float64] {
+	coo := sparse.NewCOO[float64](n, n, int64(len(edges)))
+	for _, e := range edges {
+		coo.Add(sparse.Index(e[0]), sparse.Index(e[1]), 1)
+	}
+	return coo.ToCSR()
+}
+
+// both lists every edge in both directions.
+func both(edges ...[2]int) [][2]int {
+	out := make([][2]int, 0, 2*len(edges))
+	for _, e := range edges {
+		out = append(out, e, [2]int{e[1], e[0]})
+	}
+	return out
+}
+
+// peelRounds runs one k-truss formulation under a round hook forcing
+// force and returns the result and each round's kept edges with their
+// support, counting the rounds after the first by kind.
+func peelRounds(t *testing.T, v ktrussVariant, a *sparse.CSR[float64], k int, force RoundKind, delta, full *int) (*KTrussResult, []*sparse.CSR[float64]) {
+	t.Helper()
+	var got []*sparse.CSR[float64]
+	defer SetRoundHookForTest(&RoundHook{Force: force, Observe: func(st RoundStat) {
+		got = append(got, st.Support.Clone())
+		if st.Round > 1 && st.Delta {
+			*delta++
+		} else if st.Round > 1 {
+			*full++
+		}
+	}})()
+	res, err := v.run(a, k, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, got
+}
+
+// TestKTrussRoundsMatchFullRecompute holds every round of both
+// formulations to the full product: the kept edges and their support
+// bit for bit, and the round count, under the production rule and with
+// every round after the first a delta round. The generated families
+// peel over several rounds; three fixtures pin the corners of the
+// update: a triangle that loses two edges in one round (the D·D term:
+// the edge left loses that triangle once), edges in no triangle (left
+// out of D), and a round that removes every edge. Across the fixtures
+// the production rule runs both kinds of round after the first.
+func TestKTrussRoundsMatchFullRecompute(t *testing.T) {
+	type fixture struct {
+		name string
+		a    *sparse.CSR[float64]
+		ks   []int
+	}
+	var fixtures []fixture
+	for _, seed := range []uint64{1, 2} {
+		for _, g := range []struct {
+			name string
+			a    *sparse.CSR[float64]
+		}{
+			{"er", undirected(graphgen.ErdosRenyi(300, 1800, seed))},
+			{"rmat", undirected(graphgen.RMAT(8, 8, 0.57, 0.19, 0.19, seed))},
+			{"web", undirected(graphgen.WebGraph(300, 6, 0.5, seed))},
+			{"circuit", undirected(graphgen.Circuit(300, 3, 0.6, 2, 10, seed))},
+			{"road", undirected(graphgen.RoadNetwork(16, 16, 0.95, seed))},
+		} {
+			fixtures = append(fixtures, fixture{fmt.Sprintf("%s/seed=%d", g.name, seed), g.a, []int{3, 4, 5, 8}})
+		}
+	}
+	// {b,c,x,y} is a 4-clique; a closes triangles with b and c, p with
+	// a and b, q with a and c. Round 1 drops a–p, b–p, a–q and c–q
+	// (one triangle each), round 2 a–b and a–c (one triangle left each),
+	// and b–c keeps the clique's two.
+	const a, b, c, x, y, p, q = 0, 1, 2, 3, 4, 5, 6
+	fixtures = append(fixtures,
+		fixture{"triangle loses two edges", fromEdges(7, both(
+			[2]int{b, c}, [2]int{b, x}, [2]int{b, y}, [2]int{c, x}, [2]int{c, y}, [2]int{x, y},
+			[2]int{a, b}, [2]int{a, c}, [2]int{a, p}, [2]int{b, p}, [2]int{a, q}, [2]int{c, q})), []int{4}},
+		// 0–1 lies in two triangles whose other edges lie in one each:
+		// round 1 keeps only 0–1, whose support falls to 0 in round 2,
+		// which removes every edge. The path 4–5–6 lies in none.
+		fixture{"zero support, every edge in one round", fromEdges(7, both(
+			[2]int{0, 1}, [2]int{0, 2}, [2]int{1, 2}, [2]int{0, 3}, [2]int{1, 3},
+			[2]int{4, 5}, [2]int{5, 6})), []int{4}},
+	)
+	var delta, full int
+	for _, f := range fixtures {
+		for _, k := range f.ks {
+			t.Run(fmt.Sprintf("%s/k=%d", f.name, k), func(t *testing.T) {
+				want := fullRecompute(t, f.a, k)
+				for _, v := range ktrussVariants {
+					for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
+						var d, fl int
+						res, got := peelRounds(t, v, f.a, k, force, &d, &fl)
+						if force == AutoRounds {
+							delta, full = delta+d, full+fl
+						}
+						if res.Rounds != len(want) || len(got) != len(want) {
+							t.Fatalf("%s force=%d: %d rounds (%d observed), full recompute %d", v.name, force, res.Rounds, len(got), len(want))
+						}
+						for r := range want {
+							if !sparse.Equal(got[r], want[r]) {
+								t.Fatalf("%s force=%d: round %d's support differs from the full product's", v.name, force, r+1)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+	t.Logf("production rule: %d delta and %d full rounds after the first", delta, full)
+	if delta == 0 || full == 0 {
+		t.Errorf("production rule ran %d delta and %d full rounds after the first; the fixtures must run both", delta, full)
+	}
+}
+
+// TestKTrussDirectedInputRunsFullRounds pins the symmetric
+// precondition: a non-symmetric pattern runs no delta round, even when
+// one is forced, and gets the full product's rounds. In the first
+// fixture 0–1 lies in one undirected triangle and on the one-way paths
+// 0→4→1, 0→6→1, 1→5→0 and 1→7→0, which count toward its round-1
+// support but lie in no triangle: an update from that support would
+// keep 0–1, which the full product drops in round 2.
+func TestKTrussDirectedInputRunsFullRounds(t *testing.T) {
+	inputs := map[string]*sparse.CSR[float64]{
+		"one-way paths": fromEdges(8, append(both([2]int{0, 1}, [2]int{0, 2}, [2]int{1, 2}),
+			[2]int{0, 4}, [2]int{4, 1}, [2]int{0, 6}, [2]int{6, 1},
+			[2]int{1, 5}, [2]int{5, 0}, [2]int{1, 7}, [2]int{7, 0})),
+		"web": sparse.DropDiagonal(graphgen.WebGraph(300, 6, 0.5, 3)).Pattern(),
+	}
+	for name, a := range inputs {
+		if sparse.IsSymmetric(a) {
+			t.Fatalf("fixture %s is symmetric", name)
+		}
+		for _, k := range []int{3, 4} {
+			want := fullRecompute(t, a, k)
+			for _, v := range ktrussVariants {
+				for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
+					var delta, full int
+					res, got := peelRounds(t, v, a, k, force, &delta, &full)
+					if delta != 0 {
+						t.Errorf("%s k=%d %s force=%d: %d delta rounds on a non-symmetric pattern", name, k, v.name, force, delta)
+					}
+					if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
+						t.Errorf("%s k=%d %s force=%d: %d rounds, want %d, or a different truss", name, k, v.name, force, res.Rounds, len(want))
+					}
+					for r := range got {
+						if r < len(want) && !sparse.Equal(got[r], want[r]) {
+							t.Errorf("%s k=%d %s force=%d: round %d differs from the full product's", name, k, v.name, force, r+1)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -160,39 +160,36 @@ func (st *runState) guard(w int, loop func()) {
 // Block boundaries are deterministic (n*w/p), so repeated calls with the
 // same (p, n) see identical blocks — the two passes of a parallel prefix
 // sum rely on this. When p <= 1 the single block runs inline on the
-// caller's goroutine. Non-positive n runs nothing. Each worker checks
-// for cancellation before starting its block, and a panic inside any
-// block is returned as a *PanicError instead of crashing the process.
-// ctx may be nil.
+// caller's goroutine (runInline), allocating nothing of its own.
+// Non-positive n runs nothing. Each worker checks for cancellation
+// before starting its block, and a panic inside any block is returned
+// as a *PanicError instead of crashing the process. ctx may be nil.
 func BlocksE(ctx context.Context, p, n int, fn func(worker, lo, hi int)) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
-	p = Workers(p)
-	if p > n {
-		p = n
+	// Assigned once, so the worker closures copy it: a reassigned p
+	// would move to the heap on every call, the one-worker one too.
+	workers := min(Workers(p), n)
+	if workers <= 1 {
+		// The one block is RunWavesOpts's one-worker run of one tile
+		// (no tile when n <= 0): no control block, no watcher.
+		return runInline(ctx, SingleWave(min(n, 1)), nil, func(int, int) { fn(0, 0, n) })
 	}
 	var st runState
 	defer st.watch(ctx)()
-
-	if p <= 1 {
-		if n > 0 {
-			st.guard(0, func() { fn(0, 0, n) })
-		}
-		return st.err(ctx)
-	}
 	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
 			st.guard(w, func() {
 				if st.stop.Load() {
 					return
 				}
-				fn(w, n*w/p, n*(w+1)/p)
+				fn(w, n*w/workers, n*(w+1)/workers)
 			})
 		}(w)
 	}

@@ -195,3 +195,37 @@ func TestRunENoGoroutineLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
+
+// TestBlocksEOneWorker pins BlocksE's one-worker path to the inline
+// run: with a nil context, of a function that captures nothing, it
+// allocates nothing, and its error
+// precedence is the worker path's — a panic (as *PanicError from worker
+// 0) wins over a context its block cancelled, which is reported over a
+// clean finish.
+func TestBlocksEOneWorker(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := BlocksE(nil, 1, 100, func(_, _, _ int) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one-worker BlocksE allocates %.1f times, want 0", allocs)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := BlocksE(ctx, 1, 10, func(_, _, _ int) { cancel() }); !errors.Is(err, context.Canceled) {
+		t.Errorf("block cancelling its context: err = %v, want context.Canceled", err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	err := BlocksE(ctx, 1, 10, func(_, _, _ int) {
+		cancel()
+		panic("one-worker boom")
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "one-worker boom" || pe.Worker != 0 {
+		t.Errorf("panic after cancel: err = %v, want the *PanicError of worker 0", err)
+	}
+	ran := false
+	if err := BlocksE(nil, 1, 0, func(_, _, _ int) { ran = true }); err != nil || ran {
+		t.Errorf("empty range: err = %v, ran %v; want nil and no block", err, ran)
+	}
+}

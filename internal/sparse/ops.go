@@ -137,6 +137,33 @@ func mergeRows[T Number](i int, m, t *CSR[T], cols []Index, vals []T) int {
 	return k + len(a) - p + len(b) - q
 }
 
+// IsSymmetric reports whether m is square and its pattern equals its
+// transpose's, in one pass with one cursor per row: walking the rows in
+// order, each entry (i, j) must be the next unmatched entry of row j,
+// and every row must be matched to its end. Values are not compared.
+func IsSymmetric[T Number](m *CSR[T]) bool {
+	if m.Rows != m.Cols {
+		return false
+	}
+	next := make([]int64, m.Rows)
+	copy(next, m.RowPtr)
+	for i := 0; i < m.Rows; i++ {
+		for _, j := range m.RowCols(i) {
+			p := next[j]
+			if p == m.RowPtr[j+1] || m.ColIdx[p] != Index(i) {
+				return false
+			}
+			next[j]++
+		}
+	}
+	for j, p := range next {
+		if p != m.RowPtr[j+1] {
+			return false
+		}
+	}
+	return true
+}
+
 // Equal reports whether a and b have identical shape, structure, and
 // values.
 func Equal[T Number](a, b *CSR[T]) bool {

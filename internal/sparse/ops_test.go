@@ -97,6 +97,38 @@ func TestSymmetrizeProperty(t *testing.T) {
 	}
 }
 
+// TestIsSymmetric holds the one-pass check to its definition, the
+// pattern equal to its transpose's, on random matrices (rarely
+// symmetric) and their symmetrizations (always), and on the corners a
+// cursor walk can miss: an entry whose transpose is missing at a row's
+// end or start, and a non-square shape.
+func TestIsSymmetric(t *testing.T) {
+	f := func(seed int64) bool {
+		m := randomCSR(12, 0.2, seed)
+		s := Symmetrize(m)
+		return IsSymmetric(m) == EqualPattern(m, Transpose(m)) && IsSymmetric(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	pattern := func(rows, cols int, entries ...[2]Index) *CSR[float64] {
+		coo := NewCOO[float64](rows, cols, int64(len(entries)))
+		for _, e := range entries {
+			coo.Add(e[0], e[1], 1)
+		}
+		return coo.ToCSR()
+	}
+	for name, m := range map[string]*CSR[float64]{
+		"(1,2) without (2,1)": pattern(3, 3, [2]Index{0, 1}, [2]Index{1, 0}, [2]Index{1, 2}, [2]Index{2, 0}),
+		"(2,0) without (0,2)": pattern(3, 3, [2]Index{0, 1}, [2]Index{1, 0}, [2]Index{2, 0}),
+		"non-square":          pattern(2, 3),
+	} {
+		if IsSymmetric(m) {
+			t.Errorf("%s: reads as symmetric", name)
+		}
+	}
+}
+
 func TestDropDiagonal(t *testing.T) {
 	m := randomCSR(12, 0.4, 11)
 	d := DropDiagonal(m)

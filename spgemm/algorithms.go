@@ -21,10 +21,19 @@ func TriangleCountLL(a *Matrix, opts Options) (int64, error) {
 
 // KTruss computes the k-truss subgraph of a: the maximal subgraph whose
 // every edge lies in at least k-2 triangles. It returns the truss
-// adjacency and the number of prune rounds. With Options.Fuse set, each
-// support-and-prune round runs as one fused select multiply — the
-// per-edge support matrix is thresholded inside the tile gather and
-// never materialized; the result is identical.
+// adjacency and the number of prune rounds. From the second round on, a
+// round predicted to cost less than a product of the whole surviving
+// graph updates the last round's support by the triangles the removed
+// edges took with them instead; the truss and the round count are the
+// full products'. With Options.Fuse set, each round that multiplies
+// runs as one fused select multiply — the per-edge support matrix is
+// thresholded inside the tile gather and never materialized; the result
+// is identical.
+//
+// a must be symmetric, as an undirected graph's adjacency is. A
+// non-symmetric a is detected (once per call) and multiplies its
+// directed pattern every round, returning that iteration's fixed point,
+// which is not the truss of any undirected graph.
 func KTruss(a *Matrix, k int, opts Options) (*Matrix, int, error) {
 	run := graph.KTruss
 	if opts.Fuse {
