@@ -1,6 +1,7 @@
 // Command trianglecount counts triangles in a graph given as a
 // MatrixMarket file (or a generated corpus graph), using the masked
-// SpGEMM kernel — the paper's benchmark workload end to end.
+// SpGEMM kernel — the paper's benchmark workload end to end. Its time:
+// line includes no assembly of C, which spgemm-bench's kernel timings do.
 //
 // Usage:
 //

@@ -1,12 +1,16 @@
 package graph
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/graphgen"
+	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -93,6 +97,99 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 	}
 }
 
+// TestTriangleCountStreamMatchesAssembled holds the streamed count to
+// the assembled one it replaced: for every formulation, the count equals
+// the sum of the assembled C = M ⊙ (A×B) over the divisor, on skewed,
+// road and uniform graphs, at one and three workers, one-tile and tiled,
+// never and always co-iterating. Hybrid rejects κ = 0, so never
+// co-iterating is its κ → 0 limit, MaskLoad.
+func TestTriangleCountStreamMatchesAssembled(t *testing.T) {
+	graphs := []struct {
+		name string
+		a    *sparse.CSR[float64]
+	}{
+		{"rmat", graphgen.RMAT(9, 8, 0.57, 0.19, 0.19, 3)},
+		{"road", graphgen.RoadNetwork(20, 25, 0.9, 3)},
+		{"er", graphgen.ErdosRenyi(400, 3000, 3)},
+	}
+	iterations := []struct {
+		name string
+		it   core.IterationSpace
+		k    float64
+	}{
+		{"kappa=0", core.MaskLoad, 1},
+		{"kappa=inf", core.Hybrid, math.Inf(1)},
+	}
+	defer core.SetTileCrossoverForTest(core.TileCrossover())
+	sr := semiring.PlusPair[float64]{}
+	for _, g := range graphs {
+		l, u := sparse.Tril(g.a), sparse.Triu(g.a)
+		operands := map[TriangleMethod][3]*sparse.CSR[float64]{
+			Burkhardt: {g.a, g.a, g.a}, SandiaLL: {l, l, l}, Cohen: {g.a, l, u},
+		}
+		divisor := map[TriangleMethod]float64{Burkhardt: 6, SandiaLL: 1, Cohen: 2}
+		want := bruteTriangles(g.a)
+		for _, crossover := range []int64{productionCrossover, 0} {
+			core.SetTileCrossoverForTest(crossover)
+			for _, workers := range []int{1, 3} {
+				for _, iter := range iterations {
+					cfg := testCfg()
+					cfg.Workers, cfg.Iteration, cfg.Kappa = workers, iter.it, iter.k
+					for _, m := range []TriangleMethod{Burkhardt, SandiaLL, Cohen} {
+						op := operands[m]
+						c, err := core.MaskedSpGEMM[float64](sr, op[0], op[1], op[2], cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := TriangleCount(g.a, m, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if assembled := sparse.SumValues(c) / divisor[m]; float64(got) != assembled || got != want {
+							t.Errorf("%s crossover=%d workers=%d %s %v: streamed %d, assembled %v, brute force %d",
+								g.name, crossover, workers, iter.name, m, got, assembled, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTriangleCountErrors: an asymmetric input whose count is not a
+// multiple of the divisor is ErrInvalidMatrix, and a cancelled context
+// is ErrCanceled, each with a count of 0. SandiaLL divides by 1 and
+// reads only the strictly lower triangle, so no input makes its count
+// non-integral: it counts the triangles of that triangle's graph.
+func TestTriangleCountErrors(t *testing.T) {
+	// Directed 1→0, 0→2, 1→2: one wedge closes, 1/6 of a triangle under
+	// Burkhardt and 1/2 under Cohen.
+	coo := sparse.NewCOO[float64](3, 3, 3)
+	for _, e := range [][2]int{{1, 0}, {0, 2}, {1, 2}} {
+		coo.Add(sparse.Index(e[0]), sparse.Index(e[1]), 1)
+	}
+	directed := coo.ToCSR()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a := smallGraph(5)
+	defer core.SetTileCrossoverForTest(core.TileCrossover())
+	for _, crossover := range []int64{productionCrossover, 0} {
+		core.SetTileCrossoverForTest(crossover)
+		for _, m := range []TriangleMethod{Burkhardt, SandiaLL, Cohen} {
+			if m != SandiaLL {
+				if got, err := TriangleCount(directed, m, testCfg()); got != 0 || !errors.Is(err, core.ErrInvalidMatrix) {
+					t.Errorf("crossover=%d %v asymmetric: %d, %v; want 0, ErrInvalidMatrix", crossover, m, got, err)
+				}
+			}
+			cfg := testCfg()
+			cfg.Context = ctx
+			if got, err := TriangleCount(a, m, cfg); got != 0 || !errors.Is(err, core.ErrCanceled) {
+				t.Errorf("crossover=%d %v cancelled: %d, %v; want 0, ErrCanceled", crossover, m, got, err)
+			}
+		}
+	}
+}
+
 func TestKTrussK3IsTriangleEdges(t *testing.T) {
 	// The 3-truss keeps exactly the edges with at least one triangle.
 	a := smallGraph(99)
@@ -100,13 +197,9 @@ func TestKTrussK3IsTriangleEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	support, err := TriangleSupport(a, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every kept edge must have support >= 1 in the original graph... but
-	// k-truss iterates, so kept edges need support >= 1 within the truss.
-	finalSupport, err := TriangleSupport(res.Truss, testCfg())
+	// k-truss iterates, so every kept edge needs support >= 1 within the
+	// truss, not merely in the original graph.
+	finalSupport, err := core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, res.Truss, res.Truss, res.Truss, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +214,6 @@ func TestKTrussK3IsTriangleEdges(t *testing.T) {
 	if res.Truss.NNZ() > a.NNZ() {
 		t.Error("truss grew")
 	}
-	_ = support
 }
 
 func TestKTrussCompleteGraph(t *testing.T) {

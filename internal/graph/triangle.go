@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/semiring"
@@ -43,41 +44,40 @@ func (m TriangleMethod) String() string {
 
 // TriangleCount counts triangles in the undirected simple graph whose
 // adjacency matrix is a (symmetric, zero diagonal, unit values), using
-// the chosen formulation and kernel configuration.
-func TriangleCount(
-	a *sparse.CSR[float64], method TriangleMethod, cfg core.Config,
-) (int64, error) {
-	sr := semiring.PlusPair[float64]{}
-	var c *sparse.CSR[float64]
-	var err error
-	var div float64 = 1
+// the chosen formulation and kernel configuration. The product's rows
+// are summed as they are gathered; C is never assembled.
+func TriangleCount(a *sparse.CSR[float64], method TriangleMethod, cfg core.Config) (int64, error) {
+	m, x, y, div := a, a, a, int64(6)
 	switch method {
 	case Burkhardt:
-		c, err = core.MaskedSpGEMM[float64](sr, a, a, a, cfg)
-		div = 6
 	case SandiaLL:
 		l := sparse.Tril(a)
-		c, err = core.MaskedSpGEMM[float64](sr, l, l, l, cfg)
+		m, x, y, div = l, l, l, 1
 	case Cohen:
-		l, u := sparse.Tril(a), sparse.Triu(a)
-		c, err = core.MaskedSpGEMM[float64](sr, a, l, u, cfg)
-		div = 2
+		x, y, div = sparse.Tril(a), sparse.Triu(a), 2
 	default:
 		return 0, fmt.Errorf("%w: unknown triangle method %d", core.ErrConfig, method)
 	}
-	if err != nil {
+	var t triangleTally
+	if err := core.MaskedSpGEMMStream[float64](semiring.PlusPair[float64]{}, m, x, y, cfg, t.row); err != nil {
 		return 0, err
 	}
-	total := sparse.SumValues(c)
-	count := total / div
-	if count != float64(int64(count)) {
+	total := t.total.Load()
+	if total%div != 0 {
 		return 0, fmt.Errorf("%w: non-integral triangle count %v/%v (is the graph symmetric and simple?)", core.ErrInvalidMatrix, total, div)
 	}
-	return int64(count), nil
+	return total / div, nil
 }
 
-// TriangleSupport returns S = A ⊙ (A×A): for every edge, the number of
-// triangles it participates in. This is the inner kernel of k-truss.
-func TriangleSupport(a *sparse.CSR[float64], cfg core.Config) (*sparse.CSR[float64], error) {
-	return core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, a, a, a, cfg)
+// triangleTally sums a PlusPair product's rows (integer counts) with
+// one atomic add per nonempty row.
+type triangleTally struct{ total atomic.Int64 }
+
+//spgemm:hotpath
+func (t *triangleTally) row(_ int, _ []sparse.Index, vals []float64) {
+	var s int64
+	for _, v := range vals {
+		s += int64(v)
+	}
+	t.total.Add(s)
 }

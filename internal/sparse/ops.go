@@ -203,8 +203,7 @@ func EqualPattern[T, U Number](a *CSR[T], b *CSR[U]) bool {
 	return true
 }
 
-// SumValues returns the sum of all stored values. Triangle counting
-// reduces the masked product with this.
+// SumValues returns the sum of all stored values.
 func SumValues[T Number](m *CSR[T]) T {
 	var s T
 	for _, v := range m.Val {

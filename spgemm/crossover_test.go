@@ -1,6 +1,8 @@
 package spgemm
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -112,6 +114,68 @@ func TestFacadeSmallEqualsTiled(t *testing.T) {
 // workspace and the one-worker scheduler keeps its state on the stack,
 // so neither may allocate; the untiled path exists to shed fixed cost.
 const oneTileAllocBudget = 6
+
+// TestTriangleCountWarmAllocs pins the streamed triangle count: a warm
+// count on an Engine folds each row of A ⊙ (A×A) into one counter and
+// never assembles C, so neither its allocation count nor its bytes may
+// grow with the graph. One-tile it allocates less than the assembling
+// MxM's oneTileAllocBudget; tiled it pays a fixed per-run cost for the
+// scheduler, the same at both sizes.
+func TestTriangleCountWarmAllocs(t *testing.T) {
+	const maxBytes = 2048
+	for _, plan := range []struct {
+		name      string
+		crossover int64
+		maxAllocs float64
+	}{
+		{"one-tile", math.MaxInt64, 3},
+		{"tiled", 0, math.Inf(1)},
+	} {
+		t.Run(plan.name, func(t *testing.T) {
+			old := core.SetTileCrossoverForTest(plan.crossover)
+			defer core.SetTileCrossoverForTest(old)
+			var counts []float64
+			for _, n := range []int{2000, 8000} {
+				a := RandomGraph("rmat", n, 7)
+				opts := Defaults()
+				opts.Workers = 2
+				opts.Engine = NewEngine(EngineConfig{})
+				count := func() {
+					if _, err := TriangleCount(a, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				count() // warm the pool and, tiled, the plan cache
+				// A worker's staging buffer grows once to the longest row it
+				// gathers, and which worker first meets a hub row is up to
+				// the scheduler: the steady state is the quietest of three
+				// rounds.
+				const runs = 5
+				allocs, bytes := math.Inf(1), math.Inf(1)
+				for range 3 {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					round := testing.AllocsPerRun(runs, count)
+					runtime.ReadMemStats(&after)
+					// AllocsPerRun makes one extra warm-up call.
+					allocs = min(allocs, round)
+					bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/(runs+1))
+				}
+				if allocs > plan.maxAllocs {
+					t.Errorf("n=%d: warm count allocates %.1f times per call, budget %v", n, allocs, plan.maxAllocs)
+				}
+				if bytes > maxBytes {
+					t.Errorf("n=%d: warm count allocates %.0f B per call, budget %d B", n, bytes, maxBytes)
+				}
+				t.Logf("n=%d: %.1f allocs, %.0f B per warm call", n, allocs, bytes)
+				counts = append(counts, allocs)
+			}
+			if counts[0] != counts[1] {
+				t.Errorf("allocations per call grow with the graph: %v at n = 2000, 8000", counts)
+			}
+		})
+	}
+}
 
 func TestOneTileMxMWarmAllocs(t *testing.T) {
 	atProductionCrossover(t)
