@@ -82,14 +82,14 @@ govulncheck:
 # their tests. The obs recorder (shared by concurrent runs) and the
 # telemetry histogram (lock-free records) are written from many
 # goroutines too. The model, graph and chaos packages ride along: their
-# cost-model, fused-algorithm and seeded-injector tests drive the same
+# cost-model, graph-algorithm and seeded-injector tests drive the same
 # kernels concurrently. The chaos suite's fault matrix runs here too,
 # since its five packages run whole; `make chaos` reruns just it.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/exec/... ./internal/tiling/... ./internal/obs/... ./internal/telemetry/... ./internal/model/... ./internal/graph/... ./internal/chaos/... ./spgemm/...
 
 # gates are the runs that fail when an invariant breaks: the
-# spgemm-bench warm pool hit rate and fused allocations (bench-engine)
+# spgemm-bench warm pool hit rate and checksums (bench-engine)
 # and solve bit-identity (bench-trsv) — plus one iteration of the
 # micro-benchmarks the per-unit numbers are regenerated from
 # (bench-micro), so they cannot rot. CI's gates job runs exactly this.
@@ -140,13 +140,11 @@ bench-smoke:
 bench-stats:
 	$(GO) run ./cmd/spgemm-bench -experiment stats -shift 3 -json
 
-# bench-engine is the execution-engine and fused-pipeline regression
-# gate: run the warm iterative workloads (k-truss, BC-batch) on a small
-# graph engineless, through an engine, and through an engine with the
-# fused formulation. The experiment itself fails unless every warm loop
-# serves >= 95% of its workspace checkouts from the pool, the fused
-# formulation allocates no more per operation than the materializing
-# one, and all three columns agree on the checksum. Part of `make gates`.
+# bench-engine is the execution-engine regression gate: run the warm
+# iterative workloads (k-truss, BC-batch) on a small graph engineless
+# and through an engine. The experiment itself fails unless every warm
+# loop serves >= 95% of its workspace checkouts from the pool and both
+# columns agree on the checksum. Part of `make gates`.
 bench-engine:
 	$(GO) run ./cmd/spgemm-bench -experiment engine -shift 6 \
 		-graphs GAP-road-sim -reps 2 -budget 1s
@@ -171,7 +169,7 @@ bench-trsv:
 # per kind), the four iteration spaces on the circuit graph (ns/flop),
 # and batched BC on the 57 x 100 road lattice (us/multiply: the fixed
 # cost of one small product, the number the tile crossover exists to
-# cut), k-truss(4) staged and fused on an engine (B/round: what a round
+# cut), k-truss(4) warm on an engine (B/round: what a round
 # allocates once its result storage is recycled) and its round rule's
 # unit costs on a corpus-scale web graph (rounds/full and rounds/delta:
 # ns and probes per visit; rounds/symmetry: ns/nnz — the medians

@@ -341,9 +341,8 @@ func BenchmarkFormulations(b *testing.B) {
 
 // BenchmarkGraphAlgorithms measures the end-to-end workloads the kernel
 // serves: triangle counting (all three formulations), one k-truss round
-// (TriangleSupport: the assembled support A ⊙ (A×A)), the whole k-truss
-// staged and fused, BFS, and
-// batched BC on the benchmark's 57 × 100 road lattice — a few
+// (TriangleSupport: the assembled support A ⊙ (A×A)), the whole k-truss,
+// BFS, and batched BC on the benchmark's 57 × 100 road lattice — a few
 // hundred multiplies of a few hundred FLOPs each, reported per multiply
 // because what it measures is the fixed cost of one call.
 func BenchmarkGraphAlgorithms(b *testing.B) {
@@ -369,32 +368,27 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 	// allocates, its result storage recycled from the third round on
 	// and a delta round's updated in place.
 	b.Run("KTruss", func(b *testing.B) {
-		for _, v := range []struct {
-			name string
-			run  func(*sparse.CSR[float64], int, core.Config) (*graph.KTrussResult, error)
-		}{{"staged", graph.KTruss}, {"fused", graph.KTrussFused}} {
-			b.Run(v.name, func(b *testing.B) {
-				kCfg := cfg
-				kCfg.Engine = exec.New(exec.Config{})
-				// One untimed run warms the engine's pool and counts the rounds.
-				res, err := v.run(a, 4, kCfg)
-				if err != nil {
+		b.Run("warm", func(b *testing.B) {
+			kCfg := cfg
+			kCfg.Engine = exec.New(exec.Config{})
+			// One untimed run warms the engine's pool and counts the rounds.
+			res, err := graph.KTruss(a, 4, kCfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.KTruss(a, 4, kCfg); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := v.run(a, 4, kCfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*res.Rounds), "B/round")
-			})
-		}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*res.Rounds), "B/round")
+		})
 		// The unit costs of the round rule (graph.peel), the medians
 		// internal/model.ReferenceRoundCosts derives its weights from:
 		// k-truss(4) of a corpus-scale web graph with every round after
@@ -453,7 +447,7 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 			}
 		}
 	})
-	// Batched BC, staged and fused, warm on an engine: us/multiply is the
+	// Batched BC, warm on an engine: us/multiply is the
 	// fixed cost of one call, rows/multiply the rows one call's product
 	// iterates — the level's front, not the lattice's 5 700 rows.
 	b.Run("BCBatch", func(b *testing.B) {
@@ -461,32 +455,25 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 		n := lattice.Rows
 		sources := []int{n / 8, 3 * n / 8, 5 * n / 8, 7 * n / 8}
 		b.Run("road-57x100", func(b *testing.B) {
-			for _, v := range []struct {
-				name string
-				run  func(*sparse.CSR[float64], []int, core.Config) ([]float64, error)
-			}{{"staged", graph.BetweennessCentralityBatch}, {"fused", graph.BetweennessCentralityBatchFused}} {
-				b.Run(v.name, func(b *testing.B) {
-					bcCfg := cfg
-					bcCfg.Engine = exec.New(exec.Config{})
-					// One untimed op under a recorder counts the op's multiplies
-					// and their rows (and warms the engine's pool).
-					counted := bcCfg
-					counted.Recorder = obs.NewRecorder()
-					if _, err := v.run(lattice, sources, counted); err != nil {
-						b.Fatal(err)
-					}
-					st := counted.Recorder.Stats()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := v.run(lattice, sources, bcCfg); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*st.Runs), "us/multiply")
-					b.ReportMetric(float64(st.Totals.Rows)/float64(st.Runs), "rows/multiply")
-				})
+			bcCfg := cfg
+			bcCfg.Engine = exec.New(exec.Config{})
+			// One untimed op under a recorder counts the op's multiplies
+			// and their rows (and warms the engine's pool).
+			counted := bcCfg
+			counted.Recorder = obs.NewRecorder()
+			if _, err := graph.BetweennessCentralityBatch(lattice, sources, counted); err != nil {
+				b.Fatal(err)
 			}
+			st := counted.Recorder.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.BetweennessCentralityBatch(lattice, sources, bcCfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*st.Runs), "us/multiply")
+			b.ReportMetric(float64(st.Totals.Rows)/float64(st.Runs), "rows/multiply")
 		})
 	})
 }

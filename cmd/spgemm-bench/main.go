@@ -24,9 +24,8 @@
 //	plan          plan-construction phases, serial vs parallel
 //	sched         Static vs Dynamic vs Guided across the tile grid
 //	engine        iterative workloads (k-truss, batched BC): no engine vs
-//	              warm engine vs warm engine + fused pipeline; fails on
-//	              a warm pool hit rate under 95%, on fused allocs/op
-//	              above unfused, or on a checksum mismatch
+//	              warm engine; fails on a warm pool hit rate under 95%
+//	              or on a checksum mismatch
 //	trsv          triangular solve, serial vs dependency waves; fails
 //	              unless the two solutions are bit-identical
 //	stats         tuned configuration under a live recorder: phase

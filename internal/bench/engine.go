@@ -28,11 +28,10 @@ func checkWarmHitRate(what string, pool exec.PoolStats) error {
 }
 
 // iterativeWorkload is one iterative graph algorithm — a loop of masked
-// SpGEMMs over a fixed graph — in its materializing and its fused
-// formulation; both return the same checksum when the fusion is correct.
+// SpGEMMs over a fixed graph — returning a checksum of its result.
 type iterativeWorkload struct {
 	name string
-	run  func(cfg core.Config, fused bool) func() (int64, error)
+	run  func(cfg core.Config) func() (int64, error)
 }
 
 func iterativeWorkloads(a *sparse.CSR[float64]) []iterativeWorkload {
@@ -41,26 +40,18 @@ func iterativeWorkloads(a *sparse.CSR[float64]) []iterativeWorkload {
 		sources = append(sources, v)
 	}
 	return []iterativeWorkload{
-		{"ktruss", func(cfg core.Config, fused bool) func() (int64, error) {
-			ktruss := graph.KTruss
-			if fused {
-				ktruss = graph.KTrussFused
-			}
+		{"ktruss", func(cfg core.Config) func() (int64, error) {
 			return func() (int64, error) {
-				res, err := ktruss(a, 4, cfg)
+				res, err := graph.KTruss(a, 4, cfg)
 				if err != nil {
 					return 0, err
 				}
 				return res.Edges, nil
 			}
 		}},
-		{"bcbatch", func(cfg core.Config, fused bool) func() (int64, error) {
-			bc := graph.BetweennessCentralityBatch
-			if fused {
-				bc = graph.BetweennessCentralityBatchFused
-			}
+		{"bcbatch", func(cfg core.Config) func() (int64, error) {
 			return func() (int64, error) {
-				deps, err := bc(a, sources, cfg)
+				deps, err := graph.BetweennessCentralityBatch(a, sources, cfg)
 				if err != nil {
 					return 0, err
 				}
@@ -75,20 +66,17 @@ func iterativeWorkloads(a *sparse.CSR[float64]) []iterativeWorkload {
 }
 
 // EngineBench runs the engine experiment: the iterative graph workloads
-// (k-truss support-and-prune, batched Brandes BC) timed three ways —
-// engineless, warm through a freshly populated execution engine, and
-// warm through an engine with the fused formulation (k-truss as one
-// select multiply per round, BC with a streamed backward sweep). The
-// two engine columns differ only in the fusion, so the first step
-// isolates workspace pooling and the second the fused pipeline. Three
-// invariants are errors: the columns agree on the checksum, both warm
-// loops meet the pool hit-rate contract, and the fused formulation
-// allocates no more per operation than the materializing one.
+// (k-truss support-and-prune, batched Brandes BC) timed engineless and
+// warm through a freshly populated execution engine, so the difference
+// is workspace pooling. The engine column also reports the cold run's
+// fused-pipeline counters (k-truss's select multiplies, BC's streamed
+// backward products). Two invariants are errors: the columns agree on
+// the checksum, and the warm loop meets the pool hit-rate contract.
 func EngineBench(w io.Writer, o Options) error {
-	fmt.Fprintln(w, "Engine: warm iterative workloads — per-call allocation vs pooled workspaces vs pooled + fused pipeline")
-	fmt.Fprintf(w, "%-10s %-22s %10s %10s %10s %14s %14s %14s %9s %8s %10s\n",
-		"workload", "graph", "off ms", "on ms", "fused ms",
-		"off allocs/op", "on allocs/op", "fus allocs/op", "hit-rate", "f-runs", "sel-kept")
+	fmt.Fprintln(w, "Engine: warm iterative workloads — per-call allocation vs pooled workspaces")
+	fmt.Fprintf(w, "%-10s %-22s %10s %10s %14s %14s %9s %8s %10s\n",
+		"workload", "graph", "off ms", "on ms",
+		"off allocs/op", "on allocs/op", "hit-rate", "f-runs", "sel-kept")
 	minRate := 1.0
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
@@ -97,64 +85,51 @@ func EngineBench(w io.Writer, o Options) error {
 		// This experiment owns its engines: base stays engineless for
 		// the off column even when the -engine flag set a global one.
 		for _, wl := range iterativeWorkloads(a) {
-			off, err := o.time("engine", g.Name, wl.name+"/no-engine", wl.run(base, false))
+			off, err := o.time("engine", g.Name, wl.name+"/no-engine", wl.run(base))
 			if err != nil {
 				return err
 			}
-			var warm [2]Measurement // engine, engine + fused
-			var fusion obs.FusedCounters
-			rate := 1.0
-			for i, config := range []string{wl.name + "/engine", wl.name + "/engine+fused"} {
-				fused := i == 1
-				cfg := base
-				cfg.Engine = exec.New(exec.Config{})
-				// One untimed cold run populates the pool; its recorder
-				// reads the fused counters and is gone
-				// before the timed repetitions, whose pool delta isolates
-				// the steady state the engine promises.
-				cold := cfg
-				cold.Recorder = obs.NewRecorder()
-				if _, err := wl.run(cold, fused)(); err != nil {
-					return fmt.Errorf("engine/%s %s cold run: %w", g.Name, config, err)
-				}
-				prior := cfg.Engine.Stats()
-				if warm[i], err = o.warm().time("engine", g.Name, config, wl.run(cfg, fused)); err != nil {
-					return err
-				}
-				pool := cfg.Engine.Stats().Sub(prior)
-				if err := checkWarmHitRate(g.Name+" "+config, pool); err != nil {
-					return err
-				}
-				rate = min(rate, pool.HitRate())
-				values := counterValues(pool)
-				values["warm_hit_rate"] = pool.HitRate()
-				if fused {
-					fusion = cold.Recorder.Stats().Fused
-					for k, v := range counterValues(fusion) {
-						values[k] = v
-					}
-				}
-				o.Log.Annotate("engine", g.Name, config, values)
+			config := wl.name + "/engine"
+			cfg := base
+			cfg.Engine = exec.New(exec.Config{})
+			// One untimed cold run populates the pool; its recorder
+			// reads the fused counters and is gone before the timed
+			// repetitions, whose pool delta isolates the steady state
+			// the engine promises.
+			cold := cfg
+			cold.Recorder = obs.NewRecorder()
+			if _, err := wl.run(cold)(); err != nil {
+				return fmt.Errorf("engine/%s %s cold run: %w", g.Name, config, err)
 			}
+			prior := cfg.Engine.Stats()
+			on, err := o.warm().time("engine", g.Name, config, wl.run(cfg))
+			if err != nil {
+				return err
+			}
+			pool := cfg.Engine.Stats().Sub(prior)
+			if err := checkWarmHitRate(g.Name+" "+config, pool); err != nil {
+				return err
+			}
+			rate := pool.HitRate()
 			minRate = min(minRate, rate)
-			on, fu := warm[0], warm[1]
-			if off.OutputNNZ != on.OutputNNZ || on.OutputNNZ != fu.OutputNNZ {
-				return fmt.Errorf("engine/%s %s: columns disagree on the result checksum (%d / %d / %d)",
-					g.Name, wl.name, off.OutputNNZ, on.OutputNNZ, fu.OutputNNZ)
+			fusion := cold.Recorder.Stats().Fused
+			values := counterValues(pool)
+			values["warm_hit_rate"] = rate
+			for k, v := range counterValues(fusion) {
+				values[k] = v
 			}
-			// Fusion's whole point is removing intermediate
-			// materialization, so more allocator traffic is a regression.
-			if fu.AllocsPerOp > on.AllocsPerOp {
-				return fmt.Errorf("engine/%s %s: fused allocs/op %.0f exceeds unfused %.0f",
-					g.Name, wl.name, fu.AllocsPerOp, on.AllocsPerOp)
+			o.Log.Annotate("engine", g.Name, config, values)
+			if off.OutputNNZ != on.OutputNNZ {
+				return fmt.Errorf("engine/%s %s: columns disagree on the result checksum (%d / %d)",
+					g.Name, wl.name, off.OutputNNZ, on.OutputNNZ)
 			}
-			fmt.Fprintf(w, "%-10s %-22s %10.2f %10.2f %10.2f %14.0f %14.0f %14.0f %8.1f%% %8d %10d\n",
-				wl.name, g.Name, off.Millis, on.Millis, fu.Millis,
-				off.AllocsPerOp, on.AllocsPerOp, fu.AllocsPerOp, rate*100,
+			fmt.Fprintf(w, "%-10s %-22s %10.2f %10.2f %14.0f %14.0f %8.1f%% %8d %10d\n",
+				wl.name, g.Name, off.Millis, on.Millis,
+				off.AllocsPerOp, on.AllocsPerOp, rate*100,
 				fusion.SelectRuns+fusion.StreamRuns, fusion.SelectKept)
 		}
 	}
-	fmt.Fprintf(w, "warm pool hit rate >= %.0f%% on every workload (min %.1f%%); fused allocs/op within unfused bounds\n",
+	fmt.Fprintf(w, "warm pool hit rate >= %.0f%% on every workload (min %.1f%%)\n",
 		minWarmHitRate*100, minRate*100)
 	return nil
 }

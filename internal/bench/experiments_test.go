@@ -56,8 +56,8 @@ func TestExperimentsRegistry(t *testing.T) {
 		},
 		"sched": {prints: []string{"Static", "Dynamic", "Guided"}, rows: 3 * len(o.TileCounts)},
 		"engine": {
-			prints: []string{"hit-rate", "fus allocs/op", "ktruss", "bcbatch", "warm pool hit rate >= 95%"},
-			rows:   2 * 3,
+			prints: []string{"hit-rate", "on allocs/op", "ktruss", "bcbatch", "warm pool hit rate >= 95%"},
+			rows:   2 * 2,
 			check: func(t *testing.T, rows []ResultEntry) {
 				for _, e := range rows {
 					if strings.HasSuffix(e.Config, "/no-engine") {
@@ -67,8 +67,11 @@ func TestExperimentsRegistry(t *testing.T) {
 						t.Errorf("%s: warm hit rate %.3f", e.Config, rate)
 					}
 				}
-				if fused := rows[2]; value(t, fused, "select_runs") == 0 {
-					t.Errorf("fused k-truss ran no select multiply: %v", fused.Values)
+				if kt := rows[1]; value(t, kt, "select_runs") == 0 {
+					t.Errorf("k-truss ran no select multiply: %v", kt.Values)
+				}
+				if bc := rows[3]; value(t, bc, "stream_runs") == 0 {
+					t.Errorf("batched BC ran no streamed multiply: %v", bc.Values)
 				}
 			},
 		},

@@ -68,7 +68,7 @@ var productForms = []productForm{
 		return MaskedSpGEMM[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg)
 	}},
 	{"select", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		return MaskedSpGEMMSelect[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg,
+		return MaskedSpGEMMSelectInto[float64](semiring.PlusTimes[float64]{}, nil, m, a, b, cfg,
 			func(v float64) (float64, bool) { return 2 * v, v > 0.25 })
 	}},
 	{"stream", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {

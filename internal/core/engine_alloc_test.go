@@ -93,8 +93,9 @@ func TestSharedEngineConcurrentMultiplies(t *testing.T) {
 // TestWarmKTrussZeroWorkspaceAllocs pins the steady-state contract on
 // the paper's iterative workload: after one cold k-truss run has
 // populated the pool, a second identical run constructs zero workspaces
-// (no misses) and grows none (no resizes) — every round of every rerun
-// recycles pooled buffers.
+// (no misses) and grows none (no resizes) — every round of every rerun,
+// select multiplies and their tile staging buffers included, recycles
+// pooled buffers.
 func TestWarmKTrussZeroWorkspaceAllocs(t *testing.T) {
 	a := randGraph(120, 6, 11)
 	eng := exec.New(exec.Config{})
@@ -163,43 +164,6 @@ func TestWarmBCBatchZeroWorkspaceAllocs(t *testing.T) {
 	}
 	if d.Hits == 0 {
 		t.Errorf("warm BC-batch recycled nothing: %+v", d)
-	}
-}
-
-// TestWarmFusedKTrussZeroWorkspaceAllocs pins the steady-state contract
-// on the fused formulation: a warm fused k-truss run (one select-fused
-// multiply per round, the support matrix never materialized) must serve
-// every workspace — including the fused pipeline's tile staging buffers
-// — from the pool, constructing and growing nothing.
-func TestWarmFusedKTrussZeroWorkspaceAllocs(t *testing.T) {
-	a := randGraph(120, 6, 11)
-	eng := exec.New(exec.Config{})
-	cfg := core.DefaultConfig()
-	cfg.Engine = eng
-	cfg.Tiles = 8
-	cfg.Workers = 2
-
-	cold, err := graph.KTrussFused(a, 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := eng.Stats()
-	warm, err := graph.KTrussFused(a, 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sparse.Equal(cold.Truss, warm.Truss) || cold.Rounds != warm.Rounds {
-		t.Fatal("warm fused k-truss result differs from cold")
-	}
-	d := eng.Stats().Sub(prior)
-	if d.Misses != 0 {
-		t.Errorf("warm fused k-truss constructed %d workspaces, want 0 (%+v)", d.Misses, d)
-	}
-	if d.Resizes != 0 {
-		t.Errorf("warm fused k-truss grew workspaces %d times, want 0 (%+v)", d.Resizes, d)
-	}
-	if d.Hits == 0 {
-		t.Errorf("warm fused k-truss recycled nothing: %+v", d)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// MaskedSpGEMMSelect computes C = select(M ⊙ (A × B)): the masked
+// MaskedSpGEMMSelectInto computes C = select(M ⊙ (A × B)): the masked
 // product with a per-entry keep/rewrite decision fused into the tile
 // gather, so entries the selector drops are never assembled. sel maps a
 // computed value to its stored replacement and whether to keep the
@@ -18,17 +18,9 @@ import (
 //
 // This is the k-truss round A ⊙ (A×A) → threshold in one pass: the
 // support matrix never exists, only the surviving (rewritten) entries
-// reach the output CSR.
-func MaskedSpGEMMSelect[T sparse.Number, S semiring.Semiring[T]](
-	sr S, m, a, b *sparse.CSR[T], cfg Config, sel func(T) (T, bool),
-) (*sparse.CSR[T], error) {
-	return MaskedSpGEMMSelectInto(sr, nil, m, a, b, cfg, sel)
-}
-
-// MaskedSpGEMMSelectInto is MaskedSpGEMMSelect assembling the surviving
-// entries into dst's storage, on MaskedSpGEMMInto's terms: overwritten,
-// grown only when too small, returned; nil allocates; storage shared
-// with m, a or b is ErrConfig.
+// reach the output CSR. They are assembled into dst's storage, on
+// MaskedSpGEMMInto's terms: overwritten, grown only when too small,
+// returned; nil allocates; storage shared with m, a or b is ErrConfig.
 func MaskedSpGEMMSelectInto[T sparse.Number, S semiring.Semiring[T]](
 	sr S, dst, m, a, b *sparse.CSR[T], cfg Config, sel func(T) (T, bool),
 ) (*sparse.CSR[T], error) {

@@ -54,7 +54,7 @@ func TestFusedSelectMatchesFilter(t *testing.T) {
 			}
 			want.AppendRow(i, rowCols, rowVals)
 		}
-		got, err := MaskedSpGEMMSelect[float64](sr, a, a, a, cfg, sel)
+		got, err := MaskedSpGEMMSelectInto[float64](sr, nil, a, a, a, cfg, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestFusedCounters(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Recorder = rec
 
-	if _, err := MaskedSpGEMMSelect[float64](semiring.PlusPair[float64]{}, m1, a, b, cfg,
+	if _, err := MaskedSpGEMMSelectInto[float64](semiring.PlusPair[float64]{}, nil, m1, a, b, cfg,
 		func(v float64) (float64, bool) { return v, v >= 2 }); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func intoEntries() []intoEntry {
 		{"MaskedSpGEMMSelectInto", func(dst, m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
 			return MaskedSpGEMMSelectInto[float64](sr, dst, m, a, b, cfg, sel)
 		}, func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-			return MaskedSpGEMMSelect[float64](sr, m, a, b, cfg, sel)
+			return MaskedSpGEMMSelectInto[float64](sr, nil, m, a, b, cfg, sel)
 		}},
 	}
 }

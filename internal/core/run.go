@@ -18,7 +18,7 @@ import (
 // protocol: the operands and configuration, plus what distinguishes the
 // formulation — the mask's sense and what happens to each gathered row.
 // Every entry point of the family (MaskedSpGEMM, MaskedSpGEMMInstrumented,
-// MaskedSpGEMMSelect, MaskedSpGEMMStream and MaskedSpGEMMComp) is its
+// MaskedSpGEMMSelectInto, MaskedSpGEMMStream and MaskedSpGEMMComp) is its
 // argument checks plus one of these.
 type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	sr      S

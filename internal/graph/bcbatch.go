@@ -9,33 +9,6 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// BetweennessCentralityBatch computes the same quantity as
-// BetweennessCentrality (paths follow A's rows, directed graphs too) for
-// all sources at once: the algebraic batched-Brandes formulation (the
-// paper's reference [16]). Every phase is a masked SpGEMM restricted to
-// the level's front F_d — its vertices, ascending, and an |F_d|×s CSR —
-// so a level's products cost its front, not the whole graph:
-//
-//	forward:  F_{d+1} = ¬V(R,:) ⊙ (Aᵀ(R,F_d) × F_d)    R: out-neighbours of F_d
-//	backward: T      = F_{d-1} ⊙ (A(F_{d-1},F_d) × W_d)
-//
-// The A entries dropped meet empty front rows, so the Eq. 2 work and ⊕
-// order are the n×n × n×s products': on a symmetric A, bit-identical.
-func BetweennessCentralityBatch(a *sparse.CSR[float64], sources []int, cfg core.Config) ([]float64, error) {
-	return bcBatch(a, sources, cfg, false)
-}
-
-// BetweennessCentralityBatchFused is BetweennessCentralityBatch with
-// the backward sweep's masked multiply streamed: each dependency row
-// T[u,:] = (F_{d-1} ⊙ (A × W_d))[u,:] is folded into the delta vector
-// straight from the worker's gather buffer via core.MaskedSpGEMMStream,
-// so the per-level dependency matrix is never assembled as a CSR. Rows
-// are delivered disjointly, and row u only writes delta[u*s..], so the
-// sink needs no locking. Results are identical to the unfused batch.
-func BetweennessCentralityBatchFused(a *sparse.CSR[float64], sources []int, cfg core.Config) ([]float64, error) {
-	return bcBatch(a, sources, cfg, true)
-}
-
 // bcFront is one level's compact front: its vertices, ascending, are
 // rows[lo:hi] of the sweep; m holds their entries, a row each, as a
 // view into the sweep's arenas with its capacity clipped, so the next
@@ -182,7 +155,23 @@ func (sw *bcSweep) front(lo, p, nz int) bcFront {
 		RowPtr: sw.rp[p:end:end], ColIdx: sw.cols[nz:hi:hi], Val: sw.vals[nz:hi:hi]}}
 }
 
-func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool) ([]float64, error) {
+// BetweennessCentralityBatch computes the same quantity as
+// BetweennessCentrality (paths follow A's rows, directed graphs too) for
+// all sources at once: the algebraic batched-Brandes formulation (the
+// paper's reference [16]). Every phase is a masked SpGEMM restricted to
+// the level's front F_d — its vertices, ascending, and an |F_d|×s CSR —
+// so a level's products cost its front, not the whole graph:
+//
+//	forward:  F_{d+1} = ¬V(R,:) ⊙ (Aᵀ(R,F_d) × F_d)    R: out-neighbours of F_d
+//	backward: T      = F_{d-1} ⊙ (A(F_{d-1},F_d) × W_d)
+//
+// The A entries dropped meet empty front rows, so the Eq. 2 work and ⊕
+// order are the n×n × n×s products': on a symmetric A, bit-identical.
+// The backward product is streamed (core.MaskedSpGEMMStream): each row
+// T[u,:] is folded into the dependency vector straight from the worker's
+// gather buffer, so T is never assembled. Rows are delivered disjointly,
+// and row u only writes delta[u*s..], so the fold needs no locking.
+func BetweennessCentralityBatch(a *sparse.CSR[float64], sources []int, cfg core.Config) ([]float64, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)
@@ -246,20 +235,15 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 	delta := make([]float64, n*s)
 	// W_d, front d's pattern carrying (1+delta)/sigma, borrows its row
 	// pointers and columns under one header, with values in one buffer
-	// sized by the widest front. Every level's staged T, which F_{d-1}
-	// bounds, shares one result sized up front by the fronts.
-	var widest, tallest int64
+	// sized by the widest front.
+	var widest int64
 	for _, fr := range fronts {
-		widest, tallest = max(widest, fr.m.NNZ()), max(tallest, int64(fr.m.Rows))
+		widest = max(widest, fr.m.NNZ())
 	}
 	w := &sparse.CSR[float64]{Cols: s}
 	wVals := make([]float64, widest)
-	var tm *sparse.CSR[float64]
-	if !fused {
-		tm = sparse.NewCSR[float64](int(tallest), s, widest)
-	}
-	// fold adds row i of T (vertex prev[i] of F_{d-1}) into delta; the
-	// fused T streams its rows into it. One closure serves every level.
+	// fold adds row i of T (vertex prev[i] of F_{d-1}) into delta as the
+	// product streams it. One closure serves every level.
 	var prev []sparse.Index
 	fold := func(i int, cols []sparse.Index, vals []float64) {
 		base := int(prev[i]) * s
@@ -284,20 +268,8 @@ func bcBatch(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool)
 		for _, u := range prev {
 			sw.extractRow(a, u)
 		}
-		if fused {
-			if err := core.MaskedSpGEMMStream[float64](sr, &fp.m, &sw.sub, w, cfg, fold); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		var err error
-		tm, err = core.MaskedSpGEMMInto[float64](sr, tm, &fp.m, &sw.sub, w, cfg)
-		if err != nil {
+		if err := core.MaskedSpGEMMStream[float64](sr, &fp.m, &sw.sub, w, cfg, fold); err != nil {
 			return nil, err
-		}
-		for i := range prev {
-			cols, vals := tm.Row(i)
-			fold(i, cols, vals)
 		}
 	}
 

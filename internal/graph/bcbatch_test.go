@@ -17,8 +17,8 @@ import (
 // product runs on the full n×n adjacency and n×s fronts, and the
 // visited set is a CSR grown by one union per level. It pulls its
 // forward step along A's rows, so it agrees with Brandes only on a
-// symmetric A.
-func bcBatchWhole(a *sparse.CSR[float64], sources []int, cfg core.Config, fused bool) ([]float64, error) {
+// symmetric A. Its backward products are assembled, then folded.
+func bcBatchWhole(a *sparse.CSR[float64], sources []int, cfg core.Config) ([]float64, error) {
 	n, s := a.Rows, len(sources)
 	bc := make([]float64, n)
 	if s == 0 || n == 0 {
@@ -68,12 +68,6 @@ func bcBatchWhole(a *sparse.CSR[float64], sources []int, cfg core.Config, fused 
 				w.Val[p] = (1 + delta[i*s+b]) / sigma[i*s+b]
 			}
 		}
-		if fused {
-			if err := core.MaskedSpGEMMStream[float64](sr, fronts[d-1], a, w, cfg, fold); err != nil {
-				return nil, err
-			}
-			continue
-		}
 		tm, err := core.MaskedSpGEMM[float64](sr, fronts[d-1], a, w, cfg)
 		if err != nil {
 			return nil, err
@@ -106,7 +100,7 @@ func withIsolated(a *sparse.CSR[float64]) *sparse.CSR[float64] {
 // same rows, the same Eq. 2 work and the same ⊕ order, so the scores are
 // bit-identical — across graph families, source batches (duplicates, an
 // edgeless source, s = 1 and s = 64), both sides of the tile crossover,
-// with and without an engine, staged and fused.
+// with and without an engine.
 func TestBCBatchMatchesWholeGraph(t *testing.T) {
 	road := graphgen.RoadNetwork(12, 15, 0.95, 9)
 	rmat := graphgen.RMAT(7, 6, 0.57, 0.19, 0.19, 77)
@@ -125,26 +119,24 @@ func TestBCBatchMatchesWholeGraph(t *testing.T) {
 			}
 			for _, crossover := range []int64{productionCrossover, 0} {
 				for _, withEngine := range []bool{false, true} {
-					for _, fused := range []bool{false, true} {
-						name := fmt.Sprintf("%s/s=%d/src0=%d/crossover=%d/engine=%v/fused=%v",
-							g.name, len(sources), sources[0], crossover, withEngine, fused)
-						old := core.SetTileCrossoverForTest(crossover)
-						cfg := testCfg()
-						if withEngine {
-							cfg.Engine = exec.New(exec.Config{})
-						}
-						want, err := bcBatchWhole(g.a, sources, cfg, fused)
-						if err != nil {
-							t.Fatal(name, err)
-						}
-						got, err := bcBatch(g.a, sources, cfg, fused)
-						core.SetTileCrossoverForTest(old)
-						if err != nil {
-							t.Fatal(name, err)
-						}
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s: compact fronts differ from the whole-graph products", name)
-						}
+					name := fmt.Sprintf("%s/s=%d/src0=%d/crossover=%d/engine=%v",
+						g.name, len(sources), sources[0], crossover, withEngine)
+					old := core.SetTileCrossoverForTest(crossover)
+					cfg := testCfg()
+					if withEngine {
+						cfg.Engine = exec.New(exec.Config{})
+					}
+					want, err := bcBatchWhole(g.a, sources, cfg)
+					if err != nil {
+						t.Fatal(name, err)
+					}
+					got, err := BetweennessCentralityBatch(g.a, sources, cfg)
+					core.SetTileCrossoverForTest(old)
+					if err != nil {
+						t.Fatal(name, err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: compact fronts differ from the whole-graph products", name)
 					}
 				}
 			}
@@ -169,8 +161,7 @@ func directed(a *sparse.CSR[float64]) *sparse.CSR[float64] {
 
 // TestBCBatchDirected checks the batch on directed graphs, where paths
 // follow A's rows forward and the reverse graph gives other scores:
-// against brute-force Brandes and the vector formulation, within 1e-9,
-// staged and fused.
+// against brute-force Brandes and the vector formulation, within 1e-9.
 func TestBCBatchDirected(t *testing.T) {
 	sources := []int{0, 3, 5, 9}
 	var graphs []*sparse.CSR[float64]
@@ -185,18 +176,16 @@ func TestBCBatchDirected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fused := range []bool{false, true} {
-			got, err := bcBatch(a, sources, testCfg(), fused)
-			if err != nil {
-				t.Fatal(err)
+		got, err := BetweennessCentralityBatch(a, sources, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if d := got[v] - want[v]; d > 1e-9 || d < -1e-9 {
+				t.Fatalf("graph %d: bc[%d] = %v, Brandes says %v", gi, v, got[v], want[v])
 			}
-			for v := range want {
-				if d := got[v] - want[v]; d > 1e-9 || d < -1e-9 {
-					t.Fatalf("graph %d fused=%v: bc[%d] = %v, Brandes says %v", gi, fused, v, got[v], want[v])
-				}
-				if d := got[v] - vector[v]; d > 1e-9 || d < -1e-9 {
-					t.Fatalf("graph %d fused=%v: bc[%d] = %v, the vector BC says %v", gi, fused, v, got[v], vector[v])
-				}
+			if d := got[v] - vector[v]; d > 1e-9 || d < -1e-9 {
+				t.Fatalf("graph %d: bc[%d] = %v, the vector BC says %v", gi, v, got[v], vector[v])
 			}
 		}
 	}
@@ -206,7 +195,8 @@ func TestBCBatchDirected(t *testing.T) {
 // on a warm shared engine at the production crossover, where every
 // product is one tile: the tile closure and nothing else. The fronts
 // live in per-call arenas, each forward product assembles into their
-// free tail, the staged T is sized once, and a one-tile product
+// free tail, the backward products stream into the dependency vector,
+// and a one-tile product
 // allocates no plan or scheduler state, so a deeper lattice may cost at
 // most one allocation per extra product. A call makes one forward
 // product per front (the last comes back empty) and one backward
@@ -228,23 +218,21 @@ func TestBCBatchAllocsPerLevel(t *testing.T) {
 	if extra <= 0 {
 		t.Fatalf("the deep lattice makes %d more products than the shallow one", extra)
 	}
-	for _, fused := range []bool{false, true} {
-		cfg := core.DefaultConfig()
-		cfg.Engine = exec.New(exec.Config{})
-		allocs := func(a *sparse.CSR[float64]) float64 {
-			return testing.AllocsPerRun(5, func() {
-				if _, err := bcBatch(a, sources, cfg, fused); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		// Warm the engine's pool for both lattices before counting.
-		allocs(shallow)
-		allocs(deep)
-		lo, hi := allocs(shallow), allocs(deep)
-		if hi-lo > float64(extra) {
-			t.Errorf("fused=%v: %.0f allocations on the shallow lattice, %.0f on the deep one: %.0f more for %d more products",
-				fused, lo, hi, hi-lo, extra)
-		}
+	cfg := core.DefaultConfig()
+	cfg.Engine = exec.New(exec.Config{})
+	allocs := func(a *sparse.CSR[float64]) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := BetweennessCentralityBatch(a, sources, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Warm the engine's pool for both lattices before counting.
+	allocs(shallow)
+	allocs(deep)
+	lo, hi := allocs(shallow), allocs(deep)
+	if hi-lo > float64(extra) {
+		t.Errorf("%.0f allocations on the shallow lattice, %.0f on the deep one: %.0f more for %d more products",
+			lo, hi, hi-lo, extra)
 	}
 }

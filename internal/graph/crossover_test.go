@@ -21,9 +21,9 @@ func TestAlgorithmsSmallEqualTiled(t *testing.T) {
 	a := graphgen.RoadNetwork(12, 15, 0.95, 9)
 	sources := []int{3, 40, 77, 120}
 	type outcome struct {
-		bc, bcFused    []float64
-		truss, trussFu *sparse.CSR[float64]
-		triangles      int64
+		bc        []float64
+		truss     *sparse.CSR[float64]
+		triangles int64
 	}
 	run := func(crossover int64, eng *exec.Engine) outcome {
 		old := core.SetTileCrossoverForTest(crossover)
@@ -35,18 +35,11 @@ func TestAlgorithmsSmallEqualTiled(t *testing.T) {
 		if o.bc, err = BetweennessCentralityBatch(a, sources, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if o.bcFused, err = BetweennessCentralityBatchFused(a, sources, cfg); err != nil {
-			t.Fatal(err)
-		}
 		kt, err := KTruss(a, 3, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ktf, err := KTrussFused(a, 3, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.truss, o.trussFu = kt.Truss, ktf.Truss
+		o.truss = kt.Truss
 		if o.triangles, err = TriangleCount(a, SandiaLL, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -59,13 +52,10 @@ func TestAlgorithmsSmallEqualTiled(t *testing.T) {
 		}
 		small := run(productionCrossover, smallEng)
 		tiled := run(0, tiledEng)
-		if !slices.Equal(small.bc, tiled.bc) || !slices.Equal(small.bcFused, tiled.bcFused) {
+		if !slices.Equal(small.bc, tiled.bc) {
 			t.Errorf("engine=%v: BC scores differ across the crossover", withEngine)
 		}
-		if !slices.Equal(small.bc, small.bcFused) {
-			t.Errorf("engine=%v: one-tile staged and fused BC differ", withEngine)
-		}
-		if !sparse.Equal(small.truss, tiled.truss) || !sparse.Equal(small.trussFu, tiled.trussFu) {
+		if !sparse.Equal(small.truss, tiled.truss) {
 			t.Errorf("engine=%v: k-truss differs across the crossover", withEngine)
 		}
 		if small.triangles != tiled.triangles {

@@ -156,19 +156,17 @@ func TestTriangleCountStreamMatchesAssembled(t *testing.T) {
 	}
 }
 
-// TestTriangleCountErrors: an asymmetric input whose count is not a
-// multiple of the divisor is ErrInvalidMatrix, and a cancelled context
-// is ErrCanceled, each with a count of 0. SandiaLL divides by 1 and
-// reads only the strictly lower triangle, so no input makes its count
-// non-integral: it counts the triangles of that triangle's graph.
+// TestTriangleCountErrors: an asymmetric input is ErrInvalidMatrix for
+// every method, and a cancelled context is ErrCanceled, each with a
+// count of 0. Of the two directed inputs, the first closes one wedge,
+// 1/6 of a triangle under Burkhardt and 1/2 under Cohen; the second
+// holds only upper-triangle entries, so SandiaLL and Cohen would read
+// an empty triangle and count 0 without their symmetry check.
 func TestTriangleCountErrors(t *testing.T) {
-	// Directed 1→0, 0→2, 1→2: one wedge closes, 1/6 of a triangle under
-	// Burkhardt and 1/2 under Cohen.
-	coo := sparse.NewCOO[float64](3, 3, 3)
-	for _, e := range [][2]int{{1, 0}, {0, 2}, {1, 2}} {
-		coo.Add(sparse.Index(e[0]), sparse.Index(e[1]), 1)
+	directed := map[string]*sparse.CSR[float64]{
+		"1→0,0→2,1→2": fromEdges(3, [][2]int{{1, 0}, {0, 2}, {1, 2}}),
+		"0→1,1→2,0→2": fromEdges(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}),
 	}
-	directed := coo.ToCSR()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := smallGraph(5)
@@ -176,9 +174,9 @@ func TestTriangleCountErrors(t *testing.T) {
 	for _, crossover := range []int64{productionCrossover, 0} {
 		core.SetTileCrossoverForTest(crossover)
 		for _, m := range []TriangleMethod{Burkhardt, SandiaLL, Cohen} {
-			if m != SandiaLL {
-				if got, err := TriangleCount(directed, m, testCfg()); got != 0 || !errors.Is(err, core.ErrInvalidMatrix) {
-					t.Errorf("crossover=%d %v asymmetric: %d, %v; want 0, ErrInvalidMatrix", crossover, m, got, err)
+			for name, d := range directed {
+				if got, err := TriangleCount(d, m, testCfg()); got != 0 || !errors.Is(err, core.ErrInvalidMatrix) {
+					t.Errorf("crossover=%d %v asymmetric %s: %d, %v; want 0, ErrInvalidMatrix", crossover, m, name, got, err)
 				}
 			}
 			cfg := testCfg()
@@ -245,8 +243,10 @@ func TestKTrussCompleteGraph(t *testing.T) {
 }
 
 func TestKTrussRejectsBadK(t *testing.T) {
-	if _, err := KTruss(smallGraph(1), 2, testCfg()); err == nil {
-		t.Error("k=2 accepted")
+	for _, k := range []int{2, 0, -1} {
+		if res, err := KTruss(smallGraph(1), k, testCfg()); res != nil || !errors.Is(err, core.ErrConfig) {
+			t.Errorf("k=%d: %v, %v; want nil, ErrConfig", k, res, err)
+		}
 	}
 }
 

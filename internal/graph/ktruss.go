@@ -26,40 +26,32 @@ type KTrussResult struct {
 // KTruss computes the k-truss of the undirected simple graph a using the
 // linear-algebraic formulation (paper references [12]–[14]): iterate
 // S = A ⊙ (A×A) (per-edge triangle support via the masked SpGEMM), drop
-// edges with support < k-2, and repeat until no edge is dropped. Each
-// round's support matrix is pruned in place into the next graph; from
-// the second round on, a round the rule prices lower updates the last
-// round's support instead of multiplying again (peel), with the same
-// support, graphs and Rounds.
+// edges with support < k-2, and repeat until no edge is dropped. A round
+// that multiplies drops those edges inside the product's gather
+// (core.MaskedSpGEMMSelectInto), so their support is never assembled;
+// from the second round on, a round the rule prices lower updates the
+// last round's support instead of multiplying again (peel), with the
+// same support, graphs and Rounds.
 //
 // The update needs a symmetric pattern, as an undirected graph's is. a
 // is checked once per call, when the rule first picks an update; a
 // non-symmetric a runs every round as a full product of its directed
 // pattern and returns that iteration's fixed point.
 func KTruss(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error) {
-	return peel(a, k, false, cfg)
-}
-
-// KTrussFused computes the same k-truss as KTruss through the fused
-// select pipeline: each round that multiplies runs threshold(A ⊙ (A×A))
-// as one core.MaskedSpGEMMSelectInto call, so the per-edge support
-// matrix is never materialized — entries below the support threshold
-// are dropped inside the tile gather and surviving edges keep their
-// support. The result is identical to KTruss round for round, on
-// KTruss's symmetric precondition; only the staging differs.
-func KTrussFused(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error) {
-	return peel(a, k, true, cfg)
+	return peel(a, k, cfg)
 }
 
 // peel runs k-truss rounds on a until one keeps every edge or none. A
-// full round multiplies the round's graph A, staged (support, then
-// prune) or fused; either leaves the kept edges A′ carrying their
-// support S, and D = A − A′. As A′·A′ = A·A − D·A − A′·D, a delta round
-// (delta.update) turns S into A′'s support by subtracting
-// A′ ⊙ (D·A + A′·D), computed from the rows of D alone, in place;
-// supports are integer counts, so it is the full product's bit for bit.
-// An edge in no triangle adds nothing there, so the staged prune leaves
-// it out of D.
+// full round multiplies the round's graph A and keeps, inside the
+// product, the edges A′ whose support S reaches k-2, carrying it; D =
+// A − A′ is cut by comparing the two patterns (delta.diff) once the
+// rule may pick a delta round. As
+// A′·A′ = A·A − D·A − A′·D, a delta round (delta.update) turns S into
+// A′'s support by subtracting A′ ⊙ (D·A + A′·D), computed from the rows
+// of D alone, in place; supports are integer counts, so it is the full
+// product's bit for bit. An edge in no triangle adds nothing there: a
+// delta round's prune leaves it out of the next D, but a full round's D
+// holds it, as the product never reports its support.
 //
 // The rule (delta.price) prices both kinds by what their products' row
 // loops visit, rows(A) + nnz(M) + nnz(A) each, plus probeWeight per
@@ -78,16 +70,16 @@ func KTrussFused(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult,
 // like every later round, it is a new operand to an engine's plan
 // cache: a k-truss call plans each of its rounds, and no call reuses
 // a plan keyed on the caller's matrix.
-func peel(a *sparse.CSR[float64], k int, fused bool, cfg core.Config) (*KTrussResult, error) {
+func peel(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error) {
 	if k < 3 {
 		return nil, fmt.Errorf("%w: k-truss needs k >= 3, got %d", core.ErrConfig, k)
 	}
 	sr := semiring.PlusPair[float64]{}
 	need := float64(k - 2)
 	var keep func(float64) (float64, bool)
-	if fused && k < len(supportSelectors) {
+	if k < len(supportSelectors) {
 		keep = supportSelectors[k]
-	} else if fused {
+	} else {
 		keep = atLeast(need)
 	}
 	hook := roundHook
@@ -105,10 +97,8 @@ func peel(a *sparse.CSR[float64], k int, fused bool, cfg core.Config) (*KTrussRe
 			if drops, err = dl.update(sr, cur, need, cfg); drops {
 				dl.prune(cur, need)
 			}
-		} else if fused {
+		} else {
 			next, err = core.MaskedSpGEMMSelectInto[float64](sr, spare, cur, cur, cur, cfg, keep)
-		} else if next, err = core.MaskedSpGEMMInto[float64](sr, spare, cur, cur, cur, cfg); err == nil {
-			dl.prune(next, need)
 		}
 		if err != nil {
 			return nil, err
@@ -116,7 +106,7 @@ func peel(a *sparse.CSR[float64], k int, fused bool, cfg core.Config) (*KTrussRe
 		kept := next.NNZ()
 		st := RoundStat{Round: rounds, Delta: isDelta, Visits: visits, Probes: probes, Support: next}
 		if kept != before && kept != 0 {
-			isDelta, visits, probes = dl.price(cur, next, fused && !isDelta, hook.forced(), cfg)
+			isDelta, visits, probes = dl.price(cur, next, hook.forced(), cfg)
 		}
 		if hook != nil && hook.Observe != nil {
 			hook.Observe(st)
@@ -143,8 +133,8 @@ func peel(a *sparse.CSR[float64], k int, fused bool, cfg core.Config) (*KTrussRe
 // internal/model.DerivedRoundWeights evaluated on the reference host's
 // round costs (a test there fails when the two drift).
 const (
-	probeWeight    = 0.15
-	symmetryWeight = 0.2
+	probeWeight    = 0.25
+	symmetryWeight = 0.3
 )
 
 // RoundWeights returns the round rule's probe and symmetry weights.
@@ -164,12 +154,13 @@ type delta struct {
 }
 
 // price decides how the round after the one that kept next out of cur
-// runs, and returns the visits and probes it is priced at; diff is set
-// when D is still to be cut out of cur (after a fused full round). A
+// runs, and returns the visits and probes it is priced at. A full round
+// kept next in a matrix of its own and leaves D to be cut out of cur
+// here; a delta round pruned cur in place (next is cur) and cut D. A
 // delta round visits at least 2·|D|, so a round that drops most of the
 // graph settles the verdict before D is cut or planned, and the full
 // round's probes are counted only when its visits alone do not.
-func (dl *delta) price(cur, next *sparse.CSR[float64], diff bool, force RoundKind, cfg core.Config) (isDelta bool, visits, probes int64) {
+func (dl *delta) price(cur, next *sparse.CSR[float64], force RoundKind, cfg core.Config) (isDelta bool, visits, probes int64) {
 	full, fp := int64(next.Rows)+2*next.NNZ(), int64(-1)
 	if force == FullRounds {
 		return false, full, 0
@@ -184,14 +175,15 @@ func (dl *delta) price(cur, next *sparse.CSR[float64], diff bool, force RoundKin
 	if !dl.checked {
 		check = symmetryWeight * float64(cur.NNZ())
 	}
+	afterFull := next != cur
 	dropped := cur.NNZ() - next.NNZ()
-	if !diff {
+	if !afterFull {
 		dropped = dl.d.NNZ()
 	}
 	if lower := float64(2*dropped) + check; force == AutoRounds && lower >= float64(full) && lower >= fullCost() {
 		return false, full, fp
 	}
-	if diff {
+	if afterFull {
 		dl.diff(cur, next)
 	}
 	visits, probes = dl.plan(next, cfg)
@@ -218,9 +210,10 @@ func probesOf(m, a, b *sparse.CSR[float64], cfg core.Config) int64 {
 	return p.CoIterProbeCost
 }
 
-// prune keeps the entries of the support matrix s that reach need, with
-// their support, compacting s in place into the next round's graph; the
-// dropped entries that lay in a triangle go to D.
+// prune keeps the entries of the support matrix s, as a delta round
+// left it, that reach need, with their support, compacting s in place
+// into the next round's graph; the dropped entries that lay in a
+// triangle go to D.
 func (dl *delta) prune(s *sparse.CSR[float64], need float64) {
 	dropped := 0
 	for _, v := range s.Val[:s.NNZ()] {
@@ -249,7 +242,7 @@ func (dl *delta) prune(s *sparse.CSR[float64], need float64) {
 	s.Val = s.Val[:w]
 }
 
-// diff sets D to a − kept, for a fused round whose kept edges are a
+// diff sets D to a − kept, for a full round whose kept edges are a
 // subset of a's: a row that kept its length lost nothing.
 func (dl *delta) diff(a, kept *sparse.CSR[float64]) {
 	dl.reset(a.Rows, int(a.NNZ()-kept.NNZ()))
@@ -350,7 +343,7 @@ func (dl *delta) update(sr semiring.PlusPair[float64], s *sparse.CSR[float64], n
 }
 
 // supportSelectors[k] is atLeast(k-2) for 3 <= k < 64, built once so a
-// fused call allocates no more than a staged one.
+// call allocates no selector.
 var supportSelectors = func() (s [64]func(float64) (float64, bool)) {
 	for k := 3; k < len(s); k++ {
 		s[k] = atLeast(float64(k - 2))
@@ -358,7 +351,7 @@ var supportSelectors = func() (s [64]func(float64) (float64, bool)) {
 	return s
 }()
 
-// atLeast is the fused round's selector: keep an edge in at least need
+// atLeast is a full round's selector: keep an edge in at least need
 // triangles, with its support.
 func atLeast(need float64) func(float64) (float64, bool) {
 	return func(v float64) (float64, bool) { return v, v >= need }

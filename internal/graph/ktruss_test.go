@@ -12,14 +12,6 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// ktrussVariant is one k-truss formulation.
-type ktrussVariant struct {
-	name string
-	run  func(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error)
-}
-
-var ktrussVariants = []ktrussVariant{{"staged", KTruss}, {"fused", KTrussFused}}
-
 // complete returns the complete graph on n vertices, every edge valued v.
 func complete(n int, v float64) *sparse.CSR[float64] {
 	coo := sparse.NewCOO[float64](n, n, int64(n*(n-1)))
@@ -59,23 +51,21 @@ func TestKTrussResultDoesNotAliasInput(t *testing.T) {
 		{"empties", graphgen.ErdosRenyi(200, 600, 1), 0},
 		{"already a 4-truss", complete(6, 2), 1},
 	}
-	for _, v := range ktrussVariants {
-		for _, in := range inputs {
-			orig := in.a.Clone()
-			res, err := v.run(in.a, 4, testCfg())
-			if err != nil {
-				t.Fatal(err)
+	for _, in := range inputs {
+		orig := in.a.Clone()
+		res, err := KTruss(in.a, 4, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.rounds != 0 {
+			if res.Rounds != in.rounds || !sparse.Equal(res.Truss, orig) {
+				t.Fatalf("%s: %d rounds, truss equal to input %v; want 1 round and the input",
+					in.name, res.Rounds, sparse.Equal(res.Truss, orig))
 			}
-			if in.rounds != 0 {
-				if res.Rounds != in.rounds || !sparse.Equal(res.Truss, orig) {
-					t.Fatalf("%s %s: %d rounds, truss equal to input %v; want 1 round and the input",
-						v.name, in.name, res.Rounds, sparse.Equal(res.Truss, orig))
-				}
-			}
-			scribble(res.Truss)
-			if !sparse.Equal(in.a, orig) {
-				t.Fatalf("%s %s: writing the result changed the input", v.name, in.name)
-			}
+		}
+		scribble(res.Truss)
+		if !sparse.Equal(in.a, orig) {
+			t.Fatalf("%s: writing the result changed the input", in.name)
 		}
 	}
 }
@@ -102,47 +92,36 @@ func TestKTrussRecyclesRoundStorage(t *testing.T) {
 		}
 	}
 	a := coo.ToCSR()
-	sr := semiring.PlusPair[float64]{}
-	first := map[string]func() (*sparse.CSR[float64], error){
-		"staged": func() (*sparse.CSR[float64], error) {
-			return core.MaskedSpGEMM[float64](sr, a, a, a, testCfg())
-		},
-		"fused": func() (*sparse.CSR[float64], error) {
-			return core.MaskedSpGEMMSelect[float64](sr, a, a, a, testCfg(),
-				func(v float64) (float64, bool) { return 1, v >= 2 })
-		},
+	round1, err := core.MaskedSpGEMMSelectInto[float64](semiring.PlusPair[float64]{}, nil, a, a, a, testCfg(),
+		func(v float64) (float64, bool) { return 1, v >= 2 })
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range ktrussVariants {
-		round1, err := first[v.name]()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultBytes := 8*uint64(n+1) + 12*uint64(round1.NNZ())
-		cfg := testCfg()
-		cfg.Engine = exec.New(exec.Config{})
-		if _, err := v.run(a, 4, cfg); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		res, err := v.run(a, 4, cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rounds < 5 {
-			t.Fatalf("fixture: %s k-truss ran %d rounds, want at least 5", v.name, res.Rounds)
-		}
-		// A plan is an Eq. 2 prefix sum over the rows and the tiles; the
-		// rest is a few small per-run objects.
-		planBytes := uint64(res.Rounds) * (16*uint64(n+1) + 4096)
-		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s: %d rounds, %d B allocated, first-round result %d B", v.name, res.Rounds, got, resultBytes)
-		if bound := 3*resultBytes + planBytes; got > bound {
-			t.Errorf("%s: a %d-round k-truss allocated %d B; want at most %d (3 × %d B first-round result + %d B plans)",
-				v.name, res.Rounds, got, bound, resultBytes, planBytes)
-		}
+	resultBytes := 8*uint64(n+1) + 12*uint64(round1.NNZ())
+	cfg := testCfg()
+	cfg.Engine = exec.New(exec.Config{})
+	if _, err := KTruss(a, 4, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := KTruss(a, 4, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds < 5 {
+		t.Fatalf("fixture: k-truss ran %d rounds, want at least 5", res.Rounds)
+	}
+	// A plan is an Eq. 2 prefix sum over the rows and the tiles; the
+	// rest is a few small per-run objects.
+	planBytes := uint64(res.Rounds) * (16*uint64(n+1) + 4096)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d rounds, %d B allocated, first-round result %d B", res.Rounds, got, resultBytes)
+	if bound := 3*resultBytes + planBytes; got > bound {
+		t.Errorf("a %d-round k-truss allocated %d B; want at most %d (3 × %d B first-round result + %d B plans)",
+			res.Rounds, got, bound, resultBytes, planBytes)
 	}
 }
 
@@ -168,30 +147,24 @@ func disjoint(parts ...*sparse.CSR[float64]) *sparse.CSR[float64] {
 	return coo.ToCSR()
 }
 
-// TestKTrussLargeK covers k past the prebuilt fused selectors (k >= 64)
-// and at their edge: a 70-clique, whose edges lie in 68 triangles each,
-// is its own k-truss up to k = 70 and peels to nothing at k = 71, while
-// the sparse part beside it empties.
+// TestKTrussLargeK covers k past the prebuilt selectors (k >= 64) and
+// at their edge: a 70-clique, whose edges lie in 68 triangles each, is
+// its own k-truss up to k = 70 and peels to nothing at k = 71, while the
+// sparse part beside it empties, as the definition (bruteTruss) says.
 func TestKTrussLargeK(t *testing.T) {
 	a := disjoint(graphgen.ErdosRenyi(300, 1500, 5), complete(70, 1))
 	for _, k := range []int{63, 64, 70, 71} {
-		want, err := KTruss(a, k, testCfg())
+		res, err := KTruss(a, k, testCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := KTrussFused(a, k, testCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sparse.Equal(got.Truss, want.Truss) || got.Rounds != want.Rounds {
-			t.Fatalf("k=%d: fused truss differs from staged", k)
-		}
+		checkTruss(t, fmt.Sprintf("k=%d", k), res.Truss, bruteTruss(a, k))
 		wantEdges := int64(70 * 69 / 2)
 		if k > 70 {
 			wantEdges = 0
 		}
-		if want.Edges != wantEdges {
-			t.Errorf("k=%d: %d edges, want %d", k, want.Edges, wantEdges)
+		if res.Edges != wantEdges {
+			t.Errorf("k=%d: %d edges, want %d", k, res.Edges, wantEdges)
 		}
 	}
 }
@@ -205,17 +178,15 @@ func TestKTrussResultIsRightSized(t *testing.T) {
 		"to a clique": disjoint(graphgen.ErdosRenyi(400, 4000, 3), complete(12, 1)),
 		"to nothing":  graphgen.ErdosRenyi(400, 4000, 3),
 	}
-	for _, v := range ktrussVariants {
-		for name, a := range inputs {
-			res, err := v.run(a, 5, testCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := res.Truss.NNZ()
-			if int64(cap(res.Truss.ColIdx)) > 2*n || int64(cap(res.Truss.Val)) > 2*n {
-				t.Errorf("%s %s: %d entries in arrays of capacity %d and %d",
-					v.name, name, n, cap(res.Truss.ColIdx), cap(res.Truss.Val))
-			}
+	for name, a := range inputs {
+		res, err := KTruss(a, 5, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := res.Truss.NNZ()
+		if int64(cap(res.Truss.ColIdx)) > 2*n || int64(cap(res.Truss.Val)) > 2*n {
+			t.Errorf("%s: %d entries in arrays of capacity %d and %d",
+				name, n, cap(res.Truss.ColIdx), cap(res.Truss.Val))
 		}
 	}
 }
@@ -276,8 +247,7 @@ func undirected(g *sparse.CSR[float64]) *sparse.CSR[float64] {
 	return coo.ToCSR()
 }
 
-// TestKTrussMatchesBruteForce holds both k-truss formulations to the
-// definition (bruteTruss) on the four generated graph families — R-MAT,
+// TestKTrussMatchesBruteForce holds the k-truss to the definition (bruteTruss) on the four generated graph families — R-MAT,
 // road lattice, web and circuit — at k = 3 through 6: the truss stores
 // exactly the surviving edges. The 3-truss of every fixture is
 // non-empty, so each compares a real peel.
@@ -302,23 +272,11 @@ func TestKTrussMatchesBruteForce(t *testing.T) {
 				if k == 3 && edges == 0 {
 					t.Fatal("fixture has no triangles: its 3-truss is empty")
 				}
-				for _, v := range ktrussVariants {
-					res, err := v.run(g.a, k, testCfg())
-					if err != nil {
-						t.Fatalf("%s: %v", v.name, err)
-					}
-					tr := res.Truss
-					if got := tr.NNZ(); got != int64(edges) {
-						t.Fatalf("%s: truss stores %d entries, definition keeps %d", v.name, got, edges)
-					}
-					for i := 0; i < tr.Rows; i++ {
-						for _, j := range tr.RowCols(i) {
-							if !want[i][int(j)] {
-								t.Fatalf("%s: truss keeps edge (%d,%d) the definition drops", v.name, i, j)
-							}
-						}
-					}
+				res, err := KTruss(g.a, k, testCfg())
+				if err != nil {
+					t.Fatal(err)
 				}
+				checkTruss(t, g.name, res.Truss, want)
 			})
 		}
 	}
@@ -371,10 +329,10 @@ func both(edges ...[2]int) [][2]int {
 	return out
 }
 
-// peelRounds runs one k-truss formulation under a round hook forcing
-// force and returns the result and each round's kept edges with their
-// support, counting the rounds after the first by kind.
-func peelRounds(t *testing.T, v ktrussVariant, a *sparse.CSR[float64], k int, force RoundKind, delta, full *int) (*KTrussResult, []*sparse.CSR[float64]) {
+// peelRounds runs a k-truss under a round hook forcing force and
+// returns the result and each round's kept edges with their support,
+// counting the rounds after the first by kind.
+func peelRounds(t *testing.T, a *sparse.CSR[float64], k int, force RoundKind, delta, full *int) (*KTrussResult, []*sparse.CSR[float64]) {
 	t.Helper()
 	var got []*sparse.CSR[float64]
 	defer SetRoundHookForTest(&RoundHook{Force: force, Observe: func(st RoundStat) {
@@ -385,15 +343,15 @@ func peelRounds(t *testing.T, v ktrussVariant, a *sparse.CSR[float64], k int, fo
 			*full++
 		}
 	}})()
-	res, err := v.run(a, k, testCfg())
+	res, err := KTruss(a, k, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, got
 }
 
-// TestKTrussRoundsMatchFullRecompute holds every round of both
-// formulations to the full product: the kept edges and their support
+// TestKTrussRoundsMatchFullRecompute holds every round to the full
+// product: the kept edges and their support
 // bit for bit, and the round count, under the production rule and with
 // every round after the first a delta round. The generated families
 // peel over several rounds; three fixtures pin the corners of the
@@ -443,20 +401,18 @@ func TestKTrussRoundsMatchFullRecompute(t *testing.T) {
 		for _, k := range f.ks {
 			t.Run(fmt.Sprintf("%s/k=%d", f.name, k), func(t *testing.T) {
 				want := fullRecompute(t, f.a, k)
-				for _, v := range ktrussVariants {
-					for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
-						var d, fl int
-						res, got := peelRounds(t, v, f.a, k, force, &d, &fl)
-						if force == AutoRounds {
-							delta, full = delta+d, full+fl
-						}
-						if res.Rounds != len(want) || len(got) != len(want) {
-							t.Fatalf("%s force=%d: %d rounds (%d observed), full recompute %d", v.name, force, res.Rounds, len(got), len(want))
-						}
-						for r := range want {
-							if !sparse.Equal(got[r], want[r]) {
-								t.Fatalf("%s force=%d: round %d's support differs from the full product's", v.name, force, r+1)
-							}
+				for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
+					var d, fl int
+					res, got := peelRounds(t, f.a, k, force, &d, &fl)
+					if force == AutoRounds {
+						delta, full = delta+d, full+fl
+					}
+					if res.Rounds != len(want) || len(got) != len(want) {
+						t.Fatalf("force=%d: %d rounds (%d observed), full recompute %d", force, res.Rounds, len(got), len(want))
+					}
+					for r := range want {
+						if !sparse.Equal(got[r], want[r]) {
+							t.Fatalf("force=%d: round %d's support differs from the full product's", force, r+1)
 						}
 					}
 				}
@@ -489,20 +445,18 @@ func TestKTrussDirectedInputRunsFullRounds(t *testing.T) {
 		}
 		for _, k := range []int{3, 4} {
 			want := fullRecompute(t, a, k)
-			for _, v := range ktrussVariants {
-				for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
-					var delta, full int
-					res, got := peelRounds(t, v, a, k, force, &delta, &full)
-					if delta != 0 {
-						t.Errorf("%s k=%d %s force=%d: %d delta rounds on a non-symmetric pattern", name, k, v.name, force, delta)
-					}
-					if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
-						t.Errorf("%s k=%d %s force=%d: %d rounds, want %d, or a different truss", name, k, v.name, force, res.Rounds, len(want))
-					}
-					for r := range got {
-						if r < len(want) && !sparse.Equal(got[r], want[r]) {
-							t.Errorf("%s k=%d %s force=%d: round %d differs from the full product's", name, k, v.name, force, r+1)
-						}
+			for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
+				var delta, full int
+				res, got := peelRounds(t, a, k, force, &delta, &full)
+				if delta != 0 {
+					t.Errorf("%s k=%d force=%d: %d delta rounds on a non-symmetric pattern", name, k, force, delta)
+				}
+				if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
+					t.Errorf("%s k=%d force=%d: %d rounds, want %d, or a different truss", name, k, force, res.Rounds, len(want))
+				}
+				for r := range got {
+					if r < len(want) && !sparse.Equal(got[r], want[r]) {
+						t.Errorf("%s k=%d force=%d: round %d differs from the full product's", name, k, force, r+1)
 					}
 				}
 			}

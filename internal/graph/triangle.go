@@ -46,7 +46,15 @@ func (m TriangleMethod) String() string {
 // adjacency matrix is a (symmetric, zero diagonal, unit values), using
 // the chosen formulation and kernel configuration. The product's rows
 // are summed as they are gathered; C is never assembled.
+//
+// SandiaLL and Cohen read one triangle of a each, so a directed a could
+// get a count and no error; they check a's symmetry first (one pass
+// over a), and an asymmetric a is ErrInvalidMatrix. Burkhardt reports
+// ErrInvalidMatrix when its count is not a multiple of 6.
 func TriangleCount(a *sparse.CSR[float64], method TriangleMethod, cfg core.Config) (int64, error) {
+	if (method == SandiaLL || method == Cohen) && !sparse.IsSymmetric(a) {
+		return 0, fmt.Errorf("%w: asymmetric adjacency (is the graph symmetric and simple?)", core.ErrInvalidMatrix)
+	}
 	m, x, y, div := a, a, a, int64(6)
 	switch method {
 	case Burkhardt:

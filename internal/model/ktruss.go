@@ -15,9 +15,9 @@ type RoundCosts struct {
 // ReferenceRoundCosts are the medians of nine runs on the 2-vCPU
 // reference host.
 var ReferenceRoundCosts = RoundCosts{
-	FullNsPerVisit: 71.31, FullProbesPerVisit: 12.02,
-	DeltaNsPerVisit: 31.83, DeltaProbesPerVisit: 1.516,
-	SymmetryNsPerNNZ: 4.817,
+	FullNsPerVisit: 67.21, FullProbesPerVisit: 12.02,
+	DeltaNsPerVisit: 27.15, DeltaProbesPerVisit: 2.379,
+	SymmetryNsPerNNZ: 5.486,
 }
 
 // Split solves ns/visit = visit + probe·probes/visit, once per kind of

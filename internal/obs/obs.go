@@ -208,7 +208,7 @@ func (c *PoolCounters) add(o PoolCounters, k int64) {
 // FusedCounters are the fused-product statistics: how many products ran
 // with a select or stream sink and how much intermediate data stayed in
 // tile staging buffers instead of a fully assembled CSR (see
-// internal/core's MaskedSpGEMMSelect and MaskedSpGEMMStream).
+// internal/core's MaskedSpGEMMSelectInto and MaskedSpGEMMStream).
 type FusedCounters struct {
 	// SelectRuns counts multiply+select fusions (k-truss prune);
 	// StreamRuns counts multiply+consume fusions that skipped assembly

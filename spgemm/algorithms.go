@@ -14,7 +14,8 @@ func TriangleCount(a *Matrix, opts Options) (int64, error) {
 
 // TriangleCountLL counts triangles with the lower-triangular
 // formulation C = L ⊙ (L×L), which does one sixth of the Burkhardt
-// kernel's work.
+// kernel's work. It reads one triangle of a, so it checks a's symmetry
+// first (one pass over a): an asymmetric a is ErrInvalidMatrix.
 func TriangleCountLL(a *Matrix, opts Options) (int64, error) {
 	return graph.TriangleCount(a.csr, graph.SandiaLL, opts.config())
 }
@@ -25,21 +26,16 @@ func TriangleCountLL(a *Matrix, opts Options) (int64, error) {
 // round predicted to cost less than a product of the whole surviving
 // graph updates the last round's support by the triangles the removed
 // edges took with them instead; the truss and the round count are the
-// full products'. With Options.Fuse set, each round that multiplies
-// runs as one fused select multiply — the per-edge support matrix is
-// thresholded inside the tile gather and never materialized; the result
-// is identical.
+// full products'. A round that multiplies thresholds the per-edge
+// support inside the product's gather, so the support of the edges it
+// drops is never materialized.
 //
 // a must be symmetric, as an undirected graph's adjacency is. A
 // non-symmetric a is detected (once per call) and multiplies its
 // directed pattern every round, returning that iteration's fixed point,
 // which is not the truss of any undirected graph.
 func KTruss(a *Matrix, k int, opts Options) (*Matrix, int, error) {
-	run := graph.KTruss
-	if opts.Fuse {
-		run = graph.KTrussFused
-	}
-	res, err := run(a.csr, k, opts.config())
+	res, err := graph.KTruss(a.csr, k, opts.config())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -66,14 +62,10 @@ func BetweennessCentrality(a *Matrix, sources []int) ([]float64, error) {
 // sources simultaneously as rectangular masked matrix products — the
 // batched-Brandes formulation, directed graphs included (paths follow
 // entry (i, j) from i to j). Each level multiplies only its frontier's
-// submatrix, so it costs the front, not the whole graph. With
-// Options.Fuse set, the backward sweep streams each dependency row
-// straight into the delta vector instead of assembling a per-level CSR;
-// the result is identical.
+// submatrix, so it costs the front, not the whole graph. The backward
+// sweep streams each dependency row straight into the delta vector
+// instead of assembling a per-level matrix.
 func BetweennessCentralityBatch(a *Matrix, sources []int, opts Options) ([]float64, error) {
-	if opts.Fuse {
-		return graph.BetweennessCentralityBatchFused(a.csr, sources, opts.config())
-	}
 	return graph.BetweennessCentralityBatch(a.csr, sources, opts.config())
 }
 

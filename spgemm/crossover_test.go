@@ -12,10 +12,10 @@ import (
 // facadeOutcome is what one pass over the facade's multiply-built entry
 // points returns, plus the stats/v4 totals it recorded.
 type facadeOutcome struct {
-	mxm, truss  *Matrix
-	triangles   int64
-	bc, bcFused []float64
-	totals      CounterSet
+	mxm, truss *Matrix
+	triangles  int64
+	bc         []float64
+	totals     CounterSet
 }
 
 func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
@@ -38,9 +38,6 @@ func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
 	check(err)
 	sources := []int{0, 5, 19, 44}
 	o.bc, err = BetweennessCentralityBatch(a, sources, opts)
-	check(err)
-	opts.Fuse = true
-	o.bcFused, err = BetweennessCentralityBatch(a, sources, opts)
 	check(err)
 	o.totals = rec.Stats().Totals
 	return o
@@ -83,7 +80,7 @@ func TestFacadeSmallEqualsTiled(t *testing.T) {
 			if small.triangles != tiled.triangles {
 				t.Errorf("workers=%d engine=%v: triangles %d / %d", workers, withEngine, small.triangles, tiled.triangles)
 			}
-			if !slices.Equal(small.bc, tiled.bc) || !slices.Equal(small.bcFused, tiled.bcFused) {
+			if !slices.Equal(small.bc, tiled.bc) {
 				t.Errorf("workers=%d engine=%v: BC scores differ across the crossover", workers, withEngine)
 			}
 			if small.totals.Tiles >= tiled.totals.Tiles {

@@ -23,8 +23,9 @@ var (
 	ErrConfig = core.ErrConfig
 	// ErrInvalidMatrix marks operands that violate the CSR invariants
 	// (detected when Options.ValidateInputs is set, or by Matrix input
-	// readers on malformed files), and an asymmetric adjacency whose
-	// triangle count comes out non-integral.
+	// readers on malformed files), and an asymmetric adjacency given to
+	// TriangleCountLL, or to TriangleCount when its count comes out
+	// non-integral.
 	ErrInvalidMatrix = core.ErrInvalidMatrix
 	// ErrCanceled marks a multiplication stopped by its context. The
 	// chain also matches the context's own error (context.Canceled or

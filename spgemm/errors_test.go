@@ -242,8 +242,9 @@ func TestUnknownSemiringIsErrConfig(t *testing.T) {
 // TestGraphArgumentErrorsWrapSentinels holds the graph entry points to
 // the taxonomy docs/ERRORS.md promises: a bad argument returns an error
 // wrapping its sentinel — ErrConfig for a k below 3, ErrShape for a
-// source outside [0, n), ErrInvalidMatrix for a triangle count that an
-// asymmetric operand makes non-integral — and no other sentinel.
+// source outside [0, n), ErrInvalidMatrix for a triangle count of an
+// asymmetric operand (non-integral under TriangleCount) — and no other
+// sentinel.
 func TestGraphArgumentErrorsWrapSentinels(t *testing.T) {
 	a := RandomGraph("er", 40, 9)
 	// Directed 0→1→2 plus 0→2: one wedge closes, 1/6 of a triangle.
@@ -259,12 +260,6 @@ func TestGraphArgumentErrorsWrapSentinels(t *testing.T) {
 	}{
 		{"KTruss/k=2", ErrConfig, func() error { _, _, err := KTruss(a, 2, Defaults()); return err }},
 		{"KTruss/k=-1", ErrConfig, func() error { _, _, err := KTruss(a, -1, Defaults()); return err }},
-		{"KTruss/fused/k=2", ErrConfig, func() error {
-			o := Defaults()
-			o.Fuse = true
-			_, _, err := KTruss(a, 2, o)
-			return err
-		}},
 		{"BFS/src=999", ErrShape, func() error { _, err := BFS(a, 999); return err }},
 		{"BFS/src=-1", ErrShape, func() error { _, err := BFS(a, -1); return err }},
 		{"BetweennessCentrality/src=999", ErrShape, func() error {
@@ -283,13 +278,8 @@ func TestGraphArgumentErrorsWrapSentinels(t *testing.T) {
 			_, err := BetweennessCentralityBatch(a, []int{3, 999}, Defaults())
 			return err
 		}},
-		{"BetweennessCentralityBatch/fused/src=-1", ErrShape, func() error {
-			o := Defaults()
-			o.Fuse = true
-			_, err := BetweennessCentralityBatch(a, []int{-1}, o)
-			return err
-		}},
 		{"TriangleCount/asymmetric", ErrInvalidMatrix, func() error { _, err := TriangleCount(directed, Defaults()); return err }},
+		{"TriangleCountLL/asymmetric", ErrInvalidMatrix, func() error { _, err := TriangleCountLL(directed, Defaults()); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.run()

@@ -3,6 +3,7 @@ package spgemm_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"maskedspgemm/spgemm"
@@ -28,45 +29,36 @@ func randMatrixT(t *testing.T, rows, cols int, density float64, seed int64) *spg
 	return m
 }
 
-func TestKTrussFuseOptionMatches(t *testing.T) {
+// TestFuseHasNoEffect pins that Options.Fuse selects nothing: KTruss
+// and BetweennessCentralityBatch return the same truss, round count and
+// scores, bit for bit, with it set or clear.
+func TestFuseHasNoEffect(t *testing.T) {
 	a := spgemm.RandomGraph("er", 60, 11).Symmetrize()
-	opts := spgemm.Defaults()
-	opts.Tiles = 8
-	opts.Workers = 2
-	want, wantRounds, err := spgemm.KTruss(a, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Fuse = true
-	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-	got, gotRounds, err := spgemm.KTruss(a, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) || gotRounds != wantRounds {
-		t.Fatalf("fused k-truss differs (rounds %d vs %d)", gotRounds, wantRounds)
-	}
-}
-
-func TestBCBatchFuseOptionMatches(t *testing.T) {
-	a := spgemm.RandomGraph("er", 40, 13).Symmetrize()
 	sources := []int{0, 5, 9}
-	opts := spgemm.Defaults()
-	opts.Tiles = 8
-	opts.Workers = 2
-	want, err := spgemm.BetweennessCentralityBatch(a, sources, opts)
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		truss  *spgemm.Matrix
+		rounds int
+		bc     []float64
 	}
-	opts.Fuse = true
-	got, err := spgemm.BetweennessCentralityBatch(a, sources, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if diff := got[v] - want[v]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("bc[%d] = %v, want %v", v, got[v], want[v])
+	var got [2]outcome
+	for i, fuse := range []bool{false, true} {
+		o := spgemm.Defaults()
+		o.Tiles = 8
+		o.Workers = 2
+		o.Fuse = fuse
+		var err error
+		if got[i].truss, got[i].rounds, err = spgemm.KTruss(a, 4, o); err != nil {
+			t.Fatal(err)
 		}
+		if got[i].bc, err = spgemm.BetweennessCentralityBatch(a, sources, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !got[1].truss.Equal(got[0].truss) || got[1].rounds != got[0].rounds {
+		t.Errorf("k-truss differs with Fuse set (rounds %d vs %d)", got[1].rounds, got[0].rounds)
+	}
+	if !slices.Equal(got[1].bc, got[0].bc) {
+		t.Errorf("BC scores differ with Fuse set")
 	}
 }
 

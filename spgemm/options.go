@@ -52,12 +52,10 @@ type Options struct {
 	// element-wise operations. Default SRPlusTimes; a value outside the
 	// enum is ErrConfig. The algorithm wrappers and TRSV fix their own.
 	Semiring Semiring
-	// Fuse runs the algorithm wrappers with fused formulations in them:
-	// KTruss's support-and-prune round as one select multiply, and
-	// BetweennessCentralityBatch's backward sweep streaming each row into
-	// its dependency vector, instead of materializing the intermediate
-	// matrix. Results are bit-identical to the unfused paths; only
-	// intermediate allocations and locality change.
+	// Fuse has no effect. KTruss and BetweennessCentralityBatch each run
+	// one formulation, which already keeps its intermediate matrix
+	// unassembled; the field is kept only until the end-to-end
+	// benchmark's second variant, which sets it, is retired.
 	Fuse bool
 	// Context, when non-nil, makes the multiplication cooperatively
 	// cancellable: workers observe cancellation between tile claims and

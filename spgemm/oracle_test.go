@@ -268,7 +268,7 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 }
 
 // TestKTrussKnownGraphs peels graphs whose k-truss follows from each
-// edge's triangle count, staged and fused: every edge of a k-truss lies
+// edge's triangle count: every edge of a k-truss lies
 // in at least k-2 of the truss's own triangles.
 func TestKTrussKnownGraphs(t *testing.T) {
 	k5Pendant := append(completeEdges(5), [2]int{0, 5})
@@ -296,19 +296,15 @@ func TestKTrussKnownGraphs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := graphOf(t, tc.n, tc.edges)
 			want := graphOf(t, tc.n, tc.want).Pattern()
-			for _, fuse := range []bool{false, true} {
-				o := spgemm.Defaults()
-				o.Fuse = fuse
-				truss, rounds, err := spgemm.KTruss(g, tc.k, o)
-				if err != nil {
-					t.Fatalf("fuse=%v: %v", fuse, err)
-				}
-				if rounds < 1 {
-					t.Errorf("fuse=%v: %d rounds, want at least one", fuse, rounds)
-				}
-				if !truss.Pattern().Equal(want) {
-					t.Errorf("fuse=%v: truss has %d entries, want the %d of %v", fuse, truss.NNZ(), want.NNZ(), tc.want)
-				}
+			truss, rounds, err := spgemm.KTruss(g, tc.k, spgemm.Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds < 1 {
+				t.Errorf("%d rounds, want at least one", rounds)
+			}
+			if !truss.Pattern().Equal(want) {
+				t.Errorf("truss has %d entries, want the %d of %v", truss.NNZ(), want.NNZ(), tc.want)
 			}
 		})
 	}
