@@ -92,10 +92,11 @@ race:
 # spgemm-bench warm pool hit rate and checksums (bench-engine)
 # and solve bit-identity (bench-trsv) — plus one iteration of the
 # micro-benchmarks the per-unit numbers are regenerated from
-# (bench-micro), so they cannot rot. CI's gates job runs exactly this.
+# (bench-micro), and the recorder's table end to end (bench-smoke), so
+# they cannot rot. CI's gates job runs exactly this.
 # The seeded fault matrix is not a gate of its own: `make race`, which
 # CI's test job runs, covers the chaos suite's five packages whole.
-gates: bench-engine bench-trsv bench-micro
+gates: bench-engine bench-trsv bench-micro bench-smoke
 
 check: vet lint staticcheck govulncheck race test examples gates
 
@@ -132,7 +133,8 @@ bench-sched:
 # bench-smoke pushes a tiny graph through the stats experiment end to
 # end (flag parsing, corpus selection, recorder, tables). The rows'
 # bench-results/v1 round-trip is pinned for every experiment by
-# TestExperimentsRegistry; add -json to keep results_stats.json.
+# TestExperimentsRegistry; add -json to keep results_stats.json. Part
+# of `make gates`.
 bench-smoke:
 	$(GO) run ./cmd/spgemm-bench -experiment stats -shift 6 \
 		-graphs GAP-road-sim -reps 2 -budget 1s

@@ -46,7 +46,6 @@
 //	                 (maskedspgemm/bench-results/v1, self-validated)
 //	-engine          run every experiment against one shared execution engine
 //	-pool-cap N      idle-workspace cap for that engine (0 = default)
-//	-retention-mb N  size the shared -engine by an N-MiB retention budget
 //	-min-trsv-speedup F  after trsv: fail unless waves beat serial by F
 //	                 on some graph
 //
@@ -83,7 +82,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "write every timed row to results_<experiment>.json")
 	useEngine := flag.Bool("engine", false, "run all experiments against one shared execution engine (pooled workspaces + plan cache)")
 	poolCap := flag.Int("pool-cap", 0, "idle-workspace cap for -engine (0 = default, negative disables retention)")
-	retentionMB := flag.Int64("retention-mb", 0, "size the shared -engine by this retention budget in MiB (0 = use -pool-cap; implies -engine)")
 	minTrsvSpeedup := flag.Float64("min-trsv-speedup", 0, "after the trsv experiment, fail unless some graph's wave schedule beats serial by this factor (0 = bit-identity gate only)")
 	flag.Parse()
 
@@ -110,19 +108,7 @@ func main() {
 	}
 	// The log is always on: -json writes it, the timing gates read it.
 	o.Log = &bench.ResultLog{}
-	switch {
-	case *retentionMB != 0:
-		if *retentionMB < 0 {
-			fmt.Fprintf(os.Stderr, "-retention-mb must be >= 0, got %d\n", *retentionMB)
-			os.Exit(2)
-		}
-		eng, err := bench.EngineWithBudget(o, *retentionMB<<20)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-retention-mb: %v\n", err)
-			os.Exit(2)
-		}
-		o.Engine = eng
-	case *useEngine:
+	if *useEngine {
 		o.Engine = exec.New(exec.Config{MaxIdle: *poolCap})
 	}
 

@@ -7,7 +7,6 @@ import (
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graph"
-	"maskedspgemm/internal/model"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sparse"
 )
@@ -132,26 +131,4 @@ func EngineBench(w io.Writer, o Options) error {
 	fmt.Fprintf(w, "warm pool hit rate >= %.0f%% on every workload (min %.1f%%)\n",
 		minWarmHitRate*100, minRate*100)
 	return nil
-}
-
-// EngineWithBudget builds a shared benchmark engine sized by a
-// retention budget in bytes (the -retention-mb flag): the first corpus
-// graph's structural features feed the engine-config model, which
-// translates the budget into an idle-workspace cap for the accumulator
-// family the tuned configuration selects. budget 0 selects the model's
-// default (256 MiB); negative budgets are rejected.
-func EngineWithBudget(o Options, budget int64) (*exec.Engine, error) {
-	if budget < 0 {
-		return nil, fmt.Errorf("bench: retention budget must be >= 0, got %d", budget)
-	}
-	corpus := o.corpus()
-	if len(corpus) == 0 {
-		return nil, fmt.Errorf("bench: no corpus graphs selected")
-	}
-	a := corpus[0].Build(o.Shift)
-	f, err := model.Extract(a, a, a)
-	if err != nil {
-		return nil, err
-	}
-	return exec.New(model.PredictEngineBudget(f, tunedConfig(o.Workers), o.Workers, budget)), nil
 }

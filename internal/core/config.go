@@ -124,9 +124,9 @@ type Config struct {
 	// tile-build/row-cap, exec kernel/assembly), exact per-worker
 	// counters (tiles, rows, Eq. 2 FLOPs, hybrid co-iterate vs linear
 	// picks, gathered entries), accumulator statistics (marker
-	// overflows, hash probe traffic), plus pprof phase labels and
-	// runtime/trace tile regions. A nil Recorder disables all of it; the
-	// disabled path is a nil-check and allocates nothing.
+	// overflows, hash probe traffic), plus runtime/trace tile regions.
+	// A nil Recorder disables all of it; the disabled path is a
+	// nil-check and allocates nothing.
 	Recorder *obs.Recorder
 }
 

@@ -89,22 +89,6 @@ func (l AccumLayout) String() string {
 	}
 }
 
-// StateBytes is the state one accumulator of the layout holds for
-// output rows of cols columns, priced by accum.StateBytes.
-func (l AccumLayout) StateBytes(cols, valueBytes, markerBits int) int64 {
-	if l.Kind != accum.DenseKind {
-		return accum.StateBytes(accum.HashKind, cols, l.RowCap, valueBytes, markerBits)
-	}
-	if l.Window > 0 {
-		cols = l.Window
-	}
-	b := accum.StateBytes(accum.DenseKind, cols, 0, valueBytes, markerBits)
-	if l.RowCap > 0 {
-		b += accum.StateBytes(accum.HashKind, cols, l.RowCap, valueBytes, markerBits)
-	}
-	return b
-}
-
 // DeriveAccumulator is the planner's accumulator for output rows of cols
 // columns holding at most rowCap entries, whose mask rows span spans,
 // with valueBytes-byte values and markerBits-bit markers, in O(1)

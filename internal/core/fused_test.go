@@ -101,7 +101,7 @@ func TestFusedStreamMatchesRows(t *testing.T) {
 	}
 }
 
-// TestFusedCounters checks the stats/v4 fused block: select and stream
+// TestFusedCounters checks the stats/v5 fused block: select and stream
 // runs each stamp their counters, and a stream's intermediate entries
 // are priced at a column index plus a value.
 func TestFusedCounters(t *testing.T) {
@@ -134,9 +134,6 @@ func TestFusedCounters(t *testing.T) {
 	if st.Fused.MidBytes != st.Fused.MidEntries*12 {
 		t.Fatalf("MidEntries/MidBytes = %d/%d, want 12-byte entries",
 			st.Fused.MidEntries, st.Fused.MidBytes)
-	}
-	if ls, ok := rec.LastRun(); !ok || ls.Fused.StreamRuns != 1 {
-		t.Fatalf("LastRun fused block = %+v ok=%v, want the stream run", ls.Fused, ok)
 	}
 }
 

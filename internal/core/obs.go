@@ -23,9 +23,9 @@ func runOpts(cfg Config, wstats *sched.WaveStats) sched.RunOpts {
 	return opt
 }
 
-// runSolveWavesSpanned executes a wave plan under the exec.solve span
-// and pprof label, handing each tile callback the worker's counter
-// block (nil when observability is off).
+// runSolveWavesSpanned executes a wave plan under the exec.solve span,
+// handing each tile callback the worker's counter block (nil when
+// observability is off).
 func runSolveWavesSpanned(
 	ctx context.Context, cfg Config, scope *obs.RunScope, workers int,
 	plan sched.WavePlan, wstats *sched.WaveStats,
@@ -33,40 +33,23 @@ func runSolveWavesSpanned(
 ) error {
 	opt := runOpts(cfg, wstats)
 	slots := scope.WorkerSlots(workers)
-	return spanned(ctx, scope, obs.PhaseExecSolve, func() error {
-		return sched.RunWavesOpts(ctx, cfg.Schedule, workers, plan, opt, func(worker, t int) {
-			var wc *obs.WorkerCounters
-			if slots != nil {
-				wc = &slots[worker]
-				wc.Tiles.Add(1)
-			}
-			run(worker, t, wc)
-		})
+	defer scope.Span(obs.PhaseExecSolve, scope.Now())
+	return sched.RunWavesOpts(ctx, cfg.Schedule, workers, plan, opt, func(worker, t int) {
+		var wc *obs.WorkerCounters
+		if slots != nil {
+			wc = &slots[worker]
+			wc.Tiles.Add(1)
+		}
+		run(worker, t, wc)
 	})
-}
-
-// spanned runs fn under phase's span and pprof label; without a scope
-// it calls fn directly, so the uninstrumented path stays
-// allocation-free.
-func spanned(ctx context.Context, scope *obs.RunScope, phase obs.Phase, fn func() error) error {
-	if !scope.Enabled() {
-		return fn()
-	}
-	defer scope.Span(phase)()
-	var err error
-	scope.Do(ctx, phase, func() {
-		err = fn()
-	})
-	return err
 }
 
 // This file is the glue between the kernel pipeline and the obs
-// recorder: phase-spanned plan construction, per-run accumulator
-// counter deltas, and the spanned/labelled wrapper around the numeric
-// phases. Every helper takes the run's *obs.RunScope (nil when
+// recorder: phase-spanned plan construction and per-run accumulator
+// counter deltas. Every helper takes the run's *obs.RunScope (nil when
 // observability is off, so the uninstrumented pipeline takes the exact
-// pre-observability paths); the scope isolates the run's spans and
-// counters under its multiply sequence id and folds them into the
+// pre-observability paths); the scope holds the run's spans and
+// counters apart from every other run's and folds them into the
 // recorder's cumulative totals exactly once at End.
 
 // planFor resolves the execution plan — tile partition plus accumulator
@@ -130,8 +113,7 @@ func recordPoolDelta(cfg Config, prior exec.PoolStats, scope *obs.RunScope) {
 // makeTiles builds the tile partition. Without a scope it defers to
 // tiling.MakeParallelE unchanged; with one, each FLOP-balanced plan
 // phase — Eq. 2 row-work estimation and prefix sum (the two passes of
-// tiling.WorkPrefixE), boundary placement — runs under its own span and
-// pprof label.
+// tiling.WorkPrefixE), boundary placement — runs under its own span.
 func makeTiles[T sparse.Number](
 	ctx context.Context, cfg Config, pw int, a, b, m *sparse.CSR[T], scope *obs.RunScope,
 ) ([]tiling.Tile, error) {
@@ -140,16 +122,17 @@ func makeTiles[T sparse.Number](
 	}
 	switch cfg.Tiling {
 	case tiling.Uniform:
-		defer scope.Span(obs.PhasePlanTileBuild)()
+		defer scope.Span(obs.PhasePlanTileBuild, scope.Now())
 		return tiling.UniformTiles(a.Rows, cfg.Tiles), nil
 	case tiling.FlopBalanced:
 		prefix, err := tiling.WorkPrefixE(ctx, a, b, m, pw, func(step int, run func() error) error {
-			return spanned(ctx, scope, planSteps[step], run)
+			defer scope.Span(planSteps[step], scope.Now())
+			return run()
 		})
 		if err != nil {
 			return nil, err
 		}
-		defer scope.Span(obs.PhasePlanTileBuild)()
+		defer scope.Span(obs.PhasePlanTileBuild, scope.Now())
 		return tiling.BalancedFromPrefix(prefix, cfg.Tiles), nil
 	default:
 		return tiling.MakeParallelE(ctx, cfg.Tiling, cfg.Tiles, pw, a, b, m)
@@ -166,7 +149,7 @@ var planSteps = [2]obs.Phase{obs.PhasePlanRowWork, obs.PhasePlanPrefixSum}
 func rowCapacity[T sparse.Number](
 	ctx context.Context, cfg Config, pw int, a, b, m *sparse.CSR[T], scope *obs.RunScope,
 ) (exec.Plan, error) {
-	defer scope.Span(obs.PhasePlanRowCap)()
+	defer scope.Span(obs.PhasePlanRowCap, scope.Now())
 	plan, err := maskRows(ctx, m, pw)
 	if err != nil || cfg.Iteration != Vanilla {
 		return plan, err
@@ -176,35 +159,31 @@ func rowCapacity[T sparse.Number](
 	return plan, err
 }
 
-// snapshotAccumStats enables the gated accumulator counters and returns
-// their current values, so the post-run delta isolates this run even
-// when the accumulators are reused (a pooled workspace). Nil scope → nil.
-func snapshotAccumStats[T sparse.Number](accs []accum.Accumulator[T], scope *obs.RunScope) []accum.Stats {
+// accumTotal sums the accumulators' counters; with a scope it first
+// enables the gated ones. The accumulators persist across runs (a
+// pooled workspace), so the run's delta is the total after the run less
+// the total before it. Nil scope → zero, without touching them.
+func accumTotal[T sparse.Number](accs []accum.Accumulator[T], scope *obs.RunScope) accum.Stats {
+	var sum accum.Stats
 	if !scope.Enabled() {
-		return nil
+		return sum
 	}
-	prior := make([]accum.Stats, len(accs))
-	for w, ac := range accs {
+	for _, ac := range accs {
 		if in, ok := ac.(accum.Instrumented); ok {
 			in.EnableStats()
-			prior[w] = in.AccumStats()
+			sum.Add(in.AccumStats())
 		}
 	}
-	return prior
+	return sum
 }
 
-// recordAccumDeltas folds each accumulator's counter delta since prior
+// recordAccumDelta folds the accumulators' counter movement since prior
 // into the run scope and marks the run complete.
-func recordAccumDeltas[T sparse.Number](accs []accum.Accumulator[T], prior []accum.Stats, scope *obs.RunScope) {
-	if !scope.Enabled() || prior == nil {
+func recordAccumDelta[T sparse.Number](accs []accum.Accumulator[T], prior accum.Stats, scope *obs.RunScope) {
+	if !scope.Enabled() {
 		return
 	}
-	var delta accum.Stats
-	for w, ac := range accs {
-		if in, ok := ac.(accum.Instrumented); ok {
-			delta.Add(in.AccumStats().Sub(prior[w]))
-		}
-	}
+	delta := accumTotal(accs, scope).Sub(prior)
 	scope.AddAccum(obs.AccumCounters{
 		MarkerClears:   delta.Clears,
 		TableGrows:     delta.Grows,

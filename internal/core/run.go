@@ -35,7 +35,7 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	// stream marks a sink that consumes its rows: workers stage one row
 	// at a time and nothing is assembled.
 	stream bool
-	// marker is the run's own entry in the stats/v4 fused block.
+	// marker is the run's own entry in the stats/v5 fused block.
 	marker obs.FusedCounters
 	// wrap, when non-nil, decorates each worker's accumulator for this
 	// run only (the instrumented entry point's operation counters).
@@ -224,7 +224,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	}
 	// The accumulators persist across runs, so deltas against a per-run
 	// snapshot keep each run's counts exact.
-	prior := snapshotAccumStats(accs, scope)
+	prior := accumTotal(accs, scope)
 
 	fcs, err := p.runTiles(ctx, scope, workers, tiles, accs, ws)
 	if err != nil {
@@ -233,15 +233,14 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 
 	var c *sparse.CSR[T]
 	if !p.stream {
-		err = spanned(ctx, scope, obs.PhaseExecAssemble, func() (err error) {
-			c, err = assembleE(ctx, p.dst, rows, cols, tiles, ws.Outs[:len(tiles)], pw)
-			return err
-		})
+		t0 := scope.Now()
+		c, err = assembleE(ctx, p.dst, rows, cols, tiles, ws.Outs[:len(tiles)], pw)
+		scope.Span(obs.PhaseExecAssemble, t0)
 		if err != nil {
 			return nil, wrapRunErr(err)
 		}
 	}
-	recordAccumDeltas(accs, prior, scope)
+	recordAccumDelta(accs, prior, scope)
 	recordPoolDelta(cfg, poolPrior, scope)
 	if fcs != nil {
 		scope.AddFused(p.marker)
@@ -279,51 +278,51 @@ func (p *product[T, S]) runTiles(
 	}
 	sink, perRow := p.sink, p.stream
 	// slots and fcs are nil with observability off: the tile closure then
-	// pays two nil checks and the run allocates neither.
+	// pays two nil checks. On, both are the pooled scope's scratch.
 	slots := scope.WorkerSlots(workers)
 	fcs := fusedSlots(scope, workers, sink != nil)
-	err := spanned(ctx, scope, obs.PhaseExecKernel, func() error {
-		// A flat bag of tiles is the single-wave plan of the wave executor.
-		return sched.RunWavesOpts(ctx, cfg.Schedule, workers, sched.SingleWave(len(tiles)), runOpts(cfg, nil), func(worker, t int) {
-			var wc *obs.WorkerCounters
-			var endRegion func()
-			if slots != nil {
-				endRegion = scope.TileRegion(ctx)
-				wc = &slots[worker]
-				wc.Tiles.Add(1)
+	t0 := scope.Now()
+	// A flat bag of tiles is the single-wave plan of the wave executor.
+	err := sched.RunWavesOpts(ctx, cfg.Schedule, workers, sched.SingleWave(len(tiles)), runOpts(cfg, nil), func(worker, t int) {
+		var wc *obs.WorkerCounters
+		var endRegion func()
+		if slots != nil {
+			endRegion = scope.TileRegion(ctx)
+			wc = &slots[worker]
+			wc.Tiles.Add(1)
+		}
+		tile := tiles[t]
+		var gathered, kept int64
+		if k.comp {
+			gathered, kept = runTile(k, nil, &ws.Dense[worker], tile, &ws.Outs[t], false, sink, wc)
+		} else {
+			slot := t
+			if perRow {
+				slot = worker
 			}
-			tile := tiles[t]
-			var gathered, kept int64
-			if k.comp {
-				gathered, kept = runTile(k, nil, &ws.Dense[worker], tile, &ws.Outs[t], false, sink, wc)
-			} else {
-				slot := t
-				if perRow {
-					slot = worker
-				}
-				gathered, kept = runTile(k, accs[worker], nil, tile, &ws.Outs[slot], perRow, sink, wc)
-			}
-			if wc != nil {
-				wc.Rows.Add(int64(tile.Rows()))
-				wc.Gathered.Add(kept)
-			}
-			if fcs != nil {
-				sink.account(&fcs[worker], gathered, kept)
-			}
-			if endRegion != nil {
-				endRegion()
-			}
-		})
+			gathered, kept = runTile(k, accs[worker], nil, tile, &ws.Outs[slot], perRow, sink, wc)
+		}
+		if wc != nil {
+			wc.Rows.Add(int64(tile.Rows()))
+			wc.Gathered.Add(kept)
+		}
+		if fcs != nil {
+			sink.account(&fcs[worker], gathered, kept)
+		}
+		if endRegion != nil {
+			endRegion()
+		}
 	})
+	scope.Span(obs.PhaseExecKernel, t0)
 	return fcs, err
 }
 
-// fusedSlots returns per-worker fused-counter blocks for a run that has
-// a sink to account for — nil otherwise, and nil when the scope is
-// disabled, so the uninstrumented path allocates nothing.
+// fusedSlots returns the scope's per-worker fused-counter blocks for a
+// run that has a sink to account for — nil otherwise, and nil when the
+// scope is disabled.
 func fusedSlots(scope *obs.RunScope, workers int, fused bool) []obs.FusedCounters {
-	if !fused || !scope.Enabled() {
+	if !fused {
 		return nil
 	}
-	return make([]obs.FusedCounters, workers)
+	return scope.FusedSlots(workers)
 }

@@ -220,23 +220,15 @@ func SolveTriInto[T sparse.Number](dst []T, l *sparse.CSR[T], b []T, cfg Config,
 	var wstats *sched.WaveStats
 	lower := so.Tri == Lower
 	if serial {
-		if !scope.Enabled() {
-			// Direct call, no spans: keeps the warm engine-backed path
-			// free of closure allocations (the zero-alloc pin).
-			err = solveSerial(ctx, l, dst, b, lower)
-		} else {
-			err = spanned(ctx, scope, obs.PhaseExecSolve, func() error {
-				if err := solveSerial(ctx, l, dst, b, lower); err != nil {
-					return err
-				}
-				// One worker did the whole solve, as one tile.
-				wc := &scope.WorkerSlots(1)[0]
-				wc.Tiles.Add(1)
-				wc.Rows.Add(int64(len(sp.Order)))
-				wc.Flops.Add(sp.Flops)
-				return nil
-			})
+		t0 := scope.Now()
+		err = solveSerial(ctx, l, dst, b, lower)
+		if slots := scope.WorkerSlots(1); slots != nil && err == nil {
+			// One worker did the whole solve, as one tile.
+			slots[0].Tiles.Add(1)
+			slots[0].Rows.Add(int64(len(sp.Order)))
+			slots[0].Flops.Add(sp.Flops)
 		}
+		scope.Span(obs.PhaseExecSolve, t0)
 	} else {
 		var wp sched.WavePlan
 		wp, err = sched.NewWavePlan(sp.Waves)
@@ -707,7 +699,6 @@ func buildSolvePlan[T sparse.Number](l *sparse.CSR[T], so SolveOpts, workers int
 		Levels:      numLv,
 		SerialWaves: serialWaves,
 		Flops:       totalFlops,
-		WaveFlops:   waveFlops,
 		WaveGrain:   grain,
 		Serial:      workers <= 1 || widest <= 1 || !(wavesNs < serialNs),
 		SerialNs:    serialNs,
@@ -728,7 +719,7 @@ func solvePlanFor[T sparse.Number](
 ) (exec.Plan, error) {
 	workers = min(workers, runtime.GOMAXPROCS(0))
 	if cfg.Engine == nil {
-		return buildSolvePlanSpanned(ctx, l, so, workers, scope)
+		return buildSolvePlanSpanned(l, so, workers, scope)
 	}
 	key := exec.PlanKey{
 		A:         exec.IDOf(l),
@@ -741,26 +732,18 @@ func solvePlanFor[T sparse.Number](
 		return p, nil
 	}
 	return cfg.Engine.Plan(key, func() (exec.Plan, error) {
-		return buildSolvePlanSpanned(ctx, l, so, workers, scope)
+		return buildSolvePlanSpanned(l, so, workers, scope)
 	})
 }
 
-// buildSolvePlanSpanned is buildSolvePlan under the plan.levels span
-// and pprof label, wrapped into an exec.Plan.
+// buildSolvePlanSpanned is buildSolvePlan under the plan.levels span,
+// wrapped into an exec.Plan.
 func buildSolvePlanSpanned[T sparse.Number](
-	ctx context.Context, l *sparse.CSR[T], so SolveOpts, workers int, scope *obs.RunScope,
+	l *sparse.CSR[T], so SolveOpts, workers int, scope *obs.RunScope,
 ) (exec.Plan, error) {
-	var sp *exec.SolvePlan
-	var err error
-	if !scope.Enabled() {
-		sp, err = buildSolvePlan(l, so, workers)
-	} else {
-		end := scope.Span(obs.PhasePlanLevels)
-		scope.Do(ctx, obs.PhasePlanLevels, func() {
-			sp, err = buildSolvePlan(l, so, workers)
-		})
-		end()
-	}
+	t0 := scope.Now()
+	sp, err := buildSolvePlan(l, so, workers)
+	scope.Span(obs.PhasePlanLevels, t0)
 	if err != nil {
 		return exec.Plan{}, err
 	}
@@ -769,8 +752,8 @@ func buildSolvePlanSpanned[T sparse.Number](
 
 // recordSolveStats folds the solve into the run scope's sched block:
 // the plan's level count always, and — only when waves ran, which is
-// exactly when wstats is non-nil — the executed wave shape, its
-// histograms and the barrier traffic.
+// exactly when wstats is non-nil — the executed wave shape and the
+// barrier traffic.
 func recordSolveStats(scope *obs.RunScope, sp *exec.SolvePlan, wstats *sched.WaveStats) {
 	if !scope.Enabled() {
 		return
@@ -782,10 +765,6 @@ func recordSolveStats(scope *obs.RunScope, sp *exec.SolvePlan, wstats *sched.Wav
 		c.SerialWaves = int64(sp.SerialWaves)
 		c.Barriers = wstats.Crossings.Load()
 		c.BarrierWaitNs = wstats.BarrierWaitNs.Load()
-		for w := range sp.Waves {
-			c.WaveTiles[obs.WaveBucket(int64(sp.Waves[w].Tiles()))]++
-			c.WaveFlops[obs.WaveBucket(sp.WaveFlops[w])]++
-		}
 	}
 	scope.AddSched(c)
 }

@@ -472,7 +472,7 @@ func TestSolveTriPlanCache(t *testing.T) {
 }
 
 // TestSolveTriSchedStats verifies the recorder's sched block: a wave
-// run records its plan shape, histograms and barrier traffic.
+// run records its plan shape and barrier traffic.
 func TestSolveTriSchedStats(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	n := 512
@@ -496,30 +496,15 @@ func TestSolveTriSchedStats(t *testing.T) {
 	if st.Sched.Waves < 1 || st.Sched.Waves > st.Sched.Levels {
 		t.Fatalf("Waves = %d out of range [1, %d]", st.Sched.Waves, st.Sched.Levels)
 	}
-	var tiles, flops int64
-	for _, v := range st.Sched.WaveTiles {
-		tiles += v
-	}
-	for _, v := range st.Sched.WaveFlops {
-		flops += v
-	}
-	if tiles != st.Sched.Waves || flops != st.Sched.Waves {
-		t.Fatalf("histogram mass (tiles %d, flops %d) != waves %d", tiles, flops, st.Sched.Waves)
-	}
-	// The per-run snapshot carries the same block, and the exec.solve
-	// phase span must be present.
-	last, ok := rec.LastRun()
-	if !ok || last.Sched.WaveRuns != 1 {
-		t.Fatalf("LastRun sched block missing: ok=%v %+v", ok, last.Sched)
-	}
+	// The exec.solve phase span must be present.
 	found := false
-	for _, ph := range last.Phases {
+	for _, ph := range st.Phases {
 		if ph.Phase == "exec.solve" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("exec.solve span missing from phases: %+v", last.Phases)
+		t.Fatalf("exec.solve span missing from phases: %+v", st.Phases)
 	}
 }
 

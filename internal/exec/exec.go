@@ -13,10 +13,9 @@
 //
 //   - Workspaces (see Workspace) are pooled in size-class buckets keyed
 //     by (accumulator kind, marker bits, column-dimension class, row-cap
-//     class). The pool is tiered: a bounded hot tier retains the most
-//     recently used workspaces under an LRU cap with exact hit/miss/
-//     steal/evict accounting, and evictions overflow into a sync.Pool
-//     tier the garbage collector drains under memory pressure. Their
+//     class). The pool retains the most recently used workspaces under
+//     an LRU cap with exact hit/miss/steal/evict accounting; a
+//     workspace released past the cap drops the oldest idle one. Their
 //     tile staging is pooled apart, per value type (staging.go).
 //   - Plans are cached under a structural fingerprint (operand identity
 //     plus dimensions, nnz and the plan-shaping knobs), so repeated products
@@ -40,20 +39,19 @@ import (
 	"maskedspgemm/internal/obs"
 )
 
-// DefaultMaxIdle is the default cap on idle workspaces retained in the
-// hot tier across all buckets; the overflow sync.Pool tier is unbounded
-// but GC-collectable.
+// DefaultMaxIdle is the default cap on idle workspaces retained across
+// all buckets.
 const DefaultMaxIdle = 64
 
 // DefaultMaxPlans is the default plan-cache capacity.
 const DefaultMaxPlans = 64
 
-// Config sizes an Engine's retention tiers.
+// Config sizes an Engine's retention.
 type Config struct {
-	// MaxIdle caps the idle workspaces held in the hot tier across all
-	// size-class buckets; the least recently returned workspace is
-	// demoted to the GC-managed overflow tier when the cap is exceeded.
-	// 0 means DefaultMaxIdle; negative disables hot-tier retention.
+	// MaxIdle caps the idle workspaces held across all size-class
+	// buckets; the least recently returned workspace is dropped when the
+	// cap is exceeded. 0 means DefaultMaxIdle; negative disables
+	// retention.
 	MaxIdle int
 	// MaxPlans caps the plan cache; least recently used plans are
 	// evicted. 0 means DefaultMaxPlans; negative disables plan caching.
@@ -78,7 +76,7 @@ type Engine struct {
 	clock   uint64
 
 	// stagings pools tile staging sets per value type, apart from the
-	// workspaces (staging.go); stagingIdle is their hot-tier gauge.
+	// workspaces (staging.go); stagingIdle is their idle gauge.
 	stagings    map[reflect.Type]*bucket
 	stagingIdle int
 
@@ -131,7 +129,7 @@ func (e *Engine) maxPlans() int {
 // two snapshots (Sub) to isolate the activity between them.
 type PoolStats struct {
 	// Hits counts checkouts served from the pool's exact size-class
-	// bucket (either tier).
+	// bucket.
 	Hits int64 `json:"hits"`
 	// Misses counts checkouts that had to construct a new workspace.
 	Misses int64 `json:"misses"`
@@ -141,8 +139,8 @@ type PoolStats struct {
 	// Resizes counts in-place workspace growths (more workers, more
 	// tiles, or a larger scratch dimension than the pooled instance had).
 	Resizes int64 `json:"resizes"`
-	// Evictions counts demotions from the bounded hot tier to the
-	// GC-managed overflow tier.
+	// Evictions counts idle workspaces dropped because the pool held
+	// MaxIdle.
 	Evictions int64 `json:"evictions"`
 	// PlanHits and PlanMisses count plan-cache outcomes.
 	PlanHits   int64 `json:"plan_hits"`
@@ -184,7 +182,7 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 	}
 }
 
-// Counters maps the snapshot onto the stats/v4 pool block — the one
+// Counters maps the snapshot onto the stats/v5 pool block — the one
 // place the engine's field names meet the recorder's.
 func (s PoolStats) Counters() obs.PoolCounters {
 	return obs.PoolCounters{
@@ -212,7 +210,7 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Hits+s.Steals) / float64(l)
 }
 
-// Idle reports the current hot-tier occupancy — a gauge, not a counter,
+// Idle reports how many workspaces the pool holds idle — a gauge, not a counter,
 // so it lives outside PoolStats. Nil engines report 0.
 func (e *Engine) Idle() int {
 	if e == nil {
@@ -252,31 +250,35 @@ type idleWS struct {
 	stamp uint64
 }
 
-// bucket is one size-class bucket: a bounded LIFO hot tier plus a
-// GC-managed overflow tier.
+// bucket is one size-class bucket: a bounded LIFO list of idle
+// workspaces.
 type bucket struct {
-	hot      []idleWS
-	overflow sync.Pool
+	hot []idleWS
 }
 
-// get serves one workspace for key, trying the exact bucket's hot tier,
-// the exact bucket's overflow tier, then a steal from a compatible
-// larger bucket. Returns nil on a miss (counted).
+// pop takes the most recently returned entry off b. Caller holds e.mu;
+// b holds at least one entry.
+func (b *bucket) pop() any {
+	n := len(b.hot) - 1
+	ws := b.hot[n].ws
+	b.hot[n] = idleWS{}
+	b.hot = b.hot[:n]
+	return ws
+}
+
+// get serves one workspace for key from the exact bucket, then by a
+// steal from a compatible larger bucket. Returns nil on a miss
+// (counted).
 //
 //spgemm:hotpath
 func (e *Engine) get(key wsKey) any {
 	e.mu.Lock()
-	b := e.buckets[key]
-	if b != nil {
-		if n := len(b.hot); n > 0 {
-			ws := b.hot[n-1].ws
-			b.hot[n-1] = idleWS{}
-			b.hot = b.hot[:n-1]
-			e.idle--
-			e.mu.Unlock()
-			e.hits.Add(1)
-			return ws
-		}
+	if b := e.buckets[key]; b != nil && len(b.hot) > 0 {
+		ws := b.pop()
+		e.idle--
+		e.mu.Unlock()
+		e.hits.Add(1)
+		return ws
 	}
 	// Exact bucket empty: steal from the smallest compatible bucket
 	// whose workspaces are at least as large in every dimension.
@@ -295,31 +297,19 @@ func (e *Engine) get(key wsKey) any {
 		}
 	}
 	if donor != nil {
-		n := len(donor.hot)
-		ws := donor.hot[n-1].ws
-		donor.hot[n-1] = idleWS{}
-		donor.hot = donor.hot[:n-1]
+		ws := donor.pop()
 		e.idle--
 		e.mu.Unlock()
 		e.steals.Add(1)
 		return ws
 	}
 	e.mu.Unlock()
-	// Overflow tier: workspaces demoted by the LRU cap but not yet
-	// collected. sync.Pool is safe outside the engine lock.
-	if b != nil {
-		if ws := b.overflow.Get(); ws != nil {
-			e.hits.Add(1)
-			return ws
-		}
-	}
 	e.misses.Add(1)
 	return nil
 }
 
-// put returns a workspace to its bucket's hot tier, demoting the
-// globally least recently returned workspace to its overflow tier when
-// the LRU cap is exceeded.
+// put returns a workspace to its bucket, dropping the globally least
+// recently returned idle workspace when the LRU cap is exceeded.
 //
 //spgemm:hotpath
 func (e *Engine) put(key wsKey, ws any) {
@@ -333,27 +323,16 @@ func (e *Engine) put(key wsKey, ws any) {
 	e.clock++
 	b.hot = append(b.hot, idleWS{ws: ws, stamp: e.clock})
 	e.idle++
-	for e.idle > e.maxIdle() {
-		e.evictOldestLocked()
+	for e.idle > e.maxIdle() && dropOldest(e.buckets) {
+		e.idle--
+		e.evictions.Add(1)
 	}
 	e.mu.Unlock()
 }
 
-// evictOldestLocked demotes the globally oldest hot-tier workspace to
-// its bucket's overflow tier. Caller holds e.mu; e.idle > 0.
-func (e *Engine) evictOldestLocked() {
-	if !demoteOldest(e.buckets) {
-		e.idle = 0
-		return
-	}
-	e.idle--
-	e.evictions.Add(1)
-}
-
-// demoteOldest moves the oldest hot-tier entry across buckets to its
-// bucket's overflow tier, reporting whether there was one. Caller holds
-// e.mu.
-func demoteOldest[K comparable](buckets map[K]*bucket) bool {
+// dropOldest drops the oldest idle entry across buckets, reporting
+// whether there was one. Caller holds e.mu.
+func dropOldest[K comparable](buckets map[K]*bucket) bool {
 	var victim *bucket
 	best := ^uint64(0)
 	for _, b := range buckets {
@@ -365,10 +344,8 @@ func demoteOldest[K comparable](buckets map[K]*bucket) bool {
 	if victim == nil {
 		return false
 	}
-	old := victim.hot[0].ws
 	n := copy(victim.hot, victim.hot[1:])
 	victim.hot[n] = idleWS{}
 	victim.hot = victim.hot[:n]
-	victim.overflow.Put(old)
 	return true
 }

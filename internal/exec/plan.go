@@ -55,11 +55,8 @@ type SolvePlan struct {
 	// Levels is the raw level-set depth before coarsening; SerialWaves
 	// counts single-tile waves.
 	Levels, SerialWaves int
-	// Flops is the Eq. 2 total row work of the solve; WaveFlops is the
-	// per-wave breakdown (len(Waves) entries), feeding the observability
-	// histograms without a rescan.
-	Flops     int64
-	WaveFlops []int64
+	// Flops is the Eq. 2 total row work of the solve.
+	Flops int64
 	// WaveGrain is the row work per tile wide levels were split at.
 	WaveGrain int64
 	// Serial is the solve policy's verdict for this structure and worker

@@ -15,17 +15,13 @@ type poolChecker interface {
 }
 
 // SelfCheck validates the engine's pool invariants: each idle gauge
-// matches its hot-tier population, every pooled workspace is released
+// matches its pooled population, every pooled workspace is released
 // (unbound from any engine), unpoisoned, and clean — dense scratch
 // fully reset, explicit-reset accumulators with every live slot
 // accounted for — and every pooled staging set is unbound. It is the chaos suite's gate: after a seeded fault
 // matrix, a non-nil result means a dirty or leaked workspace survived
 // quarantine. O(pooled state), intended for tests and admin probes,
 // not hot paths. Nil engines trivially pass.
-//
-// Only the counted hot tier is walked: the overflow sync.Pool tier is
-// GC-owned and cannot be enumerated, but workspaces only reach it
-// through put, which quarantine already guards.
 func (e *Engine) SelfCheck() error {
 	if e == nil {
 		return nil
@@ -46,7 +42,7 @@ func (e *Engine) SelfCheck() error {
 		}
 	}
 	if population != e.idle {
-		return fmt.Errorf("exec: idle gauge %d != hot-tier population %d", e.idle, population)
+		return fmt.Errorf("exec: idle gauge %d != pooled population %d", e.idle, population)
 	}
 	population = 0
 	for typ, b := range e.stagings {
@@ -62,7 +58,7 @@ func (e *Engine) SelfCheck() error {
 		}
 	}
 	if population != e.stagingIdle {
-		return fmt.Errorf("exec: staging idle gauge %d != hot-tier population %d", e.stagingIdle, population)
+		return fmt.Errorf("exec: staging idle gauge %d != pooled population %d", e.stagingIdle, population)
 	}
 	return nil
 }

@@ -83,32 +83,24 @@ func (ws *Workspace[T, S]) releaseStaging(e *Engine) {
 	e.putStaging(stagingType[T](), st)
 }
 
-// getStaging serves an idle staging set of the type typ from the hot
-// tier, then the overflow tier; nil when there is none.
+// getStaging serves the most recently returned idle staging set of the
+// type typ; nil when there is none.
 //
 //spgemm:hotpath
 func (e *Engine) getStaging(typ reflect.Type) any {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	b := e.stagings[typ]
-	if b == nil {
-		e.mu.Unlock()
+	if b == nil || len(b.hot) == 0 {
 		return nil
 	}
-	if n := len(b.hot); n > 0 {
-		st := b.hot[n-1].ws
-		b.hot[n-1] = idleWS{}
-		b.hot = b.hot[:n-1]
-		e.stagingIdle--
-		e.mu.Unlock()
-		return st
-	}
-	e.mu.Unlock()
-	return b.overflow.Get()
+	e.stagingIdle--
+	return b.pop()
 }
 
-// putStaging returns a staging set to its type's hot tier under the
-// engine's idle cap, demoting the oldest idle set to the overflow tier
-// when the cap is exceeded.
+// putStaging returns a staging set to its type's idle list under the
+// engine's idle cap, dropping the oldest idle set when the cap is
+// exceeded.
 //
 //spgemm:hotpath
 func (e *Engine) putStaging(typ reflect.Type, st any) {
@@ -122,14 +114,14 @@ func (e *Engine) putStaging(typ reflect.Type, st any) {
 	e.clock++
 	b.hot = append(b.hot, idleWS{ws: st, stamp: e.clock})
 	e.stagingIdle++
-	for e.stagingIdle > e.maxIdle() && demoteOldest(e.stagings) {
+	for e.stagingIdle > e.maxIdle() && dropOldest(e.stagings) {
 		e.stagingIdle--
 	}
 	e.mu.Unlock()
 }
 
 // IdleStaging reports how many tile staging sets the engine holds idle
-// in its hot tier — a gauge beside Idle. Nil engines report 0.
+// — a gauge beside Idle. Nil engines report 0.
 func (e *Engine) IdleStaging() int {
 	if e == nil {
 		return 0

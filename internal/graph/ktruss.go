@@ -86,7 +86,7 @@ func peel(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error)
 	in := *a
 	cur := &in
 	var spare *sparse.CSR[float64]
-	var dl delta
+	dl := delta{vals: a.Val}
 	isDelta, visits, probes := false, int64(a.Rows)+2*a.NNZ(), int64(0)
 	for rounds := 1; ; rounds++ {
 		before := cur.NNZ()
@@ -143,13 +143,15 @@ func RoundWeights() (probe, symmetry float64) { return probeWeight, symmetryWeig
 // delta is what a delta round needs besides the support: the dropped
 // edges D, by vertex; the vertices R that lost one; the rows R of D and
 // of A′, row-compacted (DR and MR); the lent storage its products take
-// turns in; ones, the values of D, DR and MR (PlusPair reads none, but
-// a CSR holds one per entry); and the verdict of the symmetry check.
+// turns in; vals, the input's values, which D, DR and MR borrow
+// (PlusPair reads none, but a CSR holds one per entry, and none of the
+// three holds more entries than the input); and the verdict of the
+// symmetry check.
 type delta struct {
 	d, dr, mr          sparse.CSR[float64]
 	rows               []int
 	c                  *sparse.CSR[float64]
-	ones               []float64
+	vals               []float64
 	checked, symmetric bool
 }
 
@@ -269,14 +271,6 @@ func (dl *delta) reset(n, dropped int) {
 	dl.d.ColIdx = slices.Grow(dl.d.ColIdx[:0], dropped)
 }
 
-// valued returns n values of 1.
-func (dl *delta) valued(n int) []float64 {
-	if len(dl.ones) < n {
-		dl.ones = slices.Repeat([]float64{1}, n)
-	}
-	return dl.ones[:n]
-}
-
 // plan lists R, cuts DR out of D and copies MR out of the kept graph s,
 // and returns a delta round's visits and probes: its two products each
 // visit |R| rows, nnz(MR) mask entries and |D| entries of DR.
@@ -300,7 +294,7 @@ func (dl *delta) plan(s *sparse.CSR[float64], cfg core.Config) (visits, probes i
 			mr.RowPtr = append(mr.RowPtr, int64(len(mr.ColIdx)))
 		}
 	}
-	d.Val, mr.Val = dl.valued(len(d.ColIdx)), dl.valued(len(mr.ColIdx))
+	d.Val, mr.Val = dl.vals[:len(d.ColIdx)], dl.vals[:len(mr.ColIdx)]
 	dr.Rows, dr.Cols, dr.ColIdx, dr.Val = nr, d.Cols, d.ColIdx, d.Val
 	mr.Rows, mr.Cols = nr, s.Cols
 	if len(dl.rows) == 0 {

@@ -14,7 +14,6 @@ import (
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/sparse"
 	"maskedspgemm/internal/tiling"
@@ -133,63 +132,6 @@ func Predict(f Features, workers int) core.Config {
 // (the row capacity a non-vanilla plan sizes) and the mask spans.
 func PredictAccumulator(f Features, markerBits int) core.AccumLayout {
 	return core.DeriveAccumulator(f.Cols, f.MaxMaskRow, f.MaskSpans, f.ValueBytes, markerBits)
-}
-
-// DefaultRetentionBudget bounds the memory the engine may pin in idle
-// workspaces: beyond it, retention stops paying for itself against the
-// cache pressure the idle buffers add.
-const DefaultRetentionBudget = 256 << 20 // 256 MiB
-
-// PredictEngine sizes an exec.Engine's retention bounds from the
-// problem's features under the default retention budget; see
-// PredictEngineBudget.
-func PredictEngine(f Features, cfg core.Config, workers int) exec.Config {
-	return PredictEngineBudget(f, cfg, workers, DefaultRetentionBudget)
-}
-
-// PredictEngineBudget sizes an exec.Engine's retention bounds from the
-// problem's features and an explicit retention budget in bytes
-// (budget <= 0 selects DefaultRetentionBudget), for the accumulator
-// that will run: cfg's kind, or the planner's derivation when cfg
-// leaves it to the planner. The dominant per-workspace cost is the
-// accumulator state, priced by the planner's own rule
-// (core.AccumLayout.StateBytes, accum.StateBytes at f.ValueBytes and
-// cfg.MarkerBits): a dense accumulator holds a value and a marker per
-// column of its window (every column at full width) and its spill
-// table, a hash accumulator the HashCapacity(MaxMaskRow)-slot table,
-// per worker. The idle cap is
-// the retention budget divided by that footprint, so small problems
-// keep the default (deep) pool while problems with huge columns retain
-// only a few idle workspaces. The plan cache is footprint-light (tile boundaries only)
-// and stays at its default depth.
-func PredictEngineBudget(f Features, cfg core.Config, workers int, budget int64) exec.Config {
-	if workers <= 0 {
-		workers = sched.Workers(workers)
-	}
-	if budget <= 0 {
-		budget = DefaultRetentionBudget
-	}
-	l := core.AccumLayout{Kind: cfg.Accumulator, RowCap: f.MaxMaskRow}
-	switch cfg.Accumulator {
-	case accum.AutoKind:
-		l = PredictAccumulator(f, cfg.MarkerBits)
-	case accum.DenseKind, accum.DenseExplicitKind:
-		l = core.AccumLayout{Kind: accum.DenseKind} // per-column state, priced as dense
-	}
-	perWorker := l.StateBytes(f.Cols, f.ValueBytes, cfg.MarkerBits)
-	// Tile staging holds at most the mask volume across all tiles.
-	footprint := perWorker*int64(workers) + f.MaskNNZ*12
-	if footprint <= 0 {
-		footprint = 1
-	}
-	maxIdle := int(budget / footprint)
-	if maxIdle > exec.DefaultMaxIdle {
-		maxIdle = exec.DefaultMaxIdle
-	}
-	if maxIdle < 2 {
-		maxIdle = 2 // always keep the warm-loop pair
-	}
-	return exec.Config{MaxIdle: maxIdle, MaxPlans: exec.DefaultMaxPlans}
 }
 
 // PredictConfig extracts features and predicts in one call — the

@@ -5,7 +5,6 @@ import (
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graphgen"
 	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/semiring"
@@ -222,85 +221,15 @@ func TestThresholdKnobs(t *testing.T) {
 	}
 }
 
-func TestPredictEngine(t *testing.T) {
-	// A small dense-accumulator problem fits the retention budget many
-	// times over: the pool keeps its default depth.
-	small := Features{Rows: 1 << 10, Cols: 1 << 10, ValueBytes: 8, MaskNNZ: 1 << 13, MaxMaskRow: 64}
-	cfg := core.Config{Accumulator: accum.DenseKind, MarkerBits: 32}
-	ec := PredictEngine(small, cfg, 4)
-	if ec.MaxIdle != exec.DefaultMaxIdle {
-		t.Errorf("small problem MaxIdle = %d, want default %d", ec.MaxIdle, exec.DefaultMaxIdle)
-	}
-	if ec.MaxPlans != exec.DefaultMaxPlans {
-		t.Errorf("MaxPlans = %d, want default %d", ec.MaxPlans, exec.DefaultMaxPlans)
-	}
-
-	// A huge dense column dimension blows the budget per workspace: the
-	// cap shrinks, but never below the warm-loop pair.
-	huge := Features{Rows: 1 << 24, Cols: 1 << 24, ValueBytes: 8, MaskNNZ: 1 << 26, MaxMaskRow: 1 << 12}
-	ec = PredictEngine(huge, cfg, 8)
-	if ec.MaxIdle >= exec.DefaultMaxIdle {
-		t.Errorf("huge problem MaxIdle = %d, want < default", ec.MaxIdle)
-	}
-	if ec.MaxIdle < 2 {
-		t.Errorf("MaxIdle = %d, want >= 2", ec.MaxIdle)
-	}
-
-	// Hash accumulators key on the mask row, not the dimension: the same
-	// huge dimension with a short mask row keeps a deep pool.
-	hashCfg := core.Config{Accumulator: accum.HashKind, MarkerBits: 32}
-	if ec := PredictEngine(huge, hashCfg, 8); ec.MaxIdle < PredictEngine(huge, cfg, 8).MaxIdle {
-		t.Errorf("hash pool shallower than dense for the same features: %d", ec.MaxIdle)
-	}
-
-	// Exact pins: state is priced by accum.StateBytes, as the planner
-	// prices it, at 8-byte values and 32-bit markers. Dense: 12 B per
-	// column, so 4 workers × 2^18 columns × 12 B + 2^18 staged mask
-	// entries × 12 B = 15 728 640 B, and 256 MiB / that = 17.
-	mid := Features{Rows: 1 << 18, Cols: 1 << 18, ValueBytes: 8, MaskNNZ: 1 << 18, MaxMaskRow: 64}
-	if got := PredictEngine(mid, cfg, 4).MaxIdle; got != 17 {
-		t.Errorf("dense MaxIdle = %d, want 17", got)
-	}
-	// Hash: 16 B per slot of the HashCapacity(4096) = 8192-slot table,
-	// so 32 workers × 131 072 B + 2^19 staged entries × 12 B
-	// = 10 485 760 B, and 256 MiB / that = 25.
-	wide := Features{Rows: 1 << 20, Cols: 1 << 24, ValueBytes: 8, MaskNNZ: 1 << 19, MaxMaskRow: 1 << 12}
-	if got := PredictEngine(wide, hashCfg, 32).MaxIdle; got != 25 {
-		t.Errorf("hash MaxIdle = %d, want 25", got)
-	}
-	// Derived window: rows spanning 3 000 columns of 2^24 with 64-entry
-	// mask rows take an 8192-slot window (the floor's 96 KiB) that spills
-	// the 1 % of entries in rows spanning 2^20 to a HashCapacity(64) =
-	// 128-slot table: 8192 × 12 + 128 × 16 = 100 352 B per worker, so 32
-	// workers × 100 352 B + 2^19 staged entries × 12 B = 9 502 720 B, and
-	// 256 MiB / that = 28.
+// TestPredictAccumulatorWindow pins a derived window: rows spanning
+// 3 000 columns of 2^24 with 64-entry mask rows take an 8192-slot window
+// (the floor's 96 KiB) that spills the 1 % of entries in rows spanning
+// 2^20 to a table sized for the 64-entry mask row.
+func TestPredictAccumulatorWindow(t *testing.T) {
 	win := Features{Rows: 1 << 20, Cols: 1 << 24, ValueBytes: 8, MaskNNZ: 1 << 19, MaxMaskRow: 64}
 	win.MaskSpans.Add(3000, 99)
 	win.MaskSpans.Add(1<<20, 1)
 	if l := PredictAccumulator(win, 32); l != (core.AccumLayout{Kind: accum.DenseKind, Window: 8192, RowCap: 64}) {
 		t.Fatalf("window features derive %v, want Window8192+spill", l)
-	}
-	auto := core.Config{Accumulator: accum.AutoKind, MarkerBits: 32}
-	if got := PredictEngine(win, auto, 32).MaxIdle; got != 28 {
-		t.Errorf("window MaxIdle = %d, want 28", got)
-	}
-
-	// The predicted configuration actually drives an engine: checkouts
-	// succeed and warm reruns recycle.
-	eng := exec.New(ec)
-	a := graphgen.ErdosRenyi(300, 1500, 5)
-	run := core.DefaultConfig()
-	run.Engine = eng
-	run.Tiles = 8
-	sr := semiring.PlusTimes[float64]{}
-	if _, err := core.MaskedSpGEMM[float64](sr, a, a, a, run); err != nil {
-		t.Fatal(err)
-	}
-	prior := eng.Stats()
-	if _, err := core.MaskedSpGEMM[float64](sr, a, a, a, run); err != nil {
-		t.Fatal(err)
-	}
-	if d := eng.Stats().Sub(prior); d.Misses != 0 {
-		t.Errorf("warm rerun under predicted engine config missed %d times (%+v)", d.Misses, d)
 	}
 }

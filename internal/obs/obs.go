@@ -20,15 +20,11 @@
 // Runs record through a RunScope (Recorder.StartRun), which collects one
 // run's spans and counters privately and folds them into the Recorder's
 // cumulative totals once, at End. A Recorder accumulates across runs
-// until Reset; Stats snapshots can be subtracted (Stats.Sub) to isolate
-// a window, and Recorder.LastRun serves the last ended run on its own.
+// until Reset; to read one run on its own, Reset before it and read
+// Stats after it.
 package obs
 
 import (
-	"context"
-	"math/bits"
-	"runtime/pprof"
-	"runtime/trace"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,9 +56,9 @@ const (
 	numPhases
 )
 
-// phaseNames are the stable identifiers used in the JSON schema and in
-// pprof labels; changing one is a schema break (appending is additive
-// and keeps stats/v4).
+// phaseNames are the stable identifiers used in the JSON schema;
+// changing one is a schema break (appending is additive and keeps the
+// schema tag).
 var phaseNames = [numPhases]string{
 	"plan.row_work",
 	"plan.prefix_sum",
@@ -85,8 +81,8 @@ func (p Phase) String() string {
 // block for the duration of a run; blocks are padded to two cache lines
 // so neighboring workers never false-share (the adjacent-line
 // prefetcher pulls pairs; TestCounterBlockLayout pins the size). The
-// fields are atomic so that a slot can be read (by Stats) while a run
-// is still incrementing it.
+// fields are atomic; each block has one writer at a time, and
+// RunScope.End folds it once the run's workers have returned.
 type WorkerCounters struct {
 	// Tiles is the number of tiles this worker claimed and executed.
 	Tiles atomic.Int64
@@ -154,15 +150,14 @@ type AccumCounters struct {
 	SpilledRows int64 `json:"spilled_rows"`
 }
 
-// add folds k × o into c: k = 1 accumulates, k = −1 subtracts. Every
-// counter family has exactly one such add, shared by run scopes, the
-// recorder's fold, Stats.Add and Stats.Sub.
-func (c *AccumCounters) add(o AccumCounters, k int64) {
-	c.MarkerClears += k * o.MarkerClears
-	c.TableGrows += k * o.TableGrows
-	c.HashProbes += k * o.HashProbes
-	c.HashCollisions += k * o.HashCollisions
-	c.SpilledRows += k * o.SpilledRows
+// add folds o into c. Every counter family has exactly one such add,
+// shared by run scopes and the recorder's fold.
+func (c *AccumCounters) add(o AccumCounters) {
+	c.MarkerClears += o.MarkerClears
+	c.TableGrows += o.TableGrows
+	c.HashProbes += o.HashProbes
+	c.HashCollisions += o.HashCollisions
+	c.SpilledRows += o.SpilledRows
 }
 
 // PoolCounters are the execution-engine pool statistics: workspace
@@ -181,8 +176,8 @@ type PoolCounters struct {
 	Steals int64 `json:"steals"`
 	// Resizes counts in-place growths of a pooled workspace.
 	Resizes int64 `json:"resizes"`
-	// Evictions counts demotions from the bounded hot tier to the
-	// GC-managed overflow tier.
+	// Evictions counts idle workspaces dropped at release because the
+	// pool held its cap.
 	Evictions int64 `json:"evictions"`
 	// Quarantined counts workspaces dropped at release because their run
 	// poisoned them (panic, cancellation or injected fault mid-run); a
@@ -193,16 +188,16 @@ type PoolCounters struct {
 	PlanMisses int64 `json:"plan_misses"`
 }
 
-// add folds k × o into c.
-func (c *PoolCounters) add(o PoolCounters, k int64) {
-	c.Hits += k * o.Hits
-	c.Misses += k * o.Misses
-	c.Steals += k * o.Steals
-	c.Resizes += k * o.Resizes
-	c.Evictions += k * o.Evictions
-	c.Quarantined += k * o.Quarantined
-	c.PlanHits += k * o.PlanHits
-	c.PlanMisses += k * o.PlanMisses
+// add folds o into c.
+func (c *PoolCounters) add(o PoolCounters) {
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Steals += o.Steals
+	c.Resizes += o.Resizes
+	c.Evictions += o.Evictions
+	c.Quarantined += o.Quarantined
+	c.PlanHits += o.PlanHits
+	c.PlanMisses += o.PlanMisses
 }
 
 // FusedCounters are the fused-product statistics: how many products ran
@@ -226,14 +221,14 @@ type FusedCounters struct {
 	SelectDropped int64 `json:"select_dropped"`
 }
 
-// add folds k × o into f.
-func (f *FusedCounters) add(o FusedCounters, k int64) {
-	f.SelectRuns += k * o.SelectRuns
-	f.StreamRuns += k * o.StreamRuns
-	f.MidEntries += k * o.MidEntries
-	f.MidBytes += k * o.MidBytes
-	f.SelectKept += k * o.SelectKept
-	f.SelectDropped += k * o.SelectDropped
+// add folds o into f.
+func (f *FusedCounters) add(o FusedCounters) {
+	f.SelectRuns += o.SelectRuns
+	f.StreamRuns += o.StreamRuns
+	f.MidEntries += o.MidEntries
+	f.MidBytes += o.MidBytes
+	f.SelectKept += o.SelectKept
+	f.SelectDropped += o.SelectDropped
 }
 
 // Recorder collects phase spans, per-worker counters and accumulator
@@ -241,21 +236,19 @@ func (f *FusedCounters) add(o FusedCounters, k int64) {
 // A nil *Recorder disables all collection: every method is nil-safe and
 // the nil paths allocate nothing.
 //
-// Runs record through StartRun/RunScope, which scopes spans and
-// counters by a multiply sequence id so overlapping runs (fused chains,
-// concurrent Multiply calls sharing a recorder) never bleed into each
-// other's per-run snapshots; the cumulative totals change only when a
-// scope ends (and through Span, which records outside any run).
+// Runs record through StartRun/RunScope: each run writes a scope of its
+// own, so overlapping runs (concurrent Multiply calls sharing a
+// recorder) never write the same counters, and the cumulative totals
+// change only when a scope ends (and through Span, which records
+// outside any run).
 type Recorder struct {
-	mu  sync.Mutex
-	seq int64
-	// t is the cumulative counter state, folded under mu.
-	t tally
-	// lastRun is the snapshot of the most recently ended run scope.
-	lastRun Stats
-	hasLast bool
-	// scopePool recycles per-run worker counter blocks across scopes.
-	scopePool [][]WorkerCounters
+	mu sync.Mutex
+	// t and workers are the cumulative counter state, folded under mu.
+	t       tally
+	workers []CounterSet
+	// free holds ended scopes for the next StartRun, so a warm run
+	// allocates no scope, counter blocks or scratch.
+	free []*RunScope
 }
 
 // NewRecorder returns an empty enabled recorder.
@@ -273,20 +266,20 @@ func (r *Recorder) Reset() {
 	defer r.mu.Unlock()
 	// The worker entries survive zeroed, so a reused recorder reports
 	// the same worker ids.
-	clear(r.t.workers)
-	r.t = tally{workers: r.t.workers}
-	r.lastRun = Stats{}
-	r.hasLast = false
+	clear(r.workers)
+	r.t = tally{}
 }
 
-// nop is the shared no-op span closer: the nil fast path returns it
-// instead of allocating a closure.
+// nop is the shared no-op closer: the disabled paths return it instead
+// of allocating a closure.
 var nop = func() {}
 
-// Span starts a phase span and returns its closer. The closer adds the
-// elapsed wall time to the phase's total. Nil recorders return a shared
-// no-op without allocating; spans are per run, not per tile, so the
-// enabled path's closure allocation is negligible.
+// Span starts a phase span outside any run and returns its closer,
+// which adds the elapsed wall time to the phase's total. Nil recorders
+// return a shared no-op without allocating; the enabled path allocates
+// the closer. Runs record their spans through RunScope.Span instead;
+// outside tests, the benchmark's obs.span_ns probe is now its only
+// caller.
 func (r *Recorder) Span(p Phase) func() {
 	if r == nil {
 		return nop
@@ -299,54 +292,6 @@ func (r *Recorder) Span(p Phase) func() {
 		r.t.counts[p]++
 		r.mu.Unlock()
 	}
-}
-
-// Do runs f under a pprof label marking the phase, so CPU samples taken
-// during f — including on goroutines f spawns, which inherit labels —
-// are attributed to the phase in pprof output. Nil recorders call f
-// directly.
-func (r *Recorder) Do(ctx context.Context, p Phase, f func()) {
-	if r == nil {
-		f()
-		return
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pprof.Do(ctx, pprof.Labels("spgemm_phase", p.String()), func(context.Context) { f() })
-}
-
-// TileRegion opens a runtime/trace region covering one tile batch and
-// returns its closer. Regions appear in `go tool trace` under the task
-// timeline, attributing execution-trace slices to individual batches.
-// The region is only created while tracing is active; otherwise (and on
-// nil recorders) the shared no-op is returned.
-func (r *Recorder) TileRegion(ctx context.Context) func() {
-	if r == nil || !trace.IsEnabled() {
-		return nop
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return trace.StartRegion(ctx, "spgemm.tile_batch").End
-}
-
-// WaveHistBuckets is the bucket count of the wave-shape histograms:
-// log2 buckets, so bucket b (b > 0) covers values in [2^(b-1), 2^b) and
-// the last bucket absorbs everything wider.
-const WaveHistBuckets = 16
-
-// WaveBucket returns the log2 histogram bucket of v: bits.Len64,
-// clamped to the last bucket. Zero and negative values land in bucket 0.
-func WaveBucket(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	b := bits.Len64(uint64(v))
-	if b >= WaveHistBuckets {
-		return WaveHistBuckets - 1
-	}
-	return b
 }
 
 // SchedCounters are the wave-executor statistics of level-scheduled
@@ -374,22 +319,14 @@ type SchedCounters struct {
 	// BarrierWaitNs is the cumulative time workers spent parked at wave
 	// barriers waiting for stragglers.
 	BarrierWaitNs int64 `json:"barrier_wait_ns"`
-	// WaveTiles and WaveFlops are log2-bucket histograms (see WaveBucket)
-	// of per-wave tile counts and Eq. 2 flop volumes.
-	WaveTiles [WaveHistBuckets]int64 `json:"wave_tiles"`
-	WaveFlops [WaveHistBuckets]int64 `json:"wave_flops"`
 }
 
-// add folds k × o into c, elementwise on the histograms.
-func (c *SchedCounters) add(o SchedCounters, k int64) {
-	c.WaveRuns += k * o.WaveRuns
-	c.Levels += k * o.Levels
-	c.Waves += k * o.Waves
-	c.SerialWaves += k * o.SerialWaves
-	c.Barriers += k * o.Barriers
-	c.BarrierWaitNs += k * o.BarrierWaitNs
-	for i := range c.WaveTiles {
-		c.WaveTiles[i] += k * o.WaveTiles[i]
-		c.WaveFlops[i] += k * o.WaveFlops[i]
-	}
+// add folds o into c.
+func (c *SchedCounters) add(o SchedCounters) {
+	c.WaveRuns += o.WaveRuns
+	c.Levels += o.Levels
+	c.Waves += o.Waves
+	c.SerialWaves += o.SerialWaves
+	c.Barriers += o.Barriers
+	c.BarrierWaitNs += o.BarrierWaitNs
 }

@@ -2,100 +2,95 @@ package obs
 
 import (
 	"context"
+	"runtime/trace"
 	"time"
 )
 
-// RunScope scopes one multiply's observability data under a unique
-// sequence id; it is the only way a run records. A scope collects one
-// run's spans, worker counters and accumulator/pool/fused/sched deltas
-// privately, so two multiplies in flight on one Recorder — a fused
-// chain interleaving its two products, or concurrent Multiply calls
-// sharing a recorder — never bleed into each other. End folds the
-// scope into the recorder's cumulative totals exactly once and
-// publishes the per-run snapshot (Recorder.LastRun).
+// RunScope is what one run writes its observability data into; it is
+// the only way a run records. A scope collects one run's spans, worker
+// counters and accumulator/pool/fused/sched deltas privately, so two
+// runs in flight on one Recorder — concurrent Multiply calls sharing a
+// recorder — never write the same counters. End folds the scope into
+// the recorder's cumulative totals under one lock and returns it to the
+// recorder's free list, so a warm run allocates nothing here.
 //
 // A nil *RunScope (from a nil Recorder) disables everything: every
 // method nil-checks and the disabled paths allocate nothing. A scope is
 // owned by one run: its methods may be called from that run's worker
-// goroutines (WorkerSlots hands each worker a private padded block),
-// but Start/End pair once.
+// goroutines (WorkerSlots and FusedSlots hand each worker a private
+// block), but StartRun/End pair once and the scope must not be used
+// after End.
 type RunScope struct {
-	r   *Recorder
-	seq int64
+	r *Recorder
 
 	// t is the run's private counter state. t.runs becomes 1 when the
-	// run is marked complete: End counts only completed runs toward Runs
-	// and LastRun, so a run that errors out mid-pipeline still folds its
-	// partial spans into the cumulative totals without inflating the
-	// run count. t.workers is filled from slots at End.
+	// run is marked complete: End counts only completed runs toward Runs,
+	// so a run that errors out mid-pipeline still folds its partial spans
+	// into the cumulative totals without inflating the run count.
 	t tally
-	// slots are the padded blocks the run's workers write; they are
-	// checked out of the recorder's scope pool and returned by End, so
-	// warm loops do not allocate a counter block per run.
+	// slots are the padded blocks the run's workers write and fused the
+	// per-worker fused-counter scratch; both stay with the pooled scope.
 	slots []WorkerCounters
+	fused []FusedCounters
 }
 
-// StartRun opens a new run scope with a fresh sequence id. Nil
-// recorders return a nil scope (whose methods are all no-ops).
+// StartRun opens a run scope: an ended one from the free list, or a new
+// one. Nil recorders return a nil scope (whose methods are all no-ops).
 func (r *Recorder) StartRun() *RunScope {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	r.seq++
-	seq := r.seq
-	var slots []WorkerCounters
-	if n := len(r.scopePool); n > 0 {
-		slots = r.scopePool[n-1]
-		r.scopePool[n-1] = nil
-		r.scopePool = r.scopePool[:n-1]
+	var s *RunScope
+	if n := len(r.free); n > 0 {
+		s = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
 	}
 	r.mu.Unlock()
-	return &RunScope{r: r, seq: seq, slots: slots}
-}
-
-// Seq returns the scope's multiply sequence id (0 for nil scopes).
-func (s *RunScope) Seq() int64 {
 	if s == nil {
-		return 0
+		s = &RunScope{r: r}
 	}
-	return s.seq
+	return s
 }
 
 // Enabled reports whether the scope records anything (false for nil).
 func (s *RunScope) Enabled() bool { return s != nil }
 
-// Span starts a phase span scoped to this run and returns its closer.
-// The span accumulates into the scope only; End publishes it. Safe to
-// call from the single goroutine driving the run's phases.
-func (s *RunScope) Span(p Phase) func() {
+// Now opens a span: it returns the start time the caller holds until
+// it closes the span with Span. Nil scopes return the zero time without
+// reading the clock.
+func (s *RunScope) Now() time.Time {
 	if s == nil {
-		return nop
+		return time.Time{}
 	}
-	start := time.Now()
-	return func() {
-		d := time.Since(start)
-		s.t.spans[p] += d
-		s.t.counts[p]++
-	}
+	return time.Now()
 }
 
-// Do runs f under the recorder's pprof phase label (see Recorder.Do).
-func (s *RunScope) Do(ctx context.Context, p Phase, f func()) {
+// Span closes a span opened at start (Now) by adding the time since to
+// phase p. Safe to call from the single goroutine driving the run's
+// phases.
+func (s *RunScope) Span(p Phase, start time.Time) {
 	if s == nil {
-		f()
 		return
 	}
-	s.r.Do(ctx, p, f)
+	s.t.spans[p] += time.Since(start)
+	s.t.counts[p]++
 }
 
-// TileRegion opens a runtime/trace region for one tile batch (see
-// Recorder.TileRegion).
+// TileRegion opens a runtime/trace region covering one tile batch and
+// returns its closer. Regions appear in `go tool trace` under the task
+// timeline, attributing execution-trace slices to individual batches.
+// The region is only created while tracing is active; otherwise (and on
+// nil scopes) the shared no-op is returned.
 func (s *RunScope) TileRegion(ctx context.Context) func() {
-	if s == nil {
+	if s == nil || !trace.IsEnabled() {
 		return nop
 	}
-	return s.r.TileRegion(ctx)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return trace.StartRegion(ctx, "spgemm.tile_batch").End
 }
 
 // WorkerSlots returns n per-worker counter blocks private to this run,
@@ -115,12 +110,25 @@ func (s *RunScope) WorkerSlots(n int) []WorkerCounters {
 	return s.slots[:n]
 }
 
+// FusedSlots returns n zeroed per-worker fused-counter blocks, which
+// the run folds in with AddFused. Returns nil on a nil scope.
+func (s *RunScope) FusedSlots(n int) []FusedCounters {
+	if s == nil {
+		return nil
+	}
+	if len(s.fused) < n {
+		s.fused = make([]FusedCounters, n)
+	}
+	clear(s.fused[:n])
+	return s.fused[:n]
+}
+
 // AddAccum folds accumulator statistics (a per-run delta) into the scope.
 func (s *RunScope) AddAccum(a AccumCounters) {
 	if s == nil {
 		return
 	}
-	s.t.accum.add(a, 1)
+	s.t.accum.add(a)
 }
 
 // AddPool folds execution-engine pool statistics into the scope.
@@ -128,7 +136,7 @@ func (s *RunScope) AddPool(p PoolCounters) {
 	if s == nil {
 		return
 	}
-	s.t.pool.add(p, 1)
+	s.t.pool.add(p)
 }
 
 // AddFused folds fused-pipeline statistics into the scope.
@@ -136,7 +144,7 @@ func (s *RunScope) AddFused(f FusedCounters) {
 	if s == nil {
 		return
 	}
-	s.t.fused.add(f, 1)
+	s.t.fused.add(f)
 }
 
 // AddSched folds wave-executor statistics into the scope.
@@ -144,11 +152,11 @@ func (s *RunScope) AddSched(c SchedCounters) {
 	if s == nil {
 		return
 	}
-	s.t.sched.add(c, 1)
+	s.t.sched.add(c)
 }
 
 // MarkComplete flags the run as having finished successfully, so End
-// counts it toward Recorder runs and publishes it as LastRun.
+// counts it toward the recorder's runs.
 func (s *RunScope) MarkComplete() {
 	if s == nil {
 		return
@@ -157,52 +165,23 @@ func (s *RunScope) MarkComplete() {
 }
 
 // End folds the scope into the recorder's cumulative totals exactly
-// once, publishes the per-run snapshot as Recorder.LastRun, recycles
-// the worker blocks, and returns the snapshot. Safe on nil scopes
-// (returns a zero snapshot). The scope must not be used after End.
-func (s *RunScope) End() Stats {
+// once, zeroes it and returns it to the recorder's free list. Safe on
+// nil scopes.
+func (s *RunScope) End() {
 	if s == nil {
-		return Stats{Schema: StatsSchema}
+		return
 	}
-	s.t.workers = make([]CounterSet, len(s.slots))
-	for w := range s.slots {
-		s.t.workers[w] = s.slots[w].load()
-		s.slots[w].reset()
-	}
-	snap := s.t.stats(s.seq)
-	s.r.foldScope(s, snap)
-	s.r = nil
-	s.slots = nil
-	return snap
-}
-
-// foldScope merges one ended scope into the cumulative totals,
-// publishes its snapshot as LastRun when the run completed, and returns
-// its worker blocks to the pool. Called exactly once per scope, by End,
-// which guarantees a non-nil receiver.
-func (r *Recorder) foldScope(s *RunScope, snap Stats) {
-	r.mu.Lock()
-	r.t.add(&s.t)
-	if s.t.runs > 0 {
-		r.lastRun = snap
-		r.hasLast = true
-	}
-	if s.slots != nil {
-		r.scopePool = append(r.scopePool, s.slots)
-	}
-	r.mu.Unlock()
-}
-
-// LastRun returns the per-run snapshot of the most recently ended run
-// scope — the run's own spans and counters, isolated by its sequence id
-// rather than by subtracting global snapshots (which double-counts when
-// runs overlap). ok is false when no scoped run has completed (or the
-// recorder is nil).
-func (r *Recorder) LastRun() (Stats, bool) {
-	if r == nil {
-		return Stats{Schema: StatsSchema}, false
-	}
+	r := s.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lastRun, r.hasLast
+	r.t.add(&s.t)
+	s.t = tally{}
+	if n := len(s.slots) - len(r.workers); n > 0 {
+		r.workers = append(r.workers, make([]CounterSet, n)...)
+	}
+	for w := range s.slots {
+		r.workers[w].add(s.slots[w].load())
+		s.slots[w].reset()
+	}
+	r.free = append(r.free, s)
 }

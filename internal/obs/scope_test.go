@@ -6,72 +6,45 @@ import (
 	"time"
 )
 
-// TestRunScopeIsolatesOverlappingRuns is the regression test for the
-// span-misattribution bug: two runs in flight on ONE recorder (a fused
-// chain's two products, or concurrent Multiply calls sharing a
-// recorder) must each publish a snapshot containing only their own
-// spans and counters, while the cumulative totals see the exact sum —
-// no double counting, no bleed.
-func TestRunScopeIsolatesOverlappingRuns(t *testing.T) {
+// TestRunScopeFoldsOverlappingRuns: two runs in flight on ONE recorder
+// (concurrent Multiply calls sharing a recorder) each write their own
+// scope, and the cumulative totals see the exact sum once both end — no
+// double counting, and nothing until a scope ends.
+func TestRunScopeFoldsOverlappingRuns(t *testing.T) {
 	r := NewRecorder()
 
 	sa := r.StartRun()
 	sb := r.StartRun()
-	if sa.Seq() == sb.Seq() {
-		t.Fatalf("overlapping scopes share sequence id %d", sa.Seq())
+	if sa == sb {
+		t.Fatal("overlapping runs share a scope")
 	}
 
 	// Interleave: both scopes record while the other is open.
-	doneA := sa.Span(PhaseExecKernel)
+	startA := sa.Now()
 	wa := sa.WorkerSlots(1)
 	wa[0].Flops.Add(100)
 	wa[0].Tiles.Add(4)
 
-	doneB := sb.Span(PhaseExecKernel)
+	startB := sb.Now()
 	wb := sb.WorkerSlots(2)
 	wb[0].Flops.Add(7)
 	wb[1].Flops.Add(13)
 	sb.AddAccum(AccumCounters{HashProbes: 50, HashCollisions: 5})
 	sb.AddFused(FusedCounters{StreamRuns: 1})
 	time.Sleep(time.Millisecond)
-	doneB()
+	sb.Span(PhaseExecKernel, startB)
 	sb.MarkComplete()
-	snapB := sb.End()
+	sb.End()
 
-	if snapB.Seq != 2 || snapB.Runs != 1 {
-		t.Fatalf("B snapshot seq=%d runs=%d, want 2/1", snapB.Seq, snapB.Runs)
-	}
-	if snapB.Totals.Flops != 20 || snapB.Totals.Tiles != 0 {
-		t.Fatalf("B totals %+v include A's counters", snapB.Totals)
-	}
-	if snapB.Accum.HashProbes != 50 || snapB.Fused.StreamRuns != 1 {
-		t.Fatalf("B lost its own accum/fused deltas: %+v %+v", snapB.Accum, snapB.Fused)
-	}
-
-	// A is still open; LastRun must already serve B's isolated snapshot.
-	if last, ok := r.LastRun(); !ok || last.Seq != snapB.Seq || last.Totals.Flops != 20 {
-		t.Fatalf("LastRun = %+v ok=%v, want B's snapshot", last.Totals, ok)
+	if st := r.Stats(); st.Runs != 1 || st.Totals.Flops != 20 || st.Totals.Tiles != 0 || st.Accum.HashProbes != 50 {
+		t.Fatalf("after B ended: runs=%d totals=%+v accum=%+v, want B's alone", st.Runs, st.Totals, st.Accum)
 	}
 
 	sa.AddPool(PoolCounters{Hits: 3})
-	doneA()
+	sa.Span(PhaseExecKernel, startA)
 	sa.MarkComplete()
-	snapA := sa.End()
+	sa.End()
 
-	if snapA.Seq != 1 || snapA.Runs != 1 {
-		t.Fatalf("A snapshot seq=%d runs=%d, want 1/1", snapA.Seq, snapA.Runs)
-	}
-	if snapA.Totals.Flops != 100 || snapA.Totals.Tiles != 4 {
-		t.Fatalf("A totals %+v include B's counters", snapA.Totals)
-	}
-	if snapA.Accum.HashProbes != 0 || snapA.Fused.StreamRuns != 0 {
-		t.Fatalf("A absorbed B's accum/fused deltas: %+v %+v", snapA.Accum, snapA.Fused)
-	}
-	if snapA.Pool.Hits != 3 {
-		t.Fatalf("A lost its pool delta: %+v", snapA.Pool)
-	}
-
-	// Cumulative totals are the exact sum of both runs, counted once.
 	sum := r.Stats()
 	if sum.Runs != 2 {
 		t.Fatalf("cumulative runs = %d, want 2", sum.Runs)
@@ -82,11 +55,35 @@ func TestRunScopeIsolatesOverlappingRuns(t *testing.T) {
 	if sum.Accum.HashProbes != 50 || sum.Pool.Hits != 3 || sum.Fused.StreamRuns != 1 {
 		t.Fatalf("cumulative deltas folded wrong: %+v %+v %+v", sum.Accum, sum.Pool, sum.Fused)
 	}
+	if len(sum.Phases) != 1 || sum.Phases[0].Count != 2 || sum.Phases[0].Millis < 1 {
+		t.Fatalf("cumulative phases %+v, want both kernel spans", sum.Phases)
+	}
+
+	// An ended scope comes back zeroed: the next run starts from nothing.
+	s := r.StartRun()
+	if s != sa && s != sb {
+		t.Fatal("StartRun did not reuse an ended scope")
+	}
+	s.FusedSlots(1)[0].StreamRuns = 9
+	s.End()
+	s = r.StartRun()
+	for w, slots := 0, s.WorkerSlots(2); w < len(slots); w++ {
+		if c := slots[w].load(); c != (CounterSet{}) {
+			t.Fatalf("reused scope kept worker %d's counters %+v", w, c)
+		}
+	}
+	if f := s.FusedSlots(1)[0]; f != (FusedCounters{}) {
+		t.Fatalf("reused scope kept fused scratch %+v", f)
+	}
+	s.End()
+	if st := r.Stats(); st.Runs != 2 || st.Totals != sum.Totals || st.Accum != sum.Accum {
+		t.Fatalf("an empty reused scope changed the totals: %+v", st)
+	}
 }
 
 // TestRunScopeIncompleteRunNotCounted: a run that errors out before
-// MarkComplete folds its partial spans into the totals but must not
-// inflate the run count or overwrite LastRun.
+// MarkComplete folds its partial work into the totals but must not
+// inflate the run count.
 func TestRunScopeIncompleteRunNotCounted(t *testing.T) {
 	r := NewRecorder()
 
@@ -101,9 +98,6 @@ func TestRunScopeIncompleteRunNotCounted(t *testing.T) {
 	fw[0].Flops.Add(999)
 	failed.End() // no MarkComplete: the kernel errored mid-pipeline
 
-	if last, ok := r.LastRun(); !ok || last.Totals.Flops != 10 {
-		t.Fatalf("LastRun = %+v ok=%v, want the completed run's snapshot", last.Totals, ok)
-	}
 	sum := r.Stats()
 	if sum.Runs != 1 {
 		t.Fatalf("runs = %d, want 1 (failed run must not count)", sum.Runs)
@@ -113,29 +107,24 @@ func TestRunScopeIncompleteRunNotCounted(t *testing.T) {
 	}
 }
 
-// TestRunScopeRecyclesWorkerBlocks: warm loops must not allocate a
-// counter block per run — End returns the blocks to the recorder's
-// scope pool and StartRun checks them out again.
-func TestRunScopeRecyclesWorkerBlocks(t *testing.T) {
+// TestRunScopeWarmCycleAllocatesNothing: End returns the scope, its
+// counter blocks and its scratch to the recorder, and StartRun checks
+// them out again, so a warm run's recording allocates nothing.
+func TestRunScopeWarmCycleAllocatesNothing(t *testing.T) {
 	r := NewRecorder()
-	s := r.StartRun()
-	s.WorkerSlots(4)
-	s.MarkComplete()
-	s.End()
-
-	allocs := testing.AllocsPerRun(50, func() {
+	cycle := func() {
 		s := r.StartRun()
-		s.WorkerSlots(4)
+		start := s.Now()
+		s.WorkerSlots(4)[3].Tiles.Add(1)
+		s.FusedSlots(4)[3].StreamRuns++
+		s.AddAccum(AccumCounters{HashProbes: 1})
+		s.Span(PhaseExecKernel, start)
 		s.MarkComplete()
 		s.End()
-	})
-	// One allocation per run is the *RunScope itself; the worker blocks
-	// and snapshot buffers must come from the pool. The snapshot's
-	// Workers/Phases slices are built per End, so allow their backing
-	// arrays too — the pin is on the padded counter blocks, which
-	// dominate (4 cache-line-padded workers ≫ a few slice headers).
-	if allocs > 8 {
-		t.Fatalf("warm scope cycle allocates %.0f times per run, want the pooled steady state", allocs)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("warm scope cycle allocates %.0f times per run, want 0", allocs)
 	}
 }
 
@@ -156,7 +145,7 @@ func TestStatsReadDuringRuns(t *testing.T) {
 			for i := 0; i < runs; i++ {
 				recordRun(r, func(s *RunScope) {
 					s.WorkerSlots(1)[0].Tiles.Add(1)
-					s.Span(PhaseExecKernel)()
+					s.Span(PhaseExecKernel, s.Now())
 				})
 			}
 		}()
@@ -171,7 +160,6 @@ func TestStatsReadDuringRuns(t *testing.T) {
 		if st := r.Stats(); st.Totals.Tiles != st.Runs {
 			t.Fatalf("snapshot mid-run: %d tiles over %d runs, want one per run", st.Totals.Tiles, st.Runs)
 		}
-		r.LastRun()
 	}
 	if st := r.Stats(); st.Runs != writers*runs || st.Totals.Tiles != writers*runs {
 		t.Fatalf("totals: %d runs, %d tiles, want %d each", st.Runs, st.Totals.Tiles, writers*runs)

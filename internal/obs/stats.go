@@ -3,13 +3,12 @@ package obs
 import (
 	"fmt"
 	"io"
-	"slices"
 	"time"
 )
 
 // StatsSchema identifies the JSON layout of a Stats document. Bump the
 // version only on breaking changes; additive fields keep the tag.
-const StatsSchema = "maskedspgemm/stats/v4"
+const StatsSchema = "maskedspgemm/stats/v5"
 
 // PhaseStats is one pipeline phase's accumulated wall time.
 type PhaseStats struct {
@@ -32,14 +31,14 @@ type CounterSet struct {
 	Gathered    int64 `json:"gathered"`
 }
 
-// add folds k × o into c.
-func (c *CounterSet) add(o CounterSet, k int64) {
-	c.Tiles += k * o.Tiles
-	c.Rows += k * o.Rows
-	c.Flops += k * o.Flops
-	c.CoIterPicks += k * o.CoIterPicks
-	c.LinearPicks += k * o.LinearPicks
-	c.Gathered += k * o.Gathered
+// add folds o into c.
+func (c *CounterSet) add(o CounterSet) {
+	c.Tiles += o.Tiles
+	c.Rows += o.Rows
+	c.Flops += o.Flops
+	c.CoIterPicks += o.CoIterPicks
+	c.LinearPicks += o.LinearPicks
+	c.Gathered += o.Gathered
 }
 
 // WorkerStats is one worker's counters in a Stats snapshot.
@@ -89,9 +88,6 @@ func distOf(values []int64) Dist {
 type Stats struct {
 	// Schema is always StatsSchema.
 	Schema string `json:"schema"`
-	// Seq is the multiply sequence id for per-run snapshots (RunScope /
-	// Recorder.LastRun); 0 for cumulative snapshots.
-	Seq int64 `json:"seq,omitempty"`
 	// Runs is the number of kernel runs folded into the snapshot.
 	Runs int64 `json:"runs"`
 	// Phases is the per-phase wall-time breakdown.
@@ -116,45 +112,37 @@ type Stats struct {
 	Sched SchedCounters `json:"sched"`
 }
 
-// tally is the counter state behind every snapshot: a Recorder's
-// cumulative totals and one run scope's private data have this one
-// shape, so ending a scope is one fold (add) and both snapshots are one
-// render (stats).
+// tally is the counter state a run scope collects and a Recorder sums
+// (with its per-worker totals beside it), so ending a scope is one fold
+// (add).
 type tally struct {
-	runs    int64
-	spans   [numPhases]time.Duration
-	counts  [numPhases]int64
-	workers []CounterSet
-	accum   AccumCounters
-	pool    PoolCounters
-	fused   FusedCounters
-	sched   SchedCounters
+	runs   int64
+	spans  [numPhases]time.Duration
+	counts [numPhases]int64
+	accum  AccumCounters
+	pool   PoolCounters
+	fused  FusedCounters
+	sched  SchedCounters
 }
 
-// add folds o into t, growing t's worker list to cover o's.
+// add folds o into t.
 func (t *tally) add(o *tally) {
 	t.runs += o.runs
 	for p := range t.spans {
 		t.spans[p] += o.spans[p]
 		t.counts[p] += o.counts[p]
 	}
-	if n := len(o.workers) - len(t.workers); n > 0 {
-		t.workers = append(t.workers, make([]CounterSet, n)...)
-	}
-	for w := range o.workers {
-		t.workers[w].add(o.workers[w], 1)
-	}
-	t.accum.add(o.accum, 1)
-	t.pool.add(o.pool, 1)
-	t.fused.add(o.fused, 1)
-	t.sched.add(o.sched, 1)
+	t.accum.add(o.accum)
+	t.pool.add(o.pool)
+	t.fused.add(o.fused)
+	t.sched.add(o.sched)
 }
 
-// stats renders t as a snapshot under sequence id seq (0 for the
-// cumulative totals). The snapshot shares no memory with t.
-func (t *tally) stats(seq int64) Stats {
+// stats renders t and the per-worker totals as a snapshot that shares
+// no memory with either.
+func (t *tally) stats(workers []CounterSet) Stats {
 	s := Stats{
-		Schema: StatsSchema, Seq: seq, Runs: t.runs,
+		Schema: StatsSchema, Runs: t.runs,
 		Accum: t.accum, Pool: t.pool, Fused: t.fused, Sched: t.sched,
 	}
 	for p := Phase(0); p < numPhases; p++ {
@@ -167,9 +155,9 @@ func (t *tally) stats(seq int64) Stats {
 			Count:  t.counts[p],
 		})
 	}
-	if len(t.workers) > 0 {
-		s.Workers = make([]WorkerStats, len(t.workers))
-		for w, c := range t.workers {
+	if len(workers) > 0 {
+		s.Workers = make([]WorkerStats, len(workers))
+		for w, c := range workers {
 			s.Workers[w] = WorkerStats{Worker: w, CounterSet: c}
 		}
 	}
@@ -182,11 +170,11 @@ func (t *tally) stats(seq int64) Stats {
 func (r *Recorder) Stats() Stats {
 	if r == nil {
 		var t tally
-		return t.stats(0)
+		return t.stats(nil)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.t.stats(0)
+	return r.t.stats(r.workers)
 }
 
 // finalize recomputes the derived fields (Totals and the distributions)
@@ -196,42 +184,12 @@ func (s *Stats) finalize() {
 	tiles := make([]int64, 0, len(s.Workers))
 	flops := make([]int64, 0, len(s.Workers))
 	for _, w := range s.Workers {
-		s.Totals.add(w.CounterSet, 1)
+		s.Totals.add(w.CounterSet)
 		tiles = append(tiles, w.Tiles)
 		flops = append(flops, w.Flops)
 	}
 	s.TileDist = distOf(tiles)
 	s.FlopDist = distOf(flops)
-}
-
-// Sub returns the difference s − prev: the activity recorded between
-// the two snapshots of the same recorder (e.g. one Multiply call).
-// Phases are matched by name, workers by id; entries absent from prev
-// carry over unchanged, and phases left with no spans are dropped.
-func (s Stats) Sub(prev Stats) Stats {
-	out := s
-	out.Seq = 0
-	out.Phases = slices.Clone(s.Phases)
-	out.Workers = slices.Clone(s.Workers)
-	out.Runs -= prev.Runs
-	for _, p := range prev.Phases {
-		if i := slices.IndexFunc(out.Phases, func(q PhaseStats) bool { return q.Phase == p.Phase }); i >= 0 {
-			out.Phases[i].Millis -= p.Millis
-			out.Phases[i].Count -= p.Count
-		}
-	}
-	out.Phases = slices.DeleteFunc(out.Phases, func(p PhaseStats) bool { return p.Count <= 0 })
-	for _, w := range prev.Workers {
-		if i := slices.IndexFunc(out.Workers, func(v WorkerStats) bool { return v.Worker == w.Worker }); i >= 0 {
-			out.Workers[i].add(w.CounterSet, -1)
-		}
-	}
-	out.Accum.add(prev.Accum, -1)
-	out.Pool.add(prev.Pool, -1)
-	out.Fused.add(prev.Fused, -1)
-	out.Sched.add(prev.Sched, -1)
-	out.finalize()
-	return out
 }
 
 // WriteTable renders the snapshot as an indented human-readable block.

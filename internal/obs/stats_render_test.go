@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// These regression tests pin the resilience block of the human table
-// and of snapshot subtraction: workspace quarantines must render when
-// present, stay silent when absent, and subtract under Stats.Sub.
+// These regression tests pin the resilience block of the human table:
+// workspace quarantines must render when present and stay silent when
+// absent.
 
 // recordPool records a pool delta through a run scope that does not
 // complete, so it adds no run.
@@ -76,23 +76,5 @@ func TestWriteTableRendersFusedBlock(t *testing.T) {
 	recordRun(quiet, func(*RunScope) {})
 	if table := renderedTable(quiet.Stats()); strings.Contains(table, "fused:") {
 		t.Errorf("quiet recorder renders the fused line:\n%s", table)
-	}
-}
-
-func TestStatsSubResilienceBlocks(t *testing.T) {
-	r := NewRecorder()
-	recordPool(r, PoolCounters{Hits: 4, Quarantined: 1})
-	before := r.Stats()
-
-	recordPool(r, PoolCounters{Hits: 6, Quarantined: 2})
-
-	delta := r.Stats().Sub(before)
-	if delta.Pool.Hits != 6 || delta.Pool.Quarantined != 2 {
-		t.Fatalf("pool delta = %+v", delta.Pool)
-	}
-	// A delta renders like any snapshot.
-	table := renderedTable(delta)
-	if !strings.Contains(table, "quarantined=2") {
-		t.Fatalf("delta table:\n%s", table)
 	}
 }

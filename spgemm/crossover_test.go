@@ -10,7 +10,7 @@ import (
 )
 
 // facadeOutcome is what one pass over the facade's multiply-built entry
-// points returns, plus the stats/v4 totals it recorded.
+// points returns, plus the stats/v5 totals it recorded.
 type facadeOutcome struct {
 	mxm, truss *Matrix
 	triangles  int64
@@ -46,7 +46,7 @@ func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
 // TestFacadeSmallEqualsTiled is the small ≡ tiled law at the public
 // surface: every multiply-built entry point returns the same result on
 // either side of the tile crossover, with and without an Engine, at one
-// and three requested workers, and the stats/v4 totals agree on
+// and three requested workers, and the stats/v5 totals agree on
 // everything but the tile count. The one-tile side never touches the
 // plan cache; the tiled side does.
 func TestFacadeSmallEqualsTiled(t *testing.T) {
@@ -171,6 +171,70 @@ func TestTriangleCountWarmAllocs(t *testing.T) {
 				t.Errorf("allocations per call grow with the graph: %v at n = 2000, 8000", counts)
 			}
 		})
+	}
+}
+
+// recordedAllocBudget is how many more objects a warm recorded call may
+// allocate than the same call unrecorded. The run's scope, its counter
+// blocks and its scratch come back from the recorder at every start, and
+// spans are start times the run holds, so recording a run allocates
+// nothing of its own.
+const recordedAllocBudget = 2
+
+// TestRecordedWarmAllocs pins recordedAllocBudget for a warm MxM and a
+// warm streamed triangle count on an Engine, one-tile (a 64-vertex road
+// graph) and tiled (RMAT 2^11), at one and two workers.
+func TestRecordedWarmAllocs(t *testing.T) {
+	atProductionCrossover(t)
+	calls := []struct {
+		name string
+		run  func(a *Matrix, opts Options) error
+	}{
+		{"MxM", func(a *Matrix, opts Options) error { _, err := MxM(a, a, a, opts); return err }},
+		{"TriangleCount", func(a *Matrix, opts Options) error { _, err := TriangleCount(a, opts); return err }},
+	}
+	for _, g := range []struct {
+		name  string
+		a     *Matrix
+		tiled bool
+	}{
+		{"one-tile", RandomGraph("road", 64, 3), false},
+		{"tiled", RandomGraph("rmat", 1<<11, 3), true},
+	} {
+		for _, workers := range []int{1, 2} {
+			for _, call := range calls {
+				opts := Defaults()
+				opts.Workers = workers
+				opts.Engine = NewEngine(EngineConfig{})
+				warm := func(opts Options) float64 {
+					run := func() {
+						if err := call.run(g.a, opts); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run()
+					// Which worker first meets a long row is up to the
+					// scheduler: the steady state is the quietest of three
+					// rounds.
+					allocs := math.Inf(1)
+					for range 3 {
+						allocs = min(allocs, testing.AllocsPerRun(5, run))
+					}
+					return allocs
+				}
+				plain := warm(opts)
+				opts.Stats = NewStatsRecorder()
+				recorded := warm(opts)
+				if st := opts.Stats.Stats(); st.Runs == 0 || (st.Totals.Tiles > st.Runs) != g.tiled {
+					t.Fatalf("%s/%s: %d tiles over %d recorded runs", g.name, call.name, st.Totals.Tiles, st.Runs)
+				}
+				t.Logf("%s/workers=%d/%s: %.0f allocs unrecorded, %.0f recorded", g.name, workers, call.name, plain, recorded)
+				if recorded > plain+recordedAllocBudget {
+					t.Errorf("%s/workers=%d/%s: a warm recorded call allocates %.0f times, unrecorded %.0f, budget +%d",
+						g.name, workers, call.name, recorded, plain, recordedAllocBudget)
+				}
+			}
+		}
 	}
 }
 

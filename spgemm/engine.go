@@ -1,11 +1,9 @@
 package spgemm
 
 import (
-	"fmt"
 	"sync"
 
 	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/model"
 )
 
 // Engine is a shared execution-resource pool: workspaces (accumulators,
@@ -31,20 +29,13 @@ type Engine struct {
 // EngineConfig bounds the Engine's retention. The zero value selects
 // the defaults; negative values disable the respective cache.
 type EngineConfig struct {
-	// MaxIdle caps the workspaces held idle across all size classes
-	// (counted retention; overflow falls back to GC-managed storage).
-	// 0 = default (64); negative = keep nothing counted.
+	// MaxIdle caps the workspaces held idle across all size classes; a
+	// workspace released past the cap is dropped. 0 = default (64);
+	// negative = keep nothing.
 	MaxIdle int
 	// MaxPlans caps the cached structural plans. 0 = default (64);
 	// negative = disable plan caching.
 	MaxPlans int
-	// RetentionBudget is the memory, in bytes, the engine may pin in
-	// idle workspaces when MaxIdle is derived from a problem's footprint
-	// (NewEngineFor): the idle cap becomes budget / per-workspace bytes.
-	// 0 = default (256 MiB); negative is rejected by NewEngineFor.
-	// Ignored when MaxIdle is set explicitly, and by plain NewEngine,
-	// which has no problem to size against.
-	RetentionBudget int64
 }
 
 // NewEngine builds an Engine with the given retention bounds.
@@ -52,37 +43,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{eng: exec.New(exec.Config{MaxIdle: cfg.MaxIdle, MaxPlans: cfg.MaxPlans})}
 }
 
-// NewEngineFor builds an Engine whose workspace retention is sized for
-// the problem C = mask ⊙ (a × b): one structural pass extracts the
-// operand features, the per-workspace footprint is estimated from the
-// accumulator family opts selects, and the idle cap becomes
-// cfg.RetentionBudget divided by that footprint (clamped to at least a
-// warm-loop pair and at most the default cap). Explicit cfg.MaxIdle
-// overrides the derived cap; cfg.MaxPlans passes through. A negative
-// RetentionBudget is rejected with an error matching ErrConfig.
-func NewEngineFor(mask, a, b *Matrix, opts Options, cfg EngineConfig) (*Engine, error) {
-	if cfg.RetentionBudget < 0 {
-		return nil, fmt.Errorf("%w: engine retention budget must be >= 0, got %d",
-			ErrConfig, cfg.RetentionBudget)
-	}
-	f, err := model.Extract(mask.csr, a.csr, b.csr)
-	if err != nil {
-		return nil, err
-	}
-	ec := model.PredictEngineBudget(f, opts.config(), opts.Workers, cfg.RetentionBudget)
-	if cfg.MaxIdle != 0 {
-		ec.MaxIdle = cfg.MaxIdle
-	}
-	if cfg.MaxPlans != 0 {
-		ec.MaxPlans = cfg.MaxPlans
-	}
-	return NewEngine(EngineConfig{MaxIdle: ec.MaxIdle, MaxPlans: ec.MaxPlans}), nil
-}
-
 // PoolStats is a snapshot of an Engine's pool counters. Hits, Misses
 // and Steals partition workspace checkouts (a steal recycles a
 // compatible larger workspace); Resizes counts in-place growth of a
-// recycled workspace; Evictions counts retention-cap demotions;
+// recycled workspace; Evictions counts workspaces dropped at the
+// retention cap;
 // PlanHits/PlanMisses partition plan-cache lookups.
 type PoolStats = exec.PoolStats
 
@@ -96,8 +61,7 @@ func (e *Engine) Stats() PoolStats {
 	return e.eng.Stats()
 }
 
-// Idle reports how many workspaces the engine currently holds in its
-// counted idle tier.
+// Idle reports how many workspaces the engine currently holds idle.
 func (e *Engine) Idle() int {
 	if e == nil {
 		return 0

@@ -1,7 +1,6 @@
 package spgemm_test
 
 import (
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -59,30 +58,5 @@ func TestFuseHasNoEffect(t *testing.T) {
 	}
 	if !slices.Equal(got[1].bc, got[0].bc) {
 		t.Errorf("BC scores differ with Fuse set")
-	}
-}
-
-func TestNewEngineFor(t *testing.T) {
-	a := spgemm.RandomGraph("er", 60, 23).Symmetrize()
-	opts := spgemm.Defaults()
-	if _, err := spgemm.NewEngineFor(a, a, a, opts, spgemm.EngineConfig{RetentionBudget: -1}); !errors.Is(err, spgemm.ErrConfig) {
-		t.Fatalf("negative budget: err = %v, want ErrConfig", err)
-	}
-	eng, err := spgemm.NewEngineFor(a, a, a, opts, spgemm.EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Engine = eng
-	opts.Semiring = spgemm.SRPlusPair
-	if _, err := spgemm.MxM(a, a, a, opts); err != nil {
-		t.Fatal(err)
-	}
-	// A tiny budget must still leave the warm-loop pair.
-	eng, err = spgemm.NewEngineFor(a, a, a, opts, spgemm.EngineConfig{RetentionBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng == nil {
-		t.Fatal("nil engine")
 	}
 }

@@ -50,7 +50,7 @@ func TestOptionsConfigMapping(t *testing.T) {
 // effect.
 const (
 	optionsFields      = 11
-	engineConfigFields = 3
+	engineConfigFields = 2
 )
 
 // TestOptionsDocumented fails when an exported Options field is missing

@@ -42,20 +42,18 @@ const StatsSchema = obs.StatsSchema
 // StatsRecorder collects kernel observability data. Attach one via
 // Options.Stats and every MxM run under those options records into it;
 // Stats() snapshots the accumulated totals at any point. Collection is
-// exact (counters are counted, not sampled) and adds a few percent at
-// most to small runs; a nil *StatsRecorder in Options disables
-// everything at zero cost.
+// exact (counters are counted, not sampled); a nil *StatsRecorder in
+// Options disables everything at zero cost.
 //
 // A StatsRecorder may be shared by concurrent multiplications. Each run
 // records through its own scope and folds into the totals once, when it
 // ends, so the totals stay exact. Snapshots taken with Stats() are
-// independent values; subtract two (Stats.Sub) to isolate the activity
-// between them, which includes every run that ended in that window.
+// independent values; to read one run on its own, Reset before it and
+// read Stats() after it.
 //
-// Recording also labels each pipeline phase for runtime/pprof (label
-// key "spgemm_phase") and opens a runtime/trace region per tile batch
-// while tracing is active, so CPU profiles and execution traces
-// attribute samples to kernel phases with no extra wiring.
+// Recording also opens a runtime/trace region per tile batch while
+// tracing is active, so execution traces attribute slices to tile
+// batches with no extra wiring.
 type StatsRecorder struct {
 	rec *obs.Recorder
 }
