@@ -143,8 +143,8 @@ bench-stats:
 	$(GO) run ./cmd/spgemm-bench -experiment stats -shift 3 -json
 
 # bench-engine is the execution-engine regression gate: run the warm
-# iterative workloads (k-truss, BC-batch) on a small graph engineless
-# and through an engine. The experiment itself fails unless every warm
+# iterative workload (k-truss; BC checks out no workspace) on a small
+# graph engineless and through an engine. The experiment itself fails unless every warm
 # loop serves >= 95% of its workspace checkouts from the pool and both
 # columns agree on the checksum. Part of `make gates`.
 bench-engine:
@@ -169,9 +169,8 @@ bench-trsv:
 # bench-micro runs the micro-benchmarks behind the quoted per-unit
 # numbers once each: per-entry vs batched accumulator updates (ns/update
 # per kind), the four iteration spaces on the circuit graph (ns/flop),
-# and batched BC on the 57 x 100 road lattice (us/multiply: the fixed
-# cost of one small product, the number the tile crossover exists to
-# cut), k-truss(4) warm on an engine (B/round: what a round
+# BC on the 57 x 100 road lattice at 1, 4 and 16 sources (ms/op and
+# allocs/op, which must not grow with the source count), k-truss(4) warm on an engine (B/round: what a round
 # allocates once its result storage is recycled) and its round rule's
 # unit costs on a corpus-scale web graph (rounds/full and rounds/delta:
 # ns and probes per visit; rounds/symmetry: ns/nnz — the medians
@@ -183,8 +182,8 @@ bench-trsv:
 # and the solve verdict's unit costs: one serial substitution walked in
 # substitution order and in level-set order (ns/nnz), and a wave run's
 # spawn and staggered barrier crossing, and one hypersparse product at
-# the production crossover, masked and complemented (ns/multiply: a
-# one-tile run's cost in its live rows), both accumulator families
+# the production crossover (ns/multiply: a one-tile run's cost in its
+# live rows), both accumulator families
 # swept over cols/RowCap (ns/flop: the medians internal/model derives the
 # planner's dense-state factor from) and the dense state swept over its
 # bytes (ns/work: the medians internal/model derives the window floor
@@ -196,7 +195,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorChoice$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkIterationSpaces$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^BCBatch$$/^road-57x100$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^BC$$/^road-57x100$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^KTruss$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkRepeatedMultiply$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkTRSVWarm$$' -benchtime 1x .

@@ -21,7 +21,6 @@ import (
 	"maskedspgemm/internal/graph"
 	"maskedspgemm/internal/graphgen"
 	"maskedspgemm/internal/model"
-	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sched"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
@@ -320,31 +319,19 @@ func BenchmarkTriangleSemirings(b *testing.B) {
 	})
 }
 
-// BenchmarkFormulations compares the saxpy kernel against the
-// complement product on the two structural extremes: the railed circuit
-// and a social graph.
+// BenchmarkFormulations times the saxpy kernel on the two structural
+// extremes: the railed circuit and a social graph.
 func BenchmarkFormulations(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
 	for _, name := range []string{"circuit5M-sim", "hollywood-2009-sim"} {
 		a := load(b, name)
-		cfg := core.DefaultConfig()
-		b.Run(name+"/saxpy-hybrid", func(b *testing.B) { runMasked(b, a, cfg) })
-		b.Run(name+"/complement", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MaskedSpGEMMComp[float64](sr, nil, a, a, a, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(name+"/saxpy-hybrid", func(b *testing.B) { runMasked(b, a, core.DefaultConfig()) })
 	}
 }
 
 // BenchmarkGraphAlgorithms measures the end-to-end workloads the kernel
 // serves: triangle counting (all three formulations), one k-truss round
 // (TriangleSupport: the assembled support A ⊙ (A×A)), the whole k-truss,
-// BFS, and batched BC on the benchmark's 57 × 100 road lattice — a few
-// hundred multiplies of a few hundred FLOPs each, reported per multiply
-// because what it measures is the fixed cost of one call.
+// BFS, and BC on the benchmark's 57 × 100 road lattice.
 func BenchmarkGraphAlgorithms(b *testing.B) {
 	a := sparse.Symmetrize(load(b, "com-LiveJournal-sim"))
 	cfg := core.DefaultConfig()
@@ -447,34 +434,27 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 			}
 		}
 	})
-	// Batched BC, warm on an engine: us/multiply is the
-	// fixed cost of one call, rows/multiply the rows one call's product
-	// iterates — the level's front, not the lattice's 5 700 rows.
-	b.Run("BCBatch", func(b *testing.B) {
+	// BC at 1, 4 (the bc-road workload's count) and 16 sources on the
+	// default worker count: ms/op and allocs/op, which must not grow with
+	// the source count.
+	b.Run("BC", func(b *testing.B) {
 		lattice := graphgen.RoadNetwork(57, 100, 0.95, 0x6A9)
 		n := lattice.Rows
-		sources := []int{n / 8, 3 * n / 8, 5 * n / 8, 7 * n / 8}
-		b.Run("road-57x100", func(b *testing.B) {
-			bcCfg := cfg
-			bcCfg.Engine = exec.New(exec.Config{})
-			// One untimed op under a recorder counts the op's multiplies
-			// and their rows (and warms the engine's pool).
-			counted := bcCfg
-			counted.Recorder = obs.NewRecorder()
-			if _, err := graph.BetweennessCentralityBatch(lattice, sources, counted); err != nil {
-				b.Fatal(err)
+		for _, s := range []int{1, 4, 16} {
+			sources := make([]int, s)
+			for i := range sources {
+				sources[i] = (2*i + 1) * n / (2 * s)
 			}
-			st := counted.Recorder.Stats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.BetweennessCentralityBatch(lattice, sources, bcCfg); err != nil {
-					b.Fatal(err)
+			b.Run(fmt.Sprintf("road-57x100/sources=%d", s), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := graph.BetweennessCentrality(lattice, sources, cfg); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*st.Runs), "us/multiply")
-			b.ReportMetric(float64(st.Totals.Rows)/float64(st.Runs), "rows/multiply")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+			})
+		}
 	})
 }
 

@@ -23,7 +23,7 @@
 //	counters      instrumented work counts vs the Eq. 2/3 model
 //	plan          plan-construction phases, serial vs parallel
 //	sched         Static vs Dynamic vs Guided across the tile grid
-//	engine        iterative workloads (k-truss, batched BC): no engine vs
+//	engine        iterative workload (k-truss): no engine vs
 //	              warm engine; fails on a warm pool hit rate under 95%
 //	              or on a checksum mismatch
 //	trsv          triangular solve, serial vs dependency waves; fails

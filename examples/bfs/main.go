@@ -2,7 +2,8 @@
 // vector-matrix product with a complement mask, whose push/pull decision
 // is the vector-scale analogue of the paper's co-iteration trade-off
 // (§VI relates the two). Also demonstrates betweenness centrality on a
-// small sample of sources.
+// small sample of sources: Brandes' algorithm per source, the sources
+// split across the workers.
 package main
 
 import (
@@ -49,7 +50,7 @@ func main() {
 
 	// Betweenness centrality from a source sample.
 	sources := []int{0, a.Rows() / 2, a.Rows() - 1}
-	bc, err := spgemm.BetweennessCentrality(a, sources)
+	bc, err := spgemm.BetweennessCentralityBatch(a, sources, spgemm.Defaults())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,8 +21,8 @@ import (
 //
 // Family one is the regime the one-tile plan exists for: a road lattice
 // crossoverWidth wide and crossoverHeights high (1 Ki to 128 Ki rows)
-// times a BC-frontier-shaped B under a frontier-shaped mask — the
-// backward-sweep product of batched BC, W ≈ 5 per row. Family two is
+// times a frontier-shaped B under a frontier-shaped mask — one level of
+// a batched traversal with four sources, W ≈ 5 per row. Family two is
 // the opposite corner: A ⊙ (A × A) on an Erdős–Rényi graph of mean
 // degree crossoverDegree and crossoverVertices vertices, W ≈ 290 per
 // row, where the kernel has real work per row and tiling pays early.
@@ -37,7 +37,7 @@ var (
 )
 
 const (
-	// crossoverBatch is the number of frontier columns (the BC batch
+	// crossoverBatch is the number of frontier columns (the batch
 	// width) and crossoverStride the spacing of frontier rows: one row
 	// in crossoverStride holds a frontier entry.
 	crossoverBatch  = 4

@@ -28,16 +28,14 @@ func checkWarmHitRate(what string, pool exec.PoolStats) error {
 
 // iterativeWorkload is one iterative graph algorithm — a loop of masked
 // SpGEMMs over a fixed graph — returning a checksum of its result.
+// Betweenness centrality is not one: it multiplies no matrices and
+// checks out no workspace.
 type iterativeWorkload struct {
 	name string
 	run  func(cfg core.Config) func() (int64, error)
 }
 
 func iterativeWorkloads(a *sparse.CSR[float64]) []iterativeWorkload {
-	sources := []int{}
-	for v := 0; v < a.Rows && len(sources) < 4; v += max(a.Rows/4, 1) {
-		sources = append(sources, v)
-	}
 	return []iterativeWorkload{
 		{"ktruss", func(cfg core.Config) func() (int64, error) {
 			return func() (int64, error) {
@@ -48,29 +46,16 @@ func iterativeWorkloads(a *sparse.CSR[float64]) []iterativeWorkload {
 				return res.Edges, nil
 			}
 		}},
-		{"bcbatch", func(cfg core.Config) func() (int64, error) {
-			return func() (int64, error) {
-				deps, err := graph.BetweennessCentralityBatch(a, sources, cfg)
-				if err != nil {
-					return 0, err
-				}
-				var sum float64
-				for _, v := range deps {
-					sum += v
-				}
-				return int64(sum), nil
-			}
-		}},
 	}
 }
 
 // EngineBench runs the engine experiment: the iterative graph workloads
-// (k-truss support-and-prune, batched Brandes BC) timed engineless and
-// warm through a freshly populated execution engine, so the difference
-// is workspace pooling. The engine column also reports the cold run's
-// fused-pipeline counters (k-truss's select multiplies, BC's streamed
-// backward products). Two invariants are errors: the columns agree on
-// the checksum, and the warm loop meets the pool hit-rate contract.
+// (k-truss support-and-prune) timed engineless and warm through a
+// freshly populated execution engine, so the difference is workspace
+// pooling. The engine column also reports the cold run's fused-pipeline
+// counters (k-truss's select multiplies). Two invariants are errors:
+// the columns agree on the checksum, and the warm loop meets the pool
+// hit-rate contract.
 func EngineBench(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "Engine: warm iterative workloads — per-call allocation vs pooled workspaces")
 	fmt.Fprintf(w, "%-10s %-22s %10s %10s %14s %14s %9s %8s %10s\n",

@@ -56,8 +56,8 @@ func TestExperimentsRegistry(t *testing.T) {
 		},
 		"sched": {prints: []string{"Static", "Dynamic", "Guided"}, rows: 3 * len(o.TileCounts)},
 		"engine": {
-			prints: []string{"hit-rate", "on allocs/op", "ktruss", "bcbatch", "warm pool hit rate >= 95%"},
-			rows:   2 * 2,
+			prints: []string{"hit-rate", "on allocs/op", "ktruss", "warm pool hit rate >= 95%"},
+			rows:   2,
 			check: func(t *testing.T, rows []ResultEntry) {
 				for _, e := range rows {
 					if strings.HasSuffix(e.Config, "/no-engine") {
@@ -69,9 +69,6 @@ func TestExperimentsRegistry(t *testing.T) {
 				}
 				if kt := rows[1]; value(t, kt, "select_runs") == 0 {
 					t.Errorf("k-truss ran no select multiply: %v", kt.Values)
-				}
-				if bc := rows[3]; value(t, bc, "stream_runs") == 0 {
-					t.Errorf("batched BC ran no streamed multiply: %v", bc.Values)
 				}
 			},
 		},

@@ -28,7 +28,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 				cfg.Accumulator = ak
 				cfg.Tiles = 4
 				cfg.Workers = 1
-				plan, err := planFor(nil, cfg, 1, m, a, b, true, nil)
+				plan, err := planFor(nil, cfg, 1, m, a, b, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -43,7 +43,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 				}
 				pass := func() {
 					for tt, tile := range plan.Tiles {
-						runTile(k, ws.Accs[0], nil, tile, &ws.Outs[tt], false, nil, nil)
+						runTile(k, ws.Accs[0], tile, &ws.Outs[tt], false, nil, nil)
 					}
 				}
 				// One pass warms the tile output buffers (and any hash growth).

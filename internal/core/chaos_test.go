@@ -91,9 +91,6 @@ var productForms = []productForm{
 		}
 		return c, nil
 	}},
-	{"comp", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		return MaskedSpGEMMComp[float64](semiring.PlusTimes[float64]{}, nil, m, a, b, cfg)
-	}},
 }
 
 // squareForm is a formulation on the square product M ⊙ (A × A).

@@ -97,6 +97,8 @@ type Config struct {
 	// Workers is the requested worker-pool size; 0 means GOMAXPROCS. A
 	// run uses no more workers than its plan has tiles, so a product
 	// below the work crossover runs on the caller's goroutine alone.
+	// graph.BetweennessCentrality splits its sources across this many
+	// workers.
 	Workers int
 	// Context, when non-nil, cancels or deadline-bounds the
 	// multiplication: the scheduler observes it between tile claims and
@@ -111,7 +113,8 @@ type Config struct {
 	// planning, warm runs allocate no workspace state, and independent
 	// concurrent multiplications through the shared Engine are safe. A
 	// nil Engine reproduces the one-shot behavior: every run constructs
-	// (and discards) its own workspace.
+	// (and discards) its own workspace. graph.BetweennessCentrality
+	// takes nothing from it.
 	Engine *exec.Engine
 	// Resilience, when non-nil, arms the failure-hardening extras: the
 	// fault-injection seams and the scheduler's stall watchdog. It is a
@@ -126,7 +129,8 @@ type Config struct {
 	// picks, gathered entries), accumulator statistics (marker
 	// overflows, hash probe traffic), plus runtime/trace tile regions.
 	// A nil Recorder disables all of it; the disabled path is a
-	// nil-check and allocates nothing.
+	// nil-check and allocates nothing. graph.BetweennessCentrality runs
+	// no product and records nothing.
 	Recorder *obs.Recorder
 }
 

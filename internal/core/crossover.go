@@ -151,7 +151,7 @@ func AccumulatorOf[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (AccumLa
 	}
 	plan, err := rowCapacity(cfg.Context, cfg, sched.Workers(cfg.Workers), a, b, m, nil)
 	if err != nil {
-		return AccumLayout{}, wrapRunErr(err)
+		return AccumLayout{}, WrapRunErr(err)
 	}
 	return accumulatorFor[T](cfg, b.Cols, plan), nil
 }
@@ -162,7 +162,7 @@ func AccumulatorOf[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (AccumLa
 //	W = rows(A) + nnz(M) + nnz(A) + Σ_{A[i,k]≠0} nnz(B[k,:])
 //
 // which is Eq. 2 plus the row and A-entry visits Eq. 2 leaves out — the
-// terms that dominate when B is hypersparse (a BFS or BC frontier). The
+// terms that dominate when B is hypersparse (a batched frontier). The
 // scan stops as soon as the running total reaches limit, so the result
 // is exact below limit and merely ≥ limit otherwise: deciding against a
 // threshold costs O(1) when the first three terms already reach it and
@@ -198,7 +198,7 @@ func workBound[T sparse.Number](m, a, b *sparse.CSR[T], limit int64) int64 {
 
 // belowTileCrossover is the planner's decision: whether the product's
 // untiled work stays under the crossover. When workBound already answers
-// "below" (a tall-and-skinny B: a BC or BFS frontier), no B row is looked
+// "below" (a tall-and-skinny B: a batched frontier), no B row is looked
 // up; the verdict is the exact scan's either way.
 func belowTileCrossover[T sparse.Number](m, a, b *sparse.CSR[T]) bool {
 	return workBound(m, a, b, tileCrossover) < tileCrossover ||

@@ -36,8 +36,8 @@ type hyperFixture struct {
 
 // hypersparseFixtures are products whose one-tile run walks a handful of
 // live rows out of ≈ 5 000: a road lattice A times a frontier B of one to
-// four live rows (one per column, as a BC batch holds its sources), under
-// a mask that mixes full rows (dead under ¬M), partial and empty rows
+// four live rows (one per column, a batch of four sources), under
+// a mask that mixes full, partial and empty rows
 // around the frontier and a few rows no frontier reaches. The last
 // fixture also empties some of A's rows next to the frontier, so the
 // mask has rows whose left row is empty.
@@ -57,7 +57,7 @@ func hypersparseFixtures() []hyperFixture {
 			for _, b := range f.RowCols(r) {
 				for _, u := range lattice.RowCols(r) {
 					switch u % 3 {
-					case 0: // full: ¬M leaves nothing to write
+					case 0: // full
 						for j := sparse.Index(0); j < 4; j++ {
 							coo.Add(u, j, 1)
 						}
@@ -149,8 +149,7 @@ func smallEqualsTiled(t *testing.T, name string, run func(cfg Config) (*sparse.C
 }
 
 // TestSmallEqualsTiled holds every formulation to the small ≡ tiled law,
-// on a random square product with a full mask row (the complement's
-// dead-row rule on both sides) and on the hypersparse fixtures, whose
+// on a random square product with a full mask row and on the hypersparse fixtures, whose
 // one-tile runs walk only their live rows.
 func TestSmallEqualsTiled(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
@@ -233,76 +232,55 @@ func (c *rowCounter) BeginRow() {
 // TestOneTileWalksLiveRows pins the one-tile loop's cost to the rows
 // that can produce output, counted two ways: the RowKernel seam, crossed
 // once per row the loop visits, and BeginRow, called once per row a
-// masked kernel computes. A masked run visits and begins exactly the
-// rows with a non-empty A row and a non-empty mask row (any non-empty A
-// row under Vanilla); a complement run visits exactly the rows whose
-// mask row is not full and whose A row reaches a non-empty B row. A
-// loop over every row, or a kernel that begins rows with an empty left
-// row, fails it.
+// masked kernel computes. A run visits and begins exactly the rows with
+// a non-empty A row and a non-empty mask row (any non-empty A row under
+// Vanilla). A loop over every row, or a kernel that begins rows with an
+// empty left row, fails it.
 func TestOneTileWalksLiveRows(t *testing.T) {
 	atProductionCrossover(t)
 	sr := semiring.PlusTimes[float64]{}
 	for _, fx := range hypersparseFixtures() {
 		m, a, b := fx.m, fx.a, fx.b
-		for _, comp := range []bool{false, true} {
-			for _, it := range []IterationSpace{Vanilla, MaskLoad, CoIter, Hybrid} {
-				if comp && it != MaskLoad {
-					continue // the complement has one traversal
+		for _, it := range []IterationSpace{Vanilla, MaskLoad, CoIter, Hybrid} {
+			var want int64
+			for i := 0; i < a.Rows; i++ {
+				if a.RowNNZ(i) > 0 && (it == Vanilla || m.RowNNZ(i) > 0) {
+					want++
 				}
-				var want int64
-				for i := 0; i < a.Rows; i++ {
-					switch {
-					case a.RowNNZ(i) == 0:
-					case comp:
-						reaches := false
-						for _, k := range a.RowCols(i) {
-							reaches = reaches || b.RowNNZ(int(k)) > 0
-						}
-						if reaches && m.RowNNZ(i) < int64(b.Cols) {
-							want++
-						}
-					case it == Vanilla || m.RowNNZ(i) > 0:
-						want++
-					}
+			}
+			// Vanilla computes every non-empty A row by definition.
+			if it != Vanilla && (want == 0 || want > int64(a.Rows)/50) {
+				t.Fatalf("%s: %d live rows of %d, want a handful", fx.name, want, a.Rows)
+			}
+			var visits int64
+			cfg := DefaultConfig()
+			cfg.Iteration = it
+			cfg.Resilience = &Resilience{Chaos: chaos.Func(func(p chaos.Point) chaos.Fault {
+				if p == chaos.RowKernel {
+					visits++
 				}
-				// Vanilla computes every non-empty A row by definition.
-				if it != Vanilla && (want == 0 || want > int64(a.Rows)/50) {
-					t.Fatalf("%s: %d live rows of %d, want a handful", fx.name, want, a.Rows)
-				}
-				var visits int64
-				cfg := DefaultConfig()
-				cfg.Iteration = it
-				cfg.Resilience = &Resilience{Chaos: chaos.Func(func(p chaos.Point) chaos.Fault {
-					if p == chaos.RowKernel {
-						visits++
-					}
-					return chaos.Fault{}
-				})}
-				var counters []*rowCounter
-				p := newProduct(sr, m, a, b, cfg)
-				p.comp = comp
-				p.wrap = func(inner accum.Accumulator[float64]) accum.Accumulator[float64] {
-					c := &rowCounter{Accumulator: inner}
-					counters = append(counters, c)
-					return c
-				}
-				if _, err := p.run(nil); err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("%s/comp=%v/%v", fx.name, comp, it)
-				if visits != want {
-					t.Errorf("%s: the tile loop visited %d rows, want the %d live ones", name, visits, want)
-				}
-				if comp {
-					continue // dense scratch: no accumulator to count on
-				}
-				var begun int64
-				for _, c := range counters {
-					begun += c.rows
-				}
-				if begun != want {
-					t.Errorf("%s: %d BeginRow calls, want one per live row (%d)", name, begun, want)
-				}
+				return chaos.Fault{}
+			})}
+			var counters []*rowCounter
+			p := newProduct(sr, m, a, b, cfg)
+			p.wrap = func(inner accum.Accumulator[float64]) accum.Accumulator[float64] {
+				c := &rowCounter{Accumulator: inner}
+				counters = append(counters, c)
+				return c
+			}
+			if _, err := p.run(nil); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/%v", fx.name, it)
+			if visits != want {
+				t.Errorf("%s: the tile loop visited %d rows, want the %d live ones", name, visits, want)
+			}
+			var begun int64
+			for _, c := range counters {
+				begun += c.rows
+			}
+			if begun != want {
+				t.Errorf("%s: %d BeginRow calls, want one per live row (%d)", name, begun, want)
 			}
 		}
 	}

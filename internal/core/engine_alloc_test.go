@@ -1,7 +1,7 @@
 package core_test
 
 // Engine-level steady-state checks: these run the real graph workloads
-// (k-truss, batched BC) through a shared exec.Engine and pin, via the
+// (k-truss, BFS) through a shared exec.Engine and pin, via the
 // pool counters, that warm iterations construct zero workspaces — every
 // checkout is a hit or a steal, every buffer is recycled. They live in
 // the external test package so they can drive internal/graph without an
@@ -128,48 +128,10 @@ func TestWarmKTrussZeroWorkspaceAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmBCBatchZeroWorkspaceAllocs is the same steady-state pin for
-// batched betweenness centrality, which alternates the complement-mask
-// (dense scratch) and mask (accumulator) kernels — both pools must
-// serve the warm run entirely from idle workspaces.
-func TestWarmBCBatchZeroWorkspaceAllocs(t *testing.T) {
-	a := randGraph(100, 4, 17)
-	eng := exec.New(exec.Config{})
-	cfg := core.DefaultConfig()
-	cfg.Engine = eng
-	cfg.Tiles = 4
-	cfg.Workers = 2
-
-	sources := []int{0, 3, 7, 11}
-	cold, err := graph.BetweennessCentralityBatch(a, sources, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := eng.Stats()
-	warm, err := graph.BetweennessCentralityBatch(a, sources, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range cold {
-		if cold[v] != warm[v] {
-			t.Fatalf("warm BC differs at vertex %d: %v vs %v", v, cold[v], warm[v])
-		}
-	}
-	d := eng.Stats().Sub(prior)
-	if d.Misses != 0 {
-		t.Errorf("warm BC-batch constructed %d workspaces, want 0 (%+v)", d.Misses, d)
-	}
-	if d.Resizes != 0 {
-		t.Errorf("warm BC-batch grew workspaces %d times, want 0 (%+v)", d.Resizes, d)
-	}
-	if d.Hits == 0 {
-		t.Errorf("warm BC-batch recycled nothing: %+v", d)
-	}
-}
-
 // TestWarmFrontierAlgorithmsZeroWorkspaceAllocs covers the vector
-// kernels: warm BFS and vector BC runs against a shared engine must
-// serve their dense traversal scratch entirely from the pool.
+// kernel: warm BFS runs against a shared engine must serve their dense
+// traversal scratch entirely from the pool. (Betweenness centrality
+// keeps its state call-local and checks nothing out.)
 func TestWarmFrontierAlgorithmsZeroWorkspaceAllocs(t *testing.T) {
 	a := randGraph(200, 3, 23)
 	eng := exec.New(exec.Config{})
@@ -177,14 +139,8 @@ func TestWarmFrontierAlgorithmsZeroWorkspaceAllocs(t *testing.T) {
 	if _, err := graph.BFS(a, 0, core.Auto, eng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := graph.BetweennessCentrality(a, []int{0, 5}, eng); err != nil {
-		t.Fatal(err)
-	}
 	prior := eng.Stats()
 	if _, err := graph.BFS(a, 1, core.Auto, eng); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := graph.BetweennessCentrality(a, []int{1, 6}, eng); err != nil {
 		t.Fatal(err)
 	}
 	d := eng.Stats().Sub(prior)

@@ -55,15 +55,17 @@ func errConfig(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrConfig, fmt.Sprintf(format, args...))
 }
 
-// wrapRunErr maps a scheduler/plan-phase error into the taxonomy:
+// WrapRunErr maps a scheduler/plan-phase error into the taxonomy:
 // worker panics become ErrPanic (still errors.As-able to
 // *sched.PanicError), stall verdicts become ErrStalled (still
 // errors.As-able to *sched.StallError), context errors become
 // ErrCanceled (still errors.Is-able to the underlying context error),
 // anything else passes through unchanged. An injected spurious cancel
 // reaches ErrCanceled too, but additionally matches chaos.ErrInjected,
-// which is how a test tells it apart from a caller's cancel.
-func wrapRunErr(err error) error {
+// which is how a test tells it apart from a caller's cancel. Callers
+// outside core that run their own scheduler work (betweenness
+// centrality) map its errors with it too.
+func WrapRunErr(err error) error {
 	if err == nil {
 		return nil
 	}
@@ -81,7 +83,7 @@ func wrapRunErr(err error) error {
 	return err
 }
 
-// wrapSolveErr is wrapRunErr for the triangular-solve kernel, with one
+// wrapSolveErr is WrapRunErr for the triangular-solve kernel, with one
 // extra rule first: a worker that hit a zero diagonal panics with an
 // ErrSingular-wrapped error (the substitution cannot continue), and the
 // containment frame turns that into a *PanicError. That is a domain
@@ -98,5 +100,5 @@ func wrapSolveErr(err error) error {
 			return e
 		}
 	}
-	return wrapRunErr(err)
+	return WrapRunErr(err)
 }

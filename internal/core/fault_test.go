@@ -133,9 +133,6 @@ func TestKernelPreCancelled(t *testing.T) {
 	if _, err := MaskedSpGEMM[float64](sr, a, a, a, cfg); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("MaskedSpGEMM: %v, want ErrCanceled", err)
 	}
-	if _, err := MaskedSpGEMMComp[float64](sr, nil, a, a, a, cfg); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("MaskedSpGEMMComp: %v, want ErrCanceled", err)
-	}
 	if _, err := Prepare(a, a, a, cfg); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Prepare: %v, want ErrCanceled", err)
 	}

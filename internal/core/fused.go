@@ -59,8 +59,8 @@ func (selectSink[T]) account(fc *obs.FusedCounters, gathered, kept int64) {
 
 // MaskedSpGEMMStream computes M ⊙ (A × B) row by row and hands each
 // nonempty row to sink instead of assembling a CSR — the terminal
-// multiply of a chain whose consumer wants rows, not a matrix (the BC
-// backward sweep folds each row straight into its dependency vector).
+// multiply of a chain whose consumer wants rows, not a matrix (the
+// triangle count folds each row straight into one counter).
 //
 // sink is called once per output row that holds at least one entry,
 // with the row index and the row's sorted column/value slices. The

@@ -30,7 +30,7 @@ func MaskedSpGEMM[T sparse.Number, S semiring.Semiring[T]](
 // storage, which it overwrites, grows only when too small, and returns;
 // a nil dst allocates. dst must not share storage with m, a or b
 // (ErrConfig). After an error dst's contents are unspecified. A caller
-// that iterates (k-truss rounds, BC's backward sweep) keeps its result
+// that iterates (k-truss rounds) keeps its result
 // storage across calls instead of allocating a matrix per call.
 func MaskedSpGEMMInto[T sparse.Number, S semiring.Semiring[T]](
 	sr S, dst, m, a, b *sparse.CSR[T], cfg Config,
@@ -128,10 +128,7 @@ type kernel[T sparse.Number, S semiring.Semiring[T]] struct {
 	iter    IterationSpace
 	kappa   float64
 	// inj is the armed chaos injector, nil in production.
-	inj chaos.Injector
-	// comp selects the complemented mask: rows are computed by rowComp on
-	// the worker's dense scratch instead of rowStep on its accumulator.
-	comp bool
+	inj  chaos.Injector
 	rows []sparse.Index // a one-tile run's live rows (liveRows), or nil
 }
 
@@ -170,12 +167,11 @@ func stage[T sparse.Number](buf *exec.TileBuf[T], rows int, vol int64) {
 }
 
 // runTile is the tile loop of the masked family: it computes the output
-// rows of one tile with the worker-local accumulator (or, for the
-// complemented mask, dense scratch sc) and stages them in buf. Staged
-// whole, the tile's rows land back to back with their lengths in
-// buf.RowNNZ, the buffer sized by the tile's mask volume (output ⊆
-// mask); with perRow set buf holds one row at a time and the sink must
-// consume it. It returns the entries the row kernels gathered and the
+// rows of one tile with the worker-local accumulator and stages them in
+// buf. Staged whole, the tile's rows land back to back with their
+// lengths in buf.RowNNZ, the buffer sized by the tile's mask volume
+// (output ⊆ mask); with perRow set buf holds one row at a time and the
+// sink must consume it. It returns the entries the row kernels gathered and the
 // entries the sink kept. wc, when non-nil, receives the worker's exact
 // operation counts.
 //
@@ -186,17 +182,12 @@ func stage[T sparse.Number](buf *exec.TileBuf[T], rows int, vol int64) {
 //
 //spgemm:hotpath
 func runTile[T sparse.Number, S semiring.Semiring[T]](
-	k kernel[T, S], acc accum.Accumulator[T], sc *exec.DenseScratch[T],
-	tile tiling.Tile, buf *exec.TileBuf[T], perRow bool, sink rowSink[T],
-	wc *obs.WorkerCounters,
+	k kernel[T, S], acc accum.Accumulator[T], tile tiling.Tile,
+	buf *exec.TileBuf[T], perRow bool, sink rowSink[T], wc *obs.WorkerCounters,
 ) (gathered, kept int64) {
-	switch {
-	case perRow:
+	if perRow {
 		stage(buf, 0, 0)
-	case k.comp:
-		// ¬M does not bound the output; the buffer grows by append.
-		stage(buf, tile.Rows(), 0)
-	default:
+	} else {
 		stage(buf, tile.Rows(), k.m.RowPtr[tile.Hi]-k.m.RowPtr[tile.Lo])
 	}
 	n := tile.Rows()
@@ -221,11 +212,7 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 		}
 		from := len(buf.Cols)
 		aCols, aVals := k.a.Row(i)
-		if k.comp {
-			rowComp(&k, sc, aCols, aVals, k.m.RowCols(i), buf, wc)
-		} else {
-			rowStep(&k, acc, aCols, aVals, k.m.RowCols(i), buf, wc)
-		}
+		rowStep(&k, acc, aCols, aVals, k.m.RowCols(i), buf, wc)
 		gathered += int64(len(buf.Cols) - from)
 		if sink != nil {
 			sink.row(i, buf, from)
@@ -240,9 +227,8 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 }
 
 // liveRows lists, ascending and in dst's storage (never nil), the rows of
-// tile whose kernel can produce output: under ¬M, a mask row that is not
-// full and an A row that reaches a non-empty B row; otherwise a non-empty
-// A row and, unless the space is Vanilla, a non-empty mask row.
+// tile whose kernel can produce output: a non-empty A row and, unless
+// the space is Vanilla, a non-empty mask row.
 //
 //spgemm:hotpath
 func (p *product[T, S]) liveRows(tile tiling.Tile, dst []sparse.Index) []sparse.Index {
@@ -252,23 +238,10 @@ func (p *product[T, S]) liveRows(tile tiling.Tile, dst []sparse.Index) []sparse.
 	}
 	dst = dst[:0]
 	// Locals, so the loop reloads nothing through p across its appends.
-	ap, ac, mp, bp := p.a.RowPtr, p.a.ColIdx, p.m.RowPtr, p.b.RowPtr
-	comp, vanilla, full := p.comp, p.cfg.Iteration == Vanilla, int64(p.b.Cols)
+	ap, mp, vanilla := p.a.RowPtr, p.m.RowPtr, p.cfg.Iteration == Vanilla
 	for i := tile.Lo; i < tile.Hi; i++ {
-		lo, hi := ap[i], ap[i+1]
-		switch {
-		case lo == hi:
-		case !comp:
-			if vanilla || mp[i+1] != mp[i] {
-				dst = append(dst, sparse.Index(i))
-			}
-		case mp[i+1]-mp[i] < full:
-			for _, k := range ac[lo:hi] {
-				if bp[k+1] != bp[k] {
-					dst = append(dst, sparse.Index(i))
-					break
-				}
-			}
+		if ap[i+1] != ap[i] && (vanilla || mp[i+1] != mp[i]) {
+			dst = append(dst, sparse.Index(i))
 		}
 	}
 	return dst

@@ -60,22 +60,16 @@ func runSolveWavesSpanned(
 // workspace rather than a new slice — built without Eq. 2 arrays and
 // neither looked up in nor stored to the plan cache (an iterative
 // caller's key could only miss, and the stored entry would pin three
-// operands nobody multiplies again); and without the row-bound pass when the run sizes no
-// accumulator from it (accs false: ¬M runs on dense scratch). Every
-// other product goes through the engine's fingerprint-keyed cache when
-// cfg.Engine is set, building (under the scope's plan spans) on a miss.
+// operands nobody multiplies again). Every other product goes through
+// the engine's fingerprint-keyed cache when cfg.Engine is set, building
+// (under the scope's plan spans) on a miss.
 // Without an engine every call builds; a cached hit records no plan
 // spans because no plan work happened.
 func planFor[T sparse.Number](
-	ctx context.Context, cfg Config, pw int, m, a, b *sparse.CSR[T], accs bool, scope *obs.RunScope,
+	ctx context.Context, cfg Config, pw int, m, a, b *sparse.CSR[T], scope *obs.RunScope,
 ) (exec.Plan, error) {
 	if belowTileCrossover(m, a, b) {
-		var plan exec.Plan
-		var err error
-		if accs {
-			plan, err = rowCapacity(ctx, cfg, pw, a, b, m, scope)
-		}
-		return plan, err
+		return rowCapacity(ctx, cfg, pw, a, b, m, scope)
 	}
 	build := func() (exec.Plan, error) {
 		tiles, err := makeTiles(ctx, cfg, pw, a, b, m, scope)

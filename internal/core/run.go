@@ -16,17 +16,15 @@ import (
 
 // product describes one run of the masked family to the shared run
 // protocol: the operands and configuration, plus what distinguishes the
-// formulation — the mask's sense and what happens to each gathered row.
-// Every entry point of the family (MaskedSpGEMM, MaskedSpGEMMInstrumented,
-// MaskedSpGEMMSelectInto, MaskedSpGEMMStream and MaskedSpGEMMComp) is its
-// argument checks plus one of these.
+// formulation — what happens to each gathered row. Every entry point of
+// the family (MaskedSpGEMM, MaskedSpGEMMInstrumented,
+// MaskedSpGEMMSelectInto and MaskedSpGEMMStream) is its argument checks
+// plus one of these.
 type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	sr      S
 	m, a, b *sparse.CSR[T]
 	cfg     Config
 
-	// comp complements the mask: C = ¬M ⊙ (A × B), on dense scratch.
-	comp bool
 	// sink, when non-nil, receives every gathered row (see rowSink).
 	sink rowSink[T]
 	// dst, when non-nil, lends the assembled result its storage (the
@@ -113,7 +111,7 @@ func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, er
 	// cancellation check.
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return 0, wrapRunErr(err)
+			return 0, WrapRunErr(err)
 		}
 	}
 	if a.Rows == 0 {
@@ -124,9 +122,9 @@ func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, er
 	}
 	scope := cfg.Recorder.StartRun()
 	defer scope.End()
-	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, true, scope)
+	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, scope)
 	if err != nil {
-		return 0, wrapRunErr(err)
+		return 0, WrapRunErr(err)
 	}
 	return len(plan.Tiles), nil
 }
@@ -164,18 +162,18 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()
 	pw := sched.Workers(cfg.Workers)
-	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, !p.comp, scope)
+	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, scope)
 	if err != nil {
-		return nil, wrapRunErr(err)
+		return nil, WrapRunErr(err)
 	}
 	ntiles := max(len(plan.Tiles), 1) // nil Tiles: the one-tile plan
 	workers := cfg.runWorkers(ntiles)
 
 	// The workspace carries the per-worker accumulators (§III-C sizing:
 	// masked spaces hold at most max_i nnz(M[i,:]) entries per row; the
-	// vanilla bound is folded into plan.RowCap) or dense scratch, and the
-	// staging buffers: one per tile when the rows are assembled, one per
-	// worker when a streaming sink consumes them.
+	// vanilla bound is folded into plan.RowCap), and the staging
+	// buffers: one per tile when the rows are assembled, one per worker
+	// when a streaming sink consumes them.
 	//
 	// Poison-on-error: a run that fails after checkout (panic, cancel,
 	// injected fault) may leave accumulators or staging mid-mutation, so
@@ -194,17 +192,12 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	if p.stream {
 		staging = workers
 	}
-	var accs []accum.Accumulator[T]
-	if p.comp {
-		ws = exec.Dense[T, S](cfg.Engine, p.sr, p.b.Cols, workers, staging)
+	if l := accumulatorFor[T](cfg, p.b.Cols, plan); l.Window > 0 {
+		ws = exec.MaskedWindow[T, S](cfg.Engine, p.sr, cfg.MarkerBits, l.Window, l.RowCap, workers, staging)
 	} else {
-		if l := accumulatorFor[T](cfg, p.b.Cols, plan); l.Window > 0 {
-			ws = exec.MaskedWindow[T, S](cfg.Engine, p.sr, cfg.MarkerBits, l.Window, l.RowCap, workers, staging)
-		} else {
-			ws = exec.Masked[T, S](cfg.Engine, p.sr, l.Kind, cfg.MarkerBits, p.b.Cols, l.RowCap, workers, staging)
-		}
-		accs = ws.Accs[:workers]
+		ws = exec.Masked[T, S](cfg.Engine, p.sr, l.Kind, cfg.MarkerBits, p.b.Cols, l.RowCap, workers, staging)
 	}
+	accs := ws.Accs[:workers]
 	tiles := plan.Tiles
 	if tiles == nil {
 		ws.OneTile[0] = tiling.Tile{Lo: 0, Hi: rows}
@@ -228,7 +221,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 
 	fcs, err := p.runTiles(ctx, scope, workers, tiles, accs, ws)
 	if err != nil {
-		return nil, wrapRunErr(err)
+		return nil, WrapRunErr(err)
 	}
 
 	var c *sparse.CSR[T]
@@ -237,7 +230,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 		c, err = assembleE(ctx, p.dst, rows, cols, tiles, ws.Outs[:len(tiles)], pw)
 		scope.Span(obs.PhaseExecAssemble, t0)
 		if err != nil {
-			return nil, wrapRunErr(err)
+			return nil, WrapRunErr(err)
 		}
 	}
 	recordAccumDelta(accs, prior, scope)
@@ -254,7 +247,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 
 // runTiles is the protocol's kernel step: the tile loop dispatched over
 // the scheduler under the exec.kernel span, with the per-tile
-// accounting around it. ws holds the dense scratch and the staging: per
+// accounting around it. ws holds the staging: per
 // tile, or per worker for a streaming sink. It returns the per-worker
 // fused-counter blocks, nil unless the scope records them.
 //
@@ -274,7 +267,7 @@ func (p *product[T, S]) runTiles(
 	k := kernel[T, S]{
 		sr: p.sr, m: p.m, a: p.a, b: p.b,
 		iter: cfg.Iteration, kappa: cfg.Kappa, inj: cfg.chaosInjector(),
-		comp: p.comp, rows: rows,
+		rows: rows,
 	}
 	sink, perRow := p.sink, p.stream
 	// slots and fcs are nil with observability off: the tile closure then
@@ -292,16 +285,11 @@ func (p *product[T, S]) runTiles(
 			wc.Tiles.Add(1)
 		}
 		tile := tiles[t]
-		var gathered, kept int64
-		if k.comp {
-			gathered, kept = runTile(k, nil, &ws.Dense[worker], tile, &ws.Outs[t], false, sink, wc)
-		} else {
-			slot := t
-			if perRow {
-				slot = worker
-			}
-			gathered, kept = runTile(k, accs[worker], nil, tile, &ws.Outs[slot], perRow, sink, wc)
+		slot := t
+		if perRow {
+			slot = worker
 		}
+		gathered, kept := runTile(k, accs[worker], tile, &ws.Outs[slot], perRow, sink, wc)
 		if wc != nil {
 			wc.Rows.Add(int64(tile.Rows()))
 			wc.Gathered.Add(kept)

@@ -9,7 +9,7 @@ import (
 )
 
 // SpVec is a sorted sparse vector: the 1×n (or n×1) operand of the
-// vector kernels that BFS and betweenness centrality are built from.
+// vector kernel BFS is built from.
 type SpVec[T sparse.Number] struct {
 	N   int
 	Idx []sparse.Index

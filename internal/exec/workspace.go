@@ -54,7 +54,7 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	Outs  []TileBuf[T]
 	stage *stagingSet[T]
 	// Dense holds one dense column-dimension scratch block per worker
-	// (complement, vector and masked-solve kernels).
+	// (the sparse-vector kernel BFS runs).
 	Dense []DenseScratch[T]
 
 	// ScratchCols is index scratch for the run holding the workspace (a
@@ -215,8 +215,8 @@ func masked[T sparse.Number, S semiring.Semiring[T]](
 
 // Dense checks out a workspace carrying one DenseScratch block per
 // worker (value + state vectors over cols columns) and a staging set of
-// one output buffer per tile — the shape the complement, sparse-vector
-// and masked-solve kernels need. A nil engine constructs an unpooled workspace.
+// one output buffer per tile — the shape the sparse-vector kernel
+// needs. A nil engine constructs an unpooled workspace.
 //
 //spgemm:hotpath
 func Dense[T sparse.Number, S semiring.Semiring[T]](

@@ -24,11 +24,15 @@ type BFSResult struct {
 // the paper's reference [15]) from src over the graph with adjacency
 // matrix a, implemented as iterated masked sparse vector-matrix products
 // over the Boolean semiring. dir selects Push, Pull, or Auto per level.
+// Paths follow entry (i, j) from i to j. Pull reads a's rows as
+// in-neighbourhoods, which they are only when a is symmetric, so unless
+// dir is Push a's symmetry is checked once (one pass over a) and a
+// non-symmetric a pushes every level.
 //
 // The dense traversal scratch is drawn from eng's workspace pool, so
-// repeated searches (BC sampling) recycle one scratch block instead of
-// allocating per level. The frontier vectors are double-buffered either
-// way; a nil engine builds the scratch once per call.
+// repeated searches recycle one scratch block instead of allocating per
+// level. The frontier vectors are double-buffered either way; a nil
+// engine builds the scratch once per call.
 func BFS(a *sparse.CSR[float64], src int, dir core.Direction, eng *exec.Engine) (*BFSResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
@@ -41,6 +45,9 @@ func BFS(a *sparse.CSR[float64], src int, dir core.Direction, eng *exec.Engine) 
 	case core.Push, core.Pull, core.Auto:
 	default:
 		return nil, fmt.Errorf("%w: unknown direction %d", core.ErrConfig, dir)
+	}
+	if dir != core.Push && !sparse.IsSymmetric(a) {
+		dir = core.Push
 	}
 	res := &BFSResult{Level: make([]int32, a.Rows)}
 	for i := range res.Level {

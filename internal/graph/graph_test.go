@@ -3,8 +3,10 @@ package graph
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -294,6 +296,35 @@ func TestBFSMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBFSDirected runs BFS in every direction mode on directed graphs,
+// where pull would read out-neighbourhoods as in-neighbourhoods: the
+// three-vertex graph 0→1, 2→0 (from 0, vertex 1 is at level 1 and 2 is
+// unreachable) and random directed graphs, against a plain queue BFS.
+func TestBFSDirected(t *testing.T) {
+	coo := sparse.NewCOO[float64](3, 3, 2)
+	coo.Add(0, 1, 1)
+	coo.Add(2, 0, 1)
+	graphs := []*sparse.CSR[float64]{coo.ToCSR()}
+	for seed := uint64(1); seed <= 10; seed++ {
+		graphs = append(graphs, directed(graphgen.ErdosRenyi(60, 400, seed)))
+	}
+	for gi, a := range graphs {
+		t.Run(fmt.Sprintf("graph=%d", gi), func(t *testing.T) {
+			for _, dir := range []core.Direction{core.Push, core.Pull, core.Auto} {
+				for _, src := range []int{0, a.Rows / 2} {
+					got, err := BFS(a, src, dir, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := bruteBFS(a, src); !slices.Equal(got.Level, want) {
+						t.Fatalf("dir=%v, src=%d: levels %v, want %v", dir, src, got.Level, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestBFSPathGraph(t *testing.T) {
 	// 0-1-2-3-4 path: levels are the indices.
 	coo := sparse.NewCOO[float64](5, 5, 8)
@@ -369,76 +400,6 @@ func bruteBC(a *sparse.CSR[float64], sources []int) []float64 {
 	return bc
 }
 
-func TestBetweennessCentralityMatchesBrandes(t *testing.T) {
-	f := func(seed uint64) bool {
-		a := graphgen.ErdosRenyi(25, 60, seed)
-		sources := []int{0, 5, 11}
-		got, err := BetweennessCentrality(a, sources, nil)
-		if err != nil {
-			return false
-		}
-		want := bruteBC(a, sources)
-		for v := range want {
-			if diff := got[v] - want[v]; diff > 1e-9 || diff < -1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBetweennessCentralityBatchMatchesBrandes(t *testing.T) {
-	f := func(seed uint64) bool {
-		a := graphgen.ErdosRenyi(30, 70, seed)
-		sources := []int{0, 7, 13, 21}
-		got, err := BetweennessCentralityBatch(a, sources, testCfg())
-		if err != nil {
-			return false
-		}
-		want := bruteBC(a, sources)
-		for v := range want {
-			if diff := got[v] - want[v]; diff > 1e-9 || diff < -1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBetweennessCentralityBatchMatchesVector(t *testing.T) {
-	a := graphgen.RMAT(7, 6, 0.57, 0.19, 0.19, 77)
-	sources := []int{1, 2, 3, 5, 8, 13}
-	batch, err := BetweennessCentralityBatch(a, sources, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vector, err := BetweennessCentrality(a, sources, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range batch {
-		if diff := batch[v] - vector[v]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("bc[%d]: batch %v vs vector %v", v, batch[v], vector[v])
-		}
-	}
-}
-
-func TestBetweennessCentralityBatchEdges(t *testing.T) {
-	a := smallGraph(5)
-	if bc, err := BetweennessCentralityBatch(a, nil, testCfg()); err != nil || len(bc) != a.Rows {
-		t.Errorf("empty batch: %v %v", bc, err)
-	}
-	if _, err := BetweennessCentralityBatch(a, []int{-1}, testCfg()); err == nil {
-		t.Error("bad source accepted")
-	}
-}
-
 func TestBetweennessCentralityPath(t *testing.T) {
 	// Path 0-1-2: vertex 1 lies on the single shortest path between the
 	// endpoints; from all sources its unnormalized BC is 2 (1 from each
@@ -449,7 +410,7 @@ func TestBetweennessCentralityPath(t *testing.T) {
 	coo.Add(1, 2, 1)
 	coo.Add(2, 1, 1)
 	a := coo.ToCSR()
-	bc, err := BetweennessCentrality(a, []int{0, 1, 2}, nil)
+	bc, err := BetweennessCentrality(a, []int{0, 1, 2}, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,35 +78,6 @@ func TestKTrussMatchesBruteAcrossConfigs(t *testing.T) {
 	}
 }
 
-// TestBCBatchMatchesBruteAcrossConfigs holds the batched BC to Brandes'
-// algorithm (bruteBC), within 1e-9, on two random graphs under every
-// oracle configuration, an engine's second call warm.
-func TestBCBatchMatchesBruteAcrossConfigs(t *testing.T) {
-	sources := []int{0, 3, 11, 17}
-	for _, seed := range []uint64{5, 21} {
-		a := smallGraph(seed)
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			want := bruteBC(a, sources)
-			oracleConfigs(func(name string, cfg core.Config) {
-				for range passes(cfg) {
-					got, err := BetweennessCentralityBatch(a, sources, cfg)
-					if err != nil {
-						t.Fatal(name, err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
-					}
-					for v := range want {
-						if d := got[v] - want[v]; d > 1e-9 || d < -1e-9 {
-							t.Fatalf("%s: bc[%d] = %v, Brandes says %v", name, v, got[v], want[v])
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
 // passes is how many times an oracle test calls under cfg: twice with an
 // engine, so the second call is warm, once without.
 func passes(cfg core.Config) int {

@@ -1,7 +1,8 @@
 // Package graph builds the graph-analytics workloads that motivate the
 // masked-SpGEMM kernel (paper §I): triangle counting — the paper's
-// benchmark — plus k-truss, breadth-first search, and betweenness
-// centrality, all expressed over the kernels in internal/core.
+// benchmark — plus k-truss and breadth-first search, expressed over the
+// kernels in internal/core, and betweenness centrality, Brandes'
+// algorithm per source on flat state of its own.
 package graph
 
 import (

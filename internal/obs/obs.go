@@ -92,9 +92,7 @@ type WorkerCounters struct {
 	// the rows this worker processed — the same estimate the FLOP-balanced
 	// tiler splits on, so per-worker Flops measures how well the tiling
 	// policy actually balanced the work. Rows skipped as dead contribute
-	// nothing: a row with an empty mask row (outside Vanilla), a row with
-	// a full mask row under a complemented mask, a chain row whose second
-	// mask row is empty.
+	// nothing: a row with an empty mask row (outside Vanilla).
 	Flops atomic.Int64
 	// CoIterPicks and LinearPicks count the hybrid iteration space's
 	// per-(i,k) Eq. 3 decisions: co-iterate (binary search) vs linear scan.

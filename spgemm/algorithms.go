@@ -43,7 +43,10 @@ func KTruss(a *Matrix, k int, opts Options) (*Matrix, int, error) {
 }
 
 // BFS runs a direction-optimizing breadth-first search from src and
-// returns per-vertex hop levels (-1 = unreachable).
+// returns per-vertex hop levels (-1 = unreachable). Paths follow entry
+// (i, j) from i to j. A pull step reads a's rows as in-neighbourhoods,
+// so it is taken only on a symmetric a: BFS checks a's symmetry once
+// (one pass over a), and on a directed graph every level pushes.
 func BFS(a *Matrix, src int) ([]int32, error) {
 	res, err := graph.BFS(a.csr, src, core.Auto, nil)
 	if err != nil {
@@ -52,21 +55,18 @@ func BFS(a *Matrix, src int) ([]int32, error) {
 	return res.Level, nil
 }
 
-// BetweennessCentrality returns the unnormalized betweenness
-// contributions from the given source vertices (all vertices = exact BC).
-func BetweennessCentrality(a *Matrix, sources []int) ([]float64, error) {
-	return graph.BetweennessCentrality(a.csr, sources, nil)
-}
-
-// BetweennessCentralityBatch is BetweennessCentrality computed for all
-// sources simultaneously as rectangular masked matrix products — the
-// batched-Brandes formulation, directed graphs included (paths follow
-// entry (i, j) from i to j). Each level multiplies only its frontier's
-// submatrix, so it costs the front, not the whole graph. The backward
-// sweep streams each dependency row straight into the delta vector
-// instead of assembling a per-level matrix.
+// BetweennessCentralityBatch returns the unnormalized betweenness
+// contributions from the given source vertices (all vertices = exact
+// BC) with Brandes' algorithm, one source at a time: a BFS over a's rows
+// that counts shortest paths, then the backward dependency sweep. Paths
+// follow entry (i, j) from i to j, so directed graphs are supported;
+// a's pattern is read, its values are not. The sources are split across
+// opts.Workers, and the scores are bit-identical at every worker count.
+// Only opts.Workers and opts.Context apply: BC multiplies no matrices,
+// so Engine, Stats and Fuse have no effect on it. A source outside
+// [0, n) is ErrShape.
 func BetweennessCentralityBatch(a *Matrix, sources []int, opts Options) ([]float64, error) {
-	return graph.BetweennessCentralityBatch(a.csr, sources, opts.config())
+	return graph.BetweennessCentrality(a.csr, sources, opts.config())
 }
 
 // RandomGraph generates one of the built-in synthetic graph families;

@@ -12,7 +12,7 @@ import (
 // Options.Engine makes every multiplication that shares it
 //
 //   - allocation-free in steady state: a warm iterative loop (k-truss
-//     rounds, BC pivots, benchmark repetitions) checks the same buffers
+//     rounds, benchmark repetitions) checks the same buffers
 //     out of the pool instead of reallocating them, and
 //   - safe to run concurrently: each call holds a private workspace, so
 //     independent multiplies — including overlapping MxM calls on the

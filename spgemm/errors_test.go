@@ -262,14 +262,6 @@ func TestGraphArgumentErrorsWrapSentinels(t *testing.T) {
 		{"KTruss/k=-1", ErrConfig, func() error { _, _, err := KTruss(a, -1, Defaults()); return err }},
 		{"BFS/src=999", ErrShape, func() error { _, err := BFS(a, 999); return err }},
 		{"BFS/src=-1", ErrShape, func() error { _, err := BFS(a, -1); return err }},
-		{"BetweennessCentrality/src=999", ErrShape, func() error {
-			_, err := BetweennessCentrality(a, []int{999})
-			return err
-		}},
-		{"BetweennessCentrality/src=-1", ErrShape, func() error {
-			_, err := BetweennessCentrality(a, []int{0, -1})
-			return err
-		}},
 		{"BetweennessCentralityBatch/src=-1", ErrShape, func() error {
 			_, err := BetweennessCentralityBatch(a, []int{-1}, Defaults())
 			return err

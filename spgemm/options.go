@@ -46,35 +46,40 @@ type Options struct {
 	LevelSchedule LevelSchedule
 	// Workers is the requested goroutine pool size; 0 = GOMAXPROCS. A
 	// multiply uses no more workers than it has tiles; a one-tile product
-	// runs on the calling goroutine.
+	// runs on the calling goroutine. BetweennessCentralityBatch splits
+	// its sources across this many workers, one source each per block.
 	Workers int
 	// Semiring is the multiplication algebra of the products and the
 	// element-wise operations. Default SRPlusTimes; a value outside the
 	// enum is ErrConfig. The algorithm wrappers and TRSV fix their own.
 	Semiring Semiring
-	// Fuse has no effect. KTruss and BetweennessCentralityBatch each run
-	// one formulation, which already keeps its intermediate matrix
-	// unassembled; the field is kept only until the end-to-end
-	// benchmark's second variant, which sets it, is retired.
+	// Fuse has no effect. KTruss runs one formulation, which already
+	// keeps its intermediate matrix unassembled, and
+	// BetweennessCentralityBatch multiplies no matrices; the field is
+	// kept only until the end-to-end benchmark's second variant, which
+	// sets it, is retired.
 	Fuse bool
 	// Context, when non-nil, makes the multiplication cooperatively
 	// cancellable: workers observe cancellation between tile claims and
 	// the call returns an error matching ErrCanceled (and the context's
 	// own error). nil runs to completion. Cancellation checks are
 	// amortized per scheduling chunk, so an uncancelled run with a
-	// context costs the same as one without.
+	// context costs the same as one without. BetweennessCentralityBatch
+	// observes it before each block of sources.
 	Context context.Context
 	// Engine, when non-nil, pools workspaces and caches structural plans
 	// across every call that shares it, making warm iterative loops
 	// allocation-free and concurrent multiplies safe — see Engine and
 	// DefaultEngine. nil builds and discards buffers per call, the
-	// one-shot behavior.
+	// one-shot behavior. It has no effect on BetweennessCentralityBatch,
+	// whose per-call state is its own.
 	Engine *Engine
 	// Stats, when non-nil, records observability data for every run
 	// under these options: phase wall times, exact per-worker counters
 	// with load-imbalance summaries, hybrid-decision counts and
 	// accumulator statistics — see StatsRecorder. nil disables all
-	// collection at zero cost.
+	// collection at zero cost. BetweennessCentralityBatch runs no
+	// product and records nothing.
 	Stats *StatsRecorder
 	// ValidateInputs runs the full CSR invariant check (sorted
 	// duplicate-free rows, in-range indices, monotone row pointers) on

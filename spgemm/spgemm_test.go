@@ -204,7 +204,7 @@ func TestBFSAndBC(t *testing.T) {
 			t.Errorf("level[%d] = %d, want %d", v, l, want[v])
 		}
 	}
-	bc, err := spgemm.BetweennessCentrality(a, []int{0, 1, 2, 3, 4})
+	bc, err := spgemm.BetweennessCentralityBatch(a, []int{0, 1, 2, 3, 4}, spgemm.Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
