@@ -1,7 +1,7 @@
-// Direction-optimizing BFS on a road network: the masked sparse
-// vector-matrix product with a complement mask, whose push/pull decision
-// is the vector-scale analogue of the paper's co-iteration trade-off
-// (§VI relates the two). Also demonstrates betweenness centrality on a
+// Direction-optimizing BFS on a road network: each level either pushes
+// from the frontier's rows or pulls into the unvisited vertices' rows,
+// and that choice is the vector-scale analogue of the paper's
+// co-iteration trade-off (§VI relates the two). Also demonstrates betweenness centrality on a
 // small sample of sources: Brandes' algorithm per source, the sources
 // split across the workers.
 package main

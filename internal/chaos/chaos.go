@@ -27,8 +27,8 @@ import (
 type Point uint8
 
 const (
-	// WorkspaceCheckout fires inside exec.Masked / exec.Dense after a
-	// pooled workspace has been checked out.
+	// WorkspaceCheckout fires inside exec.Masked / exec.MaskedWindow
+	// after a pooled workspace has been checked out.
 	WorkspaceCheckout Point = iota
 	// WorkspaceRelease fires inside Workspace.Release before a pooled
 	// workspace is returned to its engine.

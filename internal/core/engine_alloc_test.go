@@ -1,9 +1,9 @@
 package core_test
 
-// Engine-level steady-state checks: these run the real graph workloads
-// (k-truss, BFS) through a shared exec.Engine and pin, via the
-// pool counters, that warm iterations construct zero workspaces — every
-// checkout is a hit or a steal, every buffer is recycled. They live in
+// Engine-level steady-state checks: these run products and k-truss
+// through a shared exec.Engine and pin, via the pool counters, that warm
+// iterations construct zero workspaces — every checkout is a hit or a
+// steal, every buffer is recycled. They live in
 // the external test package so they can drive internal/graph without an
 // import cycle.
 
@@ -125,29 +125,5 @@ func TestWarmKTrussZeroWorkspaceAllocs(t *testing.T) {
 	}
 	if d.Hits == 0 {
 		t.Errorf("warm k-truss recycled nothing: %+v", d)
-	}
-}
-
-// TestWarmFrontierAlgorithmsZeroWorkspaceAllocs covers the vector
-// kernel: warm BFS runs against a shared engine must serve their dense
-// traversal scratch entirely from the pool. (Betweenness centrality
-// keeps its state call-local and checks nothing out.)
-func TestWarmFrontierAlgorithmsZeroWorkspaceAllocs(t *testing.T) {
-	a := randGraph(200, 3, 23)
-	eng := exec.New(exec.Config{})
-
-	if _, err := graph.BFS(a, 0, core.Auto, eng); err != nil {
-		t.Fatal(err)
-	}
-	prior := eng.Stats()
-	if _, err := graph.BFS(a, 1, core.Auto, eng); err != nil {
-		t.Fatal(err)
-	}
-	d := eng.Stats().Sub(prior)
-	if d.Misses != 0 {
-		t.Errorf("warm frontier runs constructed %d workspaces, want 0 (%+v)", d.Misses, d)
-	}
-	if d.Hits == 0 {
-		t.Errorf("warm frontier runs recycled nothing: %+v", d)
 	}
 }

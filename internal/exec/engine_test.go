@@ -117,9 +117,9 @@ func TestPoolSteal(t *testing.T) {
 
 func TestPoolEvictionLRU(t *testing.T) {
 	e := New(Config{MaxIdle: 2})
-	a := Dense[float64, sr](e, sr{}, 64, 1, 1)
-	b := Dense[float64, sr](e, sr{}, 64, 1, 1)
-	c := Dense[float64, sr](e, sr{}, 64, 1, 1)
+	a := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 64, 1, 1, 1)
+	b := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 64, 1, 1, 1)
+	c := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 64, 1, 1, 1)
 	a.Release()
 	b.Release()
 	c.Release() // exceeds MaxIdle=2 → a (oldest) dropped
@@ -131,9 +131,9 @@ func TestPoolEvictionLRU(t *testing.T) {
 	}
 	// The pool serves LIFO (c then b); the dropped a is gone, so the
 	// third checkout builds afresh.
-	w1 := Dense[float64, sr](e, sr{}, 64, 1, 1)
-	w2 := Dense[float64, sr](e, sr{}, 64, 1, 1)
-	w3 := Dense[float64, sr](e, sr{}, 64, 1, 1)
+	w1 := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 64, 1, 1, 1)
+	w2 := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 64, 1, 1, 1)
+	w3 := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 64, 1, 1, 1)
 	if w1 != c || w2 != b {
 		t.Fatal("pool not LIFO")
 	}
@@ -145,48 +145,9 @@ func TestPoolEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestDenseScratchCoversRequestedColumns pins the sizing the dense
-// scratch's users index by column without a bounds re-check: every
-// worker's Vals and State hold at least the requested column count on a
-// fresh checkout, on a pooled one made for a smaller request of the same
-// class, and on one grown to more workers.
-func TestDenseScratchCoversRequestedColumns(t *testing.T) {
-	e := New(Config{})
-	check := func(what string, ws *Workspace[float64, sr], cols, workers int) {
-		t.Helper()
-		if len(ws.Dense) < workers {
-			t.Fatalf("%s: %d scratch blocks, want ≥ %d", what, len(ws.Dense), workers)
-		}
-		for w, d := range ws.Dense[:workers] {
-			if len(d.Vals) < cols || len(d.State) < cols {
-				t.Fatalf("%s: worker %d holds %d vals, %d states, want ≥ %d",
-					what, w, len(d.Vals), len(d.State), cols)
-			}
-		}
-	}
-	fresh := Dense[float64, sr](e, sr{}, 65, 1, 1)
-	check("fresh", fresh, 65, 1)
-	fresh.Release()
-
-	pooled := Dense[float64, sr](e, sr{}, 128, 1, 1)
-	if pooled != fresh {
-		t.Fatal("a request of the same class missed the pool")
-	}
-	check("pooled", pooled, 128, 1)
-	pooled.Release()
-
-	grown := Dense[float64, sr](e, sr{}, 100, 3, 1)
-	if grown != fresh || e.Stats().Resizes != 1 {
-		t.Fatalf("grown checkout: same workspace %v, resizes %d, want true, 1",
-			grown == fresh, e.Stats().Resizes)
-	}
-	check("grown", grown, 100, 3)
-	grown.Release()
-}
-
 func TestPoolDisabledRetention(t *testing.T) {
 	e := New(Config{MaxIdle: -1})
-	ws := Dense[float64, sr](e, sr{}, 64, 1, 1)
+	ws := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 64, 1, 1, 1)
 	ws.Release()
 	if e.Idle() != 0 {
 		t.Fatalf("idle = %d, want 0 with retention disabled", e.Idle())

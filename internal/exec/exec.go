@@ -1,8 +1,8 @@
 // Package exec is the execution-engine layer between the tiling/accum
 // substrate and the core kernels: it owns the mutable state a masked
-// SpGEMM needs at run time — accumulators, tile output buffers, dense
-// scratch — and the structural plans (tile boundaries, accumulator row
-// capacities) that are expensive to rebuild.
+// SpGEMM needs at run time — accumulators and tile output buffers — and
+// the structural plans (tile boundaries, accumulator row capacities)
+// that are expensive to rebuild.
 //
 // The paper's measurement loop and every iterative graph algorithm
 // built on the kernel re-execute C = M ⊙ (A × B) many times. Before
@@ -221,23 +221,12 @@ func (e *Engine) Idle() int {
 	return e.idle
 }
 
-// wsClass separates workspace shapes that cannot substitute for each
-// other: masked-kernel workspaces carry accumulators, dense workspaces
-// carry column-dimension scratch vectors.
-type wsClass uint8
-
-const (
-	classMasked wsClass = iota
-	classDense
-)
-
 // wsKey is a pool bucket identifier: the workspace's generic
-// instantiation (value type × semiring), its class, and the size
-// classes of its state. Size classes are ceil-log2, so matrices of
-// similar shape share buckets.
+// instantiation (value type × semiring), its accumulator kind and
+// marker width, and the size classes of its state. Size classes are
+// ceil-log2, so matrices of similar shape share buckets.
 type wsKey struct {
 	typ        reflect.Type
-	class      wsClass
 	kind       uint8
 	markerBits uint8
 	colsClass  uint8
@@ -285,7 +274,7 @@ func (e *Engine) get(key wsKey) any {
 	var donor *bucket
 	var donorKey wsKey
 	for k, cand := range e.buckets {
-		if k.typ != key.typ || k.class != key.class || k.kind != key.kind ||
+		if k.typ != key.typ || k.kind != key.kind ||
 			k.markerBits != key.markerBits ||
 			k.colsClass < key.colsClass || k.capClass < key.capClass ||
 			len(cand.hot) == 0 {

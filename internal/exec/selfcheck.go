@@ -16,12 +16,12 @@ type poolChecker interface {
 
 // SelfCheck validates the engine's pool invariants: each idle gauge
 // matches its pooled population, every pooled workspace is released
-// (unbound from any engine), unpoisoned, and clean — dense scratch
-// fully reset, explicit-reset accumulators with every live slot
-// accounted for — and every pooled staging set is unbound. It is the chaos suite's gate: after a seeded fault
-// matrix, a non-nil result means a dirty or leaked workspace survived
-// quarantine. O(pooled state), intended for tests and admin probes,
-// not hot paths. Nil engines trivially pass.
+// (unbound from any engine), unpoisoned, and clean — explicit-reset
+// accumulators with every live slot accounted for — and every pooled
+// staging set is unbound. It is the chaos suite's gate: after a seeded
+// fault matrix, a non-nil result means a dirty or leaked workspace
+// survived quarantine. O(pooled state), intended for tests and admin
+// probes, not hot paths. Nil engines trivially pass.
 func (e *Engine) SelfCheck() error {
 	if e == nil {
 		return nil
@@ -70,17 +70,6 @@ func (ws *Workspace[T, S]) poolCheck() error {
 	}
 	if ws.poisoned {
 		return errors.New("poisoned workspace present in pool")
-	}
-	for w := range ws.Dense {
-		d := &ws.Dense[w]
-		if len(d.Touched) != 0 {
-			return fmt.Errorf("dense scratch %d holds %d unreset touched slots", w, len(d.Touched))
-		}
-		for j, s := range d.State {
-			if s != 0 {
-				return fmt.Errorf("dense scratch %d state[%d] = %d, want 0", w, j, s)
-			}
-		}
 	}
 	for w, acc := range ws.Accs {
 		if c, ok := acc.(accum.Checkable); ok {

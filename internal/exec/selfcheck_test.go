@@ -2,8 +2,10 @@ package exec
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/chaos"
@@ -45,14 +47,15 @@ func TestQuarantineDropsPoisoned(t *testing.T) {
 	}
 }
 
-// TestSelfCheckAcceptsCleanPool cycles clean workspaces of both classes
-// through the pool and requires SelfCheck to pass at every step.
+// TestSelfCheckAcceptsCleanPool cycles clean workspaces of a marker and
+// an explicit-reset accumulator kind through the pool and requires
+// SelfCheck to pass at every step.
 func TestSelfCheckAcceptsCleanPool(t *testing.T) {
 	e := New(Config{})
 	mw := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 100, 5, 2, 4)
-	dw := Dense[float64, sr](e, sr{}, 64, 2, 4)
+	xw := Masked[float64, sr](e, sr{}, accum.DenseExplicitKind, 32, 64, 5, 2, 4)
 	mw.Release()
-	dw.Release()
+	xw.Release()
 	if e.Idle() != 2 {
 		t.Fatalf("idle = %d, want 2", e.Idle())
 	}
@@ -64,21 +67,29 @@ func TestSelfCheckAcceptsCleanPool(t *testing.T) {
 	}
 }
 
-// TestSelfCheckDetectsDirtyScratch releases a workspace whose dense
-// scratch still holds marks — the corruption quarantine exists to keep
-// out of the pool — and requires SelfCheck to name it.
+// TestSelfCheckDetectsDirtyScratch releases a workspace whose
+// explicit-reset accumulator holds a set state slot missing from its
+// touched list — the slot BeginRow cannot clear, the corruption
+// quarantine exists to keep out of the pool — and requires SelfCheck to
+// name it. No accumulator method leaves such a slot, so the test writes
+// it past the type's encapsulation.
 func TestSelfCheckDetectsDirtyScratch(t *testing.T) {
 	e := New(Config{})
-	ws := Dense[float64, sr](e, sr{}, 64, 2, 4)
-	ws.Dense[0].State[3] = 1
-	ws.Dense[0].Touched = append(ws.Dense[0].Touched, sparse.Index(3))
+	ws := Masked[float64, sr](e, sr{}, accum.DenseExplicitKind, 32, 64, 5, 2, 4)
+	ws.Accs[1].LoadMask([]sparse.Index{2, 5})
+	d, ok := ws.Accs[1].(*accum.DenseExplicit[float64, sr])
+	if !ok {
+		t.Fatalf("accumulator is %T, want *accum.DenseExplicit", ws.Accs[1])
+	}
+	state := reflect.ValueOf(d).Elem().FieldByName("state")
+	unsafe.Slice((*uint8)(state.UnsafePointer()), state.Len())[3] = 2
 	ws.Release() // deliberately unpoisoned: simulates an escaped corruption
 	err := e.SelfCheck()
 	if err == nil {
-		t.Fatal("SelfCheck accepted a pool holding dirty scratch")
+		t.Fatal("SelfCheck accepted a pool holding a dirty accumulator")
 	}
-	if !strings.Contains(err.Error(), "touched") {
-		t.Fatalf("SelfCheck error does not name the dirty scratch: %v", err)
+	if !strings.Contains(err.Error(), "accumulator 1") || !strings.Contains(err.Error(), "state[3]") {
+		t.Fatalf("SelfCheck error does not name the dirty slot: %v", err)
 	}
 }
 
@@ -162,7 +173,7 @@ func TestStagingPooledApart(t *testing.T) {
 		t.Fatalf("SelfCheck: %v", err)
 	}
 
-	poisoned := Dense[float64, sr](e, sr{}, 64, 1, 2)
+	poisoned := Masked[float64, sr](e, sr{}, accum.DenseExplicitKind, 32, 64, 1, 1, 2)
 	poisoned.Poison()
 	poisoned.Release()
 	if e.IdleStaging() != 0 {

@@ -17,7 +17,7 @@ import (
 // accumulator kind or a switch between graphs reuses one set.
 //
 // A staging set follows its workspace's rules: it is checked out with
-// the workspace (Masked, Dense), returned by its Release, and dropped
+// the workspace (Masked, MaskedWindow), returned by its Release, and dropped
 // with it when the workspace is poisoned. Its lookups are not counted
 // in PoolStats, whose checkouts are workspace checkouts; growing a
 // reused set counts as a resize, as growing a workspace does.
@@ -37,7 +37,7 @@ func stagingType[T sparse.Number]() reflect.Type {
 // checkoutStaging binds a staging set of at least tiles buffers to ws
 // and points ws.Outs at it: the most recently returned idle set of the
 // value type, or a fresh one. A nil engine builds a fresh set; a
-// checkout of no tiles (a triangular solve's scratch) binds none.
+// checkout of no tiles binds none.
 //
 //spgemm:hotpath
 func (ws *Workspace[T, S]) checkoutStaging(tiles int) {

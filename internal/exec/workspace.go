@@ -13,23 +13,21 @@ import (
 
 // Workspace is the operand-independent half of a masked-SpGEMM
 // execution: every mutable buffer a run needs, none of the operand
-// structure. It is checked out of an Engine (Masked or Dense), used for
-// one run — or held across the iterations of an algorithm loop — and
-// returned with Release. A workspace checked out of a nil Engine is an
-// ordinary heap object whose Release is a no-op, so every kernel can be
-// written against the checkout/release protocol unconditionally.
+// structure. It is checked out of an Engine (Masked or MaskedWindow),
+// used for one run and returned with Release. A workspace checked out
+// of a nil Engine is an ordinary heap object whose Release is a no-op,
+// so every kernel can be written against the checkout/release protocol
+// unconditionally.
 //
 // Workspaces are sized by ceil-log2 classes of the column dimension and
 // the accumulator row capacity, so a pooled instance serves any request
-// of its class or smaller; growth (more workers, more tiles, a larger
-// scratch dimension) happens in place and is counted as a resize.
+// of its class or smaller; growth (more workers, more tiles) happens in
+// place and is counted as a resize.
 //
 // Invariant for pooled reuse: accumulators carry marker state that makes
-// anything stale invisible (or, for the explicit-reset kinds, are left
-// clean after each row), and DenseScratch users must reset the slots
-// they touched (via Touched) before the workspace is released. Kernels
-// in internal/core maintain this; it is what makes a recycled workspace
-// indistinguishable from a fresh one.
+// anything stale invisible, or, for the explicit-reset kinds, are left
+// clean after each row. Kernels in internal/core maintain this; it is
+// what makes a recycled workspace indistinguishable from a fresh one.
 type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	engine *Engine
 	key    wsKey
@@ -53,9 +51,6 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	// and pooled apart from the workspace (staging.go).
 	Outs  []TileBuf[T]
 	stage *stagingSet[T]
-	// Dense holds one dense column-dimension scratch block per worker
-	// (the sparse-vector kernel BFS runs).
-	Dense []DenseScratch[T]
 
 	// ScratchCols is index scratch for the run holding the workspace (a
 	// one-tile run's live rows).
@@ -70,18 +65,6 @@ type TileBuf[T sparse.Number] struct {
 	RowNNZ []int32
 	Cols   []sparse.Index
 	Vals   []T
-}
-
-// DenseScratch is one worker's dense column-dimension scratch: a value
-// vector and a state byte per column, and a touched list for sparse
-// reset. Vals and State hold at least as many entries as the column
-// count the workspace was checked out for (its class size). Users must
-// leave Vals/State clean (reset every slot recorded in Touched) before
-// the owning workspace is released.
-type DenseScratch[T sparse.Number] struct {
-	Vals    []T
-	State   []uint8
-	Touched []sparse.Index
 }
 
 // sizeClass is the ceil-log2 bucket of n: the smallest c with 1<<c ≥ n.
@@ -127,7 +110,6 @@ func maskedKey[T sparse.Number, S semiring.Semiring[T]](
 	}
 	return wsKey{
 		typ:        wsType[T, S](),
-		class:      classMasked,
 		kind:       uint8(kind),
 		markerBits: mb,
 		colsClass:  cc,
@@ -213,33 +195,6 @@ func masked[T sparse.Number, S semiring.Semiring[T]](
 	return ws
 }
 
-// Dense checks out a workspace carrying one DenseScratch block per
-// worker (value + state vectors over cols columns) and a staging set of
-// one output buffer per tile — the shape the sparse-vector kernel
-// needs. A nil engine constructs an unpooled workspace.
-//
-//spgemm:hotpath
-func Dense[T sparse.Number, S semiring.Semiring[T]](
-	e *Engine, sr S, cols, workers, tiles int,
-) *Workspace[T, S] {
-	key := wsKey{typ: wsType[T, S](), class: classDense, colsClass: sizeClass(cols)}
-	if e != nil {
-		//lint:ignore hotpathalloc allocates only when a fault fires, and the checkout dies with it
-		chaos.StepHard(e.cfg.Chaos, chaos.WorkspaceCheckout)
-	}
-	ws := checkout[T, S](e, key)
-	fresh := ws == nil
-	if fresh {
-		//lint:ignore hotpathalloc miss path: constructs the workspace the pool will recycle
-		ws = &Workspace[T, S]{key: key, sr: sr, cols: 1 << key.colsClass}
-	}
-	ws.engine = e
-	ws.sr = sr
-	ws.ensureDense(workers, !fresh)
-	ws.checkoutStaging(tiles)
-	return ws
-}
-
 // Poison marks the workspace as untrusted for pooled reuse: its run
 // panicked, was cancelled mid-tile, or otherwise ended before the
 // kernels could restore the clean-state invariant. A poisoned
@@ -305,28 +260,4 @@ func (ws *Workspace[T, S]) ensureAccs(workers int, count bool) {
 		}
 	}
 	ws.Accs = accs
-}
-
-// ensureDense grows the per-worker dense scratch set to workers blocks,
-// each sized to the workspace's column class.
-//
-//spgemm:hotpath
-func (ws *Workspace[T, S]) ensureDense(workers int, count bool) {
-	if workers <= len(ws.Dense) {
-		return
-	}
-	if count && ws.engine != nil {
-		ws.engine.resizes.Add(1)
-	}
-	//lint:ignore hotpathalloc amortized: grows once per worker-count high-water mark
-	dense := make([]DenseScratch[T], workers)
-	copy(dense, ws.Dense)
-	for w := len(ws.Dense); w < workers; w++ {
-		dense[w] = DenseScratch[T]{
-			Vals:    make([]T, ws.cols),          //lint:ignore hotpathalloc amortized: once per new worker slot
-			State:   make([]uint8, ws.cols),      //lint:ignore hotpathalloc amortized: once per new worker slot
-			Touched: make([]sparse.Index, 0, 64), //lint:ignore hotpathalloc amortized: once per new worker slot
-		}
-	}
-	ws.Dense = dense
 }

@@ -4,27 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/graphgen"
 	"maskedspgemm/internal/sched"
-	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
 // bcVector is the formulation BetweennessCentrality replaced, kept as
 // the reference for its sum order: per source, iterated masked sparse
-// vector × matrix products (core.MaskedSpVM, push, unvisited mask)
-// count the paths, and the dependency sweep walks the stored frontiers
-// back. Both sum every sigma in ascending order of the previous level
-// and every dependency in row order, so on a unit-valued A their scores
-// are bit-identical.
+// vector × matrix products (pushSpVM, unvisited mask) count the paths,
+// and the dependency sweep walks the stored frontiers back. Both sum
+// every sigma in ascending order of the previous level and every
+// dependency in row order, so on a unit-valued A their scores are
+// bit-identical.
 func bcVector(a *sparse.CSR[float64], sources []int) []float64 {
 	n := a.Rows
 	bc := make([]float64, n)
-	sr := semiring.PlusTimes[float64]{}
 	for _, src := range sources {
 		sigma := make([]float64, n)
 		delta := make([]float64, n)
@@ -33,20 +32,19 @@ func bcVector(a *sparse.CSR[float64], sources []int) []float64 {
 			level[i] = -1
 		}
 		sigma[src], level[src] = 1, 0
-		fronts := []*core.SpVec[float64]{{N: n, Idx: []sparse.Index{sparse.Index(src)}, Val: []float64{1}}}
-		allowed := func(j sparse.Index) bool { return level[j] < 0 }
+		fronts := []spVec{{idx: []sparse.Index{sparse.Index(src)}, val: []float64{1}}}
 		for depth := int32(1); ; depth++ {
-			next := core.MaskedSpVM(sr, fronts[len(fronts)-1], a, allowed, core.Push)
-			if next.NNZ() == 0 {
+			next := pushSpVM(fronts[len(fronts)-1], a, level)
+			if len(next.idx) == 0 {
 				break
 			}
-			for p, v := range next.Idx {
-				level[v], sigma[v] = depth, next.Val[p]
+			for p, v := range next.idx {
+				level[v], sigma[v] = depth, next.val[p]
 			}
 			fronts = append(fronts, next)
 		}
 		for d := len(fronts) - 1; d >= 1; d-- {
-			for _, u := range fronts[d-1].Idx {
+			for _, u := range fronts[d-1].idx {
 				var dep float64
 				for _, v := range a.RowCols(int(u)) {
 					if level[v] == int32(d) {
@@ -63,6 +61,32 @@ func bcVector(a *sparse.CSR[float64], sources []int) []float64 {
 		}
 	}
 	return bc
+}
+
+// spVec is a sparse vector sorted by index.
+type spVec struct {
+	idx []sparse.Index
+	val []float64
+}
+
+// pushSpVM is the masked sparse vector × matrix product over (+, ×),
+// pushed: y_j = Σ_u f_u·a_uj for every j with level[j] = -1, each sum
+// taken in ascending u. y is sorted.
+func pushSpVM(f spVec, a *sparse.CSR[float64], level []int32) spVec {
+	sum := map[sparse.Index]float64{}
+	for p, u := range f.idx {
+		cols, vals := a.Row(int(u))
+		for q, j := range cols {
+			if level[j] < 0 {
+				sum[j] += f.val[p] * vals[q]
+			}
+		}
+	}
+	y := spVec{idx: slices.Sorted(maps.Keys(sum))}
+	for _, j := range y.idx {
+		y.val = append(y.val, sum[j])
+	}
+	return y
 }
 
 // withIsolated returns a with one more vertex, n, that has no edges.

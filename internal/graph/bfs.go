@@ -4,9 +4,24 @@ import (
 	"fmt"
 
 	"maskedspgemm/internal/core"
-	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
+)
+
+// Direction selects how a BFS level is expanded — the vector analogue
+// of the paper's iteration-space choice, known as push/pull or direction
+// optimization in the BFS literature (paper §III-B relates the two).
+type Direction int
+
+const (
+	// Push scans the rows of the frontier's vertices (the Fig. 5
+	// linear-scan analogue).
+	Push Direction = iota
+	// Pull scans the rows of the unvisited vertices for a frontier
+	// neighbour (the Fig. 7 co-iteration analogue). It reads rows as
+	// in-neighbourhoods, which they are only for a symmetric matrix.
+	Pull
+	// Auto picks per level by Beamer's rule (chooseBFSDirection).
+	Auto
 )
 
 // BFSResult holds the outcome of a breadth-first search.
@@ -22,79 +37,92 @@ type BFSResult struct {
 
 // BFS runs a direction-optimizing breadth-first search (Beamer et al.,
 // the paper's reference [15]) from src over the graph with adjacency
-// matrix a, implemented as iterated masked sparse vector-matrix products
-// over the Boolean semiring. dir selects Push, Pull, or Auto per level.
-// Paths follow entry (i, j) from i to j. Pull reads a's rows as
-// in-neighbourhoods, which they are only when a is symmetric, so unless
-// dir is Push a's symmetry is checked once (one pass over a) and a
-// non-symmetric a pushes every level.
+// matrix a; a's pattern is read, its values are not. dir selects Push,
+// Pull, or Auto per level. Paths follow entry (i, j) from i to j. Pull
+// reads a's rows as in-neighbourhoods, which they are only when a is
+// symmetric, so unless dir is Push a's symmetry is checked once (one
+// pass over a) and a non-symmetric a pushes every level.
 //
-// The dense traversal scratch is drawn from eng's workspace pool, so
-// repeated searches recycle one scratch block instead of allocating per
-// level. The frontier vectors are double-buffered either way; a nil
-// engine builds the scratch once per call.
-func BFS(a *sparse.CSR[float64], src int, dir core.Direction, eng *exec.Engine) (*BFSResult, error) {
+// The state is call-local and flat, as in BetweennessCentrality: the
+// level array, which is the result, and one arena of the reached
+// vertices, level by level, whose last level is the frontier. A push
+// level walks the frontier's rows; a pull level walks the unvisited
+// vertices' rows and stops at the first neighbour on the frontier.
+func BFS(a *sparse.CSR[float64], src int, dir Direction) (*BFSResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)
 	}
-	if src < 0 || src >= a.Rows {
-		return nil, fmt.Errorf("%w: source %d out of range [0,%d)", sparse.ErrShape, src, a.Rows)
+	n := a.Rows
+	if src < 0 || src >= n {
+		return nil, fmt.Errorf("%w: source %d out of range [0,%d)", sparse.ErrShape, src, n)
 	}
 	switch dir {
-	case core.Push, core.Pull, core.Auto:
+	case Push, Pull, Auto:
 	default:
 		return nil, fmt.Errorf("%w: unknown direction %d", core.ErrConfig, dir)
 	}
-	if dir != core.Push && !sparse.IsSymmetric(a) {
-		dir = core.Push
+	if dir != Push && !sparse.IsSymmetric(a) {
+		dir = Push
 	}
-	res := &BFSResult{Level: make([]int32, a.Rows)}
-	for i := range res.Level {
-		res.Level[i] = -1
+	res := &BFSResult{Level: make([]int32, n)}
+	level := res.Level
+	for v := range level {
+		level[v] = -1
 	}
-	res.Level[src] = 0
-	res.Visited = 1
-
-	sr := semiring.OrAnd[float64]{}
-	ws := exec.Dense[float64, semiring.OrAnd[float64]](eng, sr, a.Rows, 1, 0)
-	defer ws.Release()
-	frontier := &core.SpVec[float64]{N: a.Rows, Idx: []sparse.Index{sparse.Index(src)}, Val: []float64{1}}
-	spare := &core.SpVec[float64]{}
-	allowed := func(j sparse.Index) bool { return res.Level[j] < 0 }
-
-	for depth := int32(1); frontier.NNZ() > 0; depth++ {
-		d := dir
-		if d == core.Auto {
-			d = chooseBFSDirection(frontier, a, res.Visited)
+	level[src] = 0
+	// Every vertex is reached at most once, so order never outgrows n.
+	order := make([]sparse.Index, 1, n)
+	order[0] = sparse.Index(src)
+	for lo, d := 0, int32(1); lo < len(order); d++ {
+		hi := len(order)
+		step := dir
+		if step == Auto {
+			step = chooseBFSDirection(a, order[lo:hi], hi)
 		}
-		if d == core.Push {
+		if step == Push {
 			res.Pushes++
+			for _, u := range order[lo:hi] {
+				for _, v := range a.RowCols(int(u)) {
+					if level[v] < 0 {
+						level[v] = d
+						order = append(order, v)
+					}
+				}
+			}
 		} else {
 			res.Pulls++
+			for v := range n {
+				if level[v] >= 0 {
+					continue
+				}
+				for _, u := range a.RowCols(v) {
+					if level[u] == d-1 {
+						level[v] = d
+						order = append(order, sparse.Index(v))
+						break
+					}
+				}
+			}
 		}
-		next := core.MaskedSpVMInto(sr, frontier, a, allowed, d, ws, spare)
-		for _, v := range next.Idx {
-			res.Level[v] = depth
-		}
-		res.Visited += next.NNZ()
-		frontier, spare = next, frontier
+		lo = hi
 	}
+	res.Visited = len(order)
 	return res, nil
 }
 
 // chooseBFSDirection applies the classic direction-optimization rule:
 // pull when the frontier's outgoing edges outnumber a fraction of the
 // unexplored edges, push otherwise.
-func chooseBFSDirection(f *core.SpVec[float64], a *sparse.CSR[float64], visited int) core.Direction {
+func chooseBFSDirection(a *sparse.CSR[float64], frontier []sparse.Index, visited int) Direction {
 	var frontierEdges int64
-	for _, u := range f.Idx {
+	for _, u := range frontier {
 		frontierEdges += a.RowNNZ(int(u))
 	}
 	remaining := a.NNZ() * int64(a.Rows-visited) / int64(max(a.Rows, 1))
 	const alpha = 4 // Beamer's switching parameter
 	if frontierEdges*alpha > remaining {
-		return core.Pull
+		return Pull
 	}
-	return core.Push
+	return Push
 }

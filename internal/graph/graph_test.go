@@ -274,11 +274,11 @@ func bruteBFS(a *sparse.CSR[float64], src int) []int32 {
 }
 
 func TestBFSMatchesBruteForce(t *testing.T) {
-	for _, dir := range []core.Direction{core.Push, core.Pull, core.Auto} {
+	for _, dir := range []Direction{Push, Pull, Auto} {
 		f := func(seed uint64) bool {
 			a := graphgen.ErdosRenyi(50, 120, seed)
 			src := int(seed % 50)
-			got, err := BFS(a, src, dir, nil)
+			got, err := BFS(a, src, dir)
 			if err != nil {
 				return false
 			}
@@ -310,9 +310,9 @@ func TestBFSDirected(t *testing.T) {
 	}
 	for gi, a := range graphs {
 		t.Run(fmt.Sprintf("graph=%d", gi), func(t *testing.T) {
-			for _, dir := range []core.Direction{core.Push, core.Pull, core.Auto} {
+			for _, dir := range []Direction{Push, Pull, Auto} {
 				for _, src := range []int{0, a.Rows / 2} {
-					got, err := BFS(a, src, dir, nil)
+					got, err := BFS(a, src, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -332,7 +332,7 @@ func TestBFSPathGraph(t *testing.T) {
 		coo.Add(sparse.Index(i), sparse.Index(i+1), 1)
 		coo.Add(sparse.Index(i+1), sparse.Index(i), 1)
 	}
-	res, err := BFS(coo.ToCSR(), 0, core.Auto, nil)
+	res, err := BFS(coo.ToCSR(), 0, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +346,71 @@ func TestBFSPathGraph(t *testing.T) {
 	}
 }
 
+// TestBFSSeveralFrontierParents exercises the pull loop's early exit on
+// the graph 5–3, 5–4, 0–3, 0–4, 1–0, 1–4, 2–1 from vertex 5. Vertex 0
+// has two parents on level 1, so a pull that did not stop at the first
+// would reach it twice and count 7 visited. Vertex 1's first neighbour,
+// 0, is set to level 2 earlier in the same pull loop, so a test of
+// "reached" rather than "on the previous level" would put vertex 2 on
+// level 2.
+func TestBFSSeveralFrontierParents(t *testing.T) {
+	coo := sparse.NewCOO[float64](6, 6, 14)
+	for _, e := range [][2]sparse.Index{{5, 3}, {5, 4}, {0, 3}, {0, 4}, {1, 0}, {1, 4}, {2, 1}} {
+		coo.Add(e[0], e[1], 1)
+		coo.Add(e[1], e[0], 1)
+	}
+	a := coo.ToCSR()
+	want := []int32{2, 2, 3, 1, 1, 0}
+	for _, dir := range []Direction{Push, Pull, Auto} {
+		res, err := BFS(a, 5, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Level, want) {
+			t.Errorf("dir=%v: levels %v, want %v", dir, res.Level, want)
+		}
+		if res.Visited != 6 || res.Pushes+res.Pulls != 4 {
+			t.Errorf("dir=%v: visited %d over %d push and %d pull levels, want 6 over 4", dir, res.Visited, res.Pushes, res.Pulls)
+		}
+		if dir == Pull && res.Pulls != 4 {
+			t.Errorf("forced pull took %d pull levels, want 4", res.Pulls)
+		}
+	}
+}
+
+// TestBFSAllocs pins what a call allocates: the result, its level
+// array, the reached-vertex arena and, unless the call pushes every
+// level, the symmetry check's cursor — a count that grows neither with
+// n nor with the number of levels.
+func TestBFSAllocs(t *testing.T) {
+	small, large := graphgen.ErdosRenyi(500, 2000, 7), graphgen.ErdosRenyi(5000, 20000, 7)
+	for _, dir := range []Direction{Push, Pull, Auto} {
+		var base float64
+		for _, a := range []*sparse.CSR[float64]{small, large} {
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := BFS(a, 0, dir); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if base == 0 {
+				base = got
+			}
+			if got != base || got > 4 {
+				t.Errorf("n=%d, dir=%v: %.0f allocations per call, want %.0f and at most 4", a.Rows, dir, got, base)
+			}
+		}
+	}
+	if res, _ := BFS(large, 0, Auto); res.Pushes == 0 || res.Pulls == 0 {
+		t.Errorf("auto on n=%d took %d push and %d pull levels, want both kinds", large.Rows, res.Pushes, res.Pulls)
+	}
+}
+
 func TestBFSErrors(t *testing.T) {
 	a := smallGraph(3)
-	if _, err := BFS(a, -1, core.Push, nil); err == nil {
+	if _, err := BFS(a, -1, Push); err == nil {
 		t.Error("negative source accepted")
 	}
-	if _, err := BFS(a, a.Rows, core.Push, nil); err == nil {
+	if _, err := BFS(a, a.Rows, Push); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package spgemm
 
 import (
-	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/graph"
 	"maskedspgemm/internal/graphgen"
 )
@@ -48,7 +47,7 @@ func KTruss(a *Matrix, k int, opts Options) (*Matrix, int, error) {
 // so it is taken only on a symmetric a: BFS checks a's symmetry once
 // (one pass over a), and on a directed graph every level pushes.
 func BFS(a *Matrix, src int) ([]int32, error) {
-	res, err := graph.BFS(a.csr, src, core.Auto, nil)
+	res, err := graph.BFS(a.csr, src, graph.Auto)
 	if err != nil {
 		return nil, err
 	}
