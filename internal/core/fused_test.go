@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"maskedspgemm/internal/exec"
@@ -98,6 +99,46 @@ func TestFusedStreamMatchesRows(t *testing.T) {
 	got := coo.ToCSR()
 	if !sparse.Equal(want, got) {
 		t.Fatal("streamed rows differ from materialized product")
+	}
+}
+
+// TestFusedStreamBufferFitsWidestRow pins the staging of a streaming
+// run: every row reaches the sink in its worker's buffer already wide
+// enough for the widest mask row, so no gather grows the buffer and a
+// warm run allocates the same whichever tiles each worker claims.
+func TestFusedStreamBufferFitsWidestRow(t *testing.T) {
+	a := randGraphLocal(300, 6, 11)
+	widest := 0
+	for i := 0; i < a.Rows; i++ {
+		cols, _ := a.Row(i)
+		widest = max(widest, len(cols))
+	}
+	for _, it := range []IterationSpace{Vanilla, MaskLoad, CoIter, Hybrid} {
+		t.Run(it.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Tiles = 8
+			cfg.Workers = 3
+			cfg.Iteration = it
+			cfg.Engine = exec.New(exec.Config{})
+			var rows, short atomic.Int64
+			sink := func(_ int, cols []sparse.Index, vals []float64) {
+				rows.Add(1)
+				if cap(cols) < widest || cap(vals) < widest {
+					short.Add(1)
+				}
+			}
+			for range 2 {
+				if err := MaskedSpGEMMStream[float64](semiring.PlusPair[float64]{}, a, a, a, cfg, sink); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rows.Load() == 0 {
+				t.Fatal("no row reached the sink")
+			}
+			if n := short.Load(); n != 0 {
+				t.Errorf("%d of %d rows arrived in a buffer narrower than the widest mask row (%d)", n, rows.Load(), widest)
+			}
+		})
 	}
 }
 

@@ -198,6 +198,16 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 		ws = exec.Masked[T, S](cfg.Engine, p.sr, l.Kind, cfg.MarkerBits, p.b.Cols, l.RowCap, workers, staging)
 	}
 	accs := ws.Accs[:workers]
+	if p.stream {
+		// A streaming worker gathers one row at a time into its own
+		// buffer. Sized for the widest output row (output ⊆ mask, so
+		// plan.RowCap bounds it), no gather grows the buffer, whichever
+		// tiles its worker happens to claim: a warm run allocates the
+		// same whatever the schedule.
+		for w := range workers {
+			stage(&ws.Outs[w], 0, plan.RowCap)
+		}
+	}
 	tiles := plan.Tiles
 	if tiles == nil {
 		ws.OneTile[0] = tiling.Tile{Lo: 0, Hi: rows}

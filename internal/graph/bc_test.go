@@ -249,9 +249,9 @@ func TestBCEdgeCases(t *testing.T) {
 // two arrays per worker and the block closure — a count that grows
 // neither with the graph's size nor with the number of sources. The
 // one exception is the scheduler: a block on more than one worker
-// spawns its goroutines (sched.BlocksE's fixed cost; a last block of
-// one source runs inline), so at two workers each further block of two
-// sources adds exactly that cost and nothing of BC's own.
+// hands its workers to helpers (sched.BlocksE's fixed cost; a last
+// block of one source runs inline), so at two workers each further
+// block of two sources adds exactly that cost and nothing of BC's own.
 func TestBCWarmAllocs(t *testing.T) {
 	spawn := testing.AllocsPerRun(20, func() {
 		if err := sched.BlocksE(nil, 2, 2, func(int, int, int) {}); err != nil {

@@ -161,7 +161,8 @@ func (st *runState) guard(w int, loop func()) {
 // same (p, n) see identical blocks — the two passes of a parallel prefix
 // sum rely on this. When p <= 1 the single block runs inline on the
 // caller's goroutine (runInline), allocating nothing of its own.
-// Non-positive n runs nothing. Each worker checks for cancellation
+// Non-positive n runs nothing. The blocks run on parked helpers (spawn).
+// Each worker checks for cancellation
 // before starting its block, and a panic inside any block is returned
 // as a *PanicError instead of crashing the process. ctx may be nil.
 func BlocksE(ctx context.Context, p, n int, fn func(worker, lo, hi int)) error {
@@ -183,15 +184,14 @@ func BlocksE(ctx context.Context, p, n int, fn func(worker, lo, hi int)) error {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
+		spawn(&wg, func() {
 			st.guard(w, func() {
 				if st.stop.Load() {
 					return
 				}
 				fn(w, n*w/workers, n*(w+1)/workers)
 			})
-		}(w)
+		})
 	}
 	wg.Wait()
 	return st.err(ctx)

@@ -164,8 +164,9 @@ func TestBlocksEPanicAndCancel(t *testing.T) {
 }
 
 // TestRunENoGoroutineLeak drives many cancelled and completed runs and
-// checks the goroutine count settles back to the baseline: neither
-// workers, context watchers nor stall watchdogs may outlive their run.
+// checks the goroutine count settles back to the baseline: context
+// watchers and stall watchdogs may not outlive their run, nor the
+// workers' helpers their idle window.
 // The live context stays uncancelled until after the check, so a
 // watcher must exit because its run completed, not because its context
 // ended; the watchdog's hour-long window means it must exit because its

@@ -212,6 +212,8 @@ func RunWavesE(ctx context.Context, policy Policy, p int, plan WavePlan, fn func
 // with the last arriver resetting the shared claim counter for the next
 // wave while every other worker is parked. Single-wave plans never touch the
 // barrier machinery, so the flat case pays nothing for the generality.
+// The workers run on parked helpers (spawn), so a warm run starts no
+// goroutine.
 func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt RunOpts, fn func(worker, tile int)) error {
 	switch policy {
 	case Static, Dynamic, Guided:
@@ -314,8 +316,7 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 	wg.Add(p)
 	for w := 0; w < p; w++ {
 		w := w
-		go func() {
-			defer wg.Done()
+		spawn(&wg, func() {
 			st.guard(w, func() {
 				if st.inject(inj, chaos.WorkerSpawn) {
 					// Draining implies the stop flag is raised, so no
@@ -346,7 +347,7 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 					}
 				}
 			})
-		}()
+		})
 	}
 	wg.Wait()
 	return st.err(ctx)
