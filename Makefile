@@ -182,7 +182,8 @@ bench-trsv:
 # the result vector only), and core's serial and wave modes (ns/nnz),
 # and the solve verdict's unit costs: one serial substitution walked in
 # substitution order and in level-set order (ns/nnz), and a wave run's
-# spawn and staggered barrier crossing, and one hypersparse product at
+# spawn (ns/op, and allocs/op: what one warm multi-worker run allocates) and
+# staggered barrier crossing, and one hypersparse product at
 # the production crossover (ns/multiply: a one-tile run's cost in its
 # live rows), both accumulator families
 # swept over cols/RowCap (ns/flop: the medians internal/model derives the

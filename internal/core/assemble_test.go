@@ -15,9 +15,8 @@ import (
 // plan passes run on test-sized inputs, restoring it when the test ends.
 func lowerPlanCutoff(t *testing.T) {
 	t.Helper()
-	old := planSerialCutoff
-	planSerialCutoff = 1
-	t.Cleanup(func() { planSerialCutoff = old })
+	old := sched.SetBlockCutoffForTest(1)
+	t.Cleanup(func() { sched.SetBlockCutoffForTest(old) })
 }
 
 // makeOuts builds per-tile outputs with the given per-row nnz counts,
@@ -133,8 +132,6 @@ func TestMaskedSpGEMMParallelPlanBitIdentical(t *testing.T) {
 	// be bit-identical to the one-worker run, whose plan and assembly
 	// are serial, across schedules.
 	lowerPlanCutoff(t)
-	oldTiling := tiling.SetParallelCutoffForTest(1)
-	t.Cleanup(func() { tiling.SetParallelCutoffForTest(oldTiling) })
 
 	r := rand.New(rand.NewSource(71))
 	a := randMatrix(120, 120, 0.06, r)

@@ -65,26 +65,11 @@ func MaskedSpGEMMInstrumented[T sparse.Number, S semiring.Semiring[T]](
 	return c, totals.snapshot(), nil
 }
 
-// planSerialCutoff is the row count below which the plan-construction
-// and assembly passes stay serial: goroutine fan-out costs more than a
-// short O(rows) loop. A variable so tests can lower it to exercise the
-// parallel paths on small inputs.
-var planSerialCutoff = 1 << 14
-
-// blockWorkers returns the worker count to use for an O(n) plan pass:
-// 1 below the crossover threshold, p otherwise.
-func blockWorkers(p, n int) int {
-	if n < planSerialCutoff {
-		return 1
-	}
-	return p
-}
-
 // maskRows is the plan's one pass over the mask rows, as a plan without
 // tiles: the largest row (the accumulator's row bound, §III-C sizing)
 // and the rows' column spans (the dense window's, accum.Spans).
 func maskRows[T sparse.Number](ctx context.Context, m *sparse.CSR[T], p int) (exec.Plan, error) {
-	p = blockWorkers(p, m.Rows)
+	p = sched.BlockWorkers(p, m.Rows)
 	if p <= 1 {
 		return maskRowRange(m, 0, m.Rows), nil
 	}
@@ -440,7 +425,7 @@ func assembleE[T sparse.Number](
 		rowPtr = make([]int64, rows+1)
 	}
 	*c = sparse.CSR[T]{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: c.ColIdx, Val: c.Val}
-	if p = blockWorkers(p, rows); p <= 1 {
+	if p = sched.BlockWorkers(p, rows); p <= 1 {
 		var nnz int64
 		for t := range outs {
 			for r, n := range outs[t].RowNNZ {

@@ -40,8 +40,12 @@ type BFSResult struct {
 // matrix a; a's pattern is read, its values are not. dir selects Push,
 // Pull, or Auto per level. Paths follow entry (i, j) from i to j. Pull
 // reads a's rows as in-neighbourhoods, which they are only when a is
-// symmetric, so unless dir is Push a's symmetry is checked once (one
-// pass over a) and a non-symmetric a pushes every level.
+// symmetric, so a's symmetry is checked (one pass over a) before the
+// first level that would pull — the first level under Pull, the first
+// the rule picks pull for under Auto, none under Push — and a
+// non-symmetric a pushes that level and every later one. A search that
+// never pulls, as most searches of a sparse graph under Auto, never
+// pays for the check.
 //
 // The state is call-local and flat, as in BetweennessCentrality: the
 // level array, which is the result, and one arena of the reached
@@ -62,9 +66,6 @@ func BFS(a *sparse.CSR[float64], src int, dir Direction) (*BFSResult, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown direction %d", core.ErrConfig, dir)
 	}
-	if dir != Push && !sparse.IsSymmetric(a) {
-		dir = Push
-	}
 	res := &BFSResult{Level: make([]int32, n)}
 	level := res.Level
 	for v := range level {
@@ -74,11 +75,18 @@ func BFS(a *sparse.CSR[float64], src int, dir Direction) (*BFSResult, error) {
 	// Every vertex is reached at most once, so order never outgrows n.
 	order := make([]sparse.Index, 1, n)
 	order[0] = sparse.Index(src)
+	checked := false
 	for lo, d := 0, int32(1); lo < len(order); d++ {
 		hi := len(order)
 		step := dir
 		if step == Auto {
 			step = chooseBFSDirection(a, order[lo:hi], hi)
+		}
+		if step == Pull && !checked {
+			checked = true
+			if !sparse.IsSymmetric(a) {
+				dir, step = Push, Push
+			}
 		}
 		if step == Push {
 			res.Pushes++

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -40,10 +39,10 @@ const (
 	slotBusy              // reserved, or running a task
 )
 
-// task is one worker of a run: fn, then wg.Done.
+// task is one worker of a run: r.work(w), then r.wg.Done.
 type task struct {
-	fn func()
-	wg *sync.WaitGroup
+	r *run
+	w int
 }
 
 type helperSlot struct {
@@ -69,12 +68,12 @@ func init() {
 	}
 }
 
-// spawn runs fn on a helper and calls wg.Done when it returns: on an
-// idle helper when there is one, else on a new goroutine, which stays
-// as a helper when a slot is free. It never blocks, so a task may start
-// nested runs of its own.
-func spawn(wg *sync.WaitGroup, fn func()) {
-	t := task{fn: fn, wg: wg}
+// spawn runs worker w of r on a helper and calls r.wg.Done when it
+// returns: on an idle helper when there is one, else on a new
+// goroutine, which stays as a helper when a slot is free. It never
+// blocks, so a task may start nested runs of its own.
+func spawn(r *run, w int) {
+	t := task{r: r, w: w}
 	dead := -1
 	for i := range helpers {
 		h := &helpers[i]
@@ -98,14 +97,14 @@ func spawn(wg *sync.WaitGroup, fn func()) {
 			return
 		}
 	}
-	go t.run()
+	go t.exec()
 }
 
-// run is a task on a plain goroutine; the deferred Done also releases
-// the run when fn leaves by runtime.Goexit.
-func (t task) run() {
-	defer t.wg.Done()
-	t.fn()
+// exec is a task on a plain goroutine; the deferred Done also releases
+// the run when a tile leaves by runtime.Goexit.
+func (t task) exec() {
+	defer t.r.wg.Done()
+	t.r.work(t.w)
 }
 
 // serve is a helper's life: take tasks off h.tasks, the first already
@@ -124,18 +123,19 @@ func (h *helperSlot) serve() {
 		if running {
 			h.idle.Stop()
 			h.state.Store(slotDead)
-			t.wg.Done()
+			t.r.wg.Done()
 		}
 	}()
 	used := true
 	for {
-		t.fn()
-		// Drop the task before parking: its closure holds the run's
-		// state, which a parked helper must not keep alive.
-		wg := t.wg
+		t.r.work(t.w)
+		// Drop the task before parking: it holds the run, and with it
+		// the tile function's state, which a parked helper must not keep
+		// alive.
+		r := t.r
 		t, running = task{}, false
 		h.state.Store(slotIdle)
-		wg.Done()
+		r.wg.Done()
 		for !running {
 			select {
 			case t = <-h.tasks:

@@ -66,13 +66,13 @@ func (e *StallError) Error() string {
 }
 
 // stall records a watchdog verdict and tells every worker to drain.
-func (st *runState) stall(se *StallError) {
-	st.mu.Lock()
-	if st.se == nil {
-		st.se = se
+func (r *run) stall(se *StallError) {
+	r.mu.Lock()
+	if r.se == nil {
+		r.se = se
 	}
-	st.mu.Unlock()
-	st.halt()
+	r.mu.Unlock()
+	r.halt()
 }
 
 // seamFault steps inj at seam pt and returns the injected spurious
@@ -89,25 +89,25 @@ func seamFault(inj chaos.Injector, pt chaos.Point) error {
 	return nil
 }
 
-// inject fires seam pt; true means the worker must drain: an Error or
-// Cancel fault became the run's cause (the first one recorded wins)
-// and stopped it, or the run is stopping anyway. Panic and delay
-// faults execute inside chaos.Step (the panic is caught by the
-// worker's guard frame).
-func (st *runState) inject(inj chaos.Injector, pt chaos.Point) bool {
-	if inj == nil {
+// inject fires seam pt of the run's injector; true means the worker
+// must drain: an Error or Cancel fault became the run's cause (the
+// first one recorded wins) and stopped it, or the run is stopping
+// anyway. Panic and delay faults execute inside chaos.Step (the panic
+// is caught by the recover frame of run.work).
+func (r *run) inject(pt chaos.Point) bool {
+	if r.opt.Chaos == nil {
 		return false
 	}
-	if err := seamFault(inj, pt); err != nil {
-		st.mu.Lock()
-		if st.cause == nil {
-			st.cause = err
+	if err := seamFault(r.opt.Chaos, pt); err != nil {
+		r.mu.Lock()
+		if r.cause == nil {
+			r.cause = err
 		}
-		st.mu.Unlock()
-		st.halt()
+		r.mu.Unlock()
+		r.halt()
 		return true
 	}
-	return st.stop.Load()
+	return r.stop.Load()
 }
 
 // injectClaim fires the TileClaim seam (inject). Workers cross an
@@ -119,13 +119,13 @@ func (st *runState) inject(inj chaos.Injector, pt chaos.Point) bool {
 // armed runs (the chaos tests) take the lock.
 //
 //spgemm:hotpath
-func (st *runState) injectClaim(inj chaos.Injector) bool {
-	if inj == nil {
+func (r *run) injectClaim() bool {
+	if r.opt.Chaos == nil {
 		return false
 	}
-	st.seam.Lock()
-	defer st.seam.Unlock()
-	return st.inject(inj, chaos.TileClaim)
+	r.seam.Lock()
+	defer r.seam.Unlock()
+	return r.inject(chaos.TileClaim)
 }
 
 // watchStall arms the stall watchdog: a side goroutine that samples the
@@ -135,7 +135,7 @@ func (st *runState) injectClaim(inj chaos.Injector) bool {
 // progress at detection time (waves is the plan's wave count). The
 // watcher ends only on stop or when the returned function, which must
 // be called, releases it. A non-positive timeout arms nothing.
-func (st *runState) watchStall(timeout time.Duration, tiles, waves int64) (finish func()) {
+func (r *run) watchStall(timeout time.Duration, tiles, waves int64) (finish func()) {
 	if timeout <= 0 || tiles <= 0 {
 		return func() {}
 	}
@@ -149,19 +149,19 @@ func (st *runState) watchStall(timeout time.Duration, tiles, waves int64) (finis
 			case <-quit:
 				return
 			case <-ticker.C:
-				if st.stop.Load() {
+				if r.stop.Load() {
 					return
 				}
-				done := st.done.Load()
+				done := r.done.Load()
 				if done != last {
 					last = done
 					continue
 				}
 				buf := make([]byte, 1<<20)
 				buf = buf[:runtime.Stack(buf, true)]
-				st.stall(&StallError{
+				r.stall(&StallError{
 					Timeout: timeout, Done: done, Tiles: tiles,
-					Wave: st.wave.Load(), Waves: waves, Stacks: buf,
+					Wave: r.wave.Load(), Waves: waves, Stacks: buf,
 				})
 				return
 			}

@@ -119,7 +119,7 @@ func TestStallWatchdogQuietOnProgress(t *testing.T) {
 // deadline adds scheduling slack to the two windows.
 func TestStallWatchdogAfterLastTile(t *testing.T) {
 	const tiles, window = 8, 20 * time.Millisecond
-	var st runState
+	var st run
 	st.done.Store(tiles)
 	st.watchStall(window, tiles, 1)
 	deadline := time.Now().Add(2*window + time.Second)

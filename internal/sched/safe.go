@@ -4,21 +4,19 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 )
 
 // This file is the fault containment every entry point shares: each
 // worker recovers panics, the first panic (value + stack) is captured
 // into a PanicError, and an optional context cancels the run between
-// tile claims (or, for BlocksE, before a block starts).
+// tile claims.
 //
 // Cost on the uncancelled path: one relaxed atomic load per tile, one
-// deferred recover frame per worker goroutine (not per tile), and a
-// single watcher goroutine per run — and the watcher is only spawned
-// when the context is non-nil and cancellable. The context itself
-// (ctx.Err takes a lock in the standard library) is never polled by
-// workers; the watcher mirrors cancellation into an atomic flag once.
+// deferred recover frame per worker (not per tile), and a single
+// watcher goroutine per run — and the watcher is only spawned when the
+// context is non-nil and cancellable. The context itself (ctx.Err takes
+// a lock in the standard library) is never polled by workers; the
+// watcher mirrors cancellation into an atomic flag once.
 
 // PanicError is a panic recovered inside a scheduler worker, carrying
 // the original panic value and the stack of the panicking goroutine.
@@ -46,42 +44,13 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// runState is the shared control block of one fault-contained run.
-type runState struct {
-	// stop is set on cancellation or first panic; workers observe it
-	// between tile claims and drain without starting new work.
-	stop atomic.Bool
-	// done counts completed tiles; the stall watchdog samples it.
-	// Incremented only when a watchdog is armed, so the plain paths
-	// stay increment-free.
-	done atomic.Int64
-	mu   sync.Mutex
-	pe   *PanicError
-	// seam serializes the crossings of an armed TileClaim seam
-	// (injectClaim).
-	seam sync.Mutex
-	// se records a stall-watchdog verdict; cause records an injected
-	// spurious cancel. Both must carry an error — a stop flag with no
-	// recorded cause would silently truncate the result.
-	se    *StallError
-	cause error
-	// wave tracks the index of the wave currently executing, so stall
-	// verdicts can name the stuck wave of a dependency-carrying run.
-	wave atomic.Int64
-	// wake, when non-nil, rouses workers parked at a wave barrier after
-	// the stop flag is raised (set once, before any worker spawns). Every
-	// stop-setter must go through halt, or a parked worker could sleep
-	// through the failure it is supposed to drain on.
-	wake func()
-}
-
 // halt raises the stop flag and wakes any workers parked at a wave
-// barrier so they observe it and drain.
-func (st *runState) halt() {
-	st.stop.Store(true)
-	if st.wake != nil {
-		st.wake()
-	}
+// barrier so they observe it and drain. Every stop-setter must go
+// through halt, or a parked worker could sleep through the failure it
+// is supposed to drain on.
+func (r *run) halt() {
+	r.stop.Store(true)
+	r.bar.wake()
 }
 
 // panicError wraps the value worker w panicked with, and the stack of
@@ -91,19 +60,19 @@ func panicError(w int, v any) *PanicError {
 }
 
 // capture records the first panic and tells every worker to drain.
-func (st *runState) capture(pe *PanicError) {
-	st.mu.Lock()
-	if st.pe == nil {
-		st.pe = pe
+func (r *run) capture(pe *PanicError) {
+	r.mu.Lock()
+	if r.pe == nil {
+		r.pe = pe
 	}
-	st.mu.Unlock()
-	st.halt()
+	r.mu.Unlock()
+	r.halt()
 }
 
 // watch mirrors ctx cancellation into the stop flag from a side
 // goroutine, so workers never touch the context's lock. The returned
 // function must be called to release the watcher.
-func (st *runState) watch(ctx context.Context) (finish func()) {
+func (r *run) watch(ctx context.Context) (finish func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
@@ -111,7 +80,7 @@ func (st *runState) watch(ctx context.Context) (finish func()) {
 	go func() {
 		select {
 		case <-ctx.Done():
-			st.halt()
+			r.halt()
 		case <-quit:
 		}
 	}()
@@ -119,10 +88,10 @@ func (st *runState) watch(ctx context.Context) (finish func()) {
 }
 
 // err resolves the run's outcome from what its workers recorded.
-func (st *runState) err(ctx context.Context) error {
-	st.mu.Lock()
-	pe, se, cause := st.pe, st.se, st.cause
-	st.mu.Unlock()
+func (r *run) err(ctx context.Context) error {
+	r.mu.Lock()
+	pe, se, cause := r.pe, r.se, r.cause
+	r.mu.Unlock()
 	return outcome(ctx, pe, se, cause)
 }
 
@@ -145,33 +114,44 @@ func outcome(ctx context.Context, pe *PanicError, se *StallError, cause error) e
 	return cause
 }
 
-// guard runs loop with a recover frame, capturing any panic into st.
-func (st *runState) guard(w int, loop func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			st.capture(panicError(w, r))
-		}
-	}()
-	loop()
+// blockCutoff is the length below which an O(n) block pass (a plan's
+// row work, prefix sum and mask scan, a product's assembly) stays on
+// the caller's goroutine: handing a few thousand rows to workers costs
+// more than the pass itself. A variable so tests can lower it.
+var blockCutoff = 1 << 14
+
+// BlockWorkers returns the worker count an O(n) block pass over n items
+// should use: 1 below the serial cutoff, p otherwise. Callers run their
+// serial loop directly when it returns 1, rather than a one-worker
+// BlocksE, so the short pass allocates no closure.
+func BlockWorkers(p, n int) int {
+	if n < blockCutoff {
+		return 1
+	}
+	return p
+}
+
+// SetBlockCutoffForTest overrides BlockWorkers' serial cutoff and
+// returns the previous value, so tests in dependent packages can drive
+// the parallel passes with small inputs. Not for production use.
+func SetBlockCutoffForTest(n int) (old int) {
+	old, blockCutoff = blockCutoff, n
+	return old
 }
 
 // BlocksE partitions [0, n) into at most p contiguous, near-equal blocks
 // and executes fn(worker, lo, hi) concurrently, one block per worker.
 // Block boundaries are deterministic (n*w/p), so repeated calls with the
 // same (p, n) see identical blocks — the two passes of a parallel prefix
-// sum rely on this. When p <= 1 the single block runs inline on the
+// sum rely on this. The blocks are the tiles of a Static run of
+// SingleWave(workers), so worker w owns block w and the run is the wave
+// executor's: its workers, its cancellation check before a block
+// starts, its panic containment (a panic inside any block is returned
+// as a *PanicError). When p <= 1 the single block runs inline on the
 // caller's goroutine (runInline), allocating nothing of its own.
-// Non-positive n runs nothing. The blocks run on parked helpers (spawn).
-// Each worker checks for cancellation
-// before starting its block, and a panic inside any block is returned
-// as a *PanicError instead of crashing the process. ctx may be nil.
+// Non-positive n runs nothing. ctx may be nil.
 func BlocksE(ctx context.Context, p, n int, fn func(worker, lo, hi int)) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	// Assigned once, so the worker closures copy it: a reassigned p
+	// Assigned once, so the tile function copies it: a reassigned value
 	// would move to the heap on every call, the one-worker one too.
 	workers := min(Workers(p), n)
 	if workers <= 1 {
@@ -179,20 +159,7 @@ func BlocksE(ctx context.Context, p, n int, fn func(worker, lo, hi int)) error {
 		// (no tile when n <= 0): no control block, no watcher.
 		return runInline(ctx, SingleWave(min(n, 1)), nil, func(int, int) { fn(0, 0, n) })
 	}
-	var st runState
-	defer st.watch(ctx)()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		spawn(&wg, func() {
-			st.guard(w, func() {
-				if st.stop.Load() {
-					return
-				}
-				fn(w, n*w/workers, n*(w+1)/workers)
-			})
-		})
-	}
-	wg.Wait()
-	return st.err(ctx)
+	return RunWavesOpts(ctx, Static, workers, SingleWave(workers), RunOpts{}, func(w, _ int) {
+		fn(w, n*w/workers, n*(w+1)/workers)
+	})
 }

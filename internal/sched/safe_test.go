@@ -170,8 +170,24 @@ func TestBlocksEPanicAndCancel(t *testing.T) {
 // The live context stays uncancelled until after the check, so a
 // watcher must exit because its run completed, not because its context
 // ended; the watchdog's hour-long window means it must exit because its
-// run released it, not because a tick found the run done.
+// run released it, not because a tick found the run done. The baseline
+// is taken once the helpers of earlier tests have exited: one that
+// exited during the check would hide a leaked goroutine.
 func TestRunENoGoroutineLeak(t *testing.T) {
+	for deadline := time.Now().Add(2*helperIdle + 3*time.Second); ; time.Sleep(20 * time.Millisecond) {
+		alive := 0
+		for i := range helpers {
+			if helpers[i].state.Load() != slotDead {
+				alive++
+			}
+		}
+		if alive == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d helpers of earlier tests still alive", alive)
+		}
+	}
 	baseline := runtime.NumGoroutine()
 	live, cancelLive := context.WithCancel(context.Background())
 	defer cancelLive()

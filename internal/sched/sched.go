@@ -21,11 +21,14 @@
 // goroutines. The flat tile bag is the degenerate plan SingleWave(n),
 // so there is one tile executor; RunWavesE is it with the zero RunOpts.
 //
-// The package also provides BlocksE, a one-shot parallel-for over
-// contiguous index blocks, which the plan-construction phases (work
-// estimation, prefix sums, CSR assembly) use to spread their O(n)
-// passes over the same worker pool discipline. All three entry points
-// contain worker panics and observe an optional context.
+// BlocksE, the parallel-for over contiguous index blocks that the O(n)
+// passes (work estimation, prefix sums, mask scan, CSR assembly) and
+// betweenness centrality's source blocks use, is a Static run of
+// SingleWave(p) on that executor, in which worker w owns block w; the
+// passes share one serial cutoff, BlockWorkers. Every run contains
+// worker panics and observes an optional context, and a multi-worker
+// run is one run value handed to parked helper goroutines (helpers.go),
+// so a warm run starts no goroutine and allocates that value alone.
 package sched
 
 import "runtime"
@@ -82,12 +85,3 @@ func GuidedChunk(rem, p int) int {
 	}
 	return max(rem/p, 1)
 }
-
-// StaticOwner returns the worker id that owns tile t under the Static
-// policy with p workers: t mod p, the round-robin assignment decided
-// before execution. The invariant holds across wave boundaries too —
-// the wave executor offsets each worker's first tile within a wave so
-// global ownership never shifts. p must be positive (the clamped worker
-// count an entry point actually ran with, not the raw request).
-// Exposed so tests can verify assignment.
-func StaticOwner(t, p int) int { return t % p }

@@ -50,8 +50,8 @@ func TestStaticAssignmentIsDeterministic(t *testing.T) {
 		mu.Unlock()
 	}))
 	for tile, w := range owner {
-		if w != StaticOwner(tile, workers) {
-			t.Errorf("tile %d ran on worker %d, want %d", tile, w, StaticOwner(tile, workers))
+		if w != tile%workers {
+			t.Errorf("tile %d ran on worker %d, want %d", tile, w, tile%workers)
 		}
 	}
 }

@@ -119,14 +119,53 @@ type WaveStats struct {
 	BarrierWaitNs atomic.Int64
 }
 
-// waveBarrier synchronizes the persistent workers at wave boundaries.
-// One allocation per multi-wave run, reused across every crossing:
-// arrivals are counted under mu, and a phase counter lets waiters
-// distinguish "the barrier I arrived at opened" from a spurious wakeup.
-// A parked worker re-checks the run's stop flag on every wakeup, so a
-// panic, cancellation or stall verdict raised anywhere (all of which
-// broadcast through runState.halt) drains the barrier instead of
-// deadlocking it.
+// run is one multi-worker run: the control block its workers share and
+// everything they read, in the one object the run allocates. Helpers
+// receive the run and a worker id (spawn) and execute work.
+type run struct {
+	// stop is set on cancellation, first panic or stall verdict; workers
+	// observe it between tile claims and drain without starting new
+	// work.
+	stop atomic.Bool
+	// next is the shared claim counter of the current wave (Dynamic and
+	// Guided); the last arriver at each barrier resets it to the next
+	// wave's Lo. Static ignores it.
+	next atomic.Int64
+	// done counts completed tiles; the stall watchdog samples it.
+	// Incremented only when a watchdog is armed, so the plain runs stay
+	// increment-free.
+	done atomic.Int64
+	// wave tracks the index of the wave currently executing, so stall
+	// verdicts can name the stuck wave of a dependency-carrying run.
+	wave atomic.Int64
+	mu   sync.Mutex
+	pe   *PanicError
+	// se records a stall-watchdog verdict; cause records an injected
+	// spurious cancel. Both must carry an error — a stop flag with no
+	// recorded cause would silently truncate the result.
+	se    *StallError
+	cause error
+	// seam serializes the crossings of an armed TileClaim seam
+	// (injectClaim).
+	seam sync.Mutex
+	wg   sync.WaitGroup
+	bar  waveBarrier
+
+	plan   WavePlan
+	policy Policy
+	p      int
+	opt    RunOpts
+	fn     func(worker, tile int)
+}
+
+// waveBarrier synchronizes a run's workers at wave boundaries, reused
+// across every crossing: arrivals are counted under mu, and a phase
+// counter lets waiters distinguish "the barrier I arrived at opened"
+// from a spurious wakeup. A parked worker re-checks the run's stop flag
+// on every wakeup, so a panic, cancellation or stall verdict raised
+// anywhere (all of which broadcast through run.halt) drains the barrier
+// instead of deadlocking it. A lone worker (a watchdog-armed run on one
+// worker) arrives last at every barrier and never parks.
 type waveBarrier struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -134,19 +173,7 @@ type waveBarrier struct {
 	phase   int64
 }
 
-// barrierFor returns the barrier of a run of nw waves: nil when there
-// is no boundary to cross. A lone worker (a watchdog-armed run on one
-// worker) arrives last at every barrier and never parks.
-func barrierFor(nw int) *waveBarrier {
-	if nw <= 1 {
-		return nil
-	}
-	b := &waveBarrier{}
-	b.cond.L = &b.mu
-	return b
-}
-
-// wake broadcasts under the barrier lock; runState.halt calls it after
+// wake broadcasts under the barrier lock; run.halt calls it after
 // raising the stop flag. Taking mu orders the broadcast after any
 // in-flight Wait registration, so no parked worker can miss it.
 func (b *waveBarrier) wake() {
@@ -155,18 +182,21 @@ func (b *waveBarrier) wake() {
 	b.mu.Unlock()
 }
 
-// arrive parks the caller until all p workers of the run have arrived
-// or the run stops. The last arriver executes release — the one point
-// where cross-wave state (the shared claim counter, the current-wave
-// gauge) may advance, because every other worker is provably parked or
-// drained — then opens the barrier for everyone. When ws is non-nil the
-// time spent parked is added to its barrier-wait counter.
-func (b *waveBarrier) arrive(stop *atomic.Bool, p int, ws *WaveStats, release func()) {
+// arrive parks the caller at the barrier after wave wv until all of the
+// run's workers have arrived or the run stops. The last arriver resets
+// the claim counter and the current-wave gauge for wave wv+1 — the one
+// point where cross-wave state may advance, because every other worker
+// is provably parked or drained — then opens the barrier for everyone.
+// With WaveStats the time spent parked is added to its barrier-wait
+// counter.
+func (r *run) arrive(wv int) {
+	b, ws := &r.bar, r.opt.WaveStats
 	b.mu.Lock()
 	b.arrived++
-	if b.arrived == p {
+	if b.arrived == r.p {
 		b.arrived = 0
-		release()
+		r.next.Store(int64(r.plan.WaveAt(wv + 1).Lo))
+		r.wave.Store(int64(wv + 1))
 		b.phase++
 		b.cond.Broadcast()
 		b.mu.Unlock()
@@ -177,7 +207,7 @@ func (b *waveBarrier) arrive(stop *atomic.Bool, p int, ws *WaveStats, release fu
 	if ws != nil {
 		parked = time.Now()
 	}
-	for b.phase == ph && !stop.Load() {
+	for b.phase == ph && !r.stop.Load() {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
@@ -204,16 +234,16 @@ func RunWavesE(ctx context.Context, policy Policy, p int, plan WavePlan, fn func
 // worker and no stall watchdog the tiles run inline on the caller's
 // goroutine with the run's state on its stack (runInline), so a
 // single-worker run carries no goroutine and allocates nothing of its
-// own; it reports the same errors as the worker path. Within a wave,
-// workers claim tiles under the policy (Static ownership keeps the
-// global t mod p == worker invariant across waves; a Guided worker
+// own; it reports the same errors as the worker path. Otherwise the run
+// is one run object, whose workers run on parked helpers (spawn), so a
+// warm run starts no goroutine and allocates that object alone. Within
+// a wave, workers claim tiles under the policy (Static ownership keeps
+// the global t mod p == worker invariant across waves; a Guided worker
 // claims max(remaining/p, 1) tiles per atomic operation); at each wave
-// boundary the persistent workers cross a condition-variable barrier,
-// with the last arriver resetting the shared claim counter for the next
-// wave while every other worker is parked. Single-wave plans never touch the
-// barrier machinery, so the flat case pays nothing for the generality.
-// The workers run on parked helpers (spawn), so a warm run starts no
-// goroutine.
+// boundary the workers cross a condition-variable barrier, with the
+// last arriver resetting the shared claim counter for the next wave
+// while every other worker is parked. Single-wave plans never touch the
+// barrier, so the flat case pays nothing for the generality.
 func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt RunOpts, fn func(worker, tile int)) error {
 	switch policy {
 	case Static, Dynamic, Guided:
@@ -225,132 +255,108 @@ func RunWavesOpts(ctx context.Context, policy Policy, p int, plan WavePlan, opt 
 			return err
 		}
 	}
-	p = Workers(p)
-	if p > plan.Widest() {
-		p = plan.Widest()
-	}
+	p = min(Workers(p), plan.Widest())
 	if p <= 1 && opt.StallTimeout <= 0 {
 		return runInline(ctx, plan, opt.Chaos, fn)
 	}
-	nw := plan.NumWaves()
-	inj := opt.Chaos
-	ws := opt.WaveStats
-	// wd gates the completed-tile counter; without a watchdog the claim
-	// loops stay increment-free.
-	wd := opt.StallTimeout > 0
-
-	var st runState
-	// Assigned once, so the worker closures hold bar by value and a run
-	// that needs no barrier allocates no cell for it.
-	bar := barrierFor(nw)
-	if bar != nil {
-		st.wake = bar.wake
+	r := &run{plan: plan, policy: policy, p: p, opt: opt, fn: fn}
+	r.bar.cond.L = &r.bar.mu
+	defer r.watch(ctx)()
+	defer r.watchStall(opt.StallTimeout, int64(plan.Tiles()), int64(plan.NumWaves()))()
+	r.wg.Add(p)
+	for w := range p {
+		spawn(r, w)
 	}
-	defer st.watch(ctx)()
-	defer st.watchStall(opt.StallTimeout, int64(plan.Tiles()), int64(nw))()
+	r.wg.Wait()
+	return r.err(ctx)
+}
 
-	// next is the shared claim counter of the current wave (Dynamic and
-	// Guided). It is reset at each barrier opening by the last arriver;
-	// Static ignores it.
-	var next atomic.Int64
-	var runWave func(w int, wave Wave)
-	switch policy {
+// work is worker w's whole part in the run: its claim loop in each wave
+// and its crossing of every barrier, under the recover frame that turns
+// a panic into the run's PanicError.
+func (r *run) work(w int) {
+	defer func() {
+		if v := recover(); v != nil {
+			r.capture(panicError(w, v))
+		}
+	}()
+	if r.inject(chaos.WorkerSpawn) {
+		// Draining implies the stop flag is raised, so no other worker
+		// can reach a barrier and wait on us.
+		return
+	}
+	nw := r.plan.NumWaves()
+	for wv := 0; ; wv++ {
+		r.claim(w, r.plan.WaveAt(wv))
+		if wv+1 >= nw || r.stop.Load() {
+			return
+		}
+		// Draining here is safe mid-protocol: an injected cancel halts
+		// the run, which wakes the parked workers to drain with this one.
+		if r.inject(chaos.WaveBarrier) {
+			return
+		}
+		if ws := r.opt.WaveStats; ws != nil {
+			ws.Crossings.Add(1)
+		}
+		r.arrive(wv)
+		if r.stop.Load() {
+			return
+		}
+	}
+}
+
+// claim runs worker w's tiles of wave under the run's policy. Static
+// walks the tiles the worker owns, its first chosen so that
+// tile mod p == worker holds within every wave; Dynamic claims one tile
+// per atomic increment of the shared counter; Guided claims a
+// claimGuidedRange chunk at a time.
+func (r *run) claim(w int, wave Wave) {
+	switch r.policy {
 	case Static:
-		runWave = func(w int, wave Wave) {
-			// The first owned tile keeps the global invariant
-			// tile mod p == worker within every wave.
-			off := (w - wave.Lo) % p
-			if off < 0 {
-				off += p
+		off := (w - wave.Lo) % r.p
+		if off < 0 {
+			off += r.p
+		}
+		for t := wave.Lo + off; t < wave.Hi; t += r.p {
+			if r.stop.Load() || r.injectClaim() {
+				return
 			}
-			for t := wave.Lo + off; t < wave.Hi; t += p {
-				if st.stop.Load() || st.injectClaim(inj) {
-					return
-				}
-				fn(w, t)
-				if wd {
-					st.done.Add(1)
-				}
-			}
+			r.tile(w, t)
 		}
 	case Dynamic:
-		runWave = func(w int, wave Wave) {
-			for {
-				if st.stop.Load() || st.injectClaim(inj) {
-					return
-				}
-				t := int(next.Add(1)) - 1
-				if t >= wave.Hi {
-					return
-				}
-				fn(w, t)
-				if wd {
-					st.done.Add(1)
-				}
+		for {
+			if r.stop.Load() || r.injectClaim() {
+				return
 			}
+			t := int(r.next.Add(1)) - 1
+			if t >= wave.Hi {
+				return
+			}
+			r.tile(w, t)
 		}
 	case Guided:
-		runWave = func(w int, wave Wave) {
-			for {
-				if st.stop.Load() {
+		for !r.stop.Load() {
+			lo, hi := claimGuidedRange(&r.next, wave.Hi, r.p)
+			if lo >= hi {
+				return
+			}
+			for t := lo; t < hi; t++ {
+				if r.stop.Load() || r.injectClaim() {
 					return
 				}
-				lo, hi := claimGuidedRange(&next, wave.Hi, p)
-				if lo >= hi {
-					return
-				}
-				for t := lo; t < hi; t++ {
-					if st.stop.Load() || st.injectClaim(inj) {
-						return
-					}
-					fn(w, t)
-					if wd {
-						st.done.Add(1)
-					}
-				}
+				r.tile(w, t)
 			}
 		}
 	}
+}
 
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		w := w
-		spawn(&wg, func() {
-			st.guard(w, func() {
-				if st.inject(inj, chaos.WorkerSpawn) {
-					// Draining implies the stop flag is raised, so no
-					// other worker can reach a barrier and wait on us.
-					return
-				}
-				for wv := 0; ; wv++ {
-					runWave(w, plan.WaveAt(wv))
-					if wv+1 >= nw || st.stop.Load() {
-						return
-					}
-					// Draining here is safe mid-protocol: an injected
-					// cancel halts the run, which wakes the parked workers
-					// to drain with this one.
-					if st.inject(inj, chaos.WaveBarrier) {
-						return
-					}
-					if ws != nil {
-						ws.Crossings.Add(1)
-					}
-					nextLo := plan.WaveAt(wv + 1).Lo
-					bar.arrive(&st.stop, p, ws, func() {
-						next.Store(int64(nextLo))
-						st.wave.Store(int64(wv + 1))
-					})
-					if st.stop.Load() {
-						return
-					}
-				}
-			})
-		})
+// tile runs tile t on worker w and counts it for an armed watchdog.
+func (r *run) tile(w, t int) {
+	r.fn(w, t)
+	if r.opt.StallTimeout > 0 {
+		r.done.Add(1)
 	}
-	wg.Wait()
-	return st.err(ctx)
 }
 
 // claimGuidedRange reserves the next guided chunk [lo, hi2) of the

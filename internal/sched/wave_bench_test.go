@@ -10,7 +10,8 @@ import (
 // (internal/core/solve.go):
 //
 //   - spawn is one single-wave run of one empty tile per worker: the
-//     launch and join of the run's workers (ns/op);
+//     launch and join of the run's workers (ns/op), and what one run
+//     allocates (allocs/op);
 //   - staggered is one barrier crossing whose arrivals are apart. Every
 //     wave gives each worker one tile; one busy-waits late, the other
 //     late/2, the roles alternating from wave to wave. The early worker
@@ -30,6 +31,13 @@ func BenchmarkWaveCrossing(b *testing.B) {
 	b.Run("spawn", func(b *testing.B) {
 		plan := SingleWave(p)
 		noop := func(_, _ int) {}
+		// One run first parks the helpers, so even -benchtime 1x (make
+		// bench-micro) times and counts a warm run.
+		if err := RunWavesE(nil, Static, p, plan, noop); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := RunWavesE(nil, Static, p, plan, noop); err != nil {
 				b.Fatal(err)

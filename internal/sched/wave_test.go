@@ -432,3 +432,44 @@ func TestOneWorkerRunAllocs(t *testing.T) {
 		t.Errorf("one-worker run allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestWarmRunAllocs pins a multi-worker run to one object: once its
+// helpers are parked, a run of a function that captures nothing
+// allocates its run value and nothing else, whatever the policy and
+// worker count, with or without barriers to cross. A BlocksE call adds
+// at most the tile function that adapts its block function.
+func TestWarmRunAllocs(t *testing.T) {
+	noop := func(_, _ int) {}
+	waves := make([]Wave, 4)
+	for i := range waves {
+		waves[i] = Wave{Lo: 8 * i, Hi: 8 * (i + 1)}
+	}
+	multi, err := NewWavePlan(waves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{2, 4} {
+		for _, plan := range []WavePlan{SingleWave(32), multi} {
+			for _, policy := range []Policy{Static, Dynamic, Guided} {
+				allocs := testing.AllocsPerRun(100, func() {
+					if err := RunWavesOpts(nil, policy, p, plan, RunOpts{}, noop); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 1 {
+					t.Errorf("p=%d, %d waves, %v: a warm run allocates %.1f times, want 1", p, plan.NumWaves(), policy, allocs)
+				}
+			}
+		}
+	}
+	for _, p := range []int{2, 3, 4, 8} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := BlocksE(nil, p, 64, func(_, _, _ int) {}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("p=%d: a warm BlocksE allocates %.1f times, want at most 2", p, allocs)
+		}
+	}
+}

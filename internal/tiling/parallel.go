@@ -8,26 +8,11 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// parallelCutoff is the input length below which the parallel plan
-// phases fall back to their serial loops: spawning goroutines for a few
-// thousand rows costs more than the pass itself. A variable so tests
-// can lower it and exercise the parallel paths on small inputs.
-var parallelCutoff = 1 << 14
-
-// SetParallelCutoffForTest overrides the serial crossover threshold and
-// returns the previous value, so tests in dependent packages can drive
-// the parallel paths with small inputs. Not for production use.
-func SetParallelCutoffForTest(n int) (old int) {
-	old = parallelCutoff
-	parallelCutoff = n
-	return old
-}
-
 // The passes below are the plan-construction loops, each written once in
 // its fault-contained, cancellable form: block-parallel loops run via
 // sched.BlocksE, so a panic inside a worker (a malformed operand, say)
 // comes back as a *sched.PanicError and a cancelled context aborts the
-// plan between blocks. Serial fallbacks below the crossover threshold
+// plan between blocks. Serial fallbacks below sched.BlockWorkers' cutoff
 // run on the caller's goroutine, where the caller's own recover applies.
 // ctx may be nil everywhere.
 
@@ -58,10 +43,10 @@ func PrefixSum(work []int64, p int) []int64 {
 
 // RowWorkParallelE fills w[:a.Rows] with RowWork computed over
 // contiguous row blocks on p workers. Rows are independent, so the
-// result is bit-identical to the serial estimator; inputs below the
-// crossover threshold (or p <= 1) take the serial path unchanged.
+// result is bit-identical to the serial estimator; inputs below
+// sched.BlockWorkers' cutoff (or p == 1) take the serial path unchanged.
 func RowWorkParallelE[T sparse.Number](ctx context.Context, w []int64, a, b, m *sparse.CSR[T], p int) error {
-	if p == 1 || a.Rows < parallelCutoff {
+	if sched.BlockWorkers(p, a.Rows) == 1 {
 		rowWorkInto(w, a, b, m, 0, a.Rows)
 		return nil
 	}
@@ -74,7 +59,7 @@ func RowWorkParallelE[T sparse.Number](ctx context.Context, w []int64, a, b, m *
 // p workers: per-block totals and maxima reduce to the same values the
 // serial pass produces (int64 addition and max are associative).
 func FlopCountParallelE[T sparse.Number](ctx context.Context, a, b *sparse.CSR[T], p int) (total int64, maxRow int64, err error) {
-	if p == 1 || a.Rows < parallelCutoff {
+	if sched.BlockWorkers(p, a.Rows) == 1 {
 		total, maxRow = FlopCount(a, b)
 		return total, maxRow, nil
 	}
@@ -103,7 +88,7 @@ func FlopCountParallelE[T sparse.Number](ctx context.Context, a, b *sparse.CSR[T
 // the result is bit-identical.
 func InclusiveScanE(ctx context.Context, x []int64, p int) error {
 	n := len(x)
-	if p == 1 || n < parallelCutoff {
+	if sched.BlockWorkers(p, n) == 1 {
 		var run int64
 		for i := range x {
 			run += x[i]

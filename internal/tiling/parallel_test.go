@@ -3,15 +3,16 @@ package tiling
 import (
 	"math/rand"
 	"testing"
+
+	"maskedspgemm/internal/sched"
 )
 
 // lowerCutoff drops the serial crossover so the parallel paths run on
 // test-sized inputs, restoring it when the test ends.
 func lowerCutoff(t *testing.T) {
 	t.Helper()
-	old := parallelCutoff
-	parallelCutoff = 1
-	t.Cleanup(func() { parallelCutoff = old })
+	old := sched.SetBlockCutoffForTest(1)
+	t.Cleanup(func() { sched.SetBlockCutoffForTest(old) })
 }
 
 func int64sEqual(a, b []int64) bool {
