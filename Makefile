@@ -169,6 +169,8 @@ bench-trsv:
 # bench-micro runs the micro-benchmarks behind the quoted per-unit
 # numbers once each: per-entry vs batched accumulator updates (ns/update
 # per kind), the four iteration spaces on the circuit graph (ns/flop),
+# the facade's triangle count warm on an engine on the LiveJournal graph
+# (ns/op and allocs/op),
 # BFS on the road graph (ns/op and allocs/op), BC on the 57 x 100 road
 # lattice at 1, 4 and 16 sources (ms/op and allocs/op, which must not
 # grow with the source count), k-truss(4) warm on an engine (B/round: what a round
@@ -197,6 +199,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorRow$$' -benchtime 1x ./internal/accum
 	$(GO) test -run '^$$' -bench '^BenchmarkAccumulatorChoice$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkIterationSpaces$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^TriangleCount$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^BFSRoad$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^BC$$/^road-57x100$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^KTruss$$' -benchtime 1x .

@@ -1,7 +1,10 @@
 // Command trianglecount counts triangles in a graph given as a
 // MatrixMarket file (or a generated corpus graph), using the masked
-// SpGEMM kernel — the paper's benchmark workload end to end. Its time:
-// line includes no assembly of C, which spgemm-bench's kernel timings do.
+// SpGEMM kernel. The default method, burkhardt, runs the paper's
+// benchmark kernel A ⊙ (A×A) end to end; sandia runs the facade's count,
+// L ⊙ (L×L) on a lower-triangle view of A; cohen runs A ⊙ (L×U). Its
+// time: line includes no assembly of C, which spgemm-bench's kernel
+// timings do.
 //
 // Usage:
 //

@@ -40,7 +40,8 @@ func main() {
 	fmt.Printf("support matrix nnz: %d, total wedge closures: %.0f\n", c.NNZ(), c.Sum())
 
 	// Each triangle is counted 6 times in C's sum (3 edges × 2
-	// orientations); TriangleCount does the bookkeeping.
+	// orientations). TriangleCount counts each once: it multiplies only
+	// the lower triangle L, L ⊙ (L×L), a fraction of the work.
 	tri, err := spgemm.TriangleCount(a, spgemm.Defaults())
 	if err != nil {
 		log.Fatal(err)

@@ -72,13 +72,33 @@ func MaskedSpGEMMStream[T sparse.Number, S semiring.Semiring[T]](
 	sr S, m, a, b *sparse.CSR[T], cfg Config,
 	sink func(i int, cols []sparse.Index, vals []T),
 ) error {
+	return streamRows(newProduct(sr, m, a, b, cfg), sink)
+}
+
+// MaskedSpGEMMStreamLower is MaskedSpGEMMStream of L ⊙ (L × L), L the
+// strictly lower triangle of the square a read as a view: row i of L is
+// the prefix of a's row i below column i, cut where a kernel reads it,
+// so L is never built. It runs on a's own cached plan, whose row bound
+// and spans bound L's. This is the triangle count's product.
+func MaskedSpGEMMStreamLower[T sparse.Number, S semiring.Semiring[T]](
+	sr S, a *sparse.CSR[T], cfg Config,
+	sink func(i int, cols []sparse.Index, vals []T),
+) error {
+	p := newProduct(sr, a, a, a, cfg)
+	p.lower = true
+	return streamRows(p, sink)
+}
+
+// streamRows runs p with every nonempty row handed to sink.
+func streamRows[T sparse.Number, S semiring.Semiring[T]](
+	p product[T, S], sink func(i int, cols []sparse.Index, vals []T),
+) error {
 	if sink == nil {
 		return errConfig("stream fusion needs a non-nil sink")
 	}
-	p := newProduct(sr, m, a, b, cfg)
 	p.sink, p.stream = streamSink[T](sink), true
 	p.marker = obs.FusedCounters{StreamRuns: 1}
-	_, err := p.run(cfg.Context)
+	_, err := p.run(p.cfg.Context)
 	return err
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/chaos"
@@ -115,6 +116,9 @@ type kernel[T sparse.Number, S semiring.Semiring[T]] struct {
 	// inj is the armed chaos injector, nil in production.
 	inj  chaos.Injector
 	rows []sparse.Index // a one-tile run's live rows (liveRows), or nil
+	// lower reads every operand row i as its part below column i: the
+	// strictly lower view (MaskedSpGEMMStreamLower).
+	lower bool
 }
 
 // rowSink is what happens to a gathered row beyond staying appended in
@@ -196,8 +200,12 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 			buf.Vals = buf.Vals[:0]
 		}
 		from := len(buf.Cols)
-		aCols, aVals := k.a.Row(i)
-		rowStep(&k, acc, aCols, aVals, k.m.RowCols(i), buf, wc)
+		aCols, aVals := viewRow(k.a, sparse.Index(i), k.lower)
+		maskCols := k.m.RowCols(i)
+		if k.lower {
+			maskCols = maskCols[:len(aCols)] // the view's mask is its A
+		}
+		rowStep(&k, acc, aCols, aVals, maskCols, buf, wc)
 		gathered += int64(len(buf.Cols) - from)
 		if sink != nil {
 			sink.row(i, buf, from)
@@ -248,15 +256,29 @@ func rowStep[T sparse.Number, S semiring.Semiring[T]](
 	}
 	switch k.iter {
 	case Vanilla:
-		rowVanilla(acc, aCols, aVals, k.b, wc)
+		rowVanilla(acc, aCols, aVals, k.b, k.lower, wc)
 	case MaskLoad:
-		rowMaskLoad(acc, aCols, aVals, k.b, maskCols, wc)
+		rowMaskLoad(acc, aCols, aVals, k.b, k.lower, maskCols, wc)
 	case CoIter:
-		rowCoIter(k.sr, acc, aCols, aVals, k.b, maskCols, wc)
+		rowCoIter(k.sr, acc, aCols, aVals, k.b, k.lower, maskCols, wc)
 	case Hybrid:
-		rowHybrid(k.sr, acc, aCols, aVals, k.b, maskCols, k.kappa, wc)
+		rowHybrid(k.sr, acc, aCols, aVals, k.b, k.lower, maskCols, k.kappa, wc)
 	}
 	buf.Cols, buf.Vals = acc.Gather(maskCols, buf.Cols, buf.Vals)
+}
+
+// viewRow is x's row k as the kernels read it: whole, or under the lower
+// view its part below column k, found by binary search where the row is
+// read, so the view keeps no per-row array.
+//
+//spgemm:hotpath
+func viewRow[T sparse.Number](x *sparse.CSR[T], k sparse.Index, lower bool) ([]sparse.Index, []T) {
+	cols, vals := x.Row(int(k))
+	if lower {
+		n, _ := slices.BinarySearch(cols, k)
+		return cols[:n], vals[:n]
+	}
+	return cols, vals
 }
 
 // rowVanilla is the Fig. 3 algorithm: accumulate the full product row,
@@ -271,13 +293,13 @@ func rowStep[T sparse.Number, S semiring.Semiring[T]](
 //
 //spgemm:hotpath
 func rowVanilla[T sparse.Number](
-	acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
+	acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T], lower bool,
 	wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
 	var flops int64
 	for kk, k := range aCols {
-		bCols, bVals := b.Row(int(k))
+		bCols, bVals := viewRow(b, k, lower)
 		flops += int64(len(bCols))
 		acc.Scatter(aVals[kk], bCols, bVals)
 	}
@@ -292,14 +314,14 @@ func rowVanilla[T sparse.Number](
 //
 //spgemm:hotpath
 func rowMaskLoad[T sparse.Number](
-	acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
+	acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T], lower bool,
 	maskCols []sparse.Index, wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
 	acc.LoadMask(maskCols)
 	var flops int64
 	for kk, k := range aCols {
-		bCols, bVals := b.Row(int(k))
+		bCols, bVals := viewRow(b, k, lower)
 		flops += int64(len(bCols))
 		acc.ScatterMasked(aVals[kk], bCols, bVals)
 	}
@@ -314,7 +336,7 @@ func rowMaskLoad[T sparse.Number](
 //
 //spgemm:hotpath
 func rowCoIter[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
+	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T], lower bool,
 	maskCols []sparse.Index, wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
@@ -323,7 +345,7 @@ func rowCoIter[T sparse.Number, S semiring.Semiring[T]](
 	// iteration spaces and matches the planner's estimate exactly.
 	var flops int64
 	for kk, k := range aCols {
-		bCols, bVals := b.Row(int(k))
+		bCols, bVals := viewRow(b, k, lower)
 		flops += int64(len(bCols))
 		coIterate(sr, acc, aVals[kk], maskCols, bCols, bVals)
 	}
@@ -376,7 +398,7 @@ func coIterate[T sparse.Number, S semiring.Semiring[T]](
 //
 //spgemm:hotpath
 func rowHybrid[T sparse.Number, S semiring.Semiring[T]](
-	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T],
+	sr S, acc accum.Accumulator[T], aCols []sparse.Index, aVals []T, b *sparse.CSR[T], lower bool,
 	maskCols []sparse.Index, kappa float64, wc *obs.WorkerCounters,
 ) {
 	acc.BeginRow()
@@ -384,7 +406,7 @@ func rowHybrid[T sparse.Number, S semiring.Semiring[T]](
 	nnzM := len(maskCols)
 	var flops, coIter int64
 	for kk, k := range aCols {
-		bCols, bVals := b.Row(int(k))
+		bCols, bVals := viewRow(b, k, lower)
 		flops += int64(len(bCols))
 		if coIterCheaper(nnzM, len(bCols), kappa) {
 			coIter++

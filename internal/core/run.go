@@ -18,8 +18,8 @@ import (
 // protocol: the operands and configuration, plus what distinguishes the
 // formulation — what happens to each gathered row. Every entry point of
 // the family (MaskedSpGEMM, MaskedSpGEMMInstrumented,
-// MaskedSpGEMMSelectInto and MaskedSpGEMMStream) is its argument checks
-// plus one of these.
+// MaskedSpGEMMSelectInto, MaskedSpGEMMStream and MaskedSpGEMMStreamLower)
+// is its argument checks plus one of these.
 type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	sr      S
 	m, a, b *sparse.CSR[T]
@@ -33,6 +33,8 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	// stream marks a sink that consumes its rows: workers stage one row
 	// at a time and nothing is assembled.
 	stream bool
+	// lower reads m = a = b as their strictly lower view (kernel.lower).
+	lower bool
 	// marker is the run's own entry in the stats/v5 fused block.
 	marker obs.FusedCounters
 	// wrap, when non-nil, decorates each worker's accumulator for this
@@ -277,7 +279,7 @@ func (p *product[T, S]) runTiles(
 	k := kernel[T, S]{
 		sr: p.sr, m: p.m, a: p.a, b: p.b,
 		iter: cfg.Iteration, kappa: cfg.Kappa, inj: cfg.chaosInjector(),
-		rows: rows,
+		rows: rows, lower: p.lower,
 	}
 	sink, perRow := p.sink, p.stream
 	// slots and fcs are nil with observability off: the tile closure then

@@ -63,14 +63,14 @@ func TestLinearKernelsCallAccumulatorPerBRow(t *testing.T) {
 	visits := a.NNZ()
 
 	acc := eachRow(func(acc *callCounter, aCols []sparse.Index, aVals []float64, _ []sparse.Index) {
-		rowVanilla(acc, aCols, aVals, a, nil)
+		rowVanilla(acc, aCols, aVals, a, false, nil)
 	})
 	if acc.calls != (calls{scatter: visits}) {
 		t.Errorf("rowVanilla over %d B-row visits: %+v, want one Scatter call each and nothing else", visits, acc.calls)
 	}
 
 	acc = eachRow(func(acc *callCounter, aCols []sparse.Index, aVals []float64, maskCols []sparse.Index) {
-		rowMaskLoad(acc, aCols, aVals, a, maskCols, nil)
+		rowMaskLoad(acc, aCols, aVals, a, false, maskCols, nil)
 	})
 	if acc.calls != (calls{scatterMasked: visits}) {
 		t.Errorf("rowMaskLoad over %d B-row visits: %+v, want one ScatterMasked call each and nothing else", visits, acc.calls)
@@ -78,7 +78,7 @@ func TestLinearKernelsCallAccumulatorPerBRow(t *testing.T) {
 
 	// κ = 0 makes Eq. 3 choose the linear branch for every B row.
 	acc = eachRow(func(acc *callCounter, aCols []sparse.Index, aVals []float64, maskCols []sparse.Index) {
-		rowHybrid(sr, acc, aCols, aVals, a, maskCols, 0, nil)
+		rowHybrid(sr, acc, aCols, aVals, a, false, maskCols, 0, nil)
 	})
 	if acc.calls != (calls{scatterMasked: visits}) {
 		t.Errorf("rowHybrid, all linear, over %d B-row visits: %+v, want one ScatterMasked call each and nothing else", visits, acc.calls)
@@ -89,7 +89,7 @@ func TestLinearKernelsCallAccumulatorPerBRow(t *testing.T) {
 	// per-match Update is the only per-entry call left.
 	var wc obs.WorkerCounters
 	acc = eachRow(func(acc *callCounter, aCols []sparse.Index, aVals []float64, maskCols []sparse.Index) {
-		rowHybrid(sr, acc, aCols, aVals, a, maskCols, 1, &wc)
+		rowHybrid(sr, acc, aCols, aVals, a, false, maskCols, 1, &wc)
 	})
 	linear, coIter := wc.LinearPicks.Load(), wc.CoIterPicks.Load()
 	if linear == 0 || coIter == 0 || linear+coIter != visits {

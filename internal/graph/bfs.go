@@ -53,6 +53,13 @@ type BFSResult struct {
 // level walks the frontier's rows; a pull level walks the unvisited
 // vertices' rows and stops at the first neighbour on the frontier.
 func BFS(a *sparse.CSR[float64], src int, dir Direction) (*BFSResult, error) {
+	return BFSWith(a, nil, src, dir)
+}
+
+// BFSWith is BFS reading a's symmetry from sym, which remembers it
+// across calls (nil: checked in this call), so a search on a matrix
+// whose symmetry is known pulls without the check.
+func BFSWith(a *sparse.CSR[float64], sym *Symmetry, src int, dir Direction) (*BFSResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)
@@ -84,7 +91,7 @@ func BFS(a *sparse.CSR[float64], src int, dir Direction) (*BFSResult, error) {
 		}
 		if step == Pull && !checked {
 			checked = true
-			if !sparse.IsSymmetric(a) {
+			if !sym.Of(a) {
 				dir, step = Push, Push
 			}
 		}

@@ -405,6 +405,42 @@ func TestBFSAllocs(t *testing.T) {
 	}
 }
 
+// TestBFSWithKnownSymmetry: a search told a's symmetry by a Symmetry
+// returns what a search that checks it returns — levels, Visited, Pushes
+// and Pulls — on symmetric graphs (answer known before the call, and
+// learned by an earlier call) and on a directed one, under every
+// direction.
+func TestBFSWithKnownSymmetry(t *testing.T) {
+	graphs := map[string]*sparse.CSR[float64]{
+		"rmat":     graphgen.RMAT(10, 8, 0.57, 0.19, 0.19, 5),
+		"road":     graphgen.RoadNetwork(30, 30, 0.95, 5),
+		"er":       graphgen.ErdosRenyi(2000, 8000, 5),
+		"directed": fromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 2}}),
+	}
+	for name, a := range graphs {
+		var known, learned Symmetry
+		known.Set(sparse.IsSymmetric(a))
+		for _, dir := range []Direction{Push, Pull, Auto} {
+			for _, src := range []int{0, a.Rows / 2, a.Rows - 1} {
+				want, err := BFS(a, src, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for memo, sym := range map[string]*Symmetry{"known": &known, "learned": &learned} {
+					got, err := BFSWith(a, sym, src, dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Level, want.Level) || got.Visited != want.Visited ||
+						got.Pushes != want.Pushes || got.Pulls != want.Pulls {
+						t.Errorf("%s %s dir=%v src=%d: %+v, want %+v", name, memo, dir, src, *got, *want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBFSErrors(t *testing.T) {
 	a := smallGraph(3)
 	if _, err := BFS(a, -1, Push); err == nil {

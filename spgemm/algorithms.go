@@ -5,18 +5,13 @@ import (
 	"maskedspgemm/internal/graphgen"
 )
 
-// TriangleCount counts triangles in the undirected simple graph a using
-// the paper's benchmark kernel C = A ⊙ (A×A).
+// TriangleCount counts triangles in the undirected simple graph a once
+// each with L ⊙ (L×L), L the strictly lower triangle of a read in place
+// (Milaković et al.); a's diagonal is ignored. An asymmetric a is
+// ErrInvalidMatrix, checked once per Matrix and never for one built by
+// FromEdges or Symmetrize.
 func TriangleCount(a *Matrix, opts Options) (int64, error) {
-	return graph.TriangleCount(a.csr, graph.Burkhardt, opts.config())
-}
-
-// TriangleCountLL counts triangles with the lower-triangular
-// formulation C = L ⊙ (L×L), which does one sixth of the Burkhardt
-// kernel's work. It reads one triangle of a, so it checks a's symmetry
-// first (one pass over a): an asymmetric a is ErrInvalidMatrix.
-func TriangleCountLL(a *Matrix, opts Options) (int64, error) {
-	return graph.TriangleCount(a.csr, graph.SandiaLL, opts.config())
+	return graph.TriangleCountWith(a.csr, &a.sym, graph.SandiaLL, opts.config())
 }
 
 // KTruss computes the k-truss subgraph of a: the maximal subgraph whose
@@ -44,10 +39,12 @@ func KTruss(a *Matrix, k int, opts Options) (*Matrix, int, error) {
 // BFS runs a direction-optimizing breadth-first search from src and
 // returns per-vertex hop levels (-1 = unreachable). Paths follow entry
 // (i, j) from i to j. A pull step reads a's rows as in-neighbourhoods,
-// so it is taken only on a symmetric a: BFS checks a's symmetry once
-// (one pass over a), and on a directed graph every level pushes.
+// so it is taken only on a symmetric a, and on a directed graph every
+// level pushes. a's symmetry is checked at the first level that would
+// pull, once per Matrix, and never for one built by FromEdges or
+// Symmetrize.
 func BFS(a *Matrix, src int) ([]int32, error) {
-	res, err := graph.BFS(a.csr, src, graph.Auto)
+	res, err := graph.BFSWith(a.csr, &a.sym, src, graph.Auto)
 	if err != nil {
 		return nil, err
 	}

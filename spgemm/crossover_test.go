@@ -105,9 +105,9 @@ func TestFacadeSmallEqualsTiled(t *testing.T) {
 const oneTileAllocBudget = 6
 
 // TestTriangleCountWarmAllocs pins the streamed triangle count: a warm
-// count on an Engine folds each row of A ⊙ (A×A) into one counter and
-// never assembles C, so neither its allocation count nor its bytes may
-// grow with the graph. One-tile it allocates less than the assembling
+// count on an Engine folds each row of L ⊙ (L×L), read on a lower view
+// of A, into one counter and never assembles C or builds L, so neither
+// its allocation count nor its bytes may grow with the graph. One-tile it allocates less than the assembling
 // MxM's oneTileAllocBudget; tiled it pays a fixed per-run cost for the
 // scheduler, the same at both sizes.
 func TestTriangleCountWarmAllocs(t *testing.T) {

@@ -24,8 +24,7 @@ var (
 	// ErrInvalidMatrix marks operands that violate the CSR invariants
 	// (detected when Options.ValidateInputs is set, or by Matrix input
 	// readers on malformed files), and an asymmetric adjacency given to
-	// TriangleCountLL, or to TriangleCount when its count comes out
-	// non-integral.
+	// TriangleCount (its diagonal entries are ignored, not an error).
 	ErrInvalidMatrix = core.ErrInvalidMatrix
 	// ErrCanceled marks a multiplication stopped by its context. The
 	// chain also matches the context's own error (context.Canceled or

@@ -242,13 +242,17 @@ func TestUnknownSemiringIsErrConfig(t *testing.T) {
 // TestGraphArgumentErrorsWrapSentinels holds the graph entry points to
 // the taxonomy docs/ERRORS.md promises: a bad argument returns an error
 // wrapping its sentinel — ErrConfig for a k below 3, ErrShape for a
-// source outside [0, n), ErrInvalidMatrix for a triangle count of an
-// asymmetric operand (non-integral under TriangleCount) — and no other
-// sentinel.
+// source outside [0, n) and a triangle count of a non-square operand,
+// ErrInvalidMatrix for a triangle count of an asymmetric one — and no
+// other sentinel.
 func TestGraphArgumentErrorsWrapSentinels(t *testing.T) {
 	a := RandomGraph("er", 40, 9)
 	// Directed 0→1→2 plus 0→2: one wedge closes, 1/6 of a triangle.
 	directed, err := FromTriples(3, 3, []Triple{{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 2, Val: 1}, {Row: 0, Col: 2, Val: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := FromTriples(2, 3, []Triple{{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 0, Val: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +275,7 @@ func TestGraphArgumentErrorsWrapSentinels(t *testing.T) {
 			return err
 		}},
 		{"TriangleCount/asymmetric", ErrInvalidMatrix, func() error { _, err := TriangleCount(directed, Defaults()); return err }},
-		{"TriangleCountLL/asymmetric", ErrInvalidMatrix, func() error { _, err := TriangleCountLL(directed, Defaults()); return err }},
+		{"TriangleCount/non-square", ErrShape, func() error { _, err := TriangleCount(wide, Defaults()); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.run()

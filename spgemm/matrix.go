@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 
+	"maskedspgemm/internal/graph"
 	"maskedspgemm/internal/mtx"
 	"maskedspgemm/internal/sparse"
 )
@@ -31,6 +32,9 @@ import (
 // Matrix is used as the mask operand.
 type Matrix struct {
 	csr *sparse.CSR[float64]
+	// sym is what is known of csr's symmetry: set where it holds by
+	// construction, otherwise checked on first need and remembered.
+	sym graph.Symmetry
 }
 
 // wrap adopts an internal CSR (no copy).
@@ -111,11 +115,12 @@ func FromEdges(n int, edges [][2]int) (*Matrix, error) {
 		coo.Add(sparse.Index(u), sparse.Index(v), 1)
 		coo.Add(sparse.Index(v), sparse.Index(u), 1)
 	}
-	m := coo.ToCSR()
-	for i := range m.Val {
-		m.Val[i] = 1
+	m := wrap(coo.ToCSR())
+	for i := range m.csr.Val {
+		m.csr.Val[i] = 1
 	}
-	return wrap(m), nil
+	m.sym.Set(true)
+	return m, nil
 }
 
 // ReadMatrixMarket parses a MatrixMarket coordinate stream (real,
@@ -141,11 +146,19 @@ func (m *Matrix) Tril() *Matrix { return wrap(sparse.Tril(m.csr)) }
 func (m *Matrix) Triu() *Matrix { return wrap(sparse.Triu(m.csr)) }
 
 // Pattern returns a copy with all stored values set to 1.
-func (m *Matrix) Pattern() *Matrix { return wrap(m.csr.Pattern()) }
+func (m *Matrix) Pattern() *Matrix {
+	p := wrap(m.csr.Pattern())
+	p.sym.Inherit(&m.sym)
+	return p
+}
 
 // Symmetrize returns m ∨ mᵀ with summed values, the diagonal taken once.
 // m must be square; Symmetrize panics otherwise.
-func (m *Matrix) Symmetrize() *Matrix { return wrap(sparse.Symmetrize(m.csr)) }
+func (m *Matrix) Symmetrize() *Matrix {
+	s := wrap(sparse.Symmetrize(m.csr))
+	s.sym.Set(true)
+	return s
+}
 
 // Equal reports whether two matrices are identical in shape, structure
 // and values.

@@ -168,10 +168,6 @@ func TestTriangleCounts(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Errorf("TriangleCount = %d (%v), want 2", n, err)
 	}
-	ll, err := spgemm.TriangleCountLL(a, spgemm.Defaults())
-	if err != nil || ll != 2 {
-		t.Errorf("TriangleCountLL = %d (%v), want 2", ll, err)
-	}
 }
 
 func TestKTruss(t *testing.T) {
