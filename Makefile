@@ -169,8 +169,12 @@ bench-trsv:
 # bench-micro runs the micro-benchmarks behind the quoted per-unit
 # numbers once each: per-entry vs batched accumulator updates (ns/update
 # per kind), the four iteration spaces on the circuit graph (ns/flop),
-# the facade's triangle count warm on an engine on the LiveJournal graph
-# (ns/op and allocs/op),
+# the facade's triangle count warm on an engine on the LiveJournal graph,
+# and on the road graph at corpus scale at one and two workers (ns/op
+# and allocs/op: the pair is the count's p = 2 speedup), the lower
+# view's two row kernels forced on the eight triangle-count graphs
+# (ns/op and the work per op: the rows internal/model fits the view's
+# unit costs to),
 # BFS on the road graph (ns/op and allocs/op), BC on the 57 x 100 road
 # lattice at 1, 4 and 16 sources (ms/op and allocs/op, which must not
 # grow with the source count), k-truss(4) warm on an engine (B/round: what a round
@@ -205,6 +209,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkGraphAlgorithms$$/^KTruss$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkRepeatedMultiply$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkTRSVWarm$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkViewKernels$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkSolveOrder$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWaveCrossing$$' -benchtime 1x ./internal/sched
 	$(GO) test -run '^$$' -bench '^BenchmarkHypersparseProduct$$' -benchtime 1x ./internal/core

@@ -347,33 +347,49 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 	// The facade's count, warm on an engine: ns/op and allocs/op of
 	// L ⊙ (L×L) over the lower view of a matrix built like the
 	// benchmark's corpus (FromTriples, Symmetrize, Pattern), whose
-	// symmetry is therefore known and never checked.
-	b.Run("TriangleCount", func(b *testing.B) {
-		var entries []spgemm.Triple
-		for i := range a.Rows {
-			for _, j := range a.RowCols(i) {
-				entries = append(entries, spgemm.Triple{Row: i, Col: int(j), Val: 1})
+	// symmetry is therefore known and never checked. LiveJournal runs
+	// the accumulator path; GAP-road, at corpus scale and on one and two
+	// workers, the merge kernel, and the pair of them is the count's
+	// p = 2 speedup on a road graph.
+	roadSpec, _ := bench.FindGraph("GAP-road-sim")
+	for _, c := range []struct {
+		name    string
+		graph   func() *sparse.CSR[float64]
+		workers int
+	}{
+		{"com-LiveJournal-sim", func() *sparse.CSR[float64] { return a }, cfg.Workers},
+		{"GAP-road-sim/workers=1", func() *sparse.CSR[float64] { return roadSpec.Build(0) }, 1},
+		{"GAP-road-sim/workers=2", func() *sparse.CSR[float64] { return roadSpec.Build(0) }, 2},
+	} {
+		b.Run("TriangleCount/"+c.name, func(b *testing.B) {
+			g := c.graph()
+			var entries []spgemm.Triple
+			for i := range g.Rows {
+				for _, j := range g.RowCols(i) {
+					entries = append(entries, spgemm.Triple{Row: i, Col: int(j), Val: 1})
+				}
 			}
-		}
-		m, err := spgemm.FromTriples(a.Rows, a.Cols, entries)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m = m.Symmetrize().Pattern()
-		opts := spgemm.Defaults()
-		opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
-		// One untimed count warms the pool and the plan cache.
-		if _, err := spgemm.TriangleCount(m, opts); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+			m, err := spgemm.FromTriples(g.Rows, g.Cols, entries)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m = m.Symmetrize().Pattern()
+			opts := spgemm.Defaults()
+			opts.Workers = c.workers
+			opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
+			// One untimed count warms the pool and the plan cache.
 			if _, err := spgemm.TriangleCount(m, opts); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := spgemm.TriangleCount(m, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("TriangleSupport", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, a, a, a, cfg); err != nil {

@@ -45,7 +45,7 @@ func TestExperimentsRegistry(t *testing.T) {
 		"fig14":       {prints: []string{"no-coiter"}, rows: 2 * (len(o.Kappas) + 1)},
 		"tune":        {prints: []string{"stage 1", "stage 2", "stage 3", "tuned:"}, rows: 8*len(o.TileCounts) + len(o.Kappas) + 4},
 		"ablation":    {prints: []string{"explicit", "PlusPair", "vanilla"}, rows: 4},
-		"predict":     {prints: []string{"predicted-config"}, rows: 2},
+		"predict":     {prints: []string{"predicted-config", "view-kernel acc/merge-ms"}, rows: 2},
 		"model":       {prints: []string{"predicted", "maskload-ms"}, rows: 2},
 		"sortcost":    {prints: []string{"breakeven"}, rows: 2},
 		"scaling":     {prints: []string{"workers"}, rows: scalingCounts},

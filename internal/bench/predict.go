@@ -15,12 +15,15 @@ import (
 // predictions: for each corpus graph it prints the extracted features,
 // the predicted configuration, the accumulator the default run derives
 // next to the one the model predicts from the features, and measured
-// runtimes of default vs predicted. The two accumulators must agree.
+// runtimes of default vs predicted, and the row kernel the planner
+// prices cheaper for the triangle count's lower view of the symmetrized
+// graph (core.PriceView), with both predicted times. The two
+// accumulators must agree.
 func PredictReport(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "Model-based tuning: features -> predicted config vs paper default")
-	fmt.Fprintf(w, "%-22s %10s %8s %10s | %-18s %-20s %-20s %12s %12s\n",
+	fmt.Fprintf(w, "%-22s %10s %8s %10s | %-18s %-20s %-20s %12s %12s | %-24s\n",
 		"Graph", "flops/pos", "skew", "coit-pred", "predicted-config", "default-acc", "predicted-acc",
-		"default-ms", "predicted-ms")
+		"default-ms", "predicted-ms", "view-kernel acc/merge-ms")
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
 		cfg, f, err := model.PredictConfig(a, a, a, o.Workers)
@@ -46,10 +49,17 @@ func PredictReport(w io.Writer, o Options) error {
 		if def.OutputNNZ != pred.OutputNNZ {
 			return fmt.Errorf("%s: predicted config changed the result", g.Name)
 		}
+		sym := sparse.Symmetrize(a)
+		l, err := core.AccumulatorOf(sym, sym, sym, tunedConfig(o.Workers))
+		if err != nil {
+			return fmt.Errorf("%s: %w", g.Name, err)
+		}
+		merge, accNs, mergeNs := core.PriceView(sym, l)
+		kernel := map[bool]string{false: "acc", true: "merge"}[merge]
 		short := fmt.Sprintf("%v t=%d", cfg.Iteration, cfg.Tiles)
-		fmt.Fprintf(w, "%-22s %10.1f %8.1f %9.2fx | %-18s %-20v %-20v %12.2f %12.2f\n",
+		fmt.Fprintf(w, "%-22s %10.1f %8.1f %9.2fx | %-18s %-20v %-20v %12.2f %12.2f | %-5s %8.3f/%-9.3f\n",
 			g.Name, f.AvgFlopsPerUpdatePos, f.DegreeSkew, f.CoIterSpeedup,
-			short, defAcc, predAcc, def.Millis, pred.Millis)
+			short, defAcc, predAcc, def.Millis, pred.Millis, kernel, accNs/1e6, mergeNs/1e6)
 	}
 	return nil
 }

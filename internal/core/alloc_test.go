@@ -28,7 +28,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 				cfg.Accumulator = ak
 				cfg.Tiles = 4
 				cfg.Workers = 1
-				plan, err := planFor(nil, cfg, 1, m, a, b, nil)
+				plan, err := planFor(nil, cfg, 1, m, a, b, false, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -204,3 +204,62 @@ func belowTileCrossover[T sparse.Number](m, a, b *sparse.CSR[T]) bool {
 	return workBound(m, a, b, tileCrossover) < tileCrossover ||
 		UntiledWork(m, a, b, tileCrossover) < tileCrossover
 }
+
+// ViewCosts are the lower view's unit costs, in ns: the accumulator
+// path's per live row, per entry of L, per entry served from a hash
+// table and per Eq. 2 FLOP; the merge kernel's per pair (i, j) and per
+// merge step. The values are internal/model.DerivedViewCosts (a test
+// there fails when the two drift).
+type ViewCosts struct{ Row, Entry, Hashed, Flop, Pair, Step float64 }
+
+var viewCosts = ViewCosts{Row: 6.5, Entry: 14, Hashed: 89, Flop: 3, Pair: 10, Step: 3.8}
+
+// ViewCostsOf returns the unit costs the lower view is priced with.
+func ViewCostsOf() ViewCosts { return viewCosts }
+
+// ViewWork is the lower view's work on a symmetric a. With d_i and u_i
+// row i's entries below and above the diagonal, L has Rows rows with
+// d_i > 0 and Entries = Σ d_i, Hashed of them in rows served from a hash
+// table; the accumulator path scatters Flops = Σ d_i·u_i (L's row i is
+// read once per entry above the diagonal); the merge kernel's pair
+// (i, j) merges the s entries of row i and the r of row j in (j, i) in
+// min(s + r, short·log2(long)) Steps.
+type ViewWork struct{ Rows, Entries, Hashed, Flops, Steps int64 }
+
+// CountViewWork counts a's lower-view work under accumulator l, in
+// O(nnz) time and one counter per row.
+func CountViewWork[T sparse.Number](a *sparse.CSR[T], l AccumLayout) (w ViewWork) {
+	hash := l.Kind == accum.HashKind || l.Kind == accum.HashExplicitKind
+	// seen[j] counts the rows i < the current one holding j < i: row j's
+	// entries in (j, i), a being symmetric.
+	seen := make([]int32, a.Rows)
+	for i := range a.Rows {
+		cols := a.RowCols(i)
+		d := below(cols, sparse.Index(i))
+		if d == 0 {
+			continue
+		}
+		w.Rows++
+		w.Entries += int64(d)
+		if hash || l.Window > 0 && int(cols[d-1]-cols[0]) >= l.Window {
+			w.Hashed += int64(d)
+		}
+		w.Flops += int64(d * (len(cols) - below(cols, sparse.Index(i)+1)))
+		for p, j := range cols[:d] {
+			s, r := int64(d-1-p), int64(seen[j])
+			seen[j]++
+			w.Steps += min(s+r, min(s, r)*int64(bits.Len64(uint64(max(s, r)))))
+		}
+	}
+	return w
+}
+
+// PriceView is the verdict of a's lower view under accumulator l (the
+// planner's, AccumulatorOf): each kernel's predicted time on a's counted
+// work, and whether the merge kernel's is the smaller.
+func PriceView[T sparse.Number](a *sparse.CSR[T], l AccumLayout) (merge bool, accNs, mergeNs float64) {
+	w, c := CountViewWork(a, l), viewCosts
+	accNs = c.Row*float64(w.Rows) + c.Entry*float64(w.Entries) + c.Hashed*float64(w.Hashed) + c.Flop*float64(w.Flops)
+	mergeNs = c.Pair*float64(w.Entries) + c.Step*float64(w.Steps)
+	return mergeNs < accNs, accNs, mergeNs
+}

@@ -23,3 +23,12 @@ func SolveSerialInOrder[T sparse.Number](dst []T, l *sparse.CSR[T], b []T, rows 
 	substRows(l, dst, b, rows, 0, len(rows), true)
 	return nil
 }
+
+// ForceViewVerdict makes every lower view whose caller states symmetry
+// run the merge kernel (merge) or the accumulator path, whatever its
+// plan priced, until the returned function restores pricing. Exported
+// to the external test package for BenchmarkViewKernels.
+func ForceViewVerdict(merge bool) (restore func()) {
+	verdictOverride = &merge
+	return func() { verdictOverride = nil }
+}

@@ -78,14 +78,20 @@ func MaskedSpGEMMStream[T sparse.Number, S semiring.Semiring[T]](
 // MaskedSpGEMMStreamLower is MaskedSpGEMMStream of L ⊙ (L × L), L the
 // strictly lower triangle of the square a read as a view: row i of L is
 // the prefix of a's row i below column i, cut where a kernel reads it,
-// so L is never built. It runs on a's own cached plan, whose row bound
-// and spans bound L's. This is the triangle count's product.
+// so L is never built. Its plan is a's, whose row bound and spans bound
+// L's, with the view's row-kernel verdict priced in and cached under a
+// key of its own. This is the triangle count's product.
+//
+// symmetric states that a is symmetric in pattern and in values as sr
+// reads them (a pattern-symmetric a under PlusPair, which ignores
+// values): only then may the verdict route the rows to the merge kernel,
+// which reads A[j,k] for L[k,j]. The result is the same either way.
 func MaskedSpGEMMStreamLower[T sparse.Number, S semiring.Semiring[T]](
-	sr S, a *sparse.CSR[T], cfg Config,
+	sr S, a *sparse.CSR[T], symmetric bool, cfg Config,
 	sink func(i int, cols []sparse.Index, vals []T),
 ) error {
 	p := newProduct(sr, a, a, a, cfg)
-	p.lower = true
+	p.lower, p.symmetric = true, symmetric
 	return streamRows(p, sink)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 
 	"maskedspgemm/internal/accum"
@@ -117,8 +118,9 @@ type kernel[T sparse.Number, S semiring.Semiring[T]] struct {
 	inj  chaos.Injector
 	rows []sparse.Index // a one-tile run's live rows (liveRows), or nil
 	// lower reads every operand row i as its part below column i: the
-	// strictly lower view (MaskedSpGEMMStreamLower).
-	lower bool
+	// strictly lower view (MaskedSpGEMMStreamLower); merge runs the
+	// view's rows through rowDot instead of the accumulator.
+	lower, merge bool
 }
 
 // rowSink is what happens to a gathered row beyond staying appended in
@@ -201,11 +203,15 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 		}
 		from := len(buf.Cols)
 		aCols, aVals := viewRow(k.a, sparse.Index(i), k.lower)
-		maskCols := k.m.RowCols(i)
-		if k.lower {
-			maskCols = maskCols[:len(aCols)] // the view's mask is its A
+		if k.merge {
+			rowDot(k.sr, k.a, aCols, aVals, buf, wc)
+		} else {
+			maskCols := k.m.RowCols(i)
+			if k.lower {
+				maskCols = maskCols[:len(aCols)] // the view's mask is its A
+			}
+			rowStep(&k, acc, aCols, aVals, maskCols, buf, wc)
 		}
-		rowStep(&k, acc, aCols, aVals, maskCols, buf, wc)
 		gathered += int64(len(buf.Cols) - from)
 		if sink != nil {
 			sink.row(i, buf, from)
@@ -268,17 +274,155 @@ func rowStep[T sparse.Number, S semiring.Semiring[T]](
 }
 
 // viewRow is x's row k as the kernels read it: whole, or under the lower
-// view its part below column k, found by binary search where the row is
-// read, so the view keeps no per-row array.
+// view its part below column k, found where the row is read, so the view
+// keeps no per-row array.
 //
 //spgemm:hotpath
 func viewRow[T sparse.Number](x *sparse.CSR[T], k sparse.Index, lower bool) ([]sparse.Index, []T) {
 	cols, vals := x.Row(int(k))
 	if lower {
-		n, _ := slices.BinarySearch(cols, k)
+		n := below(cols, k)
 		return cols[:n], vals[:n]
 	}
 	return cols, vals
+}
+
+// below counts the entries of the ascending cols less than k: by a
+// scan up to 64 entries, where it costs less than a binary search
+// (BenchmarkViewKernels: uk-2002's accumulator path runs 20 % faster
+// scanning up to 64 than up to 8), by binary search past them.
+//
+//spgemm:hotpath
+func below(cols []sparse.Index, k sparse.Index) int {
+	if len(cols) > 64 {
+		n, _ := slices.BinarySearch(cols, k)
+		return n
+	}
+	n := 0
+	for n < len(cols) && cols[n] < k {
+		n++
+	}
+	return n
+}
+
+// rowDot is the lower view's merge row kernel, for an a symmetric in
+// pattern and values: row i of L ⊙ (L × L) as, for each j of L's row i
+// (aCols, its own mask), C[i,j] = ⊕ over k in (j, i) of A[i,k] ⊗ A[j,k]
+// — A[j,k] read for L[k,j] — merging aCols after j with A's row j after
+// its diagonal. It needs no accumulator, and applies ⊕ in k order as
+// the accumulator path does, so the two are bit-identical. Flops, when
+// recorded, stays the Eq. 2 volume the accumulator path reports.
+//
+//spgemm:hotpath
+func rowDot[T sparse.Number, S semiring.Semiring[T]](
+	sr S, a *sparse.CSR[T], aCols []sparse.Index, aVals []T, buf *exec.TileBuf[T], wc *obs.WorkerCounters,
+) {
+	// The last j has no k in (j, i).
+	for p := 0; p+1 < len(aCols); p++ {
+		j := aCols[p]
+		jCols, jVals := a.Row(int(j))
+		q := below(jCols, j+1)
+		if x, ok := dot(sr, aCols[p+1:], aVals[p+1:], jCols[q:], jVals[q:]); ok {
+			buf.Cols = append(buf.Cols, j)
+			buf.Vals = append(buf.Vals, x)
+		}
+	}
+	if wc != nil {
+		var flops int64
+		for _, k := range aCols {
+			flops += int64(below(a.RowCols(int(k)), k))
+		}
+		wc.Flops.Add(flops)
+	}
+}
+
+// dot is ⊕ over the columns k common to the ascending xc and yc of
+// xv[k] ⊗ yv[k], in k order; ok is false when they share none. It
+// gallops through the longer list, one exponential search per entry of
+// the shorter, when that costs less than the linear merge:
+// short·log2(long) < short + long.
+//
+//spgemm:hotpath
+func dot[T sparse.Number, S semiring.Semiring[T]](
+	sr S, xc []sparse.Index, xv []T, yc []sparse.Index, yv []T,
+) (sum T, ok bool) {
+	switch s, l := min(len(xc), len(yc)), max(len(xc), len(yc)); {
+	case s*bits.Len(uint(l)) >= s+l:
+		for p, q := 0, 0; p < len(xc) && q < len(yc); {
+			switch {
+			case xc[p] < yc[q]:
+				p++
+			case xc[p] > yc[q]:
+				q++
+			default:
+				sum, ok = fold(sr, sum, ok, sr.Times(xv[p], yv[q]))
+				p++
+				q++
+			}
+		}
+	case len(xc) == s:
+		q := 0
+		for p, k := range xc {
+			if q = seek(yc, q, k); q == len(yc) {
+				break
+			}
+			if yc[q] == k {
+				sum, ok = fold(sr, sum, ok, sr.Times(xv[p], yv[q]))
+			}
+		}
+	default:
+		p := 0
+		for q, k := range yc {
+			if p = seek(xc, p, k); p == len(xc) {
+				break
+			}
+			if xc[p] == k {
+				sum, ok = fold(sr, sum, ok, sr.Times(xv[p], yv[q]))
+			}
+		}
+	}
+	return sum, ok
+}
+
+// fold is sum ⊕ x, or x when ok is false: the first term starts the sum.
+//
+//spgemm:hotpath
+func fold[T sparse.Number, S semiring.Semiring[T]](sr S, sum T, ok bool, x T) (T, bool) {
+	if ok {
+		x = sr.Plus(sum, x)
+	}
+	return x, true
+}
+
+// seek is the first position at or after from whose column is at least
+// k (len(cols) when none is): a galloping search that doubles its step
+// away from from, then bisects the last step.
+//
+//spgemm:hotpath
+func seek(cols []sparse.Index, from int, k sparse.Index) int {
+	lo, hi := from, from
+	for step := 1; hi < len(cols) && cols[hi] < k; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	return search(cols, lo, min(hi, len(cols)), k)
+}
+
+// search is the first position in [lo, hi) whose column is at least k
+// (hi when none is), by bisection. It is hand-rolled, not
+// sort.Search, whose closure would be re-created (and on some inlining
+// decisions heap-allocated) per probe of an Eq. 3 inner loop.
+//
+//spgemm:hotpath
+func search(cols []sparse.Index, lo, hi int, k sparse.Index) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cols[mid] < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // rowVanilla is the Fig. 3 algorithm: accumulate the full product row,
@@ -356,10 +500,7 @@ func rowCoIter[T sparse.Number, S semiring.Semiring[T]](
 
 // coIterate performs one mask-vs-B-row intersection by binary search
 // (Eq. 3 cost: nnz(M[i,:])·log2 nnz(B[k,:])). The search range shrinks
-// monotonically because mask columns are ascending. The search is
-// hand-rolled rather than sort.Search: the closure the latter takes
-// would be re-created (and on some inlining decisions, heap-allocated)
-// per (mask entry × B row) pair, squarely inside the Eq. 3 inner loop.
+// monotonically because mask columns are ascending.
 //
 //spgemm:hotpath
 func coIterate[T sparse.Number, S semiring.Semiring[T]](
@@ -368,18 +509,7 @@ func coIterate[T sparse.Number, S semiring.Semiring[T]](
 ) {
 	lo := 0
 	for _, j := range maskCols {
-		// Binary search for the first bCols[p] >= j in bCols[lo:].
-		p, hi := lo, len(bCols)
-		for p < hi {
-			mid := int(uint(p+hi) >> 1)
-			if bCols[mid] < j {
-				p = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		lo = p
-		if lo >= len(bCols) {
+		if lo = search(bCols, lo, len(bCols), j); lo >= len(bCols) {
 			return
 		}
 		if bCols[lo] == j {

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
+	"maskedspgemm/internal/accum"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graphgen"
 	"maskedspgemm/internal/semiring"
@@ -54,34 +56,72 @@ func lowerEdgeCases(n int, seed int64) *sparse.CSR[float64] {
 	return coo.ToCSR()
 }
 
+// symmetricWithDiagonal is the symmetric a with every diagonal entry
+// stored and values that vary and are symmetric: A[i,j] = A[j,i] =
+// 1 + (i+j)%7.
+func symmetricWithDiagonal(a *sparse.CSR[float64]) *sparse.CSR[float64] {
+	coo := sparse.NewCOO[float64](a.Rows, a.Cols, 0)
+	for i := range a.Rows {
+		coo.Add(sparse.Index(i), sparse.Index(i), float64(1+(2*i)%7))
+		for _, j := range a.RowCols(i) {
+			if int(j) != i {
+				coo.Add(sparse.Index(i), j, float64(1+(i+int(j))%7))
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
 // TestStreamLowerMatchesTril holds the lower view to the matrix it
 // stands for: MaskedSpGEMMStreamLower(a) delivers exactly the rows,
 // columns and values that MaskedSpGEMMStream delivers on a materialized
 // L = Tril(a), for L ⊙ (L × L) over PlusTimes. It covers skewed, road
 // and uniform graphs with varied values, and a matrix with diagonal
-// entries, empty rows and rows wholly above the diagonal. Every
+// entries, empty rows and rows wholly above the diagonal, all on the
+// accumulator path; and the three graphs again with diagonal entries and
+// symmetric values, stated symmetric, under each verdict forced
+// (ForceViewVerdict): the merge kernel and the accumulator path must
+// both match Tril. Every
 // iteration space runs (Hybrid at κ = 1 and κ = ∞), at one and three
 // workers, one-tile and tiled, each view on an engine that has already
-// run A ⊙ (A × A), so the view runs on A's cached plan.
+// run A ⊙ (A × A).
 func TestStreamLowerMatchesTril(t *testing.T) {
-	graphs := []struct {
-		name string
-		a    *sparse.CSR[float64]
-	}{
-		{"rmat", graphgen.RMAT(9, 8, 0.57, 0.19, 0.19, 3)},
-		{"road", graphgen.RoadNetwork(20, 25, 0.9, 3)},
-		{"er", graphgen.ErdosRenyi(400, 3000, 3)},
-		{"edge-cases", lowerEdgeCases(90, 5)},
+	type fixture struct {
+		name      string
+		a         *sparse.CSR[float64]
+		symmetric bool
+		merge     bool // the forced verdict, when symmetric
 	}
+	var graphs []fixture
+	for _, g := range []fixture{
+		{name: "rmat", a: graphgen.RMAT(9, 8, 0.57, 0.19, 0.19, 3)},
+		{name: "road", a: graphgen.RoadNetwork(20, 25, 0.9, 3)},
+		{name: "er", a: graphgen.ErdosRenyi(400, 3000, 3)},
+	} {
+		a := g.a.Clone()
+		for p := range a.Val {
+			a.Val[p] = float64(1 + p%7)
+		}
+		graphs = append(graphs, fixture{name: g.name, a: a})
+		sym := symmetricWithDiagonal(g.a)
+		for _, merge := range []bool{false, true} {
+			graphs = append(graphs, fixture{name: fmt.Sprintf("%s/symmetric/merge=%v", g.name, merge), a: sym, symmetric: true, merge: merge})
+		}
+	}
+	edges := lowerEdgeCases(90, 5)
+	for p := range edges.Val {
+		edges.Val[p] = float64(1 + p%7)
+	}
+	graphs = append(graphs, fixture{name: "edge-cases", a: edges})
 	spaces := []struct {
 		it    IterationSpace
 		kappa float64
 	}{{Vanilla, 1}, {MaskLoad, 1}, {CoIter, 1}, {Hybrid, 1}, {Hybrid, math.Inf(1)}}
 	sr := semiring.PlusTimes[float64]{}
 	for _, g := range graphs {
-		a := g.a.Clone()
-		for p := range a.Val {
-			a.Val[p] = float64(1 + p%7)
+		a := g.a
+		if g.symmetric && !sparse.IsSymmetric(a) {
+			t.Fatalf("%s: fixture is not symmetric", g.name)
 		}
 		l := sparse.Tril(a)
 		for _, crossover := range []int64{productionCrossover, 0} {
@@ -90,6 +130,9 @@ func TestStreamLowerMatchesTril(t *testing.T) {
 					name := fmt.Sprintf("%s/crossover=%d/workers=%d/%v/kappa=%v", g.name, crossover, workers, sp.it, sp.kappa)
 					t.Run(name, func(t *testing.T) {
 						setCrossover(t, crossover)
+						if g.symmetric {
+							t.Cleanup(ForceViewVerdict(g.merge))
+						}
 						cfg := DefaultConfig()
 						cfg.Workers, cfg.Tiles, cfg.Iteration, cfg.Kappa = workers, 16, sp.it, sp.kappa
 						want, err := streamedRows(l.Rows, l.Cols, func(sink func(int, []sparse.Index, []float64)) error {
@@ -103,7 +146,7 @@ func TestStreamLowerMatchesTril(t *testing.T) {
 							t.Fatal(err)
 						}
 						got, err := streamedRows(a.Rows, a.Cols, func(sink func(int, []sparse.Index, []float64)) error {
-							return MaskedSpGEMMStreamLower[float64](sr, a, cfg, sink)
+							return MaskedSpGEMMStreamLower[float64](sr, a, g.symmetric, cfg, sink)
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -114,6 +157,49 @@ func TestStreamLowerMatchesTril(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestCountViewWork holds the view's work counts to L built out: rows
+// and entries of Tril(a), entries of rows spanning a 64-column window or
+// more (or every entry, under a hash accumulator), Flops as Σ over L's
+// entries (i, k) of nnz(L[k,:]), and per pair (i, j) the steps of
+// merging row i's s entries in (j, i) with row j's r.
+func TestCountViewWork(t *testing.T) {
+	for _, a := range []*sparse.CSR[float64]{
+		graphgen.RMAT(9, 8, 0.57, 0.19, 0.19, 3), graphgen.RoadNetwork(20, 25, 0.9, 3),
+	} {
+		l := sparse.Tril(a)
+		var want ViewWork
+		for i := range l.Rows {
+			cols := l.RowCols(i)
+			if len(cols) == 0 {
+				continue
+			}
+			want.Rows++
+			want.Entries += int64(len(cols))
+			if cols[len(cols)-1]-cols[0] >= 64 {
+				want.Hashed += int64(len(cols))
+			}
+			for p, j := range cols {
+				want.Flops += l.RowNNZ(int(j))
+				s, r := int64(len(cols)-1-p), int64(0)
+				for _, k := range a.RowCols(int(j)) {
+					if k > j && int(k) < i {
+						r++
+					}
+				}
+				want.Steps += min(s+r, min(s, r)*int64(bits.Len64(uint64(max(s, r)))))
+			}
+		}
+		wantHash := want
+		wantHash.Hashed = want.Entries
+		if got := CountViewWork(a, AccumLayout{Kind: accum.DenseKind, Window: 64}); got != want {
+			t.Errorf("window 64: CountViewWork = %+v, want %+v", got, want)
+		}
+		if got := CountViewWork(a, AccumLayout{Kind: accum.HashKind}); got != wantHash {
+			t.Errorf("hash: CountViewWork = %+v, want %+v", got, wantHash)
 		}
 	}
 }

@@ -64,9 +64,11 @@ func runSolveWavesSpanned(
 // the engine's fingerprint-keyed cache when cfg.Engine is set, building
 // (under the scope's plan spans) on a miss.
 // Without an engine every call builds; a cached hit records no plan
-// spans because no plan work happened.
+// spans because no plan work happened. A tiled lower-view plan (m = a =
+// b) carries the view's row-kernel verdict, under a key of its own; a
+// one-tile plan prices nothing, and its view takes the accumulator path.
 func planFor[T sparse.Number](
-	ctx context.Context, cfg Config, pw int, m, a, b *sparse.CSR[T], scope *obs.RunScope,
+	ctx context.Context, cfg Config, pw int, m, a, b *sparse.CSR[T], lower bool, scope *obs.RunScope,
 ) (exec.Plan, error) {
 	if belowTileCrossover(m, a, b) {
 		return rowCapacity(ctx, cfg, pw, a, b, m, scope)
@@ -78,6 +80,9 @@ func planFor[T sparse.Number](
 		}
 		plan, err := rowCapacity(ctx, cfg, pw, a, b, m, scope)
 		plan.Tiles = tiles
+		if err == nil && lower {
+			plan.MergeView, _, _ = PriceView(a, accumulatorFor[T](cfg, b.Cols, plan))
+		}
 		return plan, err
 	}
 	if cfg.Engine == nil {
@@ -90,6 +95,7 @@ func planFor[T sparse.Number](
 		Tiles:   cfg.Tiles,
 		Tiling:  cfg.Tiling,
 		Vanilla: cfg.Iteration == Vanilla,
+		Lower:   lower,
 	}
 	return cfg.Engine.Plan(key, build)
 }

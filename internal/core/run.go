@@ -33,14 +33,21 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	// stream marks a sink that consumes its rows: workers stage one row
 	// at a time and nothing is assembled.
 	stream bool
-	// lower reads m = a = b as their strictly lower view (kernel.lower).
-	lower bool
+	// lower reads m = a = b as their strictly lower view (kernel.lower);
+	// symmetric states that a is symmetric in pattern and values, which
+	// lets the plan's verdict route the view's rows to rowDot (merge).
+	lower, symmetric, merge bool
 	// marker is the run's own entry in the stats/v5 fused block.
 	marker obs.FusedCounters
 	// wrap, when non-nil, decorates each worker's accumulator for this
 	// run only (the instrumented entry point's operation counters).
 	wrap func(accum.Accumulator[T]) accum.Accumulator[T]
 }
+
+// verdictOverride, when set, replaces every lower view's priced
+// verdict, so tests run both row kernels on one input
+// (export_test.go). Not a knob.
+var verdictOverride *bool
 
 func newProduct[T sparse.Number, S semiring.Semiring[T]](
 	sr S, m, a, b *sparse.CSR[T], cfg Config,
@@ -124,7 +131,7 @@ func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, er
 	}
 	scope := cfg.Recorder.StartRun()
 	defer scope.End()
-	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, scope)
+	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, false, scope)
 	if err != nil {
 		return 0, WrapRunErr(err)
 	}
@@ -164,9 +171,13 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	defer scope.End()
 	poolPrior := cfg.Engine.Stats()
 	pw := sched.Workers(cfg.Workers)
-	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, scope)
+	plan, err := planFor(ctx, cfg, pw, p.m, p.a, p.b, p.lower, scope)
 	if err != nil {
 		return nil, WrapRunErr(err)
+	}
+	p.merge = p.symmetric && plan.MergeView
+	if verdictOverride != nil {
+		p.merge = p.symmetric && *verdictOverride
 	}
 	ntiles := max(len(plan.Tiles), 1) // nil Tiles: the one-tile plan
 	workers := cfg.runWorkers(ntiles)
@@ -279,7 +290,7 @@ func (p *product[T, S]) runTiles(
 	k := kernel[T, S]{
 		sr: p.sr, m: p.m, a: p.a, b: p.b,
 		iter: cfg.Iteration, kappa: cfg.Kappa, inj: cfg.chaosInjector(),
-		rows: rows, lower: p.lower,
+		rows: rows, lower: p.lower, merge: p.merge,
 	}
 	sink, perRow := p.sink, p.stream
 	// slots and fcs are nil with observability off: the tile closure then

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"maskedspgemm/internal/accum"
@@ -403,5 +404,31 @@ func TestWindowKeys(t *testing.T) {
 	spill.Release()
 	if got := Masked[float64, sr](e, sr{}, accum.DenseKind, 32, 1000, 8, 1, 1); got != win && got != spill {
 		t.Fatal("a full-width request did not take an idle window at least as wide")
+	}
+}
+
+// TestStagingHeadersFillCacheLines pins the staging layout, as accum's
+// TestHeadersFillCacheLines pins the accumulators': a kernel rewrites a
+// staging header's Cols and Vals on every row, and neighbouring headers
+// belong to different workers (a streamed run's per-worker buffers,
+// adjacent tiles claimed concurrently), so the bytes one header writes
+// must share no 64-byte cache line with the next header's, wherever the
+// set lands.
+func TestStagingHeadersFillCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(TileBuf[float64]{}); size%64 != 0 {
+		t.Errorf("TileBuf header is %d bytes, not a whole number of 64-byte cache lines", size)
+	}
+	written := unsafe.Offsetof(TileBuf[float64]{}.Vals) + unsafe.Sizeof([]float64(nil))
+	e := New(Config{})
+	for _, n := range []int{2, 3, 4, 8, 9} {
+		ws := Masked[float64, sr](e, sr{}, accum.HashKind, 32, 128, 16, n, n)
+		for w := 1; w < n; w++ {
+			last := uintptr(unsafe.Pointer(&ws.Outs[w-1])) + written - 1
+			next := uintptr(unsafe.Pointer(&ws.Outs[w]))
+			if last/64 == next/64 {
+				t.Errorf("%d buffers: header %d's last written byte shares a cache line with header %d", n, w-1, w)
+			}
+		}
+		ws.Release()
 	}
 }

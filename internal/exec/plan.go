@@ -33,6 +33,11 @@ type Plan struct {
 	// Solve is the level-schedule payload of a triangular-solve plan;
 	// nil for SpGEMM plans.
 	Solve *SolvePlan
+	// MergeView is a lower-view plan's row-kernel verdict
+	// (internal/core, PriceView): the merge kernel, which only a run
+	// whose caller states the operand's symmetry may take, is the
+	// cheaper.
+	MergeView bool
 }
 
 // SolvePlan is the dependency-wave half of a triangular-solve plan: the
@@ -109,6 +114,8 @@ type PlanKey struct {
 	// Vanilla captures whether the row capacity was sized by the flop
 	// upper bound (vanilla iteration) or the mask row maximum.
 	Vanilla bool
+	// Lower keys a lower-view plan, which carries a verdict.
+	Lower bool
 	// Solve discriminates triangular-solve plans from SpGEMM plans in
 	// the shared cache: 0 for SpGEMM, otherwise an encoding of the solve
 	// kind (lower/upper) plus one.

@@ -60,11 +60,15 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	OneTile [1]tiling.Tile
 }
 
-// TileBuf stages one tile's slice of the result before assembly.
+// TileBuf stages one tile's slice of the result before assembly. Its
+// header fills two cache lines: a kernel rewrites Cols and Vals on every
+// row, and neighbouring buffers belong to different workers
+// (TestStagingHeadersFillCacheLines).
 type TileBuf[T sparse.Number] struct {
 	RowNNZ []int32
 	Cols   []sparse.Index
 	Vals   []T
+	_      [56]byte
 }
 
 // sizeClass is the ceil-log2 bucket of n: the smallest c with 1<<c ≥ n.

@@ -75,7 +75,9 @@ func TriangleCountWith(a *sparse.CSR[float64], sym *Symmetry, method TriangleMet
 		div = 6
 		err = core.MaskedSpGEMMStream[float64](sr, a, a, a, cfg, t.row)
 	case SandiaLL:
-		err = core.MaskedSpGEMMStreamLower[float64](sr, a, cfg, t.row)
+		// a is symmetric in pattern (checked above) and PlusPair ignores
+		// values, so the view may merge.
+		err = core.MaskedSpGEMMStreamLower[float64](sr, a, true, cfg, t.row)
 	case Cohen:
 		div = 2
 		err = core.MaskedSpGEMMStream[float64](sr, a, sparse.Tril(a), sparse.Triu(a), cfg, t.row)
