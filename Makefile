@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test passes examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-trsv bench-micro
+.PHONY: build test passes examples vet size lint staticcheck govulncheck race check gates chaos fuzz bench bench-plan bench-sched bench-smoke bench-stats bench-engine bench-trsv bench-micro bench-tc
 
 build:
 	$(GO) build ./...
@@ -92,11 +92,12 @@ race:
 # spgemm-bench warm pool hit rate and checksums (bench-engine)
 # and solve bit-identity (bench-trsv) — plus one iteration of the
 # micro-benchmarks the per-unit numbers are regenerated from
-# (bench-micro), and the recorder's table end to end (bench-smoke), so
-# they cannot rot. CI's gates job runs exactly this.
+# (bench-micro), the recorder's table end to end (bench-smoke) and the
+# trianglecount CLI end to end (bench-tc), so they cannot rot. CI's
+# gates job runs exactly this.
 # The seeded fault matrix is not a gate of its own: `make race`, which
 # CI's test job runs, covers the chaos suite's five packages whole.
-gates: bench-engine bench-trsv bench-micro bench-smoke
+gates: bench-engine bench-trsv bench-micro bench-smoke bench-tc
 
 check: vet lint staticcheck govulncheck race test examples gates
 
@@ -138,6 +139,12 @@ bench-sched:
 bench-smoke:
 	$(GO) run ./cmd/spgemm-bench -experiment stats -shift 6 \
 		-graphs GAP-road-sim -reps 2 -budget 1s
+
+# bench-tc runs the trianglecount CLI end to end on a tiny road graph:
+# flag parsing, corpus selection, the count warm on an engine, and the
+# recorder's table. Part of `make gates`.
+bench-tc:
+	$(GO) run ./cmd/trianglecount -corpus GAP-road-sim -shift 6 -engine -repeat 2 -stats
 
 bench-stats:
 	$(GO) run ./cmd/spgemm-bench -experiment stats -shift 3 -json

@@ -1,14 +1,13 @@
 // Command trianglecount counts triangles in a graph given as a
 // MatrixMarket file (or a generated corpus graph), using the masked
-// SpGEMM kernel. The default method, burkhardt, runs the paper's
-// benchmark kernel A ⊙ (A×A) end to end; sandia runs the facade's count,
-// L ⊙ (L×L) on a lower-triangle view of A; cohen runs A ⊙ (L×U). Its
-// time: line includes no assembly of C, which spgemm-bench's kernel
-// timings do.
+// SpGEMM kernel: the facade's count, L ⊙ (L×L) on a lower-triangle view
+// of A, with κ, tile count and workers taken from the flags. Its time:
+// line includes no assembly of C, which spgemm-bench's kernel timings
+// do.
 //
 // Usage:
 //
-//	trianglecount -in graph.mtx [-method burkhardt|sandia|cohen] [flags]
+//	trianglecount -in graph.mtx [flags]
 //	trianglecount -corpus GAP-road-sim [-shift N] [flags]
 package main
 
@@ -36,7 +35,6 @@ func main() {
 	in := flag.String("in", "", "MatrixMarket input file")
 	corpus := flag.String("corpus", "", "use a generated corpus graph instead of -in")
 	shift := flag.Int("shift", 0, "halve corpus graph sizes this many times")
-	method := flag.String("method", "burkhardt", "burkhardt | sandia | cohen")
 	tiles := flag.Int("tiles", 2048, "tile count")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	kappa := flag.Float64("kappa", 1, "co-iteration factor")
@@ -77,17 +75,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var m graph.TriangleMethod
-	switch *method {
-	case "burkhardt":
-		m = graph.Burkhardt
-	case "sandia":
-		m = graph.SandiaLL
-	case "cohen":
-		m = graph.Cohen
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
-	}
+	// Both inputs are symmetrized above, so the count never checks.
+	var sym graph.Symmetry
+	sym.Set(true)
 
 	// SIGINT/SIGTERM cancel the in-flight multiplication cooperatively:
 	// workers drain, buffers stay consistent, and the process exits
@@ -113,7 +103,7 @@ func main() {
 	var err error
 	runs := max(*repeat, 1)
 	for r := 0; r < runs; r++ {
-		count, err = graph.TriangleCount(a, m, cfg)
+		count, err = graph.TriangleCount(a, &sym, cfg)
 		if err != nil {
 			if errors.Is(err, core.ErrCanceled) {
 				fatal(fmt.Errorf("interrupted: %w", err))
@@ -122,8 +112,8 @@ func main() {
 		}
 	}
 	elapsed := time.Since(start) / time.Duration(runs)
-	fmt.Printf("vertices: %d\nedges:    %d\ntriangles: %d\nmethod: %s  config: %v\ntime: %s\n",
-		a.Rows, a.NNZ()/2, count, *method, cfg, elapsed.Round(time.Microsecond))
+	fmt.Printf("vertices: %d\nedges:    %d\ntriangles: %d\nconfig: %v\ntime: %s\n",
+		a.Rows, a.NNZ()/2, count, cfg, elapsed.Round(time.Microsecond))
 	if eng != nil {
 		st := eng.Stats()
 		fmt.Printf("engine pool: %d hits, %d steals, %d misses over %d runs (hit rate %.1f%%)\n",

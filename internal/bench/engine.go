@@ -7,7 +7,6 @@ import (
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
 	"maskedspgemm/internal/graph"
-	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -52,15 +51,13 @@ func iterativeWorkloads(a *sparse.CSR[float64]) []iterativeWorkload {
 // EngineBench runs the engine experiment: the iterative graph workloads
 // (k-truss support-and-prune) timed engineless and warm through a
 // freshly populated execution engine, so the difference is workspace
-// pooling. The engine column also reports the cold run's fused-pipeline
-// counters (k-truss's select multiplies). Two invariants are errors:
-// the columns agree on the checksum, and the warm loop meets the pool
-// hit-rate contract.
+// pooling. Two invariants are errors: the columns agree on the
+// checksum, and the warm loop meets the pool hit-rate contract.
 func EngineBench(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "Engine: warm iterative workloads — per-call allocation vs pooled workspaces")
-	fmt.Fprintf(w, "%-10s %-22s %10s %10s %14s %14s %9s %8s %10s\n",
+	fmt.Fprintf(w, "%-10s %-22s %10s %10s %14s %14s %9s\n",
 		"workload", "graph", "off ms", "on ms",
-		"off allocs/op", "on allocs/op", "hit-rate", "f-runs", "sel-kept")
+		"off allocs/op", "on allocs/op", "hit-rate")
 	minRate := 1.0
 	for _, g := range o.corpus() {
 		a := g.Build(o.Shift)
@@ -76,13 +73,10 @@ func EngineBench(w io.Writer, o Options) error {
 			config := wl.name + "/engine"
 			cfg := base
 			cfg.Engine = exec.New(exec.Config{})
-			// One untimed cold run populates the pool; its recorder
-			// reads the fused counters and is gone before the timed
-			// repetitions, whose pool delta isolates the steady state
-			// the engine promises.
-			cold := cfg
-			cold.Recorder = obs.NewRecorder()
-			if _, err := wl.run(cold)(); err != nil {
+			// One untimed cold run populates the pool, so the timed
+			// repetitions' pool delta isolates the steady state the
+			// engine promises.
+			if _, err := wl.run(cfg)(); err != nil {
 				return fmt.Errorf("engine/%s %s cold run: %w", g.Name, config, err)
 			}
 			prior := cfg.Engine.Stats()
@@ -96,21 +90,16 @@ func EngineBench(w io.Writer, o Options) error {
 			}
 			rate := pool.HitRate()
 			minRate = min(minRate, rate)
-			fusion := cold.Recorder.Stats().Fused
 			values := counterValues(pool)
 			values["warm_hit_rate"] = rate
-			for k, v := range counterValues(fusion) {
-				values[k] = v
-			}
 			o.Log.Annotate("engine", g.Name, config, values)
 			if off.OutputNNZ != on.OutputNNZ {
 				return fmt.Errorf("engine/%s %s: columns disagree on the result checksum (%d / %d)",
 					g.Name, wl.name, off.OutputNNZ, on.OutputNNZ)
 			}
-			fmt.Fprintf(w, "%-10s %-22s %10.2f %10.2f %14.0f %14.0f %8.1f%% %8d %10d\n",
+			fmt.Fprintf(w, "%-10s %-22s %10.2f %10.2f %14.0f %14.0f %8.1f%%\n",
 				wl.name, g.Name, off.Millis, on.Millis,
-				off.AllocsPerOp, on.AllocsPerOp, rate*100,
-				fusion.SelectRuns+fusion.StreamRuns, fusion.SelectKept)
+				off.AllocsPerOp, on.AllocsPerOp, rate*100)
 		}
 	}
 	fmt.Fprintf(w, "warm pool hit rate >= %.0f%% on every workload (min %.1f%%)\n",

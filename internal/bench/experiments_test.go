@@ -67,9 +67,6 @@ func TestExperimentsRegistry(t *testing.T) {
 						t.Errorf("%s: warm hit rate %.3f", e.Config, rate)
 					}
 				}
-				if kt := rows[1]; value(t, kt, "select_runs") == 0 {
-					t.Errorf("k-truss ran no select multiply: %v", kt.Values)
-				}
 			},
 		},
 		"trsv": {

@@ -20,8 +20,8 @@ type ResultEntry struct {
 	Config     string `json:"config"`
 	Measurement
 	// Values carries the row's non-timing numbers — a warm pool hit
-	// rate, a schedule's level/wave counts, fused-pipeline counters —
-	// keyed by the counter's JSON name.
+	// rate, a schedule's level/wave counts — keyed by the counter's JSON
+	// name.
 	Values map[string]float64 `json:"values,omitempty"`
 }
 
@@ -66,8 +66,8 @@ func (l *ResultLog) Annotate(experiment, graph, config string, values map[string
 	panic(fmt.Sprintf("bench: annotating unlogged row %s/%s/%s", experiment, graph, config))
 }
 
-// counterValues flattens a counter struct (pool or fused-pipeline
-// statistics) into a values map keyed by its JSON names.
+// counterValues flattens a counter struct (the pool statistics) into a
+// values map keyed by its JSON names.
 func counterValues(counters any) map[string]float64 {
 	data, err := json.Marshal(counters)
 	if err != nil {

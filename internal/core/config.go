@@ -9,10 +9,15 @@
 //     algorithm), CoIter (Fig. 7), Hybrid (Fig. 9, push-pull with
 //     co-iteration factor κ);
 //   - tiling: uniform vs FLOP-balanced, any tile count;
-//   - scheduling: static vs dynamic over a goroutine worker pool;
+//   - scheduling: static, dynamic or guided over a goroutine worker
+//     pool;
 //   - accumulator: dense or hash (by default derived per product from
 //     the column count and the row capacity), marker widths
 //     8/16/32/64 bits, or explicit-reset variants.
+//
+// The public facade (package spgemm) runs DefaultConfig with only the
+// worker count and the run's extras its own; the other knobs are the
+// study's, swept by spgemm-bench and cmd/trianglecount.
 //
 // The kernel is generic over the value type and semiring, so the same
 // code serves arithmetic, Boolean, tropical and structural (pair)

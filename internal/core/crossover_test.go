@@ -103,7 +103,7 @@ func hypersparseFixtures() []hyperFixture {
 
 // smallEqualsTiled is the law that makes the crossover a pure cost
 // decision: on either side of it run returns the same matrix bit for
-// bit and records the same stats/v5 rows, FLOPs, picks and gathered
+// bit and records the same stats/v6 rows, FLOPs, picks and gathered
 // entries, for every configuration of the grid, with and without an
 // Engine, at one and three requested workers. The tile counter is the
 // one reading that differs, and it is what proves each run took the

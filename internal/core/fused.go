@@ -1,10 +1,7 @@
 package core
 
 import (
-	"unsafe"
-
 	"maskedspgemm/internal/exec"
-	"maskedspgemm/internal/obs"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -30,7 +27,6 @@ func MaskedSpGEMMSelectInto[T sparse.Number, S semiring.Semiring[T]](
 	p := newProduct(sr, m, a, b, cfg)
 	p.dst = dst
 	p.sink = selectSink[T](sel)
-	p.marker = obs.FusedCounters{SelectRuns: 1}
 	return p.run(cfg.Context)
 }
 
@@ -50,11 +46,6 @@ func (sel selectSink[T]) row(_ int, buf *exec.TileBuf[T], from int) {
 	}
 	buf.Cols = buf.Cols[:w]
 	buf.Vals = buf.Vals[:w]
-}
-
-func (selectSink[T]) account(fc *obs.FusedCounters, gathered, kept int64) {
-	fc.SelectKept += kept
-	fc.SelectDropped += gathered - kept
 }
 
 // MaskedSpGEMMStream computes M ⊙ (A × B) row by row and hands each
@@ -103,7 +94,6 @@ func streamRows[T sparse.Number, S semiring.Semiring[T]](
 		return errConfig("stream fusion needs a non-nil sink")
 	}
 	p.sink, p.stream = streamSink[T](sink), true
-	p.marker = obs.FusedCounters{StreamRuns: 1}
 	_, err := p.run(p.cfg.Context)
 	return err
 }
@@ -117,17 +107,4 @@ func (fn streamSink[T]) row(i int, buf *exec.TileBuf[T], from int) {
 	if len(buf.Cols) > from {
 		fn(i, buf.Cols[from:], buf.Vals[from:])
 	}
-}
-
-func (streamSink[T]) account(fc *obs.FusedCounters, _, kept int64) {
-	fc.MidEntries += kept
-	fc.MidBytes += kept * fusedEntrySize[T]()
-}
-
-// fusedEntrySize is the staging cost of one intermediate entry: a
-// column index plus a value.
-func fusedEntrySize[T sparse.Number]() int64 {
-	var z T
-	var j sparse.Index
-	return int64(unsafe.Sizeof(z)) + int64(unsafe.Sizeof(j))
 }

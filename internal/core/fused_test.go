@@ -142,39 +142,39 @@ func TestFusedStreamBufferFitsWidestRow(t *testing.T) {
 	}
 }
 
-// TestFusedCounters checks the stats/v5 fused block: select and stream
-// runs each stamp their counters, and a stream's intermediate entries
-// are priced at a column index plus a value.
-func TestFusedCounters(t *testing.T) {
+// TestFusedRunsCountKeptEntries: a fused run's Totals.Gathered counts
+// what its sink kept — a select's surviving entries, a stream's
+// delivered ones — not what the row kernels produced.
+func TestFusedRunsCountKeptEntries(t *testing.T) {
 	m1, a, b := productOperands(23)
-	sr := semiring.PlusTimes[float64]{}
 	rec := obs.NewRecorder()
 	cfg := DefaultConfig()
 	cfg.Tiles = 4
 	cfg.Workers = 2
 	cfg.Recorder = rec
 
-	if _, err := MaskedSpGEMMSelectInto[float64](semiring.PlusPair[float64]{}, nil, m1, a, b, cfg,
-		func(v float64) (float64, bool) { return v, v >= 2 }); err != nil {
+	full, err := MaskedSpGEMM[float64](semiring.PlusPair[float64]{}, m1, a, b, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := rec.Stats()
-	if st.Fused.SelectRuns != 1 || st.Fused.SelectKept+st.Fused.SelectDropped == 0 {
-		t.Fatalf("select counters = %+v, want SelectRuns=1 and kept+dropped > 0", st.Fused)
+	rec.Reset()
+	c, err := MaskedSpGEMMSelectInto[float64](semiring.PlusPair[float64]{}, nil, m1, a, b, cfg,
+		func(v float64) (float64, bool) { return v, v >= 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Stats().Totals.Gathered; got != c.NNZ() || got == 0 || got == full.NNZ() {
+		t.Fatalf("select gathered %d, kept %d of %d; want the kept count, some dropped", got, c.NNZ(), full.NNZ())
 	}
 
 	rec.Reset()
-	if err := MaskedSpGEMMStream[float64](sr, m1, a, b, cfg,
-		func(int, []sparse.Index, []float64) {}); err != nil {
+	var delivered atomic.Int64
+	if err := MaskedSpGEMMStream[float64](semiring.PlusTimes[float64]{}, m1, a, b, cfg,
+		func(_ int, cols []sparse.Index, _ []float64) { delivered.Add(int64(len(cols))) }); err != nil {
 		t.Fatal(err)
 	}
-	st = rec.Stats()
-	if st.Fused.StreamRuns != 1 || st.Fused.MidEntries == 0 {
-		t.Fatalf("stream counters = %+v, want StreamRuns=1 and MidEntries > 0", st.Fused)
-	}
-	if st.Fused.MidBytes != st.Fused.MidEntries*12 {
-		t.Fatalf("MidEntries/MidBytes = %d/%d, want 12-byte entries",
-			st.Fused.MidEntries, st.Fused.MidBytes)
+	if got := rec.Stats().Totals.Gathered; got != delivered.Load() || got == 0 {
+		t.Fatalf("stream gathered %d, delivered %d", got, delivered.Load())
 	}
 }
 

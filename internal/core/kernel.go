@@ -131,10 +131,6 @@ type rowSink[T sparse.Number] interface {
 	// buf.Vals[from:]. It may consume the row, or rewrite and truncate it
 	// in place; whatever it leaves is the row's staged content.
 	row(i int, buf *exec.TileBuf[T], from int)
-	// account folds one finished tile into the worker's fused-counter
-	// block: gathered is what the row kernels produced, kept what the
-	// sink left staged.
-	account(fc *obs.FusedCounters, gathered, kept int64)
 }
 
 // stage readies a staging buffer for a tile of rows rows holding up to
@@ -162,9 +158,9 @@ func stage[T sparse.Number](buf *exec.TileBuf[T], rows int, vol int64) {
 // buf. Staged whole, the tile's rows land back to back with their
 // lengths in buf.RowNNZ, the buffer sized by the tile's mask volume
 // (output ⊆ mask); with perRow set buf holds one row at a time and the
-// sink must consume it. It returns the entries the row kernels gathered and the
-// entries the sink kept. wc, when non-nil, receives the worker's exact
-// operation counts.
+// sink must consume it. It returns the entries the sink kept (all the
+// row kernels gathered, without one). wc, when non-nil, receives the
+// worker's exact operation counts.
 //
 // When k.rows is set the loop walks that list of live rows instead of
 // the range, and every row left out, one whose kernel would return
@@ -175,7 +171,7 @@ func stage[T sparse.Number](buf *exec.TileBuf[T], rows int, vol int64) {
 func runTile[T sparse.Number, S semiring.Semiring[T]](
 	k kernel[T, S], acc accum.Accumulator[T], tile tiling.Tile,
 	buf *exec.TileBuf[T], perRow bool, sink rowSink[T], wc *obs.WorkerCounters,
-) (gathered, kept int64) {
+) (kept int64) {
 	if perRow {
 		stage(buf, 0, 0)
 	} else {
@@ -212,7 +208,6 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 			}
 			rowStep(&k, acc, aCols, aVals, maskCols, buf, wc)
 		}
-		gathered += int64(len(buf.Cols) - from)
 		if sink != nil {
 			sink.row(i, buf, from)
 		}
@@ -222,7 +217,7 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 			buf.RowNNZ[i-tile.Lo] = int32(n)
 		}
 	}
-	return gathered, kept
+	return kept
 }
 
 // liveRows lists, ascending and in dst's storage (never nil), the rows of

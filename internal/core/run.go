@@ -37,8 +37,6 @@ type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	// symmetric states that a is symmetric in pattern and values, which
 	// lets the plan's verdict route the view's rows to rowDot (merge).
 	lower, symmetric, merge bool
-	// marker is the run's own entry in the stats/v5 fused block.
-	marker obs.FusedCounters
 	// wrap, when non-nil, decorates each worker's accumulator for this
 	// run only (the instrumented entry point's operation counters).
 	wrap func(accum.Accumulator[T]) accum.Accumulator[T]
@@ -152,8 +150,7 @@ func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, er
 //  7. assemble the staged tiles under the exec.assemble span, into the
 //     caller's lent storage when there is one, unless the sink consumed
 //     the rows;
-//  8. record the accumulator, pool and fused deltas and mark the run
-//     clean.
+//  8. record the accumulator and pool deltas and mark the run clean.
 //
 // ctx cancels the run between tile claims and plan blocks; nil runs to
 // completion.
@@ -242,8 +239,7 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	// snapshot keep each run's counts exact.
 	prior := accumTotal(accs, scope)
 
-	fcs, err := p.runTiles(ctx, scope, workers, tiles, accs, ws)
-	if err != nil {
+	if err := p.runTiles(ctx, scope, workers, tiles, accs, ws); err != nil {
 		return nil, WrapRunErr(err)
 	}
 
@@ -258,12 +254,6 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 	}
 	recordAccumDelta(accs, prior, scope)
 	recordPoolDelta(cfg, poolPrior, scope)
-	if fcs != nil {
-		scope.AddFused(p.marker)
-		for i := range fcs {
-			scope.AddFused(fcs[i])
-		}
-	}
 	clean = true
 	return c, nil
 }
@@ -271,15 +261,14 @@ func (p *product[T, S]) run(ctx context.Context) (*sparse.CSR[T], error) {
 // runTiles is the protocol's kernel step: the tile loop dispatched over
 // the scheduler under the exec.kernel span, with the per-tile
 // accounting around it. ws holds the staging: per
-// tile, or per worker for a streaming sink. It returns the per-worker
-// fused-counter blocks, nil unless the scope records them.
+// tile, or per worker for a streaming sink.
 //
 // Everything the tile closure captures is a parameter or assigned once,
 // so the closure holds it by value and is the step's only allocation.
 func (p *product[T, S]) runTiles(
 	ctx context.Context, scope *obs.RunScope, workers int, tiles []tiling.Tile,
 	accs []accum.Accumulator[T], ws *exec.Workspace[T, S],
-) ([]obs.FusedCounters, error) {
+) error {
 	cfg := p.cfg
 	// A one-tile run walks its live rows.
 	var rows []sparse.Index
@@ -293,10 +282,9 @@ func (p *product[T, S]) runTiles(
 		rows: rows, lower: p.lower, merge: p.merge,
 	}
 	sink, perRow := p.sink, p.stream
-	// slots and fcs are nil with observability off: the tile closure then
-	// pays two nil checks. On, both are the pooled scope's scratch.
+	// slots is nil with observability off: the tile closure then pays a
+	// nil check. On, it is the pooled scope's scratch.
 	slots := scope.WorkerSlots(workers)
-	fcs := fusedSlots(scope, workers, sink != nil)
 	t0 := scope.Now()
 	// A flat bag of tiles is the single-wave plan of the wave executor.
 	err := sched.RunWavesOpts(ctx, cfg.Schedule, workers, sched.SingleWave(len(tiles)), runOpts(cfg, nil), func(worker, t int) {
@@ -312,28 +300,15 @@ func (p *product[T, S]) runTiles(
 		if perRow {
 			slot = worker
 		}
-		gathered, kept := runTile(k, accs[worker], tile, &ws.Outs[slot], perRow, sink, wc)
+		kept := runTile(k, accs[worker], tile, &ws.Outs[slot], perRow, sink, wc)
 		if wc != nil {
 			wc.Rows.Add(int64(tile.Rows()))
 			wc.Gathered.Add(kept)
-		}
-		if fcs != nil {
-			sink.account(&fcs[worker], gathered, kept)
 		}
 		if endRegion != nil {
 			endRegion()
 		}
 	})
 	scope.Span(obs.PhaseExecKernel, t0)
-	return fcs, err
-}
-
-// fusedSlots returns the scope's per-worker fused-counter blocks for a
-// run that has a sink to account for — nil otherwise, and nil when the
-// scope is disabled.
-func fusedSlots(scope *obs.RunScope, workers int, fused bool) []obs.FusedCounters {
-	if !fused {
-		return nil
-	}
-	return scope.FusedSlots(workers)
+	return err
 }

@@ -182,7 +182,7 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 	}
 }
 
-// Counters maps the snapshot onto the stats/v5 pool block — the one
+// Counters maps the snapshot onto the stats/v6 pool block — the one
 // place the engine's field names meet the recorder's.
 func (s PoolStats) Counters() obs.PoolCounters {
 	return obs.PoolCounters{

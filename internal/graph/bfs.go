@@ -40,26 +40,20 @@ type BFSResult struct {
 // matrix a; a's pattern is read, its values are not. dir selects Push,
 // Pull, or Auto per level. Paths follow entry (i, j) from i to j. Pull
 // reads a's rows as in-neighbourhoods, which they are only when a is
-// symmetric, so a's symmetry is checked (one pass over a) before the
-// first level that would pull — the first level under Pull, the first
-// the rule picks pull for under Auto, none under Push — and a
-// non-symmetric a pushes that level and every later one. A search that
-// never pulls, as most searches of a sparse graph under Auto, never
-// pays for the check.
+// symmetric, so a's symmetry is read from sym before the first level
+// that would pull — the first level under Pull, the first the rule picks
+// pull for under Auto, none under Push — and a non-symmetric a pushes
+// that level and every later one. sym remembers the answer across calls
+// (nil: checked in this call, one pass over a), so a search on a matrix
+// whose symmetry is known pulls without the check, and a search that
+// never pulls, as most searches of a sparse graph under Auto, never asks.
 //
 // The state is call-local and flat, as in BetweennessCentrality: the
 // level array, which is the result, and one arena of the reached
 // vertices, level by level, whose last level is the frontier. A push
 // level walks the frontier's rows; a pull level walks the unvisited
 // vertices' rows and stops at the first neighbour on the frontier.
-func BFS(a *sparse.CSR[float64], src int, dir Direction) (*BFSResult, error) {
-	return BFSWith(a, nil, src, dir)
-}
-
-// BFSWith is BFS reading a's symmetry from sym, which remembers it
-// across calls (nil: checked in this call), so a search on a matrix
-// whose symmetry is known pulls without the check.
-func BFSWith(a *sparse.CSR[float64], sym *Symmetry, src int, dir Direction) (*BFSResult, error) {
+func BFS(a *sparse.CSR[float64], sym *Symmetry, src int, dir Direction) (*BFSResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: adjacency must be square, got %dx%d",
 			sparse.ErrShape, a.Rows, a.Cols)

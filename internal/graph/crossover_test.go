@@ -32,7 +32,7 @@ func TestAlgorithmsSmallEqualTiled(t *testing.T) {
 			t.Fatal(err)
 		}
 		o.truss = kt.Truss
-		if o.triangles, err = TriangleCount(a, SandiaLL, cfg); err != nil {
+		if o.triangles, err = TriangleCount(a, nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return o

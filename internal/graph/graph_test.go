@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,17 +48,11 @@ func testCfg() core.Config {
 	return cfg
 }
 
-func TestTriangleCountMethodsAgreeWithBruteForce(t *testing.T) {
+func TestTriangleCountAgreesWithBruteForce(t *testing.T) {
 	f := func(seed uint64) bool {
 		a := smallGraph(seed)
-		want := bruteTriangles(a)
-		for _, m := range []TriangleMethod{Burkhardt, SandiaLL, Cohen} {
-			got, err := TriangleCount(a, m, testCfg())
-			if err != nil || got != want {
-				return false
-			}
-		}
-		return true
+		got, err := TriangleCount(a, nil, testCfg())
+		return err == nil && got == bruteTriangles(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -76,15 +69,9 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 			}
 		}
 	}
-	k5 := coo.ToCSR()
-	for _, m := range []TriangleMethod{Burkhardt, SandiaLL, Cohen} {
-		got, err := TriangleCount(k5, m, testCfg())
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if got != 10 {
-			t.Errorf("%v: K5 triangles = %d, want 10", m, got)
-		}
+	got, err := TriangleCount(coo.ToCSR(), nil, testCfg())
+	if err != nil || got != 10 {
+		t.Errorf("K5 triangles = %d (%v), want 10", got, err)
 	}
 
 	// A 4-cycle has none.
@@ -93,77 +80,19 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 		coo.Add(sparse.Index(e[0]), sparse.Index(e[1]), 1)
 		coo.Add(sparse.Index(e[1]), sparse.Index(e[0]), 1)
 	}
-	got, err := TriangleCount(coo.ToCSR(), Burkhardt, testCfg())
+	got, err = TriangleCount(coo.ToCSR(), nil, testCfg())
 	if err != nil || got != 0 {
 		t.Errorf("square triangles = %d (%v), want 0", got, err)
 	}
 }
 
-// TestTriangleCountStreamMatchesAssembled holds the streamed count to
-// the assembled one it replaced: for every formulation, the count equals
-// the sum of the assembled C = M ⊙ (A×B) over the divisor, on skewed,
-// road and uniform graphs, at one and three workers, one-tile and tiled,
-// never and always co-iterating. Hybrid rejects κ = 0, so never
-// co-iterating is its κ → 0 limit, MaskLoad.
-func TestTriangleCountStreamMatchesAssembled(t *testing.T) {
-	graphs := []struct {
-		name string
-		a    *sparse.CSR[float64]
-	}{
-		{"rmat", graphgen.RMAT(9, 8, 0.57, 0.19, 0.19, 3)},
-		{"road", graphgen.RoadNetwork(20, 25, 0.9, 3)},
-		{"er", graphgen.ErdosRenyi(400, 3000, 3)},
-	}
-	iterations := []struct {
-		name string
-		it   core.IterationSpace
-		k    float64
-	}{
-		{"kappa=0", core.MaskLoad, 1},
-		{"kappa=inf", core.Hybrid, math.Inf(1)},
-	}
-	defer core.SetTileCrossoverForTest(core.TileCrossover())
-	sr := semiring.PlusPair[float64]{}
-	for _, g := range graphs {
-		l, u := sparse.Tril(g.a), sparse.Triu(g.a)
-		operands := map[TriangleMethod][3]*sparse.CSR[float64]{
-			Burkhardt: {g.a, g.a, g.a}, SandiaLL: {l, l, l}, Cohen: {g.a, l, u},
-		}
-		divisor := map[TriangleMethod]float64{Burkhardt: 6, SandiaLL: 1, Cohen: 2}
-		want := bruteTriangles(g.a)
-		for _, crossover := range []int64{productionCrossover, 0} {
-			core.SetTileCrossoverForTest(crossover)
-			for _, workers := range []int{1, 3} {
-				for _, iter := range iterations {
-					cfg := testCfg()
-					cfg.Workers, cfg.Iteration, cfg.Kappa = workers, iter.it, iter.k
-					for _, m := range []TriangleMethod{Burkhardt, SandiaLL, Cohen} {
-						op := operands[m]
-						c, err := core.MaskedSpGEMM[float64](sr, op[0], op[1], op[2], cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := TriangleCount(g.a, m, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if assembled := sparse.SumValues(c) / divisor[m]; float64(got) != assembled || got != want {
-							t.Errorf("%s crossover=%d workers=%d %s %v: streamed %d, assembled %v, brute force %d",
-								g.name, crossover, workers, iter.name, m, got, assembled, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTriangleCountErrors: an asymmetric input is ErrInvalidMatrix for
-// every method, and a cancelled context is ErrCanceled, each with a
-// count of 0. Of the two directed inputs, the first closes one wedge,
-// 1/6 of a triangle under Burkhardt and 1/2 under Cohen; the second
-// holds only upper-triangle entries, so SandiaLL and Cohen would read
-// an empty triangle and count 0 without their symmetry check.
+// TestTriangleCountErrors: an asymmetric input is ErrInvalidMatrix from
+// the symmetry check, whether checked in the call or remembered, and a
+// cancelled context is ErrCanceled, each with a count of 0. Of the two
+// directed inputs, the first holds a lower-triangle entry, so the view
+// would read a wedge of it; the second holds only upper-triangle
+// entries, so the view would read an empty triangle and count 0 without
+// the check.
 func TestTriangleCountErrors(t *testing.T) {
 	directed := map[string]*sparse.CSR[float64]{
 		"1→0,0→2,1→2": fromEdges(3, [][2]int{{1, 0}, {0, 2}, {1, 2}}),
@@ -175,17 +104,20 @@ func TestTriangleCountErrors(t *testing.T) {
 	defer core.SetTileCrossoverForTest(core.TileCrossover())
 	for _, crossover := range []int64{productionCrossover, 0} {
 		core.SetTileCrossoverForTest(crossover)
-		for _, m := range []TriangleMethod{Burkhardt, SandiaLL, Cohen} {
-			for name, d := range directed {
-				if got, err := TriangleCount(d, m, testCfg()); got != 0 || !errors.Is(err, core.ErrInvalidMatrix) {
-					t.Errorf("crossover=%d %v asymmetric %s: %d, %v; want 0, ErrInvalidMatrix", crossover, m, name, got, err)
+		for name, d := range directed {
+			var learned Symmetry
+			for memo, sym := range map[string]*Symmetry{"nil": nil, "learned": &learned} {
+				for range 2 {
+					if got, err := TriangleCount(d, sym, testCfg()); got != 0 || !errors.Is(err, core.ErrInvalidMatrix) {
+						t.Errorf("crossover=%d asymmetric %s sym=%s: %d, %v; want 0, ErrInvalidMatrix", crossover, name, memo, got, err)
+					}
 				}
 			}
-			cfg := testCfg()
-			cfg.Context = ctx
-			if got, err := TriangleCount(a, m, cfg); got != 0 || !errors.Is(err, core.ErrCanceled) {
-				t.Errorf("crossover=%d %v cancelled: %d, %v; want 0, ErrCanceled", crossover, m, got, err)
-			}
+		}
+		cfg := testCfg()
+		cfg.Context = ctx
+		if got, err := TriangleCount(a, nil, cfg); got != 0 || !errors.Is(err, core.ErrCanceled) {
+			t.Errorf("crossover=%d cancelled: %d, %v; want 0, ErrCanceled", crossover, got, err)
 		}
 	}
 }
@@ -278,7 +210,7 @@ func TestBFSMatchesBruteForce(t *testing.T) {
 		f := func(seed uint64) bool {
 			a := graphgen.ErdosRenyi(50, 120, seed)
 			src := int(seed % 50)
-			got, err := BFS(a, src, dir)
+			got, err := BFS(a, nil, src, dir)
 			if err != nil {
 				return false
 			}
@@ -312,7 +244,7 @@ func TestBFSDirected(t *testing.T) {
 		t.Run(fmt.Sprintf("graph=%d", gi), func(t *testing.T) {
 			for _, dir := range []Direction{Push, Pull, Auto} {
 				for _, src := range []int{0, a.Rows / 2} {
-					got, err := BFS(a, src, dir)
+					got, err := BFS(a, nil, src, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -332,7 +264,7 @@ func TestBFSPathGraph(t *testing.T) {
 		coo.Add(sparse.Index(i), sparse.Index(i+1), 1)
 		coo.Add(sparse.Index(i+1), sparse.Index(i), 1)
 	}
-	res, err := BFS(coo.ToCSR(), 0, Auto)
+	res, err := BFS(coo.ToCSR(), nil, 0, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +294,7 @@ func TestBFSSeveralFrontierParents(t *testing.T) {
 	a := coo.ToCSR()
 	want := []int32{2, 2, 3, 1, 1, 0}
 	for _, dir := range []Direction{Push, Pull, Auto} {
-		res, err := BFS(a, 5, dir)
+		res, err := BFS(a, nil, 5, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +320,7 @@ func TestBFSAllocs(t *testing.T) {
 		var base float64
 		for _, a := range []*sparse.CSR[float64]{small, large} {
 			got := testing.AllocsPerRun(20, func() {
-				if _, err := BFS(a, 0, dir); err != nil {
+				if _, err := BFS(a, nil, 0, dir); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -400,7 +332,7 @@ func TestBFSAllocs(t *testing.T) {
 			}
 		}
 	}
-	if res, _ := BFS(large, 0, Auto); res.Pushes == 0 || res.Pulls == 0 {
+	if res, _ := BFS(large, nil, 0, Auto); res.Pushes == 0 || res.Pulls == 0 {
 		t.Errorf("auto on n=%d took %d push and %d pull levels, want both kinds", large.Rows, res.Pushes, res.Pulls)
 	}
 }
@@ -422,12 +354,12 @@ func TestBFSWithKnownSymmetry(t *testing.T) {
 		known.Set(sparse.IsSymmetric(a))
 		for _, dir := range []Direction{Push, Pull, Auto} {
 			for _, src := range []int{0, a.Rows / 2, a.Rows - 1} {
-				want, err := BFS(a, src, dir)
+				want, err := BFS(a, nil, src, dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for memo, sym := range map[string]*Symmetry{"known": &known, "learned": &learned} {
-					got, err := BFSWith(a, sym, src, dir)
+					got, err := BFS(a, sym, src, dir)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -443,10 +375,10 @@ func TestBFSWithKnownSymmetry(t *testing.T) {
 
 func TestBFSErrors(t *testing.T) {
 	a := smallGraph(3)
-	if _, err := BFS(a, -1, Push); err == nil {
+	if _, err := BFS(a, nil, -1, Push); err == nil {
 		t.Error("negative source accepted")
 	}
-	if _, err := BFS(a, a.Rows, Push); err == nil {
+	if _, err := BFS(a, nil, a.Rows, Push); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }
@@ -524,7 +456,7 @@ func TestTriangleCountRandomizedConfigs(t *testing.T) {
 		cfg.Iteration = core.IterationSpace(r.Intn(4))
 		cfg.Tiles = r.Intn(32) + 1
 		cfg.MarkerBits = []int{8, 16, 32, 64}[r.Intn(4)]
-		got, err := TriangleCount(a, Burkhardt, cfg)
+		got, err := TriangleCount(a, nil, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}

@@ -2,10 +2,13 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"maskedspgemm/internal/core"
 	"maskedspgemm/internal/exec"
+	"maskedspgemm/internal/graphgen"
+	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -75,6 +78,60 @@ func TestKTrussMatchesBruteAcrossConfigs(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// TestTriangleCountMatchesOraclesAcrossConfigs holds the one count,
+// L ⊙ (L×L) on the lower view, to two answers that share none of its
+// code path: the brute-force triple walk (bruteTriangles) and the sum of
+// the assembled C = A ⊙ (A×A) over 6, each triangle counted once per
+// ordered vertex triple. It runs on skewed, road and uniform graphs
+// under every oracle configuration, never and always co-iterating, with
+// a's symmetry checked in the call and remembered across calls (which
+// lets the view's verdict route rows to the merge kernel). Hybrid
+// rejects κ = 0, so never co-iterating is its κ → 0 limit, MaskLoad.
+func TestTriangleCountMatchesOraclesAcrossConfigs(t *testing.T) {
+	graphs := []struct {
+		name string
+		a    *sparse.CSR[float64]
+	}{
+		{"rmat", graphgen.RMAT(9, 8, 0.57, 0.19, 0.19, 3)},
+		{"road", graphgen.RoadNetwork(20, 25, 0.9, 3)},
+		{"er", graphgen.ErdosRenyi(400, 3000, 3)},
+	}
+	iterations := []struct {
+		name string
+		it   core.IterationSpace
+		k    float64
+	}{
+		{"kappa=0", core.MaskLoad, 1},
+		{"kappa=inf", core.Hybrid, math.Inf(1)},
+	}
+	sr := semiring.PlusPair[float64]{}
+	for _, g := range graphs {
+		want := bruteTriangles(g.a)
+		t.Run(g.name, func(t *testing.T) {
+			oracleConfigs(func(name string, cfg core.Config) {
+				for _, iter := range iterations {
+					cfg.Iteration, cfg.Kappa = iter.it, iter.k
+					c, err := core.MaskedSpGEMM[float64](sr, g.a, g.a, g.a, cfg)
+					if err != nil {
+						t.Fatal(name, err)
+					}
+					if full := sparse.SumValues(c) / 6; full != float64(want) {
+						t.Fatalf("%s %s: A ⊙ (A×A) sums to %v/6 triangles, brute force %d", name, iter.name, full, want)
+					}
+					var learned Symmetry
+					for range passes(cfg) {
+						for memo, sym := range map[string]*Symmetry{"nil": nil, "learned": &learned} {
+							if got, err := TriangleCount(g.a, sym, cfg); err != nil || got != want {
+								t.Errorf("%s %s sym=%s: %d (%v), want %d", name, iter.name, memo, got, err, want)
+							}
+						}
+					}
+				}
+			})
+		})
 	}
 }
 

@@ -14,84 +14,31 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// TriangleMethod selects a linear-algebraic triangle-counting
-// formulation (Azad et al., the paper's reference [9]/[20]).
-type TriangleMethod int
-
-const (
-	// Burkhardt computes C = A ⊙ (A×A) and divides the sum by 6 — the
-	// exact kernel the paper benchmarks (§IV-A: "we fix the matrix A and
-	// compute C = A ⊙ (A×A), the main kernel used in triangle counting").
-	Burkhardt TriangleMethod = iota
-	// SandiaLL computes C = L ⊙ (L×L) over the strictly lower triangle,
-	// read in place from A's rows; each triangle is counted exactly once.
-	SandiaLL
-	// Cohen computes C = A ⊙ (L×U) and divides the sum by 2.
-	Cohen
-)
-
-func (m TriangleMethod) String() string {
-	switch m {
-	case Burkhardt:
-		return "Burkhardt"
-	case SandiaLL:
-		return "SandiaLL"
-	case Cohen:
-		return "Cohen"
-	default:
-		return "Unknown"
-	}
-}
-
 // TriangleCount counts triangles in the undirected simple graph whose
-// adjacency matrix is a (symmetric, unit values), using the chosen
-// formulation and kernel configuration. The product's rows are summed as
-// they are gathered; C is never assembled. SandiaLL reads L as a view of
-// a (core.MaskedSpGEMMStreamLower), so it builds nothing and ignores
-// a's diagonal.
+// adjacency matrix is a (symmetric, unit values) once each with
+// C = L ⊙ (L×L), L the strictly lower triangle of a read in place from
+// a's rows (core.MaskedSpGEMMStreamLower; Milaković et al.), so it
+// builds nothing and ignores a's diagonal. The product's rows are summed
+// as they are gathered; C is never assembled.
 //
-// SandiaLL and Cohen read one triangle of a each, so a directed a could
-// get a count and no error; they check a's symmetry first (one pass
-// over a), and an asymmetric a is ErrInvalidMatrix. Burkhardt reports
-// ErrInvalidMatrix when its count is not a multiple of 6.
-func TriangleCount(a *sparse.CSR[float64], method TriangleMethod, cfg core.Config) (int64, error) {
-	return TriangleCountWith(a, nil, method, cfg)
-}
-
-// TriangleCountWith is TriangleCount reading a's symmetry from sym,
-// which remembers it across calls (nil: checked in this call).
-func TriangleCountWith(a *sparse.CSR[float64], sym *Symmetry, method TriangleMethod, cfg core.Config) (int64, error) {
+// The view reads one triangle of a, so a directed a could get a count
+// and no error: a's symmetry is read from sym, which remembers it across
+// calls (nil: checked in this call, one pass over a), and an asymmetric
+// a is ErrInvalidMatrix.
+func TriangleCount(a *sparse.CSR[float64], sym *Symmetry, cfg core.Config) (int64, error) {
 	if a.Rows != a.Cols {
 		return 0, fmt.Errorf("%w: adjacency must be square, got %dx%d", sparse.ErrShape, a.Rows, a.Cols)
 	}
-	if (method == SandiaLL || method == Cohen) && !sym.Of(a) {
+	if !sym.Of(a) {
 		return 0, fmt.Errorf("%w: asymmetric adjacency (is the graph symmetric and simple?)", core.ErrInvalidMatrix)
 	}
-	sr, div := semiring.PlusPair[float64]{}, int64(1)
+	// a is symmetric in pattern (checked above) and PlusPair ignores
+	// values, so the view may merge.
 	var t triangleTally
-	var err error
-	switch method {
-	case Burkhardt:
-		div = 6
-		err = core.MaskedSpGEMMStream[float64](sr, a, a, a, cfg, t.row)
-	case SandiaLL:
-		// a is symmetric in pattern (checked above) and PlusPair ignores
-		// values, so the view may merge.
-		err = core.MaskedSpGEMMStreamLower[float64](sr, a, true, cfg, t.row)
-	case Cohen:
-		div = 2
-		err = core.MaskedSpGEMMStream[float64](sr, a, sparse.Tril(a), sparse.Triu(a), cfg, t.row)
-	default:
-		return 0, fmt.Errorf("%w: unknown triangle method %d", core.ErrConfig, method)
-	}
-	if err != nil {
+	if err := core.MaskedSpGEMMStreamLower[float64](semiring.PlusPair[float64]{}, a, true, cfg, t.row); err != nil {
 		return 0, err
 	}
-	total := t.total.Load()
-	if total%div != 0 {
-		return 0, fmt.Errorf("%w: non-integral triangle count %v/%v (is the graph symmetric and simple?)", core.ErrInvalidMatrix, total, div)
-	}
-	return total / div, nil
+	return t.total.Load(), nil
 }
 
 // Symmetry remembers whether one matrix of fixed structure is symmetric:

@@ -14,7 +14,6 @@ func TestFamilyAddCoversEveryField(t *testing.T) {
 	t.Run("CounterSet", func(t *testing.T) { checkFamilyAdd(t, (*CounterSet).add) })
 	t.Run("AccumCounters", func(t *testing.T) { checkFamilyAdd(t, (*AccumCounters).add) })
 	t.Run("PoolCounters", func(t *testing.T) { checkFamilyAdd(t, (*PoolCounters).add) })
-	t.Run("FusedCounters", func(t *testing.T) { checkFamilyAdd(t, (*FusedCounters).add) })
 	t.Run("SchedCounters", func(t *testing.T) { checkFamilyAdd(t, (*SchedCounters).add) })
 }
 

@@ -198,37 +198,6 @@ func (c *PoolCounters) add(o PoolCounters) {
 	c.PlanMisses += o.PlanMisses
 }
 
-// FusedCounters are the fused-product statistics: how many products ran
-// with a select or stream sink and how much intermediate data stayed in
-// tile staging buffers instead of a fully assembled CSR (see
-// internal/core's MaskedSpGEMMSelectInto and MaskedSpGEMMStream).
-type FusedCounters struct {
-	// SelectRuns counts multiply+select fusions (k-truss prune);
-	// StreamRuns counts multiply+consume fusions that skipped assembly
-	// entirely.
-	SelectRuns int64 `json:"select_runs"`
-	StreamRuns int64 `json:"stream_runs"`
-	// MidEntries is the number of intermediate entries that lived only
-	// in tile staging buffers; MidBytes is their payload volume — the
-	// DRAM traffic a materialized intermediate CSR would have cost.
-	MidEntries int64 `json:"mid_entries"`
-	MidBytes   int64 `json:"mid_bytes"`
-	// SelectKept and SelectDropped count the per-entry outcomes of
-	// fused selects.
-	SelectKept    int64 `json:"select_kept"`
-	SelectDropped int64 `json:"select_dropped"`
-}
-
-// add folds o into f.
-func (f *FusedCounters) add(o FusedCounters) {
-	f.SelectRuns += o.SelectRuns
-	f.StreamRuns += o.StreamRuns
-	f.MidEntries += o.MidEntries
-	f.MidBytes += o.MidBytes
-	f.SelectKept += o.SelectKept
-	f.SelectDropped += o.SelectDropped
-}
-
 // Recorder collects phase spans, per-worker counters and accumulator
 // statistics for one kernel (or a sequence of runs of the same kernel).
 // A nil *Recorder disables all collection: every method is nil-safe and

@@ -28,10 +28,8 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 		s.Span(PhaseExecKernel, s.Now())
 		s.TileRegion(ctx)()
 		_ = s.WorkerSlots(8)
-		_ = s.FusedSlots(8)
 		s.AddAccum(AccumCounters{MarkerClears: 1})
 		s.AddPool(PoolCounters{Hits: 1})
-		s.AddFused(FusedCounters{SelectRuns: 1})
 		s.AddSched(SchedCounters{Waves: 1})
 		s.MarkComplete()
 		s.End()
@@ -180,10 +178,11 @@ func TestValidateStatsJSONRejects(t *testing.T) {
 	}
 }
 
-// TestValidateStatsJSONRejectsV1 pins the stats/v2 to v5 breaks: a
-// document under the v1 to v4 tag, or one carrying v1's recal block,
-// v2's chain counters, v3's retry block or v4's run sequence id or wave
-// histograms, is rejected rather than silently read as v5.
+// TestValidateStatsJSONRejectsV1 pins the stats/v2 to v6 breaks: a
+// document under the v1 to v5 tag, or one carrying v1's recal block,
+// v2's chain counters, v3's retry block, v4's run sequence id or wave
+// histograms or v5's fused block, is rejected rather than silently read
+// as v6.
 func TestValidateStatsJSONRejectsV1(t *testing.T) {
 	r := NewRecorder()
 	recordRun(r, func(s *RunScope) { s.Span(PhaseExecKernel, s.Now()) })
@@ -192,18 +191,20 @@ func TestValidateStatsJSONRejectsV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := ValidateStatsJSON(data); err != nil {
-		t.Fatalf("v5 document rejected: %v", err)
+		t.Fatalf("v6 document rejected: %v", err)
 	}
 	cases := map[string]struct{ from, to, wantErr string }{
 		"v1 tag":       {StatsSchema, "maskedspgemm/stats/v1", "schema"},
 		"recal block":  {`"schema"`, `"recal": {"updates": 1, "kappa_last": 1.5}, "schema"`, "recal"},
 		"v2 tag":       {StatsSchema, "maskedspgemm/stats/v2", "schema"},
-		"chain counts": {`"select_runs"`, `"chain_runs": 1, "staged_tiles": 1, "select_runs"`, "chain_runs"},
+		"chain counts": {`"schema"`, `"chain_runs": 1, "staged_tiles": 1, "schema"`, "chain_runs"},
 		"v3 tag":       {StatsSchema, "maskedspgemm/stats/v3", "schema"},
 		"retry block":  {`"schema"`, `"retry": {"attempts": 2, "retries": 1}, "schema"`, "retry"},
 		"v4 tag":       {StatsSchema, "maskedspgemm/stats/v4", "schema"},
 		"seq":          {`"runs"`, `"seq": 1, "runs"`, "seq"},
 		"wave hist":    {`"barrier_wait_ns"`, `"wave_tiles": [1], "barrier_wait_ns"`, "wave_tiles"},
+		"v5 tag":       {StatsSchema, "maskedspgemm/stats/v5", "schema"},
+		"fused block":  {`"schema"`, `"fused": {"select_runs": 1, "mid_entries": 4}, "schema"`, "fused"},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 
 // RunScope is what one run writes its observability data into; it is
 // the only way a run records. A scope collects one run's spans, worker
-// counters and accumulator/pool/fused/sched deltas privately, so two
+// counters and accumulator/pool/sched deltas privately, so two
 // runs in flight on one Recorder — concurrent Multiply calls sharing a
 // recorder — never write the same counters. End folds the scope into
 // the recorder's cumulative totals under one lock and returns it to the
@@ -17,9 +17,8 @@ import (
 // A nil *RunScope (from a nil Recorder) disables everything: every
 // method nil-checks and the disabled paths allocate nothing. A scope is
 // owned by one run: its methods may be called from that run's worker
-// goroutines (WorkerSlots and FusedSlots hand each worker a private
-// block), but StartRun/End pair once and the scope must not be used
-// after End.
+// goroutines (WorkerSlots hands each worker a private block), but
+// StartRun/End pair once and the scope must not be used after End.
 type RunScope struct {
 	r *Recorder
 
@@ -28,10 +27,9 @@ type RunScope struct {
 	// so a run that errors out mid-pipeline still folds its partial spans
 	// into the cumulative totals without inflating the run count.
 	t tally
-	// slots are the padded blocks the run's workers write and fused the
-	// per-worker fused-counter scratch; both stay with the pooled scope.
+	// slots are the padded blocks the run's workers write; they stay
+	// with the pooled scope.
 	slots []WorkerCounters
-	fused []FusedCounters
 }
 
 // StartRun opens a run scope: an ended one from the free list, or a new
@@ -110,19 +108,6 @@ func (s *RunScope) WorkerSlots(n int) []WorkerCounters {
 	return s.slots[:n]
 }
 
-// FusedSlots returns n zeroed per-worker fused-counter blocks, which
-// the run folds in with AddFused. Returns nil on a nil scope.
-func (s *RunScope) FusedSlots(n int) []FusedCounters {
-	if s == nil {
-		return nil
-	}
-	if len(s.fused) < n {
-		s.fused = make([]FusedCounters, n)
-	}
-	clear(s.fused[:n])
-	return s.fused[:n]
-}
-
 // AddAccum folds accumulator statistics (a per-run delta) into the scope.
 func (s *RunScope) AddAccum(a AccumCounters) {
 	if s == nil {
@@ -137,14 +122,6 @@ func (s *RunScope) AddPool(p PoolCounters) {
 		return
 	}
 	s.t.pool.add(p)
-}
-
-// AddFused folds fused-pipeline statistics into the scope.
-func (s *RunScope) AddFused(f FusedCounters) {
-	if s == nil {
-		return
-	}
-	s.t.fused.add(f)
 }
 
 // AddSched folds wave-executor statistics into the scope.

@@ -30,7 +30,6 @@ func TestRunScopeFoldsOverlappingRuns(t *testing.T) {
 	wb[0].Flops.Add(7)
 	wb[1].Flops.Add(13)
 	sb.AddAccum(AccumCounters{HashProbes: 50, HashCollisions: 5})
-	sb.AddFused(FusedCounters{StreamRuns: 1})
 	time.Sleep(time.Millisecond)
 	sb.Span(PhaseExecKernel, startB)
 	sb.MarkComplete()
@@ -52,8 +51,8 @@ func TestRunScopeFoldsOverlappingRuns(t *testing.T) {
 	if sum.Totals.Flops != 120 || sum.Totals.Tiles != 4 {
 		t.Fatalf("cumulative totals %+v, want the sum of both runs", sum.Totals)
 	}
-	if sum.Accum.HashProbes != 50 || sum.Pool.Hits != 3 || sum.Fused.StreamRuns != 1 {
-		t.Fatalf("cumulative deltas folded wrong: %+v %+v %+v", sum.Accum, sum.Pool, sum.Fused)
+	if sum.Accum.HashProbes != 50 || sum.Pool.Hits != 3 {
+		t.Fatalf("cumulative deltas folded wrong: %+v %+v", sum.Accum, sum.Pool)
 	}
 	if len(sum.Phases) != 1 || sum.Phases[0].Count != 2 || sum.Phases[0].Millis < 1 {
 		t.Fatalf("cumulative phases %+v, want both kernel spans", sum.Phases)
@@ -64,16 +63,12 @@ func TestRunScopeFoldsOverlappingRuns(t *testing.T) {
 	if s != sa && s != sb {
 		t.Fatal("StartRun did not reuse an ended scope")
 	}
-	s.FusedSlots(1)[0].StreamRuns = 9
 	s.End()
 	s = r.StartRun()
 	for w, slots := 0, s.WorkerSlots(2); w < len(slots); w++ {
 		if c := slots[w].load(); c != (CounterSet{}) {
 			t.Fatalf("reused scope kept worker %d's counters %+v", w, c)
 		}
-	}
-	if f := s.FusedSlots(1)[0]; f != (FusedCounters{}) {
-		t.Fatalf("reused scope kept fused scratch %+v", f)
 	}
 	s.End()
 	if st := r.Stats(); st.Runs != 2 || st.Totals != sum.Totals || st.Accum != sum.Accum {
@@ -116,7 +111,6 @@ func TestRunScopeWarmCycleAllocatesNothing(t *testing.T) {
 		s := r.StartRun()
 		start := s.Now()
 		s.WorkerSlots(4)[3].Tiles.Add(1)
-		s.FusedSlots(4)[3].StreamRuns++
 		s.AddAccum(AccumCounters{HashProbes: 1})
 		s.Span(PhaseExecKernel, start)
 		s.MarkComplete()

@@ -8,7 +8,7 @@ import (
 
 // StatsSchema identifies the JSON layout of a Stats document. Bump the
 // version only on breaking changes; additive fields keep the tag.
-const StatsSchema = "maskedspgemm/stats/v5"
+const StatsSchema = "maskedspgemm/stats/v6"
 
 // PhaseStats is one pipeline phase's accumulated wall time.
 type PhaseStats struct {
@@ -104,9 +104,6 @@ type Stats struct {
 	// Pool is the execution-engine workspace-pool and plan-cache
 	// statistics (zero when no engine is configured).
 	Pool PoolCounters `json:"pool"`
-	// Fused is the fused-pipeline statistics (zero when no fused
-	// multiplies ran).
-	Fused FusedCounters `json:"fused"`
 	// Sched is the wave-executor statistics of level-scheduled runs
 	// (zero when only flat single-wave kernels ran).
 	Sched SchedCounters `json:"sched"`
@@ -121,7 +118,6 @@ type tally struct {
 	counts [numPhases]int64
 	accum  AccumCounters
 	pool   PoolCounters
-	fused  FusedCounters
 	sched  SchedCounters
 }
 
@@ -134,7 +130,6 @@ func (t *tally) add(o *tally) {
 	}
 	t.accum.add(o.accum)
 	t.pool.add(o.pool)
-	t.fused.add(o.fused)
 	t.sched.add(o.sched)
 }
 
@@ -143,7 +138,7 @@ func (t *tally) add(o *tally) {
 func (t *tally) stats(workers []CounterSet) Stats {
 	s := Stats{
 		Schema: StatsSchema, Runs: t.runs,
-		Accum: t.accum, Pool: t.pool, Fused: t.fused, Sched: t.sched,
+		Accum: t.accum, Pool: t.pool, Sched: t.sched,
 	}
 	for p := Phase(0); p < numPhases; p++ {
 		if t.counts[p] == 0 {
@@ -218,11 +213,6 @@ func (s Stats) WriteTable(w io.Writer) {
 	a := s.Accum
 	fmt.Fprintf(w, "  accum: marker-clears=%d table-grows=%d hash-probes=%d hash-collisions=%d spilled-rows=%d\n",
 		a.MarkerClears, a.TableGrows, a.HashProbes, a.HashCollisions, a.SpilledRows)
-	if f := s.Fused; f.SelectRuns+f.StreamRuns > 0 {
-		fmt.Fprintf(w, "  fused: selects=%d streams=%d mid entries=%d (%d bytes) select kept/dropped=%d/%d\n",
-			f.SelectRuns, f.StreamRuns, f.MidEntries, f.MidBytes,
-			f.SelectKept, f.SelectDropped)
-	}
 	if p := s.Pool; p.Hits+p.Misses+p.Steals+p.Quarantined+p.PlanHits+p.PlanMisses > 0 {
 		lookups := p.Hits + p.Steals + p.Misses
 		fmt.Fprintf(w, "  pool: hits=%d misses=%d steals=%d (%.1f%% hit) resizes=%d evictions=%d quarantined=%d plan hits/misses=%d/%d\n",

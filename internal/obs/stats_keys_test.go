@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestStatsJSONKeySet pins the full stats/v5 key set: a Stats in which
+// TestStatsJSONKeySet pins the full stats/v6 key set: a Stats in which
 // every block is non-zero marshals to exactly the key paths listed in
-// testdata/stats_v5_keys.txt. A renamed, dropped or added field fails
+// testdata/stats_v6_keys.txt. A renamed, dropped or added field fails
 // here; the list changes only with a deliberate schema change.
 func TestStatsJSONKeySet(t *testing.T) {
 	s := Stats{
@@ -20,7 +20,6 @@ func TestStatsJSONKeySet(t *testing.T) {
 		Workers: []WorkerStats{{Worker: 0, CounterSet: CounterSet{1, 2, 3, 4, 5, 6}}},
 		Accum:   AccumCounters{1, 2, 3, 4, 5},
 		Pool:    PoolCounters{1, 2, 3, 4, 5, 6, 7, 8},
-		Fused:   FusedCounters{1, 2, 3, 4, 5, 6},
 		Sched:   SchedCounters{1, 2, 3, 4, 5, 6},
 	}
 	s.finalize()
@@ -43,13 +42,13 @@ func TestStatsJSONKeySet(t *testing.T) {
 	}
 	sort.Strings(got)
 
-	raw, err := os.ReadFile("testdata/stats_v5_keys.txt")
+	raw, err := os.ReadFile("testdata/stats_v6_keys.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Fields(string(raw))
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("stats/v5 key paths drifted:\ngot:\n%s\nwant:\n%s",
+		t.Fatalf("stats/v6 key paths drifted:\ngot:\n%s\nwant:\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -59,22 +59,3 @@ func TestWriteTableQuarantineOnlyPool(t *testing.T) {
 		t.Fatalf("quarantine-only pool not rendered:\n%s", table)
 	}
 }
-
-// TestWriteTableRendersFusedBlock pins the fused line: a run with only
-// a stream sink renders it in full, and a recorder with no fused run
-// renders none.
-func TestWriteTableRendersFusedBlock(t *testing.T) {
-	r := NewRecorder()
-	recordRun(r, func(s *RunScope) {
-		s.AddFused(FusedCounters{StreamRuns: 1, MidEntries: 4, MidBytes: 48})
-	})
-	want := "fused: selects=0 streams=1 mid entries=4 (48 bytes) select kept/dropped=0/0"
-	if table := renderedTable(r.Stats()); !strings.Contains(table, want) {
-		t.Errorf("table missing %q:\n%s", want, table)
-	}
-	quiet := NewRecorder()
-	recordRun(quiet, func(*RunScope) {})
-	if table := renderedTable(quiet.Stats()); strings.Contains(table, "fused:") {
-		t.Errorf("quiet recorder renders the fused line:\n%s", table)
-	}
-}

@@ -11,7 +11,7 @@ import (
 // ErrInvalidMatrix, checked once per Matrix and never for one built by
 // FromEdges or Symmetrize.
 func TriangleCount(a *Matrix, opts Options) (int64, error) {
-	return graph.TriangleCountWith(a.csr, &a.sym, graph.SandiaLL, opts.config())
+	return graph.TriangleCount(a.csr, &a.sym, opts.config())
 }
 
 // KTruss computes the k-truss subgraph of a: the maximal subgraph whose
@@ -44,7 +44,7 @@ func KTruss(a *Matrix, k int, opts Options) (*Matrix, int, error) {
 // pull, once per Matrix, and never for one built by FromEdges or
 // Symmetrize.
 func BFS(a *Matrix, src int) ([]int32, error) {
-	res, err := graph.BFSWith(a.csr, &a.sym, src, graph.Auto)
+	res, err := graph.BFS(a.csr, &a.sym, src, graph.Auto)
 	if err != nil {
 		return nil, err
 	}

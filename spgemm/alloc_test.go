@@ -39,7 +39,6 @@ func TestMultiplySteadyStateAllocs(t *testing.T) {
 	}
 	opts := spgemm.Defaults()
 	opts.Workers = 1 // serial: no per-run goroutine spawns to count
-	opts.Tiles = 4
 	opts.Engine = spgemm.NewEngine(spgemm.EngineConfig{})
 	// The first run caches the plan and pools the workspace.
 	if _, err := spgemm.MxM(a, a, a, opts); err != nil {

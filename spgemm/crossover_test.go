@@ -9,7 +9,7 @@ import (
 )
 
 // facadeOutcome is what one pass over the facade's multiply-built entry
-// points returns, plus the stats/v5 totals it recorded.
+// points returns, plus the stats/v6 totals it recorded.
 type facadeOutcome struct {
 	mxm, truss *Matrix
 	triangles  int64
@@ -41,7 +41,7 @@ func facadePass(t *testing.T, a *Matrix, opts Options) facadeOutcome {
 // TestFacadeSmallEqualsTiled is the small ≡ tiled law at the public
 // surface: every multiply-built entry point returns the same result on
 // either side of the tile crossover, with and without an Engine, at one
-// and three requested workers, and the stats/v5 totals agree on
+// and three requested workers, and the stats/v6 totals agree on
 // everything but the tile count. The one-tile side never touches the
 // plan cache; the tiled side does.
 func TestFacadeSmallEqualsTiled(t *testing.T) {
@@ -53,7 +53,6 @@ func TestFacadeSmallEqualsTiled(t *testing.T) {
 				defer core.SetTileCrossoverForTest(old)
 				opts := Defaults()
 				opts.Workers = workers
-				opts.Tiles = 8
 				if withEngine {
 					opts.Engine = NewEngine(EngineConfig{})
 				}

@@ -45,7 +45,6 @@ func TestEngineEquivalence(t *testing.T) {
 func TestConcurrentMxMServing(t *testing.T) {
 	a := spgemm.RandomGraph("er", 120, 6)
 	opts := spgemm.Defaults()
-	opts.Tiles = 16
 	want, err := spgemm.MxM(a, a, a, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,9 @@ var (
 	// ErrShape marks operand dimension mismatches (a is m×k, b is k×n,
 	// mask is m×n), and a BFS or BC source outside [0, n).
 	ErrShape = sparse.ErrShape
-	// ErrConfig marks invalid Options — unknown enum values, negative
-	// worker counts, non-positive tile counts, a non-positive κ — and a
-	// k-truss k below 3.
+	// ErrConfig marks invalid Options — unknown enum values, a negative
+	// worker count or stall timeout — and a k-truss k below 3. Options
+	// carries no κ or tile count, so neither is reported here.
 	ErrConfig = core.ErrConfig
 	// ErrInvalidMatrix marks operands that violate the CSR invariants
 	// (detected when Options.ValidateInputs is set, or by Matrix input

@@ -47,15 +47,14 @@ func completeGraph(t *testing.T, n int) *Matrix {
 // without validation and requires the resulting out-of-range panic to
 // come back as ErrPanic — never as a process crash — with the panic
 // detail recoverable via errors.As. The complete-graph mask derives the
-// dense accumulator and a tiny κ scans every B entry against it, so the
+// dense accumulator, and its 63-entry rows never co-iterate with B rows
+// of at most 64 entries, so every B entry is scanned against it and the
 // out-of-range column is touched deterministically. The schedule
 // policies are looped by the same containment tests in internal/core
 // and internal/sched.
 func TestHostilePanicBecomesErrPanic(t *testing.T) {
 	good := completeGraph(t, 64)
-	opts := Defaults()
-	opts.Kappa = 1e-9
-	_, err := MxM(good, good, hostileMatrix(64), opts)
+	_, err := MxM(good, good, hostileMatrix(64), Defaults())
 	if err == nil {
 		t.Fatal("corrupt operand accepted")
 	}
@@ -219,7 +218,7 @@ func TestErrorTaxonomyDistinct(t *testing.T) {
 		t.Fatalf("shape mismatch err = %v, want ErrShape", err)
 	}
 	bad := Defaults()
-	bad.Tiles = -1
+	bad.Workers = -1
 	if _, err := MxM(x, x, x, bad); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad config err = %v, want ErrConfig", err)
 	}

@@ -42,7 +42,6 @@ func TestFuseHasNoEffect(t *testing.T) {
 	var got [2]outcome
 	for i, fuse := range []bool{false, true} {
 		o := spgemm.Defaults()
-		o.Tiles = 8
 		o.Workers = 2
 		o.Fuse = fuse
 		var err error

@@ -22,21 +22,13 @@ const (
 
 // Options is the kernel tuning surface: what the planner cannot derive
 // from the operands. Every product runs the paper's recommended
-// configuration (§V) — hybrid iteration, FLOP-balanced tiles claimed
-// dynamically, 32-bit markers — with its accumulator family derived
-// per product; the study's alternatives to those are reached through
-// spgemm-bench (docs/TUNING.md). The zero value is NOT valid; start
-// from Defaults.
+// configuration (§V), core.DefaultConfig — hybrid iteration at κ = 1,
+// 2048 FLOP-balanced tiles claimed dynamically (one for a product too
+// small for tiling to pay), 32-bit markers — with its accumulator family
+// derived per product; the study's alternatives to those are reached
+// through spgemm-bench (docs/TUNING.md). The zero value is valid: it is
+// that configuration on GOMAXPROCS workers.
 type Options struct {
-	// Kappa is the co-iteration factor κ of the hybrid iteration space:
-	// a row pair co-iterates when nnz(M[i,:])·log2(nnz(B[k,:])) <
-	// κ·nnz(B[k,:]). Default 1. A tiny κ never co-iterates (mask-load);
-	// a huge one always does.
-	Kappa float64
-	// Tiles is the requested number of row tiles. Default 2048. Clamped
-	// to the number of rows and, for a product too small for tiling to
-	// pay (docs/TUNING.md, "Not to tile"), to one.
-	Tiles int
 	// LevelSchedule selects how TRSV executes its dependency levels:
 	// LevelAuto (default) takes waves vs. serial from the plan's
 	// predicted times for the operand structure and worker count, decided
@@ -104,20 +96,15 @@ type Options struct {
 	chaos chaos.Injector
 }
 
-// Defaults returns the paper's recommended configuration (§V), as
-// core.DefaultConfig states it: κ = 1 and 2048 row tiles.
-func Defaults() Options {
-	d := core.DefaultConfig()
-	return Options{Kappa: d.Kappa, Tiles: d.Tiles}
-}
+// Defaults returns the zero Options, the paper's recommended
+// configuration (§V).
+func Defaults() Options { return Options{} }
 
 // config translates Options to the internal kernel configuration: the
-// recommended one, core.DefaultConfig, with the caller's κ, tile count,
-// workers, context, engine, recorder and resilience extras.
+// recommended one, core.DefaultConfig, with the caller's workers,
+// context, engine, recorder and resilience extras.
 func (o Options) config() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Kappa = o.Kappa
-	cfg.Tiles = o.Tiles
 	cfg.Workers = o.Workers
 	cfg.Context = o.Context
 	cfg.Engine = o.Engine.internal()

@@ -12,17 +12,15 @@ import (
 
 // TestOptionsConfigMapping pins the public-to-internal translation: a
 // silent mismapping here would make every public knob lie about what it
-// tunes, and the knobs Options does not carry must be the recommended
-// configuration core.DefaultConfig states.
+// tunes. The zero Options is the recommended configuration
+// core.DefaultConfig states, field for field, and Defaults is the zero
+// Options.
 func TestOptionsConfigMapping(t *testing.T) {
-	cfg, want := Defaults().config(), core.DefaultConfig()
-	if cfg.Iteration != want.Iteration || cfg.Accumulator != want.Accumulator ||
-		cfg.MarkerBits != want.MarkerBits || cfg.Tiling != want.Tiling ||
-		cfg.Schedule != want.Schedule || cfg.Tiles != want.Tiles || cfg.Kappa != want.Kappa {
-		t.Errorf("defaults mapped to %+v, want %+v", cfg, want)
+	if cfg, want := (Options{}).config(), core.DefaultConfig(); cfg != want {
+		t.Errorf("Options{} mapped to %+v, want %+v", cfg, want)
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
+	if Defaults() != (Options{}) {
+		t.Errorf("Defaults() = %+v, want the zero Options", Defaults())
 	}
 
 	cases := []struct {
@@ -31,15 +29,53 @@ func TestOptionsConfigMapping(t *testing.T) {
 		name   string
 	}{
 		{func(o *Options) { o.Workers = 3 }, func(c core.Config) bool { return c.Workers == 3 }, "workers"},
-		{func(o *Options) { o.Kappa = 0.25 }, func(c core.Config) bool { return c.Kappa == 0.25 }, "kappa"},
-		{func(o *Options) { o.Tiles = 77 }, func(c core.Config) bool { return c.Tiles == 77 }, "tiles"},
 	}
 	for _, c := range cases {
-		o := Defaults()
+		var o Options
 		c.mutate(&o)
 		if !c.check(o.config()) {
 			t.Errorf("%s: option did not map", c.name)
 		}
+	}
+}
+
+// TestZeroOptionsRunDefaults: MxM, TriangleCount, KTruss and TRSV give
+// the same results under the zero Options as under Defaults.
+func TestZeroOptionsRunDefaults(t *testing.T) {
+	a := RandomGraph("rmat", 256, 7)
+	l := triMatrix(t, 256, true, 3)
+	b := rhs(256)
+	for name, run := range map[string]func(Options) (any, error){
+		"MxM": func(o Options) (any, error) {
+			c, err := MxM(a, a, a, o)
+			if err != nil {
+				return nil, err
+			}
+			return c.csr, nil
+		},
+		"TriangleCount": func(o Options) (any, error) { return TriangleCount(a, o) },
+		"KTruss": func(o Options) (any, error) {
+			tr, rounds, err := KTruss(a, 4, o)
+			if err != nil {
+				return nil, err
+			}
+			return [2]any{tr.csr, rounds}, nil
+		},
+		"TRSV": func(o Options) (any, error) { return TRSV(l, b, TriLower, o) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			zero, err := run(Options{})
+			if err != nil {
+				t.Fatalf("under Options{}: %v", err)
+			}
+			def, err := run(Defaults())
+			if err != nil {
+				t.Fatalf("under Defaults(): %v", err)
+			}
+			if !reflect.DeepEqual(zero, def) {
+				t.Errorf("%v under Options{}, %v under Defaults()", zero, def)
+			}
+		})
 	}
 }
 
@@ -49,7 +85,7 @@ func TestOptionsConfigMapping(t *testing.T) {
 // adding one is a decision, recorded here and in the docs, not a side
 // effect.
 const (
-	optionsFields      = 11
+	optionsFields      = 9
 	engineConfigFields = 2
 )
 

@@ -76,9 +76,9 @@ func maskedOracle(t *testing.T, sr spgemm.Semiring, mask, a, b *spgemm.Matrix) *
 
 // TestMxMOptionsAgreeWithOracle holds the masked product of rectangular
 // operands to its definition under every semiring and every tuning
-// knob: κ at both extremes, one tile, more tiles than rows, one and
-// several workers, a warm engine, a recorder, a context, input
-// validation and the resilience extras. Each knob may change how the
+// knob: one and several workers, a warm engine, a recorder, a context,
+// input validation and the resilience extras. κ and the tile count are
+// core.Config's, and core's allConfigs runs them at their extremes. Each knob may change how the
 // product is computed, never what it is.
 func TestMxMOptionsAgreeWithOracle(t *testing.T) {
 	const m, k, n = 37, 23, 41
@@ -91,12 +91,8 @@ func TestMxMOptionsAgreeWithOracle(t *testing.T) {
 		set  func(*spgemm.Options)
 	}{
 		{"defaults", func(*spgemm.Options) {}},
-		{"kappa-tiny", func(o *spgemm.Options) { o.Kappa = 1e-9 }},
-		{"kappa-huge", func(o *spgemm.Options) { o.Kappa = 1e9 }},
-		{"one-tile", func(o *spgemm.Options) { o.Tiles = 1 }},
-		{"tiles-over-rows", func(o *spgemm.Options) { o.Tiles = 10 * m }},
 		{"serial", func(o *spgemm.Options) { o.Workers = 1 }},
-		{"three-workers", func(o *spgemm.Options) { o.Workers, o.Tiles = 3, 7 }},
+		{"three-workers", func(o *spgemm.Options) { o.Workers = 3 }},
 		{"engine", func(o *spgemm.Options) { o.Engine = spgemm.NewEngine(spgemm.EngineConfig{}) }},
 		{"stats", func(o *spgemm.Options) { o.Stats = spgemm.NewStatsRecorder() }},
 		{"context", func(o *spgemm.Options) { o.Context = context.Background() }},

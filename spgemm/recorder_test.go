@@ -22,7 +22,6 @@ func TestStatsRecorderOverlappingRunsFoldExactly(t *testing.T) {
 	l := triMatrix(t, 512, true, 23)
 	b := rhs(512)
 	opts := Defaults()
-	opts.Tiles = 16
 	opts.Workers = 2
 	opts.LevelSchedule = LevelWaves
 	opts.Engine = NewEngine(EngineConfig{})
@@ -41,13 +40,12 @@ func TestStatsRecorderOverlappingRunsFoldExactly(t *testing.T) {
 	type folded struct {
 		Runs   int64
 		Totals CounterSet
-		Fused  obs.FusedCounters
 		Sched  obs.SchedCounters
 	}
 	snapshot := func() folded {
 		st := opts.Stats.Stats()
 		st.Sched.BarrierWaitNs = 0
-		return folded{st.Runs, st.Totals, st.Fused, st.Sched}
+		return folded{st.Runs, st.Totals, st.Sched}
 	}
 	if err := round(); err != nil {
 		t.Fatal(err)
@@ -57,8 +55,8 @@ func TestStatsRecorderOverlappingRunsFoldExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := snapshot()
-	if one.Runs != 3 || one.Fused.StreamRuns != 1 || one.Sched.WaveRuns != 1 {
-		t.Fatalf("one round recorded %+v, want three runs: a stream and a wave solve among them", one)
+	if one.Runs != 3 || one.Sched.WaveRuns != 1 {
+		t.Fatalf("one round recorded %+v, want three runs: a wave solve among them", one)
 	}
 
 	opts.Stats.Reset()

@@ -277,7 +277,7 @@ func TestMxMShapeErrors(t *testing.T) {
 		t.Error("shape mismatch accepted")
 	}
 	bad := spgemm.Defaults()
-	bad.Kappa = -1
+	bad.Workers = -1
 	if _, err := spgemm.MxM(a, a, a, bad); err == nil {
 		t.Error("invalid options accepted")
 	}

@@ -2,7 +2,6 @@ package spgemm_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -14,7 +13,6 @@ import (
 func TestStatsRecorderThroughMxM(t *testing.T) {
 	a := spgemm.RandomGraph("rmat", 256, 7)
 	opts := spgemm.Defaults()
-	opts.Tiles = 16
 	opts.Stats = spgemm.NewStatsRecorder()
 	c, err := spgemm.MxM(a, a, a, opts)
 	if err != nil {
@@ -57,50 +55,12 @@ func TestStatsRecorderThroughMxM(t *testing.T) {
 	}
 }
 
-// TestKappaSteersHybridPicks pins that Options.Kappa is the κ the
-// kernel decides by: raising it moves Eq. 3 decisions from linear scans
-// to co-iteration, never the other way, and never changes the product.
-func TestKappaSteersHybridPicks(t *testing.T) {
-	a := spgemm.RandomGraph("rmat", 256, 7)
-	kappas := []float64{1e-9, 1, 1e9}
-	co := make([]int64, len(kappas))
-	lin := make([]int64, len(kappas))
-	var ref *spgemm.Matrix
-	for i, k := range kappas {
-		t.Run(fmt.Sprintf("kappa=%g", k), func(t *testing.T) {
-			opts := spgemm.Defaults()
-			opts.Kappa = k
-			opts.Stats = spgemm.NewStatsRecorder()
-			c, err := spgemm.MxM(a, a, a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = c
-			} else if !c.Equal(ref) {
-				t.Fatalf("κ=%g changed the result", k)
-			}
-			tot := opts.Stats.Stats().Totals
-			co[i], lin[i] = tot.CoIterPicks, tot.LinearPicks
-		})
-	}
-	for i := 1; i < len(kappas); i++ {
-		if co[i] < co[i-1] || lin[i] > lin[i-1] || co[i]+lin[i] != co[0]+lin[0] {
-			t.Fatalf("picks co=%v linear=%v over κ=%v: want co-iteration rising, linear falling, same total", co, lin, kappas)
-		}
-	}
-	if co[len(co)-1] == co[0] {
-		t.Fatalf("κ from %g to %g moved no decision (co=%v)", kappas[0], kappas[len(kappas)-1], co)
-	}
-}
-
 // TestMxMKappaIsStatic pins that nothing adapts κ between runs: every
 // warm MxM on a shared engine takes the same Eq. 3 decisions as a
-// one-shot MxM at the configured κ.
+// one-shot MxM.
 func TestMxMKappaIsStatic(t *testing.T) {
 	a := spgemm.RandomGraph("rmat", 256, 11)
 	opts := spgemm.Defaults()
-	opts.Kappa = 0.5
 	opts.Stats = spgemm.NewStatsRecorder()
 	if _, err := spgemm.MxM(a, a, a, opts); err != nil {
 		t.Fatal(err)
@@ -113,8 +73,8 @@ func TestMxMKappaIsStatic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := opts.Stats.Stats().Totals; got.CoIterPicks != want.CoIterPicks || got.LinearPicks != want.LinearPicks {
-			t.Fatalf("run %d picks co=%d linear=%d, want %d/%d as at κ=%g",
-				i, got.CoIterPicks, got.LinearPicks, want.CoIterPicks, want.LinearPicks, opts.Kappa)
+			t.Fatalf("run %d picks co=%d linear=%d, want %d/%d as one-shot",
+				i, got.CoIterPicks, got.LinearPicks, want.CoIterPicks, want.LinearPicks)
 		}
 	}
 }

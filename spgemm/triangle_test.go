@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"maskedspgemm/internal/graph"
 	"maskedspgemm/internal/sparse"
 )
 
@@ -19,8 +18,9 @@ func mustEdges(t *testing.T, n int, edges [][2]int) *Matrix {
 	return m
 }
 
-// TestTriangleCountSharesEngine runs the graph layer's A ⊙ (A×A) count
-// and the facade's lower-view count alternately on one engine and one
+// TestTriangleCountSharesEngine runs the PlusPair product A ⊙ (A×A),
+// whose sum over 6 is the triangle count, and the facade's lower-view
+// count alternately on one engine and one
 // header, each on the plan it cached under the same operand identity
 // (the view's under a key of its own, with its row-kernel verdict).
 // Then the header is refilled in place with a different structure of
@@ -44,12 +44,14 @@ func TestTriangleCountSharesEngine(t *testing.T) {
 	opts := Defaults()
 	opts.Workers = 2
 	opts.Engine = NewEngine(EngineConfig{})
+	full := opts
+	full.Semiring = SRPlusPair
 	counts := func(want int64) {
 		t.Helper()
 		for range 2 {
-			full, err := graph.TriangleCount(a.csr, graph.Burkhardt, opts.config())
-			if err != nil || full != want {
-				t.Fatalf("A ⊙ (A×A): %d, %v; want %d", full, err, want)
+			c, err := MxM(a, a, a, full)
+			if err != nil || sparse.SumValues(c.csr) != float64(6*want) {
+				t.Fatalf("A ⊙ (A×A): sum %v, %v; want %d", sparse.SumValues(c.csr), err, 6*want)
 			}
 			view, err := TriangleCount(a, opts)
 			if err != nil || view != want {
