@@ -78,8 +78,9 @@ func maskedOracle(t *testing.T, sr spgemm.Semiring, mask, a, b *spgemm.Matrix) *
 // operands to its definition under every semiring and every tuning
 // knob: one and several workers, a warm engine, a recorder, a context,
 // input validation and the resilience extras. κ and the tile count are
-// core.Config's, and core's allConfigs runs them at their extremes. Each knob may change how the
-// product is computed, never what it is.
+// core.Config's; core's TestConfigExtremesAgreeWithOracle runs them at
+// their extremes. Each knob may change how the product is computed,
+// never what it is.
 func TestMxMOptionsAgreeWithOracle(t *testing.T) {
 	const m, k, n = 37, 23, 41
 	a := randomTriples(t, m, k, 0.25, 1)
