@@ -187,8 +187,8 @@ bench-trsv:
 # grow with the source count), k-truss(4) warm on an engine (B/round: what a round
 # allocates once its result storage is recycled) and its round rule's
 # unit costs on a corpus-scale web graph (rounds/full and rounds/delta:
-# ns and probes per visit; rounds/symmetry: ns/nnz — the medians
-# internal/model derives the rule's weights from), one product repeated
+# ns and probes per visit — the medians internal/model derives the
+# rule's probe weight from), one product repeated
 # with MxM on a shared engine (the facade's warm repeat path: allocs/op,
 # B/op), one warm triangular solve through the facade,
 # through core's automatic mode (facade-auto and core-auto must differ by
@@ -196,9 +196,7 @@ bench-trsv:
 # and the solve verdict's unit costs: one serial substitution walked in
 # substitution order and in level-set order (ns/nnz), and a wave run's
 # spawn (ns/op, and allocs/op: what one warm multi-worker run allocates) and
-# staggered barrier crossing, and one hypersparse product at
-# the production crossover (ns/multiply: a one-tile run's cost in its
-# live rows), both accumulator families
+# staggered barrier crossing, both accumulator families
 # swept over cols/RowCap (ns/flop: the medians internal/model derives the
 # planner's dense-state factor from) and the dense state swept over its
 # bytes (ns/work: the medians internal/model derives the window floor
@@ -219,5 +217,4 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkViewKernels$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkSolveOrder$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkWaveCrossing$$' -benchtime 1x ./internal/sched
-	$(GO) test -run '^$$' -bench '^BenchmarkHypersparseProduct$$' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkBuild$$' -benchtime 1x ./internal/sparse

@@ -404,7 +404,7 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 			kCfg := cfg
 			kCfg.Engine = exec.New(exec.Config{})
 			// One untimed run warms the engine's pool and counts the rounds.
-			res, err := graph.KTruss(a, 4, kCfg)
+			res, err := graph.KTruss(a, nil, 4, kCfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -413,7 +413,7 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := graph.KTruss(a, 4, kCfg); err != nil {
+				if _, err := graph.KTruss(a, nil, 4, kCfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -422,13 +422,12 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*res.Rounds), "B/round")
 		})
 		// The unit costs of the round rule (graph.peel), the medians
-		// internal/model.ReferenceRoundCosts derives its weights from:
+		// internal/model.ReferenceRoundCosts derives its weight from:
 		// k-truss(4) of a corpus-scale web graph with every round after
 		// the first forced full, then forced delta, in ns and
-		// co-iteration probes per visit over those rounds, and the
-		// symmetry check in ns per entry. A web graph at corpus scale
-		// is what the rule decides on: small rounds co-iterating hubs,
-		// and caches that miss.
+		// co-iteration probes per visit over those rounds. A web graph
+		// at corpus scale is what the rule decides on: small rounds
+		// co-iterating hubs, and caches that miss.
 		spec, _ := bench.FindGraph("arabic-2005-sim")
 		web := sparse.Symmetrize(spec.Build(0))
 		for _, force := range []graph.RoundKind{graph.FullRounds, graph.DeltaRounds} {
@@ -454,7 +453,7 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 				}})()
 				for i := 0; i < b.N; i++ {
 					last = time.Now()
-					if _, err := graph.KTruss(web, 4, kCfg); err != nil {
+					if _, err := graph.KTruss(web, nil, 4, kCfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -462,14 +461,6 @@ func BenchmarkGraphAlgorithms(b *testing.B) {
 				b.ReportMetric(probes/visits, "probes/visit")
 			})
 		}
-		b.Run("rounds/symmetry", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if !sparse.IsSymmetric(web) {
-					b.Fatal("a symmetrized graph reads as non-symmetric")
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*web.NNZ()), "ns/nnz")
-		})
 	})
 	// BFS from vertex 0 on the road graph, direction chosen per level:
 	// ns/op and allocs/op, which must not grow with the level count.

@@ -38,7 +38,7 @@ func iterativeWorkloads(a *sparse.CSR[float64]) []iterativeWorkload {
 	return []iterativeWorkload{
 		{"ktruss", func(cfg core.Config) func() (int64, error) {
 			return func() (int64, error) {
-				res, err := graph.KTruss(a, 4, cfg)
+				res, err := graph.KTruss(a, nil, 4, cfg)
 				if err != nil {
 					return 0, err
 				}

@@ -51,8 +51,8 @@ func TestExperimentsRegistry(t *testing.T) {
 		"scaling":     {prints: []string{"workers"}, rows: scalingCounts},
 		"counters":    {prints: []string{"rejected"}},
 		"plan": {
-			prints: []string{"RowWork", "PrefixSum", "BalancedTiles", "Prepare"},
-			rows:   4 * len(planWorkerCounts()),
+			prints: []string{"RowWork", "PrefixSum", "BalancedTiles"},
+			rows:   3 * len(planWorkerCounts()),
 		},
 		"sched": {prints: []string{"Static", "Dynamic", "Guided"}, rows: 3 * len(o.TileCounts)},
 		"engine": {

@@ -30,10 +30,8 @@ func planWorkerCounts() []int {
 // each row adding one pass of the planner's pipeline: the Eq. 2 work
 // estimation (RowWork), then its in-place prefix sum
 // (tiling.WorkPrefixE), then the tile boundaries
-// (tiling.MakeParallelE), and the full plan build
-// (core.Prepare, engineless so every repetition builds; a graph shrunk
-// below core's tile crossover has no plan to build ahead and times
-// only the checks). One row per phase, one column per worker count.
+// (tiling.MakeParallelE). One row per phase, one column per worker
+// count.
 func PlanBench(w io.Writer, o Options) error {
 	graphs := o.Graphs
 	if len(graphs) == 0 {
@@ -77,12 +75,6 @@ func PlanBench(w io.Writer, o Options) error {
 			{"BalancedTiles (all three)", func(p int) (int64, error) {
 				tiles, err := tiling.MakeParallelE(nil, tiling.FlopBalanced, 2048, p, a, a, a)
 				return int64(len(tiles)), err
-			}},
-			{"Prepare (full plan)", func(p int) (int64, error) {
-				cfg := core.DefaultConfig()
-				cfg.Workers = p
-				tiles, err := core.Prepare(a, a, a, cfg)
-				return int64(tiles), err
 			}},
 		}
 		for _, ph := range phases {

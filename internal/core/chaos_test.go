@@ -71,26 +71,6 @@ var productForms = []productForm{
 		return MaskedSpGEMMSelectInto[float64](semiring.PlusTimes[float64]{}, nil, m, a, b, cfg,
 			func(v float64) (float64, bool) { return 2 * v, v > 0.25 })
 	}},
-	{"stream", func(m, a, b *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		// Rows are delivered disjointly, so per-row slots need no lock.
-		type row struct {
-			cols []sparse.Index
-			vals []float64
-		}
-		rows := make([]row, m.Rows)
-		err := MaskedSpGEMMStream[float64](semiring.PlusTimes[float64]{}, m, a, b, cfg,
-			func(i int, cols []sparse.Index, vals []float64) {
-				rows[i] = row{append([]sparse.Index(nil), cols...), append([]float64(nil), vals...)}
-			})
-		if err != nil {
-			return nil, err
-		}
-		c := sparse.NewCSR[float64](m.Rows, b.Cols, 0)
-		for i, r := range rows {
-			c.AppendRow(i, r.cols, r.vals)
-		}
-		return c, nil
-	}},
 }
 
 // squareForm is a formulation on the square product M ⊙ (A × A).
@@ -99,7 +79,8 @@ type squareForm struct {
 	run  func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error)
 }
 
-// chaosForms are productForms on the fault matrix's square operands.
+// chaosForms are productForms on the fault matrix's square operands,
+// and the lower view's stream, which reads a alone.
 var chaosForms = func() []squareForm {
 	out := make([]squareForm, len(productForms))
 	for i, f := range productForms {
@@ -107,7 +88,11 @@ var chaosForms = func() []squareForm {
 			return f.run(m, a, a, cfg)
 		}}
 	}
-	return out
+	return append(out, squareForm{"stream-lower", func(_, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
+		return streamedRows(a.Rows, a.Cols, func(sink func(int, []sparse.Index, []float64)) error {
+			return MaskedSpGEMMStreamLower[float64](semiring.PlusTimes[float64]{}, a, false, cfg, sink)
+		})
+	}})
 }()
 
 // chaosCell is one cell of the fault matrix: a fault kind armed to fire
@@ -282,11 +267,11 @@ func TestChaosStallWatchdog(t *testing.T) {
 	}
 }
 
-// TestChaosPreparedReuseAfterFault injects a panic into a prepared
+// TestChaosEngineReuseAfterFault injects a panic into a repeated
 // product's row kernel, then requires subsequent multiplies — same
 // operands, same engine — to recover bit-identical results, with the
 // poisoned workspace quarantined rather than reused.
-func TestChaosPreparedReuseAfterFault(t *testing.T) {
+func TestChaosEngineReuseAfterFault(t *testing.T) {
 	r := rand.New(rand.NewSource(303))
 	a := randMatrix(120, 120, 0.08, r)
 	sr := semiring.PlusTimes[float64]{}
@@ -303,10 +288,7 @@ func TestChaosPreparedReuseAfterFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiply, _, err := prepared(a, a, a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	multiply := repeated(a, a, a, cfg)
 	quarantinesBefore := eng.Stats().Quarantines
 	sd := chaos.NewSeeded(304)
 	sd.Arm(chaos.RowKernel, chaos.KindPanic, 5, 0)

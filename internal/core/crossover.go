@@ -162,12 +162,11 @@ func AccumulatorOf[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (AccumLa
 //	W = rows(A) + nnz(M) + nnz(A) + Σ_{A[i,k]≠0} nnz(B[k,:])
 //
 // which is Eq. 2 plus the row and A-entry visits Eq. 2 leaves out — the
-// terms that dominate when B is hypersparse (a batched frontier). The
-// scan stops as soon as the running total reaches limit, so the result
-// is exact below limit and merely ≥ limit otherwise: deciding against a
-// threshold costs O(1) when the first three terms already reach it and
-// fewer than limit B-row lookups in any case, and allocates nothing.
-// The planner asks the O(1) workBound first (belowTileCrossover).
+// terms that dominate when B is hypersparse. The scan stops as soon as
+// the running total reaches limit, so the result is exact below limit
+// and merely ≥ limit otherwise: deciding against a threshold costs O(1)
+// when the first three terms already reach it and fewer than limit B-row
+// lookups in any case, and allocates nothing.
 //
 //spgemm:hotpath
 func UntiledWork[T sparse.Number](m, a, b *sparse.CSR[T], limit int64) int64 {
@@ -184,25 +183,10 @@ func UntiledWork[T sparse.Number](m, a, b *sparse.CSR[T], limit int64) int64 {
 	return w
 }
 
-// workBound is the O(1) upper bound W ≤ rows(A) + nnz(M) +
-// nnz(A)·(1 + B.Cols) (an A entry selects a B row of at most B.Cols
-// entries), or limit when the bound reaches it.
-func workBound[T sparse.Number](m, a, b *sparse.CSR[T], limit int64) int64 {
-	w, n := int64(a.Rows)+m.NNZ()+a.NNZ(), a.NNZ()
-	// The second test is n·B.Cols > limit − w, without forming the product.
-	if w >= limit || n > 0 && int64(b.Cols) > (limit-w)/n {
-		return limit
-	}
-	return w + n*int64(b.Cols)
-}
-
 // belowTileCrossover is the planner's decision: whether the product's
-// untiled work stays under the crossover. When workBound already answers
-// "below" (a tall-and-skinny B: a batched frontier), no B row is looked
-// up; the verdict is the exact scan's either way.
+// untiled work stays under the crossover.
 func belowTileCrossover[T sparse.Number](m, a, b *sparse.CSR[T]) bool {
-	return workBound(m, a, b, tileCrossover) < tileCrossover ||
-		UntiledWork(m, a, b, tileCrossover) < tileCrossover
+	return UntiledWork(m, a, b, tileCrossover) < tileCrossover
 }
 
 // ViewCosts are the lower view's unit costs, in ns: the accumulator

@@ -15,29 +15,15 @@ import (
 	"maskedspgemm/internal/sparse"
 )
 
-// crossoverForms are the formulations the small ≡ tiled law covers: the
-// fault matrix's four plus the prepared product, on a square problem so
-// one (m, a) pair serves all of them.
-var crossoverForms = append(chaosForms[:len(chaosForms):len(chaosForms)], []squareForm{
-	{"prepared", func(m, a *sparse.CSR[float64], cfg Config) (*sparse.CSR[float64], error) {
-		multiply, _, err := prepared(m, a, a, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return multiply()
-	}},
-}...)
-
 // hyperFixture is one product of the sparse × tall-and-skinny regime.
 type hyperFixture struct {
 	name    string
 	m, a, b *sparse.CSR[float64]
 }
 
-// hypersparseFixtures are products whose one-tile run walks a handful of
-// live rows out of ≈ 5 000: a road lattice A times a frontier B of one to
-// four live rows (one per column, a batch of four sources), under
-// a mask that mixes full, partial and empty rows
+// hypersparseFixtures are products with a handful of live rows out of
+// ≈ 5 000: a road lattice A times a frontier B of one to four live rows
+// (one per column), under a mask that mixes full, partial and empty rows
 // around the frontier and a few rows no frontier reaches. The last
 // fixture also empties some of A's rows next to the frontier, so the
 // mask has rows whose left row is empty.
@@ -149,8 +135,8 @@ func smallEqualsTiled(t *testing.T, name string, run func(cfg Config) (*sparse.C
 }
 
 // TestSmallEqualsTiled holds every formulation to the small ≡ tiled law,
-// on a random square product with a full mask row and on the hypersparse fixtures, whose
-// one-tile runs walk only their live rows.
+// on a random square product with a full mask row and on the
+// hypersparse fixtures.
 func TestSmallEqualsTiled(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	a := randMatrix(70, 70, 0.08, r)
@@ -167,7 +153,7 @@ func TestSmallEqualsTiled(t *testing.T) {
 		full.AppendRow(i, cols, vals)
 	}
 	m = full
-	for _, form := range crossoverForms {
+	for _, form := range chaosForms {
 		smallEqualsTiled(t, form.name, func(cfg Config) (*sparse.CSR[float64], error) {
 			return form.run(m, a, cfg)
 		})
@@ -184,8 +170,7 @@ func TestSmallEqualsTiled(t *testing.T) {
 // TestSmallEqualsTiledCounters is the same law for the instrumented
 // entry point: the accumulator traffic of a run — rows begun, mask
 // loads, updates, rejections, gathered entries — does not depend on how
-// its rows were cut into tiles, nor on whether its one tile walked only
-// the live rows.
+// its rows were cut into tiles.
 func TestSmallEqualsTiledCounters(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	a := randMatrix(70, 70, 0.08, r)
@@ -229,14 +214,14 @@ func (c *rowCounter) BeginRow() {
 	c.Accumulator.BeginRow()
 }
 
-// TestOneTileWalksLiveRows pins the one-tile loop's cost to the rows
-// that can produce output, counted two ways: the RowKernel seam, crossed
-// once per row the loop visits, and BeginRow, called once per row a
-// masked kernel computes. A run visits and begins exactly the rows with
-// a non-empty A row and a non-empty mask row (any non-empty A row under
-// Vanilla). A loop over every row, or a kernel that begins rows with an
-// empty left row, fails it.
-func TestOneTileWalksLiveRows(t *testing.T) {
+// TestOneTileBeginsLiveRows pins what the one-tile loop computes to the
+// rows that can produce output, counted two ways: the RowKernel seam,
+// crossed once per row of the tile, and BeginRow, called once per row a
+// masked kernel computes. A run visits every row and begins exactly the
+// rows with a non-empty A row and a non-empty mask row (any non-empty A
+// row under Vanilla). A kernel that begins rows with an empty left or
+// mask row fails it.
+func TestOneTileBeginsLiveRows(t *testing.T) {
 	atProductionCrossover(t)
 	sr := semiring.PlusTimes[float64]{}
 	for _, fx := range hypersparseFixtures() {
@@ -272,8 +257,8 @@ func TestOneTileWalksLiveRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("%s/%v", fx.name, it)
-			if visits != want {
-				t.Errorf("%s: the tile loop visited %d rows, want the %d live ones", name, visits, want)
+			if visits != int64(a.Rows) {
+				t.Errorf("%s: the tile loop visited %d rows, want all %d", name, visits, a.Rows)
 			}
 			var begun int64
 			for _, c := range counters {
@@ -283,44 +268,6 @@ func TestOneTileWalksLiveRows(t *testing.T) {
 				t.Errorf("%s: %d BeginRow calls, want one per live row (%d)", name, begun, want)
 			}
 		}
-	}
-}
-
-// TestBoundedVerdictIsExact holds the planner's O(1) bound to the full
-// scan: on random shapes — square, wide, and tall-and-skinny B of one to
-// four columns — and at crossovers on both sides of each product's work,
-// belowTileCrossover answers what the exact UntiledWork comparison
-// answers, and workBound never undercuts the exact work. The bound must settle some cases on
-// its own, or the test would not be exercising it.
-func TestBoundedVerdictIsExact(t *testing.T) {
-	r := rand.New(rand.NewSource(131))
-	settled := 0
-	for trial := 0; trial < 300; trial++ {
-		rows, inner := 1+r.Intn(120), 1+r.Intn(120)
-		cols := 1 + r.Intn(4)
-		if trial%3 == 0 {
-			cols = 1 + r.Intn(150)
-		}
-		a := randMatrix(rows, inner, r.Float64()*0.2, r)
-		b := randMatrix(inner, cols, r.Float64()*0.5, r)
-		m := randMatrix(rows, cols, r.Float64()*0.5, r)
-		w := UntiledWork(m, a, b, math.MaxInt64)
-		if bound := workBound(m, a, b, math.MaxInt64); bound < w {
-			t.Fatalf("trial %d: workBound %d < UntiledWork %d", trial, bound, w)
-		}
-		for _, crossover := range []int64{0, 1, w / 2, w, w + 1, 2 * w, w + int64(r.Intn(5000)), math.MaxInt64} {
-			setCrossover(t, crossover)
-			if got, want := belowTileCrossover(m, a, b), w < crossover; got != want {
-				t.Fatalf("trial %d (%dx%d × %dx%d) at crossover %d: below = %v, exact scan says %v",
-					trial, rows, inner, inner, cols, crossover, got, want)
-			}
-			if workBound(m, a, b, crossover) < crossover {
-				settled++
-			}
-		}
-	}
-	if settled == 0 {
-		t.Error("the bound never settled a verdict on its own")
 	}
 }
 
@@ -346,11 +293,7 @@ func TestTileCrossoverBoundary(t *testing.T) {
 	cfg.Workers = 2
 	tilesAt := func(crossover int64) int {
 		setCrossover(t, crossover)
-		tiles, err := Prepare(m, a, b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tiles
+		return planTiles(t, m, a, b, cfg)
 	}
 	if got := tilesAt(w + 1); got != 1 {
 		t.Errorf("W = crossover − 1: %d tiles, want 1", got)

@@ -104,12 +104,12 @@ func TestWarmKTrussZeroWorkspaceAllocs(t *testing.T) {
 	cfg.Tiles = 8
 	cfg.Workers = 2
 
-	cold, err := graph.KTruss(a, 3, cfg)
+	cold, err := graph.KTruss(a, nil, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prior := eng.Stats()
-	warm, err := graph.KTruss(a, 3, cfg)
+	warm, err := graph.KTruss(a, nil, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import "maskedspgemm/internal/sparse"
 
 // ProductionCrossover is the tile crossover the package ships with,
 // which TestMain overrides for the in-package suite; exported to the
-// external test package for BenchmarkHypersparseProduct.
+// external test package for BenchmarkViewKernels.
 var ProductionCrossover = productionCrossover
 
 // SolveSerialInOrder runs the kernel every solve runs over a

@@ -133,16 +133,13 @@ func TestKernelPreCancelled(t *testing.T) {
 	if _, err := MaskedSpGEMM[float64](sr, a, a, a, cfg); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("MaskedSpGEMM: %v, want ErrCanceled", err)
 	}
-	if _, err := Prepare(a, a, a, cfg); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Prepare: %v, want ErrCanceled", err)
-	}
 }
 
-// TestPreparedReusableAfterCancel requires that a cancelled run leaves
+// TestEngineReusableAfterCancel requires that a cancelled run leaves
 // the engine's cached plan and pool fully intact: the next uncancelled
 // call must produce a result bit-identical to a never-cancelled
 // reference.
-func TestPreparedReusableAfterCancel(t *testing.T) {
+func TestEngineReusableAfterCancel(t *testing.T) {
 	r := rand.New(rand.NewSource(204))
 	a := randMatrix(100, 100, 0.1, r)
 	sr := semiring.PlusTimes[float64]{}
@@ -155,8 +152,8 @@ func TestPreparedReusableAfterCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Engine = exec.New(exec.Config{})
-	multiply, _, err := prepared(a, a, a, cfg)
-	if err != nil {
+	multiply := repeated(a, a, a, cfg)
+	if _, err := multiply(); err != nil { // caches the plan
 		t.Fatal(err)
 	}
 	canceled := cfg

@@ -48,10 +48,14 @@ func (sel selectSink[T]) row(_ int, buf *exec.TileBuf[T], from int) {
 	buf.Vals = buf.Vals[:w]
 }
 
-// MaskedSpGEMMStream computes M ⊙ (A × B) row by row and hands each
-// nonempty row to sink instead of assembling a CSR — the terminal
-// multiply of a chain whose consumer wants rows, not a matrix (the
-// triangle count folds each row straight into one counter).
+// MaskedSpGEMMStreamLower computes L ⊙ (L × L) row by row and hands
+// each nonempty row to sink instead of assembling a CSR, L the strictly
+// lower triangle of the square a read as a view: row i of L is the
+// prefix of a's row i below column i, cut where a kernel reads it, so L
+// is never built. Its plan is a's, whose row bound and spans bound L's,
+// with the view's row-kernel verdict priced in and cached under a key of
+// its own. This is the triangle count's product, which folds each row
+// straight into one counter.
 //
 // sink is called once per output row that holds at least one entry,
 // with the row index and the row's sorted column/value slices. The
@@ -59,19 +63,6 @@ func (sel selectSink[T]) row(_ int, buf *exec.TileBuf[T], from int) {
 // call. Calls come from worker goroutines concurrently, but rows are
 // disjoint: no row index is delivered twice, so a sink that writes only
 // row-i-owned state needs no locking.
-func MaskedSpGEMMStream[T sparse.Number, S semiring.Semiring[T]](
-	sr S, m, a, b *sparse.CSR[T], cfg Config,
-	sink func(i int, cols []sparse.Index, vals []T),
-) error {
-	return streamRows(newProduct(sr, m, a, b, cfg), sink)
-}
-
-// MaskedSpGEMMStreamLower is MaskedSpGEMMStream of L ⊙ (L × L), L the
-// strictly lower triangle of the square a read as a view: row i of L is
-// the prefix of a's row i below column i, cut where a kernel reads it,
-// so L is never built. Its plan is a's, whose row bound and spans bound
-// L's, with the view's row-kernel verdict priced in and cached under a
-// key of its own. This is the triangle count's product.
 //
 // symmetric states that a is symmetric in pattern and in values as sr
 // reads them (a pattern-symmetric a under PlusPair, which ignores
@@ -81,20 +72,13 @@ func MaskedSpGEMMStreamLower[T sparse.Number, S semiring.Semiring[T]](
 	sr S, a *sparse.CSR[T], symmetric bool, cfg Config,
 	sink func(i int, cols []sparse.Index, vals []T),
 ) error {
-	p := newProduct(sr, a, a, a, cfg)
-	p.lower, p.symmetric = true, symmetric
-	return streamRows(p, sink)
-}
-
-// streamRows runs p with every nonempty row handed to sink.
-func streamRows[T sparse.Number, S semiring.Semiring[T]](
-	p product[T, S], sink func(i int, cols []sparse.Index, vals []T),
-) error {
 	if sink == nil {
 		return errConfig("stream fusion needs a non-nil sink")
 	}
+	p := newProduct(sr, a, a, a, cfg)
+	p.lower, p.symmetric = true, symmetric
 	p.sink, p.stream = streamSink[T](sink), true
-	_, err := p.run(p.cfg.Context)
+	_, err := p.run(cfg.Context)
 	return err
 }
 

@@ -65,43 +65,6 @@ func TestFusedSelectMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestFusedStreamMatchesRows pins multiply+stream: rows delivered to
-// the sink (concurrently, row-disjoint) must reassemble into exactly
-// the materialized product.
-func TestFusedStreamMatchesRows(t *testing.T) {
-	m1, a, b := productOperands(17)
-	sr := semiring.PlusTimes[float64]{}
-	cfg := DefaultConfig()
-	cfg.Tiles = 6
-	cfg.Workers = 3
-	want, err := MaskedSpGEMM[float64](sr, m1, a, b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type row struct {
-		cols []sparse.Index
-		vals []float64
-	}
-	rows := make([]row, a.Rows)
-	sink := func(i int, cols []sparse.Index, vals []float64) {
-		// Row-disjoint by contract: each i is delivered at most once.
-		rows[i] = row{append([]sparse.Index(nil), cols...), append([]float64(nil), vals...)}
-	}
-	if err := MaskedSpGEMMStream[float64](sr, m1, a, b, cfg, sink); err != nil {
-		t.Fatal(err)
-	}
-	coo := sparse.NewCOO[float64](want.Rows, want.Cols, want.NNZ())
-	for i, r := range rows {
-		for p, j := range r.cols {
-			coo.Add(sparse.Index(i), j, r.vals[p])
-		}
-	}
-	got := coo.ToCSR()
-	if !sparse.Equal(want, got) {
-		t.Fatal("streamed rows differ from materialized product")
-	}
-}
-
 // TestFusedStreamBufferFitsWidestRow pins the staging of a streaming
 // run: every row reaches the sink in its worker's buffer already wide
 // enough for the widest mask row, so no gather grows the buffer and a
@@ -128,7 +91,7 @@ func TestFusedStreamBufferFitsWidestRow(t *testing.T) {
 				}
 			}
 			for range 2 {
-				if err := MaskedSpGEMMStream[float64](semiring.PlusPair[float64]{}, a, a, a, cfg, sink); err != nil {
+				if err := MaskedSpGEMMStreamLower[float64](semiring.PlusPair[float64]{}, a, false, cfg, sink); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -169,7 +132,8 @@ func TestFusedRunsCountKeptEntries(t *testing.T) {
 
 	rec.Reset()
 	var delivered atomic.Int64
-	if err := MaskedSpGEMMStream[float64](semiring.PlusTimes[float64]{}, m1, a, b, cfg,
+	sq := randGraphLocal(120, 5, 23)
+	if err := MaskedSpGEMMStreamLower[float64](semiring.PlusTimes[float64]{}, sq, false, cfg,
 		func(_ int, cols []sparse.Index, _ []float64) { delivered.Add(int64(len(cols))) }); err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,12 @@ var families = map[string]func() *sparse.CSR[float64]{
 	"road":    func() *sparse.CSR[float64] { return graphgen.RoadNetwork(20, 18, 0.93, 2) },
 	"web":     func() *sparse.CSR[float64] { return graphgen.WebGraph(350, 9, 0.55, 3) },
 	"circuit": func() *sparse.CSR[float64] { return graphgen.Circuit(320, 3, 0.6, 3, 50, 4) },
-	"smallw":  func() *sparse.CSR[float64] { return graphgen.SmallWorld(300, 6, 0.1, 5) },
-	"geo":     func() *sparse.CSR[float64] { return graphgen.Geometric(250, 0.09, 6) },
 }
 
 // TestAllFormulationsAgreeOnAllFamilies is the repository's central
 // integration test: on every graph family, every kernel formulation —
 // all iteration spaces, all accumulators, the transposed problem, the
-// prepared and instrumented runs — must produce the same CSR bits for
+// repeated and instrumented runs — must produce the same CSR bits for
 // C = A ⊙ (A×A) as the default product, and that product must equal the
 // two references that share no code with the tile loop: the two-step
 // ApplyMask(A, SpGEMM(A, A)) bit for bit, and the dense oracle.
@@ -89,17 +87,14 @@ func TestAllFormulationsAgreeOnAllFamilies(t *testing.T) {
 				t.Fatal("transpose law violated")
 			}
 
-			multiply, _, err := prepared(a, a, a, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			multiply := repeated(a, a, a, DefaultConfig())
 			for rep := 0; rep < 2; rep++ {
 				got, err := multiply()
 				if err != nil {
-					t.Fatalf("prepared rep %d: %v", rep, err)
+					t.Fatalf("repeated rep %d: %v", rep, err)
 				}
 				if !sparse.Equal(ref, got) {
-					t.Fatalf("prepared rep %d differs", rep)
+					t.Fatalf("repeated rep %d differs", rep)
 				}
 			}
 

@@ -115,8 +115,7 @@ type kernel[T sparse.Number, S semiring.Semiring[T]] struct {
 	iter    IterationSpace
 	kappa   float64
 	// inj is the armed chaos injector, nil in production.
-	inj  chaos.Injector
-	rows []sparse.Index // a one-tile run's live rows (liveRows), or nil
+	inj chaos.Injector
 	// lower reads every operand row i as its part below column i: the
 	// strictly lower view (MaskedSpGEMMStreamLower); merge runs the
 	// view's rows through rowDot instead of the accumulator.
@@ -162,11 +161,6 @@ func stage[T sparse.Number](buf *exec.TileBuf[T], rows int, vol int64) {
 // row kernels gathered, without one). wc, when non-nil, receives the
 // worker's exact operation counts.
 //
-// When k.rows is set the loop walks that list of live rows instead of
-// the range, and every row left out, one whose kernel would return
-// without a flop, stages RowNNZ 0: results, counters and accumulator
-// traffic are the full walk's, at a cost in live rows, not height.
-//
 //spgemm:hotpath
 func runTile[T sparse.Number, S semiring.Semiring[T]](
 	k kernel[T, S], acc accum.Accumulator[T], tile tiling.Tile,
@@ -177,16 +171,7 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 	} else {
 		stage(buf, tile.Rows(), k.m.RowPtr[tile.Hi]-k.m.RowPtr[tile.Lo])
 	}
-	n := tile.Rows()
-	if k.rows != nil {
-		n = len(k.rows)
-		clear(buf.RowNNZ)
-	}
-	for r := 0; r < n; r++ {
-		i := tile.Lo + r
-		if k.rows != nil {
-			i = int(k.rows[r])
-		}
+	for i := tile.Lo; i < tile.Hi; i++ {
 		if k.inj != nil {
 			// RowKernel seam: panics here exercise mid-tile unwinding with
 			// the accumulator in an arbitrary intermediate state.
@@ -218,27 +203,6 @@ func runTile[T sparse.Number, S semiring.Semiring[T]](
 		}
 	}
 	return kept
-}
-
-// liveRows lists, ascending and in dst's storage (never nil), the rows of
-// tile whose kernel can produce output: a non-empty A row and, unless
-// the space is Vanilla, a non-empty mask row.
-//
-//spgemm:hotpath
-func (p *product[T, S]) liveRows(tile tiling.Tile, dst []sparse.Index) []sparse.Index {
-	if dst == nil {
-		//lint:ignore hotpathalloc amortized: once per workspace; the appends below grow it to the live-row high-water mark
-		dst = make([]sparse.Index, 0, 64)
-	}
-	dst = dst[:0]
-	// Locals, so the loop reloads nothing through p across its appends.
-	ap, mp, vanilla := p.a.RowPtr, p.m.RowPtr, p.cfg.Iteration == Vanilla
-	for i := tile.Lo; i < tile.Hi; i++ {
-		if ap[i+1] != ap[i] && (vanilla || mp[i+1] != mp[i]) {
-			dst = append(dst, sparse.Index(i))
-		}
-	}
-	return dst
 }
 
 // rowStep is one row of the skeleton: the sparse left row (aCols, aVals)

@@ -74,8 +74,8 @@ func symmetricWithDiagonal(a *sparse.CSR[float64]) *sparse.CSR[float64] {
 
 // TestStreamLowerMatchesTril holds the lower view to the matrix it
 // stands for: MaskedSpGEMMStreamLower(a) delivers exactly the rows,
-// columns and values that MaskedSpGEMMStream delivers on a materialized
-// L = Tril(a), for L ⊙ (L × L) over PlusTimes. It covers skewed, road
+// columns and values of MaskedSpGEMM's L ⊙ (L × L) over PlusTimes on a
+// materialized L = Tril(a). It covers skewed, road
 // and uniform graphs with varied values, and a matrix with diagonal
 // entries, empty rows and rows wholly above the diagonal, all on the
 // accumulator path; and the three graphs again with diagonal entries and
@@ -135,9 +135,7 @@ func TestStreamLowerMatchesTril(t *testing.T) {
 						}
 						cfg := DefaultConfig()
 						cfg.Workers, cfg.Tiles, cfg.Iteration, cfg.Kappa = workers, 16, sp.it, sp.kappa
-						want, err := streamedRows(l.Rows, l.Cols, func(sink func(int, []sparse.Index, []float64)) error {
-							return MaskedSpGEMMStream[float64](sr, l, l, l, cfg, sink)
-						})
+						want, err := MaskedSpGEMM[float64](sr, l, l, l, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}

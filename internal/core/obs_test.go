@@ -128,10 +128,11 @@ func TestRecorderParityUniformTiling(t *testing.T) {
 	checkParity(t, cfg.Recorder.Stats(), c, m, a, b, cfg, nTiles, 1)
 }
 
-// TestRecorderPreparedAccumulation runs a prepared product several
-// times under one recorder and checks the counters scale exactly with
-// the run count — the reused accumulators must not leak cross-run state.
-func TestRecorderPreparedAccumulation(t *testing.T) {
+// TestRecorderRepeatedAccumulation runs one product several times on
+// an engine under one recorder and checks the counters scale exactly
+// with the run count — the reused accumulators must not leak cross-run
+// state.
+func TestRecorderRepeatedAccumulation(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	a := randMatrix(50, 45, 0.15, r)
 	b := randMatrix(45, 40, 0.15, r)
@@ -143,12 +144,10 @@ func TestRecorderPreparedAccumulation(t *testing.T) {
 		Schedule: sched.Guided, Workers: 3,
 		Recorder: obs.NewRecorder(),
 	}
-	multiply, tiles, err := prepared(m, a, b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	multiply, tiles := repeated(m, a, b, cfg), planTiles(t, m, a, b, cfg)
 	const runs = 3
 	var c *sparse.CSR[float64]
+	var err error
 	for i := 0; i < runs; i++ {
 		if c, err = multiply(); err != nil {
 			t.Fatal(err)
@@ -156,8 +155,8 @@ func TestRecorderPreparedAccumulation(t *testing.T) {
 	}
 	st := cfg.Recorder.Stats()
 	checkParity(t, st, c, m, a, b, cfg, int64(tiles), runs)
-	// The plan phases must have been spanned exactly once (Prepare), the
-	// exec phases once per run.
+	// The plan phases must have been spanned exactly once (the first
+	// run's plan-cache miss), the exec phases once per run.
 	for _, ph := range st.Phases {
 		switch ph.Phase {
 		case "exec.kernel", "exec.assemble":
@@ -250,10 +249,7 @@ func BenchmarkMaskedStatsOff(b *testing.B) {
 	m, a, bb := benchOperands(b)
 	cfg := DefaultConfig()
 	cfg.Tiles = 64
-	multiply, _, err := prepared(m, a, bb, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	multiply := repeated(m, a, bb, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -269,10 +265,7 @@ func BenchmarkMaskedStatsOn(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Tiles = 64
 	cfg.Recorder = obs.NewRecorder()
-	multiply, _, err := prepared(m, a, bb, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	multiply := repeated(m, a, bb, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,8 +18,8 @@ import (
 // protocol: the operands and configuration, plus what distinguishes the
 // formulation — what happens to each gathered row. Every entry point of
 // the family (MaskedSpGEMM, MaskedSpGEMMInstrumented,
-// MaskedSpGEMMSelectInto, MaskedSpGEMMStream and MaskedSpGEMMStreamLower)
-// is its argument checks plus one of these.
+// MaskedSpGEMMSelectInto and MaskedSpGEMMStreamLower) is its argument
+// checks plus one of these.
 type product[T sparse.Number, S semiring.Semiring[T]] struct {
 	sr      S
 	m, a, b *sparse.CSR[T]
@@ -94,46 +94,6 @@ func (p *product[T, S]) check() error {
 		return errConfig("the result's storage is shared with an operand")
 	}
 	return nil
-}
-
-// Prepare is the eager half of a product that will be repeated: it
-// validates the configuration and the shapes of C = M ⊙ (A × B),
-// observes cfg.Context, and resolves the plan into cfg.Engine's cache,
-// so a caller learns of ErrConfig, ErrShape and ErrCanceled before its
-// first run and that run starts from a plan-cache hit. A product below
-// the tile crossover is checked and nothing more: its one-tile plan is
-// never cached (planFor), so each run rebuilds it and there is nothing
-// to build ahead. The plan spans land in a scope of their own: folded
-// into the recorder's totals, not counted as a run. It returns the
-// plan's tile count (0 for an empty product).
-func Prepare[T sparse.Number](m, a, b *sparse.CSR[T], cfg Config) (tiles int, err error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if err := checkShapes(m, a, b); err != nil {
-		return 0, err
-	}
-	ctx := cfg.Context
-	// A small plan builds serially and never reaches the scheduler's
-	// cancellation check.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, WrapRunErr(err)
-		}
-	}
-	if a.Rows == 0 {
-		return 0, nil
-	}
-	if belowTileCrossover(m, a, b) {
-		return 1, nil
-	}
-	scope := cfg.Recorder.StartRun()
-	defer scope.End()
-	plan, err := planFor(ctx, cfg, sched.Workers(cfg.Workers), m, a, b, false, scope)
-	if err != nil {
-		return 0, WrapRunErr(err)
-	}
-	return len(plan.Tiles), nil
 }
 
 // run is the run protocol of the masked family, written once:
@@ -270,16 +230,10 @@ func (p *product[T, S]) runTiles(
 	accs []accum.Accumulator[T], ws *exec.Workspace[T, S],
 ) error {
 	cfg := p.cfg
-	// A one-tile run walks its live rows.
-	var rows []sparse.Index
-	if len(tiles) == 1 {
-		ws.ScratchCols = p.liveRows(tiles[0], ws.ScratchCols)
-		rows = ws.ScratchCols
-	}
 	k := kernel[T, S]{
 		sr: p.sr, m: p.m, a: p.a, b: p.b,
 		iter: cfg.Iteration, kappa: cfg.Kappa, inj: cfg.chaosInjector(),
-		rows: rows, lower: p.lower, merge: p.merge,
+		lower: p.lower, merge: p.merge,
 	}
 	sink, perRow := p.sink, p.stream
 	// slots is nil with observability off: the tile closure then pays a

@@ -52,9 +52,6 @@ type Workspace[T sparse.Number, S semiring.Semiring[T]] struct {
 	Outs  []TileBuf[T]
 	stage *stagingSet[T]
 
-	// ScratchCols is index scratch for the run holding the workspace (a
-	// one-tile run's live rows).
-	ScratchCols []sparse.Index
 	// OneTile holds the tile list of a one-tile run, which its plan
 	// leaves nil.
 	OneTile [1]tiling.Tile

@@ -27,7 +27,7 @@ func TestAlgorithmsSmallEqualTiled(t *testing.T) {
 		cfg := testCfg()
 		cfg.Engine = eng
 		var o outcome
-		kt, err := KTruss(a, 3, cfg)
+		kt, err := KTruss(a, nil, 3, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

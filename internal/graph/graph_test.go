@@ -125,7 +125,7 @@ func TestTriangleCountErrors(t *testing.T) {
 func TestKTrussK3IsTriangleEdges(t *testing.T) {
 	// The 3-truss keeps exactly the edges with at least one triangle.
 	a := smallGraph(99)
-	res, err := KTruss(a, 3, testCfg())
+	res, err := KTruss(a, nil, 3, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +160,14 @@ func TestKTrussCompleteGraph(t *testing.T) {
 		}
 	}
 	k6 := coo.ToCSR()
-	res, err := KTruss(k6, 6, testCfg())
+	res, err := KTruss(k6, nil, 6, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Edges != 15 {
 		t.Errorf("6-truss of K6 has %d edges, want 15", res.Edges)
 	}
-	res, err = KTruss(k6, 7, testCfg())
+	res, err = KTruss(k6, nil, 7, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestKTrussCompleteGraph(t *testing.T) {
 
 func TestKTrussRejectsBadK(t *testing.T) {
 	for _, k := range []int{2, 0, -1} {
-		if res, err := KTruss(smallGraph(1), k, testCfg()); res != nil || !errors.Is(err, core.ErrConfig) {
+		if res, err := KTruss(smallGraph(1), nil, k, testCfg()); res != nil || !errors.Is(err, core.ErrConfig) {
 			t.Errorf("k=%d: %v, %v; want nil, ErrConfig", k, res, err)
 		}
 	}

@@ -33,12 +33,13 @@ type KTrussResult struct {
 // last round's support instead of multiplying again (peel), with the
 // same support, graphs and Rounds.
 //
-// The update needs a symmetric pattern, as an undirected graph's is. a
-// is checked once per call, when the rule first picks an update; a
-// non-symmetric a runs every round as a full product of its directed
+// The update needs a symmetric pattern, as an undirected graph's is. a's
+// symmetry is read from sym when the rule first picks an update; sym
+// remembers it across calls (nil: checked in this call, at most once).
+// A non-symmetric a runs every round as a full product of its directed
 // pattern and returns that iteration's fixed point.
-func KTruss(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error) {
-	return peel(a, k, cfg)
+func KTruss(a *sparse.CSR[float64], sym *Symmetry, k int, cfg core.Config) (*KTrussResult, error) {
+	return peel(a, sym, k, cfg)
 }
 
 // peel runs k-truss rounds on a until one keeps every edge or none. A
@@ -56,8 +57,7 @@ func KTruss(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, erro
 // The rule (delta.price) prices both kinds by what their products' row
 // loops visit, rows(A) + nnz(M) + nnz(A) each, plus probeWeight per
 // probe of the rows the hybrid kernel co-iterates; the B-row scans
-// stream and cost little beside a visit. The first delta round also
-// pays symmetryWeight per entry of A for the symmetry check.
+// stream and cost little beside a visit.
 //
 // The input is never written, and the full rounds' results shrink, so
 // two buffers take turns: the one the last full round read becomes the
@@ -70,9 +70,12 @@ func KTruss(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, erro
 // like every later round, it is a new operand to an engine's plan
 // cache: a k-truss call plans each of its rounds, and no call reuses
 // a plan keyed on the caller's matrix.
-func peel(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error) {
+func peel(a *sparse.CSR[float64], sym *Symmetry, k int, cfg core.Config) (*KTrussResult, error) {
 	if k < 3 {
 		return nil, fmt.Errorf("%w: k-truss needs k >= 3, got %d", core.ErrConfig, k)
+	}
+	if sym == nil {
+		sym = new(Symmetry)
 	}
 	sr := semiring.PlusPair[float64]{}
 	need := float64(k - 2)
@@ -86,7 +89,7 @@ func peel(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error)
 	in := *a
 	cur := &in
 	var spare *sparse.CSR[float64]
-	dl := delta{vals: a.Val}
+	dl := delta{a: a, sym: sym}
 	isDelta, visits, probes := false, int64(a.Rows)+2*a.NNZ(), int64(0)
 	for rounds := 1; ; rounds++ {
 		before := cur.NNZ()
@@ -128,31 +131,26 @@ func peel(a *sparse.CSR[float64], k int, cfg core.Config) (*KTrussResult, error)
 	}
 }
 
-// probeWeight is what one co-iteration probe costs in visits, and
-// symmetryWeight what the symmetry check costs per entry. The values are
-// internal/model.DerivedRoundWeights evaluated on the reference host's
-// round costs (a test there fails when the two drift).
-const (
-	probeWeight    = 0.25
-	symmetryWeight = 0.3
-)
+// probeWeight is what one co-iteration probe costs in visits. The
+// value is internal/model.DerivedRoundWeights evaluated on the reference
+// host's round costs (a test there fails when the two drift).
+const probeWeight = 0.25
 
-// RoundWeights returns the round rule's probe and symmetry weights.
-func RoundWeights() (probe, symmetry float64) { return probeWeight, symmetryWeight }
+// RoundWeights returns the round rule's one weight, a probe's.
+func RoundWeights() (probe float64) { return probeWeight }
 
 // delta is what a delta round needs besides the support: the dropped
 // edges D, by vertex; the vertices R that lost one; the rows R of D and
 // of A′, row-compacted (DR and MR); the lent storage its products take
-// turns in; vals, the input's values, which D, DR and MR borrow
-// (PlusPair reads none, but a CSR holds one per entry, and none of the
-// three holds more entries than the input); and the verdict of the
-// symmetry check.
+// turns in; the input a, whose values D, DR and MR borrow (PlusPair
+// reads none, but a CSR holds one per entry, and none of the three
+// holds more entries than a); and sym, what is known of a's symmetry.
 type delta struct {
-	d, dr, mr          sparse.CSR[float64]
-	rows               []int
-	c                  *sparse.CSR[float64]
-	vals               []float64
-	checked, symmetric bool
+	d, dr, mr sparse.CSR[float64]
+	rows      []int
+	c         *sparse.CSR[float64]
+	a         *sparse.CSR[float64]
+	sym       *Symmetry
 }
 
 // price decides how the round after the one that kept next out of cur
@@ -161,7 +159,9 @@ type delta struct {
 // here; a delta round pruned cur in place (next is cur) and cut D. A
 // delta round visits at least 2·|D|, so a round that drops most of the
 // graph settles the verdict before D is cut or planned, and the full
-// round's probes are counted only when its visits alone do not.
+// round's probes are counted only when its visits alone do not. A round
+// the rule prices as a delta round runs as one only on a symmetric a,
+// which is asked of the memo then.
 func (dl *delta) price(cur, next *sparse.CSR[float64], force RoundKind, cfg core.Config) (isDelta bool, visits, probes int64) {
 	full, fp := int64(next.Rows)+2*next.NNZ(), int64(-1)
 	if force == FullRounds {
@@ -173,30 +173,21 @@ func (dl *delta) price(cur, next *sparse.CSR[float64], force RoundKind, cfg core
 		}
 		return float64(full) + probeWeight*float64(fp)
 	}
-	var check float64
-	if !dl.checked {
-		check = symmetryWeight * float64(cur.NNZ())
-	}
 	afterFull := next != cur
 	dropped := cur.NNZ() - next.NNZ()
 	if !afterFull {
 		dropped = dl.d.NNZ()
 	}
-	if lower := float64(2*dropped) + check; force == AutoRounds && lower >= float64(full) && lower >= fullCost() {
+	if lower := float64(2 * dropped); force == AutoRounds && lower >= float64(full) && lower >= fullCost() {
 		return false, full, fp
 	}
 	if afterFull {
 		dl.diff(cur, next)
 	}
 	visits, probes = dl.plan(next, cfg)
-	cost := float64(visits) + probeWeight*float64(probes) + check
-	if force == DeltaRounds || cost < float64(full) || cost < fullCost() {
-		if !dl.checked {
-			dl.checked, dl.symmetric = true, sparse.IsSymmetric(cur)
-		}
-		if dl.symmetric {
-			return true, visits, probes
-		}
+	cost := float64(visits) + probeWeight*float64(probes)
+	if (force == DeltaRounds || cost < float64(full) || cost < fullCost()) && dl.sym.Of(dl.a) {
+		return true, visits, probes
 	}
 	return false, full, max(fp, 0)
 }
@@ -294,7 +285,7 @@ func (dl *delta) plan(s *sparse.CSR[float64], cfg core.Config) (visits, probes i
 			mr.RowPtr = append(mr.RowPtr, int64(len(mr.ColIdx)))
 		}
 	}
-	d.Val, mr.Val = dl.vals[:len(d.ColIdx)], dl.vals[:len(mr.ColIdx)]
+	d.Val, mr.Val = dl.a.Val[:len(d.ColIdx)], dl.a.Val[:len(mr.ColIdx)]
 	dr.Rows, dr.Cols, dr.ColIdx, dr.Val = nr, d.Cols, d.ColIdx, d.Val
 	mr.Rows, mr.Cols = nr, s.Cols
 	if len(dl.rows) == 0 {

@@ -53,7 +53,7 @@ func TestKTrussResultDoesNotAliasInput(t *testing.T) {
 	}
 	for _, in := range inputs {
 		orig := in.a.Clone()
-		res, err := KTruss(in.a, 4, testCfg())
+		res, err := KTruss(in.a, nil, 4, testCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,13 +100,13 @@ func TestKTrussRecyclesRoundStorage(t *testing.T) {
 	resultBytes := 8*uint64(n+1) + 12*uint64(round1.NNZ())
 	cfg := testCfg()
 	cfg.Engine = exec.New(exec.Config{})
-	if _, err := KTruss(a, 4, cfg); err != nil {
+	if _, err := KTruss(a, nil, 4, cfg); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := KTruss(a, 4, cfg)
+	res, err := KTruss(a, nil, 4, cfg)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func disjoint(parts ...*sparse.CSR[float64]) *sparse.CSR[float64] {
 func TestKTrussLargeK(t *testing.T) {
 	a := disjoint(graphgen.ErdosRenyi(300, 1500, 5), complete(70, 1))
 	for _, k := range []int{63, 64, 70, 71} {
-		res, err := KTruss(a, k, testCfg())
+		res, err := KTruss(a, nil, k, testCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestKTrussResultIsRightSized(t *testing.T) {
 		"to nothing":  graphgen.ErdosRenyi(400, 4000, 3),
 	}
 	for name, a := range inputs {
-		res, err := KTruss(a, 5, testCfg())
+		res, err := KTruss(a, nil, 5, testCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestKTrussMatchesBruteForce(t *testing.T) {
 				if k == 3 && edges == 0 {
 					t.Fatal("fixture has no triangles: its 3-truss is empty")
 				}
-				res, err := KTruss(g.a, k, testCfg())
+				res, err := KTruss(g.a, nil, k, testCfg())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -329,10 +329,10 @@ func both(edges ...[2]int) [][2]int {
 	return out
 }
 
-// peelRounds runs a k-truss under a round hook forcing force and
-// returns the result and each round's kept edges with their support,
-// counting the rounds after the first by kind.
-func peelRounds(t *testing.T, a *sparse.CSR[float64], k int, force RoundKind, delta, full *int) (*KTrussResult, []*sparse.CSR[float64]) {
+// peelRounds runs a k-truss of a, whose symmetry sym knows, under a
+// round hook forcing force and returns the result and each round's kept
+// edges with their support, counting the rounds after the first by kind.
+func peelRounds(t *testing.T, a *sparse.CSR[float64], sym *Symmetry, k int, force RoundKind, delta, full *int) (*KTrussResult, []*sparse.CSR[float64]) {
 	t.Helper()
 	var got []*sparse.CSR[float64]
 	defer SetRoundHookForTest(&RoundHook{Force: force, Observe: func(st RoundStat) {
@@ -343,7 +343,7 @@ func peelRounds(t *testing.T, a *sparse.CSR[float64], k int, force RoundKind, de
 			*full++
 		}
 	}})()
-	res, err := KTruss(a, k, testCfg())
+	res, err := KTruss(a, sym, k, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestKTrussRoundsMatchFullRecompute(t *testing.T) {
 				want := fullRecompute(t, f.a, k)
 				for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
 					var d, fl int
-					res, got := peelRounds(t, f.a, k, force, &d, &fl)
+					res, got := peelRounds(t, f.a, nil, k, force, &d, &fl)
 					if force == AutoRounds {
 						delta, full = delta+d, full+fl
 					}
@@ -427,11 +427,12 @@ func TestKTrussRoundsMatchFullRecompute(t *testing.T) {
 
 // TestKTrussDirectedInputRunsFullRounds pins the symmetric
 // precondition: a non-symmetric pattern runs no delta round, even when
-// one is forced, and gets the full product's rounds. In the first
-// fixture 0–1 lies in one undirected triangle and on the one-way paths
-// 0→4→1, 0→6→1, 1→5→0 and 1→7→0, which count toward its round-1
-// support but lie in no triangle: an update from that support would
-// keep 0–1, which the full product drops in round 2.
+// one is forced, and gets the full product's rounds, whether the call
+// checks the pattern (nil memo) or reads a memo an earlier call taught.
+// In the first fixture 0–1 lies in one undirected triangle and on the
+// one-way paths 0→4→1, 0→6→1, 1→5→0 and 1→7→0, which count toward its
+// round-1 support but lie in no triangle: an update from that support
+// would keep 0–1, which the full product drops in round 2.
 func TestKTrussDirectedInputRunsFullRounds(t *testing.T) {
 	inputs := map[string]*sparse.CSR[float64]{
 		"one-way paths": fromEdges(8, append(both([2]int{0, 1}, [2]int{0, 2}, [2]int{1, 2}),
@@ -443,23 +444,62 @@ func TestKTrussDirectedInputRunsFullRounds(t *testing.T) {
 		if sparse.IsSymmetric(a) {
 			t.Fatalf("fixture %s is symmetric", name)
 		}
+		learned := new(Symmetry)
 		for _, k := range []int{3, 4} {
 			want := fullRecompute(t, a, k)
 			for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
-				var delta, full int
-				res, got := peelRounds(t, a, k, force, &delta, &full)
-				if delta != 0 {
-					t.Errorf("%s k=%d force=%d: %d delta rounds on a non-symmetric pattern", name, k, force, delta)
-				}
-				if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
-					t.Errorf("%s k=%d force=%d: %d rounds, want %d, or a different truss", name, k, force, res.Rounds, len(want))
-				}
-				for r := range got {
-					if r < len(want) && !sparse.Equal(got[r], want[r]) {
-						t.Errorf("%s k=%d force=%d: round %d differs from the full product's", name, k, force, r+1)
+				for _, sym := range []*Symmetry{nil, learned} {
+					var delta, full int
+					res, got := peelRounds(t, a, sym, k, force, &delta, &full)
+					if delta != 0 {
+						t.Errorf("%s k=%d force=%d memo=%v: %d delta rounds on a non-symmetric pattern", name, k, force, sym != nil, delta)
+					}
+					if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
+						t.Errorf("%s k=%d force=%d memo=%v: %d rounds, want %d, or a different truss", name, k, force, sym != nil, res.Rounds, len(want))
+					}
+					for r := range got {
+						if r < len(want) && !sparse.Equal(got[r], want[r]) {
+							t.Errorf("%s k=%d force=%d memo=%v: round %d differs from the full product's", name, k, force, sym != nil, r+1)
+						}
 					}
 				}
 			}
 		}
+		if st := learned.state.Load(); st != -1 {
+			t.Errorf("%s: the memo reads %d after the calls, want -1 (not symmetric)", name, st)
+		}
+	}
+}
+
+// TestKTrussObeysSymmetryMemo pins that k-truss takes a's symmetry from
+// the memo it is given: on a symmetric graph, a memo that says
+// otherwise runs every round full, even when delta rounds are forced,
+// and one that says so runs the forced delta rounds; the truss and
+// round count are the full products' either way. A fresh memo knows a
+// is symmetric after one call.
+func TestKTrussObeysSymmetryMemo(t *testing.T) {
+	a := undirected(graphgen.WebGraph(300, 6, 0.5, 1))
+	const k = 4
+	want := fullRecompute(t, a, k)
+	if len(want) < 3 {
+		t.Fatalf("the fixture peels in %d rounds; want a few", len(want))
+	}
+	for _, symmetric := range []bool{false, true} {
+		var sym Symmetry
+		sym.Set(symmetric)
+		var delta, full int
+		res, _ := peelRounds(t, a, &sym, k, DeltaRounds, &delta, &full)
+		if symmetric && (delta == 0 || full != 0) || !symmetric && delta != 0 {
+			t.Errorf("memo says symmetric=%v: %d delta and %d full rounds after the first", symmetric, delta, full)
+		}
+		if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
+			t.Errorf("memo says symmetric=%v: %d rounds, want %d, or a different truss", symmetric, res.Rounds, len(want))
+		}
+	}
+	var fresh Symmetry
+	var delta, full int
+	peelRounds(t, a, &fresh, k, DeltaRounds, &delta, &full)
+	if st := fresh.state.Load(); st != 1 || delta == 0 {
+		t.Errorf("a fresh memo reads %d after a call that ran %d delta rounds, want 1 and some", st, delta)
 	}
 }

@@ -66,7 +66,7 @@ func TestKTrussMatchesBruteAcrossConfigs(t *testing.T) {
 				want := bruteTruss(a, k)
 				oracleConfigs(func(name string, cfg core.Config) {
 					for range passes(cfg) {
-						res, err := KTruss(a, k, cfg)
+						res, err := KTruss(a, nil, k, cfg)
 						if err != nil {
 							t.Fatal(name, err)
 						}

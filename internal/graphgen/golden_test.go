@@ -49,10 +49,6 @@ func TestGeneratorsGolden(t *testing.T) {
 		{"web", func(s uint64) *sparse.CSR[Value] { return WebGraph(300, 4, 0.4, s) }, [3]uint64{0x3644978f195216dd, 0xa550d2e575e1837f, 0xd7756f82b0d6a972}},
 		{"circuit", func(s uint64) *sparse.CSR[Value] { return Circuit(300, 2, 0.5, 2, 50, s) }, [3]uint64{0x4e660a1e6607f953, 0xab925953d20c3c65, 0x3c69a7223eb6c9fe}},
 		{"er", func(s uint64) *sparse.CSR[Value] { return ErdosRenyi(200, 400, s) }, [3]uint64{0x9bb77594579c19ef, 0xb06c39582475f1aa, 0x33b6d77bc9b3339a}},
-		{"smallworld", func(s uint64) *sparse.CSR[Value] { return SmallWorld(200, 6, 0.2, s) }, [3]uint64{0x51289459af99e08d, 0xb296a14a258cca87, 0xbd138de18129bf21}},
-		{"geometric", func(s uint64) *sparse.CSR[Value] { return Geometric(500, 0.08, s) }, [3]uint64{0x20a54993bd0460e8, 0xff4a9bd1d986f6b0, 0xec76134ef4e15378}},
-		{"kronecker", func(s uint64) *sparse.CSR[Value] { return KroneckerNoisy(8, 4, 0.57, 0.19, 0.19, 0.05, s) }, [3]uint64{0x7ffceb299dc87de6, 0x8e5e74e4c310f36b, 0x0787a93994e49f85}},
-		{"bipartite", func(s uint64) *sparse.CSR[Value] { return Bipartite(40, 70, 500, s) }, [3]uint64{0x10490bf8a1a899b2, 0x8c5e51ebedba4ffe, 0x4017511878f817ab}},
 	}
 	seeds := [3]uint64{1, 5, 42}
 	for _, g := range gens {

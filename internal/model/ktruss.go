@@ -5,11 +5,10 @@ import "math"
 // RoundCosts are the medians of the root package's
 // BenchmarkGraphAlgorithms/KTruss/rounds sub-benchmarks, which force
 // every k-truss round after the first full (rounds/full) or delta
-// (rounds/delta) and time the symmetry check (rounds/symmetry).
+// (rounds/delta).
 type RoundCosts struct {
 	FullNsPerVisit, FullProbesPerVisit   float64
 	DeltaNsPerVisit, DeltaProbesPerVisit float64
-	SymmetryNsPerNNZ                     float64
 }
 
 // ReferenceRoundCosts are the medians of nine runs on the 2-vCPU
@@ -17,7 +16,6 @@ type RoundCosts struct {
 var ReferenceRoundCosts = RoundCosts{
 	FullNsPerVisit: 67.21, FullProbesPerVisit: 12.02,
 	DeltaNsPerVisit: 27.15, DeltaProbesPerVisit: 2.379,
-	SymmetryNsPerNNZ: 5.486,
 }
 
 // Split solves ns/visit = visit + probe·probes/visit, once per kind of
@@ -28,11 +26,10 @@ func (c RoundCosts) Split() (visit, probe float64) {
 	return c.DeltaNsPerVisit - probe*c.DeltaProbesPerVisit, probe
 }
 
-// DerivedRoundWeights are the values graph's round rule must price a
-// probe and a checked entry at, in visits (graph.RoundWeights), rounded
-// to the nearest 0.05: the medians move by about that much between runs.
-func DerivedRoundWeights() (probe, symmetry float64) {
+// DerivedRoundWeights is the value graph's round rule must price a
+// probe at, in visits (graph.RoundWeights), rounded to the nearest 0.05:
+// the medians move by about that much between runs.
+func DerivedRoundWeights() (probe float64) {
 	visit, p := ReferenceRoundCosts.Split()
-	round := func(x float64) float64 { return math.Round(x*20) / 20 }
-	return round(p / visit), round(ReferenceRoundCosts.SymmetryNsPerNNZ / visit)
+	return math.Round(p/visit*20) / 20
 }

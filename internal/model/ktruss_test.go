@@ -7,15 +7,13 @@ import (
 	"maskedspgemm/internal/graph"
 )
 
-// TestRoundWeightsMatchDerivation is the drift gate: the weights
+// TestRoundWeightsMatchDerivation is the drift gate: the probe weight
 // graph's round rule prices with must be this package's derivation from
 // the measured round costs, so neither can be retuned alone.
 func TestRoundWeightsMatchDerivation(t *testing.T) {
-	gotP, gotS := graph.RoundWeights()
-	wantP, wantS := DerivedRoundWeights()
-	if gotP != wantP || gotS != wantS {
-		t.Errorf("graph's round weights are (probe %v, symmetry %v), the derivation from ReferenceRoundCosts gives (%v, %v): "+
-			"update one to match the other (and docs/TUNING.md)", gotP, gotS, wantP, wantS)
+	if got, want := graph.RoundWeights(), DerivedRoundWeights(); got != want {
+		t.Errorf("graph's probe weight is %v, the derivation from ReferenceRoundCosts gives %v: "+
+			"update one to match the other (and docs/TUNING.md)", got, want)
 	}
 }
 

@@ -25,11 +25,13 @@ func TriangleCount(a *Matrix, opts Options) (int64, error) {
 // drops is never materialized.
 //
 // a must be symmetric, as an undirected graph's adjacency is. A
-// non-symmetric a is detected (once per call) and multiplies its
-// directed pattern every round, returning that iteration's fixed point,
-// which is not the truss of any undirected graph.
+// non-symmetric a is detected and multiplies its directed pattern every
+// round, returning that iteration's fixed point, which is not the truss
+// of any undirected graph. a's symmetry is checked when a round could
+// first run as an update, once per Matrix, and never for one built by
+// FromEdges or Symmetrize.
 func KTruss(a *Matrix, k int, opts Options) (*Matrix, int, error) {
-	res, err := graph.KTruss(a.csr, k, opts.config())
+	res, err := graph.KTruss(a.csr, &a.sym, k, opts.config())
 	if err != nil {
 		return nil, 0, err
 	}
