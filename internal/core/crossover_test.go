@@ -220,9 +220,27 @@ func (c *rowCounter) BeginRow() {
 // masked kernel computes. A run visits every row and begins exactly the
 // rows with a non-empty A row and a non-empty mask row (any non-empty A
 // row under Vanilla). A kernel that begins rows with an empty left or
-// mask row fails it.
+// mask row fails it. The tiled run (crossover 0, 16 tiles) walks each
+// tile's range the same way, so it must read the same counts.
 func TestOneTileBeginsLiveRows(t *testing.T) {
-	atProductionCrossover(t)
+	for _, mode := range []struct {
+		name      string
+		crossover int64
+		tiles     int
+		planned   int
+	}{{"one-tile", productionCrossover, DefaultConfig().Tiles, 1}, {"tiled", 0, 16, 16}} {
+		t.Run(mode.name, func(t *testing.T) {
+			setCrossover(t, mode.crossover)
+			beginsLiveRows(t, mode.tiles, mode.planned)
+		})
+	}
+}
+
+// beginsLiveRows runs every hypersparse fixture under every iteration
+// space at the given tile count on one worker, each planned as the given
+// number of tiles, and checks the row visits and BeginRow calls that
+// TestOneTileBeginsLiveRows describes.
+func beginsLiveRows(t *testing.T, tiles, planned int) {
 	sr := semiring.PlusTimes[float64]{}
 	for _, fx := range hypersparseFixtures() {
 		m, a, b := fx.m, fx.a, fx.b
@@ -239,7 +257,10 @@ func TestOneTileBeginsLiveRows(t *testing.T) {
 			}
 			var visits int64
 			cfg := DefaultConfig()
-			cfg.Iteration = it
+			cfg.Iteration, cfg.Tiles, cfg.Workers = it, tiles, 1
+			if got := planTiles(t, m, a, b, cfg); got != planned {
+				t.Fatalf("%s/%v: the plan has %d tiles, want %d", fx.name, it, got, planned)
+			}
 			cfg.Resilience = &Resilience{Chaos: chaos.Func(func(p chaos.Point) chaos.Fault {
 				if p == chaos.RowKernel {
 					visits++

@@ -19,6 +19,23 @@ var families = map[string]func() *sparse.CSR[float64]{
 	"road":    func() *sparse.CSR[float64] { return graphgen.RoadNetwork(20, 18, 0.93, 2) },
 	"web":     func() *sparse.CSR[float64] { return graphgen.WebGraph(350, 9, 0.55, 3) },
 	"circuit": func() *sparse.CSR[float64] { return graphgen.Circuit(320, 3, 0.6, 3, 50, 4) },
+	"er":      func() *sparse.CSR[float64] { return graphgen.ErdosRenyi(300, 2400, 5) },
+	// Most rows empty: every run walks them and begins none.
+	"hypersparse": func() *sparse.CSR[float64] { return spreadRows(graphgen.RMAT(6, 8, 0.57, 0.19, 0.19, 6), 40) },
+}
+
+// spreadRows places g's vertex u at row and column stride·u of a matrix
+// stride times g's size, so every other row and column is empty.
+func spreadRows(g *sparse.CSR[float64], stride int) *sparse.CSR[float64] {
+	n := stride * g.Rows
+	coo := sparse.NewCOO[float64](n, n, 0)
+	for i := range g.Rows {
+		cols, vals := g.Row(i)
+		for p, j := range cols {
+			coo.Add(sparse.Index(stride*i), sparse.Index(stride)*j, vals[p])
+		}
+	}
+	return coo.ToCSR()
 }
 
 // TestAllFormulationsAgreeOnAllFamilies is the repository's central

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -157,6 +158,87 @@ func TestStreamLowerMatchesTril(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamLowerEdgeCases pins the stream's entry checks and its sink
+// contract: a nil sink, a non-square operand and an invalid
+// configuration are rejected before any row is delivered; a matrix of
+// no rows streams nothing; and on a hypersparse matrix, one-tile and
+// tiled, the sink sees each row at most once and never an empty one,
+// while the rows it does see are L ⊙ (L × L)'s.
+func TestStreamLowerEdgeCases(t *testing.T) {
+	sr := semiring.PlusTimes[float64]{}
+	var calls int
+	count := func(int, []sparse.Index, []float64) { calls++ }
+	rejects := func(t *testing.T, a *sparse.CSR[float64], cfg Config, sink func(int, []sparse.Index, []float64), want error) {
+		t.Helper()
+		calls = 0
+		if err := MaskedSpGEMMStreamLower[float64](sr, a, false, cfg, sink); !errors.Is(err, want) {
+			t.Fatalf("got %v, want %v", err, want)
+		}
+		if calls != 0 {
+			t.Fatalf("a rejected stream delivered %d rows", calls)
+		}
+	}
+	square := lowerEdgeCases(12, 9)
+
+	t.Run("nil sink", func(t *testing.T) {
+		rejects(t, square, DefaultConfig(), nil, ErrConfig)
+	})
+	t.Run("non-square", func(t *testing.T) {
+		r := rand.New(rand.NewSource(4))
+		rejects(t, randMatrix(5, 6, 0.5, r), DefaultConfig(), count, sparse.ErrShape)
+	})
+	t.Run("invalid config", func(t *testing.T) {
+		bad := DefaultConfig()
+		bad.MarkerBits = 7
+		rejects(t, square, bad, count, ErrConfig)
+		bad = DefaultConfig()
+		bad.Tiles = 0
+		rejects(t, square, bad, count, ErrConfig)
+	})
+	t.Run("zero rows", func(t *testing.T) {
+		calls = 0
+		if err := MaskedSpGEMMStreamLower[float64](sr, sparse.NewCSR[float64](0, 0, 0), false, DefaultConfig(), count); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 0 {
+			t.Fatalf("a matrix of no rows streamed %d rows", calls)
+		}
+	})
+	t.Run("hypersparse", func(t *testing.T) {
+		g := graphgen.RMAT(6, 8, 0.57, 0.19, 0.19, 11)
+		a := spreadRows(g, 40)
+		l := sparse.Tril(a)
+		for _, crossover := range []int64{productionCrossover, 0} {
+			setCrossover(t, crossover)
+			cfg := DefaultConfig()
+			cfg.Workers = 1
+			want, err := MaskedSpGEMM[float64](sr, l, l, l, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[int]bool)
+			got, err := streamedRows(a.Rows, a.Cols, func(sink func(int, []sparse.Index, []float64)) error {
+				return MaskedSpGEMMStreamLower[float64](sr, a, false, cfg, func(i int, cols []sparse.Index, vals []float64) {
+					if len(cols) == 0 || seen[i] {
+						t.Errorf("crossover=%d: row %d delivered with %d entries, seen before: %v", crossover, i, len(cols), seen[i])
+					}
+					seen[i] = true
+					sink(i, cols, vals)
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sparse.Equal(want, got) {
+				t.Fatalf("crossover=%d: the stream delivers %d entries, Tril %d, or they differ", crossover, got.NNZ(), want.NNZ())
+			}
+			if len(seen) == 0 || len(seen) > g.Rows {
+				t.Fatalf("crossover=%d: %d of %d rows delivered, want a few", crossover, len(seen), a.Rows)
+			}
+		}
+	})
 }
 
 // TestCountViewWork holds the view's work counts to L built out: rows

@@ -441,33 +441,35 @@ func TestKTrussDirectedInputRunsFullRounds(t *testing.T) {
 		"web": sparse.DropDiagonal(graphgen.WebGraph(300, 6, 0.5, 3)).Pattern(),
 	}
 	for name, a := range inputs {
-		if sparse.IsSymmetric(a) {
-			t.Fatalf("fixture %s is symmetric", name)
-		}
-		learned := new(Symmetry)
-		for _, k := range []int{3, 4} {
-			want := fullRecompute(t, a, k)
-			for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
-				for _, sym := range []*Symmetry{nil, learned} {
-					var delta, full int
-					res, got := peelRounds(t, a, sym, k, force, &delta, &full)
-					if delta != 0 {
-						t.Errorf("%s k=%d force=%d memo=%v: %d delta rounds on a non-symmetric pattern", name, k, force, sym != nil, delta)
-					}
-					if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
-						t.Errorf("%s k=%d force=%d memo=%v: %d rounds, want %d, or a different truss", name, k, force, sym != nil, res.Rounds, len(want))
-					}
-					for r := range got {
-						if r < len(want) && !sparse.Equal(got[r], want[r]) {
-							t.Errorf("%s k=%d force=%d memo=%v: round %d differs from the full product's", name, k, force, sym != nil, r+1)
+		t.Run(name, func(t *testing.T) {
+			if sparse.IsSymmetric(a) {
+				t.Fatalf("fixture %s is symmetric", name)
+			}
+			learned := new(Symmetry)
+			for _, k := range []int{3, 4} {
+				want := fullRecompute(t, a, k)
+				for _, force := range []RoundKind{AutoRounds, DeltaRounds} {
+					for _, sym := range []*Symmetry{nil, learned} {
+						var delta, full int
+						res, got := peelRounds(t, a, sym, k, force, &delta, &full)
+						if delta != 0 {
+							t.Errorf("%s k=%d force=%d memo=%v: %d delta rounds on a non-symmetric pattern", name, k, force, sym != nil, delta)
+						}
+						if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
+							t.Errorf("%s k=%d force=%d memo=%v: %d rounds, want %d, or a different truss", name, k, force, sym != nil, res.Rounds, len(want))
+						}
+						for r := range got {
+							if r < len(want) && !sparse.Equal(got[r], want[r]) {
+								t.Errorf("%s k=%d force=%d memo=%v: round %d differs from the full product's", name, k, force, sym != nil, r+1)
+							}
 						}
 					}
 				}
 			}
-		}
-		if st := learned.state.Load(); st != -1 {
-			t.Errorf("%s: the memo reads %d after the calls, want -1 (not symmetric)", name, st)
-		}
+			if st := learned.state.Load(); st != -1 {
+				t.Errorf("%s: the memo reads %d after the calls, want -1 (not symmetric)", name, st)
+			}
+		})
 	}
 }
 
@@ -485,21 +487,28 @@ func TestKTrussObeysSymmetryMemo(t *testing.T) {
 		t.Fatalf("the fixture peels in %d rounds; want a few", len(want))
 	}
 	for _, symmetric := range []bool{false, true} {
-		var sym Symmetry
-		sym.Set(symmetric)
+		t.Run(fmt.Sprintf("set-%v", symmetric), func(t *testing.T) {
+			var sym Symmetry
+			sym.Set(symmetric)
+			var delta, full int
+			res, _ := peelRounds(t, a, &sym, k, DeltaRounds, &delta, &full)
+			if symmetric && (delta == 0 || full != 0) || !symmetric && delta != 0 {
+				t.Errorf("memo says symmetric=%v: %d delta and %d full rounds after the first", symmetric, delta, full)
+			}
+			if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
+				t.Errorf("memo says symmetric=%v: %d rounds, want %d, or a different truss", symmetric, res.Rounds, len(want))
+			}
+		})
+	}
+	t.Run("fresh", func(t *testing.T) {
+		var fresh Symmetry
 		var delta, full int
-		res, _ := peelRounds(t, a, &sym, k, DeltaRounds, &delta, &full)
-		if symmetric && (delta == 0 || full != 0) || !symmetric && delta != 0 {
-			t.Errorf("memo says symmetric=%v: %d delta and %d full rounds after the first", symmetric, delta, full)
+		res, _ := peelRounds(t, a, &fresh, k, DeltaRounds, &delta, &full)
+		if st := fresh.state.Load(); st != 1 || delta == 0 {
+			t.Errorf("a fresh memo reads %d after a call that ran %d delta rounds, want 1 and some", st, delta)
 		}
 		if res.Rounds != len(want) || !sparse.EqualPattern(res.Truss, want[len(want)-1]) {
-			t.Errorf("memo says symmetric=%v: %d rounds, want %d, or a different truss", symmetric, res.Rounds, len(want))
+			t.Errorf("fresh memo: %d rounds, want %d, or a different truss", res.Rounds, len(want))
 		}
-	}
-	var fresh Symmetry
-	var delta, full int
-	peelRounds(t, a, &fresh, k, DeltaRounds, &delta, &full)
-	if st := fresh.state.Load(); st != 1 || delta == 0 {
-		t.Errorf("a fresh memo reads %d after a call that ran %d delta rounds, want 1 and some", st, delta)
-	}
+	})
 }
